@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 
 from .errors import CatalogError
@@ -122,6 +123,8 @@ def _require_keys(doc: dict, allowed: set[str], where: str) -> None:
 
 
 def _parse_attr_ref(text: str, where: str) -> tuple[str, str]:
+    if not isinstance(text, str):
+        raise CatalogError(f"{where}: expected 'relation.attribute', got {text!r}")
     parts = text.lower().split(".")
     if len(parts) != 2 or not all(parts):
         raise CatalogError(f"{where}: expected 'relation.attribute', got {text!r}")
@@ -152,8 +155,9 @@ def _load_relation(doc: dict, where: str) -> Relation:
     if not isinstance(name, str) or not name:
         raise CatalogError(f"{where}: relation name must be a non-empty string")
     card = doc.get("cardinality")
-    if isinstance(card, bool) or not isinstance(card, (int, float)) or card < 0:
-        raise CatalogError(f"{where}: cardinality must be a number >= 0")
+    if isinstance(card, bool) or not isinstance(card, (int, float)) \
+            or not 0 <= card <= sys.float_info.max:
+        raise CatalogError(f"{where}: cardinality must be a finite number >= 0")
     attrs_doc = doc.get("attributes")
     if not isinstance(attrs_doc, list) or not attrs_doc:
         raise CatalogError(f"{where}: attributes must be a non-empty list")
@@ -213,8 +217,11 @@ def load_catalog(schema_text: str, stats_text: str | None = None) -> Catalog:
             raise CatalogError(f"relations[{i}]: duplicate relation {rel.name!r}")
         relations[rel.name] = rel
 
+    edge_docs = doc.get("fk_edges")
+    if not isinstance(edge_docs, (list, type(None))):
+        raise CatalogError("schema: fk_edges must be a list")
     edges: list[FkEdge] = []
-    for i, ed in enumerate(doc.get("fk_edges", []) or []):
+    for i, ed in enumerate(edge_docs or []):
         where = f"fk_edges[{i}]"
         _require_keys(ed, {"left", "right", "jsf"}, where)
         left = _parse_attr_ref(ed.get("left", ""), where)

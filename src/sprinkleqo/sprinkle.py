@@ -4,9 +4,10 @@ Each stage consumes a dag, decorates every maximal plan under every
 registered query root, and interns the surviving decorated plans into a
 fresh memo:
 
-  selects   exhaustive joint placement over each plan's candidate positions,
-            global per-plan minimum (the val1/val2 comparison of the local
-            rule is subsumed by evaluating full plan costs)
+  selects   exact joint placement over each plan's candidate positions by a
+            DP over (plan node, subset of selects at or below it); the
+            val1/val2 comparison of the local rule is subsumed by the DP's
+            full plan costs
   group-by  local walk from the root downward by the val1/val2 rule,
             having attached directly above wherever the group-by lands
   order-by  same walk shape with the sort-specific val2; ordering is
@@ -22,7 +23,6 @@ as a cost lower bound exceeds the best complete plan seen so far.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -35,10 +35,6 @@ from .joindag import HistoryDag
 from .memo import (Dag, KIND_GROUPBY, KIND_HAVING, KIND_JOIN, KIND_JOINFILTER,
                    KIND_ORDERBY, KIND_PROJECT, KIND_SELECT)
 from .sqlfront import AttrRef, HavingCondition, Query, SelectCondition, extract_join_set
-
-# Joint placement is exhaustive up to this many position combinations per
-# plan; beyond it selects are placed one at a time (most selective first).
-JOINT_PLACEMENT_CAP = 20000
 
 SELECT_AFTER_JOIN = "select_after_join"
 SELECT_BEFORE_JOIN = "select_before_join"
@@ -68,21 +64,8 @@ def plan_bases(plan: Plan) -> frozenset[str]:
     return out
 
 
-def path_to_relation(plan: Plan, relation: str) -> list[Plan]:
-    """Nodes from the plan root down to `relation`'s base leaf."""
-    node = plan
-    path = [node]
-    while node.kind != "base":
-        for child in node.children:
-            if relation in plan_bases(child):
-                node = child
-                path.append(node)
-                break
-        else:
-            raise DagError(f"relation {relation!r} not reachable in plan")
-    if node.relation != relation:
-        raise DagError(f"relation {relation!r} not a base of this plan")
-    return path
+def _stack_key(cond: SelectCondition) -> tuple[float, str]:
+    return cond.ssf, cond.canonical()
 
 
 def _rebuild_with_selects(plan: Plan, placed: dict[int, list[SelectCondition]]) -> Plan:
@@ -97,8 +80,7 @@ def _rebuild_with_selects(plan: Plan, placed: dict[int, list[SelectCondition]]) 
         else:
             out = op_plan(node.kind, node.detail,
                           tuple(walk(c) for c in node.children), node.factor)
-        for cond in sorted(placed.get(id(node), ()),
-                           key=lambda s: (s.ssf, s.canonical())):
+        for cond in sorted(placed.get(id(node), ()), key=_stack_key):
             out = op_plan(KIND_SELECT, cond.canonical(), (out,), cond.ssf)
         return out
 
@@ -107,46 +89,176 @@ def _rebuild_with_selects(plan: Plan, placed: dict[int, list[SelectCondition]]) 
 
 def _select_cost_lower_bound(plan: Plan, selects) -> float:
     """Plan cost with every select pushed to its leaf, minus the select
-    operators' own costs: no placement can cost less."""
-    placed: dict[int, list[SelectCondition]] = {}
-    for cond in selects:
-        leaf = path_to_relation(plan, cond.relation)[-1]
-        placed.setdefault(id(leaf), []).append(cond)
-    decorated = _rebuild_with_selects(plan, placed)
+    operators' own costs: no placement can cost less.
+
+    One walk does the float operations of `_rebuild_with_selects` with every
+    select at its leaf, in the same order, and sums the select costs in the
+    order a stack walk from the rebuilt root meets them (leaves right to
+    left, each stack top-down), so no plan is built and the value is
+    bit-identical to the rebuilt plan's.
+    """
+    at_leaf: dict[str, list[SelectCondition]] = {}
+    for cond in sorted(selects, key=_stack_key):
+        at_leaf.setdefault(cond.relation, []).append(cond)
+    select_costs: list[float] = []  # leaves left to right, each stack bottom-up
+
+    def walk(node: Plan) -> tuple[float, float]:
+        if node.kind == "base":
+            size, cum = node.est_size, node.cum_cost
+            for cond in at_leaf.get(node.relation, ()):
+                select_costs.append(size)
+                size, cum = float(cond.ssf) * size, size + cum
+            return size, cum
+        sizes, cums = zip(*[walk(c) for c in node.children])
+        return (costplan.estimate_size(node.kind, sizes, node.factor),
+                costplan.op_cost(node.kind, sizes) + sum(cums))
+
+    cum = walk(plan)[1]
     select_cost = 0.0
-    stack = [decorated]
-    while stack:
-        node = stack.pop()
-        if node.kind == KIND_SELECT:
-            select_cost += node.op_cost
-        stack.extend(node.children)
-    return decorated.cum_cost - select_cost
+    for cost in reversed(select_costs):
+        select_cost += cost
+    return cum - select_cost
+
+
+def _subsets(n: int) -> list[list[int]]:
+    """subsets[m] lists every submask of the bit mask m, for m < 2**n."""
+    out = [[0]]
+    for i in range(n):
+        out += [sub + [m | 1 << i for m in sub] for sub in out]
+    return out
+
+
+def _stack_factors(ordered) -> tuple[list[float], list[float]]:
+    """Per subset T of the selects: a stack of T on an input of size p
+    costs p*cost[T] and yields p*size[T], applied in `_stack_key` order."""
+    rank = sorted(range(len(ordered)), key=lambda i: _stack_key(ordered[i]))
+    cost, size = [0.0] * (1 << len(ordered)), [1.0] * (1 << len(ordered))
+    for t in range(1 << len(ordered)):
+        for i in rank:
+            if t >> i & 1:
+                cost[t] += size[t]
+                size[t] *= float(ordered[i].ssf)
+    return cost, size
+
+
+class _Cell:
+    """One plan node of the placement DP.  Lists are indexed by bit masks
+    over the selects; `u` is the set placed below the node's own operator,
+    `s` the set placed at or below the node."""
+
+    __slots__ = ("depth", "children", "mask", "below_mask", "local", "pre",
+                 "below", "best", "out")
+
+    def __init__(self, depth: int, children: tuple["_Cell", ...], width: int):
+        self.depth = depth
+        self.children = children
+        self.below_mask = 0
+        for child in children:
+            self.below_mask |= child.mask
+        self.mask = self.below_mask      # leaves add the selects on their relation
+        self.local = [0.0] * width       # the node's own operator cost, by u
+        self.pre = [0.0] * width         # output size before its select stack, by u
+        self.below = [0.0] * width       # least cost of the children, by u
+        self.best = [0.0] * width        # least subtree cost, by s
+        self.out = [0.0] * width         # output size after its select stack, by s
+
+
+def _near_optimal_placements(plan: Plan, ordered) -> tuple[list[list[Plan]], list[tuple[int, ...]]]:
+    """Each select's candidate path (root-first) and every placement whose
+    DP cost is within memo.SIZE_RTOL of the least, as one path index per
+    select, in `itertools.product` order over the paths.
+
+    A select scales every size above it by its ssf, so a node's cost depends
+    only on which selects sit at or below its inputs: a bottom-up DP over
+    (node, subset of selects at or below it) is exact in O(nodes * 3**s).
+    """
+    width = 1 << len(ordered)
+    subsets = _subsets(len(ordered))
+    stack_cost, stack_size = _stack_factors(ordered)
+    on_relation: dict[str, list[int]] = {}
+    for i, cond in enumerate(ordered):
+        on_relation.setdefault(cond.relation, []).append(i)
+    paths: list[list[Plan] | None] = [None] * len(ordered)
+
+    def build(node: Plan, path: list[Plan]) -> _Cell:
+        path = path + [node]
+        cell = _Cell(len(path) - 1, tuple(build(c, path) for c in node.children), width)
+        if node.kind == "base":
+            for i in on_relation.get(node.relation, ()):
+                paths[i] = path
+                cell.mask |= 1 << i
+            cell.local[0], cell.pre[0] = node.cum_cost, node.est_size
+        else:
+            for u in subsets[cell.below_mask]:
+                sizes = tuple(c.out[u & c.mask] for c in cell.children)
+                cell.local[u] = costplan.op_cost(node.kind, sizes)
+                cell.pre[u] = costplan.estimate_size(node.kind, sizes, node.factor)
+                cell.below[u] = sum(c.best[u & c.mask] for c in cell.children)
+        local, pre, below = cell.local, cell.pre, cell.below
+        for s in subsets[cell.mask]:
+            least = math.inf
+            for u in subsets[s & cell.below_mask]:
+                cost = local[u] + below[u] + pre[u] * stack_cost[s ^ u]
+                if cost < least:
+                    least = cost
+            cell.best[s] = least
+            u = s & cell.below_mask
+            cell.out[s] = pre[u] * stack_size[s ^ u]
+        return cell
+
+    def placements(cell: _Cell, s: int, budget: float):
+        """(DP cost, ((select, depth), ...)) for every placement of `s` at or
+        below `cell` costing no more than `budget`.  A non-finite cost is
+        never above the budget, so such plans keep every placement."""
+        for u in subsets[s & cell.below_mask]:
+            here = cell.local[u] + cell.pre[u] * stack_cost[s ^ u]
+            if here + cell.below[u] > budget:
+                continue
+            mine = tuple((i, cell.depth) for i in range(len(ordered)) if (s ^ u) >> i & 1)
+            for cost, placed in children_placements(cell.children, u, budget - here):
+                yield here + cost, mine + placed
+
+    def children_placements(children: tuple[_Cell, ...], u: int, budget: float):
+        if not children:
+            yield 0.0, ()
+            return
+        first, rest = children[0], children[1:]
+        rest_least = sum(c.best[u & c.mask] for c in rest)
+        for cost, placed in placements(first, u & first.mask, budget - rest_least):
+            for rest_cost, rest_placed in children_placements(rest, u, budget - cost):
+                yield cost + rest_cost, placed + rest_placed
+
+    root = build(plan, [])
+    for cond, path in zip(ordered, paths):
+        if path is None:
+            raise DagError(f"relation {cond.relation!r} not a base of this plan")
+    least = root.best[width - 1]
+    budget = least + memo.SIZE_RTOL * max(1.0, abs(least))
+    ties = sorted(tuple(depth for _, depth in sorted(placed))
+                  for _, placed in placements(root, width - 1, budget))
+    return paths, ties
 
 
 def place_selects_on_plan(plan: Plan, selects) -> Plan:
     """Minimum-cost joint placement of all selects onto one plan.
 
     Candidate positions for each select are every node on the path from its
-    relation's leaf to the root; cost ties prefer positions nearer the root.
-    Beyond JOINT_PLACEMENT_CAP combinations the selects are placed one at a
-    time in ascending-ssf order, each at its own exhaustive optimum.
+    relation's leaf to the root.  A subset DP (`_near_optimal_placements`)
+    finds the least cost without building plans; only the placements within
+    memo.SIZE_RTOL of it are rebuilt, because the DP and a rebuilt plan add
+    in different orders.  The first cheapest rebuilt plan in product order
+    (selects in canonical order, each path root-first) wins, so cost ties
+    prefer positions nearer the root.
     """
     if not selects:
         return plan
     ordered = sorted(selects, key=lambda s: (s.canonical(),))
-    paths = {s.canonical(): path_to_relation(plan, s.relation) for s in ordered}
-    combos = math.prod(len(paths[s.canonical()]) for s in ordered)
-    if combos > JOINT_PLACEMENT_CAP:
-        current = plan
-        for cond in sorted(ordered, key=lambda s: (s.ssf, s.canonical())):
-            current = place_selects_on_plan(current, [cond])
-        return current
-
+    paths, ties = _near_optimal_placements(plan, ordered)
     best: Plan | None = None
-    for assignment in itertools.product(*(paths[s.canonical()] for s in ordered)):
+    for positions in ties:
         placed: dict[int, list[SelectCondition]] = {}
-        for cond, node in zip(ordered, assignment):
-            placed.setdefault(id(node), []).append(cond)
+        for cond, path, depth in zip(ordered, paths, positions):
+            placed.setdefault(id(path[depth]), []).append(cond)
         candidate = _rebuild_with_selects(plan, placed)
         if best is None or candidate.cum_cost < best.cum_cost:
             best = candidate
@@ -159,12 +271,15 @@ def _roots_in_order(dag: Dag) -> list[tuple[str, int]]:
     return sorted(dag.query_roots.items())
 
 
-def _decorate_stage(dag: Dag, decorate, *, split_classes: bool = False) -> Dag:
+def _decorate_stage(dag: Dag, decorate, *, split_classes: bool = False,
+                    bound=None) -> Dag:
     """Run one sprinkling stage over every registered root.
 
     `decorate(plan) -> Plan` maps one maximal plan to its decorated form.
-    Plans whose cost exceeds the running best are pruned.  When
-    `split_classes` is set, decorated plans may disagree on the root
+    Plans whose cost exceeds the running best are pruned; when given,
+    `bound(plan)` is a lower bound on the decorated cost, and plans whose
+    bound exceeds the running best are pruned before they are decorated.
+    When `split_classes` is set, decorated plans may disagree on the root
     signature (the stage changed what the result denotes, e.g. grouping
     below different subtrees); only the signature class of the cheapest
     plan is kept.
@@ -175,6 +290,8 @@ def _decorate_stage(dag: Dag, decorate, *, split_classes: bool = False) -> Dag:
         kept: list[tuple[float, Plan]] = []
         running_best = math.inf
         for plan in costplan.enumerate_plans(dag, root):
+            if bound is not None and bound(plan) > running_best:
+                continue
             decorated = decorate(plan)
             if decorated.cum_cost > running_best:
                 continue
@@ -207,35 +324,10 @@ def sprinkle_selects(jd: Dag, selects, catalog: Catalog) -> Dag:
                 raise ValidationError(
                     f"select on {cond.relation!r} but query {query_id!r} "
                     f"covers {sorted(bases)}")
-
-    def decorate(plan: Plan) -> Plan:
-        return place_selects_on_plan(plan, selects)
-
     if not selects:
         return _decorate_stage(jd, lambda p: p)
-
-    # Lower-bound pruning wrapper: skip joint placement for plans that
-    # cannot beat the best complete plan found so far.
-    fresh = Dag()
-    fresh.meta = dict(jd.meta)
-    for query_id, root in _roots_in_order(jd):
-        running_best = math.inf
-        kept: list[Plan] = []
-        for plan in costplan.enumerate_plans(jd, root):
-            if _select_cost_lower_bound(plan, selects) > running_best:
-                continue
-            decorated = decorate(plan)
-            if decorated.cum_cost > running_best:
-                continue
-            running_best = decorated.cum_cost
-            kept.append(decorated)
-        if not kept:
-            raise DagError(f"no plans under root {query_id!r}")
-        new_root = None
-        for decorated in kept:
-            new_root = costplan.intern_plan(fresh, decorated)
-        memo.register_root(fresh, query_id, new_root)
-    return fresh
+    return _decorate_stage(jd, lambda p: place_selects_on_plan(p, selects),
+                           bound=lambda p: _select_cost_lower_bound(p, selects))
 
 
 def _groupby_detail(group_by, child: Plan) -> str:

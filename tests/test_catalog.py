@@ -1,6 +1,7 @@
 """Catalog loading, validation, fingerprinting, and selectivity lookup."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -53,6 +54,29 @@ def test_fk_edge_must_reference_known_attributes():
     doc = json.loads(json.dumps(BASIC))
     doc["fk_edges"][0]["left"] = "a.nope"
     with pytest.raises(CatalogError):
+        load_catalog(json.dumps(doc))
+
+
+def test_fk_edges_must_be_a_list():
+    doc = json.loads(json.dumps(BASIC))
+    doc["fk_edges"] = 5
+    with pytest.raises(CatalogError, match="fk_edges must be a list"):
+        load_catalog(json.dumps(doc))
+
+
+def test_fk_edge_endpoint_must_be_a_string():
+    doc = json.loads(json.dumps(BASIC))
+    doc["fk_edges"][0]["left"] = 7
+    with pytest.raises(CatalogError, match="relation.attribute"):
+        load_catalog(json.dumps(doc))
+
+
+@pytest.mark.parametrize("cardinality", [math.nan, math.inf, 10 ** 400],
+                         ids=["nan", "inf", "huge-int"])
+def test_cardinality_must_be_finite(cardinality):
+    doc = json.loads(json.dumps(BASIC))
+    doc["relations"][0]["cardinality"] = cardinality
+    with pytest.raises(CatalogError, match="finite"):
         load_catalog(json.dumps(doc))
 
 

@@ -128,6 +128,21 @@ def test_validation_error_exit_two(capsys, tmp_path):
     assert code == 2 and err.startswith("ERR:")
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(fk_edges=5),
+    lambda doc: doc["fk_edges"][0].update(left=7),
+    lambda doc: doc["relations"][0].update(cardinality=float("nan")),
+], ids=["fk-edges-not-a-list", "non-string-endpoint", "nan-cardinality"])
+def test_malformed_schema_is_one_error_line(capsys, tmp_path, edit):
+    doc = json.loads((FIXTURES / "company" / "schema.json").read_text())
+    edit(doc)
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "optimize", "--schema", str(schema), "--query", Q1)
+    assert code == 2
+    assert err.startswith("ERR:validation:") and len(err.splitlines()) == 1
+
+
 def test_optimize_reads_history_without_writing(capsys, tmp_path):
     hist = tmp_path / "history.json"
     code, stdout, _ = run(capsys, "histdag", "build", "--schema", COMPANY,

@@ -1,5 +1,6 @@
 """Operator sprinkling: placement rules, stages, and the full pipeline."""
 
+import itertools
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from sprinkleqo.catalog import load_catalog
 from sprinkleqo.costplan import base_plan, op_plan, plan_key
 from sprinkleqo.errors import ValidationError
 from sprinkleqo.memo import (KIND_GROUPBY, KIND_HAVING, KIND_JOIN,
-                             KIND_ORDERBY, KIND_PROJECT, KIND_SELECT)
+                             KIND_JOINFILTER, KIND_ORDERBY, KIND_PROJECT, KIND_SELECT)
 from sprinkleqo.sqlfront import (HavingCondition, JoinCondition, OrderItem,
                                  SelectCondition, parse_query)
 
@@ -43,7 +44,64 @@ def test_choose_order_exact_tie_keeps_select_early():
         sprinkle.SELECT_BEFORE_JOIN
 
 
-# -- joint select placement against a literal oracle --------------------------
+# -- joint select placement against literal oracles ---------------------------
+
+def path_to_relation(plan, relation):
+    """Nodes from the plan root down to `relation`'s base leaf."""
+    node = plan
+    path = [node]
+    while node.kind != "base":
+        for child in node.children:
+            if relation in sprinkle.plan_bases(child):
+                node = child
+                path.append(node)
+                break
+        else:
+            raise AssertionError(f"relation {relation!r} not reachable in plan")
+    assert node.relation == relation
+    return path
+
+
+def product_placement(plan, selects):
+    """The exhaustive product search select placement used before the DP:
+    the first cheapest rebuilt plan in itertools.product order."""
+    ordered = sorted(selects, key=lambda s: (s.canonical(),))
+    paths = {s.canonical(): path_to_relation(plan, s.relation) for s in ordered}
+    best = None
+    for assignment in itertools.product(*(paths[s.canonical()] for s in ordered)):
+        placed = {}
+        for cond, node in zip(ordered, assignment):
+            placed.setdefault(id(node), []).append(cond)
+        candidate = sprinkle._rebuild_with_selects(plan, placed)
+        if best is None or candidate.cum_cost < best.cum_cost:
+            best = candidate
+    return best
+
+
+def greedy_placement(plan, selects):
+    """One select at a time, most selective first, each at its own optimum
+    (the fallback the product search once used beyond a size cap)."""
+    for cond in sorted(selects, key=lambda s: (s.ssf, s.canonical())):
+        plan = product_placement(plan, [cond])
+    return plan
+
+
+def rebuilt_lower_bound(plan, selects):
+    """The select-cost lower bound computed on a rebuilt plan."""
+    placed = {}
+    for cond in selects:
+        leaf = path_to_relation(plan, cond.relation)[-1]
+        placed.setdefault(id(leaf), []).append(cond)
+    decorated = sprinkle._rebuild_with_selects(plan, placed)
+    select_cost = 0.0
+    stack = [decorated]
+    while stack:
+        node = stack.pop()
+        if node.kind == KIND_SELECT:
+            select_cost += node.op_cost
+        stack.extend(node.children)
+    return decorated.cum_cost - select_cost
+
 
 def insert_above(plan, target, cond):
     if plan is target:
@@ -66,7 +124,7 @@ def all_placements(plan, selects):
         return
     cond = selects[0]
     for partial in all_placements(plan, selects[1:]):
-        for target in sprinkle.path_to_relation(partial, cond.relation):
+        for target in path_to_relation(partial, cond.relation):
             yield insert_above(partial, target, cond)
 
 
@@ -101,6 +159,49 @@ def test_joint_placement_matches_exhaustive_oracle():
         assert select_count(placed) == n
 
 
+def random_plan(rng, relations, shape):
+    """A random join tree over `relations`: left-deep or bushy, with some
+    inner joins wrapped in a joinfilter as on cyclic join graphs."""
+    if len(relations) == 1:
+        return base_plan(relations[0], rng.choice([1.0, 10.0, 50.0, 100.0, 1000.0]))
+    split = len(relations) - 1 if shape == "left-deep" else rng.randint(1, len(relations) - 1)
+    left = random_plan(rng, relations[:split], shape)
+    right = random_plan(rng, relations[split:], shape)
+    jsf = rng.choice([0.001, 0.01, 0.1, 0.5, 1.0])
+    plan = op_plan(KIND_JOIN, f"{relations[0]}.x = {relations[-1]}.x", (left, right), jsf)
+    if shape == "joinfilter" and rng.random() < 0.5:
+        plan = op_plan(KIND_JOINFILTER, f"{relations[0]}.y = {relations[-1]}.y",
+                       (plan,), rng.choice([0.01, 0.1, 0.5]))
+    return plan
+
+
+def random_plans_with_selects(seed, count):
+    rng = random.Random(seed)
+    for i in range(count):
+        relations = [f"r{k}" for k in range(rng.randint(1, 5))]
+        plan = random_plan(rng, relations, ("left-deep", "bushy", "joinfilter")[i % 3])
+        ssfs = rng.choice([[0.1], [0.5, 1.0], [0.01, 0.1, 0.5, 1.0]])
+        selects = tuple(SelectCondition(rng.choice(relations), "b", ">", k,
+                                        ssf=rng.choice(ssfs))
+                        for k in range(rng.randint(1, 5)))
+        yield plan, selects
+
+
+def test_subset_dp_placement_equals_the_product_search():
+    for plan, selects in random_plans_with_selects(4242, 150):
+        placed = sprinkle.place_selects_on_plan(plan, selects)
+        oracle = product_placement(plan, selects)
+        assert plan_key(placed) == plan_key(oracle)
+        assert placed.cum_cost == oracle.cum_cost
+
+
+def test_lower_bound_is_bit_identical_to_the_rebuilt_bound():
+    for plan, selects in random_plans_with_selects(4243, 150):
+        bound = sprinkle._select_cost_lower_bound(plan, selects)
+        assert bound.hex() == rebuilt_lower_bound(plan, selects).hex()
+        assert bound <= sprinkle.place_selects_on_plan(plan, selects).cum_cost
+
+
 def test_nonselective_filter_stays_at_the_root():
     # ssf=1 never shrinks anything; the root position ties and wins
     plan = op_plan(KIND_JOIN, "a.x = b.x",
@@ -120,16 +221,17 @@ def test_stacked_selects_apply_most_selective_first():
     assert placed.cum_cost == 1000.0 + 100.0
 
 
-def test_sequential_fallback_beyond_cap():
+def test_six_selects_on_seven_relations_beat_greedy_placement():
+    # 7**6 joint positions: beyond what the product search could try
     rels = [base_plan(f"r{i}", 100.0) for i in range(7)]
     plan = rels[0]
     for i in range(1, 7):
         plan = op_plan(KIND_JOIN, f"r{i - 1}.x = r{i}.x", (plan, rels[i]), 0.01)
     selects = tuple(SelectCondition("r0", "b", ">", i, ssf=0.5)
                     for i in range(6))
-    assert 7 ** 6 > sprinkle.JOINT_PLACEMENT_CAP
     placed = sprinkle.place_selects_on_plan(plan, selects)
     assert select_count(placed) == 6
+    assert placed.cum_cost <= greedy_placement(plan, selects).cum_cost
     root_stack = plan
     for cond in sorted(selects, key=lambda s: (s.ssf, s.canonical()),
                        reverse=True):
