@@ -22,8 +22,8 @@ from .joindag import (HistoryDag, build_complete_history, build_incremental,
 from .memo import Dag, count_nodes, export_dot
 from .naive import build_naive_dag, incremental_naive_add, permutations_considered
 from .sprinkle import (OptimizeResult, choose_order, optimize_many,
-                       optimize_nested, optimize_single, sprinkle_groupby,
-                       sprinkle_orderby, sprinkle_projects, sprinkle_selects)
+                       optimize_single, sprinkle_groupby, sprinkle_orderby,
+                       sprinkle_projects, sprinkle_selects)
 from .sqlfront import (JoinCondition, Query, SelectCondition, parse_query,
                        render_query)
 

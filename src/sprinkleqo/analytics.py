@@ -58,12 +58,7 @@ def andor_eqnodes_after_selects(n_eq: int, p: int, n: int, q: int) -> int:
     """Eq-node growth matching andor_plans_after_selects: each inserted
     select adds one node to every plan existing at that point."""
     _require_nonneg(n_eq=n_eq, p=p, n=n, q=q)
-    total = n_eq
-    term = p
-    for k in range(q):
-        term *= n + k
-        total += term
-    return total
+    return n_eq + sum(andor_plans_after_selects(p, n, k) for k in range(1, q + 1))
 
 
 def naive_time_complexity(n: int) -> Fraction:
@@ -102,12 +97,17 @@ def complexity_params_for(query: Query, catalog: Catalog,
 
     if query.subquery is not None:
         raise ValidationError("complexity parameters are defined for flat queries")
-    joins = extract_join_set(query)
-    j, s = len(joins), len(query.selects)
-    history = joindag.build_incremental(joindag.empty_history(catalog), joins,
-                                        catalog, limit)
+    history = joindag.build_incremental(joindag.empty_history(catalog),
+                                        extract_join_set(query), catalog, limit)
     jd = sprinkle.extract_query_joindag(history, query, catalog, "params")
     n_eq, _, p = memo.count_nodes(jd)
+    return complexity_params(query, n_eq, p)
+
+
+def complexity_params(query: Query, n_eq: int, p: int) -> ComplexityParams:
+    """Estimator inputs of a flat query whose join dag has n_eq eq-nodes and
+    p plans: j join and s select conditions, n = j + s, q = s."""
+    j, s = len(extract_join_set(query)), len(query.selects)
     return ComplexityParams(n=j + s, j=j, s=s, p=p, q=s, n_eq=n_eq)
 
 

@@ -73,25 +73,31 @@ class SchemaGraph:
     edges: tuple[FkEdge, ...]
 
     def components(self) -> list[frozenset[str]]:
-        seen: set[str] = set()
-        out: list[frozenset[str]] = []
-        adjacency: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for e in self.edges:
-            adjacency[e.left[0]].add(e.right[0])
-            adjacency[e.right[0]].add(e.left[0])
-        for start in sorted(self.nodes):
-            if start in seen:
-                continue
-            stack, comp = [start], set()
-            while stack:
-                n = stack.pop()
-                if n in comp:
-                    continue
-                comp.add(n)
-                stack.extend(adjacency[n] - comp)
-            seen |= comp
-            out.append(frozenset(comp))
-        return out
+        return components(self.nodes, [(e.left[0], e.right[0]) for e in self.edges])
+
+
+def components(nodes, edges) -> list[frozenset[str]]:
+    """Connected components of an undirected graph, ordered by least member.
+
+    Union-find whose roots are always the least member of their set.  Edges
+    with an endpoint outside `nodes` are ignored.
+    """
+    parent = {n: n for n in nodes}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        if a in parent and b in parent:
+            ra, rb = find(a), find(b)
+            parent[max(ra, rb)] = min(ra, rb)
+    groups: dict[str, set[str]] = {}
+    for n in parent:
+        groups.setdefault(find(n), set()).add(n)
+    return [frozenset(groups[root]) for root in sorted(groups)]
 
 
 @dataclass(frozen=True)
@@ -171,24 +177,25 @@ def _load_relation(doc: dict, where: str) -> Relation:
     return Relation(name=name.lower(), cardinality=float(card), attributes=attrs)
 
 
+def _selectivity(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CatalogError(f"{what} must be a number")
+    if not (0.0 < float(value) <= 1.0):
+        raise CatalogError(f"{what} must be in (0, 1]")
+    return float(value)
+
+
 def _load_stats(doc: dict, where: str) -> Stats:
     _require_keys(doc, {"default_ssf", "overrides"}, where)
-    default_ssf = doc.get("default_ssf", DEFAULT_SSF)
-    if isinstance(default_ssf, bool) or not isinstance(default_ssf, (int, float)):
-        raise CatalogError(f"{where}: default_ssf must be a number")
-    if not (0.0 < float(default_ssf) <= 1.0):
-        raise CatalogError(f"{where}: default_ssf must be in (0, 1]")
+    default_ssf = _selectivity(doc.get("default_ssf", DEFAULT_SSF), f"{where}: default_ssf")
     overrides_doc = doc.get("overrides", {})
     if not isinstance(overrides_doc, dict):
         raise CatalogError(f"{where}: overrides must be an object")
     overrides: dict[str, float] = {}
     for key, value in overrides_doc.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise CatalogError(f"{where}.overrides[{key!r}]: value must be a number")
-        if not (0.0 < float(value) <= 1.0):
-            raise CatalogError(f"{where}.overrides[{key!r}]: value must be in (0, 1]")
-        overrides[" ".join(key.lower().split())] = float(value)
-    return Stats(default_ssf=float(default_ssf), overrides=overrides)
+        overrides[" ".join(key.lower().split())] = _selectivity(
+            value, f"{where}.overrides[{key!r}]: value")
+    return Stats(default_ssf=default_ssf, overrides=overrides)
 
 
 def default_jsf(catalog_relations: dict[str, Relation], left: tuple[str, str],

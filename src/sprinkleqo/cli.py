@@ -18,7 +18,6 @@ import sys
 import time
 
 from . import analytics, costplan, joindag, memo, naive, sprinkle
-from .analytics import ComplexityParams
 from .catalog import Catalog, load_catalog_file
 from .errors import SprinkleQoError, ValidationError
 from .ioutil import atomic_write_text, read_text
@@ -135,15 +134,6 @@ def _effective_limit(args) -> int:
     return args.max_ops
 
 
-def _flat_params(query: Query, catalog: Catalog, limit: int,
-                 jd_eq: int, jd_plans: int) -> ComplexityParams | None:
-    if query.subquery is not None:
-        return None
-    j = len(extract_join_set(query))
-    s = len(query.selects)
-    return ComplexityParams(n=j + s, j=j, s=s, p=jd_plans, q=s, n_eq=jd_eq)
-
-
 def _run_one(query: Query, catalog: Catalog, mode: str, limit: int,
              history: joindag.HistoryDag | None, query_id: str):
     """Returns (dag, plan, considered, params, grown_history, elapsed_ms)."""
@@ -158,22 +148,24 @@ def _run_one(query: Query, catalog: Catalog, mode: str, limit: int,
     result = sprinkle.optimize_single(query, catalog, history=history,
                                       limit=limit, query_id=query_id)
     elapsed = (time.perf_counter() - start) * 1000.0
-    params = _flat_params(query, catalog, limit, result.jd_eq_nodes,
-                          result.jd_plans)
+    params = None if query.subquery is not None else analytics.complexity_params(
+        query, result.jd_eq_nodes, result.jd_plans)
     return (result.dag, result.plan, result.combinations_considered, params,
             result.history, elapsed)
+
+
+def _considered_key(mode: str) -> str:
+    return "permutations_considered" if mode == "naive" else "join_combinations_considered"
 
 
 def _plan_doc(query_id: str, mode: str, plan, dag, considered: int,
               internal_only: bool) -> dict:
     eq, op, plans = memo.count_nodes(dag, internal_only=internal_only)
-    considered_key = ("permutations_considered" if mode == "naive"
-                      else "join_combinations_considered")
     return {
         "query_id": query_id,
         "mode": mode,
         "best_cost": plan.cum_cost,
-        considered_key: considered,
+        _considered_key(mode): considered,
         "eq_nodes": eq,
         "op_nodes": op,
         "plans": plans,
@@ -204,11 +196,9 @@ def cmd_optimize(args) -> int:
                                      internal_only=args.count_internal_only)
         report = analytics.collect_metrics([row])
         atomic_write_text(args.report, analytics.report_to_csv(report))
-    considered_key = ("permutations_considered" if args.mode == "naive"
-                      else "join_combinations_considered")
     print(f"mode={args.mode} best_cost={plan.cum_cost:.6g} "
           f"eq_nodes={doc['eq_nodes']} op_nodes={doc['op_nodes']} "
-          f"plans={doc['plans']} {considered_key}={considered}")
+          f"plans={doc['plans']} {_considered_key(args.mode)}={considered}")
     return EXIT_OK
 
 
@@ -241,8 +231,7 @@ def cmd_bench(args) -> int:
                 if query.subquery is not None:
                     rows.append(analytics.failure_row(query_id, mode, "error"))
                     continue
-                n_ops = len(extract_join_set(query)) + len(query.selects)
-                if n_ops > limit:
+                if query.n_operations() > limit:
                     rows.append(analytics.failure_row(query_id, mode, "skipped"))
                     continue
             try:

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import memo
-from .errors import DagError, LimitExceededError
+from .errors import DagError
 from .memo import (Dag, Signature, KIND_JOIN, KIND_JOINFILTER, KIND_SELECT,
                    KIND_PROJECT, KIND_GROUPBY, KIND_HAVING, KIND_ORDERBY)
 
@@ -110,6 +110,23 @@ def plan_signature(plan: Plan) -> Signature:
     return memo.extend_signature(plan_signature(plan.children[0]), plan.kind, plan.detail)
 
 
+def intern_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
+              factor: float | None = None) -> int:
+    """Intern one operator over existing eq-nodes, sizing and costing it from
+    their estimates; returns the eq-node it produces."""
+    first = dag.eq_nodes[children[0]]
+    if kind == KIND_JOIN:
+        second = dag.eq_nodes[children[1]]
+        sizes = (first.est_size, second.est_size)
+        sig = memo.join_signature(first.signature, second.signature, detail)
+    else:
+        sizes = (first.est_size,)
+        sig = memo.extend_signature(first.signature, kind, detail)
+    eq = memo.intern_eq(dag, sig, estimate_size(kind, sizes, factor))
+    memo.attach_op(dag, eq, kind, detail, children, op_cost(kind, sizes), factor)
+    return eq
+
+
 def intern_plan(dag: Dag, plan: Plan) -> int:
     """Intern every node of a plan tree into the memo; returns the root eq-node."""
 
@@ -165,16 +182,12 @@ def best_plan(dag: Dag, root_eq: int) -> Plan:
     return best(root_eq)
 
 
-def enumerate_plans(dag: Dag, root_eq: int, limit: int | None = None) -> list[Plan]:
+def enumerate_plans(dag: Dag, root_eq: int) -> list[Plan]:
     """All expansions below an eq-node in canonical order.
 
     Plans share immutable subtrees, so the list stays cheap even when
-    alternatives overlap.  A limit guards against factorial explosions.
+    alternatives overlap.
     """
-    if limit is not None:
-        n = memo.plan_count_for(dag, root_eq)
-        if n > limit:
-            raise LimitExceededError("plan enumeration", n, limit)
     cache: dict[int, list[Plan]] = {}
 
     def expand(eq_id: int) -> list[Plan]:

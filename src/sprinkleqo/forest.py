@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import memo
+from .costplan import intern_op
 from .memo import Dag, KIND_JOIN, KIND_JOINFILTER, KIND_SELECT
 
 
@@ -55,30 +56,14 @@ def expand_forest(dag: Dag, relations: dict[str, float],
 
     def apply_one(state: dict[str, int], cond) -> dict[str, int]:
         if isinstance(cond, SelectOp):
-            child = state[cond.relation]
-            child_node = dag.eq_nodes[child]
-            sig = memo.extend_signature(child_node.signature, KIND_SELECT, cond.text)
-            eq = memo.intern_eq(dag, sig, cond.ssf * child_node.est_size)
-            memo.attach_op(dag, eq, KIND_SELECT, cond.text, (child,),
-                           op_cost=child_node.est_size, factor=cond.ssf)
-            component = sig[0]
+            eq = intern_op(dag, KIND_SELECT, cond.text, (state[cond.relation],), cond.ssf)
+        elif state[cond.rel_a] == state[cond.rel_b]:
+            eq = intern_op(dag, KIND_JOINFILTER, cond.text, (state[cond.rel_a],), cond.jsf)
         else:
-            ta, tb = state[cond.rel_a], state[cond.rel_b]
-            if ta == tb:
-                child_node = dag.eq_nodes[ta]
-                sig = memo.extend_signature(child_node.signature, KIND_JOINFILTER, cond.text)
-                eq = memo.intern_eq(dag, sig, cond.jsf * child_node.est_size)
-                memo.attach_op(dag, eq, KIND_JOINFILTER, cond.text, (ta,),
-                               op_cost=child_node.est_size, factor=cond.jsf)
-            else:
-                na, nb = dag.eq_nodes[ta], dag.eq_nodes[tb]
-                sig = memo.join_signature(na.signature, nb.signature, cond.text)
-                eq = memo.intern_eq(dag, sig, cond.jsf * na.est_size * nb.est_size)
-                memo.attach_op(dag, eq, KIND_JOIN, cond.text, (ta, tb),
-                               op_cost=na.est_size * nb.est_size, factor=cond.jsf)
-            component = sig[0]
+            eq = intern_op(dag, KIND_JOIN, cond.text,
+                           (state[cond.rel_a], state[cond.rel_b]), cond.jsf)
         new_state = dict(state)
-        for rel in component:
+        for rel in dag.eq_nodes[eq].signature[0]:
             new_state[rel] = eq
         return new_state
 

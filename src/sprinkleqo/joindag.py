@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from . import forest, memo
-from .catalog import Catalog
+from .catalog import Catalog, components
 from .errors import LimitExceededError, PersistenceError, ValidationError
 from .ioutil import atomic_write_text, locked, read_text
 from .memo import Dag
@@ -60,27 +60,9 @@ def empty_history(catalog: Catalog) -> HistoryDag:
 
 def _components(joins: dict[str, JoinCondition]) -> list[tuple[frozenset[str], tuple[str, ...]]]:
     """Connected components of the join graph: (relations, join texts)."""
-    parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for cond in joins.values():
-        a, b = cond.relations()
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[str, set[str]] = {}
-    for rel in parent:
-        groups.setdefault(find(rel), set()).add(rel)
+    pairs = [cond.relations() for cond in joins.values()]
     out = []
-    for root in sorted(groups):
-        rels = frozenset(groups[root])
+    for rels in components({rel for pair in pairs for rel in pair}, pairs):
         texts = tuple(sorted(t for t, c in joins.items()
                              if c.relations()[0] in rels))
         out.append((rels, texts))

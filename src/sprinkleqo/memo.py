@@ -17,6 +17,7 @@ builds are byte-deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import DagError
@@ -302,12 +303,9 @@ def export_dot(dag: Dag, name: str = "andor_dag") -> str:
         op = dag.op_nodes[op_id]
         label = _dot_escape(f"{op.kind} {op.detail}") + f"\\ncost={op.op_cost:.6g}"
         lines.append(f'  op{op_id} [shape=box, label="{label}"];')
-    eq_to_op = sorted((eq_id, op_id)
-                      for eq_id, node in dag.eq_nodes.items()
-                      for op_id in node.child_ops)
+    eq_to_op, op_to_eq = _arcs(dag)
     for eq_id, op_id in eq_to_op:
         lines.append(f"  eq{eq_id} -> op{op_id};")
-    op_to_eq = sorted((op.id, child) for op in dag.op_nodes.values() for child in op.children)
     for op_id, eq_id in op_to_eq:
         lines.append(f"  op{op_id} -> eq{eq_id};")
     lines.append("}")
@@ -316,7 +314,17 @@ def export_dot(dag: Dag, name: str = "andor_dag") -> str:
 
 # -- serialization ----------------------------------------------------------
 
+def _arcs(dag: Dag) -> tuple[list[list[int]], list[list[int]]]:
+    """(eq_to_op, op_to_eq) arcs as sorted [from, to] pairs."""
+    eq_to_op = sorted([eq_id, op_id] for eq_id, node in dag.eq_nodes.items()
+                      for op_id in node.child_ops)
+    op_to_eq = sorted([op.id, child] for op in dag.op_nodes.values()
+                      for child in op.children)
+    return eq_to_op, op_to_eq
+
+
 def dag_to_doc(dag: Dag) -> dict:
+    eq_to_op, op_to_eq = _arcs(dag)
     return {
         "format": 1,
         "eq_nodes": [
@@ -329,18 +337,42 @@ def dag_to_doc(dag: Dag) -> dict:
              "children": list(o.children), "op_cost": o.op_cost, "factor": o.factor}
             for o in sorted(dag.op_nodes.values(), key=lambda o: o.id)
         ],
-        "arcs": {
-            "eq_to_op": sorted([eq_id, op_id]
-                               for eq_id, n in dag.eq_nodes.items()
-                               for op_id in n.child_ops),
-            "op_to_eq": sorted([o.id, child]
-                               for o in dag.op_nodes.values() for child in o.children),
-        },
+        "arcs": {"eq_to_op": eq_to_op, "op_to_eq": op_to_eq},
         "roots": dict(sorted(dag.query_roots.items())),
     }
 
 
+def _finite(value, what: str) -> float:
+    out = float(value)
+    if not math.isfinite(out):
+        raise DagError(f"non-finite {what} {value!r}")
+    return out
+
+
+def _require_acyclic(dag: Dag) -> None:
+    """Kahn's algorithm over the eq-nodes; iterative, so any depth loads."""
+    indegree = dict.fromkeys(dag.eq_nodes, 0)
+    for node in dag.eq_nodes.values():
+        for op_id in node.child_ops:
+            for child in dag.op_nodes[op_id].children:
+                indegree[child] += 1
+    ready = [eq_id for eq_id, n in indegree.items() if n == 0]
+    done = 0
+    while ready:
+        done += 1
+        for op_id in dag.eq_nodes[ready.pop()].child_ops:
+            for child in dag.op_nodes[op_id].children:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    ready.append(child)
+    if done != len(dag.eq_nodes):
+        raise DagError("dag has a cycle")
+
+
 def dag_from_doc(doc: dict) -> Dag:
+    """Rebuild a dag from its document.  Rejects unknown or duplicate nodes,
+    non-finite sizes, costs and factors, an op-node under more than one
+    eq-node, and cycles."""
     if not isinstance(doc, dict) or doc.get("format") != 1:
         raise DagError(f"unsupported dag format {doc.get('format')!r}")
     dag = Dag()
@@ -348,7 +380,8 @@ def dag_from_doc(doc: dict) -> Dag:
         sig = tuple(tuple(part) for part in nd["signature"])
         if len(sig) != 4:
             raise DagError(f"malformed signature in eq-node {nd.get('id')}")
-        node = EqNode(id=int(nd["id"]), signature=sig, est_size=float(nd["est_size"]))
+        node = EqNode(id=int(nd["id"]), signature=sig,
+                      est_size=_finite(nd["est_size"], f"est_size in eq-node {nd['id']}"))
         if node.id in dag.eq_nodes or sig in dag._sig_index:
             raise DagError(f"duplicate eq-node {node.id}")
         dag.eq_nodes[node.id] = node
@@ -356,8 +389,9 @@ def dag_from_doc(doc: dict) -> Dag:
     for od in doc.get("op_nodes", []):
         op = OpNode(id=int(od["id"]), kind=od["kind"], detail=od["detail"],
                     children=tuple(int(c) for c in od["children"]),
-                    op_cost=float(od["op_cost"]),
-                    factor=None if od.get("factor") is None else float(od["factor"]))
+                    op_cost=_finite(od["op_cost"], f"op_cost in op-node {od['id']}"),
+                    factor=None if od.get("factor") is None
+                    else _finite(od["factor"], f"factor in op-node {od['id']}"))
         if op.kind not in OP_KINDS or op.id in dag.op_nodes:
             raise DagError(f"malformed op-node {op.id}")
         for child in op.children:
@@ -365,13 +399,18 @@ def dag_from_doc(doc: dict) -> Dag:
                 raise DagError(f"op-node {op.id} references unknown eq-node {child}")
         dag.op_nodes[op.id] = op
         dag._op_index[(op.kind, op.detail, op.children)] = op.id
-    expected_ao = sorted([o.id, c] for o in dag.op_nodes.values() for c in o.children)
+    expected_ao = _arcs(dag)[1]
     if doc.get("arcs", {}).get("op_to_eq", expected_ao) != expected_ao:
         raise DagError("op_to_eq arcs disagree with op-node children")
+    has_parent: set[int] = set()
     for eq_id, op_id in doc.get("arcs", {}).get("eq_to_op", []):
         if eq_id not in dag.eq_nodes or op_id not in dag.op_nodes:
             raise DagError(f"arc references unknown node ({eq_id}, {op_id})")
+        if op_id in has_parent:
+            raise DagError(f"op-node {op_id} has more than one parent")
+        has_parent.add(op_id)
         dag.eq_nodes[eq_id].child_ops.append(op_id)
+    _require_acyclic(dag)
     for query_id, eq_id in doc.get("roots", {}).items():
         register_root(dag, query_id, int(eq_id))
     dag._next_eq = max(dag.eq_nodes, default=-1) + 1

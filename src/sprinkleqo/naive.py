@@ -38,8 +38,8 @@ def _suffix_chain(query: Query, catalog: Catalog) -> list[tuple[str, str, float 
     """
     steps: list[tuple[str, str, float | None]] = []
     if query.group_by:
-        d = sqlfront.groupby_distinct_product(query, catalog)
-        steps.append((KIND_GROUPBY, sqlfront.groupby_text(query), d))
+        d = sqlfront.groupby_distinct_product(query.group_by, catalog)
+        steps.append((KIND_GROUPBY, sqlfront.groupby_text(query.group_by), d))
         if query.having is not None:
             steps.append((KIND_HAVING, query.having.canonical(), query.having.ssf))
     retained = sqlfront.output_attrs(query, catalog)
@@ -48,7 +48,7 @@ def _suffix_chain(query: Query, catalog: Catalog) -> list[tuple[str, str, float 
     if retained and retained != sqlfront.all_query_attrs(query, catalog):
         steps.append((KIND_PROJECT, sqlfront.project_text(retained), None))
     if query.order_by:
-        steps.append((KIND_ORDERBY, sqlfront.orderby_text(query), None))
+        steps.append((KIND_ORDERBY, sqlfront.orderby_text(query.order_by), None))
     return steps
 
 
@@ -56,13 +56,7 @@ def apply_suffix(dag: Dag, top_eq: int, steps) -> int:
     """Intern a fixed unary chain above an eq-node; returns the final eq."""
     eq = top_eq
     for kind, detail, factor in steps:
-        node = dag.eq_nodes[eq]
-        sig = memo.extend_signature(node.signature, kind, detail)
-        est = costplan.estimate_size(kind, (node.est_size,), factor)
-        new_eq = memo.intern_eq(dag, sig, est)
-        memo.attach_op(dag, new_eq, kind, detail, (eq,),
-                       op_cost=costplan.op_cost(kind, (node.est_size,)), factor=factor)
-        eq = new_eq
+        eq = costplan.intern_op(dag, kind, detail, (eq,), factor)
     return eq
 
 

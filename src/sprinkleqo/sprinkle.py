@@ -8,10 +8,11 @@ fresh memo:
             DP over (plan node, subset of selects at or below it); the
             val1/val2 comparison of the local rule is subsumed by the DP's
             full plan costs
-  group-by  local walk from the root downward by the val1/val2 rule,
-            having attached directly above wherever the group-by lands
-  order-by  same walk shape with the sort-specific val2; ordering is
-            size-neutral so the default outcome is root placement
+  group-by  one shared push-down walk from the root by the local val1/val2
+  order-by  rule; the two differ only in val2, through the operator's output
+            size: min(d, |t|) groups, or |t| for the size-neutral sort, whose
+            default is therefore root placement.  Having rides directly
+            above wherever the group-by lands
   projects  one projection above each query root (single query), or
             per-eq-node projections of the attributes every consumer
             needs (multi-query mode)
@@ -29,12 +30,12 @@ from dataclasses import dataclass
 
 from . import costplan, joindag, memo, sqlfront
 from .catalog import Attribute, Catalog, Relation
-from .costplan import Plan, base_plan, op_plan
+from .costplan import Plan, op_plan
 from .errors import DagError, ValidationError
 from .joindag import HistoryDag
-from .memo import (Dag, KIND_GROUPBY, KIND_HAVING, KIND_JOIN, KIND_JOINFILTER,
-                   KIND_ORDERBY, KIND_PROJECT, KIND_SELECT)
-from .sqlfront import AttrRef, HavingCondition, Query, SelectCondition, extract_join_set
+from .memo import (Dag, KIND_GROUPBY, KIND_HAVING, KIND_JOIN, KIND_ORDERBY,
+                   KIND_PROJECT, KIND_SELECT)
+from .sqlfront import HavingCondition, Query, SelectCondition, extract_join_set
 
 SELECT_AFTER_JOIN = "select_after_join"
 SELECT_BEFORE_JOIN = "select_before_join"
@@ -267,10 +268,6 @@ def place_selects_on_plan(plan: Plan, selects) -> Plan:
 
 # -- stage helpers -----------------------------------------------------------
 
-def _roots_in_order(dag: Dag) -> list[tuple[str, int]]:
-    return sorted(dag.query_roots.items())
-
-
 def _decorate_stage(dag: Dag, decorate, *, split_classes: bool = False,
                     bound=None) -> Dag:
     """Run one sprinkling stage over every registered root.
@@ -286,7 +283,7 @@ def _decorate_stage(dag: Dag, decorate, *, split_classes: bool = False,
     """
     fresh = Dag()
     fresh.meta = dict(dag.meta)
-    for query_id, root in _roots_in_order(dag):
+    for query_id, root in sorted(dag.query_roots.items()):
         kept: list[tuple[float, Plan]] = []
         running_best = math.inf
         for plan in costplan.enumerate_plans(dag, root):
@@ -317,7 +314,7 @@ def sprinkle_selects(jd: Dag, selects, catalog: Catalog) -> Dag:
     selects = tuple(selects)
     for cond in selects:
         catalog.relation(cond.relation)
-    for query_id, root in _roots_in_order(jd):
+    for query_id, root in sorted(jd.query_roots.items()):
         bases = set(jd.eq_nodes[root].signature[0])
         for cond in selects:
             if cond.relation not in bases:
@@ -330,73 +327,57 @@ def sprinkle_selects(jd: Dag, selects, catalog: Catalog) -> Dag:
                            bound=lambda p: _select_cost_lower_bound(p, selects))
 
 
-def _groupby_detail(group_by, child: Plan) -> str:
-    keys = ", ".join(f"{r}.{a}" for r, a in group_by)
-    scope = memo.signature_text(costplan.plan_signature(child))
-    return f"groupby({keys})@{scope}"
+_BLOCKING_KINDS = (KIND_GROUPBY, KIND_HAVING)
 
 
-def groupby_distinct(group_by, catalog: Catalog) -> float:
-    product = 1.0
-    for rel, attr in group_by:
-        product *= catalog.relation(rel).attribute(attr).distinct_count
-    return product
+def _push_down(plan: Plan, rels: set[str], out_size, wrap) -> Plan:
+    """Walk a unary operator down from the root while applying it early wins.
 
-
-def place_groupby_on_plan(plan: Plan, group_by, having: HavingCondition | None,
-                          d: float) -> Plan:
-    """Walk the group-by down from the root while grouping-early wins.
-
-    At a join t ⋈ b whose t-side covers every grouping attribute:
-    val1 = |t|*|b| + |e1| (join first, group the output) against
-    val2 = |t| + min(d,|t|)*|b| (group t, then join).  Strictly smaller
-    val2 descends; ties stay up.  The walk only crosses joins.
+    At a join t ⋈ b whose t-side covers `rels` and is not a group-by or
+    having: val1 = |t|*|b| + |t ⋈ b| (join first, then the operator consumes
+    the join output) against val2 = |t| + out_size(|t|)*|b| (the operator
+    consumes t, then the join consumes its output).  Strictly smaller val2
+    descends; ties stay up.  The walk only crosses joins.  Returns the plan
+    with wrap(target) in place of the node where the walk stopped.
     """
-    group_rels = {r for r, _ in group_by}
-    spine: list[Plan] = []  # joins crossed, root-first; ends at the wrap target
+    spine: list[Plan] = []  # joins crossed, root-first
     node = plan
     while node.kind == KIND_JOIN:
-        t, b = None, None
+        t = b = None
         for i, child in enumerate(node.children):
-            if group_rels <= plan_bases(child):
+            if rels <= plan_bases(child) and child.kind not in _BLOCKING_KINDS:
                 t, b = child, node.children[1 - i]
         if t is None:
             break
         val1 = t.est_size * b.est_size + node.est_size
-        val2 = t.est_size + min(d, t.est_size) * b.est_size
+        val2 = t.est_size + out_size(t.est_size) * b.est_size
         if not val2 < val1:
             break
         spine.append(node)
         node = t
+    out = wrap(node)
+    for join in reversed(spine):
+        out = op_plan(join.kind, join.detail,
+                      tuple(out if child is node else child for child in join.children),
+                      join.factor)
+        node = join
+    return out
+
+
+def place_groupby_on_plan(plan: Plan, group_by, having: HavingCondition | None,
+                          d: float) -> Plan:
+    """Push the group-by down while grouping early wins (val2 uses
+    min(d, |t|) groups); the having filter rides directly above it."""
 
     def wrap(target: Plan) -> Plan:
-        out = op_plan(KIND_GROUPBY, _groupby_detail(group_by, target), (target,), d)
+        scope = memo.signature_text(costplan.plan_signature(target))
+        out = op_plan(KIND_GROUPBY, sqlfront.groupby_text(group_by) + "@" + scope,
+                      (target,), d)
         if having is not None:
             out = op_plan(KIND_HAVING, having.canonical(), (out,), having.ssf)
         return out
 
-    return _rebuild_along_spine(spine, node, wrap)
-
-
-def _rebuild_along_spine(spine: list[Plan], target: Plan, wrap) -> Plan:
-    """Re-derive the joins in `spine` (root-first) with `target`, the node the
-    innermost spine join consumes, replaced by wrap(target)."""
-    if not spine:
-        return wrap(target)
-
-    def rebuild(depth: int) -> Plan:
-        join = spine[depth]
-        on_path = spine[depth + 1] if depth + 1 < len(spine) else target
-        children = []
-        for child in join.children:
-            if child is on_path:
-                children.append(rebuild(depth + 1) if depth + 1 < len(spine)
-                                else wrap(target))
-            else:
-                children.append(child)
-        return op_plan(join.kind, join.detail, tuple(children), join.factor)
-
-    return rebuild(0)
+    return _push_down(plan, {r for r, _ in group_by}, lambda t: min(d, t), wrap)
 
 
 def sprinkle_groupby(dag: Dag, group_attrs, having: HavingCondition | None,
@@ -407,39 +388,19 @@ def sprinkle_groupby(dag: Dag, group_attrs, having: HavingCondition | None,
         if having is not None:
             raise ValidationError("having without group-by")
         return dag
-    d = groupby_distinct(group_by, catalog)
+    d = sqlfront.groupby_distinct_product(group_by, catalog)
     return _decorate_stage(
         dag, lambda p: place_groupby_on_plan(p, group_by, having, d),
         split_classes=True)
 
 
-def place_orderby_on_plan(plan: Plan, detail: str, order_rels: set[str],
-                          block_kinds: tuple[str, ...]) -> Plan:
-    """Walk the ordering down while sorting-early wins.
-
-    val1 = |t|*|b| + |e1| (join, then sort the output) against
-    val2 = |t| + |t|*|b| (sort t, then join): descending pays only when the
-    join output outgrows its sorted input.  Ties stay up, so the default is
-    a root-level sort.  Never descends past grouping/having nodes.
-    """
-    spine: list[Plan] = []
-    node = plan
-    while node.kind == KIND_JOIN:
-        t, b = None, None
-        for i, child in enumerate(node.children):
-            if order_rels <= plan_bases(child) and child.kind not in block_kinds:
-                t, b = child, node.children[1 - i]
-        if t is None:
-            break
-        val1 = t.est_size * b.est_size + node.est_size
-        val2 = t.est_size + t.est_size * b.est_size
-        if not val2 < val1:
-            break
-        spine.append(node)
-        node = t
-
-    return _rebuild_along_spine(
-        spine, node, lambda target: op_plan(KIND_ORDERBY, detail, (target,), None))
+def place_orderby_on_plan(plan: Plan, order_by) -> Plan:
+    """Push the ordering down while sorting early wins.  Sorting is
+    size-neutral (val2 = |t| + |t|*|b|), so it descends only when the join
+    output outgrows its input, and the default is a root-level sort."""
+    detail = sqlfront.orderby_text(order_by)
+    return _push_down(plan, {item.relation for item in order_by}, lambda t: t,
+                      lambda target: op_plan(KIND_ORDERBY, detail, (target,), None))
 
 
 def sprinkle_orderby(dag: Dag, order_attrs) -> Dag:
@@ -447,11 +408,7 @@ def sprinkle_orderby(dag: Dag, order_attrs) -> Dag:
     order_by = tuple(order_attrs)
     if not order_by:
         return dag
-    detail = "orderby(" + ", ".join(item.render() for item in order_by) + ")"
-    order_rels = {item.relation for item in order_by}
-    return _decorate_stage(
-        dag, lambda p: place_orderby_on_plan(p, detail, order_rels,
-                                             (KIND_GROUPBY, KIND_HAVING)))
+    return _decorate_stage(dag, lambda p: place_orderby_on_plan(p, order_by))
 
 
 # -- projections -------------------------------------------------------------
@@ -511,13 +468,8 @@ def sprinkle_projects(dag: Dag, queries: list[tuple[str, Query]],
                 f"output attributes not derivable at the root: {sorted(unresolved)}")
         if not retained or retained == available:
             continue
-        node = out.eq_nodes[root]
-        detail = sqlfront.project_text(retained)
-        sig = memo.extend_signature(node.signature, KIND_PROJECT, detail)
-        new_root = memo.intern_eq(out, sig, node.est_size)
-        memo.attach_op(out, new_root, KIND_PROJECT, detail, (root,),
-                       op_cost=node.est_size, factor=None)
-        memo.register_root(out, query_id, new_root)
+        memo.register_root(out, query_id, costplan.intern_op(
+            out, KIND_PROJECT, sqlfront.project_text(retained), (root,)))
 
     if len(queries) > 1:
         roots = {qid: out.query_roots[qid] for qid, _ in queries}
@@ -530,11 +482,7 @@ def sprinkle_projects(dag: Dag, queries: list[tuple[str, Query]],
             keep = needed[eq_id]
             if not keep or keep == avail:
                 continue
-            detail = sqlfront.project_text(keep)
-            sig = memo.extend_signature(node.signature, KIND_PROJECT, detail)
-            proj = memo.intern_eq(out, sig, node.est_size)
-            memo.attach_op(out, proj, KIND_PROJECT, detail, (eq_id,),
-                           op_cost=node.est_size, factor=None)
+            costplan.intern_op(out, KIND_PROJECT, sqlfront.project_text(keep), (eq_id,))
     return out
 
 
@@ -608,7 +556,7 @@ def optimize_single(query: Query, catalog: Catalog, *,
     dag = sprinkle_projects(dag, [(query_id, query)], catalog)
     plan = costplan.best_plan(dag, dag.query_roots[query_id])
     return OptimizeResult(query_id=query_id, plan=plan, dag=dag, history=grown,
-                          combinations_considered=math.factorial(len(joins)),
+                          combinations_considered=joindag.combinations_considered(len(joins)),
                           jd_eq_nodes=jd_eq, jd_plans=jd_plans)
 
 
@@ -663,15 +611,6 @@ def _optimize_nested(query: Query, catalog: Catalog, *,
                                  + inner_res.combinations_considered),
         jd_eq_nodes=outer_res.jd_eq_nodes, jd_plans=outer_res.jd_plans,
         inner=inner_res)
-
-
-def optimize_nested(query: Query, history: HistoryDag | None,
-                    catalog: Catalog) -> Plan:
-    """Best plan for a two-level nested query (inner block spliced as a leaf)."""
-    if query.subquery is None:
-        raise ValidationError("query has no subquery")
-    return _optimize_nested(query, catalog, history=history, limit=8,
-                            query_id="q1").plan
 
 
 def optimize_many(queries: list[tuple[str, Query]], catalog: Catalog, *,

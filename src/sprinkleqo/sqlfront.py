@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .catalog import Catalog, lookup_ssf, resolve_jsf
+from .catalog import Catalog, components, lookup_ssf, resolve_jsf
 from .errors import ParseError, ValidationError
 
 AttrRef = tuple[str, str]
@@ -35,6 +35,7 @@ AttrRef = tuple[str, str]
 _OPERATORS = ("<=", ">=", "<>", "!=", "=", "<", ">")
 _AGG_FUNCS = ("sum", "avg", "count", "min", "max")
 _IDENT = r"[a-z_][a-z0-9_]*"
+_AGG_RE = re.compile(rf"^({'|'.join(_AGG_FUNCS)})\s*\(\s*(.+?)\s*\)$")
 _REF_RE = re.compile(rf"^({_IDENT})\.({_IDENT})$|^({_IDENT})$")
 _NUMBER_RE = re.compile(r"^-?\d+(\.\d+)?$")
 
@@ -156,27 +157,30 @@ class Query:
         return len(self.joins) + len(self.selects)
 
 
+def _by_canonical(conds) -> tuple:
+    """One condition per canonical text (the first seen), sorted by that text."""
+    by_text = {}
+    for cond in conds:
+        by_text.setdefault(cond.canonical(), cond)
+    return tuple(by_text[t] for t in sorted(by_text))
+
+
 def extract_join_set(query: Query) -> tuple[JoinCondition, ...]:
     """Deduplicated join conditions sorted by canonical text."""
-    by_text = {j.canonical(): j for j in query.joins}
-    return tuple(by_text[t] for t in sorted(by_text))
+    return _by_canonical(query.joins)
 
 
 # --- tokenizer-level helpers -------------------------------------------------
 
-def _scan_clauses(text: str) -> dict[str, str]:
-    """Split a statement into clause texts, honoring parens and quotes."""
-    keywords = ["select", "from", "where", "group by", "having", "order by"]
-    lowered = text
-    positions: list[tuple[int, str]] = []
+def _top_level(text: str):
+    """Yield each index of `text` at paren depth zero outside quotes (the
+    parentheses and quotes themselves excluded); raise on unbalanced text
+    once the scan completes."""
     depth = 0
     in_quote = False
-    i = 0
-    while i < len(lowered):
-        ch = lowered[i]
+    for i, ch in enumerate(text):
         if in_quote:
-            if ch == "'":
-                in_quote = False
+            in_quote = ch != "'"
         elif ch == "'":
             in_quote = True
         elif ch == "(":
@@ -186,18 +190,24 @@ def _scan_clauses(text: str) -> dict[str, str]:
             if depth < 0:
                 raise ParseError("unbalanced parentheses")
         elif depth == 0:
-            for kw in keywords:
-                end = i + len(kw)
-                if lowered.startswith(kw, i) and (i == 0 or not lowered[i - 1].isalnum()) \
-                        and (end == len(lowered) or not lowered[end].isalnum()):
-                    positions.append((i, kw))
-                    i = end - 1
-                    break
-        i += 1
+            yield i
     if in_quote:
         raise ParseError("unterminated string literal")
     if depth != 0:
         raise ParseError("unbalanced parentheses")
+
+
+def _scan_clauses(text: str) -> dict[str, str]:
+    """Split a statement into clause texts, honoring parens and quotes."""
+    keywords = ["select", "from", "where", "group by", "having", "order by"]
+    positions: list[tuple[int, str]] = []
+    for i in _top_level(text):
+        for kw in keywords:
+            end = i + len(kw)
+            if text.startswith(kw, i) and (i == 0 or not text[i - 1].isalnum()) \
+                    and (end == len(text) or not text[end].isalnum()):
+                positions.append((i, kw))
+                break
     if not positions or positions[0][1] != "select" or positions[0][0] != 0:
         raise ParseError("statement must start with SELECT")
     order = {kw: n for n, kw in enumerate(keywords)}
@@ -206,8 +216,8 @@ def _scan_clauses(text: str) -> dict[str, str]:
             raise ParseError(f"clause {b.upper()} out of order")
     clauses: dict[str, str] = {}
     for idx, (pos, kw) in enumerate(positions):
-        end = positions[idx + 1][0] if idx + 1 < len(positions) else len(lowered)
-        clauses[kw] = lowered[pos + len(kw):end].strip()
+        end = positions[idx + 1][0] if idx + 1 < len(positions) else len(text)
+        clauses[kw] = text[pos + len(kw):end].strip()
     if "from" not in clauses:
         raise ParseError("missing FROM clause")
     return clauses
@@ -216,34 +226,11 @@ def _scan_clauses(text: str) -> dict[str, str]:
 def _split_top_level(text: str, separator: str) -> list[str]:
     """Split on a separator token at paren depth zero, outside quotes."""
     parts: list[str] = []
-    depth = 0
-    in_quote = False
     start = 0
-    i = 0
-    sep = separator
-    while i < len(text):
-        ch = text[i]
-        if in_quote:
-            if ch == "'":
-                in_quote = False
-            i += 1
-            continue
-        if ch == "'":
-            in_quote = True
-            i += 1
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and text.startswith(sep, i):
-            before_ok = sep != " and " or True  # separator embeds its own spaces
-            if before_ok:
-                parts.append(text[start:i].strip())
-                i += len(sep)
-                start = i
-                continue
-        i += 1
+    for i in _top_level(text):
+        if i >= start and text.startswith(separator, i):
+            parts.append(text[start:i].strip())
+            start = i + len(separator)
     parts.append(text[start:].strip())
     return [p for p in parts if p]
 
@@ -307,6 +294,14 @@ class _Resolver:
         return matches[0], name
 
 
+def _aggregate_arg(func: str, arg: str, resolver: _Resolver) -> tuple[str | None, str]:
+    if arg != "*":
+        return resolver.resolve(arg)
+    if func != "count":
+        raise ParseError(f"{func}(*) is not supported")
+    return None, "*"
+
+
 def _parse_select_items(text: str, resolver: _Resolver) -> tuple[ProjectionItem, ...]:
     if not text.strip():
         raise ParseError("empty select list")
@@ -314,16 +309,10 @@ def _parse_select_items(text: str, resolver: _Resolver) -> tuple[ProjectionItem,
         return ()
     items: list[ProjectionItem] = []
     for part in _split_top_level(text, ","):
-        m = re.match(rf"^({'|'.join(_AGG_FUNCS)})\s*\(\s*(.+?)\s*\)$", part)
+        m = _AGG_RE.match(part)
         if m:
-            func, arg = m.group(1), m.group(2)
-            if arg == "*":
-                if func != "count":
-                    raise ParseError(f"{func}(*) is not supported")
-                items.append(ProjectionItem("aggregate", "count", None, "*"))
-                continue
-            rel, attr = resolver.resolve(arg)
-            items.append(ProjectionItem("aggregate", func, rel, attr))
+            rel, attr = _aggregate_arg(m.group(1), m.group(2), resolver)
+            items.append(ProjectionItem("aggregate", m.group(1), rel, attr))
             continue
         if part == "*":
             raise ParseError("'*' cannot be mixed with other select items")
@@ -333,46 +322,17 @@ def _parse_select_items(text: str, resolver: _Resolver) -> tuple[ProjectionItem,
 
 
 def _split_condition(text: str) -> tuple[str, str, str]:
-    depth = 0
-    in_quote = False
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if in_quote:
-            if ch == "'":
-                in_quote = False
-        elif ch == "'":
-            in_quote = True
-        elif ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0:
-            for op in _OPERATORS:
-                if text.startswith(op, i):
-                    return text[:i].strip(), ("<>" if op == "!=" else op), text[i + len(op):].strip()
-        i += 1
+    for i in _top_level(text):
+        for op in _OPERATORS:
+            if text.startswith(op, i):
+                return text[:i].strip(), ("<>" if op == "!=" else op), text[i + len(op):].strip()
     raise ParseError(f"no comparison operator in condition {text!r}")
 
 
 def _connectivity(tables: set[str], edges: list[tuple[str, str]]) -> None:
-    if len(tables) <= 1:
-        return
-    adjacency: dict[str, set[str]] = {t: set() for t in tables}
-    for a, b in edges:
-        if a in adjacency and b in adjacency:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-    seen: set[str] = set()
-    stack = [sorted(tables)[0]]
-    while stack:
-        n = stack.pop()
-        if n in seen:
-            continue
-        seen.add(n)
-        stack.extend(adjacency[n] - seen)
-    if seen != tables:
-        missing = sorted(tables - seen)
+    first, *rest = components(tables, edges)
+    if rest:
+        missing = sorted(tables - first)
         raise ValidationError(
             f"disconnected join graph (cross products unsupported): {missing} unreachable")
 
@@ -492,17 +452,10 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
             rel, attr = resolver.resolve(m.group(1))
             order_by.append(OrderItem(rel, attr, m.group(2) == "desc"))
 
-    join_texts: dict[str, JoinCondition] = {}
-    for j in joins:
-        join_texts.setdefault(j.canonical(), j)
-    select_texts: dict[str, SelectCondition] = {}
-    for s in selects:
-        select_texts.setdefault(s.canonical(), s)
-
     query = Query(
         tables=frozenset(tables),
-        joins=tuple(join_texts[t] for t in sorted(join_texts)),
-        selects=tuple(select_texts[t] for t in sorted(select_texts)),
+        joins=_by_canonical(joins),
+        selects=_by_canonical(selects),
         projections=projections,
         group_by=tuple(group_by),
         having=having,
@@ -539,17 +492,12 @@ def _subquery_columns(inner: Query) -> tuple[list[str], dict[str, AttrRef]]:
 
 def _parse_having(text: str, resolver: _Resolver, catalog: Catalog) -> HavingCondition:
     left_text, op, right_text = _split_condition(text)
-    m = re.match(rf"^({'|'.join(_AGG_FUNCS)})\s*\(\s*(.+?)\s*\)$", left_text)
+    m = _AGG_RE.match(left_text)
     if not m:
         raise ParseError("HAVING must compare a single aggregate to a literal")
-    func, arg = m.group(1), m.group(2)
+    func = m.group(1)
     literal = _parse_literal(right_text)
-    if arg == "*":
-        if func != "count":
-            raise ParseError(f"{func}(*) is not supported")
-        relation, attribute = None, "*"
-    else:
-        relation, attribute = resolver.resolve(arg)
+    relation, attribute = _aggregate_arg(func, m.group(2), resolver)
     probe = HavingCondition(func, relation, attribute, op, literal, ssf=0.0)
     ssf = catalog.stats.overrides.get(probe.canonical(), catalog.stats.default_ssf)
     return HavingCondition(func, relation, attribute, op, literal, ssf)
@@ -590,66 +538,31 @@ def render_query(query: Query) -> str:
     if query.group_by:
         parts.append("group by " + ", ".join(f"{r}.{a}" for r, a in query.group_by))
     if query.having is not None:
-        h = query.having
-        parts.append(f"having {h.func}({h.arg()}) {h.operator} {format_literal(h.literal)}")
+        parts.append(query.having.canonical())
     if query.order_by:
         parts.append("order by " + ", ".join(item.render() for item in query.order_by))
     return " ".join(parts)
 
 
-def query_required_attrs(query: Query, catalog: Catalog) -> dict[str, set[str]]:
-    """Attributes each base relation must supply for this query.
-
-    SELECT * marks every attribute of every FROM relation as required.
-    """
-    required: dict[str, set[str]] = {t: set() for t in query.tables}
-
-    def note(rel: str | None, attr: str) -> None:
-        if rel is not None and rel in required and attr != "*":
-            required[rel].add(attr)
-
-    if not query.projections:
-        for t in query.tables:
-            if t in catalog.relations:
-                required[t] = {a.name for a in catalog.relations[t].attributes}
-    for item in query.projections:
-        note(item.relation, item.attribute)
-    for j in query.joins:
-        note(j.left[0], j.left[1])
-        note(j.right[0], j.right[1])
-    for s in query.selects:
-        note(s.relation, s.attribute)
-    for rel, attr in query.group_by:
-        note(rel, attr)
-    if query.having is not None:
-        note(query.having.relation, query.having.attribute)
-    for item in query.order_by:
-        note(item.relation, item.attribute)
-    if query.subquery is not None and query.subquery.outer_attr is not None:
-        note(query.subquery.outer_attr[0], query.subquery.outer_attr[1])
-    return required
-
-
 # -- clause-level operator texts -------------------------------------------
 
-def groupby_text(query: Query) -> str:
-    return "groupby(" + ", ".join(f"{r}.{a}" for r, a in query.group_by) + ")"
+def groupby_text(group_by) -> str:
+    return "groupby(" + ", ".join(f"{r}.{a}" for r, a in group_by) + ")"
 
 
-def orderby_text(query: Query) -> str:
-    return "orderby(" + ", ".join(item.render() for item in query.order_by) + ")"
+def orderby_text(order_by) -> str:
+    return "orderby(" + ", ".join(item.render() for item in order_by) + ")"
 
 
 def project_text(attrs) -> str:
     return "project(" + ", ".join(sorted(attrs)) + ")"
 
 
-def groupby_distinct_product(query: Query, catalog: Catalog) -> float:
+def groupby_distinct_product(group_by, catalog: Catalog) -> float:
     """Upper bound on group count: product of grouping-attribute distincts."""
     product = 1.0
-    for rel, attr in query.group_by:
-        if rel in catalog.relations and catalog.relations[rel].has_attribute(attr):
-            product *= catalog.relations[rel].attribute(attr).distinct_count
+    for rel, attr in group_by:
+        product *= catalog.relation(rel).attribute(attr).distinct_count
     return product
 
 
@@ -659,14 +572,9 @@ def output_attrs(query: Query, catalog: Catalog) -> set[str]:
     Covers the projection list (aggregate arguments included), group-by keys,
     the having argument, and order-by keys.  SELECT * retains everything.
     """
-    attrs: set[str] = set()
     if not query.projections:
-        for t in sorted(query.tables):
-            if t in catalog.relations:
-                attrs.update(f"{t}.{a.name}" for a in catalog.relations[t].attributes)
-            elif query.subquery is not None and t == query.subquery.alias:
-                attrs.update(f"{t}.{c}" for c in query.subquery.column_sources)
-        return attrs
+        return all_query_attrs(query, catalog)
+    attrs: set[str] = set()
     for item in query.projections:
         if item.relation is not None and item.attribute != "*":
             attrs.add(f"{item.relation}.{item.attribute}")

@@ -6,8 +6,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from sprinkleqo.catalog import (DEFAULT_SSF, load_catalog, lookup_ssf,
-                                resolve_jsf)
+from sprinkleqo.catalog import (DEFAULT_SSF, components, load_catalog,
+                                lookup_ssf, resolve_jsf)
 from sprinkleqo.errors import CatalogError
 
 from conftest import make_catalog
@@ -115,6 +115,35 @@ def test_components_split_and_merge():
     comps = c.graph.components()
     assert frozenset({"p", "q"}) in comps
     assert frozenset({"r"}) in comps
+
+
+def bfs_components(nodes, edges):
+    """Oracle: breadth-first search from each unvisited node in sorted order."""
+    out, seen = [], set()
+    for start in sorted(nodes):
+        if start in seen:
+            continue
+        comp, frontier = {start}, [start]
+        while frontier:
+            here = frontier.pop(0)
+            for a, b in edges:
+                if a in nodes and b in nodes and here in (a, b):
+                    other = b if here == a else a
+                    if other not in comp:
+                        comp.add(other)
+                        frontier.append(other)
+        seen |= comp
+        out.append(frozenset(comp))
+    return out
+
+
+# node ids 0-9 are in `nodes` only when drawn; 10 and 11 never are
+@given(st.sets(st.integers(0, 9)),
+       st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=15))
+def test_components_match_a_bfs_oracle(node_ids, edge_ids):
+    nodes = {f"n{i}" for i in node_ids}
+    edges = [(f"n{a}", f"n{b}") for a, b in edge_ids]
+    assert components(nodes, edges) == bfs_components(nodes, edges)
 
 
 def test_resolve_jsf_prefers_fk_edge_then_distinct_rule():

@@ -5,7 +5,7 @@ import logging
 
 import pytest
 
-from sprinkleqo import analytics
+from sprinkleqo import analytics, joindag
 from sprinkleqo.cli import main
 
 from conftest import FIXTURES
@@ -169,6 +169,30 @@ def test_history_catalog_mismatch(capsys, tmp_path):
     code, _, err = run(capsys, "histdag", "show", "--schema", TPCH,
                        "--history", str(hist))
     assert code == 2 and "fingerprint" in err
+
+
+def hang_an_op_under_its_child(doc):
+    arc = doc["arcs"]["eq_to_op"][-1]
+    op = next(o for o in doc["op_nodes"] if o["id"] == arc[1])
+    arc[0] = op["children"][0]
+
+
+@pytest.mark.parametrize("edit, command", [
+    (hang_an_op_under_its_child, ("histdag", "show", "--schema", COMPANY)),
+    (lambda doc: doc["eq_nodes"][-1].update(est_size=float("inf")),
+     ("optimize", "--schema", COMPANY, "--query", Q1)),
+], ids=["cyclic-arc", "infinite-size"])
+def test_malformed_history_is_one_error_line(capsys, tmp_path, edit, command):
+    hist = tmp_path / "history.json"
+    run(capsys, "histdag", "build", "--schema", COMPANY, "--out", str(hist))
+    doc = json.loads(hist.read_text())
+    edit(doc["dag"])
+    doc["checksum"] = joindag._checksum({k: v for k, v in doc.items()
+                                         if k != "checksum"})
+    hist.write_text(json.dumps(doc))
+    code, _, err = run(capsys, *command, "--history", str(hist))
+    assert code == 2
+    assert err.startswith("ERR:validation:") and len(err.splitlines()) == 1
 
 
 def test_histdag_lifecycle(capsys, tmp_path):

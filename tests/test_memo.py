@@ -221,6 +221,37 @@ def test_doc_round_trip_rejects_corruption():
         dag_from_doc(doc)
 
 
+def test_doc_with_a_cycle_is_rejected():
+    dag, _ = diamond_dag()
+    doc = dag_to_doc(dag)
+    # re-hang op 0 (a.x = b.x over a and b) under its own child a
+    (arc,) = [arc for arc in doc["arcs"]["eq_to_op"] if arc[1] == 0]
+    arc[0] = dag.op_nodes[0].children[0]
+    with pytest.raises(DagError, match="cycle"):
+        dag_from_doc(doc)
+
+
+def test_doc_with_an_op_under_two_parents_is_rejected():
+    dag, top = diamond_dag()
+    doc = dag_to_doc(dag)
+    doc["arcs"]["eq_to_op"].append([top, 0])
+    with pytest.raises(DagError, match="more than one parent"):
+        dag_from_doc(doc)
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("eq_nodes", "est_size", float("inf")),
+    ("op_nodes", "op_cost", float("nan")),
+    ("op_nodes", "factor", float("-inf")),
+])
+def test_doc_with_a_non_finite_number_is_rejected(section, field, value):
+    dag, _ = diamond_dag()
+    doc = dag_to_doc(dag)
+    doc[section][-1][field] = value
+    with pytest.raises(DagError, match=f"non-finite {field}"):
+        dag_from_doc(doc)
+
+
 def test_signature_text_is_stable_and_readable():
     sig = extend_signature(base_signature("a"), KIND_SELECT, "a.x > 1")
     text = signature_text(sig)

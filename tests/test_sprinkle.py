@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sprinkleqo import costplan, joindag, memo, naive, sprinkle
 from sprinkleqo.catalog import load_catalog
@@ -286,16 +286,14 @@ def test_having_rides_directly_above_the_groupby():
 
 def test_orderby_defaults_to_the_root():
     plan = grouped_join(1000.0, 100.0, 0.01)
-    placed = sprinkle.place_orderby_on_plan(plan, "orderby(t.g asc)", {"t"},
-                                            (KIND_GROUPBY, KIND_HAVING))
+    placed = sprinkle.place_orderby_on_plan(plan, (OrderItem("t", "g"),))
     assert placed.kind == KIND_ORDERBY and placed.children[0].kind == KIND_JOIN
 
 
 def test_orderby_descends_when_the_join_grows():
     plan = grouped_join(10.0, 100.0, 0.5)
     # val2 = 10 + 1000 < val1 = 1000 + 500: sort the small input first
-    placed = sprinkle.place_orderby_on_plan(plan, "orderby(t.g asc)", {"t"},
-                                            (KIND_GROUPBY, KIND_HAVING))
+    placed = sprinkle.place_orderby_on_plan(plan, (OrderItem("t", "g"),))
     assert placed.kind == KIND_JOIN
     ob = next(c for c in placed.children if c.kind == KIND_ORDERBY)
     assert ob.children[0].relation == "t"
@@ -305,10 +303,31 @@ def test_orderby_never_crosses_a_groupby():
     inner = op_plan(KIND_GROUPBY, "groupby(t.g)@{t}",
                     (base_plan("t", 10.0),), 5.0)
     plan = op_plan(KIND_JOIN, "t.x = b.x", (inner, base_plan("b", 100.0)), 0.5)
-    placed = sprinkle.place_orderby_on_plan(plan, "orderby(t.g asc)", {"t"},
-                                            (KIND_GROUPBY, KIND_HAVING))
+    placed = sprinkle.place_orderby_on_plan(plan, (OrderItem("t", "g"),))
     assert placed.kind == KIND_ORDERBY  # blocked: stays above the join
     assert placed.children[0].kind == KIND_JOIN
+
+
+def landing(plan, kind):
+    """(child indices from the root to the `kind` node, plan_key of its input)."""
+    if plan.kind == kind:
+        return (), plan_key(plan.children[0])
+    for i, child in enumerate(plan.children):
+        found = landing(child, kind)
+        if found is not None:
+            return (i,) + found[0], found[1]
+    return None
+
+
+@example(10.0, 100.0, 100.0, 0.5, 0.5)  # both descend to the leaf t
+@given(sizes, sizes, sizes, factors, factors)
+def test_groupby_and_orderby_land_together_when_d_covers_t(t, b1, b2, j1, j2):
+    inner = op_plan(KIND_JOIN, "t.x = b1.x", (base_plan("t", t), base_plan("b1", b1)), j1)
+    plan = op_plan(KIND_JOIN, "t.y = b2.y", (inner, base_plan("b2", b2)), j2)
+    d = max(t, inner.est_size)  # >= |t| at every join the walk can cross
+    grouped = sprinkle.place_groupby_on_plan(plan, (("t", "g"),), None, d)
+    ordered = sprinkle.place_orderby_on_plan(plan, (OrderItem("t", "g"),))
+    assert landing(grouped, KIND_GROUPBY) == landing(ordered, KIND_ORDERBY)
 
 
 def test_groupby_stage_keeps_one_signature_class(company_catalog):
@@ -471,13 +490,6 @@ def test_nested_query_pipeline(company_catalog):
     key = plan_key(res.plan)
     assert "subq1.pnumber" in key                      # link join survives
     assert "project.plocation = 'hyderabad'" in key    # inner block spliced in
-    assert sprinkle.optimize_nested(q, None, company_catalog).cum_cost == 525555.0
-
-
-def test_optimize_nested_requires_a_subquery(company_catalog):
-    q = parse_query(fixture_sql("company", "q1"), company_catalog)
-    with pytest.raises(ValidationError):
-        sprinkle.optimize_nested(q, None, company_catalog)
 
 
 def test_optimize_many_rejects_nested(company_catalog):
