@@ -231,23 +231,49 @@ def ensure_base(dag: Dag, relation: str, cardinality: float) -> int:
 
 # -- counting -------------------------------------------------------------
 
+def topological_order(dag: Dag) -> list[int]:
+    """Every eq-node after all of its consumers, by Kahn's algorithm.
+
+    Iterative, so any depth works; raises DagError on a cycle.  Eq-node ids
+    are not topological: interning a plan can hang a new, higher-id child
+    under an existing parent.
+    """
+    indegree = dict.fromkeys(dag.eq_nodes, 0)
+    for node in dag.eq_nodes.values():
+        for op_id in node.child_ops:
+            for child in dag.op_nodes[op_id].children:
+                indegree[child] += 1
+    ready = [eq_id for eq_id, n in indegree.items() if n == 0]
+    order: list[int] = []
+    while ready:
+        eq_id = ready.pop()
+        order.append(eq_id)
+        for op_id in dag.eq_nodes[eq_id].child_ops:
+            for child in dag.op_nodes[op_id].children:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    ready.append(child)
+    if len(order) != len(dag.eq_nodes):
+        raise DagError("dag has a cycle")
+    return order
+
+
 def plan_count_for(dag: Dag, eq_id: int, _memo: dict[int, int] | None = None) -> int:
-    """Number of distinct full expansions below an eq-node (product-sum rule)."""
-    memo = _memo if _memo is not None else {}
-    if eq_id in memo:
-        return memo[eq_id]
-    node = dag.eq_nodes[eq_id]
-    if node.is_base:
-        memo[eq_id] = 1
-        return 1
-    total = 0
-    for op_id in node.child_ops:
-        prod = 1
-        for child in dag.op_nodes[op_id].children:
-            prod *= plan_count_for(dag, child, memo)
-        total += prod
-    memo[eq_id] = total
-    return total
+    """Number of distinct full expansions below an eq-node (product-sum rule).
+
+    Counts every eq-node of the dag, inputs first, into `_memo` when given."""
+    counts = _memo if _memo is not None else {}
+    if eq_id not in counts:
+        for eq in reversed(topological_order(dag)):
+            node = dag.eq_nodes[eq]
+            total = 0 if node.child_ops else 1
+            for op_id in node.child_ops:
+                prod = 1
+                for child in dag.op_nodes[op_id].children:
+                    prod *= counts[child]
+                total += prod
+            counts[eq] = total
+    return counts[eq_id]
 
 
 def dag_roots(dag: Dag) -> list[int]:
@@ -349,26 +375,6 @@ def _finite(value, what: str) -> float:
     return out
 
 
-def _require_acyclic(dag: Dag) -> None:
-    """Kahn's algorithm over the eq-nodes; iterative, so any depth loads."""
-    indegree = dict.fromkeys(dag.eq_nodes, 0)
-    for node in dag.eq_nodes.values():
-        for op_id in node.child_ops:
-            for child in dag.op_nodes[op_id].children:
-                indegree[child] += 1
-    ready = [eq_id for eq_id, n in indegree.items() if n == 0]
-    done = 0
-    while ready:
-        done += 1
-        for op_id in dag.eq_nodes[ready.pop()].child_ops:
-            for child in dag.op_nodes[op_id].children:
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    ready.append(child)
-    if done != len(dag.eq_nodes):
-        raise DagError("dag has a cycle")
-
-
 def dag_from_doc(doc: dict) -> Dag:
     """Rebuild a dag from its document.  Rejects unknown or duplicate nodes,
     non-finite sizes, costs and factors, an op-node under more than one
@@ -410,7 +416,7 @@ def dag_from_doc(doc: dict) -> Dag:
             raise DagError(f"op-node {op_id} has more than one parent")
         has_parent.add(op_id)
         dag.eq_nodes[eq_id].child_ops.append(op_id)
-    _require_acyclic(dag)
+    topological_order(dag)  # rejects a cycle
     for query_id, eq_id in doc.get("roots", {}).items():
         register_root(dag, query_id, int(eq_id))
     dag._next_eq = max(dag.eq_nodes, default=-1) + 1

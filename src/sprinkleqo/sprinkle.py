@@ -17,8 +17,13 @@ fresh memo:
             per-eq-node projections of the attributes every consumer
             needs (multi-query mode)
 
-Costly plans are pruned branch-and-bound style: a plan is dropped as soon
-as a cost lower bound exceeds the best complete plan seen so far.
+Costly plans are pruned branch-and-bound style.  Plans are walked lazily
+(`costplan.plans_within`), and a whole family of them (one op-node with a
+fixed prefix of child choices) is never built once its lower bound exceeds
+the best decorated plan seen so far.  The select stage's bounds are
+per-eq-node floors: the `best_plan` cost with every select at its leaf,
+less the selects' own costs.  The group-by and order-by stages prune by
+decorated cost alone.
 """
 
 from __future__ import annotations
@@ -86,39 +91,6 @@ def _rebuild_with_selects(plan: Plan, placed: dict[int, list[SelectCondition]]) 
         return out
 
     return walk(plan)
-
-
-def _select_cost_lower_bound(plan: Plan, selects) -> float:
-    """Plan cost with every select pushed to its leaf, minus the select
-    operators' own costs: no placement can cost less.
-
-    One walk does the float operations of `_rebuild_with_selects` with every
-    select at its leaf, in the same order, and sums the select costs in the
-    order a stack walk from the rebuilt root meets them (leaves right to
-    left, each stack top-down), so no plan is built and the value is
-    bit-identical to the rebuilt plan's.
-    """
-    at_leaf: dict[str, list[SelectCondition]] = {}
-    for cond in sorted(selects, key=_stack_key):
-        at_leaf.setdefault(cond.relation, []).append(cond)
-    select_costs: list[float] = []  # leaves left to right, each stack bottom-up
-
-    def walk(node: Plan) -> tuple[float, float]:
-        if node.kind == "base":
-            size, cum = node.est_size, node.cum_cost
-            for cond in at_leaf.get(node.relation, ()):
-                select_costs.append(size)
-                size, cum = float(cond.ssf) * size, size + cum
-            return size, cum
-        sizes, cums = zip(*[walk(c) for c in node.children])
-        return (costplan.estimate_size(node.kind, sizes, node.factor),
-                costplan.op_cost(node.kind, sizes) + sum(cums))
-
-    cum = walk(plan)[1]
-    select_cost = 0.0
-    for cost in reversed(select_costs):
-        select_cost += cost
-    return cum - select_cost
 
 
 def _subsets(n: int) -> list[list[int]]:
@@ -269,30 +241,37 @@ def place_selects_on_plan(plan: Plan, selects) -> Plan:
 # -- stage helpers -----------------------------------------------------------
 
 def _decorate_stage(dag: Dag, decorate, *, split_classes: bool = False,
-                    bound=None) -> Dag:
+                    floors: tuple[dict[int, float], dict[int, float]] | None = None) -> Dag:
     """Run one sprinkling stage over every registered root.
 
     `decorate(plan) -> Plan` maps one maximal plan to its decorated form.
-    Plans whose cost exceeds the running best are pruned; when given,
-    `bound(plan)` is a lower bound on the decorated cost, and plans whose
-    bound exceeds the running best are pruned before they are decorated.
-    When `split_classes` is set, decorated plans may disagree on the root
+    Plans whose decorated cost exceeds the running best are dropped.  When
+    given, `floors` are the per-eq-node and per-op-node floors of
+    `costplan.plans_within`: a plan's bound never exceeds its decorated
+    cost, so families of plans whose bound exceeds the running best (with
+    memo.SIZE_RTOL of slack for rounding) are never built.  When
+    `split_classes` is set, decorated plans may disagree on the root
     signature (the stage changed what the result denotes, e.g. grouping
     below different subtrees); only the signature class of the cheapest
     plan is kept.
     """
+    if floors is None:
+        floors = dict.fromkeys(dag.eq_nodes, 0.0), dict.fromkeys(dag.op_nodes, 0.0)
+
+    def limit() -> float:  # the running best of the root being walked, plus slack
+        return budget
+
     fresh = Dag()
     fresh.meta = dict(dag.meta)
     for query_id, root in sorted(dag.query_roots.items()):
         kept: list[tuple[float, Plan]] = []
-        running_best = math.inf
-        for plan in costplan.enumerate_plans(dag, root):
-            if bound is not None and bound(plan) > running_best:
-                continue
+        running_best = budget = math.inf
+        for plan in costplan.plans_within(dag, root, *floors, limit):
             decorated = decorate(plan)
             if decorated.cum_cost > running_best:
                 continue
             running_best = decorated.cum_cost
+            budget = running_best + memo.SIZE_RTOL * max(1.0, abs(running_best))
             kept.append((decorated.cum_cost, decorated))
         if not kept:
             raise DagError(f"no plans under root {query_id!r}")
@@ -309,6 +288,40 @@ def _decorate_stage(dag: Dag, decorate, *, split_classes: bool = False,
     return fresh
 
 
+def _select_floors(dag: Dag, selects) -> tuple[dict[int, float], dict[int, float]]:
+    """Floors of the select stage, computed like `best_plan` with every
+    select at its leaf: each base shrinks by its selects' ssfs (in
+    `_stack_key` order), an op-node's floor is its cost over the shrunk
+    input sizes, and an eq-node's floor is the least of its op-nodes' floors
+    plus their children's floors.  The selects' own costs are left out, so
+    no placement of them onto a plan costs less than the plan's bound.
+    With no selects the floor is the `best_plan` cost."""
+    at_leaf: dict[str, list[SelectCondition]] = {}
+    for cond in sorted(selects, key=_stack_key):
+        at_leaf.setdefault(cond.relation, []).append(cond)
+    size: dict[int, float] = {}
+    floor: dict[int, float] = {}
+    op_floor: dict[int, float] = {}
+    for eq_id in reversed(memo.topological_order(dag)):
+        node = dag.eq_nodes[eq_id]
+        if node.is_base:
+            shrunk = node.est_size
+            for cond in at_leaf.get(node.signature[0][0], ()):
+                shrunk = float(cond.ssf) * shrunk
+            size[eq_id], floor[eq_id] = shrunk, 0.0
+            continue
+        floor[eq_id] = math.inf
+        for op_id in node.child_ops:
+            op = dag.op_nodes[op_id]
+            sizes = tuple(size[c] for c in op.children)
+            op_floor[op_id] = costplan.op_cost(op.kind, sizes)
+            floor[eq_id] = min(floor[eq_id],
+                               op_floor[op_id] + sum(floor[c] for c in op.children))
+        # every op-node of a class yields its size, up to rounding
+        size[eq_id] = costplan.estimate_size(op.kind, sizes, op.factor)
+    return floor, op_floor
+
+
 def sprinkle_selects(jd: Dag, selects, catalog: Catalog) -> Dag:
     """Insert select conditions into every join-order plan of a join dag."""
     selects = tuple(selects)
@@ -321,10 +334,8 @@ def sprinkle_selects(jd: Dag, selects, catalog: Catalog) -> Dag:
                 raise ValidationError(
                     f"select on {cond.relation!r} but query {query_id!r} "
                     f"covers {sorted(bases)}")
-    if not selects:
-        return _decorate_stage(jd, lambda p: p)
-    return _decorate_stage(jd, lambda p: place_selects_on_plan(p, selects),
-                           bound=lambda p: _select_cost_lower_bound(p, selects))
+    place = (lambda p: place_selects_on_plan(p, selects)) if selects else (lambda p: p)
+    return _decorate_stage(jd, place, floors=_select_floors(jd, selects))
 
 
 _BLOCKING_KINDS = (KIND_GROUPBY, KIND_HAVING)
@@ -439,8 +450,7 @@ def _needed_attrs(dag: Dag, roots: dict[str, int], outputs: dict[str, set[str]],
     needed: dict[int, set[str]] = {eq: set() for eq in dag.eq_nodes}
     for query_id, root in roots.items():
         needed[root] |= outputs[query_id]
-    order = sorted(dag.eq_nodes, reverse=True)  # ids are topological
-    for eq_id in order:
+    for eq_id in memo.topological_order(dag):  # consumers first
         node = dag.eq_nodes[eq_id]
         for op_id in node.child_ops:
             op = dag.op_nodes[op_id]

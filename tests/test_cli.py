@@ -2,11 +2,14 @@
 
 import json
 import logging
+import sys
 
 import pytest
 
-from sprinkleqo import analytics, joindag
+from sprinkleqo import analytics, costplan, joindag, memo
+from sprinkleqo.catalog import load_catalog_file
 from sprinkleqo.cli import main
+from sprinkleqo.memo import KIND_SELECT
 
 from conftest import FIXTURES
 
@@ -193,6 +196,24 @@ def test_malformed_history_is_one_error_line(capsys, tmp_path, edit, command):
     code, _, err = run(capsys, *command, "--history", str(hist))
     assert code == 2
     assert err.startswith("ERR:validation:") and len(err.splitlines()) == 1
+
+
+def test_histdag_show_counts_a_history_deeper_than_the_stack(capsys, tmp_path):
+    # a select chain longer than the recursion limit, saved the normal way
+    catalog = load_catalog_file(COMPANY)
+    history = joindag.empty_history(catalog)
+    eq = memo.ensure_base(history.dag, "employee", 1000.0)
+    depth = sys.getrecursionlimit() + 200
+    for i in range(depth):
+        eq = costplan.intern_op(history.dag, KIND_SELECT, f"s{i}", (eq,), 1.0)
+    hist = tmp_path / "history.json"
+    joindag.save_history(history, str(hist))
+    code, stdout, _ = run(capsys, "histdag", "show", "--schema", COMPANY,
+                          "--history", str(hist))
+    assert code == 0
+    assert f"eq_nodes: {depth + 1}" in stdout
+    assert f"op_nodes: {depth}" in stdout
+    assert "plans: 1" in stdout
 
 
 def test_histdag_lifecycle(capsys, tmp_path):

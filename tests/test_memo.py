@@ -142,6 +142,23 @@ def test_plan_count_and_node_counts():
     assert (eq_i, op_i, plans_i) == (3, 4, 2)
 
 
+def test_topological_order_puts_consumers_first_whatever_the_ids():
+    dag, top = diamond_dag()
+    # a new, higher-id class hung below the existing top
+    low = intern_eq(dag, extend_signature(dag.eq_nodes[0].signature, KIND_SELECT,
+                                          "a.z > 1"), 1.0)
+    attach_op(dag, top, KIND_JOINFILTER, "a.z = c.z", (low,), op_cost=1.0, factor=0.5)
+    assert low > top
+    order = memo.topological_order(dag)
+    assert sorted(order) == sorted(dag.eq_nodes)
+    position = {eq: i for i, eq in enumerate(order)}
+    for eq_id, node in dag.eq_nodes.items():
+        for op_id in node.child_ops:
+            for child in dag.op_nodes[op_id].children:
+                assert position[eq_id] < position[child]
+    assert plan_count_for(dag, top) == 3
+
+
 def test_clone_is_independent():
     dag, top = diamond_dag()
     other = dag.clone()

@@ -1,21 +1,22 @@
 """Operator sprinkling: placement rules, stages, and the full pipeline."""
 
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sprinkleqo import costplan, joindag, memo, naive, sprinkle
+from sprinkleqo import costplan, joindag, memo, naive, sprinkle, sqlfront
 from sprinkleqo.catalog import load_catalog
 from sprinkleqo.costplan import base_plan, op_plan, plan_key
-from sprinkleqo.errors import ValidationError
+from sprinkleqo.errors import DagError, ValidationError
 from sprinkleqo.memo import (KIND_GROUPBY, KIND_HAVING, KIND_JOIN,
                              KIND_JOINFILTER, KIND_ORDERBY, KIND_PROJECT, KIND_SELECT)
 from sprinkleqo.sqlfront import (HavingCondition, JoinCondition, OrderItem,
-                                 SelectCondition, parse_query)
+                                 SelectCondition, extract_join_set, parse_query)
 
-from conftest import chain_catalog, fixture_sql, random_schema, \
+from conftest import chain_catalog, fixture_sql, make_catalog, random_schema, \
     connected_query_sql
 
 sizes = st.floats(min_value=1.0, max_value=1e5, allow_nan=False)
@@ -84,23 +85,6 @@ def greedy_placement(plan, selects):
     for cond in sorted(selects, key=lambda s: (s.ssf, s.canonical())):
         plan = product_placement(plan, [cond])
     return plan
-
-
-def rebuilt_lower_bound(plan, selects):
-    """The select-cost lower bound computed on a rebuilt plan."""
-    placed = {}
-    for cond in selects:
-        leaf = path_to_relation(plan, cond.relation)[-1]
-        placed.setdefault(id(leaf), []).append(cond)
-    decorated = sprinkle._rebuild_with_selects(plan, placed)
-    select_cost = 0.0
-    stack = [decorated]
-    while stack:
-        node = stack.pop()
-        if node.kind == KIND_SELECT:
-            select_cost += node.op_cost
-        stack.extend(node.children)
-    return decorated.cum_cost - select_cost
 
 
 def insert_above(plan, target, cond):
@@ -195,13 +179,6 @@ def test_subset_dp_placement_equals_the_product_search():
         assert placed.cum_cost == oracle.cum_cost
 
 
-def test_lower_bound_is_bit_identical_to_the_rebuilt_bound():
-    for plan, selects in random_plans_with_selects(4243, 150):
-        bound = sprinkle._select_cost_lower_bound(plan, selects)
-        assert bound.hex() == rebuilt_lower_bound(plan, selects).hex()
-        assert bound <= sprinkle.place_selects_on_plan(plan, selects).cum_cost
-
-
 def test_nonselective_filter_stays_at_the_root():
     # ssf=1 never shrinks anything; the root position ties and wins
     plan = op_plan(KIND_JOIN, "a.x = b.x",
@@ -246,6 +223,225 @@ def test_select_on_foreign_relation_rejected(company_catalog):
     cond = SelectCondition("project", "plocation", "=", "x", ssf=0.1)
     with pytest.raises(ValidationError):
         sprinkle.sprinkle_selects(jd, (cond,), company_catalog)
+
+
+# -- family pruning against the enumerate-then-prune stage --------------------
+
+def enumerate_then_prune_stage(dag, decorate, *, split_classes=False, bound=None):
+    """The stage loop before family pruning: every plan of `costplan.
+    enumerate_plans`, each dropped when `bound(plan)` or its decorated cost
+    exceeds the running best."""
+    fresh = memo.Dag()
+    fresh.meta = dict(dag.meta)
+    for query_id, root in sorted(dag.query_roots.items()):
+        kept = []
+        running_best = math.inf
+        for plan in costplan.enumerate_plans(dag, root):
+            if bound is not None and bound(plan) > running_best:
+                continue
+            decorated = decorate(plan)
+            if decorated.cum_cost > running_best:
+                continue
+            running_best = decorated.cum_cost
+            kept.append((decorated.cum_cost, decorated))
+        if not kept:
+            raise DagError(f"no plans under root {query_id!r}")
+        if split_classes:
+            best_cost = min(c for c, _ in kept)
+            winner = min(memo.signature_text(costplan.plan_signature(p))
+                         for c, p in kept if c == best_cost)
+            kept = [(c, p) for c, p in kept
+                    if memo.signature_text(costplan.plan_signature(p)) == winner]
+        new_root = None
+        for _, decorated in kept:
+            new_root = costplan.intern_plan(fresh, decorated)
+        memo.register_root(fresh, query_id, new_root)
+    return fresh
+
+
+def leaf_select_lower_bound(plan, selects):
+    """Plan cost with every select pushed to its leaf, minus the select
+    operators' own costs, walked plan by plan (the bound of the stage before
+    family pruning)."""
+    at_leaf = {}
+    for cond in sorted(selects, key=sprinkle._stack_key):
+        at_leaf.setdefault(cond.relation, []).append(cond)
+    select_costs = []  # leaves left to right, each stack bottom-up
+
+    def walk(node):
+        if node.kind == "base":
+            size, cum = node.est_size, node.cum_cost
+            for cond in at_leaf.get(node.relation, ()):
+                select_costs.append(size)
+                size, cum = float(cond.ssf) * size, size + cum
+            return size, cum
+        sizes, cums = zip(*[walk(c) for c in node.children])
+        return (costplan.estimate_size(node.kind, sizes, node.factor),
+                costplan.op_cost(node.kind, sizes) + sum(cums))
+
+    cum = walk(plan)[1]
+    select_cost = 0.0
+    for cost in reversed(select_costs):
+        select_cost += cost
+    return cum - select_cost
+
+
+def enumerate_then_prune_selects(jd, selects):
+    selects = tuple(selects)
+    if not selects:
+        return enumerate_then_prune_stage(jd, lambda p: p)
+    return enumerate_then_prune_stage(
+        jd, lambda p: sprinkle.place_selects_on_plan(p, selects),
+        bound=lambda p: leaf_select_lower_bound(p, selects))
+
+
+def shape_catalog(shape, j, rng):
+    """A chain, star or cycle join graph with j edges and random sizes."""
+    n = j if shape == "cycle" else j + 1
+    relations = [{"name": f"r{i}", "cardinality": float(rng.choice([10, 100, 1000, 5000])),
+                  "attributes": [{"name": "a0", "distinct": 10},
+                                 {"name": "a1", "distinct": 10},
+                                 {"name": "b", "distinct": 5}]}
+                 for i in range(n)]
+    pairs = {"chain": [(i, i + 1) for i in range(j)],
+             "star": [(0, i) for i in range(1, j + 1)],
+             "cycle": [(i, (i + 1) % n) for i in range(n)]}[shape]
+    edges = [{"left": f"r{a}.a0", "right": f"r{b}.a1",
+              "jsf": rng.choice([0.001, 0.01, 0.1, 0.5])} for a, b in pairs]
+    return make_catalog(relations, edges, default_ssf=rng.choice([0.05, 0.1, 0.3]))
+
+
+def joindag_for(sql, catalog):
+    query = parse_query(sql, catalog)
+    history = joindag.build_incremental(joindag.empty_history(catalog),
+                                        extract_join_set(query), catalog, 8)
+    return query, sprinkle.extract_query_joindag(history, query, catalog, "q1")
+
+
+def stage_inputs():
+    """(sql, catalog) pairs: random schemas (cyclic ones carry joinfilters)
+    and chain/star/cycle graphs with j <= 6 and 0-3 selects, each grouped
+    and ordered on one relation."""
+    rng = random.Random(5150)
+    cases = []
+    for _ in range(12):
+        catalog = random_schema(rng)
+        cases.append((connected_query_sql(catalog, rng, max_selects=3), catalog))
+    for shape, j in [("chain", 2), ("chain", 4), ("chain", 6), ("star", 3),
+                     ("star", 5), ("star", 6), ("cycle", 3), ("cycle", 5), ("cycle", 6)]:
+        catalog = shape_catalog(shape, j, rng)
+        for s in range(4):
+            cases.append((connected_query_sql(catalog, rng, max_selects=0)
+                          + "".join(f" and r{rng.randrange(j)}.b > {k}" for k in range(s)),
+                          catalog))
+    return cases
+
+
+def kept_plans(stage):
+    """Run `stage()`; returns its dag, the plans it interned and the plans
+    it placed selects on, each in order."""
+    kept, placed = [], []
+    intern, place = costplan.intern_plan, sprinkle.place_selects_on_plan
+
+    def recording_intern(dag, plan):
+        kept.append((plan_key(plan), plan.cum_cost.hex()))
+        return intern(dag, plan)
+
+    def recording_place(plan, selects):
+        placed.append(plan_key(plan))
+        return place(plan, selects)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(costplan, "intern_plan", recording_intern)
+        patch.setattr(sprinkle, "place_selects_on_plan", recording_place)
+        dag = stage()
+    return dag, kept, placed
+
+
+def test_pruned_stages_keep_the_plans_of_enumerate_then_prune():
+    for sql, catalog in stage_inputs():
+        query, jd = joindag_for(sql, catalog)
+        pruned, kept, placed = kept_plans(
+            lambda: sprinkle.sprinkle_selects(jd, query.selects, catalog))
+        oracle, oracle_kept, oracle_placed = kept_plans(
+            lambda: enumerate_then_prune_selects(jd, query.selects))
+        assert kept == oracle_kept, sql
+        assert placed == oracle_placed, sql  # the plans the per-plan bound let through
+        assert memo.dag_to_doc(pruned) == memo.dag_to_doc(oracle), sql
+
+        rel = query.selects[0].relation if query.selects else sorted(query.tables)[0]
+        group_by = ((rel, "b"),)
+        d = sqlfront.groupby_distinct_product(group_by, catalog)
+        grouped, kept, _ = kept_plans(
+            lambda: sprinkle.sprinkle_groupby(pruned, group_by, None, catalog))
+        _, oracle_kept, _ = kept_plans(lambda: enumerate_then_prune_stage(
+            pruned, lambda p: sprinkle.place_groupby_on_plan(p, group_by, None, d),
+            split_classes=True))
+        assert kept == oracle_kept, sql
+
+        order_by = (OrderItem(rel, "a0"),)
+        _, kept, _ = kept_plans(lambda: sprinkle.sprinkle_orderby(grouped, order_by))
+        _, oracle_kept, _ = kept_plans(lambda: enumerate_then_prune_stage(
+            grouped, lambda p: sprinkle.place_orderby_on_plan(p, order_by)))
+        assert kept == oracle_kept, sql
+
+
+def test_select_floor_bounds_every_placed_plan():
+    # pruning compares floors with the running best plus memo.SIZE_RTOL of
+    # slack, so that is the margin a floor may exceed a plan's cost by
+    for sql, catalog in stage_inputs():
+        query, jd = joindag_for(sql, catalog)
+        root = jd.query_roots["q1"]
+        floor, _ = sprinkle._select_floors(jd, query.selects)
+        least = math.inf
+        for plan in costplan.enumerate_plans(jd, root):
+            cost = sprinkle.place_selects_on_plan(plan, query.selects).cum_cost
+            assert floor[root] <= cost + memo.SIZE_RTOL * max(1.0, abs(cost)), sql
+            least = min(least, cost)
+        if not query.selects:
+            assert floor[root] == pytest.approx(least, rel=1e-12)
+
+
+def test_eight_leaf_star_places_selects_on_few_plans(monkeypatch):
+    cards = [20000, 10, 300, 5000, 40, 1000, 70, 2000, 100]
+    relations = [{"name": f"r{i}", "cardinality": float(card),
+                  "attributes": [{"name": "k", "distinct": card},
+                                 {"name": "f", "distinct": max(2, card // 5)},
+                                 {"name": "b", "distinct": min(20, card)}]}
+                 for i, card in enumerate(cards)]
+    edges = [{"left": "r0.f", "right": f"r{i}.k"} for i in range(1, 9)]
+    catalog = make_catalog(relations, edges)
+    sql = ("select r0.b, r5.b from " + ", ".join(f"r{i}" for i in range(9))
+           + " where " + " and ".join(f"r0.f = r{i}.k" for i in range(1, 9))
+           + " and r3.b > 7")
+    query, jd = joindag_for(sql, catalog)
+    assert memo.plan_count_for(jd, jd.query_roots["q1"]) == 40320
+    placed = families = 0
+    place, within = sprinkle.place_selects_on_plan, costplan.plans_within
+
+    def counting_place(plan, selects):
+        nonlocal placed
+        placed += 1
+        return place(plan, selects)
+
+    def counting_within(dag, root, floor, op_floor, limit):
+        def counting_limit():
+            nonlocal families
+            families += 1
+            return limit()
+        return within(dag, root, floor, op_floor, counting_limit)
+
+    monkeypatch.setattr(sprinkle, "place_selects_on_plan", counting_place)
+    oracle = enumerate_then_prune_selects(jd, query.selects)
+    oracle_placed, placed = placed, 0
+    monkeypatch.setattr(costplan, "plans_within", counting_within)
+    pruned = sprinkle.sprinkle_selects(jd, query.selects, catalog)
+    # the unpruned walk decorates 40320 plans and checks 220224 families;
+    # the per-plan bound let the same plans through to placement
+    assert placed == oracle_placed
+    assert placed < 1000 and families < 10000
+    assert costplan.best_plan(pruned, pruned.query_roots["q1"]).cum_cost == \
+        costplan.best_plan(oracle, oracle.query_roots["q1"]).cum_cost
 
 
 # -- group-by / having / order-by walks ---------------------------------------
@@ -381,6 +577,34 @@ def test_shared_run_adds_interior_projections(company_catalog):
                 if op.kind == KIND_PROJECT}
     assert "project(works_on.pno, works_on.ssn)" in interior
     assert "project(employee.fname, employee.ssn)" in interior
+
+
+def interior_projections(shared):
+    return {memo.signature_text(shared.eq_nodes[op.children[0]].signature): op.detail
+            for op in shared.op_nodes.values()
+            if op.kind == KIND_PROJECT and op.children[0] not in shared.query_roots.values()}
+
+
+def test_interior_projections_follow_consumers_through_higher_ids(company_catalog,
+                                                                   tpch_catalog):
+    # optimize_many interns q2's plans after q1's, hanging new, higher-id
+    # children under existing parents: eq ids are not topological
+    queries = [(q, parse_query(fixture_sql("company", q), company_catalog))
+               for q in ("q1", "q2")]
+    shared, _, _ = sprinkle.optimize_many(queries, company_catalog)
+    assert any(child > eq_id for eq_id, node in shared.eq_nodes.items()
+               for op_id in node.child_ops for child in shared.op_nodes[op_id].children)
+    projections = interior_projections(shared)
+    assert projections["{department,project} j[department.dnumber = project.dnum] "
+                       "u[project.plocation = 'hyderabad']"] == \
+        "project(department.dname, project.pname, project.pnumber)"
+    queries = [(q, parse_query(fixture_sql("tpch", q), tpch_catalog))
+               for q in ("q1", "q2", "q3", "q4", "tq1")]
+    shared, _, _ = sprinkle.optimize_many(queries, tpch_catalog)
+    projections = interior_projections(shared)
+    assert projections["{customer,orders} j[customer.custkey = orders.custkey] "
+                       "u[orders.orderdate < '1995-01-01'; orders.orderdate >= '1994-01-01']"] == \
+        "project(customer.nationkey, orders.orderkey)"
 
 
 def test_interior_projections_retain_what_consumers_need(company_catalog):
