@@ -12,6 +12,7 @@ Sizes are real-valued estimates; nothing is rounded except for display.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import memo
@@ -114,37 +115,42 @@ def intern_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
               factor: float | None = None) -> int:
     """Intern one operator over existing eq-nodes, sizing and costing it from
     their estimates; returns the eq-node it produces."""
-    first = dag.eq_nodes[children[0]]
-    if kind == KIND_JOIN:
-        second = dag.eq_nodes[children[1]]
-        sizes = (first.est_size, second.est_size)
-        sig = memo.join_signature(first.signature, second.signature, detail)
-    else:
-        sizes = (first.est_size,)
-        sig = memo.extend_signature(first.signature, kind, detail)
-    eq = memo.intern_eq(dag, sig, estimate_size(kind, sizes, factor))
-    memo.attach_op(dag, eq, kind, detail, children, op_cost(kind, sizes), factor)
-    return eq
+    sizes = tuple(dag.eq_nodes[c].est_size for c in children)
+    return memo.attach_op(dag, kind, detail, children, estimate_size(kind, sizes, factor),
+                          op_cost(kind, sizes), factor)
 
 
 def intern_plan(dag: Dag, plan: Plan) -> int:
     """Intern every node of a plan tree into the memo; returns the root eq-node."""
 
-    def walk(node: Plan) -> tuple[int, Signature]:
+    def walk(node: Plan) -> int:
         if node.kind == "base":
-            sig = memo.base_signature(node.relation)
-            return memo.intern_eq(dag, sig, node.est_size), sig
-        results = [walk(c) for c in node.children]
-        if node.kind == KIND_JOIN:
-            sig = memo.join_signature(results[0][1], results[1][1], node.detail)
-        else:
-            sig = memo.extend_signature(results[0][1], node.kind, node.detail)
-        eq = memo.intern_eq(dag, sig, node.est_size)
-        memo.attach_op(dag, eq, node.kind, node.detail,
-                       tuple(r[0] for r in results), node.op_cost, node.factor)
-        return eq, sig
+            return memo.ensure_base(dag, node.relation, node.est_size)
+        return memo.attach_op(dag, node.kind, node.detail,
+                              tuple(walk(c) for c in node.children),
+                              node.est_size, node.op_cost, node.factor)
 
-    return walk(plan)[0]
+    return walk(plan)
+
+
+def check_estimates(dag: Dag) -> None:
+    """Raise DagError unless every op-node's cost, and the size of the
+    eq-node above it, are finite and agree (`memo.sizes_agree`) with what
+    `op_cost` and `estimate_size` give over its children's sizes."""
+    for node in dag.eq_nodes.values():
+        for op_id in node.child_ops:
+            op = dag.op_nodes[op_id]
+            if op.factor is None and op.kind not in (KIND_PROJECT, KIND_ORDERBY):
+                raise DagError(f"{op.kind} op-node {op_id} has no factor")
+            sizes = tuple(dag.eq_nodes[c].est_size for c in op.children)
+            size = estimate_size(op.kind, sizes, op.factor)
+            if not (math.isfinite(size) and memo.sizes_agree(node.est_size, size)):
+                raise DagError(f"eq-node {node.id} has est_size {node.est_size!r}, "
+                               f"but op-node {op_id} gives {size!r}")
+            cost = op_cost(op.kind, sizes)
+            if not (math.isfinite(cost) and memo.sizes_agree(op.op_cost, cost)):
+                raise DagError(f"op-node {op_id} has op_cost {op.op_cost!r}, "
+                               f"but its inputs give {cost!r}")
 
 
 def _base_relation_of(dag: Dag, eq_id: int) -> str:

@@ -48,7 +48,7 @@ def expand_forest(dag: Dag, relations: dict[str, float],
     """
     trees: dict[str, int] = {}
     for rel in sorted(relations):
-        trees[rel] = memo.intern_eq(dag, memo.base_signature(rel), relations[rel])
+        trees[rel] = memo.ensure_base(dag, rel, relations[rel])
 
     conditions = sorted(joins + selects, key=lambda c: c.text)
     visited: set[frozenset[str]] = set()

@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from . import forest, memo
+from . import costplan, forest, memo
 from .catalog import Catalog, components
 from .errors import LimitExceededError, PersistenceError, ValidationError
 from .ioutil import atomic_write_text, locked, read_text
@@ -177,7 +177,9 @@ def save_history(history: HistoryDag, path: str) -> None:
 
 
 def load_history(path: str) -> HistoryDag:
-    """Load a persisted history, verifying format and checksum."""
+    """Load a persisted history, verifying format, checksum, structure
+    (`memo.dag_from_doc`) and size and cost estimates
+    (`costplan.check_estimates`)."""
     text = read_text(path)
     try:
         doc = json.loads(text)
@@ -201,6 +203,7 @@ def load_history(path: str) -> HistoryDag:
                              catalog_fingerprint=str(doc["catalog_fingerprint"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise PersistenceError(f"malformed history file {path}: {exc}") from exc
+    costplan.check_estimates(history.dag)
     return history
 
 

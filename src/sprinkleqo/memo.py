@@ -13,6 +13,14 @@ canonical signature:
 Interning by signature is what merges plans produced in different orders into
 one shared structure.  All tie-breaking is lexicographic on canonical text so
 builds are byte-deterministic.
+
+An operator's output eq-node is never chosen by its caller: `attach_op`
+derives its signature from the inputs' (`join_signature`, `extend_signature`),
+which reject every operator that does not extend its inputs.  Signatures
+therefore strictly grow along every op-node, so the memo is acyclic by
+construction, and a walk down from any eq-node takes fewer steps than its
+signature has entries (counting a projection as one).  `dag_from_doc` holds
+a loaded dag to the same rule.
 """
 
 from __future__ import annotations
@@ -51,23 +59,33 @@ def extend_signature(sig: Signature, kind: str, detail: str) -> Signature:
     """Signature of a unary operator applied on top of `sig`.
 
     Joinfilters extend the applied-join set (they realize a join condition
-    over an already-connected tree); projects replace the retained-attribute
-    component; every other unary op extends the applied-unary set.
+    over an already-connected tree); projects fill the retained-attribute
+    component; every other unary op extends the applied-unary set.  Raises
+    DagError for an op that does not extend `sig`: a condition already
+    applied, or a project over an already projected input.
     """
     bases, joins, unary, projection = sig
-    if kind == KIND_JOINFILTER:
-        return make_signature(bases, set(joins) | {detail}, unary, projection)
     if kind == KIND_PROJECT:
         attrs = detail[len("project("):-1]
         retained = tuple(a.strip() for a in attrs.split(",") if a.strip())
+        if projection or not retained:
+            raise DagError(f"{detail!r} does not extend {signature_text(sig)!r}")
         return make_signature(bases, joins, unary, retained)
-    return make_signature(bases, joins, set(unary) | {detail}, projection)
+    applied = joins if kind == KIND_JOINFILTER else unary
+    if detail in applied:
+        raise DagError(f"{kind} {detail!r} is already applied in {signature_text(sig)!r}")
+    if kind == KIND_JOINFILTER:
+        return make_signature(bases, joins + (detail,), unary, projection)
+    return make_signature(bases, joins, unary + (detail,), projection)
 
 
 def join_signature(a: Signature, b: Signature, detail: str) -> Signature:
-    """Signature of joining two disjoint trees under one join condition."""
-    return make_signature(set(a[0]) | set(b[0]),
-                          set(a[1]) | set(b[1]) | {detail},
+    """Signature of joining two disjoint, unprojected trees under one join
+    condition; DagError for any other pair."""
+    if a[3] or b[3] or not set(a[0]).isdisjoint(b[0]):
+        raise DagError(f"join {detail!r} of {signature_text(a)!r} and "
+                       f"{signature_text(b)!r}: inputs must be disjoint and unprojected")
+    return make_signature(a[0] + b[0], set(a[1]) | set(b[1]) | {detail},
                           set(a[2]) | set(b[2]), ())
 
 
@@ -140,6 +158,11 @@ class Dag:
         return out
 
 
+def sizes_agree(a: float, b: float) -> bool:
+    """Whether two estimates of one quantity agree within SIZE_RTOL."""
+    return abs(a - b) <= SIZE_RTOL * max(1.0, abs(a), abs(b))
+
+
 def intern_eq(dag: Dag, signature: Signature, est_size: float) -> int:
     """Return the eq-node for this signature, creating it if new.
 
@@ -149,11 +172,10 @@ def intern_eq(dag: Dag, signature: Signature, est_size: float) -> int:
     existing = dag.find_eq(signature)
     if existing is not None:
         node = dag.eq_nodes[existing]
-        tol = SIZE_RTOL * max(1.0, abs(node.est_size), abs(est_size))
-        if abs(node.est_size - est_size) > tol:
+        if not sizes_agree(node.est_size, est_size):
             raise DagError(
                 f"signature collision with inconsistent est_size: "
-                f"{signature_text(signature)} has {node.est_size!r} vs {est_size!r}")
+                f"{signature_text(signature)!r} has {node.est_size!r} vs {est_size!r}")
         return existing
     node = EqNode(id=dag._next_eq, signature=signature, est_size=float(est_size))
     dag.eq_nodes[node.id] = node
@@ -162,34 +184,24 @@ def intern_eq(dag: Dag, signature: Signature, est_size: float) -> int:
     return node.id
 
 
-def _reaches(dag: Dag, start_eq: int, target_eq: int) -> bool:
-    stack = [start_eq]
-    seen: set[int] = set()
-    while stack:
-        eq = stack.pop()
-        if eq == target_eq:
-            return True
-        if eq in seen:
-            continue
-        seen.add(eq)
-        for op_id in dag.eq_nodes[eq].child_ops:
-            stack.extend(dag.op_nodes[op_id].children)
-    return False
+def attach_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
+              est_size: float, op_cost: float, factor: float | None = None) -> int:
+    """Attach an operator over existing eq-nodes; returns the eq-node it
+    produces.
 
-
-def attach_op(dag: Dag, parent_eq: int, kind: str, detail: str,
-              children: tuple[int, ...], op_cost: float,
-              factor: float | None = None) -> int:
-    """Attach an operator alternative under an eq-node, deduplicated.
-
-    Join ops take exactly two children (stored in canonical order); every
-    other kind takes one.  Attaching is idempotent: the same (kind, detail,
-    children) maps to one op-node and one parent arc.
+    That eq-node is derived, not chosen: its signature comes from the
+    children's by `join_signature` or `extend_signature`, which raise
+    DagError for an op that does not extend its inputs (a join of
+    overlapping or projected inputs, a project over a projected input, a
+    condition already applied).  Signatures thus strictly grow along every
+    op, so the memo stays acyclic and a walk down from any eq-node takes
+    fewer steps than its signature has entries.  The eq-node is interned
+    with `est_size` (see `intern_eq`).  Join ops take exactly two children
+    (stored in canonical order); every other kind takes one.  Attaching is
+    idempotent: the same (kind, detail, children) maps to one op-node.
     """
     if kind not in OP_KINDS:
         raise DagError(f"unknown op kind {kind!r}")
-    if parent_eq not in dag.eq_nodes:
-        raise DagError(f"unknown parent eq-node {parent_eq}")
     for child in children:
         if child not in dag.eq_nodes:
             raise DagError(f"dangling child eq-node {child}")
@@ -198,25 +210,22 @@ def attach_op(dag: Dag, parent_eq: int, kind: str, detail: str,
             raise DagError("join ops take exactly two children")
         children = tuple(sorted(
             children, key=lambda c: signature_text(dag.eq_nodes[c].signature)))
+        sig = join_signature(dag.eq_nodes[children[0]].signature,
+                             dag.eq_nodes[children[1]].signature, detail)
     elif len(children) != 1:
         raise DagError(f"{kind} ops take exactly one child")
+    else:
+        sig = extend_signature(dag.eq_nodes[children[0]].signature, kind, detail)
+    parent = intern_eq(dag, sig, est_size)
     key = (kind, detail, children)
-    existing = dag._op_index.get(key)
-    if existing is not None:
-        if existing not in dag.eq_nodes[parent_eq].child_ops:
-            raise DagError(f"op {key!r} already attached under a different eq-node")
-        return existing
-    for child in children:
-        if child == parent_eq or _reaches(dag, child, parent_eq):
-            raise DagError(
-                f"attaching {kind} {detail!r} would create a cycle via eq-node {child}")
-    op = OpNode(id=dag._next_op, kind=kind, detail=detail, children=children,
-                op_cost=float(op_cost), factor=factor)
-    dag.op_nodes[op.id] = op
-    dag._op_index[key] = op.id
-    dag._next_op += 1
-    dag.eq_nodes[parent_eq].child_ops.append(op.id)
-    return op.id
+    if key not in dag._op_index:
+        op = OpNode(id=dag._next_op, kind=kind, detail=detail, children=children,
+                    op_cost=float(op_cost), factor=factor)
+        dag.op_nodes[op.id] = op
+        dag._op_index[key] = op.id
+        dag._next_op += 1
+        dag.eq_nodes[parent].child_ops.append(op.id)
+    return parent
 
 
 def register_root(dag: Dag, query_id: str, eq_id: int) -> None:
@@ -375,19 +384,28 @@ def _finite(value, what: str) -> float:
     return out
 
 
+def _signature_of(value, eq_id) -> Signature:
+    if not (isinstance(value, list) and len(value) == 4 and all(
+            isinstance(part, list) and all(isinstance(t, str) for t in part)
+            for part in value)):
+        raise DagError(f"malformed signature in eq-node {eq_id!r}")
+    return tuple(tuple(part) for part in value)
+
+
 def dag_from_doc(doc: dict) -> Dag:
-    """Rebuild a dag from its document.  Rejects unknown or duplicate nodes,
-    non-finite sizes, costs and factors, an op-node under more than one
-    eq-node, and cycles."""
+    """Rebuild a dag from its document, held to the rule `attach_op` builds
+    by.  Rejects unknown or duplicate nodes, non-finite sizes, costs and
+    factors, an op-node under no eq-node or under more than one, join
+    children out of canonical order, an eq-node whose signature is not the
+    one derived from each of its op-nodes (or, with none, not a base
+    relation's), and cycles."""
     if not isinstance(doc, dict) or doc.get("format") != 1:
         raise DagError(f"unsupported dag format {doc.get('format')!r}")
     dag = Dag()
     for nd in doc.get("eq_nodes", []):
-        sig = tuple(tuple(part) for part in nd["signature"])
-        if len(sig) != 4:
-            raise DagError(f"malformed signature in eq-node {nd.get('id')}")
+        sig = _signature_of(nd["signature"], nd.get("id"))
         node = EqNode(id=int(nd["id"]), signature=sig,
-                      est_size=_finite(nd["est_size"], f"est_size in eq-node {nd['id']}"))
+                      est_size=_finite(nd["est_size"], f"est_size in eq-node {nd['id']!r}"))
         if node.id in dag.eq_nodes or sig in dag._sig_index:
             raise DagError(f"duplicate eq-node {node.id}")
         dag.eq_nodes[node.id] = node
@@ -395,28 +413,47 @@ def dag_from_doc(doc: dict) -> Dag:
     for od in doc.get("op_nodes", []):
         op = OpNode(id=int(od["id"]), kind=od["kind"], detail=od["detail"],
                     children=tuple(int(c) for c in od["children"]),
-                    op_cost=_finite(od["op_cost"], f"op_cost in op-node {od['id']}"),
+                    op_cost=_finite(od["op_cost"], f"op_cost in op-node {od['id']!r}"),
                     factor=None if od.get("factor") is None
-                    else _finite(od["factor"], f"factor in op-node {od['id']}"))
-        if op.kind not in OP_KINDS or op.id in dag.op_nodes:
+                    else _finite(od["factor"], f"factor in op-node {od['id']!r}"))
+        key = (op.kind, op.detail, op.children)
+        if (op.kind not in OP_KINDS or not isinstance(op.detail, str)
+                or op.id in dag.op_nodes or key in dag._op_index
+                or len(op.children) != (2 if op.kind == KIND_JOIN else 1)):
             raise DagError(f"malformed op-node {op.id}")
         for child in op.children:
             if child not in dag.eq_nodes:
                 raise DagError(f"op-node {op.id} references unknown eq-node {child}")
         dag.op_nodes[op.id] = op
-        dag._op_index[(op.kind, op.detail, op.children)] = op.id
+        dag._op_index[key] = op.id
     expected_ao = _arcs(dag)[1]
     if doc.get("arcs", {}).get("op_to_eq", expected_ao) != expected_ao:
         raise DagError("op_to_eq arcs disagree with op-node children")
-    has_parent: set[int] = set()
+    parent: dict[int, int] = {}
     for eq_id, op_id in doc.get("arcs", {}).get("eq_to_op", []):
         if eq_id not in dag.eq_nodes or op_id not in dag.op_nodes:
-            raise DagError(f"arc references unknown node ({eq_id}, {op_id})")
-        if op_id in has_parent:
+            raise DagError(f"arc references unknown node ({eq_id!r}, {op_id!r})")
+        if op_id in parent:
             raise DagError(f"op-node {op_id} has more than one parent")
-        has_parent.add(op_id)
+        parent[op_id] = eq_id
         dag.eq_nodes[eq_id].child_ops.append(op_id)
     topological_order(dag)  # rejects a cycle
+    for op in dag.op_nodes.values():
+        if op.id not in parent:
+            raise DagError(f"op-node {op.id} has no parent")
+        inputs = [dag.eq_nodes[c].signature for c in op.children]
+        if op.kind == KIND_JOIN:
+            if signature_text(inputs[0]) > signature_text(inputs[1]):
+                raise DagError(f"join op-node {op.id} has its children out of order")
+            sig = join_signature(inputs[0], inputs[1], op.detail)
+        else:
+            sig = extend_signature(inputs[0], op.kind, op.detail)
+        if sig != dag.eq_nodes[parent[op.id]].signature:
+            raise DagError(f"op-node {op.id} derives {signature_text(sig)!r}, not the "
+                           f"signature of its eq-node {parent[op.id]}")
+    for node in dag.eq_nodes.values():
+        if not node.child_ops and (len(node.signature[0]) != 1 or any(node.signature[1:])):
+            raise DagError(f"eq-node {node.id} has no op-node but is not a base relation")
     for query_id, eq_id in doc.get("roots", {}).items():
         register_root(dag, query_id, int(eq_id))
     dag._next_eq = max(dag.eq_nodes, default=-1) + 1

@@ -17,13 +17,13 @@ fresh memo:
             per-eq-node projections of the attributes every consumer
             needs (multi-query mode)
 
-Costly plans are pruned branch-and-bound style.  Plans are walked lazily
-(`costplan.plans_within`), and a whole family of them (one op-node with a
-fixed prefix of child choices) is never built once its lower bound exceeds
-the best decorated plan seen so far.  The select stage's bounds are
+Costly plans are pruned branch-and-bound style.  The select stage walks
+plans lazily (`costplan.plans_within`), and never builds a whole family of
+them (one op-node with a fixed prefix of child choices) once its lower
+bound exceeds the best decorated plan seen so far.  Its bounds are
 per-eq-node floors: the `best_plan` cost with every select at its leaf,
-less the selects' own costs.  The group-by and order-by stages prune by
-decorated cost alone.
+less the selects' own costs.  The group-by and order-by stages have no
+bounds: they walk `costplan.enumerate_plans` and prune by decorated cost.
 """
 
 from __future__ import annotations
@@ -249,15 +249,13 @@ def _decorate_stage(dag: Dag, decorate, *, split_classes: bool = False,
     given, `floors` are the per-eq-node and per-op-node floors of
     `costplan.plans_within`: a plan's bound never exceeds its decorated
     cost, so families of plans whose bound exceeds the running best (with
-    memo.SIZE_RTOL of slack for rounding) are never built.  When
-    `split_classes` is set, decorated plans may disagree on the root
-    signature (the stage changed what the result denotes, e.g. grouping
-    below different subtrees); only the signature class of the cheapest
-    plan is kept.
+    memo.SIZE_RTOL of slack for rounding) are never built.  Without them
+    the stage walks `costplan.enumerate_plans`, which yields the same plans
+    in the same order.  When `split_classes` is set, decorated plans may
+    disagree on the root signature (the stage changed what the result
+    denotes, e.g. grouping below different subtrees); only the signature
+    class of the cheapest plan is kept.
     """
-    if floors is None:
-        floors = dict.fromkeys(dag.eq_nodes, 0.0), dict.fromkeys(dag.op_nodes, 0.0)
-
     def limit() -> float:  # the running best of the root being walked, plus slack
         return budget
 
@@ -266,7 +264,9 @@ def _decorate_stage(dag: Dag, decorate, *, split_classes: bool = False,
     for query_id, root in sorted(dag.query_roots.items()):
         kept: list[tuple[float, Plan]] = []
         running_best = budget = math.inf
-        for plan in costplan.plans_within(dag, root, *floors, limit):
+        plans = (costplan.enumerate_plans(dag, root) if floors is None
+                 else costplan.plans_within(dag, root, *floors, limit))
+        for plan in plans:
             decorated = decorate(plan)
             if decorated.cum_cost > running_best:
                 continue
@@ -528,17 +528,16 @@ def extract_query_joindag(history: HistoryDag, query: Query, catalog: Catalog,
     mapping: dict[int, int] = {}
 
     def clone(eq_id: int) -> int:
-        if eq_id in mapping:
-            return mapping[eq_id]
-        node = history.dag.eq_nodes[eq_id]
-        new_eq = memo.intern_eq(out, node.signature, node.est_size)
-        mapping[eq_id] = new_eq
-        for op_id in sorted(node.child_ops):
-            op = history.dag.op_nodes[op_id]
-            children = tuple(clone(c) for c in op.children)
-            memo.attach_op(out, new_eq, op.kind, op.detail, children,
-                           op_cost=op.op_cost, factor=op.factor)
-        return new_eq
+        if eq_id not in mapping:
+            node = history.dag.eq_nodes[eq_id]
+            if node.is_base:
+                mapping[eq_id] = memo.ensure_base(out, node.signature[0][0], node.est_size)
+            for op_id in sorted(node.child_ops):
+                op = history.dag.op_nodes[op_id]
+                mapping[eq_id] = memo.attach_op(
+                    out, op.kind, op.detail, tuple(clone(c) for c in op.children),
+                    node.est_size, op.op_cost, op.factor)
+        return mapping[eq_id]
 
     memo.register_root(out, query_id, clone(src_root))
     return out

@@ -180,11 +180,31 @@ def hang_an_op_under_its_child(doc):
     arc[0] = op["children"][0]
 
 
+def add_a_select_to_a_join_class(doc):
+    node = next(n for n in doc["eq_nodes"] if n["signature"][1])
+    node["signature"][2].append("employee.salary > 1")
+
+
+def double_the_size_of_the_root(doc):
+    (root,) = doc["roots"].values()
+    node = next(n for n in doc["eq_nodes"] if n["id"] == root)
+    node["est_size"] *= 2
+
+
+SHOW = ("histdag", "show", "--schema", COMPANY)
+OPTIMIZE = ("optimize", "--schema", COMPANY, "--query", Q1)
+
+
 @pytest.mark.parametrize("edit, command", [
-    (hang_an_op_under_its_child, ("histdag", "show", "--schema", COMPANY)),
-    (lambda doc: doc["eq_nodes"][-1].update(est_size=float("inf")),
-     ("optimize", "--schema", COMPANY, "--query", Q1)),
-], ids=["cyclic-arc", "infinite-size"])
+    (hang_an_op_under_its_child, SHOW),
+    (lambda doc: doc["eq_nodes"][-1].update(est_size=float("inf")), OPTIMIZE),
+    (add_a_select_to_a_join_class, SHOW),
+    (lambda doc: doc["arcs"]["eq_to_op"].pop(), SHOW),
+    (double_the_size_of_the_root, OPTIMIZE),
+    (lambda doc: doc["op_nodes"][-1].update(op_cost=2 * doc["op_nodes"][-1]["op_cost"]),
+     OPTIMIZE),
+], ids=["cyclic-arc", "infinite-size", "signature-not-derived", "orphan-op",
+        "size-disagrees", "cost-disagrees"])
 def test_malformed_history_is_one_error_line(capsys, tmp_path, edit, command):
     hist = tmp_path / "history.json"
     run(capsys, "histdag", "build", "--schema", COMPANY, "--out", str(hist))

@@ -108,17 +108,11 @@ def test_best_plan_tie_break_is_deterministic():
     a = memo.ensure_base(dag, "a", 10.0)
     b = memo.ensure_base(dag, "b", 10.0)
     c = memo.ensure_base(dag, "c", 10.0)
-    sig = {i: dag.eq_nodes[i].signature for i in (a, b, c)}
     jab, jbc = "a.x = b.x", "b.y = c.y"
-    ab = memo.intern_eq(dag, memo.join_signature(sig[a], sig[b], jab), 10.0)
-    memo.attach_op(dag, ab, "join", jab, (a, b), 100.0, 0.1)
-    bc = memo.intern_eq(dag, memo.join_signature(sig[b], sig[c], jbc), 10.0)
-    memo.attach_op(dag, bc, "join", jbc, (b, c), 100.0, 0.1)
-    top_sig = memo.join_signature(dag.eq_nodes[ab].signature, sig[c], jbc)
-    assert top_sig == memo.join_signature(dag.eq_nodes[bc].signature, sig[a], jab)
-    top = memo.intern_eq(dag, top_sig, 10.0)
-    memo.attach_op(dag, top, "join", jbc, (ab, c), 100.0, 0.1)
-    memo.attach_op(dag, top, "join", jab, (bc, a), 100.0, 0.1)
+    ab = memo.attach_op(dag, "join", jab, (a, b), 10.0, 100.0, 0.1)
+    bc = memo.attach_op(dag, "join", jbc, (b, c), 10.0, 100.0, 0.1)
+    top = memo.attach_op(dag, "join", jbc, (ab, c), 10.0, 100.0, 0.1)
+    assert memo.attach_op(dag, "join", jab, (bc, a), 10.0, 100.0, 0.1) == top
     costs = [p.cum_cost for p in enumerate_plans(dag, top)]
     assert costs.count(min(costs)) == 2
     best = best_plan(dag, top)

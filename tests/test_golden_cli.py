@@ -4,7 +4,9 @@ A refactor must leave plans, costs, node counts, exit codes and the bytes of
 stdout, stderr, `--out`, `--dot` and `--report` unchanged.  Each fixture
 query runs under `optimize` in joindag mode, naive mode and joindag mode
 with `--history`; each fixture schema also runs `histdag build`,
-`histdag show` and `bench`.  The sha256 of every artifact is compared to
+`histdag show`, `histdag export-dot` and `bench`, and `histdag add` folds
+each fixture query into a copy of the built history.  The sha256 of every
+artifact, the saved history bytes included, is compared to
 `tests/golden/cli_digests.json`.  The `build_ms` report column is a
 wall-clock timing and is blanked before hashing.
 
@@ -83,11 +85,19 @@ def collect(group: str, tmp: pathlib.Path) -> dict[str, dict]:
                               "--out", str(hist), out=hist),
         "histdag-show": _run(tmp, "histdag", "show", "--schema", schema,
                              "--history", str(hist)),
+        "histdag-export-dot": _run(tmp, "histdag", "export-dot", "--history", str(hist),
+                                   "--dot", str(dot), dot=dot),
         "bench": _run(tmp, "bench", "--schema", schema,
                       "--queries", str(FIXTURES / group), "--report", str(report),
                       report=report),
     }
+    grown = tmp / "grown.json"
     for sql in sorted((FIXTURES / group).glob("*.sql")):
+        grown.write_bytes(hist.read_bytes())
+        cases[f"{sql.stem}/histdag-add"] = _run(
+            tmp, "histdag", "add", "--schema", schema, "--history", str(grown),
+            "--query", str(sql))
+        cases[f"{sql.stem}/histdag-add"]["history"] = _digest(_read(grown))
         for mode, extra in (("joindag", ()), ("naive", ("--mode", "naive")),
                             ("history", ("--history", str(hist)))):
             cases[f"{sql.stem}/{mode}"] = _run(

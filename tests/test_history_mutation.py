@@ -1,0 +1,153 @@
+"""Saved histories with a mutated `dag` section and a re-sealed checksum.
+
+Whatever the mutation, `histdag show` and `optimize --history` exit 0, or
+exit 2 with exactly one `ERR:` line; they never raise.  The mutations touch
+signature parts, op kinds, details and children, sizes, costs and factors,
+arcs and roots.
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import tempfile
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sprinkleqo import joindag
+from sprinkleqo.catalog import load_catalog_file
+from sprinkleqo.cli import main
+from sprinkleqo.sqlfront import JoinCondition
+
+from conftest import FIXTURES
+
+# (schema group, query): tpch's history holds a cycle, so joinfilters
+CASES = {"company": "q1", "tpch": "q4"}
+
+
+def saved_history(group: str) -> str:
+    """The JSON text of the history `histdag build` saves for a schema."""
+    catalog = load_catalog_file(str(FIXTURES / group / "schema.json"))
+    joins = tuple(JoinCondition.make(e.left, e.right, e.jsf) for e in catalog.graph.edges)
+    return json.dumps(joindag._history_doc(joindag.build_complete_history(catalog, joins)))
+
+
+HISTORIES = {group: saved_history(group) for group in CASES}
+
+
+def texts_of(dag: dict) -> list[str]:
+    """Every text of a dag's signatures and op details, to mutate with."""
+    return sorted({t for n in dag["eq_nodes"] for part in n["signature"] for t in part}
+                  | {o["detail"] for o in dag["op_nodes"]})
+
+NUMBERS = st.one_of(st.floats(), st.integers(-10, 10**6), st.none(), st.booleans(),
+                    st.sampled_from(["12", "x", [], {}]))
+JUNK = st.one_of(st.none(), st.integers(-2, 3), st.text(max_size=3), st.just([]),
+                 st.just({}))
+
+
+def mutate(draw, dag: dict, texts: list[str]) -> None:
+    """Apply one mutation, drawn by `draw`, to a dag document in place."""
+    eqs, ops, arcs = dag["eq_nodes"], dag["op_nodes"], dag["arcs"]
+    ids = st.integers(-1, len(eqs))
+    target = draw(st.sampled_from(["signature", "kind", "detail", "children", "est_size",
+                                   "op_cost", "factor", "eq_to_op", "op_to_eq", "roots"]))
+    if target == "signature":
+        sig = draw(st.sampled_from(eqs))["signature"]
+        i = draw(st.integers(0, 3))
+        action = draw(st.sampled_from(["drop", "add", "swap", "junk"]))
+        if not isinstance(sig[i], list):
+            sig[i] = []
+        elif action == "drop" and sig[i]:
+            sig[i].pop(draw(st.integers(0, len(sig[i]) - 1)))
+        elif action == "add":
+            sig[i].append(draw(st.sampled_from(texts)))
+        elif action == "swap":
+            other = draw(st.sampled_from(eqs))["signature"][draw(st.integers(0, 3))]
+            sig[i] = list(other) if isinstance(other, list) else other
+        else:
+            sig[i] = draw(JUNK)
+    elif target == "kind":
+        draw(st.sampled_from(ops))["kind"] = draw(st.sampled_from(
+            ["join", "joinfilter", "select", "project", "groupby", "having",
+             "orderby", "bogus", None]))
+    elif target == "detail":
+        draw(st.sampled_from(ops))["detail"] = draw(st.one_of(st.sampled_from(texts), JUNK))
+    elif target == "children":
+        draw(st.sampled_from(ops))["children"] = draw(st.one_of(
+            st.lists(ids, max_size=3), JUNK))
+    elif target in ("est_size", "op_cost", "factor"):
+        draw(st.sampled_from(eqs if target == "est_size" else ops))[target] = draw(NUMBERS)
+    elif target in ("eq_to_op", "op_to_eq") and arcs[target]:
+        pairs = arcs[target]
+        action = draw(st.sampled_from(["drop", "duplicate", "retarget"]))
+        arc = draw(st.sampled_from(pairs))
+        if action == "drop":
+            pairs.remove(arc)
+        elif action == "duplicate":
+            pairs.append(list(arc))
+        else:
+            arc[draw(st.integers(0, 1))] = draw(st.one_of(ids, JUNK))
+    elif target == "roots":
+        roots = dag["roots"]
+        roots[draw(st.sampled_from(sorted(roots)))] = draw(st.one_of(ids, JUNK))
+
+
+def run(*argv: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_run_or_one_error_line(group: str, doc: dict, expect_error: bool = False) -> None:
+    doc["checksum"] = joindag._checksum({k: v for k, v in doc.items() if k != "checksum"})
+    schema = str(FIXTURES / group / "schema.json")
+    query = str(FIXTURES / group / f"{CASES[group]}.sql")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "history.json"
+        path.write_text(json.dumps(doc))
+        for argv in (("histdag", "show", "--schema", schema),
+                     ("optimize", "--schema", schema, "--query", query)):
+            code, stdout, stderr = run(*argv, "--history", str(path))
+            if code == 0 and not expect_error:
+                assert "nan" not in stdout.lower()
+            else:
+                assert code == 2, stderr
+                lines = stderr.splitlines()
+                assert len(lines) == 1 and lines[0].startswith("ERR:"), stderr
+
+
+def set_field(section: str, index: int, **fields):
+    return lambda dag: dag[section][index].update(fields)
+
+
+def retarget_an_arc(dag):
+    dag["arcs"]["eq_to_op"][0][0] = "s\x0b"
+
+
+@pytest.mark.parametrize("edit", [
+    set_field("eq_nodes", 0, signature=[[], [], [], []]),
+    set_field("op_nodes", 0, detail=2),
+    set_field("op_nodes", 0, factor=None),
+    retarget_an_arc,
+    set_field("op_nodes", 0, detail="a\nb"),
+], ids=["base-without-relation", "detail-not-a-string", "join-without-factor",
+        "arc-end-with-a-line-break", "detail-with-a-line-break"])
+def test_mutation_regressions(edit):
+    """Mutations the suite found, each of which once raised or printed an
+    error over more than one line."""
+    doc = json.loads(HISTORIES["tpch"])
+    edit(doc["dag"])
+    assert_run_or_one_error_line("tpch", doc, expect_error=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(group=st.sampled_from(sorted(CASES)), n=st.integers(1, 3), data=st.data())
+def test_mutated_history_is_run_or_one_error_line(group, n, data):
+    doc = json.loads(HISTORIES[group])
+    texts = texts_of(doc["dag"])
+    for _ in range(n):
+        mutate(data.draw, doc["dag"], texts)
+    assert_run_or_one_error_line(group, doc)

@@ -67,42 +67,42 @@ def test_commuted_select_orders_share_one_node():
 
 def test_attach_op_deduplicates_and_checks_children():
     dag, a, b = two_base_dag()
-    top = intern_eq(dag, join_signature(dag.eq_nodes[a].signature,
-                                        dag.eq_nodes[b].signature, "a.x = b.x"),
-                    2000.0)
-    op1 = attach_op(dag, top, KIND_JOIN, "a.x = b.x", (a, b),
-                    op_cost=20000.0, factor=0.1)
-    op2 = attach_op(dag, top, KIND_JOIN, "a.x = b.x", (b, a),
-                    op_cost=20000.0, factor=0.1)
-    assert op1 == op2  # children are canonicalized before dedup
+    top1 = attach_op(dag, KIND_JOIN, "a.x = b.x", (a, b), 2000.0, 20000.0, factor=0.1)
+    top2 = attach_op(dag, KIND_JOIN, "a.x = b.x", (b, a), 2000.0, 20000.0, factor=0.1)
+    assert top1 == top2  # children are canonicalized before dedup
     assert len(dag.op_nodes) == 1
+    assert dag.eq_nodes[top1].signature == join_signature(
+        dag.eq_nodes[a].signature, dag.eq_nodes[b].signature, "a.x = b.x")
     with pytest.raises(DagError, match="two children"):
-        attach_op(dag, top, KIND_JOIN, "a.x = b.x", (a,), op_cost=1.0, factor=0.1)
+        attach_op(dag, KIND_JOIN, "a.x = b.x", (a,), 1.0, 1.0, factor=0.1)
     with pytest.raises(DagError, match="dangling"):
-        attach_op(dag, top, KIND_JOIN, "other", (a, 999), op_cost=1.0, factor=0.1)
+        attach_op(dag, KIND_JOIN, "other", (a, 999), 1.0, 1.0, factor=0.1)
 
 
-def test_attach_same_op_under_second_parent_rejected():
+def projected_a(dag, a):
+    return attach_op(dag, KIND_PROJECT, "project(a.x)", (a,), 100.0, 100.0)
+
+
+@pytest.mark.parametrize("kind, detail, inputs, match", [
+    (KIND_SELECT, "a.x > 1", lambda dag, a, b: (attach_op(
+        dag, KIND_SELECT, "a.x > 1", (a,), 10.0, 100.0, factor=0.1),), "already applied"),
+    (KIND_JOINFILTER, "a.x = b.x", lambda dag, a, b: (attach_op(
+        dag, KIND_JOIN, "a.x = b.x", (a, b), 2000.0, 20000.0, factor=0.1),),
+     "already applied"),
+    (KIND_JOIN, "a.y = b.y", lambda dag, a, b: (attach_op(
+        dag, KIND_JOIN, "a.x = b.x", (a, b), 2000.0, 20000.0, factor=0.1), b),
+     "disjoint"),
+    (KIND_PROJECT, "project(a.y)", lambda dag, a, b: (projected_a(dag, a),), "extend"),
+    (KIND_JOIN, "a.x = b.x", lambda dag, a, b: (projected_a(dag, a), b), "unprojected"),
+], ids=["reapplied-select", "joinfilter-of-applied-join", "overlapping-join",
+        "project-over-projected", "join-over-projected"])
+def test_non_extending_op_rejected(kind, detail, inputs, match):
     dag, a, b = two_base_dag()
-    top = intern_eq(dag, join_signature(dag.eq_nodes[a].signature,
-                                        dag.eq_nodes[b].signature, "a.x = b.x"),
-                    2000.0)
-    attach_op(dag, top, KIND_JOIN, "a.x = b.x", (a, b), op_cost=1.0, factor=0.1)
-    other = intern_eq(dag, extend_signature(dag.eq_nodes[top].signature,
-                                            KIND_SELECT, "a.x > 1"), 200.0)
-    with pytest.raises(DagError, match="different eq-node"):
-        attach_op(dag, other, KIND_JOIN, "a.x = b.x", (a, b),
-                  op_cost=1.0, factor=0.1)
-
-
-def test_cycle_rejected():
-    dag = Dag()
-    a = ensure_base(dag, "a", 10.0)
-    sel = intern_eq(dag, extend_signature(dag.eq_nodes[a].signature,
-                                          KIND_SELECT, "a.x > 1"), 1.0)
-    attach_op(dag, sel, KIND_SELECT, "a.x > 1", (a,), op_cost=10.0, factor=0.1)
-    with pytest.raises(DagError, match="cycl|ancestor"):
-        attach_op(dag, a, KIND_SELECT, "loop", (sel,), op_cost=1.0, factor=0.1)
+    children = inputs(dag, a, b)
+    before = dag_to_doc(dag)
+    with pytest.raises(DagError, match=match):
+        attach_op(dag, kind, detail, children, 1.0, 1.0, factor=0.1)
+    assert dag_to_doc(dag) == before
 
 
 def test_register_root_requires_known_node():
@@ -120,15 +120,10 @@ def diamond_dag():
     a = ensure_base(dag, "a", 10.0)
     b = ensure_base(dag, "b", 20.0)
     c = ensure_base(dag, "c", 30.0)
-    sa, sb, sc = (dag.eq_nodes[x].signature for x in (a, b, c))
-    ab = intern_eq(dag, join_signature(sa, sb, "a.x = b.x"), 2.0)
-    attach_op(dag, ab, KIND_JOIN, "a.x = b.x", (a, b), op_cost=200.0, factor=0.01)
-    bc = intern_eq(dag, join_signature(sb, sc, "b.y = c.y"), 6.0)
-    attach_op(dag, bc, KIND_JOIN, "b.y = c.y", (b, c), op_cost=600.0, factor=0.01)
-    top_sig = join_signature(dag.eq_nodes[ab].signature, sc, "b.y = c.y")
-    top = intern_eq(dag, top_sig, 0.6)
-    attach_op(dag, top, KIND_JOIN, "b.y = c.y", (ab, c), op_cost=60.0, factor=0.01)
-    attach_op(dag, top, KIND_JOIN, "a.x = b.x", (a, bc), op_cost=60.0, factor=0.01)
+    ab = attach_op(dag, KIND_JOIN, "a.x = b.x", (a, b), 2.0, 200.0, factor=0.01)
+    bc = attach_op(dag, KIND_JOIN, "b.y = c.y", (b, c), 6.0, 600.0, factor=0.01)
+    top = attach_op(dag, KIND_JOIN, "b.y = c.y", (ab, c), 0.6, 60.0, factor=0.01)
+    assert attach_op(dag, KIND_JOIN, "a.x = b.x", (a, bc), 0.6, 60.0, factor=0.01) == top
     register_root(dag, "q1", top)
     return dag, top
 
@@ -143,12 +138,16 @@ def test_plan_count_and_node_counts():
 
 
 def test_topological_order_puts_consumers_first_whatever_the_ids():
-    dag, top = diamond_dag()
+    dag = Dag()
+    a = ensure_base(dag, "a", 10.0)
+    b = ensure_base(dag, "b", 20.0)
+    c = ensure_base(dag, "c", 30.0)
+    ab = attach_op(dag, KIND_JOIN, "a.x = b.x", (a, b), 2.0, 200.0, factor=0.01)
+    top = attach_op(dag, KIND_JOIN, "b.y = c.y", (ab, c), 0.6, 60.0, factor=0.01)
     # a new, higher-id class hung below the existing top
-    low = intern_eq(dag, extend_signature(dag.eq_nodes[0].signature, KIND_SELECT,
-                                          "a.z > 1"), 1.0)
-    attach_op(dag, top, KIND_JOINFILTER, "a.z = c.z", (low,), op_cost=1.0, factor=0.5)
-    assert low > top
+    bc = attach_op(dag, KIND_JOIN, "b.y = c.y", (b, c), 6.0, 600.0, factor=0.01)
+    assert attach_op(dag, KIND_JOIN, "a.x = b.x", (a, bc), 0.6, 60.0, factor=0.01) == top
+    assert bc > top
     order = memo.topological_order(dag)
     assert sorted(order) == sorted(dag.eq_nodes)
     position = {eq: i for i, eq in enumerate(order)}
@@ -156,15 +155,13 @@ def test_topological_order_puts_consumers_first_whatever_the_ids():
         for op_id in node.child_ops:
             for child in dag.op_nodes[op_id].children:
                 assert position[eq_id] < position[child]
-    assert plan_count_for(dag, top) == 3
+    assert plan_count_for(dag, top) == 2
 
 
 def test_clone_is_independent():
     dag, top = diamond_dag()
     other = dag.clone()
-    extra = intern_eq(other, extend_signature(other.eq_nodes[top].signature,
-                                              KIND_SELECT, "a.x > 1"), 0.06)
-    attach_op(other, extra, KIND_SELECT, "a.x > 1", (top,), op_cost=0.6, factor=0.1)
+    attach_op(other, KIND_SELECT, "a.x > 1", (top,), 0.06, 0.6, factor=0.1)
     assert len(other.eq_nodes) == len(dag.eq_nodes) + 1
     assert count_nodes(dag) == (6, 4, 2)
 
@@ -210,10 +207,7 @@ def test_export_dot_grammar():
 def test_export_dot_escapes_label_text():
     dag = Dag()
     a = ensure_base(dag, "a", 10.0)
-    sel = intern_eq(dag, extend_signature(dag.eq_nodes[a].signature,
-                                          KIND_SELECT, "a.x = 'o''brien'"), 1.0)
-    attach_op(dag, sel, KIND_SELECT, "a.x = 'o''brien'", (a,),
-              op_cost=10.0, factor=0.1)
+    attach_op(dag, KIND_SELECT, "a.x = 'o''brien'", (a,), 1.0, 10.0, factor=0.1)
     text = export_dot(dag)
     assert "\\nsize=" in text
     assert "\\\\n" not in text
@@ -253,6 +247,39 @@ def test_doc_with_an_op_under_two_parents_is_rejected():
     doc = dag_to_doc(dag)
     doc["arcs"]["eq_to_op"].append([top, 0])
     with pytest.raises(DagError, match="more than one parent"):
+        dag_from_doc(doc)
+
+
+def swap_the_children_of_a_join(doc):
+    op = next(o for o in doc["op_nodes"] if o["kind"] == KIND_JOIN)
+    op["children"].reverse()
+
+
+def copy_an_op_node(doc):
+    doc["op_nodes"].append(dict(doc["op_nodes"][0], id=99))
+    parent = next(eq for eq, op in doc["arcs"]["eq_to_op"] if op == 0)
+    doc["arcs"]["eq_to_op"].append([parent, 99])
+    del doc["arcs"]["op_to_eq"]
+
+
+def drop_the_op_nodes_of_the_top(doc):
+    top = doc["roots"]["q1"]
+    ops = {op for eq, op in doc["arcs"]["eq_to_op"] if eq == top}
+    doc["op_nodes"] = [o for o in doc["op_nodes"] if o["id"] not in ops]
+    doc["arcs"]["eq_to_op"] = [arc for arc in doc["arcs"]["eq_to_op"] if arc[1] not in ops]
+    del doc["arcs"]["op_to_eq"]
+
+
+@pytest.mark.parametrize("edit, match", [
+    (swap_the_children_of_a_join, "out of order"),
+    (copy_an_op_node, "malformed op-node 99"),
+    (drop_the_op_nodes_of_the_top, "not a base relation"),
+], ids=["join-children-out-of-order", "duplicate-op", "join-class-without-op-nodes"])
+def test_doc_attach_op_could_not_build_is_rejected(edit, match):
+    dag, _ = diamond_dag()
+    doc = dag_to_doc(dag)
+    edit(doc)
+    with pytest.raises(DagError, match=match):
         dag_from_doc(doc)
 
 
