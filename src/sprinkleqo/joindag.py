@@ -178,8 +178,8 @@ def save_history(history: HistoryDag, path: str) -> None:
 
 def load_history(path: str) -> HistoryDag:
     """Load a persisted history, verifying format, checksum, structure
-    (`memo.dag_from_doc`) and size and cost estimates
-    (`costplan.check_estimates`)."""
+    (`memo.dag_from_doc`), roots (one full-join node per component of the
+    known joins) and size and cost estimates (`costplan.check_estimates`)."""
     text = read_text(path)
     try:
         doc = json.loads(text)
@@ -203,6 +203,11 @@ def load_history(path: str) -> HistoryDag:
                              catalog_fingerprint=str(doc["catalog_fingerprint"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise PersistenceError(f"malformed history file {path}: {exc}") from exc
+    saved_roots = dict(history.dag.query_roots)
+    _refresh_roots(history)
+    if history.dag.query_roots != saved_roots:
+        raise PersistenceError(f"malformed history file {path}: its roots are not "
+                               "the full-join nodes of its known joins")
     costplan.check_estimates(history.dag)
     return history
 

@@ -324,7 +324,12 @@ def arc_signature_set(dag: Dag) -> frozenset:
 # -- rendering ------------------------------------------------------------
 
 def _dot_escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
+    """`text` inside a quoted DOT string: backslashes and quotes escaped, and
+    each unprintable character (a line break, say) shown as its Python
+    escape, so a label stays on its line."""
+    text = text.replace("\\", "\\\\").replace('"', '\\"')
+    return "".join(ch if ch.isprintable() else repr(ch)[1:-1].replace("\\", "\\\\")
+                   for ch in text)
 
 
 def export_dot(dag: Dag, name: str = "andor_dag") -> str:

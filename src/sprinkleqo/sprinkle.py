@@ -21,9 +21,13 @@ Costly plans are pruned branch-and-bound style.  The select stage walks
 plans lazily (`costplan.plans_within`), and never builds a whole family of
 them (one op-node with a fixed prefix of child choices) once its lower
 bound exceeds the best decorated plan seen so far.  Its bounds are
-per-eq-node floors: the `best_plan` cost with every select at its leaf,
-less the selects' own costs.  The group-by and order-by stages have no
-bounds: they walk `costplan.enumerate_plans` and prune by decorated cost.
+per-eq-node floors from one run of the placement DP over the whole memo
+(`_select_costs`): the least cost of any plan below an eq-node, selects
+and their own costs included, over every subset of the selects that may
+sit at or below it.  So only families that can hold a plan within rounding
+of the running best are walked, and the per-plan DP runs only on those.
+The group-by and order-by stages have no bounds: they walk
+`costplan.enumerate_plans` and prune by decorated cost.
 """
 
 from __future__ import annotations
@@ -41,22 +45,6 @@ from .joindag import HistoryDag
 from .memo import (Dag, KIND_GROUPBY, KIND_HAVING, KIND_JOIN, KIND_ORDERBY,
                    KIND_PROJECT, KIND_SELECT)
 from .sqlfront import HavingCondition, Query, SelectCondition, extract_join_set
-
-SELECT_AFTER_JOIN = "select_after_join"
-SELECT_BEFORE_JOIN = "select_before_join"
-
-
-def choose_order(join_inputs: tuple[float, float, float], select_ssf: float) -> str:
-    """Local two-operator rule: join-then-select vs select-then-join.
-
-    cost1 = |A|*|B| + jsf*|A|*|B| (join work plus consuming its result),
-    cost2 = |A| + ssf*|A|*|B| (filter A, then join the filtered input).
-    Ties keep the select before the join.
-    """
-    a, b, jsf = join_inputs
-    cost1 = a * b + jsf * a * b
-    cost2 = a + select_ssf * a * b
-    return SELECT_AFTER_JOIN if cost1 < cost2 else SELECT_BEFORE_JOIN
 
 
 # -- plan walking helpers ----------------------------------------------------
@@ -94,7 +82,8 @@ def _rebuild_with_selects(plan: Plan, placed: dict[int, list[SelectCondition]]) 
 
 
 def _subsets(n: int) -> list[list[int]]:
-    """subsets[m] lists every submask of the bit mask m, for m < 2**n."""
+    """subsets[m] lists every submask of the bit mask m, for m < 2**n, in
+    increasing order, so m itself comes last."""
     out = [[0]]
     for i in range(n):
         out += [sub + [m | 1 << i for m in sub] for sub in out]
@@ -104,13 +93,14 @@ def _subsets(n: int) -> list[list[int]]:
 def _stack_factors(ordered) -> tuple[list[float], list[float]]:
     """Per subset T of the selects: a stack of T on an input of size p
     costs p*cost[T] and yields p*size[T], applied in `_stack_key` order."""
-    rank = sorted(range(len(ordered)), key=lambda i: _stack_key(ordered[i]))
     cost, size = [0.0] * (1 << len(ordered)), [1.0] * (1 << len(ordered))
-    for t in range(1 << len(ordered)):
-        for i in rank:
-            if t >> i & 1:
-                cost[t] += size[t]
-                size[t] *= float(ordered[i].ssf)
+    done = [0]   # the subsets of the selects ranked so far
+    for i in sorted(range(len(ordered)), key=lambda i: _stack_key(ordered[i])):
+        bit, ssf = 1 << i, float(ordered[i].ssf)
+        for t in done:   # select i tops the stack of t | bit
+            cost[t | bit] = cost[t] + size[t]
+            size[t | bit] = size[t] * ssf
+        done += [t | bit for t in done]
     return cost, size
 
 
@@ -289,37 +279,75 @@ def _decorate_stage(dag: Dag, decorate, *, split_classes: bool = False,
 
 
 def _select_floors(dag: Dag, selects) -> tuple[dict[int, float], dict[int, float]]:
-    """Floors of the select stage, computed like `best_plan` with every
-    select at its leaf: each base shrinks by its selects' ssfs (in
-    `_stack_key` order), an op-node's floor is its cost over the shrunk
-    input sizes, and an eq-node's floor is the least of its op-nodes' floors
-    plus their children's floors.  The selects' own costs are left out, so
-    no placement of them onto a plan costs less than the plan's bound.
-    With no selects the floor is the `best_plan` cost."""
-    at_leaf: dict[str, list[SelectCondition]] = {}
-    for cond in sorted(selects, key=_stack_key):
-        at_leaf.setdefault(cond.relation, []).append(cond)
-    size: dict[int, float] = {}
-    floor: dict[int, float] = {}
+    """Floors of the select stage for `costplan.plans_within`, from the
+    placement DP of `place_selects_on_plan` run once over the memo.
+
+    Selects are bits in canonical order.  `best[eq][T]` is the least cost
+    of any plan below `eq` with the selects in T applied at or below it.
+    An eq-node's size under T does not depend on where T sits, as each
+    select scales every size above it by its ssf, so the DP is exact in
+    O(op-nodes * 3**s): over an op-node with U of T below it, a plan costs
+    the op over the children's sizes under U, plus the children's best
+    costs under U, plus the stack of T - U on the op's output.  An eq-node
+    takes the least of its op-nodes' costs per U, and its sizes from its
+    first op-node: they all agree up to rounding.
+
+    An eq-node's floor is its least `best` over T, and an op-node's floor
+    its cost over its children's sizes with all their selects applied.
+    Under any placement onto any plan, the part below an eq-node (its own
+    select stack included) costs at least the eq-node's floor, each op at
+    least its floor and each stack above at least 0, so a plan's bound never
+    exceeds its decorated cost.  Every select sits at or below a join
+    eq-node that no op consumes (a query root), so there T is all of them
+    and the floor is the least decorated cost of its plans.  With no
+    selects the floor is the `best_plan` cost.
+    """
+    ordered = sorted(selects, key=lambda s: (s.canonical(),))
+    width = 1 << len(ordered)
+    subsets = _subsets(len(ordered))
+    stack_cost, stack_size = _stack_factors(ordered)
+    on_relation: dict[str, int] = {}
+    for i, cond in enumerate(ordered):
+        on_relation[cond.relation] = on_relation.get(cond.relation, 0) | 1 << i
+    consumed = {c for op in dag.op_nodes.values() for c in op.children}
+    mask: dict[int, int] = {}
+    size: dict[int, list[float]] = {}   # eq-node -> output size, by T
+    best: dict[int, list[float]] = {}   # math.inf where T has a select `eq` lacks
     op_floor: dict[int, float] = {}
     for eq_id in reversed(memo.topological_order(dag)):
         node = dag.eq_nodes[eq_id]
+        out, least = [math.inf] * width, [math.inf] * width
+        size[eq_id], best[eq_id] = out, least
         if node.is_base:
-            shrunk = node.est_size
-            for cond in at_leaf.get(node.signature[0][0], ()):
-                shrunk = float(cond.ssf) * shrunk
-            size[eq_id], floor[eq_id] = shrunk, 0.0
+            mask[eq_id] = m = on_relation.get(node.signature[0][0], 0)
+            for t in subsets[m]:
+                out[t] = node.est_size * stack_size[t]
+                least[t] = node.est_size * stack_cost[t]
             continue
-        floor[eq_id] = math.inf
-        for op_id in node.child_ops:
+        below = [math.inf] * width   # least op cost plus children's costs, by U
+        for i, op_id in enumerate(node.child_ops):
             op = dag.op_nodes[op_id]
-            sizes = tuple(size[c] for c in op.children)
-            op_floor[op_id] = costplan.op_cost(op.kind, sizes)
-            floor[eq_id] = min(floor[eq_id],
-                               op_floor[op_id] + sum(floor[c] for c in op.children))
-        # every op-node of a class yields its size, up to rounding
-        size[eq_id] = costplan.estimate_size(op.kind, sizes, op.factor)
-    return floor, op_floor
+            if len(op.children) == 2:   # a join: its inputs hold disjoint selects
+                (m1, z1, b1), (m2, z2, b2) = [(mask[c], size[c], best[c]) for c in op.children]
+                m = m1 | m2
+                inputs = [((z1[u & m1], z2[u & m2]), b1[u & m1] + b2[u & m2])
+                          for u in subsets[m]]
+            else:
+                (c,) = op.children
+                m, z1, b1 = mask[c], size[c], best[c]
+                inputs = [((z1[u],), b1[u]) for u in subsets[m]]
+            for u, (sizes, children) in zip(subsets[m], inputs):
+                cost = costplan.op_cost(op.kind, sizes) + children
+                if cost < below[u]:
+                    below[u] = cost
+                if i == 0:
+                    out[u] = costplan.estimate_size(op.kind, sizes, op.factor)
+            op_floor[op_id] = costplan.op_cost(op.kind, inputs[-1][0])   # the last U is m
+        mask[eq_id] = m
+        for t in subsets[m] if eq_id in consumed else (m,):
+            least[t] = min([below[t]] + [below[u] + out[u] * stack_cost[t ^ u]
+                                         for u in subsets[t][:-1]])
+    return {eq_id: min(costs) for eq_id, costs in best.items()}, op_floor
 
 
 def sprinkle_selects(jd: Dag, selects, catalog: Catalog) -> Dag:

@@ -197,20 +197,19 @@ def _top_level(text: str):
         raise ParseError("unbalanced parentheses")
 
 
+_CLAUSES = ("select", "from", "where", "group by", "having", "order by")
+# a keyword is a whole word: no identifier, digit or qualifying dot touches it
+_CLAUSE_RE = re.compile(r"(?<![a-z0-9_.])(" + "|".join(_CLAUSES) + r")(?![a-z0-9_.])")
+
+
 def _scan_clauses(text: str) -> dict[str, str]:
     """Split a statement into clause texts, honoring parens and quotes."""
-    keywords = ["select", "from", "where", "group by", "having", "order by"]
-    positions: list[tuple[int, str]] = []
-    for i in _top_level(text):
-        for kw in keywords:
-            end = i + len(kw)
-            if text.startswith(kw, i) and (i == 0 or not text[i - 1].isalnum()) \
-                    and (end == len(text) or not text[end].isalnum()):
-                positions.append((i, kw))
-                break
+    top = set(_top_level(text))
+    positions = [(m.start(), m.group(1)) for m in _CLAUSE_RE.finditer(text)
+                 if m.start() in top]
     if not positions or positions[0][1] != "select" or positions[0][0] != 0:
         raise ParseError("statement must start with SELECT")
-    order = {kw: n for n, kw in enumerate(keywords)}
+    order = {kw: n for n, kw in enumerate(_CLAUSES)}
     for (_, a), (_, b) in zip(positions, positions[1:]):
         if order[b] <= order[a]:
             raise ParseError(f"clause {b.upper()} out of order")

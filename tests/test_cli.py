@@ -191,21 +191,27 @@ def double_the_size_of_the_root(doc):
     node["est_size"] *= 2
 
 
+def repoint_the_root(doc):
+    (name, root), = doc["roots"].items()
+    doc["roots"][name] = min(n["id"] for n in doc["eq_nodes"] if n["id"] != root)
+
+
 SHOW = ("histdag", "show", "--schema", COMPANY)
 OPTIMIZE = ("optimize", "--schema", COMPANY, "--query", Q1)
 
 
-@pytest.mark.parametrize("edit, command", [
-    (hang_an_op_under_its_child, SHOW),
-    (lambda doc: doc["eq_nodes"][-1].update(est_size=float("inf")), OPTIMIZE),
-    (add_a_select_to_a_join_class, SHOW),
-    (lambda doc: doc["arcs"]["eq_to_op"].pop(), SHOW),
-    (double_the_size_of_the_root, OPTIMIZE),
+@pytest.mark.parametrize("edit, command, err_code", [
+    (hang_an_op_under_its_child, SHOW, "validation"),
+    (lambda doc: doc["eq_nodes"][-1].update(est_size=float("inf")), OPTIMIZE, "validation"),
+    (add_a_select_to_a_join_class, SHOW, "validation"),
+    (lambda doc: doc["arcs"]["eq_to_op"].pop(), SHOW, "validation"),
+    (double_the_size_of_the_root, OPTIMIZE, "validation"),
     (lambda doc: doc["op_nodes"][-1].update(op_cost=2 * doc["op_nodes"][-1]["op_cost"]),
-     OPTIMIZE),
+     OPTIMIZE, "validation"),
+    (repoint_the_root, SHOW, "io"),
 ], ids=["cyclic-arc", "infinite-size", "signature-not-derived", "orphan-op",
-        "size-disagrees", "cost-disagrees"])
-def test_malformed_history_is_one_error_line(capsys, tmp_path, edit, command):
+        "size-disagrees", "cost-disagrees", "root-repointed"])
+def test_malformed_history_is_one_error_line(capsys, tmp_path, edit, command, err_code):
     hist = tmp_path / "history.json"
     run(capsys, "histdag", "build", "--schema", COMPANY, "--out", str(hist))
     doc = json.loads(hist.read_text())
@@ -215,7 +221,7 @@ def test_malformed_history_is_one_error_line(capsys, tmp_path, edit, command):
     hist.write_text(json.dumps(doc))
     code, _, err = run(capsys, *command, "--history", str(hist))
     assert code == 2
-    assert err.startswith("ERR:validation:") and len(err.splitlines()) == 1
+    assert err.startswith(f"ERR:{err_code}:") and len(err.splitlines()) == 1
 
 
 def test_histdag_show_counts_a_history_deeper_than_the_stack(capsys, tmp_path):

@@ -213,6 +213,23 @@ def test_export_dot_escapes_label_text():
     assert "\\\\n" not in text
 
 
+@pytest.mark.parametrize("detail, shown", [
+    ("employee.x\n> 1", r"employee.x\\n> 1"),
+    ("employee.x\r\n> 1", r"employee.x\\r\\n> 1"),
+    ("employee.x\x0b> 1", r"employee.x\\x0b> 1"),
+    ("employee.x\u2028> 1", r"employee.x\\u2028> 1"),
+])
+def test_export_dot_keeps_a_line_break_in_a_label_on_its_line(detail, shown):
+    dag = Dag()
+    base = ensure_base(dag, "employee", 1000.0)
+    attach_op(dag, KIND_SELECT, detail, (base,), 100.0, 1000.0, factor=0.1)
+    lines = export_dot(dag).split("\n")
+    assert len(lines) == 9 and lines[-1] == ""
+    for line in lines[2:-2]:
+        assert DOT_NODE.match(line) or DOT_EDGE.match(line), line
+    assert lines[4] == rf'  op0 [shape=box, label="select {shown}\ncost=1000"];'
+
+
 def test_doc_round_trip_preserves_structure():
     dag, top = diamond_dag()
     doc = dag_to_doc(dag)

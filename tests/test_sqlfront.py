@@ -7,7 +7,7 @@ from sprinkleqo.errors import ParseError, ValidationError
 from sprinkleqo.sqlfront import (all_query_attrs, extract_join_set,
                                  output_attrs, parse_query, render_query)
 
-from conftest import chain_catalog, fixture_sql
+from conftest import chain_catalog, fixture_sql, make_catalog
 
 
 def test_company_q1_structure(company_catalog):
@@ -56,6 +56,23 @@ def test_clause_order_enforced(company_catalog):
     with pytest.raises(ParseError, match="out of order"):
         parse_query("select fname from employee order by fname group by fname",
                     company_catalog)
+
+
+@pytest.mark.parametrize("sql, selects", [
+    ("select t.k from t where t.valid_from > 3", ["t.valid_from > 3"]),
+    ("select t.k from t where t.is_select = 1", ["t.is_select = 1"]),
+    ("select t.from_date, t.having_n from t where t.having_n < 2 and t.k > 1",
+     ["t.having_n < 2", "t.k > 1"]),
+    ("select t.k from t where t.where_ = 5 order by t.is_select",
+     ["t.where_ = 5"]),
+])
+def test_clause_keywords_are_whole_words(sql, selects):
+    names = ["k", "valid_from", "is_select", "from_date", "having_n", "where_"]
+    catalog = make_catalog([{"name": "t", "cardinality": 100.0,
+                             "attributes": [{"name": n, "distinct": 10} for n in names]}], [])
+    q = parse_query(sql, catalog)
+    assert sorted(q.tables) == ["t"]
+    assert [c.canonical() for c in q.selects] == selects
 
 
 def test_empty_clauses_rejected(company_catalog):
