@@ -159,7 +159,11 @@ def _base_relation_of(dag: Dag, eq_id: int) -> str:
 
 
 def best_plan(dag: Dag, root_eq: int) -> Plan:
-    """Minimum-cost expansion below an eq-node; cost ties break on canonical op text."""
+    """Minimum-cost expansion below an eq-node; cost ties break on canonical op text.
+
+    `memo.attach_op` keeps every op cost finite, but their sum can still
+    overflow: a non-finite best cost is a DagError.
+    """
     cache: dict[int, Plan] = {}
 
     def best(eq_id: int) -> Plan:
@@ -185,7 +189,10 @@ def best_plan(dag: Dag, root_eq: int) -> Plan:
 
     if root_eq not in dag.eq_nodes:
         raise DagError(f"unknown eq-node {root_eq}")
-    return best(root_eq)
+    plan = best(root_eq)
+    if not math.isfinite(plan.cum_cost):
+        raise DagError(f"the plan cost under eq-node {root_eq} overflows")
+    return plan
 
 
 def enumerate_plans(dag: Dag, root_eq: int) -> list[Plan]:

@@ -198,10 +198,15 @@ def attach_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
     fewer steps than its signature has entries.  The eq-node is interned
     with `est_size` (see `intern_eq`).  Join ops take exactly two children
     (stored in canonical order); every other kind takes one.  Attaching is
-    idempotent: the same (kind, detail, children) maps to one op-node.
+    idempotent: the same (kind, detail, children) maps to one op-node.  An
+    estimate that overflowed (a non-finite `est_size` or `op_cost`) is a
+    DagError.
     """
     if kind not in OP_KINDS:
         raise DagError(f"unknown op kind {kind!r}")
+    if not (math.isfinite(est_size) and math.isfinite(op_cost)):
+        raise DagError(f"{kind} {detail!r}: estimate overflows "
+                       f"(est_size {est_size!r}, op_cost {op_cost!r})")
     for child in children:
         if child not in dag.eq_nodes:
             raise DagError(f"dangling child eq-node {child}")

@@ -5,7 +5,7 @@ registered query root, and interns the surviving decorated plans into a
 fresh memo:
 
   selects   exact joint placement over each plan's candidate positions by a
-            DP over (plan node, subset of selects at or below it); the
+            DP over (node, subset of selects at or below it); the
             val1/val2 comparison of the local rule is subsumed by the DP's
             full plan costs
   group-by  one shared push-down walk from the root by the local val1/val2
@@ -17,17 +17,20 @@ fresh memo:
             per-eq-node projections of the attributes every consumer
             needs (multi-query mode)
 
+The select placement DP has one step (`_Placement.node`) and two callers:
+over one plan (`place_selects_on_plan`), where each node has one
+alternative, and over the memo (`_select_floors`), where an eq-node's
+alternatives are its op-nodes.
+
 Costly plans are pruned branch-and-bound style.  The select stage walks
 plans lazily (`costplan.plans_within`), and never builds a whole family of
 them (one op-node with a fixed prefix of child choices) once its lower
-bound exceeds the best decorated plan seen so far.  Its bounds are
-per-eq-node floors from one run of the placement DP over the whole memo
-(`_select_costs`): the least cost of any plan below an eq-node, selects
-and their own costs included, over every subset of the selects that may
-sit at or below it.  So only families that can hold a plan within rounding
-of the running best are walked, and the per-plan DP runs only on those.
-The group-by and order-by stages have no bounds: they walk
-`costplan.enumerate_plans` and prune by decorated cost.
+bound exceeds the best decorated plan seen so far.  Its bounds are the
+memo DP's floors: the least cost of any plan below an eq-node, selects and
+their own costs included.  They are exact at the query root, so the
+per-plan DP runs only on families that can hold a plan within rounding of
+the running best.  The group-by and order-by stages have no bounds: they
+walk `costplan.enumerate_plans` and prune by decorated cost.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 from . import costplan, joindag, memo, sqlfront
 from .catalog import Attribute, Catalog, Relation
 from .costplan import Plan, op_plan
-from .errors import DagError, ValidationError
+from .errors import DagError, LimitExceededError, ValidationError
 from .joindag import HistoryDag
 from .memo import (Dag, KIND_GROUPBY, KIND_HAVING, KIND_JOIN, KIND_ORDERBY,
                    KIND_PROJECT, KIND_SELECT)
@@ -105,118 +108,150 @@ def _stack_factors(ordered) -> tuple[list[float], list[float]]:
 
 
 class _Cell:
-    """One plan node of the placement DP.  Lists are indexed by bit masks
-    over the selects; `u` is the set placed below the node's own operator,
-    `s` the set placed at or below the node."""
+    """Placement tables of one plan node or memo eq-node.  Lists are indexed
+    by bit masks over the selects; `u` is the set placed below the node's
+    own operator, `s` the set placed at or below the node."""
 
-    __slots__ = ("depth", "children", "mask", "below_mask", "local", "pre",
-                 "below", "best", "out")
+    __slots__ = ("mask", "local", "pre", "below", "best", "out", "own")
 
-    def __init__(self, depth: int, children: tuple["_Cell", ...], width: int):
-        self.depth = depth
-        self.children = children
-        self.below_mask = 0
-        for child in children:
-            self.below_mask |= child.mask
-        self.mask = self.below_mask      # leaves add the selects on their relation
+    def __init__(self, mask: int, width: int):
+        self.mask = mask                 # the selects that may sit at or below the node
         self.local = [0.0] * width       # the node's own operator cost, by u
         self.pre = [0.0] * width         # output size before its select stack, by u
         self.below = [0.0] * width       # least cost of the children, by u
-        self.best = [0.0] * width        # least subtree cost, by s
-        self.out = [0.0] * width         # output size after its select stack, by s
+        self.best = [math.inf] * width   # least subtree cost, by s; inf if s is not in mask
+        self.out = self.pre              # output size after its select stack, by s (leaves replace it)
 
 
-def _near_optimal_placements(plan: Plan, ordered) -> tuple[list[list[Plan]], list[tuple[int, ...]]]:
-    """Each select's candidate path (root-first) and every placement whose
-    DP cost is within memo.SIZE_RTOL of the least, as one path index per
-    select, in `itertools.product` order over the paths.
+class _Placement:
+    """The placement DP of one set of selects, as bits in canonical order."""
 
-    A select scales every size above it by its ssf, so a node's cost depends
-    only on which selects sit at or below its inputs: a bottom-up DP over
-    (node, subset of selects at or below it) is exact in O(nodes * 3**s).
-    """
-    width = 1 << len(ordered)
-    subsets = _subsets(len(ordered))
-    stack_cost, stack_size = _stack_factors(ordered)
-    on_relation: dict[str, list[int]] = {}
-    for i, cond in enumerate(ordered):
-        on_relation.setdefault(cond.relation, []).append(i)
-    paths: list[list[Plan] | None] = [None] * len(ordered)
+    def __init__(self, selects):
+        self.ordered = sorted(selects, key=lambda s: (s.canonical(),))
+        self.width = 1 << len(self.ordered)
+        self.subsets = _subsets(len(self.ordered))
+        self.stack_cost, self.stack_size = _stack_factors(self.ordered)
+        self.on_relation: dict[str, int] = {}
+        for i, cond in enumerate(self.ordered):
+            self.on_relation[cond.relation] = self.on_relation.get(cond.relation, 0) | 1 << i
 
-    def build(node: Plan, path: list[Plan]) -> _Cell:
-        path = path + [node]
-        cell = _Cell(len(path) - 1, tuple(build(c, path) for c in node.children), width)
-        if node.kind == "base":
-            for i in on_relation.get(node.relation, ()):
-                paths[i] = path
-                cell.mask |= 1 << i
-            cell.local[0], cell.pre[0] = node.cum_cost, node.est_size
-        else:
-            for u in subsets[cell.below_mask]:
-                sizes = tuple(c.out[u & c.mask] for c in cell.children)
-                cell.local[u] = costplan.op_cost(node.kind, sizes)
-                cell.pre[u] = costplan.estimate_size(node.kind, sizes, node.factor)
-                cell.below[u] = sum(c.best[u & c.mask] for c in cell.children)
-        local, pre, below = cell.local, cell.pre, cell.below
-        for s in subsets[cell.mask]:
-            least = math.inf
-            for u in subsets[s & cell.below_mask]:
-                cost = local[u] + below[u] + pre[u] * stack_cost[s ^ u]
-                if cost < least:
-                    least = cost
-            cell.best[s] = least
-            u = s & cell.below_mask
-            cell.out[s] = pre[u] * stack_size[s ^ u]
+    def leaf(self, relation: str, size: float) -> _Cell:
+        """A base relation's tables: all its selects stack on it."""
+        cell = _Cell(self.on_relation.get(relation, 0), self.width)
+        cell.pre[0], cell.out = size, [0.0] * self.width
+        for s in self.subsets[cell.mask]:
+            cell.best[s], cell.out[s] = size * self.stack_cost[s], size * self.stack_size[s]
         return cell
 
-    def placements(cell: _Cell, s: int, budget: float):
-        """(DP cost, ((select, depth), ...)) for every placement of `s` at or
-        below `cell` costing no more than `budget`.  A non-finite cost is
-        never above the budget, so such plans keep every placement."""
-        for u in subsets[s & cell.below_mask]:
-            here = cell.local[u] + cell.pre[u] * stack_cost[s ^ u]
-            if here + cell.below[u] > budget:
-                continue
-            mine = tuple((i, cell.depth) for i in range(len(ordered)) if (s ^ u) >> i & 1)
-            for cost, placed in children_placements(cell.children, u, budget - here):
-                yield here + cost, mine + placed
+    def node(self, alternatives, all_s: bool = True) -> _Cell:
+        """The DP step: a node's tables from its alternatives, each (kind,
+        factor, child cells).
 
-    def children_placements(children: tuple[_Cell, ...], u: int, budget: float):
-        if not children:
-            yield 0.0, ()
-            return
-        first, rest = children[0], children[1:]
-        rest_least = sum(c.best[u & c.mask] for c in rest)
-        for cost, placed in placements(first, u & first.mask, budget - rest_least):
-            for rest_cost, rest_placed in children_placements(rest, u, budget - cost):
-                yield cost + rest_cost, placed + rest_placed
-
-    root = build(plan, [])
-    for cond, path in zip(ordered, paths):
-        if path is None:
-            raise DagError(f"relation {cond.relation!r} not a base of this plan")
-    least = root.best[width - 1]
-    budget = least + memo.SIZE_RTOL * max(1.0, abs(least))
-    ties = sorted(tuple(depth for _, depth in sorted(placed))
-                  for _, placed in placements(root, width - 1, budget))
-    return paths, ties
+        A select scales every size above it by its ssf, so a node's cost
+        depends only on which selects sit at or below its inputs: the DP
+        over (node, subset of selects at or below it) is exact in
+        O(nodes * 3**s).  Over an alternative with U below it, a node costs
+        `local` (the op over the children's sizes under U) plus `below`
+        (the children's best costs under U) plus the stack of S - U on the
+        op's output.  Per U the least local + below wins, the first
+        alternative on ties; the first also gives the sizes, on which an
+        eq-node's op-nodes agree up to rounding.  All of S can sit below
+        the op, so `out` is `pre`.  Unless `all_s`, `best` is filled only at
+        S = mask, all that a node no op consumes needs.
+        """
+        children = alternatives[0][2]
+        mask = children[0].mask | children[-1].mask   # a join's two inputs, or a unary op's one
+        cell = _Cell(mask, self.width)
+        local, pre, below, best = cell.local, cell.pre, cell.below, cell.best
+        cell.own = own = []   # each alternative's `local` at u = mask
+        total = [0.0] * self.width   # local + below, by u
+        subsets, stack_cost = self.subsets, self.stack_cost
+        for i, (kind, factor, children) in enumerate(alternatives):
+            if len(children) == 2:   # a join
+                c1, c2 = children
+                m1, m2, z1, z2, b1, b2 = c1.mask, c2.mask, c1.out, c2.out, c1.best, c2.best
+                rows = [((z1[u & m1], z2[u & m2]), b1[u & m1] + b2[u & m2])
+                        for u in subsets[mask]]
+            else:
+                z1, b1 = children[0].out, children[0].best
+                rows = [((z1[u],), b1[u]) for u in subsets[mask]]
+            for u, (sizes, kids) in zip(subsets[mask], rows):
+                cost = costplan.op_cost(kind, sizes)
+                if i == 0:
+                    pre[u] = costplan.estimate_size(kind, sizes, factor)
+                if i == 0 or cost + kids < total[u]:
+                    local[u], below[u], total[u] = cost, kids, cost + kids
+            own.append(cost)   # the last u is mask
+        for s in subsets[mask] if all_s else (mask,):
+            least = math.inf
+            for u in subsets[s]:
+                cost = total[u] + pre[u] * stack_cost[s ^ u]
+                if cost < least:
+                    least = cost
+            best[s] = least
+        return cell
 
 
 def place_selects_on_plan(plan: Plan, selects) -> Plan:
     """Minimum-cost joint placement of all selects onto one plan.
 
     Candidate positions for each select are every node on the path from its
-    relation's leaf to the root.  A subset DP (`_near_optimal_placements`)
-    finds the least cost without building plans; only the placements within
-    memo.SIZE_RTOL of it are rebuilt, because the DP and a rebuilt plan add
-    in different orders.  The first cheapest rebuilt plan in product order
-    (selects in canonical order, each path root-first) wins, so cost ties
-    prefer positions nearer the root.
+    relation's leaf to the root.  The placement DP finds the least cost
+    without building plans; only the placements within memo.SIZE_RTOL of it
+    are rebuilt, because the DP and a rebuilt plan add in different orders.
+    The first cheapest rebuilt plan in product order (selects in canonical
+    order, each path root-first) wins, so cost ties prefer positions nearer
+    the root.
     """
     if not selects:
         return plan
-    ordered = sorted(selects, key=lambda s: (s.canonical(),))
-    paths, ties = _near_optimal_placements(plan, ordered)
+    dp = _Placement(selects)
+    ordered, subsets, stack_cost = dp.ordered, dp.subsets, dp.stack_cost
+    paths: list[list[Plan] | None] = [None] * len(ordered)   # each select's, root-first
+
+    def build(node: Plan, path: list[Plan], all_s: bool):
+        """The node's cell and its children's, as the tree (cell, children)."""
+        path = path + [node]
+        if node.kind == "base":
+            cell = dp.leaf(node.relation, node.est_size)
+            for i in range(len(ordered)):
+                if cell.mask >> i & 1:
+                    paths[i] = path
+            return cell, ()
+        children = tuple(build(c, path, True) for c in node.children)
+        return dp.node([(node.kind, node.factor, [c for c, _ in children])], all_s), children
+
+    def placements(tree, depth: int, s: int, budget: float):
+        """(DP cost, ((select, depth), ...)) for every placement of `s` at or
+        below the tree's node costing no more than `budget`.  A non-finite
+        cost is never above the budget, so such plans keep every placement."""
+        cell, children = tree
+        for u in subsets[s if children else 0]:   # a leaf has nothing below it
+            here = cell.local[u] + cell.pre[u] * stack_cost[s ^ u]
+            if here + cell.below[u] > budget:
+                continue
+            mine = tuple((i, depth) for i in range(len(ordered)) if (s ^ u) >> i & 1)
+            for cost, placed in children_placements(children, depth + 1, u, budget - here):
+                yield here + cost, mine + placed
+
+    def children_placements(children, depth: int, u: int, budget: float):
+        if not children:
+            yield 0.0, ()
+            return
+        first, rest = children[0], children[1:]
+        rest_least = sum(c.best[u & c.mask] for c, _ in rest)
+        for cost, placed in placements(first, depth, u & first[0].mask, budget - rest_least):
+            for rest_cost, rest_placed in children_placements(rest, depth, u, budget - cost):
+                yield cost + rest_cost, placed + rest_placed
+
+    tree = build(plan, [], False)
+    for cond, path in zip(ordered, paths):
+        if path is None:
+            raise DagError(f"relation {cond.relation!r} not a base of this plan")
+    least = tree[0].best[dp.width - 1]
+    budget = least + memo.SIZE_RTOL * max(1.0, abs(least))
+    ties = sorted(tuple(depth for _, depth in sorted(placed))
+                  for _, placed in placements(tree, 0, dp.width - 1, budget))
     best: Plan | None = None
     for positions in ties:
         placed: dict[int, list[SelectCondition]] = {}
@@ -279,75 +314,33 @@ def _decorate_stage(dag: Dag, decorate, *, split_classes: bool = False,
 
 
 def _select_floors(dag: Dag, selects) -> tuple[dict[int, float], dict[int, float]]:
-    """Floors of the select stage for `costplan.plans_within`, from the
-    placement DP of `place_selects_on_plan` run once over the memo.
-
-    Selects are bits in canonical order.  `best[eq][T]` is the least cost
-    of any plan below `eq` with the selects in T applied at or below it.
-    An eq-node's size under T does not depend on where T sits, as each
-    select scales every size above it by its ssf, so the DP is exact in
-    O(op-nodes * 3**s): over an op-node with U of T below it, a plan costs
-    the op over the children's sizes under U, plus the children's best
-    costs under U, plus the stack of T - U on the op's output.  An eq-node
-    takes the least of its op-nodes' costs per U, and its sizes from its
-    first op-node: they all agree up to rounding.
+    """Floors of the select stage for `costplan.plans_within`: the placement
+    DP run once over the memo, with an eq-node's op-nodes as its
+    alternatives.
 
     An eq-node's floor is its least `best` over T, and an op-node's floor
-    its cost over its children's sizes with all their selects applied.
-    Under any placement onto any plan, the part below an eq-node (its own
-    select stack included) costs at least the eq-node's floor, each op at
-    least its floor and each stack above at least 0, so a plan's bound never
-    exceeds its decorated cost.  Every select sits at or below a join
-    eq-node that no op consumes (a query root), so there T is all of them
-    and the floor is the least decorated cost of its plans.  With no
-    selects the floor is the `best_plan` cost.
+    its cost with all its children's selects below it (`own`).  Under any
+    placement onto any plan, the part below an eq-node (its own select stack
+    included) costs at least the eq-node's floor, each op at least its
+    floor and each stack above at least 0, so a plan's bound never exceeds
+    its decorated cost.  Every select sits below a query root, which no op
+    consumes, so its floor is the least decorated cost of its plans.  With
+    no selects the floor is the `best_plan` cost.
     """
-    ordered = sorted(selects, key=lambda s: (s.canonical(),))
-    width = 1 << len(ordered)
-    subsets = _subsets(len(ordered))
-    stack_cost, stack_size = _stack_factors(ordered)
-    on_relation: dict[str, int] = {}
-    for i, cond in enumerate(ordered):
-        on_relation[cond.relation] = on_relation.get(cond.relation, 0) | 1 << i
+    dp = _Placement(selects)
     consumed = {c for op in dag.op_nodes.values() for c in op.children}
-    mask: dict[int, int] = {}
-    size: dict[int, list[float]] = {}   # eq-node -> output size, by T
-    best: dict[int, list[float]] = {}   # math.inf where T has a select `eq` lacks
+    cells: dict[int, _Cell] = {}
     op_floor: dict[int, float] = {}
     for eq_id in reversed(memo.topological_order(dag)):
         node = dag.eq_nodes[eq_id]
-        out, least = [math.inf] * width, [math.inf] * width
-        size[eq_id], best[eq_id] = out, least
         if node.is_base:
-            mask[eq_id] = m = on_relation.get(node.signature[0][0], 0)
-            for t in subsets[m]:
-                out[t] = node.est_size * stack_size[t]
-                least[t] = node.est_size * stack_cost[t]
-            continue
-        below = [math.inf] * width   # least op cost plus children's costs, by U
-        for i, op_id in enumerate(node.child_ops):
-            op = dag.op_nodes[op_id]
-            if len(op.children) == 2:   # a join: its inputs hold disjoint selects
-                (m1, z1, b1), (m2, z2, b2) = [(mask[c], size[c], best[c]) for c in op.children]
-                m = m1 | m2
-                inputs = [((z1[u & m1], z2[u & m2]), b1[u & m1] + b2[u & m2])
-                          for u in subsets[m]]
-            else:
-                (c,) = op.children
-                m, z1, b1 = mask[c], size[c], best[c]
-                inputs = [((z1[u],), b1[u]) for u in subsets[m]]
-            for u, (sizes, children) in zip(subsets[m], inputs):
-                cost = costplan.op_cost(op.kind, sizes) + children
-                if cost < below[u]:
-                    below[u] = cost
-                if i == 0:
-                    out[u] = costplan.estimate_size(op.kind, sizes, op.factor)
-            op_floor[op_id] = costplan.op_cost(op.kind, inputs[-1][0])   # the last U is m
-        mask[eq_id] = m
-        for t in subsets[m] if eq_id in consumed else (m,):
-            least[t] = min([below[t]] + [below[u] + out[u] * stack_cost[t ^ u]
-                                         for u in subsets[t][:-1]])
-    return {eq_id: min(costs) for eq_id, costs in best.items()}, op_floor
+            cells[eq_id] = dp.leaf(node.signature[0][0], node.est_size)
+        else:
+            cells[eq_id] = dp.node(
+                [(op.kind, op.factor, tuple(map(cells.__getitem__, op.children)))
+                 for op in map(dag.op_nodes.__getitem__, node.child_ops)], eq_id in consumed)
+            op_floor.update(zip(node.child_ops, cells[eq_id].own))
+    return {eq_id: min(cell.best) for eq_id, cell in cells.items()}, op_floor
 
 
 def sprinkle_selects(jd: Dag, selects, catalog: Catalog) -> Dag:
@@ -575,10 +568,14 @@ def optimize_single(query: Query, catalog: Catalog, *,
                     history: HistoryDag | None = None, limit: int = 8,
                     query_id: str = "q1") -> OptimizeResult:
     """Full pipeline for one query: reuse (or grow) the join-order history,
-    then sprinkle selects, grouping, ordering, and projections."""
+    then sprinkle selects, grouping, ordering, and projections.  `limit`
+    bounds the joins and, as the placement DP grows as 3**s, the selects of
+    each block."""
     if query.subquery is not None:
         return _optimize_nested(query, catalog, history=history, limit=limit,
                                 query_id=query_id)
+    if len(query.selects) > limit:
+        raise LimitExceededError("select placement", len(query.selects), limit)
     joins = extract_join_set(query)
     base_history = history if history is not None else joindag.empty_history(catalog)
     grown = joindag.build_incremental(base_history, joins, catalog, limit)

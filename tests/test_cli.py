@@ -146,6 +146,63 @@ def test_malformed_schema_is_one_error_line(capsys, tmp_path, edit):
     assert err.startswith("ERR:validation:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("mode", ["joindag", "naive"])
+@pytest.mark.parametrize("sql", [
+    "select employee.fname from employee, works_on "
+    "where employee.ssn = works_on.ssn",
+    (FIXTURES / "company" / "q1.sql").read_text(),
+], ids=["two-relations", "q1"])
+def test_overflowing_estimates_are_one_error_line(capsys, tmp_path, sql, mode):
+    doc = json.loads((FIXTURES / "company" / "schema.json").read_text())
+    for relation in doc["relations"]:
+        relation["cardinality"] = 1e200   # finite, but a join overflows
+    schema, query, out = tmp_path / "schema.json", tmp_path / "q.sql", tmp_path / "plan.json"
+    schema.write_text(json.dumps(doc))
+    query.write_text(sql)
+    code, stdout, err = run(capsys, "optimize", "--schema", str(schema),
+                            "--query", str(query), "--mode", mode, "--out", str(out))
+    assert code == 2
+    assert err.startswith("ERR:validation:") and len(err.splitlines()) == 1
+    assert "overflows" in err
+    assert not out.exists()
+    assert "Infinity" not in stdout + err and "inf" not in stdout
+
+
+@pytest.mark.parametrize("mode", ["joindag", "naive"])
+def test_overflowing_plan_cost_is_one_error_line(capsys, tmp_path, mode):
+    # each op cost is finite, but the join's and the projection's sum is not
+    relations = [{"name": name, "cardinality": 1.3e154,
+                  "attributes": [{"name": "k", "distinct": 10}, {"name": "b", "distinct": 10}]}
+                 for name in ("a", "b")]
+    schema, query = tmp_path / "schema.json", tmp_path / "q.sql"
+    schema.write_text(json.dumps({"relations": relations, "fk_edges": [
+        {"left": "a.k", "right": "b.k", "jsf": 0.1}]}))
+    query.write_text("select a.b from a, b where a.k = b.k")
+    out = tmp_path / "plan.json"
+    code, stdout, err = run(capsys, "optimize", "--schema", str(schema), "--query", str(query),
+                            "--mode", mode, "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("ERR:validation:") and "overflows" in err
+    assert len(err.splitlines()) == 1
+
+
+NINE_SELECTS = ("select employee.fname from employee, works_on "
+                "where employee.ssn = works_on.ssn"
+                + "".join(f" and employee.salary > {k}" for k in range(5))
+                + "".join(f" and works_on.hours > {k}" for k in range(4)))
+
+
+def test_select_count_over_the_limit_exits_three(capsys, tmp_path):
+    query = tmp_path / "q.sql"
+    query.write_text(NINE_SELECTS)
+    code, stdout, err = run(capsys, "optimize", "--schema", COMPANY, "--query", str(query))
+    assert code == 3 and stdout == ""
+    assert err.startswith("ERR:limit: select placement: 9") and len(err.splitlines()) == 1
+    code, stdout, _ = run(capsys, "optimize", "--schema", COMPANY, "--query", str(query),
+                          "--max-ops", "9", "--i-know-this-is-factorial")
+    assert code == 0 and stdout.startswith("mode=joindag best_cost=")
+
+
 def test_optimize_reads_history_without_writing(capsys, tmp_path):
     hist = tmp_path / "history.json"
     code, stdout, _ = run(capsys, "histdag", "build", "--schema", COMPANY,

@@ -203,6 +203,15 @@ def test_select_on_foreign_relation_rejected(company_catalog):
         sprinkle.sprinkle_selects(jd, (cond,), company_catalog)
 
 
+def test_select_on_a_relation_the_plan_lacks_rejected():
+    plan = op_plan(KIND_JOIN, "a.x = b.x",
+                   (base_plan("a", 100.0), base_plan("b", 100.0)), 0.01)
+    selects = (SelectCondition("a", "y", ">", 0, ssf=0.1),
+               SelectCondition("c", "y", ">", 0, ssf=0.1))
+    with pytest.raises(DagError, match="'c' not a base of this plan"):
+        sprinkle.place_selects_on_plan(plan, selects)
+
+
 # -- family pruning against the enumerate-then-prune stage --------------------
 
 def enumerate_then_prune_stage(dag, decorate, *, split_classes=False, bound=None):
@@ -410,6 +419,65 @@ def test_select_floor_bounds_every_placed_plan():
         # the two floors size the same products in different orders
         for eq_id, old in leaf_select_floors(jd, query.selects).items():
             assert floor[eq_id] >= old * (1 - 1e-12), (sql, eq_id)
+
+
+def reference_select_floors(dag, selects):
+    """The select stage's floors computed by their own loop over the memo,
+    with private tables: the reference the shared DP step must reproduce
+    bit for bit."""
+    ordered = sorted(selects, key=lambda s: (s.canonical(),))
+    width = 1 << len(ordered)
+    subsets = sprinkle._subsets(len(ordered))
+    stack_cost, stack_size = sprinkle._stack_factors(ordered)
+    on_relation: dict[str, int] = {}
+    for i, cond in enumerate(ordered):
+        on_relation[cond.relation] = on_relation.get(cond.relation, 0) | 1 << i
+    consumed = {c for op in dag.op_nodes.values() for c in op.children}
+    mask: dict[int, int] = {}
+    size: dict[int, list[float]] = {}   # eq-node -> output size, by T
+    best: dict[int, list[float]] = {}   # math.inf where T has a select `eq` lacks
+    op_floor: dict[int, float] = {}
+    for eq_id in reversed(memo.topological_order(dag)):
+        node = dag.eq_nodes[eq_id]
+        out, least = [math.inf] * width, [math.inf] * width
+        size[eq_id], best[eq_id] = out, least
+        if node.is_base:
+            mask[eq_id] = m = on_relation.get(node.signature[0][0], 0)
+            for t in subsets[m]:
+                out[t] = node.est_size * stack_size[t]
+                least[t] = node.est_size * stack_cost[t]
+            continue
+        below = [math.inf] * width   # least op cost plus children's costs, by U
+        for i, op_id in enumerate(node.child_ops):
+            op = dag.op_nodes[op_id]
+            if len(op.children) == 2:   # a join: its inputs hold disjoint selects
+                (m1, z1, b1), (m2, z2, b2) = [(mask[c], size[c], best[c]) for c in op.children]
+                m = m1 | m2
+                inputs = [((z1[u & m1], z2[u & m2]), b1[u & m1] + b2[u & m2])
+                          for u in subsets[m]]
+            else:
+                (c,) = op.children
+                m, z1, b1 = mask[c], size[c], best[c]
+                inputs = [((z1[u],), b1[u]) for u in subsets[m]]
+            for u, (sizes, children) in zip(subsets[m], inputs):
+                cost = costplan.op_cost(op.kind, sizes) + children
+                if cost < below[u]:
+                    below[u] = cost
+                if i == 0:
+                    out[u] = costplan.estimate_size(op.kind, sizes, op.factor)
+            op_floor[op_id] = costplan.op_cost(op.kind, inputs[-1][0])   # the last U is m
+        mask[eq_id] = m
+        for t in subsets[m] if eq_id in consumed else (m,):
+            least[t] = min([below[t]] + [below[u] + out[u] * stack_cost[t ^ u]
+                                         for u in subsets[t][:-1]])
+    return {eq_id: min(costs) for eq_id, costs in best.items()}, op_floor
+
+
+def test_select_floors_equal_the_reference_exactly():
+    for sql, catalog in stage_inputs():
+        query, jd = joindag_for(sql, catalog)
+        assert sprinkle._select_floors(jd, query.selects) == \
+            reference_select_floors(jd, query.selects), sql
 
 
 def test_eight_leaf_star_places_selects_on_few_plans(monkeypatch):
