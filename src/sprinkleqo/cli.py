@@ -1,10 +1,12 @@
 """Command-line surface: optimize queries, benchmark workload directories,
 and manage persisted join-order histories.
 
-Exit codes: 0 success, 1 usage, 2 parse/validation/io, 3 enumeration limit.
-Every failure prints one `ERR:<code>:` line on standard error.  The
-environment variable SPRINKLE_QO_LOG (error, info, debug) controls extra
-diagnostics; artifacts are always written atomically.
+Exit codes: 0 success, 1 usage, 2 parse/validation/io, 3 enumeration limit,
+4 internal error (a defect: `ERR:internal: <type>: <message>`).  Every
+failure prints one `ERR:<code>:` line on standard error.  The environment
+variable SPRINKLE_QO_LOG (error, info, debug) controls extra diagnostics;
+`debug` adds an internal error's traceback.  Artifacts are always written
+atomically.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_LIMIT = 3
+EXIT_INTERNAL = 4
 
 # SprinkleQoError.code -> process exit status
 _CODE_EXITS = {"parse": 2, "validation": 2, "io": 2, "limit": 3, "error": 2}
@@ -320,6 +323,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"ERR:io: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:
+        log.debug("internal error", exc_info=True)
+        print(f"ERR:internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

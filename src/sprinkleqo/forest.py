@@ -12,6 +12,12 @@ of replaying all n! permutations the expansion recurses over applied-sets,
 visiting each of the at most 2^n states once.  Interning makes this provably
 equal to the union of all permutation replays; the tests check that against a
 literal permutation oracle.
+
+A step's output eq-node depends only on the condition and the eq-nodes of
+the trees it consumes, and many applied-sets share those (on a chain, most
+of them).  Each step is therefore interned once, on its first visit, and a
+later visit is one lookup in a table local to the call; the ids, and so the
+saved histories, are those of interning every visit.
 """
 
 from __future__ import annotations
@@ -53,19 +59,25 @@ def expand_forest(dag: Dag, relations: dict[str, float],
     conditions = sorted(joins + selects, key=lambda c: c.text)
     visited: set[frozenset[str]] = set()
     final_trees: dict[str, int] = {}
+    steps: dict[tuple, int] = {}
 
-    def apply_one(state: dict[str, int], cond) -> dict[str, int]:
+    def apply_one(state: dict[str, int], cond) -> int:
+        """The eq-node `cond` produces over the trees of `state`, interned on
+        the first visit of its (text, input eq-nodes) key only."""
         if isinstance(cond, SelectOp):
-            eq = intern_op(dag, KIND_SELECT, cond.text, (state[cond.relation],), cond.ssf)
-        elif state[cond.rel_a] == state[cond.rel_b]:
-            eq = intern_op(dag, KIND_JOINFILTER, cond.text, (state[cond.rel_a],), cond.jsf)
+            key = (cond.text, state[cond.relation])
         else:
-            eq = intern_op(dag, KIND_JOIN, cond.text,
-                           (state[cond.rel_a], state[cond.rel_b]), cond.jsf)
-        new_state = dict(state)
-        for rel in dag.eq_nodes[eq].signature[0]:
-            new_state[rel] = eq
-        return new_state
+            key = (cond.text, state[cond.rel_a], state[cond.rel_b])
+        eq = steps.get(key)
+        if eq is None:
+            if isinstance(cond, SelectOp):
+                eq = intern_op(dag, KIND_SELECT, cond.text, key[1:], cond.ssf)
+            elif key[1] == key[2]:
+                eq = intern_op(dag, KIND_JOINFILTER, cond.text, key[1:2], cond.jsf)
+            else:
+                eq = intern_op(dag, KIND_JOIN, cond.text, key[1:], cond.jsf)
+            steps[key] = eq
+        return eq
 
     def expand(state: dict[str, int], applied: frozenset[str]) -> None:
         if len(applied) == len(conditions):
@@ -74,10 +86,13 @@ def expand_forest(dag: Dag, relations: dict[str, float],
         for cond in conditions:
             if cond.text in applied:
                 continue
-            next_state = apply_one(state, cond)
+            eq = apply_one(state, cond)
             next_applied = applied | {cond.text}
             if next_applied not in visited:
                 visited.add(next_applied)
+                next_state = dict(state)
+                for rel in dag.eq_nodes[eq].signature[0]:
+                    next_state[rel] = eq
                 expand(next_state, next_applied)
 
     if not conditions:

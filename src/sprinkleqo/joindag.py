@@ -1,9 +1,11 @@
 """Pre-computed join-order history.
 
 The history dag holds every join order over the known join conditions,
-grouped by connected component of the join graph.  Queries then reuse it:
-optimizing a query means looking up its full-join eq-node and decorating the
-orders below it, never re-enumerating them.
+grouped by connected component of the join graph, each op-node interned once
+(see `forest`).  Queries then reuse it: optimizing a query means looking up
+its full-join eq-node, copying the subgraph below it node for node
+(`memo.Dag.copy_below`) and decorating the copy's orders, never enumerating
+or deriving them again.
 
 Incremental builds accept a batch of join conditions.  Conditions already
 known only bump the version; otherwise each connected component of the union

@@ -157,6 +157,45 @@ class Dag:
         out.meta = dict(self.meta)
         return out
 
+    def copy_below(self, root: int) -> tuple["Dag", int]:
+        """A new dag of the eq-nodes reachable from `root` and their
+        op-nodes, and the copy's id of `root`.
+
+        Ids follow re-attaching the nodes depth first: a base eq-node when
+        first reached, any other once the inputs of its first op-node are
+        copied, and each op-node, in ascending source id under its eq-node,
+        after its inputs.  Every input of a reachable op-node is reachable,
+        so the copy obeys the rule the source does (see `attach_op`).
+        """
+        out = Dag()
+        ids: dict[int, int] = {}
+
+        def new_eq(node: EqNode) -> int:
+            eq_id = out._next_eq
+            out.eq_nodes[eq_id] = EqNode(eq_id, node.signature, node.est_size)
+            out._sig_index[node.signature] = eq_id
+            out._next_eq += 1
+            return eq_id
+
+        def copy(eq_id: int) -> int:
+            if eq_id not in ids:
+                node = self.eq_nodes[eq_id]
+                new = new_eq(node) if node.is_base else None
+                for op_id in sorted(node.child_ops):
+                    op = self.op_nodes[op_id]
+                    children = tuple(copy(c) for c in op.children)
+                    if new is None:
+                        new = new_eq(node)
+                    out.op_nodes[out._next_op] = OpNode(out._next_op, op.kind, op.detail,
+                                                        children, op.op_cost, op.factor)
+                    out._op_index[(op.kind, op.detail, children)] = out._next_op
+                    out.eq_nodes[new].child_ops.append(out._next_op)
+                    out._next_op += 1
+                ids[eq_id] = new
+            return ids[eq_id]
+
+        return out, copy(root)
+
 
 def sizes_agree(a: float, b: float) -> bool:
     """Whether two estimates of one quantity agree within SIZE_RTOL."""

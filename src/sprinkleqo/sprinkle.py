@@ -535,32 +535,18 @@ class OptimizeResult:
 
 def extract_query_joindag(history: HistoryDag, query: Query, catalog: Catalog,
                           query_id: str) -> Dag:
-    """Standalone join dag for one query: the history subgraph reachable from
-    the query's full-join node, re-interned with the query root registered."""
-    out = Dag()
+    """Standalone join dag for one query: a copy of the history subgraph
+    reachable from the query's full-join node (`Dag.copy_below`), with the
+    query root registered.  No operator is derived again."""
     if not query.joins:
+        out = Dag()
         (rel,) = query.tables
         root = memo.ensure_base(out, rel, float(catalog.relation(rel).cardinality))
-        memo.register_root(out, query_id, root)
-        return out
-    bases = {t: float(catalog.relation(t).cardinality) for t in sorted(query.tables)}
-    join_texts = tuple(sorted(j.canonical() for j in extract_join_set(query)))
-    src_root = joindag.query_join_root(history, bases, join_texts)
-    mapping: dict[int, int] = {}
-
-    def clone(eq_id: int) -> int:
-        if eq_id not in mapping:
-            node = history.dag.eq_nodes[eq_id]
-            if node.is_base:
-                mapping[eq_id] = memo.ensure_base(out, node.signature[0][0], node.est_size)
-            for op_id in sorted(node.child_ops):
-                op = history.dag.op_nodes[op_id]
-                mapping[eq_id] = memo.attach_op(
-                    out, op.kind, op.detail, tuple(clone(c) for c in op.children),
-                    node.est_size, op.op_cost, op.factor)
-        return mapping[eq_id]
-
-    memo.register_root(out, query_id, clone(src_root))
+    else:
+        bases = {t: float(catalog.relation(t).cardinality) for t in sorted(query.tables)}
+        join_texts = tuple(sorted(j.canonical() for j in extract_join_set(query)))
+        out, root = history.dag.copy_below(joindag.query_join_root(history, bases, join_texts))
+    memo.register_root(out, query_id, root)
     return out
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from sprinkleqo import analytics, costplan, joindag, memo
+from sprinkleqo import analytics, cli, costplan, joindag, memo
 from sprinkleqo.catalog import load_catalog_file
 from sprinkleqo.cli import main
 from sprinkleqo.memo import KIND_SELECT
@@ -93,6 +93,29 @@ def test_usage_errors_exit_one(capsys, tmp_path):
                        str(tmp_path), "--report", str(tmp_path / "r.csv"),
                        "--modes", "fancy")
     assert code == 1 and "naive and/or joindag" in err
+
+
+def test_internal_error_is_one_error_line_exit_four(capsys, monkeypatch, caplog):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_histdag_show", broken)
+    argv = ("histdag", "show", "--schema", COMPANY, "--history", "h.json")
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (cli.EXIT_INTERNAL, "")
+    assert err == "ERR:internal: RuntimeError: boom\n"
+    assert cli.EXIT_INTERNAL == 4
+
+    code, _, err = run(capsys, *argv[:-2])  # --history missing: still usage
+    assert code == 1 and err.startswith("ERR:usage:") and len(err.splitlines()) == 1
+
+    monkeypatch.setenv("SPRINKLE_QO_LOG", "debug")
+    with caplog.at_level(logging.DEBUG, logger="sprinkleqo"):
+        code, _, err = run(capsys, *argv)
+    assert code == 4 and [l for l in err.splitlines() if l.startswith("ERR:")] == [
+        "ERR:internal: RuntimeError: boom"]
+    (record,) = [r for r in caplog.records if r.exc_info]
+    assert record.exc_info[0] is RuntimeError
 
 
 def test_raised_max_ops_with_acknowledgement(capsys, tmp_path):

@@ -6,7 +6,12 @@ import random
 import pytest
 
 from sprinkleqo import forest, memo
+from sprinkleqo.costplan import intern_op
 from sprinkleqo.forest import JoinOp, SelectOp
+from sprinkleqo.memo import KIND_JOIN, KIND_JOINFILTER, KIND_SELECT
+from sprinkleqo.sqlfront import JoinCondition
+
+from conftest import random_schema
 
 
 def replay_all_permutations(relations, conditions):
@@ -174,3 +179,113 @@ def test_condition_helpers_use_canonical_text(company_catalog):
     assert {j.text for j in jops} == {j.canonical() for j in q.joins}
     assert all(s.relation in {"works_on", "project"} for s in sops)
     assert all(0 < s.ssf <= 1 for s in sops)
+
+
+def reference_expand_forest(dag, relations, joins, selects=()):
+    """The expansion before its steps were memoized, kept verbatim: every
+    visit of a step re-attaches its operator."""
+    trees: dict[str, int] = {}
+    for rel in sorted(relations):
+        trees[rel] = memo.ensure_base(dag, rel, relations[rel])
+
+    conditions = sorted(joins + selects, key=lambda c: c.text)
+    visited: set[frozenset[str]] = set()
+    final_trees: dict[str, int] = {}
+
+    def apply_one(state: dict[str, int], cond) -> dict[str, int]:
+        if isinstance(cond, SelectOp):
+            eq = intern_op(dag, KIND_SELECT, cond.text, (state[cond.relation],), cond.ssf)
+        elif state[cond.rel_a] == state[cond.rel_b]:
+            eq = intern_op(dag, KIND_JOINFILTER, cond.text, (state[cond.rel_a],), cond.jsf)
+        else:
+            eq = intern_op(dag, KIND_JOIN, cond.text,
+                           (state[cond.rel_a], state[cond.rel_b]), cond.jsf)
+        new_state = dict(state)
+        for rel in dag.eq_nodes[eq].signature[0]:
+            new_state[rel] = eq
+        return new_state
+
+    def expand(state: dict[str, int], applied: frozenset[str]) -> None:
+        if len(applied) == len(conditions):
+            final_trees.update(state)
+            return
+        for cond in conditions:
+            if cond.text in applied:
+                continue
+            next_state = apply_one(state, cond)
+            next_applied = applied | {cond.text}
+            if next_applied not in visited:
+                visited.add(next_applied)
+                expand(next_state, next_applied)
+
+    if not conditions:
+        return dict(trees)
+    expand(trees, frozenset())
+    return final_trees
+
+
+def cyclic_schema_instances(with_selects: bool, wanted: int = 12):
+    """(relations, joins, selects) from `random_schema` seeds whose join
+    graph has a cycle; selects on up to two relations when asked."""
+    out = []
+    for seed in itertools.count():
+        rng = random.Random(seed)
+        catalog = random_schema(rng)
+        edges = catalog.graph.edges
+        rels = {r for e in edges for r in (e.left[0], e.right[0])}
+        if len(edges) < len(rels):  # a forest: no cycle
+            continue
+        relations = {r: float(catalog.relation(r).cardinality) for r in sorted(rels)}
+        joins = forest.join_ops_from_conditions(
+            [JoinCondition.make(e.left, e.right, e.jsf) for e in edges])
+        selects = tuple(SelectOp(f"{r}.b > {i}", r, 0.1 * (i + 1))
+                        for i, r in enumerate(sorted(rels)[:2])) if with_selects else ()
+        if len(joins) + len(selects) > 8:
+            continue
+        out.append((relations, joins, selects))
+        if len(out) == wanted:
+            return out
+
+
+@pytest.mark.parametrize("with_selects", [False, True])
+def test_memoized_steps_build_the_reference_dag(with_selects):
+    for relations, joins, selects in cyclic_schema_instances(with_selects):
+        docs, trees = [], []
+        for expand in (forest.expand_forest, reference_expand_forest):
+            dag = memo.Dag()
+            # a first call leaves a part of the graph behind, as the history's
+            # incremental builds do, so the second one re-visits its steps
+            expand(dag, relations, joins[:2])
+            trees.append(expand(dag, relations, joins, selects))
+            docs.append(memo.dag_to_doc(dag))
+        assert docs[0] == docs[1]
+        assert trees[0] == trees[1]
+
+
+def shape(kind, n):
+    """Relations and joins of an n-join chain, star or cycle over r0, r1, ..."""
+    if kind == "chain":
+        pairs = [(f"r{i}", f"r{i + 1}") for i in range(n)]
+    elif kind == "star":
+        pairs = [("r0", f"r{i + 1}") for i in range(n)]
+    else:
+        pairs = [(f"r{i}", f"r{(i + 1) % n}") for i in range(n)]
+    relations = {r: 100.0 + i for i, r in enumerate(sorted({r for p in pairs for r in p}))}
+    joins = tuple(JoinOp(f"{a}.k = {b}.k", a, b, 0.01) for a, b in pairs)
+    return relations, joins
+
+
+@pytest.mark.parametrize("kind,new_calls,old_calls", [
+    ("chain", 120, 1024), ("cycle", 232, 1024), ("star", 1024, 1024)])
+def test_each_op_node_is_attached_once(monkeypatch, kind, new_calls, old_calls):
+    calls = []
+    attach = memo.attach_op
+    monkeypatch.setattr(memo, "attach_op", lambda *a, **k: calls.append(a[1]) or attach(*a, **k))
+    relations, joins = shape(kind, 8)
+    counts = []
+    for expand in (forest.expand_forest, reference_expand_forest):
+        calls.clear()
+        dag = memo.Dag()
+        expand(dag, relations, joins)
+        counts.append((len(calls), len(dag.op_nodes)))
+    assert counts == [(new_calls, new_calls), (old_calls, new_calls)]

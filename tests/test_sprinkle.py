@@ -16,7 +16,7 @@ from sprinkleqo.memo import (KIND_GROUPBY, KIND_HAVING, KIND_JOIN,
 from sprinkleqo.sqlfront import (HavingCondition, JoinCondition, OrderItem,
                                  SelectCondition, extract_join_set, parse_query)
 
-from conftest import chain_catalog, fixture_sql, make_catalog, random_schema, \
+from conftest import FIXTURES, chain_catalog, fixture_sql, make_catalog, random_schema, \
     connected_query_sql
 
 sizes = st.floats(min_value=1.0, max_value=1e5, allow_nan=False)
@@ -772,6 +772,95 @@ def test_extract_query_joindag_subset(company_catalog):
     assert {n.signature for n in jd.eq_nodes.values()} == \
         {n.signature for n in small.dag.eq_nodes.values()}
     assert memo.arc_signature_set(jd) == memo.arc_signature_set(small.dag)
+
+
+def reference_extract_query_joindag(history, query, catalog, query_id):
+    """The join dag's extraction before it became a copy, kept verbatim:
+    every reachable op-node is attached again."""
+    out = memo.Dag()
+    if not query.joins:
+        (rel,) = query.tables
+        root = memo.ensure_base(out, rel, float(catalog.relation(rel).cardinality))
+        memo.register_root(out, query_id, root)
+        return out
+    bases = {t: float(catalog.relation(t).cardinality) for t in sorted(query.tables)}
+    join_texts = tuple(sorted(j.canonical() for j in extract_join_set(query)))
+    src_root = joindag.query_join_root(history, bases, join_texts)
+    mapping: dict[int, int] = {}
+
+    def clone(eq_id: int) -> int:
+        if eq_id not in mapping:
+            node = history.dag.eq_nodes[eq_id]
+            if node.is_base:
+                mapping[eq_id] = memo.ensure_base(out, node.signature[0][0], node.est_size)
+            for op_id in sorted(node.child_ops):
+                op = history.dag.op_nodes[op_id]
+                mapping[eq_id] = memo.attach_op(
+                    out, op.kind, op.detail, tuple(clone(c) for c in op.children),
+                    node.est_size, op.op_cost, op.factor)
+        return mapping[eq_id]
+
+    memo.register_root(out, query_id, clone(src_root))
+    return out
+
+
+def copy_cases(tmp_path):
+    """(history, query, catalog): every flat fixture query against a built,
+    saved and reloaded history of its schema (the schema's FK joins and
+    every fixture query's), and cyclic `random_schema` queries against a
+    history built in this process."""
+    for schema in ("company", "tpch"):
+        catalog = load_catalog((FIXTURES / schema / "schema.json").read_text())
+        queries = [parse_query(path.read_text(), catalog)
+                   for path in sorted((FIXTURES / schema).glob("*.sql"))]
+        flat = [q for q in queries if q.subquery is None]
+        joins = {j.canonical(): j for q in flat for j in extract_join_set(q)}
+        joins.update((j.canonical(), j) for j in (
+            JoinCondition.make(e.left, e.right, e.jsf) for e in catalog.graph.edges))
+        path = str(tmp_path / f"{schema}.json")
+        joindag.save_history(joindag.build_complete_history(
+            catalog, tuple(joins[t] for t in sorted(joins))), path)
+        history = joindag.load_history(path)
+        for query in flat:
+            yield history, query, catalog
+    rng = random.Random(8)
+    cyclic = 0
+    while cyclic < 10:
+        catalog = random_schema(rng)
+        comp = max(catalog.graph.components(), key=len)
+        if sum(e.left[0] in comp for e in catalog.graph.edges) < len(comp):
+            continue  # no cycle
+        cyclic += 1
+        query = parse_query(connected_query_sql(catalog, rng), catalog)
+        yield (joindag.build_incremental(joindag.empty_history(catalog),
+                                         extract_join_set(query), catalog, 8),
+               query, catalog)
+
+
+def test_query_joindag_is_a_copy_of_the_history(tmp_path, monkeypatch):
+    attach = memo.attach_op
+    calls = []
+    monkeypatch.setattr(memo, "attach_op",
+                        lambda *a, **k: calls.append(a[1]) or attach(*a, **k))
+    cases = list(copy_cases(tmp_path))
+    assert len(cases) == 7 + 10
+    for history, query, catalog in cases:
+        expected = memo.dag_to_doc(reference_extract_query_joindag(
+            history, query, catalog, "q1"))
+        calls.clear()
+        jd = sprinkle.extract_query_joindag(history, query, catalog, "q1")
+        assert calls == []
+        assert memo.dag_to_doc(jd) == expected
+        for eq_id, node in jd.eq_nodes.items():
+            assert jd.find_eq(node.signature) == eq_id
+        n_ops = len(jd.op_nodes)
+        for eq_id, node in jd.eq_nodes.items():
+            for op_id in node.child_ops:
+                op = jd.op_nodes[op_id]
+                assert memo.attach_op(jd, op.kind, op.detail, op.children, node.est_size,
+                                      op.op_cost, op.factor) == eq_id
+        assert len(jd.op_nodes) == n_ops
+        assert memo.dag_to_doc(jd) == expected
 
 
 def test_extract_single_relation_query(company_catalog):
