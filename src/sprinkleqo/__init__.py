@@ -12,8 +12,8 @@ from .analytics import (ComplexityParams, MetricsReport, MetricsRow,
                         collect_metrics, joindag_eqnodes_after_selects,
                         joindag_time_complexity, naive_time_complexity,
                         report_from_csv, report_to_csv)
-from .catalog import (Attribute, Catalog, FkEdge, Relation, SchemaGraph, Stats,
-                      load_catalog, load_catalog_file)
+from .catalog import (Attribute, Catalog, Relation, SchemaGraph, Stats, load_catalog,
+                      load_catalog_file)
 from .costplan import Plan, best_plan, enumerate_plans, estimate_size, op_cost
 from .errors import (CatalogError, DagError, LimitExceededError, ParseError,
                      PersistenceError, SprinkleQoError, ValidationError)

@@ -29,6 +29,8 @@ from .errors import CatalogError
 
 DEFAULT_SSF = 0.1
 
+AttrRef = tuple[str, str]
+
 
 @dataclass(frozen=True)
 class Attribute:
@@ -54,15 +56,25 @@ class Relation:
 
 
 @dataclass(frozen=True)
-class FkEdge:
-    """An undirected join possibility between two relation attributes."""
+class JoinCondition:
+    """Equality between attributes of two relations; sides sorted for canonicity.
 
-    left: tuple[str, str]
-    right: tuple[str, str]
+    Both an FK edge of the schema and a join of a query are one of these."""
+
+    left: AttrRef
+    right: AttrRef
     jsf: float
 
-    def touches(self, a: tuple[str, str], b: tuple[str, str]) -> bool:
-        return (self.left, self.right) == (a, b) or (self.left, self.right) == (b, a)
+    @staticmethod
+    def make(a: AttrRef, b: AttrRef, jsf: float) -> "JoinCondition":
+        left, right = sorted((a, b))
+        return JoinCondition(left=left, right=right, jsf=jsf)
+
+    def canonical(self) -> str:
+        return f"{self.left[0]}.{self.left[1]} = {self.right[0]}.{self.right[1]}"
+
+    def relations(self) -> tuple[str, str]:
+        return self.left[0], self.right[0]
 
 
 @dataclass(frozen=True)
@@ -70,10 +82,10 @@ class SchemaGraph:
     """Relations as nodes, FK edges as undirected (possibly parallel) edges."""
 
     nodes: frozenset[str]
-    edges: tuple[FkEdge, ...]
+    edges: tuple[JoinCondition, ...]
 
     def components(self) -> list[frozenset[str]]:
-        return components(self.nodes, [(e.left[0], e.right[0]) for e in self.edges])
+        return components(self.nodes, [e.relations() for e in self.edges])
 
 
 def components(nodes, edges) -> list[frozenset[str]]:
@@ -143,8 +155,9 @@ def _load_attribute(doc: dict, where: str, cardinality: float) -> Attribute:
     if not isinstance(name, str) or not name:
         raise CatalogError(f"{where}: attribute name must be a non-empty string")
     distinct = doc.get("distinct")
-    if not isinstance(distinct, int) or isinstance(distinct, bool) or distinct < 1:
-        raise CatalogError(f"{where}: distinct must be a positive integer")
+    if not isinstance(distinct, int) or isinstance(distinct, bool) \
+            or not 1 <= distinct <= sys.float_info.max:
+        raise CatalogError(f"{where}: distinct must be a positive integer in the float range")
     if cardinality > 0 and distinct > cardinality:
         raise CatalogError(
             f"{where}: distinct {distinct} exceeds relation cardinality {cardinality:g}"
@@ -180,7 +193,7 @@ def _load_relation(doc: dict, where: str) -> Relation:
 def _selectivity(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise CatalogError(f"{what} must be a number")
-    if not (0.0 < float(value) <= 1.0):
+    if not 0 < value <= 1:  # compared before float(), which overflows on a large int
         raise CatalogError(f"{what} must be in (0, 1]")
     return float(value)
 
@@ -227,7 +240,8 @@ def load_catalog(schema_text: str, stats_text: str | None = None) -> Catalog:
     edge_docs = doc.get("fk_edges")
     if not isinstance(edge_docs, (list, type(None))):
         raise CatalogError("schema: fk_edges must be a list")
-    edges: list[FkEdge] = []
+    edges: list[JoinCondition] = []
+    written: list = []  # each edge's sides in schema order, for the fingerprint
     for i, ed in enumerate(edge_docs or []):
         where = f"fk_edges[{i}]"
         _require_keys(ed, {"left", "right", "jsf"}, where)
@@ -245,7 +259,8 @@ def load_catalog(schema_text: str, stats_text: str | None = None) -> Catalog:
             jsf = default_jsf(relations, left, right)
         elif isinstance(jsf, bool) or not isinstance(jsf, (int, float)) or not (0.0 < jsf <= 1.0):
             raise CatalogError(f"{where}: jsf must be a number in (0, 1]")
-        edges.append(FkEdge(left=left, right=right, jsf=float(jsf)))
+        edges.append(JoinCondition.make(left, right, float(jsf)))
+        written.append([list(left), list(right), float(jsf)])
 
     stats = _load_stats(doc.get("stats", {}) or {}, "schema.stats")
     if stats_text is not None:
@@ -262,7 +277,7 @@ def load_catalog(schema_text: str, stats_text: str | None = None) -> Catalog:
              "attributes": [[a.name, a.distinct_count, a.is_key] for a in r.attributes]}
             for r in sorted(relations.values(), key=lambda r: r.name)
         ],
-        "fk_edges": [[list(e.left), list(e.right), e.jsf] for e in edges],
+        "fk_edges": written,
         "stats": {"default_ssf": stats.default_ssf,
                   "overrides": dict(sorted(stats.overrides.items()))},
     }
@@ -298,9 +313,10 @@ def lookup_ssf(catalog: Catalog, relation: str, attribute: str, operator: str,
     return catalog.stats.default_ssf
 
 
-def resolve_jsf(catalog: Catalog, left: tuple[str, str], right: tuple[str, str]) -> float:
+def resolve_jsf(catalog: Catalog, left: AttrRef, right: AttrRef) -> float:
     """jsf of a join condition: the FK edge's value if one matches, else the default rule."""
+    sides = sorted((left, right))
     for edge in catalog.graph.edges:
-        if edge.touches(left, right):
+        if [edge.left, edge.right] == sides:
             return edge.jsf
     return default_jsf(catalog.relations, left, right)

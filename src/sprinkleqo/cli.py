@@ -23,7 +23,7 @@ from . import analytics, costplan, joindag, memo, naive, sprinkle
 from .catalog import Catalog, load_catalog_file
 from .errors import SprinkleQoError, ValidationError
 from .ioutil import atomic_write_text, read_text
-from .sqlfront import JoinCondition, Query, extract_join_set, parse_query
+from .sqlfront import Query, extract_join_set, parse_query
 
 log = logging.getLogger("sprinkleqo")
 
@@ -269,9 +269,7 @@ def _history_summary(history: joindag.HistoryDag) -> str:
 def cmd_histdag_build(args) -> int:
     limit = _effective_limit(args)
     catalog = load_catalog_file(args.schema, args.stats)
-    joins = tuple(JoinCondition.make(edge.left, edge.right, edge.jsf)
-                  for edge in catalog.graph.edges)
-    history = joindag.build_complete_history(catalog, joins, limit)
+    history = joindag.build_complete_history(catalog, catalog.graph.edges, limit)
     joindag.save_history(history, args.out)
     print(_history_summary(history))
     return EXIT_OK

@@ -174,8 +174,7 @@ def best_plan(dag: Dag, root_eq: int) -> Plan:
             plan = base_plan(_base_relation_of(dag, eq_id), node.est_size)
         else:
             candidates = []
-            for op_id in sorted(node.child_ops,
-                                key=lambda i: dag.op_nodes[i].sort_key()):
+            for op_id in node.child_ops:
                 op = dag.op_nodes[op_id]
                 children = tuple(best(c) for c in op.children)
                 cost = op.op_cost + sum(c.cum_cost for c in children)

@@ -22,30 +22,18 @@ saved histories, are those of interning every visit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 
 from . import memo
+from .catalog import JoinCondition
 from .costplan import intern_op
 from .memo import Dag, KIND_JOIN, KIND_JOINFILTER, KIND_SELECT
-
-
-@dataclass(frozen=True)
-class JoinOp:
-    text: str
-    rel_a: str
-    rel_b: str
-    jsf: float
-
-
-@dataclass(frozen=True)
-class SelectOp:
-    text: str
-    relation: str
-    ssf: float
+from .sqlfront import SelectCondition
 
 
 def expand_forest(dag: Dag, relations: dict[str, float],
-                  joins: tuple[JoinOp, ...], selects: tuple[SelectOp, ...] = ()) -> dict[str, int]:
+                  joins: tuple[JoinCondition, ...],
+                  selects: tuple[SelectCondition, ...] = ()) -> dict[str, int]:
     """Intern every reachable partial combination of the given conditions.
 
     Returns the final tree assignment (relation -> eq-node) once every
@@ -56,26 +44,31 @@ def expand_forest(dag: Dag, relations: dict[str, float],
     for rel in sorted(relations):
         trees[rel] = memo.ensure_base(dag, rel, relations[rel])
 
-    conditions = sorted(joins + selects, key=lambda c: c.text)
+    # each condition read once: (text, the relations whose trees it consumes,
+    # factor); one relation makes it a select
+    conditions = sorted([(j.canonical(), j.relations(), j.jsf) for j in joins]
+                        + [(s.canonical(), (s.relation,), s.ssf) for s in selects],
+                        key=itemgetter(0))
     visited: set[frozenset[str]] = set()
     final_trees: dict[str, int] = {}
     steps: dict[tuple, int] = {}
 
-    def apply_one(state: dict[str, int], cond) -> int:
-        """The eq-node `cond` produces over the trees of `state`, interned on
-        the first visit of its (text, input eq-nodes) key only."""
-        if isinstance(cond, SelectOp):
-            key = (cond.text, state[cond.relation])
+    def apply_one(state: dict[str, int], text: str, rels: tuple[str, ...],
+                  factor: float) -> int:
+        """The eq-node the condition produces over the trees of `state`,
+        interned on the first visit of its (text, input eq-nodes) key only."""
+        if len(rels) == 1:
+            key = (text, state[rels[0]])
         else:
-            key = (cond.text, state[cond.rel_a], state[cond.rel_b])
+            key = (text, state[rels[0]], state[rels[1]])
         eq = steps.get(key)
         if eq is None:
-            if isinstance(cond, SelectOp):
-                eq = intern_op(dag, KIND_SELECT, cond.text, key[1:], cond.ssf)
+            if len(rels) == 1:
+                eq = intern_op(dag, KIND_SELECT, text, key[1:], factor)
             elif key[1] == key[2]:
-                eq = intern_op(dag, KIND_JOINFILTER, cond.text, key[1:2], cond.jsf)
+                eq = intern_op(dag, KIND_JOINFILTER, text, key[1:2], factor)
             else:
-                eq = intern_op(dag, KIND_JOIN, cond.text, key[1:], cond.jsf)
+                eq = intern_op(dag, KIND_JOIN, text, key[1:], factor)
             steps[key] = eq
         return eq
 
@@ -83,11 +76,11 @@ def expand_forest(dag: Dag, relations: dict[str, float],
         if len(applied) == len(conditions):
             final_trees.update(state)
             return
-        for cond in conditions:
-            if cond.text in applied:
+        for text, rels, factor in conditions:
+            if text in applied:
                 continue
-            eq = apply_one(state, cond)
-            next_applied = applied | {cond.text}
+            eq = apply_one(state, text, rels, factor)
+            next_applied = applied | {text}
             if next_applied not in visited:
                 visited.add(next_applied)
                 next_state = dict(state)
@@ -99,13 +92,3 @@ def expand_forest(dag: Dag, relations: dict[str, float],
         return dict(trees)
     expand(trees, frozenset())
     return final_trees
-
-
-def join_ops_from_conditions(joins) -> tuple[JoinOp, ...]:
-    return tuple(JoinOp(text=j.canonical(), rel_a=j.left[0], rel_b=j.right[0], jsf=j.jsf)
-                 for j in joins)
-
-
-def select_ops_from_conditions(selects) -> tuple[SelectOp, ...]:
-    return tuple(SelectOp(text=s.canonical(), relation=s.relation, ssf=s.ssf)
-                 for s in selects)

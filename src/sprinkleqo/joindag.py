@@ -8,10 +8,10 @@ its full-join eq-node, copying the subgraph below it node for node
 or deriving them again.
 
 Incremental builds accept a batch of join conditions.  Conditions already
-known only bump the version; otherwise each connected component of the union
-join set that contains at least one new condition is re-enumerated (interning
-makes that idempotent over the orders already present), and components made
-only of known conditions are skipped entirely.  The tests verify that any
+known only bump the version, over the same dag; otherwise each connected
+component of the union join set that contains at least one new condition is
+re-enumerated (interning makes that idempotent over the orders already
+present), and components made only of known conditions are skipped entirely.  The tests verify that any
 sequence of incremental builds lands on the same graph as one complete build
 over the union.
 """
@@ -21,14 +21,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import costplan, forest, memo
-from .catalog import Catalog, components
+from .catalog import Catalog, JoinCondition, components
 from .errors import LimitExceededError, PersistenceError, ValidationError
 from .ioutil import atomic_write_text, locked, read_text
 from .memo import Dag
-from .sqlfront import JoinCondition
 
 HISTORY_FORMAT = 1
 
@@ -90,9 +89,10 @@ def build_incremental(history: HistoryDag, joins: tuple[JoinCondition, ...],
                       catalog: Catalog, limit: int = 8) -> HistoryDag:
     """Fold a batch of join conditions into the history.
 
-    Returns a new HistoryDag; the input is not mutated.  Raises
-    LimitExceededError when any affected component would exceed `limit`
-    conditions and ValidationError on a catalog mismatch.
+    Returns a new HistoryDag; the input is not mutated.  A batch with no new
+    condition returns one over the input's dag and known joins, not a copy
+    of them.  Raises LimitExceededError when any affected component would
+    exceed `limit` conditions and ValidationError on a catalog mismatch.
     """
     if catalog.fingerprint != history.catalog_fingerprint:
         raise ValidationError("catalog does not match the one this history was built from")
@@ -102,12 +102,11 @@ def build_incremental(history: HistoryDag, joins: tuple[JoinCondition, ...],
 
     new_texts = {c.canonical(): c for c in joins}
     fresh = {t: c for t, c in new_texts.items() if t not in history.known_joins}
+    if not fresh:
+        return replace(history, version=history.version + 1, last_build_combinations=0)
     out = history.clone()
     out.version += 1
     out.last_build_combinations = 0
-    if not fresh:
-        return out
-
     out.known_joins.update(fresh)
     for rels, texts in _components(out.known_joins):
         if not any(t in fresh for t in texts):
@@ -115,9 +114,7 @@ def build_incremental(history: HistoryDag, joins: tuple[JoinCondition, ...],
         if len(texts) > limit:
             raise LimitExceededError("join-order expansion", len(texts), limit)
         relations = {r: float(catalog.relation(r).cardinality) for r in sorted(rels)}
-        join_ops = forest.join_ops_from_conditions(
-            tuple(out.known_joins[t] for t in texts))
-        forest.expand_forest(out.dag, relations, join_ops)
+        forest.expand_forest(out.dag, relations, tuple(out.known_joins[t] for t in texts))
         out.last_build_combinations += combinations_considered(len(texts))
     _refresh_roots(out)
     return out
@@ -173,7 +170,7 @@ def _checksum(doc: dict) -> str:
 def save_history(history: HistoryDag, path: str) -> None:
     """Atomically persist the history with an integrity checksum."""
     doc = _history_doc(history)
-    doc["checksum"] = _checksum(_history_doc(history))
+    doc["checksum"] = _checksum(doc)
     with locked(path):
         atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
 

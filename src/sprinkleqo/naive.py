@@ -78,10 +78,7 @@ def build_naive_dag(query: Query, catalog: Catalog, limit: int = 8, *,
     dag.meta.setdefault("queries", {})
 
     relations = {t: float(catalog.relation(t).cardinality) for t in sorted(query.tables)}
-    join_ops = forest.join_ops_from_conditions(extract_join_set(query))
-    select_ops = forest.select_ops_from_conditions(query.selects)
-
-    final = forest.expand_forest(dag, relations, join_ops, select_ops)
+    final = forest.expand_forest(dag, relations, extract_join_set(query), query.selects)
     tops = sorted(set(final.values()))
     if len(tops) != 1:
         raise ValidationError("query relations do not join into a single result")

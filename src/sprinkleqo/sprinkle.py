@@ -556,7 +556,8 @@ def optimize_single(query: Query, catalog: Catalog, *,
     """Full pipeline for one query: reuse (or grow) the join-order history,
     then sprinkle selects, grouping, ordering, and projections.  `limit`
     bounds the joins and, as the placement DP grows as 3**s, the selects of
-    each block."""
+    each block.  Joins the history already holds are not counted: a block
+    whose joins are all known runs whatever its number of joins."""
     if query.subquery is not None:
         return _optimize_nested(query, catalog, history=history, limit=limit,
                                 query_id=query_id)

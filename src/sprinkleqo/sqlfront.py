@@ -27,10 +27,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .catalog import Catalog, components, lookup_ssf, resolve_jsf
+from .catalog import AttrRef, Catalog, JoinCondition, components, lookup_ssf, resolve_jsf
 from .errors import ParseError, ValidationError
-
-AttrRef = tuple[str, str]
 
 _OPERATORS = ("<=", ">=", "<>", "!=", "=", "<", ">")
 _AGG_FUNCS = ("sum", "avg", "count", "min", "max")
@@ -46,26 +44,6 @@ def format_literal(value: int | float | str) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-@dataclass(frozen=True)
-class JoinCondition:
-    """Equality between attributes of two relations; sides sorted for canonicity."""
-
-    left: AttrRef
-    right: AttrRef
-    jsf: float
-
-    @staticmethod
-    def make(a: AttrRef, b: AttrRef, jsf: float) -> "JoinCondition":
-        left, right = sorted((a, b))
-        return JoinCondition(left=left, right=right, jsf=jsf)
-
-    def canonical(self) -> str:
-        return f"{self.left[0]}.{self.left[1]} = {self.right[0]}.{self.right[1]}"
-
-    def relations(self) -> tuple[str, str]:
-        return self.left[0], self.right[0]
 
 
 @dataclass(frozen=True)

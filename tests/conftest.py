@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import pathlib
 import random
@@ -9,6 +11,7 @@ import random
 import pytest
 
 from sprinkleqo.catalog import Catalog, load_catalog, load_catalog_file
+from sprinkleqo.cli import main
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -25,6 +28,14 @@ def tpch_catalog() -> Catalog:
 
 def fixture_sql(group: str, name: str) -> str:
     return (FIXTURES / group / f"{name}.sql").read_text()
+
+
+def run_cli(*argv: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def make_catalog(relations, fk_edges, default_ssf=0.1, overrides=None) -> Catalog:

@@ -7,7 +7,6 @@ budgets on the bulk randomized checks.
 """
 
 import contextlib
-import io
 import json
 import math
 import random
@@ -15,11 +14,10 @@ import time
 from fractions import Fraction
 
 from sprinkleqo import (analytics, costplan, joindag, memo, naive, sprinkle)
-from sprinkleqo.cli import main
-from sprinkleqo.sqlfront import JoinCondition, parse_query
+from sprinkleqo.sqlfront import parse_query
 
 from conftest import (FIXTURES, chain_catalog, connected_query_sql,
-                      random_schema)
+                      random_schema, run_cli)
 
 COMPANY = str(FIXTURES / "company" / "schema.json")
 
@@ -32,18 +30,6 @@ def criterion(number: int, claim: str):
         print(f"[criterion {number}] FAIL: {claim} ({exc})")
         raise
     print(f"[criterion {number}] PASS: {claim}")
-
-
-def run_cli(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
-
-
-def catalog_joins(catalog):
-    return tuple(JoinCondition.make(e.left, e.right, e.jsf)
-                 for e in catalog.graph.edges)
 
 
 def structure(dag):
@@ -162,7 +148,7 @@ def test_criterion_4_incremental_equals_complete():
         start = time.perf_counter()
         for _ in range(200):
             catalog = random_schema(rng)
-            joins = list(catalog_joins(catalog))
+            joins = list(catalog.graph.edges)
             complete = joindag.build_complete_history(catalog, tuple(joins))
             rng.shuffle(joins)
             grown = joindag.empty_history(catalog)
@@ -222,7 +208,7 @@ def test_criterion_6_bounded_growth_per_select():
             catalog = chain_catalog(j)
             base_query = parse_query(chain_sql(j, 0), catalog)
             history = joindag.build_complete_history(
-                catalog, tuple(catalog_joins(catalog)))
+                catalog, catalog.graph.edges)
             jd = sprinkle.extract_query_joindag(history, base_query, catalog, "q1")
             n_eq, _, p = memo.count_nodes(jd)
             previous = n_eq
@@ -244,7 +230,7 @@ def test_criterion_6_bounded_growth_per_select():
                 continue
             params = analytics.complexity_params_for(query, catalog)
             history = joindag.build_complete_history(
-                catalog, tuple(catalog_joins(catalog)))
+                catalog, catalog.graph.edges)
             jd = sprinkle.extract_query_joindag(history, query, catalog, "q1")
             grown = unpruned_select_sprinkle(jd, query.selects)
             eq, _, _ = memo.count_nodes(grown)
@@ -315,7 +301,7 @@ def test_criterion_9_persistence_round_trips(tmp_path):
         rng = random.Random(9909)
         for i in range(100):
             catalog = random_schema(rng)
-            joins = list(catalog_joins(catalog))
+            joins = list(catalog.graph.edges)
             rng.shuffle(joins)
             split = rng.randint(0, len(joins))
             first, second = tuple(joins[:split]), tuple(joins[split:])

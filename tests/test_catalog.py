@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from sprinkleqo.catalog import (DEFAULT_SSF, components, load_catalog,
+from sprinkleqo.catalog import (DEFAULT_SSF, JoinCondition, components, load_catalog,
                                 lookup_ssf, resolve_jsf)
 from sprinkleqo.errors import CatalogError
 
@@ -104,6 +104,25 @@ def test_fingerprint_ignores_relation_listing_order():
     doc["relations"].reverse()
     assert load_catalog(json.dumps(doc)).fingerprint == \
         load_catalog(json.dumps(BASIC)).fingerprint
+
+
+def test_right_to_left_edge_loads_sorted_and_keeps_its_fingerprint(
+        company_catalog, tpch_catalog):
+    doc = json.loads(json.dumps(BASIC))
+    doc["fk_edges"][0].update(left="b.x", right="a.x")
+    flipped = load_catalog(json.dumps(doc))
+    assert flipped.graph.edges == (JoinCondition(("a", "x"), ("b", "x"), 0.01),)
+    # the fingerprint hashes each edge's sides as the schema writes them (6 of
+    # the 11 fixture edges are written right to left), so saved histories load
+    assert flipped.fingerprint != load_catalog(json.dumps(BASIC)).fingerprint
+    doc["fk_edges"][0]["jsf"] = 0.5  # not the default 1/100, so a missed edge shows
+    flipped = load_catalog(json.dumps(doc))
+    assert resolve_jsf(flipped, ("a", "x"), ("b", "x")) == 0.5
+    assert resolve_jsf(flipped, ("b", "x"), ("a", "x")) == 0.5
+    assert company_catalog.fingerprint == \
+        "d71ef00688187d9ad590bdd6221db59eddf8bc2d66a1125e2f328b1196cf9661"
+    assert tpch_catalog.fingerprint == \
+        "8ceda03a98d5a221927d2b17ac9e3f1014cc4fa0a3b684e0b55706112478b57e"
 
 
 def test_components_split_and_merge():

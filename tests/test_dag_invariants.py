@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sprinkleqo import costplan, joindag, memo, naive, sprinkle
-from sprinkleqo.sqlfront import JoinCondition, parse_query
+from sprinkleqo.sqlfront import parse_query
 
 from conftest import connected_query_sql, fixture_sql, random_schema
 
@@ -53,8 +53,7 @@ def test_signature_extends_spots_each_way_of_not_extending():
 def test_histories_and_naive_dags_over_random_schemas(seed):
     rng = random.Random(seed)
     catalog = random_schema(rng)
-    joins = tuple(JoinCondition.make(e.left, e.right, e.jsf) for e in catalog.graph.edges)
-    history = joindag.build_complete_history(catalog, joins, limit=8)
+    history = joindag.build_complete_history(catalog, catalog.graph.edges, limit=8)
     assert_obeys_the_rule(history.dag)
     query = parse_query(connected_query_sql(catalog, rng, max_selects=2), catalog)
     if query.n_operations() <= 7:

@@ -7,9 +7,8 @@ import pytest
 
 from sprinkleqo import forest, memo
 from sprinkleqo.costplan import intern_op
-from sprinkleqo.forest import JoinOp, SelectOp
 from sprinkleqo.memo import KIND_JOIN, KIND_JOINFILTER, KIND_SELECT
-from sprinkleqo.sqlfront import JoinCondition
+from sprinkleqo.sqlfront import JoinCondition, SelectCondition
 
 from conftest import random_schema
 
@@ -29,22 +28,23 @@ def replay_all_permutations(relations, conditions):
     for perm in itertools.permutations(conditions):
         state = dict(base)
         for cond in perm:
-            if isinstance(cond, SelectOp):
+            text = cond.canonical()
+            if isinstance(cond, SelectCondition):
                 child_sig, child_size = state[cond.relation]
-                sig = memo.extend_signature(child_sig, memo.KIND_SELECT, cond.text)
+                sig = memo.extend_signature(child_sig, memo.KIND_SELECT, text)
                 size = cond.ssf * child_size
-                arcs.add((sig, memo.KIND_SELECT, cond.text, (child_sig,)))
+                arcs.add((sig, memo.KIND_SELECT, text, (child_sig,)))
             else:
-                (sa, za), (sb, zb) = state[cond.rel_a], state[cond.rel_b]
+                (sa, za), (sb, zb) = state[cond.left[0]], state[cond.right[0]]
                 if sa == sb:
-                    sig = memo.extend_signature(sa, memo.KIND_JOINFILTER, cond.text)
+                    sig = memo.extend_signature(sa, memo.KIND_JOINFILTER, text)
                     size = cond.jsf * za
-                    arcs.add((sig, memo.KIND_JOINFILTER, cond.text, (sa,)))
+                    arcs.add((sig, memo.KIND_JOINFILTER, text, (sa,)))
                 else:
-                    sig = memo.join_signature(sa, sb, cond.text)
+                    sig = memo.join_signature(sa, sb, text)
                     size = cond.jsf * za * zb
                     kids = tuple(sorted((sa, sb), key=memo.signature_text))
-                    arcs.add((sig, memo.KIND_JOIN, cond.text, kids))
+                    arcs.add((sig, memo.KIND_JOIN, text, kids))
             for rel in sig[0]:
                 state[rel] = (sig, size)
             produced.setdefault(sig, size)
@@ -65,8 +65,8 @@ def assert_matches_oracle(relations, joins, selects=()):
 
 
 CHAIN_RELS = {"a": 100.0, "b": 200.0, "c": 50.0}
-CHAIN_JOINS = (JoinOp("a.x = b.x", "a", "b", 0.01),
-               JoinOp("b.y = c.y", "b", "c", 0.02))
+CHAIN_JOINS = (JoinCondition.make(("a", "x"), ("b", "x"), 0.01),
+               JoinCondition.make(("b", "y"), ("c", "y"), 0.02))
 
 
 def test_chain_matches_permutation_oracle():
@@ -76,7 +76,8 @@ def test_chain_matches_permutation_oracle():
 
 
 def test_chain_with_selects_matches_oracle():
-    selects = (SelectOp("a.z > 5", "a", 0.1), SelectOp("c.w = 'x'", "c", 0.3))
+    selects = (SelectCondition("a", "z", ">", 5, 0.1),
+               SelectCondition("c", "w", "=", "x", 0.3))
     dag, trees = assert_matches_oracle(CHAIN_RELS, CHAIN_JOINS, selects)
     root = dag.eq_nodes[trees["a"]]
     assert root.signature[1] == ("a.x = b.x", "b.y = c.y")
@@ -87,14 +88,14 @@ def test_chain_with_selects_matches_oracle():
 
 def test_triangle_closes_with_joinfilter():
     rels = {"a": 10.0, "b": 20.0, "c": 30.0}
-    joins = (JoinOp("a.x = b.x", "a", "b", 0.1),
-             JoinOp("b.y = c.y", "b", "c", 0.1),
-             JoinOp("a.z = c.z", "a", "c", 0.5))
+    joins = (JoinCondition.make(("a", "x"), ("b", "x"), 0.1),
+             JoinCondition.make(("b", "y"), ("c", "y"), 0.1),
+             JoinCondition.make(("a", "z"), ("c", "z"), 0.5))
     dag, trees = assert_matches_oracle(rels, joins)
     filters = [op for op in dag.op_nodes.values()
                if op.kind == memo.KIND_JOINFILTER]
     # each of the three joins can arrive last, onto an already-joined tree
-    assert sorted({op.detail for op in filters}) == sorted(j.text for j in joins)
+    assert sorted({op.detail for op in filters}) == sorted(j.canonical() for j in joins)
     for op in filters:
         parent = next(n for n in dag.eq_nodes.values()
                       if op.id in n.child_ops)
@@ -103,13 +104,13 @@ def test_triangle_closes_with_joinfilter():
     # the closed triangle has one root whichever edge degenerated
     root = dag.eq_nodes[trees["a"]]
     assert root.signature[0] == ("a", "b", "c")
-    assert root.signature[1] == tuple(sorted(j.text for j in joins))
+    assert root.signature[1] == tuple(sorted(j.canonical() for j in joins))
 
 
 def test_joinfilter_size_uses_single_input():
     rels = {"a": 100.0, "b": 100.0}
-    joins = (JoinOp("a.x = b.x", "a", "b", 0.01),
-             JoinOp("a.y = b.y", "a", "b", 0.5))
+    joins = (JoinCondition.make(("a", "x"), ("b", "x"), 0.01),
+             JoinCondition.make(("a", "y"), ("b", "y"), 0.5))
     dag, trees = assert_matches_oracle(rels, joins)
     root = dag.eq_nodes[trees["a"]]
     # 0.01*100*100 = 100 rows, then filter 0.5*100 (not 0.5*100*100)
@@ -125,8 +126,9 @@ def test_no_conditions_returns_bases():
 
 
 def test_selects_only_stack_per_relation():
-    selects = (SelectOp("a.x > 1", "a", 0.5), SelectOp("a.y > 2", "a", 0.5),
-               SelectOp("b.z > 3", "b", 0.1))
+    selects = (SelectCondition("a", "x", ">", 1, 0.5),
+               SelectCondition("a", "y", ">", 2, 0.5),
+               SelectCondition("b", "z", ">", 3, 0.1))
     dag, trees = assert_matches_oracle({"a": 100.0, "b": 10.0}, (), selects)
     assert dag.eq_nodes[trees["a"]].est_size == pytest.approx(25.0)
     assert dag.eq_nodes[trees["b"]].est_size == pytest.approx(1.0)
@@ -135,7 +137,7 @@ def test_selects_only_stack_per_relation():
 
 def test_state_count_is_subset_sized():
     # 4 independent selects on one relation: 2^4 applied-sets -> 16 eq-nodes
-    selects = tuple(SelectOp(f"a.x > {i}", "a", 0.5) for i in range(4))
+    selects = tuple(SelectCondition("a", "x", ">", i, 0.5) for i in range(4))
     dag = memo.Dag()
     forest.expand_forest(dag, {"a": 100.0}, (), selects)
     assert len(dag.eq_nodes) == 16
@@ -152,11 +154,10 @@ def random_instance(rng):
     while rng.random() < 0.4 and len(edges) < n_rels * (n_rels - 1) // 2:
         a, b = rng.sample(names, 2)
         edges.add(tuple(sorted((a, b))))
-    joins = tuple(JoinOp(f"{a}.k = {b}.k", a, b, rng.choice([0.001, 0.01, 0.1]))
+    joins = tuple(JoinCondition.make((a, "k"), (b, "k"), rng.choice([0.001, 0.01, 0.1]))
                   for a, b in sorted(edges))
     n_sel = rng.randint(0, max(0, 5 - len(joins)))
-    selects = tuple(SelectOp(f"{names[i % n_rels]}.v > {i}", names[i % n_rels],
-                             rng.choice([0.1, 0.5]))
+    selects = tuple(SelectCondition(names[i % n_rels], "v", ">", i, rng.choice([0.1, 0.5]))
                     for i in range(n_sel))
     return rels, joins, selects
 
@@ -170,36 +171,26 @@ def test_random_instances_match_oracle():
         assert_matches_oracle(rels, joins, selects)
 
 
-def test_condition_helpers_use_canonical_text(company_catalog):
-    from sprinkleqo.sqlfront import parse_query
-    from conftest import fixture_sql
-    q = parse_query(fixture_sql("company", "q1"), company_catalog)
-    jops = forest.join_ops_from_conditions(q.joins)
-    sops = forest.select_ops_from_conditions(q.selects)
-    assert {j.text for j in jops} == {j.canonical() for j in q.joins}
-    assert all(s.relation in {"works_on", "project"} for s in sops)
-    assert all(0 < s.ssf <= 1 for s in sops)
-
-
 def reference_expand_forest(dag, relations, joins, selects=()):
-    """The expansion before its steps were memoized, kept verbatim: every
-    visit of a step re-attaches its operator."""
+    """The expansion before its steps were memoized: every visit of a step
+    re-attaches its operator."""
     trees: dict[str, int] = {}
     for rel in sorted(relations):
         trees[rel] = memo.ensure_base(dag, rel, relations[rel])
 
-    conditions = sorted(joins + selects, key=lambda c: c.text)
+    conditions = sorted(joins + selects, key=lambda c: c.canonical())
     visited: set[frozenset[str]] = set()
     final_trees: dict[str, int] = {}
 
     def apply_one(state: dict[str, int], cond) -> dict[str, int]:
-        if isinstance(cond, SelectOp):
-            eq = intern_op(dag, KIND_SELECT, cond.text, (state[cond.relation],), cond.ssf)
-        elif state[cond.rel_a] == state[cond.rel_b]:
-            eq = intern_op(dag, KIND_JOINFILTER, cond.text, (state[cond.rel_a],), cond.jsf)
+        text = cond.canonical()
+        if isinstance(cond, SelectCondition):
+            eq = intern_op(dag, KIND_SELECT, text, (state[cond.relation],), cond.ssf)
+        elif state[cond.left[0]] == state[cond.right[0]]:
+            eq = intern_op(dag, KIND_JOINFILTER, text, (state[cond.left[0]],), cond.jsf)
         else:
-            eq = intern_op(dag, KIND_JOIN, cond.text,
-                           (state[cond.rel_a], state[cond.rel_b]), cond.jsf)
+            eq = intern_op(dag, KIND_JOIN, text,
+                           (state[cond.left[0]], state[cond.right[0]]), cond.jsf)
         new_state = dict(state)
         for rel in dag.eq_nodes[eq].signature[0]:
             new_state[rel] = eq
@@ -210,10 +201,10 @@ def reference_expand_forest(dag, relations, joins, selects=()):
             final_trees.update(state)
             return
         for cond in conditions:
-            if cond.text in applied:
+            if cond.canonical() in applied:
                 continue
             next_state = apply_one(state, cond)
-            next_applied = applied | {cond.text}
+            next_applied = applied | {cond.canonical()}
             if next_applied not in visited:
                 visited.add(next_applied)
                 expand(next_state, next_applied)
@@ -231,14 +222,12 @@ def cyclic_schema_instances(with_selects: bool, wanted: int = 12):
     for seed in itertools.count():
         rng = random.Random(seed)
         catalog = random_schema(rng)
-        edges = catalog.graph.edges
-        rels = {r for e in edges for r in (e.left[0], e.right[0])}
-        if len(edges) < len(rels):  # a forest: no cycle
+        joins = catalog.graph.edges
+        rels = {r for j in joins for r in j.relations()}
+        if len(joins) < len(rels):  # a forest: no cycle
             continue
         relations = {r: float(catalog.relation(r).cardinality) for r in sorted(rels)}
-        joins = forest.join_ops_from_conditions(
-            [JoinCondition.make(e.left, e.right, e.jsf) for e in edges])
-        selects = tuple(SelectOp(f"{r}.b > {i}", r, 0.1 * (i + 1))
+        selects = tuple(SelectCondition(r, "b", ">", i, 0.1 * (i + 1))
                         for i, r in enumerate(sorted(rels)[:2])) if with_selects else ()
         if len(joins) + len(selects) > 8:
             continue
@@ -271,7 +260,7 @@ def shape(kind, n):
     else:
         pairs = [(f"r{i}", f"r{(i + 1) % n}") for i in range(n)]
     relations = {r: 100.0 + i for i, r in enumerate(sorted({r for p in pairs for r in p}))}
-    joins = tuple(JoinOp(f"{a}.k = {b}.k", a, b, 0.01) for a, b in pairs)
+    joins = tuple(JoinCondition.make((a, "k"), (b, "k"), 0.01) for a, b in pairs)
     return relations, joins
 
 

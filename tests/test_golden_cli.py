@@ -111,9 +111,13 @@ def collect(group: str, tmp: pathlib.Path) -> dict[str, dict]:
 def test_cli_artifacts_match_golden(group, tmp_path):
     golden = json.loads(GOLDEN.read_text())[group]
     cases = collect(group, tmp_path)
-    assert sorted(cases) == sorted(golden)
-    for name in sorted(cases):
-        assert cases[name] == golden[name], name
+    # every case and artifact that differs, so one run shows all that changed
+    changed = [f"{name}: {artifact}"
+               for name in sorted(cases.keys() | golden.keys())
+               for artifact in sorted(cases.get(name, {}).keys() | golden.get(name, {}).keys())
+               if cases.get(name, {}).get(artifact, "<absent>")
+               != golden.get(name, {}).get(artifact, "<absent>")]
+    assert not changed, f"{len(changed)} artifacts differ: " + "; ".join(changed)
 
 
 if __name__ == "__main__":

@@ -6,8 +6,6 @@ signature parts, op kinds, details and children, sizes, costs and factors,
 arcs and roots.
 """
 
-import contextlib
-import io
 import json
 import pathlib
 import tempfile
@@ -17,10 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from sprinkleqo import joindag
 from sprinkleqo.catalog import load_catalog_file
-from sprinkleqo.cli import main
-from sprinkleqo.sqlfront import JoinCondition
 
-from conftest import FIXTURES
+from conftest import FIXTURES, run_cli
 
 # (schema group, query): tpch's history holds a cycle, so joinfilters
 CASES = {"company": "q1", "tpch": "q4"}
@@ -29,8 +25,8 @@ CASES = {"company": "q1", "tpch": "q4"}
 def saved_history(group: str) -> str:
     """The JSON text of the history `histdag build` saves for a schema."""
     catalog = load_catalog_file(str(FIXTURES / group / "schema.json"))
-    joins = tuple(JoinCondition.make(e.left, e.right, e.jsf) for e in catalog.graph.edges)
-    return json.dumps(joindag._history_doc(joindag.build_complete_history(catalog, joins)))
+    return json.dumps(joindag._history_doc(
+        joindag.build_complete_history(catalog, catalog.graph.edges)))
 
 
 HISTORIES = {group: saved_history(group) for group in CASES}
@@ -94,13 +90,6 @@ def mutate(draw, dag: dict, texts: list[str]) -> None:
         roots[draw(st.sampled_from(sorted(roots)))] = draw(st.one_of(ids, JUNK))
 
 
-def run(*argv: str) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
-
-
 def assert_run_or_one_error_line(group: str, doc: dict, expect_error: bool = False) -> None:
     doc["checksum"] = joindag._checksum({k: v for k, v in doc.items() if k != "checksum"})
     schema = str(FIXTURES / group / "schema.json")
@@ -110,7 +99,7 @@ def assert_run_or_one_error_line(group: str, doc: dict, expect_error: bool = Fal
         path.write_text(json.dumps(doc))
         for argv in (("histdag", "show", "--schema", schema),
                      ("optimize", "--schema", schema, "--query", query)):
-            code, stdout, stderr = run(*argv, "--history", str(path))
+            code, stdout, stderr = run_cli(*argv, "--history", str(path))
             if code == 0 and not expect_error:
                 assert "nan" not in stdout.lower()
             else:

@@ -15,11 +15,6 @@ from conftest import make_catalog, random_schema
 COMPANY_ROOT = "component:department+dept_locations+employee+project+works_on"
 
 
-def catalog_joins(catalog):
-    return tuple(JoinCondition.make(e.left, e.right, e.jsf)
-                 for e in catalog.graph.edges)
-
-
 def structure(history):
     dag = history.dag
     return ({n.signature for n in dag.eq_nodes.values()},
@@ -30,7 +25,7 @@ def structure(history):
 
 def test_complete_build_company(company_catalog):
     h = joindag.build_complete_history(company_catalog,
-                                       catalog_joins(company_catalog))
+                                       company_catalog.graph.edges)
     assert h.version == 1
     assert len(h.known_joins) == 5
     assert h.last_build_combinations == 120
@@ -43,7 +38,7 @@ def test_complete_build_company(company_catalog):
 
 
 def test_known_only_rebuild_bumps_version_only(company_catalog):
-    joins = catalog_joins(company_catalog)
+    joins = company_catalog.graph.edges
     h1 = joindag.build_complete_history(company_catalog, joins)
     h2 = joindag.build_incremental(h1, joins, company_catalog)
     assert h2.version == 2
@@ -51,8 +46,20 @@ def test_known_only_rebuild_bumps_version_only(company_catalog):
     assert structure(h2) == structure(h1)
 
 
+def test_known_only_build_shares_the_dag(company_catalog):
+    joins = company_catalog.graph.edges
+    h1 = joindag.build_complete_history(company_catalog, joins[:2])
+    before = structure(h1)
+    h2 = joindag.build_incremental(h1, joins[:1], company_catalog)
+    assert h2.dag is h1.dag and h2.known_joins is h1.known_joins
+    assert (h1.version, h2.version) == (1, 2)
+    # a later build that adds joins copies the shared dag first
+    joindag.build_incremental(h2, joins, company_catalog)
+    assert structure(h1) == before
+
+
 def test_incremental_build_merges_components(company_catalog):
-    joins = {j.canonical(): j for j in catalog_joins(company_catalog)}
+    joins = {j.canonical(): j for j in company_catalog.graph.edges}
     ew = joins["employee.ssn = works_on.ssn"]
     pd = joins["department.dnumber = project.dnum"]
     wp = joins["project.pnumber = works_on.pno"]
@@ -68,7 +75,7 @@ def test_incremental_build_merges_components(company_catalog):
 
 
 def test_input_history_is_not_mutated(company_catalog):
-    joins = catalog_joins(company_catalog)
+    joins = company_catalog.graph.edges
     h = joindag.build_complete_history(company_catalog, joins[:2])
     before = structure(h)
     joindag.build_incremental(h, joins, company_catalog)
@@ -92,7 +99,7 @@ def test_catalog_fingerprint_guard(company_catalog, tpch_catalog):
 
 
 def test_per_component_limit(tpch_catalog):
-    joins = catalog_joins(tpch_catalog)  # one 6-edge component
+    joins = tpch_catalog.graph.edges  # one 6-edge component
     with pytest.raises(LimitExceededError) as exc:
         joindag.build_complete_history(tpch_catalog, joins, limit=5)
     assert exc.value.n == 6 and exc.value.limit == 5
@@ -105,7 +112,7 @@ def test_incremental_equals_complete_random_batches():
     rng = random.Random(414243)
     for _ in range(30):
         catalog = random_schema(rng)
-        joins = list(catalog_joins(catalog))
+        joins = list(catalog.graph.edges)
         if not joins:
             continue
         complete = joindag.build_complete_history(catalog, tuple(joins))
@@ -121,7 +128,7 @@ def test_incremental_equals_complete_random_batches():
 
 def test_query_join_root_full_and_subset(company_catalog):
     h = joindag.build_complete_history(company_catalog,
-                                       catalog_joins(company_catalog))
+                                       company_catalog.graph.edges)
     text = "employee.ssn = works_on.ssn"
     bases = {"employee": 1000.0, "works_on": 5000.0}
     eq = joindag.query_join_root(h, bases, (text,))
@@ -144,14 +151,14 @@ def test_query_join_root_single_relation(company_catalog):
 
 def test_query_join_root_missing_condition(company_catalog):
     h = joindag.build_complete_history(company_catalog,
-                                       catalog_joins(company_catalog)[:1])
+                                       company_catalog.graph.edges[:1])
     with pytest.raises(ValidationError, match="not in history"):
         joindag.query_join_root(h, {"employee": 1.0, "department": 1.0},
                                 ("department.dnumber = employee.dno",))
 
 
 def test_query_join_root_unjoined_components(company_catalog):
-    joins = {j.canonical(): j for j in catalog_joins(company_catalog)}
+    joins = {j.canonical(): j for j in company_catalog.graph.edges}
     ew = joins["employee.ssn = works_on.ssn"]
     pd = joins["department.dnumber = project.dnum"]
     h = joindag.build_complete_history(company_catalog, (ew, pd))
@@ -164,7 +171,7 @@ def test_query_join_root_unjoined_components(company_catalog):
 
 def test_save_load_round_trip(company_catalog, tmp_path):
     h = joindag.build_complete_history(company_catalog,
-                                       catalog_joins(company_catalog))
+                                       company_catalog.graph.edges)
     path = str(tmp_path / "history.json")
     joindag.save_history(h, path)
     loaded = joindag.load_history(path)
@@ -188,7 +195,7 @@ def corrupt(path, mutate):
 
 def test_load_rejects_corruption(company_catalog, tmp_path):
     h = joindag.build_complete_history(company_catalog,
-                                       catalog_joins(company_catalog)[:2])
+                                       company_catalog.graph.edges[:2])
     path = tmp_path / "h.json"
     joindag.save_history(h, str(path))
 
@@ -219,7 +226,7 @@ def test_load_rejects_corruption(company_catalog, tmp_path):
 def test_loaded_history_rejects_other_catalog(company_catalog, tpch_catalog,
                                               tmp_path):
     h = joindag.build_complete_history(company_catalog,
-                                       catalog_joins(company_catalog)[:1])
+                                       company_catalog.graph.edges[:1])
     path = str(tmp_path / "h.json")
     joindag.save_history(h, path)
     loaded = joindag.load_history(path)
@@ -229,7 +236,7 @@ def test_loaded_history_rejects_other_catalog(company_catalog, tpch_catalog,
 
 def test_clone_is_independent(company_catalog):
     h = joindag.build_complete_history(company_catalog,
-                                       catalog_joins(company_catalog)[:2])
+                                       company_catalog.graph.edges[:2])
     c = h.clone()
     c.version = 77
     c.known_joins.clear()

@@ -13,8 +13,8 @@ from sprinkleqo.costplan import base_plan, op_plan, plan_key
 from sprinkleqo.errors import DagError, ValidationError
 from sprinkleqo.memo import (KIND_GROUPBY, KIND_HAVING, KIND_JOIN,
                              KIND_JOINFILTER, KIND_ORDERBY, KIND_PROJECT, KIND_SELECT)
-from sprinkleqo.sqlfront import (HavingCondition, JoinCondition, OrderItem,
-                                 SelectCondition, extract_join_set, parse_query)
+from sprinkleqo.sqlfront import (HavingCondition, OrderItem, SelectCondition,
+                                 extract_join_set, parse_query)
 
 from conftest import FIXTURES, chain_catalog, fixture_sql, make_catalog, random_schema, \
     connected_query_sql
@@ -757,9 +757,7 @@ def test_history_reuse_across_queries(company_catalog):
 
 def test_extract_query_joindag_subset(company_catalog):
     from conftest import make_catalog  # noqa: F401  (kept for symmetry)
-    joins = tuple(JoinCondition.make(e.left, e.right, e.jsf)
-                  for e in company_catalog.graph.edges)
-    history = joindag.build_complete_history(company_catalog, joins)
+    history = joindag.build_complete_history(company_catalog, company_catalog.graph.edges)
     q = parse_query(fixture_sql("company", "q1"), company_catalog)
     jd = sprinkle.extract_query_joindag(history, q, company_catalog, "q1")
     assert memo.count_nodes(jd) == (6, 4, 2)
@@ -768,7 +766,8 @@ def test_extract_query_joindag_subset(company_catalog):
     # extraction from the 5-join history equals a 2-join standalone build
     small = joindag.build_complete_history(
         company_catalog,
-        tuple(j for j in joins if j.canonical() in set(root.signature[1])))
+        tuple(j for j in company_catalog.graph.edges
+              if j.canonical() in set(root.signature[1])))
     assert {n.signature for n in jd.eq_nodes.values()} == \
         {n.signature for n in small.dag.eq_nodes.values()}
     assert memo.arc_signature_set(jd) == memo.arc_signature_set(small.dag)
@@ -815,8 +814,7 @@ def copy_cases(tmp_path):
                    for path in sorted((FIXTURES / schema).glob("*.sql"))]
         flat = [q for q in queries if q.subquery is None]
         joins = {j.canonical(): j for q in flat for j in extract_join_set(q)}
-        joins.update((j.canonical(), j) for j in (
-            JoinCondition.make(e.left, e.right, e.jsf) for e in catalog.graph.edges))
+        joins.update((j.canonical(), j) for j in catalog.graph.edges)
         path = str(tmp_path / f"{schema}.json")
         joindag.save_history(joindag.build_complete_history(
             catalog, tuple(joins[t] for t in sorted(joins))), path)
