@@ -128,14 +128,9 @@ def build_complete_history(catalog: Catalog, joins: tuple[JoinCondition, ...],
 
 def query_join_root(history: HistoryDag, bases: dict[str, float],
                     join_texts: tuple[str, ...]) -> int:
-    """Eq-node holding all join orders for one query's join set.
-
-    Single-relation queries intern their base node on demand; anything else
-    must already be present from a history build.
+    """Eq-node holding all join orders for one query's join set, which a
+    history build must already have added; the history is only read.
     """
-    if not join_texts:
-        (rel,) = bases
-        return memo.ensure_base(history.dag, rel, bases[rel])
     sig = memo.make_signature(bases, join_texts, (), ())
     eq = history.dag.find_eq(sig)
     if eq is None:

@@ -32,7 +32,7 @@ def _suffix_chain(query: Query, catalog: Catalog) -> list[tuple[str, str, float 
     """(kind, detail, factor) steps stacked above the full join/select result.
 
     Fixed order: groupby, having, project, orderby.  The projection retains
-    the output attributes plus order-by keys and is elided when it would
+    the output attributes (order-by keys included) and is elided when it would
     retain the full width of the joined relations (same rule the sprinkler
     uses, so differential cost comparisons stay exact).
     """
@@ -43,8 +43,6 @@ def _suffix_chain(query: Query, catalog: Catalog) -> list[tuple[str, str, float 
         if query.having is not None:
             steps.append((KIND_HAVING, query.having.canonical(), query.having.ssf))
     retained = sqlfront.output_attrs(query, catalog)
-    for item in query.order_by:
-        retained.add(f"{item.relation}.{item.attribute}")
     if retained and retained != sqlfront.all_query_attrs(query, catalog):
         steps.append((KIND_PROJECT, sqlfront.project_text(retained), None))
     if query.order_by:

@@ -20,7 +20,9 @@ fresh memo:
 The select placement DP has one step (`_Placement.node`) and two callers:
 over one plan (`place_selects_on_plan`), where each node has one
 alternative, and over the memo (`_select_floors`), where an eq-node's
-alternatives are its op-nodes.
+alternatives are its op-nodes.  Over one plan, the placements that come
+within rounding of the DP's least cost are enumerated from its tables, and
+each is built as it is enumerated.
 
 Costly plans are pruned branch-and-bound style.  The select stage walks
 plans lazily (`costplan.plans_within`), and never builds a whole family of
@@ -36,6 +38,7 @@ walk `costplan.enumerate_plans` and prune by decorated cost.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -63,25 +66,6 @@ def plan_bases(plan: Plan) -> frozenset[str]:
 
 def _stack_key(cond: SelectCondition) -> tuple[float, str]:
     return cond.ssf, cond.canonical()
-
-
-def _rebuild_with_selects(plan: Plan, placed: dict[int, list[SelectCondition]]) -> Plan:
-    """Copy of `plan` with selects stacked above the nodes they map to.
-
-    Stacks apply most selective first (ascending ssf, then canonical text).
-    """
-
-    def walk(node: Plan) -> Plan:
-        if node.kind == "base":
-            out = node
-        else:
-            out = op_plan(node.kind, node.detail,
-                          tuple(walk(c) for c in node.children), node.factor)
-        for cond in sorted(placed.get(id(node), ()), key=_stack_key):
-            out = op_plan(KIND_SELECT, cond.canonical(), (out,), cond.ssf)
-        return out
-
-    return walk(plan)
 
 
 def _subsets(n: int) -> list[list[int]]:
@@ -197,70 +181,62 @@ def place_selects_on_plan(plan: Plan, selects) -> Plan:
 
     Candidate positions for each select are every node on the path from its
     relation's leaf to the root.  The placement DP finds the least cost
-    without building plans; only the placements within memo.SIZE_RTOL of it
-    are rebuilt, because the DP and a rebuilt plan add in different orders.
-    The first cheapest rebuilt plan in product order (selects in canonical
-    order, each path root-first) wins, so cost ties prefer positions nearer
-    the root.
+    without building plans.  The placements within memo.SIZE_RTOL of it are
+    then enumerated, and each is built as it is enumerated, bottom-up from
+    its children's, because the DP and a built plan add in different
+    orders.  The first cheapest built plan in product order (selects in
+    canonical order, each path root-first) wins, so cost ties prefer
+    positions nearer the root.
     """
     if not selects:
         return plan
     dp = _Placement(selects)
     ordered, subsets, stack_cost = dp.ordered, dp.subsets, dp.stack_cost
-    paths: list[list[Plan] | None] = [None] * len(ordered)   # each select's, root-first
+    stacking = sorted(range(len(ordered)), key=lambda i: _stack_key(ordered[i]))
 
-    def build(node: Plan, path: list[Plan], all_s: bool):
-        """The node's cell and its children's, as the tree (cell, children)."""
-        path = path + [node]
+    def build(node: Plan, all_s: bool):
+        """The tree (cell, node, children) of the plan's DP cells."""
         if node.kind == "base":
-            cell = dp.leaf(node.relation, node.est_size)
-            for i in range(len(ordered)):
-                if cell.mask >> i & 1:
-                    paths[i] = path
-            return cell, ()
-        children = tuple(build(c, path, True) for c in node.children)
-        return dp.node([(node.kind, node.factor, [c for c, _ in children])], all_s), children
+            return dp.leaf(node.relation, node.est_size), node, ()
+        children = tuple(build(c, True) for c in node.children)
+        cell = dp.node([(node.kind, node.factor, [c for c, _, _ in children])], all_s)
+        return cell, node, children
 
-    def placements(tree, depth: int, s: int, budget: float):
-        """(DP cost, ((select, depth), ...)) for every placement of `s` at or
-        below the tree's node costing no more than `budget`.  A non-finite
-        cost is never above the budget, so such plans keep every placement."""
-        cell, children = tree
+    def placements(tree, depth: int, s: int, budget: float) -> list:
+        """(DP cost, depth key, built plan) for every placement of `s` at or
+        below the tree's node costing no more than `budget`; key[i] is the
+        depth of select i, 0 for one outside `s`.  A non-finite cost is never
+        above the budget, so such plans keep every placement."""
+        cell, node, children = tree
+        found = []
         for u in subsets[s if children else 0]:   # a leaf has nothing below it
             here = cell.local[u] + cell.pre[u] * stack_cost[s ^ u]
             if here + cell.below[u] > budget:
                 continue
-            mine = tuple((i, depth) for i in range(len(ordered)) if (s ^ u) >> i & 1)
-            for cost, placed in children_placements(children, depth + 1, u, budget - here):
-                yield here + cost, mine + placed
+            slack = budget - here - cell.below[u]   # what each child may spend above its best
+            options = [placements(c, depth + 1, u & c[0].mask, c[0].best[u & c[0].mask] + slack)
+                       for c in children]
+            mine = [i for i in stacking if (s ^ u) >> i & 1]
+            key = tuple(depth if i in mine else 0 for i in range(len(ordered)))
+            for combo in itertools.product(*options):
+                cost = here + sum(c for c, _, _ in combo)
+                if cost > budget:
+                    continue
+                built = node if not children else op_plan(
+                    node.kind, node.detail, tuple(p for _, _, p in combo), node.factor)
+                for i in mine:
+                    built = op_plan(KIND_SELECT, ordered[i].canonical(), (built,), ordered[i].ssf)
+                found.append((cost, tuple(map(sum, zip(key, *(k for _, k, _ in combo)))), built))
+        return found
 
-    def children_placements(children, depth: int, u: int, budget: float):
-        if not children:
-            yield 0.0, ()
-            return
-        first, rest = children[0], children[1:]
-        rest_least = sum(c.best[u & c.mask] for c, _ in rest)
-        for cost, placed in placements(first, depth, u & first[0].mask, budget - rest_least):
-            for rest_cost, rest_placed in children_placements(rest, depth, u, budget - cost):
-                yield cost + rest_cost, placed + rest_placed
-
-    tree = build(plan, [], False)
-    for cond, path in zip(ordered, paths):
-        if path is None:
+    tree = build(plan, False)
+    for i, cond in enumerate(ordered):
+        if not tree[0].mask >> i & 1:
             raise DagError(f"relation {cond.relation!r} not a base of this plan")
     least = tree[0].best[dp.width - 1]
     budget = least + memo.SIZE_RTOL * max(1.0, abs(least))
-    ties = sorted(tuple(depth for _, depth in sorted(placed))
-                  for _, placed in placements(tree, 0, dp.width - 1, budget))
-    best: Plan | None = None
-    for positions in ties:
-        placed: dict[int, list[SelectCondition]] = {}
-        for cond, path, depth in zip(ordered, paths, positions):
-            placed.setdefault(id(path[depth]), []).append(cond)
-        candidate = _rebuild_with_selects(plan, placed)
-        if best is None or candidate.cum_cost < best.cum_cost:
-            best = candidate
-    return best
+    in_product_order = sorted(placements(tree, 0, dp.width - 1, budget), key=lambda c: c[1])
+    return min(in_product_order, key=lambda c: c[2].cum_cost)[2]
 
 
 # -- stage helpers -----------------------------------------------------------

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from .catalog import AttrRef, Catalog, JoinCondition, components, lookup_ssf, resolve_jsf
 from .errors import ParseError, ValidationError
 
-_OPERATORS = ("<=", ">=", "<>", "!=", "=", "<", ">")
+# the leftmost comparison operator; two-character ones are tried first
+_OPERATOR_RE = re.compile(r"<=|>=|<>|!=|=|<|>")
 _AGG_FUNCS = ("sum", "avg", "count", "min", "max")
 _IDENT = r"[a-z_][a-z0-9_]*"
 _AGG_RE = re.compile(rf"^({'|'.join(_AGG_FUNCS)})\s*\(\s*(.+?)\s*\)$")
@@ -150,29 +151,35 @@ def extract_join_set(query: Query) -> tuple[JoinCondition, ...]:
 
 # --- tokenizer-level helpers -------------------------------------------------
 
-def _top_level(text: str):
-    """Yield each index of `text` at paren depth zero outside quotes (the
-    parentheses and quotes themselves excluded); raise on unbalanced text
-    once the scan completes."""
-    depth = 0
-    in_quote = False
-    for i, ch in enumerate(text):
-        if in_quote:
-            in_quote = ch != "'"
-        elif ch == "'":
-            in_quote = True
-        elif ch == "(":
+_NESTING_RE = re.compile(r"'[^']*'|[()']")   # a quoted literal, a paren, or a lone quote
+
+
+def _top_level(text: str) -> str:
+    """`text` with every character inside quotes or parentheses, the quotes
+    and parentheses included, replaced by NUL, so that a search of the
+    result finds only text at paren depth zero outside quotes.  Raises on
+    unbalanced text: a ')' with no '(' as the scan meets it, then a quote
+    left open, then a '(' left open."""
+    pieces, depth, kept = [], 0, 0   # text[:kept] is in pieces
+    for m in _NESTING_RE.finditer(text):
+        token = m.group()
+        if token == "'":   # no quote closes it: the rest of the text is quoted
+            raise ParseError("unterminated string literal")
+        if depth == 0:
+            pieces.append(text[kept:m.start()])
+            kept = m.start()
+        if token == "(":
             depth += 1
-        elif ch == ")":
+        elif token == ")":
             depth -= 1
             if depth < 0:
                 raise ParseError("unbalanced parentheses")
-        elif depth == 0:
-            yield i
-    if in_quote:
-        raise ParseError("unterminated string literal")
+        if depth == 0:
+            pieces.append("\0" * (m.end() - kept))
+            kept = m.end()
     if depth != 0:
         raise ParseError("unbalanced parentheses")
+    return "".join(pieces) + text[kept:]
 
 
 _CLAUSES = ("select", "from", "where", "group by", "having", "order by")
@@ -182,9 +189,7 @@ _CLAUSE_RE = re.compile(r"(?<![a-z0-9_.])(" + "|".join(_CLAUSES) + r")(?![a-z0-9
 
 def _scan_clauses(text: str) -> dict[str, str]:
     """Split a statement into clause texts, honoring parens and quotes."""
-    top = set(_top_level(text))
-    positions = [(m.start(), m.group(1)) for m in _CLAUSE_RE.finditer(text)
-                 if m.start() in top]
+    positions = [(m.start(), m.group(1)) for m in _CLAUSE_RE.finditer(_top_level(text))]
     if not positions or positions[0][1] != "select" or positions[0][0] != 0:
         raise ParseError("statement must start with SELECT")
     order = {kw: n for n, kw in enumerate(_CLAUSES)}
@@ -204,10 +209,9 @@ def _split_top_level(text: str, separator: str) -> list[str]:
     """Split on a separator token at paren depth zero, outside quotes."""
     parts: list[str] = []
     start = 0
-    for i in _top_level(text):
-        if i >= start and text.startswith(separator, i):
-            parts.append(text[start:i].strip())
-            start = i + len(separator)
+    for m in re.finditer(re.escape(separator), _top_level(text)):
+        parts.append(text[start:m.start()].strip())
+        start = m.end()
     parts.append(text[start:].strip())
     return [p for p in parts if p]
 
@@ -299,11 +303,11 @@ def _parse_select_items(text: str, resolver: _Resolver) -> tuple[ProjectionItem,
 
 
 def _split_condition(text: str) -> tuple[str, str, str]:
-    for i in _top_level(text):
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                return text[:i].strip(), ("<>" if op == "!=" else op), text[i + len(op):].strip()
-    raise ParseError(f"no comparison operator in condition {text!r}")
+    m = _OPERATOR_RE.search(_top_level(text))
+    if m is None:
+        raise ParseError(f"no comparison operator in condition {text!r}")
+    op = m.group()
+    return text[:m.start()].strip(), ("<>" if op == "!=" else op), text[m.end():].strip()
 
 
 def _connectivity(tables: set[str], edges: list[tuple[str, str]]) -> None:
@@ -322,7 +326,7 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
         raise ParseError("empty statement")
     if _depth > 1:
         raise ParseError("subqueries may not nest beyond one level")
-    if re.search(r"\bor\b", re.sub(r"'[^']*'", "''", text.replace("order by", " "))):
+    if re.search(r"\bor\b", re.sub(r"'[^']*'", "''", text)):
         raise ParseError("OR is not supported; WHERE must be a conjunction")
     clauses = _scan_clauses(text)
 

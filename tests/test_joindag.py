@@ -142,11 +142,17 @@ def test_query_join_root_full_and_subset(company_catalog):
     assert full == h.dag.query_roots[COMPANY_ROOT]
 
 
-def test_query_join_root_single_relation(company_catalog):
-    h = joindag.empty_history(company_catalog)
-    eq = joindag.query_join_root(h, {"employee": 1000.0}, ())
-    assert h.dag.eq_nodes[eq].signature == memo.base_signature("employee")
-    assert h.dag.eq_nodes[eq].est_size == 1000.0
+def test_query_join_root_without_joins_writes_into_no_history(company_catalog):
+    # a known-only build shares its input's dag, so a write would reach both
+    join = company_catalog.graph.edges[0]   # employee.ssn = works_on.ssn
+    h1 = joindag.build_complete_history(company_catalog, (join,))
+    h2 = joindag.build_incremental(h1, (join,), company_catalog)
+    counts = len(h1.dag.eq_nodes), len(h2.dag.eq_nodes)
+    with pytest.raises(ValidationError):
+        joindag.query_join_root(h2, {"project": 50.0}, ())
+    eq = joindag.query_join_root(h2, {"employee": 1000.0}, ())
+    assert h2.dag.eq_nodes[eq].signature == memo.base_signature("employee")
+    assert (len(h1.dag.eq_nodes), len(h2.dag.eq_nodes)) == counts
 
 
 def test_query_join_root_missing_condition(company_catalog):

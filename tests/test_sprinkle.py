@@ -9,10 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from sprinkleqo import costplan, joindag, memo, naive, sprinkle, sqlfront
 from sprinkleqo.catalog import load_catalog
-from sprinkleqo.costplan import base_plan, op_plan, plan_key
+from sprinkleqo.costplan import Plan, base_plan, op_plan, plan_key
 from sprinkleqo.errors import DagError, ValidationError
 from sprinkleqo.memo import (KIND_GROUPBY, KIND_HAVING, KIND_JOIN,
                              KIND_JOINFILTER, KIND_ORDERBY, KIND_PROJECT, KIND_SELECT)
+from sprinkleqo.sprinkle import _stack_key
 from sprinkleqo.sqlfront import (HavingCondition, OrderItem, SelectCondition,
                                  extract_join_set, parse_query)
 
@@ -41,6 +42,25 @@ def path_to_relation(plan, relation):
     return path
 
 
+def _rebuild_with_selects(plan: Plan, placed: dict[int, list[SelectCondition]]) -> Plan:
+    """Copy of `plan` with selects stacked above the nodes they map to.
+
+    Stacks apply most selective first (ascending ssf, then canonical text).
+    """
+
+    def walk(node: Plan) -> Plan:
+        if node.kind == "base":
+            out = node
+        else:
+            out = op_plan(node.kind, node.detail,
+                          tuple(walk(c) for c in node.children), node.factor)
+        for cond in sorted(placed.get(id(node), ()), key=_stack_key):
+            out = op_plan(KIND_SELECT, cond.canonical(), (out,), cond.ssf)
+        return out
+
+    return walk(plan)
+
+
 def product_placement(plan, selects):
     """The exhaustive product search select placement used before the DP:
     the first cheapest rebuilt plan in itertools.product order."""
@@ -51,7 +71,7 @@ def product_placement(plan, selects):
         placed = {}
         for cond, node in zip(ordered, assignment):
             placed.setdefault(id(node), []).append(cond)
-        candidate = sprinkle._rebuild_with_selects(plan, placed)
+        candidate = _rebuild_with_selects(plan, placed)
         if best is None or candidate.cum_cost < best.cum_cost:
             best = candidate
     return best

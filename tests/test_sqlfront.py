@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sprinkleqo import sqlfront
 from sprinkleqo.errors import ParseError, ValidationError
 from sprinkleqo.sqlfront import (all_query_attrs, extract_join_set,
                                  output_attrs, parse_query, render_query)
@@ -252,3 +253,87 @@ def test_extract_join_set_excludes_subquery_link(company_catalog):
     q = parse_query(fixture_sql("company", "q3_nested"), company_catalog)
     assert [j.canonical() for j in extract_join_set(q)] == \
         ["employee.ssn = works_on.ssn"]
+
+
+# -- the top-level scanner against the character-by-character scan it replaced --
+
+def reference_top_level(text: str):
+    """Yield each index of `text` at paren depth zero outside quotes (the
+    parentheses and quotes themselves excluded); raise on unbalanced text
+    once the scan completes."""
+    depth = 0
+    in_quote = False
+    for i, ch in enumerate(text):
+        if in_quote:
+            in_quote = ch != "'"
+        elif ch == "'":
+            in_quote = True
+        elif ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ParseError("unbalanced parentheses")
+        elif depth == 0:
+            yield i
+    if in_quote:
+        raise ParseError("unterminated string literal")
+    if depth != 0:
+        raise ParseError("unbalanced parentheses")
+
+
+def reference_split_top_level(text: str, separator: str) -> list[str]:
+    """Split on a separator token at paren depth zero, outside quotes."""
+    parts: list[str] = []
+    start = 0
+    for i in reference_top_level(text):
+        if i >= start and text.startswith(separator, i):
+            parts.append(text[start:i].strip())
+            start = i + len(separator)
+    parts.append(text[start:].strip())
+    return [p for p in parts if p]
+
+
+_OPERATORS = ("<=", ">=", "<>", "!=", "=", "<", ">")
+
+
+def reference_split_condition(text: str) -> tuple[str, str, str]:
+    for i in reference_top_level(text):
+        for op in _OPERATORS:
+            if text.startswith(op, i):
+                return text[:i].strip(), ("<>" if op == "!=" else op), text[i + len(op):].strip()
+    raise ParseError(f"no comparison operator in condition {text!r}")
+
+
+def outcome(fn, *args):
+    """fn's result, or the message of the ParseError it raised."""
+    try:
+        return fn(*args)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+scanner_texts = st.lists(st.sampled_from(
+    ["'", "(", ")", ",", "=", "<", ">", "!", "and", "or", " and ", "a", "x", " ", "\0"]),
+    max_size=24).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(scanner_texts)
+def test_top_level_mask_keeps_the_indices_of_the_reference_scan(text):
+    # The reference `_split_condition` stops its scan at the first operator,
+    # so on unbalanced text only the scanners are compared.  parse_query
+    # never splits unbalanced text: `_scan_clauses` scans the whole
+    # statement first, and every clause and condition lies between
+    # top-level positions.
+    expected = outcome(lambda: set(reference_top_level(text)))
+    if isinstance(expected, str):
+        assert outcome(sqlfront._top_level, text) == expected
+        return
+    assert sqlfront._top_level(text) == "".join(
+        c if i in expected else "\0" for i, c in enumerate(text))
+    for separator in (",", " and "):
+        assert sqlfront._split_top_level(text, separator) == \
+            reference_split_top_level(text, separator)
+    assert outcome(sqlfront._split_condition, text) == \
+        outcome(reference_split_condition, text)
