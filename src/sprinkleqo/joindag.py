@@ -138,6 +138,8 @@ def query_join_root(history: HistoryDag, bases: dict[str, float],
         if missing:
             raise ValidationError(
                 f"join conditions not in history: {', '.join(sorted(missing))}")
+        if not join_texts:
+            raise ValidationError(f"base relation not in history: {', '.join(sorted(bases))}")
         raise ValidationError(
             "query join set spans history components that were never joined")
     return eq

@@ -106,6 +106,7 @@ class EqNode:
     id: int
     signature: Signature
     est_size: float
+    text: str   # signature_text(signature), built once; never serialized
     child_ops: list[int] = field(default_factory=list)
 
     @property
@@ -146,7 +147,7 @@ class Dag:
 
     def clone(self) -> "Dag":
         out = Dag()
-        out.eq_nodes = {i: EqNode(n.id, n.signature, n.est_size, list(n.child_ops))
+        out.eq_nodes = {i: EqNode(n.id, n.signature, n.est_size, n.text, list(n.child_ops))
                         for i, n in self.eq_nodes.items()}
         out.op_nodes = dict(self.op_nodes)
         out.query_roots = dict(self.query_roots)
@@ -172,7 +173,7 @@ class Dag:
 
         def new_eq(node: EqNode) -> int:
             eq_id = out._next_eq
-            out.eq_nodes[eq_id] = EqNode(eq_id, node.signature, node.est_size)
+            out.eq_nodes[eq_id] = EqNode(eq_id, node.signature, node.est_size, node.text)
             out._sig_index[node.signature] = eq_id
             out._next_eq += 1
             return eq_id
@@ -216,7 +217,8 @@ def intern_eq(dag: Dag, signature: Signature, est_size: float) -> int:
                 f"signature collision with inconsistent est_size: "
                 f"{signature_text(signature)!r} has {node.est_size!r} vs {est_size!r}")
         return existing
-    node = EqNode(id=dag._next_eq, signature=signature, est_size=float(est_size))
+    node = EqNode(id=dag._next_eq, signature=signature, est_size=float(est_size),
+                  text=signature_text(signature))
     dag.eq_nodes[node.id] = node
     dag._sig_index[signature] = node.id
     dag._next_eq += 1
@@ -252,8 +254,7 @@ def attach_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
     if kind == KIND_JOIN:
         if len(children) != 2:
             raise DagError("join ops take exactly two children")
-        children = tuple(sorted(
-            children, key=lambda c: signature_text(dag.eq_nodes[c].signature)))
+        children = tuple(sorted(children, key=lambda c: dag.eq_nodes[c].text))
         sig = join_signature(dag.eq_nodes[children[0]].signature,
                              dag.eq_nodes[children[1]].signature, detail)
     elif len(children) != 1:
@@ -381,7 +382,7 @@ def export_dot(dag: Dag, name: str = "andor_dag") -> str:
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for eq_id in sorted(dag.eq_nodes):
         node = dag.eq_nodes[eq_id]
-        label = _dot_escape(signature_text(node.signature)) + f"\\nsize={node.est_size:.6g}"
+        label = _dot_escape(node.text) + f"\\nsize={node.est_size:.6g}"
         lines.append(f'  eq{eq_id} [shape=ellipse, label="{label}"];')
     for op_id in sorted(dag.op_nodes):
         op = dag.op_nodes[op_id]
@@ -454,7 +455,8 @@ def dag_from_doc(doc: dict) -> Dag:
     for nd in doc.get("eq_nodes", []):
         sig = _signature_of(nd["signature"], nd.get("id"))
         node = EqNode(id=int(nd["id"]), signature=sig,
-                      est_size=_finite(nd["est_size"], f"est_size in eq-node {nd['id']!r}"))
+                      est_size=_finite(nd["est_size"], f"est_size in eq-node {nd['id']!r}"),
+                      text=signature_text(sig))
         if node.id in dag.eq_nodes or sig in dag._sig_index:
             raise DagError(f"duplicate eq-node {node.id}")
         dag.eq_nodes[node.id] = node
@@ -492,7 +494,7 @@ def dag_from_doc(doc: dict) -> Dag:
             raise DagError(f"op-node {op.id} has no parent")
         inputs = [dag.eq_nodes[c].signature for c in op.children]
         if op.kind == KIND_JOIN:
-            if signature_text(inputs[0]) > signature_text(inputs[1]):
+            if dag.eq_nodes[op.children[0]].text > dag.eq_nodes[op.children[1]].text:
                 raise DagError(f"join op-node {op.id} has its children out of order")
             sig = join_signature(inputs[0], inputs[1], op.detail)
         else:

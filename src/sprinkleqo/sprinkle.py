@@ -29,9 +29,14 @@ plans lazily (`costplan.plans_within`), and never builds a whole family of
 them (one op-node with a fixed prefix of child choices) once its lower
 bound exceeds the best decorated plan seen so far.  Its bounds are the
 memo DP's floors: the least cost of any plan below an eq-node, selects and
-their own costs included.  They are exact at the query root, so the
-per-plan DP runs only on families that can hold a plan within rounding of
-the running best.  The group-by and order-by stages have no bounds: they
+their own costs included.  They are exact at the query root.  For a flat
+block (no group-by, no order-by) the select stage's optimum is the query's,
+as the root projection costs the same on every plan of the root eq-node,
+so its walk starts at that exact optimum: only families that can hold an
+optimal plan are built, decorated and interned, and the stage's dag keeps
+only the plans that tie it.  Other blocks start the walk unbounded, since
+the group-by and order-by stages may prefer a plan that is not
+select-optimal.  The group-by and order-by stages have no bounds: they
 walk `costplan.enumerate_plans` and prune by decorated cost.
 """
 
@@ -233,16 +238,21 @@ def place_selects_on_plan(plan: Plan, selects) -> Plan:
     for i, cond in enumerate(ordered):
         if not tree[0].mask >> i & 1:
             raise DagError(f"relation {cond.relation!r} not a base of this plan")
-    least = tree[0].best[dp.width - 1]
-    budget = least + memo.SIZE_RTOL * max(1.0, abs(least))
+    budget = _within_rounding(tree[0].best[dp.width - 1])
     in_product_order = sorted(placements(tree, 0, dp.width - 1, budget), key=lambda c: c[1])
     return min(in_product_order, key=lambda c: c[2].cum_cost)[2]
 
 
 # -- stage helpers -----------------------------------------------------------
 
+def _within_rounding(cost: float) -> float:
+    """The largest cost that ties `cost` up to memo.SIZE_RTOL."""
+    return cost + memo.SIZE_RTOL * max(1.0, abs(cost))
+
+
 def _decorate_stage(dag: Dag, decorate, *, split_classes: bool = False,
-                    floors: tuple[dict[int, float], dict[int, float]] | None = None) -> Dag:
+                    floors: tuple[dict[int, float], dict[int, float]] | None = None,
+                    from_root_floor: bool = False) -> Dag:
     """Run one sprinkling stage over every registered root.
 
     `decorate(plan) -> Plan` maps one maximal plan to its decorated form.
@@ -252,10 +262,14 @@ def _decorate_stage(dag: Dag, decorate, *, split_classes: bool = False,
     cost, so families of plans whose bound exceeds the running best (with
     memo.SIZE_RTOL of slack for rounding) are never built.  Without them
     the stage walks `costplan.enumerate_plans`, which yields the same plans
-    in the same order.  When `split_classes` is set, decorated plans may
-    disagree on the root signature (the stage changed what the result
-    denotes, e.g. grouping below different subtrees); only the signature
-    class of the cheapest plan is kept.
+    in the same order.  With `from_root_floor`, the running best of a root
+    that is not a base eq-node starts at its floor, within rounding, rather
+    than unbounded: if that floor is the least decorated cost exactly, the
+    stage walks, decorates and keeps only the plans that tie it.  When
+    `split_classes` is set, decorated plans may disagree on the root
+    signature (the stage changed what the result denotes, e.g. grouping
+    below different subtrees); only the signature class of the cheapest
+    plan is kept.
     """
     def limit() -> float:  # the running best of the root being walked, plus slack
         return budget
@@ -265,6 +279,8 @@ def _decorate_stage(dag: Dag, decorate, *, split_classes: bool = False,
     for query_id, root in sorted(dag.query_roots.items()):
         kept: list[tuple[float, Plan]] = []
         running_best = budget = math.inf
+        if from_root_floor and not dag.eq_nodes[root].is_base:
+            running_best = budget = _within_rounding(floors[0][root])
         plans = (costplan.enumerate_plans(dag, root) if floors is None
                  else costplan.plans_within(dag, root, *floors, limit))
         for plan in plans:
@@ -272,7 +288,7 @@ def _decorate_stage(dag: Dag, decorate, *, split_classes: bool = False,
             if decorated.cum_cost > running_best:
                 continue
             running_best = decorated.cum_cost
-            budget = running_best + memo.SIZE_RTOL * max(1.0, abs(running_best))
+            budget = _within_rounding(running_best)
             kept.append((decorated.cum_cost, decorated))
         if not kept:
             raise DagError(f"no plans under root {query_id!r}")
@@ -319,8 +335,15 @@ def _select_floors(dag: Dag, selects) -> tuple[dict[int, float], dict[int, float
     return {eq_id: min(cell.best) for eq_id, cell in cells.items()}, op_floor
 
 
-def sprinkle_selects(jd: Dag, selects, catalog: Catalog) -> Dag:
-    """Insert select conditions into every join-order plan of a join dag."""
+def sprinkle_selects(jd: Dag, selects, catalog: Catalog, *, flat: bool = False) -> Dag:
+    """Insert select conditions into every join-order plan of a join dag.
+
+    `flat` says that no later stage but the root projection changes a
+    plan's cost (a block with neither group-by nor order-by), so only the
+    select-optimal plans are walked and kept.  Every root of `jd` must be
+    consumed by no op, as in a dag of `extract_query_joindag`: the memo DP
+    then fills a root's tables at the full select set only, so its floor is
+    the exact optimum (see `_select_floors`)."""
     selects = tuple(selects)
     for cond in selects:
         catalog.relation(cond.relation)
@@ -332,7 +355,7 @@ def sprinkle_selects(jd: Dag, selects, catalog: Catalog) -> Dag:
                     f"select on {cond.relation!r} but query {query_id!r} "
                     f"covers {sorted(bases)}")
     place = (lambda p: place_selects_on_plan(p, selects)) if selects else (lambda p: p)
-    return _decorate_stage(jd, place, floors=_select_floors(jd, selects))
+    return _decorate_stage(jd, place, floors=_select_floors(jd, selects), from_root_floor=flat)
 
 
 _BLOCKING_KINDS = (KIND_GROUPBY, KIND_HAVING)
@@ -545,7 +568,8 @@ def optimize_single(query: Query, catalog: Catalog, *,
     jd = extract_query_joindag(grown, query, catalog, query_id)
     jd_eq, _, jd_plans = memo.count_nodes(jd)
 
-    dag = sprinkle_selects(jd, query.selects, catalog)
+    dag = sprinkle_selects(jd, query.selects, catalog,
+                           flat=not (query.group_by or query.order_by))
     if query.group_by:
         dag = sprinkle_groupby(dag, query.group_by, query.having, catalog)
     if query.order_by:

@@ -187,9 +187,11 @@ _CLAUSES = ("select", "from", "where", "group by", "having", "order by")
 _CLAUSE_RE = re.compile(r"(?<![a-z0-9_.])(" + "|".join(_CLAUSES) + r")(?![a-z0-9_.])")
 
 
-def _scan_clauses(text: str) -> dict[str, str]:
-    """Split a statement into clause texts, honoring parens and quotes."""
-    positions = [(m.start(), m.group(1)) for m in _CLAUSE_RE.finditer(_top_level(text))]
+def _scan_clauses(text: str) -> tuple[dict[str, str], dict[str, str]]:
+    """Split a statement into clause texts, honoring parens and quotes; also
+    returns each clause's `_top_level` mask, cut from the statement's."""
+    mask = _top_level(text)
+    positions = [(m.start(), m.group(1)) for m in _CLAUSE_RE.finditer(mask)]
     if not positions or positions[0][1] != "select" or positions[0][0] != 0:
         raise ParseError("statement must start with SELECT")
     order = {kw: n for n, kw in enumerate(_CLAUSES)}
@@ -197,23 +199,38 @@ def _scan_clauses(text: str) -> dict[str, str]:
         if order[b] <= order[a]:
             raise ParseError(f"clause {b.upper()} out of order")
     clauses: dict[str, str] = {}
+    masks: dict[str, str] = {}
     for idx, (pos, kw) in enumerate(positions):
         end = positions[idx + 1][0] if idx + 1 < len(positions) else len(text)
-        clauses[kw] = text[pos + len(kw):end].strip()
+        clauses[kw], masks[kw] = _strip(text, mask, pos + len(kw), end)
     if "from" not in clauses:
         raise ParseError("missing FROM clause")
-    return clauses
+    return clauses, masks
 
 
-def _split_top_level(text: str, separator: str) -> list[str]:
-    """Split on a separator token at paren depth zero, outside quotes."""
-    parts: list[str] = []
+def _strip(text: str, mask: str, start: int, end: int) -> tuple[str, str]:
+    """text[start:end] and its mask, stripped alike: both ends lie at paren
+    depth zero outside quotes, where the mask keeps the text's spaces."""
+    return text[start:end].strip(), mask[start:end].strip()
+
+
+def _split_masked(text: str, mask: str, separator: str) -> list[tuple[str, str]]:
+    """(part, its mask) for each non-empty part of `text` split on a
+    separator token at paren depth zero, outside quotes; `mask` is
+    `_top_level(text)`."""
+    parts: list[tuple[str, str]] = []
     start = 0
-    for m in re.finditer(re.escape(separator), _top_level(text)):
-        parts.append(text[start:m.start()].strip())
+    for m in re.finditer(re.escape(separator), mask):
+        parts.append(_strip(text, mask, start, m.start()))
         start = m.end()
-    parts.append(text[start:].strip())
-    return [p for p in parts if p]
+    parts.append(_strip(text, mask, start, len(text)))
+    return [p for p in parts if p[0]]
+
+
+def _split_top_level(text: str, separator: str, mask: str | None = None) -> list[str]:
+    """Split on a separator token at paren depth zero, outside quotes."""
+    return [part for part, _ in _split_masked(
+        text, _top_level(text) if mask is None else mask, separator)]
 
 
 def _parse_literal(text: str) -> int | float | str:
@@ -283,13 +300,14 @@ def _aggregate_arg(func: str, arg: str, resolver: _Resolver) -> tuple[str | None
     return None, "*"
 
 
-def _parse_select_items(text: str, resolver: _Resolver) -> tuple[ProjectionItem, ...]:
+def _parse_select_items(text: str, mask: str,
+                        resolver: _Resolver) -> tuple[ProjectionItem, ...]:
     if not text.strip():
         raise ParseError("empty select list")
     if text.strip() == "*":
         return ()
     items: list[ProjectionItem] = []
-    for part in _split_top_level(text, ","):
+    for part in _split_top_level(text, ",", mask):
         m = _AGG_RE.match(part)
         if m:
             rel, attr = _aggregate_arg(m.group(1), m.group(2), resolver)
@@ -302,8 +320,8 @@ def _parse_select_items(text: str, resolver: _Resolver) -> tuple[ProjectionItem,
     return tuple(items)
 
 
-def _split_condition(text: str) -> tuple[str, str, str]:
-    m = _OPERATOR_RE.search(_top_level(text))
+def _split_condition(text: str, mask: str | None = None) -> tuple[str, str, str]:
+    m = _OPERATOR_RE.search(_top_level(text) if mask is None else mask)
     if m is None:
         raise ParseError(f"no comparison operator in condition {text!r}")
     op = m.group()
@@ -328,12 +346,12 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
         raise ParseError("subqueries may not nest beyond one level")
     if re.search(r"\bor\b", re.sub(r"'[^']*'", "''", text)):
         raise ParseError("OR is not supported; WHERE must be a conjunction")
-    clauses = _scan_clauses(text)
+    clauses, masks = _scan_clauses(text)
 
     tables: list[str] = []
     subquery: Subquery | None = None
     alias_columns: dict[str, dict[str, AttrRef]] = {}
-    for part in _split_top_level(clauses["from"], ","):
+    for part in _split_top_level(clauses["from"], ",", masks["from"]):
         m = re.match(rf"^\(\s*(select\b.*)\)\s*({_IDENT})$", part)
         if m:
             if subquery is not None:
@@ -359,12 +377,13 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
         raise ParseError("duplicate FROM relations are not supported")
 
     resolver = _Resolver(catalog, tables, alias_columns)
-    projections = _parse_select_items(clauses["select"], resolver)
+    projections = _parse_select_items(clauses["select"], masks["select"], resolver)
 
     joins: list[JoinCondition] = []
     selects: list[SelectCondition] = []
     edges: list[tuple[str, str]] = []
-    for cond in _split_top_level(clauses.get("where", ""), " and "):
+    for cond, cond_mask in _split_masked(clauses.get("where", ""), masks.get("where", ""),
+                                         " and "):
         m = re.match(rf"^(.+?)\s+in\s*\(\s*(select\b.*)\)$", cond)
         if m:
             if subquery is not None:
@@ -385,7 +404,7 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
                                 column_sources=sources)
             edges.append((outer_ref[0], alias))
             continue
-        left_text, op, right_text = _split_condition(cond)
+        left_text, op, right_text = _split_condition(cond, cond_mask)
         left = resolver.resolve(left_text, _outer_tables)
         right_is_ref = _REF_RE.match(right_text) is not None
         if right_is_ref:
@@ -416,7 +435,7 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
 
     group_by: list[AttrRef] = []
     if "group by" in clauses:
-        for part in _split_top_level(clauses["group by"], ","):
+        for part in _split_top_level(clauses["group by"], ",", masks["group by"]):
             group_by.append(resolver.resolve(part))
     group_by = sorted(set(group_by))
 
@@ -424,11 +443,11 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
     if "having" in clauses:
         if not group_by:
             raise ParseError("HAVING requires GROUP BY")
-        having = _parse_having(clauses["having"], resolver, catalog)
+        having = _parse_having(clauses["having"], masks["having"], resolver, catalog)
 
     order_by: list[OrderItem] = []
     if "order by" in clauses:
-        for part in _split_top_level(clauses["order by"], ","):
+        for part in _split_top_level(clauses["order by"], ",", masks["order by"]):
             m = re.match(r"^(.*?)(?:\s+(asc|desc))?$", part)
             rel, attr = resolver.resolve(m.group(1))
             order_by.append(OrderItem(rel, attr, m.group(2) == "desc"))
@@ -471,8 +490,9 @@ def _subquery_columns(inner: Query) -> tuple[list[str], dict[str, AttrRef]]:
     return columns, sources
 
 
-def _parse_having(text: str, resolver: _Resolver, catalog: Catalog) -> HavingCondition:
-    left_text, op, right_text = _split_condition(text)
+def _parse_having(text: str, mask: str, resolver: _Resolver,
+                  catalog: Catalog) -> HavingCondition:
+    left_text, op, right_text = _split_condition(text, mask)
     m = _AGG_RE.match(left_text)
     if not m:
         raise ParseError("HAVING must compare a single aggregate to a literal")

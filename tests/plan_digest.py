@@ -6,15 +6,18 @@ seed, in stream order, the digest covers the winning plan's
 `cum_cost`) and the final dag (`memo.dag_to_doc`).  An operation that
 raises contributes its error text instead.  Two checkouts that print the
 same digest chose the same plans at the same costs over the same dags.
+A second digest covers the plan keys (or error texts) alone: a change that
+should move final dags, or costs by rounding, but no plan keeps it.
 
 Run it from the root of a source checkout; it imports the optimizer from
 `src/` and optbench's `bench` and `workloads` modules, read-only:
 
     python3 tests/plan_digest.py --seeds 3 7 11
 
-It prints one line per seed and workload (the operation count and that
-stream's digest), then the combined digest.  Compare the last line between
-two checkouts.  Not a test module: pytest does not collect it.
+It prints one line per seed and workload (the operation count, that
+stream's digest and its plan-key digest), then the combined plan-key
+digest and the combined digest.  Compare the last line, or the one before
+it, between two checkouts.  Not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -35,34 +38,39 @@ from sprinkleqo import costplan, memo  # noqa: E402
 WORKLOADS = ("select_heavy", "join_heavy")
 
 
-def stream_digest(seed: int, workload: str, work_dir: pathlib.Path) -> tuple[int, str]:
-    """(operations, sha256) of one seed's stream of one workload."""
+def stream_digest(seed: int, workload: str, work_dir: pathlib.Path) -> tuple[int, str, str]:
+    """(operations, sha256, plan-key sha256) of one seed's stream of one
+    workload."""
     env = bench.setup(seed, work_dir, workload)
     stream = env.inputs.streams[workload]
-    h = hashlib.sha256()
+    h, keys = hashlib.sha256(), hashlib.sha256()
     for item in stream:
         try:
             _, plan, dag = bench.operate(env, item)
-            line = "\t".join((costplan.plan_key(plan), plan.cum_cost.hex(),
+            key = costplan.plan_key(plan)
+            line = "\t".join((key, plan.cum_cost.hex(),
                               json.dumps(memo.dag_to_doc(dag), sort_keys=True)))
         except Exception as exc:  # an error is part of the output being compared
-            line = f"{type(exc).__name__}: {exc}"
+            key = line = f"{type(exc).__name__}: {exc}"
         h.update(f"{item.qid}\t{item.mode}\t{line}\n".encode("utf-8"))
-    return len(stream), h.hexdigest()
+        keys.update(f"{item.qid}\t{item.mode}\t{key}\n".encode("utf-8"))
+    return len(stream), h.hexdigest(), keys.hexdigest()
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     args = parser.parse_args(argv)
-    total = hashlib.sha256()
+    total, total_keys = hashlib.sha256(), hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
             for workload in WORKLOADS:
                 work_dir = pathlib.Path(tmp) / f"{workload}-{seed}"
-                count, digest = stream_digest(seed, workload, work_dir)
-                print(f"seed {seed} {workload}: {count} operations {digest}")
+                count, digest, keys = stream_digest(seed, workload, work_dir)
+                print(f"seed {seed} {workload}: {count} operations {digest} plan keys {keys}")
                 total.update(f"{seed}\t{workload}\t{digest}\n".encode("utf-8"))
+                total_keys.update(f"{seed}\t{workload}\t{keys}\n".encode("utf-8"))
+    print(f"plan keys: {total_keys.hexdigest()}")
     print(f"all: {total.hexdigest()}")
     return 0
 

@@ -148,7 +148,7 @@ def test_query_join_root_without_joins_writes_into_no_history(company_catalog):
     h1 = joindag.build_complete_history(company_catalog, (join,))
     h2 = joindag.build_incremental(h1, (join,), company_catalog)
     counts = len(h1.dag.eq_nodes), len(h2.dag.eq_nodes)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^base relation not in history: project$"):
         joindag.query_join_root(h2, {"project": 50.0}, ())
     eq = joindag.query_join_root(h2, {"employee": 1000.0}, ())
     assert h2.dag.eq_nodes[eq].signature == memo.base_signature("employee")

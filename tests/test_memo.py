@@ -320,6 +320,22 @@ def test_signature_text_is_stable_and_readable():
     assert signature_text(sig) == text
 
 
+
+def test_eq_nodes_carry_their_signature_text_through_every_copy():
+    dag, top = diamond_dag()
+    attach_op(dag, KIND_SELECT, "a.x > 1", (top,), 0.06, 0.6, factor=0.1)
+    doc = dag_to_doc(dag)
+    for copy in (dag, dag.clone(), dag.copy_below(top)[0], dag_from_doc(doc)):
+        for node in copy.eq_nodes.values():
+            assert node.text == signature_text(node.signature)
+    # the text is not serialized: a document holds what it held before
+    assert all(sorted(nd) == ["est_size", "id", "signature"] for nd in doc["eq_nodes"])
+    # a join orders its children by that text, so "{r10}" comes before "{r1}"
+    dag = Dag()
+    r1, r10 = ensure_base(dag, "r1", 10.0), ensure_base(dag, "r10", 10.0)
+    top = attach_op(dag, KIND_JOIN, "r1.x = r10.x", (r1, r10), 1.0, 100.0, factor=0.01)
+    assert dag.op_nodes[dag.eq_nodes[top].child_ops[0]].children == (r10, r1)
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.sampled_from(["a.x > 1", "a.y > 2", "a.z > 3"]),
                 min_size=1, max_size=3, unique=True))

@@ -15,7 +15,7 @@ from sprinkleqo.memo import (KIND_GROUPBY, KIND_HAVING, KIND_JOIN,
                              KIND_JOINFILTER, KIND_ORDERBY, KIND_PROJECT, KIND_SELECT)
 from sprinkleqo.sprinkle import _stack_key
 from sprinkleqo.sqlfront import (HavingCondition, OrderItem, SelectCondition,
-                                 extract_join_set, parse_query)
+                                 extract_join_set, parse_query, render_query)
 
 from conftest import FIXTURES, chain_catalog, fixture_sql, make_catalog, random_schema, \
     connected_query_sql
@@ -544,6 +544,100 @@ def test_eight_leaf_star_places_selects_on_few_plans(monkeypatch):
         costplan.best_plan(oracle, oracle.query_roots["q1"]).cum_cost
 
 
+# -- flat blocks: the select stage walks only the optimal plans ---------------
+
+def enumerate_then_filter_at_optimum(jd, selects):
+    """(plan key, cost) of the plans a flat block's select stage keeps,
+    found without bounds: every plan of `costplan.enumerate_plans`,
+    decorated, then filtered by the stage's running-best rule started at the
+    least decorated cost within rounding."""
+    decorated = [sprinkle.place_selects_on_plan(p, selects)
+                 for p in costplan.enumerate_plans(jd, jd.query_roots["q1"])]
+    running_best = sprinkle._within_rounding(min(p.cum_cost for p in decorated))
+    kept = []
+    for plan in decorated:
+        if plan.cum_cost <= running_best:
+            running_best = plan.cum_cost
+            kept.append((plan_key(plan), plan.cum_cost))
+    return kept
+
+
+def cyclic_random_queries(count, max_joins=4, max_selects=3):
+    """(sql, catalog) pairs over random schemas whose joined component has a
+    cycle, so their join dags carry joinfilters."""
+    rng = random.Random(6021)
+    cases = []
+    while len(cases) < count:
+        catalog = random_schema(rng)
+        query = parse_query(connected_query_sql(catalog, rng, max_selects=max_selects),
+                            catalog)
+        if len(query.tables) <= len(query.joins) <= max_joins:
+            cases.append((render_query(query), catalog))
+    return cases
+
+
+def test_flat_select_stage_keeps_the_plans_at_the_optimum():
+    for sql, catalog in stage_inputs() + cyclic_random_queries(10):
+        query, jd = joindag_for(sql, catalog)
+        assert not (query.group_by or query.order_by), sql
+        flat, kept, _ = kept_plans(
+            lambda: sprinkle.sprinkle_selects(jd, query.selects, catalog, flat=True))
+        oracle = enumerate_then_filter_at_optimum(jd, query.selects)
+        assert [key for key, _ in kept] == [key for key, _ in oracle], sql
+        for (_, cost), (_, expected) in zip(kept, oracle):
+            assert float.fromhex(cost) == pytest.approx(expected, rel=memo.SIZE_RTOL), sql
+        assert memo.plan_count_for(flat, flat.query_roots["q1"]) == len(kept), sql
+
+
+def test_grouped_and_ordered_blocks_walk_the_select_stage_unbounded():
+    # the group-by and order-by stages may pick a plan that is not
+    # select-optimal, so such blocks keep every plan that was the running best
+    for sql, catalog in stage_inputs()[::4]:
+        query = parse_query(sql, catalog)
+        rel = sorted(query.tables)[0]
+        for clauses in (f" group by {rel}.b", f" order by {rel}.a0"):
+            query, jd = joindag_for(sql + clauses, catalog)
+            dag = sprinkle.sprinkle_selects(jd, query.selects, catalog)
+            if query.group_by:
+                dag = sprinkle.sprinkle_groupby(dag, query.group_by, None, catalog)
+            else:
+                dag = sprinkle.sprinkle_orderby(dag, query.order_by)
+            dag = sprinkle.sprinkle_projects(dag, [("q1", query)], catalog)
+            assert memo.dag_to_doc(sprinkle.optimize_single(query, catalog).dag) == \
+                memo.dag_to_doc(dag), sql + clauses
+
+
+def test_flat_blocks_without_joins_still_optimize(company_catalog):
+    # a block with no joins has a base eq-node as its root, whose floor is 0
+    # (the least over every select set), not the cost of its one plan
+    nested = parse_query(fixture_sql("company", "q3_nested"), company_catalog)
+    single = parse_query("select employee.fname from employee where employee.salary > 50000 "
+                         "and employee.dno = 5", company_catalog)
+    for query in (nested.subquery.query, single):
+        res = sprinkle.optimize_single(query, company_catalog)
+        ndag = naive.build_naive_dag(query, company_catalog)
+        assert res.plan.cum_cost == costplan.best_plan(ndag, ndag.query_roots["q1"]).cum_cost
+        assert memo.count_nodes(res.dag)[2] == 1
+
+
+def test_flat_random_queries_walk_from_the_root_floor_to_the_naive_optimum():
+    rng = random.Random(40417)
+    checked = 0
+    while checked < 40:
+        catalog = random_schema(rng)
+        query = parse_query(connected_query_sql(catalog, rng, max_selects=3), catalog)
+        if query.n_operations() > 7:
+            continue
+        res = sprinkle.optimize_single(query, catalog)   # never "no plans under root"
+        ndag = naive.build_naive_dag(query, catalog)
+        best = costplan.best_plan(ndag, ndag.query_roots["q1"]).cum_cost
+        assert res.plan.cum_cost == pytest.approx(best, rel=memo.SIZE_RTOL), render_query(query)
+        # the final dag holds only plans that tie the optimum
+        for plan in costplan.enumerate_plans(res.dag, res.dag.query_roots["q1"]):
+            assert plan.cum_cost <= sprinkle._within_rounding(res.plan.cum_cost)
+        checked += 1
+
+
 # -- group-by / having / order-by walks ---------------------------------------
 
 def grouped_join(t_size, b_size, jsf):
@@ -685,19 +779,38 @@ def interior_projections(shared):
             if op.kind == KIND_PROJECT and op.children[0] not in shared.query_roots.values()}
 
 
-def test_interior_projections_follow_consumers_through_higher_ids(company_catalog,
-                                                                   tpch_catalog):
-    # optimize_many interns q2's plans after q1's, hanging new, higher-id
-    # children under existing parents: eq ids are not topological
-    queries = [(q, parse_query(fixture_sql("company", q), company_catalog))
-               for q in ("q1", "q2")]
-    shared, _, _ = sprinkle.optimize_many(queries, company_catalog)
-    assert any(child > eq_id for eq_id, node in shared.eq_nodes.items()
-               for op_id in node.child_ops for child in shared.op_nodes[op_id].children)
-    projections = interior_projections(shared)
-    assert projections["{department,project} j[department.dnumber = project.dnum] "
-                       "u[project.plocation = 'hyderabad']"] == \
-        "project(department.dname, project.pname, project.pnumber)"
+def test_interior_projections_follow_consumers_through_higher_ids(tpch_catalog):
+    # a second join order interned after the first hangs new, higher-id
+    # eq-nodes under the existing root: eq ids are not topological
+    catalog = chain_catalog(3)
+    dag = memo.Dag()
+    r0, r1, r2, r3 = (memo.ensure_base(dag, f"r{i}", 1000.0) for i in range(4))
+
+    def join(a, b, i):
+        return costplan.intern_op(dag, KIND_JOIN, f"r{i}.a0 = r{i + 1}.a1", (a, b), 0.01)
+
+    r01 = join(r0, r1, 0)
+    r012 = join(r01, r2, 1)
+    root = join(r012, r3, 2)
+    r12 = join(r1, r2, 1)
+    r123 = join(r12, r3, 2)
+    assert join(r0, r123, 0) == root < r12 < r123
+    memo.register_root(dag, "q1", root)
+    r23 = join(r2, r3, 2)
+    memo.register_root(dag, "q2", r23)
+    queries = [("q1", "select r0.b, r2.b from r0, r1, r2, r3 where r0.a0 = r1.a1 "
+                      "and r1.a0 = r2.a1 and r2.a0 = r3.a1"),
+               ("q2", "select r3.b from r2, r3 where r2.a0 = r3.a1")]
+    shared = sprinkle.sprinkle_projects(
+        dag, [(qid, parse_query(sql, catalog)) for qid, sql in queries], catalog)
+    projections = {op.children[0]: op.detail for op in shared.op_nodes.values()
+                   if op.kind == KIND_PROJECT and op.children[0] not in (root, r23)}
+    # r12 needs what the root needs of r123 (r1.a1 for its join with r0,
+    # r2.b for the output), and r01 what the root needs of r012
+    assert projections == {r01: "project(r0.b, r1.a0)",
+                           r012: "project(r0.b, r2.a0, r2.b)",
+                           r12: "project(r1.a1, r2.a0, r2.b)",
+                           r123: "project(r1.a1, r2.b)"}
     queries = [(q, parse_query(fixture_sql("tpch", q), tpch_catalog))
                for q in ("q1", "q2", "q3", "q4", "tq1")]
     shared, _, _ = sprinkle.optimize_many(queries, tpch_catalog)

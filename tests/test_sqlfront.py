@@ -337,3 +337,38 @@ def test_top_level_mask_keeps_the_indices_of_the_reference_scan(text):
             reference_split_top_level(text, separator)
     assert outcome(sqlfront._split_condition, text) == \
         outcome(reference_split_condition, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scanner_texts)
+def test_parts_cut_from_a_mask_are_their_own_masks(text):
+    # parse_query masks each statement once and cuts its clauses' and
+    # conditions' masks from it, which holds since they start and end at
+    # top-level positions
+    try:
+        mask = sqlfront._top_level(text)
+    except ParseError:
+        return
+    for separator in (",", " and "):
+        for part, part_mask in sqlfront._split_masked(text, mask, separator):
+            assert part_mask == sqlfront._top_level(part)
+
+
+def test_parse_query_masks_each_statement_once(company_catalog, monkeypatch):
+    masked = []
+    top_level = sqlfront._top_level
+
+    def recording_top_level(text):
+        masked.append(text)
+        return top_level(text)
+
+    monkeypatch.setattr(sqlfront, "_top_level", recording_top_level)
+    sql = ("select employee.dno, count(employee.ssn) from employee, works_on "
+           "where employee.ssn = works_on.ssn and works_on.hours > 30 "
+           "and works_on.pno in (select pnumber from project where plocation = 'hyderabad') "
+           "group by employee.dno having count(employee.ssn) > 2 order by employee.dno")
+    clauses, masks = sqlfront._scan_clauses(sql)
+    assert {kw: sqlfront._top_level(text) for kw, text in clauses.items()} == masks
+    masked.clear()
+    parse_query(sql, company_catalog)
+    assert masked == [sql, "select pnumber from project where plocation = 'hyderabad'"]
