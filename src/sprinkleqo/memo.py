@@ -21,12 +21,21 @@ therefore strictly grow along every op-node, so the memo is acyclic by
 construction, and a walk down from any eq-node takes fewer steps than its
 signature has entries (counting a projection as one).  `dag_from_doc` holds
 a loaded dag to the same rule.
+
+Attaching looks up before it derives: the op index maps each op-node's
+(kind, detail, children) to the eq-node above it, so re-attaching an
+existing op-node checks its size estimate against that eq-node's and
+derives nothing.  Only a new op-node pays for its signature and its
+eq-node's interning.  A dag copied by `Dag.copy_below` keeps the order in
+which the copy finished its eq-nodes, inputs first, and
+`topological_order` returns it reversed until a node is added.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DagError
 
@@ -85,8 +94,8 @@ def join_signature(a: Signature, b: Signature, detail: str) -> Signature:
     if a[3] or b[3] or not set(a[0]).isdisjoint(b[0]):
         raise DagError(f"join {detail!r} of {signature_text(a)!r} and "
                        f"{signature_text(b)!r}: inputs must be disjoint and unprojected")
-    return make_signature(a[0] + b[0], set(a[1]) | set(b[1]) | {detail},
-                          set(a[2]) | set(b[2]), ())
+    return (tuple(sorted(a[0] + b[0])), tuple(sorted({*a[1], *b[1], detail})),
+            tuple(sorted({*a[2], *b[2]})), ())
 
 
 def signature_text(sig: Signature) -> str:
@@ -114,8 +123,7 @@ class EqNode:
         return not self.child_ops
 
 
-@dataclass(frozen=True)
-class OpNode:
+class OpNode(NamedTuple):
     id: int
     kind: str
     detail: str
@@ -135,10 +143,13 @@ class Dag:
         self.op_nodes: dict[int, OpNode] = {}
         self.query_roots: dict[str, int] = {}
         self._sig_index: dict[Signature, int] = {}
-        self._op_index: dict[tuple, int] = {}
+        self._op_index: dict[tuple, int] = {}   # op-node sort_key -> the eq-node above it
         self._next_eq = 0
         self._next_op = 0
         self.meta: dict = {}
+        # (eq-nodes, op-nodes, eq-node ids inputs first) of a `copy_below`:
+        # the order holds while the dag has those node counts
+        self._inputs_first: tuple[int, int, list[int]] | None = None
 
     # -- construction ---------------------------------------------------
 
@@ -166,36 +177,45 @@ class Dag:
         first reached, any other once the inputs of its first op-node are
         copied, and each op-node, in ascending source id under its eq-node,
         after its inputs.  Every input of a reachable op-node is reachable,
-        so the copy obeys the rule the source does (see `attach_op`).
+        so the copy obeys the rule the source does (see `attach_op`).  The
+        copy fills its op index with each op-node's eq-node, and records
+        the order in which it finished its eq-nodes, each after every input
+        of its op-nodes: `topological_order` returns that order reversed,
+        without a walk, until a node is added to the copy.
         """
         out = Dag()
+        src_eq, src_op = self.eq_nodes, self.op_nodes
+        eq_nodes, op_nodes, op_index = out.eq_nodes, out.op_nodes, out._op_index
         ids: dict[int, int] = {}
+        finished: list[int] = []
 
-        def new_eq(node: EqNode) -> int:
-            eq_id = out._next_eq
-            out.eq_nodes[eq_id] = EqNode(eq_id, node.signature, node.est_size, node.text)
-            out._sig_index[node.signature] = eq_id
-            out._next_eq += 1
-            return eq_id
+        def new_eq(node: EqNode) -> EqNode:
+            eq_id = len(eq_nodes)
+            new = eq_nodes[eq_id] = EqNode(eq_id, node.signature, node.est_size, node.text)
+            out._sig_index[node.signature] = new.id
+            return new
 
         def copy(eq_id: int) -> int:
-            if eq_id not in ids:
-                node = self.eq_nodes[eq_id]
-                new = new_eq(node) if node.is_base else None
-                for op_id in sorted(node.child_ops):
-                    op = self.op_nodes[op_id]
-                    children = tuple(copy(c) for c in op.children)
-                    if new is None:
-                        new = new_eq(node)
-                    out.op_nodes[out._next_op] = OpNode(out._next_op, op.kind, op.detail,
-                                                        children, op.op_cost, op.factor)
-                    out._op_index[(op.kind, op.detail, children)] = out._next_op
-                    out.eq_nodes[new].child_ops.append(out._next_op)
-                    out._next_op += 1
-                ids[eq_id] = new
-            return ids[eq_id]
+            node = src_eq[eq_id]
+            new = None if node.child_ops else new_eq(node)
+            for op_id in sorted(node.child_ops):
+                op = src_op[op_id]
+                children = tuple([ids[c] if c in ids else copy(c) for c in op.children])
+                if new is None:
+                    new = new_eq(node)
+                new_op = len(op_nodes)
+                op_nodes[new_op] = OpNode(new_op, op.kind, op.detail, children,
+                                          op.op_cost, op.factor)
+                op_index[(op.kind, op.detail, children)] = new.id
+                new.child_ops.append(new_op)
+            ids[eq_id] = new.id
+            finished.append(new.id)
+            return new.id
 
-        return out, copy(root)
+        root = copy(root)
+        out._next_eq, out._next_op = len(eq_nodes), len(op_nodes)
+        out._inputs_first = (len(eq_nodes), len(op_nodes), finished)
+        return out, root
 
 
 def sizes_agree(a: float, b: float) -> bool:
@@ -238,38 +258,49 @@ def attach_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
     op, so the memo stays acyclic and a walk down from any eq-node takes
     fewer steps than its signature has entries.  The eq-node is interned
     with `est_size` (see `intern_eq`).  Join ops take exactly two children
-    (stored in canonical order); every other kind takes one.  Attaching is
-    idempotent: the same (kind, detail, children) maps to one op-node.  An
-    estimate that overflowed (a non-finite `est_size` or `op_cost`) is a
-    DagError.
+    (stored in canonical order, by their eq-nodes' `text`); every other
+    kind takes one.  Attaching is idempotent: the same (kind, detail,
+    children) maps to one op-node.  The op index is looked up first: an
+    existing op-node returns the eq-node recorded above it, after the size
+    check `intern_eq` makes, and derives no signature.  An estimate that
+    overflowed (a non-finite `est_size` or `op_cost`) is a DagError.
     """
     if kind not in OP_KINDS:
         raise DagError(f"unknown op kind {kind!r}")
     if not (math.isfinite(est_size) and math.isfinite(op_cost)):
         raise DagError(f"{kind} {detail!r}: estimate overflows "
                        f"(est_size {est_size!r}, op_cost {op_cost!r})")
+    eq_nodes = dag.eq_nodes
     for child in children:
-        if child not in dag.eq_nodes:
+        if child not in eq_nodes:
             raise DagError(f"dangling child eq-node {child}")
     if kind == KIND_JOIN:
         if len(children) != 2:
             raise DagError("join ops take exactly two children")
-        children = tuple(sorted(children, key=lambda c: dag.eq_nodes[c].text))
-        sig = join_signature(dag.eq_nodes[children[0]].signature,
-                             dag.eq_nodes[children[1]].signature, detail)
+        left, right = children
+        children = (right, left) if eq_nodes[left].text > eq_nodes[right].text else (left, right)
     elif len(children) != 1:
         raise DagError(f"{kind} ops take exactly one child")
-    else:
-        sig = extend_signature(dag.eq_nodes[children[0]].signature, kind, detail)
-    parent = intern_eq(dag, sig, est_size)
     key = (kind, detail, children)
-    if key not in dag._op_index:
-        op = OpNode(id=dag._next_op, kind=kind, detail=detail, children=children,
-                    op_cost=float(op_cost), factor=factor)
-        dag.op_nodes[op.id] = op
-        dag._op_index[key] = op.id
-        dag._next_op += 1
-        dag.eq_nodes[parent].child_ops.append(op.id)
+    parent = dag._op_index.get(key)
+    if parent is not None:
+        node = eq_nodes[parent]
+        if not sizes_agree(node.est_size, est_size):
+            raise DagError(
+                f"signature collision with inconsistent est_size: "
+                f"{node.text!r} has {node.est_size!r} vs {est_size!r}")
+        return parent
+    if kind == KIND_JOIN:
+        sig = join_signature(eq_nodes[children[0]].signature,
+                             eq_nodes[children[1]].signature, detail)
+    else:
+        sig = extend_signature(eq_nodes[children[0]].signature, kind, detail)
+    parent = intern_eq(dag, sig, est_size)
+    op = OpNode(dag._next_op, kind, detail, children, float(op_cost), factor)
+    dag.op_nodes[op.id] = op
+    dag._op_index[key] = parent
+    dag._next_op += 1
+    eq_nodes[parent].child_ops.append(op.id)
     return parent
 
 
@@ -286,12 +317,18 @@ def ensure_base(dag: Dag, relation: str, cardinality: float) -> int:
 # -- counting -------------------------------------------------------------
 
 def topological_order(dag: Dag) -> list[int]:
-    """Every eq-node after all of its consumers, by Kahn's algorithm.
+    """Every eq-node after all of its consumers.
 
-    Iterative, so any depth works; raises DagError on a cycle.  Eq-node ids
-    are not topological: interning a plan can hang a new, higher-id child
-    under an existing parent.
+    A dag made by `Dag.copy_below` to which no node has been added since
+    returns the copy's order of finishing its eq-nodes, reversed.  Any
+    other dag is sorted by Kahn's algorithm: iterative, so any depth works;
+    raises DagError on a cycle.  Eq-node ids are not topological: interning
+    a plan can hang a new, higher-id child under an existing parent.
     """
+    if dag._inputs_first is not None:
+        eq_count, op_count, inputs_first = dag._inputs_first
+        if eq_count == len(dag.eq_nodes) and op_count == len(dag.op_nodes):
+            return inputs_first[::-1]
     indegree = dict.fromkeys(dag.eq_nodes, 0)
     for node in dag.eq_nodes.values():
         for op_id in node.child_ops:
@@ -476,7 +513,7 @@ def dag_from_doc(doc: dict) -> Dag:
             if child not in dag.eq_nodes:
                 raise DagError(f"op-node {op.id} references unknown eq-node {child}")
         dag.op_nodes[op.id] = op
-        dag._op_index[key] = op.id
+        dag._op_index[key] = -1   # the eq-node above it is recorded once the arcs are read
     expected_ao = _arcs(dag)[1]
     if doc.get("arcs", {}).get("op_to_eq", expected_ao) != expected_ao:
         raise DagError("op_to_eq arcs disagree with op-node children")
@@ -492,6 +529,7 @@ def dag_from_doc(doc: dict) -> Dag:
     for op in dag.op_nodes.values():
         if op.id not in parent:
             raise DagError(f"op-node {op.id} has no parent")
+        dag._op_index[op.sort_key()] = parent[op.id]
         inputs = [dag.eq_nodes[c].signature for c in op.children]
         if op.kind == KIND_JOIN:
             if dag.eq_nodes[op.children[0]].text > dag.eq_nodes[op.children[1]].text:

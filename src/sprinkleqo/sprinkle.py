@@ -181,7 +181,7 @@ class _Placement:
         return cell
 
 
-def place_selects_on_plan(plan: Plan, selects) -> Plan:
+def place_selects_on_plan(plan: Plan, selects, *, dp: _Placement | None = None) -> Plan:
     """Minimum-cost joint placement of all selects onto one plan.
 
     Candidate positions for each select are every node on the path from its
@@ -191,11 +191,13 @@ def place_selects_on_plan(plan: Plan, selects) -> Plan:
     its children's, because the DP and a built plan add in different
     orders.  The first cheapest built plan in product order (selects in
     canonical order, each path root-first) wins, so cost ties prefer
-    positions nearer the root.
+    positions nearer the root.  `dp` is the placement DP of `selects` when
+    the caller has one: the select stage builds one for all its plans.
     """
     if not selects:
         return plan
-    dp = _Placement(selects)
+    if dp is None:
+        dp = _Placement(selects)
     ordered, subsets, stack_cost = dp.ordered, dp.subsets, dp.stack_cost
     stacking = sorted(range(len(ordered)), key=lambda i: _stack_key(ordered[i]))
 
@@ -305,7 +307,8 @@ def _decorate_stage(dag: Dag, decorate, *, split_classes: bool = False,
     return fresh
 
 
-def _select_floors(dag: Dag, selects) -> tuple[dict[int, float], dict[int, float]]:
+def _select_floors(dag: Dag, selects, *,
+                   dp: _Placement | None = None) -> tuple[dict[int, float], dict[int, float]]:
     """Floors of the select stage for `costplan.plans_within`: the placement
     DP run once over the memo, with an eq-node's op-nodes as its
     alternatives.
@@ -317,9 +320,11 @@ def _select_floors(dag: Dag, selects) -> tuple[dict[int, float], dict[int, float
     floor and each stack above at least 0, so a plan's bound never exceeds
     its decorated cost.  Every select sits below a query root, which no op
     consumes, so its floor is the least decorated cost of its plans.  With
-    no selects the floor is the `best_plan` cost.
+    no selects the floor is the `best_plan` cost.  `dp` is the placement
+    DP of `selects` when the caller has one.
     """
-    dp = _Placement(selects)
+    if dp is None:
+        dp = _Placement(selects)
     consumed = {c for op in dag.op_nodes.values() for c in op.children}
     cells: dict[int, _Cell] = {}
     op_floor: dict[int, float] = {}
@@ -354,8 +359,10 @@ def sprinkle_selects(jd: Dag, selects, catalog: Catalog, *, flat: bool = False) 
                 raise ValidationError(
                     f"select on {cond.relation!r} but query {query_id!r} "
                     f"covers {sorted(bases)}")
-    place = (lambda p: place_selects_on_plan(p, selects)) if selects else (lambda p: p)
-    return _decorate_stage(jd, place, floors=_select_floors(jd, selects), from_root_floor=flat)
+    dp = _Placement(selects)   # one DP for the floors and every plan's placement
+    place = (lambda p: place_selects_on_plan(p, selects, dp=dp)) if selects else (lambda p: p)
+    return _decorate_stage(jd, place, floors=_select_floors(jd, selects, dp=dp),
+                           from_root_floor=flat)
 
 
 _BLOCKING_KINDS = (KIND_GROUPBY, KIND_HAVING)

@@ -7,7 +7,10 @@ seed, in stream order, the digest covers the winning plan's
 raises contributes its error text instead.  Two checkouts that print the
 same digest chose the same plans at the same costs over the same dags.
 A second digest covers the plan keys (or error texts) alone: a change that
-should move final dags, or costs by rounding, but no plan keeps it.
+should move final dags, or costs by rounding, but no plan keeps it.  The
+`naive_baseline` stream (exhaustive mode, whose final dag is the whole
+memo) is digested the same way but apart, so the two joindag digests stay
+comparable with checkouts that did not digest it.
 
 Run it from the root of a source checkout; it imports the optimizer from
 `src/` and optbench's `bench` and `workloads` modules, read-only:
@@ -16,8 +19,10 @@ Run it from the root of a source checkout; it imports the optimizer from
 
 It prints one line per seed and workload (the operation count, that
 stream's digest and its plan-key digest), then the combined plan-key
-digest and the combined digest.  Compare the last line, or the one before
-it, between two checkouts.  Not a test module: pytest does not collect it.
+digest and the combined digest of the joindag streams (`plan keys:` and
+`all:`), then those of the naive streams (`naive plan keys:` and
+`naive:`).  Compare these lines between two checkouts.  Not a test
+module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import bench  # noqa: E402  (needs the paths above)
 from sprinkleqo import costplan, memo  # noqa: E402
 
 WORKLOADS = ("select_heavy", "join_heavy")
+NAIVE = "naive_baseline"
 
 
 def stream_digest(seed: int, workload: str, work_dir: pathlib.Path) -> tuple[int, str, str]:
@@ -61,17 +67,22 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     args = parser.parse_args(argv)
-    total, total_keys = hashlib.sha256(), hashlib.sha256()
+    # the combined (digest, plan-key digest) of the joindag streams and of the naive ones
+    joindag = hashlib.sha256(), hashlib.sha256()
+    naive = hashlib.sha256(), hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
-            for workload in WORKLOADS:
+            for workload in WORKLOADS + (NAIVE,):
                 work_dir = pathlib.Path(tmp) / f"{workload}-{seed}"
                 count, digest, keys = stream_digest(seed, workload, work_dir)
                 print(f"seed {seed} {workload}: {count} operations {digest} plan keys {keys}")
+                total, total_keys = naive if workload == NAIVE else joindag
                 total.update(f"{seed}\t{workload}\t{digest}\n".encode("utf-8"))
                 total_keys.update(f"{seed}\t{workload}\t{keys}\n".encode("utf-8"))
-    print(f"plan keys: {total_keys.hexdigest()}")
-    print(f"all: {total.hexdigest()}")
+    print(f"plan keys: {joindag[1].hexdigest()}")
+    print(f"all: {joindag[0].hexdigest()}")
+    print(f"naive plan keys: {naive[1].hexdigest()}")
+    print(f"naive: {naive[0].hexdigest()}")
     return 0
 
 

@@ -1,19 +1,22 @@
 """Memo table: interning, signatures, op attachment, counts, DOT, round-trip."""
 
+import random
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sprinkleqo import memo
+from sprinkleqo import joindag, memo
 from sprinkleqo.errors import DagError
-from sprinkleqo.memo import (Dag, KIND_GROUPBY, KIND_JOIN, KIND_JOINFILTER,
-                             KIND_PROJECT, KIND_SELECT, SIZE_RTOL,
+from sprinkleqo.memo import (Dag, EqNode, KIND_GROUPBY, KIND_JOIN, KIND_JOINFILTER,
+                             KIND_PROJECT, KIND_SELECT, OpNode, SIZE_RTOL,
                              arc_signature_set, attach_op, base_signature,
                              count_nodes, dag_from_doc, dag_to_doc, ensure_base,
                              export_dot, extend_signature, intern_eq,
                              join_signature, plan_count_for, register_root,
                              signature_text)
+
+from conftest import random_schema
 
 
 def two_base_dag():
@@ -77,6 +80,58 @@ def test_attach_op_deduplicates_and_checks_children():
         attach_op(dag, KIND_JOIN, "a.x = b.x", (a,), 1.0, 1.0, factor=0.1)
     with pytest.raises(DagError, match="dangling"):
         attach_op(dag, KIND_JOIN, "other", (a, 999), 1.0, 1.0, factor=0.1)
+
+
+def test_reattaching_an_op_node_keeps_every_check():
+    dag, a, b = two_base_dag()
+    top = attach_op(dag, KIND_JOIN, "a.x = b.x", (a, b), 2000.0, 20000.0, factor=0.1)
+    sel = attach_op(dag, KIND_SELECT, "a.x > 1", (a,), 10.0, 100.0, factor=0.1)
+    before = dag_to_doc(dag)
+    # the swapped join is the same op-node under the same eq-node
+    assert attach_op(dag, KIND_JOIN, "a.x = b.x", (b, a), 2000.0, 20000.0, factor=0.1) == top
+    assert attach_op(dag, KIND_SELECT, "a.x > 1", (a,), 10.0, 100.0, factor=0.1) == sel
+    # an existing op-node's size is checked as interning its eq-node checks it
+    with pytest.raises(DagError) as exc:
+        attach_op(dag, KIND_JOIN, "a.x = b.x", (b, a), 3000.0, 20000.0, factor=0.1)
+    assert str(exc.value) == ("signature collision with inconsistent est_size: "
+                              "'{a,b} j[a.x = b.x]' has 2000.0 vs 3000.0")
+    with pytest.raises(DagError) as fresh:
+        intern_eq(dag, dag.eq_nodes[top].signature, 3000.0)
+    assert str(fresh.value) == str(exc.value)
+    # every other check runs before the lookup
+    for call, match in [
+            ((KIND_JOIN, "a.x = b.x", (a, b), float("inf"), 20000.0), "overflows"),
+            ((KIND_SELECT, "a.x > 1", (a,), 10.0, float("nan")), "overflows"),
+            ((KIND_SELECT, "a.x > 1", (999,), 10.0, 100.0), "dangling"),
+            ((KIND_JOIN, "a.x = b.x", (a, b, b), 2000.0, 20000.0), "two children"),
+            ((KIND_SELECT, "a.x > 1", (a, a), 10.0, 100.0), "one child"),
+            (("scan", "a.x > 1", (a,), 10.0, 100.0), "unknown op kind")]:
+        with pytest.raises(DagError, match=match):
+            attach_op(dag, *call, factor=0.1)
+    assert dag_to_doc(dag) == before
+
+
+def test_every_copy_records_the_eq_node_above_each_op_node():
+    dag, top = diamond_dag()
+    attach_op(dag, KIND_SELECT, "a.x > 1", (top,), 0.06, 0.6, factor=0.1)
+    for copy in (dag, dag.clone(), dag.copy_below(top)[0], dag_from_doc(dag_to_doc(dag))):
+        expected = {copy.op_nodes[op_id].sort_key(): eq_id
+                    for eq_id, node in copy.eq_nodes.items() for op_id in node.child_ops}
+        assert copy._op_index == expected
+        before = dag_to_doc(copy)
+        for key, eq_id in expected.items():
+            kind, detail, children = key
+            assert attach_op(copy, kind, detail, children[::-1],
+                             copy.eq_nodes[eq_id].est_size, 1.0, factor=0.5) == eq_id
+        assert dag_to_doc(copy) == before
+
+
+def test_op_nodes_are_immutable_records():
+    op = OpNode(3, KIND_JOIN, "a.x = b.x", (0, 1), 200.0, 0.01)
+    assert op.factor == 0.01 and op.sort_key() == (KIND_JOIN, "a.x = b.x", (0, 1))
+    assert OpNode(0, KIND_PROJECT, "project(a.x)", (0,), 1.0).factor is None
+    with pytest.raises(AttributeError):
+        op.op_cost = 0.0
 
 
 def projected_a(dag, a):
@@ -164,6 +219,116 @@ def test_clone_is_independent():
     attach_op(other, KIND_SELECT, "a.x > 1", (top,), 0.06, 0.6, factor=0.1)
     assert len(other.eq_nodes) == len(dag.eq_nodes) + 1
     assert count_nodes(dag) == (6, 4, 2)
+
+
+def reference_copy_below(self, root: int) -> tuple[Dag, int]:
+    """`Dag.copy_below` as it was before it recorded its order: the oracle
+    of the ids, nodes and arcs a copy has."""
+    out = Dag()
+    ids: dict[int, int] = {}
+
+    def new_eq(node: EqNode) -> int:
+        eq_id = out._next_eq
+        out.eq_nodes[eq_id] = EqNode(eq_id, node.signature, node.est_size, node.text)
+        out._sig_index[node.signature] = eq_id
+        out._next_eq += 1
+        return eq_id
+
+    def copy(eq_id: int) -> int:
+        if eq_id not in ids:
+            node = self.eq_nodes[eq_id]
+            new = new_eq(node) if node.is_base else None
+            for op_id in sorted(node.child_ops):
+                op = self.op_nodes[op_id]
+                children = tuple(copy(c) for c in op.children)
+                if new is None:
+                    new = new_eq(node)
+                out.op_nodes[out._next_op] = OpNode(out._next_op, op.kind, op.detail,
+                                                    children, op.op_cost, op.factor)
+                out._op_index[(op.kind, op.detail, children)] = out._next_op
+                out.eq_nodes[new].child_ops.append(out._next_op)
+                out._next_op += 1
+            ids[eq_id] = new
+        return ids[eq_id]
+
+    return out, copy(root)
+
+
+def assert_consumers_first(dag, order):
+    assert sorted(order) == sorted(dag.eq_nodes)
+    position = {eq: i for i, eq in enumerate(order)}
+    for eq_id, node in dag.eq_nodes.items():
+        for op_id in node.child_ops:
+            for child in dag.op_nodes[op_id].children:
+                assert position[eq_id] < position[child]
+
+
+def cyclic_histories(count):
+    """Complete histories of the first `count` seeded random schemas whose
+    join graph has a cycle."""
+    rng = random.Random(20260)
+    out = []
+    while len(out) < count:
+        catalog = random_schema(rng, max_edges=8)
+        if any(sum(1 for e in catalog.graph.edges if set(e.relations()) <= comp) >= len(comp)
+               for comp in catalog.graph.components()):
+            out.append(joindag.build_complete_history(catalog, catalog.graph.edges))
+    return out
+
+
+def check_copy_below(dag, root):
+    copy, new_root = dag.copy_below(root)
+    expected, expected_root = reference_copy_below(dag, root)
+    assert new_root == expected_root
+    assert dag_to_doc(copy) == dag_to_doc(expected)
+    assert (copy._next_eq, copy._next_op) == (expected._next_eq, expected._next_op)
+    assert copy._sig_index == expected._sig_index
+    assert copy._inputs_first is not None   # the order is the copy's, not a walk's
+    assert_consumers_first(copy, memo.topological_order(copy))
+
+
+def test_copy_below_equals_the_recursive_copy(company_catalog, tpch_catalog):
+    for catalog in (company_catalog, tpch_catalog):
+        history = joindag.build_complete_history(catalog, catalog.graph.edges)
+        for root in history.dag.query_roots.values():
+            check_copy_below(history.dag, root)
+    for history in cyclic_histories(10):
+        for root in history.dag.query_roots.values():
+            check_copy_below(history.dag, root)
+        for eq_id in history.dag.eq_nodes:   # the inner nodes a query join set copies from
+            check_copy_below(history.dag, eq_id)
+
+
+def test_topological_order_of_a_copy_takes_in_added_nodes():
+    """A copy's recorded order holds until a node is added: a new class
+    hung below the root, or a new op-node alone between existing classes."""
+    dag = Dag()
+    a, b, c, d = (ensure_base(dag, r, size) for r, size in
+                  (("a", 10.0), ("b", 20.0), ("c", 30.0), ("d", 40.0)))
+    ab = attach_op(dag, KIND_JOIN, "a.x = b.x", (a, b), 2.0, 200.0, factor=0.01)
+    abc = attach_op(dag, KIND_JOIN, "b.y = c.y", (ab, c), 0.6, 60.0, factor=0.01)
+    top = attach_op(dag, KIND_JOIN, "c.z = d.z", (abc, d), 0.24, 24.0, factor=0.01)
+    bc = attach_op(dag, KIND_JOIN, "b.y = c.y", (b, c), 6.0, 600.0, factor=0.01)
+    bcd = attach_op(dag, KIND_JOIN, "c.z = d.z", (bc, d), 2.4, 240.0, factor=0.01)
+    assert attach_op(dag, KIND_JOIN, "a.x = b.x", (a, bcd), 0.24, 24.0, factor=0.01) == top
+
+    copy, root = dag.copy_below(top)
+    ids = {copy.eq_nodes[i].signature: i for i in copy.eq_nodes}
+    a, abc, bc = (ids[dag.eq_nodes[i].signature] for i in (a, abc, bc))
+    recorded = memo.topological_order(copy)
+    assert_consumers_first(copy, recorded)
+    # the copy finished abc before bc, so abc -> bc breaks the recorded order
+    assert recorded.index(bc) < recorded.index(abc)
+    ops = len(copy.op_nodes)
+    assert attach_op(copy, KIND_JOIN, "a.x = b.x", (a, bc), 0.6, 60.0, factor=0.01) == abc
+    assert len(copy.op_nodes) == ops + 1 and sorted(copy.eq_nodes) == sorted(recorded)
+    assert_consumers_first(copy, memo.topological_order(copy))
+
+    copy, root = dag.copy_below(top)
+    sel = attach_op(copy, KIND_SELECT, "a.x > 1", (root,), 0.024, 0.24, factor=0.1)
+    order = memo.topological_order(copy)
+    assert order[0] == sel
+    assert_consumers_first(copy, order)
 
 
 def test_arc_signature_set_distinguishes_wiring():

@@ -354,9 +354,9 @@ def kept_plans(stage):
         kept.append((plan_key(plan), plan.cum_cost.hex()))
         return intern(dag, plan)
 
-    def recording_place(plan, selects):
+    def recording_place(plan, selects, **kwargs):
         placed.append(plan_key(plan))
-        return place(plan, selects)
+        return place(plan, selects, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(costplan, "intern_plan", recording_intern)
@@ -517,10 +517,10 @@ def test_eight_leaf_star_places_selects_on_few_plans(monkeypatch):
     placed = families = 0
     place, within = sprinkle.place_selects_on_plan, costplan.plans_within
 
-    def counting_place(plan, selects):
+    def counting_place(plan, selects, **kwargs):
         nonlocal placed
         placed += 1
-        return place(plan, selects)
+        return place(plan, selects, **kwargs)
 
     def counting_within(dag, root, floor, op_floor, limit):
         def counting_limit():
