@@ -159,36 +159,46 @@ def _base_relation_of(dag: Dag, eq_id: int) -> str:
 
 
 def best_plan(dag: Dag, root_eq: int) -> Plan:
-    """Minimum-cost expansion below an eq-node; cost ties break on canonical op text.
+    """Minimum-cost expansion below an eq-node; cost ties break on canonical
+    op text (`OpNode.sort_key`), and the first op-node wins a full tie.
 
-    `memo.attach_op` keeps every op cost finite, but their sum can still
-    overflow: a non-finite best cost is a DagError.
+    The walk is iterative, inputs first, so any depth works.  `memo.attach_op`
+    keeps every op cost finite, but their sum can still overflow: a
+    non-finite best cost is a DagError.
     """
-    cache: dict[int, Plan] = {}
-
-    def best(eq_id: int) -> Plan:
-        if eq_id in cache:
-            return cache[eq_id]
-        node = dag.eq_nodes[eq_id]
-        if node.is_base:
-            plan = base_plan(_base_relation_of(dag, eq_id), node.est_size)
-        else:
-            candidates = []
-            for op_id in node.child_ops:
-                op = dag.op_nodes[op_id]
-                children = tuple(best(c) for c in op.children)
-                cost = op.op_cost + sum(c.cum_cost for c in children)
-                candidates.append((cost, op.sort_key(), op, children))
-            cost, _, op, children = min(candidates, key=lambda c: (c[0], c[1]))
-            plan = Plan(kind=op.kind, detail=op.detail, relation=None,
-                        children=children, factor=op.factor,
-                        est_size=node.est_size, op_cost=op.op_cost, cum_cost=cost)
-        cache[eq_id] = plan
-        return plan
-
     if root_eq not in dag.eq_nodes:
         raise DagError(f"unknown eq-node {root_eq}")
-    plan = best(root_eq)
+    eq_nodes, op_nodes = dag.eq_nodes, dag.op_nodes
+    cache: dict[int, Plan] = {}
+    stack: list = [root_eq]   # an id to visit, or an eq-node whose inputs are done
+    while stack:
+        item = stack.pop()
+        if type(item) is int:
+            if item in cache:
+                continue
+            node = eq_nodes[item]
+            if node.child_ops:
+                stack.append(node)
+                for op_id in node.child_ops:
+                    stack += [c for c in op_nodes[op_id].children if c not in cache]
+            else:
+                cache[item] = base_plan(_base_relation_of(dag, item), node.est_size)
+            continue
+        node, best_op = item, None
+        for op_id in node.child_ops:
+            op = op_nodes[op_id]
+            children = op.children
+            if len(children) == 2:
+                cost = op.op_cost + (cache[children[0]].cum_cost + cache[children[1]].cum_cost)
+            else:
+                cost = op.op_cost + cache[children[0]].cum_cost
+            if best_op is None or cost < best_cost or (
+                    cost == best_cost and op.sort_key() < best_op.sort_key()):
+                best_op, best_cost = op, cost
+        cache[node.id] = Plan(best_op.kind, best_op.detail, None,
+                              tuple([cache[c] for c in best_op.children]), best_op.factor,
+                              node.est_size, best_op.op_cost, best_cost)
+    plan = cache[root_eq]
     if not math.isfinite(plan.cum_cost):
         raise DagError(f"the plan cost under eq-node {root_eq} overflows")
     return plan

@@ -18,6 +18,10 @@ the trees it consumes, and many applied-sets share those (on a chain, most
 of them).  Each step is therefore interned once, on its first visit, and a
 later visit is one lookup in a table local to the call; the ids, and so the
 saved histories, are those of interning every visit.
+
+The walk is depth first over the conditions in text order.  An applied-set
+is a bit mask over that order, and a forest state a list that maps each
+relation (by its index in name order) to the eq-node of its tree.
 """
 
 from __future__ import annotations
@@ -40,55 +44,45 @@ def expand_forest(dag: Dag, relations: dict[str, float],
     condition is applied; with a connected join graph that maps every
     relation to the single root eq-node.
     """
-    trees: dict[str, int] = {}
-    for rel in sorted(relations):
-        trees[rel] = memo.ensure_base(dag, rel, relations[rel])
+    names = sorted(relations)
+    index = {rel: i for i, rel in enumerate(names)}
+    trees = [memo.ensure_base(dag, rel, relations[rel]) for rel in names]
+    if not joins and not selects:
+        return dict(zip(names, trees))
 
-    # each condition read once: (text, the relations whose trees it consumes,
-    # factor); one relation makes it a select
+    # each condition read once: (bit, text, indices of the relations whose
+    # trees it consumes (one twice for a select), factor, its steps: the
+    # input eq-nodes -> the output eq-node)
     conditions = sorted([(j.canonical(), j.relations(), j.jsf) for j in joins]
                         + [(s.canonical(), (s.relation,), s.ssf) for s in selects],
                         key=itemgetter(0))
-    visited: set[frozenset[str]] = set()
-    final_trees: dict[str, int] = {}
-    steps: dict[tuple, int] = {}
+    conditions = [(1 << bit, text, index[rels[0]], index[rels[-1]], len(rels) == 1, factor, {})
+                  for bit, (text, rels, factor) in enumerate(conditions)]
+    everything = (1 << len(conditions)) - 1
+    visited: set[int] = set()
+    final: list[int] = []
 
-    def apply_one(state: dict[str, int], text: str, rels: tuple[str, ...],
-                  factor: float) -> int:
-        """The eq-node the condition produces over the trees of `state`,
-        interned on the first visit of its (text, input eq-nodes) key only."""
-        if len(rels) == 1:
-            key = (text, state[rels[0]])
-        else:
-            key = (text, state[rels[0]], state[rels[1]])
-        eq = steps.get(key)
-        if eq is None:
-            if len(rels) == 1:
-                eq = intern_op(dag, KIND_SELECT, text, key[1:], factor)
-            elif key[1] == key[2]:
-                eq = intern_op(dag, KIND_JOINFILTER, text, key[1:2], factor)
-            else:
-                eq = intern_op(dag, KIND_JOIN, text, key[1:], factor)
-            steps[key] = eq
-        return eq
-
-    def expand(state: dict[str, int], applied: frozenset[str]) -> None:
-        if len(applied) == len(conditions):
-            final_trees.update(state)
+    def expand(state: list[int], applied: int) -> None:
+        if applied == everything:
+            final[:] = state
             return
-        for text, rels, factor in conditions:
-            if text in applied:
+        for bit, text, i, j, is_select, factor, steps in conditions:
+            if applied & bit:
                 continue
-            eq = apply_one(state, text, rels, factor)
-            next_applied = applied | {text}
-            if next_applied not in visited:
-                visited.add(next_applied)
-                next_state = dict(state)
-                for rel in dag.eq_nodes[eq].signature[0]:
-                    next_state[rel] = eq
-                expand(next_state, next_applied)
+            key = left, right = state[i], state[j]
+            eq = steps.get(key)
+            if eq is None:   # the first visit of this step interns it
+                if is_select:
+                    eq = intern_op(dag, KIND_SELECT, text, (left,), factor)
+                elif left == right:
+                    eq = intern_op(dag, KIND_JOINFILTER, text, (left,), factor)
+                else:
+                    eq = intern_op(dag, KIND_JOIN, text, key, factor)
+                steps[key] = eq
+            if applied | bit not in visited:
+                visited.add(applied | bit)
+                # the trees the step consumed become its output's
+                expand([eq if t == left or t == right else t for t in state], applied | bit)
 
-    if not conditions:
-        return dict(trees)
-    expand(trees, frozenset())
-    return final_trees
+    expand(trees, 0)
+    return dict(zip(names, final))

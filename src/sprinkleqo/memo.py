@@ -26,15 +26,22 @@ Attaching looks up before it derives: the op index maps each op-node's
 (kind, detail, children) to the eq-node above it, so re-attaching an
 existing op-node checks its size estimate against that eq-node's and
 derives nothing.  Only a new op-node pays for its signature and its
-eq-node's interning.  A dag copied by `Dag.copy_below` keeps the order in
-which the copy finished its eq-nodes, inputs first, and
-`topological_order` returns it reversed until a node is added.
+eq-node's interning.  Since signatures grow along every op-node,
+`topological_order` needs no walk: it sorts the eq-nodes by their
+signature's entry count.
+
+Ids are the memo's own names and reach no query output: under one eq-node,
+(kind, detail) already identifies an op-node, so `OpNode.sort_key` never
+reaches the children's ids.  A join dag may therefore be a copy of part of
+a history (`Dag.copy_below`) or, for a history built for one block alone,
+that history read in place (`Dag.read_in_place`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import DagError
@@ -147,9 +154,6 @@ class Dag:
         self._next_eq = 0
         self._next_op = 0
         self.meta: dict = {}
-        # (eq-nodes, op-nodes, eq-node ids inputs first) of a `copy_below`:
-        # the order holds while the dag has those node counts
-        self._inputs_first: tuple[int, int, list[int]] | None = None
 
     # -- construction ---------------------------------------------------
 
@@ -178,16 +182,12 @@ class Dag:
         copied, and each op-node, in ascending source id under its eq-node,
         after its inputs.  Every input of a reachable op-node is reachable,
         so the copy obeys the rule the source does (see `attach_op`).  The
-        copy fills its op index with each op-node's eq-node, and records
-        the order in which it finished its eq-nodes, each after every input
-        of its op-nodes: `topological_order` returns that order reversed,
-        without a walk, until a node is added to the copy.
+        copy fills its op index with each op-node's eq-node.
         """
         out = Dag()
         src_eq, src_op = self.eq_nodes, self.op_nodes
         eq_nodes, op_nodes, op_index = out.eq_nodes, out.op_nodes, out._op_index
         ids: dict[int, int] = {}
-        finished: list[int] = []
 
         def new_eq(node: EqNode) -> EqNode:
             eq_id = len(eq_nodes)
@@ -209,13 +209,25 @@ class Dag:
                 op_index[(op.kind, op.detail, children)] = new.id
                 new.child_ops.append(new_op)
             ids[eq_id] = new.id
-            finished.append(new.id)
             return new.id
 
         root = copy(root)
         out._next_eq, out._next_op = len(eq_nodes), len(op_nodes)
-        out._inputs_first = (len(eq_nodes), len(op_nodes), finished)
         return out, root
+
+    def read_in_place(self) -> "Dag":
+        """A dag over this one's nodes, not copies of them, with roots of its
+        own and none yet: what `copy_below` of a root would give, less the
+        renumbering, when every eq-node lies below that root.  Nothing may
+        write through it: its indexes are read-only, so `intern_eq` and
+        `attach_op` raise before they change a node.
+        """
+        out = Dag()
+        out.eq_nodes, out.op_nodes = self.eq_nodes, self.op_nodes
+        out._sig_index = MappingProxyType(self._sig_index)
+        out._op_index = MappingProxyType(self._op_index)
+        out._next_eq, out._next_op = self._next_eq, self._next_op
+        return out
 
 
 def sizes_agree(a: float, b: float) -> bool:
@@ -239,8 +251,8 @@ def intern_eq(dag: Dag, signature: Signature, est_size: float) -> int:
         return existing
     node = EqNode(id=dag._next_eq, signature=signature, est_size=float(est_size),
                   text=signature_text(signature))
+    dag._sig_index[signature] = node.id   # first: it raises in a `read_in_place` dag
     dag.eq_nodes[node.id] = node
-    dag._sig_index[signature] = node.id
     dag._next_eq += 1
     return node.id
 
@@ -297,8 +309,8 @@ def attach_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
         sig = extend_signature(eq_nodes[children[0]].signature, kind, detail)
     parent = intern_eq(dag, sig, est_size)
     op = OpNode(dag._next_op, kind, detail, children, float(op_cost), factor)
+    dag._op_index[key] = parent   # first: it raises in a `read_in_place` dag
     dag.op_nodes[op.id] = op
-    dag._op_index[key] = parent
     dag._next_op += 1
     eq_nodes[parent].child_ops.append(op.id)
     return parent
@@ -317,36 +329,21 @@ def ensure_base(dag: Dag, relation: str, cardinality: float) -> int:
 # -- counting -------------------------------------------------------------
 
 def topological_order(dag: Dag) -> list[int]:
-    """Every eq-node after all of its consumers.
-
-    A dag made by `Dag.copy_below` to which no node has been added since
-    returns the copy's order of finishing its eq-nodes, reversed.  Any
-    other dag is sorted by Kahn's algorithm: iterative, so any depth works;
-    raises DagError on a cycle.  Eq-node ids are not topological: interning
-    a plan can hang a new, higher-id child under an existing parent.
+    """Every eq-node after all of its consumers: by the number of entries
+    in its signature (bases, applied joins and unary ops, and one for a
+    projection), largest first, ties by id.  `attach_op` and `dag_from_doc`
+    hold every op-node's signature to more entries than each input's, so no
+    walk is needed and any depth works.  Eq-node ids alone are not
+    topological: interning a plan can hang a new, higher-id child under an
+    existing parent.
     """
-    if dag._inputs_first is not None:
-        eq_count, op_count, inputs_first = dag._inputs_first
-        if eq_count == len(dag.eq_nodes) and op_count == len(dag.op_nodes):
-            return inputs_first[::-1]
-    indegree = dict.fromkeys(dag.eq_nodes, 0)
-    for node in dag.eq_nodes.values():
-        for op_id in node.child_ops:
-            for child in dag.op_nodes[op_id].children:
-                indegree[child] += 1
-    ready = [eq_id for eq_id, n in indegree.items() if n == 0]
-    order: list[int] = []
-    while ready:
-        eq_id = ready.pop()
-        order.append(eq_id)
-        for op_id in dag.eq_nodes[eq_id].child_ops:
-            for child in dag.op_nodes[op_id].children:
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    ready.append(child)
-    if len(order) != len(dag.eq_nodes):
-        raise DagError("dag has a cycle")
-    return order
+    nodes = dag.eq_nodes
+
+    def entries(eq_id: int) -> int:
+        bases, joins, unary, projection = nodes[eq_id].signature
+        return len(bases) + len(joins) + len(unary) + (1 if projection else 0)
+
+    return sorted(sorted(nodes), key=entries, reverse=True)
 
 
 def plan_count_for(dag: Dag, eq_id: int, _memo: dict[int, int] | None = None) -> int:
@@ -479,6 +476,27 @@ def _signature_of(value, eq_id) -> Signature:
     return tuple(tuple(part) for part in value)
 
 
+def _check_acyclic(dag: Dag) -> None:
+    """Kahn's algorithm over the arcs as read, before any signature is
+    checked: iterative, so any depth works; DagError on a cycle."""
+    indegree = dict.fromkeys(dag.eq_nodes, 0)
+    for node in dag.eq_nodes.values():
+        for op_id in node.child_ops:
+            for child in dag.op_nodes[op_id].children:
+                indegree[child] += 1
+    ready = [eq_id for eq_id, n in indegree.items() if n == 0]
+    done = 0
+    while ready:
+        done += 1
+        for op_id in dag.eq_nodes[ready.pop()].child_ops:
+            for child in dag.op_nodes[op_id].children:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    ready.append(child)
+    if done != len(dag.eq_nodes):
+        raise DagError("dag has a cycle")
+
+
 def dag_from_doc(doc: dict) -> Dag:
     """Rebuild a dag from its document, held to the rule `attach_op` builds
     by.  Rejects unknown or duplicate nodes, non-finite sizes, costs and
@@ -525,7 +543,7 @@ def dag_from_doc(doc: dict) -> Dag:
             raise DagError(f"op-node {op_id} has more than one parent")
         parent[op_id] = eq_id
         dag.eq_nodes[eq_id].child_ops.append(op_id)
-    topological_order(dag)  # rejects a cycle
+    _check_acyclic(dag)
     for op in dag.op_nodes.values():
         if op.id not in parent:
             raise DagError(f"op-node {op.id} has no parent")

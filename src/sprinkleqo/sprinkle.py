@@ -148,29 +148,47 @@ class _Placement:
         the op, so `out` is `pre`.  Unless `all_s`, `best` is filled only at
         S = mask, all that a node no op consumes needs.
         """
-        children = alternatives[0][2]
+        (kind, factor, children), *rest = alternatives
         mask = children[0].mask | children[-1].mask   # a join's two inputs, or a unary op's one
         cell = _Cell(mask, self.width)
         local, pre, below, best = cell.local, cell.pre, cell.below, cell.best
-        cell.own = own = []   # each alternative's `local` at u = mask
         total = [0.0] * self.width   # local + below, by u
         subsets, stack_cost = self.subsets, self.stack_cost
-        for i, (kind, factor, children) in enumerate(alternatives):
-            if len(children) == 2:   # a join
+        op_cost, estimate_size = costplan.op_cost, costplan.estimate_size
+        if len(children) == 2:   # a join; the first alternative sets every u
+            c1, c2 = children
+            m1, m2, z1, z2, b1, b2 = c1.mask, c2.mask, c1.out, c2.out, c1.best, c2.best
+            for u in subsets[mask]:
+                sizes = (z1[u & m1], z2[u & m2])
+                local[u] = cost = op_cost(kind, sizes)
+                pre[u] = estimate_size(kind, sizes, factor)
+                below[u] = kids = b1[u & m1] + b2[u & m2]
+                total[u] = cost + kids
+        else:
+            z1, b1 = children[0].out, children[0].best
+            for u in subsets[mask]:
+                sizes = (z1[u],)
+                local[u] = cost = op_cost(kind, sizes)
+                pre[u] = estimate_size(kind, sizes, factor)
+                below[u] = b1[u]
+                total[u] = cost + b1[u]
+        cell.own = own = [cost]   # each alternative's `local` at u = mask, the last u
+        for kind, factor, children in rest:   # each later one only where it is cheaper
+            if len(children) == 2:
                 c1, c2 = children
                 m1, m2, z1, z2, b1, b2 = c1.mask, c2.mask, c1.out, c2.out, c1.best, c2.best
-                rows = [((z1[u & m1], z2[u & m2]), b1[u & m1] + b2[u & m2])
-                        for u in subsets[mask]]
+                for u in subsets[mask]:
+                    cost = op_cost(kind, (z1[u & m1], z2[u & m2]))
+                    kids = b1[u & m1] + b2[u & m2]
+                    if cost + kids < total[u]:
+                        local[u], below[u], total[u] = cost, kids, cost + kids
             else:
                 z1, b1 = children[0].out, children[0].best
-                rows = [((z1[u],), b1[u]) for u in subsets[mask]]
-            for u, (sizes, kids) in zip(subsets[mask], rows):
-                cost = costplan.op_cost(kind, sizes)
-                if i == 0:
-                    pre[u] = costplan.estimate_size(kind, sizes, factor)
-                if i == 0 or cost + kids < total[u]:
-                    local[u], below[u], total[u] = cost, kids, cost + kids
-            own.append(cost)   # the last u is mask
+                for u in subsets[mask]:
+                    cost = op_cost(kind, (z1[u],))
+                    if cost + b1[u] < total[u]:
+                        local[u], below[u], total[u] = cost, b1[u], cost + b1[u]
+            own.append(cost)
         for s in subsets[mask] if all_s else (mask,):
             least = math.inf
             for u in subsets[s]:
@@ -540,10 +558,14 @@ class OptimizeResult:
 
 
 def extract_query_joindag(history: HistoryDag, query: Query, catalog: Catalog,
-                          query_id: str) -> Dag:
-    """Standalone join dag for one query: a copy of the history subgraph
-    reachable from the query's full-join node (`Dag.copy_below`), with the
-    query root registered.  No operator is derived again."""
+                          query_id: str, *, in_place: bool = False) -> Dag:
+    """Join dag for one query: the history subgraph reachable from the
+    query's full-join node, with the query root registered.  No operator is
+    derived again.  It is a copy (`Dag.copy_below`), unless `in_place` says
+    that the history was built from empty for this query's joins alone:
+    then every eq-node lies below the query's, and the history's dag is read
+    in place (`Dag.read_in_place`) with its own roots and indexes untouched.
+    Ids reach no output, so both give the same plans, costs and dags."""
     if not query.joins:
         out = Dag()
         (rel,) = query.tables
@@ -551,7 +573,11 @@ def extract_query_joindag(history: HistoryDag, query: Query, catalog: Catalog,
     else:
         bases = {t: float(catalog.relation(t).cardinality) for t in sorted(query.tables)}
         join_texts = tuple(sorted(j.canonical() for j in extract_join_set(query)))
-        out, root = history.dag.copy_below(joindag.query_join_root(history, bases, join_texts))
+        root = joindag.query_join_root(history, bases, join_texts)
+        if in_place:
+            out = history.dag.read_in_place()
+        else:
+            out, root = history.dag.copy_below(root)
     memo.register_root(out, query_id, root)
     return out
 
@@ -563,16 +589,20 @@ def optimize_single(query: Query, catalog: Catalog, *,
     then sprinkle selects, grouping, ordering, and projections.  `limit`
     bounds the joins and, as the placement DP grows as 3**s, the selects of
     each block.  Joins the history already holds are not counted: a block
-    whose joins are all known runs whatever its number of joins."""
+    whose joins are all known runs whatever its number of joins.  Without a
+    history (or with an empty one) the block is cold: the history built for
+    it is its join dag, read in place rather than copied; a warm block
+    copies its part of the history."""
     if query.subquery is not None:
         return _optimize_nested(query, catalog, history=history, limit=limit,
                                 query_id=query_id)
     if len(query.selects) > limit:
         raise LimitExceededError("select placement", len(query.selects), limit)
     joins = extract_join_set(query)
+    cold = history is None or not history.dag.eq_nodes
     base_history = history if history is not None else joindag.empty_history(catalog)
     grown = joindag.build_incremental(base_history, joins, catalog, limit)
-    jd = extract_query_joindag(grown, query, catalog, query_id)
+    jd = extract_query_joindag(grown, query, catalog, query_id, in_place=cold)
     jd_eq, _, jd_plans = memo.count_nodes(jd)
 
     dag = sprinkle_selects(jd, query.selects, catalog,

@@ -1,16 +1,20 @@
 """Size estimation, costing conventions, and plan enumeration/extraction."""
 
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sprinkleqo import costplan, memo, naive
-from sprinkleqo.costplan import (base_plan, best_plan, enumerate_plans,
+from sprinkleqo.costplan import (Plan, base_plan, best_plan, enumerate_plans,
                                  estimate_size, intern_plan, op_cost, op_plan,
                                  plan_key, plan_signature)
 from sprinkleqo.errors import DagError
+from sprinkleqo.memo import KIND_SELECT
 from sprinkleqo.sqlfront import parse_query
 
-from conftest import fixture_sql
+from conftest import FIXTURES, connected_query_sql, fixture_sql, random_schema
 
 sizes = st.floats(min_value=1.0, max_value=1e6, allow_nan=False)
 factors = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
@@ -119,6 +123,87 @@ def test_best_plan_tie_break_is_deterministic():
     assert best.cum_cost == 200.0
     assert best.detail == jab
     assert {plan_key(best_plan(dag, top)) for _ in range(3)} == {plan_key(best)}
+
+
+def reference_best_plan(dag, root_eq):
+    """`costplan.best_plan` as it was before it walked iteratively: the
+    oracle of the plan it returns."""
+    cache = {}
+
+    def best(eq_id):
+        if eq_id in cache:
+            return cache[eq_id]
+        node = dag.eq_nodes[eq_id]
+        if node.is_base:
+            plan = base_plan(node.signature[0][0], node.est_size)
+        else:
+            candidates = []
+            for op_id in node.child_ops:
+                op = dag.op_nodes[op_id]
+                children = tuple(best(c) for c in op.children)
+                cost = op.op_cost + sum(c.cum_cost for c in children)
+                candidates.append((cost, op.sort_key(), op, children))
+            cost, _, op, children = min(candidates, key=lambda c: (c[0], c[1]))
+            plan = Plan(kind=op.kind, detail=op.detail, relation=None,
+                        children=children, factor=op.factor,
+                        est_size=node.est_size, op_cost=op.op_cost, cum_cost=cost)
+        cache[eq_id] = plan
+        return plan
+
+    return best(root_eq)
+
+
+def test_best_plan_equals_the_recursive_walk_on_naive_dags(company_catalog, tpch_catalog):
+    """Every eq-node of the naive dag of each fixture query and of random
+    queries, the ties of symmetric graphs included."""
+    cases = []
+    for group, catalog in (("company", company_catalog), ("tpch", tpch_catalog)):
+        for path in sorted((FIXTURES / group).glob("*.sql")):
+            cases.append((path.read_text(), catalog))
+    rng = random.Random(4242)
+    for _ in range(20):
+        catalog = random_schema(rng)
+        cases.append((connected_query_sql(catalog, rng, max_selects=2), catalog))
+    checked = 0
+    for sql, catalog in cases:
+        query = parse_query(sql, catalog)
+        if query.subquery is not None:
+            continue
+        dag = naive.build_naive_dag(query, catalog, limit=query.n_operations())
+        for eq_id in dag.eq_nodes:
+            got, expected = best_plan(dag, eq_id), reference_best_plan(dag, eq_id)
+            assert got == expected
+            assert plan_key(got) == plan_key(expected)
+            assert got.cum_cost.hex() == expected.cum_cost.hex()
+        checked += 1
+    assert checked >= 25
+
+
+def test_best_plan_walks_a_dag_deeper_than_the_stack():
+    # a select chain longer than the recursion limit
+    dag = memo.Dag()
+    eq = memo.ensure_base(dag, "a", 1000.0)
+    depth = sys.getrecursionlimit() + 200
+    for i in range(depth):
+        eq = costplan.intern_op(dag, KIND_SELECT, f"s{i:05d}", (eq,), 1.0)
+    plan = best_plan(dag, eq)
+    assert plan.cum_cost == 1000.0 * depth
+    assert plan.detail == f"s{depth - 1:05d}"
+    node, steps = plan, 0
+    while node.children:
+        node, steps = node.children[0], steps + 1
+    assert steps == depth and node.relation == "a"
+    with pytest.raises(DagError, match="unknown eq-node"):
+        best_plan(dag, max(dag.eq_nodes) + 1)
+
+
+def test_best_plan_cost_that_overflows_is_a_dag_error():
+    dag = memo.Dag()
+    eq = memo.ensure_base(dag, "a", 1.5e308)
+    for i in range(2):   # each op costs 1.5e308, finite; their sum is not
+        eq = costplan.intern_op(dag, KIND_SELECT, f"s{i}", (eq,), 1.0)
+    with pytest.raises(DagError, match="overflows"):
+        best_plan(dag, eq)
 
 
 def test_intern_plan_round_trip(company_catalog):

@@ -2,15 +2,17 @@
 
 import itertools
 import random
+from operator import itemgetter
 
 import pytest
 
-from sprinkleqo import forest, memo
+from sprinkleqo import forest, joindag, memo, naive
+from sprinkleqo.catalog import JoinCondition
 from sprinkleqo.costplan import intern_op
-from sprinkleqo.memo import KIND_JOIN, KIND_JOINFILTER, KIND_SELECT
-from sprinkleqo.sqlfront import JoinCondition, SelectCondition
+from sprinkleqo.memo import Dag, KIND_JOIN, KIND_JOINFILTER, KIND_SELECT
+from sprinkleqo.sqlfront import SelectCondition, parse_query
 
-from conftest import random_schema
+from conftest import FIXTURES, random_schema
 
 
 def replay_all_permutations(relations, conditions):
@@ -171,7 +173,7 @@ def test_random_instances_match_oracle():
         assert_matches_oracle(rels, joins, selects)
 
 
-def reference_expand_forest(dag, relations, joins, selects=()):
+def unmemoized_expand_forest(dag, relations, joins, selects=()):
     """The expansion before its steps were memoized: every visit of a step
     re-attaches its operator."""
     trees: dict[str, int] = {}
@@ -240,7 +242,7 @@ def cyclic_schema_instances(with_selects: bool, wanted: int = 12):
 def test_memoized_steps_build_the_reference_dag(with_selects):
     for relations, joins, selects in cyclic_schema_instances(with_selects):
         docs, trees = [], []
-        for expand in (forest.expand_forest, reference_expand_forest):
+        for expand in (forest.expand_forest, unmemoized_expand_forest):
             dag = memo.Dag()
             # a first call leaves a part of the graph behind, as the history's
             # incremental builds do, so the second one re-visits its steps
@@ -272,9 +274,129 @@ def test_each_op_node_is_attached_once(monkeypatch, kind, new_calls, old_calls):
     monkeypatch.setattr(memo, "attach_op", lambda *a, **k: calls.append(a[1]) or attach(*a, **k))
     relations, joins = shape(kind, 8)
     counts = []
-    for expand in (forest.expand_forest, reference_expand_forest):
+    for expand in (forest.expand_forest, unmemoized_expand_forest):
         calls.clear()
         dag = memo.Dag()
         expand(dag, relations, joins)
         counts.append((len(calls), len(dag.op_nodes)))
     assert counts == [(new_calls, new_calls), (old_calls, new_calls)]
+
+
+# -- the bit-mask walk against the frozenset walk it replaced -----------------
+
+def reference_expand_forest(dag: Dag, relations: dict[str, float],
+                  joins: tuple[JoinCondition, ...],
+                  selects: tuple[SelectCondition, ...] = ()) -> dict[str, int]:
+    """`forest.expand_forest` as it was before it walked bit masks: every
+    applied-set a frozenset of condition texts and every forest state a
+    dict.  The oracle of the ids, nodes and trees the walk gives."""
+    trees: dict[str, int] = {}
+    for rel in sorted(relations):
+        trees[rel] = memo.ensure_base(dag, rel, relations[rel])
+
+    # each condition read once: (text, the relations whose trees it consumes,
+    # factor); one relation makes it a select
+    conditions = sorted([(j.canonical(), j.relations(), j.jsf) for j in joins]
+                        + [(s.canonical(), (s.relation,), s.ssf) for s in selects],
+                        key=itemgetter(0))
+    visited: set[frozenset[str]] = set()
+    final_trees: dict[str, int] = {}
+    steps: dict[tuple, int] = {}
+
+    def apply_one(state: dict[str, int], text: str, rels: tuple[str, ...],
+                  factor: float) -> int:
+        """The eq-node the condition produces over the trees of `state`,
+        interned on the first visit of its (text, input eq-nodes) key only."""
+        if len(rels) == 1:
+            key = (text, state[rels[0]])
+        else:
+            key = (text, state[rels[0]], state[rels[1]])
+        eq = steps.get(key)
+        if eq is None:
+            if len(rels) == 1:
+                eq = intern_op(dag, KIND_SELECT, text, key[1:], factor)
+            elif key[1] == key[2]:
+                eq = intern_op(dag, KIND_JOINFILTER, text, key[1:2], factor)
+            else:
+                eq = intern_op(dag, KIND_JOIN, text, key[1:], factor)
+            steps[key] = eq
+        return eq
+
+    def expand(state: dict[str, int], applied: frozenset[str]) -> None:
+        if len(applied) == len(conditions):
+            final_trees.update(state)
+            return
+        for text, rels, factor in conditions:
+            if text in applied:
+                continue
+            eq = apply_one(state, text, rels, factor)
+            next_applied = applied | {text}
+            if next_applied not in visited:
+                visited.add(next_applied)
+                next_state = dict(state)
+                for rel in dag.eq_nodes[eq].signature[0]:
+                    next_state[rel] = eq
+                expand(next_state, next_applied)
+
+    if not conditions:
+        return dict(trees)
+    expand(trees, frozenset())
+    return final_trees
+
+
+def same_as_the_reference(monkeypatch, build):
+    """`build()` (which expands forests, and returns a dag and anything else
+    to compare) run with `forest.expand_forest` and with the reference:
+    the same dag document, next ids, returned trees and result."""
+    runs = []
+    for expand in (forest.expand_forest, reference_expand_forest):
+        trees = []
+        monkeypatch.setattr(forest, "expand_forest",
+                            lambda *a, expand=expand: trees.append(expand(*a)) or trees[-1])
+        dag, *rest = build()
+        runs.append((memo.dag_to_doc(dag), dag._next_eq, dag._next_op, trees, rest))
+    assert runs[0] == runs[1]
+    assert runs[0][3]   # some forest was expanded
+
+
+def test_bit_mask_walk_builds_the_fixture_histories_of_the_reference(
+        monkeypatch, company_catalog, tpch_catalog):
+    for catalog in (company_catalog, tpch_catalog):
+        def build():
+            history = joindag.build_complete_history(catalog, catalog.graph.edges)
+            return history.dag, history.dag.query_roots
+        same_as_the_reference(monkeypatch, build)
+
+
+def test_bit_mask_walk_builds_the_naive_dags_of_the_reference(
+        monkeypatch, company_catalog, tpch_catalog):
+    built = 0
+    for group, catalog in (("company", company_catalog), ("tpch", tpch_catalog)):
+        for path in sorted((FIXTURES / group).glob("*.sql")):
+            query = parse_query(path.read_text(), catalog)
+            if query.subquery is not None:
+                continue
+            same_as_the_reference(monkeypatch, lambda: (naive.build_naive_dag(
+                query, catalog, limit=query.n_operations()),))
+            built += 1
+    assert built >= 6
+
+
+def test_bit_mask_walk_builds_the_random_schema_graphs_of_the_reference(monkeypatch):
+    rng = random.Random(1313)
+    for _ in range(24):
+        catalog = random_schema(rng, max_edges=8)
+        joins = catalog.graph.edges
+        rels = sorted({r for j in joins for r in j.relations()})
+        relations = {r: float(catalog.relation(r).cardinality) for r in rels}
+        selects = tuple(SelectCondition(r, "b", ">", i, 0.1 * (i + 1))
+                        for i, r in enumerate(rng.sample(rels, rng.randint(0, 2))))
+
+        def build():
+            dag = Dag()
+            # a first call leaves part of the graph behind, as incremental
+            # history builds do
+            forest.expand_forest(dag, relations, joins[:2])
+            forest.expand_forest(dag, relations, joins, selects)
+            return (dag,)
+        same_as_the_reference(monkeypatch, build)

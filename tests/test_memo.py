@@ -283,7 +283,6 @@ def check_copy_below(dag, root):
     assert dag_to_doc(copy) == dag_to_doc(expected)
     assert (copy._next_eq, copy._next_op) == (expected._next_eq, expected._next_op)
     assert copy._sig_index == expected._sig_index
-    assert copy._inputs_first is not None   # the order is the copy's, not a walk's
     assert_consumers_first(copy, memo.topological_order(copy))
 
 
@@ -299,36 +298,84 @@ def test_copy_below_equals_the_recursive_copy(company_catalog, tpch_catalog):
             check_copy_below(history.dag, eq_id)
 
 
-def test_topological_order_of_a_copy_takes_in_added_nodes():
-    """A copy's recorded order holds until a node is added: a new class
-    hung below the root, or a new op-node alone between existing classes."""
+def entries_then_ids(dag):
+    """The order `topological_order` promises, spelled out: signature entry
+    count (a projection counting as one) descending, then id ascending."""
+    def entries(eq_id):
+        bases, joins, unary, projection = dag.eq_nodes[eq_id].signature
+        return len(bases) + len(joins) + len(unary) + (1 if projection else 0)
+    return sorted(dag.eq_nodes, key=lambda eq_id: (-entries(eq_id), eq_id))
+
+
+def test_topological_order_sorts_by_signature_entries_after_a_copy():
+    """The order of a copy, and of the copy once nodes are added to it: a
+    new class with a higher id hung below an existing parent, a new op-node
+    alone between existing classes, a select above the root and a
+    projection above that."""
     dag = Dag()
     a, b, c, d = (ensure_base(dag, r, size) for r, size in
                   (("a", 10.0), ("b", 20.0), ("c", 30.0), ("d", 40.0)))
     ab = attach_op(dag, KIND_JOIN, "a.x = b.x", (a, b), 2.0, 200.0, factor=0.01)
     abc = attach_op(dag, KIND_JOIN, "b.y = c.y", (ab, c), 0.6, 60.0, factor=0.01)
     top = attach_op(dag, KIND_JOIN, "c.z = d.z", (abc, d), 0.24, 24.0, factor=0.01)
-    bc = attach_op(dag, KIND_JOIN, "b.y = c.y", (b, c), 6.0, 600.0, factor=0.01)
-    bcd = attach_op(dag, KIND_JOIN, "c.z = d.z", (bc, d), 2.4, 240.0, factor=0.01)
-    assert attach_op(dag, KIND_JOIN, "a.x = b.x", (a, bcd), 0.24, 24.0, factor=0.01) == top
-
     copy, root = dag.copy_below(top)
     ids = {copy.eq_nodes[i].signature: i for i in copy.eq_nodes}
-    a, abc, bc = (ids[dag.eq_nodes[i].signature] for i in (a, abc, bc))
-    recorded = memo.topological_order(copy)
-    assert_consumers_first(copy, recorded)
-    # the copy finished abc before bc, so abc -> bc breaks the recorded order
-    assert recorded.index(bc) < recorded.index(abc)
+    a, b, c, d, ab, abc = (ids[dag.eq_nodes[i].signature] for i in (a, b, c, d, ab, abc))
+    assert memo.topological_order(copy) == [root, abc, ab, a, b, c, d]
+
+    # bc and bcd get higher ids than abc and root, which consume them
+    bc = attach_op(copy, KIND_JOIN, "b.y = c.y", (b, c), 6.0, 600.0, factor=0.01)
+    bcd = attach_op(copy, KIND_JOIN, "c.z = d.z", (bc, d), 2.4, 240.0, factor=0.01)
+    assert attach_op(copy, KIND_JOIN, "a.x = b.x", (a, bcd), 0.24, 24.0, factor=0.01) == root
+    assert min(bc, bcd) > max(root, abc)
+    assert memo.topological_order(copy) == [root, abc, bcd, ab, bc, a, b, c, d]
     ops = len(copy.op_nodes)
     assert attach_op(copy, KIND_JOIN, "a.x = b.x", (a, bc), 0.6, 60.0, factor=0.01) == abc
-    assert len(copy.op_nodes) == ops + 1 and sorted(copy.eq_nodes) == sorted(recorded)
-    assert_consumers_first(copy, memo.topological_order(copy))
+    assert len(copy.op_nodes) == ops + 1
+    assert memo.topological_order(copy) == [root, abc, bcd, ab, bc, a, b, c, d]
 
-    copy, root = dag.copy_below(top)
     sel = attach_op(copy, KIND_SELECT, "a.x > 1", (root,), 0.024, 0.24, factor=0.1)
+    proj = attach_op(copy, KIND_PROJECT, "project(a.x, b.y, c.z)", (sel,), 0.024, 0.024)
     order = memo.topological_order(copy)
-    assert order[0] == sel
+    assert order == [proj, sel, root, abc, bcd, ab, bc, a, b, c, d]
+    assert order == entries_then_ids(copy)
     assert_consumers_first(copy, order)
+
+
+def test_topological_order_is_consumers_first_on_histories_and_their_copies():
+    for history in cyclic_histories(10):
+        dag = history.dag
+        for candidate in (dag, dag_from_doc(dag_to_doc(dag)),
+                          *(dag.copy_below(root)[0] for root in dag.query_roots.values())):
+            order = memo.topological_order(candidate)
+            assert order == entries_then_ids(candidate)
+            assert_consumers_first(candidate, order)
+
+
+def test_nothing_writes_through_a_dag_read_in_place():
+    dag = Dag()
+    a, b, c = (ensure_base(dag, r, size) for r, size in (("a", 10.0), ("b", 20.0), ("c", 30.0)))
+    ab = attach_op(dag, KIND_JOIN, "a.x = b.x", (a, b), 2.0, 200.0, factor=0.01)
+    top = attach_op(dag, KIND_JOIN, "b.y = c.y", (ab, c), 0.6, 60.0, factor=0.01)
+    bc = attach_op(dag, KIND_JOIN, "b.y = c.y", (b, c), 6.0, 600.0, factor=0.01)
+    register_root(dag, "component", top)
+    doc, sig_index, op_index = dag_to_doc(dag), dict(dag._sig_index), dict(dag._op_index)
+
+    view = dag.read_in_place()
+    assert view.eq_nodes is dag.eq_nodes and view.op_nodes is dag.op_nodes
+    assert not view.query_roots
+    register_root(view, "q1", top)
+    # existing op-nodes are read, not written
+    assert attach_op(view, KIND_JOIN, "b.y = c.y", (ab, c), 0.6, 60.0, factor=0.01) == top
+    with pytest.raises(TypeError):   # a new op-node over existing eq-nodes
+        attach_op(view, KIND_JOIN, "a.x = b.x", (a, bc), 0.6, 60.0, factor=0.01)
+    with pytest.raises(TypeError):   # a new eq-node
+        attach_op(view, KIND_SELECT, "a.x > 1", (top,), 0.06, 0.6, factor=0.1)
+    with pytest.raises(TypeError):
+        ensure_base(view, "d", 5.0)
+    assert dag_to_doc(dag) == doc
+    assert (dag._sig_index, dag._op_index) == (sig_index, op_index)
+    assert dag.query_roots == {"component": top}
 
 
 def test_arc_signature_set_distinguishes_wiring():

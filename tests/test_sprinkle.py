@@ -1036,3 +1036,132 @@ def test_differential_against_exhaustive_baseline():
         best = costplan.best_plan(ndag, ndag.query_roots["q1"])
         assert res.plan.cum_cost == pytest.approx(best.cum_cost, rel=1e-9), sql
         checked += 1
+
+
+# -- a join dag's numbering reaches no output ----------------------------------
+
+def renumbered(dag, rng):
+    """A copy of `dag` whose eq ids, op ids and op order under each eq-node
+    are permuted at random, with its indexes rebuilt to match."""
+    eq_id = dict(zip(dag.eq_nodes, rng.sample(range(len(dag.eq_nodes)), len(dag.eq_nodes))))
+    op_id = dict(zip(dag.op_nodes, rng.sample(range(len(dag.op_nodes)), len(dag.op_nodes))))
+    out = memo.Dag()
+    for old in sorted(dag.eq_nodes, key=eq_id.__getitem__):
+        node = dag.eq_nodes[old]
+        ops = [op_id[o] for o in node.child_ops]
+        rng.shuffle(ops)
+        out.eq_nodes[eq_id[old]] = memo.EqNode(eq_id[old], node.signature, node.est_size,
+                                               node.text, ops)
+        out._sig_index[node.signature] = eq_id[old]
+    for old in sorted(dag.op_nodes, key=op_id.__getitem__):
+        op = dag.op_nodes[old]
+        out.op_nodes[op_id[old]] = op._replace(
+            id=op_id[old], children=tuple(eq_id[c] for c in op.children))
+    for parent in out.eq_nodes.values():
+        for o in parent.child_ops:
+            out._op_index[out.op_nodes[o].sort_key()] = parent.id
+    out.query_roots = {q: eq_id[root] for q, root in dag.query_roots.items()}
+    out._next_eq, out._next_op = len(out.eq_nodes), len(out.op_nodes)
+    return out
+
+
+def numbering_inputs(company_catalog, tpch_catalog):
+    """(sql, catalog): every fixture query, and 24 queries over cyclic
+    `random_schema` join graphs, flat, grouped, ordered, or both."""
+    cases = [(path.read_text(), catalog)
+             for group, catalog in (("company", company_catalog), ("tpch", tpch_catalog))
+             for path in sorted((FIXTURES / group).glob("*.sql"))]
+    rng = random.Random(77)
+    cyclic = 0
+    while cyclic < 24:
+        catalog = random_schema(rng, max_edges=8)
+        comp = max(catalog.graph.components(), key=len)
+        if sum(1 for e in catalog.graph.edges if set(e.relations()) <= comp) < len(comp):
+            continue
+        sql = connected_query_sql(catalog, rng, max_selects=3)
+        rel = sorted(comp)[0]
+        sql += ("", f" group by {rel}.b", f" order by {rel}.a0",
+                f" group by {rel}.b order by {rel}.b")[cyclic % 4]
+        cases.append((sql, catalog))
+        cyclic += 1
+    return cases
+
+
+def test_join_dag_numbering_reaches_no_output(monkeypatch, company_catalog, tpch_catalog):
+    """Every stage after the join dag, and `best_plan`, give the same final
+    dag, plan and cost bits over a join dag renumbered at random: what lets
+    a cold block read its history in place instead of copying it."""
+    rng = random.Random(2024)
+    extract = sprinkle.extract_query_joindag
+    moved = 0
+    for sql, catalog in numbering_inputs(company_catalog, tpch_catalog):
+        query = parse_query(sql, catalog)
+        expected = sprinkle.optimize_single(query, catalog)
+        for _ in range(2):
+            jds = []
+
+            def shuffled(*args, **kwargs):
+                jds.append(extract(*args, **kwargs))
+                jds.append(renumbered(jds[-1], rng))
+                return jds[-1]
+
+            monkeypatch.setattr(sprinkle, "extract_query_joindag", shuffled)
+            got = sprinkle.optimize_single(query, catalog)
+            monkeypatch.setattr(sprinkle, "extract_query_joindag", extract)
+            assert memo.dag_to_doc(got.dag) == memo.dag_to_doc(expected.dag), sql
+            assert plan_key(got.plan) == plan_key(expected.plan), sql
+            assert got.plan.cum_cost.hex() == expected.plan.cum_cost.hex(), sql
+            moved += any(memo.dag_to_doc(a) != memo.dag_to_doc(b)
+                         for a, b in zip(jds[::2], jds[1::2]))
+    assert moved > 50
+
+
+# -- a cold block reads the history it built in place --------------------------
+
+def cold_inputs(company_catalog, tpch_catalog):
+    """(query, catalog) of every flat fixture query with joins and of 12
+    random connected queries."""
+    out = []
+    for group, catalog in (("company", company_catalog), ("tpch", tpch_catalog)):
+        for path in sorted((FIXTURES / group).glob("*.sql")):
+            query = parse_query(path.read_text(), catalog)
+            if query.subquery is None and query.joins:
+                out.append((query, catalog))
+    rng = random.Random(31)
+    while len(out) < 18:
+        catalog = random_schema(rng, max_edges=8)
+        query = parse_query(connected_query_sql(catalog, rng), catalog)
+        if query.joins:
+            out.append((query, catalog))
+    return out
+
+
+def test_cold_block_leaves_the_history_it_built(company_catalog, tpch_catalog, tmp_path):
+    for query, catalog in cold_inputs(company_catalog, tpch_catalog):
+        joins = extract_join_set(query)
+        built = joindag.build_complete_history(catalog, joins)
+        for history in (None, joindag.empty_history(catalog)):
+            result = sprinkle.optimize_single(query, catalog, history=history)
+            assert memo.dag_to_doc(result.history.dag) == memo.dag_to_doc(built.dag)
+            assert result.history.dag.query_roots == built.dag.query_roots
+            assert result.history.dag._op_index == built.dag._op_index
+            assert result.history.dag._sig_index == built.dag._sig_index
+            paths = [tmp_path / "cold.json", tmp_path / "built.json"]
+            joindag.save_history(result.history, str(paths[0]))
+            joindag.save_history(built, str(paths[1]))
+            assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_cold_join_dag_reads_the_history_in_place(company_catalog, tpch_catalog):
+    for query, catalog in cold_inputs(company_catalog, tpch_catalog):
+        history = joindag.build_complete_history(catalog, extract_join_set(query))
+        cold = sprinkle.extract_query_joindag(history, query, catalog, "q1", in_place=True)
+        copy = sprinkle.extract_query_joindag(history, query, catalog, "q1")
+        assert cold.eq_nodes is history.dag.eq_nodes and cold.op_nodes is history.dag.op_nodes
+        assert memo.count_nodes(cold) == memo.count_nodes(copy)
+        assert memo.count_nodes(cold, internal_only=True) == \
+            memo.count_nodes(copy, internal_only=True)
+        assert memo.arc_signature_set(cold) == memo.arc_signature_set(copy)
+        assert cold.eq_nodes[cold.query_roots["q1"]].signature == \
+            copy.eq_nodes[copy.query_roots["q1"]].signature
+        assert "q1" not in history.dag.query_roots
