@@ -21,8 +21,7 @@ from .joindag import (HistoryDag, build_complete_history, build_incremental,
                       empty_history, load_history, save_history)
 from .memo import Dag, count_nodes, export_dot
 from .naive import build_naive_dag, incremental_naive_add, permutations_considered
-from .sprinkle import (OptimizeResult, optimize_many, optimize_single,
-                       sprinkle_groupby, sprinkle_orderby, sprinkle_projects,
+from .sprinkle import (OptimizeResult, optimize_many, optimize_single, sprinkle_projects,
                        sprinkle_selects)
 from .sqlfront import (JoinCondition, Query, SelectCondition, parse_query,
                        render_query)

@@ -115,7 +115,8 @@ def intern_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
               factor: float | None = None) -> int:
     """Intern one operator over existing eq-nodes, sizing and costing it from
     their estimates; returns the eq-node it produces."""
-    sizes = tuple(dag.eq_nodes[c].est_size for c in children)
+    size = dag.eq_nodes[children[0]].est_size
+    sizes = (size, dag.eq_nodes[children[1]].est_size) if len(children) == 2 else (size,)
     return memo.attach_op(dag, kind, detail, children, estimate_size(kind, sizes, factor),
                           op_cost(kind, sizes), factor)
 

@@ -101,8 +101,8 @@ def join_signature(a: Signature, b: Signature, detail: str) -> Signature:
     if a[3] or b[3] or not set(a[0]).isdisjoint(b[0]):
         raise DagError(f"join {detail!r} of {signature_text(a)!r} and "
                        f"{signature_text(b)!r}: inputs must be disjoint and unprojected")
-    return (tuple(sorted(a[0] + b[0])), tuple(sorted({*a[1], *b[1], detail})),
-            tuple(sorted({*a[2], *b[2]})), ())
+    unary = tuple(sorted({*a[2], *b[2]})) if a[2] or b[2] else ()   # none in a join history
+    return (tuple(sorted(a[0] + b[0])), tuple(sorted({*a[1], *b[1], detail})), unary, ())
 
 
 def signature_text(sig: Signature) -> str:

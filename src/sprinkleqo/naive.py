@@ -2,10 +2,25 @@
 
 Every permutation of a query's join and select conditions is materialized
 into one shared memo (interning collapses permutations that reach the same
-partial result), then the query's grouping, having, projection, and ordering
-are stacked on top of the full combination in that fixed order.  The result
-is the complete search space a cost-based search can be differentially
-checked against.
+partial result).  The query's grouping, having, projection, and ordering go
+on top, so the result is a search space a cost-based search can be
+differentially checked against.
+
+The grouping and ordering are searched over the same space the sprinkler
+searches.  The group-by, its having directly above it, may land on any
+partial result that covers the grouping relations and holds every select
+on its own relations; the order-by may sit on any partial result that
+covers the order relations outside the group-by's subtree; the projection
+tops the root.  A landing scales every size above it by one ratio,
+|grouped| / |landing|, so one pass over the memo nodes above a landing
+prices it (`_costs`).  Different landings give the same signatures
+different sizes, so the memo takes one: the cheapest, the root on a tie.
+Above the join/select memo it then holds the plans that reach the least
+cost with that landing (`_intern_cheapest`), topped by the projection and
+then the order-by, and `costplan.best_plan` reads the optimum off the memo.
+A group-by below the root names its landing in its text
+(`sqlfront.groupby_text`).  A flat query (no group-by or order-by) gets
+only its projection on top.
 
 The permutation count n! is reported analytically; the expansion itself
 walks applied-condition subsets, which is equivalent (the tests replay
@@ -15,6 +30,7 @@ literal permutations to prove it) and merely avoids factorial blowup.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from . import costplan, forest, memo, sqlfront
 from .catalog import Catalog
@@ -28,25 +44,14 @@ def permutations_considered(query: Query) -> int:
     return math.factorial(query.n_operations())
 
 
-def _suffix_chain(query: Query, catalog: Catalog) -> list[tuple[str, str, float | None]]:
-    """(kind, detail, factor) steps stacked above the full join/select result.
-
-    Fixed order: groupby, having, project, orderby.  The projection retains
-    the output attributes (order-by keys included) and is elided when it would
-    retain the full width of the joined relations (same rule the sprinkler
-    uses, so differential cost comparisons stay exact).
-    """
-    steps: list[tuple[str, str, float | None]] = []
-    if query.group_by:
-        d = sqlfront.groupby_distinct_product(query.group_by, catalog)
-        steps.append((KIND_GROUPBY, sqlfront.groupby_text(query.group_by), d))
-        if query.having is not None:
-            steps.append((KIND_HAVING, query.having.canonical(), query.having.ssf))
-    retained = sqlfront.output_attrs(query, catalog)
-    if retained and retained != sqlfront.all_query_attrs(query, catalog):
-        steps.append((KIND_PROJECT, sqlfront.project_text(retained), None))
-    if query.order_by:
-        steps.append((KIND_ORDERBY, sqlfront.orderby_text(query.order_by), None))
+def _group_steps(query: Query, catalog: Catalog) -> list[tuple[str, str, float]]:
+    """(kind, detail, factor) of the group-by and its having, if any."""
+    if not query.group_by:
+        return []
+    d = sqlfront.groupby_distinct_product(query.group_by, catalog)
+    steps = [(KIND_GROUPBY, sqlfront.groupby_text(query.group_by), d)]
+    if query.having is not None:
+        steps.append((KIND_HAVING, query.having.canonical(), query.having.ssf))
     return steps
 
 
@@ -56,6 +61,220 @@ def apply_suffix(dag: Dag, top_eq: int, steps) -> int:
     for kind, detail, factor in steps:
         eq = costplan.intern_op(dag, kind, detail, (eq,), factor)
     return eq
+
+
+class _Forest:
+    """The join/select memo below one query's forest root, as the placement
+    search reads it: its eq-nodes inputs first, and each one's op-nodes,
+    relations, applied selects, size and consumers."""
+
+    def __init__(self, dag: Dag, root: int):
+        eq_nodes, op_nodes = dag.eq_nodes, dag.op_nodes
+        self.ops = ops = {root: [op_nodes[o] for o in eq_nodes[root].child_ops]}
+        stack = [root]
+        while stack:
+            for op in ops[stack.pop()]:
+                for child in op.children:
+                    if child not in ops:
+                        ops[child] = [op_nodes[o] for o in eq_nodes[child].child_ops]
+                        stack.append(child)
+        sigs = {eq: eq_nodes[eq].signature for eq in ops}
+        self.order = sorted(ops, key=lambda eq: (len(sigs[eq][0]) + len(sigs[eq][1])
+                                                 + len(sigs[eq][2]), eq))
+        self.position = {eq: i for i, eq in enumerate(self.order)}
+        self.rels = {eq: frozenset(sig[0]) for eq, sig in sigs.items()}
+        self.unary = {eq: sig[2] for eq, sig in sigs.items()}
+        self.size = {eq: eq_nodes[eq].est_size for eq in ops}
+        self.consumers: dict[int, list[int]] = {eq: [] for eq in ops}
+        for eq in self.order:
+            for op in ops[eq]:
+                for child in op.children:
+                    self.consumers[child].append(eq)
+
+    def above(self, eq_id: int) -> list[int]:
+        """The eq-nodes whose partial results contain `eq_id`'s, inputs first."""
+        found, stack = set(), [eq_id]
+        while stack:
+            for parent in self.consumers[stack.pop()]:
+                if parent not in found:
+                    found.add(parent)
+                    stack.append(parent)
+        return sorted(found, key=self.position.__getitem__)
+
+
+class _Costs(NamedTuple):
+    """Least costs of a forest's eq-nodes with the group-by on `landing`
+    (None: no group-by), without the order-by (`least`) and with it at or
+    below the node, outside the group-by's subtree (`sorted`).  `grouped`
+    holds the landing and the eq-nodes above it, whose sizes are their
+    memo sizes times `ratio`; `least[landing]` includes the group-by."""
+
+    landing: int | None
+    ratio: float
+    grouped: set[int]
+    least: dict[int, float]
+    sorted: dict[int, float]
+
+
+def _costs(f: _Forest, order_rels: frozenset[str], steps=(), landing: int | None = None,
+           base: _Costs | None = None) -> _Costs:
+    """The least costs of every eq-node of `f`, or, with `landing`, of the
+    landing and the eq-nodes above it, the others read from `base`.
+
+    Each op above a landing consumes one input that contains it, whose size
+    is its memo size times the landing's ratio, so the op costs its memo
+    cost times that ratio; an op with no such input puts the group-by
+    elsewhere, and is skipped.
+    """
+    if landing is None:
+        ratio, grouped, nodes, least, ordered = 1.0, set(), f.order, {}, {}
+    else:
+        size, cost = f.size[landing], base.least[landing]
+        for kind, _, factor in steps:
+            cost += costplan.op_cost(kind, (size,))
+            size = costplan.estimate_size(kind, (size,), factor)
+        ratio = size / f.size[landing] if f.size[landing] else 0.0
+        grouped, nodes = {landing}, f.above(landing)
+        least, ordered = dict(base.least), dict(base.sorted)
+        least[landing] = cost
+        ordered[landing] = cost + size if order_rels <= f.rels[landing] else math.inf
+    for eq in nodes:
+        built = math.inf if f.ops[eq] else 0.0   # a base relation costs nothing
+        built_sorted = math.inf
+        for op in f.ops[eq]:
+            a, b = op.children[0], op.children[-1]   # a unary op's input twice
+            if grouped and a not in grouped and b not in grouped:
+                continue
+            here = ratio * op.op_cost if grouped else op.op_cost
+            cost = here + least[a] if a == b else here + least[a] + least[b]
+            if cost < built:
+                built = cost
+            if order_rels:
+                cost = here + ordered[a] if a == b else min(here + ordered[a] + least[b],
+                                                            here + least[a] + ordered[b])
+                if cost < built_sorted:
+                    built_sorted = cost
+        if order_rels and order_rels <= f.rels[eq] and built + ratio * f.size[eq] < built_sorted:
+            built_sorted = built + ratio * f.size[eq]   # the order-by on top of the node
+        least[eq], ordered[eq] = built, built_sorted
+        if grouped:
+            grouped.add(eq)
+    return _Costs(landing, ratio, grouped, least, ordered)
+
+
+def _cheapest_landing(f: _Forest, base: _Costs, root: int, query: Query, steps,
+                      order_rels: frozenset[str], projected: bool) -> _Costs:
+    """The landing of least cost, the root projection included; the root
+    on a tie.
+
+    The other landings are tried by the cost of their subtree and group-by,
+    least first, until that alone reaches the best total found.
+    """
+    def total(costs: _Costs) -> float:
+        cost = costs.sorted[root] if order_rels else costs.least[root]
+        return cost + costs.ratio * f.size[root] if projected else cost
+
+    grouping = {r for r, _ in query.group_by}
+    on: dict[str, set[str]] = {}
+    for cond in query.selects:
+        on.setdefault(cond.relation, set()).add(cond.canonical())
+    bound = {eq: base.least[eq] + costplan.op_cost(KIND_GROUPBY, (f.size[eq],))
+             for eq in f.order if eq != root and grouping <= f.rels[eq]
+             and all(on.get(r, set()).issubset(f.unary[eq]) for r in f.rels[eq])}
+    best = _costs(f, order_rels, steps, root, base)
+    least = total(best)
+    for eq in sorted(bound, key=lambda e: (bound[e], f.position[e])):
+        if bound[eq] >= least:
+            break
+        costs = _costs(f, order_rels, steps, eq, base)
+        if total(costs) < least and not memo.sizes_agree(total(costs), least):
+            best, least = costs, total(costs)
+    return best
+
+
+def _intern_cheapest(dag: Dag, f: _Forest, c: _Costs, root: int, steps,
+                     order_text: str, order_rels: frozenset[str]) -> tuple[int, int | None]:
+    """Intern the plans above the forest that put the group-by on
+    `c.landing` (if any) and the order-by where they cost least.
+
+    Returns the grouped root, and the root with the order-by below it (None
+    if it costs least on top).  A plan is kept when it costs within
+    memo.SIZE_RTOL of its eq-node's least, so ties keep every plan they tie.
+    """
+    built: dict[tuple[int, bool], int | None] = {}
+
+    def ties(candidate: float, target: float) -> bool:
+        return candidate <= target + memo.SIZE_RTOL * max(1.0, abs(target))
+
+    def sort(eq: int) -> int:
+        return costplan.intern_op(dag, KIND_ORDERBY, order_text, (eq,))
+
+    def build(eq: int, ordered: bool, sort_here: bool = True) -> int | None:
+        """The eq-node of `eq`'s cheapest plans, with the order-by at or
+        below it if `ordered` (only below it unless `sort_here`); None if
+        there is no such plan."""
+        if sort_here and (eq, ordered) in built:
+            return built[eq, ordered]
+        costs = c.sorted if ordered else c.least
+        if eq == c.landing:
+            if (eq, False) not in built:
+                built[eq, False] = apply_suffix(dag, eq, steps)
+            out = built[eq, False]
+            if ordered:
+                out = sort(out) if sort_here and math.isfinite(costs[eq]) else None
+        elif eq not in c.grouped and not ordered:
+            out = eq
+        else:
+            scale, out = c.ratio if eq in c.grouped else 1.0, None
+            if ordered and sort_here and order_rels <= f.rels[eq] and ties(
+                    c.least[eq] + scale * f.size[eq], costs[eq]):
+                out = sort(build(eq, False))
+            for op in f.ops[eq]:
+                kids = op.children
+                if eq in c.grouped and not c.grouped.intersection(kids):
+                    continue   # the group-by elsewhere
+                for i in range(len(kids)) if ordered else [None]:   # the input sorted
+                    candidate = scale * op.op_cost + sum(
+                        (c.sorted if j == i else c.least)[k] for j, k in enumerate(kids))
+                    if math.isfinite(candidate) and ties(candidate, costs[eq]):
+                        inputs = tuple([build(k, j == i) for j, k in enumerate(kids)])
+                        out = costplan.intern_op(dag, op.kind, op.detail, inputs, op.factor)
+        if sort_here:
+            built[eq, ordered] = out
+        return out
+
+    return build(root, False), build(root, True, sort_here=False) if order_rels else None
+
+
+def _place_suffix(dag: Dag, top: int, query: Query, catalog: Catalog) -> int:
+    """Group, having, project and order above the forest root `top`, each
+    where it costs least; returns the query root."""
+    steps = _group_steps(query, catalog)
+    retained = sqlfront.output_attrs(query, catalog)
+    projected = bool(retained) and retained != sqlfront.all_query_attrs(query, catalog)
+    order_rels = frozenset(item.relation for item in query.order_by)
+    grouped = sorted_below = None
+    if steps or order_rels:
+        f = _Forest(dag, top)
+        costs = _costs(f, order_rels)
+        if steps:
+            costs = _cheapest_landing(f, costs, top, query, steps, order_rels, projected)
+            if costs.landing != top:   # name the landing
+                steps[0] = (KIND_GROUPBY, sqlfront.groupby_text(
+                    query.group_by, dag.eq_nodes[costs.landing].text), steps[0][2])
+        grouped, sorted_below = _intern_cheapest(dag, f, costs, top, steps,
+                                                 sqlfront.orderby_text(query.order_by),
+                                                 order_rels)
+    root = top if grouped is None else grouped
+    project = (KIND_PROJECT, sqlfront.project_text(retained), None)
+    if projected:
+        root = apply_suffix(dag, root, [project])
+    if order_rels:
+        root = apply_suffix(dag, root, [(KIND_ORDERBY, sqlfront.orderby_text(query.order_by),
+                                         None)])
+        if sorted_below is not None and projected:   # the same eq-node as `root`
+            apply_suffix(dag, sorted_below, [project])
+    return root
 
 
 def build_naive_dag(query: Query, catalog: Catalog, limit: int = 8, *,
@@ -80,7 +299,7 @@ def build_naive_dag(query: Query, catalog: Catalog, limit: int = 8, *,
     tops = sorted(set(final.values()))
     if len(tops) != 1:
         raise ValidationError("query relations do not join into a single result")
-    root = apply_suffix(dag, tops[0], _suffix_chain(query, catalog))
+    root = _place_suffix(dag, tops[0], query, catalog)
 
     if query_id is None:
         query_id = f"q{len(dag.meta['queries']) + 1}"

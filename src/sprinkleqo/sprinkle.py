@@ -1,43 +1,38 @@
 """Placement of non-join operators over join-order plans.
 
-Each stage consumes a dag, decorates every maximal plan under every
-registered query root, and interns the surviving decorated plans into a
-fresh memo:
+Each block (a query without its subquery) runs two stages over its join
+dag, each interning the plans it decorates into a fresh memo:
 
-  selects   exact joint placement over each plan's candidate positions by a
-            DP over (node, subset of selects at or below it); the
-            val1/val2 comparison of the local rule is subsumed by the DP's
-            full plan costs
-  group-by  one shared push-down walk from the root by the local val1/val2
-  order-by  rule; the two differ only in val2, through the operator's output
-            size: min(d, |t|) groups, or |t| for the size-neutral sort, whose
-            default is therefore root placement.  Having rides directly
-            above wherever the group-by lands
+  place     the selects, the group-by with its having, and the order-by,
+            placed on each join plan by one exact DP (`sprinkle_selects`)
   projects  one projection above each query root (single query), or
             per-eq-node projections of the attributes every consumer
             needs (multi-query mode)
 
-The select placement DP has one step (`_Placement.node`) and two callers:
-over one plan (`place_selects_on_plan`), where each node has one
-alternative, and over the memo (`_select_floors`), where an eq-node's
-alternatives are its op-nodes.  Over one plan, the placements that come
-within rounding of the DP's least cost are enumerated from its tables, and
-each is built as it is enumerated.
+The place stage searches every join plan; each select anywhere on its
+relation's leaf-to-root path; one group-by (its having directly above it)
+on top of the select stack of a node that covers the grouping relations and
+holds every select on its own relations, a landing; and one order-by on top
+of the stack of a node that covers the order relations, outside the
+group-by's subtree (above the having at the landing).  Selects on other
+relations may sit above the group-by.  The optimum over that space is
+exact, and never above the exhaustive baseline's, which places everything
+at the root.  Because a landing changes the root's size, a grouped block
+counts its retained root projection in what it minimizes.
 
-Costly plans are pruned branch-and-bound style.  The select stage walks
-plans lazily (`costplan.plans_within`), and never builds a whole family of
-them (one op-node with a fixed prefix of child choices) once its lower
-bound exceeds the best decorated plan seen so far.  Its bounds are the
-memo DP's floors: the least cost of any plan below an eq-node, selects and
-their own costs included.  They are exact at the query root.  For a flat
-block (no group-by, no order-by) the select stage's optimum is the query's,
-as the root projection costs the same on every plan of the root eq-node,
-so its walk starts at that exact optimum: only families that can hold an
-optimal plan are built, decorated and interned, and the stage's dag keeps
-only the plans that tie it.  Other blocks start the walk unbounded, since
-the group-by and order-by stages may prefer a plan that is not
-select-optimal.  The group-by and order-by stages have no bounds: they
-walk `costplan.enumerate_plans` and prune by decorated cost.
+The DP (`_Placement`) gives each select a bit, and the order-by one more: a
+size-neutral select with factor 1 on top of any stack it is in, which may
+sit at or below a node only if the node covers its relations.  Sizes depend
+only on which bits sit below, so a DP over (node, subset of bits at or
+below it) is exact.  A landing changes every size above it, so each landing
+runs its own pass over the nodes above it, with the selects on its
+relations fixed below.  The DP step (`_Placement.node`) runs over one plan
+(`place_selects_on_plan`), whose near-optimal placements are then
+enumerated and built, and over the memo (`_select_floors`), where an
+eq-node's alternatives are its op-nodes.  The memo's floors are exact at a
+query root, so the stage's lazy walk (`costplan.plans_within`) starts at
+the block's optimum: it builds, decorates and keeps only the plans that
+tie it.
 """
 
 from __future__ import annotations
@@ -53,21 +48,11 @@ from .catalog import Attribute, Catalog, Relation
 from .costplan import Plan, op_plan
 from .errors import DagError, LimitExceededError, ValidationError
 from .joindag import HistoryDag
-from .memo import (Dag, KIND_GROUPBY, KIND_HAVING, KIND_JOIN, KIND_ORDERBY,
-                   KIND_PROJECT, KIND_SELECT)
-from .sqlfront import HavingCondition, Query, SelectCondition, extract_join_set
+from .memo import Dag, KIND_GROUPBY, KIND_HAVING, KIND_ORDERBY, KIND_PROJECT, KIND_SELECT
+from .sqlfront import Query, SelectCondition, extract_join_set
 
 
-# -- plan walking helpers ----------------------------------------------------
-
-def plan_bases(plan: Plan) -> frozenset[str]:
-    if plan.kind == "base":
-        return frozenset((plan.relation,))
-    out: frozenset[str] = frozenset()
-    for child in plan.children:
-        out = out | plan_bases(child)
-    return out
-
+# -- the placement DP ----------------------------------------------------------
 
 def _stack_key(cond: SelectCondition) -> tuple[float, str]:
     return cond.ssf, cond.canonical()
@@ -98,13 +83,17 @@ def _stack_factors(ordered) -> tuple[list[float], list[float]]:
 
 class _Cell:
     """Placement tables of one plan node or memo eq-node.  Lists are indexed
-    by bit masks over the selects; `u` is the set placed below the node's
-    own operator, `s` the set placed at or below the node."""
+    by bit masks; `u` is the set placed below the node's own operator, `s`
+    the set placed at or below the node.  Only a block with a group-by or
+    an order-by sets `rels`, its grouping and ordering relations as bits,
+    and `fixed`, the bits a group-by landing at or below it holds."""
 
-    __slots__ = ("mask", "local", "pre", "below", "best", "out", "own")
+    __slots__ = ("mask", "cmask", "fixed", "rels", "local", "pre", "below", "best",
+                 "out", "own")
 
     def __init__(self, mask: int, width: int):
-        self.mask = mask                 # the selects that may sit at or below the node
+        self.mask = mask                 # the bits that may sit at or below the node
+        self.cmask = mask                # the bits that may sit below its operator
         self.local = [0.0] * width       # the node's own operator cost, by u
         self.pre = [0.0] * width         # output size before its select stack, by u
         self.below = [0.0] * width       # least cost of the children, by u
@@ -113,21 +102,55 @@ class _Cell:
 
 
 class _Placement:
-    """The placement DP of one set of selects, as bits in canonical order."""
+    """The placement DP of one block: its selects as bits in canonical
+    order, its order-by as one more bit, and its group-by; `projected` says
+    that a group-by's root projection is retained."""
 
-    def __init__(self, selects):
+    def __init__(self, selects, *, order_by=(), group_by=(), having=None, d: float = 1.0,
+                 projected: bool = False):
         self.ordered = sorted(selects, key=lambda s: (s.canonical(),))
-        self.width = 1 << len(self.ordered)
-        self.subsets = _subsets(len(self.ordered))
+        n = len(self.ordered)
+        self.subsets = _subsets(n + bool(order_by))
+        self.width = len(self.subsets)
         self.stack_cost, self.stack_size = _stack_factors(self.ordered)
+        self.ops = [(KIND_SELECT, cond.canonical(), cond.ssf) for cond in self.ordered]
+        self.stacking = sorted(range(n), key=lambda i: _stack_key(self.ordered[i]))
         self.on_relation: dict[str, int] = {}
         for i, cond in enumerate(self.ordered):
             self.on_relation[cond.relation] = self.on_relation.get(cond.relation, 0) | 1 << i
+        ordering, grouping = {item.relation for item in order_by}, {r for r, _ in group_by}
+        self.rel_bits = {r: 1 << i for i, r in enumerate(sorted(ordering | grouping))}
+        self.ob_rels = sum(map(self.rel_bits.__getitem__, ordering))
+        self.gb_rels = sum(map(self.rel_bits.__getitem__, grouping))
+        self.ob_bit = 1 << n if order_by else 0
+        if order_by:   # a size-neutral select on top of any stack
+            self.ops.append((KIND_ORDERBY, sqlfront.orderby_text(order_by), None))
+            self.stacking.append(n)
+            self.stack_cost += [c + z for c, z in zip(self.stack_cost, self.stack_size)]
+            self.stack_size += self.stack_size
+        self.group = (group_by, d, having) if group_by else None
+        self.projected = projected
+        self._fixing: dict[int, list[list[int]]] = {}
+
+    def total(self, cost: float, size: float) -> float:
+        """A plan's cost, plus its root projection's when a group-by varies it."""
+        return cost + size if self.projected else cost
+
+    def fixing(self, fixed: int) -> list[list[int]]:
+        """`subsets` cut to the submasks that hold a landing's `fixed` bits."""
+        if fixed not in self._fixing:
+            self._fixing[fixed] = [[v | fixed for v in self.subsets[m & ~fixed]]
+                                   for m in range(self.width)]
+        return self._fixing[fixed]
 
     def leaf(self, relation: str, size: float) -> _Cell:
         """A base relation's tables: all its selects stack on it."""
         cell = _Cell(self.on_relation.get(relation, 0), self.width)
-        cell.pre[0], cell.out = size, [0.0] * self.width
+        cell.cmask, cell.pre[0], cell.out = 0, size, [0.0] * self.width
+        if self.rel_bits:   # a group-by or an order-by: where the leaf stands
+            cell.rels, cell.fixed = self.rel_bits.get(relation, 0), 0
+            if cell.rels & self.ob_rels == self.ob_rels:
+                cell.mask |= self.ob_bit
         for s in self.subsets[cell.mask]:
             cell.best[s], cell.out[s] = size * self.stack_cost[s], size * self.stack_size[s]
         return cell
@@ -136,59 +159,67 @@ class _Placement:
         """The DP step: a node's tables from its alternatives, each (kind,
         factor, child cells).
 
-        A select scales every size above it by its ssf, so a node's cost
-        depends only on which selects sit at or below its inputs: the DP
-        over (node, subset of selects at or below it) is exact in
-        O(nodes * 3**s).  Over an alternative with U below it, a node costs
-        `local` (the op over the children's sizes under U) plus `below`
-        (the children's best costs under U) plus the stack of S - U on the
-        op's output.  Per U the least local + below wins, the first
-        alternative on ties; the first also gives the sizes, on which an
-        eq-node's op-nodes agree up to rounding.  All of S can sit below
-        the op, so `out` is `pre`.  Unless `all_s`, `best` is filled only at
-        S = mask, all that a node no op consumes needs.
+        Over an alternative with U below it, a node costs `local` (the op
+        over the children's sizes under U) plus `below` (the children's best
+        costs under U) plus the stack of S - U on the op's output, so the DP
+        is exact in O(nodes * 3**bits).  Per U the least local + below wins,
+        the first alternative on ties; the first also gives the sizes, on
+        which an eq-node's op-nodes agree up to rounding.  Every bit of S can
+        sit below the op but an order-by that enters here, which is
+        size-neutral, so `out` is `pre`.  Unless `all_s`, `best` is filled
+        only at S = mask, all that a node no op consumes needs.
         """
         (kind, factor, children), *rest = alternatives
-        mask = children[0].mask | children[-1].mask   # a join's two inputs, or a unary op's one
+        first, last = children[0], children[-1]   # a join's two inputs, or a unary op's one
+        cmask = mask = first.mask | last.mask
         cell = _Cell(mask, self.width)
+        subsets = self.subsets
+        if self.rel_bits:   # a group-by or an order-by: where the node stands
+            cell.rels, cell.fixed = first.rels | last.rels, first.fixed | last.fixed
+            if cell.fixed:
+                subsets = self.fixing(cell.fixed)
+            if cell.rels & self.ob_rels == self.ob_rels:
+                mask = cell.mask = mask | self.ob_bit
         local, pre, below, best = cell.local, cell.pre, cell.below, cell.best
         total = [0.0] * self.width   # local + below, by u
-        subsets, stack_cost = self.subsets, self.stack_cost
+        stack_cost = self.stack_cost
         op_cost, estimate_size = costplan.op_cost, costplan.estimate_size
         if len(children) == 2:   # a join; the first alternative sets every u
-            c1, c2 = children
-            m1, m2, z1, z2, b1, b2 = c1.mask, c2.mask, c1.out, c2.out, c1.best, c2.best
-            for u in subsets[mask]:
+            m1, m2, z1, z2, b1, b2 = first.mask, last.mask, first.out, last.out, first.best, last.best
+            for u in subsets[cmask]:
                 sizes = (z1[u & m1], z2[u & m2])
                 local[u] = cost = op_cost(kind, sizes)
                 pre[u] = estimate_size(kind, sizes, factor)
                 below[u] = kids = b1[u & m1] + b2[u & m2]
                 total[u] = cost + kids
         else:
-            z1, b1 = children[0].out, children[0].best
-            for u in subsets[mask]:
+            z1, b1 = first.out, first.best
+            for u in subsets[cmask]:
                 sizes = (z1[u],)
                 local[u] = cost = op_cost(kind, sizes)
                 pre[u] = estimate_size(kind, sizes, factor)
                 below[u] = b1[u]
                 total[u] = cost + b1[u]
-        cell.own = own = [cost]   # each alternative's `local` at u = mask, the last u
+        cell.own = own = [cost]   # each alternative's `local` at u = cmask, the last u
         for kind, factor, children in rest:   # each later one only where it is cheaper
             if len(children) == 2:
                 c1, c2 = children
                 m1, m2, z1, z2, b1, b2 = c1.mask, c2.mask, c1.out, c2.out, c1.best, c2.best
-                for u in subsets[mask]:
+                for u in subsets[cmask]:
                     cost = op_cost(kind, (z1[u & m1], z2[u & m2]))
                     kids = b1[u & m1] + b2[u & m2]
                     if cost + kids < total[u]:
                         local[u], below[u], total[u] = cost, kids, cost + kids
             else:
                 z1, b1 = children[0].out, children[0].best
-                for u in subsets[mask]:
+                for u in subsets[cmask]:
                     cost = op_cost(kind, (z1[u],))
                     if cost + b1[u] < total[u]:
                         local[u], below[u], total[u] = cost, b1[u], cost + b1[u]
             own.append(cost)
+        if mask != cmask:   # the order-by enters here: never below the op
+            for u in subsets[cmask]:
+                pre[u | self.ob_bit], total[u | self.ob_bit] = pre[u], math.inf
         for s in subsets[mask] if all_s else (mask,):
             least = math.inf
             for u in subsets[s]:
@@ -198,26 +229,47 @@ class _Placement:
             best[s] = least
         return cell
 
+    def landing(self, cell: _Cell) -> _Cell:
+        """The group-by and its having, a unary node over `cell` (which has
+        `best` at every S) whose input holds every select on its relations,
+        `fixed` from here up, and no order-by, which may stack on it."""
+        fixed = cell.mask & ~self.ob_bit
+        _, d, having = self.group
+        out = _Cell(cell.mask, self.width)
+        out.cmask, out.fixed, out.rels, out.below[fixed] = fixed, fixed, cell.rels, cell.best[fixed]
+        cost, size = 0.0, cell.out[fixed]
+        for kind, factor in [(KIND_GROUPBY, d)] + ([(KIND_HAVING, having.ssf)] if having else []):
+            cost += costplan.op_cost(kind, (size,))
+            size = costplan.estimate_size(kind, (size,), factor)
+        out.local[fixed] = cost
+        for s in (fixed, cell.mask):
+            out.pre[s], out.best[s] = size, cost + cell.best[fixed] + size * self.stack_cost[s ^ fixed]
+        return out
+
+    def group_on(self, target: Plan) -> Plan:   # the group-by scoped to its input, and its having
+        group_by, d, having = self.group
+        out = op_plan(KIND_GROUPBY, sqlfront.groupby_text(group_by, memo.signature_text(
+            costplan.plan_signature(target))), (target,), d)
+        return out if having is None else op_plan(KIND_HAVING, having.canonical(), (out,),
+                                                  having.ssf)
+
 
 def place_selects_on_plan(plan: Plan, selects, *, dp: _Placement | None = None) -> Plan:
-    """Minimum-cost joint placement of all selects onto one plan.
+    """Minimum-cost joint placement of a block's selects, group-by and
+    order-by onto one plan (of `selects` alone without `dp`, the block's DP).
 
-    Candidate positions for each select are every node on the path from its
-    relation's leaf to the root.  The placement DP finds the least cost
-    without building plans.  The placements within memo.SIZE_RTOL of it are
-    then enumerated, and each is built as it is enumerated, bottom-up from
-    its children's, because the DP and a built plan add in different
-    orders.  The first cheapest built plan in product order (selects in
-    canonical order, each path root-first) wins, so cost ties prefer
-    positions nearer the root.  `dp` is the placement DP of `selects` when
-    the caller has one: the select stage builds one for all its plans.
+    The DP finds the least cost without building plans, once per landing.
+    The placements within memo.SIZE_RTOL of it are then enumerated and each
+    is built as it is enumerated, bottom-up, because the DP and a built plan
+    add in different orders.  The first cheapest built plan wins, landings
+    root first and then in product order (bits in canonical order, each
+    path root-first), so cost ties prefer positions nearer the root.
     """
-    if not selects:
-        return plan
     if dp is None:
         dp = _Placement(selects)
-    ordered, subsets, stack_cost = dp.ordered, dp.subsets, dp.stack_cost
-    stacking = sorted(range(len(ordered)), key=lambda i: _stack_key(ordered[i]))
+    if dp.width == 1 and dp.group is None:
+        return plan
+    subsets, stack_cost, ops, stacking = dp.subsets, dp.stack_cost, dp.ops, dp.stacking
 
     def build(node: Plan, all_s: bool):
         """The tree (cell, node, children) of the plan's DP cells."""
@@ -229,12 +281,13 @@ def place_selects_on_plan(plan: Plan, selects, *, dp: _Placement | None = None) 
 
     def placements(tree, depth: int, s: int, budget: float) -> list:
         """(DP cost, depth key, built plan) for every placement of `s` at or
-        below the tree's node costing no more than `budget`; key[i] is the
-        depth of select i, 0 for one outside `s`.  A non-finite cost is never
-        above the budget, so such plans keep every placement."""
+        below the tree's node (None at a landing) costing no more than
+        `budget`; key[i] is the depth of bit i, 0 for one outside `s`.  A
+        non-finite cost is never above the budget, so such plans keep every
+        placement."""
         cell, node, children = tree
         found = []
-        for u in subsets[s if children else 0]:   # a leaf has nothing below it
+        for u in (dp.fixing(cell.fixed) if dp.group and cell.fixed else subsets)[s & cell.cmask]:
             here = cell.local[u] + cell.pre[u] * stack_cost[s ^ u]
             if here + cell.below[u] > budget:
                 continue
@@ -242,229 +295,181 @@ def place_selects_on_plan(plan: Plan, selects, *, dp: _Placement | None = None) 
             options = [placements(c, depth + 1, u & c[0].mask, c[0].best[u & c[0].mask] + slack)
                        for c in children]
             mine = [i for i in stacking if (s ^ u) >> i & 1]
-            key = tuple(depth if i in mine else 0 for i in range(len(ordered)))
+            key = tuple(depth if i in mine else 0 for i in range(len(ops)))
             for combo in itertools.product(*options):
                 cost = here + sum(c for c, _, _ in combo)
                 if cost > budget:
                     continue
-                built = node if not children else op_plan(
-                    node.kind, node.detail, tuple(p for _, _, p in combo), node.factor)
+                if not children:
+                    built = node
+                elif node is None:
+                    built = dp.group_on(combo[0][2])
+                else:
+                    built = op_plan(node.kind, node.detail, tuple(p for _, _, p in combo),
+                                    node.factor)
                 for i in mine:
-                    built = op_plan(KIND_SELECT, ordered[i].canonical(), (built,), ordered[i].ssf)
+                    built = op_plan(ops[i][0], ops[i][1], (built,), ops[i][2])
                 found.append((cost, tuple(map(sum, zip(key, *(k for _, k, _ in combo)))), built))
         return found
 
-    tree = build(plan, False)
-    for i, cond in enumerate(ordered):
+    tree = build(plan, dp.group is not None)   # a landing at the root needs its every S
+    for i, cond in enumerate(dp.ordered):
         if not tree[0].mask >> i & 1:
             raise DagError(f"relation {cond.relation!r} not a base of this plan")
-    budget = _within_rounding(tree[0].best[dp.width - 1])
-    in_product_order = sorted(placements(tree, 0, dp.width - 1, budget), key=lambda c: c[1])
-    return min(in_product_order, key=lambda c: c[2].cum_cost)[2]
+    tops, path = [tree], [tree]   # the trees above each landing; the landings, root first
+    while dp.group is not None and path[-1] is not None:   # land on path[-2], the lowest yet
+        path.append(next((c for c in path[-1][2] if c[0].rels & dp.gb_rels == dp.gb_rels), None))
+        top = (dp.landing(path[-2][0]), None, (path[-2],))
+        for above, below in zip(path[-3::-1], path[-2:0:-1]):   # the nodes above, rebuilt
+            children = tuple(top if c is below else c for c in above[2])
+            top = (dp.node([(above[1].kind, above[1].factor, [c[0] for c in children])],
+                           above is not tree), above[1], children)
+        tops[len(path) - 2:] = [top]
+    full = dp.width - 1
+    costs = [dp.total(top[0].best[full], top[0].out[full]) for top in tops]
+    budget = _within_rounding(min(costs))
+    found = []   # (landing depth, depth key, built plan)
+    for k, (top, cost) in enumerate(zip(tops, costs)):   # the DP leaves out the projection
+        found += [(k, key, built) for _, key, built
+                  in placements(top, 0, full, budget - (cost - top[0].best[full]))]
+    return min(sorted(found, key=lambda c: c[:2]),
+               key=lambda c: dp.total(c[2].cum_cost, c[2].est_size))[2]
 
 
-# -- stage helpers -----------------------------------------------------------
+# -- the place stage -----------------------------------------------------------
 
 def _within_rounding(cost: float) -> float:
     """The largest cost that ties `cost` up to memo.SIZE_RTOL."""
     return cost + memo.SIZE_RTOL * max(1.0, abs(cost))
 
 
-def _decorate_stage(dag: Dag, decorate, *, split_classes: bool = False,
-                    floors: tuple[dict[int, float], dict[int, float]] | None = None,
-                    from_root_floor: bool = False) -> Dag:
-    """Run one sprinkling stage over every registered root.
-
-    `decorate(plan) -> Plan` maps one maximal plan to its decorated form.
-    Plans whose decorated cost exceeds the running best are dropped.  When
-    given, `floors` are the per-eq-node and per-op-node floors of
-    `costplan.plans_within`: a plan's bound never exceeds its decorated
-    cost, so families of plans whose bound exceeds the running best (with
-    memo.SIZE_RTOL of slack for rounding) are never built.  Without them
-    the stage walks `costplan.enumerate_plans`, which yields the same plans
-    in the same order.  With `from_root_floor`, the running best of a root
-    that is not a base eq-node starts at its floor, within rounding, rather
-    than unbounded: if that floor is the least decorated cost exactly, the
-    stage walks, decorates and keeps only the plans that tie it.  When
-    `split_classes` is set, decorated plans may disagree on the root
-    signature (the stage changed what the result denotes, e.g. grouping
-    below different subtrees); only the signature class of the cheapest
-    plan is kept.
-    """
-    def limit() -> float:  # the running best of the root being walked, plus slack
-        return budget
-
+def _decorate_stage(dag: Dag, dp: _Placement,
+                    floors: tuple[dict[int, float], dict[int, float]]) -> Dag:
+    """Run the place stage over every registered root.  With `floors`, no
+    family of plans whose bound exceeds the running best (within
+    memo.SIZE_RTOL) is built (`costplan.plans_within`).  A root's floor is
+    its least decorated cost (`dp.total`) exactly, and its running best
+    starts there: the stage walks, decorates and keeps only the plans that
+    tie it.  A landing is part of the root's signature; only the signature
+    class of the cheapest plan is kept."""
     fresh = Dag()
     fresh.meta = dict(dag.meta)
     for query_id, root in sorted(dag.query_roots.items()):
         kept: list[tuple[float, Plan]] = []
-        running_best = budget = math.inf
-        if from_root_floor and not dag.eq_nodes[root].is_base:
-            running_best = budget = _within_rounding(floors[0][root])
-        plans = (costplan.enumerate_plans(dag, root) if floors is None
-                 else costplan.plans_within(dag, root, *floors, limit))
-        for plan in plans:
-            decorated = decorate(plan)
-            if decorated.cum_cost > running_best:
+        running_best = budget = _within_rounding(floors[0][root])
+        # the limit is the running best of the root being walked, plus slack
+        for plan in costplan.plans_within(dag, root, *floors, lambda: budget):
+            decorated = place_selects_on_plan(plan, (), dp=dp)
+            cost = dp.total(decorated.cum_cost, decorated.est_size)
+            if cost > running_best:
                 continue
-            running_best = decorated.cum_cost
+            running_best = cost
             budget = _within_rounding(running_best)
-            kept.append((decorated.cum_cost, decorated))
+            kept.append((cost, decorated))
         if not kept:
             raise DagError(f"no plans under root {query_id!r}")
-        if split_classes:
-            best_cost = min(c for c, _ in kept)
-            winner = min(memo.signature_text(costplan.plan_signature(p))
-                         for c, p in kept if c == best_cost)
-            kept = [(c, p) for c, p in kept
-                    if memo.signature_text(costplan.plan_signature(p)) == winner]
-        new_root = None
+        if dp.group is not None:
+            classes = [memo.signature_text(costplan.plan_signature(p)) for _, p in kept]
+            winner = min((c, sig) for (c, _), sig in zip(kept, classes))[1]   # the cheapest's
+            kept = [pair for pair, sig in zip(kept, classes) if sig == winner]
         for _, decorated in kept:
             new_root = costplan.intern_plan(fresh, decorated)
         memo.register_root(fresh, query_id, new_root)
     return fresh
 
 
-def _select_floors(dag: Dag, selects, *,
-                   dp: _Placement | None = None) -> tuple[dict[int, float], dict[int, float]]:
-    """Floors of the select stage for `costplan.plans_within`: the placement
-    DP run once over the memo, with an eq-node's op-nodes as its
-    alternatives.
-
-    An eq-node's floor is its least `best` over T, and an op-node's floor
-    its cost with all its children's selects below it (`own`).  Under any
-    placement onto any plan, the part below an eq-node (its own select stack
-    included) costs at least the eq-node's floor, each op at least its
-    floor and each stack above at least 0, so a plan's bound never exceeds
-    its decorated cost.  Every select sits below a query root, which no op
-    consumes, so its floor is the least decorated cost of its plans.  With
-    no selects the floor is the `best_plan` cost.  `dp` is the placement
-    DP of `selects` when the caller has one.
-    """
-    if dp is None:
-        dp = _Placement(selects)
+def _select_floors(dag: Dag, selects, *, dp: _Placement | None = None,
+                   plans: dict | None = None) -> tuple[dict[int, float], dict[int, float]]:
+    """Floors of the place stage for `costplan.plans_within`: the DP `dp`
+    (else that of `selects`) over the memo, an eq-node's op-nodes its
+    alternatives, plain and per landing above it.  A query root, which no op
+    may consume, gets its least `dp.total` at the full set: its least
+    decorated cost, exactly.  Any other eq-node's floor is its least `best`,
+    an op-node's its least cost with all its children's bits below it
+    (`own`), plain or above a landing that can reach a root's floor, as any
+    plan that ties a floor has such a landing; so no plan the stage keeps
+    costs less than its bound.  `plans`, when given, receives every
+    eq-node's number of plans."""
+    dp = dp or _Placement(selects)
+    plans = {} if plans is None else plans
     consumed = {c for op in dag.op_nodes.values() for c in op.children}
+    order = memo.topological_order(dag)[::-1]   # inputs first
     cells: dict[int, _Cell] = {}
     op_floor: dict[int, float] = {}
-    for eq_id in reversed(memo.topological_order(dag)):
+    for eq_id in order:
         node = dag.eq_nodes[eq_id]
         if node.is_base:
-            cells[eq_id] = dp.leaf(node.signature[0][0], node.est_size)
-        else:
-            cells[eq_id] = dp.node(
-                [(op.kind, op.factor, tuple(map(cells.__getitem__, op.children)))
-                 for op in map(dag.op_nodes.__getitem__, node.child_ops)], eq_id in consumed)
-            op_floor.update(zip(node.child_ops, cells[eq_id].own))
-    return {eq_id: min(cell.best) for eq_id, cell in cells.items()}, op_floor
+            cells[eq_id], plans[eq_id] = dp.leaf(node.signature[0][0], node.est_size), 1
+            continue
+        ops = [dag.op_nodes[op_id] for op_id in node.child_ops]
+        cells[eq_id] = dp.node([(op.kind, op.factor, tuple(map(cells.__getitem__, op.children)))
+                                for op in ops], dp.group is not None or eq_id in consumed)
+        op_floor.update(zip(node.child_ops, cells[eq_id].own))
+        plans[eq_id] = sum(plans[op.children[0]] * plans[op.children[-1]] if len(op.children) == 2
+                           else plans[op.children[0]] for op in ops)
+    full = dp.width - 1
+    floor = {eq_id: min(cell.best) for eq_id, cell in cells.items()}
+    if dp.group is None:
+        floor.update((root, cells[root].best[full]) for root in dag.query_roots.values())
+        return floor, op_floor
+    roots = dict.fromkeys(dag.query_roots.values(), math.inf)
+    tiers = []   # per landing: its cells at and above it, and the owns of the ops above it
+    for i, landing in enumerate(order):
+        if cells[landing].rels & dp.gb_rels != dp.gb_rels:
+            continue
+        tier, owns = {landing: dp.landing(cells[landing])}, []
+        if min(tier[landing].best) > _within_rounding(max(roots.values())):
+            continue   # below its first op above, it already costs more than every root
+        for up in order[i + 1:]:   # the eq-nodes above it, inputs first
+            ops = [op for op in map(dag.op_nodes.__getitem__, dag.eq_nodes[up].child_ops)
+                   if op.children[0] in tier or op.children[-1] in tier]
+            if not ops:
+                continue
+            tier[up] = dp.node([(op.kind, op.factor, [tier.get(c) or cells[c] for c in op.children])
+                                for op in ops], up in consumed)
+            owns += zip((op.id for op in ops), tier[up].own)
+        tiers.append((tier, owns))
+        for root in roots.keys() & tier.keys():
+            roots[root] = min(roots[root], dp.total(tier[root].best[full], tier[root].out[full]))
+    for tier, owns in tiers:   # only a landing that can reach a root's optimum lowers floors
+        if any(dp.total(tier[r].best[full], tier[r].out[full]) <= _within_rounding(roots[r])
+               for r in roots.keys() & tier.keys()):
+            for up, cell in tier.items():
+                floor[up] = min(floor[up], min(cell.best))
+            for op_id, own in owns:
+                op_floor[op_id] = min(op_floor[op_id], own)
+    floor.update(roots)
+    return floor, op_floor
 
 
-def sprinkle_selects(jd: Dag, selects, catalog: Catalog, *, flat: bool = False) -> Dag:
-    """Insert select conditions into every join-order plan of a join dag.
+def _block_placement(query: Query, catalog: Catalog) -> _Placement:
+    """The placement DP of one block, counting a grouped root's projection
+    when `sprinkle_projects` will retain it."""
+    if query.having is not None and not query.group_by:
+        raise ValidationError("having without group-by")
+    group_by, retained = tuple(sorted(query.group_by)), sqlfront.output_attrs(query, catalog)
+    return _Placement(query.selects, order_by=tuple(query.order_by), group_by=group_by,
+                      having=query.having, d=sqlfront.groupby_distinct_product(group_by, catalog),
+                      projected=bool(group_by and retained)
+                      and retained != sqlfront.all_query_attrs(query, catalog))
 
-    `flat` says that no later stage but the root projection changes a
-    plan's cost (a block with neither group-by nor order-by), so only the
-    select-optimal plans are walked and kept.  Every root of `jd` must be
-    consumed by no op, as in a dag of `extract_query_joindag`: the memo DP
-    then fills a root's tables at the full select set only, so its floor is
-    the exact optimum (see `_select_floors`)."""
-    selects = tuple(selects)
-    for cond in selects:
+
+def sprinkle_selects(jd: Dag, query: Query, catalog: Catalog) -> tuple[Dag, int]:
+    """The place stage of one block over a join dag whose roots no op
+    consumes (as in `extract_query_joindag`): its selects, group-by with its
+    having, and order-by, placed on the join plans that can tie its optimum.
+    Returns the stage's dag and the number of join plans under its roots."""
+    for cond in query.selects:
         catalog.relation(cond.relation)
     for query_id, root in sorted(jd.query_roots.items()):
         bases = set(jd.eq_nodes[root].signature[0])
-        for cond in selects:
+        for cond in query.selects:
             if cond.relation not in bases:
-                raise ValidationError(
-                    f"select on {cond.relation!r} but query {query_id!r} "
-                    f"covers {sorted(bases)}")
-    dp = _Placement(selects)   # one DP for the floors and every plan's placement
-    place = (lambda p: place_selects_on_plan(p, selects, dp=dp)) if selects else (lambda p: p)
-    return _decorate_stage(jd, place, floors=_select_floors(jd, selects, dp=dp),
-                           from_root_floor=flat)
-
-
-_BLOCKING_KINDS = (KIND_GROUPBY, KIND_HAVING)
-
-
-def _push_down(plan: Plan, rels: set[str], out_size, wrap) -> Plan:
-    """Walk a unary operator down from the root while applying it early wins.
-
-    At a join t ⋈ b whose t-side covers `rels` and is not a group-by or
-    having: val1 = |t|*|b| + |t ⋈ b| (join first, then the operator consumes
-    the join output) against val2 = |t| + out_size(|t|)*|b| (the operator
-    consumes t, then the join consumes its output).  Strictly smaller val2
-    descends; ties stay up.  The walk only crosses joins.  Returns the plan
-    with wrap(target) in place of the node where the walk stopped.
-    """
-    spine: list[Plan] = []  # joins crossed, root-first
-    node = plan
-    while node.kind == KIND_JOIN:
-        t = b = None
-        for i, child in enumerate(node.children):
-            if rels <= plan_bases(child) and child.kind not in _BLOCKING_KINDS:
-                t, b = child, node.children[1 - i]
-        if t is None:
-            break
-        val1 = t.est_size * b.est_size + node.est_size
-        val2 = t.est_size + out_size(t.est_size) * b.est_size
-        if not val2 < val1:
-            break
-        spine.append(node)
-        node = t
-    out = wrap(node)
-    for join in reversed(spine):
-        out = op_plan(join.kind, join.detail,
-                      tuple(out if child is node else child for child in join.children),
-                      join.factor)
-        node = join
-    return out
-
-
-def place_groupby_on_plan(plan: Plan, group_by, having: HavingCondition | None,
-                          d: float) -> Plan:
-    """Push the group-by down while grouping early wins (val2 uses
-    min(d, |t|) groups); the having filter rides directly above it."""
-
-    def wrap(target: Plan) -> Plan:
-        scope = memo.signature_text(costplan.plan_signature(target))
-        out = op_plan(KIND_GROUPBY, sqlfront.groupby_text(group_by) + "@" + scope,
-                      (target,), d)
-        if having is not None:
-            out = op_plan(KIND_HAVING, having.canonical(), (out,), having.ssf)
-        return out
-
-    return _push_down(plan, {r for r, _ in group_by}, lambda t: min(d, t), wrap)
-
-
-def sprinkle_groupby(dag: Dag, group_attrs, having: HavingCondition | None,
-                     catalog: Catalog) -> Dag:
-    """Place the grouping (and its having filter) on every plan."""
-    group_by = tuple(sorted(group_attrs))
-    if not group_by:
-        if having is not None:
-            raise ValidationError("having without group-by")
-        return dag
-    d = sqlfront.groupby_distinct_product(group_by, catalog)
-    return _decorate_stage(
-        dag, lambda p: place_groupby_on_plan(p, group_by, having, d),
-        split_classes=True)
-
-
-def place_orderby_on_plan(plan: Plan, order_by) -> Plan:
-    """Push the ordering down while sorting early wins.  Sorting is
-    size-neutral (val2 = |t| + |t|*|b|), so it descends only when the join
-    output outgrows its input, and the default is a root-level sort."""
-    detail = sqlfront.orderby_text(order_by)
-    return _push_down(plan, {item.relation for item in order_by}, lambda t: t,
-                      lambda target: op_plan(KIND_ORDERBY, detail, (target,), None))
-
-
-def sprinkle_orderby(dag: Dag, order_attrs) -> Dag:
-    """Place the ordering on every plan; root placement unless joins grow."""
-    order_by = tuple(order_attrs)
-    if not order_by:
-        return dag
-    return _decorate_stage(dag, lambda p: place_orderby_on_plan(p, order_by))
+                raise ValidationError(f"select on {cond.relation!r} but query "
+                                      f"{query_id!r} covers {sorted(bases)}")
+    dp, plans = _block_placement(query, catalog), {}
+    floors = _select_floors(jd, query.selects, dp=dp, plans=plans)
+    return _decorate_stage(jd, dp, floors), sum(plans[r] for r in jd.query_roots.values())
 
 
 # -- projections -------------------------------------------------------------
@@ -474,7 +479,7 @@ _REF_TOKEN = re.compile(r"[a-z_][a-z0-9_]*\.[a-z_][a-z0-9_]*")
 
 def _op_refs(kind: str, detail: str) -> set[str]:
     """Qualified attributes an operator's predicate text mentions."""
-    if kind == KIND_GROUPBY:
+    if kind == KIND_GROUPBY:   # not the landing `sqlfront.groupby_text` names
         detail = detail.split("@", 1)[0]
     return set(_REF_TOKEN.findall(detail))
 
@@ -586,13 +591,12 @@ def optimize_single(query: Query, catalog: Catalog, *,
                     history: HistoryDag | None = None, limit: int = 8,
                     query_id: str = "q1") -> OptimizeResult:
     """Full pipeline for one query: reuse (or grow) the join-order history,
-    then sprinkle selects, grouping, ordering, and projections.  `limit`
-    bounds the joins and, as the placement DP grows as 3**s, the selects of
-    each block.  Joins the history already holds are not counted: a block
-    whose joins are all known runs whatever its number of joins.  Without a
-    history (or with an empty one) the block is cold: the history built for
-    it is its join dag, read in place rather than copied; a warm block
-    copies its part of the history."""
+    then run the place and projects stages.  `limit` bounds the joins and,
+    as the placement DP grows as 3**s, the selects of each block.  Joins the
+    history already holds are not counted: a block whose joins are all known
+    runs whatever its number of joins.  Without a history (or with an empty
+    one) the block is cold: the history built for it is its join dag, read
+    in place rather than copied; a warm block copies its part of it."""
     if query.subquery is not None:
         return _optimize_nested(query, catalog, history=history, limit=limit,
                                 query_id=query_id)
@@ -603,19 +607,12 @@ def optimize_single(query: Query, catalog: Catalog, *,
     base_history = history if history is not None else joindag.empty_history(catalog)
     grown = joindag.build_incremental(base_history, joins, catalog, limit)
     jd = extract_query_joindag(grown, query, catalog, query_id, in_place=cold)
-    jd_eq, _, jd_plans = memo.count_nodes(jd)
-
-    dag = sprinkle_selects(jd, query.selects, catalog,
-                           flat=not (query.group_by or query.order_by))
-    if query.group_by:
-        dag = sprinkle_groupby(dag, query.group_by, query.having, catalog)
-    if query.order_by:
-        dag = sprinkle_orderby(dag, query.order_by)
+    dag, jd_plans = sprinkle_selects(jd, query, catalog)
     dag = sprinkle_projects(dag, [(query_id, query)], catalog)
     plan = costplan.best_plan(dag, dag.query_roots[query_id])
     return OptimizeResult(query_id=query_id, plan=plan, dag=dag, history=grown,
                           combinations_considered=joindag.combinations_considered(len(joins)),
-                          jd_eq_nodes=jd_eq, jd_plans=jd_plans)
+                          jd_eq_nodes=len(jd.eq_nodes), jd_plans=jd_plans)
 
 
 def _synthetic_catalog(catalog: Catalog, alias: str, column_sources,

@@ -547,8 +547,12 @@ def render_query(query: Query) -> str:
 
 # -- clause-level operator texts -------------------------------------------
 
-def groupby_text(group_by) -> str:
-    return "groupby(" + ", ".join(f"{r}.{a}" for r, a in group_by) + ")"
+def groupby_text(group_by, landing: str | None = None) -> str:
+    """A group-by's operator text; one that lands below its query's root
+    names its input's signature text after an "@", since the sizes above
+    it depend on where it lands."""
+    text = "groupby(" + ", ".join(f"{r}.{a}" for r, a in group_by) + ")"
+    return text if landing is None else f"{text}@{landing}"
 
 
 def orderby_text(order_by) -> str:

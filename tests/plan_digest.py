@@ -12,17 +12,22 @@ should move final dags, or costs by rounding, but no plan keeps it.  The
 memo) is digested the same way but apart, so the two joindag digests stay
 comparable with checkouts that did not digest it.
 
+`select_heavy` and `naive_baseline` are each digested in two parts: their
+flat operations (no block with GROUP BY or ORDER BY) and their grouped or
+ordered ones, so a change that moves only grouped or ordered plans shows
+that its flat ones stayed.
+
 Run it from the root of a source checkout; it imports the optimizer from
 `src/` and optbench's `bench` and `workloads` modules, read-only:
 
     python3 tests/plan_digest.py --seeds 3 7 11
 
-It prints one line per seed and workload (the operation count, that
-stream's digest and its plan-key digest), then the combined plan-key
-digest and the combined digest of the joindag streams (`plan keys:` and
-`all:`), then those of the naive streams (`naive plan keys:` and
-`naive:`).  Compare these lines between two checkouts.  Not a test
-module: pytest does not collect it.
+It prints one line per seed and part (the operation count, that part's
+digest and its plan-key digest), then the combined plan-key digest and the
+combined digest of the joindag streams (`plan keys:` and `all:`), then
+those of the naive streams (`naive plan keys:` and `naive:`).  Compare
+these lines between two checkouts.  Not a test module: pytest does not
+collect it.
 """
 
 from __future__ import annotations
@@ -38,19 +43,33 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "optbench")]
 
 import bench  # noqa: E402  (needs the paths above)
-from sprinkleqo import costplan, memo  # noqa: E402
+from sprinkleqo import costplan, memo, sqlfront  # noqa: E402
 
 WORKLOADS = ("select_heavy", "join_heavy")
 NAIVE = "naive_baseline"
 
 
-def stream_digest(seed: int, workload: str, work_dir: pathlib.Path) -> tuple[int, str, str]:
-    """(operations, sha256, plan-key sha256) of one seed's stream of one
-    workload."""
+def part_of(workload: str, query) -> str:
+    """The digest part an operation belongs to: `select_heavy` and
+    `naive_baseline` split into their flat and their grouped or ordered
+    operations."""
+    if workload not in ("select_heavy", NAIVE):
+        return workload
+    blocks = [query] + ([query.subquery.query] if query.subquery is not None else [])
+    return workload + (" grouped" if any(b.group_by or b.order_by for b in blocks)
+                       else " flat")
+
+
+def stream_digests(seed: int, workload: str,
+                   work_dir: pathlib.Path) -> dict[str, tuple[int, str, str]]:
+    """Part name -> (operations, sha256, plan-key sha256) of one seed's
+    stream of one workload, parts in name order."""
     env = bench.setup(seed, work_dir, workload)
-    stream = env.inputs.streams[workload]
-    h, keys = hashlib.sha256(), hashlib.sha256()
-    for item in stream:
+    parts: dict[str, tuple[list[int], hashlib._Hash, hashlib._Hash]] = {}
+    for item in env.inputs.streams[workload]:
+        query = sqlfront.parse_query(item.sql, env.catalogs[item.schema])
+        count, h, keys = parts.setdefault(part_of(workload, query),
+                                          ([0], hashlib.sha256(), hashlib.sha256()))
         try:
             _, plan, dag = bench.operate(env, item)
             key = costplan.plan_key(plan)
@@ -58,9 +77,11 @@ def stream_digest(seed: int, workload: str, work_dir: pathlib.Path) -> tuple[int
                               json.dumps(memo.dag_to_doc(dag), sort_keys=True)))
         except Exception as exc:  # an error is part of the output being compared
             key = line = f"{type(exc).__name__}: {exc}"
+        count[0] += 1
         h.update(f"{item.qid}\t{item.mode}\t{line}\n".encode("utf-8"))
         keys.update(f"{item.qid}\t{item.mode}\t{key}\n".encode("utf-8"))
-    return len(stream), h.hexdigest(), keys.hexdigest()
+    return {name: (count[0], h.hexdigest(), keys.hexdigest())
+            for name, (count, h, keys) in sorted(parts.items())}
 
 
 def main(argv=None) -> int:
@@ -74,11 +95,12 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             for workload in WORKLOADS + (NAIVE,):
                 work_dir = pathlib.Path(tmp) / f"{workload}-{seed}"
-                count, digest, keys = stream_digest(seed, workload, work_dir)
-                print(f"seed {seed} {workload}: {count} operations {digest} plan keys {keys}")
                 total, total_keys = naive if workload == NAIVE else joindag
-                total.update(f"{seed}\t{workload}\t{digest}\n".encode("utf-8"))
-                total_keys.update(f"{seed}\t{workload}\t{keys}\n".encode("utf-8"))
+                for part, (count, digest, keys) in stream_digests(seed, workload,
+                                                                   work_dir).items():
+                    print(f"seed {seed} {part}: {count} operations {digest} plan keys {keys}")
+                    total.update(f"{seed}\t{part}\t{digest}\n".encode("utf-8"))
+                    total_keys.update(f"{seed}\t{part}\t{keys}\n".encode("utf-8"))
     print(f"plan keys: {joindag[1].hexdigest()}")
     print(f"all: {joindag[0].hexdigest()}")
     print(f"naive plan keys: {naive[1].hexdigest()}")

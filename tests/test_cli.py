@@ -398,10 +398,10 @@ def test_bench_tpch_workload(capsys, tmp_path):
     for qid in ("q1", "q2", "q3", "q4"):
         nv, jd = by[(qid, "naive")], by[(qid, "joindag")]
         assert nv.status == jd.status == "ok"
-        assert jd.best_cost <= nv.best_cost
-    # equal where no grouping can move, strictly better where it can
-    assert by[("q2", "joindag")].best_cost == by[("q2", "naive")].best_cost
-    assert by[("q3", "joindag")].best_cost < by[("q3", "naive")].best_cost
+        # both modes search the same placements, grouping below the root too
+        assert jd.best_cost == nv.best_cost
+    assert by[("q3", "naive")].best_cost == 8212200.0   # 8213400 grouped at the root
+    assert by[("q4", "naive")].best_cost == 3211601.0   # 82811845 grouped at the root
 
 
 def test_bench_company_includes_nested(capsys, tmp_path):

@@ -54,14 +54,27 @@ def test_meta_sql_round_trips(company_catalog):
 
 
 def test_suffix_order_group_project_order(tpch_catalog):
-    q = parse_query(fixture_sql("tpch", "q3"), tpch_catalog)
+    # grouped cheapest at the root: group-by, projection, order-by, bottom-up
+    q = parse_query(fixture_sql("tpch", "q1"), tpch_catalog)
     dag = naive.build_naive_dag(q, tpch_catalog)
     stack, _ = suffix_stack(dag, dag.query_roots["q1"])
     assert [s[0] for s in stack] == [memo.KIND_GROUPBY, memo.KIND_PROJECT,
                                      memo.KIND_ORDERBY]
-    gb = stack[0]
-    assert gb[1] == "groupby(orders.orderkey)"
-    assert gb[2] == 10000.0  # distinct count of the grouping key
+    assert stack[0][1:] == ("groupby(lineitem.quantity)", 50.0)
+    # q3 groups cheapest on {customer, orders}, below the lineitem join: the
+    # group-by names that landing, and the order-by sorts the grouped rows
+    q = parse_query(fixture_sql("tpch", "q3"), tpch_catalog)
+    dag = naive.build_naive_dag(q, tpch_catalog)
+    best = costplan.best_plan(dag, dag.query_roots["q1"])
+    assert best.cum_cost == 8212200.0   # 8213400 grouped at the root
+    path = [best]
+    while path[-1].kind != memo.KIND_GROUPBY:
+        path.append(next(c for c in path[-1].children if c.kind != "base"))
+    assert [p.kind for p in path] == [memo.KIND_PROJECT, memo.KIND_JOIN,
+                                      memo.KIND_ORDERBY, memo.KIND_GROUPBY]
+    gb = path[-1]
+    assert gb.detail.startswith("groupby(orders.orderkey)@{customer,orders} ")
+    assert gb.factor == 10000.0  # distinct count of the grouping key
 
 
 def test_suffix_includes_having(company_catalog):
@@ -150,3 +163,18 @@ def test_shared_memo_reuses_overlap(company_catalog):
     # q1's space is a strict subset of q2's except for its own suffix nodes
     assert eq_both < eq_alone + 16
     assert op_both < op_alone + 26
+
+
+def test_grouped_queries_at_different_landings_share_one_memo(tpch_catalog):
+    # q1 groups at its root, q3 and q4 below it: each landing is named in its
+    # group-by's text, so their sizes never meet in one eq-node
+    queries = [(qid, parse_query(fixture_sql("tpch", qid), tpch_catalog))
+               for qid in ("q1", "q3", "q4")]
+    shared = naive.incremental_naive_add(None, queries, tpch_catalog)
+    costplan.check_estimates(shared)
+    for qid, query in queries:
+        alone = naive.build_naive_dag(query, tpch_catalog)
+        assert (costplan.best_plan(shared, shared.query_roots[qid]).cum_cost
+                == costplan.best_plan(alone, alone.query_roots["q1"]).cum_cost)
+    assert [costplan.best_plan(shared, shared.query_roots[qid]).cum_cost
+            for qid, _ in queries] == [44100.0, 8212200.0, 3211601.0]

@@ -1,5 +1,6 @@
 """Operator sprinkling: placement rules, stages, and the full pipeline."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -26,13 +27,19 @@ factors = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
 
 # -- joint select placement against literal oracles ---------------------------
 
+def plan_bases(plan):
+    if plan.kind == "base":
+        return frozenset((plan.relation,))
+    return frozenset().union(*map(plan_bases, plan.children))
+
+
 def path_to_relation(plan, relation):
     """Nodes from the plan root down to `relation`'s base leaf."""
     node = plan
     path = [node]
     while node.kind != "base":
         for child in node.children:
-            if relation in sprinkle.plan_bases(child):
+            if relation in plan_bases(child):
                 node = child
                 path.append(node)
                 break
@@ -219,8 +226,10 @@ def test_select_on_foreign_relation_rejected(company_catalog):
     root = memo.ensure_base(jd, "employee", 1000.0)
     memo.register_root(jd, "q1", root)
     cond = SelectCondition("project", "plocation", "=", "x", ssf=0.1)
+    query = dataclasses.replace(
+        parse_query("select employee.fname from employee", company_catalog), selects=(cond,))
     with pytest.raises(ValidationError):
-        sprinkle.sprinkle_selects(jd, (cond,), company_catalog)
+        sprinkle.sprinkle_selects(jd, query, company_catalog)
 
 
 def test_select_on_a_relation_the_plan_lacks_rejected():
@@ -234,10 +243,10 @@ def test_select_on_a_relation_the_plan_lacks_rejected():
 
 # -- family pruning against the enumerate-then-prune stage --------------------
 
-def enumerate_then_prune_stage(dag, decorate, *, split_classes=False, bound=None):
-    """The stage loop before family pruning: every plan of `costplan.
-    enumerate_plans`, each dropped when `bound(plan)` or its decorated cost
-    exceeds the running best."""
+def enumerate_then_prune_stage(dag, decorate, *, bound=None):
+    """The stage loop before family pruning and root floors: every plan of
+    `costplan.enumerate_plans`, each dropped when `bound(plan)` or its
+    decorated cost exceeds the running best."""
     fresh = memo.Dag()
     fresh.meta = dict(dag.meta)
     for query_id, root in sorted(dag.query_roots.items()):
@@ -253,12 +262,6 @@ def enumerate_then_prune_stage(dag, decorate, *, split_classes=False, bound=None
             kept.append((decorated.cum_cost, decorated))
         if not kept:
             raise DagError(f"no plans under root {query_id!r}")
-        if split_classes:
-            best_cost = min(c for c, _ in kept)
-            winner = min(memo.signature_text(costplan.plan_signature(p))
-                         for c, p in kept if c == best_cost)
-            kept = [(c, p) for c, p in kept
-                    if memo.signature_text(costplan.plan_signature(p)) == winner]
         new_root = None
         for _, decorated in kept:
             new_root = costplan.intern_plan(fresh, decorated)
@@ -370,32 +373,40 @@ def is_subsequence(short, long):
     return all(any(x == y for y in items) for x in short)
 
 
+def clause_variants(sql, query, catalog):
+    """`sql` grouped, grouped with a having, ordered, and both, on one or two
+    of its relations; a grouped variant selects its keys and a count, so
+    that it keeps a root projection."""
+    rels = sorted(query.tables)
+    first, last = (query.selects[0].relation if query.selects else rels[0]), rels[-1]
+
+    def keys(*attrs):
+        return sql.replace("select *", f"select {', '.join(attrs)}, count(*)", 1)
+
+    return [sql + f" group by {first}.b",
+            keys(f"{first}.b", f"{last}.a1") + f" group by {first}.b, {last}.a1 "
+                                               "having count(*) > 2",
+            sql + f" order by {last}.a0",
+            keys(f"{first}.b") + f" group by {first}.b order by {first}.b",
+            keys(f"{first}.b", f"{last}.a1") + f" group by {first}.b, {last}.a1 "
+                                               f"having count(*) > 1 order by {last}.a1"]
+
+
 def test_pruned_stages_keep_the_plans_of_enumerate_then_prune():
-    for sql, catalog in stage_inputs():
-        query, jd = joindag_for(sql, catalog)
-        pruned, kept, placed = kept_plans(
-            lambda: sprinkle.sprinkle_selects(jd, query.selects, catalog))
-        oracle, oracle_kept, oracle_placed = kept_plans(
-            lambda: enumerate_then_prune_selects(jd, query.selects))
-        assert kept == oracle_kept, sql
-        assert is_subsequence(placed, oracle_placed), sql  # floors prune at least as much
-        assert memo.dag_to_doc(pruned) == memo.dag_to_doc(oracle), sql
-
-        rel = query.selects[0].relation if query.selects else sorted(query.tables)[0]
-        group_by = ((rel, "b"),)
-        d = sqlfront.groupby_distinct_product(group_by, catalog)
-        grouped, kept, _ = kept_plans(
-            lambda: sprinkle.sprinkle_groupby(pruned, group_by, None, catalog))
-        _, oracle_kept, _ = kept_plans(lambda: enumerate_then_prune_stage(
-            pruned, lambda p: sprinkle.place_groupby_on_plan(p, group_by, None, d),
-            split_classes=True))
-        assert kept == oracle_kept, sql
-
-        order_by = (OrderItem(rel, "a0"),)
-        _, kept, _ = kept_plans(lambda: sprinkle.sprinkle_orderby(grouped, order_by))
-        _, oracle_kept, _ = kept_plans(lambda: enumerate_then_prune_stage(
-            grouped, lambda p: sprinkle.place_orderby_on_plan(p, order_by)))
-        assert kept == oracle_kept, sql
+    # the place stage walks from the exact root floor: it keeps the plans of
+    # every decorated plan filtered from the optimum, grouped or ordered too
+    for sql, catalog in stage_inputs()[::3]:
+        for variant in clause_variants(sql, parse_query(sql, catalog), catalog):
+            query, jd = joindag_for(variant, catalog)
+            (dag, _), kept, placed = kept_plans(
+                lambda: sprinkle.sprinkle_selects(jd, query, catalog))
+            oracle = enumerate_then_filter_at_optimum(jd, sprinkle._block_placement(query, catalog))
+            assert [key for key, _ in kept] == [key for key, _ in oracle], variant
+            for (_, cost), (_, expected) in zip(kept, oracle):
+                assert float.fromhex(cost) == pytest.approx(expected, rel=memo.SIZE_RTOL), variant
+            assert memo.plan_count_for(dag, dag.query_roots["q1"]) == len(kept), variant
+            order = [plan_key(p) for p in costplan.enumerate_plans(jd, jd.query_roots["q1"])]
+            assert is_subsequence(placed, order), variant
 
 
 def leaf_select_floors(dag, selects):
@@ -533,33 +544,41 @@ def test_eight_leaf_star_places_selects_on_few_plans(monkeypatch):
     oracle = enumerate_then_prune_selects(jd, query.selects)
     oracle_placed, placed = placed, 0
     monkeypatch.setattr(costplan, "plans_within", counting_within)
-    pruned = sprinkle.sprinkle_selects(jd, query.selects, catalog)
+    pruned, plans = sprinkle.sprinkle_selects(jd, query, catalog)
     # the unpruned walk decorates 40320 plans and checks 220224 families;
     # the per-plan leaf bound lets 34 plans through to placement, the memo
-    # DP's floors 22
+    # DP's floors, with the walk started at the exact optimum, only the one
+    # optimal plan
+    assert plans == 40320
     assert placed < oracle_placed == 34
-    assert placed == 22
-    assert families < 10000
-    assert costplan.best_plan(pruned, pruned.query_roots["q1"]).cum_cost == \
-        costplan.best_plan(oracle, oracle.query_roots["q1"]).cum_cost
+    assert placed == 1
+    assert families < 100
+    best = costplan.best_plan(oracle, oracle.query_roots["q1"]).cum_cost
+    assert costplan.best_plan(pruned, pruned.query_roots["q1"]).cum_cost == best
+    kept = costplan.enumerate_plans(pruned, pruned.query_roots["q1"])
+    assert all(p.cum_cost <= sprinkle._within_rounding(best) for p in kept)
 
 
-# -- flat blocks: the select stage walks only the optimal plans ---------------
+# -- every block walks only its optimal plans -----------------------------------
 
-def enumerate_then_filter_at_optimum(jd, selects):
-    """(plan key, cost) of the plans a flat block's select stage keeps,
-    found without bounds: every plan of `costplan.enumerate_plans`,
-    decorated, then filtered by the stage's running-best rule started at the
-    least decorated cost within rounding."""
-    decorated = [sprinkle.place_selects_on_plan(p, selects)
+def enumerate_then_filter_at_optimum(jd, dp):
+    """(plan key, cost) of the plans the place stage keeps, found without
+    bounds: every plan of `costplan.enumerate_plans`, decorated, then
+    filtered by the stage's running-best rule started at the least decorated
+    cost within rounding, and cut to the root signature class of the first
+    cheapest plan."""
+    decorated = [sprinkle.place_selects_on_plan(p, (), dp=dp)
                  for p in costplan.enumerate_plans(jd, jd.query_roots["q1"])]
-    running_best = sprinkle._within_rounding(min(p.cum_cost for p in decorated))
+    costs = [dp.total(p.cum_cost, p.est_size) for p in decorated]
+    running_best = sprinkle._within_rounding(min(costs))
     kept = []
-    for plan in decorated:
-        if plan.cum_cost <= running_best:
-            running_best = plan.cum_cost
-            kept.append((plan_key(plan), plan.cum_cost))
-    return kept
+    for plan, cost in zip(decorated, costs):
+        if cost <= running_best:
+            running_best = cost
+            kept.append((plan, cost))
+    classes = [memo.signature_text(costplan.plan_signature(p)) for p, _ in kept]
+    winner = min(sig for (_, cost), sig in zip(kept, classes) if cost == min(costs))
+    return [(plan_key(p), p.cum_cost) for (p, _), sig in zip(kept, classes) if sig == winner]
 
 
 def cyclic_random_queries(count, max_joins=4, max_selects=3):
@@ -580,36 +599,17 @@ def test_flat_select_stage_keeps_the_plans_at_the_optimum():
     for sql, catalog in stage_inputs() + cyclic_random_queries(10):
         query, jd = joindag_for(sql, catalog)
         assert not (query.group_by or query.order_by), sql
-        flat, kept, _ = kept_plans(
-            lambda: sprinkle.sprinkle_selects(jd, query.selects, catalog, flat=True))
-        oracle = enumerate_then_filter_at_optimum(jd, query.selects)
+        (flat, _), kept, _ = kept_plans(lambda: sprinkle.sprinkle_selects(jd, query, catalog))
+        oracle = enumerate_then_filter_at_optimum(jd, sprinkle._Placement(query.selects))
         assert [key for key, _ in kept] == [key for key, _ in oracle], sql
         for (_, cost), (_, expected) in zip(kept, oracle):
             assert float.fromhex(cost) == pytest.approx(expected, rel=memo.SIZE_RTOL), sql
         assert memo.plan_count_for(flat, flat.query_roots["q1"]) == len(kept), sql
 
 
-def test_grouped_and_ordered_blocks_walk_the_select_stage_unbounded():
-    # the group-by and order-by stages may pick a plan that is not
-    # select-optimal, so such blocks keep every plan that was the running best
-    for sql, catalog in stage_inputs()[::4]:
-        query = parse_query(sql, catalog)
-        rel = sorted(query.tables)[0]
-        for clauses in (f" group by {rel}.b", f" order by {rel}.a0"):
-            query, jd = joindag_for(sql + clauses, catalog)
-            dag = sprinkle.sprinkle_selects(jd, query.selects, catalog)
-            if query.group_by:
-                dag = sprinkle.sprinkle_groupby(dag, query.group_by, None, catalog)
-            else:
-                dag = sprinkle.sprinkle_orderby(dag, query.order_by)
-            dag = sprinkle.sprinkle_projects(dag, [("q1", query)], catalog)
-            assert memo.dag_to_doc(sprinkle.optimize_single(query, catalog).dag) == \
-                memo.dag_to_doc(dag), sql + clauses
-
-
 def test_flat_blocks_without_joins_still_optimize(company_catalog):
-    # a block with no joins has a base eq-node as its root, whose floor is 0
-    # (the least over every select set), not the cost of its one plan
+    # a block with no joins has a base eq-node as its root, whose floor is
+    # its cell at the full select set, like any root's
     nested = parse_query(fixture_sql("company", "q3_nested"), company_catalog)
     single = parse_query("select employee.fname from employee where employee.salary > 50000 "
                          "and employee.dno = 5", company_catalog)
@@ -621,81 +621,111 @@ def test_flat_blocks_without_joins_still_optimize(company_catalog):
 
 
 def test_flat_random_queries_walk_from_the_root_floor_to_the_naive_optimum():
+    # flat queries reach the naive optimum, grouped and ordered ones never
+    # cost more; every block's final dag holds only plans that tie its optimum
     rng = random.Random(40417)
     checked = 0
     while checked < 40:
         catalog = random_schema(rng)
-        query = parse_query(connected_query_sql(catalog, rng, max_selects=3), catalog)
-        if query.n_operations() > 7:
+        sql = connected_query_sql(catalog, rng, max_selects=3)
+        flat = parse_query(sql, catalog)
+        if flat.n_operations() > 7:
             continue
-        res = sprinkle.optimize_single(query, catalog)   # never "no plans under root"
-        ndag = naive.build_naive_dag(query, catalog)
-        best = costplan.best_plan(ndag, ndag.query_roots["q1"]).cum_cost
-        assert res.plan.cum_cost == pytest.approx(best, rel=memo.SIZE_RTOL), render_query(query)
-        # the final dag holds only plans that tie the optimum
-        for plan in costplan.enumerate_plans(res.dag, res.dag.query_roots["q1"]):
-            assert plan.cum_cost <= sprinkle._within_rounding(res.plan.cum_cost)
+        for variant in [sql] + clause_variants(sql, flat, catalog)[checked % 5::5]:
+            query = parse_query(variant, catalog)
+            res = sprinkle.optimize_single(query, catalog)   # never "no plans under root"
+            ndag = naive.build_naive_dag(query, catalog)
+            best = costplan.best_plan(ndag, ndag.query_roots["q1"]).cum_cost
+            if not (query.group_by or query.order_by):
+                assert res.plan.cum_cost == pytest.approx(best, rel=memo.SIZE_RTOL), variant
+            assert res.plan.cum_cost <= sprinkle._within_rounding(best), variant
+            for plan in costplan.enumerate_plans(res.dag, res.dag.query_roots["q1"]):
+                assert plan.cum_cost <= sprinkle._within_rounding(res.plan.cum_cost), variant
         checked += 1
 
 
-# -- group-by / having / order-by walks ---------------------------------------
+# -- group-by / having / order-by placement on one plan ------------------------
 
 def grouped_join(t_size, b_size, jsf):
     return op_plan(KIND_JOIN, "t.x = b.x",
                    (base_plan("t", t_size), base_plan("b", b_size)), jsf)
 
 
+def placed_on(plan, selects=(), **block):
+    """`plan` decorated by the placement DP of a block with these selects
+    and `_Placement` keywords (order_by, group_by, having, d, projected)."""
+    return sprinkle.place_selects_on_plan(plan, (), dp=sprinkle._Placement(selects, **block))
+
+
 def test_groupby_descends_when_grouping_early_wins():
-    plan = grouped_join(1000.0, 100.0, 0.01)
-    placed = sprinkle.place_groupby_on_plan(plan, (("t", "g"),), None, 5.0)
-    # val2 = 1000 + 5*100 beats val1 = 100000 + 1000: group below the join
+    # grouping t below the join costs 1000 + 10*50 and yields 0.01*10*50
+    # rows; grouping at the root costs 50000 + 500 and yields 10
+    plan = grouped_join(1000.0, 50.0, 0.01)
+    placed = placed_on(plan, group_by=(("t", "g"),), d=10.0)
     assert placed.kind == KIND_JOIN
     gb = next(c for c in placed.children if c.kind == KIND_GROUPBY)
-    assert gb.detail.startswith("groupby(t.g)@")
+    assert gb.detail == "groupby(t.g)@{t}"
     assert gb.children[0].relation == "t"
-    assert placed.est_size == pytest.approx(0.01 * 5 * 100)
+    assert (placed.cum_cost, placed.est_size) == (1500.0, pytest.approx(5.0))
+    at_root = op_plan(KIND_GROUPBY, "groupby(t.g)@{b,t} j[t.x = b.x]", (plan,), 10.0)
+    assert (at_root.cum_cost, at_root.est_size) == (50500.0, 10.0)
+    # the root projection consumes the grouped size, and grouping low still wins
+    projected = placed_on(plan, group_by=(("t", "g"),), d=10.0, projected=True)
+    assert plan_key(projected) == plan_key(placed)
 
 
 def test_groupby_tie_stays_at_the_root():
-    plan = grouped_join(10.0, 10.0, 0.1)  # val1 = 100 + 10 == val2 = 10 + 100
-    placed = sprinkle.place_groupby_on_plan(plan, (("t", "g"),), None, 50.0)
+    plan = grouped_join(10.0, 10.0, 0.1)  # 10 + 10*10 == 10*10 + 10, 10 rows either way
+    placed = placed_on(plan, group_by=(("t", "g"),), d=50.0)
     assert placed.kind == KIND_GROUPBY
     assert placed.children[0].kind == KIND_JOIN
+    assert placed.cum_cost == 110.0
 
 
 def test_having_rides_directly_above_the_groupby():
-    plan = grouped_join(1000.0, 100.0, 0.01)
     having = HavingCondition(func="count", relation=None, attribute="*",
                              operator=">", literal=5, ssf=0.2)
-    placed = sprinkle.place_groupby_on_plan(plan, (("t", "g"),), having, 5.0)
-    assert placed.kind == KIND_JOIN
-    hv = next(c for c in placed.children if c.kind == KIND_HAVING)
-    assert hv.children[0].kind == KIND_GROUPBY
-    assert hv.factor == 0.2
+    for plan in (grouped_join(1000.0, 100.0, 0.01), grouped_join(10.0, 10.0, 0.1)):
+        placed = placed_on(plan, group_by=(("t", "g"),), having=having, d=5.0)
+        hv = next(n for n in walk_plan(placed) if n.kind == KIND_HAVING)
+        assert hv.children[0].kind == KIND_GROUPBY
+        assert hv.factor == 0.2
+        assert sum(n.kind == KIND_GROUPBY for n in walk_plan(placed)) == 1
+    assert placed.kind == KIND_JOIN   # the second plan groups t first, shrunk by the having
+
+
+def walk_plan(plan):
+    yield plan
+    for child in plan.children:
+        yield from walk_plan(child)
 
 
 def test_orderby_defaults_to_the_root():
-    plan = grouped_join(1000.0, 100.0, 0.01)
-    placed = sprinkle.place_orderby_on_plan(plan, (OrderItem("t", "g"),))
+    plan = grouped_join(1000.0, 100.0, 0.01)   # the join keeps |t| rows: a tie
+    placed = placed_on(plan, order_by=(OrderItem("t", "g"),))
     assert placed.kind == KIND_ORDERBY and placed.children[0].kind == KIND_JOIN
 
 
 def test_orderby_descends_when_the_join_grows():
     plan = grouped_join(10.0, 100.0, 0.5)
-    # val2 = 10 + 1000 < val1 = 1000 + 500: sort the small input first
-    placed = sprinkle.place_orderby_on_plan(plan, (OrderItem("t", "g"),))
+    # sorting t costs 10, the join's 500 rows 500
+    placed = placed_on(plan, order_by=(OrderItem("t", "g"),))
     assert placed.kind == KIND_JOIN
     ob = next(c for c in placed.children if c.kind == KIND_ORDERBY)
     assert ob.children[0].relation == "t"
 
 
 def test_orderby_never_crosses_a_groupby():
-    inner = op_plan(KIND_GROUPBY, "groupby(t.g)@{t}",
-                    (base_plan("t", 10.0),), 5.0)
-    plan = op_plan(KIND_JOIN, "t.x = b.x", (inner, base_plan("b", 100.0)), 0.5)
-    placed = sprinkle.place_orderby_on_plan(plan, (OrderItem("t", "g"),))
-    assert placed.kind == KIND_ORDERBY  # blocked: stays above the join
-    assert placed.children[0].kind == KIND_JOIN
+    # sorting t alone would cost 10, but t is inside the group-by's subtree
+    # wherever it lands: the order-by goes above the group-by
+    tc = op_plan(KIND_JOIN, "t.x = c.x", (base_plan("t", 10.0), base_plan("c", 100.0)), 1.0)
+    plan = op_plan(KIND_JOIN, "c.y = b.y", (tc, base_plan("b", 1.0)), 1.0)
+    placed = placed_on(plan, group_by=(("c", "g"), ("t", "g")), d=1e6,
+                       order_by=(OrderItem("t", "g"),))
+    gb = next(n for n in walk_plan(placed) if n.kind == KIND_GROUPBY)
+    assert not any(n.kind == KIND_ORDERBY for n in walk_plan(gb))
+    assert placed.kind == KIND_ORDERBY and placed.children[0] is gb
+    assert placed.cum_cost == 1000.0 + 1000.0 + 1000.0 + 1000.0
 
 
 def landing(plan, kind):
@@ -712,12 +742,146 @@ def landing(plan, kind):
 @example(10.0, 100.0, 100.0, 0.5, 0.5)  # both descend to the leaf t
 @given(sizes, sizes, sizes, factors, factors)
 def test_groupby_and_orderby_land_together_when_d_covers_t(t, b1, b2, j1, j2):
+    # with d at least every size below the root, grouping is size-neutral
+    # there, as sorting is: both cost their input's size, ties go up
     inner = op_plan(KIND_JOIN, "t.x = b1.x", (base_plan("t", t), base_plan("b1", b1)), j1)
     plan = op_plan(KIND_JOIN, "t.y = b2.y", (inner, base_plan("b2", b2)), j2)
-    d = max(t, inner.est_size)  # >= |t| at every join the walk can cross
-    grouped = sprinkle.place_groupby_on_plan(plan, (("t", "g"),), None, d)
-    ordered = sprinkle.place_orderby_on_plan(plan, (OrderItem("t", "g"),))
+    d = max(t, inner.est_size)
+    grouped = placed_on(plan, group_by=(("t", "g"),), d=d)
+    ordered = placed_on(plan, order_by=(OrderItem("t", "g"),))
     assert landing(grouped, KIND_GROUPBY) == landing(ordered, KIND_ORDERBY)
+
+
+# -- the exact optimum of grouped and ordered blocks ----------------------------
+
+def brute_force_cost(query, catalog):
+    """The least cost of a block over the place stage's search space, found
+    by building every point of it: every join plan; each select at any node
+    on its relation's leaf-to-root path (a node's selects stacked most
+    selective first); the group-by at any node that covers the grouping
+    relations and holds every select on its own relations, its having
+    directly above it; the order-by at any node that covers the order
+    relations outside the group-by's subtree, above the having at the
+    group-by's node; plus the root projection when it is retained."""
+    history = joindag.build_incremental(joindag.empty_history(catalog),
+                                        extract_join_set(query), catalog, 8)
+    jd = sprinkle.extract_query_joindag(history, query, catalog, "q1")
+    group_by = tuple(sorted(query.group_by))
+    d = sqlfront.groupby_distinct_product(group_by, catalog)
+    grouping = {r for r, _ in group_by}
+    ordering = {item.relation for item in query.order_by}
+    retained = sqlfront.output_attrs(query, catalog)
+    projected = bool(retained) and retained != sqlfront.all_query_attrs(query, catalog)
+    best = math.inf
+    for plan in costplan.enumerate_plans(jd, jd.query_roots["q1"]):
+        nodes = list(walk_plan(plan))
+        bases = [plan_bases(n) for n in nodes]
+        inside = [{id(m) for m in walk_plan(n)} for n in nodes]
+        paths = [[i for i, b in enumerate(bases) if cond.relation in b] for cond in query.selects]
+        landings = [i for i, b in enumerate(bases) if grouping <= b] if group_by else [None]
+        for where in itertools.product(*paths):
+            for at in landings:
+                if at is not None and any(cond.relation in bases[at]
+                                          and id(nodes[i]) not in inside[at]
+                                          for cond, i in zip(query.selects, where)):
+                    continue
+                sorts = [i for i, b in enumerate(bases) if ordering <= b and (
+                    at is None or i == at or id(nodes[i]) not in inside[at])]
+                for ob in sorts if query.order_by else [None]:
+                    built = rebuilt(plan, nodes, dict(enumerate(where)), query, at, ob, d)
+                    best = min(best, built.cum_cost + (built.est_size if projected else 0.0))
+    return best
+
+
+def rebuilt(plan, nodes, where, query, at, ob, d):
+    """`plan` with select i stacked on nodes[where[i]], the group-by (and
+    having) on nodes[at] and the order-by on nodes[ob] (None: absent)."""
+    index = {id(n): i for i, n in enumerate(nodes)}
+
+    def walk(node):
+        i = index[id(node)]
+        out = node if node.kind == "base" else op_plan(
+            node.kind, node.detail, tuple(map(walk, node.children)), node.factor)
+        for cond in sorted((query.selects[k] for k, j in where.items() if j == i), key=_stack_key):
+            out = op_plan(KIND_SELECT, cond.canonical(), (out,), cond.ssf)
+        if i == at:
+            out = op_plan(KIND_GROUPBY, sqlfront.groupby_text(sorted(query.group_by)), (out,), d)
+            if query.having is not None:
+                out = op_plan(KIND_HAVING, query.having.canonical(), (out,), query.having.ssf)
+        if i == ob:
+            out = op_plan(KIND_ORDERBY, sqlfront.orderby_text(query.order_by), (out,))
+        return out
+
+    return walk(plan)
+
+
+def grouped_oracle_queries():
+    """(sql, catalog): 40 random connected queries with j <= 3 and s <= 2,
+    grouped (half of those with a having), ordered, or both."""
+    rng = random.Random(1994)
+    cases = []
+    while len(cases) < 40:
+        catalog = random_schema(rng)
+        sql = connected_query_sql(catalog, rng, max_selects=2)
+        query = parse_query(sql, catalog)
+        if len(extract_join_set(query)) > 3:
+            continue
+        cases.append((clause_variants(sql, query, catalog)[len(cases) % 5], catalog))
+    return cases
+
+
+def test_grouped_and_ordered_blocks_reach_the_brute_force_optimum(tpch_catalog):
+    cases = grouped_oracle_queries() + [(fixture_sql("tpch", "q4"), tpch_catalog)]
+    below_the_root = 0
+    for sql, catalog in cases:
+        query = parse_query(sql, catalog)
+        assert query.group_by or query.order_by
+        cost = sprinkle.optimize_single(query, catalog).plan.cum_cost
+        assert cost == pytest.approx(brute_force_cost(query, catalog), rel=memo.SIZE_RTOL), sql
+        # the exhaustive baseline searches the same space its own way
+        ndag = naive.build_naive_dag(query, catalog)
+        best = costplan.best_plan(ndag, ndag.query_roots["q1"])
+        assert best.cum_cost == pytest.approx(cost, rel=memo.SIZE_RTOL), sql
+        below_the_root += any(n.kind in (KIND_GROUPBY, KIND_ORDERBY)
+                              and plan_bases(n) != set(query.tables) for n in walk_plan(best))
+    assert below_the_root >= 20
+
+
+def test_twelve_join_chain_decorates_few_of_its_plans(monkeypatch):
+    # every block walks from its exact root floor: of 208012 join plans,
+    # the flat chain decorates 249; grouping or ordering it adds few
+    catalog = chain_catalog(12)
+    sql = ("select * from " + ", ".join(f"r{i}" for i in range(13)) + " where "
+           + " and ".join(f"r{i}.a0 = r{i + 1}.a1" for i in range(12))
+           + " and r3.b > 5 and r7.b > 5")
+    placed, place = [], sprinkle.place_selects_on_plan
+    monkeypatch.setattr(sprinkle, "place_selects_on_plan",
+                        lambda *a, **k: placed.append(1) or place(*a, **k))
+    for clauses, most in (("", 249), (" group by r3.b", 500), (" order by r7.a0", 300),
+                          (" group by r3.b order by r3.b", 500)):
+        placed.clear()
+        res = sprinkle.optimize_single(parse_query(sql + clauses, catalog), catalog, limit=12)
+        assert res.jd_plans == 208012
+        assert len(placed) <= most, clauses
+
+
+def test_cold_tpch_q4_groups_below_its_joinfilter(tpch_catalog):
+    query = parse_query(fixture_sql("tpch", "q4"), tpch_catalog)
+    res = sprinkle.optimize_single(query, tpch_catalog)
+    assert res.plan.cum_cost == pytest.approx(3211601.0, rel=memo.SIZE_RTOL)
+    gb = next(n for n in walk_plan(res.plan) if n.kind == KIND_GROUPBY)
+    assert gb is not res.plan.children[0]   # below the root's joins, not above them
+
+
+def test_a_cold_flat_block_sorts_its_join_dag_once(company_catalog, monkeypatch):
+    calls = []
+    order = memo.topological_order
+    monkeypatch.setattr(memo, "topological_order", lambda dag: calls.append(dag) or order(dag))
+    query = parse_query(fixture_sql("company", "q2"), company_catalog)
+    res = sprinkle.optimize_single(query, company_catalog)
+    assert len(calls) == 1
+    assert (res.jd_eq_nodes, res.jd_plans) == memo.count_nodes(
+        sprinkle.extract_query_joindag(res.history, query, company_catalog, "q1"))[::2]
 
 
 def test_groupby_stage_keeps_one_signature_class(company_catalog):
@@ -815,9 +979,12 @@ def test_interior_projections_follow_consumers_through_higher_ids(tpch_catalog):
                for q in ("q1", "q2", "q3", "q4", "tq1")]
     shared, _, _ = sprinkle.optimize_many(queries, tpch_catalog)
     projections = interior_projections(shared)
-    assert projections["{customer,orders} j[customer.custkey = orders.custkey] "
-                       "u[orders.orderdate < '1995-01-01'; orders.orderdate >= '1994-01-01']"] == \
-        "project(customer.nationkey, orders.orderkey)"
+    # tq1 groups {customer,nation,region,supplier}: its consumers need the
+    # grouping key and both join keys
+    assert projections["{customer,nation,region,supplier} j[customer.nationkey = "
+                       "supplier.nationkey; nation.nationkey = supplier.nationkey; "
+                       "nation.regionkey = region.regionkey] u[region.name = 'asia']"] == \
+        "project(customer.custkey, nation.name, supplier.suppkey)"
 
 
 def test_interior_projections_retain_what_consumers_need(company_catalog):
