@@ -182,38 +182,48 @@ class Dag:
         copied, and each op-node, in ascending source id under its eq-node,
         after its inputs.  Every input of a reachable op-node is reachable,
         so the copy obeys the rule the source does (see `attach_op`).  The
-        copy fills its op index with each op-node's eq-node.
+        copy fills its op index with each op-node's eq-node.  Each eq-node's
+        copy is a generator that yields the inputs it needs copied first, and
+        the walk keeps them on a list of its own, so any depth works.
         """
         out = Dag()
         src_eq, src_op = self.eq_nodes, self.op_nodes
-        eq_nodes, op_nodes, op_index = out.eq_nodes, out.op_nodes, out._op_index
+        eq_nodes, op_nodes, op_index, sig_index = (out.eq_nodes, out.op_nodes, out._op_index,
+                                                   out._sig_index)
         ids: dict[int, int] = {}
 
-        def new_eq(node: EqNode) -> EqNode:
-            eq_id = len(eq_nodes)
-            new = eq_nodes[eq_id] = EqNode(eq_id, node.signature, node.est_size, node.text)
-            out._sig_index[node.signature] = new.id
-            return new
-
-        def copy(eq_id: int) -> int:
-            node = src_eq[eq_id]
-            new = None if node.child_ops else new_eq(node)
+        def copy(eq_id: int):
+            node, new = src_eq[eq_id], None
             for op_id in sorted(node.child_ops):
                 op = src_op[op_id]
-                children = tuple([ids[c] if c in ids else copy(c) for c in op.children])
+                inputs = op.children
+                for child in inputs:
+                    if child not in ids:
+                        yield child
+                children = tuple([ids[c] for c in inputs])
                 if new is None:
-                    new = new_eq(node)
+                    new = ids[eq_id] = len(eq_nodes)
+                    eq_nodes[new] = EqNode(new, node.signature, node.est_size, node.text)
+                    sig_index[node.signature] = new
                 new_op = len(op_nodes)
                 op_nodes[new_op] = OpNode(new_op, op.kind, op.detail, children,
                                           op.op_cost, op.factor)
-                op_index[(op.kind, op.detail, children)] = new.id
-                new.child_ops.append(new_op)
-            ids[eq_id] = new.id
-            return new.id
+                op_index[(op.kind, op.detail, children)] = new
+                eq_nodes[new].child_ops.append(new_op)
+            if new is None:   # a base eq-node
+                new = ids[eq_id] = len(eq_nodes)
+                eq_nodes[new] = EqNode(new, node.signature, node.est_size, node.text)
+                sig_index[node.signature] = new
 
-        root = copy(root)
+        walk = [copy(root)]   # the copies under way, innermost last
+        while walk:
+            needed = next(walk[-1], None)
+            if needed is None:
+                walk.pop()
+            else:
+                walk.append(copy(needed))
         out._next_eq, out._next_op = len(eq_nodes), len(op_nodes)
-        return out, root
+        return out, ids[root]
 
     def read_in_place(self) -> "Dag":
         """A dag over this one's nodes, not copies of them, with roots of its

@@ -26,8 +26,9 @@ sit at or below a node only if the node covers its relations.  Sizes depend
 only on which bits sit below, so a DP over (node, subset of bits at or
 below it) is exact.  A landing changes every size above it, so each landing
 runs its own pass over the nodes above it, with the selects on its
-relations fixed below.  The DP step (`_Placement.node`) runs over one plan
-(`place_selects_on_plan`), whose near-optimal placements are then
+relations fixed below; only landings whose bound (`_Placement.bound`) can
+reach the optimum get one.  The DP step (`_Placement.node`) runs over one
+plan (`place_selects_on_plan`), whose near-optimal placements are then
 enumerated and built, and over the memo (`_select_floors`), where an
 eq-node's alternatives are its op-nodes.  The memo's floors are exact at a
 query root, so the stage's lazy walk (`costplan.plans_within`) starts at
@@ -246,6 +247,18 @@ class _Placement:
             out.pre[s], out.best[s] = size, cost + cell.best[fixed] + size * self.stack_cost[s ^ fixed]
         return out
 
+    def bound(self, cell: _Cell, landed: _Cell, flat: float) -> float:
+        """A lower bound on every total with the group-by `landed` over
+        `cell`, given `flat`, the least plain total of the same roots: each
+        op on the path above it costs r times its plain cost, r = its output
+        over its input (at most 1), and every other op and the root
+        projection at least r times."""
+        fixed, size = landed.cmask, cell.out[landed.cmask]
+        least = min(landed.best)
+        if not (math.isfinite(flat) and size > 0):
+            return least
+        return max(least, min(1.0, landed.pre[fixed] / size) * flat + landed.local[fixed])
+
     def group_on(self, target: Plan) -> Plan:   # the group-by scoped to its input, and its having
         group_by, d, having = self.group
         out = op_plan(KIND_GROUPBY, sqlfront.groupby_text(group_by, memo.signature_text(
@@ -254,16 +267,20 @@ class _Placement:
                                                   having.ssf)
 
 
-def place_selects_on_plan(plan: Plan, selects, *, dp: _Placement | None = None) -> Plan:
+def place_selects_on_plan(plan: Plan, selects, *, dp: _Placement | None = None,
+                          limit: float = math.inf) -> Plan | None:
     """Minimum-cost joint placement of a block's selects, group-by and
     order-by onto one plan (of `selects` alone without `dp`, the block's DP).
 
-    The DP finds the least cost without building plans, once per landing.
-    The placements within memo.SIZE_RTOL of it are then enumerated and each
+    The DP finds the least cost without building plans, once per landing
+    whose `_Placement.bound` is within memo.SIZE_RTOL of the least cost so
+    far and of `limit`, in increasing bound; None if there is none.  The
+    placements within memo.SIZE_RTOL of it are then enumerated and each
     is built as it is enumerated, bottom-up, because the DP and a built plan
     add in different orders.  The first cheapest built plan wins, landings
     root first and then in product order (bits in canonical order, each
-    path root-first), so cost ties prefer positions nearer the root.
+    path root-first), so cost ties prefer positions nearer the root.  A
+    plan whose least cost is within `limit` gets the result of no limit.
     """
     if dp is None:
         dp = _Placement(selects)
@@ -316,20 +333,32 @@ def place_selects_on_plan(plan: Plan, selects, *, dp: _Placement | None = None) 
     for i, cond in enumerate(dp.ordered):
         if not tree[0].mask >> i & 1:
             raise DagError(f"relation {cond.relation!r} not a base of this plan")
-    tops, path = [tree], [tree]   # the trees above each landing; the landings, root first
-    while dp.group is not None and path[-1] is not None:   # land on path[-2], the lowest yet
-        path.append(next((c for c in path[-1][2] if c[0].rels & dp.gb_rels == dp.gb_rels), None))
-        top = (dp.landing(path[-2][0]), None, (path[-2],))
-        for above, below in zip(path[-3::-1], path[-2:0:-1]):   # the nodes above, rebuilt
-            children = tuple(top if c is below else c for c in above[2])
-            top = (dp.node([(above[1].kind, above[1].factor, [c[0] for c in children])],
-                           above is not tree), above[1], children)
-        tops[len(path) - 2:] = [top]
     full = dp.width - 1
-    costs = [dp.total(top[0].best[full], top[0].out[full]) for top in tops]
-    budget = _within_rounding(min(costs))
+    total = lambda top: dp.total(top[0].best[full], top[0].out[full])   # noqa: E731
+    tops = [(0, tree, total(tree))]   # (landing depth, the tree above the landing, its total)
+    if dp.group is not None:
+        path = [tree]   # the landings, root first
+        while child := next((c for c in path[-1][2] if c[0].rels & dp.gb_rels == dp.gb_rels),
+                            None):
+            path.append(child)
+        flat, landed = total(tree), [dp.landing(cell) for cell, _, _ in path]
+        tops, least = [], limit
+        for bound, k in sorted((dp.bound(path[k][0], landed[k], flat), k)
+                               for k in range(len(path))):
+            if bound > _within_rounding(least):
+                break   # no landing from here on ties the least total or the limit
+            top = (landed[k], None, (path[k],))
+            for above, below in zip(path[k - 1::-1] if k else (), path[k:0:-1]):
+                children = tuple(top if c is below else c for c in above[2])   # rebuilt
+                top = (dp.node([(above[1].kind, above[1].factor, [c[0] for c in children])],
+                               above is not tree), above[1], children)
+            tops.append((k, top, total(top)))
+            least = min(least, tops[-1][2])
+        if not tops:
+            return None
+    budget = _within_rounding(min(cost for _, _, cost in tops))
     found = []   # (landing depth, depth key, built plan)
-    for k, (top, cost) in enumerate(zip(tops, costs)):   # the DP leaves out the projection
+    for k, top, cost in tops:   # the DP leaves out the projection
         found += [(k, key, built) for _, key, built
                   in placements(top, 0, full, budget - (cost - top[0].best[full]))]
     return min(sorted(found, key=lambda c: c[:2]),
@@ -350,8 +379,8 @@ def _decorate_stage(dag: Dag, dp: _Placement,
     memo.SIZE_RTOL) is built (`costplan.plans_within`).  A root's floor is
     its least decorated cost (`dp.total`) exactly, and its running best
     starts there: the stage walks, decorates and keeps only the plans that
-    tie it.  A landing is part of the root's signature; only the signature
-    class of the cheapest plan is kept."""
+    tie it; it is each plan's `limit`.  A landing is part of the root's
+    signature; only the signature class of the cheapest plan is kept."""
     fresh = Dag()
     fresh.meta = dict(dag.meta)
     for query_id, root in sorted(dag.query_roots.items()):
@@ -359,7 +388,9 @@ def _decorate_stage(dag: Dag, dp: _Placement,
         running_best = budget = _within_rounding(floors[0][root])
         # the limit is the running best of the root being walked, plus slack
         for plan in costplan.plans_within(dag, root, *floors, lambda: budget):
-            decorated = place_selects_on_plan(plan, (), dp=dp)
+            decorated = place_selects_on_plan(plan, (), dp=dp, limit=running_best)
+            if decorated is None:   # no landing can tie the running best
+                continue
             cost = dp.total(decorated.cum_cost, decorated.est_size)
             if cost > running_best:
                 continue
@@ -382,14 +413,16 @@ def _select_floors(dag: Dag, selects, *, dp: _Placement | None = None,
                    plans: dict | None = None) -> tuple[dict[int, float], dict[int, float]]:
     """Floors of the place stage for `costplan.plans_within`: the DP `dp`
     (else that of `selects`) over the memo, an eq-node's op-nodes its
-    alternatives, plain and per landing above it.  A query root, which no op
-    may consume, gets its least `dp.total` at the full set: its least
-    decorated cost, exactly.  Any other eq-node's floor is its least `best`,
-    an op-node's its least cost with all its children's bits below it
-    (`own`), plain or above a landing that can reach a root's floor, as any
-    plan that ties a floor has such a landing; so no plan the stage keeps
-    costs less than its bound.  `plans`, when given, receives every
-    eq-node's number of plans."""
+    alternatives, plain and per landing above it, in increasing
+    `_Placement.bound`, up to the first whose bound is above every root's
+    best total so far (within memo.SIZE_RTOL): no later one can reach a
+    root's optimum.  A query root, which no op may consume, gets its least
+    `dp.total` at the full set: its least decorated cost, exactly.  Any
+    other eq-node's floor is its least `best`, an op-node's its least cost
+    with all its children's bits below it (`own`), plain or above a landing
+    that can reach a root's floor, as any plan that ties a floor has such a
+    landing; so no plan the stage keeps costs less than its bound.  `plans`,
+    when given, receives every eq-node's number of plans."""
     dp = dp or _Placement(selects)
     plans = {} if plans is None else plans
     consumed = {c for op in dag.op_nodes.values() for c in op.children}
@@ -409,17 +442,22 @@ def _select_floors(dag: Dag, selects, *, dp: _Placement | None = None,
                            else plans[op.children[0]] for op in ops)
     full = dp.width - 1
     floor = {eq_id: min(cell.best) for eq_id, cell in cells.items()}
+    plain = {root: dp.total(cells[root].best[full], cells[root].out[full])
+             for root in dag.query_roots.values()}
     if dp.group is None:
-        floor.update((root, cells[root].best[full]) for root in dag.query_roots.values())
+        floor.update(plain)
         return floor, op_floor
+    flat, landings = min(plain.values()), []   # (bound, position in order, cell) per landing
+    for i, eq_id in enumerate(order):
+        if cells[eq_id].rels & dp.gb_rels == dp.gb_rels:
+            landed = dp.landing(cells[eq_id])
+            landings.append((dp.bound(cells[eq_id], landed, flat), i, landed))
     roots = dict.fromkeys(dag.query_roots.values(), math.inf)
     tiers = []   # per landing: its cells at and above it, and the owns of the ops above it
-    for i, landing in enumerate(order):
-        if cells[landing].rels & dp.gb_rels != dp.gb_rels:
-            continue
-        tier, owns = {landing: dp.landing(cells[landing])}, []
-        if min(tier[landing].best) > _within_rounding(max(roots.values())):
-            continue   # below its first op above, it already costs more than every root
+    for bound, i, landed in sorted(landings, key=lambda t: t[:2]):
+        if bound > _within_rounding(max(roots.values())):
+            break   # no landing from here on can reach a root's optimum
+        tier, owns = {order[i]: landed}, []
         for up in order[i + 1:]:   # the eq-nodes above it, inputs first
             ops = [op for op in map(dag.op_nodes.__getitem__, dag.eq_nodes[up].child_ops)
                    if op.children[0] in tier or op.children[-1] in tier]

@@ -209,6 +209,21 @@ def test_overflowing_plan_cost_is_one_error_line(capsys, tmp_path, mode):
     assert len(err.splitlines()) == 1
 
 
+def test_grouped_block_whose_plain_pass_overflows_keeps_its_optimum(capsys, tmp_path):
+    # the ungrouped join's cost overflows, so no landing's bound may use it;
+    # grouping either input first keeps every cost finite
+    relations = [{"name": name, "cardinality": 1.3e154,
+                  "attributes": [{"name": "k", "distinct": 10}, {"name": "b", "distinct": 10}]}
+                 for name in ("a", "b")]
+    schema, query = tmp_path / "schema.json", tmp_path / "q.sql"
+    schema.write_text(json.dumps({"relations": relations, "fk_edges": [
+        {"left": "a.k", "right": "b.k", "jsf": 0.1}]}))
+    query.write_text("select a.b, count(*) from a, b where a.k = b.k group by a.b")
+    code, stdout, err = run(capsys, "optimize", "--schema", str(schema), "--query", str(query))
+    assert (code, err) == (0, "")
+    assert "best_cost=1.56e+155" in stdout
+
+
 NINE_SELECTS = ("select employee.fname from employee, works_on "
                 "where employee.ssn = works_on.ssn"
                 + "".join(f" and employee.salary > {k}" for k in range(5))

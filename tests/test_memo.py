@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -296,6 +297,18 @@ def test_copy_below_equals_the_recursive_copy(company_catalog, tpch_catalog):
             check_copy_below(history.dag, root)
         for eq_id in history.dag.eq_nodes:   # the inner nodes a query join set copies from
             check_copy_below(history.dag, eq_id)
+
+
+def test_copy_below_copies_a_dag_deeper_than_the_stack():
+    # a select chain longer than the recursion limit, copied from its top
+    dag = Dag()
+    top = ensure_base(dag, "a", 1000.0)
+    for i in range(sys.getrecursionlimit() + 200):
+        top = attach_op(dag, KIND_SELECT, f"s{i}", (top,), 1000.0, 1000.0, factor=1.0)
+    copy, root = dag.copy_below(top)
+    assert root == top   # the chain is copied in the order it was built
+    assert dag_to_doc(copy) == dag_to_doc(dag)
+    assert copy._sig_index == dag._sig_index
 
 
 def entries_then_ids(dag):

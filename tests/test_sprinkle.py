@@ -680,6 +680,14 @@ def test_groupby_tie_stays_at_the_root():
     assert placed.kind == KIND_GROUPBY
     assert placed.children[0].kind == KIND_JOIN
     assert placed.cum_cost == 110.0
+    # grouping t first ties too (100 + 64 + 75*2 against 64 + 200 + 50), and
+    # its bound is the lower (64 + 200 scaled by 0.75, plus 100), so it gets
+    # its pass first: the tie still stays at the root
+    ce = op_plan(KIND_JOIN, "c.y = e.y", (base_plan("c", 8.0), base_plan("e", 8.0)), 0.03125)
+    plan = op_plan(KIND_JOIN, "t.x = c.x", (base_plan("t", 100.0), ce), 0.25)
+    placed = placed_on(plan, group_by=(("t", "g"),), d=75.0)
+    assert placed.kind == KIND_GROUPBY
+    assert placed.cum_cost == 314.0
 
 
 def test_having_rides_directly_above_the_groupby():
@@ -871,6 +879,126 @@ def test_cold_tpch_q4_groups_below_its_joinfilter(tpch_catalog):
     assert res.plan.cum_cost == pytest.approx(3211601.0, rel=memo.SIZE_RTOL)
     gb = next(n for n in walk_plan(res.plan) if n.kind == KIND_GROUPBY)
     assert gb is not res.plan.children[0]   # below the root's joins, not above them
+
+
+# -- only landings whose bound can reach the optimum get a pass -------------------
+
+def reference_tiers(dag, dp):
+    """The grouped floors and every landing's (bound, least root total of its
+    tier), found by one DP pass over the nodes above each landing, none
+    skipped: the tier loop of `_select_floors` before it bounded landings."""
+    order = memo.topological_order(dag)[::-1]
+    cells, op_floor = {}, {}
+    for eq_id in order:
+        node = dag.eq_nodes[eq_id]
+        if node.is_base:
+            cells[eq_id] = dp.leaf(node.signature[0][0], node.est_size)
+            continue
+        ops = [dag.op_nodes[op_id] for op_id in node.child_ops]
+        cells[eq_id] = dp.node([(op.kind, op.factor, [cells[c] for c in op.children])
+                                for op in ops])
+        op_floor.update(zip(node.child_ops, cells[eq_id].own))
+    full, roots = dp.width - 1, set(dag.query_roots.values())
+    total = lambda cell: dp.total(cell.best[full], cell.out[full])  # noqa: E731
+    flat = min(total(cells[r]) for r in roots)
+    tiers = []   # (cells at and above the landing, owns above it, bound, root totals)
+    for i, landing in enumerate(order):
+        if cells[landing].rels & dp.gb_rels != dp.gb_rels:
+            continue
+        tier, owns = {landing: dp.landing(cells[landing])}, []
+        for up in order[i + 1:]:
+            ops = [op for op in map(dag.op_nodes.__getitem__, dag.eq_nodes[up].child_ops)
+                   if any(c in tier for c in op.children)]
+            if ops:
+                tier[up] = dp.node([(op.kind, op.factor, [tier.get(c, cells.get(c))
+                                                          for c in op.children]) for op in ops])
+                owns += zip((op.id for op in ops), tier[up].own)
+        tiers.append((tier, owns, dp.bound(cells[landing], tier[landing], flat),
+                      {r: total(tier[r]) for r in roots & tier.keys()}))
+    best = {r: min(totals.get(r, math.inf) for *_, totals in tiers) for r in roots}
+    floor = {eq_id: min(cell.best) for eq_id, cell in cells.items()}
+    for tier, owns, _, totals in tiers:
+        if any(t <= sprinkle._within_rounding(best[r]) for r, t in totals.items()):
+            for up, cell in tier.items():
+                floor[up] = min(floor[up], min(cell.best))
+            for op_id, own in owns:
+                op_floor[op_id] = min(op_floor[op_id], own)
+    floor.update(best)
+    return (floor, op_floor), [(bound, min(totals.values())) for *_, bound, totals in tiers]
+
+
+def bounded_landing_inputs(tpch_catalog):
+    """(sql, catalog): grouped variants of cyclic random queries, with and
+    without a having, an order-by and a retained projection, and tpch q3, q4
+    and tq1, as they are and with a having."""
+    cases = []
+    for sql, catalog in cyclic_random_queries(12):
+        variants = clause_variants(sql, parse_query(sql, catalog), catalog)
+        cases += [(variant, catalog) for variant in variants if "group by" in variant]
+    for name in ("q3", "q4", "tq1"):
+        sql = fixture_sql("tpch", name).strip()
+        cases += [(sql, tpch_catalog), (sql.replace("\norder by", " having count(*) > 2\norder by")
+                                        if "order by" in sql else sql + " having count(*) > 2",
+                                        tpch_catalog)]
+    return cases
+
+
+def test_landing_bounds_never_exceed_their_totals(tpch_catalog):
+    # on the memo and on each plan, a landing's bound is at most the least
+    # root total of its pass, up to the rounding of sums taken in another
+    # order, and skipping landings leaves the floors exact
+    for sql, catalog in bounded_landing_inputs(tpch_catalog):
+        query, jd = joindag_for(sql, catalog)
+        dp = sprinkle._block_placement(query, catalog)
+        floors, landings = reference_tiers(jd, dp)
+        assert sprinkle._select_floors(jd, (), dp=dp) == floors, sql
+        for plan in itertools.islice(costplan.enumerate_plans(jd, jd.query_roots["q1"]), 40):
+            one = memo.Dag()
+            memo.register_root(one, "q1", costplan.intern_plan(one, plan))
+            landings += reference_tiers(one, dp)[1]
+        assert all(bound <= sprinkle._within_rounding(total) for bound, total in landings), sql
+
+
+def test_landing_bound_holds_for_a_having_that_grows_its_input():
+    # a parsed having's ssf is at most 1, so the landing's ratio r is too; the
+    # bound caps r at 1 all the same, as only then does every op off the
+    # landing's path cost at least r times its plain cost
+    having = HavingCondition(func="count", relation=None, attribute="*",
+                             operator=">", literal=5, ssf=4.0)
+    dp = sprinkle._Placement((), group_by=(("t", "g"),), having=having, d=1e9)
+    one = memo.Dag()
+    memo.register_root(one, "q1", costplan.intern_plan(one, grouped_join(1000.0, 50.0, 0.01)))
+    landings = reference_tiers(one, dp)[1]
+    assert len(landings) == 2
+    assert all(bound <= total for bound, total in landings)
+
+
+def test_a_limit_keeps_every_plan_that_ties_it(tpch_catalog):
+    # whenever a plan's least total is within the limit, the limit changes
+    # neither the placement nor its cost bits
+    for sql, catalog in bounded_landing_inputs(tpch_catalog):
+        query, jd = joindag_for(sql, catalog)
+        dp = sprinkle._block_placement(query, catalog)
+        for plan in itertools.islice(costplan.enumerate_plans(jd, jd.query_roots["q1"]), 40):
+            free = sprinkle.place_selects_on_plan(plan, (), dp=dp)
+            cost = dp.total(free.cum_cost, free.est_size)
+            for limit in (cost, sprinkle._within_rounding(cost), 2.0 * cost):
+                limited = sprinkle.place_selects_on_plan(plan, (), dp=dp, limit=limit)
+                assert plan_key(limited) == plan_key(free), sql
+                assert limited.cum_cost.hex() == free.cum_cost.hex(), sql
+
+
+def test_cold_grouped_tpch_blocks_pass_over_few_nodes(tpch_catalog, monkeypatch):
+    # landings whose bound exceeds the best root total found so far get no
+    # pass: cold tq1 ran 184 DP steps and q4 75 before landings were bounded
+    calls, node = [], sprinkle._Placement.node
+    monkeypatch.setattr(sprinkle._Placement, "node",
+                        lambda self, *a, **k: calls.append(1) or node(self, *a, **k))
+    for name, steps in (("tq1", 80), ("q4", 40)):
+        calls.clear()
+        sprinkle.optimize_single(parse_query(fixture_sql("tpch", name), tpch_catalog),
+                                 tpch_catalog)
+        assert len(calls) == steps, name
 
 
 def test_a_cold_flat_block_sorts_its_join_dag_once(company_catalog, monkeypatch):
