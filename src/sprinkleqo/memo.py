@@ -192,36 +192,42 @@ class Dag:
                                                    out._sig_index)
         ids: dict[int, int] = {}
 
-        def copy(eq_id: int):
-            node, new = src_eq[eq_id], None
+        def new_eq(eq_id: int, node: EqNode) -> int:
+            ids[eq_id] = new = len(eq_nodes)
+            eq_nodes[new] = EqNode(new, node.signature, node.est_size, node.text)
+            sig_index[node.signature] = new
+            return new
+
+        def copy(eq_id: int, node: EqNode):   # yields each input to copy first
+            new = None
             for op_id in sorted(node.child_ops):
-                op = src_op[op_id]
-                inputs = op.children
+                _, kind, detail, inputs, op_cost, factor = src_op[op_id]
                 for child in inputs:
                     if child not in ids:
                         yield child
                 children = tuple([ids[c] for c in inputs])
                 if new is None:
-                    new = ids[eq_id] = len(eq_nodes)
-                    eq_nodes[new] = EqNode(new, node.signature, node.est_size, node.text)
-                    sig_index[node.signature] = new
+                    new = new_eq(eq_id, node)
+                    copied_ops = eq_nodes[new].child_ops
                 new_op = len(op_nodes)
-                op_nodes[new_op] = OpNode(new_op, op.kind, op.detail, children,
-                                          op.op_cost, op.factor)
-                op_index[(op.kind, op.detail, children)] = new
-                eq_nodes[new].child_ops.append(new_op)
-            if new is None:   # a base eq-node
-                new = ids[eq_id] = len(eq_nodes)
-                eq_nodes[new] = EqNode(new, node.signature, node.est_size, node.text)
-                sig_index[node.signature] = new
+                op_nodes[new_op] = OpNode(new_op, kind, detail, children, op_cost, factor)
+                op_index[(kind, detail, children)] = new
+                copied_ops.append(new_op)
 
-        walk = [copy(root)]   # the copies under way, innermost last
+        node = src_eq[root]
+        if not node.child_ops:
+            new_eq(root, node)
+        walk = [copy(root, node)]   # the copies under way, innermost last
         while walk:
             needed = next(walk[-1], None)
             if needed is None:
                 walk.pop()
-            else:
-                walk.append(copy(needed))
+                continue
+            node = src_eq[needed]
+            if node.child_ops:
+                walk.append(copy(needed, node))
+            else:   # a base eq-node, copied when first reached
+                new_eq(needed, node)
         out._next_eq, out._next_op = len(eq_nodes), len(op_nodes)
         return out, ids[root]
 

@@ -249,10 +249,9 @@ class _Placement:
 
     def bound(self, cell: _Cell, landed: _Cell, flat: float) -> float:
         """A lower bound on every total with the group-by `landed` over
-        `cell`, given `flat`, the least plain total of the same roots: each
-        op on the path above it costs r times its plain cost, r = its output
-        over its input (at most 1), and every other op and the root
-        projection at least r times."""
+        `cell`, `flat` the least plain total: each op above it and the root
+        projection cost at least r times their plain cost, r = its output
+        over its input (at most 1)."""
         fixed, size = landed.cmask, cell.out[landed.cmask]
         least = min(landed.best)
         if not (math.isfinite(flat) and size > 0):
@@ -273,14 +272,14 @@ def place_selects_on_plan(plan: Plan, selects, *, dp: _Placement | None = None,
     order-by onto one plan (of `selects` alone without `dp`, the block's DP).
 
     The DP finds the least cost without building plans, once per landing
-    whose `_Placement.bound` is within memo.SIZE_RTOL of the least cost so
-    far and of `limit`, in increasing bound; None if there is none.  The
+    in increasing `_Placement.bound`, up to a bound above the least cost
+    so far or `limit` (within memo.SIZE_RTOL); None if none is below, and
+    the unlimited result if the least cost is within `limit`.  The
     placements within memo.SIZE_RTOL of it are then enumerated and each
     is built as it is enumerated, bottom-up, because the DP and a built plan
     add in different orders.  The first cheapest built plan wins, landings
     root first and then in product order (bits in canonical order, each
-    path root-first), so cost ties prefer positions nearer the root.  A
-    plan whose least cost is within `limit` gets the result of no limit.
+    path root-first), so cost ties prefer positions nearer the root.
     """
     if dp is None:
         dp = _Placement(selects)
@@ -335,7 +334,7 @@ def place_selects_on_plan(plan: Plan, selects, *, dp: _Placement | None = None,
             raise DagError(f"relation {cond.relation!r} not a base of this plan")
     full = dp.width - 1
     total = lambda top: dp.total(top[0].best[full], top[0].out[full])   # noqa: E731
-    tops = [(0, tree, total(tree))]   # (landing depth, the tree above the landing, its total)
+    tops = [(0, tree, total(tree))]   # (landing depth, the tree above it, its total)
     if dp.group is not None:
         path = [tree]   # the landings, root first
         while child := next((c for c in path[-1][2] if c[0].rels & dp.gb_rels == dp.gb_rels),
@@ -346,9 +345,9 @@ def place_selects_on_plan(plan: Plan, selects, *, dp: _Placement | None = None,
         for bound, k in sorted((dp.bound(path[k][0], landed[k], flat), k)
                                for k in range(len(path))):
             if bound > _within_rounding(least):
-                break   # no landing from here on ties the least total or the limit
+                break
             top = (landed[k], None, (path[k],))
-            for above, below in zip(path[k - 1::-1] if k else (), path[k:0:-1]):
+            for above, below in zip(reversed(path[:k]), reversed(path[1:k + 1])):
                 children = tuple(top if c is below else c for c in above[2])   # rebuilt
                 top = (dp.node([(above[1].kind, above[1].factor, [c[0] for c in children])],
                                above is not tree), above[1], children)
@@ -379,8 +378,8 @@ def _decorate_stage(dag: Dag, dp: _Placement,
     memo.SIZE_RTOL) is built (`costplan.plans_within`).  A root's floor is
     its least decorated cost (`dp.total`) exactly, and its running best
     starts there: the stage walks, decorates and keeps only the plans that
-    tie it; it is each plan's `limit`.  A landing is part of the root's
-    signature; only the signature class of the cheapest plan is kept."""
+    tie it.  A landing is part of the root's signature; only the signature
+    class of the cheapest plan is kept."""
     fresh = Dag()
     fresh.meta = dict(dag.meta)
     for query_id, root in sorted(dag.query_roots.items()):
@@ -389,7 +388,7 @@ def _decorate_stage(dag: Dag, dp: _Placement,
         # the limit is the running best of the root being walked, plus slack
         for plan in costplan.plans_within(dag, root, *floors, lambda: budget):
             decorated = place_selects_on_plan(plan, (), dp=dp, limit=running_best)
-            if decorated is None:   # no landing can tie the running best
+            if decorated is None:
                 continue
             cost = dp.total(decorated.cum_cost, decorated.est_size)
             if cost > running_best:
@@ -413,16 +412,15 @@ def _select_floors(dag: Dag, selects, *, dp: _Placement | None = None,
                    plans: dict | None = None) -> tuple[dict[int, float], dict[int, float]]:
     """Floors of the place stage for `costplan.plans_within`: the DP `dp`
     (else that of `selects`) over the memo, an eq-node's op-nodes its
-    alternatives, plain and per landing above it, in increasing
-    `_Placement.bound`, up to the first whose bound is above every root's
-    best total so far (within memo.SIZE_RTOL): no later one can reach a
-    root's optimum.  A query root, which no op may consume, gets its least
-    `dp.total` at the full set: its least decorated cost, exactly.  Any
-    other eq-node's floor is its least `best`, an op-node's its least cost
-    with all its children's bits below it (`own`), plain or above a landing
-    that can reach a root's floor, as any plan that ties a floor has such a
-    landing; so no plan the stage keeps costs less than its bound.  `plans`,
-    when given, receives every eq-node's number of plans."""
+    alternatives, plain and per landing above it (in increasing
+    `_Placement.bound`, up to one that no root's optimum can reach).  A
+    query root, which no op may consume, gets its least `dp.total` at the
+    full set: its least decorated cost, exactly.  Any other eq-node's floor
+    is its least `best`, an op-node's its least cost with all its children's
+    bits below it (`own`), plain or above a landing that can reach a root's
+    floor, as any plan that ties a floor has such a landing; so no plan the
+    stage keeps costs less than its bound.  `plans`, when given, receives
+    every eq-node's number of plans."""
     dp = dp or _Placement(selects)
     plans = {} if plans is None else plans
     consumed = {c for op in dag.op_nodes.values() for c in op.children}
@@ -456,7 +454,7 @@ def _select_floors(dag: Dag, selects, *, dp: _Placement | None = None,
     tiers = []   # per landing: its cells at and above it, and the owns of the ops above it
     for bound, i, landed in sorted(landings, key=lambda t: t[:2]):
         if bound > _within_rounding(max(roots.values())):
-            break   # no landing from here on can reach a root's optimum
+            break
         tier, owns = {order[i]: landed}, []
         for up in order[i + 1:]:   # the eq-nodes above it, inputs first
             ops = [op for op in map(dag.op_nodes.__getitem__, dag.eq_nodes[up].child_ops)

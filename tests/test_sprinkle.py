@@ -885,8 +885,8 @@ def test_cold_tpch_q4_groups_below_its_joinfilter(tpch_catalog):
 
 def reference_tiers(dag, dp):
     """The grouped floors and every landing's (bound, least root total of its
-    tier), found by one DP pass over the nodes above each landing, none
-    skipped: the tier loop of `_select_floors` before it bounded landings."""
+    tier), found by one DP pass over the nodes above each landing: the tier
+    loop of `_select_floors` with no landing skipped."""
     order = memo.topological_order(dag)[::-1]
     cells, op_floor = {}, {}
     for eq_id in order:
@@ -910,7 +910,7 @@ def reference_tiers(dag, dp):
             ops = [op for op in map(dag.op_nodes.__getitem__, dag.eq_nodes[up].child_ops)
                    if any(c in tier for c in op.children)]
             if ops:
-                tier[up] = dp.node([(op.kind, op.factor, [tier.get(c, cells.get(c))
+                tier[up] = dp.node([(op.kind, op.factor, [tier.get(c, cells[c])
                                                           for c in op.children]) for op in ops])
                 owns += zip((op.id for op in ops), tier[up].own)
         tiers.append((tier, owns, dp.bound(cells[landing], tier[landing], flat),
