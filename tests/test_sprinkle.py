@@ -990,7 +990,8 @@ def test_a_limit_keeps_every_plan_that_ties_it(tpch_catalog):
 
 def test_cold_grouped_tpch_blocks_pass_over_few_nodes(tpch_catalog, monkeypatch):
     # landings whose bound exceeds the best root total found so far get no
-    # pass: cold tq1 ran 184 DP steps and q4 75 before landings were bounded
+    # pass; skipping only landings that alone cost more than every root
+    # takes 184 DP steps on tq1 and 75 on q4
     calls, node = [], sprinkle._Placement.node
     monkeypatch.setattr(sprinkle._Placement, "node",
                         lambda self, *a, **k: calls.append(1) or node(self, *a, **k))
