@@ -219,15 +219,14 @@ class Dag:
             new_eq(root, node)
         walk = [copy(root, node)]   # the copies under way, innermost last
         while walk:
-            needed = next(walk[-1], None)
-            if needed is None:
+            for needed in walk[-1]:
+                node = src_eq[needed]
+                if node.child_ops:
+                    walk.append(copy(needed, node))
+                    break
+                new_eq(needed, node)   # a base eq-node, copied when first reached
+            else:
                 walk.pop()
-                continue
-            node = src_eq[needed]
-            if node.child_ops:
-                walk.append(copy(needed, node))
-            else:   # a base eq-node, copied when first reached
-                new_eq(needed, node)
         out._next_eq, out._next_op = len(eq_nodes), len(op_nodes)
         return out, ids[root]
 
