@@ -93,11 +93,22 @@ def op_plan(kind: str, detail: str, children: tuple[Plan, ...],
 
 
 def plan_key(plan: Plan) -> str:
-    """Canonical text of a plan tree, used for deterministic ordering."""
-    if plan.kind == "base":
-        return f"(base {plan.relation})"
-    inner = " ".join(plan_key(c) for c in plan.children)
-    return f"({plan.kind} [{plan.detail}] {inner})"
+    """Canonical text of a plan tree, used for deterministic ordering.  The
+    walk keeps its own stack of nodes and closing text, so any depth works."""
+    out: list[str] = []
+    stack: list = [plan]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item.kind == "base":
+            out.append(f"(base {item.relation})")
+        else:
+            out.append(f"({item.kind} [{item.detail}] ")
+            stack.append(")")
+            for i, child in enumerate(reversed(item.children)):
+                stack += [" ", child] if i else [child]
+    return "".join(out)
 
 
 # -- plans <-> memo ---------------------------------------------------------
@@ -122,16 +133,25 @@ def intern_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
 
 
 def intern_plan(dag: Dag, plan: Plan) -> int:
-    """Intern every node of a plan tree into the memo; returns the root eq-node."""
-
-    def walk(node: Plan) -> int:
+    """Intern every node of a plan tree into the memo, each node's inputs
+    first and left to right; returns the root eq-node.  That order is the
+    reverse of a walk from the root that takes the inputs right to left,
+    kept on a list of its own, so any depth works."""
+    order, stack = [], [plan]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack += node.children
+    ids: list[int] = []   # eq-nodes of interned nodes whose parent is not interned yet
+    for node in reversed(order):
         if node.kind == "base":
-            return memo.ensure_base(dag, node.relation, node.est_size)
-        return memo.attach_op(dag, node.kind, node.detail,
-                              tuple(walk(c) for c in node.children),
-                              node.est_size, node.op_cost, node.factor)
-
-    return walk(plan)
+            ids.append(memo.ensure_base(dag, node.relation, node.est_size))
+            continue
+        children = tuple(ids[len(ids) - len(node.children):])
+        del ids[len(ids) - len(node.children):]
+        ids.append(memo.attach_op(dag, node.kind, node.detail, children,
+                                  node.est_size, node.op_cost, node.factor))
+    return ids[0]
 
 
 def check_estimates(dag: Dag) -> None:
@@ -234,81 +254,3 @@ def enumerate_plans(dag: Dag, root_eq: int) -> list[Plan]:
         return out
 
     return expand(root_eq)
-
-
-def plans_within(dag: Dag, root_eq: int, floor: dict[int, float],
-                 op_floor: dict[int, float], limit):
-    """Lazily yield the expansions below an eq-node, in `enumerate_plans`
-    order, skipping every family of plans that cannot come within `limit()`.
-
-    `floor[eq]` is a lower bound on the bound of every plan below an eq-node
-    and `op_floor[op]` the op-node's own share of it, so a plan's bound is
-    its op's floor plus its children's bounds.  A family is one op with a
-    fixed prefix of child choices; it is skipped when the bound committed
-    above it, its op's floor, its chosen children's bounds and its remaining
-    children's floors add up to more than `limit()`.  `limit` is read anew
-    at every family, so a caller that lowers it between plans prunes the
-    rest of the walk.  Sums are kept at root scale, never subtracted.  An
-    eq-node whose walk skipped nothing keeps its plans for reuse, so a walk
-    that prunes nothing builds each eq-node's plans once, as
-    `enumerate_plans` does.
-    """
-    alternatives: dict[int, list] = {}  # eq-node -> [(op, own floor, rest floors)]
-    # eq-node -> all its (plan, bound), once a walk below it skipped nothing
-    complete = {eq_id: [(base_plan(_base_relation_of(dag, eq_id), node.est_size), 0.0)]
-                for eq_id, node in dag.eq_nodes.items() if node.is_base}
-    skipped = 0
-
-    def alternatives_of(eq_id: int) -> list:
-        if eq_id not in alternatives:
-            out = []
-            for op_id in sorted(dag.eq_nodes[eq_id].child_ops,
-                                key=lambda i: dag.op_nodes[i].sort_key()):
-                op = dag.op_nodes[op_id]
-                rest = [0.0] * (len(op.children) + 1)  # floors of children[i:]
-                for i in range(len(op.children) - 1, -1, -1):
-                    rest[i] = rest[i + 1] + floor[op.children[i]]
-                out.append((op, op_floor[op_id], rest))
-            alternatives[eq_id] = out
-        return alternatives[eq_id]
-
-    def expand(eq_id: int, outside: float):
-        """(plan, bound) for the plans below `eq_id` not yet ruled out,
-        `outside` being the bound committed elsewhere in the root plan."""
-        return complete[eq_id] if eq_id in complete else walk(eq_id, outside)
-
-    def walk(eq_id: int, outside: float):
-        node = dag.eq_nodes[eq_id]
-        skipped_before, out = skipped, []
-        for op, own, rest in alternatives_of(eq_id):
-            for combo, bound in family(op, rest, 0, outside + own, ()):
-                cost = op.op_cost + sum(c.cum_cost for c in combo)
-                out.append((Plan(kind=op.kind, detail=op.detail, relation=None,
-                                 children=combo, factor=op.factor, est_size=node.est_size,
-                                 op_cost=op.op_cost, cum_cost=cost),
-                            own + bound))
-                yield out[-1]
-        if skipped == skipped_before:
-            complete[eq_id] = out
-
-    def family(op, rest, i, committed, chosen):
-        """Child combinations of `op` extending `chosen` (children[:i]),
-        with the sum of their bounds; `committed` already holds the op's
-        floor, `outside` and the chosen children's bounds."""
-        nonlocal skipped
-        if committed + rest[i] > limit():
-            skipped += 1
-            return
-        last = i + 1 == len(op.children)
-        for plan, bound in expand(op.children[i], committed + rest[i + 1]):
-            if not last:
-                for combo, tail in family(op, rest, i + 1, committed + bound,
-                                          chosen + (plan,)):
-                    yield combo, bound + tail
-            elif committed + bound > limit():
-                skipped += 1
-            else:
-                yield chosen + (plan,), bound
-
-    for plan, _ in expand(root_eq, 0.0):
-        yield plan

@@ -13,7 +13,7 @@ The place stage searches every join plan; each select anywhere on its
 relation's leaf-to-root path; one group-by (its having directly above it)
 on top of the select stack of a node that covers the grouping relations and
 holds every select on its own relations, a landing; and one order-by on top
-of the stack of a node that covers the order relations, outside the
+of the stack of a node that covers the order relations outside the
 group-by's subtree (above the having at the landing).  Selects on other
 relations may sit above the group-by.  The optimum over that space is
 exact, and never above the exhaustive baseline's, which places everything
@@ -27,13 +27,12 @@ only on which bits sit below, so a DP over (node, subset of bits at or
 below it) is exact.  A landing changes every size above it, so each landing
 runs its own pass over the nodes above it, with the selects on its
 relations fixed below; only landings whose bound (`_Placement.bound`) can
-reach the optimum get one.  The DP step (`_Placement.node`) runs over one
-plan (`place_selects_on_plan`), whose near-optimal placements are then
-enumerated and built, and over the memo (`_select_floors`), where an
-eq-node's alternatives are its op-nodes.  The memo's floors are exact at a
-query root, so the stage's lazy walk (`costplan.plans_within`) starts at
-the block's optimum: it builds, decorates and keeps only the plans that
-tie it.
+reach the optimum get one.  The DP runs once per block, over the memo
+(`_select_floors`), an eq-node's op-nodes its alternatives, and keeps its
+tables.  The stage then reads the decorated plans that tie the optimum
+back from them (`_tied_plans`): from each root, it follows every op-node
+and placement whose cost fits within the root's rounding slack, and builds
+those plans only.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import costplan, joindag, memo, sqlfront
 from .catalog import Attribute, Catalog, Relation
@@ -89,8 +89,7 @@ class _Cell:
     an order-by sets `rels`, its grouping and ordering relations as bits,
     and `fixed`, the bits a group-by landing at or below it holds."""
 
-    __slots__ = ("mask", "cmask", "fixed", "rels", "local", "pre", "below", "best",
-                 "out", "own")
+    __slots__ = ("mask", "cmask", "fixed", "rels", "local", "pre", "below", "best", "out")
 
     def __init__(self, mask: int, width: int):
         self.mask = mask                 # the bits that may sit at or below the node
@@ -201,7 +200,6 @@ class _Placement:
                 pre[u] = estimate_size(kind, sizes, factor)
                 below[u] = b1[u]
                 total[u] = cost + b1[u]
-        cell.own = own = [cost]   # each alternative's `local` at u = cmask, the last u
         for kind, factor, children in rest:   # each later one only where it is cheaper
             if len(children) == 2:
                 c1, c2 = children
@@ -217,7 +215,6 @@ class _Placement:
                     cost = op_cost(kind, (z1[u],))
                     if cost + b1[u] < total[u]:
                         local[u], below[u], total[u] = cost, b1[u], cost + b1[u]
-            own.append(cost)
         if mask != cmask:   # the order-by enters here: never below the op
             for u in subsets[cmask]:
                 pre[u | self.ob_bit], total[u | self.ob_bit] = pre[u], math.inf
@@ -258,110 +255,176 @@ class _Placement:
             return least
         return max(least, min(1.0, landed.pre[fixed] / size) * flat + landed.local[fixed])
 
-    def group_on(self, target: Plan) -> Plan:   # the group-by scoped to its input, and its having
-        group_by, d, having = self.group
-        out = op_plan(KIND_GROUPBY, sqlfront.groupby_text(group_by, memo.signature_text(
-            costplan.plan_signature(target))), (target,), d)
-        return out if having is None else op_plan(KIND_HAVING, having.canonical(), (out,),
-                                                  having.ssf)
+
+class _Pass(NamedTuple):
+    """The tables of a block's one DP pass over its memo."""
+
+    cells: dict[int, _Cell]                        # each eq-node's plain tables
+    tiers: list[tuple[int, dict[int, _Cell]]]      # per landing priced: it, and its tier's tables
+    optimum: dict[int, float]                      # each query root's least `dp.total`
 
 
-def place_selects_on_plan(plan: Plan, selects, *, dp: _Placement | None = None,
-                          limit: float = math.inf) -> Plan | None:
-    """Minimum-cost joint placement of a block's selects, group-by and
-    order-by onto one plan (of `selects` alone without `dp`, the block's DP).
+def _tied_plans(dag: Dag, dp: _Placement, cells: dict[int, _Cell], landing: int | None,
+                tier: dict[int, _Cell], root: int, budget: float, ranks: dict) -> list:
+    """Every decorated plan below `root` whose DP cost is at most `budget`,
+    as (DP cost, depth key, walk key, landing depth, built plan); with a
+    `landing`, those with the group-by there, `tier` its pass's tables.
 
-    The DP finds the least cost without building plans, once per landing
-    in increasing `_Placement.bound`, up to a bound above the least cost
-    so far or `limit` (within memo.SIZE_RTOL); None if none is below, and
-    the unlimited result if the least cost is within `limit`.  The
-    placements within memo.SIZE_RTOL of it are then enumerated and each
-    is built as it is enumerated, bottom-up, because the DP and a built plan
-    add in different orders.  The first cheapest built plan wins, landings
-    root first and then in product order (bits in canonical order, each
-    path root-first), so cost ties prefer positions nearer the root.
-    """
-    if dp is None:
-        dp = _Placement(selects)
-    if dp.width == 1 and dp.group is None:
-        return plan
+    At a node, each op-node and each set u placed below its operator costs
+    `here` (its op, and the stack of the rest of S on its output) plus its
+    inputs' least costs under u.  One that fits the budget gives each input
+    the budget less `here` and the other inputs' least costs, and each
+    combination of their plans that fits is built bottom-up, because the DP
+    and a built plan add in different orders.  `_Placement.node` keeps one
+    winner per u, so each op-node's cost is recomputed here, on traced
+    cells only.  A non-finite cost is never above the budget, so such a
+    block keeps every plan.  The depth key gives each bit the depth of the
+    node it sits on, the group-by counting as a node above its landing; the
+    walk key orders join plans as `costplan.enumerate_plans` does (`ranks`
+    caches each eq-node's op-nodes in `OpNode.sort_key` order).  A block
+    with nothing to place keeps the memo's plans as `enumerate_plans` gives
+    them, with the memo's sizes and costs."""
     subsets, stack_cost, ops, stacking = dp.subsets, dp.stack_cost, dp.ops, dp.stacking
+    eq_nodes, op_nodes = dag.eq_nodes, dag.op_nodes
+    op_cost, estimate_size = costplan.op_cost, costplan.estimate_size
+    stored = dp.width == 1 and dp.group is None   # nothing to place: the memo's own plans
+    if landing is not None:   # the group-by's detail names its input's signature
+        group_by, d, having = dp.group
+        bases, joins, unary, projection = eq_nodes[landing].signature
+        placed = tuple(ops[i][1] for i in range(len(ops)) if tier[landing].cmask >> i & 1)
+        scope = memo.signature_text(memo.make_signature(bases, joins, unary + placed, projection))
+        grouping = sqlfront.groupby_text(group_by, scope)
 
-    def build(node: Plan, all_s: bool):
-        """The tree (cell, node, children) of the plan's DP cells."""
-        if node.kind == "base":
-            return dp.leaf(node.relation, node.est_size), node, ()
-        children = tuple(build(c, True) for c in node.children)
-        cell = dp.node([(node.kind, node.factor, [c for c, _, _ in children])], all_s)
-        return cell, node, children
+    def rank(eq_id: int) -> dict[int, int]:
+        if eq_id not in ranks:
+            ordered = sorted(eq_nodes[eq_id].child_ops, key=lambda i: op_nodes[i].sort_key())
+            ranks[eq_id] = {op_id: r for r, op_id in enumerate(ordered)}
+        return ranks[eq_id]
 
-    def placements(tree, depth: int, s: int, budget: float) -> list:
-        """(DP cost, depth key, built plan) for every placement of `s` at or
-        below the tree's node (None at a landing) costing no more than
-        `budget`; key[i] is the depth of bit i, 0 for one outside `s`.  A
-        non-finite cost is never above the budget, so such plans keep every
-        placement."""
-        cell, node, children = tree
+    seen: dict[tuple, tuple[float, list]] = {}   # (eq-node, above, S) -> (budget, plans)
+    shapes: dict[tuple, list] = {}   # (eq-node, above) -> its alternatives and their inputs
+
+    def alternatives(eq_id: int, above: bool) -> list:
+        """(op-node, its inputs as (eq-node, above), their cells) per
+        alternative; None for the group-by over its landing, or a leaf."""
+        if (eq_id, above) not in shapes:
+            node = eq_nodes[eq_id]
+            if above and eq_id == landing:   # the group-by over the plain node
+                found = [(None, [(eq_id, False)])]
+            elif not node.child_ops:   # a leaf
+                found = [(None, [])]
+            else:
+                found = [(op, inputs) for op in map(op_nodes.__getitem__, node.child_ops)
+                         for inputs in [[(c, above and c in tier) for c in op.children]]
+                         if not above or any(a for _, a in inputs)]
+            shapes[eq_id, above] = [(op, inputs, [(tier if a else cells)[c] for c, a in inputs])
+                                    for op, inputs in found]
+        return shapes[eq_id, above]
+
+    def walk(eq_id: int, above: bool, s: int, budget: float) -> list:
+        """`above`: the node may hold the landing at or below it.  Depths
+        count from this node; a budget within one already walked reuses its
+        plans."""
+        known = seen.get((eq_id, above, s))
+        if known is not None and budget <= known[0]:
+            return [plan for plan in known[1] if not plan[0] > budget]
+        node, cell = eq_nodes[eq_id], (tier if above else cells)[eq_id]
         found = []
         for u in (dp.fixing(cell.fixed) if dp.group and cell.fixed else subsets)[s & cell.cmask]:
-            here = cell.local[u] + cell.pre[u] * stack_cost[s ^ u]
-            if here + cell.below[u] > budget:
+            if cell.local[u] + cell.below[u] > budget:   # no op-node's op and inputs cost less
                 continue
-            slack = budget - here - cell.below[u]   # what each child may spend above its best
-            options = [placements(c, depth + 1, u & c[0].mask, c[0].best[u & c[0].mask] + slack)
-                       for c in children]
             mine = [i for i in stacking if (s ^ u) >> i & 1]
-            key = tuple(depth if i in mine else 0 for i in range(len(ops)))
-            for combo in itertools.product(*options):
-                cost = here + sum(c for c, _, _ in combo)
-                if cost > budget:
-                    continue
-                if not children:
-                    built = node
-                elif node is None:
-                    built = dp.group_on(combo[0][2])
+            for op, inputs, kids in alternatives(eq_id, above):
+                if op is None:
+                    local, pre, below = cell.local[u], cell.pre[u], cell.below[u]
                 else:
-                    built = op_plan(node.kind, node.detail, tuple(p for _, _, p in combo),
-                                    node.factor)
-                for i in mine:
-                    built = op_plan(ops[i][0], ops[i][1], (built,), ops[i][2])
-                found.append((cost, tuple(map(sum, zip(key, *(k for _, k, _ in combo)))), built))
+                    if len(kids) == 2:
+                        k1, k2 = kids
+                        t1, t2 = u & k1.mask, u & k2.mask
+                        sizes, below = (k1.out[t1], k2.out[t2]), k1.best[t1] + k2.best[t2]
+                    else:
+                        sizes, below = (kids[0].out[u],), kids[0].best[u]
+                    local = op_cost(op.kind, sizes)
+                    if local + below > budget:
+                        continue
+                    pre = estimate_size(op.kind, sizes, op.factor)
+                here = local + pre * stack_cost[s ^ u]
+                if here + below > budget:
+                    continue
+                slack = budget - here - below   # what each input may spend above its best
+                sets = [u & k.mask for k in kids]
+                options = [walk(c, a, t, k.best[t] + slack)
+                           for (c, a), k, t in zip(inputs, kids, sets)]
+                for combo in itertools.product(*options):
+                    cost = here + sum(c[0] for c in combo)
+                    if cost > budget:
+                        continue
+                    at = 0   # the landing's depth, when it lies below an input
+                    if op is not None:
+                        inner = tuple(c[4] for c in combo)
+                        built = (Plan(op.kind, op.detail, None, inner, op.factor, node.est_size,
+                                      op.op_cost, op.op_cost + sum(p.cum_cost for p in inner))
+                                 if stored else op_plan(op.kind, op.detail, inner, op.factor))
+                        order = (rank(eq_id)[op.id], *(c[2] for c in combo))
+                        if above:
+                            at = sum(c[3] + 1 for (_, a), c in zip(inputs, combo) if a)
+                    elif combo:
+                        built = op_plan(KIND_GROUPBY, grouping, (combo[0][4],), d)
+                        if having is not None:
+                            built = op_plan(KIND_HAVING, having.canonical(), (built,), having.ssf)
+                        order = combo[0][2]
+                    else:
+                        built, order = costplan.base_plan(node.signature[0][0], node.est_size), ()
+                    for i in mine:
+                        built = op_plan(ops[i][0], ops[i][1], (built,), ops[i][2])
+                    key = tuple([sum(c[1][i] + (t >> i & 1) for c, t in zip(combo, sets))
+                                 for i in range(len(ops))])
+                    found.append((cost, key, order, at, built))
+        seen[eq_id, above, s] = budget, found
         return found
 
-    tree = build(plan, dp.group is not None)   # a landing at the root needs its every S
-    for i, cond in enumerate(dp.ordered):
-        if not tree[0].mask >> i & 1:
+    return walk(root, landing is not None, dp.width - 1, budget)
+
+
+def _chosen_plans(dag: Dag, dp: _Placement, passed: _Pass, root: int) -> dict:
+    """Each join plan below `root` with a decoration within memo.SIZE_RTOL
+    of the root's optimum, by walk key: its cheapest built decoration, as
+    (`dp.total`, landing depth, depth key, plan).  Cost ties go to the
+    landing nearest the root, then to the least depth key, so to positions
+    nearer the root."""
+    full, budget, ranks, chosen = dp.width - 1, _within_rounding(passed.optimum[root]), {}, {}
+    for landing, tier in passed.tiers if dp.group is not None else [(None, {})]:
+        top = passed.cells[root] if landing is None else tier.get(root)
+        if top is None:
+            continue
+        total = dp.total(top.best[full], top.out[full])
+        if total > budget:
+            continue
+        for _, key, walk, k, plan in _tied_plans(dag, dp, passed.cells, landing, tier, root,
+                                                 budget - (total - top.best[full]), ranks):
+            candidate = (dp.total(plan.cum_cost, plan.est_size), k, key, plan)
+            if walk not in chosen or candidate[:3] < chosen[walk][:3]:
+                chosen[walk] = candidate
+    return chosen
+
+
+def place_selects_on_plan(plan: Plan, selects, *, dp: _Placement | None = None) -> Plan:
+    """Minimum-cost joint placement of a block's selects, group-by and
+    order-by onto one plan (of `selects` alone without `dp`, the block's
+    DP): the place stage's pass and traceback over a memo of this plan
+    alone.  Of the placements within memo.SIZE_RTOL of the least DP cost,
+    the cheapest built plan wins; see `_chosen_plans` for ties."""
+    dp = dp or _Placement(selects)
+    if dp.width == 1 and dp.group is None:
+        return plan
+    one = Dag()
+    root = costplan.intern_plan(one, plan)
+    memo.register_root(one, "plan", root)
+    for cond in dp.ordered:
+        if cond.relation not in one.eq_nodes[root].signature[0]:
             raise DagError(f"relation {cond.relation!r} not a base of this plan")
-    full = dp.width - 1
-    total = lambda top: dp.total(top[0].best[full], top[0].out[full])   # noqa: E731
-    tops = [(0, tree, total(tree))]   # (landing depth, the tree above it, its total)
-    if dp.group is not None:
-        path = [tree]   # the landings, root first
-        while child := next((c for c in path[-1][2] if c[0].rels & dp.gb_rels == dp.gb_rels),
-                            None):
-            path.append(child)
-        flat, landed = total(tree), [dp.landing(cell) for cell, _, _ in path]
-        tops, least = [], limit
-        for bound, k in sorted((dp.bound(path[k][0], landed[k], flat), k)
-                               for k in range(len(path))):
-            if bound > _within_rounding(least):
-                break
-            top = (landed[k], None, (path[k],))
-            for above, below in zip(reversed(path[:k]), reversed(path[1:k + 1])):
-                children = tuple(top if c is below else c for c in above[2])   # rebuilt
-                top = (dp.node([(above[1].kind, above[1].factor, [c[0] for c in children])],
-                               above is not tree), above[1], children)
-            tops.append((k, top, total(top)))
-            least = min(least, tops[-1][2])
-        if not tops:
-            return None
-    budget = _within_rounding(min(cost for _, _, cost in tops))
-    found = []   # (landing depth, depth key, built plan)
-    for k, top, cost in tops:   # the DP leaves out the projection
-        found += [(k, key, built) for _, key, built
-                  in placements(top, 0, full, budget - (cost - top[0].best[full]))]
-    return min(sorted(found, key=lambda c: c[:2]),
-               key=lambda c: dp.total(c[2].cum_cost, c[2].est_size))[2]
+    (chosen,) = _chosen_plans(one, dp, _select_floors(one, (), dp=dp), root).values()
+    return chosen[-1]
 
 
 # -- the place stage -----------------------------------------------------------
@@ -371,34 +434,28 @@ def _within_rounding(cost: float) -> float:
     return cost + memo.SIZE_RTOL * max(1.0, abs(cost))
 
 
-def _decorate_stage(dag: Dag, dp: _Placement,
-                    floors: tuple[dict[int, float], dict[int, float]]) -> Dag:
-    """Run the place stage over every registered root.  With `floors`, no
-    family of plans whose bound exceeds the running best (within
-    memo.SIZE_RTOL) is built (`costplan.plans_within`).  A root's floor is
-    its least decorated cost (`dp.total`) exactly, and its running best
-    starts there: the stage walks, decorates and keeps only the plans that
-    tie it.  A landing is part of the root's signature; only the signature
-    class of the cheapest plan is kept."""
+def _decorate_stage(dag: Dag, dp: _Placement, passed: _Pass) -> Dag:
+    """Run the place stage over every registered root, from the tables of
+    the block's DP pass.  The decorated plans that tie a root's optimum
+    are read back from them (`_chosen_plans`) and kept in
+    `costplan.enumerate_plans` order of their join plans, each while its
+    cost is at most the running best, which starts at the optimum within
+    memo.SIZE_RTOL and falls to each kept plan's cost.  A landing is part of
+    the root's signature; only the signature class of the cheapest plan is
+    kept."""
     fresh = Dag()
     fresh.meta = dict(dag.meta)
     for query_id, root in sorted(dag.query_roots.items()):
-        kept: list[tuple[float, Plan]] = []
-        running_best = budget = _within_rounding(floors[0][root])
-        # the limit is the running best of the root being walked, plus slack
-        for plan in costplan.plans_within(dag, root, *floors, lambda: budget):
-            decorated = place_selects_on_plan(plan, (), dp=dp, limit=running_best)
-            if decorated is None:
-                continue
-            cost = dp.total(decorated.cum_cost, decorated.est_size)
-            if cost > running_best:
-                continue
-            running_best = cost
-            budget = _within_rounding(running_best)
-            kept.append((cost, decorated))
+        chosen = _chosen_plans(dag, dp, passed, root)
+        running_best, kept = _within_rounding(passed.optimum[root]), []
+        for walk in sorted(chosen):
+            cost, *_, decorated = chosen[walk]
+            if cost <= running_best:
+                running_best = cost
+                kept.append((cost, decorated))
         if not kept:
             raise DagError(f"no plans under root {query_id!r}")
-        if dp.group is not None:
+        if dp.group is not None and len(kept) > 1:
             classes = [memo.signature_text(costplan.plan_signature(p)) for _, p in kept]
             winner = min((c, sig) for (c, _), sig in zip(kept, classes))[1]   # the cheapest's
             kept = [pair for pair, sig in zip(kept, classes) if sig == winner]
@@ -409,24 +466,20 @@ def _decorate_stage(dag: Dag, dp: _Placement,
 
 
 def _select_floors(dag: Dag, selects, *, dp: _Placement | None = None,
-                   plans: dict | None = None) -> tuple[dict[int, float], dict[int, float]]:
-    """Floors of the place stage for `costplan.plans_within`: the DP `dp`
-    (else that of `selects`) over the memo, an eq-node's op-nodes its
-    alternatives, plain and per landing above it (in increasing
-    `_Placement.bound`, up to one that no root's optimum can reach).  A
-    query root, which no op may consume, gets its least `dp.total` at the
-    full set: its least decorated cost, exactly.  Any other eq-node's floor
-    is its least `best`, an op-node's its least cost with all its children's
-    bits below it (`own`), plain or above a landing that can reach a root's
-    floor, as any plan that ties a floor has such a landing; so no plan the
-    stage keeps costs less than its bound.  `plans`, when given, receives
-    every eq-node's number of plans."""
+                   plans: dict | None = None) -> _Pass:
+    """The block's one DP pass: `dp` (else that of `selects`) over the
+    memo, an eq-node's op-nodes its alternatives, plain and per landing
+    above it, in increasing `_Placement.bound` up to one that no root's
+    optimum can reach.  Its tables are kept for `_decorate_stage`.  A query
+    root, which no op may consume, gets its least `dp.total` at the full
+    set: its least decorated cost, exactly, the floor of every plan the
+    stage keeps.  `plans`, when given, receives every eq-node's number of
+    plans."""
     dp = dp or _Placement(selects)
     plans = {} if plans is None else plans
     consumed = {c for op in dag.op_nodes.values() for c in op.children}
     order = memo.topological_order(dag)[::-1]   # inputs first
     cells: dict[int, _Cell] = {}
-    op_floor: dict[int, float] = {}
     for eq_id in order:
         node = dag.eq_nodes[eq_id]
         if node.is_base:
@@ -435,47 +488,35 @@ def _select_floors(dag: Dag, selects, *, dp: _Placement | None = None,
         ops = [dag.op_nodes[op_id] for op_id in node.child_ops]
         cells[eq_id] = dp.node([(op.kind, op.factor, tuple(map(cells.__getitem__, op.children)))
                                 for op in ops], dp.group is not None or eq_id in consumed)
-        op_floor.update(zip(node.child_ops, cells[eq_id].own))
         plans[eq_id] = sum(plans[op.children[0]] * plans[op.children[-1]] if len(op.children) == 2
                            else plans[op.children[0]] for op in ops)
     full = dp.width - 1
-    floor = {eq_id: min(cell.best) for eq_id, cell in cells.items()}
     plain = {root: dp.total(cells[root].best[full], cells[root].out[full])
              for root in dag.query_roots.values()}
     if dp.group is None:
-        floor.update(plain)
-        return floor, op_floor
+        return _Pass(cells, [], plain)
     flat, landings = min(plain.values()), []   # (bound, position in order, cell) per landing
     for i, eq_id in enumerate(order):
         if cells[eq_id].rels & dp.gb_rels == dp.gb_rels:
             landed = dp.landing(cells[eq_id])
             landings.append((dp.bound(cells[eq_id], landed, flat), i, landed))
     roots = dict.fromkeys(dag.query_roots.values(), math.inf)
-    tiers = []   # per landing: its cells at and above it, and the owns of the ops above it
+    tiers = []
     for bound, i, landed in sorted(landings, key=lambda t: t[:2]):
         if bound > _within_rounding(max(roots.values())):
             break
-        tier, owns = {order[i]: landed}, []
+        tier = {order[i]: landed}
         for up in order[i + 1:]:   # the eq-nodes above it, inputs first
             ops = [op for op in map(dag.op_nodes.__getitem__, dag.eq_nodes[up].child_ops)
                    if op.children[0] in tier or op.children[-1] in tier]
-            if not ops:
-                continue
-            tier[up] = dp.node([(op.kind, op.factor, [tier.get(c) or cells[c] for c in op.children])
-                                for op in ops], up in consumed)
-            owns += zip((op.id for op in ops), tier[up].own)
-        tiers.append((tier, owns))
+            if ops:
+                tier[up] = dp.node([(op.kind, op.factor, [tier.get(c) or cells[c]
+                                                          for c in op.children])
+                                    for op in ops], up in consumed)
+        tiers.append((order[i], tier))
         for root in roots.keys() & tier.keys():
             roots[root] = min(roots[root], dp.total(tier[root].best[full], tier[root].out[full]))
-    for tier, owns in tiers:   # only a landing that can reach a root's optimum lowers floors
-        if any(dp.total(tier[r].best[full], tier[r].out[full]) <= _within_rounding(roots[r])
-               for r in roots.keys() & tier.keys()):
-            for up, cell in tier.items():
-                floor[up] = min(floor[up], min(cell.best))
-            for op_id, own in owns:
-                op_floor[op_id] = min(op_floor[op_id], own)
-    floor.update(roots)
-    return floor, op_floor
+    return _Pass(cells, tiers, roots)
 
 
 def _block_placement(query: Query, catalog: Catalog) -> _Placement:
@@ -504,8 +545,8 @@ def sprinkle_selects(jd: Dag, query: Query, catalog: Catalog) -> tuple[Dag, int]
                 raise ValidationError(f"select on {cond.relation!r} but query "
                                       f"{query_id!r} covers {sorted(bases)}")
     dp, plans = _block_placement(query, catalog), {}
-    floors = _select_floors(jd, query.selects, dp=dp, plans=plans)
-    return _decorate_stage(jd, dp, floors), sum(plans[r] for r in jd.query_roots.values())
+    passed = _select_floors(jd, query.selects, dp=dp, plans=plans)
+    return _decorate_stage(jd, dp, passed), sum(plans[r] for r in jd.query_roots.values())
 
 
 # -- projections -------------------------------------------------------------

@@ -1,14 +1,19 @@
 """Record one point of the benchmark's trajectory as a JSON file.
 
-    python3 tests/bench_record.py --seed 1 --out BENCH_15.json
+    python3 tests/bench_record.py --seed 1 --out BENCH_16.json
 
 Runs `optbench/run.py --trace 0` once for each workload `BENCHMARK.json`
 declares, for its `run_seconds`, on one seed, and `tests/plan_digest.py
---seeds 3`, each in a subprocess, from the root of this checkout.  The file
-holds each workload's end-to-end metrics with `correct`, `attempted` and
-`failed` (the last line of run.py's output), the digest lines, and the
-machine they were measured on.  Not a test module: pytest does not collect
-it.
+--seeds 3`, each in a subprocess, from the root of this checkout.  It then
+times, in-process, each single-block `select_heavy` operation of seeds 3
+and 7 in warm joindag mode and in naive mode (best of 7 each, optbench's
+set-up and `optimize` imported read-only) and takes the median warm/naive
+ratio per class: flat or grouped/ordered, crossed with s <= 2 or s >= 3
+selects.  A ratio below 1 means the warm history pays.  The file holds
+each workload's end-to-end metrics with `correct`, `attempted` and
+`failed` (the last line of run.py's output), the digest lines, the ratio
+lines, and the machine they were measured on; the ratio lines are printed
+too.  Not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -18,11 +23,16 @@ import json
 import os
 import pathlib
 import platform
+import statistics
 import subprocess
 import sys
+import tempfile
+import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DIGEST_SEEDS = ("3",)
+RATIO_SEEDS = (3, 7)
+RATIO_REPEATS = 7
 
 
 def run(*argv: str) -> list[str]:
@@ -30,6 +40,39 @@ def run(*argv: str) -> list[str]:
     done = subprocess.run([sys.executable, *argv], cwd=ROOT, check=True,
                           capture_output=True, text=True)
     return done.stdout.splitlines()
+
+
+def best_time(fn, repeats: int) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def warm_naive_ratios(seeds=RATIO_SEEDS, repeats=RATIO_REPEATS) -> dict[str, dict]:
+    """Class name -> its operations and median warm/naive time ratio, over
+    the single-block `select_heavy` operations of `seeds`."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "optbench")]
+    import bench   # noqa: E402  (needs the paths above)
+    from sprinkleqo import sqlfront   # noqa: E402
+
+    ratios: dict[str, list[float]] = {}
+    for seed in seeds:
+        with tempfile.TemporaryDirectory() as tmp:
+            env = bench.setup(seed, pathlib.Path(tmp), "select_heavy")
+            for item in env.inputs.streams["select_heavy"]:
+                query = sqlfront.parse_query(item.sql, env.catalogs[item.schema])
+                if query.subquery is not None:
+                    continue
+                times = [best_time(lambda: bench.optimize(env, item.schema, query, mode), repeats)
+                         for mode in ("warm", "naive")]
+                shape = "grouped/ordered" if query.group_by or query.order_by else "flat"
+                size = "s<=2" if len(query.selects) <= 2 else "s>=3"
+                ratios.setdefault(f"{shape} {size}", []).append(times[0] / times[1])
+    return {name: {"operations": len(found), "median": statistics.median(found)}
+            for name, found in sorted(ratios.items())}
 
 
 def main(argv=None) -> int:
@@ -44,12 +87,18 @@ def main(argv=None) -> int:
         last = run("optbench/run.py", "--workload", workload, "--seed", str(args.seed),
                    "--seconds", seconds, "--trace", "0")[-1]
         workloads[workload] = json.loads(last)
+    ratios = warm_naive_ratios()
+    lines = [f"warm/naive {name}: median {r['median']:.3f} over {r['operations']} operations"
+             for name, r in ratios.items()]
+    print("\n".join(lines))
     doc = {"seed": args.seed, "run_seconds": declared["run_seconds"], "trace": 0,
            "machine": {"arch": platform.machine(), "cpus": os.cpu_count(),
                        "python": platform.python_version()},
            "workloads": workloads,
            "plan_digest": {"seeds": [int(s) for s in DIGEST_SEEDS],
-                           "lines": run("tests/plan_digest.py", "--seeds", *DIGEST_SEEDS)}}
+                           "lines": run("tests/plan_digest.py", "--seeds", *DIGEST_SEEDS)},
+           "warm_naive_ratio": {"seeds": list(RATIO_SEEDS), "repeats": RATIO_REPEATS,
+                                "classes": ratios, "lines": lines}}
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -218,6 +218,38 @@ def test_intern_plan_round_trip(company_catalog):
     assert best_plan(fresh, new_root).cum_cost == 57600.0
 
 
+def deep_select_chain(depth):
+    """A join under a chain of `depth` selects, built without recursion."""
+    plan = op_plan("join", "a.x = b.x", (base_plan("a", 1000.0), base_plan("b", 1000.0)), 0.001)
+    for i in range(depth):
+        plan = op_plan(KIND_SELECT, f"s{i}", (plan,), 1.0)
+    return plan
+
+
+def test_intern_plan_interns_a_plan_deeper_than_the_stack():
+    # a select chain longer than the recursion limit, interned inputs first
+    # and left to right, as the chain is attached here
+    depth = sys.getrecursionlimit() + 200
+    dag = memo.Dag()
+    root = intern_plan(dag, deep_select_chain(depth))
+    expected = memo.Dag()
+    top = memo.attach_op(expected, "join", "a.x = b.x",
+                         (memo.ensure_base(expected, "a", 1000.0),
+                          memo.ensure_base(expected, "b", 1000.0)), 1000.0, 1e6, 0.001)
+    for i in range(depth):
+        top = memo.attach_op(expected, KIND_SELECT, f"s{i}", (top,), 1000.0, 1000.0, 1.0)
+    assert root == top
+    assert memo.dag_to_doc(dag) == memo.dag_to_doc(expected)
+
+
+def test_plan_key_of_a_plan_deeper_than_the_stack():
+    depth = sys.getrecursionlimit() + 200
+    expected = "(join [a.x = b.x] (base a) (base b))"
+    for i in range(depth):
+        expected = f"(select [s{i}] {expected})"
+    assert plan_key(deep_select_chain(depth)) == expected
+
+
 def test_plan_signature_reflects_applied_conditions():
     a, b = base_plan("a", 10.0), base_plan("b", 10.0)
     j = op_plan("join", "a.x = b.x", (a, b), 0.1)

@@ -184,6 +184,19 @@ def test_subset_dp_placement_equals_the_product_search():
         assert placed.cum_cost == oracle.cum_cost
 
 
+def test_cost_ties_keep_the_least_depth_key():
+    # three placements cost 2.25; the least depth key (bits in canonical
+    # order, each its node's depth) keeps both r0 selects at the root
+    plan = op_plan(KIND_JOIN, "r0.x = r1.x", (base_plan("r0", 1.0), base_plan("r1", 1.0)), 1.0)
+    selects = (SelectCondition("r0", "b", ">", 0, ssf=1.0),
+               SelectCondition("r1", "b", ">", 1, ssf=0.5),
+               SelectCondition("r0", "b", ">", 2, ssf=0.5))
+    placed = sprinkle.place_selects_on_plan(plan, selects)
+    assert plan_key(placed) == ("(select [r0.b > 0] (select [r0.b > 2] (join [r0.x = r1.x] "
+                                "(base r0) (select [r1.b > 1] (base r1)))))")
+    assert placed.cum_cost == 2.25
+
+
 def test_nonselective_filter_stays_at_the_root():
     # ssf=1 never shrinks anything; the root position ties and wins
     plan = op_plan(KIND_JOIN, "a.x = b.x",
@@ -439,7 +452,7 @@ def test_select_floor_bounds_every_placed_plan():
     for sql, catalog in stage_inputs():
         query, jd = joindag_for(sql, catalog)
         root = jd.query_roots["q1"]
-        floor, _ = sprinkle._select_floors(jd, query.selects)
+        floor = least_costs(sprinkle._select_floors(jd, query.selects))
         least = math.inf
         for plan in costplan.enumerate_plans(jd, root):
             cost = sprinkle.place_selects_on_plan(plan, query.selects).cum_cost
@@ -450,6 +463,14 @@ def test_select_floor_bounds_every_placed_plan():
         # the two floors size the same products in different orders
         for eq_id, old in leaf_select_floors(jd, query.selects).items():
             assert floor[eq_id] >= old * (1 - 1e-12), (sql, eq_id)
+
+
+def least_costs(passed):
+    """Each eq-node's least `best` in the plain tables of a block's pass,
+    and each root's optimum: the floors of every plan below them."""
+    floor = {eq_id: min(cell.best) for eq_id, cell in passed.cells.items()}
+    floor.update(passed.optimum)
+    return floor
 
 
 def reference_select_floors(dag, selects):
@@ -467,7 +488,6 @@ def reference_select_floors(dag, selects):
     mask: dict[int, int] = {}
     size: dict[int, list[float]] = {}   # eq-node -> output size, by T
     best: dict[int, list[float]] = {}   # math.inf where T has a select `eq` lacks
-    op_floor: dict[int, float] = {}
     for eq_id in reversed(memo.topological_order(dag)):
         node = dag.eq_nodes[eq_id]
         out, least = [math.inf] * width, [math.inf] * width
@@ -496,19 +516,30 @@ def reference_select_floors(dag, selects):
                     below[u] = cost
                 if i == 0:
                     out[u] = costplan.estimate_size(op.kind, sizes, op.factor)
-            op_floor[op_id] = costplan.op_cost(op.kind, inputs[-1][0])   # the last U is m
         mask[eq_id] = m
         for t in subsets[m] if eq_id in consumed else (m,):
             least[t] = min([below[t]] + [below[u] + out[u] * stack_cost[t ^ u]
                                          for u in subsets[t][:-1]])
-    return {eq_id: min(costs) for eq_id, costs in best.items()}, op_floor
+    return {eq_id: min(costs) for eq_id, costs in best.items()}
 
 
 def test_select_floors_equal_the_reference_exactly():
     for sql, catalog in stage_inputs():
         query, jd = joindag_for(sql, catalog)
-        assert sprinkle._select_floors(jd, query.selects) == \
+        assert least_costs(sprinkle._select_floors(jd, query.selects)) == \
             reference_select_floors(jd, query.selects), sql
+
+
+def counting(monkeypatch, owner, name):
+    """Patch `owner.name` to record each call's result; returns the list."""
+    results, original = [], getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(owner, name, recording)
+    return results
 
 
 def test_eight_leaf_star_places_selects_on_few_plans(monkeypatch):
@@ -525,34 +556,21 @@ def test_eight_leaf_star_places_selects_on_few_plans(monkeypatch):
            + " and r3.b > 7")
     query, jd = joindag_for(sql, catalog)
     assert memo.plan_count_for(jd, jd.query_roots["q1"]) == 40320
-    placed = families = 0
-    place, within = sprinkle.place_selects_on_plan, costplan.plans_within
-
-    def counting_place(plan, selects, **kwargs):
-        nonlocal placed
-        placed += 1
-        return place(plan, selects, **kwargs)
-
-    def counting_within(dag, root, floor, op_floor, limit):
-        def counting_limit():
-            nonlocal families
-            families += 1
-            return limit()
-        return within(dag, root, floor, op_floor, counting_limit)
-
-    monkeypatch.setattr(sprinkle, "place_selects_on_plan", counting_place)
+    placed = counting(monkeypatch, sprinkle, "place_selects_on_plan")
     oracle = enumerate_then_prune_selects(jd, query.selects)
-    oracle_placed, placed = placed, 0
-    monkeypatch.setattr(costplan, "plans_within", counting_within)
+    oracle_placed = len(placed)
+    steps = counting(monkeypatch, sprinkle._Placement, "node")
+    read = counting(monkeypatch, sprinkle, "_chosen_plans")
+    built = counting(monkeypatch, sprinkle, "op_plan")
     pruned, plans = sprinkle.sprinkle_selects(jd, query, catalog)
-    # the unpruned walk decorates 40320 plans and checks 220224 families;
-    # the per-plan leaf bound lets 34 plans through to placement, the memo
-    # DP's floors, with the walk started at the exact optimum, only the one
-    # optimal plan
+    # the per-plan leaf bound lets 34 of the 40320 plans through to
+    # placement; the stage takes one DP step per eq-node and reads back only
+    # the one optimal plan, building its 8 joins and its select once
     assert plans == 40320
-    assert placed < oracle_placed == 34
-    assert placed == 1
-    assert families < 100
+    assert oracle_placed == 34
+    assert len(steps) == sum(not node.is_base for node in jd.eq_nodes.values()) == 255
+    assert [len(chosen) for chosen in read] == [1]
+    assert len(built) == 9
     best = costplan.best_plan(oracle, oracle.query_roots["q1"]).cum_cost
     assert costplan.best_plan(pruned, pruned.query_roots["q1"]).cum_cost == best
     kept = costplan.enumerate_plans(pruned, pruned.query_roots["q1"])
@@ -607,6 +625,28 @@ def test_flat_select_stage_keeps_the_plans_at_the_optimum():
         assert memo.plan_count_for(flat, flat.query_roots["q1"]) == len(kept), sql
 
 
+def test_a_block_with_nothing_to_place_keeps_the_memo_estimates():
+    # with no select, group-by or order-by the kept plans are the join dag's
+    # own, so every eq-node and op-node of the final dag carries the join
+    # dag's size and cost bits, not ones recomputed along a plan
+    for seed in range(8):
+        rng = random.Random(seed)
+        for shape, j in [("chain", 5), ("chain", 6), ("star", 5), ("cycle", 5), ("cycle", 6)]:
+            catalog = shape_catalog(shape, j, rng)
+            query, jd = joindag_for(connected_query_sql(catalog, rng, max_selects=0), catalog)
+            assert not (query.selects or query.group_by or query.order_by)
+            final, _ = sprinkle.sprinkle_selects(jd, query, catalog)
+            sizes = {node.signature: node.est_size.hex() for node in jd.eq_nodes.values()}
+            costs = {(jd.eq_nodes[eq].signature, op.kind, op.detail): op.op_cost.hex()
+                     for eq, node in jd.eq_nodes.items()
+                     for op in map(jd.op_nodes.get, node.child_ops)}
+            for node in final.eq_nodes.values():
+                assert node.est_size.hex() == sizes[node.signature], (seed, shape, j)
+                for op in map(final.op_nodes.get, node.child_ops):
+                    key = node.signature, op.kind, op.detail
+                    assert op.op_cost.hex() == costs[key], (seed, shape, j)
+
+
 def test_flat_blocks_without_joins_still_optimize(company_catalog):
     # a block with no joins has a base eq-node as its root, whose floor is
     # its cell at the full select set, like any root's
@@ -642,6 +682,297 @@ def test_flat_random_queries_walk_from_the_root_floor_to_the_naive_optimum():
             for plan in costplan.enumerate_plans(res.dag, res.dag.query_roots["q1"]):
                 assert plan.cum_cost <= sprinkle._within_rounding(res.plan.cum_cost), variant
         checked += 1
+
+
+# -- the traceback against the per-plan walk it replaced -------------------------
+
+def reference_floors(dag, dp):
+    """The floors of the per-plan walk: the memo pass with each eq-node's
+    least cost and each op-node's own cost (all its inputs' bits below it),
+    both lowered by every landing that can reach a root's optimum; a root's
+    floor is its optimum."""
+    consumed = {c for op in dag.op_nodes.values() for c in op.children}
+    order = memo.topological_order(dag)[::-1]
+    cells, op_floor = {}, {}
+
+    def owns(ops, cell_of):
+        return [(op.id, costplan.op_cost(op.kind, tuple(cell_of(c).out[cell_of(c).mask]
+                                                        for c in op.children))) for op in ops]
+
+    for eq_id in order:
+        node = dag.eq_nodes[eq_id]
+        if node.is_base:
+            cells[eq_id] = dp.leaf(node.signature[0][0], node.est_size)
+            continue
+        ops = [dag.op_nodes[op_id] for op_id in node.child_ops]
+        cells[eq_id] = dp.node([(op.kind, op.factor, [cells[c] for c in op.children])
+                                for op in ops], dp.group is not None or eq_id in consumed)
+        op_floor.update(owns(ops, cells.__getitem__))
+    full = dp.width - 1
+    floor = {eq_id: min(cell.best) for eq_id, cell in cells.items()}
+    plain = {root: dp.total(cells[root].best[full], cells[root].out[full])
+             for root in dag.query_roots.values()}
+    if dp.group is None:
+        floor.update(plain)
+        return floor, op_floor
+    flat, landings = min(plain.values()), []
+    for i, eq_id in enumerate(order):
+        if cells[eq_id].rels & dp.gb_rels == dp.gb_rels:
+            landed = dp.landing(cells[eq_id])
+            landings.append((dp.bound(cells[eq_id], landed, flat), i, landed))
+    roots = dict.fromkeys(dag.query_roots.values(), math.inf)
+    tiers = []
+    for bound, i, landed in sorted(landings, key=lambda t: t[:2]):
+        if bound > sprinkle._within_rounding(max(roots.values())):
+            break
+        tier, above = {order[i]: landed}, []
+        for up in order[i + 1:]:
+            ops = [op for op in map(dag.op_nodes.__getitem__, dag.eq_nodes[up].child_ops)
+                   if op.children[0] in tier or op.children[-1] in tier]
+            if ops:
+                tier[up] = dp.node([(op.kind, op.factor, [tier.get(c) or cells[c]
+                                                          for c in op.children])
+                                    for op in ops], up in consumed)
+                above += owns(ops, lambda c: tier.get(c) or cells[c])
+        tiers.append((tier, above))
+        for root in roots.keys() & tier.keys():
+            roots[root] = min(roots[root], dp.total(tier[root].best[full], tier[root].out[full]))
+    for tier, above in tiers:
+        if any(dp.total(tier[r].best[full], tier[r].out[full])
+               <= sprinkle._within_rounding(roots[r]) for r in roots.keys() & tier.keys()):
+            for up, cell in tier.items():
+                floor[up] = min(floor[up], min(cell.best))
+            for op_id, own in above:
+                op_floor[op_id] = min(op_floor[op_id], own)
+    floor.update(roots)
+    return floor, op_floor
+
+
+def reference_plans_within(dag, root_eq, floor, op_floor, limit):
+    """The expansions below an eq-node in `enumerate_plans` order, each
+    family of plans whose floors add up to more than `limit()` skipped."""
+    alternatives = {}
+    complete = {eq_id: [(costplan.base_plan(node.signature[0][0], node.est_size), 0.0)]
+                for eq_id, node in dag.eq_nodes.items() if node.is_base}
+    skipped = 0
+
+    def alternatives_of(eq_id):
+        if eq_id not in alternatives:
+            out = []
+            for op_id in sorted(dag.eq_nodes[eq_id].child_ops,
+                                key=lambda i: dag.op_nodes[i].sort_key()):
+                op = dag.op_nodes[op_id]
+                rest = [0.0] * (len(op.children) + 1)
+                for i in range(len(op.children) - 1, -1, -1):
+                    rest[i] = rest[i + 1] + floor[op.children[i]]
+                out.append((op, op_floor[op_id], rest))
+            alternatives[eq_id] = out
+        return alternatives[eq_id]
+
+    def expand(eq_id, outside):
+        return complete[eq_id] if eq_id in complete else walk(eq_id, outside)
+
+    def walk(eq_id, outside):
+        node = dag.eq_nodes[eq_id]
+        skipped_before, out = skipped, []
+        for op, own, rest in alternatives_of(eq_id):
+            for combo, bound in family(op, rest, 0, outside + own, ()):
+                cost = op.op_cost + sum(c.cum_cost for c in combo)
+                out.append((Plan(kind=op.kind, detail=op.detail, relation=None,
+                                 children=combo, factor=op.factor, est_size=node.est_size,
+                                 op_cost=op.op_cost, cum_cost=cost),
+                            own + bound))
+                yield out[-1]
+        if skipped == skipped_before:
+            complete[eq_id] = out
+
+    def family(op, rest, i, committed, chosen):
+        nonlocal skipped
+        if committed + rest[i] > limit():
+            skipped += 1
+            return
+        last = i + 1 == len(op.children)
+        for plan, bound in expand(op.children[i], committed + rest[i + 1]):
+            if not last:
+                for combo, tail in family(op, rest, i + 1, committed + bound, chosen + (plan,)):
+                    yield combo, bound + tail
+            elif committed + bound > limit():
+                skipped += 1
+            else:
+                yield chosen + (plan,), bound
+
+    for plan, _ in expand(root_eq, 0.0):
+        yield plan
+
+
+def reference_group_on(dp, target):
+    group_by, d, having = dp.group
+    out = op_plan(KIND_GROUPBY, sqlfront.groupby_text(group_by, memo.signature_text(
+        costplan.plan_signature(target))), (target,), d)
+    return out if having is None else op_plan(KIND_HAVING, having.canonical(), (out,),
+                                              having.ssf)
+
+
+def reference_place(plan, dp, limit=math.inf):
+    """The per-plan placement: the DP over the plan's own tree per landing
+    (in increasing bound, up to one above the least total so far or
+    `limit`), then every placement within rounding of the least cost built
+    and the cheapest kept, landings root first, then by depth key."""
+    if dp.width == 1 and dp.group is None:
+        return plan
+    subsets, stack_cost, ops, stacking = dp.subsets, dp.stack_cost, dp.ops, dp.stacking
+
+    def build(node, all_s):
+        if node.kind == "base":
+            return dp.leaf(node.relation, node.est_size), node, ()
+        children = tuple(build(c, True) for c in node.children)
+        cell = dp.node([(node.kind, node.factor, [c for c, _, _ in children])], all_s)
+        return cell, node, children
+
+    def placements(tree, depth, s, budget):
+        cell, node, children = tree
+        found = []
+        for u in (dp.fixing(cell.fixed) if dp.group and cell.fixed else subsets)[s & cell.cmask]:
+            here = cell.local[u] + cell.pre[u] * stack_cost[s ^ u]
+            if here + cell.below[u] > budget:
+                continue
+            slack = budget - here - cell.below[u]
+            options = [placements(c, depth + 1, u & c[0].mask, c[0].best[u & c[0].mask] + slack)
+                       for c in children]
+            mine = [i for i in stacking if (s ^ u) >> i & 1]
+            key = tuple(depth if i in mine else 0 for i in range(len(ops)))
+            for combo in itertools.product(*options):
+                cost = here + sum(c for c, _, _ in combo)
+                if cost > budget:
+                    continue
+                if not children:
+                    built = node
+                elif node is None:
+                    built = reference_group_on(dp, combo[0][2])
+                else:
+                    built = op_plan(node.kind, node.detail, tuple(p for _, _, p in combo),
+                                    node.factor)
+                for i in mine:
+                    built = op_plan(ops[i][0], ops[i][1], (built,), ops[i][2])
+                found.append((cost, tuple(map(sum, zip(key, *(k for _, k, _ in combo)))), built))
+        return found
+
+    tree = build(plan, dp.group is not None)
+    full = dp.width - 1
+    total = lambda top: dp.total(top[0].best[full], top[0].out[full])   # noqa: E731
+    tops = [(0, tree, total(tree))]
+    if dp.group is not None:
+        path = [tree]
+        while child := next((c for c in path[-1][2] if c[0].rels & dp.gb_rels == dp.gb_rels),
+                            None):
+            path.append(child)
+        flat, landed = total(tree), [dp.landing(cell) for cell, _, _ in path]
+        tops, least = [], limit
+        for bound, k in sorted((dp.bound(path[k][0], landed[k], flat), k)
+                               for k in range(len(path))):
+            if bound > sprinkle._within_rounding(least):
+                break
+            top = (landed[k], None, (path[k],))
+            for above, below in zip(reversed(path[:k]), reversed(path[1:k + 1])):
+                children = tuple(top if c is below else c for c in above[2])
+                top = (dp.node([(above[1].kind, above[1].factor, [c[0] for c in children])],
+                               above is not tree), above[1], children)
+            tops.append((k, top, total(top)))
+            least = min(least, tops[-1][2])
+        if not tops:
+            return None
+    budget = sprinkle._within_rounding(min(cost for _, _, cost in tops))
+    found = []
+    for k, top, cost in tops:
+        found += [(k, key, built) for _, key, built
+                  in placements(top, 0, full, budget - (cost - top[0].best[full]))]
+    return min(sorted(found, key=lambda c: c[:2]),
+               key=lambda c: dp.total(c[2].cum_cost, c[2].est_size))[2]
+
+
+def reference_decorate_stage(dag, dp):
+    """The place stage as a walk: every join plan that can tie the running
+    best (`reference_plans_within`), each placed on its own
+    (`reference_place`) and kept while its cost is at most the running
+    best, which starts at the optimum within rounding; a grouped block
+    keeps the signature class of its cheapest plan."""
+    floors = reference_floors(dag, dp)
+    fresh = memo.Dag()
+    fresh.meta = dict(dag.meta)
+    for query_id, root in sorted(dag.query_roots.items()):
+        kept = []
+        running_best = budget = sprinkle._within_rounding(floors[0][root])
+        for plan in reference_plans_within(dag, root, *floors, lambda: budget):
+            decorated = reference_place(plan, dp, limit=running_best)
+            if decorated is None:
+                continue
+            cost = dp.total(decorated.cum_cost, decorated.est_size)
+            if cost > running_best:
+                continue
+            running_best = cost
+            budget = sprinkle._within_rounding(running_best)
+            kept.append((cost, decorated))
+        if not kept:
+            raise DagError(f"no plans under root {query_id!r}")
+        if dp.group is not None:
+            classes = [memo.signature_text(costplan.plan_signature(p)) for _, p in kept]
+            winner = min((c, sig) for (c, _), sig in zip(kept, classes))[1]
+            kept = [pair for pair, sig in zip(kept, classes) if sig == winner]
+        for _, decorated in kept:
+            new_root = costplan.intern_plan(fresh, decorated)
+        memo.register_root(fresh, query_id, new_root)
+    return fresh
+
+
+def reference_sprinkle_selects(jd, query, catalog):
+    dp = sprinkle._block_placement(query, catalog)
+    return reference_decorate_stage(jd, dp), sum(memo.plan_count_for(jd, root)
+                                                 for root in jd.query_roots.values())
+
+
+def traceback_inputs(tpch_catalog, company_catalog):
+    """(sql, catalog): tpch q3, q4 and tq1, the company fixtures, and 12
+    cyclic random queries, each flat, without its selects, grouped with and
+    without a having, ordered, and grouped and ordered."""
+    cases = [(fixture_sql("tpch", name), tpch_catalog) for name in ("q3", "q4", "tq1")]
+    cases += [(fixture_sql("company", name), company_catalog)
+              for name in ("q1", "q2", "q3_nested")]
+    for sql, catalog in cyclic_random_queries(12):
+        query = parse_query(sql, catalog)
+        joins_only = render_query(dataclasses.replace(query, selects=()))
+        cases += [(variant, catalog)
+                  for variant in [sql, joins_only] + clause_variants(sql, query, catalog)]
+    return cases
+
+
+def test_traceback_gives_the_dags_of_the_per_plan_walk(tpch_catalog, company_catalog,
+                                                       monkeypatch):
+    # reading the tied plans back from the one pass keeps the kept set, the
+    # intern order and so every id and cost bit of the final dags
+    for sql, catalog in traceback_inputs(tpch_catalog, company_catalog):
+        query = parse_query(sql, catalog)
+        got = sprinkle.optimize_single(query, catalog)
+        with monkeypatch.context() as patch:
+            patch.setattr(sprinkle, "sprinkle_selects", reference_sprinkle_selects)
+            expected = sprinkle.optimize_single(query, catalog)
+        for res, ref in ((got, expected), (got.inner, expected.inner)):
+            if ref is not None:
+                assert memo.dag_to_doc(res.dag) == memo.dag_to_doc(ref.dag), sql
+                assert plan_key(res.plan) == plan_key(ref.plan), sql
+                assert res.plan.cum_cost.hex() == ref.plan.cum_cost.hex(), sql
+
+
+def test_one_plan_memo_places_as_the_per_plan_walk(tpch_catalog):
+    # the wrapper runs the stage's pass and traceback on a memo of one plan:
+    # the placement and cost bits of the per-plan DP and enumeration
+    for sql, catalog in bounded_landing_inputs(tpch_catalog):
+        query, jd = joindag_for(sql, catalog)
+        dp = sprinkle._block_placement(query, catalog)
+        for plan in itertools.islice(costplan.enumerate_plans(jd, jd.query_roots["q1"]), 40):
+            placed = sprinkle.place_selects_on_plan(plan, (), dp=dp)
+            expected = reference_place(plan, dp)
+            assert plan_key(placed) == plan_key(expected), sql
+            assert placed.cum_cost.hex() == expected.cum_cost.hex(), sql
 
 
 # -- group-by / having / order-by placement on one plan ------------------------
@@ -856,21 +1187,29 @@ def test_grouped_and_ordered_blocks_reach_the_brute_force_optimum(tpch_catalog):
 
 
 def test_twelve_join_chain_decorates_few_of_its_plans(monkeypatch):
-    # every block walks from its exact root floor: of 208012 join plans,
-    # the flat chain decorates 249; grouping or ordering it adds few
+    # of 208012 join plans, the flat chain reads back the 248 that can tie
+    # its optimum and keeps 137 of them
+    # under the falling running best, grouping it 48; the pass takes one
+    # DP step per eq-node, and grouping adds one per node above each
+    # landing it prices.  The final dag recombines the kept plans into 220.
     catalog = chain_catalog(12)
     sql = ("select * from " + ", ".join(f"r{i}" for i in range(13)) + " where "
            + " and ".join(f"r{i}.a0 = r{i + 1}.a1" for i in range(12))
            + " and r3.b > 5 and r7.b > 5")
-    placed, place = [], sprinkle.place_selects_on_plan
-    monkeypatch.setattr(sprinkle, "place_selects_on_plan",
-                        lambda *a, **k: placed.append(1) or place(*a, **k))
-    for clauses, most in (("", 249), (" group by r3.b", 500), (" order by r7.a0", 300),
-                          (" group by r3.b order by r3.b", 500)):
-        placed.clear()
+    steps = counting(monkeypatch, sprinkle._Placement, "node")
+    read = counting(monkeypatch, sprinkle, "_chosen_plans")
+    kept = counting(monkeypatch, costplan, "intern_plan")
+    for clauses, counts in (("", (78, 248, 137, 220)), (" group by r3.b", (138, 48, 48, 48)),
+                            (" order by r7.a0", (78, 248, 137, 220)),
+                            (" group by r3.b order by r3.b", (138, 48, 48, 48))):
+        steps.clear()
+        read.clear()
+        kept.clear()
         res = sprinkle.optimize_single(parse_query(sql + clauses, catalog), catalog, limit=12)
         assert res.jd_plans == 208012
-        assert len(placed) <= most, clauses
+        (chosen,) = read
+        plans = memo.plan_count_for(res.dag, res.dag.query_roots["q1"])
+        assert (len(steps), len(chosen), len(kept), plans) == counts, clauses
 
 
 def test_cold_tpch_q4_groups_below_its_joinfilter(tpch_catalog):
@@ -884,11 +1223,12 @@ def test_cold_tpch_q4_groups_below_its_joinfilter(tpch_catalog):
 # -- only landings whose bound can reach the optimum get a pass -------------------
 
 def reference_tiers(dag, dp):
-    """The grouped floors and every landing's (bound, least root total of its
-    tier), found by one DP pass over the nodes above each landing: the tier
-    loop of `_select_floors` with no landing skipped."""
+    """The plain tables, every landing's (landing, its tier's tables, bound,
+    root totals) and each root's optimum, found by one DP pass over the
+    nodes above each landing: the tier loop of `_select_floors` with no
+    landing skipped."""
     order = memo.topological_order(dag)[::-1]
-    cells, op_floor = {}, {}
+    cells = {}
     for eq_id in order:
         node = dag.eq_nodes[eq_id]
         if node.is_base:
@@ -897,34 +1237,36 @@ def reference_tiers(dag, dp):
         ops = [dag.op_nodes[op_id] for op_id in node.child_ops]
         cells[eq_id] = dp.node([(op.kind, op.factor, [cells[c] for c in op.children])
                                 for op in ops])
-        op_floor.update(zip(node.child_ops, cells[eq_id].own))
     full, roots = dp.width - 1, set(dag.query_roots.values())
     total = lambda cell: dp.total(cell.best[full], cell.out[full])  # noqa: E731
     flat = min(total(cells[r]) for r in roots)
-    tiers = []   # (cells at and above the landing, owns above it, bound, root totals)
+    tiers = []
     for i, landing in enumerate(order):
         if cells[landing].rels & dp.gb_rels != dp.gb_rels:
             continue
-        tier, owns = {landing: dp.landing(cells[landing])}, []
+        tier = {landing: dp.landing(cells[landing])}
         for up in order[i + 1:]:
             ops = [op for op in map(dag.op_nodes.__getitem__, dag.eq_nodes[up].child_ops)
                    if any(c in tier for c in op.children)]
             if ops:
                 tier[up] = dp.node([(op.kind, op.factor, [tier.get(c, cells[c])
                                                           for c in op.children]) for op in ops])
-                owns += zip((op.id for op in ops), tier[up].own)
-        tiers.append((tier, owns, dp.bound(cells[landing], tier[landing], flat),
+        tiers.append((landing, tier, dp.bound(cells[landing], tier[landing], flat),
                       {r: total(tier[r]) for r in roots & tier.keys()}))
     best = {r: min(totals.get(r, math.inf) for *_, totals in tiers) for r in roots}
-    floor = {eq_id: min(cell.best) for eq_id, cell in cells.items()}
-    for tier, owns, _, totals in tiers:
-        if any(t <= sprinkle._within_rounding(best[r]) for r, t in totals.items()):
-            for up, cell in tier.items():
-                floor[up] = min(floor[up], min(cell.best))
-            for op_id, own in owns:
-                op_floor[op_id] = min(op_floor[op_id], own)
-    floor.update(best)
-    return (floor, op_floor), [(bound, min(totals.values())) for *_, bound, totals in tiers]
+    return cells, tiers, best
+
+
+def landing_bounds(dag, dp):
+    """(bound, least root total of its tier) of every landing."""
+    return [(bound, min(totals.values())) for *_, bound, totals in reference_tiers(dag, dp)[1]]
+
+
+def tables(cells, roots):
+    """Each cell's least costs by S; a root's at the full set alone, all
+    that the pass fills for a node no op consumes."""
+    return {eq_id: cell.best[-1] if eq_id in roots else cell.best
+            for eq_id, cell in cells.items()}
 
 
 def bounded_landing_inputs(tpch_catalog):
@@ -946,16 +1288,27 @@ def bounded_landing_inputs(tpch_catalog):
 def test_landing_bounds_never_exceed_their_totals(tpch_catalog):
     # on the memo and on each plan, a landing's bound is at most the least
     # root total of its pass, up to the rounding of sums taken in another
-    # order, and skipping landings leaves the floors exact
+    # order; the pass prices every landing that can tie a root's optimum,
+    # and skipping the others leaves the optimum and every table exact
     for sql, catalog in bounded_landing_inputs(tpch_catalog):
         query, jd = joindag_for(sql, catalog)
         dp = sprinkle._block_placement(query, catalog)
-        floors, landings = reference_tiers(jd, dp)
-        assert sprinkle._select_floors(jd, (), dp=dp) == floors, sql
+        cells, tiers, best = reference_tiers(jd, dp)
+        passed = sprinkle._select_floors(jd, (), dp=dp)
+        assert passed.optimum == best, sql
+        roots = set(jd.query_roots.values())
+        assert tables(passed.cells, roots) == tables(cells, roots), sql
+        reference = {landing: tables(tier, roots) for landing, tier, *_ in tiers}
+        priced = {landing: tables(tier, roots) for landing, tier in passed.tiers}
+        assert all(reference[landing] == t for landing, t in priced.items()), sql
+        for landing, _, _, totals in tiers:
+            if any(t <= sprinkle._within_rounding(best[r]) for r, t in totals.items()):
+                assert landing in priced, sql
+        landings = landing_bounds(jd, dp)
         for plan in itertools.islice(costplan.enumerate_plans(jd, jd.query_roots["q1"]), 40):
             one = memo.Dag()
             memo.register_root(one, "q1", costplan.intern_plan(one, plan))
-            landings += reference_tiers(one, dp)[1]
+            landings += landing_bounds(one, dp)
         assert all(bound <= sprinkle._within_rounding(total) for bound, total in landings), sql
 
 
@@ -968,38 +1321,24 @@ def test_landing_bound_holds_for_a_having_that_grows_its_input():
     dp = sprinkle._Placement((), group_by=(("t", "g"),), having=having, d=1e9)
     one = memo.Dag()
     memo.register_root(one, "q1", costplan.intern_plan(one, grouped_join(1000.0, 50.0, 0.01)))
-    landings = reference_tiers(one, dp)[1]
+    landings = landing_bounds(one, dp)
     assert len(landings) == 2
     assert all(bound <= total for bound, total in landings)
 
 
-def test_a_limit_keeps_every_plan_that_ties_it(tpch_catalog):
-    # whenever a plan's least total is within the limit, the limit changes
-    # neither the placement nor its cost bits
-    for sql, catalog in bounded_landing_inputs(tpch_catalog):
-        query, jd = joindag_for(sql, catalog)
-        dp = sprinkle._block_placement(query, catalog)
-        for plan in itertools.islice(costplan.enumerate_plans(jd, jd.query_roots["q1"]), 40):
-            free = sprinkle.place_selects_on_plan(plan, (), dp=dp)
-            cost = dp.total(free.cum_cost, free.est_size)
-            for limit in (cost, sprinkle._within_rounding(cost), 2.0 * cost):
-                limited = sprinkle.place_selects_on_plan(plan, (), dp=dp, limit=limit)
-                assert plan_key(limited) == plan_key(free), sql
-                assert limited.cum_cost.hex() == free.cum_cost.hex(), sql
-
-
 def test_cold_grouped_tpch_blocks_pass_over_few_nodes(tpch_catalog, monkeypatch):
-    # landings whose bound exceeds the best root total found so far get no
-    # pass; skipping only landings that alone cost more than every root
-    # takes 184 DP steps on tq1 and 75 on q4
-    calls, node = [], sprinkle._Placement.node
-    monkeypatch.setattr(sprinkle._Placement, "node",
-                        lambda self, *a, **k: calls.append(1) or node(self, *a, **k))
-    for name, steps in (("tq1", 80), ("q4", 40)):
-        calls.clear()
+    # the memo pass is the only DP a block runs: one step per eq-node and
+    # per node above each landing whose bound can reach the optimum (a pass
+    # for every landing takes 184 steps on tq1 and 75 on q4); the traceback
+    # reads back one plan
+    steps = counting(monkeypatch, sprinkle._Placement, "node")
+    read = counting(monkeypatch, sprinkle, "_chosen_plans")
+    for name, step_count in (("tq1", 62), ("q4", 33)):
+        steps.clear()
+        read.clear()
         sprinkle.optimize_single(parse_query(fixture_sql("tpch", name), tpch_catalog),
                                  tpch_catalog)
-        assert len(calls) == steps, name
+        assert (len(steps), [len(chosen) for chosen in read]) == (step_count, [1]), name
 
 
 def test_a_cold_flat_block_sorts_its_join_dag_once(company_catalog, monkeypatch):
