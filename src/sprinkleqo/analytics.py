@@ -99,7 +99,7 @@ def complexity_params_for(query: Query, catalog: Catalog,
         raise ValidationError("complexity parameters are defined for flat queries")
     history = joindag.build_incremental(joindag.empty_history(catalog),
                                         extract_join_set(query), catalog, limit)
-    jd = sprinkle.extract_query_joindag(history, query, catalog, "params", in_place=True)
+    jd = sprinkle.extract_query_joindag(history, query, catalog, "params")
     n_eq, _, p = memo.count_nodes(jd)
     return complexity_params(query, n_eq, p)
 

@@ -113,13 +113,31 @@ def plan_key(plan: Plan) -> str:
 
 # -- plans <-> memo ---------------------------------------------------------
 
+def _inputs_first(plan: Plan) -> list[Plan]:
+    """Every node of a plan tree, each node's inputs first and left to
+    right: the reverse of a walk from the root that takes the inputs right
+    to left, kept on a list of its own, so any depth works."""
+    order, stack = [], [plan]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack += node.children
+    return order[::-1]
+
+
 def plan_signature(plan: Plan) -> Signature:
-    if plan.kind == "base":
-        return memo.base_signature(plan.relation)
-    if plan.kind == KIND_JOIN:
-        return memo.join_signature(plan_signature(plan.children[0]),
-                                   plan_signature(plan.children[1]), plan.detail)
-    return memo.extend_signature(plan_signature(plan.children[0]), plan.kind, plan.detail)
+    """The signature of a plan's output, derived inputs first as
+    `attach_op` derives it, so any depth works."""
+    sigs: list[Signature] = []   # signatures of nodes whose parent is not reached yet
+    for node in _inputs_first(plan):
+        if node.kind == "base":
+            sigs.append(memo.base_signature(node.relation))
+        elif node.kind == KIND_JOIN:
+            right = sigs.pop()
+            sigs.append(memo.join_signature(sigs.pop(), right, node.detail))
+        else:
+            sigs.append(memo.extend_signature(sigs.pop(), node.kind, node.detail))
+    return sigs[0]
 
 
 def intern_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
@@ -134,16 +152,9 @@ def intern_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
 
 def intern_plan(dag: Dag, plan: Plan) -> int:
     """Intern every node of a plan tree into the memo, each node's inputs
-    first and left to right; returns the root eq-node.  That order is the
-    reverse of a walk from the root that takes the inputs right to left,
-    kept on a list of its own, so any depth works."""
-    order, stack = [], [plan]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack += node.children
+    first and left to right (`_inputs_first`); returns the root eq-node."""
     ids: list[int] = []   # eq-nodes of interned nodes whose parent is not interned yet
-    for node in reversed(order):
+    for node in _inputs_first(plan):
         if node.kind == "base":
             ids.append(memo.ensure_base(dag, node.relation, node.est_size))
             continue

@@ -81,7 +81,7 @@ def expand_forest(dag: Dag, relations: dict[str, float],
                 steps[key] = eq
             if applied | bit not in visited:
                 visited.add(applied | bit)
-                # the trees the step consumed become its output's
+                # the step's input trees become its output
                 expand([eq if t == left or t == right else t for t in state], applied | bit)
 
     expand(trees, 0)

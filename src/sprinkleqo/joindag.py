@@ -4,10 +4,9 @@ The history dag holds every join order over the known join conditions,
 grouped by connected component of the join graph, each op-node interned once
 (see `forest`).  Queries then reuse it: optimizing a query means looking up
 its full-join eq-node and decorating the orders below it, never enumerating
-or deriving them again.  A warm query copies the subgraph below that node
-(`memo.Dag.copy_below`); a cold one, whose history was just built from
-empty for its joins alone, reads that history in place
-(`memo.Dag.read_in_place`), since every eq-node of it lies below the node.
+or deriving them again.  Every query, whether its history was just built
+from empty for its joins alone or already held them, reads the part below
+that node in place (`memo.Dag.below`), without copying it.
 
 Incremental builds accept a batch of join conditions.  Conditions already
 known only bump the version, over the same dag; otherwise each connected

@@ -32,9 +32,9 @@ signature's entry count.
 
 Ids are the memo's own names and reach no query output: under one eq-node,
 (kind, detail) already identifies an op-node, so `OpNode.sort_key` never
-reaches the children's ids.  A join dag may therefore be a copy of part of
-a history (`Dag.copy_below`) or, for a history built for one block alone,
-that history read in place (`Dag.read_in_place`).
+reaches the children's ids.  A join dag is therefore the part of a
+history below a query's root read in place (`Dag.below`), under the
+history's ids, however many other blocks the history also serves.
 """
 
 from __future__ import annotations
@@ -173,75 +173,29 @@ class Dag:
         out.meta = dict(self.meta)
         return out
 
-    def copy_below(self, root: int) -> tuple["Dag", int]:
-        """A new dag of the eq-nodes reachable from `root` and their
-        op-nodes, and the copy's id of `root`.
-
-        Ids follow re-attaching the nodes depth first: a base eq-node when
-        first reached, any other once the inputs of its first op-node are
-        copied, and each op-node, in ascending source id under its eq-node,
-        after its inputs.  Every input of a reachable op-node is reachable,
-        so the copy obeys the rule the source does (see `attach_op`).  The
-        copy fills its op index with each op-node's eq-node.  Each eq-node's
-        copy is a generator that yields the inputs it needs copied first, and
-        the walk keeps them on a list of its own, so any depth works.
+    def below(self, root: int) -> "Dag":
+        """A dag of the eq-nodes reachable from `root` and their op-nodes:
+        this dag's own node objects under their own ids, not copies, with
+        roots of its own and none yet.  Every input of a reachable op-node
+        is reachable, so every eq-node of it but `root` is some op-node's
+        input.  Nothing writes through it: its indexes are read-only views
+        of this dag's, so `intern_eq` and `attach_op` raise before they
+        change a node, and a lookup in them may name a node outside it.  The
+        walk keeps its own list, so any depth works.
         """
-        out = Dag()
         src_eq, src_op = self.eq_nodes, self.op_nodes
-        eq_nodes, op_nodes, op_index, sig_index = (out.eq_nodes, out.op_nodes, out._op_index,
-                                                   out._sig_index)
-        ids: dict[int, int] = {}
-
-        def new_eq(eq_id: int, node: EqNode) -> int:
-            ids[eq_id] = new = len(eq_nodes)
-            eq_nodes[new] = EqNode(new, node.signature, node.est_size, node.text)
-            sig_index[node.signature] = new
-            return new
-
-        def copy(eq_id: int, node: EqNode):   # yields each input to copy first
-            new = None
-            for op_id in sorted(node.child_ops):
-                _, kind, detail, inputs, op_cost, factor = src_op[op_id]
-                for child in inputs:
-                    if child not in ids:
-                        yield child
-                children = tuple([ids[c] for c in inputs])
-                if new is None:
-                    new = new_eq(eq_id, node)
-                    copied_ops = eq_nodes[new].child_ops
-                new_op = len(op_nodes)
-                op_nodes[new_op] = OpNode(new_op, kind, detail, children, op_cost, factor)
-                op_index[(kind, detail, children)] = new
-                copied_ops.append(new_op)
-
-        node = src_eq[root]
-        if not node.child_ops:
-            new_eq(root, node)
-        walk = [copy(root, node)]   # the copies under way, innermost last
-        while walk:
-            for needed in walk[-1]:
-                node = src_eq[needed]
-                if node.child_ops:
-                    walk.append(copy(needed, node))
-                    break
-                new_eq(needed, node)   # a base eq-node, copied when first reached
-            else:
-                walk.pop()
-        out._next_eq, out._next_op = len(eq_nodes), len(op_nodes)
-        return out, ids[root]
-
-    def read_in_place(self) -> "Dag":
-        """A dag over this one's nodes, not copies of them, with roots of its
-        own and none yet: what `copy_below` of a root would give, less the
-        renumbering, when every eq-node lies below that root.  Nothing may
-        write through it: its indexes are read-only, so `intern_eq` and
-        `attach_op` raise before they change a node.
-        """
+        eq_nodes, op_nodes, todo = {root: src_eq[root]}, {}, [root]
+        while todo:
+            for op_id in eq_nodes[todo.pop()].child_ops:
+                op_nodes[op_id] = op = src_op[op_id]
+                for child in op.children:
+                    if child not in eq_nodes:
+                        eq_nodes[child] = src_eq[child]
+                        todo.append(child)
         out = Dag()
-        out.eq_nodes, out.op_nodes = self.eq_nodes, self.op_nodes
+        out.eq_nodes, out.op_nodes = eq_nodes, op_nodes
         out._sig_index = MappingProxyType(self._sig_index)
         out._op_index = MappingProxyType(self._op_index)
-        out._next_eq, out._next_op = self._next_eq, self._next_op
         return out
 
 
@@ -266,7 +220,7 @@ def intern_eq(dag: Dag, signature: Signature, est_size: float) -> int:
         return existing
     node = EqNode(id=dag._next_eq, signature=signature, est_size=float(est_size),
                   text=signature_text(signature))
-    dag._sig_index[signature] = node.id   # first: it raises in a `read_in_place` dag
+    dag._sig_index[signature] = node.id   # first: it raises in a `Dag.below` view
     dag.eq_nodes[node.id] = node
     dag._next_eq += 1
     return node.id
@@ -324,7 +278,7 @@ def attach_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
         sig = extend_signature(eq_nodes[children[0]].signature, kind, detail)
     parent = intern_eq(dag, sig, est_size)
     op = OpNode(dag._next_op, kind, detail, children, float(op_cost), factor)
-    dag._op_index[key] = parent   # first: it raises in a `read_in_place` dag
+    dag._op_index[key] = parent   # first: it raises in a `Dag.below` view
     dag.op_nodes[op.id] = op
     dag._next_op += 1
     eq_nodes[parent].child_ops.append(op.id)

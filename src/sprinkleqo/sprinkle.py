@@ -423,7 +423,7 @@ def place_selects_on_plan(plan: Plan, selects, *, dp: _Placement | None = None) 
     for cond in dp.ordered:
         if cond.relation not in one.eq_nodes[root].signature[0]:
             raise DagError(f"relation {cond.relation!r} not a base of this plan")
-    (chosen,) = _chosen_plans(one, dp, _select_floors(one, (), dp=dp), root).values()
+    (chosen,) = _chosen_plans(one, dp, _select_floors(one, dp), root).values()
     return chosen[-1]
 
 
@@ -465,19 +465,19 @@ def _decorate_stage(dag: Dag, dp: _Placement, passed: _Pass) -> Dag:
     return fresh
 
 
-def _select_floors(dag: Dag, selects, *, dp: _Placement | None = None,
-                   plans: dict | None = None) -> _Pass:
-    """The block's one DP pass: `dp` (else that of `selects`) over the
-    memo, an eq-node's op-nodes its alternatives, plain and per landing
-    above it, in increasing `_Placement.bound` up to one that no root's
-    optimum can reach.  Its tables are kept for `_decorate_stage`.  A query
-    root, which no op may consume, gets its least `dp.total` at the full
-    set: its least decorated cost, exactly, the floor of every plan the
-    stage keeps.  `plans`, when given, receives every eq-node's number of
-    plans."""
-    dp = dp or _Placement(selects)
+def _select_floors(dag: Dag, dp: _Placement, *, plans: dict | None = None) -> _Pass:
+    """The block's one DP pass: `dp` over the memo, an eq-node's op-nodes
+    its alternatives, plain and per landing above it, in increasing
+    `_Placement.bound` up to one that no root's optimum can reach.  Its
+    tables are kept for `_decorate_stage`.  The memo holds only nodes below
+    its query roots, as a join dag (`memo.Dag.below`) and a one-plan memo
+    (`place_selects_on_plan`) do, so every eq-node but a root is some
+    op-node's input and needs `best` at every set.  A root, which no op may
+    consume, gets its least `dp.total` at the full set: its least decorated
+    cost, exactly, the floor of every plan the stage keeps.  `plans`, when
+    given, receives every eq-node's number of plans."""
     plans = {} if plans is None else plans
-    consumed = {c for op in dag.op_nodes.values() for c in op.children}
+    tops = set(dag.query_roots.values())
     order = memo.topological_order(dag)[::-1]   # inputs first
     cells: dict[int, _Cell] = {}
     for eq_id in order:
@@ -487,7 +487,7 @@ def _select_floors(dag: Dag, selects, *, dp: _Placement | None = None,
             continue
         ops = [dag.op_nodes[op_id] for op_id in node.child_ops]
         cells[eq_id] = dp.node([(op.kind, op.factor, tuple(map(cells.__getitem__, op.children)))
-                                for op in ops], dp.group is not None or eq_id in consumed)
+                                for op in ops], dp.group is not None or eq_id not in tops)
         plans[eq_id] = sum(plans[op.children[0]] * plans[op.children[-1]] if len(op.children) == 2
                            else plans[op.children[0]] for op in ops)
     full = dp.width - 1
@@ -512,7 +512,7 @@ def _select_floors(dag: Dag, selects, *, dp: _Placement | None = None,
             if ops:
                 tier[up] = dp.node([(op.kind, op.factor, [tier.get(c) or cells[c]
                                                           for c in op.children])
-                                    for op in ops], up in consumed)
+                                    for op in ops], up not in tops)
         tiers.append((order[i], tier))
         for root in roots.keys() & tier.keys():
             roots[root] = min(roots[root], dp.total(tier[root].best[full], tier[root].out[full]))
@@ -532,10 +532,11 @@ def _block_placement(query: Query, catalog: Catalog) -> _Placement:
 
 
 def sprinkle_selects(jd: Dag, query: Query, catalog: Catalog) -> tuple[Dag, int]:
-    """The place stage of one block over a join dag whose roots no op
-    consumes (as in `extract_query_joindag`): its selects, group-by with its
-    having, and order-by, placed on the join plans that can tie its optimum.
-    Returns the stage's dag and the number of join plans under its roots."""
+    """The place stage of one block over a join dag that holds only the
+    nodes below its roots (as `extract_query_joindag` gives): its selects,
+    group-by with its having, and order-by, placed on the join plans that
+    can tie its optimum.  Returns the stage's dag and the number of join
+    plans under its roots."""
     for cond in query.selects:
         catalog.relation(cond.relation)
     for query_id, root in sorted(jd.query_roots.items()):
@@ -545,7 +546,7 @@ def sprinkle_selects(jd: Dag, query: Query, catalog: Catalog) -> tuple[Dag, int]
                 raise ValidationError(f"select on {cond.relation!r} but query "
                                       f"{query_id!r} covers {sorted(bases)}")
     dp, plans = _block_placement(query, catalog), {}
-    passed = _select_floors(jd, query.selects, dp=dp, plans=plans)
+    passed = _select_floors(jd, dp, plans=plans)
     return _decorate_stage(jd, dp, passed), sum(plans[r] for r in jd.query_roots.values())
 
 
@@ -640,14 +641,12 @@ class OptimizeResult:
 
 
 def extract_query_joindag(history: HistoryDag, query: Query, catalog: Catalog,
-                          query_id: str, *, in_place: bool = False) -> Dag:
+                          query_id: str) -> Dag:
     """Join dag for one query: the history subgraph reachable from the
-    query's full-join node, with the query root registered.  No operator is
-    derived again.  It is a copy (`Dag.copy_below`), unless `in_place` says
-    that the history was built from empty for this query's joins alone:
-    then every eq-node lies below the query's, and the history's dag is read
-    in place (`Dag.read_in_place`) with its own roots and indexes untouched.
-    Ids reach no output, so both give the same plans, costs and dags."""
+    query's full-join node, read in place under the history's ids
+    (`Dag.below`), with the query root registered and the history's own
+    roots and indexes untouched.  No operator is derived again, and no node
+    is copied."""
     if not query.joins:
         out = Dag()
         (rel,) = query.tables
@@ -656,10 +655,7 @@ def extract_query_joindag(history: HistoryDag, query: Query, catalog: Catalog,
         bases = {t: float(catalog.relation(t).cardinality) for t in sorted(query.tables)}
         join_texts = tuple(sorted(j.canonical() for j in extract_join_set(query)))
         root = joindag.query_join_root(history, bases, join_texts)
-        if in_place:
-            out = history.dag.read_in_place()
-        else:
-            out, root = history.dag.copy_below(root)
+        out = history.dag.below(root)
     memo.register_root(out, query_id, root)
     return out
 
@@ -671,19 +667,18 @@ def optimize_single(query: Query, catalog: Catalog, *,
     then run the place and projects stages.  `limit` bounds the joins and,
     as the placement DP grows as 3**s, the selects of each block.  Joins the
     history already holds are not counted: a block whose joins are all known
-    runs whatever its number of joins.  Without a history (or with an empty
-    one) the block is cold: the history built for it is its join dag, read
-    in place rather than copied; a warm block copies its part of it."""
+    runs whatever its number of joins.  The block's join dag is the grown
+    history below its full-join node, read in place, whether that history
+    was built for this block alone or already held its joins."""
     if query.subquery is not None:
         return _optimize_nested(query, catalog, history=history, limit=limit,
                                 query_id=query_id)
     if len(query.selects) > limit:
         raise LimitExceededError("select placement", len(query.selects), limit)
     joins = extract_join_set(query)
-    cold = history is None or not history.dag.eq_nodes
     base_history = history if history is not None else joindag.empty_history(catalog)
     grown = joindag.build_incremental(base_history, joins, catalog, limit)
-    jd = extract_query_joindag(grown, query, catalog, query_id, in_place=cold)
+    jd = extract_query_joindag(grown, query, catalog, query_id)
     dag, jd_plans = sprinkle_selects(jd, query, catalog)
     dag = sprinkle_projects(dag, [(query_id, query)], catalog)
     plan = costplan.best_plan(dag, dag.query_roots[query_id])

@@ -250,6 +250,12 @@ def test_plan_key_of_a_plan_deeper_than_the_stack():
     assert plan_key(deep_select_chain(depth)) == expected
 
 
+def test_plan_signature_of_a_plan_deeper_than_the_stack():
+    depth = sys.getrecursionlimit() + 200
+    assert plan_signature(deep_select_chain(depth)) == memo.make_signature(
+        ("a", "b"), ("a.x = b.x",), tuple(f"s{i}" for i in range(depth)))
+
+
 def test_plan_signature_reflects_applied_conditions():
     a, b = base_plan("a", 10.0), base_plan("b", 10.0)
     j = op_plan("join", "a.x = b.x", (a, b), 0.1)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from sprinkleqo import joindag, memo
 from sprinkleqo.errors import DagError
-from sprinkleqo.memo import (Dag, EqNode, KIND_GROUPBY, KIND_JOIN, KIND_JOINFILTER,
+from sprinkleqo.memo import (Dag, KIND_GROUPBY, KIND_JOIN, KIND_JOINFILTER,
                              KIND_PROJECT, KIND_SELECT, OpNode, SIZE_RTOL,
                              arc_signature_set, attach_op, base_signature,
                              count_nodes, dag_from_doc, dag_to_doc, ensure_base,
@@ -115,15 +115,17 @@ def test_reattaching_an_op_node_keeps_every_check():
 def test_every_copy_records_the_eq_node_above_each_op_node():
     dag, top = diamond_dag()
     attach_op(dag, KIND_SELECT, "a.x > 1", (top,), 0.06, 0.6, factor=0.1)
-    for copy in (dag, dag.clone(), dag.copy_below(top)[0], dag_from_doc(dag_to_doc(dag))):
-        expected = {copy.op_nodes[op_id].sort_key(): eq_id
-                    for eq_id, node in copy.eq_nodes.items() for op_id in node.child_ops}
+    expected = {dag.op_nodes[op_id].sort_key(): eq_id
+                for eq_id, node in dag.eq_nodes.items() for op_id in node.child_ops}
+    # a view below `top` reads the whole dag's index, the select above it too
+    for copy in (dag, dag.clone(), dag.below(top), dag_from_doc(dag_to_doc(dag))):
         assert copy._op_index == expected
         before = dag_to_doc(copy)
-        for key, eq_id in expected.items():
-            kind, detail, children = key
-            assert attach_op(copy, kind, detail, children[::-1],
-                             copy.eq_nodes[eq_id].est_size, 1.0, factor=0.5) == eq_id
+        for eq_id, node in copy.eq_nodes.items():
+            for op_id in node.child_ops:
+                kind, detail, children = copy.op_nodes[op_id].sort_key()
+                assert attach_op(copy, kind, detail, children[::-1],
+                                 copy.eq_nodes[eq_id].est_size, 1.0, factor=0.5) == eq_id
         assert dag_to_doc(copy) == before
 
 
@@ -222,39 +224,6 @@ def test_clone_is_independent():
     assert count_nodes(dag) == (6, 4, 2)
 
 
-def reference_copy_below(self, root: int) -> tuple[Dag, int]:
-    """`Dag.copy_below` as it was before it recorded its order: the oracle
-    of the ids, nodes and arcs a copy has."""
-    out = Dag()
-    ids: dict[int, int] = {}
-
-    def new_eq(node: EqNode) -> int:
-        eq_id = out._next_eq
-        out.eq_nodes[eq_id] = EqNode(eq_id, node.signature, node.est_size, node.text)
-        out._sig_index[node.signature] = eq_id
-        out._next_eq += 1
-        return eq_id
-
-    def copy(eq_id: int) -> int:
-        if eq_id not in ids:
-            node = self.eq_nodes[eq_id]
-            new = new_eq(node) if node.is_base else None
-            for op_id in sorted(node.child_ops):
-                op = self.op_nodes[op_id]
-                children = tuple(copy(c) for c in op.children)
-                if new is None:
-                    new = new_eq(node)
-                out.op_nodes[out._next_op] = OpNode(out._next_op, op.kind, op.detail,
-                                                    children, op.op_cost, op.factor)
-                out._op_index[(op.kind, op.detail, children)] = out._next_op
-                out.eq_nodes[new].child_ops.append(out._next_op)
-                out._next_op += 1
-            ids[eq_id] = new
-        return ids[eq_id]
-
-    return out, copy(root)
-
-
 def assert_consumers_first(dag, order):
     assert sorted(order) == sorted(dag.eq_nodes)
     position = {eq: i for i, eq in enumerate(order)}
@@ -277,38 +246,21 @@ def cyclic_histories(count):
     return out
 
 
-def check_copy_below(dag, root):
-    copy, new_root = dag.copy_below(root)
-    expected, expected_root = reference_copy_below(dag, root)
-    assert new_root == expected_root
-    assert dag_to_doc(copy) == dag_to_doc(expected)
-    assert (copy._next_eq, copy._next_op) == (expected._next_eq, expected._next_op)
-    assert copy._sig_index == expected._sig_index
-    assert_consumers_first(copy, memo.topological_order(copy))
-
-
-def test_copy_below_equals_the_recursive_copy(company_catalog, tpch_catalog):
-    for catalog in (company_catalog, tpch_catalog):
-        history = joindag.build_complete_history(catalog, catalog.graph.edges)
-        for root in history.dag.query_roots.values():
-            check_copy_below(history.dag, root)
-    for history in cyclic_histories(10):
-        for root in history.dag.query_roots.values():
-            check_copy_below(history.dag, root)
-        for eq_id in history.dag.eq_nodes:   # the inner nodes a query join set copies from
-            check_copy_below(history.dag, eq_id)
-
-
-def test_copy_below_copies_a_dag_deeper_than_the_stack():
-    # a select chain longer than the recursion limit, copied from its top
+def test_below_reads_a_dag_deeper_than_the_stack():
+    # a select chain longer than the recursion limit, read from its top and
+    # from a node halfway down, which reaches the nodes built before it
     dag = Dag()
     top = ensure_base(dag, "a", 1000.0)
     for i in range(sys.getrecursionlimit() + 200):
         top = attach_op(dag, KIND_SELECT, f"s{i}", (top,), 1000.0, 1000.0, factor=1.0)
-    copy, root = dag.copy_below(top)
-    assert root == top   # the chain is copied in the order it was built
-    assert dag_to_doc(copy) == dag_to_doc(dag)
-    assert copy._sig_index == dag._sig_index
+    view = dag.below(top)
+    assert dag_to_doc(view) == dag_to_doc(dag)
+    assert all(view.eq_nodes[i] is node for i, node in dag.eq_nodes.items())
+    assert all(view.op_nodes[i] is op for i, op in dag.op_nodes.items())
+    half = top // 2
+    view = dag.below(half)
+    assert sorted(view.eq_nodes) == list(range(half + 1))
+    assert sorted(view.op_nodes) == list(range(half))
 
 
 def entries_then_ids(dag):
@@ -320,9 +272,9 @@ def entries_then_ids(dag):
     return sorted(dag.eq_nodes, key=lambda eq_id: (-entries(eq_id), eq_id))
 
 
-def test_topological_order_sorts_by_signature_entries_after_a_copy():
-    """The order of a copy, and of the copy once nodes are added to it: a
-    new class with a higher id hung below an existing parent, a new op-node
+def test_topological_order_sorts_by_signature_entries_as_nodes_are_added():
+    """The order of a dag, and of the dag once nodes are added to it: a new
+    class with a higher id hung below an existing parent, a new op-node
     alone between existing classes, a select above the root and a
     projection above that."""
     dag = Dag()
@@ -330,62 +282,68 @@ def test_topological_order_sorts_by_signature_entries_after_a_copy():
                   (("a", 10.0), ("b", 20.0), ("c", 30.0), ("d", 40.0)))
     ab = attach_op(dag, KIND_JOIN, "a.x = b.x", (a, b), 2.0, 200.0, factor=0.01)
     abc = attach_op(dag, KIND_JOIN, "b.y = c.y", (ab, c), 0.6, 60.0, factor=0.01)
-    top = attach_op(dag, KIND_JOIN, "c.z = d.z", (abc, d), 0.24, 24.0, factor=0.01)
-    copy, root = dag.copy_below(top)
-    ids = {copy.eq_nodes[i].signature: i for i in copy.eq_nodes}
-    a, b, c, d, ab, abc = (ids[dag.eq_nodes[i].signature] for i in (a, b, c, d, ab, abc))
-    assert memo.topological_order(copy) == [root, abc, ab, a, b, c, d]
+    root = attach_op(dag, KIND_JOIN, "c.z = d.z", (abc, d), 0.24, 24.0, factor=0.01)
+    assert memo.topological_order(dag) == [root, abc, ab, a, b, c, d]
 
     # bc and bcd get higher ids than abc and root, which consume them
-    bc = attach_op(copy, KIND_JOIN, "b.y = c.y", (b, c), 6.0, 600.0, factor=0.01)
-    bcd = attach_op(copy, KIND_JOIN, "c.z = d.z", (bc, d), 2.4, 240.0, factor=0.01)
-    assert attach_op(copy, KIND_JOIN, "a.x = b.x", (a, bcd), 0.24, 24.0, factor=0.01) == root
+    bc = attach_op(dag, KIND_JOIN, "b.y = c.y", (b, c), 6.0, 600.0, factor=0.01)
+    bcd = attach_op(dag, KIND_JOIN, "c.z = d.z", (bc, d), 2.4, 240.0, factor=0.01)
+    assert attach_op(dag, KIND_JOIN, "a.x = b.x", (a, bcd), 0.24, 24.0, factor=0.01) == root
     assert min(bc, bcd) > max(root, abc)
-    assert memo.topological_order(copy) == [root, abc, bcd, ab, bc, a, b, c, d]
-    ops = len(copy.op_nodes)
-    assert attach_op(copy, KIND_JOIN, "a.x = b.x", (a, bc), 0.6, 60.0, factor=0.01) == abc
-    assert len(copy.op_nodes) == ops + 1
-    assert memo.topological_order(copy) == [root, abc, bcd, ab, bc, a, b, c, d]
+    assert memo.topological_order(dag) == [root, abc, bcd, ab, bc, a, b, c, d]
+    ops = len(dag.op_nodes)
+    assert attach_op(dag, KIND_JOIN, "a.x = b.x", (a, bc), 0.6, 60.0, factor=0.01) == abc
+    assert len(dag.op_nodes) == ops + 1
+    assert memo.topological_order(dag) == [root, abc, bcd, ab, bc, a, b, c, d]
 
-    sel = attach_op(copy, KIND_SELECT, "a.x > 1", (root,), 0.024, 0.24, factor=0.1)
-    proj = attach_op(copy, KIND_PROJECT, "project(a.x, b.y, c.z)", (sel,), 0.024, 0.024)
-    order = memo.topological_order(copy)
+    sel = attach_op(dag, KIND_SELECT, "a.x > 1", (root,), 0.024, 0.24, factor=0.1)
+    proj = attach_op(dag, KIND_PROJECT, "project(a.x, b.y, c.z)", (sel,), 0.024, 0.024)
+    order = memo.topological_order(dag)
     assert order == [proj, sel, root, abc, bcd, ab, bc, a, b, c, d]
-    assert order == entries_then_ids(copy)
-    assert_consumers_first(copy, order)
+    assert order == entries_then_ids(dag)
+    assert_consumers_first(dag, order)
 
 
 def test_topological_order_is_consumers_first_on_histories_and_their_copies():
     for history in cyclic_histories(10):
         dag = history.dag
         for candidate in (dag, dag_from_doc(dag_to_doc(dag)),
-                          *(dag.copy_below(root)[0] for root in dag.query_roots.values())):
+                          *(dag.below(root) for root in dag.query_roots.values())):
             order = memo.topological_order(candidate)
             assert order == entries_then_ids(candidate)
             assert_consumers_first(candidate, order)
 
 
 def test_nothing_writes_through_a_dag_read_in_place():
+    # two orders of {a,b,c,d} below the root, and cd, which no op-node consumes
     dag = Dag()
-    a, b, c = (ensure_base(dag, r, size) for r, size in (("a", 10.0), ("b", 20.0), ("c", 30.0)))
+    a, b, c, d = (ensure_base(dag, r, size) for r, size in
+                  (("a", 10.0), ("b", 20.0), ("c", 30.0), ("d", 40.0)))
     ab = attach_op(dag, KIND_JOIN, "a.x = b.x", (a, b), 2.0, 200.0, factor=0.01)
-    top = attach_op(dag, KIND_JOIN, "b.y = c.y", (ab, c), 0.6, 60.0, factor=0.01)
+    abc = attach_op(dag, KIND_JOIN, "b.y = c.y", (ab, c), 0.6, 60.0, factor=0.01)
+    top = attach_op(dag, KIND_JOIN, "c.z = d.z", (abc, d), 0.24, 24.0, factor=0.01)
     bc = attach_op(dag, KIND_JOIN, "b.y = c.y", (b, c), 6.0, 600.0, factor=0.01)
+    bcd = attach_op(dag, KIND_JOIN, "c.z = d.z", (bc, d), 2.4, 240.0, factor=0.01)
+    assert attach_op(dag, KIND_JOIN, "a.x = b.x", (a, bcd), 0.24, 24.0, factor=0.01) == top
+    cd = attach_op(dag, KIND_JOIN, "c.z = d.z", (c, d), 12.0, 1200.0, factor=0.01)
     register_root(dag, "component", top)
     doc, sig_index, op_index = dag_to_doc(dag), dict(dag._sig_index), dict(dag._op_index)
 
-    view = dag.read_in_place()
-    assert view.eq_nodes is dag.eq_nodes and view.op_nodes is dag.op_nodes
+    view = dag.below(top)
+    assert view.eq_nodes == {i: dag.eq_nodes[i] for i in (a, b, c, d, ab, abc, top, bc, bcd)}
+    assert all(view.eq_nodes[i] is dag.eq_nodes[i] for i in view.eq_nodes)
     assert not view.query_roots
     register_root(view, "q1", top)
     # existing op-nodes are read, not written
-    assert attach_op(view, KIND_JOIN, "b.y = c.y", (ab, c), 0.6, 60.0, factor=0.01) == top
+    assert attach_op(view, KIND_JOIN, "c.z = d.z", (abc, d), 0.24, 24.0, factor=0.01) == top
     with pytest.raises(TypeError):   # a new op-node over existing eq-nodes
         attach_op(view, KIND_JOIN, "a.x = b.x", (a, bc), 0.6, 60.0, factor=0.01)
+    with pytest.raises(DagError, match="dangling"):   # over an eq-node outside the view
+        attach_op(view, KIND_JOIN, "b.y = c.y", (ab, cd), 0.24, 24.0, factor=0.01)
     with pytest.raises(TypeError):   # a new eq-node
-        attach_op(view, KIND_SELECT, "a.x > 1", (top,), 0.06, 0.6, factor=0.1)
+        attach_op(view, KIND_SELECT, "a.x > 1", (top,), 0.024, 0.24, factor=0.1)
     with pytest.raises(TypeError):
-        ensure_base(view, "d", 5.0)
+        ensure_base(view, "e", 5.0)
     assert dag_to_doc(dag) == doc
     assert (dag._sig_index, dag._op_index) == (sig_index, op_index)
     assert dag.query_roots == {"component": top}
@@ -550,7 +508,7 @@ def test_eq_nodes_carry_their_signature_text_through_every_copy():
     dag, top = diamond_dag()
     attach_op(dag, KIND_SELECT, "a.x > 1", (top,), 0.06, 0.6, factor=0.1)
     doc = dag_to_doc(dag)
-    for copy in (dag, dag.clone(), dag.copy_below(top)[0], dag_from_doc(doc)):
+    for copy in (dag, dag.clone(), dag.below(top), dag_from_doc(doc)):
         for node in copy.eq_nodes.values():
             assert node.text == signature_text(node.signature)
     # the text is not serialized: a document holds what it held before

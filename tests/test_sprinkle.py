@@ -452,7 +452,7 @@ def test_select_floor_bounds_every_placed_plan():
     for sql, catalog in stage_inputs():
         query, jd = joindag_for(sql, catalog)
         root = jd.query_roots["q1"]
-        floor = least_costs(sprinkle._select_floors(jd, query.selects))
+        floor = least_costs(sprinkle._select_floors(jd, sprinkle._Placement(query.selects)))
         least = math.inf
         for plan in costplan.enumerate_plans(jd, root):
             cost = sprinkle.place_selects_on_plan(plan, query.selects).cum_cost
@@ -526,7 +526,7 @@ def reference_select_floors(dag, selects):
 def test_select_floors_equal_the_reference_exactly():
     for sql, catalog in stage_inputs():
         query, jd = joindag_for(sql, catalog)
-        assert least_costs(sprinkle._select_floors(jd, query.selects)) == \
+        assert least_costs(sprinkle._select_floors(jd, sprinkle._Placement(query.selects))) == \
             reference_select_floors(jd, query.selects), sql
 
 
@@ -1294,7 +1294,7 @@ def test_landing_bounds_never_exceed_their_totals(tpch_catalog):
         query, jd = joindag_for(sql, catalog)
         dp = sprinkle._block_placement(query, catalog)
         cells, tiers, best = reference_tiers(jd, dp)
-        passed = sprinkle._select_floors(jd, (), dp=dp)
+        passed = sprinkle._select_floors(jd, dp)
         assert passed.optimum == best, sql
         roots = set(jd.query_roots.values())
         assert tables(passed.cells, roots) == tables(cells, roots), sql
@@ -1542,8 +1542,8 @@ def test_extract_query_joindag_subset(company_catalog):
 
 
 def reference_extract_query_joindag(history, query, catalog, query_id):
-    """The join dag's extraction before it became a copy, kept verbatim:
-    every reachable op-node is attached again."""
+    """The join dag's extraction as it first was, kept verbatim: every
+    reachable op-node is attached again into a new dag."""
     out = memo.Dag()
     if not query.joins:
         (rel,) = query.tables
@@ -1571,7 +1571,7 @@ def reference_extract_query_joindag(history, query, catalog, query_id):
     return out
 
 
-def copy_cases(tmp_path):
+def extraction_cases(tmp_path):
     """(history, query, catalog): every flat fixture query against a built,
     saved and reloaded history of its schema (the schema's FK joins and
     every fixture query's), and cyclic `random_schema` queries against a
@@ -1603,30 +1603,66 @@ def copy_cases(tmp_path):
                query, catalog)
 
 
-def test_query_joindag_is_a_copy_of_the_history(tmp_path, monkeypatch):
+def arc_costs(dag):
+    """Each arc's op cost and factor, by its id-free entry in
+    `memo.arc_signature_set`."""
+    return {(node.signature, op.kind, op.detail,
+             tuple(dag.eq_nodes[c].signature for c in op.children)): (op.op_cost, op.factor)
+            for node in dag.eq_nodes.values()
+            for op in map(dag.op_nodes.__getitem__, node.child_ops)}
+
+
+def check_join_dag(history, query, catalog, history_arg, attached):
+    """The join dag of `query` read from `history` against the reference
+    extraction, ids aside, and `optimize_single`'s count of its eq-nodes,
+    `history_arg` the history it is passed; `attached` records each
+    `memo.attach_op` call.  Returns the join dag."""
+    expected = reference_extract_query_joindag(history, query, catalog, "q1")
+    roots, n_ops = dict(history.dag.query_roots), len(history.dag.op_nodes)
+    attached.clear()
+    jd = sprinkle.extract_query_joindag(history, query, catalog, "q1")
+    assert attached == []
+    sizes = {node.signature: node.est_size for node in jd.eq_nodes.values()}
+    assert sizes == {node.signature: node.est_size for node in expected.eq_nodes.values()}
+    assert memo.arc_signature_set(jd) == memo.arc_signature_set(expected)
+    assert arc_costs(jd) == arc_costs(expected)
+    if query.joins:   # the history's own nodes, exactly those below the query's
+        reached = {history.dag.find_eq(sig) for sig in sizes}
+        assert jd.eq_nodes.keys() == reached
+        assert all(jd.eq_nodes[i] is history.dag.eq_nodes[i] for i in reached)
+        assert all(jd.op_nodes[i] is history.dag.op_nodes[i] for i in jd.op_nodes)
+    (root,) = jd.query_roots.values()
+    assert jd.query_roots == {"q1": root}
+    assert jd.eq_nodes[root].signature == expected.eq_nodes[expected.query_roots["q1"]].signature
+    for eq_id, node in jd.eq_nodes.items():
+        assert jd.find_eq(node.signature) == eq_id
+        for op_id in node.child_ops:   # re-attaching reads the op-node, and writes nothing
+            op = jd.op_nodes[op_id]
+            assert memo.attach_op(jd, op.kind, op.detail, op.children, node.est_size,
+                                  op.op_cost, op.factor) == eq_id
+    assert (history.dag.query_roots, len(history.dag.op_nodes)) == (roots, n_ops)
+    result = sprinkle.optimize_single(query, catalog, history=history_arg)
+    assert result.jd_eq_nodes == len(expected.eq_nodes)
+    return jd
+
+
+def test_query_joindag_is_a_copy_of_the_history(tmp_path, monkeypatch, tpch_catalog):
+    """A warm block's join dag holds the history's own nodes below the
+    query's full-join node, with the sizes, arcs, costs and factors the
+    reference extraction attaches again into a copy, and attaches none."""
     attach = memo.attach_op
     calls = []
     monkeypatch.setattr(memo, "attach_op",
                         lambda *a, **k: calls.append(a[1]) or attach(*a, **k))
-    cases = list(copy_cases(tmp_path))
+    cases = list(extraction_cases(tmp_path))
     assert len(cases) == 7 + 10
     for history, query, catalog in cases:
-        expected = memo.dag_to_doc(reference_extract_query_joindag(
-            history, query, catalog, "q1"))
-        calls.clear()
-        jd = sprinkle.extract_query_joindag(history, query, catalog, "q1")
-        assert calls == []
-        assert memo.dag_to_doc(jd) == expected
-        for eq_id, node in jd.eq_nodes.items():
-            assert jd.find_eq(node.signature) == eq_id
-        n_ops = len(jd.op_nodes)
-        for eq_id, node in jd.eq_nodes.items():
-            for op_id in node.child_ops:
-                op = jd.op_nodes[op_id]
-                assert memo.attach_op(jd, op.kind, op.detail, op.children, node.est_size,
-                                      op.op_cost, op.factor) == eq_id
-        assert len(jd.op_nodes) == n_ops
-        assert memo.dag_to_doc(jd) == expected
+        check_join_dag(history, query, catalog, history, calls)
+    # a warm tpch block whose joins are a part of its history's
+    history = joindag.build_complete_history(tpch_catalog, tpch_catalog.graph.edges)
+    query = parse_query(fixture_sql("tpch", "q3"), tpch_catalog)
+    jd = check_join_dag(history, query, tpch_catalog, history, calls)
+    assert len(jd.eq_nodes) < len(history.dag.eq_nodes)
 
 
 def test_extract_single_relation_query(company_catalog):
@@ -1725,7 +1761,7 @@ def numbering_inputs(company_catalog, tpch_catalog):
 def test_join_dag_numbering_reaches_no_output(monkeypatch, company_catalog, tpch_catalog):
     """Every stage after the join dag, and `best_plan`, give the same final
     dag, plan and cost bits over a join dag renumbered at random: what lets
-    a cold block read its history in place instead of copying it."""
+    every block read its history in place, under the history's ids."""
     rng = random.Random(2024)
     extract = sprinkle.extract_query_joindag
     moved = 0
@@ -1751,7 +1787,7 @@ def test_join_dag_numbering_reaches_no_output(monkeypatch, company_catalog, tpch
     assert moved > 50
 
 
-# -- a cold block reads the history it built in place --------------------------
+# -- a cold block leaves the history it built ---------------------------------
 
 def cold_inputs(company_catalog, tpch_catalog):
     """(query, catalog) of every flat fixture query with joins and of 12
@@ -1787,16 +1823,15 @@ def test_cold_block_leaves_the_history_it_built(company_catalog, tpch_catalog, t
             assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_cold_join_dag_reads_the_history_in_place(company_catalog, tpch_catalog):
+def test_cold_join_dag_reads_the_history_in_place(monkeypatch, company_catalog, tpch_catalog):
+    """A cold block's history, built for its joins alone, lies below its
+    root: the join dag holds all of it, read as the warm block's is."""
+    attach = memo.attach_op
+    calls = []
+    monkeypatch.setattr(memo, "attach_op",
+                        lambda *a, **k: calls.append(a[1]) or attach(*a, **k))
     for query, catalog in cold_inputs(company_catalog, tpch_catalog):
         history = joindag.build_complete_history(catalog, extract_join_set(query))
-        cold = sprinkle.extract_query_joindag(history, query, catalog, "q1", in_place=True)
-        copy = sprinkle.extract_query_joindag(history, query, catalog, "q1")
-        assert cold.eq_nodes is history.dag.eq_nodes and cold.op_nodes is history.dag.op_nodes
-        assert memo.count_nodes(cold) == memo.count_nodes(copy)
-        assert memo.count_nodes(cold, internal_only=True) == \
-            memo.count_nodes(copy, internal_only=True)
-        assert memo.arc_signature_set(cold) == memo.arc_signature_set(copy)
-        assert cold.eq_nodes[cold.query_roots["q1"]].signature == \
-            copy.eq_nodes[copy.query_roots["q1"]].signature
+        jd = check_join_dag(history, query, catalog, None, calls)
+        assert jd.eq_nodes == history.dag.eq_nodes and jd.op_nodes == history.dag.op_nodes
         assert "q1" not in history.dag.query_roots
