@@ -152,7 +152,7 @@ def _run_one(query: Query, catalog: Catalog, mode: str, limit: int,
                                       limit=limit, query_id=query_id)
     elapsed = (time.perf_counter() - start) * 1000.0
     params = None if query.subquery is not None else analytics.complexity_params(
-        query, result.jd_eq_nodes, result.jd_plans)
+        query, *memo.count_nodes(result.jd)[::2])
     return (result.dag, result.plan, result.combinations_considered, params,
             result.history, elapsed)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 from . import costplan, forest, memo
@@ -127,12 +128,13 @@ def build_complete_history(catalog: Catalog, joins: tuple[JoinCondition, ...],
     return build_incremental(empty_history(catalog), joins, catalog, limit)
 
 
-def query_join_root(history: HistoryDag, bases: dict[str, float],
+def query_join_root(history: HistoryDag, tables: Iterable[str],
                     join_texts: tuple[str, ...]) -> int:
-    """Eq-node holding all join orders for one query's join set, which a
-    history build must already have added; the history is only read.
+    """Eq-node holding all join orders for one query's join set over its
+    `tables` (names), which a history build must already have added; the
+    history is only read.
     """
-    sig = memo.make_signature(bases, join_texts, (), ())
+    sig = memo.make_signature(tables, join_texts, (), ())
     eq = history.dag.find_eq(sig)
     if eq is None:
         missing = [t for t in join_texts if t not in history.known_joins]
@@ -140,7 +142,7 @@ def query_join_root(history: HistoryDag, bases: dict[str, float],
             raise ValidationError(
                 f"join conditions not in history: {', '.join(sorted(missing))}")
         if not join_texts:
-            raise ValidationError(f"base relation not in history: {', '.join(sorted(bases))}")
+            raise ValidationError(f"base relation not in history: {', '.join(sorted(tables))}")
         raise ValidationError(
             "query join set spans history components that were never joined")
     return eq

@@ -204,6 +204,12 @@ def sizes_agree(a: float, b: float) -> bool:
     return abs(a - b) <= SIZE_RTOL * max(1.0, abs(a), abs(b))
 
 
+def within_rounding(cost: float) -> float:
+    """The largest cost that ties `cost` up to SIZE_RTOL: relative for
+    |cost| >= 1, absolute below."""
+    return cost + SIZE_RTOL * max(1.0, abs(cost))
+
+
 def intern_eq(dag: Dag, signature: Signature, est_size: float) -> int:
     """Return the eq-node for this signature, creating it if new.
 

@@ -64,21 +64,17 @@ def apply_suffix(dag: Dag, top_eq: int, steps) -> int:
 
 
 class _Forest:
-    """The join/select memo below one query's forest root, as the placement
-    search reads it: its eq-nodes inputs first, and each one's op-nodes,
-    relations, applied selects, size and consumers."""
+    """The join/select memo below one query's forest root, read in place
+    (`Dag.below`) as the placement search reads it: its eq-nodes inputs
+    first, and each one's op-nodes, relations, applied selects, size and
+    consumers."""
 
     def __init__(self, dag: Dag, root: int):
-        eq_nodes, op_nodes = dag.eq_nodes, dag.op_nodes
-        self.ops = ops = {root: [op_nodes[o] for o in eq_nodes[root].child_ops]}
-        stack = [root]
-        while stack:
-            for op in ops[stack.pop()]:
-                for child in op.children:
-                    if child not in ops:
-                        ops[child] = [op_nodes[o] for o in eq_nodes[child].child_ops]
-                        stack.append(child)
-        sigs = {eq: eq_nodes[eq].signature for eq in ops}
+        view = dag.below(root)
+        eq_nodes, op_nodes = view.eq_nodes, view.op_nodes
+        self.ops = ops = {eq: [op_nodes[o] for o in node.child_ops]
+                          for eq, node in eq_nodes.items()}
+        sigs = {eq: node.signature for eq, node in eq_nodes.items()}
         self.order = sorted(ops, key=lambda eq: (len(sigs[eq][0]) + len(sigs[eq][1])
                                                  + len(sigs[eq][2]), eq))
         self.position = {eq: i for i, eq in enumerate(self.order)}
@@ -203,9 +199,6 @@ def _intern_cheapest(dag: Dag, f: _Forest, c: _Costs, root: int, steps,
     """
     built: dict[tuple[int, bool], int | None] = {}
 
-    def ties(candidate: float, target: float) -> bool:
-        return candidate <= target + memo.SIZE_RTOL * max(1.0, abs(target))
-
     def sort(eq: int) -> int:
         return costplan.intern_op(dag, KIND_ORDERBY, order_text, (eq,))
 
@@ -226,8 +219,8 @@ def _intern_cheapest(dag: Dag, f: _Forest, c: _Costs, root: int, steps,
             out = eq
         else:
             scale, out = c.ratio if eq in c.grouped else 1.0, None
-            if ordered and sort_here and order_rels <= f.rels[eq] and ties(
-                    c.least[eq] + scale * f.size[eq], costs[eq]):
+            if ordered and sort_here and order_rels <= f.rels[eq] and (
+                    c.least[eq] + scale * f.size[eq] <= memo.within_rounding(costs[eq])):
                 out = sort(build(eq, False))
             for op in f.ops[eq]:
                 kids = op.children
@@ -236,7 +229,7 @@ def _intern_cheapest(dag: Dag, f: _Forest, c: _Costs, root: int, steps,
                 for i in range(len(kids)) if ordered else [None]:   # the input sorted
                     candidate = scale * op.op_cost + sum(
                         (c.sorted if j == i else c.least)[k] for j, k in enumerate(kids))
-                    if math.isfinite(candidate) and ties(candidate, costs[eq]):
+                    if math.isfinite(candidate) and candidate <= memo.within_rounding(costs[eq]):
                         inputs = tuple([build(k, j == i) for j, k in enumerate(kids)])
                         out = costplan.intern_op(dag, op.kind, op.detail, inputs, op.factor)
         if sort_here:

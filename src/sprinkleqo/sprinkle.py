@@ -29,10 +29,12 @@ runs its own pass over the nodes above it, with the selects on its
 relations fixed below; only landings whose bound (`_Placement.bound`) can
 reach the optimum get one.  The DP runs once per block, over the memo
 (`_select_floors`), an eq-node's op-nodes its alternatives, and keeps its
-tables.  The stage then reads the decorated plans that tie the optimum
-back from them (`_tied_plans`): from each root, it follows every op-node
-and placement whose cost fits within the root's rounding slack, and builds
-those plans only.
+tables (`_Cell`): per set u below a node's operator, the least cost of the
+operator and its inputs (`total`) and the output size; per set s at or
+below it, the least cost and size.  The stage then reads the decorated
+plans that tie the optimum back from them (`_tied_plans`): from each root,
+it follows every op-node and placement whose cost fits within the root's
+rounding slack, and builds those plans only.
 """
 
 from __future__ import annotations
@@ -87,16 +89,16 @@ class _Cell:
     by bit masks; `u` is the set placed below the node's own operator, `s`
     the set placed at or below the node.  Only a block with a group-by or
     an order-by sets `rels`, its grouping and ordering relations as bits,
-    and `fixed`, the bits a group-by landing at or below it holds."""
+    and `fixed`, the bits a group-by landing at or below it holds; only a
+    landing sets `grouping`, its group-by's cost with its having's."""
 
-    __slots__ = ("mask", "cmask", "fixed", "rels", "local", "pre", "below", "best", "out")
+    __slots__ = ("mask", "cmask", "fixed", "rels", "grouping", "total", "pre", "best", "out")
 
     def __init__(self, mask: int, width: int):
         self.mask = mask                 # the bits that may sit at or below the node
         self.cmask = mask                # the bits that may sit below its operator
-        self.local = [0.0] * width       # the node's own operator cost, by u
+        self.total = [0.0] * width       # least cost of the operator and its inputs, by u
         self.pre = [0.0] * width         # output size before its select stack, by u
-        self.below = [0.0] * width       # least cost of the children, by u
         self.best = [math.inf] * width   # least subtree cost, by s; inf if s is not in mask
         self.out = self.pre              # output size after its select stack, by s (leaves replace it)
 
@@ -159,15 +161,15 @@ class _Placement:
         """The DP step: a node's tables from its alternatives, each (kind,
         factor, child cells).
 
-        Over an alternative with U below it, a node costs `local` (the op
-        over the children's sizes under U) plus `below` (the children's best
-        costs under U) plus the stack of S - U on the op's output, so the DP
-        is exact in O(nodes * 3**bits).  Per U the least local + below wins,
-        the first alternative on ties; the first also gives the sizes, on
-        which an eq-node's op-nodes agree up to rounding.  Every bit of S can
-        sit below the op but an order-by that enters here, which is
-        size-neutral, so `out` is `pre`.  Unless `all_s`, `best` is filled
-        only at S = mask, all that a node no op consumes needs.
+        Over an alternative with U below it, a node costs the op over the
+        children's sizes under U, plus the children's best costs under U
+        (together `total`), plus the stack of S - U on the op's output, so
+        the DP is exact in O(nodes * 3**bits).  Per U the least total wins;
+        the first alternative gives the sizes, on which an eq-node's
+        op-nodes agree up to rounding.  Every bit of S can sit below the op
+        but an order-by that enters here, which is size-neutral, so `out` is
+        `pre`.  Unless `all_s`, `best` is filled only at S = mask, all that
+        a node no op consumes needs.
         """
         (kind, factor, children), *rest = alternatives
         first, last = children[0], children[-1]   # a join's two inputs, or a unary op's one
@@ -180,41 +182,35 @@ class _Placement:
                 subsets = self.fixing(cell.fixed)
             if cell.rels & self.ob_rels == self.ob_rels:
                 mask = cell.mask = mask | self.ob_bit
-        local, pre, below, best = cell.local, cell.pre, cell.below, cell.best
-        total = [0.0] * self.width   # local + below, by u
+        total, pre, best = cell.total, cell.pre, cell.best
         stack_cost = self.stack_cost
         op_cost, estimate_size = costplan.op_cost, costplan.estimate_size
         if len(children) == 2:   # a join; the first alternative sets every u
             m1, m2, z1, z2, b1, b2 = first.mask, last.mask, first.out, last.out, first.best, last.best
             for u in subsets[cmask]:
                 sizes = (z1[u & m1], z2[u & m2])
-                local[u] = cost = op_cost(kind, sizes)
                 pre[u] = estimate_size(kind, sizes, factor)
-                below[u] = kids = b1[u & m1] + b2[u & m2]
-                total[u] = cost + kids
+                total[u] = op_cost(kind, sizes) + (b1[u & m1] + b2[u & m2])
         else:
             z1, b1 = first.out, first.best
             for u in subsets[cmask]:
                 sizes = (z1[u],)
-                local[u] = cost = op_cost(kind, sizes)
                 pre[u] = estimate_size(kind, sizes, factor)
-                below[u] = b1[u]
-                total[u] = cost + b1[u]
+                total[u] = op_cost(kind, sizes) + b1[u]
         for kind, factor, children in rest:   # each later one only where it is cheaper
             if len(children) == 2:
                 c1, c2 = children
                 m1, m2, z1, z2, b1, b2 = c1.mask, c2.mask, c1.out, c2.out, c1.best, c2.best
                 for u in subsets[cmask]:
-                    cost = op_cost(kind, (z1[u & m1], z2[u & m2]))
-                    kids = b1[u & m1] + b2[u & m2]
-                    if cost + kids < total[u]:
-                        local[u], below[u], total[u] = cost, kids, cost + kids
+                    cost = op_cost(kind, (z1[u & m1], z2[u & m2])) + (b1[u & m1] + b2[u & m2])
+                    if cost < total[u]:
+                        total[u] = cost
             else:
                 z1, b1 = children[0].out, children[0].best
                 for u in subsets[cmask]:
-                    cost = op_cost(kind, (z1[u],))
-                    if cost + b1[u] < total[u]:
-                        local[u], below[u], total[u] = cost, b1[u], cost + b1[u]
+                    cost = op_cost(kind, (z1[u],)) + b1[u]
+                    if cost < total[u]:
+                        total[u] = cost
         if mask != cmask:   # the order-by enters here: never below the op
             for u in subsets[cmask]:
                 pre[u | self.ob_bit], total[u | self.ob_bit] = pre[u], math.inf
@@ -234,14 +230,14 @@ class _Placement:
         fixed = cell.mask & ~self.ob_bit
         _, d, having = self.group
         out = _Cell(cell.mask, self.width)
-        out.cmask, out.fixed, out.rels, out.below[fixed] = fixed, fixed, cell.rels, cell.best[fixed]
+        out.cmask, out.fixed, out.rels = fixed, fixed, cell.rels
         cost, size = 0.0, cell.out[fixed]
         for kind, factor in [(KIND_GROUPBY, d)] + ([(KIND_HAVING, having.ssf)] if having else []):
             cost += costplan.op_cost(kind, (size,))
             size = costplan.estimate_size(kind, (size,), factor)
-        out.local[fixed] = cost
+        out.grouping, out.total[fixed] = cost, cost + cell.best[fixed]
         for s in (fixed, cell.mask):
-            out.pre[s], out.best[s] = size, cost + cell.best[fixed] + size * self.stack_cost[s ^ fixed]
+            out.pre[s], out.best[s] = size, out.total[fixed] + size * self.stack_cost[s ^ fixed]
         return out
 
     def bound(self, cell: _Cell, landed: _Cell, flat: float) -> float:
@@ -253,7 +249,7 @@ class _Placement:
         least = min(landed.best)
         if not (math.isfinite(flat) and size > 0):
             return least
-        return max(least, min(1.0, landed.pre[fixed] / size) * flat + landed.local[fixed])
+        return max(least, min(1.0, landed.pre[fixed] / size) * flat + landed.grouping)
 
 
 class _Pass(NamedTuple):
@@ -270,18 +266,21 @@ def _tied_plans(dag: Dag, dp: _Placement, cells: dict[int, _Cell], landing: int 
     as (DP cost, depth key, walk key, landing depth, built plan); with a
     `landing`, those with the group-by there, `tier` its pass's tables.
 
-    At a node, each op-node and each set u placed below its operator costs
-    `here` (its op, and the stack of the rest of S on its output) plus its
-    inputs' least costs under u.  One that fits the budget gives each input
-    the budget less `here` and the other inputs' least costs, and each
-    combination of their plans that fits is built bottom-up, because the DP
-    and a built plan add in different orders.  `_Placement.node` keeps one
-    winner per u, so each op-node's cost is recomputed here, on traced
-    cells only.  A non-finite cost is never above the budget, so such a
-    block keeps every plan.  The depth key gives each bit the depth of the
-    node it sits on, the group-by counting as a node above its landing; the
-    walk key orders join plans as `costplan.enumerate_plans` does (`ranks`
-    caches each eq-node's op-nodes in `OpNode.sort_key` order).  A block
+    At a node, a set u placed below its operator whose cell's `total` is
+    above the budget is skipped.  Otherwise each op-node costs `here` (its
+    op, and the stack of the rest of S on its output) plus its inputs'
+    least costs under u; a leaf's op costs 0, and the group-by's is its
+    landing cell's `grouping`, over its input's least cost.  One that fits
+    the budget gives each input the budget less `here` and the other
+    inputs' least costs, and each combination of their plans that fits is
+    built bottom-up, because the DP and a built plan add in different
+    orders.  `total` keeps only the least op-node per u, so each op-node's
+    cost is recomputed here, on traced cells only.  A non-finite cost is
+    never above the budget, so such a block keeps every plan.  The depth
+    key gives each bit the depth of the node it sits on, the group-by
+    counting as a node above its landing; the walk key orders join plans as
+    `costplan.enumerate_plans` does (`ranks` caches each eq-node's op-nodes
+    in `OpNode.sort_key` order).  A block
     with nothing to place keeps the memo's plans as `enumerate_plans` gives
     them, with the memo's sizes and costs."""
     subsets, stack_cost, ops, stacking = dp.subsets, dp.stack_cost, dp.ops, dp.stacking
@@ -331,12 +330,13 @@ def _tied_plans(dag: Dag, dp: _Placement, cells: dict[int, _Cell], landing: int 
         node, cell = eq_nodes[eq_id], (tier if above else cells)[eq_id]
         found = []
         for u in (dp.fixing(cell.fixed) if dp.group and cell.fixed else subsets)[s & cell.cmask]:
-            if cell.local[u] + cell.below[u] > budget:   # no op-node's op and inputs cost less
+            if cell.total[u] > budget:   # no op-node's op and inputs cost less
                 continue
             mine = [i for i in stacking if (s ^ u) >> i & 1]
             for op, inputs, kids in alternatives(eq_id, above):
-                if op is None:
-                    local, pre, below = cell.local[u], cell.pre[u], cell.below[u]
+                if op is None:   # the group-by over its input, or a leaf
+                    local, below = (cell.grouping, kids[0].best[u]) if kids else (0.0, 0.0)
+                    pre = cell.pre[u]
                 else:
                     if len(kids) == 2:
                         k1, k2 = kids
@@ -392,7 +392,8 @@ def _chosen_plans(dag: Dag, dp: _Placement, passed: _Pass, root: int) -> dict:
     (`dp.total`, landing depth, depth key, plan).  Cost ties go to the
     landing nearest the root, then to the least depth key, so to positions
     nearer the root."""
-    full, budget, ranks, chosen = dp.width - 1, _within_rounding(passed.optimum[root]), {}, {}
+    full, ranks, chosen = dp.width - 1, {}, {}
+    budget = memo.within_rounding(passed.optimum[root])
     for landing, tier in passed.tiers if dp.group is not None else [(None, {})]:
         top = passed.cells[root] if landing is None else tier.get(root)
         if top is None:
@@ -415,8 +416,6 @@ def place_selects_on_plan(plan: Plan, selects, *, dp: _Placement | None = None) 
     alone.  Of the placements within memo.SIZE_RTOL of the least DP cost,
     the cheapest built plan wins; see `_chosen_plans` for ties."""
     dp = dp or _Placement(selects)
-    if dp.width == 1 and dp.group is None:
-        return plan
     one = Dag()
     root = costplan.intern_plan(one, plan)
     memo.register_root(one, "plan", root)
@@ -429,11 +428,6 @@ def place_selects_on_plan(plan: Plan, selects, *, dp: _Placement | None = None) 
 
 # -- the place stage -----------------------------------------------------------
 
-def _within_rounding(cost: float) -> float:
-    """The largest cost that ties `cost` up to memo.SIZE_RTOL."""
-    return cost + memo.SIZE_RTOL * max(1.0, abs(cost))
-
-
 def _decorate_stage(dag: Dag, dp: _Placement, passed: _Pass) -> Dag:
     """Run the place stage over every registered root, from the tables of
     the block's DP pass.  The decorated plans that tie a root's optimum
@@ -444,10 +438,9 @@ def _decorate_stage(dag: Dag, dp: _Placement, passed: _Pass) -> Dag:
     the root's signature; only the signature class of the cheapest plan is
     kept."""
     fresh = Dag()
-    fresh.meta = dict(dag.meta)
     for query_id, root in sorted(dag.query_roots.items()):
         chosen = _chosen_plans(dag, dp, passed, root)
-        running_best, kept = _within_rounding(passed.optimum[root]), []
+        running_best, kept = memo.within_rounding(passed.optimum[root]), []
         for walk in sorted(chosen):
             cost, *_, decorated = chosen[walk]
             if cost <= running_best:
@@ -465,7 +458,7 @@ def _decorate_stage(dag: Dag, dp: _Placement, passed: _Pass) -> Dag:
     return fresh
 
 
-def _select_floors(dag: Dag, dp: _Placement, *, plans: dict | None = None) -> _Pass:
+def _select_floors(dag: Dag, dp: _Placement) -> _Pass:
     """The block's one DP pass: `dp` over the memo, an eq-node's op-nodes
     its alternatives, plain and per landing above it, in increasing
     `_Placement.bound` up to one that no root's optimum can reach.  Its
@@ -474,22 +467,18 @@ def _select_floors(dag: Dag, dp: _Placement, *, plans: dict | None = None) -> _P
     (`place_selects_on_plan`) do, so every eq-node but a root is some
     op-node's input and needs `best` at every set.  A root, which no op may
     consume, gets its least `dp.total` at the full set: its least decorated
-    cost, exactly, the floor of every plan the stage keeps.  `plans`, when
-    given, receives every eq-node's number of plans."""
-    plans = {} if plans is None else plans
+    cost, exactly, the floor of every plan the stage keeps."""
     tops = set(dag.query_roots.values())
     order = memo.topological_order(dag)[::-1]   # inputs first
     cells: dict[int, _Cell] = {}
     for eq_id in order:
         node = dag.eq_nodes[eq_id]
         if node.is_base:
-            cells[eq_id], plans[eq_id] = dp.leaf(node.signature[0][0], node.est_size), 1
+            cells[eq_id] = dp.leaf(node.signature[0][0], node.est_size)
             continue
-        ops = [dag.op_nodes[op_id] for op_id in node.child_ops]
+        ops = map(dag.op_nodes.__getitem__, node.child_ops)
         cells[eq_id] = dp.node([(op.kind, op.factor, tuple(map(cells.__getitem__, op.children)))
                                 for op in ops], dp.group is not None or eq_id not in tops)
-        plans[eq_id] = sum(plans[op.children[0]] * plans[op.children[-1]] if len(op.children) == 2
-                           else plans[op.children[0]] for op in ops)
     full = dp.width - 1
     plain = {root: dp.total(cells[root].best[full], cells[root].out[full])
              for root in dag.query_roots.values()}
@@ -503,7 +492,7 @@ def _select_floors(dag: Dag, dp: _Placement, *, plans: dict | None = None) -> _P
     roots = dict.fromkeys(dag.query_roots.values(), math.inf)
     tiers = []
     for bound, i, landed in sorted(landings, key=lambda t: t[:2]):
-        if bound > _within_rounding(max(roots.values())):
+        if bound > memo.within_rounding(max(roots.values())):
             break
         tier = {order[i]: landed}
         for up in order[i + 1:]:   # the eq-nodes above it, inputs first
@@ -531,12 +520,11 @@ def _block_placement(query: Query, catalog: Catalog) -> _Placement:
                       and retained != sqlfront.all_query_attrs(query, catalog))
 
 
-def sprinkle_selects(jd: Dag, query: Query, catalog: Catalog) -> tuple[Dag, int]:
+def sprinkle_selects(jd: Dag, query: Query, catalog: Catalog) -> Dag:
     """The place stage of one block over a join dag that holds only the
     nodes below its roots (as `extract_query_joindag` gives): its selects,
     group-by with its having, and order-by, placed on the join plans that
-    can tie its optimum.  Returns the stage's dag and the number of join
-    plans under its roots."""
+    can tie its optimum.  Returns the stage's dag."""
     for cond in query.selects:
         catalog.relation(cond.relation)
     for query_id, root in sorted(jd.query_roots.items()):
@@ -545,9 +533,8 @@ def sprinkle_selects(jd: Dag, query: Query, catalog: Catalog) -> tuple[Dag, int]
             if cond.relation not in bases:
                 raise ValidationError(f"select on {cond.relation!r} but query "
                                       f"{query_id!r} covers {sorted(bases)}")
-    dp, plans = _block_placement(query, catalog), {}
-    passed = _select_floors(jd, dp, plans=plans)
-    return _decorate_stage(jd, dp, passed), sum(plans[r] for r in jd.query_roots.values())
+    dp = _block_placement(query, catalog)
+    return _decorate_stage(jd, dp, _select_floors(jd, dp))
 
 
 # -- projections -------------------------------------------------------------
@@ -628,15 +615,15 @@ def sprinkle_projects(dag: Dag, queries: list[tuple[str, Query]],
 
 @dataclass
 class OptimizeResult:
-    """Everything one optimization run produced."""
+    """Everything one optimization run produced; `jd` is the block's join
+    dag (of the outer block, for a nested query)."""
 
     query_id: str
     plan: Plan
     dag: Dag
     history: HistoryDag | None
     combinations_considered: int
-    jd_eq_nodes: int
-    jd_plans: int
+    jd: Dag
     inner: "OptimizeResult | None" = None
 
 
@@ -652,9 +639,8 @@ def extract_query_joindag(history: HistoryDag, query: Query, catalog: Catalog,
         (rel,) = query.tables
         root = memo.ensure_base(out, rel, float(catalog.relation(rel).cardinality))
     else:
-        bases = {t: float(catalog.relation(t).cardinality) for t in sorted(query.tables)}
         join_texts = tuple(sorted(j.canonical() for j in extract_join_set(query)))
-        root = joindag.query_join_root(history, bases, join_texts)
+        root = joindag.query_join_root(history, query.tables, join_texts)
         out = history.dag.below(root)
     memo.register_root(out, query_id, root)
     return out
@@ -679,12 +665,11 @@ def optimize_single(query: Query, catalog: Catalog, *,
     base_history = history if history is not None else joindag.empty_history(catalog)
     grown = joindag.build_incremental(base_history, joins, catalog, limit)
     jd = extract_query_joindag(grown, query, catalog, query_id)
-    dag, jd_plans = sprinkle_selects(jd, query, catalog)
-    dag = sprinkle_projects(dag, [(query_id, query)], catalog)
+    dag = sprinkle_projects(sprinkle_selects(jd, query, catalog), [(query_id, query)], catalog)
     plan = costplan.best_plan(dag, dag.query_roots[query_id])
     return OptimizeResult(query_id=query_id, plan=plan, dag=dag, history=grown,
                           combinations_considered=joindag.combinations_considered(len(joins)),
-                          jd_eq_nodes=len(jd.eq_nodes), jd_plans=jd_plans)
+                          jd=jd)
 
 
 def _synthetic_catalog(catalog: Catalog, alias: str, column_sources,
@@ -736,8 +721,7 @@ def _optimize_nested(query: Query, catalog: Catalog, *,
         query_id=query_id, plan=plan, dag=outer_res.dag, history=history,
         combinations_considered=(outer_res.combinations_considered
                                  + inner_res.combinations_considered),
-        jd_eq_nodes=outer_res.jd_eq_nodes, jd_plans=outer_res.jd_plans,
-        inner=inner_res)
+        jd=outer_res.jd, inner=inner_res)
 
 
 def optimize_many(queries: list[tuple[str, Query]], catalog: Catalog, *,

@@ -1,5 +1,6 @@
 """Memo table: interning, signatures, op attachment, counts, DOT, round-trip."""
 
+import math
 import random
 import re
 import sys
@@ -41,6 +42,15 @@ def test_intern_size_collision_raises():
     intern_eq(dag, sig, 10.0 * (1 + SIZE_RTOL / 10))  # inside tolerance
     with pytest.raises(DagError, match="size"):
         intern_eq(dag, sig, 11.0)
+
+
+@pytest.mark.parametrize("cost", [2.5e6, 3.0, 1.0, 0.5, 1e-12, 0.0, -0.5, -1.0, -4.0e3])
+def test_within_rounding_is_the_tie_bound(cost):
+    # a cost ties `cost` up to 1e-9 of |cost|, or up to 1e-9 itself when
+    # |cost| < 1: the bound ties, and the next float up does not
+    at = cost + 1e-9 * max(1.0, abs(cost))
+    assert at <= memo.within_rounding(cost) < math.nextafter(at, math.inf)
+    assert cost < memo.within_rounding(cost)
 
 
 def test_join_signature_is_order_insensitive():
