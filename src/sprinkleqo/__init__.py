@@ -14,7 +14,7 @@ from .analytics import (ComplexityParams, MetricsReport, MetricsRow,
                         report_from_csv, report_to_csv)
 from .catalog import (Attribute, Catalog, Relation, SchemaGraph, Stats, load_catalog,
                       load_catalog_file)
-from .costplan import Plan, best_plan, enumerate_plans, estimate_size, op_cost
+from .costplan import Plan, best_plan, estimate_size, op_cost
 from .errors import (CatalogError, DagError, LimitExceededError, ParseError,
                      PersistenceError, SprinkleQoError, ValidationError)
 from .joindag import (HistoryDag, build_complete_history, build_incremental,

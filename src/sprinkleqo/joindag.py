@@ -42,13 +42,11 @@ class HistoryDag:
     known_joins: dict[str, JoinCondition]
     version: int
     catalog_fingerprint: str
-    last_build_combinations: int = 0
 
     def clone(self) -> "HistoryDag":
         return HistoryDag(dag=self.dag.clone(), known_joins=dict(self.known_joins),
                           version=self.version,
-                          catalog_fingerprint=self.catalog_fingerprint,
-                          last_build_combinations=self.last_build_combinations)
+                          catalog_fingerprint=self.catalog_fingerprint)
 
 
 def combinations_considered(n_joins: int) -> int:
@@ -105,10 +103,9 @@ def build_incremental(history: HistoryDag, joins: tuple[JoinCondition, ...],
     new_texts = {c.canonical(): c for c in joins}
     fresh = {t: c for t, c in new_texts.items() if t not in history.known_joins}
     if not fresh:
-        return replace(history, version=history.version + 1, last_build_combinations=0)
+        return replace(history, version=history.version + 1)
     out = history.clone()
     out.version += 1
-    out.last_build_combinations = 0
     out.known_joins.update(fresh)
     for rels, texts in _components(out.known_joins):
         if not any(t in fresh for t in texts):
@@ -117,7 +114,6 @@ def build_incremental(history: HistoryDag, joins: tuple[JoinCondition, ...],
             raise LimitExceededError("join-order expansion", len(texts), limit)
         relations = {r: float(catalog.relation(r).cardinality) for r in sorted(rels)}
         forest.expand_forest(out.dag, relations, tuple(out.known_joins[t] for t in texts))
-        out.last_build_combinations += combinations_considered(len(texts))
     _refresh_roots(out)
     return out
 

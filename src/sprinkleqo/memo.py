@@ -301,6 +301,27 @@ def ensure_base(dag: Dag, relation: str, cardinality: float) -> int:
     return intern_eq(dag, base_signature(relation), cardinality)
 
 
+def merge_below(dst: Dag, src: Dag, root: int) -> int:
+    """Copy every eq-node and op-node of `src` below `root` into `dst`,
+    inputs first (`topological_order` of `src.below(root)`, reversed), by
+    `ensure_base` and `attach_op`, so a node `dst` already holds is found,
+    not copied again; returns `dst`'s eq-node for `root`.  Each eq-node keeps
+    its `est_size` and each op-node its `op_cost` and `factor` as stored, as
+    `costplan.intern_plan` does for one plan tree.  `src` is not changed,
+    and nothing recurses, so any depth works."""
+    view = src.below(root)
+    ids: dict[int, int] = {}
+    for eq_id in reversed(topological_order(view)):
+        node = view.eq_nodes[eq_id]
+        if node.is_base:
+            ids[eq_id] = ensure_base(dst, node.signature[0][0], node.est_size)
+        for op_id in node.child_ops:
+            op = view.op_nodes[op_id]
+            ids[eq_id] = attach_op(dst, op.kind, op.detail, tuple([ids[c] for c in op.children]),
+                                   node.est_size, op.op_cost, op.factor)
+    return ids[root]
+
+
 # -- counting -------------------------------------------------------------
 
 def topological_order(dag: Dag) -> list[int]:

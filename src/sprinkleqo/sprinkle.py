@@ -278,11 +278,11 @@ def _tied_plans(dag: Dag, dp: _Placement, cells: dict[int, _Cell], landing: int 
     cost is recomputed here, on traced cells only.  A non-finite cost is
     never above the budget, so such a block keeps every plan.  The depth
     key gives each bit the depth of the node it sits on, the group-by
-    counting as a node above its landing; the walk key orders join plans as
-    `costplan.enumerate_plans` does (`ranks` caches each eq-node's op-nodes
-    in `OpNode.sort_key` order).  A block
-    with nothing to place keeps the memo's plans as `enumerate_plans` gives
-    them, with the memo's sizes and costs."""
+    counting as a node above its landing; the walk key orders join plans
+    by their root's op-node in `OpNode.sort_key` order, then by their
+    inputs' plans left to right (`ranks` caches each eq-node's op-nodes in
+    that order).  A block with nothing to place keeps the memo's plans,
+    with the memo's sizes and costs."""
     subsets, stack_cost, ops, stacking = dp.subsets, dp.stack_cost, dp.ops, dp.stacking
     eq_nodes, op_nodes = dag.eq_nodes, dag.op_nodes
     op_cost, estimate_size = costplan.op_cost, costplan.estimate_size
@@ -431,12 +431,12 @@ def place_selects_on_plan(plan: Plan, selects, *, dp: _Placement | None = None) 
 def _decorate_stage(dag: Dag, dp: _Placement, passed: _Pass) -> Dag:
     """Run the place stage over every registered root, from the tables of
     the block's DP pass.  The decorated plans that tie a root's optimum
-    are read back from them (`_chosen_plans`) and kept in
-    `costplan.enumerate_plans` order of their join plans, each while its
-    cost is at most the running best, which starts at the optimum within
-    memo.SIZE_RTOL and falls to each kept plan's cost.  A landing is part of
-    the root's signature; only the signature class of the cheapest plan is
-    kept."""
+    are read back from them (`_chosen_plans`) and kept in the order of
+    their join plans (op-nodes by `OpNode.sort_key`, then their inputs'
+    plans left to right), each while its cost is at most the running best,
+    which starts at the optimum within memo.SIZE_RTOL and falls to each kept
+    plan's cost.  A landing is part of the root's signature; only the
+    signature class of the cheapest plan is kept."""
     fresh = Dag()
     for query_id, root in sorted(dag.query_roots.items()):
         chosen = _chosen_plans(dag, dp, passed, root)
@@ -578,37 +578,38 @@ def _needed_attrs(dag: Dag, roots: dict[str, int], outputs: dict[str, set[str]],
 
 def sprinkle_projects(dag: Dag, queries: list[tuple[str, Query]],
                       catalog: Catalog) -> Dag:
-    """Attach projections: one root projection per query, and in multi-query
-    mode an additional projection above every eq-node that carries more
-    attributes than its consumers need (materialization candidates)."""
-    out = dag.clone()
+    """Attach projections to `dag` itself and return it: one root projection
+    per query, and in multi-query mode an additional projection above every
+    eq-node that carries more attributes than its consumers need
+    (materialization candidates).  `optimize_single` passes the place
+    stage's fresh dag, and `optimize_many` its shared dag."""
     outputs = {qid: sqlfront.output_attrs(q, catalog) for qid, q in queries}
     for query_id, query in queries:
-        root = out.query_roots[query_id]
+        root = dag.query_roots[query_id]
         retained = outputs[query_id]
-        available = _available_attrs(out, root, catalog)
+        available = _available_attrs(dag, root, catalog)
         unresolved = retained - available
         if unresolved:
             raise ValidationError(
                 f"output attributes not derivable at the root: {sorted(unresolved)}")
         if not retained or retained == available:
             continue
-        memo.register_root(out, query_id, costplan.intern_op(
-            out, KIND_PROJECT, sqlfront.project_text(retained), (root,)))
+        memo.register_root(dag, query_id, costplan.intern_op(
+            dag, KIND_PROJECT, sqlfront.project_text(retained), (root,)))
 
     if len(queries) > 1:
-        roots = {qid: out.query_roots[qid] for qid, _ in queries}
-        needed = _needed_attrs(out, roots, outputs, catalog)
+        roots = {qid: dag.query_roots[qid] for qid, _ in queries}
+        needed = _needed_attrs(dag, roots, outputs, catalog)
         for eq_id in sorted(needed):
-            node = out.eq_nodes[eq_id]
+            node = dag.eq_nodes[eq_id]
             if node.is_base or node.signature[3]:
                 continue
-            avail = _available_attrs(out, eq_id, catalog)
+            avail = _available_attrs(dag, eq_id, catalog)
             keep = needed[eq_id]
             if not keep or keep == avail:
                 continue
-            costplan.intern_op(out, KIND_PROJECT, sqlfront.project_text(keep), (eq_id,))
-    return out
+            costplan.intern_op(dag, KIND_PROJECT, sqlfront.project_text(keep), (eq_id,))
+    return dag
 
 
 # -- orchestration -----------------------------------------------------------
@@ -727,10 +728,16 @@ def _optimize_nested(query: Query, catalog: Catalog, *,
 def optimize_many(queries: list[tuple[str, Query]], catalog: Catalog, *,
                   history: HistoryDag | None = None,
                   limit: int = 8) -> tuple[Dag, dict[str, Plan], HistoryDag]:
-    """Optimize several queries into one shared dag (common subplans merge),
-    with projections widened to the union of the queries' needs."""
-    grown = history if history is not None else joindag.empty_history(catalog)
+    """Optimize several queries into one shared dag: each query alone, in
+    query-id order, its result dag then merged node for node
+    (`memo.merge_below`), so common subplans merge, with projections
+    widened to the union of the queries' needs.  A repeated query id is a
+    ValidationError."""
     ordered = sorted(queries, key=lambda pair: pair[0])
+    for (query_id, _), (next_id, _) in zip(ordered, ordered[1:]):
+        if query_id == next_id:
+            raise ValidationError(f"query id {query_id!r} is repeated in multi-query mode")
+    grown = history if history is not None else joindag.empty_history(catalog)
     results: dict[str, OptimizeResult] = {}
     for query_id, query in ordered:
         if query.subquery is not None:
@@ -741,12 +748,10 @@ def optimize_many(queries: list[tuple[str, Query]], catalog: Catalog, *,
         grown = results[query_id].history
     shared = Dag()
     for query_id, _ in ordered:
-        res = results[query_id]
-        root = None
-        for plan in costplan.enumerate_plans(res.dag, res.dag.query_roots[query_id]):
-            root = costplan.intern_plan(shared, plan)
-        memo.register_root(shared, query_id, root)
-    shared = sprinkle_projects(shared, ordered, catalog)
+        dag = results[query_id].dag
+        memo.register_root(shared, query_id,
+                           memo.merge_below(shared, dag, dag.query_roots[query_id]))
+    sprinkle_projects(shared, ordered, catalog)
     plans = {qid: costplan.best_plan(shared, shared.query_roots[qid])
              for qid, _ in queries}
     return shared, plans, grown

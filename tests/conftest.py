@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import pathlib
 import random
@@ -12,6 +13,8 @@ import pytest
 
 from sprinkleqo.catalog import Catalog, load_catalog, load_catalog_file
 from sprinkleqo.cli import main
+from sprinkleqo.costplan import Plan, _base_relation_of, base_plan
+from sprinkleqo.memo import Dag
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -112,3 +115,34 @@ def connected_query_sql(catalog: Catalog, rng: random.Random,
     if conds:
         sql += " where " + " and ".join(conds)
     return sql
+
+
+def enumerate_plans(dag: Dag, root_eq: int) -> list[Plan]:
+    """All expansions below an eq-node in canonical order.
+
+    Plans share immutable subtrees, so the list stays cheap even when
+    alternatives overlap.
+    """
+    cache: dict[int, list[Plan]] = {}
+
+    def expand(eq_id: int) -> list[Plan]:
+        if eq_id in cache:
+            return cache[eq_id]
+        node = dag.eq_nodes[eq_id]
+        if node.is_base:
+            out = [base_plan(_base_relation_of(dag, eq_id), node.est_size)]
+        else:
+            out = []
+            for op_id in sorted(node.child_ops,
+                                key=lambda i: dag.op_nodes[i].sort_key()):
+                op = dag.op_nodes[op_id]
+                for combo in itertools.product(*(expand(c) for c in op.children)):
+                    cost = op.op_cost + sum(c.cum_cost for c in combo)
+                    out.append(Plan(kind=op.kind, detail=op.detail, relation=None,
+                                    children=tuple(combo), factor=op.factor,
+                                    est_size=node.est_size, op_cost=op.op_cost,
+                                    cum_cost=cost))
+        cache[eq_id] = out
+        return out
+
+    return expand(root_eq)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from sprinkleqo import (analytics, costplan, joindag, memo, naive, sprinkle)
 from sprinkleqo.sqlfront import parse_query
 
-from conftest import (FIXTURES, chain_catalog, connected_query_sql,
+from conftest import (FIXTURES, chain_catalog, connected_query_sql, enumerate_plans,
                       random_schema, run_cli)
 
 COMPANY = str(FIXTURES / "company" / "schema.json")
@@ -86,7 +86,7 @@ def unpruned_select_sprinkle(jd, selects):
     fresh = memo.Dag()
     for query_id, root in sorted(jd.query_roots.items()):
         new_root = None
-        for plan in costplan.enumerate_plans(jd, root):
+        for plan in enumerate_plans(jd, root):
             decorated = sprinkle.place_selects_on_plan(plan, selects)
             new_root = costplan.intern_plan(fresh, decorated)
         memo.register_root(fresh, query_id, new_root)
@@ -179,13 +179,13 @@ def test_criterion_5_sprinkler_matches_exhaustive_optimum():
                 continue
             res = sprinkle.optimize_single(query, catalog)
             baseline = naive.build_naive_dag(query, catalog)
-            optimum = min(exact_plan_cost(p) for p in costplan.enumerate_plans(
+            optimum = min(exact_plan_cost(p) for p in enumerate_plans(
                 baseline, baseline.query_roots["q1"]))
 
             # the sprinkled search space keeps the optimum: exact equality
             jd = sprinkle.extract_query_joindag(res.history, query, catalog, "q1")
             space = unpruned_select_sprinkle(jd, query.selects)
-            candidates = costplan.enumerate_plans(space, space.query_roots["q1"])
+            candidates = enumerate_plans(space, space.query_roots["q1"])
             sprinkled = min(exact_plan_cost(p) for p in candidates)
             if sprinkled != optimum:
                 dump = {"sql": sql, "sprinkled": float(sprinkled),

@@ -28,7 +28,6 @@ def test_complete_build_company(company_catalog):
                                        company_catalog.graph.edges)
     assert h.version == 1
     assert len(h.known_joins) == 5
-    assert h.last_build_combinations == 120
     assert memo.count_nodes(h.dag) == (29, 63, 84)
     assert set(h.dag.query_roots) == {COMPANY_ROOT}
     root = h.dag.eq_nodes[h.dag.query_roots[COMPANY_ROOT]]
@@ -42,7 +41,6 @@ def test_known_only_rebuild_bumps_version_only(company_catalog):
     h1 = joindag.build_complete_history(company_catalog, joins)
     h2 = joindag.build_incremental(h1, joins, company_catalog)
     assert h2.version == 2
-    assert h2.last_build_combinations == 0
     assert structure(h2) == structure(h1)
 
 
@@ -70,8 +68,6 @@ def test_incremental_build_merges_components(company_catalog):
     assert set(merged.dag.query_roots) == {
         "component:department+employee+project+works_on"}
     assert merged.version == 2
-    # the merged component re-enumerates all three conditions
-    assert merged.last_build_combinations == 6
 
 
 def test_input_history_is_not_mutated(company_catalog):
@@ -104,7 +100,6 @@ def test_per_component_limit(tpch_catalog):
         joindag.build_complete_history(tpch_catalog, joins, limit=5)
     assert exc.value.n == 6 and exc.value.limit == 5
     h = joindag.build_complete_history(tpch_catalog, joins, limit=6)
-    assert h.last_build_combinations == 720
     assert memo.count_nodes(h.dag) == (43, 116, 326)
 
 

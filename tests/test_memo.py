@@ -15,7 +15,7 @@ from sprinkleqo.memo import (Dag, KIND_GROUPBY, KIND_JOIN, KIND_JOINFILTER,
                              arc_signature_set, attach_op, base_signature,
                              count_nodes, dag_from_doc, dag_to_doc, ensure_base,
                              export_dot, extend_signature, intern_eq,
-                             join_signature, plan_count_for, register_root,
+                             join_signature, merge_below, plan_count_for, register_root,
                              signature_text)
 
 from conftest import random_schema
@@ -271,6 +271,42 @@ def test_below_reads_a_dag_deeper_than_the_stack():
     view = dag.below(half)
     assert sorted(view.eq_nodes) == list(range(half + 1))
     assert sorted(view.op_nodes) == list(range(half))
+
+
+def test_merge_below_copies_a_dag_deeper_than_the_stack():
+    # a select chain longer than the recursion limit, next to a relation
+    # below no root it is merged from
+    src = Dag()
+    ensure_base(src, "b", 20.0)
+    top = ensure_base(src, "a", 1000.0)
+    for i in range(sys.getrecursionlimit() + 200):
+        top = attach_op(src, KIND_SELECT, f"s{i}", (top,), 1000.0, 1000.0 + i, factor=1.0)
+    before = dag_to_doc(src)
+    dst = Dag()
+    root = merge_below(dst, src, top)
+    assert dag_to_doc(src) == before
+    assert dst.eq_nodes[root].signature == src.eq_nodes[top].signature
+    assert arc_signature_set(dst) == arc_signature_set(src)
+    assert len(dst.eq_nodes) == len(src.eq_nodes) - 1
+    assert sorted(op.op_cost for op in dst.op_nodes.values()) == \
+        sorted(op.op_cost for op in src.op_nodes.values())
+    assert merge_below(dst, src, top) == root and len(dst.op_nodes) == len(src.op_nodes)
+
+
+def test_merge_below_finds_the_nodes_its_target_holds():
+    """Merging the diamond into a dag that holds one of its join orders
+    adds the other, and keeps the target's own sizes and costs."""
+    dag, top = diamond_dag()
+    dst = Dag()
+    a, b = ensure_base(dst, "a", 10.0), ensure_base(dst, "b", 20.0)
+    ab = attach_op(dst, KIND_JOIN, "a.x = b.x", (a, b), 2.0 * (1 + 1e-12), 200.5, factor=0.01)
+    root = merge_below(dst, dag, top)
+    assert arc_signature_set(dst) == arc_signature_set(dag)
+    assert count_nodes(dst)[:2] == count_nodes(dag)[:2]
+    assert dst.eq_nodes[ab].est_size == 2.0 * (1 + 1e-12)
+    assert [op.op_cost for op in dst.op_nodes.values() if op.children == (a, b)] == [200.5]
+    assert dst.eq_nodes[root].signature == dag.eq_nodes[top].signature
+    assert plan_count_for(dst, root) == 2
 
 
 def entries_then_ids(dag):

@@ -19,7 +19,7 @@ from sprinkleqo.sqlfront import (HavingCondition, OrderItem, SelectCondition,
                                  extract_join_set, parse_query, render_query)
 
 from conftest import FIXTURES, chain_catalog, fixture_sql, make_catalog, random_schema, \
-    connected_query_sql
+    connected_query_sql, enumerate_plans
 
 sizes = st.floats(min_value=1.0, max_value=1e5, allow_nan=False)
 factors = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
@@ -258,14 +258,14 @@ def test_select_on_a_relation_the_plan_lacks_rejected():
 
 def enumerate_then_prune_stage(dag, decorate, *, bound=None):
     """The stage loop before family pruning and root floors: every plan of
-    `costplan.enumerate_plans`, each dropped when `bound(plan)` or its
+    `enumerate_plans`, each dropped when `bound(plan)` or its
     decorated cost exceeds the running best."""
     fresh = memo.Dag()
     fresh.meta = dict(dag.meta)
     for query_id, root in sorted(dag.query_roots.items()):
         kept = []
         running_best = math.inf
-        for plan in costplan.enumerate_plans(dag, root):
+        for plan in enumerate_plans(dag, root):
             if bound is not None and bound(plan) > running_best:
                 continue
             decorated = decorate(plan)
@@ -418,7 +418,7 @@ def test_pruned_stages_keep_the_plans_of_enumerate_then_prune():
             for (_, cost), (_, expected) in zip(kept, oracle):
                 assert float.fromhex(cost) == pytest.approx(expected, rel=memo.SIZE_RTOL), variant
             assert memo.plan_count_for(dag, dag.query_roots["q1"]) == len(kept), variant
-            order = [plan_key(p) for p in costplan.enumerate_plans(jd, jd.query_roots["q1"])]
+            order = [plan_key(p) for p in enumerate_plans(jd, jd.query_roots["q1"])]
             assert is_subsequence(placed, order), variant
 
 
@@ -454,7 +454,7 @@ def test_select_floor_bounds_every_placed_plan():
         root = jd.query_roots["q1"]
         floor = least_costs(sprinkle._select_floors(jd, sprinkle._Placement(query.selects)))
         least = math.inf
-        for plan in costplan.enumerate_plans(jd, root):
+        for plan in enumerate_plans(jd, root):
             cost = sprinkle.place_selects_on_plan(plan, query.selects).cum_cost
             assert floor[root] <= cost + memo.SIZE_RTOL * max(1.0, abs(cost)), sql
             least = min(least, cost)
@@ -572,7 +572,7 @@ def test_eight_leaf_star_places_selects_on_few_plans(monkeypatch):
     assert len(built) == 9
     best = costplan.best_plan(oracle, oracle.query_roots["q1"]).cum_cost
     assert costplan.best_plan(pruned, pruned.query_roots["q1"]).cum_cost == best
-    kept = costplan.enumerate_plans(pruned, pruned.query_roots["q1"])
+    kept = enumerate_plans(pruned, pruned.query_roots["q1"])
     assert all(p.cum_cost <= memo.within_rounding(best) for p in kept)
 
 
@@ -580,12 +580,12 @@ def test_eight_leaf_star_places_selects_on_few_plans(monkeypatch):
 
 def enumerate_then_filter_at_optimum(jd, dp):
     """(plan key, cost) of the plans the place stage keeps, found without
-    bounds: every plan of `costplan.enumerate_plans`, decorated, then
+    bounds: every plan of `enumerate_plans`, decorated, then
     filtered by the stage's running-best rule started at the least decorated
     cost within rounding, and cut to the root signature class of the first
     cheapest plan."""
     decorated = [sprinkle.place_selects_on_plan(p, (), dp=dp)
-                 for p in costplan.enumerate_plans(jd, jd.query_roots["q1"])]
+                 for p in enumerate_plans(jd, jd.query_roots["q1"])]
     costs = [dp.total(p.cum_cost, p.est_size) for p in decorated]
     running_best = memo.within_rounding(min(costs))
     kept = []
@@ -678,7 +678,7 @@ def test_flat_random_queries_walk_from_the_root_floor_to_the_naive_optimum():
             if not (query.group_by or query.order_by):
                 assert res.plan.cum_cost == pytest.approx(best, rel=memo.SIZE_RTOL), variant
             assert res.plan.cum_cost <= memo.within_rounding(best), variant
-            for plan in costplan.enumerate_plans(res.dag, res.dag.query_roots["q1"]):
+            for plan in enumerate_plans(res.dag, res.dag.query_roots["q1"]):
                 assert plan.cum_cost <= memo.within_rounding(res.plan.cum_cost), variant
         checked += 1
 
@@ -997,7 +997,7 @@ def test_one_plan_memo_places_as_the_per_plan_walk(tpch_catalog):
     for sql, catalog in bounded_landing_inputs(tpch_catalog) + nothing:
         query, jd = joindag_for(sql, catalog)
         dp = sprinkle._block_placement(query, catalog)
-        for plan in itertools.islice(costplan.enumerate_plans(jd, jd.query_roots["q1"]), 40):
+        for plan in itertools.islice(enumerate_plans(jd, jd.query_roots["q1"]), 40):
             placed = sprinkle.place_selects_on_plan(plan, (), dp=dp)
             expected = reference_place(plan, dp)
             assert plan_key(placed) == plan_key(expected), sql
@@ -1162,7 +1162,7 @@ def brute_force_cost(query, catalog):
     retained = sqlfront.output_attrs(query, catalog)
     projected = bool(retained) and retained != sqlfront.all_query_attrs(query, catalog)
     best = math.inf
-    for plan in costplan.enumerate_plans(jd, jd.query_roots["q1"]):
+    for plan in enumerate_plans(jd, jd.query_roots["q1"]):
         nodes = list(walk_plan(plan))
         bases = [plan_bases(n) for n in nodes]
         inside = [{id(m) for m in walk_plan(n)} for n in nodes]
@@ -1355,7 +1355,7 @@ def test_landing_bounds_never_exceed_their_totals(tpch_catalog):
             if any(t <= memo.within_rounding(best[r]) for r, t in totals.items()):
                 assert landing in priced, sql
         landings = landing_bounds(jd, dp)
-        for plan in itertools.islice(costplan.enumerate_plans(jd, jd.query_roots["q1"]), 40):
+        for plan in itertools.islice(enumerate_plans(jd, jd.query_roots["q1"]), 40):
             one = memo.Dag()
             memo.register_root(one, "q1", costplan.intern_plan(one, plan))
             landings += landing_bounds(one, dp)
@@ -1542,6 +1542,153 @@ def test_optimize_many_matches_single_runs(company_catalog):
     _, plans, _ = sprinkle.optimize_many([("q1", q1), ("q2", q2)],
                                          company_catalog)
     assert {k: p.cum_cost for k, p in plans.items()} == singles
+
+
+def test_optimize_many_rejects_a_repeated_query_id(monkeypatch, company_catalog):
+    q1 = parse_query(fixture_sql("company", "q1"), company_catalog)
+    q2 = parse_query(fixture_sql("company", "q2"), company_catalog)
+    optimized = counting(monkeypatch, sprinkle, "optimize_single")
+    with pytest.raises(ValidationError, match="query id 'q' is repeated"):
+        sprinkle.optimize_many([("q", q1), ("q", q2)], company_catalog)
+    assert not optimized
+
+
+def test_sprinkle_projects_extends_the_dag_it_is_given(company_catalog):
+    q1 = parse_query(fixture_sql("company", "q1"), company_catalog)
+    q2 = parse_query(fixture_sql("company", "q2"), company_catalog)
+    queries = [("q1", q1), ("q2", q2)]
+    for qs in (queries[:1], queries):
+        dag = memo.Dag()
+        for query_id, query in qs:
+            jd = sprinkle.optimize_single(query, company_catalog).jd
+            memo.register_root(dag, query_id, memo.merge_below(dag, jd, jd.query_roots["q1"]))
+        ops = len(dag.op_nodes)
+        assert sprinkle.sprinkle_projects(dag, qs, company_catalog) is dag
+        assert len(dag.op_nodes) > ops
+
+
+def enumerate_and_intern(queries, catalog):
+    """`optimize_many` as it merged before `memo.merge_below`: every plan of
+    each query's result dag, in query-id order, interned into the shared
+    dag."""
+    ordered = sorted(queries, key=lambda pair: pair[0])
+    grown, shared = joindag.empty_history(catalog), memo.Dag()
+    for query_id, query in ordered:
+        res = sprinkle.optimize_single(query, catalog, history=grown, query_id=query_id)
+        grown = res.history
+        for plan in enumerate_plans(res.dag, res.dag.query_roots[query_id]):
+            root = costplan.intern_plan(shared, plan)
+        memo.register_root(shared, query_id, root)
+    sprinkle.sprinkle_projects(shared, ordered, catalog)
+    return shared, {qid: costplan.best_plan(shared, shared.query_roots[qid])
+                    for qid, _ in queries}
+
+
+def shared_facts(shared, plans):
+    """What a shared dag and its plans show with node ids left out."""
+    def sig(eq_id):
+        return shared.eq_nodes[eq_id].signature
+
+    arcs = {(sig(eq_id), op.kind, op.detail, tuple(map(sig, op.children))):
+            (op.op_cost.hex(), op.factor)
+            for eq_id, node in shared.eq_nodes.items()
+            for op in map(shared.op_nodes.__getitem__, node.child_ops)}
+    return {"arc signatures": memo.arc_signature_set(shared),
+            "sizes": {n.signature: n.est_size.hex() for n in shared.eq_nodes.values()},
+            "arcs": arcs,
+            "roots": {qid: sig(eq_id) for qid, eq_id in shared.query_roots.items()},
+            "plans": {qid: (plan_key(p), p.cum_cost.hex()) for qid, p in plans.items()}}
+
+
+def connected_part_sql(catalog, rng, max_selects=2):
+    """SELECT * over a random connected part of the largest FK-connected
+    component (one relation, or all of it) with random selects."""
+    comp = max(catalog.graph.components(), key=len)
+    edges = [e for e in catalog.graph.edges if set(e.relations()) <= comp]
+    rels, size = {rng.choice(sorted(comp))}, rng.randint(1, len(comp))
+    while len(rels) < size:
+        rels.add(rng.choice(sorted({r for e in edges for r in e.relations()
+                                    if set(e.relations()) & rels} - rels)))
+    conds = [f"{e.left[0]}.{e.left[1]} = {e.right[0]}.{e.right[1]}"
+             for e in edges if set(e.relations()) <= rels]
+    conds += [f"{rng.choice(sorted(rels))}.b > {rng.randint(1, 40)}"
+              for _ in range(rng.randint(0, max_selects))]
+    return (f"select * from {', '.join(sorted(rels))}"
+            + (" where " + " and ".join(conds) if conds else ""))
+
+
+def three_query_sets(count):
+    """(queries, catalog) per set: three queries over one `random_schema`
+    catalog, every other set's graph with a cycle, each query over a
+    connected part of it, flat, grouped, ordered, or both."""
+    rng = random.Random(1906)
+    sets = []
+    while len(sets) < count:
+        catalog = random_schema(rng, max_edges=8)
+        comp = max(catalog.graph.components(), key=len)
+        cyclic = sum(1 for e in catalog.graph.edges if set(e.relations()) <= comp) >= len(comp)
+        if cyclic != (len(sets) % 2 == 1):
+            continue
+        queries = []
+        for i in range(3):
+            query = parse_query(connected_part_sql(catalog, rng), catalog)
+            rel = sorted(query.tables)[0]
+            sql = render_query(query) + ("", f" group by {rel}.b", f" order by {rel}.a0",
+                                         f" group by {rel}.b order by {rel}.b")[
+                                             (len(sets) + i) % 4]
+            queries.append((f"q{i}", parse_query(sql, catalog)))
+        sets.append((queries, catalog))
+    return sets
+
+
+def symmetric_star(n):
+    """A star of n 1000-row leaves around a 1000-row centre, jsf 0.01: all
+    of its join orders tie."""
+    relations = [{"name": f"r{i}", "cardinality": 1000.0,
+                  "attributes": [{"name": "a0", "distinct": 100},
+                                 {"name": "a1", "distinct": 100},
+                                 {"name": "b", "distinct": 50}]} for i in range(n + 1)]
+    edges = [{"left": "r0.a0", "right": f"r{i}.a1", "jsf": 0.01} for i in range(1, n + 1)]
+    return make_catalog(relations, edges)
+
+
+def test_optimize_many_merges_the_memos_node_for_node(monkeypatch, company_catalog,
+                                                      tpch_catalog):
+    """The shared dag and plans of `optimize_many` are those of the
+    enumerate-and-intern merge, on the fixture sets, 40 random three-query
+    sets and a star whose 720 join orders tie; each merge leaves its source
+    as it was."""
+    cases = []
+    for group, catalog in (("company", company_catalog), ("tpch", tpch_catalog)):
+        queries = [(path.stem, parse_query(path.read_text(), catalog))
+                   for path in sorted((FIXTURES / group).glob("*.sql"))]
+        cases.append(([(qid, q) for qid, q in queries if q.subquery is None], catalog))
+    cases += three_query_sets(40)
+    star = symmetric_star(6)
+    cases.append(([(qid, parse_query(
+        f"select * from {', '.join(f'r{i}' for i in range(k + 1))} where "
+        + " and ".join(f"r0.a0 = r{i}.a1" for i in range(1, k + 1)) + extra, star))
+        for qid, k, extra in (("full", 6, ""), ("part", 4, " and r2.b > 9"))], star))
+    merge, untouched = memo.merge_below, []
+
+    def recording(dst, src, root):
+        before = memo.dag_to_doc(src)
+        out = merge(dst, src, root)
+        untouched.append(memo.dag_to_doc(src) == before)
+        return out
+
+    monkeypatch.setattr(memo, "merge_below", recording)
+    cyclic = grouped = ordered = 0
+    for queries, catalog in cases:
+        shared, plans, _ = sprinkle.optimize_many(queries, catalog)
+        oracle = enumerate_and_intern(queries, catalog)
+        assert shared_facts(shared, plans) == shared_facts(*oracle), queries
+        cyclic += any(op.kind == memo.KIND_JOINFILTER for op in shared.op_nodes.values())
+        grouped += any(q.group_by for _, q in queries)
+        ordered += any(q.order_by for _, q in queries)
+    assert len(untouched) == sum(len(queries) for queries, _ in cases) and all(untouched)
+    assert memo.plan_count_for(shared, shared.query_roots["full"]) == 720   # the star, last
+    assert cyclic >= 10 and grouped >= 30 and ordered >= 30
 
 
 # -- end-to-end orchestration --------------------------------------------------
