@@ -112,15 +112,17 @@ def plan_key(plan: Plan) -> str:
 
 # -- plans <-> memo ---------------------------------------------------------
 
-def _inputs_first(plan: Plan) -> list[Plan]:
-    """Every node of a plan tree, each node's inputs first and left to
-    right: the reverse of a walk from the root that takes the inputs right
-    to left, kept on a list of its own, so any depth works."""
+def _inputs_first(plan: Plan, interned=()) -> list[Plan]:
+    """Every node of a plan tree but those `interned` names by `id`, and
+    theirs, each node's inputs first and left to right: the reverse of a
+    walk from the root that takes the inputs right to left, kept on a list
+    of its own, so any depth works."""
     order, stack = [], [plan]
     while stack:
         node = stack.pop()
-        order.append(node)
-        stack += node.children
+        if id(node) not in interned:
+            order.append(node)
+            stack += node.children
     return order[::-1]
 
 
@@ -149,19 +151,21 @@ def intern_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
                           op_cost(kind, sizes), factor)
 
 
-def intern_plan(dag: Dag, plan: Plan) -> int:
+def intern_plan(dag: Dag, plan: Plan, interned: dict[int, int] | None = None) -> int:
     """Intern every node of a plan tree into the memo, each node's inputs
-    first and left to right (`_inputs_first`); returns the root eq-node."""
-    ids: list[int] = []   # eq-nodes of interned nodes whose parent is not interned yet
-    for node in _inputs_first(plan):
-        if node.kind == "base":
-            ids.append(memo.ensure_base(dag, node.relation, node.est_size))
-            continue
-        children = tuple(ids[len(ids) - len(node.children):])
-        del ids[len(ids) - len(node.children):]
-        ids.append(memo.attach_op(dag, node.kind, node.detail, children,
-                                  node.est_size, node.op_cost, node.factor))
-    return ids[0]
+    first and left to right (`_inputs_first`); returns the root eq-node.
+    `interned` maps the `id` of each plan node already interned into `dag`,
+    which the caller keeps alive, to its eq-node: such a node, and its
+    subtree, is skipped, as interning it again would only find it, and
+    each node interned here is added."""
+    interned = {} if interned is None else interned
+    for node in _inputs_first(plan, interned):
+        interned[id(node)] = (memo.ensure_base(dag, node.relation, node.est_size)
+                              if node.kind == "base" else
+                              memo.attach_op(dag, node.kind, node.detail,
+                                             tuple([interned[id(c)] for c in node.children]),
+                                             node.est_size, node.op_cost, node.factor))
+    return interned[id(plan)]
 
 
 def check_estimates(dag: Dag) -> None:

@@ -11,10 +11,12 @@ searches.  The group-by, its having directly above it, may land on any
 partial result that covers the grouping relations and holds every select
 on its own relations; the order-by may sit on any partial result that
 covers the order relations outside the group-by's subtree; the projection
-tops the root.  A landing scales every size above it by one ratio,
-|grouped| / |landing|, so one pass over the memo nodes above a landing
-prices it (`_costs`).  Different landings give the same signatures
-different sizes, so the memo takes one: the cheapest, the root on a tie.
+tops the root.  The search reads the join/select memo below the forest
+root in place (`Dag.below`), its eq-nodes inputs first.  A landing scales
+every size above it by one ratio, |grouped| / |landing|, so one scan of the
+memo nodes after a landing prices those above it (`_costs`).  Different
+landings give the same signatures different sizes, so the memo takes one:
+the cheapest, the root on a tie.
 Above the join/select memo it then holds the plans that reach the least
 cost with that landing (`_intern_cheapest`), topped by the projection and
 then the order-by, and `costplan.best_plan` reads the optimum off the memo.
@@ -63,41 +65,6 @@ def apply_suffix(dag: Dag, top_eq: int, steps) -> int:
     return eq
 
 
-class _Forest:
-    """The join/select memo below one query's forest root, read in place
-    (`Dag.below`) as the placement search reads it: its eq-nodes inputs
-    first, and each one's op-nodes, relations, applied selects, size and
-    consumers."""
-
-    def __init__(self, dag: Dag, root: int):
-        view = dag.below(root)
-        eq_nodes, op_nodes = view.eq_nodes, view.op_nodes
-        self.ops = ops = {eq: [op_nodes[o] for o in node.child_ops]
-                          for eq, node in eq_nodes.items()}
-        sigs = {eq: node.signature for eq, node in eq_nodes.items()}
-        self.order = sorted(ops, key=lambda eq: (len(sigs[eq][0]) + len(sigs[eq][1])
-                                                 + len(sigs[eq][2]), eq))
-        self.position = {eq: i for i, eq in enumerate(self.order)}
-        self.rels = {eq: frozenset(sig[0]) for eq, sig in sigs.items()}
-        self.unary = {eq: sig[2] for eq, sig in sigs.items()}
-        self.size = {eq: eq_nodes[eq].est_size for eq in ops}
-        self.consumers: dict[int, list[int]] = {eq: [] for eq in ops}
-        for eq in self.order:
-            for op in ops[eq]:
-                for child in op.children:
-                    self.consumers[child].append(eq)
-
-    def above(self, eq_id: int) -> list[int]:
-        """The eq-nodes whose partial results contain `eq_id`'s, inputs first."""
-        found, stack = set(), [eq_id]
-        while stack:
-            for parent in self.consumers[stack.pop()]:
-                if parent not in found:
-                    found.add(parent)
-                    stack.append(parent)
-        return sorted(found, key=self.position.__getitem__)
-
-
 class _Costs(NamedTuple):
     """Least costs of a forest's eq-nodes with the group-by on `landing`
     (None: no group-by), without the order-by (`least`) and with it at or
@@ -112,35 +79,43 @@ class _Costs(NamedTuple):
     sorted: dict[int, float]
 
 
-def _costs(f: _Forest, order_rels: frozenset[str], steps=(), landing: int | None = None,
-           base: _Costs | None = None) -> _Costs:
-    """The least costs of every eq-node of `f`, or, with `landing`, of the
+def _costs(view: Dag, order: list[int], order_rels: frozenset[str], steps=(),
+           at: int | None = None, base: _Costs | None = None) -> _Costs:
+    """The least costs of every eq-node of the forest `view`, `order` its
+    eq-nodes inputs first, or, with the group-by on `order[at]`, of that
     landing and the eq-nodes above it, the others read from `base`.
 
-    Each op above a landing consumes one input that contains it, whose size
-    is its memo size times the landing's ratio, so the op costs its memo
-    cost times that ratio; an op with no such input puts the group-by
-    elsewhere, and is skipped.
+    An eq-node after the landing is above it if it has an op over the
+    landing or a node above it, whose size is its memo size times the
+    landing's ratio, so the op costs its memo cost times that ratio; an op
+    with no such input puts the group-by elsewhere, and is skipped.
     """
-    if landing is None:
-        ratio, grouped, nodes, least, ordered = 1.0, set(), f.order, {}, {}
+    eq_nodes, op_nodes = view.eq_nodes, view.op_nodes
+    if at is None:
+        landing, ratio, grouped, nodes, least, ordered = None, 1.0, set(), order, {}, {}
     else:
-        size, cost = f.size[landing], base.least[landing]
+        landing = order[at]
+        size, cost = eq_nodes[landing].est_size, base.least[landing]
         for kind, _, factor in steps:
             cost += costplan.op_cost(kind, (size,))
             size = costplan.estimate_size(kind, (size,), factor)
-        ratio = size / f.size[landing] if f.size[landing] else 0.0
-        grouped, nodes = {landing}, f.above(landing)
+        ratio = size / eq_nodes[landing].est_size if eq_nodes[landing].est_size else 0.0
+        grouped, nodes = {landing}, order[at + 1:]
         least, ordered = dict(base.least), dict(base.sorted)
         least[landing] = cost
-        ordered[landing] = cost + size if order_rels <= f.rels[landing] else math.inf
+        ordered[landing] = (cost + size if order_rels.issubset(eq_nodes[landing].signature[0])
+                            else math.inf)
     for eq in nodes:
-        built = math.inf if f.ops[eq] else 0.0   # a base relation costs nothing
-        built_sorted = math.inf
-        for op in f.ops[eq]:
-            a, b = op.children[0], op.children[-1]   # a unary op's input twice
-            if grouped and a not in grouped and b not in grouped:
+        node = eq_nodes[eq]
+        ops = [op_nodes[o] for o in node.child_ops]
+        if grouped:
+            ops = [op for op in ops if op.children[0] in grouped or op.children[-1] in grouped]
+            if not ops:   # not above the landing
                 continue
+        built = math.inf if ops else 0.0   # a base relation costs nothing
+        built_sorted = math.inf
+        for op in ops:
+            a, b = op.children[0], op.children[-1]   # a unary op's input twice
             here = ratio * op.op_cost if grouped else op.op_cost
             cost = here + least[a] if a == b else here + least[a] + least[b]
             if cost < built:
@@ -150,53 +125,60 @@ def _costs(f: _Forest, order_rels: frozenset[str], steps=(), landing: int | None
                                                             here + least[a] + ordered[b])
                 if cost < built_sorted:
                     built_sorted = cost
-        if order_rels and order_rels <= f.rels[eq] and built + ratio * f.size[eq] < built_sorted:
-            built_sorted = built + ratio * f.size[eq]   # the order-by on top of the node
+        if (order_rels and order_rels.issubset(node.signature[0])
+                and built + ratio * node.est_size < built_sorted):
+            built_sorted = built + ratio * node.est_size   # the order-by on top of the node
         least[eq], ordered[eq] = built, built_sorted
         if grouped:
             grouped.add(eq)
     return _Costs(landing, ratio, grouped, least, ordered)
 
 
-def _cheapest_landing(f: _Forest, base: _Costs, root: int, query: Query, steps,
+def _cheapest_landing(view: Dag, order: list[int], base: _Costs, query: Query, steps,
                       order_rels: frozenset[str], projected: bool) -> _Costs:
     """The landing of least cost, the root projection included; the root
-    on a tie.
+    (`order[-1]`) on a tie.
 
     The other landings are tried by the cost of their subtree and group-by,
     least first, until that alone reaches the best total found.
     """
+    eq_nodes, root = view.eq_nodes, order[-1]
+
     def total(costs: _Costs) -> float:
         cost = costs.sorted[root] if order_rels else costs.least[root]
-        return cost + costs.ratio * f.size[root] if projected else cost
+        return cost + costs.ratio * eq_nodes[root].est_size if projected else cost
 
     grouping = {r for r, _ in query.group_by}
     on: dict[str, set[str]] = {}
     for cond in query.selects:
         on.setdefault(cond.relation, set()).add(cond.canonical())
-    bound = {eq: base.least[eq] + costplan.op_cost(KIND_GROUPBY, (f.size[eq],))
-             for eq in f.order if eq != root and grouping <= f.rels[eq]
-             and all(on.get(r, set()).issubset(f.unary[eq]) for r in f.rels[eq])}
-    best = _costs(f, order_rels, steps, root, base)
+    bounds = []   # (bound, position) per landing but the root
+    for i, eq in enumerate(order[:-1]):
+        bases, _, unary, _ = eq_nodes[eq].signature
+        if grouping.issubset(bases) and all(on.get(r, set()).issubset(unary) for r in bases):
+            bounds.append((base.least[eq] + costplan.op_cost(KIND_GROUPBY,
+                                                             (eq_nodes[eq].est_size,)), i))
+    best = _costs(view, order, order_rels, steps, len(order) - 1, base)
     least = total(best)
-    for eq in sorted(bound, key=lambda e: (bound[e], f.position[e])):
-        if bound[eq] >= least:
+    for bound, i in sorted(bounds):
+        if bound >= least:
             break
-        costs = _costs(f, order_rels, steps, eq, base)
+        costs = _costs(view, order, order_rels, steps, i, base)
         if total(costs) < least and not memo.sizes_agree(total(costs), least):
             best, least = costs, total(costs)
     return best
 
 
-def _intern_cheapest(dag: Dag, f: _Forest, c: _Costs, root: int, steps,
+def _intern_cheapest(dag: Dag, view: Dag, c: _Costs, root: int, steps,
                      order_text: str, order_rels: frozenset[str]) -> tuple[int, int | None]:
-    """Intern the plans above the forest that put the group-by on
+    """Intern the plans above the forest `view` that put the group-by on
     `c.landing` (if any) and the order-by where they cost least.
 
     Returns the grouped root, and the root with the order-by below it (None
     if it costs least on top).  A plan is kept when it costs within
     memo.SIZE_RTOL of its eq-node's least, so ties keep every plan they tie.
     """
+    eq_nodes, op_nodes = view.eq_nodes, view.op_nodes
     built: dict[tuple[int, bool], int | None] = {}
 
     def sort(eq: int) -> int:
@@ -219,10 +201,11 @@ def _intern_cheapest(dag: Dag, f: _Forest, c: _Costs, root: int, steps,
             out = eq
         else:
             scale, out = c.ratio if eq in c.grouped else 1.0, None
-            if ordered and sort_here and order_rels <= f.rels[eq] and (
-                    c.least[eq] + scale * f.size[eq] <= memo.within_rounding(costs[eq])):
+            if ordered and sort_here and order_rels.issubset(eq_nodes[eq].signature[0]) and (
+                    c.least[eq] + scale * eq_nodes[eq].est_size
+                    <= memo.within_rounding(costs[eq])):
                 out = sort(build(eq, False))
-            for op in f.ops[eq]:
+            for op in map(op_nodes.__getitem__, eq_nodes[eq].child_ops):
                 kids = op.children
                 if eq in c.grouped and not c.grouped.intersection(kids):
                     continue   # the group-by elsewhere
@@ -248,14 +231,16 @@ def _place_suffix(dag: Dag, top: int, query: Query, catalog: Catalog) -> int:
     order_rels = frozenset(item.relation for item in query.order_by)
     grouped = sorted_below = None
     if steps or order_rels:
-        f = _Forest(dag, top)
-        costs = _costs(f, order_rels)
+        view = dag.below(top)
+        nodes = view.eq_nodes   # inputs first: by signature entries, then id
+        order = sorted(nodes, key=lambda eq: (sum(map(len, nodes[eq].signature[:3])), eq))
+        costs = _costs(view, order, order_rels)
         if steps:
-            costs = _cheapest_landing(f, costs, top, query, steps, order_rels, projected)
+            costs = _cheapest_landing(view, order, costs, query, steps, order_rels, projected)
             if costs.landing != top:   # name the landing
                 steps[0] = (KIND_GROUPBY, sqlfront.groupby_text(
                     query.group_by, dag.eq_nodes[costs.landing].text), steps[0][2])
-        grouped, sorted_below = _intern_cheapest(dag, f, costs, top, steps,
+        grouped, sorted_below = _intern_cheapest(dag, view, costs, top, steps,
                                                  sqlfront.orderby_text(query.order_by),
                                                  order_rels)
     root = top if grouped is None else grouped

@@ -28,13 +28,15 @@ below it) is exact.  A landing changes every size above it, so each landing
 runs its own pass over the nodes above it, with the selects on its
 relations fixed below; only landings whose bound (`_Placement.bound`) can
 reach the optimum get one.  The DP runs once per block, over the memo
-(`_select_floors`), an eq-node's op-nodes its alternatives, and keeps its
-tables (`_Cell`): per set u below a node's operator, the least cost of the
-operator and its inputs (`total`) and the output size; per set s at or
-below it, the least cost and size.  The stage then reads the decorated
-plans that tie the optimum back from them (`_tied_plans`): from each root,
-it follows every op-node and placement whose cost fits within the root's
-rounding slack, and builds those plans only.
+(`_select_floors`), an eq-node's op-nodes its alternatives, and keeps one
+cell per node it priced (`_Cell`): the alternatives its step read, each an
+op-node and its input cells, and its tables, per set u below the node's
+operator the least cost of the operator and its inputs (`total`) and the
+output size, per set s at or below it the least cost and size.  The stage
+then reads the decorated plans that tie the optimum back from them
+(`_tied_plans`): from each root cell it walks down the cells, follows
+every op-node and placement whose cost fits within the root's rounding
+slack, and builds those plans only.
 """
 
 from __future__ import annotations
@@ -85,16 +87,22 @@ def _stack_factors(ordered) -> tuple[list[float], list[float]]:
 
 
 class _Cell:
-    """Placement tables of one plan node or memo eq-node.  Lists are indexed
-    by bit masks; `u` is the set placed below the node's own operator, `s`
-    the set placed at or below the node.  Only a block with a group-by or
-    an order-by sets `rels`, its grouping and ordering relations as bits,
-    and `fixed`, the bits a group-by landing at or below it holds; only a
-    landing sets `grouping`, its group-by's cost with its having's."""
+    """Placement tables of one plan node or memo eq-node (`eq`), and the
+    alternatives its DP step read, each (op-node, input cells): a leaf's
+    one has neither, a landing's is its group-by (no op-node) over the
+    node's plain cell.  `landed` marks a cell at or above a landing.  Lists
+    are indexed by bit masks; `u` is the set placed below the node's own
+    operator, `s` the set placed at or below the node.  Only a block with a
+    group-by or an order-by sets `rels`, its grouping and ordering
+    relations as bits, and `fixed`, the bits a group-by landing at or below
+    it holds; only a landing sets `grouping`, its group-by's cost with its
+    having's."""
 
-    __slots__ = ("mask", "cmask", "fixed", "rels", "grouping", "total", "pre", "best", "out")
+    __slots__ = ("eq", "alternatives", "landed", "mask", "cmask", "fixed", "rels", "grouping",
+                 "total", "pre", "best", "out")
 
-    def __init__(self, mask: int, width: int):
+    def __init__(self, mask: int, width: int, alternatives):
+        self.alternatives, self.landed = alternatives, False
         self.mask = mask                 # the bits that may sit at or below the node
         self.cmask = mask                # the bits that may sit below its operator
         self.total = [0.0] * width       # least cost of the operator and its inputs, by u
@@ -147,7 +155,7 @@ class _Placement:
 
     def leaf(self, relation: str, size: float) -> _Cell:
         """A base relation's tables: all its selects stack on it."""
-        cell = _Cell(self.on_relation.get(relation, 0), self.width)
+        cell = _Cell(self.on_relation.get(relation, 0), self.width, [(None, ())])
         cell.cmask, cell.pre[0], cell.out = 0, size, [0.0] * self.width
         if self.rel_bits:   # a group-by or an order-by: where the leaf stands
             cell.rels, cell.fixed = self.rel_bits.get(relation, 0), 0
@@ -158,26 +166,32 @@ class _Placement:
         return cell
 
     def node(self, alternatives, all_s: bool = True) -> _Cell:
-        """The DP step: a node's tables from its alternatives, each (kind,
-        factor, child cells).
+        """The DP step: a node's tables from its alternatives, each
+        (op-node, input cells), which the cell keeps.
 
         Over an alternative with U below it, a node costs the op over the
         children's sizes under U, plus the children's best costs under U
         (together `total`), plus the stack of S - U on the op's output, so
-        the DP is exact in O(nodes * 3**bits).  Per U the least total wins;
-        the first alternative gives the sizes, on which an eq-node's
-        op-nodes agree up to rounding.  Every bit of S can sit below the op
-        but an order-by that enters here, which is size-neutral, so `out` is
-        `pre`.  Unless `all_s`, `best` is filled only at S = mask, all that
-        a node no op consumes needs.
+        the DP is exact in O(nodes * 3**bits).  Per U the least total of
+        the op-nodes whose inputs hold U wins: an order-by sits below an
+        op-node only in an input that covers its relations, which depends
+        on how the op-node splits them.  The first alternative gives the
+        sizes, on which an eq-node's op-nodes agree up to rounding.  Every
+        bit of S can sit below some op-node but an order-by that enters
+        here, which is size-neutral, so `out` is `pre`.  Unless `all_s`,
+        `best` is filled only at S = mask, all that a node no op consumes
+        needs.
         """
-        (kind, factor, children), *rest = alternatives
+        (op, children), *rest = alternatives
         first, last = children[0], children[-1]   # a join's two inputs, or a unary op's one
-        cmask = mask = first.mask | last.mask
-        cell = _Cell(mask, self.width)
+        held = cmask = mask = first.mask | last.mask
+        for _, inputs in rest:
+            cmask = mask = cmask | inputs[0].mask | inputs[-1].mask
+        cell = _Cell(mask, self.width, alternatives)
         subsets = self.subsets
         if self.rel_bits:   # a group-by or an order-by: where the node stands
             cell.rels, cell.fixed = first.rels | last.rels, first.fixed | last.fixed
+            cell.landed = first.landed or last.landed
             if cell.fixed:
                 subsets = self.fixing(cell.fixed)
             if cell.rels & self.ob_rels == self.ob_rels:
@@ -185,6 +199,7 @@ class _Placement:
         total, pre, best = cell.total, cell.pre, cell.best
         stack_cost = self.stack_cost
         op_cost, estimate_size = costplan.op_cost, costplan.estimate_size
+        kind, factor = op.kind, op.factor
         if len(children) == 2:   # a join; the first alternative sets every u
             m1, m2, z1, z2, b1, b2 = first.mask, last.mask, first.out, last.out, first.best, last.best
             for u in subsets[cmask]:
@@ -197,17 +212,22 @@ class _Placement:
                 sizes = (z1[u],)
                 pre[u] = estimate_size(kind, sizes, factor)
                 total[u] = op_cost(kind, sizes) + b1[u]
-        for kind, factor, children in rest:   # each later one only where it is cheaper
+        if held != cmask:   # an order-by the first op-node's inputs cannot hold
+            for u in subsets[cmask]:
+                if u & ~held:
+                    total[u] = math.inf
+        for op, children in rest:   # each later one only where it is cheaper
+            kind = op.kind
             if len(children) == 2:
                 c1, c2 = children
                 m1, m2, z1, z2, b1, b2 = c1.mask, c2.mask, c1.out, c2.out, c1.best, c2.best
-                for u in subsets[cmask]:
+                for u in subsets[m1 | m2]:
                     cost = op_cost(kind, (z1[u & m1], z2[u & m2])) + (b1[u & m1] + b2[u & m2])
                     if cost < total[u]:
                         total[u] = cost
             else:
                 z1, b1 = children[0].out, children[0].best
-                for u in subsets[cmask]:
+                for u in subsets[children[0].mask]:
                     cost = op_cost(kind, (z1[u],)) + b1[u]
                     if cost < total[u]:
                         total[u] = cost
@@ -229,8 +249,8 @@ class _Placement:
         `fixed` from here up, and no order-by, which may stack on it."""
         fixed = cell.mask & ~self.ob_bit
         _, d, having = self.group
-        out = _Cell(cell.mask, self.width)
-        out.cmask, out.fixed, out.rels = fixed, fixed, cell.rels
+        out = _Cell(cell.mask, self.width, [(None, (cell,))])
+        out.cmask, out.fixed, out.rels, out.landed = fixed, fixed, cell.rels, True
         cost, size = 0.0, cell.out[fixed]
         for kind, factor in [(KIND_GROUPBY, d)] + ([(KIND_HAVING, having.ssf)] if having else []):
             cost += costplan.op_cost(kind, (size,))
@@ -256,43 +276,37 @@ class _Pass(NamedTuple):
     """The tables of a block's one DP pass over its memo."""
 
     cells: dict[int, _Cell]                        # each eq-node's plain tables
-    tiers: list[tuple[int, dict[int, _Cell]]]      # per landing priced: it, and its tier's tables
+    tiers: list[dict[int, _Cell]]                  # per landing priced, its tier's cells, it first
     optimum: dict[int, float]                      # each query root's least `dp.total`
 
 
-def _tied_plans(dag: Dag, dp: _Placement, cells: dict[int, _Cell], landing: int | None,
-                tier: dict[int, _Cell], root: int, budget: float, ranks: dict) -> list:
-    """Every decorated plan below `root` whose DP cost is at most `budget`,
-    as (DP cost, depth key, walk key, landing depth, built plan); with a
-    `landing`, those with the group-by there, `tier` its pass's tables.
+def _tied_plans(dag: Dag, dp: _Placement, top: _Cell, budget: float, ranks: dict) -> list:
+    """Every decorated plan below the cell `top` whose DP cost is at most
+    `budget`, as (DP cost, depth key, walk key, landing depth, built plan):
+    a walk down the cells, each over the alternatives its DP step read.
 
-    At a node, a set u placed below its operator whose cell's `total` is
-    above the budget is skipped.  Otherwise each op-node costs `here` (its
-    op, and the stack of the rest of S on its output) plus its inputs'
-    least costs under u; a leaf's op costs 0, and the group-by's is its
-    landing cell's `grouping`, over its input's least cost.  One that fits
-    the budget gives each input the budget less `here` and the other
-    inputs' least costs, and each combination of their plans that fits is
-    built bottom-up, because the DP and a built plan add in different
-    orders.  `total` keeps only the least op-node per u, so each op-node's
-    cost is recomputed here, on traced cells only.  A non-finite cost is
-    never above the budget, so such a block keeps every plan.  The depth
-    key gives each bit the depth of the node it sits on, the group-by
-    counting as a node above its landing; the walk key orders join plans
-    by their root's op-node in `OpNode.sort_key` order, then by their
-    inputs' plans left to right (`ranks` caches each eq-node's op-nodes in
-    that order).  A block with nothing to place keeps the memo's plans,
-    with the memo's sizes and costs."""
+    At a cell, a set u placed below its operator whose `total` is above
+    the budget is skipped, and so is an op-node whose inputs do not hold
+    u.  Otherwise each op-node costs `here` (its op, and the stack of the
+    rest of S on its output) plus its inputs' least costs under u; a
+    leaf's op costs 0, and the group-by's is its landing cell's
+    `grouping`, over its input's least cost.  One that fits the budget
+    gives each input the budget less `here` and the other inputs' least
+    costs, and each combination of their plans that fits is built
+    bottom-up, because the DP and a built plan add in different orders.
+    `total` keeps only the least op-node per u, so each op-node's cost is
+    recomputed here, on traced cells only.  A non-finite cost is never
+    above the budget, so such a block keeps every plan.  The depth key
+    gives each bit the depth of the node it sits on, the group-by counting
+    as a node above its landing; the walk key orders join plans by their
+    root's op-node in `OpNode.sort_key` order, then by their inputs' plans
+    left to right (`ranks` caches each eq-node's op-nodes in that order).
+    A block with nothing to place keeps the memo's plans, with the memo's
+    sizes and costs."""
     subsets, stack_cost, ops, stacking = dp.subsets, dp.stack_cost, dp.ops, dp.stacking
     eq_nodes, op_nodes = dag.eq_nodes, dag.op_nodes
     op_cost, estimate_size = costplan.op_cost, costplan.estimate_size
     stored = dp.width == 1 and dp.group is None   # nothing to place: the memo's own plans
-    if landing is not None:   # the group-by's detail names its input's signature
-        group_by, d, having = dp.group
-        bases, joins, unary, projection = eq_nodes[landing].signature
-        placed = tuple(ops[i][1] for i in range(len(ops)) if tier[landing].cmask >> i & 1)
-        scope = memo.signature_text(memo.make_signature(bases, joins, unary + placed, projection))
-        grouping = sqlfront.groupby_text(group_by, scope)
 
     def rank(eq_id: int) -> dict[int, int]:
         if eq_id not in ranks:
@@ -300,50 +314,37 @@ def _tied_plans(dag: Dag, dp: _Placement, cells: dict[int, _Cell], landing: int 
             ranks[eq_id] = {op_id: r for r, op_id in enumerate(ordered)}
         return ranks[eq_id]
 
-    seen: dict[tuple, tuple[float, list]] = {}   # (eq-node, above, S) -> (budget, plans)
-    shapes: dict[tuple, list] = {}   # (eq-node, above) -> its alternatives and their inputs
+    seen: dict[tuple, tuple[float, list]] = {}   # (cell, S) -> (budget, plans)
 
-    def alternatives(eq_id: int, above: bool) -> list:
-        """(op-node, its inputs as (eq-node, above), their cells) per
-        alternative; None for the group-by over its landing, or a leaf."""
-        if (eq_id, above) not in shapes:
-            node = eq_nodes[eq_id]
-            if above and eq_id == landing:   # the group-by over the plain node
-                found = [(None, [(eq_id, False)])]
-            elif not node.child_ops:   # a leaf
-                found = [(None, [])]
-            else:
-                found = [(op, inputs) for op in map(op_nodes.__getitem__, node.child_ops)
-                         for inputs in [[(c, above and c in tier) for c in op.children]]
-                         if not above or any(a for _, a in inputs)]
-            shapes[eq_id, above] = [(op, inputs, [(tier if a else cells)[c] for c, a in inputs])
-                                    for op, inputs in found]
-        return shapes[eq_id, above]
-
-    def walk(eq_id: int, above: bool, s: int, budget: float) -> list:
-        """`above`: the node may hold the landing at or below it.  Depths
-        count from this node; a budget within one already walked reuses its
-        plans."""
-        known = seen.get((eq_id, above, s))
+    def walk(cell: _Cell, s: int, budget: float) -> list:
+        """Depths count from this cell; a budget within one already walked
+        reuses its plans."""
+        known = seen.get((cell, s))
         if known is not None and budget <= known[0]:
             return [plan for plan in known[1] if not plan[0] > budget]
-        node, cell = eq_nodes[eq_id], (tier if above else cells)[eq_id]
-        found = []
+        node, found = eq_nodes[cell.eq], []
+        if cell.landed and cell.alternatives[0][0] is None:   # a landing: name its input
+            (group_by, d, having), (bases, joins, unary, projection) = dp.group, node.signature
+            placed = tuple(ops[i][1] for i in range(len(ops)) if cell.cmask >> i & 1)
+            grouping = sqlfront.groupby_text(group_by, memo.signature_text(
+                memo.make_signature(bases, joins, unary + placed, projection)))
         for u in (dp.fixing(cell.fixed) if dp.group and cell.fixed else subsets)[s & cell.cmask]:
             if cell.total[u] > budget:   # no op-node's op and inputs cost less
                 continue
             mine = [i for i in stacking if (s ^ u) >> i & 1]
-            for op, inputs, kids in alternatives(eq_id, above):
+            for op, kids in cell.alternatives:
                 if op is None:   # the group-by over its input, or a leaf
                     local, below = (cell.grouping, kids[0].best[u]) if kids else (0.0, 0.0)
                     pre = cell.pre[u]
                 else:
+                    k1, k2 = kids[0], kids[-1]
+                    if u & ~(k1.mask | k2.mask):   # an order-by its inputs cannot hold
+                        continue
                     if len(kids) == 2:
-                        k1, k2 = kids
                         t1, t2 = u & k1.mask, u & k2.mask
                         sizes, below = (k1.out[t1], k2.out[t2]), k1.best[t1] + k2.best[t2]
                     else:
-                        sizes, below = (kids[0].out[u],), kids[0].best[u]
+                        sizes, below = (k1.out[u],), k1.best[u]
                     local = op_cost(op.kind, sizes)
                     if local + below > budget:
                         continue
@@ -353,8 +354,7 @@ def _tied_plans(dag: Dag, dp: _Placement, cells: dict[int, _Cell], landing: int 
                     continue
                 slack = budget - here - below   # what each input may spend above its best
                 sets = [u & k.mask for k in kids]
-                options = [walk(c, a, t, k.best[t] + slack)
-                           for (c, a), k, t in zip(inputs, kids, sets)]
+                options = [walk(k, t, k.best[t] + slack) for k, t in zip(kids, sets)]
                 for combo in itertools.product(*options):
                     cost = here + sum(c[0] for c in combo)
                     if cost > budget:
@@ -365,9 +365,9 @@ def _tied_plans(dag: Dag, dp: _Placement, cells: dict[int, _Cell], landing: int 
                         built = (Plan(op.kind, op.detail, None, inner, op.factor, node.est_size,
                                       op.op_cost, op.op_cost + sum(p.cum_cost for p in inner))
                                  if stored else op_plan(op.kind, op.detail, inner, op.factor))
-                        order = (rank(eq_id)[op.id], *(c[2] for c in combo))
-                        if above:
-                            at = sum(c[3] + 1 for (_, a), c in zip(inputs, combo) if a)
+                        order = (rank(cell.eq)[op.id], *(c[2] for c in combo))
+                        if cell.landed:
+                            at = sum(c[3] + 1 for k, c in zip(kids, combo) if k.landed)
                     elif combo:
                         built = op_plan(KIND_GROUPBY, grouping, (combo[0][4],), d)
                         if having is not None:
@@ -380,29 +380,31 @@ def _tied_plans(dag: Dag, dp: _Placement, cells: dict[int, _Cell], landing: int 
                     key = tuple([sum(c[1][i] + (t >> i & 1) for c, t in zip(combo, sets))
                                  for i in range(len(ops))])
                     found.append((cost, key, order, at, built))
-        seen[eq_id, above, s] = budget, found
+        seen[cell, s] = budget, found
         return found
 
-    return walk(root, landing is not None, dp.width - 1, budget)
+    return walk(top, dp.width - 1, budget)
 
 
 def _chosen_plans(dag: Dag, dp: _Placement, passed: _Pass, root: int) -> dict:
     """Each join plan below `root` with a decoration within memo.SIZE_RTOL
     of the root's optimum, by walk key: its cheapest built decoration, as
-    (`dp.total`, landing depth, depth key, plan).  Cost ties go to the
-    landing nearest the root, then to the least depth key, so to positions
-    nearer the root."""
+    (`dp.total`, landing depth, depth key, plan), read back from the root's
+    plain cell, or with a group-by from each tier's root cell.  Cost ties
+    go to the landing nearest the root, then to the least depth key, so to
+    positions nearer the root."""
     full, ranks, chosen = dp.width - 1, {}, {}
     budget = memo.within_rounding(passed.optimum[root])
-    for landing, tier in passed.tiers if dp.group is not None else [(None, {})]:
-        top = passed.cells[root] if landing is None else tier.get(root)
+    tops = ([tier.get(root) for tier in passed.tiers] if dp.group is not None
+            else [passed.cells[root]])
+    for top in tops:
         if top is None:
             continue
         total = dp.total(top.best[full], top.out[full])
         if total > budget:
             continue
-        for _, key, walk, k, plan in _tied_plans(dag, dp, passed.cells, landing, tier, root,
-                                                 budget - (total - top.best[full]), ranks):
+        for _, key, walk, k, plan in _tied_plans(dag, dp, top, budget - (total - top.best[full]),
+                                                 ranks):
             candidate = (dp.total(plan.cum_cost, plan.est_size), k, key, plan)
             if walk not in chosen or candidate[:3] < chosen[walk][:3]:
                 chosen[walk] = candidate
@@ -436,7 +438,8 @@ def _decorate_stage(dag: Dag, dp: _Placement, passed: _Pass) -> Dag:
     plans left to right), each while its cost is at most the running best,
     which starts at the optimum within memo.SIZE_RTOL and falls to each kept
     plan's cost.  A landing is part of the root's signature; only the
-    signature class of the cheapest plan is kept."""
+    signature class of the cheapest plan is kept.  Each distinct sub-plan
+    object of a root's kept plans is interned once."""
     fresh = Dag()
     for query_id, root in sorted(dag.query_roots.items()):
         chosen = _chosen_plans(dag, dp, passed, root)
@@ -452,8 +455,9 @@ def _decorate_stage(dag: Dag, dp: _Placement, passed: _Pass) -> Dag:
             classes = [memo.signature_text(costplan.plan_signature(p)) for _, p in kept]
             winner = min((c, sig) for (c, _), sig in zip(kept, classes))[1]   # the cheapest's
             kept = [pair for pair, sig in zip(kept, classes) if sig == winner]
+        interned: dict[int, int] = {}   # the kept plans hold every node it names
         for _, decorated in kept:
-            new_root = costplan.intern_plan(fresh, decorated)
+            new_root = costplan.intern_plan(fresh, decorated, interned)
         memo.register_root(fresh, query_id, new_root)
     return fresh
 
@@ -462,23 +466,26 @@ def _select_floors(dag: Dag, dp: _Placement) -> _Pass:
     """The block's one DP pass: `dp` over the memo, an eq-node's op-nodes
     its alternatives, plain and per landing above it, in increasing
     `_Placement.bound` up to one that no root's optimum can reach.  Its
-    tables are kept for `_decorate_stage`.  The memo holds only nodes below
+    cells are kept for `_decorate_stage`.  The memo holds only nodes below
     its query roots, as a join dag (`memo.Dag.below`) and a one-plan memo
     (`place_selects_on_plan`) do, so every eq-node but a root is some
     op-node's input and needs `best` at every set.  A root, which no op may
     consume, gets its least `dp.total` at the full set: its least decorated
-    cost, exactly, the floor of every plan the stage keeps."""
+    cost, exactly, the floor of every plan the stage keeps.  A landing's
+    tier is its cell and the cells of the eq-nodes after it with an
+    op-node over the tier."""
     tops = set(dag.query_roots.values())
     order = memo.topological_order(dag)[::-1]   # inputs first
     cells: dict[int, _Cell] = {}
     for eq_id in order:
         node = dag.eq_nodes[eq_id]
         if node.is_base:
-            cells[eq_id] = dp.leaf(node.signature[0][0], node.est_size)
-            continue
-        ops = map(dag.op_nodes.__getitem__, node.child_ops)
-        cells[eq_id] = dp.node([(op.kind, op.factor, tuple(map(cells.__getitem__, op.children)))
-                                for op in ops], dp.group is not None or eq_id not in tops)
+            cell = dp.leaf(node.signature[0][0], node.est_size)
+        else:
+            cell = dp.node([(op, tuple(map(cells.__getitem__, op.children)))
+                            for op in map(dag.op_nodes.__getitem__, node.child_ops)],
+                           dp.group is not None or eq_id not in tops)
+        cells[eq_id], cell.eq = cell, eq_id
     full = dp.width - 1
     plain = {root: dp.total(cells[root].best[full], cells[root].out[full])
              for root in dag.query_roots.values()}
@@ -488,6 +495,7 @@ def _select_floors(dag: Dag, dp: _Placement) -> _Pass:
     for i, eq_id in enumerate(order):
         if cells[eq_id].rels & dp.gb_rels == dp.gb_rels:
             landed = dp.landing(cells[eq_id])
+            landed.eq = eq_id
             landings.append((dp.bound(cells[eq_id], landed, flat), i, landed))
     roots = dict.fromkeys(dag.query_roots.values(), math.inf)
     tiers = []
@@ -496,13 +504,13 @@ def _select_floors(dag: Dag, dp: _Placement) -> _Pass:
             break
         tier = {order[i]: landed}
         for up in order[i + 1:]:   # the eq-nodes above it, inputs first
-            ops = [op for op in map(dag.op_nodes.__getitem__, dag.eq_nodes[up].child_ops)
-                   if op.children[0] in tier or op.children[-1] in tier]
-            if ops:
-                tier[up] = dp.node([(op.kind, op.factor, [tier.get(c) or cells[c]
-                                                          for c in op.children])
-                                    for op in ops], up not in tops)
-        tiers.append((order[i], tier))
+            alternatives = [(op, tuple([tier.get(c) or cells[c] for c in op.children]))
+                            for op in map(dag.op_nodes.__getitem__, dag.eq_nodes[up].child_ops)
+                            if op.children[0] in tier or op.children[-1] in tier]
+            if alternatives:
+                tier[up] = dp.node(alternatives, up not in tops)
+                tier[up].eq = up
+        tiers.append(tier)
         for root in roots.keys() & tier.keys():
             roots[root] = min(roots[root], dp.total(tier[root].best[full], tier[root].out[full]))
     return _Pass(cells, tiers, roots)

@@ -129,6 +129,47 @@ def test_raised_max_ops_with_acknowledgement(capsys, tmp_path):
     assert code == 0 and "permutations_considered=362880" in stdout
 
 
+def plan_kinds(doc):
+    return [doc["kind"]] + [k for child in doc.get("children", ()) for k in plan_kinds(child)]
+
+
+def test_an_order_by_over_two_relations_cold_and_warm(capsys, tmp_path):
+    # joindag mode once dropped the first query's order-by (51000) and kept
+    # the second's at the root (53500)
+    hist = tmp_path / "history.json"
+    assert run(capsys, "histdag", "build", "--schema", COMPANY, "--out", str(hist))[0] == 0
+    base = ("select * from department, employee, project where employee.dno = "
+            "department.dnumber and project.dnum = department.dnumber order by ")
+    out, sql = tmp_path / "plan.json", tmp_path / "q.sql"
+    for order, optimum in (("department.dname, employee.fname", 53500.0),
+                           ("department.dname, project.pname", 51050.0)):
+        sql.write_text(base + order)
+        for extra in (("--mode", "naive"), (), ("--history", str(hist))):
+            code, _, _ = run(capsys, "optimize", "--schema", COMPANY, "--query", str(sql),
+                             "--out", str(out), *extra)
+            assert code == 0, extra
+            doc = json.loads(out.read_text())
+            assert doc["best_cost"] == optimum, (order, extra)
+            assert plan_kinds(doc["plan"]).count("orderby") == 1, (order, extra)
+
+
+def test_from_subquery_cli(capsys, tmp_path):
+    sql = tmp_path / "from.sql"
+    sql.write_text("select s.fname, project.pname from (select employee.fname, employee.ssn "
+                   "from employee where employee.salary > 50000) s, works_on, project "
+                   "where s.ssn = works_on.ssn and works_on.pno = project.pnumber")
+    out = tmp_path / "plan.json"
+    code, _, _ = run(capsys, "optimize", "--schema", COMPANY, "--query", str(sql),
+                     "--out", str(out))
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["best_cost"] == 1052200.0
+    assert "select" in plan_kinds(doc["plan"])   # the inner block spliced in
+    code, _, err = run(capsys, "optimize", "--schema", COMPANY, "--query", str(sql),
+                       "--mode", "naive")
+    assert code == 2 and err.startswith("ERR:validation:")
+
+
 def test_parse_and_io_errors(capsys, tmp_path):
     bad = tmp_path / "bad.sql"
     bad.write_text("select * from employee where employee.dno = 1 "

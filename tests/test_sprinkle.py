@@ -366,9 +366,9 @@ def kept_plans(stage):
     kept, placed = [], []
     intern, place = costplan.intern_plan, sprinkle.place_selects_on_plan
 
-    def recording_intern(dag, plan):
+    def recording_intern(dag, plan, interned=None):
         kept.append((plan_key(plan), plan.cum_cost.hex()))
-        return intern(dag, plan)
+        return intern(dag, plan, interned)
 
     def recording_place(plan, selects, **kwargs):
         placed.append(plan_key(plan))
@@ -388,8 +388,9 @@ def is_subsequence(short, long):
 
 def clause_variants(sql, query, catalog):
     """`sql` grouped, grouped with a having, ordered, and both, on one or two
-    of its relations; a grouped variant selects its keys and a count, so
-    that it keeps a root projection."""
+    of its relations, then ordered on its first and last relation; a
+    grouped variant selects its keys and a count, so that it keeps a root
+    projection."""
     rels = sorted(query.tables)
     first, last = (query.selects[0].relation if query.selects else rels[0]), rels[-1]
 
@@ -402,7 +403,8 @@ def clause_variants(sql, query, catalog):
             sql + f" order by {last}.a0",
             keys(f"{first}.b") + f" group by {first}.b order by {first}.b",
             keys(f"{first}.b", f"{last}.a1") + f" group by {first}.b, {last}.a1 "
-                                               f"having count(*) > 1 order by {last}.a1"]
+                                               f"having count(*) > 1 order by {last}.a1",
+            sql + f" order by {rels[0]}.a0, {last}.b"]
 
 
 def test_pruned_stages_keep_the_plans_of_enumerate_then_prune():
@@ -704,8 +706,8 @@ def reference_floors(dag, dp):
             cells[eq_id] = dp.leaf(node.signature[0][0], node.est_size)
             continue
         ops = [dag.op_nodes[op_id] for op_id in node.child_ops]
-        cells[eq_id] = dp.node([(op.kind, op.factor, [cells[c] for c in op.children])
-                                for op in ops], dp.group is not None or eq_id in consumed)
+        cells[eq_id] = dp.node([(op, [cells[c] for c in op.children]) for op in ops],
+                               dp.group is not None or eq_id in consumed)
         op_floor.update(owns(ops, cells.__getitem__))
     full = dp.width - 1
     floor = {eq_id: min(cell.best) for eq_id, cell in cells.items()}
@@ -729,8 +731,7 @@ def reference_floors(dag, dp):
             ops = [op for op in map(dag.op_nodes.__getitem__, dag.eq_nodes[up].child_ops)
                    if op.children[0] in tier or op.children[-1] in tier]
             if ops:
-                tier[up] = dp.node([(op.kind, op.factor, [tier.get(c) or cells[c]
-                                                          for c in op.children])
+                tier[up] = dp.node([(op, [tier.get(c) or cells[c] for c in op.children])
                                     for op in ops], up in consumed)
                 above += owns(ops, lambda c: tier.get(c) or cells[c])
         tiers.append((tier, above))
@@ -835,7 +836,7 @@ def reference_place(plan, dp, limit=math.inf):
         if node.kind == "base":
             return dp.leaf(node.relation, node.est_size), node, ()
         children = tuple(build(c, True) for c in node.children)
-        cell = dp.node([(node.kind, node.factor, [c for c, _, _ in children])], all_s)
+        cell = dp.node([(node, [c for c, _, _ in children])], all_s)
         return cell, node, children
 
     def own_costs(node, children, u):
@@ -897,8 +898,8 @@ def reference_place(plan, dp, limit=math.inf):
             top = (landed[k], None, (path[k],))
             for above, below in zip(reversed(path[:k]), reversed(path[1:k + 1])):
                 children = tuple(top if c is below else c for c in above[2])
-                top = (dp.node([(above[1].kind, above[1].factor, [c[0] for c in children])],
-                               above is not tree), above[1], children)
+                top = (dp.node([(above[1], [c[0] for c in children])], above is not tree),
+                       above[1], children)
             tops.append((k, top, total(top)))
             least = min(least, tops[-1][2])
         if not tops:
@@ -1083,7 +1084,7 @@ def test_a_landing_bounded_above_the_optimum_gets_no_pass():
     root = costplan.intern_plan(one, plan)
     memo.register_root(one, "plan", root)
     passed = sprinkle._select_floors(one, dp)
-    assert [landing for landing, _ in passed.tiers] == [root]
+    assert [next(iter(tier)) for tier in passed.tiers] == [root]   # each tier's landing
     assert passed.optimum == {root: 10010.0}
     placed = placed_on(plan, group_by=(("t", "g"),), d=2000.0)
     assert (placed.kind, placed.cum_cost) == (KIND_GROUPBY, 10010.0)
@@ -1206,17 +1207,20 @@ def rebuilt(plan, nodes, where, query, at, ob, d):
 
 def grouped_oracle_queries():
     """(sql, catalog): 40 random connected queries with j <= 3 and s <= 2,
-    grouped (half of those with a having), ordered, or both."""
+    grouped (half of those with a having), ordered, or both; then each of
+    them ordered on two relations."""
     rng = random.Random(1994)
-    cases = []
+    cases, two = [], []
     while len(cases) < 40:
         catalog = random_schema(rng)
         sql = connected_query_sql(catalog, rng, max_selects=2)
         query = parse_query(sql, catalog)
         if len(extract_join_set(query)) > 3:
             continue
-        cases.append((clause_variants(sql, query, catalog)[len(cases) % 5], catalog))
-    return cases
+        variants = clause_variants(sql, query, catalog)
+        cases.append((variants[len(cases) % 5], catalog))
+        two.append((variants[5], catalog))
+    return cases + two
 
 
 def test_grouped_and_ordered_blocks_reach_the_brute_force_optimum(tpch_catalog):
@@ -1262,6 +1266,33 @@ def test_twelve_join_chain_decorates_few_of_its_plans(monkeypatch):
         assert (len(steps), len(chosen), len(kept), plans) == counts, clauses
 
 
+TWO_RELATION_ORDERS = (
+    # (ORDER BY, optimum): department's op-nodes split the three relations
+    # two ways, and only one of them has an input that covers both order
+    # relations; in the first query sorting below that join costs more
+    ("department.dname, employee.fname", 53500.0),
+    ("department.dname, project.pname", 51050.0))
+
+
+def two_relation_order_sql(order):
+    return ("select * from department, employee, project where employee.dno = "
+            "department.dnumber and project.dnum = department.dnumber order by " + order)
+
+
+def test_an_order_by_over_two_relations_keeps_its_cost(company_catalog):
+    complete = joindag.build_complete_history(company_catalog, company_catalog.graph.edges)
+    for order, optimum in TWO_RELATION_ORDERS:
+        query = parse_query(two_relation_order_sql(order), company_catalog)
+        ndag = naive.build_naive_dag(query, company_catalog)
+        assert costplan.best_plan(ndag, ndag.query_roots["q1"]).cum_cost == optimum
+        assert brute_force_cost(query, company_catalog) == optimum
+        for history in (None, complete):   # cold, and warm over the whole schema
+            plan = sprinkle.optimize_single(query, company_catalog, history=history).plan
+            assert plan.cum_cost == optimum, (order, history)
+            (sort,) = [n for n in walk_plan(plan) if n.kind == KIND_ORDERBY]
+            assert (sort is plan) == (optimum == 53500.0), (order, history)
+
+
 def test_cold_tpch_q4_groups_below_its_joinfilter(tpch_catalog):
     query = parse_query(fixture_sql("tpch", "q4"), tpch_catalog)
     res = sprinkle.optimize_single(query, tpch_catalog)
@@ -1285,8 +1316,7 @@ def reference_tiers(dag, dp):
             cells[eq_id] = dp.leaf(node.signature[0][0], node.est_size)
             continue
         ops = [dag.op_nodes[op_id] for op_id in node.child_ops]
-        cells[eq_id] = dp.node([(op.kind, op.factor, [cells[c] for c in op.children])
-                                for op in ops])
+        cells[eq_id] = dp.node([(op, [cells[c] for c in op.children]) for op in ops])
     full, roots = dp.width - 1, set(dag.query_roots.values())
     total = lambda cell: dp.total(cell.best[full], cell.out[full])  # noqa: E731
     flat = min(total(cells[r]) for r in roots)
@@ -1299,8 +1329,8 @@ def reference_tiers(dag, dp):
             ops = [op for op in map(dag.op_nodes.__getitem__, dag.eq_nodes[up].child_ops)
                    if any(c in tier for c in op.children)]
             if ops:
-                tier[up] = dp.node([(op.kind, op.factor, [tier.get(c, cells[c])
-                                                          for c in op.children]) for op in ops])
+                tier[up] = dp.node([(op, [tier.get(c, cells[c]) for c in op.children])
+                                    for op in ops])
         tiers.append((landing, tier, dp.bound(cells[landing], tier[landing], flat),
                       {r: total(tier[r]) for r in roots & tier.keys()}))
     best = {r: min(totals.get(r, math.inf) for *_, totals in tiers) for r in roots}
@@ -1349,7 +1379,7 @@ def test_landing_bounds_never_exceed_their_totals(tpch_catalog):
         roots = set(jd.query_roots.values())
         assert tables(passed.cells, roots) == tables(cells, roots), sql
         reference = {landing: tables(tier, roots) for landing, tier, *_ in tiers}
-        priced = {landing: tables(tier, roots) for landing, tier in passed.tiers}
+        priced = {next(iter(tier)): tables(tier, roots) for tier in passed.tiers}
         assert all(reference[landing] == t for landing, t in priced.items()), sql
         for landing, _, _, totals in tiers:
             if any(t <= memo.within_rounding(best[r]) for r, t in totals.items()):
@@ -1652,6 +1682,27 @@ def symmetric_star(n):
     return make_catalog(relations, edges)
 
 
+def test_the_kept_plans_intern_each_shared_sub_plan_once(monkeypatch):
+    # the 120 tied join orders of a 5-leaf star share their sub-plan
+    # objects, so each base plan is interned once, not once per plan; the
+    # final dag is that of interning every plan node by node
+    star = symmetric_star(5)
+    query = parse_query("select * from r0, r1, r2, r3, r4, r5 where "
+                        + " and ".join(f"r0.a0 = r{i}.a1" for i in range(1, 6)), star)
+    history = joindag.build_incremental(joindag.empty_history(star), extract_join_set(query),
+                                        star, 8)
+    bases = counting(monkeypatch, memo, "ensure_base")
+    shared = sprinkle.optimize_single(query, star, history=history)
+    assert memo.plan_count_for(shared.dag, shared.dag.query_roots["q1"]) == 120
+    assert len(bases) == 6
+    intern = costplan.intern_plan
+    monkeypatch.setattr(costplan, "intern_plan", lambda dag, plan, interned=None:
+                        intern(dag, plan))
+    alone = sprinkle.optimize_single(query, star, history=history)
+    assert len(bases) == 6 + 120 * 6
+    assert memo.dag_to_doc(alone.dag) == memo.dag_to_doc(shared.dag)
+
+
 def test_optimize_many_merges_the_memos_node_for_node(monkeypatch, company_catalog,
                                                       tpch_catalog):
     """The shared dag and plans of `optimize_many` are those of the
@@ -1882,6 +1933,37 @@ def test_nested_query_pipeline(company_catalog):
     key = plan_key(res.plan)
     assert "subq1.pnumber" in key                      # link join survives
     assert "project.plocation = 'hyderabad'" in key    # inner block spliced in
+
+
+FROM_SUBQUERY = ("select s.fname, project.pname from (select employee.fname, employee.ssn "
+                 "from employee where employee.salary > 50000) s, works_on, project "
+                 "where s.ssn = works_on.ssn and works_on.pno = project.pnumber")
+
+
+def test_from_subquery_pipeline(company_catalog):
+    q = parse_query(FROM_SUBQUERY, company_catalog)
+    assert (q.subquery.form, q.subquery.alias) == ("from", "s")
+    assert parse_query(render_query(q), company_catalog) == q
+    assert "(select employee.fname, employee.ssn from employee" in render_query(q)
+    assert {"s.fname", "s.ssn"} <= sqlfront.all_query_attrs(q, company_catalog)
+    res = sprinkle.optimize_single(q, company_catalog)
+    assert res.plan.cum_cost == 1052200.0
+    assert res.inner.query_id == "q1.inner"
+    key = plan_key(res.plan)
+    assert "(base s)" not in key                                  # the inner block spliced in
+    assert "(select [employee.salary > 50000] (base employee))" in key
+    assert "(base works_on)" in key and "(base project)" in key
+    with pytest.raises(ValidationError, match="nested"):
+        naive.build_naive_dag(q, company_catalog)
+
+
+def test_a_having_without_group_by_is_refused(company_catalog):
+    # the parser refuses it first, so the query is built by hand
+    grouped = parse_query("select works_on.pno, count(*) from works_on group by works_on.pno "
+                          "having count(*) > 2", company_catalog)
+    query = dataclasses.replace(grouped, group_by=())
+    with pytest.raises(ValidationError, match="having without group-by"):
+        sprinkle._block_placement(query, company_catalog)
 
 
 def test_optimize_many_rejects_nested(company_catalog):

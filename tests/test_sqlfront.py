@@ -215,6 +215,12 @@ def test_output_attrs_cover_all_clauses(tpch_catalog):
         "orders.orderkey", "lineitem.extendedprice"}
 
 
+def test_output_attrs_keep_a_having_argument(company_catalog):
+    q = parse_query("select works_on.pno, count(*) from works_on group by works_on.pno "
+                    "having sum(works_on.hours) > 10", company_catalog)
+    assert output_attrs(q, company_catalog) == {"works_on.pno", "works_on.hours"}
+
+
 def test_render_parse_fixed_point_on_fixtures(company_catalog, tpch_catalog):
     cases = [("company", "q1", company_catalog),
              ("company", "q2", company_catalog),
