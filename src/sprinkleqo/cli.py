@@ -139,22 +139,30 @@ def _effective_limit(args) -> int:
 
 def _run_one(query: Query, catalog: Catalog, mode: str, limit: int,
              history: joindag.HistoryDag | None, query_id: str):
-    """Returns (dag, plan, considered, params, grown_history, elapsed_ms)."""
+    """Returns (dag, plan, considered, join dag or None in naive mode,
+    grown_history, elapsed_ms)."""
     start = time.perf_counter()
     if mode == "naive":
         dag = naive.build_naive_dag(query, catalog, limit, query_id=query_id)
         plan = costplan.best_plan(dag, dag.query_roots[query_id])
         elapsed = (time.perf_counter() - start) * 1000.0
-        considered = naive.permutations_considered(query)
-        params = analytics.complexity_params_for(query, catalog, limit)
-        return dag, plan, considered, params, history, elapsed
+        return dag, plan, naive.permutations_considered(query), None, history, elapsed
     result = sprinkle.optimize_single(query, catalog, history=history,
                                       limit=limit, query_id=query_id)
     elapsed = (time.perf_counter() - start) * 1000.0
-    params = None if query.subquery is not None else analytics.complexity_params(
-        query, *memo.count_nodes(result.jd)[::2])
-    return (result.dag, result.plan, result.combinations_considered, params,
+    return (result.dag, result.plan, result.combinations_considered, result.jd,
             result.history, elapsed)
+
+
+def _params(query: Query, catalog: Catalog, mode: str, limit: int, jd: memo.Dag | None):
+    """A report row's complexity parameters: in joindag mode from the run's
+    join dag `jd` (none for a query with a subquery), in naive mode from a
+    join dag built for them alone."""
+    if mode == "naive":
+        return analytics.complexity_params_for(query, catalog, limit)
+    if query.subquery is not None:
+        return None
+    return analytics.complexity_params(query, *memo.count_nodes(jd)[::2])
 
 
 def _considered_key(mode: str) -> str:
@@ -184,8 +192,9 @@ def cmd_optimize(args) -> int:
     if args.mode == "joindag" and args.history:
         history = joindag.load_history(args.history)
         joindag.verify_catalog(history, catalog)
-    dag, plan, considered, params, _, elapsed = _run_one(
+    dag, plan, considered, jd, _, elapsed = _run_one(
         query, catalog, args.mode, limit, history, "q1")
+    params = _params(query, catalog, args.mode, limit, jd) if args.report else None
     doc = _plan_doc("q1", args.mode, plan, dag, considered,
                     args.count_internal_only)
     log.info("optimized %s in %.3f ms", args.query, elapsed)
@@ -238,8 +247,9 @@ def cmd_bench(args) -> int:
                     rows.append(analytics.failure_row(query_id, mode, "skipped"))
                     continue
             try:
-                dag, plan, _, params, history, elapsed = _run_one(
+                dag, plan, _, jd, history, elapsed = _run_one(
                     query, catalog, mode, limit, history, query_id)
+                params = _params(query, catalog, mode, limit, jd)
             except SprinkleQoError as exc:
                 log.info("%s/%s: %s", query_id, mode, exc)
                 rows.append(analytics.failure_row(query_id, mode, "error"))

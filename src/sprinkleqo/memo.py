@@ -14,21 +14,29 @@ Interning by signature is what merges plans produced in different orders into
 one shared structure.  All tie-breaking is lexicographic on canonical text so
 builds are byte-deterministic.
 
+The memo finds an eq-node by its key, the same identity in integers: each
+dag's registry gives one bit to each (component, text) pair, and the key is
+(base bits, applied-join bits, applied-unary bits, projection).  Joins and
+joinfilters share the join component, every other unary op but a project the
+unary one, so two keys are equal exactly when the two signatures are.  Keys
+are the dag's own: they are never serialized, and a copy keeps its
+registry.
+
 An operator's output eq-node is never chosen by its caller: `attach_op`
-derives its signature from the inputs' (`join_signature`, `extend_signature`),
-which reject every operator that does not extend its inputs.  Signatures
-therefore strictly grow along every op-node, so the memo is acyclic by
-construction, and a walk down from any eq-node takes fewer steps than its
-signature has entries (counting a projection as one).  `dag_from_doc` holds
-a loaded dag to the same rule.
+derives its key from the inputs' keys by the checks `join_signature` and
+`extend_signature` make, which reject every operator that does not extend
+its inputs.  Signatures therefore strictly grow along every op-node, so the
+memo is acyclic by construction, and a walk down from any eq-node takes
+fewer steps than its signature has entries (counting a projection as one).
+`dag_from_doc` holds a loaded dag to the same rule.
 
 Attaching looks up before it derives: the op index maps each op-node's
 (kind, detail, children) to the eq-node above it, so re-attaching an
 existing op-node checks its size estimate against that eq-node's and
-derives nothing.  Only a new op-node pays for its signature and its
-eq-node's interning.  Since signatures grow along every op-node,
-`topological_order` needs no walk: it sorts the eq-nodes by their
-signature's entry count.
+derives nothing.  A new op-node derives only its key; the signature tuple
+and its text are built once, for a new eq-node.  Since signatures grow
+along every op-node, `topological_order` needs no walk: it sorts the
+eq-nodes by their signature's entry count.
 
 Ids are the memo's own names and reach no query output: under one eq-node,
 (kind, detail) already identifies an op-node, so `OpNode.sort_key` never
@@ -47,6 +55,7 @@ from typing import NamedTuple
 from .errors import DagError
 
 Signature = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], tuple[str, ...]]
+Key = tuple[int, int, int, tuple[str, ...]]
 
 KIND_JOIN = "join"
 KIND_JOINFILTER = "joinfilter"
@@ -60,6 +69,7 @@ UNARY_KINDS = (KIND_JOINFILTER, KIND_SELECT, KIND_PROJECT, KIND_GROUPBY,
 OP_KINDS = (KIND_JOIN,) + UNARY_KINDS
 
 SIZE_RTOL = 1e-9
+JOINS, UNARY = 1, 2   # components of a signature, a key and a dag's registry
 
 
 def make_signature(bases, joins=(), unary=(), projection=()) -> Signature:
@@ -119,10 +129,14 @@ def signature_text(sig: Signature) -> str:
 
 @dataclass
 class EqNode:
+    """One equivalence class: its signature, and the text and key of it
+    that its dag builds once, neither serialized."""
+
     id: int
     signature: Signature
     est_size: float
-    text: str   # signature_text(signature), built once; never serialized
+    text: str   # signature_text(signature)
+    key: Key    # the signature in its dag's registry (see the module docstring)
     child_ops: list[int] = field(default_factory=list)
 
     @property
@@ -143,13 +157,17 @@ class OpNode(NamedTuple):
 
 
 class Dag:
-    """Mutable memo table; eq/op ids are assigned in intern order."""
+    """Mutable memo table; eq/op ids are assigned in intern order.  Its
+    registry gives each text the next bit of its component (bases, joins,
+    unary ops) on first sight; its key index maps each eq-node's key to its
+    id."""
 
     def __init__(self):
         self.eq_nodes: dict[int, EqNode] = {}
         self.op_nodes: dict[int, OpNode] = {}
         self.query_roots: dict[str, int] = {}
-        self._sig_index: dict[Signature, int] = {}
+        self._bits: tuple[dict[str, int], ...] = ({}, {}, {})   # per component: text -> bit
+        self._key_index: dict[Key, int] = {}
         self._op_index: dict[tuple, int] = {}   # op-node sort_key -> the eq-node above it
         self._next_eq = 0
         self._next_op = 0
@@ -158,15 +176,20 @@ class Dag:
     # -- construction ---------------------------------------------------
 
     def find_eq(self, signature: Signature) -> int | None:
-        return self._sig_index.get(signature)
+        """The eq-node of a canonical signature (`make_signature`), by its
+        key; None if there is none, or if the registry has never seen one of
+        its texts.  Registers nothing."""
+        key = _key(self, signature, add=False)
+        return None if key is None else self._key_index.get(key)
 
     def clone(self) -> "Dag":
         out = Dag()
-        out.eq_nodes = {i: EqNode(n.id, n.signature, n.est_size, n.text, list(n.child_ops))
+        out.eq_nodes = {i: EqNode(n.id, n.signature, n.est_size, n.text, n.key, list(n.child_ops))
                         for i, n in self.eq_nodes.items()}
         out.op_nodes = dict(self.op_nodes)
         out.query_roots = dict(self.query_roots)
-        out._sig_index = dict(self._sig_index)
+        out._bits = tuple(map(dict, self._bits))
+        out._key_index = dict(self._key_index)
         out._op_index = dict(self._op_index)
         out._next_eq = self._next_eq
         out._next_op = self._next_op
@@ -178,10 +201,10 @@ class Dag:
         this dag's own node objects under their own ids, not copies, with
         roots of its own and none yet.  Every input of a reachable op-node
         is reachable, so every eq-node of it but `root` is some op-node's
-        input.  Nothing writes through it: its indexes are read-only views
-        of this dag's, so `intern_eq` and `attach_op` raise before they
-        change a node, and a lookup in them may name a node outside it.  The
-        walk keeps its own list, so any depth works.
+        input.  Nothing writes through it: its registry and indexes are
+        read-only views of this dag's, so `intern_eq` and `attach_op` raise
+        before they change a node, and a lookup in them may name a node
+        outside it.  The walk keeps its own list, so any depth works.
         """
         src_eq, src_op = self.eq_nodes, self.op_nodes
         eq_nodes, op_nodes, todo = {root: src_eq[root]}, {}, [root]
@@ -194,7 +217,8 @@ class Dag:
                         todo.append(child)
         out = Dag()
         out.eq_nodes, out.op_nodes = eq_nodes, op_nodes
-        out._sig_index = MappingProxyType(self._sig_index)
+        out._bits = tuple(map(MappingProxyType, self._bits))
+        out._key_index = MappingProxyType(self._key_index)
         out._op_index = MappingProxyType(self._op_index)
         return out
 
@@ -210,26 +234,65 @@ def within_rounding(cost: float) -> float:
     return cost + SIZE_RTOL * max(1.0, abs(cost))
 
 
+def _key(dag: Dag, signature: Signature, add: bool) -> Key | None:
+    """`signature`'s key in `dag`'s registry.  A text the registry lacks
+    gets the next bit of its component with `add` (which raises in a
+    `Dag.below` view), and makes the key None without."""
+    bases, joins, unary, projection = signature
+    base_bits, join_bits, unary_bits = dag._bits
+    key = (_bits_of(base_bits, bases, add),
+           _bits_of(join_bits, joins, add) if joins else 0,
+           _bits_of(unary_bits, unary, add) if unary else 0, projection)
+    return None if None in key[:3] else key
+
+
+def _bits_of(bits: dict[str, int], texts: tuple[str, ...], add: bool) -> int | None:
+    out = 0
+    for text in texts:
+        bit = _bit(bits, text) if add else bits.get(text)
+        if bit is None:
+            return None
+        out |= bit
+    return out
+
+
+def _bit(bits: dict[str, int], text: str) -> int:
+    """`text`'s bit in one component of a registry, the next one if new."""
+    bit = bits.get(text)
+    if bit is None:
+        bit = bits[text] = 1 << len(bits)
+    return bit
+
+
+def _found(node: EqNode, est_size: float) -> int:
+    """`node`'s id, once `est_size` agrees with its estimate: every
+    alternative of one equivalence class must yield the same size."""
+    if node.est_size != est_size and not sizes_agree(node.est_size, est_size):
+        raise DagError(f"signature collision with inconsistent est_size: "
+                       f"{node.text!r} has {node.est_size!r} vs {est_size!r}")
+    return node.id
+
+
+def _new_eq(dag: Dag, key: Key, signature: Signature, est_size: float) -> int:
+    node = EqNode(dag._next_eq, signature, float(est_size), signature_text(signature), key)
+    dag._key_index[key] = node.id   # first: it raises in a `Dag.below` view
+    dag.eq_nodes[node.id] = node
+    dag._next_eq += 1
+    return node.id
+
+
 def intern_eq(dag: Dag, signature: Signature, est_size: float) -> int:
-    """Return the eq-node for this signature, creating it if new.
+    """Return the eq-node for this canonical signature, found by its key
+    and created if new, text and key built once.
 
     A signature collision with an inconsistent size estimate is an error:
     every alternative of one equivalence class must yield the same size.
     """
-    existing = dag.find_eq(signature)
+    key = _key(dag, signature, add=True)
+    existing = dag._key_index.get(key)
     if existing is not None:
-        node = dag.eq_nodes[existing]
-        if not sizes_agree(node.est_size, est_size):
-            raise DagError(
-                f"signature collision with inconsistent est_size: "
-                f"{signature_text(signature)!r} has {node.est_size!r} vs {est_size!r}")
-        return existing
-    node = EqNode(id=dag._next_eq, signature=signature, est_size=float(est_size),
-                  text=signature_text(signature))
-    dag._sig_index[signature] = node.id   # first: it raises in a `Dag.below` view
-    dag.eq_nodes[node.id] = node
-    dag._next_eq += 1
-    return node.id
+        return _found(dag.eq_nodes[existing], est_size)
+    return _new_eq(dag, key, signature, est_size)
 
 
 def attach_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
@@ -237,20 +300,23 @@ def attach_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
     """Attach an operator over existing eq-nodes; returns the eq-node it
     produces.
 
-    That eq-node is derived, not chosen: its signature comes from the
-    children's by `join_signature` or `extend_signature`, which raise
-    DagError for an op that does not extend its inputs (a join of
-    overlapping or projected inputs, a project over a projected input, a
-    condition already applied).  Signatures thus strictly grow along every
-    op, so the memo stays acyclic and a walk down from any eq-node takes
-    fewer steps than its signature has entries.  The eq-node is interned
-    with `est_size` (see `intern_eq`).  Join ops take exactly two children
-    (stored in canonical order, by their eq-nodes' `text`); every other
-    kind takes one.  Attaching is idempotent: the same (kind, detail,
-    children) maps to one op-node.  The op index is looked up first: an
-    existing op-node returns the eq-node recorded above it, after the size
-    check `intern_eq` makes, and derives no signature.  An estimate that
-    overflowed (a non-finite `est_size` or `op_cost`) is a DagError.
+    That eq-node is derived, not chosen: a join ORs its inputs' keys and
+    its condition's bit, a unary op ORs its bit into its component, and a
+    project goes through `extend_signature`, each after the checks
+    `join_signature` and `extend_signature` make, with their DagError for
+    an op that does not extend its inputs (a join of overlapping or
+    projected inputs, a project over a projected input, a condition already
+    applied).  Signatures thus strictly grow along every op, so the memo
+    stays acyclic and a walk down from any eq-node takes fewer steps than
+    its signature has entries.  The eq-node is found by its key, its size
+    checked as `intern_eq` checks it; only a new one builds its signature
+    tuple and text.  Join ops take exactly two children (stored in
+    canonical order, by their eq-nodes' `text`); every other kind takes
+    one.  Attaching is idempotent: the same (kind, detail, children) maps
+    to one op-node, and the op index is looked up first, so an existing
+    op-node returns the eq-node recorded above it, after the size check,
+    and derives nothing.  An estimate that overflowed (a non-finite
+    `est_size` or `op_cost`) is a DagError.
     """
     if kind not in OP_KINDS:
         raise DagError(f"unknown op kind {kind!r}")
@@ -268,23 +334,40 @@ def attach_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
         children = (right, left) if eq_nodes[left].text > eq_nodes[right].text else (left, right)
     elif len(children) != 1:
         raise DagError(f"{kind} ops take exactly one child")
-    key = (kind, detail, children)
-    parent = dag._op_index.get(key)
+    op_key = (kind, detail, children)
+    parent = dag._op_index.get(op_key)
     if parent is not None:
-        node = eq_nodes[parent]
-        if not sizes_agree(node.est_size, est_size):
-            raise DagError(
-                f"signature collision with inconsistent est_size: "
-                f"{node.text!r} has {node.est_size!r} vs {est_size!r}")
-        return parent
+        return _found(eq_nodes[parent], est_size)
+    first = eq_nodes[children[0]]
+    bases, joins, unary, projection = first.key
+    sig = None
     if kind == KIND_JOIN:
-        sig = join_signature(eq_nodes[children[0]].signature,
-                             eq_nodes[children[1]].signature, detail)
+        second = eq_nodes[children[1]]
+        bases2, joins2, unary2, projection2 = second.key
+        if projection or projection2 or bases & bases2:
+            raise DagError(f"join {detail!r} of {first.text!r} and "
+                           f"{second.text!r}: inputs must be disjoint and unprojected")
+        key = (bases | bases2, joins | joins2 | _bit(dag._bits[JOINS], detail), unary | unary2, ())
+    elif kind == KIND_PROJECT:
+        sig = extend_signature(first.signature, kind, detail)
+        key = (bases, joins, unary, sig[3])
     else:
-        sig = extend_signature(eq_nodes[children[0]].signature, kind, detail)
-    parent = intern_eq(dag, sig, est_size)
-    op = OpNode(dag._next_op, kind, detail, children, float(op_cost), factor)
-    dag._op_index[key] = parent   # first: it raises in a `Dag.below` view
+        is_filter = kind == KIND_JOINFILTER
+        bit = _bit(dag._bits[JOINS if is_filter else UNARY], detail)
+        if (joins if is_filter else unary) & bit:
+            raise DagError(f"{kind} {detail!r} is already applied in {first.text!r}")
+        key = ((bases, joins | bit, unary, projection) if is_filter
+               else (bases, joins, unary | bit, projection))
+    parent = dag._key_index.get(key)
+    if parent is not None:
+        _found(eq_nodes[parent], est_size)
+    else:
+        if sig is None:
+            sig = (join_signature(first.signature, second.signature, detail)
+                   if kind == KIND_JOIN else extend_signature(first.signature, kind, detail))
+        parent = _new_eq(dag, key, sig, est_size)
+    op = OpNode._make((dag._next_op, kind, detail, children, float(op_cost), factor))
+    dag._op_index[op_key] = parent   # first: it raises in a `Dag.below` view
     dag.op_nodes[op.id] = op
     dag._next_op += 1
     eq_nodes[parent].child_ops.append(op.id)
@@ -507,11 +590,11 @@ def dag_from_doc(doc: dict) -> Dag:
         sig = _signature_of(nd["signature"], nd.get("id"))
         node = EqNode(id=int(nd["id"]), signature=sig,
                       est_size=_finite(nd["est_size"], f"est_size in eq-node {nd['id']!r}"),
-                      text=signature_text(sig))
-        if node.id in dag.eq_nodes or sig in dag._sig_index:
+                      text=signature_text(sig), key=_key(dag, sig, add=True))
+        if node.id in dag.eq_nodes or node.key in dag._key_index:
             raise DagError(f"duplicate eq-node {node.id}")
         dag.eq_nodes[node.id] = node
-        dag._sig_index[sig] = node.id
+        dag._key_index[node.key] = node.id
     for od in doc.get("op_nodes", []):
         op = OpNode(id=int(od["id"]), kind=od["kind"], detail=od["detail"],
                     children=tuple(int(c) for c in od["children"]),

@@ -185,8 +185,9 @@ class _Placement:
         (op, children), *rest = alternatives
         first, last = children[0], children[-1]   # a join's two inputs, or a unary op's one
         held = cmask = mask = first.mask | last.mask
-        for _, inputs in rest:
-            cmask = mask = cmask | inputs[0].mask | inputs[-1].mask
+        if self.ob_bit:   # without one, every op-node's inputs cover one relation set: `held`
+            for _, inputs in rest:
+                cmask = mask = cmask | inputs[0].mask | inputs[-1].mask
         cell = _Cell(mask, self.width, alternatives)
         subsets = self.subsets
         if self.rel_bits:   # a group-by or an order-by: where the node stands
@@ -302,7 +303,7 @@ def _tied_plans(dag: Dag, dp: _Placement, top: _Cell, budget: float, ranks: dict
     root's op-node in `OpNode.sort_key` order, then by their inputs' plans
     left to right (`ranks` caches each eq-node's op-nodes in that order).
     A block with nothing to place keeps the memo's plans, with the memo's
-    sizes and costs."""
+    sizes and costs.  The walk keeps its own stack, so any depth works."""
     subsets, stack_cost, ops, stacking = dp.subsets, dp.stack_cost, dp.ops, dp.stacking
     eq_nodes, op_nodes = dag.eq_nodes, dag.op_nodes
     op_cost, estimate_size = costplan.op_cost, costplan.estimate_size
@@ -316,12 +317,29 @@ def _tied_plans(dag: Dag, dp: _Placement, top: _Cell, budget: float, ranks: dict
 
     seen: dict[tuple, tuple[float, list]] = {}   # (cell, S) -> (budget, plans)
 
-    def walk(cell: _Cell, s: int, budget: float) -> list:
-        """Depths count from this cell; a budget within one already walked
-        reuses its plans."""
+    def start(cell: _Cell, s: int, budget: float):
+        """The plans of a walk from `cell` at S, or the generator that walks
+        them: a budget within one already walked reuses its plans, and a
+        leaf's are its base relation with the selects of S stacked on it."""
         known = seen.get((cell, s))
         if known is not None and budget <= known[0]:
             return [plan for plan in known[1] if not plan[0] > budget]
+        if cell.alternatives[0][1]:
+            return walk(cell, s, budget)
+        node, here, found = eq_nodes[cell.eq], cell.pre[0] * stack_cost[s], []
+        if not (cell.total[0] > budget or here > budget):
+            built = costplan.base_plan(node.signature[0][0], node.est_size)
+            for i in stacking:
+                if s >> i & 1:
+                    built = op_plan(ops[i][0], ops[i][1], (built,), ops[i][2])
+            found.append((here, (0,) * len(ops), (), 0, built))
+        seen[cell, s] = budget, found
+        return found
+
+    def walk(cell: _Cell, s: int, budget: float):
+        """A generator: it yields each input's walk as (cell, S, budget),
+        is sent that walk's plans, and returns its own.  Depths count from
+        this cell."""
         node, found = eq_nodes[cell.eq], []
         if cell.landed and cell.alternatives[0][0] is None:   # a landing: name its input
             (group_by, d, having), (bases, joins, unary, projection) = dp.group, node.signature
@@ -333,9 +351,8 @@ def _tied_plans(dag: Dag, dp: _Placement, top: _Cell, budget: float, ranks: dict
                 continue
             mine = [i for i in stacking if (s ^ u) >> i & 1]
             for op, kids in cell.alternatives:
-                if op is None:   # the group-by over its input, or a leaf
-                    local, below = (cell.grouping, kids[0].best[u]) if kids else (0.0, 0.0)
-                    pre = cell.pre[u]
+                if op is None:   # the group-by over its input
+                    local, below, pre = cell.grouping, kids[0].best[u], cell.pre[u]
                 else:
                     k1, k2 = kids[0], kids[-1]
                     if u & ~(k1.mask | k2.mask):   # an order-by its inputs cannot hold
@@ -354,7 +371,9 @@ def _tied_plans(dag: Dag, dp: _Placement, top: _Cell, budget: float, ranks: dict
                     continue
                 slack = budget - here - below   # what each input may spend above its best
                 sets = [u & k.mask for k in kids]
-                options = [walk(k, t, k.best[t] + slack) for k, t in zip(kids, sets)]
+                options = []
+                for k, t in zip(kids, sets):
+                    options.append((yield k, t, k.best[t] + slack))
                 for combo in itertools.product(*options):
                     cost = here + sum(c[0] for c in combo)
                     if cost > budget:
@@ -368,13 +387,11 @@ def _tied_plans(dag: Dag, dp: _Placement, top: _Cell, budget: float, ranks: dict
                         order = (rank(cell.eq)[op.id], *(c[2] for c in combo))
                         if cell.landed:
                             at = sum(c[3] + 1 for k, c in zip(kids, combo) if k.landed)
-                    elif combo:
+                    else:
                         built = op_plan(KIND_GROUPBY, grouping, (combo[0][4],), d)
                         if having is not None:
                             built = op_plan(KIND_HAVING, having.canonical(), (built,), having.ssf)
                         order = combo[0][2]
-                    else:
-                        built, order = costplan.base_plan(node.signature[0][0], node.est_size), ()
                     for i in mine:
                         built = op_plan(ops[i][0], ops[i][1], (built,), ops[i][2])
                     key = tuple([sum(c[1][i] + (t >> i & 1) for c, t in zip(combo, sets))
@@ -383,7 +400,18 @@ def _tied_plans(dag: Dag, dp: _Placement, top: _Cell, budget: float, ranks: dict
         seen[cell, s] = budget, found
         return found
 
-    return walk(top, dp.width - 1, budget)
+    stack, plans = [], start(top, dp.width - 1, budget)
+    while True:   # the walk keeps its own stack of generators
+        if type(plans) is not list:   # an input that needs a walk of its own
+            stack.append(plans)
+            plans = None
+        elif not stack:
+            return plans
+        try:
+            plans = start(*stack[-1].send(plans))
+        except StopIteration as done:
+            stack.pop()
+            plans = done.value
 
 
 def _chosen_plans(dag: Dag, dp: _Placement, passed: _Pass, root: int) -> dict:

@@ -66,6 +66,23 @@ def test_optimize_naive_mode(capsys, tmp_path):
     assert (doc["eq_nodes"], doc["op_nodes"], doc["plans"]) == (16, 26, 18)
 
 
+def test_optimize_builds_complexity_parameters_only_for_a_report(capsys, tmp_path,
+                                                                  monkeypatch):
+    # naive mode measures the estimator's join dag in a history of its own
+    builds = []
+    build = joindag.build_incremental
+    monkeypatch.setattr(joindag, "build_incremental",
+                        lambda *args, **kwargs: builds.append(args) or build(*args, **kwargs))
+    code, _, _ = run(capsys, "optimize", "--schema", COMPANY, "--query", Q1, "--mode", "naive")
+    assert code == 0 and builds == []
+    report = tmp_path / "report.csv"
+    code, _, _ = run(capsys, "optimize", "--schema", COMPANY, "--query", Q1, "--mode", "naive",
+                     "--report", str(report))
+    assert code == 0 and len(builds) == 1
+    (row,) = analytics.report_from_csv(report.read_text()).rows
+    assert (row.est_eq_nodes, row.est_plans) == (54, 40)
+
+
 def test_optimize_count_internal_only(capsys, tmp_path):
     out = tmp_path / "plan.json"
     code, _, _ = run(capsys, "optimize", "--schema", COMPANY, "--query", Q1,

@@ -373,7 +373,8 @@ def test_nothing_writes_through_a_dag_read_in_place():
     assert attach_op(dag, KIND_JOIN, "a.x = b.x", (a, bcd), 0.24, 24.0, factor=0.01) == top
     cd = attach_op(dag, KIND_JOIN, "c.z = d.z", (c, d), 12.0, 1200.0, factor=0.01)
     register_root(dag, "component", top)
-    doc, sig_index, op_index = dag_to_doc(dag), dict(dag._sig_index), dict(dag._op_index)
+    doc, key_index, op_index = dag_to_doc(dag), dict(dag._key_index), dict(dag._op_index)
+    bits = tuple(map(dict, dag._bits))
 
     view = dag.below(top)
     assert view.eq_nodes == {i: dag.eq_nodes[i] for i in (a, b, c, d, ab, abc, top, bc, bcd)}
@@ -391,7 +392,7 @@ def test_nothing_writes_through_a_dag_read_in_place():
     with pytest.raises(TypeError):
         ensure_base(view, "e", 5.0)
     assert dag_to_doc(dag) == doc
-    assert (dag._sig_index, dag._op_index) == (sig_index, op_index)
+    assert (dag._key_index, dag._op_index, dag._bits) == (key_index, op_index, bits)
     assert dag.query_roots == {"component": top}
 
 
@@ -580,3 +581,125 @@ def test_interning_any_select_order_yields_one_chain_top(conds):
             sig = extend_signature(sig, KIND_SELECT, text)
         tops.add(sig)
     assert len(tops) == 1
+
+
+# -- keys ----------------------------------------------------------------------
+
+def derived(dag, kind, detail, children):
+    """The signature `attach_op` must give, or the DagError text it must
+    raise, from the inputs' signatures, join inputs in canonical order."""
+    nodes = [dag.eq_nodes[c] for c in children]
+    if kind == KIND_JOIN:
+        nodes.sort(key=lambda n: n.text)
+    try:
+        if kind == KIND_JOIN:
+            return join_signature(nodes[0].signature, nodes[1].signature, detail), None
+        return extend_signature(nodes[0].signature, kind, detail), None
+    except DagError as exc:
+        return None, str(exc)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_attach_op_derives_the_eq_node_of_the_signature_rule(seed):
+    """Random attach sequences over five relations: joins of disjoint,
+    overlapping and projected inputs, unary ops applied again, projects
+    over projections, and one text shared by a join, a joinfilter and
+    every unary kind.  Each accepted attach returns the eq-node of the
+    signature `join_signature`/`extend_signature` derive, new exactly when
+    that signature is; each rejected one raises their DagError."""
+    rng = random.Random(seed)
+    dag, by_signature = Dag(), {}
+    for rel in "abcde":
+        eq = ensure_base(dag, rel, 10.0)
+        by_signature[dag.eq_nodes[eq].signature] = eq
+    texts = ["t1", "t2", "t3", "a.x = b.x"]
+    unary = [KIND_JOINFILTER, KIND_SELECT, KIND_GROUPBY, memo.KIND_HAVING, memo.KIND_ORDERBY]
+    accepted, rejected = 0, set()
+    for _ in range(400):
+        eqs = sorted(dag.eq_nodes)
+        kind = rng.choice([KIND_JOIN] * 4 + unary + [KIND_PROJECT])
+        if kind == KIND_JOIN:
+            children = (rng.choice(eqs), rng.choice(eqs))
+            detail = rng.choice(texts)
+        elif kind == KIND_PROJECT:
+            children = (rng.choice(eqs),)
+            detail = "project(" + ", ".join(rng.sample(["a.x", "b.y", "c.z"], rng.randint(0, 2))) + ")"
+        else:
+            children = (rng.choice(eqs),)
+            detail = rng.choice(texts)
+        sig, error = derived(dag, kind, detail, children)
+        size = float(len(signature_text(sig))) if sig else 1.0
+        if error is not None:
+            before = dag_to_doc(dag)
+            with pytest.raises(DagError) as exc:
+                attach_op(dag, kind, detail, children, size, 1.0, factor=0.5)
+            assert str(exc.value) == error
+            assert dag_to_doc(dag) == before
+            projected = any(dag.eq_nodes[c].signature[3] for c in children)
+            rejected.add(kind if kind != KIND_JOIN else "projected" if projected else "overlapping")
+            continue
+        expected = by_signature.get(sig, dag._next_eq)   # a new signature, a new eq-node
+        eq = attach_op(dag, kind, detail, children, size, 1.0, factor=0.5)
+        assert eq == expected and dag.eq_nodes[eq].signature == sig
+        assert dag.find_eq(sig) == eq
+        by_signature[sig] = eq
+        accepted += 1
+    assert accepted > 50 and rejected == {"overlapping", "projected", KIND_PROJECT, *unary}
+    assert len({node.key for node in dag.eq_nodes.values()}) == len(dag.eq_nodes)
+    for node in dag.eq_nodes.values():
+        assert dag.find_eq(node.signature) == node.id
+
+
+def test_merge_below_reads_keys_in_each_dag_s_own_registry():
+    src = Dag()
+    a, b, c = (ensure_base(src, r, 10.0) for r in "abc")
+    ab = attach_op(src, KIND_JOIN, "a.x = b.x", (a, b), 10.0, 100.0, factor=0.1)
+    top = attach_op(src, KIND_JOIN, "b.y = c.y", (ab, c), 10.0, 100.0, factor=0.1)
+    bc = attach_op(src, KIND_JOIN, "b.y = c.y", (b, c), 10.0, 100.0, factor=0.1)
+    assert attach_op(src, KIND_JOIN, "a.x = b.x", (a, bc), 10.0, 100.0, factor=0.1) == top
+    top = attach_op(src, KIND_SELECT, "s1", (top,), 1.0, 10.0, factor=0.1)
+    top = attach_op(src, KIND_SELECT, "s2", (top,), 0.1, 1.0, factor=0.1)
+    # the target saw every text first, in the other order
+    dst = Dag()
+    c2, b2, a2 = (ensure_base(dst, r, 10.0) for r in "cba")
+    attach_op(dst, KIND_JOIN, "b.y = c.y", (b2, c2), 10.0, 100.0, factor=0.1)
+    attach_op(dst, KIND_JOIN, "a.x = b.x", (a2, b2), 10.0, 100.0, factor=0.1)
+    s2 = attach_op(dst, KIND_SELECT, "s2", (c2,), 1.0, 10.0, factor=0.1)
+    attach_op(dst, KIND_SELECT, "s1", (s2,), 0.1, 1.0, factor=0.1)
+    assert all(src._bits[i] != dst._bits[i] for i in range(3))
+    root = merge_below(dst, src, top)
+    assert arc_signature_set(dst.below(root)) == arc_signature_set(src.below(top))
+    assert dst.eq_nodes[root].signature == src.eq_nodes[top].signature
+
+
+def test_find_eq_of_an_unknown_text_registers_nothing():
+    dag, top = diamond_dag()
+    bits = tuple(map(dict, dag._bits))
+    known = dag.eq_nodes[top].signature
+    bases, joins, _, _ = known
+    for unknown in (memo.make_signature(bases + ("z",), joins),
+                    memo.make_signature(bases, joins + ("z.x = a.x",)),
+                    memo.make_signature(bases, joins, ("a.x > 1",))):
+        for where in (dag, dag.below(top)):
+            assert where.find_eq(unknown) is None
+            assert where.find_eq(known) == top
+    assert tuple(map(dict, dag._bits)) == bits
+
+
+def test_a_loaded_history_attaches_as_the_dag_it_was_saved_from(company_catalog):
+    built = joindag.build_complete_history(company_catalog, company_catalog.graph.edges).dag
+    loaded = dag_from_doc(dag_to_doc(built))
+    for dag in (built, loaded):
+        for eq_id in sorted(dag.eq_nodes):
+            node = dag.eq_nodes[eq_id]
+            for op_id in node.child_ops:   # an existing op-node, its children swapped
+                op = dag.op_nodes[op_id]
+                assert attach_op(dag, op.kind, op.detail, op.children[::-1],
+                                 node.est_size, op.op_cost, op.factor) == eq_id
+            rel = node.signature[0][0]
+            attach_op(dag, KIND_SELECT, f"{rel}.x > 1", (eq_id,), node.est_size / 2,
+                      node.est_size, factor=0.5)
+        attach_op(dag, KIND_JOIN, "x = y", (dag.find_eq(base_signature("employee")),
+                                            dag.find_eq(base_signature("department"))),
+                  1.0, 1.0, factor=1.0)
+    assert dag_to_doc(loaded) == dag_to_doc(built)

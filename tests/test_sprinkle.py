@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -204,6 +205,46 @@ def test_nonselective_filter_stays_at_the_root():
     cond = SelectCondition("a", "y", ">", 0, ssf=1.0)
     placed = sprinkle.place_selects_on_plan(plan, (cond,))
     assert placed.kind == KIND_SELECT and placed.children[0].kind == KIND_JOIN
+
+
+def test_place_selects_on_plan_walks_a_plan_deeper_than_the_stack():
+    # a left-deep plan 200 joins deeper than the recursion limit, each join
+    # keeping 10 rows: nothing to place keeps it, and a select on its
+    # deepest relation goes onto that relation
+    depth = sys.getrecursionlimit() + 200
+
+    def left_deep(first):
+        plan = first
+        for i in range(1, depth + 1):
+            plan = op_plan(KIND_JOIN, f"r{i - 1}.x = r{i}.x",
+                           (plan, base_plan(f"r{i}", 10.0)), 0.1)
+        return plan
+
+    plan = left_deep(base_plan("r0", 10.0))
+    placed = sprinkle.place_selects_on_plan(plan, ())
+    assert (plan_key(placed), placed.cum_cost) == (plan_key(plan), plan.cum_cost)
+    cond = SelectCondition("r0", "b", ">", 1, ssf=0.5)
+    expected = left_deep(op_plan(KIND_SELECT, cond.canonical(), (base_plan("r0", 10.0),), 0.5))
+    placed = sprinkle.place_selects_on_plan(plan, (cond,))
+    assert (plan_key(placed), placed.cum_cost) == (plan_key(expected), expected.cum_cost)
+
+
+def test_the_traceback_reads_a_leaf_within_its_budget():
+    # a base relation with both selects stacked on it: its one plan, each
+    # select at depth 0 below the leaf, kept only within the budget
+    weak = SelectCondition("r0", "b", ">", 1, ssf=0.5)
+    strong = SelectCondition("r0", "b", "<", 9, ssf=0.1)
+    dp = sprinkle._Placement((weak, strong))
+    one = memo.Dag()
+    root = memo.ensure_base(one, "r0", 1000.0)
+    memo.register_root(one, "plan", root)
+    top, full = sprinkle._select_floors(one, dp).cells[root], dp.width - 1
+    (found,) = sprinkle._tied_plans(one, dp, top, top.best[full], {})
+    assert found[:4] == (top.best[full], (0, 0), (), 0)
+    assert plan_key(found[4]) == (f"(select [{weak.canonical()}] "
+                                  f"(select [{strong.canonical()}] (base r0)))")
+    below = math.nextafter(top.best[full], -math.inf)
+    assert sprinkle._tied_plans(one, dp, top, below, {}) == []
 
 
 def test_stacked_selects_apply_most_selective_first():
@@ -1996,13 +2037,14 @@ def renumbered(dag, rng):
     eq_id = dict(zip(dag.eq_nodes, rng.sample(range(len(dag.eq_nodes)), len(dag.eq_nodes))))
     op_id = dict(zip(dag.op_nodes, rng.sample(range(len(dag.op_nodes)), len(dag.op_nodes))))
     out = memo.Dag()
+    out._bits = tuple(map(dict, dag._bits))   # the keys are read in `dag`'s registry
     for old in sorted(dag.eq_nodes, key=eq_id.__getitem__):
         node = dag.eq_nodes[old]
         ops = [op_id[o] for o in node.child_ops]
         rng.shuffle(ops)
         out.eq_nodes[eq_id[old]] = memo.EqNode(eq_id[old], node.signature, node.est_size,
-                                               node.text, ops)
-        out._sig_index[node.signature] = eq_id[old]
+                                               node.text, node.key, ops)
+        out._key_index[node.key] = eq_id[old]
     for old in sorted(dag.op_nodes, key=op_id.__getitem__):
         op = dag.op_nodes[old]
         out.op_nodes[op_id[old]] = op._replace(
@@ -2095,7 +2137,8 @@ def test_cold_block_leaves_the_history_it_built(company_catalog, tpch_catalog, t
             assert memo.dag_to_doc(result.history.dag) == memo.dag_to_doc(built.dag)
             assert result.history.dag.query_roots == built.dag.query_roots
             assert result.history.dag._op_index == built.dag._op_index
-            assert result.history.dag._sig_index == built.dag._sig_index
+            assert result.history.dag._key_index == built.dag._key_index
+            assert result.history.dag._bits == built.dag._bits
             paths = [tmp_path / "cold.json", tmp_path / "built.json"]
             joindag.save_history(result.history, str(paths[0]))
             joindag.save_history(built, str(paths[1]))
