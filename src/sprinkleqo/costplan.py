@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import memo
 from .errors import DagError
-from .memo import (Dag, Signature, KIND_JOIN, KIND_JOINFILTER, KIND_SELECT,
+from .memo import (Dag, KIND_JOIN, KIND_JOINFILTER, KIND_SELECT,
                    KIND_PROJECT, KIND_GROUPBY, KIND_HAVING, KIND_ORDERBY)
 
 
@@ -112,33 +112,16 @@ def plan_key(plan: Plan) -> str:
 
 # -- plans <-> memo ---------------------------------------------------------
 
-def _inputs_first(plan: Plan, interned=()) -> list[Plan]:
-    """Every node of a plan tree but those `interned` names by `id`, and
-    theirs, each node's inputs first and left to right: the reverse of a
-    walk from the root that takes the inputs right to left, kept on a list
-    of its own, so any depth works."""
+def _inputs_first(plan: Plan) -> list[Plan]:
+    """Every node of a plan tree, each node's inputs first and left to
+    right: the reverse of a walk from the root that takes the inputs right
+    to left, kept on a list of its own, so any depth works."""
     order, stack = [], [plan]
     while stack:
         node = stack.pop()
-        if id(node) not in interned:
-            order.append(node)
-            stack += node.children
+        order.append(node)
+        stack += node.children
     return order[::-1]
-
-
-def plan_signature(plan: Plan) -> Signature:
-    """The signature of a plan's output, derived inputs first as
-    `attach_op` derives it, so any depth works."""
-    sigs: list[Signature] = []   # signatures of nodes whose parent is not reached yet
-    for node in _inputs_first(plan):
-        if node.kind == "base":
-            sigs.append(memo.base_signature(node.relation))
-        elif node.kind == KIND_JOIN:
-            right = sigs.pop()
-            sigs.append(memo.join_signature(sigs.pop(), right, node.detail))
-        else:
-            sigs.append(memo.extend_signature(sigs.pop(), node.kind, node.detail))
-    return sigs[0]
 
 
 def intern_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
@@ -151,15 +134,12 @@ def intern_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
                           op_cost(kind, sizes), factor)
 
 
-def intern_plan(dag: Dag, plan: Plan, interned: dict[int, int] | None = None) -> int:
+def intern_plan(dag: Dag, plan: Plan) -> int:
     """Intern every node of a plan tree into the memo, each node's inputs
-    first and left to right (`_inputs_first`); returns the root eq-node.
-    `interned` maps the `id` of each plan node already interned into `dag`,
-    which the caller keeps alive, to its eq-node: such a node, and its
-    subtree, is skipped, as interning it again would only find it, and
-    each node interned here is added."""
-    interned = {} if interned is None else interned
-    for node in _inputs_first(plan, interned):
+    first and left to right (`_inputs_first`), with the plan's own sizes
+    and costs; returns the root eq-node."""
+    interned: dict[int, int] = {}   # the id of each plan node -> its eq-node
+    for node in _inputs_first(plan):
         interned[id(node)] = (memo.ensure_base(dag, node.relation, node.est_size)
                               if node.kind == "base" else
                               memo.attach_op(dag, node.kind, node.detail,

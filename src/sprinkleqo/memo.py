@@ -389,9 +389,8 @@ def merge_below(dst: Dag, src: Dag, root: int) -> int:
     inputs first (`topological_order` of `src.below(root)`, reversed), by
     `ensure_base` and `attach_op`, so a node `dst` already holds is found,
     not copied again; returns `dst`'s eq-node for `root`.  Each eq-node keeps
-    its `est_size` and each op-node its `op_cost` and `factor` as stored, as
-    `costplan.intern_plan` does for one plan tree.  `src` is not changed,
-    and nothing recurses, so any depth works."""
+    its `est_size` and each op-node its `op_cost` and `factor` as stored.
+    `src` is not changed, and nothing recurses, so any depth works."""
     view = src.below(root)
     ids: dict[int, int] = {}
     for eq_id in reversed(topological_order(view)):

@@ -1,10 +1,11 @@
 """Placement of non-join operators over join-order plans.
 
 Each block (a query without its subquery) runs two stages over its join
-dag, each interning the plans it decorates into a fresh memo:
+dag:
 
   place     the selects, the group-by with its having, and the order-by,
-            placed on each join plan by one exact DP (`sprinkle_selects`)
+            placed on each join plan by one exact DP, whose ties it emits
+            into a fresh memo (`sprinkle_selects`)
   projects  one projection above each query root (single query), or
             per-eq-node projections of the attributes every consumer
             needs (multi-query mode)
@@ -32,17 +33,17 @@ reach the optimum get one.  The DP runs once per block, over the memo
 cell per node it priced (`_Cell`): the alternatives its step read, each an
 op-node and its input cells, and its tables, per set u below the node's
 operator the least cost of the operator and its inputs (`total`) and the
-output size, per set s at or below it the least cost and size.  The stage
-then reads the decorated plans that tie the optimum back from them
-(`_tied_plans`): from each root cell it walks down the cells, follows
-every op-node and placement whose cost fits within the root's rounding
-slack, and builds those plans only.
+output size, per set s at or below it the least cost and size.  A state
+(cell, s) is one decorated eq-node, and the stage emits its memo state by
+state (`_decorate_stage`): from the root's state it walks down the cells,
+keeps each alternative of a state (an op-node over its inputs' states, or
+one bit of s stacked on the rest) that ties the state's least, and
+attaches each kept op-node once.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -51,7 +52,7 @@ from typing import NamedTuple
 from . import costplan, joindag, memo, sqlfront
 from .catalog import Attribute, Catalog, Relation
 from .costplan import Plan, op_plan
-from .errors import DagError, LimitExceededError, ValidationError
+from .errors import LimitExceededError, ValidationError
 from .joindag import HistoryDag
 from .memo import Dag, KIND_GROUPBY, KIND_HAVING, KIND_ORDERBY, KIND_PROJECT, KIND_SELECT
 from .sqlfront import Query, SelectCondition, extract_join_set
@@ -165,7 +166,7 @@ class _Placement:
             cell.best[s], cell.out[s] = size * self.stack_cost[s], size * self.stack_size[s]
         return cell
 
-    def node(self, alternatives, all_s: bool = True) -> _Cell:
+    def node(self, alternatives) -> _Cell:
         """The DP step: a node's tables from its alternatives, each
         (op-node, input cells), which the cell keeps.
 
@@ -178,9 +179,7 @@ class _Placement:
         on how the op-node splits them.  The first alternative gives the
         sizes, on which an eq-node's op-nodes agree up to rounding.  Every
         bit of S can sit below some op-node but an order-by that enters
-        here, which is size-neutral, so `out` is `pre`.  Unless `all_s`,
-        `best` is filled only at S = mask, all that a node no op consumes
-        needs.
+        here, which is size-neutral, so `out` is `pre`.
         """
         (op, children), *rest = alternatives
         first, last = children[0], children[-1]   # a join's two inputs, or a unary op's one
@@ -235,7 +234,7 @@ class _Placement:
         if mask != cmask:   # the order-by enters here: never below the op
             for u in subsets[cmask]:
                 pre[u | self.ob_bit], total[u | self.ob_bit] = pre[u], math.inf
-        for s in subsets[mask] if all_s else (mask,):
+        for s in subsets[mask]:
             least = math.inf
             for u in subsets[s]:
                 cost = total[u] + pre[u] * stack_cost[s ^ u]
@@ -281,212 +280,123 @@ class _Pass(NamedTuple):
     optimum: dict[int, float]                      # each query root's least `dp.total`
 
 
-def _tied_plans(dag: Dag, dp: _Placement, top: _Cell, budget: float, ranks: dict) -> list:
-    """Every decorated plan below the cell `top` whose DP cost is at most
-    `budget`, as (DP cost, depth key, walk key, landing depth, built plan):
-    a walk down the cells, each over the alternatives its DP step read.
-
-    At a cell, a set u placed below its operator whose `total` is above
-    the budget is skipped, and so is an op-node whose inputs do not hold
-    u.  Otherwise each op-node costs `here` (its op, and the stack of the
-    rest of S on its output) plus its inputs' least costs under u; a
-    leaf's op costs 0, and the group-by's is its landing cell's
-    `grouping`, over its input's least cost.  One that fits the budget
-    gives each input the budget less `here` and the other inputs' least
-    costs, and each combination of their plans that fits is built
-    bottom-up, because the DP and a built plan add in different orders.
-    `total` keeps only the least op-node per u, so each op-node's cost is
-    recomputed here, on traced cells only.  A non-finite cost is never
-    above the budget, so such a block keeps every plan.  The depth key
-    gives each bit the depth of the node it sits on, the group-by counting
-    as a node above its landing; the walk key orders join plans by their
-    root's op-node in `OpNode.sort_key` order, then by their inputs' plans
-    left to right (`ranks` caches each eq-node's op-nodes in that order).
-    A block with nothing to place keeps the memo's plans, with the memo's
-    sizes and costs.  The walk keeps its own stack, so any depth works."""
-    subsets, stack_cost, ops, stacking = dp.subsets, dp.stack_cost, dp.ops, dp.stacking
-    eq_nodes, op_nodes = dag.eq_nodes, dag.op_nodes
-    op_cost, estimate_size = costplan.op_cost, costplan.estimate_size
-    stored = dp.width == 1 and dp.group is None   # nothing to place: the memo's own plans
-
-    def rank(eq_id: int) -> dict[int, int]:
-        if eq_id not in ranks:
-            ordered = sorted(eq_nodes[eq_id].child_ops, key=lambda i: op_nodes[i].sort_key())
-            ranks[eq_id] = {op_id: r for r, op_id in enumerate(ordered)}
-        return ranks[eq_id]
-
-    seen: dict[tuple, tuple[float, list]] = {}   # (cell, S) -> (budget, plans)
-
-    def start(cell: _Cell, s: int, budget: float):
-        """The plans of a walk from `cell` at S, or the generator that walks
-        them: a budget within one already walked reuses its plans, and a
-        leaf's are its base relation with the selects of S stacked on it."""
-        known = seen.get((cell, s))
-        if known is not None and budget <= known[0]:
-            return [plan for plan in known[1] if not plan[0] > budget]
-        if cell.alternatives[0][1]:
-            return walk(cell, s, budget)
-        node, here, found = eq_nodes[cell.eq], cell.pre[0] * stack_cost[s], []
-        if not (cell.total[0] > budget or here > budget):
-            built = costplan.base_plan(node.signature[0][0], node.est_size)
-            for i in stacking:
-                if s >> i & 1:
-                    built = op_plan(ops[i][0], ops[i][1], (built,), ops[i][2])
-            found.append((here, (0,) * len(ops), (), 0, built))
-        seen[cell, s] = budget, found
-        return found
-
-    def walk(cell: _Cell, s: int, budget: float):
-        """A generator: it yields each input's walk as (cell, S, budget),
-        is sent that walk's plans, and returns its own.  Depths count from
-        this cell."""
-        node, found = eq_nodes[cell.eq], []
-        if cell.landed and cell.alternatives[0][0] is None:   # a landing: name its input
-            (group_by, d, having), (bases, joins, unary, projection) = dp.group, node.signature
-            placed = tuple(ops[i][1] for i in range(len(ops)) if cell.cmask >> i & 1)
-            grouping = sqlfront.groupby_text(group_by, memo.signature_text(
-                memo.make_signature(bases, joins, unary + placed, projection)))
-        for u in (dp.fixing(cell.fixed) if dp.group and cell.fixed else subsets)[s & cell.cmask]:
-            if cell.total[u] > budget:   # no op-node's op and inputs cost less
-                continue
-            mine = [i for i in stacking if (s ^ u) >> i & 1]
-            for op, kids in cell.alternatives:
-                if op is None:   # the group-by over its input
-                    local, below, pre = cell.grouping, kids[0].best[u], cell.pre[u]
-                else:
-                    k1, k2 = kids[0], kids[-1]
-                    if u & ~(k1.mask | k2.mask):   # an order-by its inputs cannot hold
-                        continue
-                    if len(kids) == 2:
-                        t1, t2 = u & k1.mask, u & k2.mask
-                        sizes, below = (k1.out[t1], k2.out[t2]), k1.best[t1] + k2.best[t2]
-                    else:
-                        sizes, below = (k1.out[u],), k1.best[u]
-                    local = op_cost(op.kind, sizes)
-                    if local + below > budget:
-                        continue
-                    pre = estimate_size(op.kind, sizes, op.factor)
-                here = local + pre * stack_cost[s ^ u]
-                if here + below > budget:
-                    continue
-                slack = budget - here - below   # what each input may spend above its best
-                sets = [u & k.mask for k in kids]
-                options = []
-                for k, t in zip(kids, sets):
-                    options.append((yield k, t, k.best[t] + slack))
-                for combo in itertools.product(*options):
-                    cost = here + sum(c[0] for c in combo)
-                    if cost > budget:
-                        continue
-                    at = 0   # the landing's depth, when it lies below an input
-                    if op is not None:
-                        inner = tuple(c[4] for c in combo)
-                        built = (Plan(op.kind, op.detail, None, inner, op.factor, node.est_size,
-                                      op.op_cost, op.op_cost + sum(p.cum_cost for p in inner))
-                                 if stored else op_plan(op.kind, op.detail, inner, op.factor))
-                        order = (rank(cell.eq)[op.id], *(c[2] for c in combo))
-                        if cell.landed:
-                            at = sum(c[3] + 1 for k, c in zip(kids, combo) if k.landed)
-                    else:
-                        built = op_plan(KIND_GROUPBY, grouping, (combo[0][4],), d)
-                        if having is not None:
-                            built = op_plan(KIND_HAVING, having.canonical(), (built,), having.ssf)
-                        order = combo[0][2]
-                    for i in mine:
-                        built = op_plan(ops[i][0], ops[i][1], (built,), ops[i][2])
-                    key = tuple([sum(c[1][i] + (t >> i & 1) for c, t in zip(combo, sets))
-                                 for i in range(len(ops))])
-                    found.append((cost, key, order, at, built))
-        seen[cell, s] = budget, found
-        return found
-
-    stack, plans = [], start(top, dp.width - 1, budget)
-    while True:   # the walk keeps its own stack of generators
-        if type(plans) is not list:   # an input that needs a walk of its own
-            stack.append(plans)
-            plans = None
-        elif not stack:
-            return plans
-        try:
-            plans = start(*stack[-1].send(plans))
-        except StopIteration as done:
-            stack.pop()
-            plans = done.value
-
-
-def _chosen_plans(dag: Dag, dp: _Placement, passed: _Pass, root: int) -> dict:
-    """Each join plan below `root` with a decoration within memo.SIZE_RTOL
-    of the root's optimum, by walk key: its cheapest built decoration, as
-    (`dp.total`, landing depth, depth key, plan), read back from the root's
-    plain cell, or with a group-by from each tier's root cell.  Cost ties
-    go to the landing nearest the root, then to the least depth key, so to
-    positions nearer the root."""
-    full, ranks, chosen = dp.width - 1, {}, {}
-    budget = memo.within_rounding(passed.optimum[root])
-    tops = ([tier.get(root) for tier in passed.tiers] if dp.group is not None
-            else [passed.cells[root]])
-    for top in tops:
-        if top is None:
-            continue
-        total = dp.total(top.best[full], top.out[full])
-        if total > budget:
-            continue
-        for _, key, walk, k, plan in _tied_plans(dag, dp, top, budget - (total - top.best[full]),
-                                                 ranks):
-            candidate = (dp.total(plan.cum_cost, plan.est_size), k, key, plan)
-            if walk not in chosen or candidate[:3] < chosen[walk][:3]:
-                chosen[walk] = candidate
-    return chosen
-
-
-def place_selects_on_plan(plan: Plan, selects, *, dp: _Placement | None = None) -> Plan:
-    """Minimum-cost joint placement of a block's selects, group-by and
-    order-by onto one plan (of `selects` alone without `dp`, the block's
-    DP): the place stage's pass and traceback over a memo of this plan
-    alone.  Of the placements within memo.SIZE_RTOL of the least DP cost,
-    the cheapest built plan wins; see `_chosen_plans` for ties."""
-    dp = dp or _Placement(selects)
-    one = Dag()
-    root = costplan.intern_plan(one, plan)
-    memo.register_root(one, "plan", root)
-    for cond in dp.ordered:
-        if cond.relation not in one.eq_nodes[root].signature[0]:
-            raise DagError(f"relation {cond.relation!r} not a base of this plan")
-    (chosen,) = _chosen_plans(one, dp, _select_floors(one, dp), root).values()
-    return chosen[-1]
-
-
 # -- the place stage -----------------------------------------------------------
+
+def _tied_tier(dag: Dag, dp: _Placement, passed: _Pass, root: int) -> _Cell:
+    """The cell whose full set is `root`'s registered state: the root's
+    plain cell, or with a group-by the root cell of the cheapest tier.
+    Among tiers within memo.SIZE_RTOL of the optimum, the landing latest
+    in the pass's inputs-first order wins, which is nearest the root:
+    the one whose signature has the most entries, then the least text."""
+    if dp.group is None:
+        return passed.cells[root]
+    full, budget = dp.width - 1, memo.within_rounding(passed.optimum[root])
+
+    def nearness(tier: dict[int, _Cell]) -> tuple[int, str]:
+        node = dag.eq_nodes[next(iter(tier))]   # a tier's landing comes first
+        return -len(node.signature[0]) - len(node.signature[1]), node.text
+
+    return min((tier for tier in passed.tiers if root in tier
+                and dp.total(tier[root].best[full], tier[root].out[full]) <= budget),
+               key=nearness)[root]
+
+
+def _kept_alternatives(dp: _Placement, cell: _Cell, s: int, ranked: dict) -> list:
+    """The alternatives of the state (cell, S) that cost at most
+    memo.SIZE_RTOL above its least, each (what, input states): an op-node
+    of the cell whose inputs hold all of S, over its inputs at S; a leaf's
+    base relation at S = 0 (what None, no inputs); a landing's group-by at
+    its fixed set, over its input at that set (what None); and one bit i of
+    S not fixed below a landing stacked on (cell, S - i) (what i).  Op-nodes
+    come in `OpNode.sort_key` order (`ranked` caches it per cell), then the
+    bits in `dp.stacking` order."""
+    found = []
+    op, kids = cell.alternatives[0]
+    if not kids:   # a leaf
+        if not s:
+            found.append((0.0, None, ()))
+    elif op is None:   # a landing: its group-by and having over its plain cell
+        if s == cell.cmask:
+            found.append((cell.total[s], None, ((kids[0], s),)))
+    else:
+        alternatives = ranked.get(cell)
+        if alternatives is None:
+            alternatives = ranked[cell] = sorted(cell.alternatives,
+                                                 key=lambda alt: alt[0].sort_key())
+        for op, kids in alternatives:
+            k1, k2 = kids[0], kids[-1]
+            if s & ~(k1.mask | k2.mask):   # an order-by its inputs cannot hold
+                continue
+            if len(kids) == 2:
+                t1, t2 = s & k1.mask, s & k2.mask
+                cost = (costplan.op_cost(op.kind, (k1.out[t1], k2.out[t2]))
+                        + (k1.best[t1] + k2.best[t2]))
+                found.append((cost, op, ((k1, t1), (k2, t2))))
+            else:
+                cost = costplan.op_cost(op.kind, (k1.out[s],)) + k1.best[s]
+                found.append((cost, op, ((k1, s),)))
+    fixed = cell.fixed if dp.group is not None else 0
+    for i in dp.stacking:
+        if (s & ~fixed) >> i & 1:
+            t = s ^ 1 << i
+            found.append((cell.best[t] + cell.out[t], i, ((cell, t),)))
+    budget = memo.within_rounding(min(cost for cost, _, _ in found))
+    return [(what, inputs) for cost, what, inputs in found if cost <= budget]
+
 
 def _decorate_stage(dag: Dag, dp: _Placement, passed: _Pass) -> Dag:
     """Run the place stage over every registered root, from the tables of
-    the block's DP pass.  The decorated plans that tie a root's optimum
-    are read back from them (`_chosen_plans`) and kept in the order of
-    their join plans (op-nodes by `OpNode.sort_key`, then their inputs'
-    plans left to right), each while its cost is at most the running best,
-    which starts at the optimum within memo.SIZE_RTOL and falls to each kept
-    plan's cost.  A landing is part of the root's signature; only the
-    signature class of the cheapest plan is kept.  Each distinct sub-plan
-    object of a root's kept plans is interned once."""
-    fresh = Dag()
+    the block's DP pass, into a fresh memo: one walk over DP states.  A
+    state (cell, S) is one decorated eq-node, and each root registers the
+    full set of its cell (`_tied_tier`).  The walk keeps every alternative
+    of a state within memo.SIZE_RTOL of the state's least
+    (`_kept_alternatives`) and attaches each once, after its inputs, which
+    it visits left to right; ascending-ssf stacking is optimal, so a
+    state's least is its DP `best`.  Every op-node is sized and costed
+    from its inputs in the fresh memo (`costplan.intern_op`), but a block
+    with nothing to place attaches the memo's own sizes and costs.  The
+    walk keeps its own stack, so any depth works."""
+    fresh, eq_nodes, ops = Dag(), dag.eq_nodes, dp.ops
+    stored = dp.width == 1 and dp.group is None   # nothing to place: the memo's own plans
+    ids: dict[tuple[_Cell, int], int] = {}        # each state attached -> its eq-node
+    kept: dict[tuple[_Cell, int], list] = {}      # each state visited -> its kept alternatives
+    ranked: dict[_Cell, list] = {}
     for query_id, root in sorted(dag.query_roots.items()):
-        chosen = _chosen_plans(dag, dp, passed, root)
-        running_best, kept = memo.within_rounding(passed.optimum[root]), []
-        for walk in sorted(chosen):
-            cost, *_, decorated = chosen[walk]
-            if cost <= running_best:
-                running_best = cost
-                kept.append((cost, decorated))
-        if not kept:
-            raise DagError(f"no plans under root {query_id!r}")
-        if dp.group is not None and len(kept) > 1:
-            classes = [memo.signature_text(costplan.plan_signature(p)) for _, p in kept]
-            winner = min((c, sig) for (c, _), sig in zip(kept, classes))[1]   # the cheapest's
-            kept = [pair for pair, sig in zip(kept, classes) if sig == winner]
-        interned: dict[int, int] = {}   # the kept plans hold every node it names
-        for _, decorated in kept:
-            new_root = costplan.intern_plan(fresh, decorated, interned)
-        memo.register_root(fresh, query_id, new_root)
+        top = _tied_tier(dag, dp, passed, root), dp.width - 1
+        stack = [top]
+        while stack:
+            state = stack[-1]
+            if state in ids:
+                stack.pop()
+                continue
+            if state not in kept:   # first visit: its inputs go first
+                kept[state] = _kept_alternatives(dp, *state, ranked)
+                stack += reversed([x for _, inputs in kept[state] for x in inputs
+                                   if x not in ids])
+                continue
+            stack.pop()
+            node = eq_nodes[state[0].eq]
+            for what, inputs in kept.pop(state):
+                children = tuple([ids[x] for x in inputs])
+                if what is None and not children:
+                    eq = memo.ensure_base(fresh, node.signature[0][0], node.est_size)
+                elif what is None:   # the group-by names its input's signature
+                    group_by, d, having = dp.group
+                    eq = costplan.intern_op(fresh, KIND_GROUPBY, sqlfront.groupby_text(
+                        group_by, fresh.eq_nodes[children[0]].text), children, d)
+                    if having is not None:
+                        eq = costplan.intern_op(fresh, KIND_HAVING, having.canonical(), (eq,),
+                                                having.ssf)
+                elif type(what) is int:
+                    kind, detail, factor = ops[what]
+                    eq = costplan.intern_op(fresh, kind, detail, children, factor)
+                elif stored:
+                    eq = memo.attach_op(fresh, what.kind, what.detail, children, node.est_size,
+                                        what.op_cost, what.factor)
+                else:
+                    eq = costplan.intern_op(fresh, what.kind, what.detail, children, what.factor)
+            ids[state] = eq
+        memo.register_root(fresh, query_id, ids[top])
     return fresh
 
 
@@ -494,15 +404,10 @@ def _select_floors(dag: Dag, dp: _Placement) -> _Pass:
     """The block's one DP pass: `dp` over the memo, an eq-node's op-nodes
     its alternatives, plain and per landing above it, in increasing
     `_Placement.bound` up to one that no root's optimum can reach.  Its
-    cells are kept for `_decorate_stage`.  The memo holds only nodes below
-    its query roots, as a join dag (`memo.Dag.below`) and a one-plan memo
-    (`place_selects_on_plan`) do, so every eq-node but a root is some
-    op-node's input and needs `best` at every set.  A root, which no op may
-    consume, gets its least `dp.total` at the full set: its least decorated
-    cost, exactly, the floor of every plan the stage keeps.  A landing's
-    tier is its cell and the cells of the eq-nodes after it with an
-    op-node over the tier."""
-    tops = set(dag.query_roots.values())
+    cells are kept for `_decorate_stage`, which reads every cell at every
+    set.  A root's optimum is its least `dp.total` at the full set: its
+    least decorated cost, exactly.  A landing's tier is its cell and the
+    cells of the eq-nodes after it with an op-node over the tier."""
     order = memo.topological_order(dag)[::-1]   # inputs first
     cells: dict[int, _Cell] = {}
     for eq_id in order:
@@ -511,8 +416,7 @@ def _select_floors(dag: Dag, dp: _Placement) -> _Pass:
             cell = dp.leaf(node.signature[0][0], node.est_size)
         else:
             cell = dp.node([(op, tuple(map(cells.__getitem__, op.children)))
-                            for op in map(dag.op_nodes.__getitem__, node.child_ops)],
-                           dp.group is not None or eq_id not in tops)
+                            for op in map(dag.op_nodes.__getitem__, node.child_ops)])
         cells[eq_id], cell.eq = cell, eq_id
     full = dp.width - 1
     plain = {root: dp.total(cells[root].best[full], cells[root].out[full])
@@ -536,7 +440,7 @@ def _select_floors(dag: Dag, dp: _Placement) -> _Pass:
                             for op in map(dag.op_nodes.__getitem__, dag.eq_nodes[up].child_ops)
                             if op.children[0] in tier or op.children[-1] in tier]
             if alternatives:
-                tier[up] = dp.node(alternatives, up not in tops)
+                tier[up] = dp.node(alternatives)
                 tier[up].eq = up
         tiers.append(tier)
         for root in roots.keys() & tier.keys():

@@ -11,9 +11,11 @@ import random
 
 import pytest
 
+from sprinkleqo import costplan, memo, sprinkle
 from sprinkleqo.catalog import Catalog, load_catalog, load_catalog_file
 from sprinkleqo.cli import main
 from sprinkleqo.costplan import Plan, _base_relation_of, base_plan
+from sprinkleqo.errors import DagError
 from sprinkleqo.memo import Dag
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -146,3 +148,27 @@ def enumerate_plans(dag: Dag, root_eq: int) -> list[Plan]:
         return out
 
     return expand(root_eq)
+
+
+def decorate_plan(plan: Plan, selects=(), *, dp=None) -> Dag:
+    """The place stage's dag over a memo of one plan, its root registered
+    as "plan": the block's selects, group-by and order-by (of `selects`
+    alone without `dp`, the block's placement DP) placed on that plan by
+    the stage's pass and state walk.  A select on a relation the plan lacks
+    is a DagError."""
+    dp = dp or sprinkle._Placement(selects)
+    one = Dag()
+    root = costplan.intern_plan(one, plan)
+    memo.register_root(one, "plan", root)
+    for cond in dp.ordered:
+        if cond.relation not in one.eq_nodes[root].signature[0]:
+            raise DagError(f"relation {cond.relation!r} not a base of this plan")
+    return sprinkle._decorate_stage(one, dp, sprinkle._select_floors(one, dp))
+
+
+def place_selects_on_plan(plan: Plan, selects, *, dp=None) -> Plan:
+    """Minimum-cost joint placement of a block's selects, group-by and
+    order-by onto one plan: `costplan.best_plan` of `decorate_plan`'s dag,
+    whose tie rule picks among the placements that tie."""
+    placed = decorate_plan(plan, selects, dp=dp)
+    return costplan.best_plan(placed, placed.query_roots["plan"])

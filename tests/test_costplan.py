@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sprinkleqo import costplan, memo, naive
 from sprinkleqo.costplan import (Plan, base_plan, best_plan, estimate_size, intern_plan,
-                                 op_cost, op_plan, plan_key, plan_signature)
+                                 op_cost, op_plan, plan_key)
 from sprinkleqo.errors import DagError
 from sprinkleqo.memo import KIND_SELECT
 from sprinkleqo.sqlfront import parse_query
@@ -248,22 +248,6 @@ def test_plan_key_of_a_plan_deeper_than_the_stack():
     for i in range(depth):
         expected = f"(select [s{i}] {expected})"
     assert plan_key(deep_select_chain(depth)) == expected
-
-
-def test_plan_signature_of_a_plan_deeper_than_the_stack():
-    depth = sys.getrecursionlimit() + 200
-    assert plan_signature(deep_select_chain(depth)) == memo.make_signature(
-        ("a", "b"), ("a.x = b.x",), tuple(f"s{i}" for i in range(depth)))
-
-
-def test_plan_signature_reflects_applied_conditions():
-    a, b = base_plan("a", 10.0), base_plan("b", 10.0)
-    j = op_plan("join", "a.x = b.x", (a, b), 0.1)
-    s = op_plan("select", "a.y > 3", (j,), 0.1)
-    sig = plan_signature(s)
-    assert sig[0] == ("a", "b")
-    assert sig[1] == ("a.x = b.x",)
-    assert sig[2] == ("a.y > 3",)
 
 
 def test_plan_to_doc_shape():
