@@ -282,12 +282,13 @@ class _Pass(NamedTuple):
 
 # -- the place stage -----------------------------------------------------------
 
-def _tied_tier(dag: Dag, dp: _Placement, passed: _Pass, root: int) -> _Cell:
+def _root_cell(dag: Dag, dp: _Placement, passed: _Pass, root: int) -> _Cell:
     """The cell whose full set is `root`'s registered state: the root's
     plain cell, or with a group-by the root cell of the cheapest tier.
-    Among tiers within memo.SIZE_RTOL of the optimum, the landing latest
-    in the pass's inputs-first order wins, which is nearest the root:
-    the one whose signature has the most entries, then the least text."""
+    Among tiers within memo.SIZE_RTOL of the optimum, the landing nearest
+    the root wins: the latest in the pass's inputs-first order, which
+    sorts by signature entries, and of landings with as many entries the
+    one of least text, so that no eq-node id decides."""
     if dp.group is None:
         return passed.cells[root]
     full, budget = dp.width - 1, memo.within_rounding(passed.optimum[root])
@@ -301,15 +302,14 @@ def _tied_tier(dag: Dag, dp: _Placement, passed: _Pass, root: int) -> _Cell:
                key=nearness)[root]
 
 
-def _kept_alternatives(dp: _Placement, cell: _Cell, s: int, ranked: dict) -> list:
+def _kept_alternatives(dp: _Placement, cell: _Cell, s: int) -> list:
     """The alternatives of the state (cell, S) that cost at most
     memo.SIZE_RTOL above its least, each (what, input states): an op-node
     of the cell whose inputs hold all of S, over its inputs at S; a leaf's
     base relation at S = 0 (what None, no inputs); a landing's group-by at
     its fixed set, over its input at that set (what None); and one bit i of
     S not fixed below a landing stacked on (cell, S - i) (what i).  Op-nodes
-    come in `OpNode.sort_key` order (`ranked` caches it per cell), then the
-    bits in `dp.stacking` order."""
+    come in `OpNode.sort_key` order, then the bits in `dp.stacking` order."""
     found = []
     op, kids = cell.alternatives[0]
     if not kids:   # a leaf
@@ -319,11 +319,7 @@ def _kept_alternatives(dp: _Placement, cell: _Cell, s: int, ranked: dict) -> lis
         if s == cell.cmask:
             found.append((cell.total[s], None, ((kids[0], s),)))
     else:
-        alternatives = ranked.get(cell)
-        if alternatives is None:
-            alternatives = ranked[cell] = sorted(cell.alternatives,
-                                                 key=lambda alt: alt[0].sort_key())
-        for op, kids in alternatives:
+        for op, kids in sorted(cell.alternatives, key=lambda alt: alt[0].sort_key()):
             k1, k2 = kids[0], kids[-1]
             if s & ~(k1.mask | k2.mask):   # an order-by its inputs cannot hold
                 continue
@@ -348,7 +344,7 @@ def _decorate_stage(dag: Dag, dp: _Placement, passed: _Pass) -> Dag:
     """Run the place stage over every registered root, from the tables of
     the block's DP pass, into a fresh memo: one walk over DP states.  A
     state (cell, S) is one decorated eq-node, and each root registers the
-    full set of its cell (`_tied_tier`).  The walk keeps every alternative
+    full set of its cell (`_root_cell`).  The walk keeps every alternative
     of a state within memo.SIZE_RTOL of the state's least
     (`_kept_alternatives`) and attaches each once, after its inputs, which
     it visits left to right; ascending-ssf stacking is optimal, so a
@@ -360,9 +356,8 @@ def _decorate_stage(dag: Dag, dp: _Placement, passed: _Pass) -> Dag:
     stored = dp.width == 1 and dp.group is None   # nothing to place: the memo's own plans
     ids: dict[tuple[_Cell, int], int] = {}        # each state attached -> its eq-node
     kept: dict[tuple[_Cell, int], list] = {}      # each state visited -> its kept alternatives
-    ranked: dict[_Cell, list] = {}
     for query_id, root in sorted(dag.query_roots.items()):
-        top = _tied_tier(dag, dp, passed, root), dp.width - 1
+        top = _root_cell(dag, dp, passed, root), dp.width - 1
         stack = [top]
         while stack:
             state = stack[-1]
@@ -370,7 +365,7 @@ def _decorate_stage(dag: Dag, dp: _Placement, passed: _Pass) -> Dag:
                 stack.pop()
                 continue
             if state not in kept:   # first visit: its inputs go first
-                kept[state] = _kept_alternatives(dp, *state, ranked)
+                kept[state] = _kept_alternatives(dp, *state)
                 stack += reversed([x for _, inputs in kept[state] for x in inputs
                                    if x not in ids])
                 continue

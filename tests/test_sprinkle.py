@@ -1233,11 +1233,9 @@ def landing_bounds(dag, dp):
     return [(bound, min(totals.values())) for *_, bound, totals in reference_tiers(dag, dp)[1]]
 
 
-def tables(cells, roots):
-    """Each cell's least costs by S; a root's at the full set alone, all
-    that the pass fills for a node no op consumes."""
-    return {eq_id: cell.best[-1] if eq_id in roots else cell.best
-            for eq_id, cell in cells.items()}
+def tables(cells):
+    """Each cell's least costs by S."""
+    return {eq_id: cell.best for eq_id, cell in cells.items()}
 
 
 def bounded_landing_inputs(tpch_catalog):
@@ -1267,10 +1265,9 @@ def test_landing_bounds_never_exceed_their_totals(tpch_catalog):
         cells, tiers, best = reference_tiers(jd, dp)
         passed = sprinkle._select_floors(jd, dp)
         assert passed.optimum == best, sql
-        roots = set(jd.query_roots.values())
-        assert tables(passed.cells, roots) == tables(cells, roots), sql
-        reference = {landing: tables(tier, roots) for landing, tier, *_ in tiers}
-        priced = {next(iter(tier)): tables(tier, roots) for tier in passed.tiers}
+        assert tables(passed.cells) == tables(cells), sql
+        reference = {landing: tables(tier) for landing, tier, *_ in tiers}
+        priced = {next(iter(tier)): tables(tier) for tier in passed.tiers}
         assert all(reference[landing] == t for landing, t in priced.items()), sql
         for landing, _, _, totals in tiers:
             if any(t <= memo.within_rounding(best[r]) for r, t in totals.items()):
