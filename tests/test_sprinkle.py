@@ -441,6 +441,31 @@ def clause_variants(sql, query, catalog):
             sql + f" order by {rels[0]}.a0, {last}.b"]
 
 
+def test_pruned_stages_keep_the_plans_of_enumerate_then_prune():
+    # enumerate-then-prune decorates every plan on its own, then keeps those
+    # at the optimum: the place stage reaches that optimum, every plan it
+    # keeps ties it on a join plan whose own decoration ties it, and
+    # ungrouped it keeps every such join plan, ordered too
+    for sql, catalog in stage_inputs()[::3]:
+        for variant in clause_variants(sql, parse_query(sql, catalog), catalog):
+            query, jd = joindag_for(variant, catalog)
+            dp = sprinkle._block_placement(query, catalog)
+            costs = {}
+            for plan in enumerate_plans(jd, jd.query_roots["q1"]):
+                placed = place_selects_on_plan(plan, (), dp=dp)
+                costs[plan_key(plan)] = dp.total(placed.cum_cost, placed.est_size)
+            least = min(costs.values())
+            tied = {key for key, cost in costs.items() if cost <= memo.within_rounding(least)}
+            dag = sprinkle.sprinkle_selects(jd, query, catalog)
+            kept = enumerate_plans(dag, dag.query_roots["q1"])
+            for plan in kept:
+                assert dp.total(plan.cum_cost, plan.est_size) == pytest.approx(
+                    least, rel=memo.SIZE_RTOL), variant
+            assert {join_plan_key(p) for p in kept} <= tied, variant
+            if not query.group_by:
+                assert {join_plan_key(p) for p in kept} == tied, variant
+
+
 def leaf_select_floors(dag, selects):
     """Per-eq-node floors with every select at its leaf and the selects' own
     costs left out: the bound of the select stage before its memo DP."""
@@ -606,9 +631,9 @@ def tied_join_plans(jd, selects):
 
 
 def join_plan_key(plan):
-    """The plan key of a decorated plan's join plan: its selects and
-    order-by taken out."""
-    while plan.kind in (KIND_SELECT, KIND_ORDERBY):
+    """The plan key of a decorated plan's join plan: its selects, group-by,
+    having and order-by taken out."""
+    while plan.kind in (KIND_SELECT, KIND_GROUPBY, KIND_HAVING, KIND_ORDERBY):
         plan = plan.children[0]
     if plan.kind == "base":
         return f"(base {plan.relation})"
@@ -809,6 +834,45 @@ def reference_place(plan, dp, limit=math.inf):
                   in placements(top, 0, full, budget - (cost - top[0].best[full]))]
     return min(sorted(found, key=lambda c: c[:2]),
                key=lambda c: dp.total(c[2].cum_cost, c[2].est_size))[2]
+
+
+def traceback_inputs(tpch_catalog, company_catalog):
+    """(sql, catalog): tpch q3, q4 and tq1, the company fixtures (of a
+    nested one, its outer block), and 12 cyclic random queries, each flat,
+    without its selects, grouped with and without a having, ordered, and
+    grouped and ordered."""
+    cases = [(fixture_sql("tpch", name), tpch_catalog) for name in ("q3", "q4", "tq1")]
+    cases += [(fixture_sql("company", name), company_catalog)
+              for name in ("q1", "q2", "q3_nested")]
+    for sql, catalog in cyclic_random_queries(12):
+        query = parse_query(sql, catalog)
+        joins_only = render_query(dataclasses.replace(query, selects=()))
+        cases += [(variant, catalog)
+                  for variant in [sql, joins_only] + clause_variants(sql, query, catalog)]
+    return cases
+
+
+def test_traceback_gives_the_dags_of_the_per_plan_walk(tpch_catalog, company_catalog):
+    # the state walk keeps what the per-plan walk finds plan by plan: the
+    # least of the per-plan placements, up to rounding, is the cost of
+    # every plan of the final dag, and each of them rides on a join plan
+    # whose own per-plan placement ties that least
+    for sql, catalog in traceback_inputs(tpch_catalog, company_catalog):
+        query, jd = joindag_for(sql, catalog)
+        dp = sprinkle._block_placement(query, catalog)
+        per_plan = {}
+        for plan in enumerate_plans(jd, jd.query_roots["q1"]):
+            placed = reference_place(plan, dp)
+            if placed is not None:
+                per_plan[plan_key(plan)] = dp.total(placed.cum_cost, placed.est_size)
+        least = min(per_plan.values())
+        dag = sprinkle.sprinkle_selects(jd, query, catalog)
+        kept = enumerate_plans(dag, dag.query_roots["q1"])
+        assert kept, sql
+        for plan in kept:
+            assert dp.total(plan.cum_cost, plan.est_size) == pytest.approx(
+                least, rel=memo.SIZE_RTOL), sql
+            assert per_plan[join_plan_key(plan)] <= memo.within_rounding(least), sql
 
 
 def test_one_plan_memo_places_as_the_per_plan_walk(tpch_catalog):
