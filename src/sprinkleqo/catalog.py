@@ -44,15 +44,20 @@ class Relation:
     name: str
     cardinality: float
     attributes: tuple[Attribute, ...]
+    # each name's first attribute, built once; no part of equality or repr
+    _by_name: dict[str, Attribute] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_by_name", {a.name: a for a in reversed(self.attributes)})
 
     def attribute(self, name: str) -> Attribute:
-        for attr in self.attributes:
-            if attr.name == name:
-                return attr
-        raise CatalogError(f"relation {self.name!r} has no attribute {name!r}")
+        attr = self._by_name.get(name)
+        if attr is None:
+            raise CatalogError(f"relation {self.name!r} has no attribute {name!r}")
+        return attr
 
     def has_attribute(self, name: str) -> bool:
-        return any(a.name == name for a in self.attributes)
+        return name in self._by_name
 
 
 @dataclass(frozen=True)
@@ -83,9 +88,19 @@ class SchemaGraph:
 
     nodes: frozenset[str]
     edges: tuple[JoinCondition, ...]
+    # (left, right) -> the jsf of the first edge with those sides, built
+    # once; no part of equality or repr
+    _jsf: dict[tuple[AttrRef, AttrRef], float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_jsf", {(e.left, e.right): e.jsf for e in reversed(self.edges)})
 
     def components(self) -> list[frozenset[str]]:
         return components(self.nodes, [e.relations() for e in self.edges])
+
+    def edge_jsf(self, left: AttrRef, right: AttrRef) -> float | None:
+        """The jsf of the first edge whose sides are (left, right), if any."""
+        return self._jsf.get((left, right))
 
 
 def components(nodes, edges) -> list[frozenset[str]]:
@@ -315,8 +330,5 @@ def lookup_ssf(catalog: Catalog, relation: str, attribute: str, operator: str,
 
 def resolve_jsf(catalog: Catalog, left: AttrRef, right: AttrRef) -> float:
     """jsf of a join condition: the FK edge's value if one matches, else the default rule."""
-    sides = sorted((left, right))
-    for edge in catalog.graph.edges:
-        if [edge.left, edge.right] == sides:
-            return edge.jsf
-    return default_jsf(catalog.relations, left, right)
+    jsf = catalog.graph.edge_jsf(*sorted((left, right)))
+    return default_jsf(catalog.relations, left, right) if jsf is None else jsf

@@ -112,18 +112,6 @@ def plan_key(plan: Plan) -> str:
 
 # -- plans <-> memo ---------------------------------------------------------
 
-def _inputs_first(plan: Plan) -> list[Plan]:
-    """Every node of a plan tree, each node's inputs first and left to
-    right: the reverse of a walk from the root that takes the inputs right
-    to left, kept on a list of its own, so any depth works."""
-    order, stack = [], [plan]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack += node.children
-    return order[::-1]
-
-
 def intern_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
               factor: float | None = None) -> int:
     """Intern one operator over existing eq-nodes, sizing and costing it from
@@ -132,20 +120,6 @@ def intern_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
     sizes = (size, dag.eq_nodes[children[1]].est_size) if len(children) == 2 else (size,)
     return memo.attach_op(dag, kind, detail, children, estimate_size(kind, sizes, factor),
                           op_cost(kind, sizes), factor)
-
-
-def intern_plan(dag: Dag, plan: Plan) -> int:
-    """Intern every node of a plan tree into the memo, each node's inputs
-    first and left to right (`_inputs_first`), with the plan's own sizes
-    and costs; returns the root eq-node."""
-    interned: dict[int, int] = {}   # the id of each plan node -> its eq-node
-    for node in _inputs_first(plan):
-        interned[id(node)] = (memo.ensure_base(dag, node.relation, node.est_size)
-                              if node.kind == "base" else
-                              memo.attach_op(dag, node.kind, node.detail,
-                                             tuple([interned[id(c)] for c in node.children]),
-                                             node.est_size, node.op_cost, node.factor))
-    return interned[id(plan)]
 
 
 def check_estimates(dag: Dag) -> None:

@@ -324,25 +324,31 @@ def attach_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
         raise DagError(f"{kind} {detail!r}: estimate overflows "
                        f"(est_size {est_size!r}, op_cost {op_cost!r})")
     eq_nodes = dag.eq_nodes
-    for child in children:
-        if child not in eq_nodes:
-            raise DagError(f"dangling child eq-node {child}")
-    if kind == KIND_JOIN:
-        if len(children) != 2:
-            raise DagError("join ops take exactly two children")
+    if kind == KIND_JOIN and len(children) == 2:   # each child looked up once
         left, right = children
-        children = (right, left) if eq_nodes[left].text > eq_nodes[right].text else (left, right)
-    elif len(children) != 1:
-        raise DagError(f"{kind} ops take exactly one child")
+        first, second = eq_nodes.get(left), eq_nodes.get(right)
+        if first is None or second is None:
+            raise DagError(f"dangling child eq-node {left if first is None else right}")
+        if first.text > second.text:
+            first, second, children = second, first, (right, left)
+        else:
+            children = left, right
+    else:
+        for child in children:
+            if child not in eq_nodes:
+                raise DagError(f"dangling child eq-node {child}")
+        if kind == KIND_JOIN:
+            raise DagError("join ops take exactly two children")
+        if len(children) != 1:
+            raise DagError(f"{kind} ops take exactly one child")
+        first = eq_nodes[children[0]]
     op_key = (kind, detail, children)
     parent = dag._op_index.get(op_key)
     if parent is not None:
         return _found(eq_nodes[parent], est_size)
-    first = eq_nodes[children[0]]
     bases, joins, unary, projection = first.key
     sig = None
     if kind == KIND_JOIN:
-        second = eq_nodes[children[1]]
         bases2, joins2, unary2, projection2 = second.key
         if projection or projection2 or bases & bases2:
             raise DagError(f"join {detail!r} of {first.text!r} and "
@@ -366,7 +372,8 @@ def attach_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
             sig = (join_signature(first.signature, second.signature, detail)
                    if kind == KIND_JOIN else extend_signature(first.signature, kind, detail))
         parent = _new_eq(dag, key, sig, est_size)
-    op = OpNode._make((dag._next_op, kind, detail, children, float(op_cost), factor))
+    # the fields in order, without the argument handling of OpNode's __new__
+    op = tuple.__new__(OpNode, (dag._next_op, kind, detail, children, float(op_cost), factor))
     dag._op_index[op_key] = parent   # first: it raises in a `Dag.below` view
     dag.op_nodes[op.id] = op
     dag._next_op += 1

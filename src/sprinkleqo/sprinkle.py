@@ -44,6 +44,7 @@ attaches each kept op-node once.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -64,9 +65,11 @@ def _stack_key(cond: SelectCondition) -> tuple[float, str]:
     return cond.ssf, cond.canonical()
 
 
+@functools.cache
 def _subsets(n: int) -> list[list[int]]:
     """subsets[m] lists every submask of the bit mask m, for m < 2**n, in
-    increasing order, so m itself comes last."""
+    increasing order, so m itself comes last.  Built once per n and shared:
+    read it, never change it."""
     out = [[0]]
     for i in range(n):
         out += [sub + [m | 1 << i for m in sub] for sub in out]
@@ -91,19 +94,20 @@ class _Cell:
     """Placement tables of one plan node or memo eq-node (`eq`), and the
     alternatives its DP step read, each (op-node, input cells): a leaf's
     one has neither, a landing's is its group-by (no op-node) over the
-    node's plain cell.  `landed` marks a cell at or above a landing.  Lists
-    are indexed by bit masks; `u` is the set placed below the node's own
-    operator, `s` the set placed at or below the node.  Only a block with a
-    group-by or an order-by sets `rels`, its grouping and ordering
-    relations as bits, and `fixed`, the bits a group-by landing at or below
-    it holds; only a landing sets `grouping`, its group-by's cost with its
-    having's."""
+    node's plain cell; `ranked` holds them in `OpNode.sort_key` order once
+    the place stage first reads them.  `landed` marks a cell at or above a
+    landing.  Lists are indexed by bit masks; `u` is the set placed below
+    the node's own operator, `s` the set placed at or below the node.  Only
+    a block with a group-by or an order-by sets `rels`, its grouping and
+    ordering relations as bits, and `fixed`, the bits a group-by landing at
+    or below it holds; only a landing sets `grouping`, its group-by's cost
+    with its having's."""
 
-    __slots__ = ("eq", "alternatives", "landed", "mask", "cmask", "fixed", "rels", "grouping",
-                 "total", "pre", "best", "out")
+    __slots__ = ("eq", "alternatives", "ranked", "landed", "mask", "cmask", "fixed", "rels",
+                 "grouping", "total", "pre", "best", "out")
 
     def __init__(self, mask: int, width: int, alternatives):
-        self.alternatives, self.landed = alternatives, False
+        self.alternatives, self.ranked, self.landed = alternatives, None, False
         self.mask = mask                 # the bits that may sit at or below the node
         self.cmask = mask                # the bits that may sit below its operator
         self.total = [0.0] * width       # least cost of the operator and its inputs, by u
@@ -142,6 +146,7 @@ class _Placement:
         self.group = (group_by, d, having) if group_by else None
         self.projected = projected
         self._fixing: dict[int, list[list[int]]] = {}
+        self._sweeps: dict[tuple[int, int], list[tuple[int, list[int]]]] = {}
 
     def total(self, cost: float, size: float) -> float:
         """A plan's cost, plus its root projection's when a group-by varies it."""
@@ -153,6 +158,16 @@ class _Placement:
             self._fixing[fixed] = [[v | fixed for v in self.subsets[m & ~fixed]]
                                    for m in range(self.width)]
         return self._fixing[fixed]
+
+    def sweep(self, mask: int, fixed: int) -> list[tuple[int, list[int]]]:
+        """Per bit of `mask` that may stack (not `fixed`), in `stacking`
+        order: the bit and the sets of a node's sweep that hold it."""
+        key = mask, fixed
+        if key not in self._sweeps:
+            sets = (self.fixing(fixed) if fixed else self.subsets)[mask]
+            self._sweeps[key] = [(1 << i, [s for s in sets if s >> i & 1])
+                                 for i in self.stacking if (mask & ~fixed) >> i & 1]
+        return self._sweeps[key]
 
     def leaf(self, relation: str, size: float) -> _Cell:
         """A base relation's tables: all its selects stack on it."""
@@ -172,14 +187,17 @@ class _Placement:
 
         Over an alternative with U below it, a node costs the op over the
         children's sizes under U, plus the children's best costs under U
-        (together `total`), plus the stack of S - U on the op's output, so
-        the DP is exact in O(nodes * 3**bits).  Per U the least total of
-        the op-nodes whose inputs hold U wins: an order-by sits below an
-        op-node only in an input that covers its relations, which depends
-        on how the op-node splits them.  The first alternative gives the
-        sizes, on which an eq-node's op-nodes agree up to rounding.  Every
-        bit of S can sit below some op-node but an order-by that enters
-        here, which is size-neutral, so `out` is `pre`.
+        (together `total`).  Per U the least total of the op-nodes whose
+        inputs hold U wins: an order-by sits below an op-node only in an
+        input that covers its relations, which depends on how the op-node
+        splits them.  The first alternative gives the sizes, on which an
+        eq-node's op-nodes agree up to rounding.  Every bit of S can sit
+        below some op-node but an order-by that enters here, which is
+        size-neutral, so `out` is `pre`.  The stack of S - U on the op's
+        output is optimal in `stacking` order, so `best` sweeps the
+        stackable bits in that order, each stacked on the best of the rest:
+        O(bits * 2**bits) per node, not the O(3**bits) of every U below
+        every S.
         """
         (op, children), *rest = alternatives
         first, last = children[0], children[-1]   # a join's two inputs, or a unary op's one
@@ -188,59 +206,65 @@ class _Placement:
             for _, inputs in rest:
                 cmask = mask = cmask | inputs[0].mask | inputs[-1].mask
         cell = _Cell(mask, self.width, alternatives)
-        subsets = self.subsets
+        subsets, fixed = self.subsets, 0
         if self.rel_bits:   # a group-by or an order-by: where the node stands
             cell.rels, cell.fixed = first.rels | last.rels, first.fixed | last.fixed
             cell.landed = first.landed or last.landed
             if cell.fixed:
-                subsets = self.fixing(cell.fixed)
+                fixed = cell.fixed
+                subsets = self.fixing(fixed)
             if cell.rels & self.ob_rels == self.ob_rels:
                 mask = cell.mask = mask | self.ob_bit
         total, pre, best = cell.total, cell.pre, cell.best
-        stack_cost = self.stack_cost
-        op_cost, estimate_size = costplan.op_cost, costplan.estimate_size
-        kind, factor = op.kind, op.factor
+        kind = op.kind
         if len(children) == 2:   # a join; the first alternative sets every u
             m1, m2, z1, z2, b1, b2 = first.mask, last.mask, first.out, last.out, first.best, last.best
+            factor = float(op.factor)
             for u in subsets[cmask]:
-                sizes = (z1[u & m1], z2[u & m2])
-                pre[u] = estimate_size(kind, sizes, factor)
-                total[u] = op_cost(kind, sizes) + (b1[u & m1] + b2[u & m2])
-        else:
+                a, b = z1[u & m1], z2[u & m2]
+                pre[u] = factor * a * b
+                total[u] = a * b + (b1[u & m1] + b2[u & m2])
+        else:   # as `costplan.estimate_size` sizes and `op_cost` costs it
             z1, b1 = first.out, first.best
             for u in subsets[cmask]:
-                sizes = (z1[u],)
-                pre[u] = estimate_size(kind, sizes, factor)
-                total[u] = op_cost(kind, sizes) + b1[u]
+                pre[u] = a = z1[u]
+                total[u] = a + b1[u]
+            if kind == KIND_GROUPBY:
+                factor = float(op.factor)
+                for u in subsets[cmask]:
+                    pre[u] = min(factor, pre[u])
+            elif kind not in (KIND_PROJECT, KIND_ORDERBY):
+                factor = float(op.factor)
+                for u in subsets[cmask]:
+                    pre[u] = factor * pre[u]
         if held != cmask:   # an order-by the first op-node's inputs cannot hold
             for u in subsets[cmask]:
                 if u & ~held:
                     total[u] = math.inf
         for op, children in rest:   # each later one only where it is cheaper
-            kind = op.kind
             if len(children) == 2:
                 c1, c2 = children
                 m1, m2, z1, z2, b1, b2 = c1.mask, c2.mask, c1.out, c2.out, c1.best, c2.best
                 for u in subsets[m1 | m2]:
-                    cost = op_cost(kind, (z1[u & m1], z2[u & m2])) + (b1[u & m1] + b2[u & m2])
+                    cost = z1[u & m1] * z2[u & m2] + (b1[u & m1] + b2[u & m2])
                     if cost < total[u]:
                         total[u] = cost
             else:
                 z1, b1 = children[0].out, children[0].best
                 for u in subsets[children[0].mask]:
-                    cost = op_cost(kind, (z1[u],)) + b1[u]
+                    cost = z1[u] + b1[u]
                     if cost < total[u]:
                         total[u] = cost
         if mask != cmask:   # the order-by enters here: never below the op
             for u in subsets[cmask]:
                 pre[u | self.ob_bit], total[u | self.ob_bit] = pre[u], math.inf
         for s in subsets[mask]:
-            least = math.inf
-            for u in subsets[s]:
-                cost = total[u] + pre[u] * stack_cost[s ^ u]
-                if cost < least:
-                    least = cost
-            best[s] = least
+            best[s] = total[s]
+        for bit, holders in self.sweep(mask, fixed):
+            for s in holders:
+                cost = best[s ^ bit] + pre[s ^ bit]
+                if cost < best[s]:
+                    best[s] = cost
         return cell
 
     def landing(self, cell: _Cell) -> _Cell:
@@ -319,7 +343,9 @@ def _kept_alternatives(dp: _Placement, cell: _Cell, s: int) -> list:
         if s == cell.cmask:
             found.append((cell.total[s], None, ((kids[0], s),)))
     else:
-        for op, kids in sorted(cell.alternatives, key=lambda alt: alt[0].sort_key()):
+        if cell.ranked is None:
+            cell.ranked = sorted(cell.alternatives, key=lambda alt: alt[0].sort_key())
+        for op, kids in cell.ranked:
             k1, k2 = kids[0], kids[-1]
             if s & ~(k1.mask | k2.mask):   # an order-by its inputs cannot hold
                 continue
@@ -587,11 +613,12 @@ def optimize_single(query: Query, catalog: Catalog, *,
                     query_id: str = "q1") -> OptimizeResult:
     """Full pipeline for one query: reuse (or grow) the join-order history,
     then run the place and projects stages.  `limit` bounds the joins and,
-    as the placement DP grows as 3**s, the selects of each block.  Joins the
-    history already holds are not counted: a block whose joins are all known
-    runs whatever its number of joins.  The block's join dag is the grown
-    history below its full-join node, read in place, whether that history
-    was built for this block alone or already held its joins."""
+    as the placement DP grows as s * 2**s per node, the selects of each
+    block.  Joins the history already holds are not counted: a block whose
+    joins are all known runs whatever its number of joins.  The block's
+    join dag is the grown history below its full-join node, read in place,
+    whether that history was built for this block alone or already held its
+    joins."""
     if query.subquery is not None:
         return _optimize_nested(query, catalog, history=history, limit=limit,
                                 query_id=query_id)

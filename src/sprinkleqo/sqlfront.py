@@ -37,6 +37,13 @@ _IDENT = r"[a-z_][a-z0-9_]*"
 _AGG_RE = re.compile(rf"^({'|'.join(_AGG_FUNCS)})\s*\(\s*(.+?)\s*\)$")
 _REF_RE = re.compile(rf"^({_IDENT})\.({_IDENT})$|^({_IDENT})$")
 _NUMBER_RE = re.compile(r"^-?\d+(\.\d+)?$")
+_DATE_RE = re.compile(r"^date\s*'([^']*)'$")
+_QUOTED_RE = re.compile(r"'[^']*'")
+_OR_RE = re.compile(r"\bor\b")
+_FROM_SUBQUERY_RE = re.compile(rf"^\(\s*(select\b.*)\)\s*({_IDENT})$")
+_IDENT_RE = re.compile(rf"^{_IDENT}$")
+_IN_SUBQUERY_RE = re.compile(r"^(.+?)\s+in\s*\(\s*(select\b.*)\)$")
+_ORDER_ITEM_RE = re.compile(r"^(.*?)(?:\s+(asc|desc))?$")
 
 
 def format_literal(value: int | float | str) -> str:
@@ -185,6 +192,7 @@ def _top_level(text: str) -> str:
 _CLAUSES = ("select", "from", "where", "group by", "having", "order by")
 # a keyword is a whole word: no identifier, digit or qualifying dot touches it
 _CLAUSE_RE = re.compile(r"(?<![a-z0-9_.])(" + "|".join(_CLAUSES) + r")(?![a-z0-9_.])")
+_CLAUSE_ORDER = {kw: n for n, kw in enumerate(_CLAUSES)}
 
 
 def _scan_clauses(text: str) -> tuple[dict[str, str], dict[str, str]]:
@@ -194,9 +202,8 @@ def _scan_clauses(text: str) -> tuple[dict[str, str], dict[str, str]]:
     positions = [(m.start(), m.group(1)) for m in _CLAUSE_RE.finditer(mask)]
     if not positions or positions[0][1] != "select" or positions[0][0] != 0:
         raise ParseError("statement must start with SELECT")
-    order = {kw: n for n, kw in enumerate(_CLAUSES)}
     for (_, a), (_, b) in zip(positions, positions[1:]):
-        if order[b] <= order[a]:
+        if _CLAUSE_ORDER[b] <= _CLAUSE_ORDER[a]:
             raise ParseError(f"clause {b.upper()} out of order")
     clauses: dict[str, str] = {}
     masks: dict[str, str] = {}
@@ -219,10 +226,11 @@ def _split_masked(text: str, mask: str, separator: str) -> list[tuple[str, str]]
     separator token at paren depth zero, outside quotes; `mask` is
     `_top_level(text)`."""
     parts: list[tuple[str, str]] = []
-    start = 0
-    for m in re.finditer(re.escape(separator), mask):
-        parts.append(_strip(text, mask, start, m.start()))
-        start = m.end()
+    start, at = 0, mask.find(separator)
+    while at >= 0:
+        parts.append(_strip(text, mask, start, at))
+        start = at + len(separator)
+        at = mask.find(separator, start)
     parts.append(_strip(text, mask, start, len(text)))
     return [p for p in parts if p[0]]
 
@@ -235,7 +243,7 @@ def _split_top_level(text: str, separator: str, mask: str | None = None) -> list
 
 def _parse_literal(text: str) -> int | float | str:
     text = text.strip()
-    m = re.match(r"^date\s*'([^']*)'$", text)
+    m = _DATE_RE.match(text)
     if m:
         return m.group(1)
     if text.startswith("'") and text.endswith("'") and len(text) >= 2:
@@ -252,6 +260,7 @@ class _Resolver:
                  alias_columns: dict[str, dict[str, AttrRef]]):
         self.catalog = catalog
         self.tables = tables
+        self.table_set = set(tables)
         self.alias_columns = alias_columns  # alias -> column -> source AttrRef
 
     def has(self, relation: str, attribute: str) -> bool:
@@ -273,7 +282,7 @@ class _Resolver:
             raise ParseError(f"expected an attribute reference, got {text!r}")
         if m.group(1):
             relation, attribute = m.group(1), m.group(2)
-            if relation not in self.tables:
+            if relation not in self.table_set:
                 if relation in outer_tables:
                     raise ParseError(
                         f"correlated subqueries are unsupported ({relation}.{attribute} "
@@ -344,7 +353,7 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
         raise ParseError("empty statement")
     if _depth > 1:
         raise ParseError("subqueries may not nest beyond one level")
-    if re.search(r"\bor\b", re.sub(r"'[^']*'", "''", text)):
+    if _OR_RE.search(_QUOTED_RE.sub("''", text)):
         raise ParseError("OR is not supported; WHERE must be a conjunction")
     clauses, masks = _scan_clauses(text)
 
@@ -352,7 +361,7 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
     subquery: Subquery | None = None
     alias_columns: dict[str, dict[str, AttrRef]] = {}
     for part in _split_top_level(clauses["from"], ",", masks["from"]):
-        m = re.match(rf"^\(\s*(select\b.*)\)\s*({_IDENT})$", part)
+        m = _FROM_SUBQUERY_RE.match(part)
         if m:
             if subquery is not None:
                 raise ParseError("at most one subquery is supported")
@@ -366,7 +375,7 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
             alias_columns[alias] = sources
             tables.append(alias)
             continue
-        if not re.match(rf"^{_IDENT}$", part):
+        if not _IDENT_RE.match(part):
             raise ParseError(f"unsupported FROM item {part!r}")
         if part not in catalog.relations:
             raise ValidationError(f"unknown relation {part!r}")
@@ -384,7 +393,7 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
     edges: list[tuple[str, str]] = []
     for cond, cond_mask in _split_masked(clauses.get("where", ""), masks.get("where", ""),
                                          " and "):
-        m = re.match(rf"^(.+?)\s+in\s*\(\s*(select\b.*)\)$", cond)
+        m = _IN_SUBQUERY_RE.match(cond) if "select" in cond else None
         if m:
             if subquery is not None:
                 raise ParseError("at most one subquery is supported")
@@ -448,7 +457,7 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
     order_by: list[OrderItem] = []
     if "order by" in clauses:
         for part in _split_top_level(clauses["order by"], ",", masks["order by"]):
-            m = re.match(r"^(.*?)(?:\s+(asc|desc))?$", part)
+            m = _ORDER_ITEM_RE.match(part)
             rel, attr = resolver.resolve(m.group(1))
             order_by.append(OrderItem(rel, attr, m.group(2) == "desc"))
 

@@ -150,6 +150,32 @@ def enumerate_plans(dag: Dag, root_eq: int) -> list[Plan]:
     return expand(root_eq)
 
 
+def _inputs_first(plan: Plan) -> list[Plan]:
+    """Every node of a plan tree, each node's inputs first and left to
+    right: the reverse of a walk from the root that takes the inputs right
+    to left, kept on a list of its own, so any depth works."""
+    order, stack = [], [plan]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack += node.children
+    return order[::-1]
+
+
+def intern_plan(dag: Dag, plan: Plan) -> int:
+    """Intern every node of a plan tree into the memo, each node's inputs
+    first and left to right (`_inputs_first`), with the plan's own sizes
+    and costs; returns the root eq-node."""
+    interned: dict[int, int] = {}   # the id of each plan node -> its eq-node
+    for node in _inputs_first(plan):
+        interned[id(node)] = (memo.ensure_base(dag, node.relation, node.est_size)
+                              if node.kind == "base" else
+                              memo.attach_op(dag, node.kind, node.detail,
+                                             tuple([interned[id(c)] for c in node.children]),
+                                             node.est_size, node.op_cost, node.factor))
+    return interned[id(plan)]
+
+
 def decorate_plan(plan: Plan, selects=(), *, dp=None) -> Dag:
     """The place stage's dag over a memo of one plan, its root registered
     as "plan": the block's selects, group-by and order-by (of `selects`
@@ -158,7 +184,7 @@ def decorate_plan(plan: Plan, selects=(), *, dp=None) -> Dag:
     is a DagError."""
     dp = dp or sprinkle._Placement(selects)
     one = Dag()
-    root = costplan.intern_plan(one, plan)
+    root = intern_plan(one, plan)
     memo.register_root(one, "plan", root)
     for cond in dp.ordered:
         if cond.relation not in one.eq_nodes[root].signature[0]:

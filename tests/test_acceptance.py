@@ -17,7 +17,7 @@ from sprinkleqo import (analytics, costplan, joindag, memo, naive, sprinkle)
 from sprinkleqo.sqlfront import parse_query
 
 from conftest import (FIXTURES, chain_catalog, connected_query_sql, enumerate_plans,
-                      place_selects_on_plan, random_schema, run_cli)
+                      intern_plan, place_selects_on_plan, random_schema, run_cli)
 
 COMPANY = str(FIXTURES / "company" / "schema.json")
 
@@ -88,7 +88,7 @@ def unpruned_select_sprinkle(jd, selects):
         new_root = None
         for plan in enumerate_plans(jd, root):
             decorated = place_selects_on_plan(plan, selects)
-            new_root = costplan.intern_plan(fresh, decorated)
+            new_root = intern_plan(fresh, decorated)
         memo.register_root(fresh, query_id, new_root)
     return fresh
 

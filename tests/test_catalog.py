@@ -6,8 +6,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from sprinkleqo.catalog import (DEFAULT_SSF, JoinCondition, components, load_catalog,
-                                lookup_ssf, resolve_jsf)
+from sprinkleqo.catalog import (DEFAULT_SSF, Attribute, Catalog, JoinCondition, Relation,
+                                SchemaGraph, components, load_catalog, lookup_ssf, resolve_jsf)
 from sprinkleqo.errors import CatalogError
 
 from conftest import make_catalog
@@ -171,6 +171,37 @@ def test_resolve_jsf_prefers_fk_edge_then_distinct_rule():
     assert resolve_jsf(c, ("b", "x"), ("a", "x")) == 0.01
     # no FK edge between a.y and b.z: fall back to 1/max(distincts)
     assert resolve_jsf(c, ("a", "y"), ("b", "z")) == pytest.approx(1.0 / 10)
+
+
+def test_resolve_jsf_takes_the_first_of_parallel_edges():
+    # two FK edges on one attribute pair: the first in schema order wins,
+    # whichever way round either is written or asked
+    doc = dict(BASIC, fk_edges=[{"left": "b.x", "right": "a.x", "jsf": 0.02},
+                                {"left": "a.x", "right": "b.x", "jsf": 0.05}])
+    c = load_catalog(json.dumps(doc))
+    assert [e.jsf for e in c.graph.edges] == [0.02, 0.05]
+    assert resolve_jsf(c, ("a", "x"), ("b", "x")) == resolve_jsf(c, ("b", "x"), ("a", "x")) == 0.02
+    doc["fk_edges"].reverse()
+    assert resolve_jsf(load_catalog(json.dumps(doc)), ("b", "x"), ("a", "x")) == 0.05
+    # a relation's attributes: the first of a name, and the same error
+    rel = c.relation("a")
+    with pytest.raises(CatalogError, match=r"^relation 'a' has no attribute 'w'$"):
+        rel.attribute("w")
+    twice = Relation("t", 1.0, (Attribute("k", 1), Attribute("k", 2)))
+    assert twice.attribute("k").distinct_count == 1 and not twice.has_attribute("w")
+    # the indexes are no part of equality, hashing or repr
+    assert Relation("a", 100.0, rel.attributes) == rel
+    assert hash(Relation("a", 100.0, rel.attributes)) == hash(rel)
+    assert repr(rel) == ("Relation(name='a', cardinality=100.0, attributes=("
+                         "Attribute(name='x', distinct_count=100, is_key=True), "
+                         "Attribute(name='y', distinct_count=10, is_key=False)))")
+    graph = SchemaGraph(c.graph.nodes, c.graph.edges)
+    assert graph == c.graph and hash(graph) == hash(c.graph)
+    assert graph != SchemaGraph(c.graph.nodes, c.graph.edges[::-1])
+    assert repr(graph) == f"SchemaGraph(nodes={graph.nodes!r}, edges={graph.edges!r})"
+    assert Catalog(dict(c.relations), graph, c.stats, c.fingerprint) == c
+    assert repr(c) == (f"Catalog(relations={c.relations!r}, graph={graph!r}, "
+                       f"stats={c.stats!r}, fingerprint={c.fingerprint!r})")
 
 
 def test_lookup_ssf_override_and_default():

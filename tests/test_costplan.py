@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sprinkleqo import costplan, memo, naive
-from sprinkleqo.costplan import (Plan, base_plan, best_plan, estimate_size, intern_plan,
-                                 op_cost, op_plan, plan_key)
+from sprinkleqo.costplan import (Plan, base_plan, best_plan, estimate_size, op_cost, op_plan,
+                                 plan_key)
 from sprinkleqo.errors import DagError
 from sprinkleqo.memo import KIND_SELECT
 from sprinkleqo.sqlfront import parse_query
 
 from conftest import (FIXTURES, connected_query_sql, enumerate_plans, fixture_sql,
-                      random_schema)
+                      intern_plan, random_schema)
 
 sizes = st.floats(min_value=1.0, max_value=1e6, allow_nan=False)
 factors = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)

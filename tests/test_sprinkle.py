@@ -20,7 +20,7 @@ from sprinkleqo.sqlfront import (HavingCondition, OrderItem, SelectCondition,
                                  extract_join_set, parse_query, render_query)
 
 from conftest import FIXTURES, chain_catalog, fixture_sql, make_catalog, random_schema, \
-    connected_query_sql, decorate_plan, enumerate_plans, place_selects_on_plan
+    connected_query_sql, decorate_plan, enumerate_plans, intern_plan, place_selects_on_plan
 
 sizes = st.floats(min_value=1.0, max_value=1e5, allow_nan=False)
 factors = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
@@ -337,7 +337,7 @@ def enumerate_then_prune_stage(dag, decorate, *, bound=None):
             raise DagError(f"no plans under root {query_id!r}")
         new_root = None
         for _, decorated in kept:
-            new_root = costplan.intern_plan(fresh, decorated)
+            new_root = intern_plan(fresh, decorated)
         memo.register_root(fresh, query_id, new_root)
     return fresh
 
@@ -731,7 +731,7 @@ def test_flat_random_queries_walk_from_the_root_floor_to_the_naive_optimum():
 def reference_group_on(dp, target):
     group_by, d, having = dp.group
     one = memo.Dag()   # the group-by names its input's signature
-    landing = one.eq_nodes[costplan.intern_plan(one, target)].text
+    landing = one.eq_nodes[intern_plan(one, target)].text
     out = op_plan(KIND_GROUPBY, sqlfront.groupby_text(group_by, landing), (target,), d)
     return out if having is None else op_plan(KIND_HAVING, having.canonical(), (out,),
                                               having.ssf)
@@ -977,7 +977,7 @@ def test_a_landing_bounded_above_the_optimum_gets_no_pass():
     plan = grouped_join(1000.0, 10.0, 0.001)
     dp = sprinkle._Placement((), group_by=(("t", "g"),), d=2000.0)
     one = memo.Dag()
-    root = costplan.intern_plan(one, plan)
+    root = intern_plan(one, plan)
     memo.register_root(one, "plan", root)
     passed = sprinkle._select_floors(one, dp)
     assert [next(iter(tier)) for tier in passed.tiers] == [root]   # each tier's landing
@@ -1144,6 +1144,103 @@ def test_grouped_and_ordered_blocks_reach_the_brute_force_optimum(tpch_catalog):
         below_the_root += any(n.kind in (KIND_GROUPBY, KIND_ORDERBY)
                               and plan_bases(n) != set(query.tables) for n in walk_plan(best))
     assert below_the_root >= 20
+
+
+def pair_loop_best(dp, cell):
+    """The cell's least cost per set S at or below it, from its own `total`
+    and `pre` by the O(3**bits) loop: every U below the operator (holding
+    the bits a landing fixes), the rest stacked on its output at
+    `dp.stack_cost`."""
+    fixed = getattr(cell, "fixed", 0)
+    best = {}
+    for s in range(dp.width):
+        if s & ~cell.mask or s & fixed != fixed:
+            continue
+        best[s] = min(cell.total[u] + cell.pre[u] * dp.stack_cost[s ^ u]
+                      for u in range(s + 1) if u & ~s == 0 and u & fixed == fixed)
+    return best
+
+
+def one_relation_stacks():
+    """(sql, catalog): random flat and ordered blocks over chains and stars
+    of 3 or 4 relations, tiny to large, with 3 or 4 selects on one
+    relation, of one ssf or of distinct ones, mostly unselective, so that
+    stacking several at a join often pays."""
+    rng = random.Random(2323)
+    cases = []
+    for k in range(24):
+        shape, j = rng.choice(["chain", "star"]), rng.randint(2, 3)
+        cards = [rng.choice([2, 10, 1000, 100000]) for _ in range(j + 1)]
+        relations = [{"name": f"r{i}", "cardinality": card,
+                      "attributes": [{"name": "a0", "distinct": min(card, 10)},
+                                     {"name": "a1", "distinct": min(card, 10)},
+                                     {"name": "b", "distinct": min(card, 5)}]}
+                     for i, card in enumerate(cards)]
+        pairs = [(i, i + 1) if shape == "chain" else (0, i + 1) for i in range(j)]
+        rel = f"r{rng.randrange(j + 1)}"
+        conds = [f"{rel}.b > {v}" for v in rng.sample(range(1, 40), rng.randint(3, 4))]
+        ssf = [rng.choice([0.6, 0.9])] * len(conds) if k % 2 else \
+            rng.sample([0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.99], len(conds))
+        catalog = make_catalog(relations, [{"left": f"r{a}.a0", "right": f"r{b}.a1",
+                                            "jsf": rng.choice([0.001, 0.005, 0.1, 0.5])}
+                                           for a, b in pairs],
+                               overrides=dict(zip(conds, ssf)))
+        sql = ("select * from " + ", ".join(f"r{i}" for i in range(j + 1)) + " where "
+               + " and ".join([f"r{a}.a0 = r{b}.a1" for a, b in pairs] + conds))
+        cases.append((sql + (f" order by {rel}.a0" if k % 4 > 1 else ""), catalog))
+    return cases
+
+
+def internal_stack_block():
+    """(sql, catalog): r0's two selects belong on its join with the tiny
+    r1, whose output is small, below the large r2: at the leaf each costs
+    r0's size and saves little of that join, and at the root the join with
+    r2 reads the unfiltered output."""
+    relations = [{"name": f"r{i}", "cardinality": card,
+                  "attributes": [{"name": "a0", "distinct": min(card, 100)},
+                                 {"name": "a1", "distinct": min(card, 100)},
+                                 {"name": "b", "distinct": min(card, 50)}]}
+                 for i, card in enumerate([1000, 2, 100000])]
+    catalog = make_catalog(relations, [{"left": "r0.a0", "right": "r1.a1", "jsf": 0.005},
+                                       {"left": "r1.a0", "right": "r2.a1", "jsf": 0.5}],
+                           overrides={"r0.b > 1": 0.6, "r0.b < 9": 0.9})
+    return ("select * from r0, r1, r2 where r0.a0 = r1.a1 and r1.a0 = r2.a1 "
+            "and r0.b > 1 and r0.b < 9"), catalog
+
+
+def test_the_stacking_sweep_matches_the_pair_loop():
+    # the DP step stacks one bit at a time in `stacking` order, each on the
+    # best of the rest; ascending-rank stacking is optimal, so every
+    # node's `best` is the pair loop's least over every U below every S
+    # (leaves and landings price their stacks directly)
+    swept = stacked = 0
+    for sql, catalog in grouped_oracle_queries() + one_relation_stacks() + [internal_stack_block()]:
+        query, jd = joindag_for(sql, catalog)
+        dp = sprinkle._block_placement(query, catalog)
+        passed = sprinkle._select_floors(jd, dp)
+        for cells in [passed.cells] + passed.tiers:
+            for cell in cells.values():
+                if cell.alternatives[0][0] is None:
+                    continue
+                reference = pair_loop_best(dp, cell)
+                for s, cost in enumerate(cell.best):
+                    if s not in reference:
+                        assert cost == math.inf, sql
+                        continue
+                    assert cost <= memo.within_rounding(reference[s]), (sql, s)
+                    assert reference[s] <= memo.within_rounding(cost), (sql, s)
+                    swept += 1
+                    stacked += cost < cell.total[s]
+    assert (swept, stacked) == (2035, 394)   # sets compared; of them, those stacked on the node
+    # the one plan kept stacks both of r0's selects on its join with r1
+    sql, catalog = internal_stack_block()
+    query = parse_query(sql, catalog)
+    dag = sprinkle.optimize_single(query, catalog).dag
+    (plan,) = enumerate_plans(dag, dag.query_roots["q1"])
+    assert plan.cum_cost == pytest.approx(brute_force_cost(query, catalog), rel=memo.SIZE_RTOL)
+    (below,) = [n for n in walk_plan(plan) if n.kind == KIND_JOIN and n is not plan]
+    assert plan_key(plan.children[0]) == plan_key(op_plan(
+        KIND_SELECT, "r0.b < 9", (op_plan(KIND_SELECT, "r0.b > 1", (below,), 0.6),), 0.9))
 
 
 def flat_oracle_queries():
@@ -1339,7 +1436,7 @@ def test_landing_bounds_never_exceed_their_totals(tpch_catalog):
         landings = landing_bounds(jd, dp)
         for plan in itertools.islice(enumerate_plans(jd, jd.query_roots["q1"]), 40):
             one = memo.Dag()
-            memo.register_root(one, "q1", costplan.intern_plan(one, plan))
+            memo.register_root(one, "q1", intern_plan(one, plan))
             landings += landing_bounds(one, dp)
         assert all(bound <= memo.within_rounding(total) for bound, total in landings), sql
 
@@ -1352,7 +1449,7 @@ def test_landing_bound_holds_for_a_having_that_grows_its_input():
                              operator=">", literal=5, ssf=4.0)
     dp = sprinkle._Placement((), group_by=(("t", "g"),), having=having, d=1e9)
     one = memo.Dag()
-    memo.register_root(one, "q1", costplan.intern_plan(one, grouped_join(1000.0, 50.0, 0.01)))
+    memo.register_root(one, "q1", intern_plan(one, grouped_join(1000.0, 50.0, 0.01)))
     landings = landing_bounds(one, dp)
     assert len(landings) == 2
     assert all(bound <= total for bound, total in landings)
@@ -1556,7 +1653,7 @@ def enumerate_and_intern(queries, catalog):
         res = sprinkle.optimize_single(query, catalog, history=grown, query_id=query_id)
         grown = res.history
         for plan in enumerate_plans(res.dag, res.dag.query_roots[query_id]):
-            root = costplan.intern_plan(shared, plan)
+            root = intern_plan(shared, plan)
         memo.register_root(shared, query_id, root)
     sprinkle.sprinkle_projects(shared, ordered, catalog)
     return shared, {qid: costplan.best_plan(shared, shared.query_roots[qid])
