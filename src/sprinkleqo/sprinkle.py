@@ -208,10 +208,10 @@ class _Placement:
         cell = _Cell(mask, self.width, alternatives)
         subsets, fixed = self.subsets, 0
         if self.rel_bits:   # a group-by or an order-by: where the node stands
-            cell.rels, cell.fixed = first.rels | last.rels, first.fixed | last.fixed
+            cell.rels = first.rels | last.rels
+            cell.fixed = fixed = first.fixed | last.fixed
             cell.landed = first.landed or last.landed
-            if cell.fixed:
-                fixed = cell.fixed
+            if fixed:
                 subsets = self.fixing(fixed)
             if cell.rels & self.ob_rels == self.ob_rels:
                 mask = cell.mask = mask | self.ob_bit
