@@ -31,14 +31,17 @@ relations fixed below; only landings whose bound (`_Placement.bound`) can
 reach the optimum get one.  The DP runs once per block, over the memo
 (`_select_floors`), an eq-node's op-nodes its alternatives, and keeps one
 cell per node it priced (`_Cell`): the alternatives its step read, each an
-op-node and its input cells, and its tables, per set u below the node's
-operator the least cost of the operator and its inputs (`total`) and the
-output size, per set s at or below it the least cost and size.  A state
-(cell, s) is one decorated eq-node, and the stage emits its memo state by
-state (`_decorate_stage`): from the root's state it walks down the cells,
-keeps each alternative of a state (an op-node over its inputs' states, or
-one bit of s stacked on the rest) that ties the state's least, and
-attaches each kept op-node once.
+op-node and its input cells, and its tables: per set u below the node's
+operator the least cost of the operator and its inputs (`total`), per set
+at or below it the output size (`size`), and per set s at or below it the
+least cost (`best`).  Leaves, landings and op-nodes share one stacking
+rule (`_Placement._stack`): selects stack in ascending rank, each costing
+the size under it, which is optimal by the exchange argument of predicate
+migration.  A state (cell, s) is one decorated eq-node, and the stage
+emits its memo state by state (`_decorate_stage`): from the root's state
+it walks down the cells, keeps each alternative of a state (an op-node
+over its inputs' states, or one bit of s stacked on the rest) that ties
+the state's DP least, and attaches each kept op-node once.
 """
 
 from __future__ import annotations
@@ -76,44 +79,29 @@ def _subsets(n: int) -> list[list[int]]:
     return out
 
 
-def _stack_factors(ordered) -> tuple[list[float], list[float]]:
-    """Per subset T of the selects: a stack of T on an input of size p
-    costs p*cost[T] and yields p*size[T], applied in `_stack_key` order."""
-    cost, size = [0.0] * (1 << len(ordered)), [1.0] * (1 << len(ordered))
-    done = [0]   # the subsets of the selects ranked so far
-    for i in sorted(range(len(ordered)), key=lambda i: _stack_key(ordered[i])):
-        bit, ssf = 1 << i, float(ordered[i].ssf)
-        for t in done:   # select i tops the stack of t | bit
-            cost[t | bit] = cost[t] + size[t]
-            size[t | bit] = size[t] * ssf
-        done += [t | bit for t in done]
-    return cost, size
-
-
 class _Cell:
     """Placement tables of one plan node or memo eq-node (`eq`), and the
     alternatives its DP step read, each (op-node, input cells): a leaf's
     one has neither, a landing's is its group-by (no op-node) over the
     node's plain cell; `ranked` holds them in `OpNode.sort_key` order once
-    the place stage first reads them.  `landed` marks a cell at or above a
-    landing.  Lists are indexed by bit masks; `u` is the set placed below
-    the node's own operator, `s` the set placed at or below the node.  Only
-    a block with a group-by or an order-by sets `rels`, its grouping and
-    ordering relations as bits, and `fixed`, the bits a group-by landing at
-    or below it holds; only a landing sets `grouping`, its group-by's cost
-    with its having's."""
+    the place stage first reads them.  Lists are indexed by bit masks; `u`
+    is the set placed below the node's own operator, `s` the set placed at
+    or below the node.  Sizes depend only on which bits sit at or below, so
+    one table (`size`) serves both.  Only a block with a group-by or an
+    order-by sets `rels`, its grouping and ordering relations as bits, and
+    `fixed`, the bits a group-by landing at or below it holds; only a
+    landing sets `grouping`, its group-by's cost with its having's."""
 
-    __slots__ = ("eq", "alternatives", "ranked", "landed", "mask", "cmask", "fixed", "rels",
-                 "grouping", "total", "pre", "best", "out")
+    __slots__ = ("eq", "alternatives", "ranked", "mask", "cmask", "fixed", "rels",
+                 "grouping", "total", "size", "best")
 
     def __init__(self, mask: int, width: int, alternatives):
-        self.alternatives, self.ranked, self.landed = alternatives, None, False
+        self.alternatives, self.ranked = alternatives, None
         self.mask = mask                 # the bits that may sit at or below the node
         self.cmask = mask                # the bits that may sit below its operator
         self.total = [0.0] * width       # least cost of the operator and its inputs, by u
-        self.pre = [0.0] * width         # output size before its select stack, by u
+        self.size = [0.0] * width        # output size, by the set at or below it
         self.best = [math.inf] * width   # least subtree cost, by s; inf if s is not in mask
-        self.out = self.pre              # output size after its select stack, by s (leaves replace it)
 
 
 class _Placement:
@@ -127,7 +115,6 @@ class _Placement:
         n = len(self.ordered)
         self.subsets = _subsets(n + bool(order_by))
         self.width = len(self.subsets)
-        self.stack_cost, self.stack_size = _stack_factors(self.ordered)
         self.ops = [(KIND_SELECT, cond.canonical(), cond.ssf) for cond in self.ordered]
         self.stacking = sorted(range(n), key=lambda i: _stack_key(self.ordered[i]))
         self.on_relation: dict[str, int] = {}
@@ -141,8 +128,6 @@ class _Placement:
         if order_by:   # a size-neutral select on top of any stack
             self.ops.append((KIND_ORDERBY, sqlfront.orderby_text(order_by), None))
             self.stacking.append(n)
-            self.stack_cost += [c + z for c, z in zip(self.stack_cost, self.stack_size)]
-            self.stack_size += self.stack_size
         self.group = (group_by, d, having) if group_by else None
         self.projected = projected
         self._fixing: dict[int, list[list[int]]] = {}
@@ -161,25 +146,45 @@ class _Placement:
 
     def sweep(self, mask: int, fixed: int) -> list[tuple[int, list[int]]]:
         """Per bit of `mask` that may stack (not `fixed`), in `stacking`
-        order: the bit and the sets of a node's sweep that hold it."""
+        order: the bit and the submasks of `mask` that hold it and `fixed`."""
         key = mask, fixed
         if key not in self._sweeps:
-            sets = (self.fixing(fixed) if fixed else self.subsets)[mask]
+            sets = [v | fixed for v in self.subsets[mask & ~fixed]]
             self._sweeps[key] = [(1 << i, [s for s in sets if s >> i & 1])
                                  for i in self.stacking if (mask & ~fixed) >> i & 1]
         return self._sweeps[key]
 
+    def _stack(self, cell: _Cell, fixed: int) -> _Cell:
+        """The DP's one stacking rule: a stack on a node's output is optimal
+        in `stacking` order, so each bit that may stack (not `fixed`) is
+        stacked in that order on the best of the rest, costing the size
+        under it: O(bits * 2**bits) per node, not the O(3**bits) of every U
+        below every S."""
+        best, size = cell.best, cell.size
+        for bit, holders in self.sweep(cell.mask, fixed):
+            for s in holders:
+                cost = best[s ^ bit] + size[s ^ bit]
+                if cost < best[s]:
+                    best[s] = cost
+        return cell
+
     def leaf(self, relation: str, size: float) -> _Cell:
-        """A base relation's tables: all its selects stack on it."""
+        """A base relation's tables: all its selects stack on it, each
+        select's size its factor times the size of those below it."""
         cell = _Cell(self.on_relation.get(relation, 0), self.width, [(None, ())])
-        cell.cmask, cell.pre[0], cell.out = 0, size, [0.0] * self.width
+        cell.cmask, cell.size[0], cell.best[0] = 0, size, 0.0
         if self.rel_bits:   # a group-by or an order-by: where the leaf stands
             cell.rels, cell.fixed = self.rel_bits.get(relation, 0), 0
             if cell.rels & self.ob_rels == self.ob_rels:
                 cell.mask |= self.ob_bit
-        for s in self.subsets[cell.mask]:
-            cell.best[s], cell.out[s] = size * self.stack_cost[s], size * self.stack_size[s]
-        return cell
+        sizes, below = cell.size, [0]   # the sets of the bits sized so far
+        for i in self.stacking:
+            if cell.mask >> i & 1:   # bit i tops the sets that hold it
+                bit, factor = 1 << i, self.ops[i][2]
+                for t in below:   # the order-by (factor None) is size-neutral
+                    sizes[t | bit] = sizes[t] if factor is None else float(factor) * sizes[t]
+                below += [t | bit for t in below]
+        return self._stack(cell, 0)
 
     def node(self, alternatives) -> _Cell:
         """The DP step: a node's tables from its alternatives, each
@@ -193,11 +198,8 @@ class _Placement:
         splits them.  The first alternative gives the sizes, on which an
         eq-node's op-nodes agree up to rounding.  Every bit of S can sit
         below some op-node but an order-by that enters here, which is
-        size-neutral, so `out` is `pre`.  The stack of S - U on the op's
-        output is optimal in `stacking` order, so `best` sweeps the
-        stackable bits in that order, each stacked on the best of the rest:
-        O(bits * 2**bits) per node, not the O(3**bits) of every U below
-        every S.
+        size-neutral, so `size` by U is the size by S too.  `best` starts
+        from `total` and stacks S - U on the op's output (`_stack`).
         """
         (op, children), *rest = alternatives
         first, last = children[0], children[-1]   # a join's two inputs, or a unary op's one
@@ -210,33 +212,33 @@ class _Placement:
         if self.rel_bits:   # a group-by or an order-by: where the node stands
             cell.rels = first.rels | last.rels
             cell.fixed = fixed = first.fixed | last.fixed
-            cell.landed = first.landed or last.landed
             if fixed:
                 subsets = self.fixing(fixed)
             if cell.rels & self.ob_rels == self.ob_rels:
                 mask = cell.mask = mask | self.ob_bit
-        total, pre, best = cell.total, cell.pre, cell.best
+        total, size, best = cell.total, cell.size, cell.best
         kind = op.kind
         if len(children) == 2:   # a join; the first alternative sets every u
-            m1, m2, z1, z2, b1, b2 = first.mask, last.mask, first.out, last.out, first.best, last.best
+            m1, m2, b1, b2 = first.mask, last.mask, first.best, last.best
+            z1, z2 = first.size, last.size
             factor = float(op.factor)
             for u in subsets[cmask]:
                 a, b = z1[u & m1], z2[u & m2]
-                pre[u] = factor * a * b
+                size[u] = factor * a * b
                 total[u] = a * b + (b1[u & m1] + b2[u & m2])
         else:   # as `costplan.estimate_size` sizes and `op_cost` costs it
-            z1, b1 = first.out, first.best
+            z1, b1 = first.size, first.best
             for u in subsets[cmask]:
-                pre[u] = a = z1[u]
+                size[u] = a = z1[u]
                 total[u] = a + b1[u]
             if kind == KIND_GROUPBY:
                 factor = float(op.factor)
                 for u in subsets[cmask]:
-                    pre[u] = min(factor, pre[u])
+                    size[u] = min(factor, size[u])
             elif kind not in (KIND_PROJECT, KIND_ORDERBY):
                 factor = float(op.factor)
                 for u in subsets[cmask]:
-                    pre[u] = factor * pre[u]
+                    size[u] = factor * size[u]
         if held != cmask:   # an order-by the first op-node's inputs cannot hold
             for u in subsets[cmask]:
                 if u & ~held:
@@ -244,28 +246,23 @@ class _Placement:
         for op, children in rest:   # each later one only where it is cheaper
             if len(children) == 2:
                 c1, c2 = children
-                m1, m2, z1, z2, b1, b2 = c1.mask, c2.mask, c1.out, c2.out, c1.best, c2.best
+                m1, m2, z1, z2, b1, b2 = c1.mask, c2.mask, c1.size, c2.size, c1.best, c2.best
                 for u in subsets[m1 | m2]:
                     cost = z1[u & m1] * z2[u & m2] + (b1[u & m1] + b2[u & m2])
                     if cost < total[u]:
                         total[u] = cost
             else:
-                z1, b1 = children[0].out, children[0].best
+                z1, b1 = children[0].size, children[0].best
                 for u in subsets[children[0].mask]:
                     cost = z1[u] + b1[u]
                     if cost < total[u]:
                         total[u] = cost
         if mask != cmask:   # the order-by enters here: never below the op
             for u in subsets[cmask]:
-                pre[u | self.ob_bit], total[u | self.ob_bit] = pre[u], math.inf
+                size[u | self.ob_bit], total[u | self.ob_bit] = size[u], math.inf
         for s in subsets[mask]:
             best[s] = total[s]
-        for bit, holders in self.sweep(mask, fixed):
-            for s in holders:
-                cost = best[s ^ bit] + pre[s ^ bit]
-                if cost < best[s]:
-                    best[s] = cost
-        return cell
+        return self._stack(cell, fixed)
 
     def landing(self, cell: _Cell) -> _Cell:
         """The group-by and its having, a unary node over `cell` (which has
@@ -274,26 +271,26 @@ class _Placement:
         fixed = cell.mask & ~self.ob_bit
         _, d, having = self.group
         out = _Cell(cell.mask, self.width, [(None, (cell,))])
-        out.cmask, out.fixed, out.rels, out.landed = fixed, fixed, cell.rels, True
-        cost, size = 0.0, cell.out[fixed]
+        out.cmask, out.fixed, out.rels = fixed, fixed, cell.rels
+        cost, size = 0.0, cell.size[fixed]
         for kind, factor in [(KIND_GROUPBY, d)] + ([(KIND_HAVING, having.ssf)] if having else []):
             cost += costplan.op_cost(kind, (size,))
             size = costplan.estimate_size(kind, (size,), factor)
         out.grouping, out.total[fixed] = cost, cost + cell.best[fixed]
-        for s in (fixed, cell.mask):
-            out.pre[s], out.best[s] = size, out.total[fixed] + size * self.stack_cost[s ^ fixed]
-        return out
+        out.best[fixed] = out.total[fixed]
+        out.size[fixed] = out.size[cell.mask] = size
+        return self._stack(out, fixed)
 
     def bound(self, cell: _Cell, landed: _Cell, flat: float) -> float:
         """A lower bound on every total with the group-by `landed` over
         `cell`, `flat` the least plain total: each op above it and the root
         projection cost at least r times their plain cost, r = its output
         over its input (at most 1)."""
-        fixed, size = landed.cmask, cell.out[landed.cmask]
+        fixed, size = landed.cmask, cell.size[landed.cmask]
         least = min(landed.best)
         if not (math.isfinite(flat) and size > 0):
             return least
-        return max(least, min(1.0, landed.pre[fixed] / size) * flat + landed.grouping)
+        return max(least, min(1.0, landed.size[fixed] / size) * flat + landed.grouping)
 
 
 class _Pass(NamedTuple):
@@ -322,26 +319,28 @@ def _root_cell(dag: Dag, dp: _Placement, passed: _Pass, root: int) -> _Cell:
         return -len(node.signature[0]) - len(node.signature[1]), node.text
 
     return min((tier for tier in passed.tiers if root in tier
-                and dp.total(tier[root].best[full], tier[root].out[full]) <= budget),
+                and dp.total(tier[root].best[full], tier[root].size[full]) <= budget),
                key=nearness)[root]
 
 
 def _kept_alternatives(dp: _Placement, cell: _Cell, s: int) -> list:
     """The alternatives of the state (cell, S) that cost at most
-    memo.SIZE_RTOL above its least, each (what, input states): an op-node
-    of the cell whose inputs hold all of S, over its inputs at S; a leaf's
-    base relation at S = 0 (what None, no inputs); a landing's group-by at
-    its fixed set, over its input at that set (what None); and one bit i of
-    S not fixed below a landing stacked on (cell, S - i) (what i).  Op-nodes
-    come in `OpNode.sort_key` order, then the bits in `dp.stacking` order."""
-    found = []
+    memo.SIZE_RTOL above its DP `best`, each (what, input states), priced
+    as the DP step prices them: an op-node of the cell whose inputs hold
+    all of S, over its inputs at S; a leaf's base relation at S = 0 (what
+    None, no inputs); a landing's group-by at its fixed set, over its input
+    at that set (what None); and one bit i of S not fixed below a landing
+    stacked on (cell, S - i) (what i).  Op-nodes come in `OpNode.sort_key`
+    order, then the bits in `dp.stacking` order.  Ascending-ssf stacking is
+    optimal, so the least of them is `best` and always kept."""
+    budget, kept = memo.within_rounding(cell.best[s]), []
     op, kids = cell.alternatives[0]
     if not kids:   # a leaf
         if not s:
-            found.append((0.0, None, ()))
+            kept.append((None, ()))
     elif op is None:   # a landing: its group-by and having over its plain cell
-        if s == cell.cmask:
-            found.append((cell.total[s], None, ((kids[0], s),)))
+        if s == cell.cmask and cell.total[s] <= budget:
+            kept.append((None, ((kids[0], s),)))
     else:
         if cell.ranked is None:
             cell.ranked = sorted(cell.alternatives, key=lambda alt: alt[0].sort_key())
@@ -351,19 +350,17 @@ def _kept_alternatives(dp: _Placement, cell: _Cell, s: int) -> list:
                 continue
             if len(kids) == 2:
                 t1, t2 = s & k1.mask, s & k2.mask
-                cost = (costplan.op_cost(op.kind, (k1.out[t1], k2.out[t2]))
-                        + (k1.best[t1] + k2.best[t2]))
-                found.append((cost, op, ((k1, t1), (k2, t2))))
-            else:
-                cost = costplan.op_cost(op.kind, (k1.out[s],)) + k1.best[s]
-                found.append((cost, op, ((k1, s),)))
+                if k1.size[t1] * k2.size[t2] + (k1.best[t1] + k2.best[t2]) <= budget:
+                    kept.append((op, ((k1, t1), (k2, t2))))
+            elif k1.size[s] + k1.best[s] <= budget:
+                kept.append((op, ((k1, s),)))
     fixed = cell.fixed if dp.group is not None else 0
     for i in dp.stacking:
         if (s & ~fixed) >> i & 1:
             t = s ^ 1 << i
-            found.append((cell.best[t] + cell.out[t], i, ((cell, t),)))
-    budget = memo.within_rounding(min(cost for cost, _, _ in found))
-    return [(what, inputs) for cost, what, inputs in found if cost <= budget]
+            if cell.best[t] + cell.size[t] <= budget:
+                kept.append((i, ((cell, t),)))
+    return kept
 
 
 def _decorate_stage(dag: Dag, dp: _Placement, passed: _Pass) -> Dag:
@@ -371,10 +368,9 @@ def _decorate_stage(dag: Dag, dp: _Placement, passed: _Pass) -> Dag:
     the block's DP pass, into a fresh memo: one walk over DP states.  A
     state (cell, S) is one decorated eq-node, and each root registers the
     full set of its cell (`_root_cell`).  The walk keeps every alternative
-    of a state within memo.SIZE_RTOL of the state's least
+    of a state within memo.SIZE_RTOL of the state's DP `best`
     (`_kept_alternatives`) and attaches each once, after its inputs, which
-    it visits left to right; ascending-ssf stacking is optimal, so a
-    state's least is its DP `best`.  Every op-node is sized and costed
+    it visits left to right.  Every op-node is sized and costed
     from its inputs in the fresh memo (`costplan.intern_op`), but a block
     with nothing to place attaches the memo's own sizes and costs.  The
     walk keeps its own stack, so any depth works."""
@@ -440,7 +436,7 @@ def _select_floors(dag: Dag, dp: _Placement) -> _Pass:
                             for op in map(dag.op_nodes.__getitem__, node.child_ops)])
         cells[eq_id], cell.eq = cell, eq_id
     full = dp.width - 1
-    plain = {root: dp.total(cells[root].best[full], cells[root].out[full])
+    plain = {root: dp.total(cells[root].best[full], cells[root].size[full])
              for root in dag.query_roots.values()}
     if dp.group is None:
         return _Pass(cells, [], plain)
@@ -465,7 +461,7 @@ def _select_floors(dag: Dag, dp: _Placement) -> _Pass:
                 tier[up].eq = up
         tiers.append(tier)
         for root in roots.keys() & tier.keys():
-            roots[root] = min(roots[root], dp.total(tier[root].best[full], tier[root].out[full]))
+            roots[root] = min(roots[root], dp.total(tier[root].best[full], tier[root].size[full]))
     return _Pass(cells, tiers, roots)
 
 

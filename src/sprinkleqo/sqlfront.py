@@ -193,11 +193,16 @@ _CLAUSES = ("select", "from", "where", "group by", "having", "order by")
 # a keyword is a whole word: no identifier, digit or qualifying dot touches it
 _CLAUSE_RE = re.compile(r"(?<![a-z0-9_.])(" + "|".join(_CLAUSES) + r")(?![a-z0-9_.])")
 _CLAUSE_ORDER = {kw: n for n, kw in enumerate(_CLAUSES)}
+# the clauses that list items, each with its name in errors and its separator
+_LISTS = {"select": ("select list", ","), "from": ("FROM clause", ","),
+          "where": ("WHERE clause", " and "), "group by": ("GROUP BY clause", ","),
+          "order by": ("ORDER BY clause", ",")}
 
 
 def _scan_clauses(text: str) -> tuple[dict[str, str], dict[str, str]]:
     """Split a statement into clause texts, honoring parens and quotes; also
-    returns each clause's `_top_level` mask, cut from the statement's."""
+    returns each clause's `_top_level` mask, cut from the statement's.  A
+    clause that lists items must hold at least one, and none empty."""
     mask = _top_level(text)
     positions = [(m.start(), m.group(1)) for m in _CLAUSE_RE.finditer(mask)]
     if not positions or positions[0][1] != "select" or positions[0][0] != 0:
@@ -212,6 +217,13 @@ def _scan_clauses(text: str) -> tuple[dict[str, str], dict[str, str]]:
         clauses[kw], masks[kw] = _strip(text, mask, pos + len(kw), end)
     if "from" not in clauses:
         raise ParseError("missing FROM clause")
+    for kw, (what, separator) in _LISTS.items():
+        if kw not in masks:
+            continue
+        if not masks[kw]:
+            raise ParseError(f"empty {what}")
+        if not all(part.strip() for part in masks[kw].split(separator)):
+            raise ParseError(f"empty item in {what}")
     return clauses, masks
 
 
@@ -311,9 +323,7 @@ def _aggregate_arg(func: str, arg: str, resolver: _Resolver) -> tuple[str | None
 
 def _parse_select_items(text: str, mask: str,
                         resolver: _Resolver) -> tuple[ProjectionItem, ...]:
-    if not text.strip():
-        raise ParseError("empty select list")
-    if text.strip() == "*":
+    if text == "*":
         return ()
     items: list[ProjectionItem] = []
     for part in _split_top_level(text, ",", mask):
@@ -380,8 +390,6 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
         if part not in catalog.relations:
             raise ValidationError(f"unknown relation {part!r}")
         tables.append(part)
-    if not tables:
-        raise ParseError("empty FROM clause")
     if len(set(tables)) != len(tables):
         raise ParseError("duplicate FROM relations are not supported")
 
@@ -415,17 +423,8 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
             continue
         left_text, op, right_text = _split_condition(cond, cond_mask)
         left = resolver.resolve(left_text, _outer_tables)
-        right_is_ref = _REF_RE.match(right_text) is not None
-        if right_is_ref:
-            try:
-                right = resolver.resolve(right_text, _outer_tables)
-            except ParseError:
-                raise  # correlated reference: must not degrade into a literal
-            except ValidationError:
-                right = None
-        else:
-            right = None
-        if right is not None:
+        if _REF_RE.match(right_text):   # an attribute, never a literal
+            right = resolver.resolve(right_text, _outer_tables)
             if op != "=":
                 raise ParseError(f"join conditions must use '=', got {op!r}")
             if left[0] == right[0]:

@@ -204,6 +204,20 @@ def test_parse_and_io_errors(capsys, tmp_path):
     assert code == 2 and err.startswith("ERR:io:")
 
 
+@pytest.mark.parametrize("sql, prefix", [
+    ("select * from employee where", "ERR:parse: empty WHERE clause"),
+    ("select employee.ssn, from employee", "ERR:parse: empty item in select list"),
+    ("select * from employee, department where employee.dno = department.nosuch",
+     "ERR:validation: unknown attribute department.nosuch"),
+])
+def test_malformed_lists_and_unknown_attributes_exit_two(capsys, tmp_path, sql, prefix):
+    bad = tmp_path / "bad.sql"
+    bad.write_text(sql)
+    code, out, err = run(capsys, "optimize", "--schema", COMPANY, "--query", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
 def test_validation_error_exit_two(capsys, tmp_path):
     bad = tmp_path / "bad.sql"
     bad.write_text("select * from employee where nowhere.x > 1")

@@ -520,14 +520,26 @@ def least_costs(passed):
 def reference_select_floors(dag, selects):
     """The select stage's floors computed by their own loop over the memo,
     with private tables: the reference the shared DP step must reproduce
-    bit for bit."""
+    bit for bit.  Each stack is priced as the plan prices it: a select
+    costs its input's size and yields its ssf times it, so a leaf's sizes
+    chain in stacking order, and a stack of T - U on a node's output over U
+    pays each size it passes, in stacking order, on the least cost of U."""
     ordered = sorted(selects, key=lambda s: (s.canonical(),))
     width = 1 << len(ordered)
     subsets = sprinkle._subsets(len(ordered))
-    stack_cost, stack_size = sprinkle._stack_factors(ordered)
+    stacking = sorted(range(len(ordered)), key=lambda i: _stack_key(ordered[i]))
     on_relation: dict[str, int] = {}
     for i, cond in enumerate(ordered):
         on_relation[cond.relation] = on_relation.get(cond.relation, 0) | 1 << i
+
+    def stacked(below, out, u, rest):
+        cost = below[u]
+        for i in stacking:
+            if rest >> i & 1:
+                cost = cost + costplan.op_cost(KIND_SELECT, (out[u],))
+                u |= 1 << i
+        return cost
+
     consumed = {c for op in dag.op_nodes.values() for c in op.children}
     mask: dict[int, int] = {}
     size: dict[int, list[float]] = {}   # eq-node -> output size, by T
@@ -536,13 +548,14 @@ def reference_select_floors(dag, selects):
         node = dag.eq_nodes[eq_id]
         out, least = [math.inf] * width, [math.inf] * width
         size[eq_id], best[eq_id] = out, least
-        if node.is_base:
-            mask[eq_id] = m = on_relation.get(node.signature[0][0], 0)
-            for t in subsets[m]:
-                out[t] = node.est_size * stack_size[t]
-                least[t] = node.est_size * stack_cost[t]
-            continue
         below = [math.inf] * width   # least op cost plus children's costs, by U
+        if node.is_base:   # nothing below: every select stacks on the relation
+            mask[eq_id] = m = on_relation.get(node.signature[0][0], 0)
+            below[0], out[0] = 0.0, node.est_size
+            for t in subsets[m][1:]:   # the select latest in stacking tops t
+                top = max((i for i in range(len(ordered)) if t >> i & 1), key=stacking.index)
+                out[t] = costplan.estimate_size(KIND_SELECT, (out[t ^ 1 << top],),
+                                                ordered[top].ssf)
         for i, op_id in enumerate(node.child_ops):
             op = dag.op_nodes[op_id]
             if len(op.children) == 2:   # a join: its inputs hold disjoint selects
@@ -561,9 +574,8 @@ def reference_select_floors(dag, selects):
                 if i == 0:
                     out[u] = costplan.estimate_size(op.kind, sizes, op.factor)
         mask[eq_id] = m
-        for t in subsets[m] if eq_id in consumed else (m,):
-            least[t] = min([below[t]] + [below[u] + out[u] * stack_cost[t ^ u]
-                                         for u in subsets[t][:-1]])
+        for t in subsets[m] if node.is_base or eq_id in consumed else (m,):
+            least[t] = min(stacked(below, out, u, t ^ u) for u in subsets[t])
     return {eq_id: min(costs) for eq_id, costs in best.items()}
 
 
@@ -747,6 +759,20 @@ def reference_grouping(dp, size):
     return cost
 
 
+def product_stack_cost(dp):
+    """Per set T of a block's bits, a stack of T in `dp.stacking` order on
+    an input of size p costs p*cost[T]: the stack's factors multiplied out
+    apart from p, a reference that rounds apart from the DP's own."""
+    cost, size, done = [0.0] * dp.width, [1.0] * dp.width, [0]
+    for i in dp.stacking:
+        bit, factor = 1 << i, dp.ops[i][2]
+        for t in done:   # bit i tops the stack of t | bit
+            cost[t | bit] = cost[t] + size[t]
+            size[t | bit] = size[t] if factor is None else size[t] * float(factor)
+        done += [t | bit for t in done]
+    return cost
+
+
 def reference_place(plan, dp, limit=math.inf):
     """The per-plan placement: the DP over the plan's own tree per landing
     (in increasing bound, up to one above the least total so far or
@@ -754,7 +780,7 @@ def reference_place(plan, dp, limit=math.inf):
     and the cheapest kept, landings root first, then by depth key."""
     if dp.width == 1 and dp.group is None:
         return plan
-    subsets, stack_cost, ops, stacking = dp.subsets, dp.stack_cost, dp.ops, dp.stacking
+    subsets, stack_cost, ops, stacking = dp.subsets, product_stack_cost(dp), dp.ops, dp.stacking
 
     def build(node):
         if node.kind == "base":
@@ -770,9 +796,9 @@ def reference_place(plan, dp, limit=math.inf):
             return 0.0, 0.0
         if node is None:   # the group-by and its having over their input
             child = children[0][0]
-            return reference_grouping(dp, child.out[u]), child.best[u]
+            return reference_grouping(dp, child.size[u]), child.best[u]
         cells = [c for c, _, _ in children]
-        return (costplan.op_cost(node.kind, tuple(c.out[u & c.mask] for c in cells)),
+        return (costplan.op_cost(node.kind, tuple(c.size[u & c.mask] for c in cells)),
                 sum(c.best[u & c.mask] for c in cells))
 
     def placements(tree, depth, s, budget):
@@ -780,7 +806,7 @@ def reference_place(plan, dp, limit=math.inf):
         found = []
         for u in (dp.fixing(cell.fixed) if dp.group and cell.fixed else subsets)[s & cell.cmask]:
             local, below = own_costs(node, children, u)
-            here = local + cell.pre[u] * stack_cost[s ^ u]
+            here = local + cell.size[u] * stack_cost[s ^ u]
             if here + below > budget:
                 continue
             slack = budget - here - below
@@ -806,7 +832,7 @@ def reference_place(plan, dp, limit=math.inf):
 
     tree = build(plan)
     full = dp.width - 1
-    total = lambda top: dp.total(top[0].best[full], top[0].out[full])   # noqa: E731
+    total = lambda top: dp.total(top[0].best[full], top[0].size[full])   # noqa: E731
     tops = [(0, tree, total(tree))]
     if dp.group is not None:
         path = [tree]
@@ -1148,15 +1174,15 @@ def test_grouped_and_ordered_blocks_reach_the_brute_force_optimum(tpch_catalog):
 
 def pair_loop_best(dp, cell):
     """The cell's least cost per set S at or below it, from its own `total`
-    and `pre` by the O(3**bits) loop: every U below the operator (holding
+    and `size` by the O(3**bits) loop: every U below the operator (holding
     the bits a landing fixes), the rest stacked on its output at
-    `dp.stack_cost`."""
-    fixed = getattr(cell, "fixed", 0)
+    `product_stack_cost`."""
+    fixed, stack_cost = getattr(cell, "fixed", 0), product_stack_cost(dp)
     best = {}
     for s in range(dp.width):
         if s & ~cell.mask or s & fixed != fixed:
             continue
-        best[s] = min(cell.total[u] + cell.pre[u] * dp.stack_cost[s ^ u]
+        best[s] = min(cell.total[u] + cell.size[u] * stack_cost[s ^ u]
                       for u in range(s + 1) if u & ~s == 0 and u & fixed == fixed)
     return best
 
@@ -1212,7 +1238,8 @@ def test_the_stacking_sweep_matches_the_pair_loop():
     # the DP step stacks one bit at a time in `stacking` order, each on the
     # best of the rest; ascending-rank stacking is optimal, so every
     # node's `best` is the pair loop's least over every U below every S
-    # (leaves and landings price their stacks directly)
+    # (leaves and landings, which hold one U below them, run the same sweep
+    # and are checked state by state below)
     swept = stacked = 0
     for sql, catalog in grouped_oracle_queries() + one_relation_stacks() + [internal_stack_block()]:
         query, jd = joindag_for(sql, catalog)
@@ -1241,6 +1268,50 @@ def test_the_stacking_sweep_matches_the_pair_loop():
     (below,) = [n for n in walk_plan(plan) if n.kind == KIND_JOIN and n is not plan]
     assert plan_key(plan.children[0]) == plan_key(op_plan(
         KIND_SELECT, "r0.b < 9", (op_plan(KIND_SELECT, "r0.b > 1", (below,), 0.6),), 0.9))
+
+
+def alternative_costs(dp, cell, s):
+    """The cost of each alternative of the state (cell, S), each priced on
+    its own from its inputs' tables through `costplan.op_cost`: an op-node
+    whose inputs hold S, a leaf's base relation at S = 0, a landing's
+    group-by and having at its fixed set, and each bit of S not fixed below
+    a landing stacked on the rest."""
+    op, kids = cell.alternatives[0]
+    if not kids:
+        costs = [0.0] if s == 0 else []
+    elif op is None:
+        costs = [reference_grouping(dp, kids[0].size[s]) + kids[0].best[s]] \
+            if s == cell.cmask else []
+    else:
+        costs = [costplan.op_cost(op.kind, tuple(k.size[s & k.mask] for k in kids))
+                 + sum(k.best[s & k.mask] for k in kids)
+                 for op, kids in cell.alternatives
+                 if not s & ~(kids[0].mask | kids[-1].mask)]
+    fixed = getattr(cell, "fixed", 0)
+    for i in dp.stacking:
+        if (s & ~fixed) >> i & 1:
+            t = s ^ 1 << i
+            costs.append(cell.best[t] + costplan.op_cost(dp.ops[i][0], (cell.size[t],)))
+    return costs
+
+
+def test_every_state_has_an_alternative_at_its_best_and_none_below():
+    # one stacking rule for leaves, landings and op-nodes: the least
+    # alternative of every state of the pass, each priced on its own, is
+    # the state's DP `best` bit for bit, so the state walk keeps each
+    # alternative within rounding of `best` without pricing them twice
+    states = 0
+    for sql, catalog in stage_inputs() + grouped_oracle_queries() + one_relation_stacks():
+        query, jd = joindag_for(sql, catalog)
+        dp = sprinkle._block_placement(query, catalog)
+        passed = sprinkle._select_floors(jd, dp)
+        for cells in [passed.cells] + passed.tiers:
+            for cell in cells.values():
+                for s, best in enumerate(cell.best):
+                    if best < math.inf:
+                        assert min(alternative_costs(dp, cell, s)) == best, (sql, cell.eq, s)
+                        states += 1
+    assert states == 5444   # states with a finite `best`, leaves' and landings' among them
 
 
 def flat_oracle_queries():
@@ -1370,7 +1441,7 @@ def reference_tiers(dag, dp):
         ops = [dag.op_nodes[op_id] for op_id in node.child_ops]
         cells[eq_id] = dp.node([(op, [cells[c] for c in op.children]) for op in ops])
     full, roots = dp.width - 1, set(dag.query_roots.values())
-    total = lambda cell: dp.total(cell.best[full], cell.out[full])  # noqa: E731
+    total = lambda cell: dp.total(cell.best[full], cell.size[full])  # noqa: E731
     flat = min(total(cells[r]) for r in roots)
     tiers = []
     for i, landing in enumerate(order):

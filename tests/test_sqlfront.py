@@ -81,6 +81,30 @@ def test_empty_clauses_rejected(company_catalog):
         parse_query("select from employee", company_catalog)
     with pytest.raises(ParseError, match="empty FROM"):
         parse_query("select * from", company_catalog)
+    # an empty clause or list item is an error, not a clause left out
+    for clause in ("where", "group by", "order by"):
+        with pytest.raises(ParseError, match=f"empty {clause.upper()} clause"):
+            parse_query(f"select * from employee {clause}", company_catalog)
+    for sql, what in [("select employee.ssn, from employee", "select list"),
+                      ("select * from employee,", "FROM clause"),
+                      ("select * from employee order by employee.salary,", "ORDER BY clause"),
+                      ("select employee.dno, employee.ssn, count(*) from employee "
+                       "group by employee.dno, , employee.ssn", "GROUP BY clause")]:
+        with pytest.raises(ParseError, match=f"empty item in {what}"):
+            parse_query(sql, company_catalog)
+
+
+def test_an_unknown_attribute_on_the_right_is_named(company_catalog):
+    # text shaped like an attribute never parses as a literal, so the
+    # resolver's own error stands
+    with pytest.raises(ValidationError, match="unknown attribute department.nosuch"):
+        parse_query("select * from employee, department "
+                    "where employee.dno = department.nosuch", company_catalog)
+    with pytest.raises(ValidationError, match="unknown attribute 'nosuch'"):
+        parse_query("select * from employee where employee.dno = nosuch", company_catalog)
+    with pytest.raises(ValidationError, match="'project' is not in the FROM clause"):
+        parse_query("select * from employee where employee.dno = project.dnum",
+                    company_catalog)
 
 
 def test_unknown_relation_and_attribute(company_catalog):
