@@ -232,8 +232,7 @@ def _place_suffix(dag: Dag, top: int, query: Query, catalog: Catalog) -> int:
     grouped = sorted_below = None
     if steps or order_rels:
         view = dag.below(top)
-        nodes = view.eq_nodes   # inputs first: by signature entries, then id
-        order = sorted(nodes, key=lambda eq: (sum(map(len, nodes[eq].signature[:3])), eq))
+        order = memo.topological_order(view)[::-1]   # inputs first
         costs = _costs(view, order, order_rels)
         if steps:
             costs = _cheapest_landing(view, order, costs, query, steps, order_rels, projected)

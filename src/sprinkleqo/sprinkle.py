@@ -21,27 +21,30 @@ exact, and never above the exhaustive baseline's, which places everything
 at the root.  Because a landing changes the root's size, a grouped block
 counts its retained root projection in what it minimizes.
 
-The DP (`_Placement`) gives each select a bit, and the order-by one more: a
-size-neutral select with factor 1 on top of any stack it is in, which may
-sit at or below a node only if the node covers its relations.  Sizes depend
-only on which bits sit below, so a DP over (node, subset of bits at or
-below it) is exact.  A landing changes every size above it, so each landing
-runs its own pass over the nodes above it, with the selects on its
-relations fixed below; only landings whose bound (`_Placement.bound`) can
-reach the optimum get one.  The DP runs once per block, over the memo
-(`_select_floors`), an eq-node's op-nodes its alternatives, and keeps one
-cell per node it priced (`_Cell`): the alternatives its step read, each an
-op-node and its input cells, and its tables: per set u below the node's
-operator the least cost of the operator and its inputs (`total`), per set
-at or below it the output size (`size`), and per set s at or below it the
-least cost (`best`).  Leaves, landings and op-nodes share one stacking
-rule (`_Placement._stack`): selects stack in ascending rank, each costing
-the size under it, which is optimal by the exchange argument of predicate
-migration.  A state (cell, s) is one decorated eq-node, and the stage
-emits its memo state by state (`_decorate_stage`): from the root's state
-it walks down the cells, keeps each alternative of a state (an op-node
-over its inputs' states, or one bit of s stacked on the rest) that ties
-the state's DP least, and attaches each kept op-node once.
+The DP (`_Placement`) gives each select a bit in stacking rank
+(`_stack_key`: ssf, then text), bit i the select of rank i, and the
+order-by the top bit: a size-neutral select with factor 1 on top of any
+stack it is in, which may sit at or below a node only if the node covers
+its relations.  Sizes depend only on which bits sit below, so a DP over
+(node, subset of bits at or below it) is exact.  Every list of sets it
+walks, in increasing order, comes from one table (`_Placement.sets`).  A
+landing changes every size above it, so each landing runs its own pass over
+the nodes above it, with the selects on its relations fixed below; only
+landings whose bound (`_Placement.bound`) can reach the optimum get one.
+The DP runs once per block, over the memo (`_select_floors`), an eq-node's
+op-nodes its alternatives, and keeps one cell per node it priced (`_Cell`):
+the alternatives its step read, each an op-node and its input cells, and
+its tables: per set u below the node's operator the least cost of the
+operator and its inputs (`total`), per set at or below it the output size
+(`size`), and per set s at or below it the least cost (`best`).  Leaves,
+landings and op-nodes share one stacking rule (`_Placement._stack`):
+selects stack in ascending rank, which is ascending bit order, each costing
+the size under it; that is optimal by the exchange argument of predicate
+migration.  A state (cell, s) is one decorated eq-node, and the stage emits
+its memo state by state (`_decorate_stage`): from the root's state it walks
+down the cells, keeps each alternative of a state (an op-node over its
+inputs' states, or one bit of s stacked on the rest) that ties the state's
+DP least, and attaches each kept op-node once.
 """
 
 from __future__ import annotations
@@ -68,28 +71,18 @@ def _stack_key(cond: SelectCondition) -> tuple[float, str]:
     return cond.ssf, cond.canonical()
 
 
-@functools.cache
-def _subsets(n: int) -> list[list[int]]:
-    """subsets[m] lists every submask of the bit mask m, for m < 2**n, in
-    increasing order, so m itself comes last.  Built once per n and shared:
-    read it, never change it."""
-    out = [[0]]
-    for i in range(n):
-        out += [sub + [m | 1 << i for m in sub] for sub in out]
-    return out
-
-
 class _Cell:
     """Placement tables of one plan node or memo eq-node (`eq`), and the
-    alternatives its DP step read, each (op-node, input cells): a leaf's
-    one has neither, a landing's is its group-by (no op-node) over the
-    node's plain cell; `ranked` holds them in `OpNode.sort_key` order once
-    the place stage first reads them.  Lists are indexed by bit masks; `u`
-    is the set placed below the node's own operator, `s` the set placed at
-    or below the node.  Sizes depend only on which bits sit at or below, so
-    one table (`size`) serves both.  Only a block with a group-by or an
-    order-by sets `rels`, its grouping and ordering relations as bits, and
-    `fixed`, the bits a group-by landing at or below it holds; only a
+    alternatives its DP step read, each (op-node, input cells): a leaf's one
+    has neither, a landing's is its group-by (no op-node) over the node's
+    plain cell; `ranked` holds them in `OpNode.sort_key` order once the place
+    stage first reads them.  Lists are indexed by bit masks, bit i the select
+    of rank i and the order-by the top bit; `u` is the set placed below the
+    node's own operator, `s` the set placed at or below the node, and the DP
+    reads both from `_Placement.sets`.  Sizes depend only on which bits sit at
+    or below, so one table (`size`) serves both.  Only a block with a group-by
+    or an order-by sets `rels`, its grouping and ordering relations as bits,
+    and `fixed`, the bits a group-by landing at or below it holds; only a
     landing sets `grouping`, its group-by's cost with its having's."""
 
     __slots__ = ("eq", "alternatives", "ranked", "mask", "cmask", "fixed", "rels",
@@ -105,20 +98,19 @@ class _Cell:
 
 
 class _Placement:
-    """The placement DP of one block: its selects as bits in canonical
-    order, its order-by as one more bit, and its group-by; `projected` says
-    that a group-by's root projection is retained."""
+    """The placement DP of one block: its selects as bits in `_stack_key`
+    rank, bit i the select of rank i, its order-by as the top bit, and its
+    group-by; `projected` says that a group-by's root projection is
+    retained.  Stacking order is ascending bit order."""
 
     def __init__(self, selects, *, order_by=(), group_by=(), having=None, d: float = 1.0,
                  projected: bool = False):
-        self.ordered = sorted(selects, key=lambda s: (s.canonical(),))
-        n = len(self.ordered)
-        self.subsets = _subsets(n + bool(order_by))
-        self.width = len(self.subsets)
-        self.ops = [(KIND_SELECT, cond.canonical(), cond.ssf) for cond in self.ordered]
-        self.stacking = sorted(range(n), key=lambda i: _stack_key(self.ordered[i]))
+        self.selects = sorted(selects, key=_stack_key)
+        n = len(self.selects)
+        self.width = 1 << n + bool(order_by)
+        self.ops = [(KIND_SELECT, cond.canonical(), cond.ssf) for cond in self.selects]
         self.on_relation: dict[str, int] = {}
-        for i, cond in enumerate(self.ordered):
+        for i, cond in enumerate(self.selects):
             self.on_relation[cond.relation] = self.on_relation.get(cond.relation, 0) | 1 << i
         ordering, grouping = {item.relation for item in order_by}, {r for r, _ in group_by}
         self.rel_bits = {r: 1 << i for i, r in enumerate(sorted(ordering | grouping))}
@@ -127,68 +119,66 @@ class _Placement:
         self.ob_bit = 1 << n if order_by else 0
         if order_by:   # a size-neutral select on top of any stack
             self.ops.append((KIND_ORDERBY, sqlfront.orderby_text(order_by), None))
-            self.stacking.append(n)
         self.group = (group_by, d, having) if group_by else None
         self.projected = projected
-        self._fixing: dict[int, list[list[int]]] = {}
-        self._sweeps: dict[tuple[int, int], list[tuple[int, list[int]]]] = {}
 
     def total(self, cost: float, size: float) -> float:
         """A plan's cost, plus its root projection's when a group-by varies it."""
         return cost + size if self.projected else cost
 
-    def fixing(self, fixed: int) -> list[list[int]]:
-        """`subsets` cut to the submasks that hold a landing's `fixed` bits."""
-        if fixed not in self._fixing:
-            self._fixing[fixed] = [[v | fixed for v in self.subsets[m & ~fixed]]
-                                   for m in range(self.width)]
-        return self._fixing[fixed]
-
-    def sweep(self, mask: int, fixed: int) -> list[tuple[int, list[int]]]:
-        """Per bit of `mask` that may stack (not `fixed`), in `stacking`
-        order: the bit and the submasks of `mask` that hold it and `fixed`."""
-        key = mask, fixed
-        if key not in self._sweeps:
-            sets = [v | fixed for v in self.subsets[mask & ~fixed]]
-            self._sweeps[key] = [(1 << i, [s for s in sets if s >> i & 1])
-                                 for i in self.stacking if (mask & ~fixed) >> i & 1]
-        return self._sweeps[key]
+    @staticmethod
+    @functools.cache
+    def sets(mask: int, fixed: int = 0) -> list[int]:
+        """The submasks of `mask` that hold `fixed`, in increasing order: the
+        DP's one table of sets, built per (mask, fixed) when first read and
+        shared by every block.  Read it, never change it."""
+        free = mask & ~fixed
+        if not free:
+            return [fixed]
+        top = 1 << free.bit_length() - 1
+        rest = _Placement.sets(mask & ~top, fixed)
+        return rest + [s | top for s in rest]
 
     def _stack(self, cell: _Cell, fixed: int) -> _Cell:
         """The DP's one stacking rule: a stack on a node's output is optimal
-        in `stacking` order, so each bit that may stack (not `fixed`) is
-        stacked in that order on the best of the rest, costing the size
-        under it: O(bits * 2**bits) per node, not the O(3**bits) of every U
-        below every S."""
-        best, size = cell.best, cell.size
-        for bit, holders in self.sweep(cell.mask, fixed):
-            for s in holders:
+        in ascending bit order, so each bit that may stack (not `fixed`) is
+        stacked in that order on the best of the rest, over the sets that
+        hold it, costing the size under it: O(bits * 2**bits) per node, not
+        the O(3**bits) of every U below every S."""
+        best, size, mask = cell.best, cell.size, cell.mask
+        free = mask & ~fixed
+        while free:
+            bit = free & -free
+            free ^= bit
+            for s in self.sets(mask, fixed | bit):
                 cost = best[s ^ bit] + size[s ^ bit]
                 if cost < best[s]:
                     best[s] = cost
         return cell
 
     def leaf(self, relation: str, size: float) -> _Cell:
-        """A base relation's tables: all its selects stack on it, each
-        select's size its factor times the size of those below it."""
+        """A base relation's tables: all its selects stack on it, each set's
+        size its top bit's factor times the size of the rest."""
         cell = _Cell(self.on_relation.get(relation, 0), self.width, [(None, ())])
         cell.cmask, cell.size[0], cell.best[0] = 0, size, 0.0
         if self.rel_bits:   # a group-by or an order-by: where the leaf stands
             cell.rels, cell.fixed = self.rel_bits.get(relation, 0), 0
             if cell.rels & self.ob_rels == self.ob_rels:
                 cell.mask |= self.ob_bit
-        sizes, below = cell.size, [0]   # the sets of the bits sized so far
-        for i in self.stacking:
-            if cell.mask >> i & 1:   # bit i tops the sets that hold it
-                bit, factor = 1 << i, self.ops[i][2]
-                for t in below:   # the order-by (factor None) is size-neutral
-                    sizes[t | bit] = sizes[t] if factor is None else float(factor) * sizes[t]
-                below += [t | bit for t in below]
+        sizes, ops = cell.size, self.ops
+        for s in self.sets(cell.mask)[1:]:
+            top = s.bit_length() - 1
+            rest, factor = s ^ 1 << top, ops[top][2]
+            # the order-by (factor None) is size-neutral
+            sizes[s] = sizes[rest] if factor is None else float(factor) * sizes[rest]
         return self._stack(cell, 0)
 
     def node(self, alternatives) -> _Cell:
         """The DP step: a node's tables from its alternatives, each
-        (op-node, input cells), which the cell keeps.
+        (op-node, input cells), which the cell keeps.  A join dag holds
+        joins and size-scaling unary op-nodes (a joinfilter): a join over
+        inputs of sizes a and b costs a*b and yields factor*a*b, a unary
+        op-node over a costs a and yields factor*a.
 
         Over an alternative with U below it, a node costs the op over the
         children's sizes under U, plus the children's best costs under U
@@ -208,59 +198,51 @@ class _Placement:
             for _, inputs in rest:
                 cmask = mask = cmask | inputs[0].mask | inputs[-1].mask
         cell = _Cell(mask, self.width, alternatives)
-        subsets, fixed = self.subsets, 0
+        fixed = 0
         if self.rel_bits:   # a group-by or an order-by: where the node stands
             cell.rels = first.rels | last.rels
             cell.fixed = fixed = first.fixed | last.fixed
-            if fixed:
-                subsets = self.fixing(fixed)
             if cell.rels & self.ob_rels == self.ob_rels:
                 mask = cell.mask = mask | self.ob_bit
+        sets = self.sets
+        below = sets(cmask, fixed)   # every U below the op
         total, size, best = cell.total, cell.size, cell.best
-        kind = op.kind
+        factor = float(op.factor)
         if len(children) == 2:   # a join; the first alternative sets every u
             m1, m2, b1, b2 = first.mask, last.mask, first.best, last.best
             z1, z2 = first.size, last.size
-            factor = float(op.factor)
-            for u in subsets[cmask]:
+            for u in below:
                 a, b = z1[u & m1], z2[u & m2]
                 size[u] = factor * a * b
                 total[u] = a * b + (b1[u & m1] + b2[u & m2])
-        else:   # as `costplan.estimate_size` sizes and `op_cost` costs it
+        else:
             z1, b1 = first.size, first.best
-            for u in subsets[cmask]:
-                size[u] = a = z1[u]
+            for u in below:
+                a = z1[u]
+                size[u] = factor * a
                 total[u] = a + b1[u]
-            if kind == KIND_GROUPBY:
-                factor = float(op.factor)
-                for u in subsets[cmask]:
-                    size[u] = min(factor, size[u])
-            elif kind not in (KIND_PROJECT, KIND_ORDERBY):
-                factor = float(op.factor)
-                for u in subsets[cmask]:
-                    size[u] = factor * size[u]
         if held != cmask:   # an order-by the first op-node's inputs cannot hold
-            for u in subsets[cmask]:
+            for u in below:
                 if u & ~held:
                     total[u] = math.inf
         for op, children in rest:   # each later one only where it is cheaper
             if len(children) == 2:
                 c1, c2 = children
                 m1, m2, z1, z2, b1, b2 = c1.mask, c2.mask, c1.size, c2.size, c1.best, c2.best
-                for u in subsets[m1 | m2]:
+                for u in below if m1 | m2 == cmask else sets(m1 | m2, fixed):
                     cost = z1[u & m1] * z2[u & m2] + (b1[u & m1] + b2[u & m2])
                     if cost < total[u]:
                         total[u] = cost
             else:
-                z1, b1 = children[0].size, children[0].best
-                for u in subsets[children[0].mask]:
+                z1, b1, m1 = children[0].size, children[0].best, children[0].mask
+                for u in below if m1 == cmask else sets(m1, fixed):
                     cost = z1[u] + b1[u]
                     if cost < total[u]:
                         total[u] = cost
         if mask != cmask:   # the order-by enters here: never below the op
-            for u in subsets[cmask]:
+            for u in below:
                 size[u | self.ob_bit], total[u | self.ob_bit] = size[u], math.inf
-        for s in subsets[mask]:
+        for s in below if mask == cmask else sets(mask, fixed):
             best[s] = total[s]
         return self._stack(cell, fixed)
 
@@ -331,7 +313,7 @@ def _kept_alternatives(dp: _Placement, cell: _Cell, s: int) -> list:
     None, no inputs); a landing's group-by at its fixed set, over its input
     at that set (what None); and one bit i of S not fixed below a landing
     stacked on (cell, S - i) (what i).  Op-nodes come in `OpNode.sort_key`
-    order, then the bits in `dp.stacking` order.  Ascending-ssf stacking is
+    order, then the bits in ascending order.  Ascending-rank stacking is
     optimal, so the least of them is `best` and always kept."""
     budget, kept = memo.within_rounding(cell.best[s]), []
     op, kids = cell.alternatives[0]
@@ -354,9 +336,9 @@ def _kept_alternatives(dp: _Placement, cell: _Cell, s: int) -> list:
                     kept.append((op, ((k1, t1), (k2, t2))))
             elif k1.size[s] + k1.best[s] <= budget:
                 kept.append((op, ((k1, s),)))
-    fixed = cell.fixed if dp.group is not None else 0
-    for i in dp.stacking:
-        if (s & ~fixed) >> i & 1:
+    free = s & ~cell.fixed if dp.group is not None else s
+    for i in range(free.bit_length()):
+        if free >> i & 1:
             t = s ^ 1 << i
             if cell.best[t] + cell.size[t] <= budget:
                 kept.append((i, ((cell, t),)))

@@ -189,14 +189,20 @@ def _top_level(text: str) -> str:
     return "".join(pieces) + text[kept:]
 
 
+def _keyword_re(*words: str) -> re.Pattern[str]:
+    """Any of `words` as a whole word: no identifier, digit or qualifying
+    dot touches it."""
+    return re.compile(r"(?<![a-z0-9_.])(?:" + "|".join(words) + r")(?![a-z0-9_.])")
+
+
 _CLAUSES = ("select", "from", "where", "group by", "having", "order by")
-# a keyword is a whole word: no identifier, digit or qualifying dot touches it
-_CLAUSE_RE = re.compile(r"(?<![a-z0-9_.])(" + "|".join(_CLAUSES) + r")(?![a-z0-9_.])")
+_CLAUSE_RE = _keyword_re(*_CLAUSES)
 _CLAUSE_ORDER = {kw: n for n, kw in enumerate(_CLAUSES)}
+_COMMA_RE, _AND_RE = re.compile(","), _keyword_re("and")
 # the clauses that list items, each with its name in errors and its separator
-_LISTS = {"select": ("select list", ","), "from": ("FROM clause", ","),
-          "where": ("WHERE clause", " and "), "group by": ("GROUP BY clause", ","),
-          "order by": ("ORDER BY clause", ",")}
+_LISTS = {"select": ("select list", _COMMA_RE), "from": ("FROM clause", _COMMA_RE),
+          "where": ("WHERE clause", _AND_RE), "group by": ("GROUP BY clause", _COMMA_RE),
+          "order by": ("ORDER BY clause", _COMMA_RE)}
 
 
 def _scan_clauses(text: str) -> tuple[dict[str, str], dict[str, str]]:
@@ -204,7 +210,7 @@ def _scan_clauses(text: str) -> tuple[dict[str, str], dict[str, str]]:
     returns each clause's `_top_level` mask, cut from the statement's.  A
     clause that lists items must hold at least one, and none empty."""
     mask = _top_level(text)
-    positions = [(m.start(), m.group(1)) for m in _CLAUSE_RE.finditer(mask)]
+    positions = [(m.start(), m.group()) for m in _CLAUSE_RE.finditer(mask)]
     if not positions or positions[0][1] != "select" or positions[0][0] != 0:
         raise ParseError("statement must start with SELECT")
     for (_, a), (_, b) in zip(positions, positions[1:]):
@@ -222,7 +228,7 @@ def _scan_clauses(text: str) -> tuple[dict[str, str], dict[str, str]]:
             continue
         if not masks[kw]:
             raise ParseError(f"empty {what}")
-        if not all(part.strip() for part in masks[kw].split(separator)):
+        if not all(part.strip() for part in separator.split(masks[kw])):
             raise ParseError(f"empty item in {what}")
     return clauses, masks
 
@@ -233,21 +239,21 @@ def _strip(text: str, mask: str, start: int, end: int) -> tuple[str, str]:
     return text[start:end].strip(), mask[start:end].strip()
 
 
-def _split_masked(text: str, mask: str, separator: str) -> list[tuple[str, str]]:
+def _split_masked(text: str, mask: str, separator: re.Pattern[str]) -> list[tuple[str, str]]:
     """(part, its mask) for each non-empty part of `text` split on a
-    separator token at paren depth zero, outside quotes; `mask` is
+    separator match at paren depth zero, outside quotes; `mask` is
     `_top_level(text)`."""
     parts: list[tuple[str, str]] = []
-    start, at = 0, mask.find(separator)
-    while at >= 0:
-        parts.append(_strip(text, mask, start, at))
-        start = at + len(separator)
-        at = mask.find(separator, start)
+    start = 0
+    for m in separator.finditer(mask):
+        parts.append(_strip(text, mask, start, m.start()))
+        start = m.end()
     parts.append(_strip(text, mask, start, len(text)))
     return [p for p in parts if p[0]]
 
 
-def _split_top_level(text: str, separator: str, mask: str | None = None) -> list[str]:
+def _split_top_level(text: str, separator: re.Pattern[str],
+                     mask: str | None = None) -> list[str]:
     """Split on a separator token at paren depth zero, outside quotes."""
     return [part for part, _ in _split_masked(
         text, _top_level(text) if mask is None else mask, separator)]
@@ -326,7 +332,7 @@ def _parse_select_items(text: str, mask: str,
     if text == "*":
         return ()
     items: list[ProjectionItem] = []
-    for part in _split_top_level(text, ",", mask):
+    for part in _split_top_level(text, _COMMA_RE, mask):
         m = _AGG_RE.match(part)
         if m:
             rel, attr = _aggregate_arg(m.group(1), m.group(2), resolver)
@@ -370,7 +376,7 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
     tables: list[str] = []
     subquery: Subquery | None = None
     alias_columns: dict[str, dict[str, AttrRef]] = {}
-    for part in _split_top_level(clauses["from"], ",", masks["from"]):
+    for part in _split_top_level(clauses["from"], _COMMA_RE, masks["from"]):
         m = _FROM_SUBQUERY_RE.match(part)
         if m:
             if subquery is not None:
@@ -400,7 +406,7 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
     selects: list[SelectCondition] = []
     edges: list[tuple[str, str]] = []
     for cond, cond_mask in _split_masked(clauses.get("where", ""), masks.get("where", ""),
-                                         " and "):
+                                         _AND_RE):
         m = _IN_SUBQUERY_RE.match(cond) if "select" in cond else None
         if m:
             if subquery is not None:
@@ -443,7 +449,7 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
 
     group_by: list[AttrRef] = []
     if "group by" in clauses:
-        for part in _split_top_level(clauses["group by"], ",", masks["group by"]):
+        for part in _split_top_level(clauses["group by"], _COMMA_RE, masks["group by"]):
             group_by.append(resolver.resolve(part))
     group_by = sorted(set(group_by))
 
@@ -455,7 +461,7 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
 
     order_by: list[OrderItem] = []
     if "order by" in clauses:
-        for part in _split_top_level(clauses["order by"], ",", masks["order by"]):
+        for part in _split_top_level(clauses["order by"], _COMMA_RE, masks["order by"]):
             m = _ORDER_ITEM_RE.match(part)
             rel, attr = resolver.resolve(m.group(1))
             order_by.append(OrderItem(rel, attr, m.group(2) == "desc"))

@@ -186,7 +186,7 @@ def decorate_plan(plan: Plan, selects=(), *, dp=None) -> Dag:
     one = Dag()
     root = intern_plan(one, plan)
     memo.register_root(one, "plan", root)
-    for cond in dp.ordered:
+    for cond in dp.selects:
         if cond.relation not in one.eq_nodes[root].signature[0]:
             raise DagError(f"relation {cond.relation!r} not a base of this plan")
     return sprinkle._decorate_stage(one, dp, sprinkle._select_floors(one, dp))

@@ -207,6 +207,10 @@ def test_parse_and_io_errors(capsys, tmp_path):
 @pytest.mark.parametrize("sql, prefix", [
     ("select * from employee where", "ERR:parse: empty WHERE clause"),
     ("select employee.ssn, from employee", "ERR:parse: empty item in select list"),
+    ("select * from employee where employee.dno = 1 and",
+     "ERR:parse: empty item in WHERE clause"),
+    ("select * from employee where employee.dno = 1 and and employee.ssn > 2",
+     "ERR:parse: empty item in WHERE clause"),
     ("select * from employee, department where employee.dno = department.nosuch",
      "ERR:validation: unknown attribute department.nosuch"),
 ])

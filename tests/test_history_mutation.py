@@ -90,7 +90,10 @@ def mutate(draw, dag: dict, texts: list[str]) -> None:
         roots[draw(st.sampled_from(sorted(roots)))] = draw(st.one_of(ids, JUNK))
 
 
-def assert_run_or_one_error_line(group: str, doc: dict, expect_error: bool = False) -> None:
+def assert_run_or_one_error_line(group: str, doc: dict, error: str | None = None) -> None:
+    """Run `histdag show` and `optimize` on `doc`, re-sealed: each exits 0
+    without a NaN, or 2 with one `ERR:` line; with `error`, each must exit
+    2 with one line that starts with it."""
     doc["checksum"] = joindag._checksum({k: v for k, v in doc.items() if k != "checksum"})
     schema = str(FIXTURES / group / "schema.json")
     query = str(FIXTURES / group / f"{CASES[group]}.sql")
@@ -100,12 +103,12 @@ def assert_run_or_one_error_line(group: str, doc: dict, expect_error: bool = Fal
         for argv in (("histdag", "show", "--schema", schema),
                      ("optimize", "--schema", schema, "--query", query)):
             code, stdout, stderr = run_cli(*argv, "--history", str(path))
-            if code == 0 and not expect_error:
+            if code == 0 and error is None:
                 assert "nan" not in stdout.lower()
             else:
                 assert code == 2, stderr
                 lines = stderr.splitlines()
-                assert len(lines) == 1 and lines[0].startswith("ERR:"), stderr
+                assert len(lines) == 1 and lines[0].startswith(error or "ERR:"), stderr
 
 
 def set_field(section: str, index: int, **fields):
@@ -116,20 +119,37 @@ def retarget_an_arc(dag):
     dag["arcs"]["eq_to_op"][0][0] = "s\x0b"
 
 
-@pytest.mark.parametrize("edit", [
-    set_field("eq_nodes", 0, signature=[[], [], [], []]),
-    set_field("op_nodes", 0, detail=2),
-    set_field("op_nodes", 0, factor=None),
-    retarget_an_arc,
-    set_field("op_nodes", 0, detail="a\nb"),
+def repeat_an_eq_node_id(dag):
+    dag["eq_nodes"][1]["id"] = dag["eq_nodes"][0]["id"]
+
+
+def name_an_unknown_child(dag):
+    dag["op_nodes"][0]["children"][0] = 10**6
+
+
+def drop_an_op_to_eq_arc(dag):
+    dag["arcs"]["op_to_eq"].pop()
+
+
+@pytest.mark.parametrize("edit, error", [
+    (set_field("eq_nodes", 0, signature=[[], [], [], []]), "ERR:"),
+    (set_field("op_nodes", 0, detail=2), "ERR:"),
+    (set_field("op_nodes", 0, factor=None), "ERR:"),
+    (retarget_an_arc, "ERR:"),
+    (set_field("op_nodes", 0, detail="a\nb"), "ERR:"),
+    (repeat_an_eq_node_id, "ERR:validation: duplicate eq-node 0"),
+    (name_an_unknown_child, "ERR:validation: op-node 0 references unknown eq-node 1000000"),
+    (drop_an_op_to_eq_arc, "ERR:validation: op_to_eq arcs disagree with op-node children"),
 ], ids=["base-without-relation", "detail-not-a-string", "join-without-factor",
-        "arc-end-with-a-line-break", "detail-with-a-line-break"])
-def test_mutation_regressions(edit):
+        "arc-end-with-a-line-break", "detail-with-a-line-break", "duplicate-eq-node-id",
+        "unknown-child-eq-node", "op-to-eq-arcs-disagree"])
+def test_mutation_regressions(edit, error):
     """Mutations the suite found, each of which once raised or printed an
-    error over more than one line."""
+    error over more than one line, and `dag_from_doc` errors that no random
+    mutation is sure to reach, each pinned to its message."""
     doc = json.loads(HISTORIES["tpch"])
     edit(doc["dag"])
-    assert_run_or_one_error_line("tpch", doc, expect_error=True)
+    assert_run_or_one_error_line("tpch", doc, error=error)
 
 
 @settings(max_examples=60, deadline=None)

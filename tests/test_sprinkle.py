@@ -526,7 +526,9 @@ def reference_select_floors(dag, selects):
     pays each size it passes, in stacking order, on the least cost of U."""
     ordered = sorted(selects, key=lambda s: (s.canonical(),))
     width = 1 << len(ordered)
-    subsets = sprinkle._subsets(len(ordered))
+    subsets = [[0]]   # subsets[m]: the submasks of m, in increasing order
+    for i in range(len(ordered)):
+        subsets += [sub + [m | 1 << i for m in sub] for sub in subsets]
     stacking = sorted(range(len(ordered)), key=lambda i: _stack_key(ordered[i]))
     on_relation: dict[str, int] = {}
     for i, cond in enumerate(ordered):
@@ -760,12 +762,12 @@ def reference_grouping(dp, size):
 
 
 def product_stack_cost(dp):
-    """Per set T of a block's bits, a stack of T in `dp.stacking` order on
+    """Per set T of a block's bits, a stack of T in ascending bit order on
     an input of size p costs p*cost[T]: the stack's factors multiplied out
     apart from p, a reference that rounds apart from the DP's own."""
     cost, size, done = [0.0] * dp.width, [1.0] * dp.width, [0]
-    for i in dp.stacking:
-        bit, factor = 1 << i, dp.ops[i][2]
+    for i, (_, _, factor) in enumerate(dp.ops):
+        bit = 1 << i
         for t in done:   # bit i tops the stack of t | bit
             cost[t | bit] = cost[t] + size[t]
             size[t | bit] = size[t] if factor is None else size[t] * float(factor)
@@ -780,7 +782,7 @@ def reference_place(plan, dp, limit=math.inf):
     and the cheapest kept, landings root first, then by depth key."""
     if dp.width == 1 and dp.group is None:
         return plan
-    subsets, stack_cost, ops, stacking = dp.subsets, product_stack_cost(dp), dp.ops, dp.stacking
+    stack_cost, ops = product_stack_cost(dp), dp.ops
 
     def build(node):
         if node.kind == "base":
@@ -804,7 +806,7 @@ def reference_place(plan, dp, limit=math.inf):
     def placements(tree, depth, s, budget):
         cell, node, children = tree
         found = []
-        for u in (dp.fixing(cell.fixed) if dp.group and cell.fixed else subsets)[s & cell.cmask]:
+        for u in dp.sets(s & cell.cmask, cell.fixed if dp.group else 0):
             local, below = own_costs(node, children, u)
             here = local + cell.size[u] * stack_cost[s ^ u]
             if here + below > budget:
@@ -812,7 +814,7 @@ def reference_place(plan, dp, limit=math.inf):
             slack = budget - here - below
             options = [placements(c, depth + 1, u & c[0].mask, c[0].best[u & c[0].mask] + slack)
                        for c in children]
-            mine = [i for i in stacking if (s ^ u) >> i & 1]
+            mine = [i for i in range(len(ops)) if (s ^ u) >> i & 1]
             key = tuple(depth if i in mine else 0 for i in range(len(ops)))
             for combo in itertools.product(*options):
                 cost = here + sum(c for c, _, _ in combo)
@@ -1235,7 +1237,7 @@ def internal_stack_block():
 
 
 def test_the_stacking_sweep_matches_the_pair_loop():
-    # the DP step stacks one bit at a time in `stacking` order, each on the
+    # the DP step stacks one bit at a time in ascending order, each on the
     # best of the rest; ascending-rank stacking is optimal, so every
     # node's `best` is the pair loop's least over every U below every S
     # (leaves and landings, which hold one U below them, run the same sweep
@@ -1288,7 +1290,7 @@ def alternative_costs(dp, cell, s):
                  for op, kids in cell.alternatives
                  if not s & ~(kids[0].mask | kids[-1].mask)]
     fixed = getattr(cell, "fixed", 0)
-    for i in dp.stacking:
+    for i in range(len(dp.ops)):
         if (s & ~fixed) >> i & 1:
             t = s ^ 1 << i
             costs.append(cell.best[t] + costplan.op_cost(dp.ops[i][0], (cell.size[t],)))

@@ -89,7 +89,12 @@ def test_empty_clauses_rejected(company_catalog):
                       ("select * from employee,", "FROM clause"),
                       ("select * from employee order by employee.salary,", "ORDER BY clause"),
                       ("select employee.dno, employee.ssn, count(*) from employee "
-                       "group by employee.dno, , employee.ssn", "GROUP BY clause")]:
+                       "group by employee.dno, , employee.ssn", "GROUP BY clause"),
+                      # `and` splits WHERE as a whole word, spaces or not
+                      ("select * from employee where employee.dno = 1 and", "WHERE clause"),
+                      ("select * from employee where and employee.dno = 1", "WHERE clause"),
+                      ("select * from employee where employee.dno = 1 and and "
+                       "employee.ssn > 2", "WHERE clause")]:
         with pytest.raises(ParseError, match=f"empty item in {what}"):
             parse_query(sql, company_catalog)
 
@@ -313,11 +318,17 @@ def reference_top_level(text: str):
 
 
 def reference_split_top_level(text: str, separator: str) -> list[str]:
-    """Split on a separator token at paren depth zero, outside quotes."""
+    """Split on a separator token at paren depth zero, outside quotes; a
+    word separator (`and`) only where no identifier, digit or qualifying
+    dot touches it."""
+    def touches(i: int) -> bool:
+        return separator.isalpha() and 0 <= i < len(text) and text[i] in WORD_CHARS
+
     parts: list[str] = []
     start = 0
     for i in reference_top_level(text):
-        if i >= start and text.startswith(separator, i):
+        if i >= start and text.startswith(separator, i) \
+                and not touches(i - 1) and not touches(i + len(separator)):
             parts.append(text[start:i].strip())
             start = i + len(separator)
     parts.append(text[start:].strip())
@@ -344,8 +355,12 @@ def outcome(fn, *args):
 
 
 scanner_texts = st.lists(st.sampled_from(
-    ["'", "(", ")", ",", "=", "<", ">", "!", "and", "or", " and ", "a", "x", " ", "\0"]),
+    ["'", "(", ")", ",", "=", "<", ">", "!", "and", "or", " and ", "a", "x", " ", "\0",
+     ".", "1"]),
     max_size=24).map("".join)
+WORD_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789_.")
+# each list separator the parser splits on, and its pattern
+SEPARATORS = ((",", sqlfront._COMMA_RE), ("and", sqlfront._AND_RE))
 
 
 @settings(max_examples=400, deadline=None)
@@ -362,8 +377,8 @@ def test_top_level_mask_keeps_the_indices_of_the_reference_scan(text):
         return
     assert sqlfront._top_level(text) == "".join(
         c if i in expected else "\0" for i, c in enumerate(text))
-    for separator in (",", " and "):
-        assert sqlfront._split_top_level(text, separator) == \
+    for separator, pattern in SEPARATORS:
+        assert sqlfront._split_top_level(text, pattern) == \
             reference_split_top_level(text, separator)
     assert outcome(sqlfront._split_condition, text) == \
         outcome(reference_split_condition, text)
@@ -379,8 +394,8 @@ def test_parts_cut_from_a_mask_are_their_own_masks(text):
         mask = sqlfront._top_level(text)
     except ParseError:
         return
-    for separator in (",", " and "):
-        for part, part_mask in sqlfront._split_masked(text, mask, separator):
+    for _, pattern in SEPARATORS:
+        for part, part_mask in sqlfront._split_masked(text, mask, pattern):
             assert part_mask == sqlfront._top_level(part)
 
 
