@@ -77,13 +77,15 @@ def edits_of(wheres) -> st.SearchStrategy:
 
 SCHEMA_EDITS = edits_of(FIELDS)
 STATS_EDITS = edits_of(["stats", "override"])
-TOKENS = st.one_of(st.sampled_from(NAMES), st.sampled_from([
+SQL_TOKENS = [
     "select", "from", "where", "and", "or", "group by", "having", "order by",
     "asc", "desc", "in", "date", "(", ")", ",", "*", ".", "=", "<", ">", "<=", ">=",
     "<>", "!=", "'", "''", ";", " ", "\n", "\t", "0", "-1", "1.5", "1e400", "nan",
-    "'2020-01-01'", "count(*)", "sum(", "avg(", "(select ", "x", "\x00", "é"]))
-SQL_EDITS = st.tuples(st.sampled_from(["delete", "insert", "replace", "duplicate"]),
-                      st.integers(0, 400), st.integers(0, 30), TOKENS)
+    "'2020-01-01'", "count(*)", "sum(", "avg(", "(select ", "x", "\x00", "é"]
+SQL_ACTIONS = ["delete", "insert", "replace", "duplicate"]
+TOKENS = st.one_of(st.sampled_from(NAMES), st.sampled_from(SQL_TOKENS))
+SQL_EDITS = st.tuples(st.sampled_from(SQL_ACTIONS), st.integers(0, 400), st.integers(0, 30),
+                      TOKENS)
 
 
 def _pick(items, i):
