@@ -659,7 +659,7 @@ def _optimize_nested(query: Query, catalog: Catalog, *,
                                 query_id=query_id)
     plan = _splice_plan(outer_res.plan, sub.alias, inner_res.plan)
     return OptimizeResult(
-        query_id=query_id, plan=plan, dag=outer_res.dag, history=history,
+        query_id=query_id, plan=plan, dag=outer_res.dag, history=inner_res.history,
         combinations_considered=(outer_res.combinations_considered
                                  + inner_res.combinations_considered),
         jd=outer_res.jd, inner=inner_res)

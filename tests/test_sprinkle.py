@@ -2049,6 +2049,20 @@ def test_nested_query_pipeline(company_catalog):
     assert "project.plocation = 'hyderabad'" in key    # inner block spliced in
 
 
+def test_a_nested_query_returns_the_history_its_inner_block_grew(company_catalog):
+    # the outer block is optimized cold over a synthetic catalog, so the
+    # history a nested query hands on is the one its inner block grew
+    q = parse_query("select employee.fname from employee where employee.dno in "
+                    "(select department.dnumber from department, dept_locations "
+                    "where department.dnumber = dept_locations.dnumber "
+                    "and dept_locations.dlocation = 'houston')", company_catalog)
+    history = joindag.empty_history(company_catalog)
+    res = sprinkle.optimize_single(q, company_catalog, history=history)
+    assert not history.known_joins
+    assert res.history is res.inner.history
+    assert list(res.history.known_joins) == ["department.dnumber = dept_locations.dnumber"]
+
+
 FROM_SUBQUERY = ("select s.fname, project.pname from (select employee.fname, employee.ssn "
                  "from employee where employee.salary > 50000) s, works_on, project "
                  "where s.ssn = works_on.ssn and works_on.pno = project.pnumber")
