@@ -20,6 +20,13 @@ as ISO-8601 strings and compare lexically.
 One level of uncorrelated IN- or FROM-subquery is allowed.  Cross products
 are rejected: the join conditions (plus a subquery link) must connect every
 FROM relation.
+
+A statement is read in one pass over its tokens (`_scan`): quoted literals,
+words (a qualified name or a number is one word), comparison operators and
+single characters.  A clause starts at a clause keyword at paren depth
+zero, its items are split on `,` (on `and` in WHERE) at depth zero, and a
+condition is cut at its first operator at depth zero.  A subquery is parsed
+again from its own text.
 """
 
 from __future__ import annotations
@@ -30,18 +37,12 @@ from dataclasses import dataclass, field
 from .catalog import AttrRef, Catalog, JoinCondition, components, lookup_ssf, resolve_jsf
 from .errors import ParseError, ValidationError
 
-# the leftmost comparison operator; two-character ones are tried first
-_OPERATOR_RE = re.compile(r"<=|>=|<>|!=|=|<|>")
 _AGG_FUNCS = ("sum", "avg", "count", "min", "max")
 _IDENT = r"[a-z_][a-z0-9_]*"
 _AGG_RE = re.compile(rf"^({'|'.join(_AGG_FUNCS)})\s*\(\s*(.+?)\s*\)$")
-_REF_RE = re.compile(rf"^({_IDENT})\.({_IDENT})$|^({_IDENT})$")
 _NUMBER_RE = re.compile(r"^-?\d+(\.\d+)?$")
 _DATE_RE = re.compile(r"^date\s*'([^']*)'$")
-_QUOTED_RE = re.compile(r"'[^']*'")
-_OR_RE = re.compile(r"\bor\b")
 _FROM_SUBQUERY_RE = re.compile(rf"^\(\s*(select\b.*)\)\s*({_IDENT})$")
-_IDENT_RE = re.compile(rf"^{_IDENT}$")
 _IN_SUBQUERY_RE = re.compile(r"^(.+?)\s+in\s*\(\s*(select\b.*)\)$")
 _ORDER_ITEM_RE = re.compile(r"^(.*?)(?:\s+(asc|desc))?$")
 
@@ -156,107 +157,106 @@ def extract_join_set(query: Query) -> tuple[JoinCondition, ...]:
     return _by_canonical(query.joins)
 
 
-# --- tokenizer-level helpers -------------------------------------------------
+# --- the token pass ------------------------------------------------------------
 
-_NESTING_RE = re.compile(r"'[^']*'|[()']")   # a quoted literal, a paren, or a lone quote
+# a quoted literal, `group by` or `order by`, a word (a maximal run of
+# [a-z0-9_.]), a two-character operator, or any other character but a space
+_TOKEN_RE = re.compile(r"'[^']*'|(?:group|order) by(?![a-z0-9_.])|[a-z0-9_.]+|[<>!]=|<>|[^ ]")
+_CLAUSES = ("select", "from", "where", "group by", "having", "order by")
+_CLAUSE_ORDER = {kw: n for n, kw in enumerate(_CLAUSES)}
+_OPERATORS = {"<=": "<=", ">=": ">=", "<>": "<>", "!=": "<>", "=": "=", "<": "<", ">": ">"}
+# the tokens the pass acts on; any other token only extends its item
+_ACTIVE = {"(", ")", "'", "or", ",", "and", *_CLAUSES, *_OPERATORS}
+# the clauses that list items, each with its name in errors and its separator
+_LISTS = {"select": ("select list", ","), "from": ("FROM clause", ","),
+          "where": ("WHERE clause", "and"), "group by": ("GROUP BY clause", ","),
+          "order by": ("ORDER BY clause", ",")}
+
+_Item = tuple[str, "tuple[str, str, str] | None"]
 
 
-def _top_level(text: str) -> str:
-    """`text` with every character inside quotes or parentheses, the quotes
-    and parentheses included, replaced by NUL, so that a search of the
-    result finds only text at paren depth zero outside quotes.  Raises on
-    unbalanced text: a ')' with no '(' as the scan meets it, then a quote
-    left open, then a '(' left open."""
-    pieces, depth, kept = [], 0, 0   # text[:kept] is in pieces
-    for m in _NESTING_RE.finditer(text):
+def _item(text: str, start: int, end: int, op: re.Match | None) -> _Item:
+    """text[start:end], stripped, and its cut (left, operator, right) at `op`."""
+    part = text[start:end].strip()
+    if op is None:
+        return part, None
+    return part, (text[start:op.start()].strip(), _OPERATORS[op.group()],
+                  text[op.end():end].strip())
+
+
+def _scan(text: str) -> list[tuple[int, str, list[_Item]]]:
+    """(start, keyword, items) for each clause keyword at paren depth zero.
+
+    A list clause's items are split on its separator token at depth zero
+    (`,`, or `and` in WHERE); HAVING is one item.  An item is its text ("" if
+    it holds no token) and its cut at its first operator at depth zero (`!=`
+    read as `<>`), or None.  Raises on an `or` token at any depth, then on a
+    `)` with no `(` or a quote that no later quote closes, whichever comes
+    first, then on a `(` left open."""
+    clauses: list[tuple[int, str, list[_Item]]] = []
+    items: list[_Item] = []
+    depth, start, separator, op = 0, 0, None, None
+    fault, has_or = None, False
+    for m in _TOKEN_RE.finditer(text):
         token = m.group()
-        if token == "'":   # no quote closes it: the rest of the text is quoted
-            raise ParseError("unterminated string literal")
-        if depth == 0:
-            pieces.append(text[kept:m.start()])
-            kept = m.start()
+        if token not in _ACTIVE:
+            continue
         if token == "(":
             depth += 1
         elif token == ")":
             depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced parentheses")
-        if depth == 0:
-            pieces.append("\0" * (m.end() - kept))
-            kept = m.end()
-    if depth != 0:
-        raise ParseError("unbalanced parentheses")
-    return "".join(pieces) + text[kept:]
+            if depth < 0 and fault is None:
+                fault = "unbalanced parentheses"
+        elif token == "'":
+            fault = fault or "unterminated string literal"
+        elif token == "or":
+            has_or = True
+        elif depth:
+            continue
+        elif token in _OPERATORS:
+            op = op or m
+        elif token == separator or token in _CLAUSE_ORDER:
+            items.append(_item(text, start, m.start(), op))
+            start, op = m.end(), None
+            if token != separator:
+                items = []
+                clauses.append((m.start(), token, items))
+                separator = _LISTS.get(token, (None, None))[1]
+    items.append(_item(text, start, len(text), op))
+    if has_or:
+        raise ParseError("OR is not supported; WHERE must be a conjunction")
+    if fault or depth:
+        raise ParseError(fault or "unbalanced parentheses")
+    return clauses
 
 
-def _keyword_re(*words: str) -> re.Pattern[str]:
-    """Any of `words` as a whole word: no identifier, digit or qualifying
-    dot touches it."""
-    return re.compile(r"(?<![a-z0-9_.])(?:" + "|".join(words) + r")(?![a-z0-9_.])")
-
-
-_CLAUSES = ("select", "from", "where", "group by", "having", "order by")
-_CLAUSE_RE = _keyword_re(*_CLAUSES)
-_CLAUSE_ORDER = {kw: n for n, kw in enumerate(_CLAUSES)}
-_COMMA_RE, _AND_RE = re.compile(","), _keyword_re("and")
-# the clauses that list items, each with its name in errors and its separator
-_LISTS = {"select": ("select list", _COMMA_RE), "from": ("FROM clause", _COMMA_RE),
-          "where": ("WHERE clause", _AND_RE), "group by": ("GROUP BY clause", _COMMA_RE),
-          "order by": ("ORDER BY clause", _COMMA_RE)}
-
-
-def _scan_clauses(text: str) -> tuple[dict[str, str], dict[str, str]]:
-    """Split a statement into clause texts, honoring parens and quotes; also
-    returns each clause's `_top_level` mask, cut from the statement's.  A
-    clause that lists items must hold at least one, and none empty."""
-    mask = _top_level(text)
-    positions = [(m.start(), m.group()) for m in _CLAUSE_RE.finditer(mask)]
-    if not positions or positions[0][1] != "select" or positions[0][0] != 0:
+def _clauses(text: str) -> dict[str, list[_Item]]:
+    """Each clause's items; a clause that lists items must hold at least
+    one, and none empty."""
+    found = _scan(text)
+    if not found or found[0][:2] != (0, "select"):
         raise ParseError("statement must start with SELECT")
-    for (_, a), (_, b) in zip(positions, positions[1:]):
+    for (_, a, _), (_, b, _) in zip(found, found[1:]):
         if _CLAUSE_ORDER[b] <= _CLAUSE_ORDER[a]:
             raise ParseError(f"clause {b.upper()} out of order")
-    clauses: dict[str, str] = {}
-    masks: dict[str, str] = {}
-    for idx, (pos, kw) in enumerate(positions):
-        end = positions[idx + 1][0] if idx + 1 < len(positions) else len(text)
-        clauses[kw], masks[kw] = _strip(text, mask, pos + len(kw), end)
+    clauses = {kw: items for _, kw, items in found}
     if "from" not in clauses:
         raise ParseError("missing FROM clause")
-    for kw, (what, separator) in _LISTS.items():
-        if kw not in masks:
-            continue
-        if not masks[kw]:
-            raise ParseError(f"empty {what}")
-        if not all(part.strip() for part in separator.split(masks[kw])):
-            raise ParseError(f"empty item in {what}")
-    return clauses, masks
+    for kw, (what, _) in _LISTS.items():
+        for part, _ in clauses.get(kw, ()):
+            if not part:
+                raise ParseError(f"empty {what}" if len(clauses[kw]) == 1
+                                 else f"empty item in {what}")
+    return clauses
 
 
-def _strip(text: str, mask: str, start: int, end: int) -> tuple[str, str]:
-    """text[start:end] and its mask, stripped alike: both ends lie at paren
-    depth zero outside quotes, where the mask keeps the text's spaces."""
-    return text[start:end].strip(), mask[start:end].strip()
-
-
-def _split_masked(text: str, mask: str, separator: re.Pattern[str]) -> list[tuple[str, str]]:
-    """(part, its mask) for each non-empty part of `text` split on a
-    separator match at paren depth zero, outside quotes; `mask` is
-    `_top_level(text)`."""
-    parts: list[tuple[str, str]] = []
-    start = 0
-    for m in separator.finditer(mask):
-        parts.append(_strip(text, mask, start, m.start()))
-        start = m.end()
-    parts.append(_strip(text, mask, start, len(text)))
-    return [p for p in parts if p[0]]
-
-
-def _split_top_level(text: str, separator: re.Pattern[str],
-                     mask: str | None = None) -> list[str]:
-    """Split on a separator token at paren depth zero, outside quotes."""
-    return [part for part, _ in _split_masked(
-        text, _top_level(text) if mask is None else mask, separator)]
+def _name(text: str) -> tuple[str | None, str] | None:
+    """(relation, attribute) of a qualified name, (None, attribute) of a
+    bare one, None for any other text."""
+    relation, dot, attribute = text.rpartition(".")
+    if text.isascii() and attribute.isidentifier() and (relation.isidentifier() or not dot):
+        return relation or None, attribute
+    return None
 
 
 def _parse_literal(text: str) -> int | float | str:
@@ -295,11 +295,11 @@ class _Resolver:
         return self.catalog.relation(relation).attribute(attribute).distinct_count
 
     def resolve(self, text: str, outer_tables: frozenset[str] = frozenset()) -> AttrRef:
-        m = _REF_RE.match(text.strip())
-        if not m:
+        name = _name(text)
+        if name is None:
             raise ParseError(f"expected an attribute reference, got {text!r}")
-        if m.group(1):
-            relation, attribute = m.group(1), m.group(2)
+        relation, attribute = name
+        if relation is not None:
             if relation not in self.table_set:
                 if relation in outer_tables:
                     raise ParseError(
@@ -309,14 +309,13 @@ class _Resolver:
             if not self.has(relation, attribute):
                 raise ValidationError(f"unknown attribute {relation}.{attribute}")
             return relation, attribute
-        name = m.group(3)
-        matches = [t for t in self.tables if self.has(t, name)]
+        matches = [t for t in self.tables if self.has(t, attribute)]
         if not matches:
-            raise ValidationError(f"unknown attribute {name!r}")
+            raise ValidationError(f"unknown attribute {attribute!r}")
         if len(matches) > 1:
             raise ValidationError(
-                f"attribute {name!r} is ambiguous across {sorted(matches)}")
-        return matches[0], name
+                f"attribute {attribute!r} is ambiguous across {sorted(matches)}")
+        return matches[0], attribute
 
 
 def _aggregate_arg(func: str, arg: str, resolver: _Resolver) -> tuple[str | None, str]:
@@ -327,12 +326,11 @@ def _aggregate_arg(func: str, arg: str, resolver: _Resolver) -> tuple[str | None
     return None, "*"
 
 
-def _parse_select_items(text: str, mask: str,
-                        resolver: _Resolver) -> tuple[ProjectionItem, ...]:
-    if text == "*":
+def _parse_select_items(parts: list[_Item], resolver: _Resolver) -> tuple[ProjectionItem, ...]:
+    if [part for part, _ in parts] == ["*"]:
         return ()
     items: list[ProjectionItem] = []
-    for part in _split_top_level(text, _COMMA_RE, mask):
+    for part, _ in parts:
         m = _AGG_RE.match(part)
         if m:
             rel, attr = _aggregate_arg(m.group(1), m.group(2), resolver)
@@ -345,12 +343,10 @@ def _parse_select_items(text: str, mask: str,
     return tuple(items)
 
 
-def _split_condition(text: str, mask: str | None = None) -> tuple[str, str, str]:
-    m = _OPERATOR_RE.search(_top_level(text) if mask is None else mask)
-    if m is None:
-        raise ParseError(f"no comparison operator in condition {text!r}")
-    op = m.group()
-    return text[:m.start()].strip(), ("<>" if op == "!=" else op), text[m.end():].strip()
+def _cut(part: str, cut: tuple[str, str, str] | None) -> tuple[str, str, str]:
+    if cut is None:
+        raise ParseError(f"no comparison operator in condition {part!r}")
+    return cut
 
 
 def _connectivity(tables: set[str], edges: list[tuple[str, str]]) -> None:
@@ -369,14 +365,12 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
         raise ParseError("empty statement")
     if _depth > 1:
         raise ParseError("subqueries may not nest beyond one level")
-    if _OR_RE.search(_QUOTED_RE.sub("''", text)):
-        raise ParseError("OR is not supported; WHERE must be a conjunction")
-    clauses, masks = _scan_clauses(text)
+    clauses = _clauses(text)
 
     tables: list[str] = []
     subquery: Subquery | None = None
     alias_columns: dict[str, dict[str, AttrRef]] = {}
-    for part in _split_top_level(clauses["from"], _COMMA_RE, masks["from"]):
+    for part, _ in clauses["from"]:
         m = _FROM_SUBQUERY_RE.match(part)
         if m:
             if subquery is not None:
@@ -391,7 +385,7 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
             alias_columns[alias] = sources
             tables.append(alias)
             continue
-        if not _IDENT_RE.match(part):
+        if not (part.isascii() and part.isidentifier()):
             raise ParseError(f"unsupported FROM item {part!r}")
         if part not in catalog.relations:
             raise ValidationError(f"unknown relation {part!r}")
@@ -400,13 +394,12 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
         raise ParseError("duplicate FROM relations are not supported")
 
     resolver = _Resolver(catalog, tables, alias_columns)
-    projections = _parse_select_items(clauses["select"], masks["select"], resolver)
+    projections = _parse_select_items(clauses["select"], resolver)
 
     joins: list[JoinCondition] = []
     selects: list[SelectCondition] = []
     edges: list[tuple[str, str]] = []
-    for cond, cond_mask in _split_masked(clauses.get("where", ""), masks.get("where", ""),
-                                         _AND_RE):
+    for cond, cut in clauses.get("where", ()):
         m = _IN_SUBQUERY_RE.match(cond) if "select" in cond else None
         if m:
             if subquery is not None:
@@ -427,9 +420,9 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
                                 column_sources=sources)
             edges.append((outer_ref[0], alias))
             continue
-        left_text, op, right_text = _split_condition(cond, cond_mask)
+        left_text, op, right_text = _cut(cond, cut)
         left = resolver.resolve(left_text, _outer_tables)
-        if _REF_RE.match(right_text):   # an attribute, never a literal
+        if _name(right_text):   # an attribute, never a literal
             right = resolver.resolve(right_text, _outer_tables)
             if op != "=":
                 raise ParseError(f"join conditions must use '=', got {op!r}")
@@ -449,7 +442,7 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
 
     group_by: list[AttrRef] = []
     if "group by" in clauses:
-        for part in _split_top_level(clauses["group by"], _COMMA_RE, masks["group by"]):
+        for part, _ in clauses["group by"]:
             group_by.append(resolver.resolve(part))
     group_by = sorted(set(group_by))
 
@@ -457,11 +450,11 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
     if "having" in clauses:
         if not group_by:
             raise ParseError("HAVING requires GROUP BY")
-        having = _parse_having(clauses["having"], masks["having"], resolver, catalog)
+        having = _parse_having(clauses["having"][0], resolver, catalog)
 
     order_by: list[OrderItem] = []
     if "order by" in clauses:
-        for part in _split_top_level(clauses["order by"], _COMMA_RE, masks["order by"]):
+        for part, _ in clauses["order by"]:
             m = _ORDER_ITEM_RE.match(part)
             rel, attr = resolver.resolve(m.group(1))
             order_by.append(OrderItem(rel, attr, m.group(2) == "desc"))
@@ -504,9 +497,8 @@ def _subquery_columns(inner: Query) -> tuple[list[str], dict[str, AttrRef]]:
     return columns, sources
 
 
-def _parse_having(text: str, mask: str, resolver: _Resolver,
-                  catalog: Catalog) -> HavingCondition:
-    left_text, op, right_text = _split_condition(text, mask)
+def _parse_having(item: _Item, resolver: _Resolver, catalog: Catalog) -> HavingCondition:
+    left_text, op, right_text = _cut(*item)
     m = _AGG_RE.match(left_text)
     if not m:
         raise ParseError("HAVING must compare a single aggregate to a literal")

@@ -1,5 +1,7 @@
 """SQL subset parsing, validation, canonical texts, and render round-trips."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -51,6 +53,18 @@ def test_or_rejected(company_catalog):
     with pytest.raises(ParseError, match="OR"):
         parse_query("select fname from employee where salary > 1 or salary > 2",
                     company_catalog)
+
+
+def test_attributes_named_or_and_and_are_names(company_catalog):
+    # a qualified name is one token, so neither word reads as a keyword there
+    catalog = make_catalog([{"name": "t", "cardinality": 100.0, "attributes": [
+        {"name": n, "distinct": 10} for n in ("k", "or", "and")]}], [])
+    q = parse_query("select * from t where t.or = 1", catalog)
+    assert [c.canonical() for c in q.selects] == ["t.or = 1"]
+    q = parse_query("select t.and from t where t.and = 1 and t.k > 2", catalog)
+    assert [c.canonical() for c in q.selects] == ["t.and = 1", "t.k > 2"]
+    with pytest.raises(ParseError, match="OR"):
+        parse_query("select * from t where t.or = 1 or t.k = 2", catalog)
 
 
 def test_clause_order_enforced(company_catalog):
@@ -290,7 +304,7 @@ def test_extract_join_set_excludes_subquery_link(company_catalog):
         ["employee.ssn = works_on.ssn"]
 
 
-# -- the top-level scanner against the character-by-character scan it replaced --
+# -- the token pass against character-by-character scans --
 
 def reference_top_level(text: str):
     """Yield each index of `text` at paren depth zero outside quotes (the
@@ -346,6 +360,13 @@ def reference_split_condition(text: str) -> tuple[str, str, str]:
     raise ParseError(f"no comparison operator in condition {text!r}")
 
 
+def reference_has_or(text: str) -> bool:
+    """Whether `or` stands as a whole word outside quoted literals, quotes
+    paired left to right."""
+    return re.search(r"(?<![a-z0-9_.])or(?![a-z0-9_.])",
+                     re.sub(r"'[^']*'", "''", text)) is not None
+
+
 def outcome(fn, *args):
     """fn's result, or the message of the ParseError it raised."""
     try:
@@ -359,61 +380,56 @@ scanner_texts = st.lists(st.sampled_from(
      ".", "1"]),
     max_size=24).map("".join)
 WORD_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789_.")
-# each list separator the parser splits on, and its pattern
-SEPARATORS = ((",", sqlfront._COMMA_RE), ("and", sqlfront._AND_RE))
 
 
 @settings(max_examples=400, deadline=None)
 @given(scanner_texts)
-def test_top_level_mask_keeps_the_indices_of_the_reference_scan(text):
-    # The reference `_split_condition` stops its scan at the first operator,
-    # so on unbalanced text only the scanners are compared.  parse_query
-    # never splits unbalanced text: `_scan_clauses` scans the whole
-    # statement first, and every clause and condition lies between
-    # top-level positions.
-    expected = outcome(lambda: set(reference_top_level(text)))
+def test_the_token_pass_cuts_as_the_reference_scans(text):
+    # Scanned after a clause keyword, `text` is that clause's items: split
+    # on `,` in a select list and on `and` in WHERE, and whole in HAVING,
+    # cut at its first operator.  The alphabet forms no clause keyword.
+    expected = outcome(lambda: list(reference_top_level(text)))
+    if reference_has_or(text):
+        expected = "ParseError: OR is not supported; WHERE must be a conjunction"
     if isinstance(expected, str):
-        assert outcome(sqlfront._top_level, text) == expected
+        for keyword in ("select", "where", "having"):
+            assert outcome(sqlfront._scan, f"{keyword} {text}") == expected
         return
-    assert sqlfront._top_level(text) == "".join(
-        c if i in expected else "\0" for i, c in enumerate(text))
-    for separator, pattern in SEPARATORS:
-        assert sqlfront._split_top_level(text, pattern) == \
+    for keyword, separator in (("select", ","), ("where", "and")):
+        [(start, found, items)] = sqlfront._scan(f"{keyword} {text}")
+        assert (start, found) == (0, keyword)
+        assert [part for part, _ in items if part] == \
             reference_split_top_level(text, separator)
-    assert outcome(sqlfront._split_condition, text) == \
-        outcome(reference_split_condition, text)
+    [(_, _, [item])] = sqlfront._scan(f"having {text}")
+    assert item[0] == text.strip()
+    assert outcome(sqlfront._cut, *item) == outcome(reference_split_condition, text.strip())
 
 
 @settings(max_examples=200, deadline=None)
 @given(scanner_texts)
-def test_parts_cut_from_a_mask_are_their_own_masks(text):
-    # parse_query masks each statement once and cuts its clauses' and
-    # conditions' masks from it, which holds since they start and end at
-    # top-level positions
+def test_items_cut_in_one_pass_are_cut_as_if_alone(text):
+    # parse_query scans each statement once and takes every condition's cut
+    # from that pass, which is the cut of the condition scanned on its own
     try:
-        mask = sqlfront._top_level(text)
+        [(_, _, items)] = sqlfront._scan(f"where {text}")
     except ParseError:
         return
-    for _, pattern in SEPARATORS:
-        for part, part_mask in sqlfront._split_masked(text, mask, pattern):
-            assert part_mask == sqlfront._top_level(part)
+    for item in items:
+        assert sqlfront._scan(f"having {item[0]}")[0][2] == [item]
 
 
-def test_parse_query_masks_each_statement_once(company_catalog, monkeypatch):
-    masked = []
-    top_level = sqlfront._top_level
+def test_parse_query_scans_each_statement_once(company_catalog, monkeypatch):
+    scanned = []
+    scan = sqlfront._scan
 
-    def recording_top_level(text):
-        masked.append(text)
-        return top_level(text)
+    def recording_scan(text):
+        scanned.append(text)
+        return scan(text)
 
-    monkeypatch.setattr(sqlfront, "_top_level", recording_top_level)
+    monkeypatch.setattr(sqlfront, "_scan", recording_scan)
     sql = ("select employee.dno, count(employee.ssn) from employee, works_on "
            "where employee.ssn = works_on.ssn and works_on.hours > 30 "
            "and works_on.pno in (select pnumber from project where plocation = 'hyderabad') "
            "group by employee.dno having count(employee.ssn) > 2 order by employee.dno")
-    clauses, masks = sqlfront._scan_clauses(sql)
-    assert {kw: sqlfront._top_level(text) for kw, text in clauses.items()} == masks
-    masked.clear()
     parse_query(sql, company_catalog)
-    assert masked == [sql, "select pnumber from project where plocation = 'hyderabad'"]
+    assert scanned == [sql, "select pnumber from project where plocation = 'hyderabad'"]
