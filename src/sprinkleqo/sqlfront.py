@@ -172,7 +172,7 @@ _LISTS = {"select": ("select list", ","), "from": ("FROM clause", ","),
           "where": ("WHERE clause", "and"), "group by": ("GROUP BY clause", ","),
           "order by": ("ORDER BY clause", ",")}
 
-_Item = tuple[str, "tuple[str, str, str] | None"]
+_Item = tuple[str, tuple[str, str, str] | None]
 
 
 def _item(text: str, start: int, end: int, op: re.Match | None) -> _Item:
