@@ -22,7 +22,7 @@ import time
 from . import analytics, costplan, joindag, memo, naive, sprinkle
 from .catalog import Catalog, load_catalog_file
 from .errors import SprinkleQoError, ValidationError
-from .ioutil import atomic_write_text, read_text
+from .ioutil import atomic_write_text, locked, read_text
 from .sqlfront import Query, extract_join_set, parse_query
 
 log = logging.getLogger("sprinkleqo")
@@ -280,7 +280,8 @@ def cmd_histdag_build(args) -> int:
     limit = _effective_limit(args)
     catalog = load_catalog_file(args.schema, args.stats)
     history = joindag.build_complete_history(catalog, catalog.graph.edges, limit)
-    joindag.save_history(history, args.out)
+    with locked(args.out):
+        joindag.save_history(history, args.out)
     print(_history_summary(history))
     return EXIT_OK
 
@@ -288,14 +289,15 @@ def cmd_histdag_build(args) -> int:
 def cmd_histdag_add(args) -> int:
     limit = _effective_limit(args)
     catalog = load_catalog_file(args.schema, args.stats)
-    history = joindag.load_history(args.history)
-    joindag.verify_catalog(history, catalog)
-    query = parse_query(read_text(args.query), catalog)
-    if query.subquery is not None:
-        raise ValidationError("history maintenance expects flat queries")
-    grown = joindag.build_incremental(history, extract_join_set(query),
-                                      catalog, limit)
-    joindag.save_history(grown, args.history)
+    with locked(args.history):   # no other add may save between this load and save
+        history = joindag.load_history(args.history)
+        joindag.verify_catalog(history, catalog)
+        query = parse_query(read_text(args.query), catalog)
+        if query.subquery is not None:
+            raise ValidationError("history maintenance expects flat queries")
+        grown = joindag.build_incremental(history, extract_join_set(query),
+                                          catalog, limit)
+        joindag.save_history(grown, args.history)
     print(_history_summary(grown))
     return EXIT_OK
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from . import costplan, forest, memo
 from .catalog import Catalog, JoinCondition, components
 from .errors import LimitExceededError, PersistenceError, ValidationError
-from .ioutil import atomic_write_text, locked, read_text
+from .ioutil import atomic_write_text, read_text
 from .memo import Dag
 
 HISTORY_FORMAT = 1
@@ -94,8 +94,7 @@ def build_incremental(history: HistoryDag, joins: tuple[JoinCondition, ...],
     of them.  Raises LimitExceededError when any affected component would
     exceed `limit` conditions and ValidationError on a catalog mismatch.
     """
-    if catalog.fingerprint != history.catalog_fingerprint:
-        raise ValidationError("catalog does not match the one this history was built from")
+    verify_catalog(history, catalog)
     for cond in joins:
         for rel in cond.relations():
             catalog.relation(rel)  # unknown relation -> CatalogError
@@ -164,17 +163,20 @@ def _checksum(doc: dict) -> str:
 
 
 def save_history(history: HistoryDag, path: str) -> None:
-    """Atomically persist the history with an integrity checksum."""
+    """Atomically persist the history with an integrity checksum.  A caller
+    that reads, grows and saves a history holds `ioutil.locked(path)` across
+    the whole cycle; the lock is not re-entrant, so this does not take it."""
     doc = _history_doc(history)
     doc["checksum"] = _checksum(doc)
-    with locked(path):
-        atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def load_history(path: str) -> HistoryDag:
     """Load a persisted history, verifying format, checksum, structure
     (`memo.dag_from_doc`), roots (one full-join node per component of the
-    known joins) and size and cost estimates (`costplan.check_estimates`)."""
+    known joins), size and cost estimates (`costplan.check_estimates`), and
+    that each known join's jsf is in (0, 1] and is the factor of every
+    op-node of its text."""
     text = read_text(path)
     try:
         doc = json.loads(text)
@@ -191,7 +193,11 @@ def load_history(path: str) -> HistoryDag:
     try:
         known: dict[str, JoinCondition] = {}
         for la, lb, ra, rb, jsf in doc["known_joins"]:
+            if not all(isinstance(name, str) for name in (la, lb, ra, rb)):
+                raise TypeError(f"known join {[la, lb, ra, rb]!r} names a non-string")
             cond = JoinCondition.make((la, lb), (ra, rb), float(jsf))
+            if not 0.0 < cond.jsf <= 1.0:
+                raise ValueError(f"jsf {jsf!r} of {cond.canonical()} is not in (0, 1]")
             known[cond.canonical()] = cond
         history = HistoryDag(dag=memo.dag_from_doc(doc["dag"]), known_joins=known,
                              version=int(doc["version"]),
@@ -204,6 +210,11 @@ def load_history(path: str) -> HistoryDag:
         raise PersistenceError(f"malformed history file {path}: its roots are not "
                                "the full-join nodes of its known joins")
     costplan.check_estimates(history.dag)
+    for op in history.dag.op_nodes.values():
+        cond = known.get(op.detail)
+        if cond is not None and op.factor != cond.jsf:
+            raise PersistenceError(f"malformed history file {path}: {op.kind} {op.detail} "
+                                   f"has factor {op.factor!r}, not its known jsf {cond.jsf!r}")
     return history
 
 

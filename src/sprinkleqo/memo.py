@@ -171,7 +171,6 @@ class Dag:
         self._op_index: dict[tuple, int] = {}   # op-node sort_key -> the eq-node above it
         self._next_eq = 0
         self._next_op = 0
-        self.meta: dict = {}
 
     # -- construction ---------------------------------------------------
 
@@ -193,7 +192,6 @@ class Dag:
         out._op_index = dict(self._op_index)
         out._next_eq = self._next_eq
         out._next_op = self._next_op
-        out.meta = dict(self.meta)
         return out
 
     def below(self, root: int) -> "Dag":
@@ -496,9 +494,9 @@ def _dot_escape(text: str) -> str:
                    for ch in text)
 
 
-def export_dot(dag: Dag, name: str = "andor_dag") -> str:
+def export_dot(dag: Dag) -> str:
     """Deterministic DOT text: eq-nodes as ellipses, op-nodes as boxes."""
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines = ["digraph andor_dag {", "  rankdir=BT;"]
     for eq_id in sorted(dag.eq_nodes):
         node = dag.eq_nodes[eq_id]
         label = _dot_escape(node.text) + f"\\nsize={node.est_size:.6g}"

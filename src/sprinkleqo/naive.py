@@ -255,7 +255,7 @@ def _place_suffix(dag: Dag, top: int, query: Query, catalog: Catalog) -> int:
 
 
 def build_naive_dag(query: Query, catalog: Catalog, limit: int = 8, *,
-                    query_id: str | None = None, dag: Dag | None = None) -> Dag:
+                    query_id: str = "q1", dag: Dag | None = None) -> Dag:
     """Expand the full permutation space of one query into a memo.
 
     Raises LimitExceededError when joins + selects exceed `limit` and
@@ -269,7 +269,6 @@ def build_naive_dag(query: Query, catalog: Catalog, limit: int = 8, *,
 
     if dag is None:
         dag = Dag()
-    dag.meta.setdefault("queries", {})
 
     relations = {t: float(catalog.relation(t).cardinality) for t in sorted(query.tables)}
     final = forest.expand_forest(dag, relations, extract_join_set(query), query.selects)
@@ -277,30 +276,19 @@ def build_naive_dag(query: Query, catalog: Catalog, limit: int = 8, *,
     if len(tops) != 1:
         raise ValidationError("query relations do not join into a single result")
     root = _place_suffix(dag, tops[0], query, catalog)
-
-    if query_id is None:
-        query_id = f"q{len(dag.meta['queries']) + 1}"
     memo.register_root(dag, query_id, root)
-    dag.meta["queries"][query_id] = {
-        "sql": sqlfront.render_query(query),
-        "permutations": permutations_considered(query),
-    }
     return dag
 
 
-def incremental_naive_add(dag: Dag, queries: list[tuple[str, Query]],
-                          catalog: Catalog, limit: int = 8) -> Dag:
+def incremental_naive_add(queries: list[tuple[str, Query]], catalog: Catalog,
+                          limit: int = 8) -> Dag:
     """Rebuild the baseline memo with extra queries folded in.
 
     The baseline has no versioned history: adding a query re-expands every
-    registered query plus the new ones into a fresh shared memo.
+    query, those already in the memo and the new ones (`queries`, each with
+    its id), into a fresh shared memo.
     """
     fresh = Dag()
-    fresh.meta["queries"] = {}
-    known = dag.meta.get("queries", {}) if dag is not None else {}
-    for qid in sorted(known):
-        build_naive_dag(sqlfront.parse_query(known[qid]["sql"], catalog), catalog,
-                        limit, query_id=qid, dag=fresh)
     for qid, query in queries:
         build_naive_dag(query, catalog, limit, query_id=qid, dag=fresh)
     return fresh

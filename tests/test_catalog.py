@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+import sprinkleqo
 from sprinkleqo.catalog import (DEFAULT_SSF, Attribute, Catalog, JoinCondition, Relation,
                                 SchemaGraph, components, load_catalog, lookup_ssf, resolve_jsf)
 from sprinkleqo.errors import CatalogError
@@ -230,3 +235,16 @@ def test_distinct_fallback_is_inverse_max(da, db):
         ],
         fk_edges=[])
     assert resolve_jsf(c, ("u", "k"), ("v", "k")) == 1.0 / max(da, db)
+
+
+def test_importing_the_catalog_loads_no_optimizer_layer():
+    """The package root imports nothing, so a module loads only what it
+    imports itself; checked in a fresh interpreter."""
+    src = str(pathlib.Path(sprinkleqo.__file__).resolve().parent.parent)
+    code = ("import sys, sprinkleqo.catalog; print(' '.join(m for m in ("
+            "'sprinkleqo.sprinkle', 'sprinkleqo.naive', 'sprinkleqo.analytics', "
+            "'sprinkleqo.cli') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

@@ -2,14 +2,18 @@
 
 import json
 import logging
+import os
 import sys
+import threading
 
 import pytest
 
 from sprinkleqo import analytics, cli, costplan, joindag, memo
 from sprinkleqo.catalog import load_catalog_file
 from sprinkleqo.cli import main
+from sprinkleqo.ioutil import locked
 from sprinkleqo.memo import KIND_SELECT
+from sprinkleqo.sqlfront import extract_join_set, parse_query
 
 from conftest import FIXTURES
 
@@ -452,6 +456,51 @@ def test_histdag_add_rejects_nested(capsys, tmp_path):
                        "--history", str(hist),
                        "--query", str(FIXTURES / "company" / "q3_nested.sql"))
     assert code == 2 and "flat queries" in err
+
+
+def test_an_add_waiting_on_the_lock_grows_the_history_saved_meanwhile(capsys, tmp_path,
+                                                                       monkeypatch):
+    """`histdag add` holds the history's lock from its load to its save: an
+    add started while another writer holds the lock grows what that writer
+    saved, so neither join is lost."""
+    catalog = load_catalog_file(COMPANY)
+    joins = lambda sql: extract_join_set(parse_query(sql, catalog))
+    start = joindag.build_complete_history(catalog, joins(
+        "select * from employee, works_on where employee.ssn = works_on.ssn"))
+    hist, other = tmp_path / "history.json", tmp_path / "other.json"
+    joindag.save_history(start, str(hist))
+    joindag.save_history(joindag.build_incremental(start, joins(
+        "select * from dept_locations, department "
+        "where dept_locations.dnumber = department.dnumber"), catalog), str(other))
+    query = tmp_path / "add.sql"
+    query.write_text("select * from employee, department "
+                     "where employee.dno = department.dnumber")
+
+    loaded = threading.Event()
+    load_history = joindag.load_history
+
+    def load_and_signal(path):
+        try:
+            return load_history(path)
+        finally:
+            loaded.set()
+
+    monkeypatch.setattr(joindag, "load_history", load_and_signal)
+    codes = []
+    adder = threading.Thread(target=lambda: codes.append(main([
+        "histdag", "add", "--schema", COMPANY, "--history", str(hist),
+        "--query", str(query)])))
+    with locked(str(hist)):
+        adder.start()
+        # an add that loads outside the lock has loaded by now; one that
+        # waits on the lock loads only after the release
+        loaded.wait(timeout=1.0)
+        os.replace(other, hist)
+    adder.join(timeout=60)
+    assert not adder.is_alive() and codes == [0], capsys.readouterr().err
+    assert set(load_history(str(hist)).known_joins) == {
+        "employee.ssn = works_on.ssn", "department.dnumber = dept_locations.dnumber",
+        "department.dnumber = employee.dno"}
 
 
 def test_histdag_export_dot(capsys, tmp_path):

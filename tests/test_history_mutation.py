@@ -1,12 +1,14 @@
-"""Saved histories with a mutated `dag` section and a re-sealed checksum.
+"""Saved histories with a mutated `dag` or `known_joins` section and a
+re-sealed checksum.
 
 Whatever the mutation, `histdag show` and `optimize --history` exit 0, or
 exit 2 with exactly one `ERR:` line; they never raise.  The mutations touch
 signature parts, op kinds, details and children, sizes, costs and factors,
-arcs and roots.
+arcs and roots, and the attributes and jsf of known joins.
 """
 
 import json
+import math
 import pathlib
 import tempfile
 
@@ -43,12 +45,14 @@ JUNK = st.one_of(st.none(), st.integers(-2, 3), st.text(max_size=3), st.just([])
                  st.just({}))
 
 
-def mutate(draw, dag: dict, texts: list[str]) -> None:
-    """Apply one mutation, drawn by `draw`, to a dag document in place."""
+def mutate(draw, doc: dict, texts: list[str]) -> None:
+    """Apply one mutation, drawn by `draw`, to a history document in place."""
+    dag = doc["dag"]
     eqs, ops, arcs = dag["eq_nodes"], dag["op_nodes"], dag["arcs"]
     ids = st.integers(-1, len(eqs))
     target = draw(st.sampled_from(["signature", "kind", "detail", "children", "est_size",
-                                   "op_cost", "factor", "eq_to_op", "op_to_eq", "roots"]))
+                                   "op_cost", "factor", "eq_to_op", "op_to_eq", "roots",
+                                   "known_joins"]))
     if target == "signature":
         sig = draw(st.sampled_from(eqs))["signature"]
         i = draw(st.integers(0, 3))
@@ -88,6 +92,10 @@ def mutate(draw, dag: dict, texts: list[str]) -> None:
     elif target == "roots":
         roots = dag["roots"]
         roots[draw(st.sampled_from(sorted(roots)))] = draw(st.one_of(ids, JUNK))
+    elif target == "known_joins":
+        known = draw(st.sampled_from(doc["known_joins"]))   # [rel, attr, rel, attr, jsf]
+        i = draw(st.integers(0, 4))
+        known[i] = draw(NUMBERS if i == 4 else st.one_of(st.sampled_from(texts), JUNK))
 
 
 def assert_run_or_one_error_line(group: str, doc: dict, error: str | None = None) -> None:
@@ -152,11 +160,24 @@ def test_mutation_regressions(edit, error):
     assert_run_or_one_error_line("tpch", doc, error=error)
 
 
+@pytest.mark.parametrize("fields", [{4: math.nan}, {4: -1.0}, {4: 0.5}, {0: [], 2: []}],
+                         ids=["nan-jsf", "negative-jsf", "jsf-not-the-dag-factor",
+                              "list-relation-names"])
+def test_known_joins_that_contradict_the_dag_are_malformed(fields):
+    """A known join names its relations and attributes by strings, and its
+    jsf is in (0, 1] and is the factor of the dag's op-nodes for that join;
+    0.5 is in range but is not tpch's factor."""
+    doc = json.loads(HISTORIES["tpch"])
+    for i, value in fields.items():
+        doc["known_joins"][0][i] = value
+    assert_run_or_one_error_line("tpch", doc, error="ERR:io: malformed history file ")
+
+
 @settings(max_examples=60, deadline=None)
 @given(group=st.sampled_from(sorted(CASES)), n=st.integers(1, 3), data=st.data())
 def test_mutated_history_is_run_or_one_error_line(group, n, data):
     doc = json.loads(HISTORIES[group])
     texts = texts_of(doc["dag"])
     for _ in range(n):
-        mutate(data.draw, doc["dag"], texts)
+        mutate(data.draw, doc, texts)
     assert_run_or_one_error_line(group, doc)

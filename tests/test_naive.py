@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from sprinkleqo import costplan, memo, naive, sqlfront
+from sprinkleqo import costplan, memo, naive
 from sprinkleqo.errors import LimitExceededError, ValidationError
 from sprinkleqo.sqlfront import parse_query
 
@@ -43,14 +43,6 @@ def test_company_q1_expansion_is_frozen(company_catalog):
     assert memo.count_nodes(dag) == (16, 26, 18)
     best = costplan.best_plan(dag, dag.query_roots["q1"])
     assert best.cum_cost == 57600.0
-    assert dag.meta["queries"]["q1"]["permutations"] == 24
-
-
-def test_meta_sql_round_trips(company_catalog):
-    q = parse_query(fixture_sql("company", "q1"), company_catalog)
-    dag = naive.build_naive_dag(q, company_catalog)
-    stored = dag.meta["queries"]["q1"]["sql"]
-    assert sqlfront.render_query(parse_query(stored, company_catalog)) == stored
 
 
 def test_suffix_order_group_project_order(tpch_catalog):
@@ -137,8 +129,7 @@ def test_operation_limit(tpch_catalog):
 def test_incremental_add_equals_fresh_combined(company_catalog):
     q1 = parse_query(fixture_sql("company", "q1"), company_catalog)
     q2 = parse_query(fixture_sql("company", "q2"), company_catalog)
-    first = naive.build_naive_dag(q1, company_catalog, query_id="q1")
-    grown = naive.incremental_naive_add(first, [("q2", q2)], company_catalog)
+    grown = naive.incremental_naive_add([("q1", q1), ("q2", q2)], company_catalog)
 
     combined = naive.build_naive_dag(q1, company_catalog, query_id="q1")
     naive.build_naive_dag(q2, company_catalog, query_id="q2", dag=combined)
@@ -147,9 +138,6 @@ def test_incremental_add_equals_fresh_combined(company_catalog):
     assert sigs(grown) == sigs(combined)
     assert memo.arc_signature_set(grown) == memo.arc_signature_set(combined)
     assert set(grown.query_roots) == {"q1", "q2"}
-    assert set(grown.meta["queries"]) == {"q1", "q2"}
-    # the original memo is untouched
-    assert set(first.query_roots) == {"q1"}
 
 
 def test_shared_memo_reuses_overlap(company_catalog):
@@ -170,7 +158,7 @@ def test_grouped_queries_at_different_landings_share_one_memo(tpch_catalog):
     # group-by's text, so their sizes never meet in one eq-node
     queries = [(qid, parse_query(fixture_sql("tpch", qid), tpch_catalog))
                for qid in ("q1", "q3", "q4")]
-    shared = naive.incremental_naive_add(None, queries, tpch_catalog)
+    shared = naive.incremental_naive_add(queries, tpch_catalog)
     costplan.check_estimates(shared)
     for qid, query in queries:
         alone = naive.build_naive_dag(query, tpch_catalog)

@@ -321,7 +321,6 @@ def enumerate_then_prune_stage(dag, decorate, *, bound=None):
     `enumerate_plans`, each dropped when `bound(plan)` or its
     decorated cost exceeds the running best."""
     fresh = memo.Dag()
-    fresh.meta = dict(dag.meta)
     for query_id, root in sorted(dag.query_roots.items()):
         kept = []
         running_best = math.inf
