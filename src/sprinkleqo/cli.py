@@ -289,7 +289,7 @@ def cmd_histdag_build(args) -> int:
 def cmd_histdag_add(args) -> int:
     limit = _effective_limit(args)
     catalog = load_catalog_file(args.schema, args.stats)
-    with locked(args.history):   # no other add may save between this load and save
+    with locked(args.history, existing=True):   # no other add may save between this load and save
         history = joindag.load_history(args.history)
         joindag.verify_catalog(history, catalog)
         query = parse_query(read_text(args.query), catalog)

@@ -142,38 +142,25 @@ def check_estimates(dag: Dag) -> None:
                                f"but its inputs give {cost!r}")
 
 
-def _base_relation_of(dag: Dag, eq_id: int) -> str:
-    sig = dag.eq_nodes[eq_id].signature
-    return sig[0][0]
-
-
 def best_plan(dag: Dag, root_eq: int) -> Plan:
     """Minimum-cost expansion below an eq-node; cost ties break on canonical
     op text (`OpNode.sort_key`), and the first op-node wins a full tie.
 
-    The walk is iterative, inputs first, so any depth works.  `memo.attach_op`
-    keeps every op cost finite, but their sum can still overflow: a
-    non-finite best cost is a DagError.
+    One pass over the eq-nodes below the root, inputs first (the reversed
+    `memo.topological_order` of `Dag.below`), so nothing recurses and any
+    depth works.  `memo.attach_op` keeps every op cost finite, but their
+    sum can still overflow: a non-finite best cost is a DagError, as is an
+    unknown root.
     """
     if root_eq not in dag.eq_nodes:
         raise DagError(f"unknown eq-node {root_eq}")
-    eq_nodes, op_nodes = dag.eq_nodes, dag.op_nodes
-    cache: dict[int, Plan] = {}
-    stack: list = [root_eq]   # an id to visit, or an eq-node whose inputs are done
-    while stack:
-        item = stack.pop()
-        if type(item) is int:
-            if item in cache:
-                continue
-            node = eq_nodes[item]
-            if node.child_ops:
-                stack.append(node)
-                for op_id in node.child_ops:
-                    stack += [c for c in op_nodes[op_id].children if c not in cache]
-            else:
-                cache[item] = base_plan(_base_relation_of(dag, item), node.est_size)
+    view = dag.below(root_eq)
+    op_nodes, cache = view.op_nodes, {}
+    for eq_id in reversed(memo.topological_order(view)):
+        node, best_op = view.eq_nodes[eq_id], None
+        if node.is_base:
+            cache[eq_id] = base_plan(node.signature[0][0], node.est_size)
             continue
-        node, best_op = item, None
         for op_id in node.child_ops:
             op = op_nodes[op_id]
             children = op.children
@@ -184,11 +171,10 @@ def best_plan(dag: Dag, root_eq: int) -> Plan:
             if best_op is None or cost < best_cost or (
                     cost == best_cost and op.sort_key() < best_op.sort_key()):
                 best_op, best_cost = op, cost
-        cache[node.id] = Plan(best_op.kind, best_op.detail, None,
-                              tuple([cache[c] for c in best_op.children]), best_op.factor,
-                              node.est_size, best_op.op_cost, best_cost)
+        cache[eq_id] = Plan(best_op.kind, best_op.detail, None,
+                            tuple([cache[c] for c in best_op.children]), best_op.factor,
+                            node.est_size, best_op.op_cost, best_cost)
     plan = cache[root_eq]
     if not math.isfinite(plan.cum_cost):
         raise DagError(f"the plan cost under eq-node {root_eq} overflows")
     return plan
-

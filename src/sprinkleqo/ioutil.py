@@ -31,9 +31,16 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 @contextlib.contextmanager
-def locked(path: str):
-    """Exclusive advisory lock on `path`.lock for read-modify-write cycles."""
+def locked(path: str, existing: bool = False):
+    """Exclusive advisory lock on `path`.lock for read-modify-write cycles.
+    With `existing`, an unreadable `path` is a PersistenceError before the
+    lock file is made, so a missing file leaves none behind."""
     lock_path = path + ".lock"
+    if existing:
+        try:
+            os.close(os.open(path, os.O_RDONLY))
+        except OSError as exc:
+            raise PersistenceError(f"cannot read {path}: {exc}") from exc
     try:
         handle = open(lock_path, "a+", encoding="utf-8")
     except OSError as exc:

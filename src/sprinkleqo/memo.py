@@ -36,7 +36,12 @@ existing op-node checks its size estimate against that eq-node's and
 derives nothing.  A new op-node derives only its key; the signature tuple
 and its text are built once, for a new eq-node.  Since signatures grow
 along every op-node, `topological_order` needs no walk: it sorts the
-eq-nodes by their signature's entry count.
+eq-nodes by their signature's entry count.  Every inputs-first pass over a
+memo reads that order (`merge_below`, `plan_count_for`,
+`costplan.best_plan`, the place stage's DP).  Two walks do not:
+`_check_acyclic`, which checks the arcs of a loaded document before any
+signature in it is trusted, and `Dag.below`'s walk, which finds what a root
+reaches.
 
 Ids are the memo's own names and reach no query output: under one eq-node,
 (kind, detail) already identifies an op-node, so `OpNode.sort_key` never

@@ -34,17 +34,16 @@ landings whose bound (`_Placement.bound`) can reach the optimum get one.
 The DP runs once per block, over the memo (`_select_floors`), an eq-node's
 op-nodes its alternatives, and keeps one cell per node it priced (`_Cell`):
 the alternatives its step read, each an op-node and its input cells, and
-its tables: per set u below the node's operator the least cost of the
-operator and its inputs (`total`), per set at or below it the output size
-(`size`), and per set s at or below it the least cost (`best`).  Leaves,
-landings and op-nodes share one stacking rule (`_Placement._stack`):
-selects stack in ascending rank, which is ascending bit order, each costing
-the size under it; that is optimal by the exchange argument of predicate
-migration.  A state (cell, s) is one decorated eq-node, and the stage emits
-its memo state by state (`_decorate_stage`): from the root's state it walks
-down the cells, keeps each alternative of a state (an op-node over its
-inputs' states, or one bit of s stacked on the rest) that ties the state's
-DP least, and attaches each kept op-node once.
+its two tables, per set s at or below the node: the output size (`size`)
+and the least cost (`best`).  Leaves, landings and op-nodes share one
+stacking rule (`_Placement._stack`): selects stack in ascending rank,
+which is ascending bit order, each costing the size under it; that is
+optimal by the exchange argument of predicate migration.  A state
+(cell, s) is one decorated eq-node, and the stage emits its memo state by
+state (`_decorate_stage`): from the root's state it walks down the cells,
+keeps each alternative of a state (an op-node over its inputs' states, or
+one bit of s stacked on the rest) that ties the state's DP least, and
+attaches each kept op-node once.
 """
 
 from __future__ import annotations
@@ -86,13 +85,12 @@ class _Cell:
     landing sets `grouping`, its group-by's cost with its having's."""
 
     __slots__ = ("eq", "alternatives", "ranked", "mask", "cmask", "fixed", "rels",
-                 "grouping", "total", "size", "best")
+                 "grouping", "size", "best")
 
     def __init__(self, mask: int, width: int, alternatives):
         self.alternatives, self.ranked = alternatives, None
         self.mask = mask                 # the bits that may sit at or below the node
         self.cmask = mask                # the bits that may sit below its operator
-        self.total = [0.0] * width       # least cost of the operator and its inputs, by u
         self.size = [0.0] * width        # output size, by the set at or below it
         self.best = [math.inf] * width   # least subtree cost, by s; inf if s is not in mask
 
@@ -181,15 +179,15 @@ class _Placement:
         op-node over a costs a and yields factor*a.
 
         Over an alternative with U below it, a node costs the op over the
-        children's sizes under U, plus the children's best costs under U
-        (together `total`).  Per U the least total of the op-nodes whose
-        inputs hold U wins: an order-by sits below an op-node only in an
-        input that covers its relations, which depends on how the op-node
-        splits them.  The first alternative gives the sizes, on which an
-        eq-node's op-nodes agree up to rounding.  Every bit of S can sit
-        below some op-node but an order-by that enters here, which is
-        size-neutral, so `size` by U is the size by S too.  `best` starts
-        from `total` and stacks S - U on the op's output (`_stack`).
+        children's sizes under U, plus the children's best costs under U.
+        `best` at U starts as the least of that over the op-nodes whose
+        inputs hold U: an order-by sits below an op-node only in an input
+        that covers its relations, which depends on how the op-node splits
+        them.  The first alternative gives the sizes, on which an eq-node's
+        op-nodes agree up to rounding.  Every bit of S can sit below some
+        op-node but an order-by that enters here, which is size-neutral, so
+        `size` by U is the size by S too.  `best` then stacks S - U on the
+        op's output (`_stack`).
         """
         (op, children), *rest = alternatives
         first, last = children[0], children[-1]   # a join's two inputs, or a unary op's one
@@ -206,7 +204,7 @@ class _Placement:
                 mask = cell.mask = mask | self.ob_bit
         sets = self.sets
         below = sets(cmask, fixed)   # every U below the op
-        total, size, best = cell.total, cell.size, cell.best
+        size, best = cell.size, cell.best
         factor = float(op.factor)
         if len(children) == 2:   # a join; the first alternative sets every u
             m1, m2, b1, b2 = first.mask, last.mask, first.best, last.best
@@ -214,36 +212,34 @@ class _Placement:
             for u in below:
                 a, b = z1[u & m1], z2[u & m2]
                 size[u] = factor * a * b
-                total[u] = a * b + (b1[u & m1] + b2[u & m2])
+                best[u] = a * b + (b1[u & m1] + b2[u & m2])
         else:
             z1, b1 = first.size, first.best
             for u in below:
                 a = z1[u]
                 size[u] = factor * a
-                total[u] = a + b1[u]
+                best[u] = a + b1[u]
         if held != cmask:   # an order-by the first op-node's inputs cannot hold
             for u in below:
                 if u & ~held:
-                    total[u] = math.inf
+                    best[u] = math.inf
         for op, children in rest:   # each later one only where it is cheaper
             if len(children) == 2:
                 c1, c2 = children
                 m1, m2, z1, z2, b1, b2 = c1.mask, c2.mask, c1.size, c2.size, c1.best, c2.best
                 for u in below if m1 | m2 == cmask else sets(m1 | m2, fixed):
                     cost = z1[u & m1] * z2[u & m2] + (b1[u & m1] + b2[u & m2])
-                    if cost < total[u]:
-                        total[u] = cost
+                    if cost < best[u]:
+                        best[u] = cost
             else:
                 z1, b1, m1 = children[0].size, children[0].best, children[0].mask
                 for u in below if m1 == cmask else sets(m1, fixed):
                     cost = z1[u] + b1[u]
-                    if cost < total[u]:
-                        total[u] = cost
+                    if cost < best[u]:
+                        best[u] = cost
         if mask != cmask:   # the order-by enters here: never below the op
             for u in below:
-                size[u | self.ob_bit], total[u | self.ob_bit] = size[u], math.inf
-        for s in below if mask == cmask else sets(mask, fixed):
-            best[s] = total[s]
+                size[u | self.ob_bit] = size[u]
         return self._stack(cell, fixed)
 
     def landing(self, cell: _Cell) -> _Cell:
@@ -258,8 +254,7 @@ class _Placement:
         for kind, factor in [(KIND_GROUPBY, d)] + ([(KIND_HAVING, having.ssf)] if having else []):
             cost += costplan.op_cost(kind, (size,))
             size = costplan.estimate_size(kind, (size,), factor)
-        out.grouping, out.total[fixed] = cost, cost + cell.best[fixed]
-        out.best[fixed] = out.total[fixed]
+        out.grouping, out.best[fixed] = cost, cost + cell.best[fixed]
         out.size[fixed] = out.size[cell.mask] = size
         return self._stack(out, fixed)
 
@@ -311,7 +306,8 @@ def _kept_alternatives(dp: _Placement, cell: _Cell, s: int) -> list:
     as the DP step prices them: an op-node of the cell whose inputs hold
     all of S, over its inputs at S; a leaf's base relation at S = 0 (what
     None, no inputs); a landing's group-by at its fixed set, over its input
-    at that set (what None); and one bit i of S not fixed below a landing
+    at that set (what None), each the one alternative of its state and so
+    kept unpriced; and one bit i of S not fixed below a landing
     stacked on (cell, S - i) (what i).  Op-nodes come in `OpNode.sort_key`
     order, then the bits in ascending order.  Ascending-rank stacking is
     optimal, so the least of them is `best` and always kept."""
@@ -321,7 +317,7 @@ def _kept_alternatives(dp: _Placement, cell: _Cell, s: int) -> list:
         if not s:
             kept.append((None, ()))
     elif op is None:   # a landing: its group-by and having over its plain cell
-        if s == cell.cmask and cell.total[s] <= budget:
+        if s == cell.cmask:
             kept.append((None, ((kids[0], s),)))
     else:
         if cell.ranked is None:

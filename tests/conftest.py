@@ -14,7 +14,7 @@ import pytest
 from sprinkleqo import costplan, memo, sprinkle
 from sprinkleqo.catalog import Catalog, load_catalog, load_catalog_file
 from sprinkleqo.cli import main
-from sprinkleqo.costplan import Plan, _base_relation_of, base_plan
+from sprinkleqo.costplan import Plan, base_plan
 from sprinkleqo.errors import DagError
 from sprinkleqo.memo import Dag
 
@@ -119,6 +119,27 @@ def connected_query_sql(catalog: Catalog, rng: random.Random,
     return sql
 
 
+def clause_variants(sql, query, catalog):
+    """`sql` grouped, grouped with a having, ordered, and both, on one or two
+    of its relations, then ordered on its first and last relation; a
+    grouped variant selects its keys and a count, so that it keeps a root
+    projection."""
+    rels = sorted(query.tables)
+    first, last = (query.selects[0].relation if query.selects else rels[0]), rels[-1]
+
+    def keys(*attrs):
+        return sql.replace("select *", f"select {', '.join(attrs)}, count(*)", 1)
+
+    return [sql + f" group by {first}.b",
+            keys(f"{first}.b", f"{last}.a1") + f" group by {first}.b, {last}.a1 "
+                                               "having count(*) > 2",
+            sql + f" order by {last}.a0",
+            keys(f"{first}.b") + f" group by {first}.b order by {first}.b",
+            keys(f"{first}.b", f"{last}.a1") + f" group by {first}.b, {last}.a1 "
+                                               f"having count(*) > 1 order by {last}.a1",
+            sql + f" order by {rels[0]}.a0, {last}.b"]
+
+
 def enumerate_plans(dag: Dag, root_eq: int) -> list[Plan]:
     """All expansions below an eq-node in canonical order.
 
@@ -132,7 +153,7 @@ def enumerate_plans(dag: Dag, root_eq: int) -> list[Plan]:
             return cache[eq_id]
         node = dag.eq_nodes[eq_id]
         if node.is_base:
-            out = [base_plan(_base_relation_of(dag, eq_id), node.est_size)]
+            out = [base_plan(node.signature[0][0], node.est_size)]
         else:
             out = []
             for op_id in sorted(node.child_ops,

@@ -503,6 +503,16 @@ def test_an_add_waiting_on_the_lock_grows_the_history_saved_meanwhile(capsys, tm
         "department.dnumber = employee.dno"}
 
 
+def test_an_add_to_a_missing_history_leaves_no_lock_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, "histdag", "add", "--schema", COMPANY,
+                            "--history", "h.json", "--query", Q1)
+    assert (code, stdout) == (2, "")
+    assert err.splitlines() == [
+        "ERR:io: cannot read h.json: [Errno 2] No such file or directory: 'h.json'"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_histdag_export_dot(capsys, tmp_path):
     hist = tmp_path / "history.json"
     dot = tmp_path / "history.dot"

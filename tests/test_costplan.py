@@ -6,15 +6,15 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sprinkleqo import costplan, memo, naive
+from sprinkleqo import costplan, memo, naive, sprinkle
 from sprinkleqo.costplan import (Plan, base_plan, best_plan, estimate_size, op_cost, op_plan,
                                  plan_key)
 from sprinkleqo.errors import DagError
 from sprinkleqo.memo import KIND_SELECT
 from sprinkleqo.sqlfront import parse_query
 
-from conftest import (FIXTURES, connected_query_sql, enumerate_plans, fixture_sql,
-                      intern_plan, random_schema)
+from conftest import (FIXTURES, clause_variants, connected_query_sql, enumerate_plans,
+                      fixture_sql, intern_plan, random_schema)
 
 sizes = st.floats(min_value=1.0, max_value=1e6, allow_nan=False)
 factors = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
@@ -153,30 +153,40 @@ def reference_best_plan(dag, root_eq):
     return best(root_eq)
 
 
-def test_best_plan_equals_the_recursive_walk_on_naive_dags(company_catalog, tpch_catalog):
-    """Every eq-node of the naive dag of each fixture query and of random
-    queries, the ties of symmetric graphs included."""
+def test_best_plan_equals_the_recursive_walk_on_naive_and_joindag_dags(company_catalog,
+                                                                      tpch_catalog):
+    """Every eq-node of the naive dag and of the joindag mode's final dag of
+    each fixture query (the nested one joindag only), of random queries,
+    and of grouped and ordered variants of half of those: the ties of
+    symmetric graphs, and the place stage's equal-ssf stacks, group-by
+    landings and root projections included."""
     cases = []
     for group, catalog in (("company", company_catalog), ("tpch", tpch_catalog)):
         for path in sorted((FIXTURES / group).glob("*.sql")):
             cases.append((path.read_text(), catalog))
     rng = random.Random(4242)
-    for _ in range(20):
+    for i in range(20):
         catalog = random_schema(rng)
-        cases.append((connected_query_sql(catalog, rng, max_selects=2), catalog))
+        sql = connected_query_sql(catalog, rng, max_selects=2)
+        cases.append((sql, catalog))
+        if i % 2:
+            cases += [(variant, catalog)
+                      for variant in clause_variants(sql, parse_query(sql, catalog), catalog)]
     checked = 0
     for sql, catalog in cases:
         query = parse_query(sql, catalog)
-        if query.subquery is not None:
-            continue
-        dag = naive.build_naive_dag(query, catalog, limit=query.n_operations())
-        for eq_id in dag.eq_nodes:
-            got, expected = best_plan(dag, eq_id), reference_best_plan(dag, eq_id)
-            assert got == expected
-            assert plan_key(got) == plan_key(expected)
-            assert got.cum_cost.hex() == expected.cum_cost.hex()
-        checked += 1
-    assert checked >= 25
+        dags = [("joindag", sprinkle.optimize_single(query, catalog).dag)]
+        if query.subquery is None:
+            dags.append(("naive", naive.build_naive_dag(query, catalog,
+                                                        limit=query.n_operations())))
+        for mode, dag in dags:
+            for eq_id in dag.eq_nodes:
+                got, expected = best_plan(dag, eq_id), reference_best_plan(dag, eq_id)
+                assert got == expected, (mode, sql)
+                assert plan_key(got) == plan_key(expected)
+                assert got.cum_cost.hex() == expected.cum_cost.hex()
+            checked += 1
+    assert checked == 175   # 88 queries, all but the nested one in both modes
 
 
 def test_best_plan_walks_a_dag_deeper_than_the_stack():
