@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import joindag, memo
 from .catalog import Catalog
-from .errors import ValidationError
+from .errors import DEFAULT_MAX_OPS, ValidationError
 from .sqlfront import Query, extract_join_set
 
 # Widely quoted reference figure for the naive side of the j=4, s=3 worked
@@ -91,7 +91,7 @@ def _require_nonneg(**values: int) -> None:
 
 
 def complexity_params_for(query: Query, catalog: Catalog,
-                          limit: int = 8) -> ComplexityParams:
+                          limit: int = DEFAULT_MAX_OPS) -> ComplexityParams:
     """Measure the query's join-dag size (N_eq, p) and read off n/j/s/q."""
     from . import sprinkle  # local import: sprinkle pulls in the whole stack
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import CatalogError
 
@@ -326,6 +326,24 @@ def lookup_ssf(catalog: Catalog, relation: str, attribute: str, operator: str,
     if operator == "=":
         return 1.0 / attr.distinct_count
     return catalog.stats.default_ssf
+
+
+def view_relation(catalog: Catalog, alias: str, column_sources: dict[str, AttrRef],
+                  cardinality: float) -> Relation:
+    """A block's result as a relation: one non-key column per output column,
+    in sorted order, each with its source attribute's distinct count."""
+    return Relation(name=alias, cardinality=cardinality, attributes=tuple(
+        Attribute(column, catalog.relation(rel).attribute(attr).distinct_count)
+        for column, (rel, attr) in sorted(column_sources.items())))
+
+
+def with_relation(catalog: Catalog, relation: Relation) -> Catalog:
+    """`catalog` plus `relation`, in place of any relation of its name.  A
+    view has no FK edges, so the edges of a relation it replaces go; the
+    stats and the fingerprint stay."""
+    edges = tuple(e for e in catalog.graph.edges if relation.name not in e.relations())
+    return replace(catalog, relations={**catalog.relations, relation.name: relation},
+                   graph=SchemaGraph(catalog.graph.nodes | {relation.name}, edges))
 
 
 def resolve_jsf(catalog: Catalog, left: AttrRef, right: AttrRef) -> float:

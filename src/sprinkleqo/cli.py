@@ -21,7 +21,7 @@ import time
 
 from . import analytics, costplan, joindag, memo, naive, sprinkle
 from .catalog import Catalog, load_catalog_file
-from .errors import SprinkleQoError, ValidationError
+from .errors import DEFAULT_MAX_OPS, SprinkleQoError, ValidationError
 from .ioutil import atomic_write_text, locked, read_text
 from .sqlfront import Query, extract_join_set, parse_query
 
@@ -35,8 +35,6 @@ EXIT_INTERNAL = 4
 
 # SprinkleQoError.code -> process exit status
 _CODE_EXITS = {"parse": 2, "validation": 2, "io": 2, "limit": 3, "error": 2}
-
-DEFAULT_MAX_OPS = 8
 
 
 class _UsageError(Exception):
@@ -56,15 +54,16 @@ def _setup_logging() -> None:
                         level=levels.get(wanted, logging.ERROR))
 
 
-def _add_common(sub: argparse.ArgumentParser, *, schema: bool = True) -> None:
-    if schema:
-        sub.add_argument("--schema", required=True, help="schema JSON file")
-        sub.add_argument("--stats", help="optional selectivity-stats JSON file")
+def _add_schema(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--schema", required=True, help="schema JSON file")
+    sub.add_argument("--stats", help="optional selectivity-stats JSON file")
+
+
+def _add_limit(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-ops", type=int, default=DEFAULT_MAX_OPS,
                      help="enumeration guard (default %(default)s)")
     sub.add_argument("--i-know-this-is-factorial", action="store_true",
-                     help="acknowledge raising --max-ops beyond "
-                          f"{DEFAULT_MAX_OPS}")
+                     help=f"acknowledge raising --max-ops beyond {DEFAULT_MAX_OPS}")
 
 
 def build_parser() -> _Parser:
@@ -74,7 +73,8 @@ def build_parser() -> _Parser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     p_opt = commands.add_parser("optimize", help="optimize one SQL query")
-    _add_common(p_opt)
+    _add_schema(p_opt)
+    _add_limit(p_opt)
     p_opt.add_argument("--query", required=True, help="SQL file")
     p_opt.add_argument("--mode", choices=("naive", "joindag"), default="joindag")
     p_opt.add_argument("--history", help="existing join-order history (read only)")
@@ -87,7 +87,8 @@ def build_parser() -> _Parser:
 
     p_bench = commands.add_parser("bench", help="run every .sql file in a "
                                                 "directory under each mode")
-    _add_common(p_bench)
+    _add_schema(p_bench)
+    _add_limit(p_bench)
     p_bench.add_argument("--queries", required=True, help="directory of .sql files")
     p_bench.add_argument("--modes", default="naive,joindag",
                          help="comma-separated subset of naive,joindag")
@@ -101,20 +102,22 @@ def build_parser() -> _Parser:
 
     p_build = hist_commands.add_parser("build", help="enumerate all schema "
                                                      "FK joins into a history")
-    _add_common(p_build)
+    _add_schema(p_build)
+    _add_limit(p_build)
     p_build.add_argument("--out", required=True, help="history JSON path")
     p_build.set_defaults(func=cmd_histdag_build)
 
     p_add = hist_commands.add_parser("add", help="fold one query's joins into "
                                                  "an existing history")
-    _add_common(p_add)
+    _add_schema(p_add)
+    _add_limit(p_add)
     p_add.add_argument("--history", required=True)
     p_add.add_argument("--query", required=True, help="SQL file")
     p_add.set_defaults(func=cmd_histdag_add)
 
     p_show = hist_commands.add_parser("show", help="print history version, "
                                                    "joins, and node counts")
-    _add_common(p_show)
+    _add_schema(p_show)
     p_show.add_argument("--history", required=True)
     p_show.set_defaults(func=cmd_histdag_show)
 
@@ -303,7 +306,6 @@ def cmd_histdag_add(args) -> int:
 
 
 def cmd_histdag_show(args) -> int:
-    _effective_limit(args)
     catalog = load_catalog_file(args.schema, args.stats)
     history = joindag.load_history(args.history)
     joindag.verify_catalog(history, catalog)

@@ -33,6 +33,9 @@ class DagError(SprinkleQoError):
     code = "validation"
 
 
+DEFAULT_MAX_OPS = 8  # the enumeration limit every entry point defaults to
+
+
 class LimitExceededError(SprinkleQoError):
     """An enumeration guard tripped before a factorial blow-up."""
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 from . import costplan, forest, memo
 from .catalog import Catalog, JoinCondition, components
-from .errors import LimitExceededError, PersistenceError, ValidationError
+from .errors import DEFAULT_MAX_OPS, LimitExceededError, PersistenceError, ValidationError
 from .ioutil import atomic_write_text, read_text
 from .memo import Dag
 
@@ -86,7 +86,7 @@ def _refresh_roots(history: HistoryDag) -> None:
 
 
 def build_incremental(history: HistoryDag, joins: tuple[JoinCondition, ...],
-                      catalog: Catalog, limit: int = 8) -> HistoryDag:
+                      catalog: Catalog, limit: int = DEFAULT_MAX_OPS) -> HistoryDag:
     """Fold a batch of join conditions into the history.
 
     Returns a new HistoryDag; the input is not mutated.  A batch with no new
@@ -118,7 +118,7 @@ def build_incremental(history: HistoryDag, joins: tuple[JoinCondition, ...],
 
 
 def build_complete_history(catalog: Catalog, joins: tuple[JoinCondition, ...],
-                           limit: int = 8) -> HistoryDag:
+                           limit: int = DEFAULT_MAX_OPS) -> HistoryDag:
     """One-shot build over a join set, as if all conditions arrived at once."""
     return build_incremental(empty_history(catalog), joins, catalog, limit)
 

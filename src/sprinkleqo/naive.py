@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 from . import costplan, forest, memo, sqlfront
 from .catalog import Catalog
-from .errors import LimitExceededError, ValidationError
+from .errors import DEFAULT_MAX_OPS, LimitExceededError, ValidationError
 from .memo import Dag, KIND_GROUPBY, KIND_HAVING, KIND_ORDERBY, KIND_PROJECT
 from .sqlfront import Query, extract_join_set
 
@@ -254,7 +254,7 @@ def _place_suffix(dag: Dag, top: int, query: Query, catalog: Catalog) -> int:
     return root
 
 
-def build_naive_dag(query: Query, catalog: Catalog, limit: int = 8, *,
+def build_naive_dag(query: Query, catalog: Catalog, limit: int = DEFAULT_MAX_OPS, *,
                     query_id: str = "q1", dag: Dag | None = None) -> Dag:
     """Expand the full permutation space of one query into a memo.
 
@@ -281,7 +281,7 @@ def build_naive_dag(query: Query, catalog: Catalog, limit: int = 8, *,
 
 
 def incremental_naive_add(queries: list[tuple[str, Query]], catalog: Catalog,
-                          limit: int = 8) -> Dag:
+                          limit: int = DEFAULT_MAX_OPS) -> Dag:
     """Rebuild the baseline memo with extra queries folded in.
 
     The baseline has no versioned history: adding a query re-expands every

@@ -56,9 +56,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import costplan, joindag, memo, sqlfront
-from .catalog import Attribute, Catalog, Relation
+from .catalog import Catalog, view_relation, with_relation
 from .costplan import Plan, op_plan
-from .errors import LimitExceededError, ValidationError
+from .errors import DEFAULT_MAX_OPS, LimitExceededError, ValidationError
 from .joindag import HistoryDag
 from .memo import Dag, KIND_GROUPBY, KIND_HAVING, KIND_ORDERBY, KIND_PROJECT, KIND_SELECT
 from .sqlfront import Query, SelectCondition, extract_join_set
@@ -583,7 +583,7 @@ def extract_query_joindag(history: HistoryDag, query: Query, catalog: Catalog,
 
 
 def optimize_single(query: Query, catalog: Catalog, *,
-                    history: HistoryDag | None = None, limit: int = 8,
+                    history: HistoryDag | None = None, limit: int = DEFAULT_MAX_OPS,
                     query_id: str = "q1") -> OptimizeResult:
     """Full pipeline for one query: reuse (or grow) the join-order history,
     then run the place and projects stages.  `limit` bounds the joins and,
@@ -609,19 +609,6 @@ def optimize_single(query: Query, catalog: Catalog, *,
                           jd=jd)
 
 
-def _synthetic_catalog(catalog: Catalog, alias: str, column_sources,
-                       cardinality: float) -> Catalog:
-    attrs = []
-    for col in sorted(column_sources):
-        src_rel, src_attr = column_sources[col]
-        d = catalog.relation(src_rel).attribute(src_attr).distinct_count
-        attrs.append(Attribute(name=col, distinct_count=d, is_key=False))
-    rel = Relation(name=alias, cardinality=cardinality, attributes=tuple(attrs))
-    return Catalog(relations={**catalog.relations, alias: rel},
-                   graph=catalog.graph, stats=catalog.stats,
-                   fingerprint=catalog.fingerprint)
-
-
 def _splice_plan(plan: Plan, alias: str, inner: Plan) -> Plan:
     if plan.kind == "base":
         return inner if plan.relation == alias else plan
@@ -634,12 +621,12 @@ def _optimize_nested(query: Query, catalog: Catalog, *,
                      history: HistoryDag | None, limit: int,
                      query_id: str) -> OptimizeResult:
     """Two-level query: optimize the inner block first, expose its result as
-    a synthetic relation, optimize the outer block, then splice the plans."""
+    a view relation, optimize the outer block over it, then splice the plans."""
     sub = query.subquery
     inner_res = optimize_single(sub.query, catalog, history=history, limit=limit,
                                 query_id=f"{query_id}.inner")
-    synthetic = _synthetic_catalog(catalog, sub.alias, sub.column_sources,
-                                   inner_res.plan.est_size)
+    outer_catalog = with_relation(catalog, view_relation(
+        catalog, sub.alias, sub.column_sources, inner_res.plan.est_size))
     if sub.form == "in":
         link = sqlfront.JoinCondition.make(sub.outer_attr,
                                            (sub.alias, sub.inner_column),
@@ -651,7 +638,7 @@ def _optimize_nested(query: Query, catalog: Catalog, *,
             joins=tuple(joins[t] for t in sorted(joins)), subquery=None)
     else:
         outer_query = dataclasses.replace(query, subquery=None)
-    outer_res = optimize_single(outer_query, synthetic, history=None, limit=limit,
+    outer_res = optimize_single(outer_query, outer_catalog, history=None, limit=limit,
                                 query_id=query_id)
     plan = _splice_plan(outer_res.plan, sub.alias, inner_res.plan)
     return OptimizeResult(
@@ -663,7 +650,7 @@ def _optimize_nested(query: Query, catalog: Catalog, *,
 
 def optimize_many(queries: list[tuple[str, Query]], catalog: Catalog, *,
                   history: HistoryDag | None = None,
-                  limit: int = 8) -> tuple[Dag, dict[str, Plan], HistoryDag]:
+                  limit: int = DEFAULT_MAX_OPS) -> tuple[Dag, dict[str, Plan], HistoryDag]:
     """Optimize several queries into one shared dag: each query alone, in
     query-id order, its result dag then merged node for node
     (`memo.merge_below`), so common subplans merge, with projections

@@ -21,6 +21,13 @@ One level of uncorrelated IN- or FROM-subquery is allowed.  Cross products
 are rejected: the join conditions (plus a subquery link) must connect every
 FROM relation.
 
+A subquery's result is a view relation (`catalog.view_relation`).  A FROM
+alias is a relation of the outer block, in place of any catalog relation of
+its name: its columns carry their sources' distinct counts, it has no FK
+edges, and its cardinality is the inner plan's size.  Joins, the IN link to
+the view `subq1` among them, are priced by `catalog.resolve_jsf` over the
+catalog with the view.
+
 A statement is read in one pass over its tokens (`_scan`): quoted literals,
 words (a qualified name or a number is one word), comparison operators and
 single characters.  A clause starts at a clause keyword at paren depth
@@ -31,10 +38,12 @@ again from its own text.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
-from .catalog import AttrRef, Catalog, JoinCondition, components, lookup_ssf, resolve_jsf
+from .catalog import (AttrRef, Catalog, JoinCondition, components, lookup_ssf, resolve_jsf,
+                      view_relation, with_relation)
 from .errors import ParseError, ValidationError
 
 _AGG_FUNCS = ("sum", "avg", "count", "min", "max")
@@ -125,7 +134,9 @@ class Subquery:
     link_jsf: float
     column_sources: dict[str, AttrRef] = field(default_factory=dict)
 
-    def __hash__(self):  # column_sources is informational only
+    # column_sources sets the view's statistics, but a dict cannot be hashed,
+    # so it is left out; equal subqueries still hash equal
+    def __hash__(self):
         return hash((self.form, self.alias, self.query, self.outer_attr, self.inner_column))
 
 
@@ -272,27 +283,16 @@ def _parse_literal(text: str) -> int | float | str:
 
 
 class _Resolver:
-    """Attribute resolution over the FROM tables of one query."""
+    """Attribute resolution over the FROM relations of one query."""
 
-    def __init__(self, catalog: Catalog, tables: list[str],
-                 alias_columns: dict[str, dict[str, AttrRef]]):
-        self.catalog = catalog
+    def __init__(self, catalog: Catalog, tables: list[str]):
+        self.relations = catalog.relations
         self.tables = tables
         self.table_set = set(tables)
-        self.alias_columns = alias_columns  # alias -> column -> source AttrRef
 
     def has(self, relation: str, attribute: str) -> bool:
-        if relation in self.alias_columns:
-            return attribute in self.alias_columns[relation]
-        if relation in self.catalog.relations:
-            return self.catalog.relations[relation].has_attribute(attribute)
-        return False
-
-    def distinct(self, relation: str, attribute: str) -> int:
-        if relation in self.alias_columns:
-            src = self.alias_columns[relation][attribute]
-            return self.catalog.relation(src[0]).attribute(src[1]).distinct_count
-        return self.catalog.relation(relation).attribute(attribute).distinct_count
+        rel = self.relations.get(relation)
+        return rel is not None and rel.has_attribute(attribute)
 
     def resolve(self, text: str, outer_tables: frozenset[str] = frozenset()) -> AttrRef:
         name = _name(text)
@@ -369,7 +369,6 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
 
     tables: list[str] = []
     subquery: Subquery | None = None
-    alias_columns: dict[str, dict[str, AttrRef]] = {}
     for part, _ in clauses["from"]:
         m = _FROM_SUBQUERY_RE.match(part)
         if m:
@@ -378,11 +377,10 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
             inner = parse_query(m.group(1), catalog, _depth=_depth + 1,
                                 _outer_tables=frozenset(tables) | _outer_tables)
             alias = m.group(2)
-            columns, sources = _subquery_columns(inner)
+            sources = _subquery_columns(inner)
             subquery = Subquery(form="from", alias=alias, query=inner,
-                                outer_attr=None, inner_column=columns[0],
+                                outer_attr=None, inner_column=next(iter(sources)),
                                 link_jsf=1.0, column_sources=sources)
-            alias_columns[alias] = sources
             tables.append(alias)
             continue
         if not (part.isascii() and part.isidentifier()):
@@ -393,7 +391,10 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
     if len(set(tables)) != len(tables):
         raise ParseError("duplicate FROM relations are not supported")
 
-    resolver = _Resolver(catalog, tables, alias_columns)
+    # the outer block reads the catalog with its FROM view, if any
+    view = subquery.alias if subquery else None
+    scope = _with_view(catalog, view, subquery.column_sources) if subquery else catalog
+    resolver = _Resolver(scope, tables)
     projections = _parse_select_items(clauses["select"], resolver)
 
     joins: list[JoinCondition] = []
@@ -407,17 +408,13 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
             outer_ref = resolver.resolve(m.group(1))
             inner = parse_query(m.group(2), catalog, _depth=_depth + 1,
                                 _outer_tables=frozenset(tables) | _outer_tables)
-            columns, sources = _subquery_columns(inner)
-            if len(columns) != 1:
+            sources = _subquery_columns(inner)
+            if len(sources) != 1:
                 raise ParseError("IN-subquery must select exactly one column")
-            alias = "subq1"
-            src = sources[columns[0]]
-            d_outer = resolver.distinct(*outer_ref)
-            d_inner = catalog.relation(src[0]).attribute(src[1]).distinct_count
-            subquery = Subquery(form="in", alias=alias, query=inner,
-                                outer_attr=outer_ref, inner_column=columns[0],
-                                link_jsf=1.0 / max(d_outer, d_inner),
-                                column_sources=sources)
+            alias, (column,) = "subq1", sources
+            link_jsf = resolve_jsf(_with_view(catalog, alias, sources), outer_ref, (alias, column))
+            subquery = Subquery(form="in", alias=alias, query=inner, outer_attr=outer_ref,
+                                inner_column=column, link_jsf=link_jsf, column_sources=sources)
             edges.append((outer_ref[0], alias))
             continue
         left_text, op, right_text = _cut(cond, cut)
@@ -429,15 +426,14 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
             if left[0] == right[0]:
                 raise ParseError(
                     f"predicates between attributes of one relation are unsupported: {cond!r}")
-            jsf = _join_jsf(catalog, resolver, left, right)
-            joins.append(JoinCondition.make(left, right, jsf))
+            joins.append(JoinCondition.make(left, right, resolve_jsf(scope, left, right)))
             edges.append((left[0], right[0]))
             continue
         literal = _parse_literal(right_text)
-        if left[0] in alias_columns:
+        if left[0] == view:
             raise ParseError("select predicates on subquery columns are unsupported")
         canonical = f"{left[0]}.{left[1]} {op} {format_literal(literal)}"
-        ssf = lookup_ssf(catalog, left[0], left[1], op, canonical)
+        ssf = lookup_ssf(scope, left[0], left[1], op, canonical)
         selects.append(SelectCondition(left[0], left[1], op, literal, ssf))
 
     group_by: list[AttrRef] = []
@@ -471,30 +467,32 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
     )
     _connectivity(set(tables) | ({subquery.alias} if subquery and subquery.form == "in" else set()),
                   edges)
-    _validate_scopes(query, resolver)
+    for item in projections:   # a grouped select list names grouping keys and aggregates
+        if group_by and item.kind == "column" and (item.relation, item.attribute) not in group_by:
+            raise ValidationError(
+                f"{item.relation}.{item.attribute} must appear in GROUP BY or an aggregate")
     return query
 
 
-def _join_jsf(catalog: Catalog, resolver: _Resolver, left: AttrRef, right: AttrRef) -> float:
-    base_side = left[0] in catalog.relations and right[0] in catalog.relations
-    if base_side:
-        return resolve_jsf(catalog, left, right)
-    return 1.0 / max(resolver.distinct(*left), resolver.distinct(*right))
+def _with_view(catalog: Catalog, alias: str, column_sources: dict[str, AttrRef]) -> Catalog:
+    """`catalog` with a subquery's view.  The view's cardinality is the inner
+    plan's size, unknown until the inner block is optimized, so it is NaN
+    here: the parser reads only the view's columns and distinct counts."""
+    return with_relation(catalog, view_relation(catalog, alias, column_sources, math.nan))
 
 
-def _subquery_columns(inner: Query) -> tuple[list[str], dict[str, AttrRef]]:
+def _subquery_columns(inner: Query) -> dict[str, AttrRef]:
+    """Each output column's source attribute, in select-list order."""
     if not inner.projections:
         raise ParseError("subqueries must name their output columns (no '*')")
-    columns: list[str] = []
     sources: dict[str, AttrRef] = {}
     for item in inner.projections:
         if item.kind != "column":
             raise ParseError("aggregates in subquery select lists are unsupported")
         if item.attribute in sources:
             raise ParseError(f"duplicate subquery output column {item.attribute!r}")
-        columns.append(item.attribute)
         sources[item.attribute] = (item.relation, item.attribute)
-    return columns, sources
+    return sources
 
 
 def _parse_having(item: _Item, resolver: _Resolver, catalog: Catalog) -> HavingCondition:
@@ -508,17 +506,6 @@ def _parse_having(item: _Item, resolver: _Resolver, catalog: Catalog) -> HavingC
     probe = HavingCondition(func, relation, attribute, op, literal, ssf=0.0)
     ssf = catalog.stats.overrides.get(probe.canonical(), catalog.stats.default_ssf)
     return HavingCondition(func, relation, attribute, op, literal, ssf)
-
-
-def _validate_scopes(query: Query, resolver: _Resolver) -> None:
-    for item in query.projections:
-        if item.relation is not None and not resolver.has(item.relation, item.attribute):
-            raise ValidationError(f"unknown attribute {item.relation}.{item.attribute}")
-    if query.group_by:
-        for item in query.projections:
-            if item.kind == "column" and (item.relation, item.attribute) not in query.group_by:
-                raise ValidationError(
-                    f"{item.relation}.{item.attribute} must appear in GROUP BY or an aggregate")
 
 
 def render_query(query: Query) -> str:
@@ -600,10 +587,7 @@ def output_attrs(query: Query, catalog: Catalog) -> set[str]:
 
 def all_query_attrs(query: Query, catalog: Catalog) -> set[str]:
     """Every qualified attribute available from the query's FROM relations."""
-    attrs: set[str] = set()
-    for t in sorted(query.tables):
-        if t in catalog.relations:
-            attrs.update(f"{t}.{a.name}" for a in catalog.relations[t].attributes)
-        elif query.subquery is not None and t == query.subquery.alias:
-            attrs.update(f"{t}.{c}" for c in query.subquery.column_sources)
-    return attrs
+    sub = query.subquery
+    views = {sub.alias: list(sub.column_sources)} if sub and sub.form == "from" else {}
+    return {f"{t}.{name}" for t in query.tables   # a view first: it may shadow a relation
+            for name in views.get(t) or [a.name for a in catalog.relation(t).attributes]}

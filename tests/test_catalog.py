@@ -12,7 +12,8 @@ from hypothesis import given, strategies as st
 
 import sprinkleqo
 from sprinkleqo.catalog import (DEFAULT_SSF, Attribute, Catalog, JoinCondition, Relation,
-                                SchemaGraph, components, load_catalog, lookup_ssf, resolve_jsf)
+                                SchemaGraph, components, load_catalog, lookup_ssf, resolve_jsf,
+                                view_relation, with_relation)
 from sprinkleqo.errors import CatalogError
 
 from conftest import make_catalog
@@ -207,6 +208,22 @@ def test_resolve_jsf_takes_the_first_of_parallel_edges():
     assert Catalog(dict(c.relations), graph, c.stats, c.fingerprint) == c
     assert repr(c) == (f"Catalog(relations={c.relations!r}, graph={graph!r}, "
                        f"stats={c.stats!r}, fingerprint={c.fingerprint!r})")
+
+
+def test_a_view_replaces_the_relation_of_its_name_and_its_fk_edges():
+    c = load_catalog(json.dumps(BASIC))
+    view = view_relation(c, "a", {"z": ("b", "z"), "w": ("a", "y")}, 42.0)
+    assert view == Relation("a", 42.0, (Attribute("w", 10), Attribute("z", 7)))
+    scoped = with_relation(c, view)
+    assert scoped.relation("a") is view and scoped.relation("b") is c.relation("b")
+    assert scoped.graph.edges == () and scoped.graph.nodes == c.graph.nodes
+    assert (scoped.stats, scoped.fingerprint) == (c.stats, c.fingerprint)
+    # a.x = b.x was the replaced relation's edge at 0.01; the view has none
+    assert resolve_jsf(scoped, ("a", "z"), ("b", "x")) == 1.0 / 100
+    # a view of a new name keeps every edge, and the catalog it extends is unchanged
+    other = with_relation(c, view_relation(c, "v", {"z": ("b", "z")}, 1.0))
+    assert other.graph.edges == c.graph.edges and other.graph.nodes == {"a", "b", "v"}
+    assert set(c.relations) == {"a", "b"} and c.relation("a").cardinality == 100.0
 
 
 def test_lookup_ssf_override_and_default():

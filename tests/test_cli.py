@@ -116,6 +116,14 @@ def test_usage_errors_exit_one(capsys, tmp_path):
     assert code == 1 and "naive and/or joindag" in err
 
 
+def test_histdag_show_takes_no_enumeration_limit(capsys):
+    # show enumerates nothing, so it has no --max-ops to validate
+    code, stdout, err = run(capsys, "histdag", "show", "--schema", COMPANY,
+                            "--history", "h.json", "--max-ops", "3")
+    assert (code, stdout) == (1, "")
+    assert err.startswith("ERR:usage:") and len(err.splitlines()) == 1
+
+
 def test_internal_error_is_one_error_line_exit_four(capsys, monkeypatch, caplog):
     def broken(args):
         raise RuntimeError("boom")

@@ -2079,6 +2079,20 @@ def test_from_subquery_pipeline(company_catalog):
         naive.build_naive_dag(q, company_catalog)
 
 
+def test_a_from_view_named_as_a_catalog_relation_is_optimized_as_the_view(company_catalog):
+    # the alias `employee` is a view over works_on: 5000 rows, pno with 50 values
+    q = parse_query("select employee.pno from (select works_on.ssn, works_on.pno "
+                    "from works_on) employee, project where employee.pno = project.pnumber",
+                    company_catalog)
+    res = sprinkle.optimize_single(q, company_catalog)
+    assert res.inner.plan.est_size == 5000.0
+    assert plan_key(res.plan) == (
+        "(project [project(employee.pno)] (join [employee.pno = project.pnumber] "
+        "(project [project(works_on.pno, works_on.ssn)] (base works_on)) (base project)))")
+    # the join compares 5000 * 50 pairs and keeps 5000 (jsf 1/50); each projection costs 5000
+    assert res.plan.cum_cost == 5000.0 + 5000 * 50 + 5000.0
+
+
 def test_a_having_without_group_by_is_refused(company_catalog):
     # the parser refuses it first, so the query is built by hand
     grouped = parse_query("select works_on.pno, count(*) from works_on group by works_on.pno "

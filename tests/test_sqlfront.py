@@ -228,6 +228,40 @@ def test_from_subquery_alias_usable_in_joins(company_catalog):
     assert q.joins[0].jsf == pytest.approx(1.0 / 1000)
 
 
+SHADOWING = ("select employee.pno from (select works_on.ssn, works_on.pno from works_on) "
+             "employee, project where employee.pno = project.pnumber")
+
+
+def test_an_alias_naming_a_catalog_relation_is_read_as_its_view(company_catalog):
+    # `employee` is the view: its pno has works_on.pno's 50 distinct values
+    q = parse_query(SHADOWING, company_catalog)
+    assert [(j.canonical(), j.jsf) for j in q.joins] == [
+        ("employee.pno = project.pnumber", 1.0 / max(50, 50))]
+    with pytest.raises(ValidationError, match="unknown attribute employee.fname"):
+        parse_query(SHADOWING.replace("select employee.pno", "select employee.fname"),
+                    company_catalog)
+
+
+def test_all_query_attrs_lists_a_shadowing_view_s_columns(company_catalog):
+    q = parse_query("select * from (select works_on.ssn, works_on.pno from works_on) employee, "
+                    "works_on where employee.ssn = works_on.ssn", company_catalog)
+    assert all_query_attrs(q, company_catalog) == {
+        "employee.pno", "employee.ssn", "works_on.hours", "works_on.pno", "works_on.ssn"}
+
+
+def test_a_join_on_a_shadowing_alias_takes_no_fk_edge_of_the_relation_it_shadows():
+    # the edge a.x = b.x is 0.5, not the default 1/max(10, 20); the view `a`
+    # over c has no FK edges, so its join with b takes 1/max(40, 20)
+    catalog = make_catalog(
+        [{"name": n, "cardinality": 100.0, "attributes": [{"name": "x", "distinct": d}]}
+         for n, d in (("a", 10), ("b", 20), ("c", 40))],
+        [{"left": "a.x", "right": "b.x", "jsf": 0.5}])
+    flat = parse_query("select * from a, b where a.x = b.x", catalog)
+    assert flat.joins[0].jsf == 0.5
+    q = parse_query("select * from (select c.x from c) a, b where a.x = b.x", catalog)
+    assert [(j.canonical(), j.jsf) for j in q.joins] == [("a.x = b.x", 1.0 / 40)]
+
+
 def test_subquery_depth_limited(company_catalog):
     sql = ("select employee.fname from employee where employee.ssn in "
            "(select ssn from works_on where works_on.pno in "
