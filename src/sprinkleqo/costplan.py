@@ -122,26 +122,6 @@ def intern_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
                           op_cost(kind, sizes), factor)
 
 
-def check_estimates(dag: Dag) -> None:
-    """Raise DagError unless every op-node's cost, and the size of the
-    eq-node above it, are finite and agree (`memo.sizes_agree`) with what
-    `op_cost` and `estimate_size` give over its children's sizes."""
-    for node in dag.eq_nodes.values():
-        for op_id in node.child_ops:
-            op = dag.op_nodes[op_id]
-            if op.factor is None and op.kind not in (KIND_PROJECT, KIND_ORDERBY):
-                raise DagError(f"{op.kind} op-node {op_id} has no factor")
-            sizes = tuple(dag.eq_nodes[c].est_size for c in op.children)
-            size = estimate_size(op.kind, sizes, op.factor)
-            if not (math.isfinite(size) and memo.sizes_agree(node.est_size, size)):
-                raise DagError(f"eq-node {node.id} has est_size {node.est_size!r}, "
-                               f"but op-node {op_id} gives {size!r}")
-            cost = op_cost(op.kind, sizes)
-            if not (math.isfinite(cost) and memo.sizes_agree(op.op_cost, cost)):
-                raise DagError(f"op-node {op_id} has op_cost {op.op_cost!r}, "
-                               f"but its inputs give {cost!r}")
-
-
 def best_plan(dag: Dag, root_eq: int) -> Plan:
     """Minimum-cost expansion below an eq-node; cost ties break on canonical
     op text (`OpNode.sort_key`), and the first op-node wins a full tie.

@@ -15,6 +15,11 @@ re-enumerated (interning makes that idempotent over the orders already
 present), and components made only of known conditions are skipped entirely.  The tests verify that any
 sequence of incremental builds lands on the same graph as one complete build
 over the union.
+
+A saved history is trusted only as the history its known joins build, so
+loading it builds its dag again by the same calls, in its id order
+(`_rebuild`), and accepts the file only if the result saves to the same
+document.  No second set of rules checks a loaded dag.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from dataclasses import dataclass, replace
 
 from . import costplan, forest, memo
 from .catalog import Catalog, JoinCondition, components
-from .errors import DEFAULT_MAX_OPS, LimitExceededError, PersistenceError, ValidationError
+from .errors import (DEFAULT_MAX_OPS, DagError, LimitExceededError, PersistenceError,
+                     ValidationError)
 from .ioutil import atomic_write_text, read_text
 from .memo import Dag
 
@@ -171,12 +177,49 @@ def save_history(history: HistoryDag, path: str) -> None:
     atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
+def _rebuild(saved: dict, known: dict[str, JoinCondition]) -> Dag:
+    """The dag a saved `dag` section describes, built again as
+    `build_incremental` builds every history: each base relation by
+    `memo.ensure_base` when its id comes next, each op-node in turn by
+    `costplan.intern_op` with its known join's jsf, over its inputs in the
+    order `forest.expand_forest` passes them (the one that holds the join's
+    left relation first, so every size is the same product, bit for bit).
+    What it cannot build raises; what it builds differently the caller's
+    comparison refuses."""
+    dag = Dag()
+    eqs = saved["eq_nodes"]
+    relations = {rel for cond in known.values() for rel in cond.relations()}
+
+    def add_bases() -> None:
+        while len(dag.eq_nodes) < len(eqs):
+            node = eqs[len(dag.eq_nodes)]
+            sig = node["signature"]
+            if (sig[1:] != [[], [], []] or len(sig[0]) != 1 or sig[0][0] not in relations
+                    or dag.find_eq(memo.base_signature(sig[0][0])) is not None):
+                return   # not a base a build adds here
+            memo.ensure_base(dag, sig[0][0], float(node["est_size"]))
+
+    for op in saved["op_nodes"]:
+        add_bases()
+        cond, inputs = known.get(op["detail"]), tuple(int(c) for c in op["children"])
+        trees = [dag.eq_nodes[c].signature[0] for c in inputs if c in dag.eq_nodes]
+        if cond is not None and len(trees) == 2 and cond.left[0] in trees[1]:
+            inputs, trees = inputs[::-1], trees[::-1]
+        if not (cond is not None and trees and len(trees) == len(inputs)
+                and cond.left[0] in trees[0] and cond.right[0] in trees[-1]):
+            raise ValueError(f"op-node {op['id']!r} is not a known join over built "
+                             "inputs that hold its relations")
+        costplan.intern_op(dag, memo.KIND_JOIN if len(inputs) == 2 else memo.KIND_JOINFILTER,
+                           op["detail"], inputs, cond.jsf)
+    add_bases()
+    return dag
+
+
 def load_history(path: str) -> HistoryDag:
-    """Load a persisted history, verifying format, checksum, structure
-    (`memo.dag_from_doc`), roots (one full-join node per component of the
-    known joins), size and cost estimates (`costplan.check_estimates`), and
-    that each known join's jsf is in (0, 1] and is the factor of every
-    op-node of its text."""
+    """Load a persisted history, verifying its format and checksum, and that
+    it is exactly the history its known joins build: each known join's jsf
+    is in (0, 1], and its dag, built again by `_rebuild` with the roots
+    `_refresh_roots` gives, saves to the same document."""
     text = read_text(path)
     try:
         doc = json.loads(text)
@@ -199,22 +242,15 @@ def load_history(path: str) -> HistoryDag:
             if not 0.0 < cond.jsf <= 1.0:
                 raise ValueError(f"jsf {jsf!r} of {cond.canonical()} is not in (0, 1]")
             known[cond.canonical()] = cond
-        history = HistoryDag(dag=memo.dag_from_doc(doc["dag"]), known_joins=known,
+        history = HistoryDag(dag=_rebuild(doc["dag"], known), known_joins=known,
                              version=int(doc["version"]),
                              catalog_fingerprint=str(doc["catalog_fingerprint"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        _refresh_roots(history)
+    except (LookupError, TypeError, ValueError, DagError, ValidationError) as exc:
         raise PersistenceError(f"malformed history file {path}: {exc}") from exc
-    saved_roots = dict(history.dag.query_roots)
-    _refresh_roots(history)
-    if history.dag.query_roots != saved_roots:
-        raise PersistenceError(f"malformed history file {path}: its roots are not "
-                               "the full-join nodes of its known joins")
-    costplan.check_estimates(history.dag)
-    for op in history.dag.op_nodes.values():
-        cond = known.get(op.detail)
-        if cond is not None and op.factor != cond.jsf:
-            raise PersistenceError(f"malformed history file {path}: {op.kind} {op.detail} "
-                                   f"has factor {op.factor!r}, not its known jsf {cond.jsf!r}")
+    if _history_doc(history) != body:
+        raise PersistenceError(f"malformed history file {path}: it is not the history "
+                               "its known joins build")
     return history
 
 

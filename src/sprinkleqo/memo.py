@@ -28,7 +28,6 @@ derives its key from the inputs' keys by the checks `join_signature` and
 its inputs.  Signatures therefore strictly grow along every op-node, so the
 memo is acyclic by construction, and a walk down from any eq-node takes
 fewer steps than its signature has entries (counting a projection as one).
-`dag_from_doc` holds a loaded dag to the same rule.
 
 Attaching looks up before it derives: the op index maps each op-node's
 (kind, detail, children) to the eq-node above it, so re-attaching an
@@ -38,10 +37,8 @@ and its text are built once, for a new eq-node.  Since signatures grow
 along every op-node, `topological_order` needs no walk: it sorts the
 eq-nodes by their signature's entry count.  Every inputs-first pass over a
 memo reads that order (`merge_below`, `plan_count_for`,
-`costplan.best_plan`, the place stage's DP).  Two walks do not:
-`_check_acyclic`, which checks the arcs of a loaded document before any
-signature in it is trusted, and `Dag.below`'s walk, which finds what a root
-reaches.
+`costplan.best_plan`, the place stage's DP).  One walk does not:
+`Dag.below`'s, which finds what a root reaches.
 
 Ids are the memo's own names and reach no query output: under one eq-node,
 (kind, detail) already identifies an op-node, so `OpNode.sort_key` never
@@ -419,9 +416,9 @@ def merge_below(dst: Dag, src: Dag, root: int) -> int:
 def topological_order(dag: Dag) -> list[int]:
     """Every eq-node after all of its consumers: by the number of entries
     in its signature (bases, applied joins and unary ops, and one for a
-    projection), largest first, ties by id.  `attach_op` and `dag_from_doc`
-    hold every op-node's signature to more entries than each input's, so no
-    walk is needed and any depth works.  Eq-node ids alone are not
+    projection), largest first, ties by id.  `attach_op` holds every
+    op-node's signature to more entries than each input's, so no walk is
+    needed and any depth works.  Eq-node ids alone are not
     topological: interning a plan can hang a new, higher-id child under an
     existing parent.
     """
@@ -547,110 +544,3 @@ def dag_to_doc(dag: Dag) -> dict:
         "arcs": {"eq_to_op": eq_to_op, "op_to_eq": op_to_eq},
         "roots": dict(sorted(dag.query_roots.items())),
     }
-
-
-def _finite(value, what: str) -> float:
-    out = float(value)
-    if not math.isfinite(out):
-        raise DagError(f"non-finite {what} {value!r}")
-    return out
-
-
-def _signature_of(value, eq_id) -> Signature:
-    if not (isinstance(value, list) and len(value) == 4 and all(
-            isinstance(part, list) and all(isinstance(t, str) for t in part)
-            for part in value)):
-        raise DagError(f"malformed signature in eq-node {eq_id!r}")
-    return tuple(tuple(part) for part in value)
-
-
-def _check_acyclic(dag: Dag) -> None:
-    """Kahn's algorithm over the arcs as read, before any signature is
-    checked: iterative, so any depth works; DagError on a cycle."""
-    indegree = dict.fromkeys(dag.eq_nodes, 0)
-    for node in dag.eq_nodes.values():
-        for op_id in node.child_ops:
-            for child in dag.op_nodes[op_id].children:
-                indegree[child] += 1
-    ready = [eq_id for eq_id, n in indegree.items() if n == 0]
-    done = 0
-    while ready:
-        done += 1
-        for op_id in dag.eq_nodes[ready.pop()].child_ops:
-            for child in dag.op_nodes[op_id].children:
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    ready.append(child)
-    if done != len(dag.eq_nodes):
-        raise DagError("dag has a cycle")
-
-
-def dag_from_doc(doc: dict) -> Dag:
-    """Rebuild a dag from its document, held to the rule `attach_op` builds
-    by.  Rejects unknown or duplicate nodes, non-finite sizes, costs and
-    factors, an op-node under no eq-node or under more than one, join
-    children out of canonical order, an eq-node whose signature is not the
-    one derived from each of its op-nodes (or, with none, not a base
-    relation's), and cycles."""
-    if not isinstance(doc, dict) or doc.get("format") != 1:
-        raise DagError(f"unsupported dag format {doc.get('format')!r}")
-    dag = Dag()
-    for nd in doc.get("eq_nodes", []):
-        sig = _signature_of(nd["signature"], nd.get("id"))
-        node = EqNode(id=int(nd["id"]), signature=sig,
-                      est_size=_finite(nd["est_size"], f"est_size in eq-node {nd['id']!r}"),
-                      text=signature_text(sig), key=_key(dag, sig, add=True))
-        if node.id in dag.eq_nodes or node.key in dag._key_index:
-            raise DagError(f"duplicate eq-node {node.id}")
-        dag.eq_nodes[node.id] = node
-        dag._key_index[node.key] = node.id
-    for od in doc.get("op_nodes", []):
-        op = OpNode(id=int(od["id"]), kind=od["kind"], detail=od["detail"],
-                    children=tuple(int(c) for c in od["children"]),
-                    op_cost=_finite(od["op_cost"], f"op_cost in op-node {od['id']!r}"),
-                    factor=None if od.get("factor") is None
-                    else _finite(od["factor"], f"factor in op-node {od['id']!r}"))
-        key = (op.kind, op.detail, op.children)
-        if (op.kind not in OP_KINDS or not isinstance(op.detail, str)
-                or op.id in dag.op_nodes or key in dag._op_index
-                or len(op.children) != (2 if op.kind == KIND_JOIN else 1)):
-            raise DagError(f"malformed op-node {op.id}")
-        for child in op.children:
-            if child not in dag.eq_nodes:
-                raise DagError(f"op-node {op.id} references unknown eq-node {child}")
-        dag.op_nodes[op.id] = op
-        dag._op_index[key] = -1   # the eq-node above it is recorded once the arcs are read
-    expected_ao = _arcs(dag)[1]
-    if doc.get("arcs", {}).get("op_to_eq", expected_ao) != expected_ao:
-        raise DagError("op_to_eq arcs disagree with op-node children")
-    parent: dict[int, int] = {}
-    for eq_id, op_id in doc.get("arcs", {}).get("eq_to_op", []):
-        if eq_id not in dag.eq_nodes or op_id not in dag.op_nodes:
-            raise DagError(f"arc references unknown node ({eq_id!r}, {op_id!r})")
-        if op_id in parent:
-            raise DagError(f"op-node {op_id} has more than one parent")
-        parent[op_id] = eq_id
-        dag.eq_nodes[eq_id].child_ops.append(op_id)
-    _check_acyclic(dag)
-    for op in dag.op_nodes.values():
-        if op.id not in parent:
-            raise DagError(f"op-node {op.id} has no parent")
-        dag._op_index[op.sort_key()] = parent[op.id]
-        inputs = [dag.eq_nodes[c].signature for c in op.children]
-        if op.kind == KIND_JOIN:
-            if dag.eq_nodes[op.children[0]].text > dag.eq_nodes[op.children[1]].text:
-                raise DagError(f"join op-node {op.id} has its children out of order")
-            sig = join_signature(inputs[0], inputs[1], op.detail)
-        else:
-            sig = extend_signature(inputs[0], op.kind, op.detail)
-        if sig != dag.eq_nodes[parent[op.id]].signature:
-            raise DagError(f"op-node {op.id} derives {signature_text(sig)!r}, not the "
-                           f"signature of its eq-node {parent[op.id]}")
-    for node in dag.eq_nodes.values():
-        if not node.child_ops and (len(node.signature[0]) != 1 or any(node.signature[1:])):
-            raise DagError(f"eq-node {node.id} has no op-node but is not a base relation")
-    for query_id, eq_id in doc.get("roots", {}).items():
-        register_root(dag, query_id, int(eq_id))
-    dag._next_eq = max(dag.eq_nodes, default=-1) + 1
-    dag._next_op = max(dag.op_nodes, default=-1) + 1
-    return dag

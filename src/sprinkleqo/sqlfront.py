@@ -26,7 +26,8 @@ alias is a relation of the outer block, in place of any catalog relation of
 its name: its columns carry their sources' distinct counts, it has no FK
 edges, and its cardinality is the inner plan's size.  Joins, the IN link to
 the view `subq1` among them, are priced by `catalog.resolve_jsf` over the
-catalog with the view.
+catalog with the view.  An IN subquery's view is always `subq1`, so an
+outer FROM that names a relation `subq1` is rejected.
 
 A statement is read in one pass over its tokens (`_scan`): quoted literals,
 words (a qualified name or a number is one word), comparison operators and
@@ -412,6 +413,9 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
             if len(sources) != 1:
                 raise ParseError("IN-subquery must select exactly one column")
             alias, (column,) = "subq1", sources
+            if alias in tables:
+                raise ValidationError(f"FROM relation {alias!r} has the name of the "
+                                      "IN subquery's view")
             link_jsf = resolve_jsf(_with_view(catalog, alias, sources), outer_ref, (alias, column))
             subquery = Subquery(form="in", alias=alias, query=inner, outer_attr=outer_ref,
                                 inner_column=column, link_jsf=link_jsf, column_sources=sources)

@@ -6,6 +6,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import pathlib
 import random
 
@@ -195,6 +196,27 @@ def intern_plan(dag: Dag, plan: Plan) -> int:
                                              tuple([interned[id(c)] for c in node.children]),
                                              node.est_size, node.op_cost, node.factor))
     return interned[id(plan)]
+
+
+def check_estimates(dag: Dag) -> None:
+    """Raise DagError unless every op-node's cost, and the size of the
+    eq-node above it, are finite and agree (`memo.sizes_agree`) with what
+    `costplan.op_cost` and `costplan.estimate_size` give over its
+    children's sizes."""
+    for node in dag.eq_nodes.values():
+        for op_id in node.child_ops:
+            op = dag.op_nodes[op_id]
+            if op.factor is None and op.kind not in (memo.KIND_PROJECT, memo.KIND_ORDERBY):
+                raise DagError(f"{op.kind} op-node {op_id} has no factor")
+            sizes = tuple(dag.eq_nodes[c].est_size for c in op.children)
+            size = costplan.estimate_size(op.kind, sizes, op.factor)
+            if not (math.isfinite(size) and memo.sizes_agree(node.est_size, size)):
+                raise DagError(f"eq-node {node.id} has est_size {node.est_size!r}, "
+                               f"but op-node {op_id} gives {size!r}")
+            cost = costplan.op_cost(op.kind, sizes)
+            if not (math.isfinite(cost) and memo.sizes_agree(op.op_cost, cost)):
+                raise DagError(f"op-node {op_id} has op_cost {op.op_cost!r}, "
+                               f"but its inputs give {cost!r}")
 
 
 def decorate_plan(plan: Plan, selects=(), *, dp=None) -> Dag:

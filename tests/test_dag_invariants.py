@@ -1,16 +1,19 @@
 """Every dag the program builds obeys the memo's rule: each op-node's output
-signature strictly extends its inputs', and the dag survives the load checks
-(`memo.dag_from_doc` and `costplan.check_estimates`) unchanged."""
+signature strictly extends its inputs', and its sizes and costs are what its
+inputs give (the `check_estimates` oracle); every history also saves and
+loads back as the same document."""
 
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sprinkleqo import costplan, joindag, memo, naive, sprinkle
+from sprinkleqo import joindag, memo, naive, sprinkle
 from sprinkleqo.sqlfront import parse_query
 
-from conftest import connected_query_sql, fixture_sql, random_schema
+from conftest import check_estimates, connected_query_sql, fixture_sql, random_schema
 
 FLAT_FIXTURES = [("company", "q1"), ("company", "q2"), ("tpch", "q1"), ("tpch", "q2"),
                  ("tpch", "q3"), ("tpch", "q4"), ("tpch", "tq1")]
@@ -30,10 +33,17 @@ def assert_obeys_the_rule(dag):
         for op_id in node.child_ops:
             for child in dag.op_nodes[op_id].children:
                 assert signature_extends(node.signature, dag.eq_nodes[child].signature)
-    back = memo.dag_from_doc(memo.dag_to_doc(dag))
-    costplan.check_estimates(back)
-    assert memo.arc_signature_set(back) == memo.arc_signature_set(dag)
-    assert memo.dag_to_doc(back) == memo.dag_to_doc(dag)
+    check_estimates(dag)
+
+
+def assert_history_obeys_the_rule(history):
+    assert_obeys_the_rule(history.dag)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "history.json")
+        joindag.save_history(history, path)
+        back = joindag.load_history(path)
+    assert memo.arc_signature_set(back.dag) == memo.arc_signature_set(history.dag)
+    assert joindag._history_doc(back) == joindag._history_doc(history)
 
 
 def test_signature_extends_spots_each_way_of_not_extending():
@@ -54,7 +64,7 @@ def test_histories_and_naive_dags_over_random_schemas(seed):
     rng = random.Random(seed)
     catalog = random_schema(rng)
     history = joindag.build_complete_history(catalog, catalog.graph.edges, limit=8)
-    assert_obeys_the_rule(history.dag)
+    assert_history_obeys_the_rule(history)
     query = parse_query(connected_query_sql(catalog, rng, max_selects=2), catalog)
     if query.n_operations() <= 7:
         assert_obeys_the_rule(naive.build_naive_dag(query, catalog))
@@ -65,7 +75,7 @@ def test_fixture_dags(group, name, company_catalog, tpch_catalog):
     catalog = company_catalog if group == "company" else tpch_catalog
     query = parse_query(fixture_sql(group, name), catalog)
     res = sprinkle.optimize_single(query, catalog)
-    assert_obeys_the_rule(res.history.dag)
+    assert_history_obeys_the_rule(res.history)
     assert_obeys_the_rule(res.dag)
     assert_obeys_the_rule(sprinkle.extract_query_joindag(res.history, query, catalog, "q1"))
     assert_obeys_the_rule(naive.build_naive_dag(query, catalog, limit=9))
@@ -77,4 +87,4 @@ def test_shared_multi_query_dags(company_catalog, tpch_catalog):
                    for g, name in FLAT_FIXTURES if g == group]
         shared, _, history = sprinkle.optimize_many(queries, catalog)
         assert_obeys_the_rule(shared)
-        assert_obeys_the_rule(history.dag)
+        assert_history_obeys_the_rule(history)

@@ -10,6 +10,7 @@ arcs and roots, and the attributes and jsf of known joins.
 import json
 import math
 import pathlib
+import re
 import tempfile
 
 import pytest
@@ -100,8 +101,8 @@ def mutate(draw, doc: dict, texts: list[str]) -> None:
 
 def assert_run_or_one_error_line(group: str, doc: dict, error: str | None = None) -> None:
     """Run `histdag show` and `optimize` on `doc`, re-sealed: each exits 0
-    without a NaN, or 2 with one `ERR:` line; with `error`, each must exit
-    2 with one line that starts with it."""
+    without a NaN, or 2 with one `ERR:` line; with `error`, a pattern, each
+    must exit 2 with one line that it matches from the start."""
     doc["checksum"] = joindag._checksum({k: v for k, v in doc.items() if k != "checksum"})
     schema = str(FIXTURES / group / "schema.json")
     query = str(FIXTURES / group / f"{CASES[group]}.sql")
@@ -116,7 +117,7 @@ def assert_run_or_one_error_line(group: str, doc: dict, error: str | None = None
             else:
                 assert code == 2, stderr
                 lines = stderr.splitlines()
-                assert len(lines) == 1 and lines[0].startswith(error or "ERR:"), stderr
+                assert len(lines) == 1 and re.match(error or "ERR:", lines[0]), stderr
 
 
 def set_field(section: str, index: int, **fields):
@@ -139,22 +140,26 @@ def drop_an_op_to_eq_arc(dag):
     dag["arcs"]["op_to_eq"].pop()
 
 
+NOT_BUILT = "ERR:io: malformed history file .*: it is not the history its known joins build$"
+
+
 @pytest.mark.parametrize("edit, error", [
     (set_field("eq_nodes", 0, signature=[[], [], [], []]), "ERR:"),
     (set_field("op_nodes", 0, detail=2), "ERR:"),
     (set_field("op_nodes", 0, factor=None), "ERR:"),
     (retarget_an_arc, "ERR:"),
     (set_field("op_nodes", 0, detail="a\nb"), "ERR:"),
-    (repeat_an_eq_node_id, "ERR:validation: duplicate eq-node 0"),
-    (name_an_unknown_child, "ERR:validation: op-node 0 references unknown eq-node 1000000"),
-    (drop_an_op_to_eq_arc, "ERR:validation: op_to_eq arcs disagree with op-node children"),
+    (repeat_an_eq_node_id, NOT_BUILT),
+    (name_an_unknown_child, "ERR:io: malformed history file .*: op-node 0 is not a known "
+                            "join over built inputs that hold its relations$"),
+    (drop_an_op_to_eq_arc, NOT_BUILT),
 ], ids=["base-without-relation", "detail-not-a-string", "join-without-factor",
         "arc-end-with-a-line-break", "detail-with-a-line-break", "duplicate-eq-node-id",
         "unknown-child-eq-node", "op-to-eq-arcs-disagree"])
 def test_mutation_regressions(edit, error):
     """Mutations the suite found, each of which once raised or printed an
-    error over more than one line, and `dag_from_doc` errors that no random
-    mutation is sure to reach, each pinned to its message."""
+    error over more than one line, and load errors that no random mutation
+    is sure to reach, each pinned to its message."""
     doc = json.loads(HISTORIES["tpch"])
     edit(doc["dag"])
     assert_run_or_one_error_line("tpch", doc, error=error)

@@ -10,7 +10,7 @@ from sprinkleqo.errors import (CatalogError, LimitExceededError,
                                PersistenceError, ValidationError)
 from sprinkleqo.sqlfront import JoinCondition
 
-from conftest import make_catalog, random_schema
+from conftest import FIXTURES, make_catalog, random_schema, run_cli
 
 COMPANY_ROOT = "component:department+dept_locations+employee+project+works_on"
 
@@ -186,6 +186,42 @@ def test_save_load_round_trip(company_catalog, tmp_path):
     assert (tmp_path / "again.json").read_text() == \
         (tmp_path / "history.json").read_text()
     assert not list(tmp_path.glob(".tmp-*"))
+
+
+def test_a_history_grown_over_merging_batches_round_trips(company_catalog, tmp_path):
+    # batches 2 and 3 add relations after earlier op-nodes, batch 3 merges
+    # the two components, and batch 4 closes a cycle
+    joins = {j.canonical(): j for j in company_catalog.graph.edges}
+    h = joindag.empty_history(company_catalog)
+    for batch in (["employee.ssn = works_on.ssn"],
+                  ["department.dnumber = project.dnum"],
+                  ["project.pnumber = works_on.pno", "department.dnumber = dept_locations.dnumber"],
+                  ["department.dnumber = employee.dno"]):
+        h = joindag.build_incremental(h, tuple(joins[t] for t in batch), company_catalog)
+    first_join = min(eq for eq, node in h.dag.eq_nodes.items() if not node.is_base)
+    assert max(eq for eq, node in h.dag.eq_nodes.items() if node.is_base) > first_join
+    assert set(h.dag.query_roots) == {COMPANY_ROOT} and h.version == 4
+    path = tmp_path / "history.json"
+    joindag.save_history(h, str(path))
+    loaded = joindag.load_history(str(path))
+    assert structure(loaded) == structure(h)
+    joindag.save_history(loaded, str(tmp_path / "again.json"))
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    # two op ids swapped, the checksum sealed again: one error line
+    doc = json.loads(path.read_text())
+    ops = doc["dag"]["op_nodes"]
+    ops[0]["id"], ops[1]["id"] = ops[1]["id"], ops[0]["id"]
+    doc["checksum"] = joindag._checksum({k: v for k, v in doc.items() if k != "checksum"})
+    path.write_text(json.dumps(doc))
+    with pytest.raises(PersistenceError, match="not the history its known joins build"):
+        joindag.load_history(str(path))
+    code, stdout, stderr = run_cli("histdag", "show", "--schema",
+                                   str(FIXTURES / "company" / "schema.json"),
+                                   "--history", str(path))
+    assert code == 2 and stdout == ""
+    assert stderr.startswith(f"ERR:io: malformed history file {path}: ")
+    assert len(stderr.splitlines()) == 1
 
 
 def corrupt(path, mutate):

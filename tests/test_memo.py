@@ -1,24 +1,27 @@
 """Memo table: interning, signatures, op attachment, counts, DOT, round-trip."""
 
+import json
 import math
+import os
 import random
 import re
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sprinkleqo import joindag, memo
-from sprinkleqo.errors import DagError
+from sprinkleqo.errors import DagError, PersistenceError
 from sprinkleqo.memo import (Dag, KIND_GROUPBY, KIND_JOIN, KIND_JOINFILTER,
                              KIND_PROJECT, KIND_SELECT, OpNode, SIZE_RTOL,
                              arc_signature_set, attach_op, base_signature,
-                             count_nodes, dag_from_doc, dag_to_doc, ensure_base,
+                             count_nodes, dag_to_doc, ensure_base,
                              export_dot, extend_signature, intern_eq,
                              join_signature, merge_below, plan_count_for, register_root,
                              signature_text)
 
-from conftest import random_schema
+from conftest import make_catalog, random_schema
 
 
 def two_base_dag():
@@ -128,7 +131,7 @@ def test_every_copy_records_the_eq_node_above_each_op_node():
     expected = {dag.op_nodes[op_id].sort_key(): eq_id
                 for eq_id, node in dag.eq_nodes.items() for op_id in node.child_ops}
     # a view below `top` reads the whole dag's index, the select above it too
-    for copy in (dag, dag.clone(), dag.below(top), dag_from_doc(dag_to_doc(dag))):
+    for copy in (dag, dag.clone(), dag.below(top)):
         assert copy._op_index == expected
         before = dag_to_doc(copy)
         for eq_id, node in copy.eq_nodes.items():
@@ -256,6 +259,48 @@ def cyclic_histories(count):
     return out
 
 
+def diamond_history():
+    """The diamond's joins, sizes and factors as a complete history: its
+    two join orders of {a, b, c}, two plans at its one root."""
+    attributes = [{"name": "x", "distinct": 10}, {"name": "y", "distinct": 10}]
+    catalog = make_catalog(
+        [{"name": r, "cardinality": card, "attributes": attributes}
+         for r, card in (("a", 10), ("b", 20), ("c", 30))],
+        [{"left": "a.x", "right": "b.x", "jsf": 0.01},
+         {"left": "b.y", "right": "c.y", "jsf": 0.01}])
+    return joindag.build_complete_history(catalog, catalog.graph.edges)
+
+
+def reloaded(history, edit=None):
+    """`history` saved, its `dag` section changed by `edit` (with the
+    checksum sealed again), and loaded back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "history.json")
+        joindag.save_history(history, path)
+        if edit is not None:
+            with open(path) as f:
+                doc = json.load(f)
+            edit(doc["dag"])
+            doc["checksum"] = joindag._checksum({k: v for k, v in doc.items()
+                                                 if k != "checksum"})
+            with open(path, "w") as f:
+                json.dump(doc, f)
+        return joindag.load_history(path)
+
+
+def test_count_nodes_counts_a_dag_deeper_than_the_stack():
+    # a select chain longer than the recursion limit, counted from its
+    # parentless top and from the same top as a registered root
+    dag = Dag()
+    top = ensure_base(dag, "employee", 1000.0)
+    depth = sys.getrecursionlimit() + 200
+    for i in range(depth):
+        top = attach_op(dag, KIND_SELECT, f"s{i}", (top,), 1000.0, 1000.0, factor=1.0)
+    assert count_nodes(dag) == (depth + 1, depth, 1)
+    register_root(dag, "q1", top)
+    assert count_nodes(dag) == (depth + 1, depth, 1)
+
+
 def test_below_reads_a_dag_deeper_than_the_stack():
     # a select chain longer than the recursion limit, read from its top and
     # from a node halfway down, which reaches the nodes built before it
@@ -353,7 +398,7 @@ def test_topological_order_sorts_by_signature_entries_as_nodes_are_added():
 def test_topological_order_is_consumers_first_on_histories_and_their_copies():
     for history in cyclic_histories(10):
         dag = history.dag
-        for candidate in (dag, dag_from_doc(dag_to_doc(dag)),
+        for candidate in (dag, reloaded(history).dag,
                           *(dag.below(root) for root in dag.query_roots.values())):
             order = memo.topological_order(candidate)
             assert order == entries_then_ids(candidate)
@@ -461,40 +506,42 @@ def test_export_dot_keeps_a_line_break_in_a_label_on_its_line(detail, shown):
 
 
 def test_doc_round_trip_preserves_structure():
-    dag, top = diamond_dag()
-    doc = dag_to_doc(dag)
-    back = dag_from_doc(doc)
+    history = diamond_history()
+    dag, back = history.dag, reloaded(history).dag
     assert {n.signature for n in back.eq_nodes.values()} == \
         {n.signature for n in dag.eq_nodes.values()}
     assert arc_signature_set(back) == arc_signature_set(dag)
-    assert back.query_roots.keys() == dag.query_roots.keys()
-    assert plan_count_for(back, back.query_roots["q1"]) == 2
+    assert back.query_roots == dag.query_roots == {"component:a+b+c": 4}
+    assert plan_count_for(back, 4) == 2
+    assert dag_to_doc(back) == dag_to_doc(dag)
+
+
+# A saved history whose `dag` section its known joins do not build, sealed
+# again, is refused whole.
+MALFORMED = "malformed history file .*: it is not the history its known joins build"
 
 
 def test_doc_round_trip_rejects_corruption():
-    dag, _ = diamond_dag()
-    doc = dag_to_doc(dag)
-    doc["format"] = 99
-    with pytest.raises(DagError, match="format"):
-        dag_from_doc(doc)
+    with pytest.raises(PersistenceError, match=MALFORMED):
+        reloaded(diamond_history(), lambda doc: doc.update(format=99))
 
 
 def test_doc_with_a_cycle_is_rejected():
-    dag, _ = diamond_dag()
-    doc = dag_to_doc(dag)
-    # re-hang op 0 (a.x = b.x over a and b) under its own child a
-    (arc,) = [arc for arc in doc["arcs"]["eq_to_op"] if arc[1] == 0]
-    arc[0] = dag.op_nodes[0].children[0]
-    with pytest.raises(DagError, match="cycle"):
-        dag_from_doc(doc)
+    def hang_op_0_under_its_child(doc):
+        (arc,) = [arc for arc in doc["arcs"]["eq_to_op"] if arc[1] == 0]
+        arc[0] = doc["op_nodes"][0]["children"][0]
+
+    with pytest.raises(PersistenceError, match=MALFORMED):
+        reloaded(diamond_history(), hang_op_0_under_its_child)
 
 
 def test_doc_with_an_op_under_two_parents_is_rejected():
-    dag, top = diamond_dag()
-    doc = dag_to_doc(dag)
-    doc["arcs"]["eq_to_op"].append([top, 0])
-    with pytest.raises(DagError, match="more than one parent"):
-        dag_from_doc(doc)
+    def hang_op_0_under_the_root_too(doc):
+        (top,) = doc["roots"].values()
+        doc["arcs"]["eq_to_op"].append([top, 0])
+
+    with pytest.raises(PersistenceError, match=MALFORMED):
+        reloaded(diamond_history(), hang_op_0_under_the_root_too)
 
 
 def swap_the_children_of_a_join(doc):
@@ -506,28 +553,38 @@ def copy_an_op_node(doc):
     doc["op_nodes"].append(dict(doc["op_nodes"][0], id=99))
     parent = next(eq for eq, op in doc["arcs"]["eq_to_op"] if op == 0)
     doc["arcs"]["eq_to_op"].append([parent, 99])
-    del doc["arcs"]["op_to_eq"]
+    doc["arcs"]["op_to_eq"] += [[99, c] for c in doc["op_nodes"][0]["children"]]
 
 
 def drop_the_op_nodes_of_the_top(doc):
-    top = doc["roots"]["q1"]
+    (top,) = doc["roots"].values()
     ops = {op for eq, op in doc["arcs"]["eq_to_op"] if eq == top}
     doc["op_nodes"] = [o for o in doc["op_nodes"] if o["id"] not in ops]
     doc["arcs"]["eq_to_op"] = [arc for arc in doc["arcs"]["eq_to_op"] if arc[1] not in ops]
-    del doc["arcs"]["op_to_eq"]
+    doc["arcs"]["op_to_eq"] = [arc for arc in doc["arcs"]["op_to_eq"] if arc[0] not in ops]
+
+
+def add_a_base_no_known_join_names(doc):
+    doc["eq_nodes"].append({"id": len(doc["eq_nodes"]), "signature": [["d"], [], [], []],
+                            "est_size": 40.0})
+
+
+def repeat_the_first_base(doc):
+    doc["eq_nodes"][1].update(signature=doc["eq_nodes"][0]["signature"],
+                              est_size=doc["eq_nodes"][0]["est_size"])
 
 
 @pytest.mark.parametrize("edit, match", [
-    (swap_the_children_of_a_join, "out of order"),
-    (copy_an_op_node, "malformed op-node 99"),
-    (drop_the_op_nodes_of_the_top, "not a base relation"),
-], ids=["join-children-out-of-order", "duplicate-op", "join-class-without-op-nodes"])
+    (swap_the_children_of_a_join, MALFORMED),
+    (copy_an_op_node, MALFORMED),
+    (drop_the_op_nodes_of_the_top, "missing full-join node for component"),
+    (add_a_base_no_known_join_names, MALFORMED),
+    (repeat_the_first_base, "op-node 0 is not a known join over built inputs"),
+], ids=["join-children-out-of-order", "duplicate-op", "join-class-without-op-nodes",
+        "base-of-no-known-join", "repeated-base"])
 def test_doc_attach_op_could_not_build_is_rejected(edit, match):
-    dag, _ = diamond_dag()
-    doc = dag_to_doc(dag)
-    edit(doc)
-    with pytest.raises(DagError, match=match):
-        dag_from_doc(doc)
+    with pytest.raises(PersistenceError, match=match):
+        reloaded(diamond_history(), edit)
 
 
 @pytest.mark.parametrize("section, field, value", [
@@ -536,11 +593,8 @@ def test_doc_attach_op_could_not_build_is_rejected(edit, match):
     ("op_nodes", "factor", float("-inf")),
 ])
 def test_doc_with_a_non_finite_number_is_rejected(section, field, value):
-    dag, _ = diamond_dag()
-    doc = dag_to_doc(dag)
-    doc[section][-1][field] = value
-    with pytest.raises(DagError, match=f"non-finite {field}"):
-        dag_from_doc(doc)
+    with pytest.raises(PersistenceError, match=MALFORMED):
+        reloaded(diamond_history(), lambda doc: doc[section][-1].update({field: value}))
 
 
 def test_signature_text_is_stable_and_readable():
@@ -555,7 +609,7 @@ def test_eq_nodes_carry_their_signature_text_through_every_copy():
     dag, top = diamond_dag()
     attach_op(dag, KIND_SELECT, "a.x > 1", (top,), 0.06, 0.6, factor=0.1)
     doc = dag_to_doc(dag)
-    for copy in (dag, dag.clone(), dag.below(top), dag_from_doc(doc)):
+    for copy in (dag, dag.clone(), dag.below(top), reloaded(diamond_history()).dag):
         for node in copy.eq_nodes.values():
             assert node.text == signature_text(node.signature)
     # the text is not serialized: a document holds what it held before
@@ -687,8 +741,9 @@ def test_find_eq_of_an_unknown_text_registers_nothing():
 
 
 def test_a_loaded_history_attaches_as_the_dag_it_was_saved_from(company_catalog):
-    built = joindag.build_complete_history(company_catalog, company_catalog.graph.edges).dag
-    loaded = dag_from_doc(dag_to_doc(built))
+    history = joindag.build_complete_history(company_catalog, company_catalog.graph.edges)
+    built, loaded = history.dag, reloaded(history).dag
+    assert loaded._op_index == built._op_index
     for dag in (built, loaded):
         for eq_id in sorted(dag.eq_nodes):
             node = dag.eq_nodes[eq_id]

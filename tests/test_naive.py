@@ -8,7 +8,7 @@ from sprinkleqo import costplan, memo, naive
 from sprinkleqo.errors import LimitExceededError, ValidationError
 from sprinkleqo.sqlfront import parse_query
 
-from conftest import fixture_sql
+from conftest import check_estimates, fixture_sql
 
 SUFFIX_KINDS = {memo.KIND_GROUPBY, memo.KIND_HAVING, memo.KIND_PROJECT,
                 memo.KIND_ORDERBY}
@@ -159,7 +159,7 @@ def test_grouped_queries_at_different_landings_share_one_memo(tpch_catalog):
     queries = [(qid, parse_query(fixture_sql("tpch", qid), tpch_catalog))
                for qid in ("q1", "q3", "q4")]
     shared = naive.incremental_naive_add(queries, tpch_catalog)
-    costplan.check_estimates(shared)
+    check_estimates(shared)
     for qid, query in queries:
         alone = naive.build_naive_dag(query, tpch_catalog)
         assert (costplan.best_plan(shared, shared.query_roots[qid]).cum_cost

@@ -262,6 +262,24 @@ def test_a_join_on_a_shadowing_alias_takes_no_fk_edge_of_the_relation_it_shadows
     assert [(j.canonical(), j.jsf) for j in q.joins] == [("a.x = b.x", 1.0 / 40)]
 
 
+def test_an_in_subquery_beside_a_from_relation_named_subq1_is_rejected():
+    # the IN subquery's view is `subq1`: it would replace the real relation
+    # in the outer block, whose plan would then never read it
+    catalog = make_catalog(
+        [{"name": "subq1", "cardinality": 100.0, "attributes": [{"name": "x", "distinct": 10}]},
+         {"name": "t", "cardinality": 100.0, "attributes": [{"name": "x", "distinct": 10},
+                                                           {"name": "y", "distinct": 10}]}],
+        [])
+    sql = "select * from subq1, t where subq1.x = t.x and t.y in (select t.y from t)"
+    with pytest.raises(ValidationError, match="FROM relation 'subq1' has the name of the IN"):
+        parse_query(sql, catalog)
+    # the relation read in the subquery alone, or with no IN, is still a relation
+    assert parse_query("select * from t where t.x in (select subq1.x from subq1)",
+                       catalog).subquery.query.tables == {"subq1"}
+    assert parse_query("select * from subq1, t where subq1.x = t.x", catalog).tables == {
+        "subq1", "t"}
+
+
 def test_subquery_depth_limited(company_catalog):
     sql = ("select employee.fname from employee where employee.ssn in "
            "(select ssn from works_on where works_on.pno in "
