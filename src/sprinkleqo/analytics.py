@@ -183,12 +183,6 @@ def format_count(value: Fraction | int | None) -> str:
     return str(value)
 
 
-def _parse_count(text: str) -> Fraction | None:
-    if text == "":
-        return None
-    return Fraction(text)
-
-
 def report_to_csv(report: MetricsReport) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -208,28 +202,3 @@ def report_to_csv(report: MetricsReport) -> str:
             row.status,
         ])
     return buffer.getvalue()
-
-
-def report_from_csv(text: str) -> MetricsReport:
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows or tuple(rows[0]) != CSV_COLUMNS:
-        raise ValidationError(f"metrics CSV must start with header {CSV_COLUMNS}")
-    out: list[MetricsRow] = []
-    for raw in rows[1:]:
-        if len(raw) != len(CSV_COLUMNS):
-            raise ValidationError(f"metrics CSV row has {len(raw)} fields: {raw!r}")
-        (query_id, mode, eq_nodes, op_nodes, plans, build_ms, best_cost,
-         est_eq, est_plans, est_time, status) = raw
-        out.append(MetricsRow(
-            query_id=query_id, mode=mode,
-            eq_nodes=None if eq_nodes == "" else int(eq_nodes),
-            op_nodes=None if op_nodes == "" else int(op_nodes),
-            plans=None if plans == "" else int(plans),
-            build_ms=None if build_ms == "" else float(build_ms),
-            best_cost=None if best_cost == "" else float(best_cost),
-            est_eq_nodes=None if est_eq == "" else int(est_eq),
-            est_plans=None if est_plans == "" else int(est_plans),
-            est_time_complexity=_parse_count(est_time),
-            status=status))
-    return MetricsReport(rows=out, notes=[])

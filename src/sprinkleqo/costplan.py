@@ -64,17 +64,34 @@ class Plan:
     cum_cost: float
 
     def to_doc(self) -> dict:
-        doc: dict = {"kind": self.kind}
-        if self.kind == "base":
-            doc["relation"] = self.relation
-        else:
-            doc["predicate"] = self.detail
-        doc["est_size"] = self.est_size
-        doc["op_cost"] = self.op_cost
-        doc["cum_cost"] = self.cum_cost
-        if self.children:
-            doc["children"] = [c.to_doc() for c in self.children]
-        return doc
+        """The plan as nested dicts, each built after its inputs'
+        (`inputs_first`), so any depth works."""
+        docs: dict[int, dict] = {}   # the id of each plan node -> its doc
+        for node in inputs_first(self):
+            doc: dict = {"kind": node.kind}
+            if node.kind == "base":
+                doc["relation"] = node.relation
+            else:
+                doc["predicate"] = node.detail
+            doc["est_size"] = node.est_size
+            doc["op_cost"] = node.op_cost
+            doc["cum_cost"] = node.cum_cost
+            if node.children:
+                doc["children"] = [docs[id(c)] for c in node.children]
+            docs[id(node)] = doc
+        return docs[id(self)]
+
+
+def inputs_first(plan: Plan) -> list[Plan]:
+    """Every node of a plan tree, each node's inputs first and left to
+    right: the reverse of a walk from the root that takes the inputs right
+    to left, kept on a list of its own, so any depth works."""
+    order, stack = [], [plan]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack += node.children
+    return order[::-1]
 
 
 def base_plan(relation: str, cardinality: float) -> Plan:

@@ -8,6 +8,20 @@ or deriving them again.  Every query, whether its history was just built
 from empty for its joins alone or already held them, reads the part below
 that node in place (`memo.Dag.below`), without copying it.
 
+Its prices are pre-computed too.  An eq-node's join-only size, least cost
+and tied op-nodes depend only on the catalog, so each history version
+keeps one price table (`Prices`), the winner table of a Cascades memo
+(Graefe, "The Cascades Framework for Query Optimization", 1995).  It holds
+each eq-node a block has priced with nothing placed at or below it (the
+place stage fills it, `sprinkle._priced`), what each query root reaches
+with its inputs-first order, and, for a root read by more than one block
+with nothing to place, the place stage's dag of it.  It is filled on demand,
+never at build or load, and never saved: the history's file and format
+do not change.  A version that only bumps the number
+(`dataclasses.replace`) shares its table; one with new joins is a
+`clone`, which starts an empty one.  A join dag the table did not give
+(built by hand, or renumbered) prices into an empty table of its own.
+
 Incremental builds accept a batch of join conditions.  Conditions already
 known only bump the version, over the same dag; otherwise each connected
 component of the union join set that contains at least one new condition is
@@ -28,7 +42,7 @@ import hashlib
 import json
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import costplan, forest, memo
 from .catalog import Catalog, JoinCondition, components
@@ -40,14 +54,68 @@ from .memo import Dag
 HISTORY_FORMAT = 1
 
 
+class Prices:
+    """The price table of one dag (see the module docstring), filled on
+    demand.  `nodes` maps each eq-node priced so far to the place stage's
+    DP cell of it with nothing placed (`sprinkle._priced`).  `views` maps
+    each root asked for to the eq-node and op-node maps below it and their
+    inputs-first order (`below`).  `finals` maps each root that a block
+    with nothing to place has read to None after the first such block, and
+    then to a copy of the place stage's dag of it with that dag's root
+    (`sprinkle.sprinkle_selects`)."""
+
+    __slots__ = ("dag", "nodes", "views", "finals")
+
+    def __init__(self, dag: Dag):
+        self.dag = dag
+        self.nodes: dict = {}
+        self.views: dict[int, tuple[dict, dict, list[int]]] = {}
+        self.finals: dict[int, tuple[Dag, int] | None] = {}
+
+    def below(self, root: int) -> Dag:
+        """`dag.below(root)`, its maps made once per root and kept with
+        their inputs-first order; each call returns a new view of the kept
+        maps (`Dag.view`), with this table as its `prices`.  A history of
+        one component needs no walk below that component's root: every
+        eq-node its builds made lies below it, for each is some forest
+        state's tree, which later steps join into the full join.  The table
+        keeps maps, not the view, so that nothing it holds refers back to
+        it, and a history no block reads any longer is freed at once."""
+        kept = self.views.get(root)
+        if kept is None:
+            roots = self.dag.query_roots
+            view = (self.dag.view(self.dag.eq_nodes, self.dag.op_nodes)
+                    if len(roots) == 1 and root in roots.values() else self.dag.below(root))
+            kept = self.views[root] = (view.eq_nodes, view.op_nodes,
+                                       memo.topological_order(view)[::-1])
+        out = self.dag.view(kept[0], kept[1])
+        out.prices = self
+        return out
+
+    def inputs_first(self, dag: Dag) -> list[int]:
+        """`dag`'s eq-nodes, inputs first: the kept order of a view `below`
+        made, and the reversed `memo.topological_order` of any other dag."""
+        kept = self.views.get(next(iter(dag.query_roots.values()), None))
+        if kept is not None and kept[0] is dag.eq_nodes:
+            return kept[2]
+        return memo.topological_order(dag)[::-1]
+
+
 @dataclass
 class HistoryDag:
-    """Versioned store of all join orders seen so far."""
+    """Versioned store of all join orders seen so far, and the price table
+    of its dag, which a version made by `dataclasses.replace` shares and a
+    `clone` starts again."""
 
     dag: Dag
     known_joins: dict[str, JoinCondition]
     version: int
     catalog_fingerprint: str
+    prices: Prices | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.prices is None:
+            self.prices = Prices(self.dag)
 
     def clone(self) -> "HistoryDag":
         return HistoryDag(dag=self.dag.clone(), known_joins=dict(self.known_joins),

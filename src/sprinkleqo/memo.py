@@ -37,7 +37,8 @@ and its text are built once, for a new eq-node.  Since signatures grow
 along every op-node, `topological_order` needs no walk: it sorts the
 eq-nodes by their signature's entry count.  Every inputs-first pass over a
 memo reads that order (`merge_below`, `plan_count_for`,
-`costplan.best_plan`, the place stage's DP).  One walk does not:
+`costplan.best_plan`, the place stage's DP, which reads it as its
+history's price table keeps it per root).  One walk does not:
 `Dag.below`'s, which finds what a root reaches.
 
 Ids are the memo's own names and reach no query output: under one eq-node,
@@ -162,12 +163,14 @@ class Dag:
     """Mutable memo table; eq/op ids are assigned in intern order.  Its
     registry gives each text the next bit of its component (bases, joins,
     unary ops) on first sight; its key index maps each eq-node's key to its
-    id."""
+    id.  `prices` is the price table of the history a view of it was read
+    from (`joindag.Prices.below`), and None on every other dag."""
 
     def __init__(self):
         self.eq_nodes: dict[int, EqNode] = {}
         self.op_nodes: dict[int, OpNode] = {}
         self.query_roots: dict[str, int] = {}
+        self.prices = None
         self._bits: tuple[dict[str, int], ...] = ({}, {}, {})   # per component: text -> bit
         self._key_index: dict[Key, int] = {}
         self._op_index: dict[tuple, int] = {}   # op-node sort_key -> the eq-node above it
@@ -197,15 +200,10 @@ class Dag:
         return out
 
     def below(self, root: int) -> "Dag":
-        """A dag of the eq-nodes reachable from `root` and their op-nodes:
-        this dag's own node objects under their own ids, not copies, with
-        roots of its own and none yet.  Every input of a reachable op-node
-        is reachable, so every eq-node of it but `root` is some op-node's
-        input.  Nothing writes through it: its registry and indexes are
-        read-only views of this dag's, so `intern_eq` and `attach_op` raise
-        before they change a node, and a lookup in them may name a node
-        outside it.  The walk keeps its own list, so any depth works.
-        """
+        """The `view` of the eq-nodes reachable from `root` and their
+        op-nodes.  Every input of a reachable op-node is reachable, so every
+        eq-node of it but `root` is some op-node's input.  The walk keeps
+        its own list, so any depth works."""
         src_eq, src_op = self.eq_nodes, self.op_nodes
         eq_nodes, op_nodes, todo = {root: src_eq[root]}, {}, [root]
         while todo:
@@ -215,6 +213,15 @@ class Dag:
                     if child not in eq_nodes:
                         eq_nodes[child] = src_eq[child]
                         todo.append(child)
+        return self.view(eq_nodes, op_nodes)
+
+    def view(self, eq_nodes: dict[int, EqNode], op_nodes: dict[int, OpNode]) -> "Dag":
+        """A dag of these nodes of this dag, read in place: this dag's own
+        node objects under their own ids, not copies, with roots of its own
+        and none yet.  Nothing writes through it: its registry and indexes
+        are read-only views of this dag's, so `intern_eq` and `attach_op`
+        raise before they change a node, and a lookup in them may name a
+        node outside it."""
         out = Dag()
         out.eq_nodes, out.op_nodes = eq_nodes, op_nodes
         out._bits = tuple(map(MappingProxyType, self._bits))

@@ -278,17 +278,3 @@ def build_naive_dag(query: Query, catalog: Catalog, limit: int = DEFAULT_MAX_OPS
     root = _place_suffix(dag, tops[0], query, catalog)
     memo.register_root(dag, query_id, root)
     return dag
-
-
-def incremental_naive_add(queries: list[tuple[str, Query]], catalog: Catalog,
-                          limit: int = DEFAULT_MAX_OPS) -> Dag:
-    """Rebuild the baseline memo with extra queries folded in.
-
-    The baseline has no versioned history: adding a query re-expands every
-    query, those already in the memo and the new ones (`queries`, each with
-    its id), into a fresh shared memo.
-    """
-    fresh = Dag()
-    for qid, query in queries:
-        build_naive_dag(query, catalog, limit, query_id=qid, dag=fresh)
-    return fresh

@@ -44,6 +44,17 @@ state (`_decorate_stage`): from the root's state it walks down the cells,
 keeps each alternative of a state (an op-node over its inputs' states, or
 one bit of s stacked on the rest) that ties the state's DP least, and
 attaches each kept op-node once.
+
+The plain pass reads its history's price table (`joindag.Prices`): the
+join dag's inputs-first order, kept per root, and the cell of each node
+where nothing may sit at or below it (no select bit below it, and not
+covering the order-by's relations), with its tables at set 0 only.  Such
+a cell takes no DP step: `_priced` prices it once per history version,
+exactly as the step prices set 0, and every later block shares it; its
+tied op-nodes (`_tied`), which the state walk keeps, are found once too.
+A cell above a landing always steps, for the landing changes its sizes.
+A block with nothing to place takes no step at all, and from the third
+block over one root on, copies the stage's dag the table keeps for it.
 """
 
 from __future__ import annotations
@@ -75,7 +86,9 @@ class _Cell:
     alternatives its DP step read, each (op-node, input cells): a leaf's one
     has neither, a landing's is its group-by (no op-node) over the node's
     plain cell; `ranked` holds them in `OpNode.sort_key` order once the place
-    stage first reads them.  Lists are indexed by bit masks, bit i the select
+    stage first reads them.  A cell of the price table (`_priced`) takes no
+    step: it has tables at set 0 only and, but at a base, no alternatives
+    (None).  Lists are indexed by bit masks, bit i the select
     of rank i and the order-by the top bit; `u` is the set placed below the
     node's own operator, `s` the set placed at or below the node, and the DP
     reads both from `_Placement.sets`.  Sizes depend only on which bits sit at
@@ -84,15 +97,15 @@ class _Cell:
     and `fixed`, the bits a group-by landing at or below it holds; only a
     landing sets `grouping`, its group-by's cost with its having's."""
 
-    __slots__ = ("eq", "alternatives", "ranked", "mask", "cmask", "fixed", "rels",
+    __slots__ = ("eq", "alternatives", "ranked", "tied", "mask", "cmask", "fixed", "rels",
                  "grouping", "size", "best")
 
-    def __init__(self, mask: int, width: int, alternatives):
+    def __init__(self, mask: int, alternatives, size: list[float], best: list[float]):
         self.alternatives, self.ranked = alternatives, None
-        self.mask = mask                 # the bits that may sit at or below the node
-        self.cmask = mask                # the bits that may sit below its operator
-        self.size = [0.0] * width        # output size, by the set at or below it
-        self.best = [math.inf] * width   # least subtree cost, by s; inf if s is not in mask
+        self.mask = mask     # the bits that may sit at or below the node
+        self.cmask = mask    # the bits that may sit below its operator
+        self.size = size     # output size, by the set at or below it
+        self.best = best     # least subtree cost, by s; inf if s is not in mask
 
 
 class _Placement:
@@ -119,6 +132,7 @@ class _Placement:
             self.ops.append((KIND_ORDERBY, sqlfront.orderby_text(order_by), None))
         self.group = (group_by, d, having) if group_by else None
         self.projected = projected
+        self.empty = self.width == 1 and self.group is None   # nothing to place
 
     def total(self, cost: float, size: float) -> float:
         """A plan's cost, plus its root projection's when a group-by varies it."""
@@ -157,7 +171,8 @@ class _Placement:
     def leaf(self, relation: str, size: float) -> _Cell:
         """A base relation's tables: all its selects stack on it, each set's
         size its top bit's factor times the size of the rest."""
-        cell = _Cell(self.on_relation.get(relation, 0), self.width, [(None, ())])
+        cell = _Cell(self.on_relation.get(relation, 0), [(None, ())], [0.0] * self.width,
+                     [math.inf] * self.width)
         cell.cmask, cell.size[0], cell.best[0] = 0, size, 0.0
         if self.rel_bits:   # a group-by or an order-by: where the leaf stands
             cell.rels, cell.fixed = self.rel_bits.get(relation, 0), 0
@@ -195,7 +210,7 @@ class _Placement:
         if self.ob_bit:   # without one, every op-node's inputs cover one relation set: `held`
             for _, inputs in rest:
                 cmask = mask = cmask | inputs[0].mask | inputs[-1].mask
-        cell = _Cell(mask, self.width, alternatives)
+        cell = _Cell(mask, alternatives, [0.0] * self.width, [math.inf] * self.width)
         fixed = 0
         if self.rel_bits:   # a group-by or an order-by: where the node stands
             cell.rels = first.rels | last.rels
@@ -242,13 +257,34 @@ class _Placement:
                 size[u | self.ob_bit] = size[u]
         return self._stack(cell, fixed)
 
+    def holds_order(self, first: _Cell, last: _Cell) -> bool:
+        """Whether a node whose first op-node reads `first` and `last` covers
+        the order-by's relations, so that the order-by may sit at it.  A node
+        whose inputs hold no bit and that does not is plain: nothing may sit
+        at or below it, for every op-node of an eq-node covers the same
+        relations, and an input that may hold the order-by covers the
+        order-by's."""
+        return bool(self.ob_bit) and (first.rels | last.rels) & self.ob_rels == self.ob_rels
+
+    def priced(self, shared: _Cell, first: _Cell, last: _Cell) -> _Cell:
+        """The cell of a plain node (`holds_order`): its cell in the price table
+        (`_priced`), which takes no step, itself, or with a group-by or an
+        order-by a copy, its tables as wide as a stepped cell's, that knows
+        where the node stands."""
+        if not self.rel_bits:
+            return shared
+        rest = self.width - 1
+        cell = _Cell(0, None, shared.size + [0.0] * rest, shared.best + [math.inf] * rest)
+        cell.rels, cell.fixed = first.rels | last.rels, 0
+        return cell
+
     def landing(self, cell: _Cell) -> _Cell:
         """The group-by and its having, a unary node over `cell` (which has
         `best` at every S) whose input holds every select on its relations,
         `fixed` from here up, and no order-by, which may stack on it."""
         fixed = cell.mask & ~self.ob_bit
         _, d, having = self.group
-        out = _Cell(cell.mask, self.width, [(None, (cell,))])
+        out = _Cell(cell.mask, [(None, (cell,))], [0.0] * self.width, [math.inf] * self.width)
         out.cmask, out.fixed, out.rels = fixed, fixed, cell.rels
         cost, size = 0.0, cell.size[fixed]
         for kind, factor in [(KIND_GROUPBY, d)] + ([(KIND_HAVING, having.ssf)] if having else []):
@@ -270,12 +306,76 @@ class _Placement:
         return max(least, min(1.0, landed.size[fixed] / size) * flat + landed.grouping)
 
 
+def _priced(prices: joindag.Prices, eq_id: int) -> _Cell:
+    """`eq_id`'s cell in the price table, priced into it if new: its tables
+    at set 0, the one set when nothing is placed, exactly as `_Placement`'s
+    `leaf` and `node` price that set.  A base costs 0.0 at its estimate and
+    keeps its one alternative.  Any other eq-node's size is its first
+    op-node's in `child_ops` order, over its inputs in their stored order,
+    and its least cost the first op-node's, lowered only by a strictly
+    smaller one.  Every block that reads the table shares the cell, so
+    nothing writes to its tables.  An input not priced yet is priced first;
+    going inputs first, as the place stage does, keeps that one level
+    deep."""
+    nodes = prices.nodes
+    cell = nodes.get(eq_id)
+    if cell is not None:
+        return cell
+    node, op_nodes = prices.dag.eq_nodes[eq_id], prices.dag.op_nodes
+    if node.is_base:
+        cell = nodes[eq_id] = _Cell(0, [(None, ())], [node.est_size], [0.0])
+    else:
+        size = None
+        for op in map(op_nodes.__getitem__, node.child_ops):
+            children = op.children
+            k1 = nodes.get(children[0]) or _priced(prices, children[0])
+            if len(children) == 2:
+                k2 = nodes.get(children[1]) or _priced(prices, children[1])
+                a, b = k1.size[0], k2.size[0]
+                cost = a * b + (k1.best[0] + k2.best[0])
+                if size is None:
+                    size, least = float(op.factor) * a * b, cost
+            else:
+                a = k1.size[0]
+                cost = a + k1.best[0]
+                if size is None:
+                    size, least = float(op.factor) * a, cost
+            if cost < least:
+                least = cost
+        cell = nodes[eq_id] = _Cell(0, None, [size], [least])
+        cell.tied = None
+    cell.eq = eq_id
+    return cell
+
+
+def _tied(prices: joindag.Prices, eq_id: int) -> list:
+    """The op-nodes of a cell in the price table within memo.SIZE_RTOL of
+    its least cost, in `OpNode.sort_key` order, each priced over its inputs'
+    cells as `_kept_alternatives` prices it; found when first asked for and
+    kept on the cell."""
+    cell = prices.nodes[eq_id]
+    if cell.tied is None:
+        nodes, budget, tied = prices.nodes, memo.within_rounding(cell.best[0]), []
+        for op in map(prices.dag.op_nodes.__getitem__, prices.dag.eq_nodes[eq_id].child_ops):
+            k1, k2 = nodes[op.children[0]], nodes[op.children[-1]]
+            if len(op.children) == 2:
+                cost = k1.size[0] * k2.size[0] + (k1.best[0] + k2.best[0])
+            else:
+                cost = k1.size[0] + k1.best[0]
+            if cost <= budget:
+                tied.append(op)
+        tied.sort(key=memo.OpNode.sort_key)
+        cell.tied = tied
+    return cell.tied
+
+
 class _Pass(NamedTuple):
     """The tables of a block's one DP pass over its memo."""
 
     cells: dict[int, _Cell]                        # each eq-node's plain tables
     tiers: list[dict[int, _Cell]]                  # per landing priced, its tier's cells, it first
     optimum: dict[int, float]                      # each query root's least `dp.total`
+    prices: joindag.Prices                         # the price table it read
 
 
 # -- the place stage -----------------------------------------------------------
@@ -300,7 +400,7 @@ def _root_cell(dag: Dag, dp: _Placement, passed: _Pass, root: int) -> _Cell:
                key=nearness)[root]
 
 
-def _kept_alternatives(dp: _Placement, cell: _Cell, s: int) -> list:
+def _kept_alternatives(dp: _Placement, passed: _Pass, cell: _Cell, s: int) -> list:
     """The alternatives of the state (cell, S) that cost at most
     memo.SIZE_RTOL above its DP `best`, each (what, input states), priced
     as the DP step prices them: an op-node of the cell whose inputs hold
@@ -310,7 +410,13 @@ def _kept_alternatives(dp: _Placement, cell: _Cell, s: int) -> list:
     kept unpriced; and one bit i of S not fixed below a landing
     stacked on (cell, S - i) (what i).  Op-nodes come in `OpNode.sort_key`
     order, then the bits in ascending order.  Ascending-rank stacking is
-    optimal, so the least of them is `best` and always kept."""
+    optimal, so the least of them is `best` and always kept.  A cell read
+    from the price table (S = 0) keeps the op-nodes the table holds as tied
+    (`_tied`), over their inputs' plain cells at 0."""
+    if cell.alternatives is None:
+        cells = passed.cells
+        return [(op, tuple([(cells[c], 0) for c in op.children]))
+                for op in _tied(passed.prices, cell.eq)]
     budget, kept = memo.within_rounding(cell.best[s]), []
     op, kids = cell.alternatives[0]
     if not kids:   # a leaf
@@ -353,7 +459,6 @@ def _decorate_stage(dag: Dag, dp: _Placement, passed: _Pass) -> Dag:
     with nothing to place attaches the memo's own sizes and costs.  The
     walk keeps its own stack, so any depth works."""
     fresh, eq_nodes, ops = Dag(), dag.eq_nodes, dp.ops
-    stored = dp.width == 1 and dp.group is None   # nothing to place: the memo's own plans
     ids: dict[tuple[_Cell, int], int] = {}        # each state attached -> its eq-node
     kept: dict[tuple[_Cell, int], list] = {}      # each state visited -> its kept alternatives
     for query_id, root in sorted(dag.query_roots.items()):
@@ -365,7 +470,7 @@ def _decorate_stage(dag: Dag, dp: _Placement, passed: _Pass) -> Dag:
                 stack.pop()
                 continue
             if state not in kept:   # first visit: its inputs go first
-                kept[state] = _kept_alternatives(dp, *state)
+                kept[state] = _kept_alternatives(dp, passed, *state)
                 stack += reversed([x for _, inputs in kept[state] for x in inputs
                                    if x not in ids])
                 continue
@@ -385,7 +490,7 @@ def _decorate_stage(dag: Dag, dp: _Placement, passed: _Pass) -> Dag:
                 elif type(what) is int:
                     kind, detail, factor = ops[what]
                     eq = costplan.intern_op(fresh, kind, detail, children, factor)
-                elif stored:
+                elif dp.empty:   # the memo's own plans
                     eq = memo.attach_op(fresh, what.kind, what.detail, children, node.est_size,
                                         what.op_cost, what.factor)
                 else:
@@ -402,22 +507,37 @@ def _select_floors(dag: Dag, dp: _Placement) -> _Pass:
     cells are kept for `_decorate_stage`, which reads every cell at every
     set.  A root's optimum is its least `dp.total` at the full set: its
     least decorated cost, exactly.  A landing's tier is its cell and the
-    cells of the eq-nodes after it with an op-node over the tier."""
-    order = memo.topological_order(dag)[::-1]   # inputs first
-    cells: dict[int, _Cell] = {}
-    for eq_id in order:
-        node = dag.eq_nodes[eq_id]
-        if node.is_base:
-            cell = dp.leaf(node.signature[0][0], node.est_size)
-        else:
-            cell = dp.node([(op, tuple(map(cells.__getitem__, op.children)))
-                            for op in map(dag.op_nodes.__getitem__, node.child_ops)])
-        cells[eq_id], cell.eq = cell, eq_id
+    cells of the eq-nodes after it with an op-node over the tier.  The
+    plain pass reads the join dag's price table (`joindag.Prices`; an empty
+    one for a dag that carries none): its inputs-first order, and each
+    node's prices where nothing may sit at or below the node, which takes
+    no DP step."""
+    prices = dag.prices if dag.prices is not None else joindag.Prices(dag)
+    order = prices.inputs_first(dag)
+    if dp.empty:   # every node is plain
+        cells = {eq_id: _priced(prices, eq_id) for eq_id in order}
+    else:
+        eq_nodes, op_nodes, cells = dag.eq_nodes, dag.op_nodes, {}
+        for eq_id in order:
+            node = eq_nodes[eq_id]
+            if node.is_base:
+                relation = node.signature[0][0]
+                cell = (dp.leaf(relation, node.est_size)
+                        if dp.rel_bits or relation in dp.on_relation else _priced(prices, eq_id))
+            else:
+                kids = op_nodes[node.child_ops[0]].children
+                first, last = cells[kids[0]], cells[kids[-1]]
+                if first.mask | last.mask or dp.holds_order(first, last):
+                    cell = dp.node([(op, tuple(map(cells.__getitem__, op.children)))
+                                    for op in map(op_nodes.__getitem__, node.child_ops)])
+                else:
+                    cell = dp.priced(_priced(prices, eq_id), first, last)
+            cells[eq_id], cell.eq = cell, eq_id
     full = dp.width - 1
     plain = {root: dp.total(cells[root].best[full], cells[root].size[full])
              for root in dag.query_roots.values()}
     if dp.group is None:
-        return _Pass(cells, [], plain)
+        return _Pass(cells, [], plain, prices)
     flat, landings = min(plain.values()), []   # (bound, position in order, cell) per landing
     for i, eq_id in enumerate(order):
         if cells[eq_id].rels & dp.gb_rels == dp.gb_rels:
@@ -440,7 +560,7 @@ def _select_floors(dag: Dag, dp: _Placement) -> _Pass:
         tiers.append(tier)
         for root in roots.keys() & tier.keys():
             roots[root] = min(roots[root], dp.total(tier[root].best[full], tier[root].size[full]))
-    return _Pass(cells, tiers, roots)
+    return _Pass(cells, tiers, roots, prices)
 
 
 def _block_placement(query: Query, catalog: Catalog) -> _Placement:
@@ -469,7 +589,22 @@ def sprinkle_selects(jd: Dag, query: Query, catalog: Catalog) -> Dag:
                 raise ValidationError(f"select on {cond.relation!r} but query "
                                       f"{query_id!r} covers {sorted(bases)}")
     dp = _block_placement(query, catalog)
-    return _decorate_stage(jd, dp, _select_floors(jd, dp))
+    if not dp.empty or jd.prices is None or len(jd.query_roots) != 1:
+        return _decorate_stage(jd, dp, _select_floors(jd, dp))
+    # nothing to place: the stage's dag is the root's tied op-nodes, the
+    # same for every block over the root.  A cold history serves one block,
+    # so the price table keeps a copy only from a root's second block on,
+    # and each later block copies that
+    ((query_id, root),) = jd.query_roots.items()
+    finals = jd.prices.finals
+    if finals.get(root) is None:
+        fresh = _decorate_stage(jd, dp, _select_floors(jd, dp))
+        finals[root] = (fresh.clone(), fresh.query_roots[query_id]) if root in finals else None
+        return fresh
+    final, top = finals[root]
+    fresh = final.clone()
+    fresh.query_roots = {query_id: top}
+    return fresh
 
 
 # -- projections -------------------------------------------------------------
@@ -577,7 +712,7 @@ def extract_query_joindag(history: HistoryDag, query: Query, catalog: Catalog,
     else:
         join_texts = tuple(sorted(j.canonical() for j in extract_join_set(query)))
         root = joindag.query_join_root(history, query.tables, join_texts)
-        out = history.dag.below(root)
+        out = history.prices.below(root)
     memo.register_root(out, query_id, root)
     return out
 
@@ -610,11 +745,16 @@ def optimize_single(query: Query, catalog: Catalog, *,
 
 
 def _splice_plan(plan: Plan, alias: str, inner: Plan) -> Plan:
-    if plan.kind == "base":
-        return inner if plan.relation == alias else plan
-    return op_plan(plan.kind, plan.detail,
-                   tuple(_splice_plan(c, alias, inner) for c in plan.children),
-                   plan.factor)
+    """`plan` with its base relation `alias` replaced by `inner`, each
+    operator priced again over its new inputs (`op_plan`), inputs first
+    (`costplan.inputs_first`), so any depth works."""
+    spliced: dict[int, Plan] = {}   # the id of each node of `plan` -> its new node
+    for node in costplan.inputs_first(plan):
+        spliced[id(node)] = ((inner if node.relation == alias else node) if node.kind == "base"
+                             else op_plan(node.kind, node.detail,
+                                          tuple([spliced[id(c)] for c in node.children]),
+                                          node.factor))
+    return spliced[id(plan)]
 
 
 def _optimize_nested(query: Query, catalog: Catalog, *,

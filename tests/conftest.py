@@ -3,20 +3,23 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import itertools
 import json
 import math
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 
-from sprinkleqo import costplan, memo, sprinkle
+from sprinkleqo import costplan, memo, naive, sprinkle
+from sprinkleqo.analytics import CSV_COLUMNS, MetricsReport, MetricsRow
 from sprinkleqo.catalog import Catalog, load_catalog, load_catalog_file
 from sprinkleqo.cli import main
 from sprinkleqo.costplan import Plan, base_plan
-from sprinkleqo.errors import DagError
+from sprinkleqo.errors import DEFAULT_MAX_OPS, DagError, ValidationError
 from sprinkleqo.memo import Dag
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -172,24 +175,12 @@ def enumerate_plans(dag: Dag, root_eq: int) -> list[Plan]:
     return expand(root_eq)
 
 
-def _inputs_first(plan: Plan) -> list[Plan]:
-    """Every node of a plan tree, each node's inputs first and left to
-    right: the reverse of a walk from the root that takes the inputs right
-    to left, kept on a list of its own, so any depth works."""
-    order, stack = [], [plan]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack += node.children
-    return order[::-1]
-
-
 def intern_plan(dag: Dag, plan: Plan) -> int:
     """Intern every node of a plan tree into the memo, each node's inputs
-    first and left to right (`_inputs_first`), with the plan's own sizes
+    first and left to right (`costplan.inputs_first`), with the plan's own sizes
     and costs; returns the root eq-node."""
     interned: dict[int, int] = {}   # the id of each plan node -> its eq-node
-    for node in _inputs_first(plan):
+    for node in costplan.inputs_first(plan):
         interned[id(node)] = (memo.ensure_base(dag, node.relation, node.est_size)
                               if node.kind == "base" else
                               memo.attach_op(dag, node.kind, node.detail,
@@ -241,3 +232,44 @@ def place_selects_on_plan(plan: Plan, selects, *, dp=None) -> Plan:
     whose tie rule picks among the placements that tie."""
     placed = decorate_plan(plan, selects, dp=dp)
     return costplan.best_plan(placed, placed.query_roots["plan"])
+
+
+def incremental_naive_add(queries, catalog: Catalog, limit: int = DEFAULT_MAX_OPS) -> Dag:
+    """The baseline memo with extra queries folded in: the baseline keeps no
+    versioned history, so adding a query expands every query (`queries`,
+    each with its id) again into one fresh shared memo."""
+    fresh = Dag()
+    for qid, query in queries:
+        naive.build_naive_dag(query, catalog, limit, query_id=qid, dag=fresh)
+    return fresh
+
+
+def parse_count(text: str) -> Fraction | None:
+    """A count as `analytics.format_count` writes it; None for empty text."""
+    return None if text == "" else Fraction(text)
+
+
+def report_from_csv(text: str) -> MetricsReport:
+    """The rows of a metrics CSV (`analytics.report_to_csv`) read back;
+    ValidationError on a wrong header or row width."""
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows or tuple(rows[0]) != CSV_COLUMNS:
+        raise ValidationError(f"metrics CSV must start with header {CSV_COLUMNS}")
+    out: list[MetricsRow] = []
+    for raw in rows[1:]:
+        if len(raw) != len(CSV_COLUMNS):
+            raise ValidationError(f"metrics CSV row has {len(raw)} fields: {raw!r}")
+        (query_id, mode, eq_nodes, op_nodes, plans, build_ms, best_cost,
+         est_eq, est_plans, est_time, status) = raw
+        out.append(MetricsRow(
+            query_id=query_id, mode=mode,
+            eq_nodes=None if eq_nodes == "" else int(eq_nodes),
+            op_nodes=None if op_nodes == "" else int(op_nodes),
+            plans=None if plans == "" else int(plans),
+            build_ms=None if build_ms == "" else float(build_ms),
+            best_cost=None if best_cost == "" else float(best_cost),
+            est_eq_nodes=None if est_eq == "" else int(est_eq),
+            est_plans=None if est_plans == "" else int(est_plans),
+            est_time_complexity=parse_count(est_time),
+            status=status))
+    return MetricsReport(rows=out, notes=[])

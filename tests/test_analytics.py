@@ -13,12 +13,11 @@ from sprinkleqo.analytics import (MetricsReport, MetricsRow, andor_eqnodes_after
                                   complexity_params_for, failure_row, format_count,
                                   joindag_eqnodes_after_selects,
                                   joindag_time_complexity, measured_row,
-                                  naive_time_complexity, report_from_csv,
-                                  report_to_csv)
+                                  naive_time_complexity, report_to_csv)
 from sprinkleqo.errors import ValidationError
 from sprinkleqo.sqlfront import parse_query
 
-from conftest import fixture_sql
+from conftest import fixture_sql, parse_count, report_from_csv
 
 small_ints = st.integers(min_value=0, max_value=12)
 
@@ -163,9 +162,9 @@ def test_format_count_cases():
     assert format_count(Fraction(10)) == "10"
     assert format_count(Fraction(7, 2)) == "3.5"
     assert format_count(Fraction(1, 3)) == "1/3"
-    assert analytics._parse_count("") is None
-    assert analytics._parse_count("3.5") == Fraction(7, 2)
-    assert analytics._parse_count("1/3") == Fraction(1, 3)
+    assert parse_count("") is None
+    assert parse_count("3.5") == Fraction(7, 2)
+    assert parse_count("1/3") == Fraction(1, 3)
 
 
 def sample_rows():

@@ -13,7 +13,7 @@ from sprinkleqo.cli import main
 from sprinkleqo.ioutil import locked
 from sprinkleqo.sqlfront import extract_join_set, parse_query
 
-from conftest import FIXTURES
+from conftest import FIXTURES, report_from_csv
 
 COMPANY = str(FIXTURES / "company" / "schema.json")
 TPCH = str(FIXTURES / "tpch" / "schema.json")
@@ -48,7 +48,7 @@ def test_optimize_joindag_writes_all_artifacts(capsys, tmp_path):
     assert text.startswith("digraph")
     assert "->" in text
 
-    parsed = analytics.report_from_csv(report.read_text())
+    parsed = report_from_csv(report.read_text())
     (row,) = parsed.rows
     assert (row.query_id, row.mode, row.status) == ("q1", "joindag", "ok")
     assert (row.eq_nodes, row.op_nodes, row.plans) == (8, 5, 1)
@@ -81,7 +81,7 @@ def test_optimize_builds_complexity_parameters_only_for_a_report(capsys, tmp_pat
     code, _, _ = run(capsys, "optimize", "--schema", COMPANY, "--query", Q1, "--mode", "naive",
                      "--report", str(report))
     assert code == 0 and len(builds) == 1
-    (row,) = analytics.report_from_csv(report.read_text()).rows
+    (row,) = report_from_csv(report.read_text()).rows
     assert (row.est_eq_nodes, row.est_plans) == (54, 40)
 
 
@@ -534,7 +534,7 @@ def bench_rows(capsys, tmp_path, schema, queries_dir, *extra):
                             "--queries", queries_dir, "--report", str(report),
                             *extra)
     assert code == 0
-    return analytics.report_from_csv(report.read_text()).rows, stdout, err
+    return report_from_csv(report.read_text()).rows, stdout, err
 
 
 def test_bench_tpch_workload(capsys, tmp_path):

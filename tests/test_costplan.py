@@ -260,6 +260,22 @@ def test_plan_key_of_a_plan_deeper_than_the_stack():
     assert plan_key(deep_select_chain(depth)) == expected
 
 
+def test_to_doc_and_splice_of_a_plan_deeper_than_the_stack():
+    # the join's input a, a view, is replaced by an inner plan: each select
+    # above it is priced again, the join over inner's 10 rows instead of 1000
+    depth = sys.getrecursionlimit() + 200
+    inner = op_plan(KIND_SELECT, "v.y > 1", (base_plan("v", 100.0),), 0.1)
+    spliced = sprinkle._splice_plan(deep_select_chain(depth), "a", inner)
+    doc, node = spliced.to_doc(), spliced
+    for _ in range(depth):
+        assert (doc["kind"], doc["predicate"], doc["cum_cost"]) == \
+            (KIND_SELECT, node.detail, node.cum_cost)
+        (doc,), (node,) = doc["children"], node.children
+    assert node.cum_cost == 100.0 + 10.0 * 1000.0 and doc["est_size"] == 10.0
+    assert doc["children"][0] == inner.to_doc()
+    assert spliced.cum_cost == node.cum_cost + depth * 10.0
+
+
 def test_plan_to_doc_shape():
     a = base_plan("a", 10.0)
     s = op_plan("select", "a.x > 1", (a,), 0.2)

@@ -121,6 +121,36 @@ def test_incremental_equals_complete_random_batches():
         assert structure(h)[2:] == structure(complete)[2:]
 
 
+def test_a_one_component_history_lies_below_its_root():
+    """Every eq-node of a history whose joins form one component lies below
+    that component's root, however its batches arrived and merged, so the
+    price table reads such a root's view with no walk; every other view it
+    keeps is the walk's, and a later read shares the kept maps."""
+    rng, one_component = random.Random(515253), 0
+    for _ in range(40):
+        catalog = random_schema(rng, max_edges=8)
+        joins = list(catalog.graph.edges)
+        rng.shuffle(joins)
+        h = joindag.empty_history(catalog)
+        for k in range(0, len(joins), 2):
+            h = joindag.build_incremental(h, tuple(joins[k:k + 2]), catalog)
+            roots = list(h.dag.query_roots.values())
+            if len(roots) == 1:
+                below = h.dag.below(roots[0])
+                assert below.eq_nodes == h.dag.eq_nodes and below.op_nodes == h.dag.op_nodes
+                one_component += 1
+            for root in roots:
+                view, walked = h.prices.below(root), h.dag.below(root)
+                assert view.eq_nodes == walked.eq_nodes and view.op_nodes == walked.op_nodes
+                assert view.prices is h.prices and not view.query_roots
+                again = h.prices.below(root)
+                assert again is not view and again.eq_nodes is view.eq_nodes
+                memo.register_root(again, "q1", root)
+                assert h.prices.inputs_first(again) is h.prices.views[root][2]
+                assert h.prices.views[root][2] == memo.topological_order(walked)[::-1]
+    assert one_component > 40
+
+
 def test_query_join_root_full_and_subset(company_catalog):
     h = joindag.build_complete_history(company_catalog,
                                        company_catalog.graph.edges)

@@ -11,7 +11,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sprinkleqo import joindag, memo
+from sprinkleqo import joindag, memo, naive, sprinkle
 from sprinkleqo.errors import DagError, PersistenceError
 from sprinkleqo.memo import (Dag, KIND_GROUPBY, KIND_JOIN, KIND_JOINFILTER,
                              KIND_PROJECT, KIND_SELECT, OpNode, SIZE_RTOL,
@@ -20,8 +20,9 @@ from sprinkleqo.memo import (Dag, KIND_GROUPBY, KIND_JOIN, KIND_JOINFILTER,
                              export_dot, extend_signature, intern_eq,
                              join_signature, merge_below, plan_count_for, register_root,
                              signature_text)
+from sprinkleqo.sqlfront import parse_query
 
-from conftest import make_catalog, random_schema
+from conftest import FIXTURES, make_catalog, random_schema
 
 
 def two_base_dag():
@@ -403,6 +404,26 @@ def test_topological_order_is_consumers_first_on_histories_and_their_copies():
             order = memo.topological_order(candidate)
             assert order == entries_then_ids(candidate)
             assert_consumers_first(candidate, order)
+
+
+def test_topological_order_is_the_one_key_order_on_fixture_dags(company_catalog, tpch_catalog):
+    """The two sorts `topological_order` takes, by id and then stably by
+    entry count, give the order one sort by (-entries, id) gives, on each
+    fixture schema's complete history and its views, on the final dag of
+    every fixture query, and on the naive dag of each the baseline takes."""
+    checked = 0
+    for group, catalog in (("company", company_catalog), ("tpch", tpch_catalog)):
+        history = joindag.build_complete_history(catalog, catalog.graph.edges)
+        dags = [history.dag, *(history.dag.below(root) for root in history.dag.query_roots.values())]
+        for path in sorted((FIXTURES / group).glob("*.sql")):
+            query = parse_query(path.read_text(), catalog)
+            dags.append(sprinkle.optimize_single(query, catalog).dag)
+            if query.subquery is None:
+                dags.append(naive.build_naive_dag(query, catalog, limit=query.n_operations()))
+        for dag in dags:
+            assert memo.topological_order(dag) == entries_then_ids(dag)
+            checked += 1
+    assert checked == 19
 
 
 def test_nothing_writes_through_a_dag_read_in_place():

@@ -8,7 +8,7 @@ from sprinkleqo import costplan, memo, naive
 from sprinkleqo.errors import LimitExceededError, ValidationError
 from sprinkleqo.sqlfront import parse_query
 
-from conftest import check_estimates, fixture_sql
+from conftest import check_estimates, fixture_sql, incremental_naive_add
 
 SUFFIX_KINDS = {memo.KIND_GROUPBY, memo.KIND_HAVING, memo.KIND_PROJECT,
                 memo.KIND_ORDERBY}
@@ -129,7 +129,7 @@ def test_operation_limit(tpch_catalog):
 def test_incremental_add_equals_fresh_combined(company_catalog):
     q1 = parse_query(fixture_sql("company", "q1"), company_catalog)
     q2 = parse_query(fixture_sql("company", "q2"), company_catalog)
-    grown = naive.incremental_naive_add([("q1", q1), ("q2", q2)], company_catalog)
+    grown = incremental_naive_add([("q1", q1), ("q2", q2)], company_catalog)
 
     combined = naive.build_naive_dag(q1, company_catalog, query_id="q1")
     naive.build_naive_dag(q2, company_catalog, query_id="q2", dag=combined)
@@ -158,7 +158,7 @@ def test_grouped_queries_at_different_landings_share_one_memo(tpch_catalog):
     # group-by's text, so their sizes never meet in one eq-node
     queries = [(qid, parse_query(fixture_sql("tpch", qid), tpch_catalog))
                for qid in ("q1", "q3", "q4")]
-    shared = naive.incremental_naive_add(queries, tpch_catalog)
+    shared = incremental_naive_add(queries, tpch_catalog)
     check_estimates(shared)
     for qid, query in queries:
         alone = naive.build_naive_dag(query, tpch_catalog)

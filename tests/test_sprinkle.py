@@ -579,6 +579,12 @@ def counting(monkeypatch, owner, name):
     return results
 
 
+def filled(jd):
+    """How many eq-nodes, bases aside, the price table of a join dag holds:
+    each priced by the table, taking no DP step."""
+    return sum(not jd.eq_nodes[eq_id].is_base for eq_id in jd.prices.nodes)
+
+
 def test_eight_leaf_star_places_selects_on_few_plans(monkeypatch):
     cards = [20000, 10, 300, 5000, 40, 1000, 70, 2000, 100]
     relations = [{"name": f"r{i}", "cardinality": float(card),
@@ -600,10 +606,12 @@ def test_eight_leaf_star_places_selects_on_few_plans(monkeypatch):
     attached = counting(monkeypatch, memo, "attach_op")
     pruned = sprinkle.sprinkle_selects(jd, query, catalog)
     # the per-plan leaf bound lets 34 of the 40320 plans through to
-    # placement; the stage takes one DP step per eq-node and attaches only
+    # placement; the stage prices each eq-node once, by a DP step over r3's
+    # 128 and from the price table under the other 127, and attaches only
     # the one optimal plan, its 8 joins and its select, each once
     assert oracle_placed == 34
-    assert len(steps) == sum(not node.is_base for node in jd.eq_nodes.values()) == 255
+    assert (len(steps), filled(jd)) == (128, 127)
+    assert len(steps) + filled(jd) == sum(not node.is_base for node in jd.eq_nodes.values()) == 255
     assert len(attached) == len(pruned.op_nodes) == 9
     best = costplan.best_plan(oracle, oracle.query_roots["q1"]).cum_cost
     assert costplan.best_plan(pruned, pruned.query_roots["q1"]).cum_cost == best
@@ -1165,6 +1173,22 @@ def operator_cost(cell, u):
                default=math.inf)
 
 
+def with_alternatives(jd, passed):
+    """`passed` with each plain cell read from the price table replaced by a
+    copy that holds the alternatives a DP step would have read: its
+    op-nodes over their inputs' plain cells.  Such a cell is then checked
+    as a stepped one is, and the table's own cells are left as they are."""
+    cells = dict(passed.cells)
+    for eq_id, cell in passed.cells.items():
+        if cell.alternatives is None:
+            cells[eq_id] = sprinkle._Cell(0, [(op, tuple(map(passed.cells.__getitem__, op.children)))
+                                              for op in map(jd.op_nodes.__getitem__,
+                                                            jd.eq_nodes[eq_id].child_ops)],
+                                          cell.size, cell.best)
+            cells[eq_id].eq = eq_id
+    return passed._replace(cells=cells)
+
+
 def pair_loop_best(dp, cell):
     """The cell's least cost per set S at or below it, from `operator_cost`
     and its own `size` by the O(3**bits) loop: every U below the operator
@@ -1237,7 +1261,7 @@ def test_the_stacking_sweep_matches_the_pair_loop():
     for sql, catalog in grouped_oracle_queries() + one_relation_stacks() + [internal_stack_block()]:
         query, jd = joindag_for(sql, catalog)
         dp = sprinkle._block_placement(query, catalog)
-        passed = sprinkle._select_floors(jd, dp)
+        passed = with_alternatives(jd, sprinkle._select_floors(jd, dp))
         for cells in [passed.cells] + passed.tiers:
             for cell in cells.values():
                 if cell.alternatives[0][0] is None:
@@ -1297,7 +1321,7 @@ def test_every_state_has_an_alternative_at_its_best_and_none_below():
     for sql, catalog in stage_inputs() + grouped_oracle_queries() + one_relation_stacks():
         query, jd = joindag_for(sql, catalog)
         dp = sprinkle._block_placement(query, catalog)
-        passed = sprinkle._select_floors(jd, dp)
+        passed = with_alternatives(jd, sprinkle._select_floors(jd, dp))
         for cells in [passed.cells] + passed.tiers:
             for cell in cells.values():
                 for s, best in enumerate(cell.best):
@@ -1350,21 +1374,23 @@ def test_twelve_join_chain_decorates_few_of_its_plans(monkeypatch):
     # with both selects on their leaves, and its final dag holds those
     # (ordered, the order-by sits on r7's select); 120 more lie 9.0e-10
     # above it in exact arithmetic, within the root's rounding but beyond
-    # some state's.  The pass takes one DP step per eq-node, and grouping
-    # adds one per node above each landing it prices.  The registered
-    # landing, {r1..r6}, holds 48 plans; ordered on r3.b, the order-by sits
-    # on it or on its join with r7, which keeps its size: 96
+    # some state's.  The pass prices each of the 78 eq-nodes once: the 16
+    # with neither r3 nor r7 below them from the price table, the 62 others
+    # by a DP step; grouping adds one step per node above each landing it
+    # prices.  The registered landing, {r1..r6}, holds 48 plans; ordered on
+    # r3.b, the order-by sits on it or on its join with r7, which keeps its
+    # size: 96
     catalog = chain_catalog(12)
     steps = counting(monkeypatch, sprinkle._Placement, "node")
-    for clauses, counts in (("", (78, 128)), (" group by r3.b", (138, 48)),
-                            (" order by r7.a0", (78, 128)),
-                            (" group by r3.b order by r3.b", (138, 96))):
+    for clauses, counts in (("", (62, 16, 128)), (" group by r3.b", (122, 16, 48)),
+                            (" order by r7.a0", (62, 16, 128)),
+                            (" group by r3.b order by r3.b", (122, 16, 96))):
         steps.clear()
         res = sprinkle.optimize_single(parse_query(twelve_join_chain_sql() + clauses, catalog),
                                        catalog, limit=12)
         assert memo.count_nodes(res.jd)[2] == 208012
         plans = memo.plan_count_for(res.dag, res.dag.query_roots["q1"])
-        assert (len(steps), plans) == counts, clauses
+        assert (len(steps), filled(res.jd), plans) == counts, clauses
 
 
 def test_no_plan_of_the_twelve_join_chain_lies_above_rounding():
@@ -1520,15 +1546,17 @@ def test_landing_bound_holds_for_a_having_that_grows_its_input():
 
 
 def test_cold_grouped_tpch_blocks_pass_over_few_nodes(tpch_catalog, monkeypatch):
-    # the memo pass is the only DP a block runs: one step per eq-node and
-    # per node above each landing whose bound can reach the optimum (a pass
-    # for every landing takes 184 steps on tq1 and 75 on q4)
+    # the memo pass is the only DP a block runs: each eq-node priced once,
+    # from the price table where nothing may sit at or below it (3 of tq1's
+    # 36, 6 of q4's 24) and by a step elsewhere, and one step per node above
+    # each landing whose bound can reach the optimum (a pass for every
+    # landing takes 184 steps on tq1 and 75 on q4)
     steps = counting(monkeypatch, sprinkle._Placement, "node")
-    for name, step_count in (("tq1", 62), ("q4", 33)):
+    for name, counts in (("tq1", (59, 3)), ("q4", (27, 6))):
         steps.clear()
-        sprinkle.optimize_single(parse_query(fixture_sql("tpch", name), tpch_catalog),
-                                 tpch_catalog)
-        assert len(steps) == step_count, name
+        res = sprinkle.optimize_single(parse_query(fixture_sql("tpch", name), tpch_catalog),
+                                       tpch_catalog)
+        assert (len(steps), filled(res.jd)) == counts, name
 
 
 def test_a_cold_flat_block_sorts_its_join_dag_once(company_catalog, monkeypatch):
@@ -2252,3 +2280,162 @@ def test_cold_join_dag_reads_the_history_in_place(monkeypatch, company_catalog, 
         jd = check_join_dag(history, query, catalog, None, calls)
         assert jd.eq_nodes == history.dag.eq_nodes and jd.op_nodes == history.dag.op_nodes
         assert "q1" not in history.dag.query_roots
+
+
+# -- the price table ------------------------------------------------------------
+
+def price_histories(company_catalog, tpch_catalog):
+    """The complete history of each fixture schema, over its FK joins and
+    every join of its flat fixture queries, and of the first 10 seeded
+    `random_schema` catalogs whose join graph has a cycle, over their FK
+    joins."""
+    out = []
+    for group, catalog in (("company", company_catalog), ("tpch", tpch_catalog)):
+        joins = {cond.canonical(): cond for cond in catalog.graph.edges}
+        for path in sorted((FIXTURES / group).glob("*.sql")):
+            query = parse_query(path.read_text(), catalog)
+            if query.subquery is None:
+                joins.update((cond.canonical(), cond) for cond in extract_join_set(query))
+        out.append(joindag.build_complete_history(catalog, tuple(joins[t] for t in sorted(joins))))
+    rng = random.Random(20260)
+    while len(out) < 12:
+        catalog = random_schema(rng, max_edges=8)
+        if any(sum(1 for e in catalog.graph.edges if set(e.relations()) <= component)
+               >= len(component) for component in catalog.graph.components()):
+            out.append(joindag.build_complete_history(catalog, catalog.graph.edges))
+    return out
+
+
+def stepped_cells(dag, dp):
+    """Each eq-node's cell by the DP step alone (`_Placement.leaf` and
+    `node`), inputs first, reading no price table."""
+    cells = {}
+    for eq_id in reversed(memo.topological_order(dag)):
+        node = dag.eq_nodes[eq_id]
+        cells[eq_id] = (dp.leaf(node.signature[0][0], node.est_size) if node.is_base else
+                        dp.node([(op, tuple(map(cells.__getitem__, op.children)))
+                                 for op in map(dag.op_nodes.__getitem__, node.child_ops)]))
+        cells[eq_id].eq = eq_id
+    return cells
+
+
+def test_the_price_table_prices_set_0_as_the_dp_step(company_catalog, tpch_catalog):
+    # every eq-node of each history, bit for bit: its size and least cost
+    # at set 0 against the step of a block with nothing to place and of one
+    # with a select on the history's first relation, which steps over every
+    # node above that relation; and its tied op-nodes against what the
+    # state walk keeps at set 0 of the stepped cell
+    compared = joinfilters = 0
+    for history in price_histories(company_catalog, tpch_catalog):
+        dag, prices = history.dag, joindag.Prices(history.dag)
+        table = {eq_id: sprinkle._priced(prices, eq_id)
+                 for eq_id in reversed(memo.topological_order(dag))}
+        first = min(node.signature[0][0] for node in dag.eq_nodes.values())
+        for dp in (sprinkle._Placement(()),
+                   sprinkle._Placement((SelectCondition(first, "x", ">", 1, 0.5),))):
+            stepped = stepped_cells(dag, dp)
+            passed = sprinkle._Pass(stepped, [], {}, prices)
+            for eq_id, cell in stepped.items():
+                assert table[eq_id].size[0].hex() == cell.size[0].hex()
+                assert table[eq_id].best[0].hex() == cell.best[0].hex()
+                if not dag.eq_nodes[eq_id].is_base:
+                    kept = sprinkle._kept_alternatives(dp, passed, cell, 0)
+                    assert sprinkle._tied(prices, eq_id) == [what for what, _ in kept]
+                    compared += 1
+        joinfilters += any(op.kind == KIND_JOINFILTER for op in dag.op_nodes.values())
+    assert (compared, joinfilters) == (2 * 494, 12)
+
+
+def price_all(history):
+    """Price every eq-node of a history into its table, inputs first, and
+    return the table as `priced_by_text` reads it."""
+    for eq_id in reversed(memo.topological_order(history.dag)):
+        sprinkle._priced(history.prices, eq_id)
+    return priced_by_text(history)
+
+
+def priced_by_text(history):
+    """Each eq-node in a history's table, by its signature text: its size
+    and least cost as hex, and, above a base, its tied op-nodes as (kind,
+    detail, input texts), so that ids do not count."""
+    dag, out = history.dag, {}
+    for eq_id, cell in history.prices.nodes.items():
+        entry = (cell.size[0].hex(), cell.best[0].hex())
+        if not dag.eq_nodes[eq_id].is_base:
+            entry += tuple((op.kind, op.detail, tuple(dag.eq_nodes[c].text for c in op.children))
+                           for op in sprinkle._tied(history.prices, eq_id))
+        out[dag.eq_nodes[eq_id].text] = entry
+    return out
+
+
+def test_growing_a_priced_history_prices_like_a_fresh_build(company_catalog):
+    # company's joins in three batches, the second and third each joining
+    # two components of the version before; each version is priced by a
+    # join-only block over its largest component and then in full
+    catalog = company_catalog
+    joins = sorted(catalog.graph.edges, key=lambda cond: cond.canonical())
+    history = joindag.build_complete_history(catalog, tuple(joins[:2]))
+    versions = [(history, price_all(history))]
+    same = joindag.build_incremental(history, tuple(joins[:1]), catalog)
+    assert same.dag is history.dag and same.prices is history.prices   # no new join
+    for batch in (joins[2:4], joins[4:]):
+        old = versions[-1][0]
+        history = joindag.build_incremental(old, tuple(batch), catalog)
+        assert history.prices is not old.prices
+        assert not history.prices.nodes and not history.prices.views
+        components = sorted(history.dag.query_roots.values(),
+                            key=lambda root: -len(history.dag.eq_nodes[root].signature[0]))
+        bases, texts = history.dag.eq_nodes[components[0]].signature[:2]
+        query = parse_query("select * from " + ", ".join(bases) + " where "
+                            + " and ".join(texts), catalog)
+        sprinkle.optimize_single(query, catalog, history=history)
+        fresh = joindag.build_complete_history(catalog, tuple(history.known_joins.values()))
+        expected = price_all(fresh)
+        block = priced_by_text(history)
+        assert block and block == {text: expected[text] for text in block}
+        assert price_all(history) == expected
+        versions.append((history, expected))
+    assert len(versions[-1][1]) > len(versions[0][1])
+    for history, priced in versions:   # a later version leaves an earlier one's table as it was
+        assert priced_by_text(history) == priced
+
+
+def test_a_warm_join_only_block_takes_no_step_and_sorts_no_join_dag(monkeypatch, company_catalog,
+                                                                   tpch_catalog):
+    # the first block over a history version's root fills its table and
+    # keeps the root's view and order; the second takes every price and the
+    # order from them and keeps a copy of its stage's dag; each later one
+    # takes a copy of that.  Whatever its projection, each block gives the
+    # cold block's final dag, to its registry, plan and cost bits
+    history = price_histories(company_catalog, tpch_catalog)[1]
+    flat = dataclasses.replace(parse_query(fixture_sql("tpch", "tq1"), tpch_catalog),
+                               selects=(), group_by=(), having=None, order_by=())
+    queries = [flat, dataclasses.replace(flat, projections=(flat.projections[0],))]
+    colds = [sprinkle.optimize_single(query, tpch_catalog) for query in queries]
+    steps = counting(monkeypatch, sprinkle._Placement, "node")
+    sorted_dags = []
+    order = memo.topological_order
+    monkeypatch.setattr(memo, "topological_order",
+                        lambda dag: sorted_dags.append(dag) or order(dag))
+    history_nodes = {id(node) for node in history.dag.eq_nodes.values()}
+    for block in range(4):
+        steps.clear()
+        sorted_dags.clear()
+        filled = len(history.prices.nodes)
+        query, cold = queries[block % 2], colds[block % 2]
+        warm = sprinkle.optimize_single(query, tpch_catalog, history=history)
+        assert warm.history.prices is history.prices and warm.jd.prices is history.prices
+        assert steps == []
+        assert memo.dag_to_doc(warm.dag) == memo.dag_to_doc(cold.dag)
+        assert (warm.dag._bits, warm.dag._key_index, warm.dag._op_index) == \
+            (cold.dag._bits, cold.dag._key_index, cold.dag._op_index)
+        assert (warm.dag._next_eq, warm.dag._next_op) == (cold.dag._next_eq, cold.dag._next_op)
+        assert plan_key(warm.plan) == plan_key(cold.plan)
+        assert warm.plan.cum_cost.hex() == cold.plan.cum_cost.hex()
+        sorts = sum(not history_nodes.isdisjoint(map(id, dag.eq_nodes.values()))
+                    for dag in sorted_dags)
+        assert (sorts, len(history.prices.nodes) > filled) == ((block == 0,) * 2)
+        (root,) = warm.jd.query_roots.values()
+        assert (history.prices.finals[root] is None) == (block == 0)
+    assert colds[0].plan.kind != colds[1].plan.kind or \
+        plan_key(colds[0].plan) != plan_key(colds[1].plan)
