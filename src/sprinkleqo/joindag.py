@@ -13,10 +13,9 @@ and tied op-nodes depend only on the catalog, so each history version
 keeps one price table (`Prices`), the winner table of a Cascades memo
 (Graefe, "The Cascades Framework for Query Optimization", 1995).  It holds
 each eq-node a block has priced with nothing placed at or below it (the
-place stage fills it, `sprinkle._priced`), what each query root reaches
-with its inputs-first order, and, for a root read by more than one block
-with nothing to place, the place stage's dag of it.  It is filled on demand,
-never at build or load, and never saved: the history's file and format
+place stage fills it, `sprinkle._priced`), and what each query root
+reaches with its inputs-first order.  It is filled on demand, never at
+build or load, and never saved: the history's file and format
 do not change.  A version that only bumps the number
 (`dataclasses.replace`) shares its table; one with new joins is a
 `clone`, which starts an empty one.  A join dag the table did not give
@@ -59,46 +58,30 @@ class Prices:
     demand.  `nodes` maps each eq-node priced so far to the place stage's
     DP cell of it with nothing placed (`sprinkle._priced`).  `views` maps
     each root asked for to the eq-node and op-node maps below it and their
-    inputs-first order (`below`).  `finals` maps each root that a block
-    with nothing to place has read to None after the first such block, and
-    then to a copy of the place stage's dag of it with that dag's root
-    (`sprinkle.sprinkle_selects`)."""
+    inputs-first order (`below`)."""
 
-    __slots__ = ("dag", "nodes", "views", "finals")
+    __slots__ = ("dag", "nodes", "views")
 
     def __init__(self, dag: Dag):
         self.dag = dag
         self.nodes: dict = {}
         self.views: dict[int, tuple[dict, dict, list[int]]] = {}
-        self.finals: dict[int, tuple[Dag, int] | None] = {}
 
     def below(self, root: int) -> Dag:
-        """`dag.below(root)`, its maps made once per root and kept with
-        their inputs-first order; each call returns a new view of the kept
-        maps (`Dag.view`), with this table as its `prices`.  A history of
-        one component needs no walk below that component's root: every
-        eq-node its builds made lies below it, for each is some forest
-        state's tree, which later steps join into the full join.  The table
-        keeps maps, not the view, so that nothing it holds refers back to
-        it, and a history no block reads any longer is freed at once."""
+        """`dag.below(root)`, walked once per root and kept with its
+        inputs-first order; each call returns a new view of the kept maps
+        (`Dag.view`) that carries this table as its `prices` and the kept
+        order as its `order`.  The table keeps maps, not the view, so that
+        nothing it holds refers back to it, and a history no block reads
+        any longer is freed at once."""
         kept = self.views.get(root)
         if kept is None:
-            roots = self.dag.query_roots
-            view = (self.dag.view(self.dag.eq_nodes, self.dag.op_nodes)
-                    if len(roots) == 1 and root in roots.values() else self.dag.below(root))
+            view = self.dag.below(root)
             kept = self.views[root] = (view.eq_nodes, view.op_nodes,
                                        memo.topological_order(view)[::-1])
         out = self.dag.view(kept[0], kept[1])
-        out.prices = self
+        out.prices, out.order = self, kept[2]
         return out
-
-    def inputs_first(self, dag: Dag) -> list[int]:
-        """`dag`'s eq-nodes, inputs first: the kept order of a view `below`
-        made, and the reversed `memo.topological_order` of any other dag."""
-        kept = self.views.get(next(iter(dag.query_roots.values()), None))
-        if kept is not None and kept[0] is dag.eq_nodes:
-            return kept[2]
-        return memo.topological_order(dag)[::-1]
 
 
 @dataclass

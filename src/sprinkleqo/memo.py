@@ -163,14 +163,15 @@ class Dag:
     """Mutable memo table; eq/op ids are assigned in intern order.  Its
     registry gives each text the next bit of its component (bases, joins,
     unary ops) on first sight; its key index maps each eq-node's key to its
-    id.  `prices` is the price table of the history a view of it was read
-    from (`joindag.Prices.below`), and None on every other dag."""
+    id.  A view read from a history's price table (`joindag.Prices.below`)
+    carries that table as `prices` and its eq-node ids inputs first as
+    `order`; both are None on every other dag."""
 
     def __init__(self):
         self.eq_nodes: dict[int, EqNode] = {}
         self.op_nodes: dict[int, OpNode] = {}
         self.query_roots: dict[str, int] = {}
-        self.prices = None
+        self.prices = self.order = None
         self._bits: tuple[dict[str, int], ...] = ({}, {}, {})   # per component: text -> bit
         self._key_index: dict[Key, int] = {}
         self._op_index: dict[tuple, int] = {}   # op-node sort_key -> the eq-node above it

@@ -53,8 +53,7 @@ a cell takes no DP step: `_priced` prices it once per history version,
 exactly as the step prices set 0, and every later block shares it; its
 tied op-nodes (`_tied`), which the state walk keeps, are found once too.
 A cell above a landing always steps, for the landing changes its sizes.
-A block with nothing to place takes no step at all, and from the third
-block over one root on, copies the stage's dag the table keeps for it.
+A block with nothing to place takes no step at all.
 """
 
 from __future__ import annotations
@@ -509,11 +508,11 @@ def _select_floors(dag: Dag, dp: _Placement) -> _Pass:
     least decorated cost, exactly.  A landing's tier is its cell and the
     cells of the eq-nodes after it with an op-node over the tier.  The
     plain pass reads the join dag's price table (`joindag.Prices`; an empty
-    one for a dag that carries none): its inputs-first order, and each
-    node's prices where nothing may sit at or below the node, which takes
-    no DP step."""
+    one for a dag that carries none) and its kept inputs-first order (the
+    memo's order for a dag that carries none): each node's prices where
+    nothing may sit at or below the node, which takes no DP step."""
     prices = dag.prices if dag.prices is not None else joindag.Prices(dag)
-    order = prices.inputs_first(dag)
+    order = dag.order if dag.order is not None else memo.topological_order(dag)[::-1]
     if dp.empty:   # every node is plain
         cells = {eq_id: _priced(prices, eq_id) for eq_id in order}
     else:
@@ -589,22 +588,7 @@ def sprinkle_selects(jd: Dag, query: Query, catalog: Catalog) -> Dag:
                 raise ValidationError(f"select on {cond.relation!r} but query "
                                       f"{query_id!r} covers {sorted(bases)}")
     dp = _block_placement(query, catalog)
-    if not dp.empty or jd.prices is None or len(jd.query_roots) != 1:
-        return _decorate_stage(jd, dp, _select_floors(jd, dp))
-    # nothing to place: the stage's dag is the root's tied op-nodes, the
-    # same for every block over the root.  A cold history serves one block,
-    # so the price table keeps a copy only from a root's second block on,
-    # and each later block copies that
-    ((query_id, root),) = jd.query_roots.items()
-    finals = jd.prices.finals
-    if finals.get(root) is None:
-        fresh = _decorate_stage(jd, dp, _select_floors(jd, dp))
-        finals[root] = (fresh.clone(), fresh.query_roots[query_id]) if root in finals else None
-        return fresh
-    final, top = finals[root]
-    fresh = final.clone()
-    fresh.query_roots = {query_id: top}
-    return fresh
+    return _decorate_stage(jd, dp, _select_floors(jd, dp))
 
 
 # -- projections -------------------------------------------------------------

@@ -121,12 +121,12 @@ def test_incremental_equals_complete_random_batches():
         assert structure(h)[2:] == structure(complete)[2:]
 
 
-def test_a_one_component_history_lies_below_its_root():
-    """Every eq-node of a history whose joins form one component lies below
-    that component's root, however its batches arrived and merged, so the
-    price table reads such a root's view with no walk; every other view it
-    keeps is the walk's, and a later read shares the kept maps."""
-    rng, one_component = random.Random(515253), 0
+def test_the_price_table_keeps_each_roots_walk_and_order():
+    """The price table's view of a root is the root's walk, handed with the
+    table and the walk's inputs-first order; a later read of the root shares
+    the kept maps and order, and a dag the table did not give carries
+    neither."""
+    rng, roots_read = random.Random(515253), 0
     for _ in range(40):
         catalog = random_schema(rng, max_edges=8)
         joins = list(catalog.graph.edges)
@@ -134,21 +134,17 @@ def test_a_one_component_history_lies_below_its_root():
         h = joindag.empty_history(catalog)
         for k in range(0, len(joins), 2):
             h = joindag.build_incremental(h, tuple(joins[k:k + 2]), catalog)
-            roots = list(h.dag.query_roots.values())
-            if len(roots) == 1:
-                below = h.dag.below(roots[0])
-                assert below.eq_nodes == h.dag.eq_nodes and below.op_nodes == h.dag.op_nodes
-                one_component += 1
-            for root in roots:
+            for root in h.dag.query_roots.values():
                 view, walked = h.prices.below(root), h.dag.below(root)
                 assert view.eq_nodes == walked.eq_nodes and view.op_nodes == walked.op_nodes
                 assert view.prices is h.prices and not view.query_roots
+                assert view.order == memo.topological_order(walked)[::-1]
+                assert walked.prices is None and walked.order is None
                 again = h.prices.below(root)
                 assert again is not view and again.eq_nodes is view.eq_nodes
-                memo.register_root(again, "q1", root)
-                assert h.prices.inputs_first(again) is h.prices.views[root][2]
-                assert h.prices.views[root][2] == memo.topological_order(walked)[::-1]
-    assert one_component > 40
+                assert again.order is view.order is h.prices.views[root][2]
+                roots_read += 1
+    assert roots_read > 60
 
 
 def test_query_join_root_full_and_subset(company_catalog):

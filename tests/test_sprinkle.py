@@ -2403,9 +2403,8 @@ def test_growing_a_priced_history_prices_like_a_fresh_build(company_catalog):
 def test_a_warm_join_only_block_takes_no_step_and_sorts_no_join_dag(monkeypatch, company_catalog,
                                                                    tpch_catalog):
     # the first block over a history version's root fills its table and
-    # keeps the root's view and order; the second takes every price and the
-    # order from them and keeps a copy of its stage's dag; each later one
-    # takes a copy of that.  Whatever its projection, each block gives the
+    # keeps the root's view and order; each later one takes every price and
+    # the order from them.  Whatever its projection, each block gives the
     # cold block's final dag, to its registry, plan and cost bits
     history = price_histories(company_catalog, tpch_catalog)[1]
     flat = dataclasses.replace(parse_query(fixture_sql("tpch", "tq1"), tpch_catalog),
@@ -2435,7 +2434,5 @@ def test_a_warm_join_only_block_takes_no_step_and_sorts_no_join_dag(monkeypatch,
         sorts = sum(not history_nodes.isdisjoint(map(id, dag.eq_nodes.values()))
                     for dag in sorted_dags)
         assert (sorts, len(history.prices.nodes) > filled) == ((block == 0,) * 2)
-        (root,) = warm.jd.query_roots.values()
-        assert (history.prices.finals[root] is None) == (block == 0)
     assert colds[0].plan.kind != colds[1].plan.kind or \
         plan_key(colds[0].plan) != plan_key(colds[1].plan)
