@@ -7,25 +7,37 @@ failure prints one `ERR:<code>:` line on standard error.  The environment
 variable SPRINKLE_QO_LOG (error, info, debug) controls extra diagnostics;
 `debug` adds an internal error's traceback.  Artifacts are always written
 atomically.
+
+A run imports only the layers its command uses, so that start-up does not
+load (and, without bytecode, compile) code it never calls: `naive` for
+`optimize --mode naive`, `sprinkle` (and with it `joindag`) for joindag
+mode, `joindag` for `--history` and the `histdag` commands, and `analytics`
+for `--report` and `bench` (a naive `--report` builds a join dag for its
+complexity parameters, and so loads `sprinkle` too).  `logging` is imported
+and configured only when SPRINKLE_QO_LOG is info or debug, read afresh on
+each `main` call; at the default level nothing is logged.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import pathlib
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from . import analytics, costplan, joindag, memo, naive, sprinkle
+from . import costplan, memo
 from .catalog import Catalog, load_catalog_file
 from .errors import DEFAULT_MAX_OPS, SprinkleQoError, ValidationError
 from .ioutil import atomic_write_text, locked, read_text
 from .sqlfront import Query, extract_join_set, parse_query
 
-log = logging.getLogger("sprinkleqo")
+if TYPE_CHECKING:
+    import logging
+
+    from .joindag import HistoryDag
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,12 +58,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _setup_logging() -> None:
+def _logger() -> logging.Logger | None:
+    """The package logger, with logging configured to standard error, when
+    SPRINKLE_QO_LOG asks for info or debug; None at the default level (error,
+    or a value it does not name), which logs nothing."""
     wanted = os.environ.get("SPRINKLE_QO_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+    if wanted not in ("info", "debug"):
+        return None
+    import logging
     logging.basicConfig(stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s",
-                        level=levels.get(wanted, logging.ERROR))
+                        level=logging.INFO if wanted == "info" else logging.DEBUG)
+    return logging.getLogger("sprinkleqo")
 
 
 def _add_schema(sub: argparse.ArgumentParser) -> None:
@@ -141,15 +159,17 @@ def _effective_limit(args) -> int:
 
 
 def _run_one(query: Query, catalog: Catalog, mode: str, limit: int,
-             history: joindag.HistoryDag | None, query_id: str):
+             history: HistoryDag | None, query_id: str):
     """Returns (dag, plan, considered, join dag or None in naive mode,
     grown_history, elapsed_ms)."""
     start = time.perf_counter()
     if mode == "naive":
+        from . import naive
         dag = naive.build_naive_dag(query, catalog, limit, query_id=query_id)
         plan = costplan.best_plan(dag, dag.query_roots[query_id])
         elapsed = (time.perf_counter() - start) * 1000.0
         return dag, plan, naive.permutations_considered(query), None, history, elapsed
+    from . import sprinkle
     result = sprinkle.optimize_single(query, catalog, history=history,
                                       limit=limit, query_id=query_id)
     elapsed = (time.perf_counter() - start) * 1000.0
@@ -161,6 +181,7 @@ def _params(query: Query, catalog: Catalog, mode: str, limit: int, jd: memo.Dag 
     """A report row's complexity parameters: in joindag mode from the run's
     join dag `jd` (none for a query with a subquery), in naive mode from a
     join dag built for them alone."""
+    from . import analytics
     if mode == "naive":
         return analytics.complexity_params_for(query, catalog, limit)
     if query.subquery is not None:
@@ -193,6 +214,7 @@ def cmd_optimize(args) -> int:
     query = parse_query(read_text(args.query), catalog)
     history = None
     if args.mode == "joindag" and args.history:
+        from . import joindag
         history = joindag.load_history(args.history)
         joindag.verify_catalog(history, catalog)
     dag, plan, considered, jd, _, elapsed = _run_one(
@@ -200,12 +222,14 @@ def cmd_optimize(args) -> int:
     params = _params(query, catalog, args.mode, limit, jd) if args.report else None
     doc = _plan_doc("q1", args.mode, plan, dag, considered,
                     args.count_internal_only)
-    log.info("optimized %s in %.3f ms", args.query, elapsed)
+    if args.log:
+        args.log.info("optimized %s in %.3f ms", args.query, elapsed)
     if args.out:
         atomic_write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     if args.dot:
         atomic_write_text(args.dot, memo.export_dot(dag))
     if args.report:
+        from . import analytics
         row = analytics.measured_row("q1", args.mode, dag, elapsed,
                                      plan.cum_cost, params,
                                      internal_only=args.count_internal_only)
@@ -225,6 +249,7 @@ def _bench_modes(text: str) -> list[str]:
 
 
 def cmd_bench(args) -> int:
+    from . import analytics
     limit = _effective_limit(args)
     modes = _bench_modes(args.modes)
     catalog = load_catalog_file(args.schema, args.stats)
@@ -232,13 +257,14 @@ def cmd_bench(args) -> int:
     if not qdir.is_dir():
         raise ValidationError(f"--queries {args.queries!r} is not a directory")
     rows = []
-    history: joindag.HistoryDag | None = None
+    history: HistoryDag | None = None
     for sql_path in sorted(qdir.glob("*.sql"), key=lambda p: p.name):
         query_id = sql_path.stem
         try:
             query = parse_query(read_text(sql_path), catalog)
         except SprinkleQoError as exc:
-            log.info("%s: %s", query_id, exc)
+            if args.log:
+                args.log.info("%s: %s", query_id, exc)
             rows.extend(analytics.failure_row(query_id, m, "error") for m in modes)
             continue
         for mode in modes:
@@ -254,7 +280,8 @@ def cmd_bench(args) -> int:
                     query, catalog, mode, limit, history, query_id)
                 params = _params(query, catalog, mode, limit, jd)
             except SprinkleQoError as exc:
-                log.info("%s/%s: %s", query_id, mode, exc)
+                if args.log:
+                    args.log.info("%s/%s: %s", query_id, mode, exc)
                 rows.append(analytics.failure_row(query_id, mode, "error"))
                 continue
             rows.append(analytics.measured_row(
@@ -268,7 +295,7 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _history_summary(history: joindag.HistoryDag) -> str:
+def _history_summary(history: HistoryDag) -> str:
     eq, op, plans = memo.count_nodes(history.dag)
     lines = [f"version: {history.version}",
              f"known_joins ({len(history.known_joins)}):"]
@@ -280,6 +307,7 @@ def _history_summary(history: joindag.HistoryDag) -> str:
 
 
 def cmd_histdag_build(args) -> int:
+    from . import joindag
     limit = _effective_limit(args)
     catalog = load_catalog_file(args.schema, args.stats)
     history = joindag.build_complete_history(catalog, catalog.graph.edges, limit)
@@ -290,6 +318,7 @@ def cmd_histdag_build(args) -> int:
 
 
 def cmd_histdag_add(args) -> int:
+    from . import joindag
     limit = _effective_limit(args)
     catalog = load_catalog_file(args.schema, args.stats)
     with locked(args.history, existing=True):   # no other add may save between this load and save
@@ -306,6 +335,7 @@ def cmd_histdag_add(args) -> int:
 
 
 def cmd_histdag_show(args) -> int:
+    from . import joindag
     catalog = load_catalog_file(args.schema, args.stats)
     history = joindag.load_history(args.history)
     joindag.verify_catalog(history, catalog)
@@ -314,6 +344,7 @@ def cmd_histdag_show(args) -> int:
 
 
 def cmd_histdag_export_dot(args) -> int:
+    from . import joindag
     history = joindag.load_history(args.history)
     atomic_write_text(args.dot, memo.export_dot(history.dag))
     print(f"wrote {args.dot}")
@@ -321,10 +352,11 @@ def cmd_histdag_export_dot(args) -> int:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
+    log = _logger()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        args.log = log
         return args.func(args)
     except _UsageError as exc:
         print(f"ERR:usage: {exc}", file=sys.stderr)
@@ -336,7 +368,8 @@ def main(argv=None) -> int:
         print(f"ERR:io: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except Exception as exc:
-        log.debug("internal error", exc_info=True)
+        if log:
+            log.debug("internal error", exc_info=True)
         print(f"ERR:internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -31,8 +31,10 @@ over the union.
 
 A saved history is trusted only as the history its known joins build, so
 loading it builds its dag again by the same calls, in its id order
-(`_rebuild`), and accepts the file only if the result saves to the same
-document.  No second set of rules checks a loaded dag.
+(`_rebuild`), expands each known component over the result as a build
+does (`_expand_known`), and accepts the file only if that saves to the same
+document, so a file that leaves out a join order its joins build fails.
+No second set of rules checks a loaded dag.
 """
 
 from __future__ import annotations
@@ -266,11 +268,25 @@ def _rebuild(saved: dict, known: dict[str, JoinCondition]) -> Dag:
     return dag
 
 
+def _expand_known(dag: Dag, known: dict[str, JoinCondition]) -> None:
+    """Run `forest.expand_forest` over each component of the known joins
+    into a rebuilt dag, as `build_incremental` does, with the base sizes
+    the dag holds (so no catalog is needed; `_refresh_roots` has found each
+    component's full join, so each base is there).  It adds whatever join
+    order the saved file left out, and so changes the document the caller
+    compares."""
+    for rels, texts in _components(known):
+        sizes = {rel: dag.eq_nodes[dag.find_eq(memo.base_signature(rel))].est_size
+                 for rel in sorted(rels)}
+        forest.expand_forest(dag, sizes, tuple(known[t] for t in texts))
+
+
 def load_history(path: str) -> HistoryDag:
     """Load a persisted history, verifying its format and checksum, and that
     it is exactly the history its known joins build: each known join's jsf
     is in (0, 1], and its dag, built again by `_rebuild` with the roots
-    `_refresh_roots` gives, saves to the same document."""
+    `_refresh_roots` gives and expanded over its known joins
+    (`_expand_known`), saves to the same document."""
     text = read_text(path)
     try:
         doc = json.loads(text)
@@ -297,6 +313,7 @@ def load_history(path: str) -> HistoryDag:
                              version=int(doc["version"]),
                              catalog_fingerprint=str(doc["catalog_fingerprint"]))
         _refresh_roots(history)
+        _expand_known(history.dag, known)
     except (LookupError, TypeError, ValueError, DagError, ValidationError) as exc:
         raise PersistenceError(f"malformed history file {path}: {exc}") from exc
     if _history_doc(history) != body:

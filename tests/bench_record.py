@@ -13,7 +13,12 @@ selects.  A ratio below 1 means the warm history pays.  The file holds
 each workload's end-to-end metrics with `correct`, `attempted` and
 `failed` (the last line of run.py's output), the digest lines, the ratio
 lines, and the machine they were measured on; the ratio lines are printed
-too.  Not a test module: pytest does not collect it.
+too.  The machine block also says whether bytecode writing was off
+(`sys.dont_write_bytecode`, as `PYTHONDONTWRITEBYTECODE=1` sets it, which
+the runs inherit): then every CLI run compiles `src/` again, which
+`cli_optimize_ms` and `peak_rss_mb` include, so files recorded under the
+two settings are not comparable.  Not a test module: pytest does not
+collect it.
 """
 
 from __future__ import annotations
@@ -93,7 +98,8 @@ def main(argv=None) -> int:
     print("\n".join(lines))
     doc = {"seed": args.seed, "run_seconds": declared["run_seconds"], "trace": 0,
            "machine": {"arch": platform.machine(), "cpus": os.cpu_count(),
-                       "python": platform.python_version()},
+                       "python": platform.python_version(),
+                       "dont_write_bytecode": sys.dont_write_bytecode},
            "workloads": workloads,
            "plan_digest": {"seeds": [int(s) for s in DIGEST_SEEDS],
                            "lines": run("tests/plan_digest.py", "--seeds", *DIGEST_SEEDS)},

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -248,6 +249,49 @@ def test_a_history_grown_over_merging_batches_round_trips(company_catalog, tmp_p
     assert code == 2 and stdout == ""
     assert stderr.startswith(f"ERR:io: malformed history file {path}: ")
     assert len(stderr.splitlines()) == 1
+
+
+def drop_op_node(doc, op_id):
+    """Drop one op-node and its arcs from a saved history, number the
+    op-nodes after it down by one, and seal the file again."""
+    dag = doc["dag"]
+
+    def renumber(op):
+        return op - (op > op_id)
+
+    dag["op_nodes"] = [dict(o, id=renumber(o["id"])) for o in dag["op_nodes"]
+                       if o["id"] != op_id]
+    dag["arcs"]["eq_to_op"] = [[eq, renumber(op)] for eq, op in dag["arcs"]["eq_to_op"]
+                               if op != op_id]
+    dag["arcs"]["op_to_eq"] = [[renumber(op), eq] for op, eq in dag["arcs"]["op_to_eq"]
+                               if op != op_id]
+    doc["checksum"] = joindag._checksum({k: v for k, v in doc.items() if k != "checksum"})
+
+
+def test_a_history_missing_a_join_order_its_joins_build_is_refused(company_catalog,
+                                                                    tmp_path):
+    """Op-node 62 of the complete company history is a second way to make
+    eq-node 28.  Every other op-node still rebuilds without it, so only
+    expanding the known joins over the rebuilt dag finds it missing; a load
+    that kept the file would search fewer join orders than a build."""
+    h = joindag.build_complete_history(company_catalog, company_catalog.graph.edges)
+    assert memo.count_nodes(h.dag) == (29, 63, 84)
+    path = tmp_path / "history.json"
+    joindag.save_history(h, str(path))
+    doc = json.loads(path.read_text())
+    assert [o["id"] for o in doc["dag"]["op_nodes"]][-1] == 62
+    assert [eq for eq, op in doc["dag"]["arcs"]["eq_to_op"] if op == 62] == [28]
+    assert sum(eq == 28 for eq, _ in doc["dag"]["arcs"]["eq_to_op"]) > 1
+    drop_op_node(doc, 62)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(PersistenceError, match=rf"^malformed history file {re.escape(str(path))}"
+                                               ": it is not the history its known joins build$"):
+        joindag.load_history(str(path))
+    code, stdout, stderr = run_cli("histdag", "show", "--schema",
+                                   str(FIXTURES / "company" / "schema.json"),
+                                   "--history", str(path))
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("ERR:io: ") and len(stderr.splitlines()) == 1
 
 
 def corrupt(path, mutate):
