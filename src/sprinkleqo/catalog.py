@@ -183,26 +183,32 @@ def _load_attribute(doc: dict, where: str, cardinality: float) -> Attribute:
     return Attribute(name=name.lower(), distinct_count=distinct, is_key=is_key)
 
 
+def checked_cardinality(value, where: str) -> float:
+    """A relation's cardinality as a float: a finite number >= 0, not a
+    bool.  The rule for a schema's relations and a saved history's."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not 0 <= value <= sys.float_info.max:
+        raise CatalogError(f"{where}: cardinality must be a finite number >= 0")
+    return float(value)
+
+
 def _load_relation(doc: dict, where: str) -> Relation:
     _require_keys(doc, {"name", "cardinality", "attributes"}, where)
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         raise CatalogError(f"{where}: relation name must be a non-empty string")
-    card = doc.get("cardinality")
-    if isinstance(card, bool) or not isinstance(card, (int, float)) \
-            or not 0 <= card <= sys.float_info.max:
-        raise CatalogError(f"{where}: cardinality must be a finite number >= 0")
+    card = checked_cardinality(doc.get("cardinality"), where)
     attrs_doc = doc.get("attributes")
     if not isinstance(attrs_doc, list) or not attrs_doc:
         raise CatalogError(f"{where}: attributes must be a non-empty list")
     attrs = tuple(
-        _load_attribute(a, f"{where}.attributes[{i}]", float(card))
+        _load_attribute(a, f"{where}.attributes[{i}]", card)
         for i, a in enumerate(attrs_doc)
     )
     names = [a.name for a in attrs]
     if len(set(names)) != len(names):
         raise CatalogError(f"{where}: duplicate attribute names")
-    return Relation(name=name.lower(), cardinality=float(card), attributes=attrs)
+    return Relation(name=name.lower(), cardinality=card, attributes=attrs)
 
 
 def _selectivity(value, what: str) -> float:

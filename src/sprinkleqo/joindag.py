@@ -15,26 +15,29 @@ keeps one price table (`Prices`), the winner table of a Cascades memo
 each eq-node a block has priced with nothing placed at or below it (the
 place stage fills it, `sprinkle._priced`), and what each query root
 reaches with its inputs-first order.  It is filled on demand, never at
-build or load, and never saved: the history's file and format
-do not change.  A version that only bumps the number
+build or load, and never saved.  A version that only bumps the number
 (`dataclasses.replace`) shares its table; one with new joins is a
 `clone`, which starts an empty one.  A join dag the table did not give
 (built by hand, or renumbered) prices into an empty table of its own.
 
 Incremental builds accept a batch of join conditions.  Conditions already
-known only bump the version, over the same dag; otherwise each connected
-component of the union join set that contains at least one new condition is
-re-enumerated (interning makes that idempotent over the orders already
-present), and components made only of known conditions are skipped entirely.  The tests verify that any
-sequence of incremental builds lands on the same graph as one complete build
-over the union.
+known only bump the version, over the same dag; otherwise the new ones are
+kept as the history's next batch, each connected component of the union
+join set that contains at least one of them is re-enumerated (interning
+makes that idempotent over the orders already present), and components
+made only of known conditions are skipped entirely.  The tests verify that
+any sequence of incremental builds lands on the same graph as one complete
+build over the union.
 
-A saved history is trusted only as the history its known joins build, so
-loading it builds its dag again by the same calls, in its id order
-(`_rebuild`), expands each known component over the result as a build
-does (`_expand_known`), and accepts the file only if that saves to the same
-document, so a file that leaves out a join order its joins build fails.
-No second set of rules checks a loaded dag.
+A saved history (format 2) holds the input its dag is built from, not the
+dag: its batches in order, and the cardinality of each joined relation.
+Loading it replays those batches through the same build step as
+`build_incremental` (`_grow`), with the stored cardinalities and no limit,
+so it needs no schema, a history grown past the default limit still
+loads, and every id comes out as the builds gave it.  The file is accepted
+only if its replay saves to the same document; that one comparison refuses
+a join repeated across batches, an empty batch, and a missing or extra
+relation.  So a load costs what the builds cost, and no more.
 """
 
 from __future__ import annotations
@@ -42,17 +45,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 
-from . import costplan, forest, memo
-from .catalog import Catalog, JoinCondition, components
-from .errors import (DEFAULT_MAX_OPS, DagError, LimitExceededError, PersistenceError,
-                     ValidationError)
+from . import forest, memo
+from .catalog import Catalog, JoinCondition, checked_cardinality, components
+from .errors import (DEFAULT_MAX_OPS, CatalogError, DagError, LimitExceededError,
+                     PersistenceError, ValidationError)
 from .ioutil import atomic_write_text, read_text
 from .memo import Dag
 
-HISTORY_FORMAT = 1
+HISTORY_FORMAT = 2
 
 
 class Prices:
@@ -88,12 +91,14 @@ class Prices:
 
 @dataclass
 class HistoryDag:
-    """Versioned store of all join orders seen so far, and the price table
-    of its dag, which a version made by `dataclasses.replace` shares and a
-    `clone` starts again."""
+    """Versioned store of all join orders seen so far, the batches of fresh
+    joins it grew from (each sorted by text), and the price table of its
+    dag, which a version made by `dataclasses.replace` shares and a `clone`
+    starts again."""
 
     dag: Dag
     known_joins: dict[str, JoinCondition]
+    batches: list[tuple[JoinCondition, ...]]
     version: int
     catalog_fingerprint: str
     prices: Prices | None = field(default=None, repr=False, compare=False)
@@ -104,7 +109,7 @@ class HistoryDag:
 
     def clone(self) -> "HistoryDag":
         return HistoryDag(dag=self.dag.clone(), known_joins=dict(self.known_joins),
-                          version=self.version,
+                          batches=list(self.batches), version=self.version,
                           catalog_fingerprint=self.catalog_fingerprint)
 
 
@@ -114,7 +119,7 @@ def combinations_considered(n_joins: int) -> int:
 
 
 def empty_history(catalog: Catalog) -> HistoryDag:
-    return HistoryDag(dag=Dag(), known_joins={}, version=0,
+    return HistoryDag(dag=Dag(), known_joins={}, batches=[], version=0,
                       catalog_fingerprint=catalog.fingerprint)
 
 
@@ -158,6 +163,18 @@ def build_incremental(history: HistoryDag, joins: tuple[JoinCondition, ...],
         for rel in cond.relations():
             catalog.relation(rel)  # unknown relation -> CatalogError
 
+    return _grow(history, joins, lambda rel: float(catalog.relation(rel).cardinality),
+                 limit)
+
+
+def _grow(history: HistoryDag, joins: Iterable[JoinCondition],
+          size: Callable[[str], float], limit: int | None) -> HistoryDag:
+    """The one build step, which `build_incremental` and `load_history`
+    both run: `history` with the joins it does not know yet added as one
+    batch, each component that holds one of them expanded over relations
+    of `size(rel)` rows, and the roots refreshed.  With no such join, only
+    the version moves.  Raises LimitExceededError when an expanded
+    component has more than `limit` joins (`None`: no limit)."""
     new_texts = {c.canonical(): c for c in joins}
     fresh = {t: c for t, c in new_texts.items() if t not in history.known_joins}
     if not fresh:
@@ -165,13 +182,14 @@ def build_incremental(history: HistoryDag, joins: tuple[JoinCondition, ...],
     out = history.clone()
     out.version += 1
     out.known_joins.update(fresh)
+    out.batches.append(tuple(fresh[t] for t in sorted(fresh)))
     for rels, texts in _components(out.known_joins):
         if not any(t in fresh for t in texts):
             continue  # purely old component: already enumerated
-        if len(texts) > limit:
+        if limit is not None and len(texts) > limit:
             raise LimitExceededError("join-order expansion", len(texts), limit)
-        relations = {r: float(catalog.relation(r).cardinality) for r in sorted(rels)}
-        forest.expand_forest(out.dag, relations, tuple(out.known_joins[t] for t in texts))
+        forest.expand_forest(out.dag, {r: size(r) for r in sorted(rels)},
+                             tuple(out.known_joins[t] for t in texts))
     _refresh_roots(out)
     return out
 
@@ -210,9 +228,10 @@ def _history_doc(history: HistoryDag) -> dict:
         "kind": "join-history",
         "catalog_fingerprint": history.catalog_fingerprint,
         "version": history.version,
-        "known_joins": [[c.left[0], c.left[1], c.right[0], c.right[1], c.jsf]
-                        for _, c in sorted(history.known_joins.items())],
-        "dag": memo.dag_to_doc(history.dag),
+        "batches": [[[c.left[0], c.left[1], c.right[0], c.right[1], c.jsf] for c in batch]
+                    for batch in history.batches],
+        "relations": {node.signature[0][0]: node.est_size
+                      for node in history.dag.eq_nodes.values() if node.is_base},
     }
 
 
@@ -230,63 +249,24 @@ def save_history(history: HistoryDag, path: str) -> None:
     atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
-def _rebuild(saved: dict, known: dict[str, JoinCondition]) -> Dag:
-    """The dag a saved `dag` section describes, built again as
-    `build_incremental` builds every history: each base relation by
-    `memo.ensure_base` when its id comes next, each op-node in turn by
-    `costplan.intern_op` with its known join's jsf, over its inputs in the
-    order `forest.expand_forest` passes them (the one that holds the join's
-    left relation first, so every size is the same product, bit for bit).
-    What it cannot build raises; what it builds differently the caller's
-    comparison refuses."""
-    dag = Dag()
-    eqs = saved["eq_nodes"]
-    relations = {rel for cond in known.values() for rel in cond.relations()}
-
-    def add_bases() -> None:
-        while len(dag.eq_nodes) < len(eqs):
-            node = eqs[len(dag.eq_nodes)]
-            sig = node["signature"]
-            if (sig[1:] != [[], [], []] or len(sig[0]) != 1 or sig[0][0] not in relations
-                    or dag.find_eq(memo.base_signature(sig[0][0])) is not None):
-                return   # not a base a build adds here
-            memo.ensure_base(dag, sig[0][0], float(node["est_size"]))
-
-    for op in saved["op_nodes"]:
-        add_bases()
-        cond, inputs = known.get(op["detail"]), tuple(int(c) for c in op["children"])
-        trees = [dag.eq_nodes[c].signature[0] for c in inputs if c in dag.eq_nodes]
-        if cond is not None and len(trees) == 2 and cond.left[0] in trees[1]:
-            inputs, trees = inputs[::-1], trees[::-1]
-        if not (cond is not None and trees and len(trees) == len(inputs)
-                and cond.left[0] in trees[0] and cond.right[0] in trees[-1]):
-            raise ValueError(f"op-node {op['id']!r} is not a known join over built "
-                             "inputs that hold its relations")
-        costplan.intern_op(dag, memo.KIND_JOIN if len(inputs) == 2 else memo.KIND_JOINFILTER,
-                           op["detail"], inputs, cond.jsf)
-    add_bases()
-    return dag
-
-
-def _expand_known(dag: Dag, known: dict[str, JoinCondition]) -> None:
-    """Run `forest.expand_forest` over each component of the known joins
-    into a rebuilt dag, as `build_incremental` does, with the base sizes
-    the dag holds (so no catalog is needed; `_refresh_roots` has found each
-    component's full join, so each base is there).  It adds whatever join
-    order the saved file left out, and so changes the document the caller
-    compares."""
-    for rels, texts in _components(known):
-        sizes = {rel: dag.eq_nodes[dag.find_eq(memo.base_signature(rel))].est_size
-                 for rel in sorted(rels)}
-        forest.expand_forest(dag, sizes, tuple(known[t] for t in texts))
+def _saved_join(la, lb, ra, rb, jsf) -> JoinCondition:
+    """One saved `[rel, attr, rel, attr, jsf]` entry: names are strings and
+    the jsf is in (0, 1]."""
+    if not all(isinstance(name, str) for name in (la, lb, ra, rb)):
+        raise TypeError(f"join {[la, lb, ra, rb]!r} names a non-string")
+    cond = JoinCondition.make((la, lb), (ra, rb), float(jsf))
+    if not 0.0 < cond.jsf <= 1.0:
+        raise ValueError(f"jsf {jsf!r} of {cond.canonical()} is not in (0, 1]")
+    return cond
 
 
 def load_history(path: str) -> HistoryDag:
     """Load a persisted history, verifying its format and checksum, and that
-    it is exactly the history its known joins build: each known join's jsf
-    is in (0, 1], and its dag, built again by `_rebuild` with the roots
-    `_refresh_roots` gives and expanded over its known joins
-    (`_expand_known`), saves to the same document."""
+    it is exactly the history its batches build: each join's jsf is in
+    (0, 1], each joined relation's cardinality passes the catalog's rule
+    (`catalog.checked_cardinality`), and replaying the batches in order, as
+    `build_incremental` grew them but with no limit, saves to the same
+    document."""
     text = read_text(path)
     try:
         doc = json.loads(text)
@@ -301,24 +281,20 @@ def load_history(path: str) -> HistoryDag:
     if doc.get("checksum") != _checksum(body):
         raise PersistenceError(f"checksum mismatch in {path}: file is corrupt")
     try:
-        known: dict[str, JoinCondition] = {}
-        for la, lb, ra, rb, jsf in doc["known_joins"]:
-            if not all(isinstance(name, str) for name in (la, lb, ra, rb)):
-                raise TypeError(f"known join {[la, lb, ra, rb]!r} names a non-string")
-            cond = JoinCondition.make((la, lb), (ra, rb), float(jsf))
-            if not 0.0 < cond.jsf <= 1.0:
-                raise ValueError(f"jsf {jsf!r} of {cond.canonical()} is not in (0, 1]")
-            known[cond.canonical()] = cond
-        history = HistoryDag(dag=_rebuild(doc["dag"], known), known_joins=known,
-                             version=int(doc["version"]),
+        batches = [[_saved_join(*join) for join in batch] for batch in doc["batches"]]
+        sizes = {rel: checked_cardinality(doc["relations"][rel], f"relation {rel}")
+                 for batch in batches for cond in batch for rel in cond.relations()}
+        history = HistoryDag(dag=Dag(), known_joins={}, batches=[], version=0,
                              catalog_fingerprint=str(doc["catalog_fingerprint"]))
-        _refresh_roots(history)
-        _expand_known(history.dag, known)
-    except (LookupError, TypeError, ValueError, DagError, ValidationError) as exc:
+        for batch in batches:
+            history = _grow(history, batch, sizes.__getitem__, None)
+        history.version = int(doc["version"])
+    except (LookupError, TypeError, ValueError, OverflowError, CatalogError, DagError,
+            ValidationError) as exc:
         raise PersistenceError(f"malformed history file {path}: {exc}") from exc
     if _history_doc(history) != body:
         raise PersistenceError(f"malformed history file {path}: it is not the history "
-                               "its known joins build")
+                               "its batches build")
     return history
 
 

@@ -562,23 +562,24 @@ def _select_floors(dag: Dag, dp: _Placement) -> _Pass:
     return _Pass(cells, tiers, roots, prices)
 
 
-def _block_placement(query: Query, catalog: Catalog) -> _Placement:
+def _block_placement(query: Query, catalog: Catalog, retained: set[str]) -> _Placement:
     """The placement DP of one block, counting a grouped root's projection
-    when `sprinkle_projects` will retain it."""
+    when `sprinkle_projects` will retain it (`retained`, its output attrs)."""
     if query.having is not None and not query.group_by:
         raise ValidationError("having without group-by")
-    group_by, retained = tuple(sorted(query.group_by)), sqlfront.output_attrs(query, catalog)
+    group_by = tuple(sorted(query.group_by))
     return _Placement(query.selects, order_by=tuple(query.order_by), group_by=group_by,
                       having=query.having, d=sqlfront.groupby_distinct_product(group_by, catalog),
                       projected=bool(group_by and retained)
                       and retained != sqlfront.all_query_attrs(query, catalog))
 
 
-def sprinkle_selects(jd: Dag, query: Query, catalog: Catalog) -> Dag:
+def sprinkle_selects(jd: Dag, query: Query, catalog: Catalog, retained: set[str]) -> Dag:
     """The place stage of one block over a join dag that holds only the
     nodes below its roots (as `extract_query_joindag` gives): its selects,
     group-by with its having, and order-by, placed on the join plans that
-    can tie its optimum.  Returns the stage's dag."""
+    can tie its optimum, `retained` its `sqlfront.output_attrs`.  Returns
+    the stage's dag."""
     for cond in query.selects:
         catalog.relation(cond.relation)
     for query_id, root in sorted(jd.query_roots.items()):
@@ -587,7 +588,7 @@ def sprinkle_selects(jd: Dag, query: Query, catalog: Catalog) -> Dag:
             if cond.relation not in bases:
                 raise ValidationError(f"select on {cond.relation!r} but query "
                                       f"{query_id!r} covers {sorted(bases)}")
-    dp = _block_placement(query, catalog)
+    dp = _block_placement(query, catalog, retained)
     return _decorate_stage(jd, dp, _select_floors(jd, dp))
 
 
@@ -630,17 +631,14 @@ def _needed_attrs(dag: Dag, roots: dict[str, int], outputs: dict[str, set[str]],
     return needed
 
 
-def sprinkle_projects(dag: Dag, queries: list[tuple[str, Query]],
-                      catalog: Catalog) -> Dag:
+def sprinkle_projects(dag: Dag, outputs: dict[str, set[str]], catalog: Catalog) -> Dag:
     """Attach projections to `dag` itself and return it: one root projection
-    per query, and in multi-query mode an additional projection above every
-    eq-node that carries more attributes than its consumers need
-    (materialization candidates).  `optimize_single` passes the place
-    stage's fresh dag, and `optimize_many` its shared dag."""
-    outputs = {qid: sqlfront.output_attrs(q, catalog) for qid, q in queries}
-    for query_id, query in queries:
+    per query id of `outputs`, to its `sqlfront.output_attrs`, and in
+    multi-query mode one above every eq-node that carries more attributes
+    than its consumers need (materialization candidates).  `optimize_single`
+    passes the place stage's fresh dag, and `optimize_many` its shared dag."""
+    for query_id, retained in outputs.items():
         root = dag.query_roots[query_id]
-        retained = outputs[query_id]
         available = _available_attrs(dag, root, catalog)
         unresolved = retained - available
         if unresolved:
@@ -651,8 +649,8 @@ def sprinkle_projects(dag: Dag, queries: list[tuple[str, Query]],
         memo.register_root(dag, query_id, costplan.intern_op(
             dag, KIND_PROJECT, sqlfront.project_text(retained), (root,)))
 
-    if len(queries) > 1:
-        roots = {qid: dag.query_roots[qid] for qid, _ in queries}
+    if len(outputs) > 1:
+        roots = {qid: dag.query_roots[qid] for qid in outputs}
         needed = _needed_attrs(dag, roots, outputs, catalog)
         for eq_id in sorted(needed):
             node = dag.eq_nodes[eq_id]
@@ -721,7 +719,8 @@ def optimize_single(query: Query, catalog: Catalog, *,
     base_history = history if history is not None else joindag.empty_history(catalog)
     grown = joindag.build_incremental(base_history, joins, catalog, limit)
     jd = extract_query_joindag(grown, query, catalog, query_id)
-    dag = sprinkle_projects(sprinkle_selects(jd, query, catalog), [(query_id, query)], catalog)
+    out = {query_id: sqlfront.output_attrs(query, catalog)}
+    dag = sprinkle_projects(sprinkle_selects(jd, query, catalog, out[query_id]), out, catalog)
     plan = costplan.best_plan(dag, dag.query_roots[query_id])
     return OptimizeResult(query_id=query_id, plan=plan, dag=dag, history=grown,
                           combinations_considered=joindag.combinations_considered(len(joins)),
@@ -798,7 +797,8 @@ def optimize_many(queries: list[tuple[str, Query]], catalog: Catalog, *,
         dag = results[query_id].dag
         memo.register_root(shared, query_id,
                            memo.merge_below(shared, dag, dag.query_roots[query_id]))
-    sprinkle_projects(shared, ordered, catalog)
+    sprinkle_projects(shared, {qid: sqlfront.output_attrs(q, catalog) for qid, q in ordered},
+                      catalog)
     plans = {qid: costplan.best_plan(shared, shared.query_roots[qid])
              for qid, _ in queries}
     return shared, plans, grown

@@ -312,6 +312,7 @@ def test_criterion_9_persistence_round_trips(tmp_path):
             loaded = joindag.load_history(path)
             joindag.verify_catalog(loaded, catalog)
             assert structure(loaded.dag) == structure(h.dag)
+            assert memo.dag_to_doc(loaded.dag) == memo.dag_to_doc(h.dag)
             assert loaded.known_joins == h.known_joins
             assert loaded.version == h.version
 
@@ -322,6 +323,10 @@ def test_criterion_9_persistence_round_trips(tmp_path):
             assert set(grown_disk.dag.query_roots) == \
                 set(grown_mem.dag.query_roots)
             assert grown_disk.version == grown_mem.version
+            grown_path = str(tmp_path / f"h{i}g.json")
+            joindag.save_history(grown_disk, grown_path)
+            assert memo.dag_to_doc(joindag.load_history(grown_path).dag) == \
+                memo.dag_to_doc(grown_mem.dag)
 
             # serialization itself is reproducible byte for byte
             again = str(tmp_path / f"h{i}b.json")

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from sprinkleqo import analytics, cli, joindag
+from sprinkleqo import analytics, cli, joindag, memo
 from sprinkleqo.catalog import load_catalog_file
 from sprinkleqo.cli import main
 from sprinkleqo.ioutil import locked
@@ -371,55 +371,48 @@ def test_history_catalog_mismatch(capsys, tmp_path):
     assert code == 2 and "fingerprint" in err
 
 
-def hang_an_op_under_its_child(doc):
-    arc = doc["arcs"]["eq_to_op"][-1]
-    op = next(o for o in doc["op_nodes"] if o["id"] == arc[1])
-    arc[0] = op["children"][0]
-
-
-def add_a_select_to_a_join_class(doc):
-    node = next(n for n in doc["eq_nodes"] if n["signature"][1])
-    node["signature"][2].append("employee.salary > 1")
-
-
-def double_the_size_of_the_root(doc):
-    (root,) = doc["roots"].values()
-    node = next(n for n in doc["eq_nodes"] if n["id"] == root)
-    node["est_size"] *= 2
-
-
-def repoint_the_root(doc):
-    (name, root), = doc["roots"].items()
-    doc["roots"][name] = min(n["id"] for n in doc["eq_nodes"] if n["id"] != root)
-
-
-SHOW = ("histdag", "show", "--schema", COMPANY)
-OPTIMIZE = ("optimize", "--schema", COMPANY, "--query", Q1)
-
-
-@pytest.mark.parametrize("edit, command", [
-    (hang_an_op_under_its_child, SHOW),
-    (lambda doc: doc["eq_nodes"][-1].update(est_size=float("inf")), OPTIMIZE),
-    (add_a_select_to_a_join_class, SHOW),
-    (lambda doc: doc["arcs"]["eq_to_op"].pop(), SHOW),
-    (double_the_size_of_the_root, OPTIMIZE),
-    (lambda doc: doc["op_nodes"][-1].update(op_cost=2 * doc["op_nodes"][-1]["op_cost"]),
-     OPTIMIZE),
-    (repoint_the_root, SHOW),
-], ids=["cyclic-arc", "infinite-size", "signature-not-derived", "orphan-op",
-        "size-disagrees", "cost-disagrees", "root-repointed"])
-def test_malformed_history_is_one_error_line(capsys, tmp_path, edit, command):
+def test_a_format_1_history_is_refused(capsys, tmp_path):
+    # a format-1 file held the dag itself; it must be built again
     hist = tmp_path / "history.json"
     run(capsys, "histdag", "build", "--schema", COMPANY, "--out", str(hist))
     doc = json.loads(hist.read_text())
-    edit(doc["dag"])
-    doc["checksum"] = joindag._checksum({k: v for k, v in doc.items()
-                                         if k != "checksum"})
+    doc["format"] = 1
     hist.write_text(json.dumps(doc))
-    code, _, err = run(capsys, *command, "--history", str(hist))
-    assert code == 2
-    assert err.startswith(f"ERR:io: malformed history file {hist}: ")
-    assert len(err.splitlines()) == 1
+    for command in (("histdag", "show", "--schema", COMPANY),
+                    ("optimize", "--schema", COMPANY, "--query", Q1)):
+        code, stdout, err = run(capsys, *command, "--history", str(hist))
+        assert (code, stdout) == (2, "")
+        assert err == f"ERR:io: unsupported history format 1 in {hist}\n"
+
+
+def test_a_history_grown_past_the_default_limit_loads_at_it(capsys, tmp_path):
+    """A load replays the history's builds with no limit, so a 9-join chain
+    built with `--i-know-this-is-factorial` loads under every command, and
+    `optimize` runs its query, whose joins the history holds, at the
+    default limit."""
+    relations = [{"name": f"r{i}", "cardinality": 1000 + i,
+                  "attributes": [{"name": "a", "distinct": 100}]} for i in range(10)]
+    schema, hist = tmp_path / "schema.json", tmp_path / "history.json"
+    schema.write_text(json.dumps({"relations": relations, "fk_edges": [
+        {"left": f"r{i}.a", "right": f"r{i + 1}.a", "jsf": 0.01} for i in range(9)]}))
+    code, _, err = run(capsys, "histdag", "build", "--schema", str(schema),
+                       "--out", str(hist))
+    assert code == 3 and err.startswith("ERR:limit: join-order expansion: 9")
+    code, built, _ = run(capsys, "histdag", "build", "--schema", str(schema), "--out", str(hist),
+                         "--max-ops", "9", "--i-know-this-is-factorial")
+    assert code == 0 and "known_joins (9):" in built
+    code, shown, _ = run(capsys, "histdag", "show", "--schema", str(schema),
+                         "--history", str(hist))
+    assert (code, shown) == (0, built)
+    dot = tmp_path / "history.dot"
+    code, _, _ = run(capsys, "histdag", "export-dot", "--history", str(hist), "--dot", str(dot))
+    assert code == 0 and dot.read_text().startswith("digraph")
+    query = tmp_path / "q.sql"
+    query.write_text("select * from " + ", ".join(f"r{i}" for i in range(10)) + " where "
+                     + " and ".join(f"r{i}.a = r{i + 1}.a" for i in range(9)))
+    code, stdout, err = run(capsys, "optimize", "--schema", str(schema), "--query", str(query),
+                            "--history", str(hist))
+    assert (code, err) == (0, "") and stdout.startswith("mode=joindag best_cost=")
 
 
 def test_histdag_lifecycle(capsys, tmp_path):
@@ -452,6 +445,30 @@ def test_histdag_lifecycle(capsys, tmp_path):
     code, stdout, _ = run(capsys, "histdag", "show", "--schema", COMPANY,
                           "--history", str(hist))
     assert code == 0 and "version: 3" in stdout  # growth was persisted
+
+
+@pytest.mark.parametrize("group", ["company", "tpch"])
+def test_a_chain_of_histdag_adds_loads_as_it_was_built(capsys, tmp_path, group):
+    """`histdag add` of each flat fixture query in turn, from an empty
+    history: after each add the file loads to the dag, ids included, that
+    the same builds give in memory."""
+    schema = str(FIXTURES / group / "schema.json")
+    catalog = load_catalog_file(schema)
+    hist = tmp_path / "history.json"
+    built = joindag.empty_history(catalog)
+    joindag.save_history(built, str(hist))
+    for sql in sorted((FIXTURES / group).glob("q*.sql")):
+        query = parse_query(sql.read_text(), catalog)
+        if query.subquery is not None:
+            continue
+        code, _, err = run(capsys, "histdag", "add", "--schema", schema,
+                           "--history", str(hist), "--query", str(sql))
+        assert code == 0, err
+        built = joindag.build_incremental(built, extract_join_set(query), catalog)
+        loaded = joindag.load_history(str(hist))
+        assert memo.dag_to_doc(loaded.dag) == memo.dag_to_doc(built.dag)
+        assert (loaded.batches, loaded.version) == (built.batches, built.version)
+    assert len(built.batches) > 1
 
 
 def test_histdag_add_rejects_nested(capsys, tmp_path):

@@ -1,7 +1,7 @@
 """Every dag the program builds obeys the memo's rule: each op-node's output
 signature strictly extends its inputs', and its sizes and costs are what its
 inputs give (the `check_estimates` oracle); every history also saves and
-loads back as the same document."""
+loads back as the same document and the same dag, ids included."""
 
 import os
 import random
@@ -43,6 +43,7 @@ def assert_history_obeys_the_rule(history):
         joindag.save_history(history, path)
         back = joindag.load_history(path)
     assert memo.arc_signature_set(back.dag) == memo.arc_signature_set(history.dag)
+    assert memo.dag_to_doc(back.dag) == memo.dag_to_doc(history.dag)
     assert joindag._history_doc(back) == joindag._history_doc(history)
 
 

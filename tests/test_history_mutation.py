@@ -1,10 +1,11 @@
-"""Saved histories with a mutated `dag` or `known_joins` section and a
-re-sealed checksum.
+"""Saved histories with a mutated `batches`, `relations`, `version` or
+`catalog_fingerprint` section and a re-sealed checksum.
 
-Whatever the mutation, `histdag show` and `optimize --history` exit 0, or
-exit 2 with exactly one `ERR:` line; they never raise.  The mutations touch
-signature parts, op kinds, details and children, sizes, costs and factors,
-arcs and roots, and the attributes and jsf of known joins.
+Whatever the mutation, `histdag show` and `optimize --history` exit 0 without
+a NaN, or exit 2 with exactly one `ERR:` line; they never raise.  The
+mutations drop, repeat, move and junk the joins of the batches, empty and
+reorder the batches, set a relation's cardinality to any number or none,
+leave a relation out or add one, and change the version and fingerprint.
 """
 
 import json
@@ -26,77 +27,83 @@ CASES = {"company": "q1", "tpch": "q4"}
 
 
 def saved_history(group: str) -> str:
-    """The JSON text of the history `histdag build` saves for a schema."""
+    """The JSON text of the history grown from a schema's edges, two joins
+    a batch, so that batches merge components."""
     catalog = load_catalog_file(str(FIXTURES / group / "schema.json"))
-    return json.dumps(joindag._history_doc(
-        joindag.build_complete_history(catalog, catalog.graph.edges)))
+    edges = catalog.graph.edges
+    history = joindag.empty_history(catalog)
+    for i in range(0, len(edges), 2):
+        history = joindag.build_incremental(history, edges[i:i + 2], catalog)
+    return json.dumps(joindag._history_doc(history))
 
 
 HISTORIES = {group: saved_history(group) for group in CASES}
 
 
-def texts_of(dag: dict) -> list[str]:
-    """Every text of a dag's signatures and op details, to mutate with."""
-    return sorted({t for n in dag["eq_nodes"] for part in n["signature"] for t in part}
-                  | {o["detail"] for o in dag["op_nodes"]})
+def names_of(doc: dict) -> list[str]:
+    """Every relation and attribute name a history's joins hold."""
+    return sorted({name for batch in doc["batches"] for join in batch for name in join[:4]})
 
-NUMBERS = st.one_of(st.floats(), st.integers(-10, 10**6), st.none(), st.booleans(),
+
+NUMBERS = st.one_of(st.sampled_from([math.nan, math.inf, -1, 1e308]), st.floats(),
+                    st.integers(-10, 10**6), st.none(), st.booleans(),
                     st.sampled_from(["12", "x", [], {}]))
 JUNK = st.one_of(st.none(), st.integers(-2, 3), st.text(max_size=3), st.just([]),
                  st.just({}))
 
 
-def mutate(draw, doc: dict, texts: list[str]) -> None:
+def mutate_batches(draw, doc: dict, names: list[str]) -> None:
+    batches = doc["batches"]
+    lists = [b for b, batch in enumerate(batches) if isinstance(batch, list)]
+    joins = [(b, j) for b in lists for j in range(len(batches[b]))]
+    action = draw(st.sampled_from(["drop", "duplicate", "move", "empty", "reorder", "junk"]))
+    if action in ("drop", "duplicate", "move") and joins:
+        b, j = draw(st.sampled_from(joins))
+        join = batches[b][j] if action == "duplicate" else batches[b].pop(j)
+        if action != "drop":
+            to = draw(st.sampled_from(lists))
+            batches[to].insert(draw(st.integers(0, len(batches[to]))), join)
+    elif action == "empty" and lists:
+        if draw(st.booleans()):
+            batches[draw(st.sampled_from(lists))] = []
+        else:
+            batches.insert(draw(st.integers(0, len(batches))), [])
+    elif action == "reorder" and len(batches) > 1:
+        i, k = draw(st.permutations(range(len(batches))))[:2]
+        batches[i], batches[k] = batches[k], batches[i]
+    elif action == "junk" and joins and draw(st.booleans()):
+        b, j = draw(st.sampled_from(joins))
+        join = batches[b][j]
+        if isinstance(join, list) and len(join) == 5:
+            i = draw(st.integers(0, 4))   # [rel, attr, rel, attr, jsf]
+            join[i] = draw(NUMBERS if i == 4 else st.one_of(st.sampled_from(names), JUNK))
+        else:
+            batches[b][j] = draw(JUNK)
+    elif batches:
+        batches[draw(st.integers(0, len(batches) - 1))] = draw(JUNK)
+    else:
+        doc["batches"] = draw(JUNK)
+
+
+def mutate(draw, doc: dict, names: list[str]) -> None:
     """Apply one mutation, drawn by `draw`, to a history document in place."""
-    dag = doc["dag"]
-    eqs, ops, arcs = dag["eq_nodes"], dag["op_nodes"], dag["arcs"]
-    ids = st.integers(-1, len(eqs))
-    target = draw(st.sampled_from(["signature", "kind", "detail", "children", "est_size",
-                                   "op_cost", "factor", "eq_to_op", "op_to_eq", "roots",
-                                   "known_joins"]))
-    if target == "signature":
-        sig = draw(st.sampled_from(eqs))["signature"]
-        i = draw(st.integers(0, 3))
-        action = draw(st.sampled_from(["drop", "add", "swap", "junk"]))
-        if not isinstance(sig[i], list):
-            sig[i] = []
-        elif action == "drop" and sig[i]:
-            sig[i].pop(draw(st.integers(0, len(sig[i]) - 1)))
-        elif action == "add":
-            sig[i].append(draw(st.sampled_from(texts)))
-        elif action == "swap":
-            other = draw(st.sampled_from(eqs))["signature"][draw(st.integers(0, 3))]
-            sig[i] = list(other) if isinstance(other, list) else other
+    target = draw(st.sampled_from(["batches", "relations", "version", "catalog_fingerprint"]))
+    if target == "batches" and isinstance(doc["batches"], list):
+        mutate_batches(draw, doc, names)
+    elif target == "relations" and isinstance(doc["relations"], dict) and doc["relations"]:
+        relations = doc["relations"]
+        name = draw(st.sampled_from(sorted(relations)))
+        action = draw(st.sampled_from(["number", "missing", "extra"]))
+        if action == "number":
+            relations[name] = draw(NUMBERS)
+        elif action == "missing":
+            del relations[name]
         else:
-            sig[i] = draw(JUNK)
-    elif target == "kind":
-        draw(st.sampled_from(ops))["kind"] = draw(st.sampled_from(
-            ["join", "joinfilter", "select", "project", "groupby", "having",
-             "orderby", "bogus", None]))
-    elif target == "detail":
-        draw(st.sampled_from(ops))["detail"] = draw(st.one_of(st.sampled_from(texts), JUNK))
-    elif target == "children":
-        draw(st.sampled_from(ops))["children"] = draw(st.one_of(
-            st.lists(ids, max_size=3), JUNK))
-    elif target in ("est_size", "op_cost", "factor"):
-        draw(st.sampled_from(eqs if target == "est_size" else ops))[target] = draw(NUMBERS)
-    elif target in ("eq_to_op", "op_to_eq") and arcs[target]:
-        pairs = arcs[target]
-        action = draw(st.sampled_from(["drop", "duplicate", "retarget"]))
-        arc = draw(st.sampled_from(pairs))
-        if action == "drop":
-            pairs.remove(arc)
-        elif action == "duplicate":
-            pairs.append(list(arc))
-        else:
-            arc[draw(st.integers(0, 1))] = draw(st.one_of(ids, JUNK))
-    elif target == "roots":
-        roots = dag["roots"]
-        roots[draw(st.sampled_from(sorted(roots)))] = draw(st.one_of(ids, JUNK))
-    elif target == "known_joins":
-        known = draw(st.sampled_from(doc["known_joins"]))   # [rel, attr, rel, attr, jsf]
-        i = draw(st.integers(0, 4))
-        known[i] = draw(NUMBERS if i == 4 else st.one_of(st.sampled_from(texts), JUNK))
+            relations[draw(st.text(min_size=1, max_size=3))] = draw(NUMBERS)
+    elif target == "version":
+        doc["version"] = draw(st.one_of(NUMBERS, JUNK))
+    else:
+        doc[target] = draw(JUNK)
 
 
 def assert_run_or_one_error_line(group: str, doc: dict, error: str | None = None) -> None:
@@ -120,69 +127,78 @@ def assert_run_or_one_error_line(group: str, doc: dict, error: str | None = None
                 assert len(lines) == 1 and re.match(error or "ERR:", lines[0]), stderr
 
 
-def set_field(section: str, index: int, **fields):
-    return lambda dag: dag[section][index].update(fields)
+def repeat_a_join_in_a_batch_of_its_own(doc):
+    doc["batches"].append([doc["batches"][0][0]])
 
 
-def retarget_an_arc(dag):
-    dag["arcs"]["eq_to_op"][0][0] = "s\x0b"
+def repeat_a_join_in_its_batch(doc):
+    doc["batches"][0].append(doc["batches"][0][0])
 
 
-def repeat_an_eq_node_id(dag):
-    dag["eq_nodes"][1]["id"] = dag["eq_nodes"][0]["id"]
+def swap_the_sides_of_a_join(doc):
+    join = doc["batches"][0][0]
+    join[:4] = join[2:4] + join[:2]
 
 
-def name_an_unknown_child(dag):
-    dag["op_nodes"][0]["children"][0] = 10**6
+def swap_two_joins_of_a_batch(doc):
+    batch = doc["batches"][0]
+    batch[0], batch[1] = batch[1], batch[0]
 
 
-def drop_an_op_to_eq_arc(dag):
-    dag["arcs"]["op_to_eq"].pop()
+def set_join_field(field, value):
+    return lambda doc: doc["batches"][0][0].__setitem__(field, value)
 
 
-NOT_BUILT = "ERR:io: malformed history file .*: it is not the history its known joins build$"
+def set_relation(value):
+    return lambda doc: doc["relations"].update(lineitem=value)
+
+
+NOT_BUILT = "ERR:io: malformed history file .*: it is not the history its batches build$"
+MALFORMED = "ERR:io: malformed history file .*: "
+NOT_A_CARDINALITY = MALFORMED + "relation lineitem: cardinality must be a finite number >= 0$"
 
 
 @pytest.mark.parametrize("edit, error", [
-    (set_field("eq_nodes", 0, signature=[[], [], [], []]), "ERR:"),
-    (set_field("op_nodes", 0, detail=2), "ERR:"),
-    (set_field("op_nodes", 0, factor=None), "ERR:"),
-    (retarget_an_arc, "ERR:"),
-    (set_field("op_nodes", 0, detail="a\nb"), "ERR:"),
-    (repeat_an_eq_node_id, NOT_BUILT),
-    (name_an_unknown_child, "ERR:io: malformed history file .*: op-node 0 is not a known "
-                            "join over built inputs that hold its relations$"),
-    (drop_an_op_to_eq_arc, NOT_BUILT),
-], ids=["base-without-relation", "detail-not-a-string", "join-without-factor",
-        "arc-end-with-a-line-break", "detail-with-a-line-break", "duplicate-eq-node-id",
-        "unknown-child-eq-node", "op-to-eq-arcs-disagree"])
+    (repeat_a_join_in_a_batch_of_its_own, NOT_BUILT),
+    (repeat_a_join_in_its_batch, NOT_BUILT),
+    (lambda doc: doc["batches"].insert(1, []), NOT_BUILT),
+    (swap_the_sides_of_a_join, NOT_BUILT),
+    (swap_two_joins_of_a_batch, NOT_BUILT),
+    (lambda doc: doc["relations"].update(zzz=1.0), NOT_BUILT),
+    (lambda doc: doc["relations"].pop("lineitem"), MALFORMED + "'lineitem'$"),
+    (set_relation(math.nan), NOT_A_CARDINALITY),
+    (set_relation(math.inf), NOT_A_CARDINALITY),
+    (set_relation(-1), NOT_A_CARDINALITY),
+    (set_relation(True), NOT_A_CARDINALITY),
+    (set_relation(1e308), MALFORMED + "join .* estimate overflows"),
+    (set_join_field(4, math.nan), MALFORMED + "jsf nan of .* is not in \\(0, 1\\]$"),
+    (set_join_field(4, -1.0), MALFORMED + "jsf -1.0 of .* is not in \\(0, 1\\]$"),
+    (set_join_field(0, []), MALFORMED + "join .* names a non-string$"),
+    (lambda doc: doc.update(version=math.inf), MALFORMED),
+    (lambda doc: doc.update(version="1"), NOT_BUILT),
+    (lambda doc: doc.update(catalog_fingerprint=None), NOT_BUILT),
+    (lambda doc: doc.update(catalog_fingerprint="0" * 64),
+     "ERR:validation: history was built against a different catalog"),
+], ids=["join-repeated-in-a-later-batch", "join-repeated-in-its-batch", "empty-batch",
+        "join-sides-swapped", "batch-out-of-order", "extra-relation",
+        "missing-relation", "nan-cardinality", "infinite-cardinality",
+        "negative-cardinality", "bool-cardinality", "cardinality-overflows-a-join",
+        "nan-jsf", "negative-jsf", "list-relation-names", "infinite-version",
+        "string-version", "fingerprint-not-a-string", "other-fingerprint"])
 def test_mutation_regressions(edit, error):
-    """Mutations the suite found, each of which once raised or printed an
-    error over more than one line, and load errors that no random mutation
-    is sure to reach, each pinned to its message."""
+    """Mutations of each section whose refusal is pinned to its message:
+    the replay's one comparison refuses whatever a build would not have
+    saved, and the join and cardinality rules refuse the rest first."""
     doc = json.loads(HISTORIES["tpch"])
-    edit(doc["dag"])
+    edit(doc)
     assert_run_or_one_error_line("tpch", doc, error=error)
-
-
-@pytest.mark.parametrize("fields", [{4: math.nan}, {4: -1.0}, {4: 0.5}, {0: [], 2: []}],
-                         ids=["nan-jsf", "negative-jsf", "jsf-not-the-dag-factor",
-                              "list-relation-names"])
-def test_known_joins_that_contradict_the_dag_are_malformed(fields):
-    """A known join names its relations and attributes by strings, and its
-    jsf is in (0, 1] and is the factor of the dag's op-nodes for that join;
-    0.5 is in range but is not tpch's factor."""
-    doc = json.loads(HISTORIES["tpch"])
-    for i, value in fields.items():
-        doc["known_joins"][0][i] = value
-    assert_run_or_one_error_line("tpch", doc, error="ERR:io: malformed history file ")
 
 
 @settings(max_examples=60, deadline=None)
 @given(group=st.sampled_from(sorted(CASES)), n=st.integers(1, 3), data=st.data())
 def test_mutated_history_is_run_or_one_error_line(group, n, data):
     doc = json.loads(HISTORIES[group])
-    texts = texts_of(doc["dag"])
+    names = names_of(doc)
     for _ in range(n):
-        mutate(data.draw, doc, texts)
+        mutate(data.draw, doc, names)
     assert_run_or_one_error_line(group, doc)

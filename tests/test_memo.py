@@ -1,6 +1,5 @@
 """Memo table: interning, signatures, op attachment, counts, DOT, round-trip."""
 
-import json
 import math
 import os
 import random
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sprinkleqo import joindag, memo, naive, sprinkle
-from sprinkleqo.errors import DagError, PersistenceError
+from sprinkleqo.errors import DagError
 from sprinkleqo.memo import (Dag, KIND_GROUPBY, KIND_JOIN, KIND_JOINFILTER,
                              KIND_PROJECT, KIND_SELECT, OpNode, SIZE_RTOL,
                              arc_signature_set, attach_op, base_signature,
@@ -272,20 +271,11 @@ def diamond_history():
     return joindag.build_complete_history(catalog, catalog.graph.edges)
 
 
-def reloaded(history, edit=None):
-    """`history` saved, its `dag` section changed by `edit` (with the
-    checksum sealed again), and loaded back."""
+def reloaded(history):
+    """`history` saved and loaded back."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "history.json")
         joindag.save_history(history, path)
-        if edit is not None:
-            with open(path) as f:
-                doc = json.load(f)
-            edit(doc["dag"])
-            doc["checksum"] = joindag._checksum({k: v for k, v in doc.items()
-                                                 if k != "checksum"})
-            with open(path, "w") as f:
-                json.dump(doc, f)
         return joindag.load_history(path)
 
 
@@ -535,87 +525,6 @@ def test_doc_round_trip_preserves_structure():
     assert back.query_roots == dag.query_roots == {"component:a+b+c": 4}
     assert plan_count_for(back, 4) == 2
     assert dag_to_doc(back) == dag_to_doc(dag)
-
-
-# A saved history whose `dag` section its known joins do not build, sealed
-# again, is refused whole.
-MALFORMED = "malformed history file .*: it is not the history its known joins build"
-
-
-def test_doc_round_trip_rejects_corruption():
-    with pytest.raises(PersistenceError, match=MALFORMED):
-        reloaded(diamond_history(), lambda doc: doc.update(format=99))
-
-
-def test_doc_with_a_cycle_is_rejected():
-    def hang_op_0_under_its_child(doc):
-        (arc,) = [arc for arc in doc["arcs"]["eq_to_op"] if arc[1] == 0]
-        arc[0] = doc["op_nodes"][0]["children"][0]
-
-    with pytest.raises(PersistenceError, match=MALFORMED):
-        reloaded(diamond_history(), hang_op_0_under_its_child)
-
-
-def test_doc_with_an_op_under_two_parents_is_rejected():
-    def hang_op_0_under_the_root_too(doc):
-        (top,) = doc["roots"].values()
-        doc["arcs"]["eq_to_op"].append([top, 0])
-
-    with pytest.raises(PersistenceError, match=MALFORMED):
-        reloaded(diamond_history(), hang_op_0_under_the_root_too)
-
-
-def swap_the_children_of_a_join(doc):
-    op = next(o for o in doc["op_nodes"] if o["kind"] == KIND_JOIN)
-    op["children"].reverse()
-
-
-def copy_an_op_node(doc):
-    doc["op_nodes"].append(dict(doc["op_nodes"][0], id=99))
-    parent = next(eq for eq, op in doc["arcs"]["eq_to_op"] if op == 0)
-    doc["arcs"]["eq_to_op"].append([parent, 99])
-    doc["arcs"]["op_to_eq"] += [[99, c] for c in doc["op_nodes"][0]["children"]]
-
-
-def drop_the_op_nodes_of_the_top(doc):
-    (top,) = doc["roots"].values()
-    ops = {op for eq, op in doc["arcs"]["eq_to_op"] if eq == top}
-    doc["op_nodes"] = [o for o in doc["op_nodes"] if o["id"] not in ops]
-    doc["arcs"]["eq_to_op"] = [arc for arc in doc["arcs"]["eq_to_op"] if arc[1] not in ops]
-    doc["arcs"]["op_to_eq"] = [arc for arc in doc["arcs"]["op_to_eq"] if arc[0] not in ops]
-
-
-def add_a_base_no_known_join_names(doc):
-    doc["eq_nodes"].append({"id": len(doc["eq_nodes"]), "signature": [["d"], [], [], []],
-                            "est_size": 40.0})
-
-
-def repeat_the_first_base(doc):
-    doc["eq_nodes"][1].update(signature=doc["eq_nodes"][0]["signature"],
-                              est_size=doc["eq_nodes"][0]["est_size"])
-
-
-@pytest.mark.parametrize("edit, match", [
-    (swap_the_children_of_a_join, MALFORMED),
-    (copy_an_op_node, MALFORMED),
-    (drop_the_op_nodes_of_the_top, "missing full-join node for component"),
-    (add_a_base_no_known_join_names, MALFORMED),
-    (repeat_the_first_base, "op-node 0 is not a known join over built inputs"),
-], ids=["join-children-out-of-order", "duplicate-op", "join-class-without-op-nodes",
-        "base-of-no-known-join", "repeated-base"])
-def test_doc_attach_op_could_not_build_is_rejected(edit, match):
-    with pytest.raises(PersistenceError, match=match):
-        reloaded(diamond_history(), edit)
-
-
-@pytest.mark.parametrize("section, field, value", [
-    ("eq_nodes", "est_size", float("inf")),
-    ("op_nodes", "op_cost", float("nan")),
-    ("op_nodes", "factor", float("-inf")),
-])
-def test_doc_with_a_non_finite_number_is_rejected(section, field, value):
-    with pytest.raises(PersistenceError, match=MALFORMED):
-        reloaded(diamond_history(), lambda doc: doc[section][-1].update({field: value}))
 
 
 def test_signature_text_is_stable_and_readable():

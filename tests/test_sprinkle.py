@@ -303,7 +303,8 @@ def test_select_on_foreign_relation_rejected(company_catalog):
     query = dataclasses.replace(
         parse_query("select employee.fname from employee", company_catalog), selects=(cond,))
     with pytest.raises(ValidationError):
-        sprinkle.sprinkle_selects(jd, query, company_catalog)
+        sprinkle.sprinkle_selects(jd, query, company_catalog,
+                                  sqlfront.output_attrs(query, company_catalog))
 
 
 def test_select_on_a_relation_the_plan_lacks_rejected():
@@ -428,14 +429,15 @@ def test_pruned_stages_keep_the_plans_of_enumerate_then_prune():
     for sql, catalog in stage_inputs()[::3]:
         for variant in clause_variants(sql, parse_query(sql, catalog), catalog):
             query, jd = joindag_for(variant, catalog)
-            dp = sprinkle._block_placement(query, catalog)
+            retained = sqlfront.output_attrs(query, catalog)
+            dp = sprinkle._block_placement(query, catalog, retained)
             costs = {}
             for plan in enumerate_plans(jd, jd.query_roots["q1"]):
                 placed = place_selects_on_plan(plan, (), dp=dp)
                 costs[plan_key(plan)] = dp.total(placed.cum_cost, placed.est_size)
             least = min(costs.values())
             tied = {key for key, cost in costs.items() if cost <= memo.within_rounding(least)}
-            dag = sprinkle.sprinkle_selects(jd, query, catalog)
+            dag = sprinkle.sprinkle_selects(jd, query, catalog, retained)
             kept = enumerate_plans(dag, dag.query_roots["q1"])
             for plan in kept:
                 assert dp.total(plan.cum_cost, plan.est_size) == pytest.approx(
@@ -604,7 +606,7 @@ def test_eight_leaf_star_places_selects_on_few_plans(monkeypatch):
     oracle_placed = len(placed)
     steps = counting(monkeypatch, sprinkle._Placement, "node")
     attached = counting(monkeypatch, memo, "attach_op")
-    pruned = sprinkle.sprinkle_selects(jd, query, catalog)
+    pruned = sprinkle.sprinkle_selects(jd, query, catalog, sqlfront.output_attrs(query, catalog))
     # the per-plan leaf bound lets 34 of the 40320 plans through to
     # placement; the stage prices each eq-node once, by a DP step over r3's
     # 128 and from the price table under the other 127, and attaches only
@@ -661,7 +663,7 @@ def test_flat_select_stage_keeps_the_plans_at_the_optimum():
     for sql, catalog in stage_inputs() + cyclic_random_queries(10):
         query, jd = joindag_for(sql, catalog)
         assert not (query.group_by or query.order_by), sql
-        flat = sprinkle.sprinkle_selects(jd, query, catalog)
+        flat = sprinkle.sprinkle_selects(jd, query, catalog, sqlfront.output_attrs(query, catalog))
         plans = enumerate_plans(flat, flat.query_roots["q1"])
         assert {join_plan_key(p) for p in plans} == tied_join_plans(jd, query.selects), sql
         least = min(p.cum_cost for p in plans)
@@ -678,7 +680,8 @@ def test_a_block_with_nothing_to_place_keeps_the_memo_estimates():
             catalog = shape_catalog(shape, j, rng)
             query, jd = joindag_for(connected_query_sql(catalog, rng, max_selects=0), catalog)
             assert not (query.selects or query.group_by or query.order_by)
-            final = sprinkle.sprinkle_selects(jd, query, catalog)
+            final = sprinkle.sprinkle_selects(jd, query, catalog,
+                                              sqlfront.output_attrs(query, catalog))
             sizes = {node.signature: node.est_size.hex() for node in jd.eq_nodes.values()}
             costs = {(jd.eq_nodes[eq].signature, op.kind, op.detail): op.op_cost.hex()
                      for eq, node in jd.eq_nodes.items()
@@ -874,14 +877,14 @@ def test_traceback_gives_the_dags_of_the_per_plan_walk(tpch_catalog, company_cat
     # whose own per-plan placement ties that least
     for sql, catalog in traceback_inputs(tpch_catalog, company_catalog):
         query, jd = joindag_for(sql, catalog)
-        dp = sprinkle._block_placement(query, catalog)
+        dp = sprinkle._block_placement(query, catalog, sqlfront.output_attrs(query, catalog))
         per_plan = {}
         for plan in enumerate_plans(jd, jd.query_roots["q1"]):
             placed = reference_place(plan, dp)
             if placed is not None:
                 per_plan[plan_key(plan)] = dp.total(placed.cum_cost, placed.est_size)
         least = min(per_plan.values())
-        dag = sprinkle.sprinkle_selects(jd, query, catalog)
+        dag = sprinkle.sprinkle_selects(jd, query, catalog, sqlfront.output_attrs(query, catalog))
         kept = enumerate_plans(dag, dag.query_roots["q1"])
         assert kept, sql
         for plan in kept:
@@ -905,7 +908,7 @@ def test_one_plan_memo_places_as_the_per_plan_walk(tpch_catalog):
     filtered = 0
     for sql, catalog in bounded_landing_inputs(tpch_catalog) + nothing:
         query, jd = joindag_for(sql, catalog)
-        dp = sprinkle._block_placement(query, catalog)
+        dp = sprinkle._block_placement(query, catalog, sqlfront.output_attrs(query, catalog))
         for plan in itertools.islice(enumerate_plans(jd, jd.query_roots["q1"]), 40):
             dag = decorate_plan(plan, dp=dp)
             placed = costplan.best_plan(dag, dag.query_roots["plan"])
@@ -1260,7 +1263,7 @@ def test_the_stacking_sweep_matches_the_pair_loop():
     swept = stacked = 0
     for sql, catalog in grouped_oracle_queries() + one_relation_stacks() + [internal_stack_block()]:
         query, jd = joindag_for(sql, catalog)
-        dp = sprinkle._block_placement(query, catalog)
+        dp = sprinkle._block_placement(query, catalog, sqlfront.output_attrs(query, catalog))
         passed = with_alternatives(jd, sprinkle._select_floors(jd, dp))
         for cells in [passed.cells] + passed.tiers:
             for cell in cells.values():
@@ -1320,7 +1323,7 @@ def test_every_state_has_an_alternative_at_its_best_and_none_below():
     states = 0
     for sql, catalog in stage_inputs() + grouped_oracle_queries() + one_relation_stacks():
         query, jd = joindag_for(sql, catalog)
-        dp = sprinkle._block_placement(query, catalog)
+        dp = sprinkle._block_placement(query, catalog, sqlfront.output_attrs(query, catalog))
         passed = with_alternatives(jd, sprinkle._select_floors(jd, dp))
         for cells in [passed.cells] + passed.tiers:
             for cell in cells.values():
@@ -1512,7 +1515,7 @@ def test_landing_bounds_never_exceed_their_totals(tpch_catalog):
     # and skipping the others leaves the optimum and every table exact
     for sql, catalog in bounded_landing_inputs(tpch_catalog):
         query, jd = joindag_for(sql, catalog)
-        dp = sprinkle._block_placement(query, catalog)
+        dp = sprinkle._block_placement(query, catalog, sqlfront.output_attrs(query, catalog))
         cells, tiers, best = reference_tiers(jd, dp)
         passed = sprinkle._select_floors(jd, dp)
         assert passed.optimum == best, sql
@@ -1626,6 +1629,11 @@ def test_shared_run_adds_interior_projections(company_catalog):
     assert "project(employee.fname, employee.ssn)" in interior
 
 
+def outputs(queries, catalog):
+    """The `sprinkle_projects` argument for `queries`: each id's output attributes."""
+    return {qid: sqlfront.output_attrs(query, catalog) for qid, query in queries}
+
+
 def interior_projections(shared):
     return {memo.signature_text(shared.eq_nodes[op.children[0]].signature): op.detail
             for op in shared.op_nodes.values()
@@ -1655,7 +1663,8 @@ def test_interior_projections_follow_consumers_through_higher_ids(tpch_catalog):
                       "and r1.a0 = r2.a1 and r2.a0 = r3.a1"),
                ("q2", "select r3.b from r2, r3 where r2.a0 = r3.a1")]
     shared = sprinkle.sprinkle_projects(
-        dag, [(qid, parse_query(sql, catalog)) for qid, sql in queries], catalog)
+        dag, outputs([(qid, parse_query(sql, catalog)) for qid, sql in queries], catalog),
+        catalog)
     projections = {op.children[0]: op.detail for op in shared.op_nodes.values()
                    if op.kind == KIND_PROJECT and op.children[0] not in (root, r23)}
     # r12 needs what the root needs of r123 (r1.a1 for its join with r0,
@@ -1734,7 +1743,8 @@ def test_sprinkle_projects_extends_the_dag_it_is_given(company_catalog):
             jd = sprinkle.optimize_single(query, company_catalog).jd
             memo.register_root(dag, query_id, memo.merge_below(dag, jd, jd.query_roots["q1"]))
         ops = len(dag.op_nodes)
-        assert sprinkle.sprinkle_projects(dag, qs, company_catalog) is dag
+        assert sprinkle.sprinkle_projects(dag, outputs(qs, company_catalog),
+                                          company_catalog) is dag
         assert len(dag.op_nodes) > ops
 
 
@@ -1750,7 +1760,7 @@ def enumerate_and_intern(queries, catalog):
         for plan in enumerate_plans(res.dag, res.dag.query_roots[query_id]):
             root = intern_plan(shared, plan)
         memo.register_root(shared, query_id, root)
-    sprinkle.sprinkle_projects(shared, ordered, catalog)
+    sprinkle.sprinkle_projects(shared, outputs(ordered, catalog), catalog)
     return shared, {qid: costplan.best_plan(shared, shared.query_roots[qid])
                     for qid, _ in queries}
 
@@ -2127,7 +2137,8 @@ def test_a_having_without_group_by_is_refused(company_catalog):
                           "having count(*) > 2", company_catalog)
     query = dataclasses.replace(grouped, group_by=())
     with pytest.raises(ValidationError, match="having without group-by"):
-        sprinkle._block_placement(query, company_catalog)
+        sprinkle._block_placement(query, company_catalog,
+                                  sqlfront.output_attrs(query, company_catalog))
 
 
 def test_optimize_many_rejects_nested(company_catalog):
