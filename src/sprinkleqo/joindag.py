@@ -174,8 +174,12 @@ def _grow(history: HistoryDag, joins: Iterable[JoinCondition],
     batch, each component that holds one of them expanded over relations
     of `size(rel)` rows, and the roots refreshed.  With no such join, only
     the version moves.  Raises LimitExceededError when an expanded
-    component has more than `limit` joins (`None`: no limit)."""
-    new_texts = {c.canonical(): c for c in joins}
+    component has more than `limit` joins (`None`: no limit).  Of joins
+    with one canonical text, the first is kept, as a parsed query keeps
+    it."""
+    new_texts = {}
+    for cond in joins:
+        new_texts.setdefault(cond.canonical(), cond)
     fresh = {t: c for t, c in new_texts.items() if t not in history.known_joins}
     if not fresh:
         return replace(history, version=history.version + 1)

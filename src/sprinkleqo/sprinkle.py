@@ -50,10 +50,13 @@ join dag's inputs-first order, kept per root, and the cell of each node
 where nothing may sit at or below it (no select bit below it, and not
 covering the order-by's relations), with its tables at set 0 only.  Such
 a cell takes no DP step: `_priced` prices it once per history version,
-exactly as the step prices set 0, and every later block shares it; its
-tied op-nodes (`_tied`), which the state walk keeps, are found once too.
-A cell above a landing always steps, for the landing changes its sizes.
-A block with nothing to place takes no step at all.
+exactly as the step prices set 0, and every later block, plain, grouped
+or ordered, shares it, leaves too; its tied op-nodes (`_tied`), which the
+state walk keeps, are found once too.  Where a node stands, whether it
+covers the order-by's or the group-by's relations, is read from its
+eq-node's base relations, so no cell carries it.  A cell above a landing
+always steps, for the landing changes its sizes.  A block with nothing to
+place takes no step at all.
 """
 
 from __future__ import annotations
@@ -91,18 +94,18 @@ class _Cell:
     of rank i and the order-by the top bit; `u` is the set placed below the
     node's own operator, `s` the set placed at or below the node, and the DP
     reads both from `_Placement.sets`.  Sizes depend only on which bits sit at
-    or below, so one table (`size`) serves both.  Only a block with a group-by
-    or an order-by sets `rels`, its grouping and ordering relations as bits,
-    and `fixed`, the bits a group-by landing at or below it holds; only a
-    landing sets `grouping`, its group-by's cost with its having's."""
+    or below, so one table (`size`) serves both.  `fixed`, the bits a
+    group-by landing at or below it holds, defaults to 0; only a landing
+    sets `grouping`, its group-by's cost with its having's."""
 
-    __slots__ = ("eq", "alternatives", "ranked", "tied", "mask", "cmask", "fixed", "rels",
+    __slots__ = ("eq", "alternatives", "ranked", "tied", "mask", "cmask", "fixed",
                  "grouping", "size", "best")
 
     def __init__(self, mask: int, alternatives, size: list[float], best: list[float]):
         self.alternatives, self.ranked = alternatives, None
         self.mask = mask     # the bits that may sit at or below the node
         self.cmask = mask    # the bits that may sit below its operator
+        self.fixed = 0       # the bits a group-by landing at or below it holds
         self.size = size     # output size, by the set at or below it
         self.best = best     # least subtree cost, by s; inf if s is not in mask
 
@@ -122,10 +125,8 @@ class _Placement:
         self.on_relation: dict[str, int] = {}
         for i, cond in enumerate(self.selects):
             self.on_relation[cond.relation] = self.on_relation.get(cond.relation, 0) | 1 << i
-        ordering, grouping = {item.relation for item in order_by}, {r for r, _ in group_by}
-        self.rel_bits = {r: 1 << i for i, r in enumerate(sorted(ordering | grouping))}
-        self.ob_rels = sum(map(self.rel_bits.__getitem__, ordering))
-        self.gb_rels = sum(map(self.rel_bits.__getitem__, grouping))
+        self.ordering = frozenset(item.relation for item in order_by)
+        self.grouping = frozenset(r for r, _ in group_by)
         self.ob_bit = 1 << n if order_by else 0
         if order_by:   # a size-neutral select on top of any stack
             self.ops.append((KIND_ORDERBY, sqlfront.orderby_text(order_by), None))
@@ -167,16 +168,20 @@ class _Placement:
                     best[s] = cost
         return cell
 
-    def leaf(self, relation: str, size: float) -> _Cell:
-        """A base relation's tables: all its selects stack on it, each set's
-        size its top bit's factor times the size of the rest."""
-        cell = _Cell(self.on_relation.get(relation, 0), [(None, ())], [0.0] * self.width,
-                     [math.inf] * self.width)
+    def holds_order(self, relations) -> bool:
+        """Whether a node over the base `relations` covers the order-by's
+        relations, so that the order-by may sit at it.  A node that does
+        not, with no select on its relations, is plain: nothing may sit at
+        or below it."""
+        return self.ob_bit != 0 and self.ordering.issubset(relations)
+
+    def leaf(self, relation: str, size: float, ordered: bool) -> _Cell:
+        """A base relation's tables: all its selects stack on it, and the
+        order-by too if it is `ordered` (`holds_order`), each set's size its
+        top bit's factor times the size of the rest."""
+        cell = _Cell(self.on_relation.get(relation, 0) | (self.ob_bit if ordered else 0),
+                     [(None, ())], [0.0] * self.width, [math.inf] * self.width)
         cell.cmask, cell.size[0], cell.best[0] = 0, size, 0.0
-        if self.rel_bits:   # a group-by or an order-by: where the leaf stands
-            cell.rels, cell.fixed = self.rel_bits.get(relation, 0), 0
-            if cell.rels & self.ob_rels == self.ob_rels:
-                cell.mask |= self.ob_bit
         sizes, ops = cell.size, self.ops
         for s in self.sets(cell.mask)[1:]:
             top = s.bit_length() - 1
@@ -185,9 +190,10 @@ class _Placement:
             sizes[s] = sizes[rest] if factor is None else float(factor) * sizes[rest]
         return self._stack(cell, 0)
 
-    def node(self, alternatives) -> _Cell:
+    def node(self, alternatives, ordered: bool) -> _Cell:
         """The DP step: a node's tables from its alternatives, each
-        (op-node, input cells), which the cell keeps.  A join dag holds
+        (op-node, input cells), which the cell keeps; the order-by may sit
+        at it if it is `ordered` (`holds_order`).  A join dag holds
         joins and size-scaling unary op-nodes (a joinfilter): a join over
         inputs of sizes a and b costs a*b and yields factor*a*b, a unary
         op-node over a costs a and yields factor*a.
@@ -210,12 +216,9 @@ class _Placement:
             for _, inputs in rest:
                 cmask = mask = cmask | inputs[0].mask | inputs[-1].mask
         cell = _Cell(mask, alternatives, [0.0] * self.width, [math.inf] * self.width)
-        fixed = 0
-        if self.rel_bits:   # a group-by or an order-by: where the node stands
-            cell.rels = first.rels | last.rels
-            cell.fixed = fixed = first.fixed | last.fixed
-            if cell.rels & self.ob_rels == self.ob_rels:
-                mask = cell.mask = mask | self.ob_bit
+        cell.fixed = fixed = first.fixed | last.fixed
+        if ordered:
+            mask = cell.mask = mask | self.ob_bit
         sets = self.sets
         below = sets(cmask, fixed)   # every U below the op
         size, best = cell.size, cell.best
@@ -256,35 +259,15 @@ class _Placement:
                 size[u | self.ob_bit] = size[u]
         return self._stack(cell, fixed)
 
-    def holds_order(self, first: _Cell, last: _Cell) -> bool:
-        """Whether a node whose first op-node reads `first` and `last` covers
-        the order-by's relations, so that the order-by may sit at it.  A node
-        whose inputs hold no bit and that does not is plain: nothing may sit
-        at or below it, for every op-node of an eq-node covers the same
-        relations, and an input that may hold the order-by covers the
-        order-by's."""
-        return bool(self.ob_bit) and (first.rels | last.rels) & self.ob_rels == self.ob_rels
-
-    def priced(self, shared: _Cell, first: _Cell, last: _Cell) -> _Cell:
-        """The cell of a plain node (`holds_order`): its cell in the price table
-        (`_priced`), which takes no step, itself, or with a group-by or an
-        order-by a copy, its tables as wide as a stepped cell's, that knows
-        where the node stands."""
-        if not self.rel_bits:
-            return shared
-        rest = self.width - 1
-        cell = _Cell(0, None, shared.size + [0.0] * rest, shared.best + [math.inf] * rest)
-        cell.rels, cell.fixed = first.rels | last.rels, 0
-        return cell
-
     def landing(self, cell: _Cell) -> _Cell:
         """The group-by and its having, a unary node over `cell` (which has
-        `best` at every S) whose input holds every select on its relations,
-        `fixed` from here up, and no order-by, which may stack on it."""
+        `best` at every S it can hold, a table cell at 0 alone) whose input
+        holds every select on its relations, `fixed` from here up, and no
+        order-by, which may stack on it."""
         fixed = cell.mask & ~self.ob_bit
         _, d, having = self.group
         out = _Cell(cell.mask, [(None, (cell,))], [0.0] * self.width, [math.inf] * self.width)
-        out.cmask, out.fixed, out.rels = fixed, fixed, cell.rels
+        out.cmask = out.fixed = fixed
         cost, size = 0.0, cell.size[fixed]
         for kind, factor in [(KIND_GROUPBY, d)] + ([(KIND_HAVING, having.ssf)] if having else []):
             cost += costplan.op_cost(kind, (size,))
@@ -437,7 +420,7 @@ def _kept_alternatives(dp: _Placement, passed: _Pass, cell: _Cell, s: int) -> li
                     kept.append((op, ((k1, t1), (k2, t2))))
             elif k1.size[s] + k1.best[s] <= budget:
                 kept.append((op, ((k1, s),)))
-    free = s & ~cell.fixed if dp.group is not None else s
+    free = s & ~cell.fixed
     for i in range(free.bit_length()):
         if free >> i & 1:
             t = s ^ 1 << i
@@ -501,10 +484,11 @@ def _decorate_stage(dag: Dag, dp: _Placement, passed: _Pass) -> Dag:
 
 def _select_floors(dag: Dag, dp: _Placement) -> _Pass:
     """The block's one DP pass: `dp` over the memo, an eq-node's op-nodes
-    its alternatives, plain and per landing above it, in increasing
+    its alternatives, plain and per landing (an eq-node whose base
+    relations cover the grouping relations) above it, in increasing
     `_Placement.bound` up to one that no root's optimum can reach.  Its
     cells are kept for `_decorate_stage`, which reads every cell at every
-    set.  A root's optimum is its least `dp.total` at the full set: its
+    set it holds.  A root's optimum is its least `dp.total` at the full set: its
     least decorated cost, exactly.  A landing's tier is its cell and the
     cells of the eq-nodes after it with an op-node over the tier.  The
     plain pass reads the join dag's price table (`joindag.Prices`; an empty
@@ -513,25 +497,22 @@ def _select_floors(dag: Dag, dp: _Placement) -> _Pass:
     nothing may sit at or below the node, which takes no DP step."""
     prices = dag.prices if dag.prices is not None else joindag.Prices(dag)
     order = dag.order if dag.order is not None else memo.topological_order(dag)[::-1]
-    if dp.empty:   # every node is plain
-        cells = {eq_id: _priced(prices, eq_id) for eq_id in order}
-    else:
-        eq_nodes, op_nodes, cells = dag.eq_nodes, dag.op_nodes, {}
-        for eq_id in order:
-            node = eq_nodes[eq_id]
-            if node.is_base:
-                relation = node.signature[0][0]
-                cell = (dp.leaf(relation, node.est_size)
-                        if dp.rel_bits or relation in dp.on_relation else _priced(prices, eq_id))
+    eq_nodes, op_nodes, cells, holds_order = dag.eq_nodes, dag.op_nodes, {}, dp.holds_order
+    for eq_id in order:
+        node = eq_nodes[eq_id]
+        ordered = holds_order(node.signature[0])
+        if node.child_ops:
+            kids = op_nodes[node.child_ops[0]].children
+            if ordered or cells[kids[0]].mask | cells[kids[-1]].mask:
+                cell = dp.node([(op, tuple(map(cells.__getitem__, op.children)))
+                                for op in map(op_nodes.__getitem__, node.child_ops)], ordered)
             else:
-                kids = op_nodes[node.child_ops[0]].children
-                first, last = cells[kids[0]], cells[kids[-1]]
-                if first.mask | last.mask or dp.holds_order(first, last):
-                    cell = dp.node([(op, tuple(map(cells.__getitem__, op.children)))
-                                    for op in map(op_nodes.__getitem__, node.child_ops)])
-                else:
-                    cell = dp.priced(_priced(prices, eq_id), first, last)
-            cells[eq_id], cell.eq = cell, eq_id
+                cell = _priced(prices, eq_id)
+        else:   # a base
+            relation = node.signature[0][0]
+            cell = (dp.leaf(relation, node.est_size, ordered)
+                    if ordered or relation in dp.on_relation else _priced(prices, eq_id))
+        cells[eq_id], cell.eq = cell, eq_id
     full = dp.width - 1
     plain = {root: dp.total(cells[root].best[full], cells[root].size[full])
              for root in dag.query_roots.values()}
@@ -539,7 +520,7 @@ def _select_floors(dag: Dag, dp: _Placement) -> _Pass:
         return _Pass(cells, [], plain, prices)
     flat, landings = min(plain.values()), []   # (bound, position in order, cell) per landing
     for i, eq_id in enumerate(order):
-        if cells[eq_id].rels & dp.gb_rels == dp.gb_rels:
+        if dp.grouping.issubset(eq_nodes[eq_id].signature[0]):
             landed = dp.landing(cells[eq_id])
             landed.eq = eq_id
             landings.append((dp.bound(cells[eq_id], landed, flat), i, landed))
@@ -551,10 +532,10 @@ def _select_floors(dag: Dag, dp: _Placement) -> _Pass:
         tier = {order[i]: landed}
         for up in order[i + 1:]:   # the eq-nodes above it, inputs first
             alternatives = [(op, tuple([tier.get(c) or cells[c] for c in op.children]))
-                            for op in map(dag.op_nodes.__getitem__, dag.eq_nodes[up].child_ops)
+                            for op in map(op_nodes.__getitem__, eq_nodes[up].child_ops)
                             if op.children[0] in tier or op.children[-1] in tier]
             if alternatives:
-                tier[up] = dp.node(alternatives)
+                tier[up] = dp.node(alternatives, holds_order(eq_nodes[up].signature[0]))
                 tier[up].eq = up
         tiers.append(tier)
         for root in roots.keys() & tier.keys():

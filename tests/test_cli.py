@@ -180,6 +180,31 @@ def test_an_order_by_over_two_relations_cold_and_warm(capsys, tmp_path):
             assert plan_kinds(doc["plan"]).count("orderby") == 1, (order, extra)
 
 
+def test_a_join_of_two_schema_edges_keeps_the_first_edges_jsf(capsys, tmp_path):
+    # a.k = b.k is an FK edge twice, at jsf 0.001 and then 0.5: a parsed
+    # query takes the first, and so must the history.  At 0.001 joining a
+    # and b first costs 1e6; at 0.5 joining b and c first, 5.5e6, wins
+    relations = [{"name": name, "cardinality": card,
+                  "attributes": [{"name": "k", "distinct": 100}, {"name": "j", "distinct": 10}]}
+                 for name, card in (("a", 1000), ("b", 500), ("c", 1000))]
+    schema, hist = tmp_path / "schema.json", tmp_path / "history.json"
+    schema.write_text(json.dumps({"relations": relations, "fk_edges": [
+        {"left": "a.k", "right": "b.k", "jsf": 0.001}, {"left": "b.k", "right": "a.k", "jsf": 0.5},
+        {"left": "b.j", "right": "c.j", "jsf": 0.01}]}))
+    assert run(capsys, "histdag", "build", "--schema", str(schema), "--out", str(hist))[0] == 0
+    query, out = tmp_path / "q.sql", tmp_path / "plan.json"
+    query.write_text("select * from a, b, c where a.k = b.k and b.j = c.j")
+    docs = []
+    for extra in (("--history", str(hist)), (), ("--mode", "naive")):
+        code, _, err = run(capsys, "optimize", "--schema", str(schema), "--query", str(query),
+                           "--out", str(out), *extra)
+        assert (code, err) == (0, ""), extra
+        doc = json.loads(out.read_text())
+        docs.append((doc["best_cost"], doc["plan"]))
+    assert docs[0] == docs[1] == docs[2]
+    assert docs[0][0] == 1e6
+
+
 def test_from_subquery_cli(capsys, tmp_path):
     sql = tmp_path / "from.sql"
     sql.write_text("select s.fname, project.pname from (select employee.fname, employee.ssn "
