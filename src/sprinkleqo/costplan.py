@@ -143,35 +143,49 @@ def best_plan(dag: Dag, root_eq: int) -> Plan:
     """Minimum-cost expansion below an eq-node; cost ties break on canonical
     op text (`OpNode.sort_key`), and the first op-node wins a full tie.
 
-    One pass over the eq-nodes below the root, inputs first (the reversed
-    `memo.topological_order` of `Dag.below`), so nothing recurses and any
-    depth works.  `memo.attach_op` keeps every op cost finite, but their
-    sum can still overflow: a non-finite best cost is a DagError, as is an
-    unknown root.
+    The Cascades rule: keep each eq-node's winner, then build the one plan
+    that follows the winners down from the root.  Three passes over the
+    eq-nodes below the root (`memo.topological_order` below it), so nothing
+    recurses and any depth works.  Inputs first, each eq-node keeps its
+    least cost and its winning op-node; consumers first, the root's winners
+    mark the eq-nodes of its plan; inputs first again, only those get a
+    `Plan`.  `memo.attach_op` keeps every op cost finite, but their sum can
+    still overflow: a non-finite best cost is a DagError, as is an unknown
+    root.
     """
-    if root_eq not in dag.eq_nodes:
+    eq_nodes, op_nodes = dag.eq_nodes, dag.op_nodes
+    if root_eq not in eq_nodes:
         raise DagError(f"unknown eq-node {root_eq}")
-    view = dag.below(root_eq)
-    op_nodes, cache = view.op_nodes, {}
-    for eq_id in reversed(memo.topological_order(view)):
-        node, best_op = view.eq_nodes[eq_id], None
-        if node.is_base:
-            cache[eq_id] = base_plan(node.signature[0][0], node.est_size)
-            continue
-        for op_id in node.child_ops:
+    order = memo.topological_order(dag, root_eq)   # consumers first
+    least: dict[int, float] = {}   # eq-node -> the cost of its best plan
+    winner: dict[int, memo.OpNode | None] = {}   # eq-node -> its best plan's top op-node
+    for eq_id in reversed(order):
+        best_op = None
+        for op_id in eq_nodes[eq_id].child_ops:
             op = op_nodes[op_id]
             children = op.children
             if len(children) == 2:
-                cost = op.op_cost + (cache[children[0]].cum_cost + cache[children[1]].cum_cost)
+                cost = op.op_cost + (least[children[0]] + least[children[1]])
             else:
-                cost = op.op_cost + cache[children[0]].cum_cost
+                cost = op.op_cost + least[children[0]]
             if best_op is None or cost < best_cost or (
                     cost == best_cost and op.sort_key() < best_op.sort_key()):
                 best_op, best_cost = op, cost
-        cache[eq_id] = Plan(best_op.kind, best_op.detail, None,
-                            tuple([cache[c] for c in best_op.children]), best_op.factor,
-                            node.est_size, best_op.op_cost, best_cost)
-    plan = cache[root_eq]
-    if not math.isfinite(plan.cum_cost):
+        winner[eq_id] = best_op
+        least[eq_id] = 0.0 if best_op is None else best_cost
+    if not math.isfinite(least[root_eq]):
         raise DagError(f"the plan cost under eq-node {root_eq} overflows")
-    return plan
+    on_plan, marked = {root_eq}, []   # the plan's eq-nodes, consumers first
+    for eq_id in order:
+        if eq_id in on_plan:
+            marked.append(eq_id)
+            op = winner[eq_id]
+            if op is not None:
+                on_plan.update(op.children)
+    plans: dict[int, Plan] = {}
+    for eq_id in reversed(marked):
+        node, op = eq_nodes[eq_id], winner[eq_id]
+        plans[eq_id] = (base_plan(node.signature[0][0], node.est_size) if op is None else
+                        Plan(op.kind, op.detail, None, tuple([plans[c] for c in op.children]),
+                             op.factor, node.est_size, op.op_cost, least[eq_id]))
+    return plans[root_eq]

@@ -36,10 +36,11 @@ derives nothing.  A new op-node derives only its key; the signature tuple
 and its text are built once, for a new eq-node.  Since signatures grow
 along every op-node, `topological_order` needs no walk: it sorts the
 eq-nodes by their signature's entry count.  Every inputs-first pass over a
-memo reads that order (`merge_below`, `plan_count_for`,
-`costplan.best_plan`, the place stage's DP, which reads it as its
-history's price table keeps it per root).  One walk does not:
-`Dag.below`'s, which finds what a root reaches.
+memo reads that order: `merge_below`, `plan_count_for`, the place stage's
+DP (which reads it as its history's price table keeps it per root), and
+`costplan.best_plan`'s winner and plan passes (with its consumers-first
+marking pass between them).  One walk finds what a root reaches:
+`reachable`, which `Dag.below` and `topological_order` below a root read.
 
 Ids are the memo's own names and reach no query output: under one eq-node,
 (kind, detail) already identifies an op-node, so `OpNode.sort_key` never
@@ -69,7 +70,6 @@ KIND_HAVING = "having"
 KIND_ORDERBY = "orderby"
 UNARY_KINDS = (KIND_JOINFILTER, KIND_SELECT, KIND_PROJECT, KIND_GROUPBY,
                KIND_HAVING, KIND_ORDERBY)
-OP_KINDS = (KIND_JOIN,) + UNARY_KINDS
 
 SIZE_RTOL = 1e-9
 JOINS, UNARY = 1, 2   # components of a signature, a key and a dag's registry
@@ -201,20 +201,12 @@ class Dag:
         return out
 
     def below(self, root: int) -> "Dag":
-        """The `view` of the eq-nodes reachable from `root` and their
+        """The `view` of the eq-nodes `reachable` from `root` and their
         op-nodes.  Every input of a reachable op-node is reachable, so every
-        eq-node of it but `root` is some op-node's input.  The walk keeps
-        its own list, so any depth works."""
-        src_eq, src_op = self.eq_nodes, self.op_nodes
-        eq_nodes, op_nodes, todo = {root: src_eq[root]}, {}, [root]
-        while todo:
-            for op_id in eq_nodes[todo.pop()].child_ops:
-                op_nodes[op_id] = op = src_op[op_id]
-                for child in op.children:
-                    if child not in eq_nodes:
-                        eq_nodes[child] = src_eq[child]
-                        todo.append(child)
-        return self.view(eq_nodes, op_nodes)
+        eq-node of it but `root` is some op-node's input."""
+        eq_nodes, src_op = reachable(self, root), self.op_nodes
+        return self.view(eq_nodes, {op_id: src_op[op_id] for node in eq_nodes.values()
+                                    for op_id in node.child_ops})
 
     def view(self, eq_nodes: dict[int, EqNode], op_nodes: dict[int, OpNode]) -> "Dag":
         """A dag of these nodes of this dag, read in place: this dag's own
@@ -229,6 +221,20 @@ class Dag:
         out._key_index = MappingProxyType(self._key_index)
         out._op_index = MappingProxyType(self._op_index)
         return out
+
+
+def reachable(dag: Dag, root: int) -> dict[int, EqNode]:
+    """The eq-nodes reachable from `root`, by id, `root` first.  The walk
+    keeps its own list, so any depth works."""
+    src_eq, src_op = dag.eq_nodes, dag.op_nodes
+    out, todo = {root: src_eq[root]}, [root]
+    while todo:
+        for op_id in out[todo.pop()].child_ops:
+            for child in src_op[op_id].children:
+                if child not in out:
+                    out[child] = src_eq[child]
+                    todo.append(child)
+    return out
 
 
 def sizes_agree(a: float, b: float) -> bool:
@@ -325,14 +331,22 @@ def attach_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
     op-node returns the eq-node recorded above it, after the size check,
     and derives nothing.  An estimate that overflowed (a non-finite
     `est_size` or `op_cost`) is a DagError.
+
+    The checks run in one order, and a call that breaks two rules gets the
+    first one's error: the kind, finiteness, each child's existence, the
+    children's count, the size of an op-node found in the op index, the
+    signature rule, and last the size of an eq-node found by its key.  A
+    join takes its own path and scans no list of kinds; a size is checked
+    (`_found`) only where it differs from the eq-node's.
     """
-    if kind not in OP_KINDS:
+    is_join = kind == KIND_JOIN
+    if not is_join and kind not in UNARY_KINDS:
         raise DagError(f"unknown op kind {kind!r}")
     if not (math.isfinite(est_size) and math.isfinite(op_cost)):
         raise DagError(f"{kind} {detail!r}: estimate overflows "
                        f"(est_size {est_size!r}, op_cost {op_cost!r})")
     eq_nodes = dag.eq_nodes
-    if kind == KIND_JOIN and len(children) == 2:   # each child looked up once
+    if is_join and len(children) == 2:   # each child looked up once
         left, right = children
         first, second = eq_nodes.get(left), eq_nodes.get(right)
         if first is None or second is None:
@@ -345,7 +359,7 @@ def attach_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
         for child in children:
             if child not in eq_nodes:
                 raise DagError(f"dangling child eq-node {child}")
-        if kind == KIND_JOIN:
+        if is_join:
             raise DagError("join ops take exactly two children")
         if len(children) != 1:
             raise DagError(f"{kind} ops take exactly one child")
@@ -353,10 +367,12 @@ def attach_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
     op_key = (kind, detail, children)
     parent = dag._op_index.get(op_key)
     if parent is not None:
-        return _found(eq_nodes[parent], est_size)
+        if eq_nodes[parent].est_size != est_size:
+            _found(eq_nodes[parent], est_size)
+        return parent
     bases, joins, unary, projection = first.key
     sig = None
-    if kind == KIND_JOIN:
+    if is_join:
         bases2, joins2, unary2, projection2 = second.key
         if projection or projection2 or bases & bases2:
             raise DagError(f"join {detail!r} of {first.text!r} and "
@@ -373,13 +389,13 @@ def attach_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
         key = ((bases, joins | bit, unary, projection) if is_filter
                else (bases, joins, unary | bit, projection))
     parent = dag._key_index.get(key)
-    if parent is not None:
-        _found(eq_nodes[parent], est_size)
-    else:
+    if parent is None:
         if sig is None:
             sig = (join_signature(first.signature, second.signature, detail)
-                   if kind == KIND_JOIN else extend_signature(first.signature, kind, detail))
+                   if is_join else extend_signature(first.signature, kind, detail))
         parent = _new_eq(dag, key, sig, est_size)
+    elif eq_nodes[parent].est_size != est_size:
+        _found(eq_nodes[parent], est_size)
     # the fields in order, without the argument handling of OpNode's __new__
     op = tuple.__new__(OpNode, (dag._next_op, kind, detail, children, float(op_cost), factor))
     dag._op_index[op_key] = parent   # first: it raises in a `Dag.below` view
@@ -401,19 +417,18 @@ def ensure_base(dag: Dag, relation: str, cardinality: float) -> int:
 
 def merge_below(dst: Dag, src: Dag, root: int) -> int:
     """Copy every eq-node and op-node of `src` below `root` into `dst`,
-    inputs first (`topological_order` of `src.below(root)`, reversed), by
+    inputs first (`topological_order` below `root`, reversed), by
     `ensure_base` and `attach_op`, so a node `dst` already holds is found,
     not copied again; returns `dst`'s eq-node for `root`.  Each eq-node keeps
     its `est_size` and each op-node its `op_cost` and `factor` as stored.
     `src` is not changed, and nothing recurses, so any depth works."""
-    view = src.below(root)
     ids: dict[int, int] = {}
-    for eq_id in reversed(topological_order(view)):
-        node = view.eq_nodes[eq_id]
+    for eq_id in reversed(topological_order(src, root)):
+        node = src.eq_nodes[eq_id]
         if node.is_base:
             ids[eq_id] = ensure_base(dst, node.signature[0][0], node.est_size)
         for op_id in node.child_ops:
-            op = view.op_nodes[op_id]
+            op = src.op_nodes[op_id]
             ids[eq_id] = attach_op(dst, op.kind, op.detail, tuple([ids[c] for c in op.children]),
                                    node.est_size, op.op_cost, op.factor)
     return ids[root]
@@ -421,16 +436,16 @@ def merge_below(dst: Dag, src: Dag, root: int) -> int:
 
 # -- counting -------------------------------------------------------------
 
-def topological_order(dag: Dag) -> list[int]:
-    """Every eq-node after all of its consumers: by the number of entries
-    in its signature (bases, applied joins and unary ops, and one for a
-    projection), largest first, ties by id.  `attach_op` holds every
-    op-node's signature to more entries than each input's, so no walk is
-    needed and any depth works.  Eq-node ids alone are not
-    topological: interning a plan can hang a new, higher-id child under an
-    existing parent.
+def topological_order(dag: Dag, root: int | None = None) -> list[int]:
+    """Every eq-node of `dag`, or every one `reachable` from `root`, after
+    all of its consumers: by the number of entries in its signature (bases,
+    applied joins and unary ops, and one for a projection), largest first,
+    ties by id.  `attach_op` holds every op-node's signature to more
+    entries than each input's, so the order needs no walk and any depth
+    works.  Eq-node ids alone are not topological: interning a plan can
+    hang a new, higher-id child under an existing parent.
     """
-    nodes = dag.eq_nodes
+    nodes = dag.eq_nodes if root is None else reachable(dag, root)
 
     def entries(eq_id: int) -> int:
         bases, joins, unary, projection = nodes[eq_id].signature

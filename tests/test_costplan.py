@@ -14,7 +14,7 @@ from sprinkleqo.memo import KIND_SELECT
 from sprinkleqo.sqlfront import parse_query
 
 from conftest import (FIXTURES, clause_variants, connected_query_sql, enumerate_plans,
-                      fixture_sql, intern_plan, random_schema)
+                      fixture_sql, intern_plan, make_catalog, random_schema)
 
 sizes = st.floats(min_value=1.0, max_value=1e6, allow_nan=False)
 factors = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
@@ -214,6 +214,46 @@ def test_best_plan_cost_that_overflows_is_a_dag_error():
         eq = costplan.intern_op(dag, KIND_SELECT, f"s{i}", (eq,), 1.0)
     with pytest.raises(DagError, match="overflows"):
         best_plan(dag, eq)
+
+
+def star_catalog(spokes: int):
+    """A hub r0 joined to each of r1 .. r<spokes> on its own attribute."""
+    relations = [{"name": "r0", "cardinality": 5000.0,
+                  "attributes": [{"name": f"k{i}", "distinct": 100}
+                                 for i in range(1, spokes + 1)]}]
+    relations += [{"name": f"r{i}", "cardinality": 100.0 * i,
+                   "attributes": [{"name": "a", "distinct": 50}, {"name": "b", "distinct": 20}]}
+                  for i in range(1, spokes + 1)]
+    return make_catalog(relations, [{"left": f"r0.k{i}", "right": f"r{i}.a", "jsf": 0.01}
+                                    for i in range(1, spokes + 1)])
+
+
+def test_best_plan_builds_one_plan_per_node_of_the_plan_it_returns(tpch_catalog, monkeypatch):
+    """Winners first, then only the returned tree gets `Plan`s: on naive
+    dags, whose eq-nodes mostly lie off the winning plan."""
+    star = star_catalog(5)
+    cases = [(fixture_sql("tpch", "tq1"), tpch_catalog),
+             ("select * from r0, r1, r2, r3, r4, r5 where " + " and ".join(
+                 [f"r0.k{i} = r{i}.a" for i in range(1, 6)] + ["r3.b > 4"]), star)]
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append(Plan(*args, **kwargs))
+        return made[-1]
+
+    for sql, catalog in cases:
+        query = parse_query(sql, catalog)
+        dag = naive.build_naive_dag(query, catalog, limit=query.n_operations())
+        root = dag.query_roots["q1"]
+        expected = best_plan(dag, root)
+        made.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(costplan, "Plan", counted)
+            plan = best_plan(dag, root)
+        assert plan == expected
+        nodes = costplan.inputs_first(plan)
+        assert len(nodes) < len(dag.eq_nodes)
+        assert sorted(map(id, made)) == sorted(map(id, nodes))
 
 
 def test_intern_plan_round_trip(company_catalog):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from sprinkleqo import joindag, memo, naive, sprinkle
 from sprinkleqo.errors import DagError
-from sprinkleqo.memo import (Dag, KIND_GROUPBY, KIND_JOIN, KIND_JOINFILTER,
+from sprinkleqo.memo import (Dag, KIND_GROUPBY, KIND_HAVING, KIND_JOIN, KIND_JOINFILTER,
                              KIND_PROJECT, KIND_SELECT, OpNode, SIZE_RTOL,
                              arc_signature_set, attach_op, base_signature,
                              count_nodes, dag_to_doc, ensure_base,
@@ -122,6 +122,88 @@ def test_reattaching_an_op_node_keeps_every_check():
             (("scan", "a.x > 1", (a,), 10.0, 100.0), "unknown op kind")]:
         with pytest.raises(DagError, match=match):
             attach_op(dag, *call, factor=0.1)
+    assert dag_to_doc(dag) == before
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def selected(dag, eq, detail, est_size=10.0):
+    """`eq` under a select `detail` of ssf 0.1 that yields `est_size` rows."""
+    return attach_op(dag, KIND_SELECT, detail, (eq,), est_size, 100.0, factor=0.1)
+
+
+def other_order(dag, a):
+    """`a` under `a.y > 2`, once `a.x > 1` then `a.y > 2` yield 1.0 rows."""
+    selected(dag, selected(dag, a, "a.x > 1"), "a.y > 2", 1.0)
+    return selected(dag, a, "a.y > 2")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda dag, a, b, ab: ("scan", "a.x > 1", (a,), 10.0, 100.0),
+     "unknown op kind 'scan'"),
+    (lambda dag, a, b, ab: ("scan", "a.x > 1", (a,), 10.0, INF),   # the kind first
+     "unknown op kind 'scan'"),
+    (lambda dag, a, b, ab: (KIND_JOIN, "a.y = b.y", (a, b), INF, 20000.0),
+     "join 'a.y = b.y': estimate overflows (est_size inf, op_cost 20000.0)"),
+    (lambda dag, a, b, ab: (KIND_SELECT, "a.x > 1", (999,), NAN, 100.0),   # finiteness first
+     "select 'a.x > 1': estimate overflows (est_size nan, op_cost 100.0)"),
+    (lambda dag, a, b, ab: (KIND_JOIN, "a.y = b.y", (a, 999), 1.0, NAN),
+     "join 'a.y = b.y': estimate overflows (est_size 1.0, op_cost nan)"),
+    (lambda dag, a, b, ab: (KIND_JOIN, "a.y = b.y", (998, 999), 1.0, 1.0),
+     "dangling child eq-node 998"),
+    (lambda dag, a, b, ab: (KIND_JOIN, "a.y = b.y", (a, 999), 1.0, 1.0),
+     "dangling child eq-node 999"),
+    (lambda dag, a, b, ab: (KIND_JOIN, "a.y = b.y", (a, b, 999), 1.0, 1.0),   # children first
+     "dangling child eq-node 999"),
+    (lambda dag, a, b, ab: (KIND_JOIN, "a.y = b.y", (a, b, b), 1.0, 1.0),
+     "join ops take exactly two children"),
+    (lambda dag, a, b, ab: (KIND_JOIN, "a.y = b.y", (a,), 1.0, 1.0),
+     "join ops take exactly two children"),
+    (lambda dag, a, b, ab: (KIND_SELECT, "a.x > 1", (a, 999), 1.0, 1.0),
+     "dangling child eq-node 999"),
+    (lambda dag, a, b, ab: (KIND_HAVING, "count(*) > 1", (a, b), 1.0, 1.0),
+     "having ops take exactly one child"),
+    (lambda dag, a, b, ab: (KIND_PROJECT, "project(a.x)", (), 1.0, 1.0),
+     "project ops take exactly one child"),
+    (lambda dag, a, b, ab: (KIND_JOIN, "a.y = b.y", (ab, b), 1.0, 1.0),
+     "join 'a.y = b.y' of '{a,b} j[a.x = b.x]' and '{b}': "
+     "inputs must be disjoint and unprojected"),
+    (lambda dag, a, b, ab: (KIND_JOIN, "a.x = b.x", (projected_a(dag, a), b), 1.0, 1.0),
+     "join 'a.x = b.x' of '{a} p[a.x]' and '{b}': inputs must be disjoint and unprojected"),
+    (lambda dag, a, b, ab: (KIND_SELECT, "a.x > 1", (attach_op(
+        dag, KIND_SELECT, "a.x > 1", (a,), 10.0, 100.0, factor=0.1),), 1.0, 10.0),
+     "select 'a.x > 1' is already applied in '{a} u[a.x > 1]'"),
+    (lambda dag, a, b, ab: (KIND_JOINFILTER, "a.x = b.x", (ab,), 1.0, 2000.0),
+     "joinfilter 'a.x = b.x' is already applied in '{a,b} j[a.x = b.x]'"),
+    (lambda dag, a, b, ab: (KIND_PROJECT, "project(a.y)", (projected_a(dag, a),), 1.0, 1.0),
+     "'project(a.y)' does not extend '{a} p[a.x]'"),
+    (lambda dag, a, b, ab: (KIND_PROJECT, "project()", (a,), 1.0, 1.0),
+     "'project()' does not extend '{a}'"),
+    (lambda dag, a, b, ab: (KIND_JOIN, "a.x = b.x", (b, a), 3000.0, 20000.0),   # op found
+     "signature collision with inconsistent est_size: '{a,b} j[a.x = b.x]' has 2000.0 vs 3000.0"),
+    (lambda dag, a, b, ab: (KIND_SELECT, "a.x > 1", (projected_a(dag, attach_op(
+        dag, KIND_SELECT, "a.x > 1", (a,), 10.0, 100.0, factor=0.1)),), 10.0, 10.0),
+     "select 'a.x > 1' is already applied in '{a} u[a.x > 1] p[a.x]'"),
+    (lambda dag, a, b, ab: (KIND_SELECT, "a.x > 1", (other_order(dag, a),), 5.0, 10.0),
+     "signature collision with inconsistent est_size: '{a} u[a.x > 1; a.y > 2]' has 1.0 vs 5.0"),
+], ids=["unknown-kind", "unknown-kind-inf-cost", "inf-size", "dangling-with-nan-size",
+        "dangling-join-with-nan-cost", "two-dangling", "dangling-right", "three-children-dangling",
+        "three-children", "one-child-join", "dangling-select", "two-child-having",
+        "no-child-project", "overlapping-join", "projected-join-input",
+        "condition-applied-twice", "joinfilter-of-applied-join", "project-over-projected",
+        "empty-project", "size-of-a-found-op", "reapplied-under-a-projection",
+        "size-of-a-found-eq-node"])
+def test_malformed_attach_op_raises_its_exact_text(call, message):
+    """Every malformed call's DagError text, the first broken rule's where
+    a call breaks two, and the dag unchanged."""
+    dag, a, b = two_base_dag()
+    ab = attach_op(dag, KIND_JOIN, "a.x = b.x", (a, b), 2000.0, 20000.0, factor=0.1)
+    args = call(dag, a, b, ab)
+    before = dag_to_doc(dag)
+    with pytest.raises(DagError) as exc:
+        attach_op(dag, *args, factor=0.1)
+    assert str(exc.value) == message
     assert dag_to_doc(dag) == before
 
 

@@ -1573,7 +1573,8 @@ def test_a_cold_flat_block_sorts_its_join_dag_once(company_catalog, monkeypatch)
     # view; plan extraction sorts the final dag, a different dag
     calls = []
     order = memo.topological_order
-    monkeypatch.setattr(memo, "topological_order", lambda dag: calls.append(dag) or order(dag))
+    monkeypatch.setattr(memo, "topological_order",
+                        lambda dag, *root: calls.append(dag) or order(dag, *root))
     query = parse_query(fixture_sql("company", "q2"), company_catalog)
     res = sprinkle.optimize_single(query, company_catalog)
     jd_nodes = {id(node) for node in res.jd.eq_nodes.values()}
@@ -2433,7 +2434,7 @@ def test_a_warm_join_only_block_takes_no_step_and_sorts_no_join_dag(monkeypatch,
     sorted_dags = []
     order = memo.topological_order
     monkeypatch.setattr(memo, "topological_order",
-                        lambda dag: sorted_dags.append(dag) or order(dag))
+                        lambda dag, *root: sorted_dags.append(dag) or order(dag, *root))
     history_nodes = {id(node) for node in history.dag.eq_nodes.values()}
     for block in range(4):
         steps.clear()
