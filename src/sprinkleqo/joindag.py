@@ -12,11 +12,12 @@ Its prices are pre-computed too.  An eq-node's join-only size, least cost
 and tied op-nodes depend only on the catalog, so each history version
 keeps one price table (`Prices`), the winner table of a Cascades memo
 (Graefe, "The Cascades Framework for Query Optimization", 1995).  It holds
-each eq-node a block has priced with nothing placed at or below it (the
-place stage fills it, `sprinkle._priced`), and what each query root
-reaches with its inputs-first order.  It is filled on demand, never at
-build or load, and never saved.  A version that only bumps the number
-(`dataclasses.replace`) shares its table; one with new joins is a
+the cell of each eq-node a block has priced with nothing placed at or
+below it, the cell the placement DP gives a block with nothing to place
+(`sprinkle._PLAIN`), filled by the place stage's own pass, and what each
+query root reaches with its inputs-first order.  It is filled on demand,
+never at build or load, and never saved.  A version that only bumps the
+number (`dataclasses.replace`) shares its table; one with new joins is a
 `clone`, which starts an empty one.  A join dag the table did not give
 (built by hand, or renumbered) prices into an empty table of its own.
 
@@ -61,7 +62,8 @@ HISTORY_FORMAT = 2
 class Prices:
     """The price table of one dag (see the module docstring), filled on
     demand.  `nodes` maps each eq-node priced so far to the place stage's
-    DP cell of it with nothing placed (`sprinkle._priced`).  `views` maps
+    DP cell of it with nothing to place (`sprinkle._PLAIN`'s), which the
+    stage's pass fills when it first meets the eq-node.  `views` maps
     each root asked for to the eq-node and op-node maps below it and their
     inputs-first order (`below`)."""
 

@@ -47,16 +47,15 @@ attaches each kept op-node once.
 
 The plain pass reads its history's price table (`joindag.Prices`): the
 join dag's inputs-first order, kept per root, and the cell of each node
-where nothing may sit at or below it (no select bit below it, and not
-covering the order-by's relations), with its tables at set 0 only.  Such
-a cell takes no DP step: `_priced` prices it once per history version,
-exactly as the step prices set 0, and every later block, plain, grouped
-or ordered, shares it, leaves too; its tied op-nodes (`_tied`), which the
-state walk keeps, are found once too.  Where a node stands, whether it
-covers the order-by's or the group-by's relations, is read from its
-eq-node's base relations, so no cell carries it.  A cell above a landing
-always steps, for the landing changes its sizes.  A block with nothing to
-place takes no step at all.
+where nothing may sit at or below it (no select on its base relations, and
+not covering the order-by's).  Such a cell is the one the DP gives a block
+with nothing to place (`_PLAIN`), tables at set 0 only: the pass fills it
+by the same `leaf` or `node` step when first met in a history version, and
+every later block, plain, grouped or ordered, shares it, leaves too.  Where
+a node stands, whether it covers the order-by's or the group-by's
+relations, is read from its eq-node's base relations, so no cell carries
+it.  A cell above a landing always steps, for the landing changes its
+sizes.  A block with nothing to place steps only to fill the table.
 """
 
 from __future__ import annotations
@@ -87,10 +86,8 @@ class _Cell:
     """Placement tables of one plan node or memo eq-node (`eq`), and the
     alternatives its DP step read, each (op-node, input cells): a leaf's one
     has neither, a landing's is its group-by (no op-node) over the node's
-    plain cell; `ranked` holds them in `OpNode.sort_key` order once the place
-    stage first reads them.  A cell of the price table (`_priced`) takes no
-    step: it has tables at set 0 only and, but at a base, no alternatives
-    (None).  Lists are indexed by bit masks, bit i the select
+    plain cell.  A cell of the price table is `_PLAIN`'s, with tables at
+    set 0 only.  Lists are indexed by bit masks, bit i the select
     of rank i and the order-by the top bit; `u` is the set placed below the
     node's own operator, `s` the set placed at or below the node, and the DP
     reads both from `_Placement.sets`.  Sizes depend only on which bits sit at
@@ -98,11 +95,10 @@ class _Cell:
     group-by landing at or below it holds, defaults to 0; only a landing
     sets `grouping`, its group-by's cost with its having's."""
 
-    __slots__ = ("eq", "alternatives", "ranked", "tied", "mask", "cmask", "fixed",
-                 "grouping", "size", "best")
+    __slots__ = ("eq", "alternatives", "mask", "cmask", "fixed", "grouping", "size", "best")
 
     def __init__(self, mask: int, alternatives, size: list[float], best: list[float]):
-        self.alternatives, self.ranked = alternatives, None
+        self.alternatives = alternatives
         self.mask = mask     # the bits that may sit at or below the node
         self.cmask = mask    # the bits that may sit below its operator
         self.fixed = 0       # the bits a group-by landing at or below it holds
@@ -209,7 +205,8 @@ class _Placement:
         `size` by U is the size by S too.  `best` then stacks S - U on the
         op's output (`_stack`).
         """
-        (op, children), *rest = alternatives
+        op, children = alternatives[0]
+        rest = alternatives[1:]
         first, last = children[0], children[-1]   # a join's two inputs, or a unary op's one
         held = cmask = mask = first.mask | last.mask
         if self.ob_bit:   # without one, every op-node's inputs cover one relation set: `held`
@@ -288,67 +285,7 @@ class _Placement:
         return max(least, min(1.0, landed.size[fixed] / size) * flat + landed.grouping)
 
 
-def _priced(prices: joindag.Prices, eq_id: int) -> _Cell:
-    """`eq_id`'s cell in the price table, priced into it if new: its tables
-    at set 0, the one set when nothing is placed, exactly as `_Placement`'s
-    `leaf` and `node` price that set.  A base costs 0.0 at its estimate and
-    keeps its one alternative.  Any other eq-node's size is its first
-    op-node's in `child_ops` order, over its inputs in their stored order,
-    and its least cost the first op-node's, lowered only by a strictly
-    smaller one.  Every block that reads the table shares the cell, so
-    nothing writes to its tables.  An input not priced yet is priced first;
-    going inputs first, as the place stage does, keeps that one level
-    deep."""
-    nodes = prices.nodes
-    cell = nodes.get(eq_id)
-    if cell is not None:
-        return cell
-    node, op_nodes = prices.dag.eq_nodes[eq_id], prices.dag.op_nodes
-    if node.is_base:
-        cell = nodes[eq_id] = _Cell(0, [(None, ())], [node.est_size], [0.0])
-    else:
-        size = None
-        for op in map(op_nodes.__getitem__, node.child_ops):
-            children = op.children
-            k1 = nodes.get(children[0]) or _priced(prices, children[0])
-            if len(children) == 2:
-                k2 = nodes.get(children[1]) or _priced(prices, children[1])
-                a, b = k1.size[0], k2.size[0]
-                cost = a * b + (k1.best[0] + k2.best[0])
-                if size is None:
-                    size, least = float(op.factor) * a * b, cost
-            else:
-                a = k1.size[0]
-                cost = a + k1.best[0]
-                if size is None:
-                    size, least = float(op.factor) * a, cost
-            if cost < least:
-                least = cost
-        cell = nodes[eq_id] = _Cell(0, None, [size], [least])
-        cell.tied = None
-    cell.eq = eq_id
-    return cell
-
-
-def _tied(prices: joindag.Prices, eq_id: int) -> list:
-    """The op-nodes of a cell in the price table within memo.SIZE_RTOL of
-    its least cost, in `OpNode.sort_key` order, each priced over its inputs'
-    cells as `_kept_alternatives` prices it; found when first asked for and
-    kept on the cell."""
-    cell = prices.nodes[eq_id]
-    if cell.tied is None:
-        nodes, budget, tied = prices.nodes, memo.within_rounding(cell.best[0]), []
-        for op in map(prices.dag.op_nodes.__getitem__, prices.dag.eq_nodes[eq_id].child_ops):
-            k1, k2 = nodes[op.children[0]], nodes[op.children[-1]]
-            if len(op.children) == 2:
-                cost = k1.size[0] * k2.size[0] + (k1.best[0] + k2.best[0])
-            else:
-                cost = k1.size[0] + k1.best[0]
-            if cost <= budget:
-                tied.append(op)
-        tied.sort(key=memo.OpNode.sort_key)
-        cell.tied = tied
-    return cell.tied
+_PLAIN = _Placement(())   # a block with nothing to place: its cells fill the price table
 
 
 class _Pass(NamedTuple):
@@ -357,7 +294,6 @@ class _Pass(NamedTuple):
     cells: dict[int, _Cell]                        # each eq-node's plain tables
     tiers: list[dict[int, _Cell]]                  # per landing priced, its tier's cells, it first
     optimum: dict[int, float]                      # each query root's least `dp.total`
-    prices: joindag.Prices                         # the price table it read
 
 
 # -- the place stage -----------------------------------------------------------
@@ -382,7 +318,7 @@ def _root_cell(dag: Dag, dp: _Placement, passed: _Pass, root: int) -> _Cell:
                key=nearness)[root]
 
 
-def _kept_alternatives(dp: _Placement, passed: _Pass, cell: _Cell, s: int) -> list:
+def _kept_alternatives(cell: _Cell, s: int) -> list:
     """The alternatives of the state (cell, S) that cost at most
     memo.SIZE_RTOL above its DP `best`, each (what, input states), priced
     as the DP step prices them: an op-node of the cell whose inputs hold
@@ -390,15 +326,12 @@ def _kept_alternatives(dp: _Placement, passed: _Pass, cell: _Cell, s: int) -> li
     None, no inputs); a landing's group-by at its fixed set, over its input
     at that set (what None), each the one alternative of its state and so
     kept unpriced; and one bit i of S not fixed below a landing
-    stacked on (cell, S - i) (what i).  Op-nodes come in `OpNode.sort_key`
-    order, then the bits in ascending order.  Ascending-rank stacking is
-    optimal, so the least of them is `best` and always kept.  A cell read
-    from the price table (S = 0) keeps the op-nodes the table holds as tied
-    (`_tied`), over their inputs' plain cells at 0."""
-    if cell.alternatives is None:
-        cells = passed.cells
-        return [(op, tuple([(cells[c], 0) for c in op.children]))
-                for op in _tied(passed.prices, cell.eq)]
+    stacked on (cell, S - i) (what i).  The kept op-nodes come in
+    `OpNode.sort_key` order, then the bits in ascending order.
+    Ascending-rank stacking is optimal, so the least of them is `best` and
+    always kept.  A price-table cell is `_PLAIN`'s, as the pass filled it,
+    and keeps its alternatives too, so its one state, S = 0, is read by the
+    same rule."""
     budget, kept = memo.within_rounding(cell.best[s]), []
     op, kids = cell.alternatives[0]
     if not kids:   # a leaf
@@ -408,9 +341,7 @@ def _kept_alternatives(dp: _Placement, passed: _Pass, cell: _Cell, s: int) -> li
         if s == cell.cmask:
             kept.append((None, ((kids[0], s),)))
     else:
-        if cell.ranked is None:
-            cell.ranked = sorted(cell.alternatives, key=lambda alt: alt[0].sort_key())
-        for op, kids in cell.ranked:
+        for op, kids in cell.alternatives:
             k1, k2 = kids[0], kids[-1]
             if s & ~(k1.mask | k2.mask):   # an order-by its inputs cannot hold
                 continue
@@ -420,6 +351,7 @@ def _kept_alternatives(dp: _Placement, passed: _Pass, cell: _Cell, s: int) -> li
                     kept.append((op, ((k1, t1), (k2, t2))))
             elif k1.size[s] + k1.best[s] <= budget:
                 kept.append((op, ((k1, s),)))
+        kept.sort(key=lambda alt: alt[0].sort_key())
     free = s & ~cell.fixed
     for i in range(free.bit_length()):
         if free >> i & 1:
@@ -452,7 +384,7 @@ def _decorate_stage(dag: Dag, dp: _Placement, passed: _Pass) -> Dag:
                 stack.pop()
                 continue
             if state not in kept:   # first visit: its inputs go first
-                kept[state] = _kept_alternatives(dp, passed, *state)
+                kept[state] = _kept_alternatives(*state)
                 stack += reversed([x for _, inputs in kept[state] for x in inputs
                                    if x not in ids])
                 continue
@@ -491,33 +423,40 @@ def _select_floors(dag: Dag, dp: _Placement) -> _Pass:
     set it holds.  A root's optimum is its least `dp.total` at the full set: its
     least decorated cost, exactly.  A landing's tier is its cell and the
     cells of the eq-nodes after it with an op-node over the tier.  The
-    plain pass reads the join dag's price table (`joindag.Prices`; an empty
-    one for a dag that carries none) and its kept inputs-first order (the
-    memo's order for a dag that carries none): each node's prices where
-    nothing may sit at or below the node, which takes no DP step."""
-    prices = dag.prices if dag.prices is not None else joindag.Prices(dag)
+    plain pass reads the join dag's kept inputs-first order (the memo's
+    order for a dag that carries none) and its price table
+    (`joindag.Prices`; an empty one for a dag that carries none): an
+    eq-node with no select on its base relations and not covering the
+    order-by's takes the table's cell, which it fills on a miss by
+    `_PLAIN`'s step over the input cells it holds."""
+    table = (dag.prices if dag.prices is not None else joindag.Prices(dag)).nodes
     order = dag.order if dag.order is not None else memo.topological_order(dag)[::-1]
     eq_nodes, op_nodes, cells, holds_order = dag.eq_nodes, dag.op_nodes, {}, dp.holds_order
+    selected = dp.on_relation.keys()
     for eq_id in order:
         node = eq_nodes[eq_id]
-        ordered = holds_order(node.signature[0])
+        bases = node.signature[0]
+        ordered = holds_order(bases)
+        if ordered or not selected.isdisjoint(bases):
+            step = dp
+        elif eq_id in table:
+            cells[eq_id] = table[eq_id]
+            continue
+        else:
+            step = _PLAIN
         if node.child_ops:
-            kids = op_nodes[node.child_ops[0]].children
-            if ordered or cells[kids[0]].mask | cells[kids[-1]].mask:
-                cell = dp.node([(op, tuple(map(cells.__getitem__, op.children)))
-                                for op in map(op_nodes.__getitem__, node.child_ops)], ordered)
-            else:
-                cell = _priced(prices, eq_id)
+            cell = step.node([(op, tuple(map(cells.__getitem__, op.children)))
+                              for op in map(op_nodes.__getitem__, node.child_ops)], ordered)
         else:   # a base
-            relation = node.signature[0][0]
-            cell = (dp.leaf(relation, node.est_size, ordered)
-                    if ordered or relation in dp.on_relation else _priced(prices, eq_id))
+            cell = step.leaf(bases[0], node.est_size, ordered)
+        if step is _PLAIN:
+            table[eq_id] = cell
         cells[eq_id], cell.eq = cell, eq_id
     full = dp.width - 1
     plain = {root: dp.total(cells[root].best[full], cells[root].size[full])
              for root in dag.query_roots.values()}
     if dp.group is None:
-        return _Pass(cells, [], plain, prices)
+        return _Pass(cells, [], plain)
     flat, landings = min(plain.values()), []   # (bound, position in order, cell) per landing
     for i, eq_id in enumerate(order):
         if dp.grouping.issubset(eq_nodes[eq_id].signature[0]):
@@ -540,7 +479,7 @@ def _select_floors(dag: Dag, dp: _Placement) -> _Pass:
         tiers.append(tier)
         for root in roots.keys() & tier.keys():
             roots[root] = min(roots[root], dp.total(tier[root].best[full], tier[root].size[full]))
-    return _Pass(cells, tiers, roots, prices)
+    return _Pass(cells, tiers, roots)
 
 
 def _block_placement(query: Query, catalog: Catalog, retained: set[str]) -> _Placement:

@@ -583,8 +583,16 @@ def counting(monkeypatch, owner, name):
 
 def filled(jd):
     """How many eq-nodes, bases aside, the price table of a join dag holds:
-    each priced by the table, taking no DP step."""
+    each read from the table, taking no DP step of its block's own."""
     return sum(not jd.eq_nodes[eq_id].is_base for eq_id in jd.prices.nodes)
+
+
+def own_steps(steps, jd):
+    """The cells of `steps` that a block's DP stepped to for itself: every
+    one but those filled into its join dag's price table, which are the
+    steps of a block with nothing to place (`sprinkle._PLAIN`)."""
+    table = set(map(id, jd.prices.nodes.values()))
+    return [cell for cell in steps if id(cell) not in table]
 
 
 def test_eight_leaf_star_places_selects_on_few_plans(monkeypatch):
@@ -612,8 +620,8 @@ def test_eight_leaf_star_places_selects_on_few_plans(monkeypatch):
     # 128 and from the price table under the other 127, and attaches only
     # the one optimal plan, its 8 joins and its select, each once
     assert oracle_placed == 34
-    assert (len(steps), filled(jd)) == (128, 127)
-    assert len(steps) + filled(jd) == sum(not node.is_base for node in jd.eq_nodes.values()) == 255
+    assert (len(own_steps(steps, jd)), filled(jd)) == (128, 127)
+    assert len(own_steps(steps, jd)) + filled(jd) == sum(not node.is_base for node in jd.eq_nodes.values()) == 255
     assert len(attached) == len(pruned.op_nodes) == 9
     best = costplan.best_plan(oracle, oracle.query_roots["q1"]).cum_cost
     assert costplan.best_plan(pruned, pruned.query_roots["q1"]).cum_cost == best
@@ -1049,22 +1057,39 @@ def landing(plan, kind):
     return None
 
 
+def sorted_over(plan, bases, text):
+    """`plan` with an order-by (`text`) on its node over `bases`, each
+    operator above it priced again."""
+    out = plan if plan.kind == "base" else op_plan(
+        plan.kind, plan.detail, tuple(sorted_over(c, bases, text) for c in plan.children),
+        plan.factor)
+    return op_plan(KIND_ORDERBY, text, (out,)) if plan_bases(plan) == bases else out
+
+
 @example(10.0, 100.0, 100.0, 0.5, 0.5)  # both descend to the leaf t
 @example(1.0, 1.0, 2.001953125, 1e-06, 0.5)   # landings that tie only up to rounding
+@example(1.0, 2.00001, 4997.0, 0.5, 1.0)   # a landing the ordered walk drops below the root
 @given(sizes, sizes, sizes, factors, factors)
 def test_groupby_and_orderby_land_together_when_d_covers_t(t, b1, b2, j1, j2):
     # with d at least every size below the root, grouping is size-neutral
     # there, as sorting is: both cost their input's size, so they cost the
     # same up to rounding, and the group-by's landing, the tied one nearest
-    # the root, is one the order-by keeps
+    # the root, is one the order-by keeps, or one where an order-by ties
+    # the ordered optimum at the root, the rule by which the group-by's
+    # tier is chosen (`_root_cell`), though the ordered walk, which ties
+    # each state to its own least, drops it
     inner = op_plan(KIND_JOIN, "t.x = b1.x", (base_plan("t", t), base_plan("b1", b1)), j1)
     plan = op_plan(KIND_JOIN, "t.y = b2.y", (inner, base_plan("b2", b2)), j2)
     d = max(t, inner.est_size)
     grouped = placed_on(plan, group_by=(("t", "g"),), d=d)
-    ordered = decorate_plan(plan, dp=sprinkle._Placement((), order_by=(OrderItem("t", "g"),)))
+    order_by = (OrderItem("t", "g"),)
+    ordered = decorate_plan(plan, dp=sprinkle._Placement((), order_by=order_by))
     kept = enumerate_plans(ordered, ordered.query_roots["plan"])
-    assert landing(grouped, KIND_GROUPBY) in [landing(p, KIND_ORDERBY) for p in kept]
     least = min(p.cum_cost for p in kept)
+    if landing(grouped, KIND_GROUPBY) not in [landing(p, KIND_ORDERBY) for p in kept]:
+        gb = next(n for n in walk_plan(grouped) if n.kind == KIND_GROUPBY)
+        there = sorted_over(plan, plan_bases(gb.children[0]), sqlfront.orderby_text(order_by))
+        assert there.cum_cost <= memo.within_rounding(least)
     assert grouped.cum_cost <= memo.within_rounding(least)
     assert least <= memo.within_rounding(grouped.cum_cost)
 
@@ -1179,22 +1204,6 @@ def operator_cost(cell, u):
                default=math.inf)
 
 
-def with_alternatives(jd, passed):
-    """`passed` with each plain cell read from the price table replaced by a
-    copy that holds the alternatives a DP step would have read: its
-    op-nodes over their inputs' plain cells.  Such a cell is then checked
-    as a stepped one is, and the table's own cells are left as they are."""
-    cells = dict(passed.cells)
-    for eq_id, cell in passed.cells.items():
-        if cell.alternatives is None:
-            cells[eq_id] = sprinkle._Cell(0, [(op, tuple(map(passed.cells.__getitem__, op.children)))
-                                              for op in map(jd.op_nodes.__getitem__,
-                                                            jd.eq_nodes[eq_id].child_ops)],
-                                          cell.size, cell.best)
-            cells[eq_id].eq = eq_id
-    return passed._replace(cells=cells)
-
-
 def pair_loop_best(dp, cell):
     """The cell's least cost per set S at or below it, from `operator_cost`
     and its own `size` by the O(3**bits) loop: every U below the operator
@@ -1267,7 +1276,7 @@ def test_the_stacking_sweep_matches_the_pair_loop():
     for sql, catalog in grouped_oracle_queries() + one_relation_stacks() + [internal_stack_block()]:
         query, jd = joindag_for(sql, catalog)
         dp = sprinkle._block_placement(query, catalog, sqlfront.output_attrs(query, catalog))
-        passed = with_alternatives(jd, sprinkle._select_floors(jd, dp))
+        passed = sprinkle._select_floors(jd, dp)
         for cells in [passed.cells] + passed.tiers:
             for cell in cells.values():
                 if cell.alternatives[0][0] is None:
@@ -1327,7 +1336,7 @@ def test_every_state_has_an_alternative_at_its_best_and_none_below():
     for sql, catalog in stage_inputs() + grouped_oracle_queries() + one_relation_stacks():
         query, jd = joindag_for(sql, catalog)
         dp = sprinkle._block_placement(query, catalog, sqlfront.output_attrs(query, catalog))
-        passed = with_alternatives(jd, sprinkle._select_floors(jd, dp))
+        passed = sprinkle._select_floors(jd, dp)
         for cells in [passed.cells] + passed.tiers:
             for cell in cells.values():
                 for s, best in enumerate(cell.best):
@@ -1396,7 +1405,7 @@ def test_twelve_join_chain_decorates_few_of_its_plans(monkeypatch):
                                        catalog, limit=12)
         assert memo.count_nodes(res.jd)[2] == 208012
         plans = memo.plan_count_for(res.dag, res.dag.query_roots["q1"])
-        assert (len(steps), filled(res.jd), plans) == counts, clauses
+        assert (len(own_steps(steps, res.jd)), filled(res.jd), plans) == counts, clauses
 
 
 def test_no_plan_of_the_twelve_join_chain_lies_above_rounding():
@@ -1565,7 +1574,7 @@ def test_cold_grouped_tpch_blocks_pass_over_few_nodes(tpch_catalog, monkeypatch)
         steps.clear()
         res = sprinkle.optimize_single(parse_query(fixture_sql("tpch", name), tpch_catalog),
                                        tpch_catalog)
-        assert (len(steps), filled(res.jd)) == counts, name
+        assert (len(own_steps(steps, res.jd)), filled(res.jd)) == counts, name
 
 
 def test_a_cold_flat_block_sorts_its_join_dag_once(company_catalog, monkeypatch):
@@ -2324,65 +2333,26 @@ def price_histories(company_catalog, tpch_catalog):
     return out
 
 
-def stepped_cells(dag, dp):
-    """Each eq-node's cell by the DP step alone (`_Placement.leaf` and
-    `node`), inputs first, reading no price table."""
-    cells = {}
-    for eq_id in reversed(memo.topological_order(dag)):
-        node = dag.eq_nodes[eq_id]
-        ordered = dp.holds_order(node.signature[0])
-        cells[eq_id] = (dp.leaf(node.signature[0][0], node.est_size, ordered) if node.is_base else
-                        dp.node([(op, tuple(map(cells.__getitem__, op.children)))
-                                 for op in map(dag.op_nodes.__getitem__, node.child_ops)], ordered))
-        cells[eq_id].eq = eq_id
-    return cells
-
-
-def test_the_price_table_prices_set_0_as_the_dp_step(company_catalog, tpch_catalog):
-    # every eq-node of each history, bit for bit: its size and least cost
-    # at set 0 against the step of a block with nothing to place and of one
-    # with a select on the history's first relation, which steps over every
-    # node above that relation; and its tied op-nodes against what the
-    # state walk keeps at set 0 of the stepped cell
-    compared = joinfilters = 0
-    for history in price_histories(company_catalog, tpch_catalog):
-        dag, prices = history.dag, joindag.Prices(history.dag)
-        table = {eq_id: sprinkle._priced(prices, eq_id)
-                 for eq_id in reversed(memo.topological_order(dag))}
-        first = min(node.signature[0][0] for node in dag.eq_nodes.values())
-        for dp in (sprinkle._Placement(()),
-                   sprinkle._Placement((SelectCondition(first, "x", ">", 1, 0.5),))):
-            stepped = stepped_cells(dag, dp)
-            passed = sprinkle._Pass(stepped, [], {}, prices)
-            for eq_id, cell in stepped.items():
-                assert table[eq_id].size[0].hex() == cell.size[0].hex()
-                assert table[eq_id].best[0].hex() == cell.best[0].hex()
-                if not dag.eq_nodes[eq_id].is_base:
-                    kept = sprinkle._kept_alternatives(dp, passed, cell, 0)
-                    assert sprinkle._tied(prices, eq_id) == [what for what, _ in kept]
-                    compared += 1
-        joinfilters += any(op.kind == KIND_JOINFILTER for op in dag.op_nodes.values())
-    assert (compared, joinfilters) == (2 * 494, 12)
-
-
 def price_all(history):
-    """Price every eq-node of a history into its table, inputs first, and
+    """Fill a history's table with every eq-node below its roots, by the
+    pass of a block with nothing to place over each root's join dag, and
     return the table as `priced_by_text` reads it."""
-    for eq_id in reversed(memo.topological_order(history.dag)):
-        sprinkle._priced(history.prices, eq_id)
+    for root in history.dag.query_roots.values():
+        sprinkle._select_floors(history.prices.below(root), sprinkle._PLAIN)
     return priced_by_text(history)
 
 
 def priced_by_text(history):
     """Each eq-node in a history's table, by its signature text: its size
-    and least cost as hex, and, above a base, its tied op-nodes as (kind,
-    detail, input texts), so that ids do not count."""
+    and least cost as hex, and, above a base, the op-nodes the state walk
+    keeps at its set 0 as (kind, detail, input texts), so that ids do not
+    count."""
     dag, out = history.dag, {}
     for eq_id, cell in history.prices.nodes.items():
         entry = (cell.size[0].hex(), cell.best[0].hex())
         if not dag.eq_nodes[eq_id].is_base:
             entry += tuple((op.kind, op.detail, tuple(dag.eq_nodes[c].text for c in op.children))
-                           for op in sprinkle._tied(history.prices, eq_id))
+                           for op, _ in sprinkle._kept_alternatives(cell, 0))
         out[dag.eq_nodes[eq_id].text] = entry
     return out
 
@@ -2443,7 +2413,7 @@ def test_a_warm_join_only_block_takes_no_step_and_sorts_no_join_dag(monkeypatch,
         query, cold = queries[block % 2], colds[block % 2]
         warm = sprinkle.optimize_single(query, tpch_catalog, history=history)
         assert warm.history.prices is history.prices and warm.jd.prices is history.prices
-        assert steps == []
+        assert own_steps(steps, warm.jd) == []
         assert memo.dag_to_doc(warm.dag) == memo.dag_to_doc(cold.dag)
         assert (warm.dag._bits, warm.dag._key_index, warm.dag._op_index) == \
             (cold.dag._bits, cold.dag._key_index, cold.dag._op_index)
