@@ -12,7 +12,7 @@ Sizes are real-valued estimates; nothing is rounded except for display.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import memo
 from .errors import DagError
@@ -50,8 +50,7 @@ def op_cost(kind: str, inputs: tuple[float, ...]) -> float:
     raise DagError(f"unknown op kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(NamedTuple):
     """One fully expanded operator tree with per-node size and cost."""
 
     kind: str  # 'base' or an op kind

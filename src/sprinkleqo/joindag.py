@@ -136,21 +136,6 @@ def _components(joins: dict[str, JoinCondition]) -> list[tuple[frozenset[str], t
     return out
 
 
-def _component_root_id(rels: frozenset[str]) -> str:
-    return "component:" + "+".join(sorted(rels))
-
-
-def _refresh_roots(history: HistoryDag) -> None:
-    """Re-register one root per current component (components can merge)."""
-    history.dag.query_roots.clear()
-    for rels, texts in _components(history.known_joins):
-        sig = memo.make_signature(rels, texts, (), ())
-        eq = history.dag.find_eq(sig)
-        if eq is None:
-            raise ValidationError(f"missing full-join node for component {sorted(rels)}")
-        memo.register_root(history.dag, _component_root_id(rels), eq)
-
-
 def build_incremental(history: HistoryDag, joins: tuple[JoinCondition, ...],
                       catalog: Catalog, limit: int = DEFAULT_MAX_OPS) -> HistoryDag:
     """Fold a batch of join conditions into the history.
@@ -174,11 +159,12 @@ def _grow(history: HistoryDag, joins: Iterable[JoinCondition],
     """The one build step, which `build_incremental` and `load_history`
     both run: `history` with the joins it does not know yet added as one
     batch, each component that holds one of them expanded over relations
-    of `size(rel)` rows, and the roots refreshed.  With no such join, only
-    the version moves.  Raises LimitExceededError when an expanded
-    component has more than `limit` joins (`None`: no limit).  Of joins
-    with one canonical text, the first is kept, as a parsed query keeps
-    it."""
+    of `size(rel)` rows.  It registers no root: each component's full-join
+    node is a parentless eq-node, which `memo.dag_roots` finds.  With no
+    such join, only the version moves.  Raises LimitExceededError when an
+    expanded component has more than `limit` joins (`None`: no limit).  Of
+    joins with one canonical text, the first is kept, as a parsed query
+    keeps it."""
     new_texts = {}
     for cond in joins:
         new_texts.setdefault(cond.canonical(), cond)
@@ -196,7 +182,6 @@ def _grow(history: HistoryDag, joins: Iterable[JoinCondition],
             raise LimitExceededError("join-order expansion", len(texts), limit)
         forest.expand_forest(out.dag, {r: size(r) for r in sorted(rels)},
                              tuple(out.known_joins[t] for t in texts))
-    _refresh_roots(out)
     return out
 
 
@@ -295,8 +280,7 @@ def load_history(path: str) -> HistoryDag:
         for batch in batches:
             history = _grow(history, batch, sizes.__getitem__, None)
         history.version = int(doc["version"])
-    except (LookupError, TypeError, ValueError, OverflowError, CatalogError, DagError,
-            ValidationError) as exc:
+    except (LookupError, TypeError, ValueError, OverflowError, CatalogError, DagError) as exc:
         raise PersistenceError(f"malformed history file {path}: {exc}") from exc
     if _history_doc(history) != body:
         raise PersistenceError(f"malformed history file {path}: it is not the history "

@@ -23,17 +23,17 @@ are the dag's own: they are never serialized, and a copy keeps its
 registry.
 
 An operator's output eq-node is never chosen by its caller: `attach_op`
-derives its key from the inputs' keys by the checks `join_signature` and
-`extend_signature` make, which reject every operator that does not extend
-its inputs.  Signatures therefore strictly grow along every op-node, so the
-memo is acyclic by construction, and a walk down from any eq-node takes
-fewer steps than its signature has entries (counting a projection as one).
+derives its key from the inputs' keys, after checks on those keys that
+reject every operator that does not extend its inputs.  Signatures
+therefore strictly grow along every op-node, so the memo is acyclic by
+construction, and a walk down from any eq-node takes fewer steps than its
+signature has entries (counting a projection as one).
 
-Attaching looks up before it derives: the op index maps each op-node's
-(kind, detail, children) to the eq-node above it, so re-attaching an
-existing op-node checks its size estimate against that eq-node's and
-derives nothing.  A new op-node derives only its key; the signature tuple
-and its text are built once, for a new eq-node.  Since signatures grow
+Attaching derives before it looks up: `attach_op` derives the key, finds
+the eq-node by it, and then the op-node among that eq-node's alternatives,
+so re-attaching an existing op-node checks its size estimate and writes
+nothing.  The signature tuple and its text are built once, for a new
+eq-node (`join_signature`, `extend_signature`).  Since signatures grow
 along every op-node, `topological_order` needs no walk: it sorts the
 eq-nodes by their signature's entry count.  Every inputs-first pass over a
 memo reads that order: `merge_below`, `plan_count_for`, the place stage's
@@ -90,8 +90,10 @@ def extend_signature(sig: Signature, kind: str, detail: str) -> Signature:
     Joinfilters extend the applied-join set (they realize a join condition
     over an already-connected tree); projects fill the retained-attribute
     component; every other unary op extends the applied-unary set.  Raises
-    DagError for an op that does not extend `sig`: a condition already
-    applied, or a project over an already projected input.
+    DagError for a project that does not extend `sig`: one over an already
+    projected input, or one that retains nothing.  Whether a condition is
+    already applied is `attach_op`'s check, made on keys before it builds a
+    signature.
     """
     bases, joins, unary, projection = sig
     if kind == KIND_PROJECT:
@@ -100,9 +102,6 @@ def extend_signature(sig: Signature, kind: str, detail: str) -> Signature:
         if projection or not retained:
             raise DagError(f"{detail!r} does not extend {signature_text(sig)!r}")
         return make_signature(bases, joins, unary, retained)
-    applied = joins if kind == KIND_JOINFILTER else unary
-    if detail in applied:
-        raise DagError(f"{kind} {detail!r} is already applied in {signature_text(sig)!r}")
     if kind == KIND_JOINFILTER:
         return make_signature(bases, joins + (detail,), unary, projection)
     return make_signature(bases, joins, unary + (detail,), projection)
@@ -110,10 +109,8 @@ def extend_signature(sig: Signature, kind: str, detail: str) -> Signature:
 
 def join_signature(a: Signature, b: Signature, detail: str) -> Signature:
     """Signature of joining two disjoint, unprojected trees under one join
-    condition; DagError for any other pair."""
-    if a[3] or b[3] or not set(a[0]).isdisjoint(b[0]):
-        raise DagError(f"join {detail!r} of {signature_text(a)!r} and "
-                       f"{signature_text(b)!r}: inputs must be disjoint and unprojected")
+    condition.  That the inputs are such trees is `attach_op`'s check, made
+    on keys before it builds a signature."""
     unary = tuple(sorted({*a[2], *b[2]})) if a[2] or b[2] else ()   # none in a join history
     return (tuple(sorted(a[0] + b[0])), tuple(sorted({*a[1], *b[1], detail})), unary, ())
 
@@ -163,9 +160,10 @@ class Dag:
     """Mutable memo table; eq/op ids are assigned in intern order.  Its
     registry gives each text the next bit of its component (bases, joins,
     unary ops) on first sight; its key index maps each eq-node's key to its
-    id.  A view read from a history's price table (`joindag.Prices.below`)
-    carries that table as `prices` and its eq-node ids inputs first as
-    `order`; both are None on every other dag."""
+    id.  An op-node is found among the alternatives of the eq-node its key
+    derives (`attach_op`).  A view read from a history's price table
+    (`joindag.Prices.below`) carries that table as `prices` and its eq-node
+    ids inputs first as `order`; both are None on every other dag."""
 
     def __init__(self):
         self.eq_nodes: dict[int, EqNode] = {}
@@ -174,7 +172,6 @@ class Dag:
         self.prices = self.order = None
         self._bits: tuple[dict[str, int], ...] = ({}, {}, {})   # per component: text -> bit
         self._key_index: dict[Key, int] = {}
-        self._op_index: dict[tuple, int] = {}   # op-node sort_key -> the eq-node above it
         self._next_eq = 0
         self._next_op = 0
 
@@ -195,7 +192,6 @@ class Dag:
         out.query_roots = dict(self.query_roots)
         out._bits = tuple(map(dict, self._bits))
         out._key_index = dict(self._key_index)
-        out._op_index = dict(self._op_index)
         out._next_eq = self._next_eq
         out._next_op = self._next_op
         return out
@@ -211,15 +207,14 @@ class Dag:
     def view(self, eq_nodes: dict[int, EqNode], op_nodes: dict[int, OpNode]) -> "Dag":
         """A dag of these nodes of this dag, read in place: this dag's own
         node objects under their own ids, not copies, with roots of its own
-        and none yet.  Nothing writes through it: its registry and indexes
-        are read-only views of this dag's, so `intern_eq` and `attach_op`
-        raise before they change a node, and a lookup in them may name a
-        node outside it."""
+        and none yet.  Nothing writes through it: its op-node map, registry
+        and key index are read-only views, the last two of this dag's, so
+        `intern_eq` and `attach_op` raise before they change a node, and a
+        key lookup may name a node outside it."""
         out = Dag()
-        out.eq_nodes, out.op_nodes = eq_nodes, op_nodes
+        out.eq_nodes, out.op_nodes = eq_nodes, MappingProxyType(op_nodes)
         out._bits = tuple(map(MappingProxyType, self._bits))
         out._key_index = MappingProxyType(self._key_index)
-        out._op_index = MappingProxyType(self._op_index)
         return out
 
 
@@ -316,28 +311,27 @@ def attach_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
 
     That eq-node is derived, not chosen: a join ORs its inputs' keys and
     its condition's bit, a unary op ORs its bit into its component, and a
-    project goes through `extend_signature`, each after the checks
-    `join_signature` and `extend_signature` make, with their DagError for
-    an op that does not extend its inputs (a join of overlapping or
-    projected inputs, a project over a projected input, a condition already
-    applied).  Signatures thus strictly grow along every op, so the memo
-    stays acyclic and a walk down from any eq-node takes fewer steps than
-    its signature has entries.  The eq-node is found by its key, its size
-    checked as `intern_eq` checks it; only a new one builds its signature
-    tuple and text.  Join ops take exactly two children (stored in
-    canonical order, by their eq-nodes' `text`); every other kind takes
-    one.  Attaching is idempotent: the same (kind, detail, children) maps
-    to one op-node, and the op index is looked up first, so an existing
-    op-node returns the eq-node recorded above it, after the size check,
-    and derives nothing.  An estimate that overflowed (a non-finite
-    `est_size` or `op_cost`) is a DagError.
+    project goes through `extend_signature`, each after a check on the
+    inputs' keys, with a DagError for an op that does not extend its inputs
+    (a join of overlapping or projected inputs, a condition already
+    applied; `extend_signature` refuses a project over a projected input).
+    Signatures thus strictly grow along every op, so the memo stays acyclic
+    and a walk down from any eq-node takes fewer steps than its signature
+    has entries.  The eq-node is found by its key, its size checked as
+    `intern_eq` checks it; only a new one builds its signature tuple and
+    text.  Join ops take exactly two children (stored in canonical order,
+    by their eq-nodes' `text`); every other kind takes one.  Attaching is
+    idempotent: the same (kind, detail, children) maps to one op-node, found
+    among the alternatives of the eq-node the key names, so an existing
+    op-node returns that eq-node and writes nothing.  An estimate that
+    overflowed (a non-finite `est_size` or `op_cost`) is a DagError.
 
     The checks run in one order, and a call that breaks two rules gets the
     first one's error: the kind, finiteness, each child's existence, the
-    children's count, the size of an op-node found in the op index, the
-    signature rule, and last the size of an eq-node found by its key.  A
-    join takes its own path and scans no list of kinds; a size is checked
-    (`_found`) only where it differs from the eq-node's.
+    children's count, the signature rule, and last the size of an eq-node
+    found by its key.  A join takes its own path and scans no list of
+    kinds; a size is checked (`_found`) only where it differs from the
+    eq-node's.
     """
     is_join = kind == KIND_JOIN
     if not is_join and kind not in UNARY_KINDS:
@@ -364,12 +358,6 @@ def attach_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
         if len(children) != 1:
             raise DagError(f"{kind} ops take exactly one child")
         first = eq_nodes[children[0]]
-    op_key = (kind, detail, children)
-    parent = dag._op_index.get(op_key)
-    if parent is not None:
-        if eq_nodes[parent].est_size != est_size:
-            _found(eq_nodes[parent], est_size)
-        return parent
     bases, joins, unary, projection = first.key
     sig = None
     if is_join:
@@ -388,18 +376,23 @@ def attach_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
             raise DagError(f"{kind} {detail!r} is already applied in {first.text!r}")
         key = ((bases, joins | bit, unary, projection) if is_filter
                else (bases, joins, unary | bit, projection))
-    parent = dag._key_index.get(key)
+    parent, op_nodes = dag._key_index.get(key), dag.op_nodes
     if parent is None:
         if sig is None:
             sig = (join_signature(first.signature, second.signature, detail)
                    if is_join else extend_signature(first.signature, kind, detail))
         parent = _new_eq(dag, key, sig, est_size)
-    elif eq_nodes[parent].est_size != est_size:
-        _found(eq_nodes[parent], est_size)
+    else:
+        node = eq_nodes[parent]
+        if node.est_size != est_size:
+            _found(node, est_size)
+        for op_id in node.child_ops:   # the op-node, if the eq-node holds it
+            op = op_nodes[op_id]
+            if op.children == children and op.detail == detail and op.kind == kind:
+                return parent
     # the fields in order, without the argument handling of OpNode's __new__
     op = tuple.__new__(OpNode, (dag._next_op, kind, detail, children, float(op_cost), factor))
-    dag._op_index[op_key] = parent   # first: it raises in a `Dag.below` view
-    dag.op_nodes[op.id] = op
+    op_nodes[op.id] = op   # first: it raises in a `Dag.view`
     dag._next_op += 1
     eq_nodes[parent].child_ops.append(op.id)
     return parent

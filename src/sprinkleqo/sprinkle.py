@@ -604,9 +604,9 @@ def extract_query_joindag(history: HistoryDag, query: Query, catalog: Catalog,
                           query_id: str) -> Dag:
     """Join dag for one query: the history subgraph reachable from the
     query's full-join node, read in place under the history's ids
-    (`Dag.below`), with the query root registered and the history's own
-    roots and indexes untouched.  No operator is derived again, and no node
-    is copied."""
+    (`Dag.below`), with the query root registered on the view alone and
+    the history's registry and key index untouched.  No operator is derived
+    again, and no node is copied."""
     if not query.joins:
         out = Dag()
         (rel,) = query.tables

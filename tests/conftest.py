@@ -189,6 +189,12 @@ def intern_plan(dag: Dag, plan: Plan) -> int:
     return interned[id(plan)]
 
 
+def root_signatures(dag: Dag) -> set:
+    """The signatures of `dag`'s roots (`memo.dag_roots`), so that two dags
+    numbered apart compare; of a history, its components' full-join nodes."""
+    return {dag.eq_nodes[root].signature for root in memo.dag_roots(dag)}
+
+
 def check_estimates(dag: Dag) -> None:
     """Raise DagError unless every op-node's cost, and the size of the
     eq-node above it, are finite and agree (`memo.sizes_agree`) with what

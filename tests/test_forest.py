@@ -364,7 +364,7 @@ def test_bit_mask_walk_builds_the_fixture_histories_of_the_reference(
     for catalog in (company_catalog, tpch_catalog):
         def build():
             history = joindag.build_complete_history(catalog, catalog.graph.edges)
-            return history.dag, history.dag.query_roots
+            return history.dag, memo.dag_roots(history.dag)
         same_as_the_reference(monkeypatch, build)
 
 

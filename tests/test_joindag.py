@@ -10,9 +10,9 @@ from sprinkleqo.errors import (CatalogError, LimitExceededError,
                                PersistenceError, ValidationError)
 from sprinkleqo.sqlfront import JoinCondition
 
-from conftest import make_catalog, random_schema
+from conftest import make_catalog, random_schema, root_signatures
 
-COMPANY_ROOT = "component:department+dept_locations+employee+project+works_on"
+COMPANY_BASES = ("department", "dept_locations", "employee", "project", "works_on")
 
 
 def structure(history):
@@ -20,7 +20,13 @@ def structure(history):
     return ({n.signature for n in dag.eq_nodes.values()},
             memo.arc_signature_set(dag),
             set(history.known_joins),
-            set(dag.query_roots))
+            root_signatures(dag))
+
+
+def component_signatures(history):
+    """The full-join signature of each component of the history's joins."""
+    return {memo.make_signature(rels, texts) for rels, texts in
+            joindag._components(history.known_joins)}
 
 
 def test_complete_build_company(company_catalog):
@@ -29,10 +35,9 @@ def test_complete_build_company(company_catalog):
     assert h.version == 1
     assert len(h.known_joins) == 5
     assert memo.count_nodes(h.dag) == (29, 63, 84)
-    assert set(h.dag.query_roots) == {COMPANY_ROOT}
-    root = h.dag.eq_nodes[h.dag.query_roots[COMPANY_ROOT]]
-    assert root.signature[0] == ("department", "dept_locations", "employee",
-                                 "project", "works_on")
+    assert not h.dag.query_roots   # a history registers no root
+    (root,) = map(h.dag.eq_nodes.__getitem__, memo.dag_roots(h.dag))
+    assert root.signature[0] == COMPANY_BASES
     assert root.signature[1] == tuple(sorted(h.known_joins))
 
 
@@ -65,12 +70,14 @@ def test_incremental_build_merges_components(company_catalog):
     pd = joins["department.dnumber = project.dnum"]
     wp = joins["project.pnumber = works_on.pno"]
     h = joindag.build_complete_history(company_catalog, (ew, pd))
-    assert set(h.dag.query_roots) == {"component:employee+works_on",
-                                      "component:department+project"}
+    assert {sig[0] for sig in root_signatures(h.dag)} == {("employee", "works_on"),
+                                                           ("department", "project")}
+    assert root_signatures(h.dag) == component_signatures(h)
     merged = joindag.build_incremental(h, (wp,), company_catalog)
-    assert set(merged.dag.query_roots) == {
-        "component:department+employee+project+works_on"}
-    assert merged.version == 2
+    assert {sig[0] for sig in root_signatures(merged.dag)} == {
+        ("department", "employee", "project", "works_on")}
+    assert root_signatures(merged.dag) == component_signatures(merged)
+    assert not merged.dag.query_roots and merged.version == 2
 
 
 def test_input_history_is_not_mutated(company_catalog):
@@ -120,6 +127,7 @@ def test_incremental_equals_complete_random_batches():
         batches = [joins[:cut[0]], joins[cut[0]:cut[-1]], joins[cut[-1]:]]
         for batch in batches:
             h = joindag.build_incremental(h, tuple(batch), catalog)
+            assert root_signatures(h.dag) == component_signatures(h)
         assert structure(h)[:2] == structure(complete)[:2]
         assert structure(h)[2:] == structure(complete)[2:]
 
@@ -137,7 +145,7 @@ def test_the_price_table_keeps_each_roots_walk_and_order():
         h = joindag.empty_history(catalog)
         for k in range(0, len(joins), 2):
             h = joindag.build_incremental(h, tuple(joins[k:k + 2]), catalog)
-            for root in h.dag.query_roots.values():
+            for root in memo.dag_roots(h.dag):
                 view, walked = h.prices.below(root), h.dag.below(root)
                 assert view.eq_nodes == walked.eq_nodes and view.op_nodes == walked.op_nodes
                 assert view.prices is h.prices and not view.query_roots
@@ -163,7 +171,7 @@ def test_query_join_root_full_and_subset(company_catalog):
         h, {"department": 20.0, "dept_locations": 40.0, "employee": 1000.0,
             "project": 50.0, "works_on": 5000.0},
         tuple(sorted(h.known_joins)))
-    assert full == h.dag.query_roots[COMPANY_ROOT]
+    assert memo.dag_roots(h.dag) == [full]
 
 
 def test_query_join_root_without_joins_writes_into_no_history(company_catalog):
@@ -229,7 +237,9 @@ def test_a_history_grown_over_merging_batches_round_trips(company_catalog, tmp_p
         h = joindag.build_incremental(h, tuple(joins[t] for t in batch), company_catalog)
     first_join = min(eq for eq, node in h.dag.eq_nodes.items() if not node.is_base)
     assert max(eq for eq, node in h.dag.eq_nodes.items() if node.is_base) > first_join
-    assert set(h.dag.query_roots) == {COMPANY_ROOT} and h.version == 4
+    assert [h.dag.eq_nodes[root].signature[0] for root in memo.dag_roots(h.dag)] == \
+        [COMPANY_BASES]
+    assert not h.dag.query_roots and h.version == 4
     path = tmp_path / "history.json"
     joindag.save_history(h, str(path))
     loaded = joindag.load_history(str(path))

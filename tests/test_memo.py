@@ -208,13 +208,18 @@ def test_malformed_attach_op_raises_its_exact_text(call, message):
 
 
 def test_every_copy_records_the_eq_node_above_each_op_node():
+    """Each op-node sits under the one eq-node its key derives, in the dag,
+    its clone and a view below `top` (which leaves out the select above
+    it); re-attaching it finds it there and writes nothing."""
     dag, top = diamond_dag()
     attach_op(dag, KIND_SELECT, "a.x > 1", (top,), 0.06, 0.6, factor=0.1)
     expected = {dag.op_nodes[op_id].sort_key(): eq_id
                 for eq_id, node in dag.eq_nodes.items() for op_id in node.child_ops}
-    # a view below `top` reads the whole dag's index, the select above it too
+    assert len(expected) == len(dag.op_nodes) == 5
     for copy in (dag, dag.clone(), dag.below(top)):
-        assert copy._op_index == expected
+        above = {copy.op_nodes[op_id].sort_key(): eq_id
+                 for eq_id, node in copy.eq_nodes.items() for op_id in node.child_ops}
+        assert above == {k: eq_id for k, eq_id in expected.items() if eq_id in copy.eq_nodes}
         before = dag_to_doc(copy)
         for eq_id, node in copy.eq_nodes.items():
             for op_id in node.child_ops:
@@ -472,7 +477,7 @@ def test_topological_order_is_consumers_first_on_histories_and_their_copies():
     for history in cyclic_histories(10):
         dag = history.dag
         for candidate in (dag, reloaded(history).dag,
-                          *(dag.below(root) for root in dag.query_roots.values())):
+                          *(dag.below(root) for root in memo.dag_roots(dag))):
             order = memo.topological_order(candidate)
             assert order == entries_then_ids(candidate)
             assert_consumers_first(candidate, order)
@@ -486,7 +491,7 @@ def test_topological_order_is_the_one_key_order_on_fixture_dags(company_catalog,
     checked = 0
     for group, catalog in (("company", company_catalog), ("tpch", tpch_catalog)):
         history = joindag.build_complete_history(catalog, catalog.graph.edges)
-        dags = [history.dag, *(history.dag.below(root) for root in history.dag.query_roots.values())]
+        dags = [history.dag, *(history.dag.below(root) for root in memo.dag_roots(history.dag))]
         for path in sorted((FIXTURES / group).glob("*.sql")):
             query = parse_query(path.read_text(), catalog)
             dags.append(sprinkle.optimize_single(query, catalog).dag)
@@ -511,7 +516,7 @@ def test_nothing_writes_through_a_dag_read_in_place():
     assert attach_op(dag, KIND_JOIN, "a.x = b.x", (a, bcd), 0.24, 24.0, factor=0.01) == top
     cd = attach_op(dag, KIND_JOIN, "c.z = d.z", (c, d), 12.0, 1200.0, factor=0.01)
     register_root(dag, "component", top)
-    doc, key_index, op_index = dag_to_doc(dag), dict(dag._key_index), dict(dag._op_index)
+    doc, key_index, op_nodes = dag_to_doc(dag), dict(dag._key_index), dict(dag.op_nodes)
     bits = tuple(map(dict, dag._bits))
 
     view = dag.below(top)
@@ -523,6 +528,8 @@ def test_nothing_writes_through_a_dag_read_in_place():
     assert attach_op(view, KIND_JOIN, "c.z = d.z", (abc, d), 0.24, 24.0, factor=0.01) == top
     with pytest.raises(TypeError):   # a new op-node over existing eq-nodes
         attach_op(view, KIND_JOIN, "a.x = b.x", (a, bc), 0.6, 60.0, factor=0.01)
+    with pytest.raises(TypeError):   # the op-node map is read-only too
+        view.op_nodes[len(dag.op_nodes)] = dag.op_nodes[0]
     with pytest.raises(DagError, match="dangling"):   # over an eq-node outside the view
         attach_op(view, KIND_JOIN, "b.y = c.y", (ab, cd), 0.24, 24.0, factor=0.01)
     with pytest.raises(TypeError):   # a new eq-node
@@ -530,7 +537,7 @@ def test_nothing_writes_through_a_dag_read_in_place():
     with pytest.raises(TypeError):
         ensure_base(view, "e", 5.0)
     assert dag_to_doc(dag) == doc
-    assert (dag._key_index, dag._op_index, dag._bits) == (key_index, op_index, bits)
+    assert (dag._key_index, dag.op_nodes, dag._bits) == (key_index, op_nodes, bits)
     assert dag.query_roots == {"component": top}
 
 
@@ -604,7 +611,8 @@ def test_doc_round_trip_preserves_structure():
     assert {n.signature for n in back.eq_nodes.values()} == \
         {n.signature for n in dag.eq_nodes.values()}
     assert arc_signature_set(back) == arc_signature_set(dag)
-    assert back.query_roots == dag.query_roots == {"component:a+b+c": 4}
+    assert memo.dag_roots(back) == memo.dag_roots(dag) == [4]
+    assert not back.query_roots and not dag.query_roots
     assert plan_count_for(back, 4) == 2
     assert dag_to_doc(back) == dag_to_doc(dag)
 
@@ -653,16 +661,31 @@ def test_interning_any_select_order_yields_one_chain_top(conds):
 
 def derived(dag, kind, detail, children):
     """The signature `attach_op` must give, or the DagError text it must
-    raise, from the inputs' signatures, join inputs in canonical order."""
-    nodes = [dag.eq_nodes[c] for c in children]
+    raise, by the signature rule stated here over the inputs' signatures,
+    join inputs in canonical order: a join takes disjoint, unprojected
+    inputs and unions them with its condition; a project retains at least
+    one attribute of an unprojected input; any other unary op adds a
+    condition not yet applied, a joinfilter to the joins and the rest to
+    the unary ops."""
+    nodes = sorted((dag.eq_nodes[c] for c in children), key=lambda n: n.text)
+    bases, joins, unary, projection = nodes[0].signature
     if kind == KIND_JOIN:
-        nodes.sort(key=lambda n: n.text)
-    try:
-        if kind == KIND_JOIN:
-            return join_signature(nodes[0].signature, nodes[1].signature, detail), None
-        return extend_signature(nodes[0].signature, kind, detail), None
-    except DagError as exc:
-        return None, str(exc)
+        other = nodes[1].signature
+        if projection or other[3] or set(bases) & set(other[0]):
+            return None, (f"join {detail!r} of {nodes[0].text!r} and {nodes[1].text!r}: "
+                          "inputs must be disjoint and unprojected")
+        return memo.make_signature(bases + other[0], {*joins, *other[1], detail},
+                                   {*unary, *other[2]}), None
+    if kind == KIND_PROJECT:
+        retained = [a.strip() for a in detail[len("project("):-1].split(",") if a.strip()]
+        if projection or not retained:
+            return None, f"{detail!r} does not extend {nodes[0].text!r}"
+        return memo.make_signature(bases, joins, unary, retained), None
+    if detail in (joins if kind == KIND_JOINFILTER else unary):
+        return None, f"{kind} {detail!r} is already applied in {nodes[0].text!r}"
+    if kind == KIND_JOINFILTER:
+        return memo.make_signature(bases, joins + (detail,), unary, projection), None
+    return memo.make_signature(bases, joins, unary + (detail,), projection), None
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -671,8 +694,8 @@ def test_attach_op_derives_the_eq_node_of_the_signature_rule(seed):
     overlapping and projected inputs, unary ops applied again, projects
     over projections, and one text shared by a join, a joinfilter and
     every unary kind.  Each accepted attach returns the eq-node of the
-    signature `join_signature`/`extend_signature` derive, new exactly when
-    that signature is; each rejected one raises their DagError."""
+    signature the rule in `derived` gives, new exactly when that signature
+    is; each rejected one raises the DagError text the rule names."""
     rng = random.Random(seed)
     dag, by_signature = Dag(), {}
     for rel in "abcde":
@@ -755,7 +778,8 @@ def test_find_eq_of_an_unknown_text_registers_nothing():
 def test_a_loaded_history_attaches_as_the_dag_it_was_saved_from(company_catalog):
     history = joindag.build_complete_history(company_catalog, company_catalog.graph.edges)
     built, loaded = history.dag, reloaded(history).dag
-    assert loaded._op_index == built._op_index
+    assert dag_to_doc(loaded) == dag_to_doc(built)
+    assert (loaded._bits, loaded._key_index) == (built._bits, built._key_index)
     for dag in (built, loaded):
         for eq_id in sorted(dag.eq_nodes):
             node = dag.eq_nodes[eq_id]

@@ -2028,7 +2028,7 @@ def check_join_dag(history, query, catalog, history_arg, attached):
     `history_arg` the history it is passed; `attached` records each
     `memo.attach_op` call.  Returns the join dag."""
     expected = reference_extract_query_joindag(history, query, catalog, "q1")
-    roots, n_ops = dict(history.dag.query_roots), len(history.dag.op_nodes)
+    roots, n_ops = memo.dag_roots(history.dag), len(history.dag.op_nodes)
     attached.clear()
     jd = sprinkle.extract_query_joindag(history, query, catalog, "q1")
     assert attached == []
@@ -2050,7 +2050,8 @@ def check_join_dag(history, query, catalog, history_arg, attached):
             op = jd.op_nodes[op_id]
             assert memo.attach_op(jd, op.kind, op.detail, op.children, node.est_size,
                                   op.op_cost, op.factor) == eq_id
-    assert (history.dag.query_roots, len(history.dag.op_nodes)) == (roots, n_ops)
+    assert not history.dag.query_roots   # the query root is the view's alone
+    assert (memo.dag_roots(history.dag), len(history.dag.op_nodes)) == (roots, n_ops)
     result = sprinkle.optimize_single(query, catalog, history=history_arg)
     assert len(result.jd.eq_nodes) == len(expected.eq_nodes)
     return jd
@@ -2183,7 +2184,7 @@ def test_differential_against_exhaustive_baseline():
 
 def renumbered(dag, rng):
     """A copy of `dag` whose eq ids, op ids and op order under each eq-node
-    are permuted at random, with its indexes rebuilt to match."""
+    are permuted at random, with its key index rebuilt to match."""
     eq_id = dict(zip(dag.eq_nodes, rng.sample(range(len(dag.eq_nodes)), len(dag.eq_nodes))))
     op_id = dict(zip(dag.op_nodes, rng.sample(range(len(dag.op_nodes)), len(dag.op_nodes))))
     out = memo.Dag()
@@ -2199,9 +2200,6 @@ def renumbered(dag, rng):
         op = dag.op_nodes[old]
         out.op_nodes[op_id[old]] = op._replace(
             id=op_id[old], children=tuple(eq_id[c] for c in op.children))
-    for parent in out.eq_nodes.values():
-        for o in parent.child_ops:
-            out._op_index[out.op_nodes[o].sort_key()] = parent.id
     out.query_roots = {q: eq_id[root] for q, root in dag.query_roots.items()}
     out._next_eq, out._next_op = len(out.eq_nodes), len(out.op_nodes)
     return out
@@ -2285,8 +2283,8 @@ def test_cold_block_leaves_the_history_it_built(company_catalog, tpch_catalog, t
         for history in (None, joindag.empty_history(catalog)):
             result = sprinkle.optimize_single(query, catalog, history=history)
             assert memo.dag_to_doc(result.history.dag) == memo.dag_to_doc(built.dag)
-            assert result.history.dag.query_roots == built.dag.query_roots
-            assert result.history.dag._op_index == built.dag._op_index
+            assert not result.history.dag.query_roots and not built.dag.query_roots
+            assert memo.dag_roots(result.history.dag) == memo.dag_roots(built.dag)
             assert result.history.dag._key_index == built.dag._key_index
             assert result.history.dag._bits == built.dag._bits
             paths = [tmp_path / "cold.json", tmp_path / "built.json"]
@@ -2337,7 +2335,7 @@ def price_all(history):
     """Fill a history's table with every eq-node below its roots, by the
     pass of a block with nothing to place over each root's join dag, and
     return the table as `priced_by_text` reads it."""
-    for root in history.dag.query_roots.values():
+    for root in memo.dag_roots(history.dag):
         sprinkle._select_floors(history.prices.below(root), sprinkle._PLAIN)
     return priced_by_text(history)
 
@@ -2372,7 +2370,7 @@ def test_growing_a_priced_history_prices_like_a_fresh_build(company_catalog):
         history = joindag.build_incremental(old, tuple(batch), catalog)
         assert history.prices is not old.prices
         assert not history.prices.nodes and not history.prices.views
-        components = sorted(history.dag.query_roots.values(),
+        components = sorted(memo.dag_roots(history.dag),
                             key=lambda root: -len(history.dag.eq_nodes[root].signature[0]))
         bases, texts = history.dag.eq_nodes[components[0]].signature[:2]
         query = parse_query("select * from " + ", ".join(bases) + " where "
@@ -2415,8 +2413,7 @@ def test_a_warm_join_only_block_takes_no_step_and_sorts_no_join_dag(monkeypatch,
         assert warm.history.prices is history.prices and warm.jd.prices is history.prices
         assert own_steps(steps, warm.jd) == []
         assert memo.dag_to_doc(warm.dag) == memo.dag_to_doc(cold.dag)
-        assert (warm.dag._bits, warm.dag._key_index, warm.dag._op_index) == \
-            (cold.dag._bits, cold.dag._key_index, cold.dag._op_index)
+        assert (warm.dag._bits, warm.dag._key_index) == (cold.dag._bits, cold.dag._key_index)
         assert (warm.dag._next_eq, warm.dag._next_op) == (cold.dag._next_eq, cold.dag._next_op)
         assert plan_key(warm.plan) == plan_key(cold.plan)
         assert warm.plan.cum_cost.hex() == cold.plan.cum_cost.hex()
