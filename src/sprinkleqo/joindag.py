@@ -38,7 +38,9 @@ so it needs no schema, a history grown past the default limit still
 loads, and every id comes out as the builds gave it.  The file is accepted
 only if its replay saves to the same document; that one comparison refuses
 a join repeated across batches, an empty batch, and a missing or extra
-relation.  So a load costs what the builds cost, and no more.
+relation.  A bool equals 0 or 1 there, so the loader refuses a bool jsf
+or version, and a version below the number of batches.  So a load costs
+what the builds cost, and no more.
 """
 
 from __future__ import annotations
@@ -96,10 +98,9 @@ class HistoryDag:
     """Versioned store of all join orders seen so far, the batches of fresh
     joins it grew from (each sorted by text), and the price table of its
     dag, which a version made by `dataclasses.replace` shares and a `clone`
-    starts again."""
+    starts again.  `known_joins` reads its joins off the batches."""
 
     dag: Dag
-    known_joins: dict[str, JoinCondition]
     batches: list[tuple[JoinCondition, ...]]
     version: int
     catalog_fingerprint: str
@@ -109,10 +110,14 @@ class HistoryDag:
         if self.prices is None:
             self.prices = Prices(self.dag)
 
+    @property
+    def known_joins(self) -> dict[str, JoinCondition]:
+        """Every join of the batches, by canonical text; no join is in two."""
+        return {cond.canonical(): cond for batch in self.batches for cond in batch}
+
     def clone(self) -> "HistoryDag":
-        return HistoryDag(dag=self.dag.clone(), known_joins=dict(self.known_joins),
-                          batches=list(self.batches), version=self.version,
-                          catalog_fingerprint=self.catalog_fingerprint)
+        return HistoryDag(dag=self.dag.clone(), batches=list(self.batches),
+                          version=self.version, catalog_fingerprint=self.catalog_fingerprint)
 
 
 def combinations_considered(n_joins: int) -> int:
@@ -121,8 +126,7 @@ def combinations_considered(n_joins: int) -> int:
 
 
 def empty_history(catalog: Catalog) -> HistoryDag:
-    return HistoryDag(dag=Dag(), known_joins={}, batches=[], version=0,
-                      catalog_fingerprint=catalog.fingerprint)
+    return HistoryDag(dag=Dag(), batches=[], version=0, catalog_fingerprint=catalog.fingerprint)
 
 
 def _components(joins: dict[str, JoinCondition]) -> list[tuple[frozenset[str], tuple[str, ...]]]:
@@ -141,7 +145,7 @@ def build_incremental(history: HistoryDag, joins: tuple[JoinCondition, ...],
     """Fold a batch of join conditions into the history.
 
     Returns a new HistoryDag; the input is not mutated.  A batch with no new
-    condition returns one over the input's dag and known joins, not a copy
+    condition returns one over the input's dag and batches, not a copy
     of them.  Raises LimitExceededError when any affected component would
     exceed `limit` conditions and ValidationError on a catalog mismatch.
     """
@@ -165,23 +169,23 @@ def _grow(history: HistoryDag, joins: Iterable[JoinCondition],
     expanded component has more than `limit` joins (`None`: no limit).  Of
     joins with one canonical text, the first is kept, as a parsed query
     keeps it."""
-    new_texts = {}
+    known, fresh = history.known_joins, {}
     for cond in joins:
-        new_texts.setdefault(cond.canonical(), cond)
-    fresh = {t: c for t, c in new_texts.items() if t not in history.known_joins}
+        if cond.canonical() not in known:
+            fresh.setdefault(cond.canonical(), cond)
     if not fresh:
         return replace(history, version=history.version + 1)
     out = history.clone()
     out.version += 1
-    out.known_joins.update(fresh)
     out.batches.append(tuple(fresh[t] for t in sorted(fresh)))
-    for rels, texts in _components(out.known_joins):
+    known.update(fresh)
+    for rels, texts in _components(known):
         if not any(t in fresh for t in texts):
             continue  # purely old component: already enumerated
         if limit is not None and len(texts) > limit:
             raise LimitExceededError("join-order expansion", len(texts), limit)
         forest.expand_forest(out.dag, {r: size(r) for r in sorted(rels)},
-                             tuple(out.known_joins[t] for t in texts))
+                             tuple(known[t] for t in texts))
     return out
 
 
@@ -242,10 +246,12 @@ def save_history(history: HistoryDag, path: str) -> None:
 
 def _saved_join(la, lb, ra, rb, jsf) -> JoinCondition:
     """One saved `[rel, attr, rel, attr, jsf]` entry: names are strings and
-    the jsf is in (0, 1]."""
+    the jsf is a number in (0, 1], not a bool."""
     if not all(isinstance(name, str) for name in (la, lb, ra, rb)):
         raise TypeError(f"join {[la, lb, ra, rb]!r} names a non-string")
     cond = JoinCondition.make((la, lb), (ra, rb), float(jsf))
+    if isinstance(jsf, bool):
+        raise TypeError(f"jsf {jsf!r} of {cond.canonical()} is not a number")
     if not 0.0 < cond.jsf <= 1.0:
         raise ValueError(f"jsf {jsf!r} of {cond.canonical()} is not in (0, 1]")
     return cond
@@ -253,11 +259,11 @@ def _saved_join(la, lb, ra, rb, jsf) -> JoinCondition:
 
 def load_history(path: str) -> HistoryDag:
     """Load a persisted history, verifying its format and checksum, and that
-    it is exactly the history its batches build: each join's jsf is in
-    (0, 1], each joined relation's cardinality passes the catalog's rule
-    (`catalog.checked_cardinality`), and replaying the batches in order, as
-    `build_incremental` grew them but with no limit, saves to the same
-    document."""
+    it is exactly the history its batches build: each join's jsf is a
+    number in (0, 1], each joined relation's cardinality passes the
+    catalog's rule (`catalog.checked_cardinality`), replaying the batches in
+    order, as `build_incremental` grew them with no limit, saves to the same
+    document, and the version is a number no less than the batches' count."""
     text = read_text(path)
     try:
         doc = json.loads(text)
@@ -275,7 +281,7 @@ def load_history(path: str) -> HistoryDag:
         batches = [[_saved_join(*join) for join in batch] for batch in doc["batches"]]
         sizes = {rel: checked_cardinality(doc["relations"][rel], f"relation {rel}")
                  for batch in batches for cond in batch for rel in cond.relations()}
-        history = HistoryDag(dag=Dag(), known_joins={}, batches=[], version=0,
+        history = HistoryDag(dag=Dag(), batches=[], version=0,
                              catalog_fingerprint=str(doc["catalog_fingerprint"]))
         for batch in batches:
             history = _grow(history, batch, sizes.__getitem__, None)
@@ -285,6 +291,9 @@ def load_history(path: str) -> HistoryDag:
     if _history_doc(history) != body:
         raise PersistenceError(f"malformed history file {path}: it is not the history "
                                "its batches build")
+    if isinstance(doc["version"], bool) or history.version < len(history.batches):
+        raise PersistenceError(f"malformed history file {path}: version {doc['version']!r} "
+                               f"is not a number >= its {len(history.batches)} batches")
     return history
 
 

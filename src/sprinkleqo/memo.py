@@ -37,10 +37,10 @@ eq-node (`join_signature`, `extend_signature`).  Since signatures grow
 along every op-node, `topological_order` needs no walk: it sorts the
 eq-nodes by their signature's entry count.  Every inputs-first pass over a
 memo reads that order: `merge_below`, `plan_count_for`, the place stage's
-DP (which reads it as its history's price table keeps it per root), and
+DP (which reads it as its history's price table keeps it per root),
 `costplan.best_plan`'s winner and plan passes (with its consumers-first
-marking pass between them).  One walk finds what a root reaches:
-`reachable`, which `Dag.below` and `topological_order` below a root read.
+marking pass between them) and `naive._costs`.  One walk, `reachable`,
+finds what a root reaches for `Dag.below` and `topological_order`.
 
 Ids are the memo's own names and reach no query output: under one eq-node,
 (kind, detail) already identifies an op-node, so `OpNode.sort_key` never
@@ -328,10 +328,10 @@ def attach_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
 
     The checks run in one order, and a call that breaks two rules gets the
     first one's error: the kind, finiteness, each child's existence, the
-    children's count, the signature rule, and last the size of an eq-node
-    found by its key.  A join takes its own path and scans no list of
-    kinds; a size is checked (`_found`) only where it differs from the
-    eq-node's.
+    children's count, the signature rule, and last the eq-node found by its
+    key: that it is in the dag (a `Dag.view` may leave it out) and its size.
+    A join takes its own path and scans no list of kinds; a size is checked
+    (`_found`) only where it differs from the eq-node's.
     """
     is_join = kind == KIND_JOIN
     if not is_join and kind not in UNARY_KINDS:
@@ -383,7 +383,9 @@ def attach_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
                    if is_join else extend_signature(first.signature, kind, detail))
         parent = _new_eq(dag, key, sig, est_size)
     else:
-        node = eq_nodes[parent]
+        node = eq_nodes.get(parent)
+        if node is None:   # outside a `Dag.view`, whose key index is its whole dag's
+            raise DagError(f"{kind} {detail!r} yields eq-node {parent}, outside this view")
         if node.est_size != est_size:
             _found(node, est_size)
         for op_id in node.child_ops:   # the op-node, if the eq-node holds it

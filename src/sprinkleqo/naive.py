@@ -12,9 +12,9 @@ partial result that covers the grouping relations and holds every select
 on its own relations; the order-by may sit on any partial result that
 covers the order relations outside the group-by's subtree; the projection
 tops the root.  The search reads the join/select memo below the forest
-root in place (`Dag.below`), its eq-nodes inputs first.  A landing scales
-every size above it by one ratio, |grouped| / |landing|, so one scan of the
-memo nodes after a landing prices those above it (`_costs`).  Different
+root in place, its eq-nodes inputs first, and adds no op-node to them.  A
+landing scales every size above it by one ratio, |grouped| / |landing|, so
+one scan of the memo nodes after a landing prices those above it (`_costs`).  Different
 landings give the same signatures different sizes, so the memo takes one:
 the cheapest, the root on a tie.
 Above the join/select memo it then holds the plans that reach the least
@@ -79,18 +79,18 @@ class _Costs(NamedTuple):
     sorted: dict[int, float]
 
 
-def _costs(view: Dag, order: list[int], order_rels: frozenset[str], steps=(),
+def _costs(dag: Dag, order: list[int], order_rels: frozenset[str], steps=(),
            at: int | None = None, base: _Costs | None = None) -> _Costs:
-    """The least costs of every eq-node of the forest `view`, `order` its
-    eq-nodes inputs first, or, with the group-by on `order[at]`, of that
-    landing and the eq-nodes above it, the others read from `base`.
+    """The least costs of every forest eq-node of `dag` in `order`, inputs
+    first, or, with the group-by on `order[at]`, of that landing and the
+    eq-nodes above it, the others read from `base`.
 
     An eq-node after the landing is above it if it has an op over the
     landing or a node above it, whose size is its memo size times the
     landing's ratio, so the op costs its memo cost times that ratio; an op
     with no such input puts the group-by elsewhere, and is skipped.
     """
-    eq_nodes, op_nodes = view.eq_nodes, view.op_nodes
+    eq_nodes, op_nodes = dag.eq_nodes, dag.op_nodes
     if at is None:
         landing, ratio, grouped, nodes, least, ordered = None, 1.0, set(), order, {}, {}
     else:
@@ -134,7 +134,7 @@ def _costs(view: Dag, order: list[int], order_rels: frozenset[str], steps=(),
     return _Costs(landing, ratio, grouped, least, ordered)
 
 
-def _cheapest_landing(view: Dag, order: list[int], base: _Costs, query: Query, steps,
+def _cheapest_landing(dag: Dag, order: list[int], base: _Costs, query: Query, steps,
                       order_rels: frozenset[str], projected: bool) -> _Costs:
     """The landing of least cost, the root projection included; the root
     (`order[-1]`) on a tie.
@@ -142,7 +142,7 @@ def _cheapest_landing(view: Dag, order: list[int], base: _Costs, query: Query, s
     The other landings are tried by the cost of their subtree and group-by,
     least first, until that alone reaches the best total found.
     """
-    eq_nodes, root = view.eq_nodes, order[-1]
+    eq_nodes, root = dag.eq_nodes, order[-1]
 
     def total(costs: _Costs) -> float:
         cost = costs.sorted[root] if order_rels else costs.least[root]
@@ -158,27 +158,27 @@ def _cheapest_landing(view: Dag, order: list[int], base: _Costs, query: Query, s
         if grouping.issubset(bases) and all(on.get(r, set()).issubset(unary) for r in bases):
             bounds.append((base.least[eq] + costplan.op_cost(KIND_GROUPBY,
                                                              (eq_nodes[eq].est_size,)), i))
-    best = _costs(view, order, order_rels, steps, len(order) - 1, base)
+    best = _costs(dag, order, order_rels, steps, len(order) - 1, base)
     least = total(best)
     for bound, i in sorted(bounds):
         if bound >= least:
             break
-        costs = _costs(view, order, order_rels, steps, i, base)
+        costs = _costs(dag, order, order_rels, steps, i, base)
         if total(costs) < least and not memo.sizes_agree(total(costs), least):
             best, least = costs, total(costs)
     return best
 
 
-def _intern_cheapest(dag: Dag, view: Dag, c: _Costs, root: int, steps,
+def _intern_cheapest(dag: Dag, c: _Costs, root: int, steps,
                      order_text: str, order_rels: frozenset[str]) -> tuple[int, int | None]:
-    """Intern the plans above the forest `view` that put the group-by on
-    `c.landing` (if any) and the order-by where they cost least.
+    """Intern the plans above the forest root `root` of `dag` that put the
+    group-by on `c.landing` (if any) and the order-by where they cost least.
 
     Returns the grouped root, and the root with the order-by below it (None
     if it costs least on top).  A plan is kept when it costs within
     memo.SIZE_RTOL of its eq-node's least, so ties keep every plan they tie.
     """
-    eq_nodes, op_nodes = view.eq_nodes, view.op_nodes
+    eq_nodes, op_nodes = dag.eq_nodes, dag.op_nodes
     built: dict[tuple[int, bool], int | None] = {}
 
     def sort(eq: int) -> int:
@@ -231,17 +231,15 @@ def _place_suffix(dag: Dag, top: int, query: Query, catalog: Catalog) -> int:
     order_rels = frozenset(item.relation for item in query.order_by)
     grouped = sorted_below = None
     if steps or order_rels:
-        view = dag.below(top)
-        order = memo.topological_order(view)[::-1]   # inputs first
-        costs = _costs(view, order, order_rels)
+        order = memo.topological_order(dag, top)[::-1]   # inputs first
+        costs = _costs(dag, order, order_rels)
         if steps:
-            costs = _cheapest_landing(view, order, costs, query, steps, order_rels, projected)
+            costs = _cheapest_landing(dag, order, costs, query, steps, order_rels, projected)
             if costs.landing != top:   # name the landing
                 steps[0] = (KIND_GROUPBY, sqlfront.groupby_text(
                     query.group_by, dag.eq_nodes[costs.landing].text), steps[0][2])
-        grouped, sorted_below = _intern_cheapest(dag, view, costs, top, steps,
-                                                 sqlfront.orderby_text(query.order_by),
-                                                 order_rels)
+        grouped, sorted_below = _intern_cheapest(dag, costs, top, steps,
+                                                 sqlfront.orderby_text(query.order_by), order_rels)
     root = top if grouped is None else grouped
     project = (KIND_PROJECT, sqlfront.project_text(retained), None)
     if projected:

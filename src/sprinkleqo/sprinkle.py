@@ -35,7 +35,8 @@ The DP runs once per block, over the memo (`_select_floors`), an eq-node's
 op-nodes its alternatives, and keeps one cell per node it priced (`_Cell`):
 the alternatives its step read, each an op-node and its input cells, and
 its two tables, per set s at or below the node: the output size (`size`)
-and the least cost (`best`).  Leaves, landings and op-nodes share one
+and the least cost (`best`), the least over its alternatives, each priced
+by one rule (`_Placement.node`).  Leaves, landings and op-nodes share one
 stacking rule (`_Placement._stack`): selects stack in ascending rank,
 which is ascending bit order, each costing the size under it; that is
 optimal by the exchange argument of predicate migration.  A state
@@ -92,15 +93,15 @@ class _Cell:
     node's own operator, `s` the set placed at or below the node, and the DP
     reads both from `_Placement.sets`.  Sizes depend only on which bits sit at
     or below, so one table (`size`) serves both.  `fixed`, the bits a
-    group-by landing at or below it holds, defaults to 0; only a landing
-    sets `grouping`, its group-by's cost with its having's."""
+    group-by landing at or below it holds (a landing's one `u`), defaults
+    to 0; only a landing sets `grouping`, its group-by's cost with its
+    having's."""
 
-    __slots__ = ("eq", "alternatives", "mask", "cmask", "fixed", "grouping", "size", "best")
+    __slots__ = ("eq", "alternatives", "mask", "fixed", "grouping", "size", "best")
 
     def __init__(self, mask: int, alternatives, size: list[float], best: list[float]):
         self.alternatives = alternatives
         self.mask = mask     # the bits that may sit at or below the node
-        self.cmask = mask    # the bits that may sit below its operator
         self.fixed = 0       # the bits a group-by landing at or below it holds
         self.size = size     # output size, by the set at or below it
         self.best = best     # least subtree cost, by s; inf if s is not in mask
@@ -177,7 +178,7 @@ class _Placement:
         top bit's factor times the size of the rest."""
         cell = _Cell(self.on_relation.get(relation, 0) | (self.ob_bit if ordered else 0),
                      [(None, ())], [0.0] * self.width, [math.inf] * self.width)
-        cell.cmask, cell.size[0], cell.best[0] = 0, size, 0.0
+        cell.size[0], cell.best[0] = size, 0.0
         sizes, ops = cell.size, self.ops
         for s in self.sets(cell.mask)[1:]:
             top = s.bit_length() - 1
@@ -194,64 +195,52 @@ class _Placement:
         inputs of sizes a and b costs a*b and yields factor*a*b, a unary
         op-node over a costs a and yields factor*a.
 
-        Over an alternative with U below it, a node costs the op over the
-        children's sizes under U, plus the children's best costs under U.
-        `best` at U starts as the least of that over the op-nodes whose
-        inputs hold U: an order-by sits below an op-node only in an input
-        that covers its relations, which depends on how the op-node splits
-        them.  The first alternative gives the sizes, on which an eq-node's
-        op-nodes agree up to rounding.  Every bit of S can sit below some
-        op-node but an order-by that enters here, which is size-neutral, so
-        `size` by U is the size by S too.  `best` then stacks S - U on the
-        op's output (`_stack`).
+        The first alternative gives the sizes, on which an eq-node's
+        op-nodes agree up to rounding.  Over an alternative with U below it,
+        a node costs the op over the children's sizes under U plus their
+        best costs under U, and `best` at U is the least of that over the
+        op-nodes whose inputs hold U (an order-by sits below an op-node only
+        in an input that covers its relations).  Every bit of S can sit
+        below some op-node but an order-by that enters here, which is
+        size-neutral, so `size` by U is the size by S too.  `best` then
+        stacks S - U on the op's output (`_stack`).
         """
         op, children = alternatives[0]
-        rest = alternatives[1:]
         first, last = children[0], children[-1]   # a join's two inputs, or a unary op's one
-        held = cmask = mask = first.mask | last.mask
-        if self.ob_bit:   # without one, every op-node's inputs cover one relation set: `held`
-            for _, inputs in rest:
-                cmask = mask = cmask | inputs[0].mask | inputs[-1].mask
-        cell = _Cell(mask, alternatives, [0.0] * self.width, [math.inf] * self.width)
+        mask = first.mask | last.mask
+        if self.ob_bit:   # without one, every op-node's inputs cover one relation set
+            for _, inputs in alternatives[1:]:
+                mask |= inputs[0].mask | inputs[-1].mask
+        cell = _Cell(mask | self.ob_bit if ordered else mask, alternatives,
+                     [0.0] * self.width, [math.inf] * self.width)
         cell.fixed = fixed = first.fixed | last.fixed
-        if ordered:
-            mask = cell.mask = mask | self.ob_bit
         sets = self.sets
-        below = sets(cmask, fixed)   # every U below the op
+        below = sets(mask, fixed)   # every U below the op
         size, best = cell.size, cell.best
         factor = float(op.factor)
-        if len(children) == 2:   # a join; the first alternative sets every u
-            m1, m2, b1, b2 = first.mask, last.mask, first.best, last.best
-            z1, z2 = first.size, last.size
+        if len(children) == 2:
+            m1, m2, z1, z2 = first.mask, last.mask, first.size, last.size
             for u in below:
-                a, b = z1[u & m1], z2[u & m2]
-                size[u] = factor * a * b
-                best[u] = a * b + (b1[u & m1] + b2[u & m2])
+                size[u] = factor * z1[u & m1] * z2[u & m2]
         else:
-            z1, b1 = first.size, first.best
+            z1 = first.size
             for u in below:
-                a = z1[u]
-                size[u] = factor * a
-                best[u] = a + b1[u]
-        if held != cmask:   # an order-by the first op-node's inputs cannot hold
-            for u in below:
-                if u & ~held:
-                    best[u] = math.inf
-        for op, children in rest:   # each later one only where it is cheaper
+                size[u] = factor * z1[u]
+        for op, children in alternatives:
             if len(children) == 2:
                 c1, c2 = children
                 m1, m2, z1, z2, b1, b2 = c1.mask, c2.mask, c1.size, c2.size, c1.best, c2.best
-                for u in below if m1 | m2 == cmask else sets(m1 | m2, fixed):
+                for u in below if m1 | m2 == mask else sets(m1 | m2, fixed):
                     cost = z1[u & m1] * z2[u & m2] + (b1[u & m1] + b2[u & m2])
                     if cost < best[u]:
                         best[u] = cost
             else:
                 z1, b1, m1 = children[0].size, children[0].best, children[0].mask
-                for u in below if m1 == cmask else sets(m1, fixed):
+                for u in below if m1 == mask else sets(m1, fixed):
                     cost = z1[u] + b1[u]
                     if cost < best[u]:
                         best[u] = cost
-        if mask != cmask:   # the order-by enters here: never below the op
+        if cell.mask != mask:   # the order-by enters here: never below the op
             for u in below:
                 size[u | self.ob_bit] = size[u]
         return self._stack(cell, fixed)
@@ -264,7 +253,7 @@ class _Placement:
         fixed = cell.mask & ~self.ob_bit
         _, d, having = self.group
         out = _Cell(cell.mask, [(None, (cell,))], [0.0] * self.width, [math.inf] * self.width)
-        out.cmask = out.fixed = fixed
+        out.fixed = fixed
         cost, size = 0.0, cell.size[fixed]
         for kind, factor in [(KIND_GROUPBY, d)] + ([(KIND_HAVING, having.ssf)] if having else []):
             cost += costplan.op_cost(kind, (size,))
@@ -278,7 +267,7 @@ class _Placement:
         `cell`, `flat` the least plain total: each op above it and the root
         projection cost at least r times their plain cost, r = its output
         over its input (at most 1)."""
-        fixed, size = landed.cmask, cell.size[landed.cmask]
+        fixed, size = landed.fixed, cell.size[landed.fixed]
         least = min(landed.best)
         if not (math.isfinite(flat) and size > 0):
             return least
@@ -338,7 +327,7 @@ def _kept_alternatives(cell: _Cell, s: int) -> list:
         if not s:
             kept.append((None, ()))
     elif op is None:   # a landing: its group-by and having over its plain cell
-        if s == cell.cmask:
+        if s == cell.fixed:
             kept.append((None, ((kids[0], s),)))
     else:
         for op, kids in cell.alternatives:
@@ -425,11 +414,11 @@ def _select_floors(dag: Dag, dp: _Placement) -> _Pass:
     cells of the eq-nodes after it with an op-node over the tier.  The
     plain pass reads the join dag's kept inputs-first order (the memo's
     order for a dag that carries none) and its price table
-    (`joindag.Prices`; an empty one for a dag that carries none): an
+    (`joindag.Prices`; an empty dict for a dag that carries none): an
     eq-node with no select on its base relations and not covering the
     order-by's takes the table's cell, which it fills on a miss by
     `_PLAIN`'s step over the input cells it holds."""
-    table = (dag.prices if dag.prices is not None else joindag.Prices(dag)).nodes
+    table = dag.prices.nodes if dag.prices is not None else {}
     order = dag.order if dag.order is not None else memo.topological_order(dag)[::-1]
     eq_nodes, op_nodes, cells, holds_order = dag.eq_nodes, dag.op_nodes, {}, dp.holds_order
     selected = dp.on_relation.keys()

@@ -173,9 +173,14 @@ NOT_A_CARDINALITY = MALFORMED + "relation lineitem: cardinality must be a finite
     (set_relation(1e308), MALFORMED + "join .* estimate overflows"),
     (set_join_field(4, math.nan), MALFORMED + "jsf nan of .* is not in \\(0, 1\\]$"),
     (set_join_field(4, -1.0), MALFORMED + "jsf -1.0 of .* is not in \\(0, 1\\]$"),
+    (set_join_field(4, True), MALFORMED + "jsf True of .* is not a number$"),
     (set_join_field(0, []), MALFORMED + "join .* names a non-string$"),
     (lambda doc: doc.update(version=math.inf), MALFORMED),
     (lambda doc: doc.update(version="1"), NOT_BUILT),
+    (lambda doc: doc.update(version=True), MALFORMED + "version True is not a number >= its 3 "
+                                                      "batches$"),
+    (lambda doc: doc.update(version=-5), MALFORMED + "version -5 is not a number >= its 3 "
+                                                     "batches$"),
     (lambda doc: doc.update(catalog_fingerprint=None), NOT_BUILT),
     (lambda doc: doc.update(catalog_fingerprint="0" * 64),
      "ERR:validation: history was built against a different catalog"),
@@ -183,8 +188,9 @@ NOT_A_CARDINALITY = MALFORMED + "relation lineitem: cardinality must be a finite
         "join-sides-swapped", "batch-out-of-order", "extra-relation",
         "missing-relation", "nan-cardinality", "infinite-cardinality",
         "negative-cardinality", "bool-cardinality", "cardinality-overflows-a-join",
-        "nan-jsf", "negative-jsf", "list-relation-names", "infinite-version",
-        "string-version", "fingerprint-not-a-string", "other-fingerprint"])
+        "nan-jsf", "negative-jsf", "bool-jsf", "list-relation-names", "infinite-version",
+        "string-version", "bool-version", "version-below-its-batches",
+        "fingerprint-not-a-string", "other-fingerprint"])
 def test_mutation_regressions(edit, error):
     """Mutations of each section whose refusal is pinned to its message:
     the replay's one comparison refuses whatever a build would not have

@@ -541,6 +541,23 @@ def test_nothing_writes_through_a_dag_read_in_place():
     assert dag.query_roots == {"component": top}
 
 
+def test_attaching_into_a_view_an_op_whose_eq_node_is_outside_it_is_a_dag_error():
+    """A view's key index is its whole dag's, so the key of an op over the
+    view's nodes may name an eq-node the view leaves out: that is a
+    DagError naming the eq-node, not a bare KeyError."""
+    dag = Dag()
+    a, b = ensure_base(dag, "a", 10.0), ensure_base(dag, "b", 20.0)
+    ab = attach_op(dag, KIND_JOIN, "a.x = b.x", (a, b), 2.0, 200.0, factor=0.01)
+    selected = attach_op(dag, KIND_SELECT, "a.x > 1", (ab,), 0.2, 2.0, factor=0.1)
+    doc = dag_to_doc(dag)
+    view = dag.below(ab)
+    assert selected == 3 and selected not in view.eq_nodes
+    with pytest.raises(DagError, match=r"^select 'a\.x > 1' yields eq-node 3, outside this "
+                                       r"view$"):
+        attach_op(view, KIND_SELECT, "a.x > 1", (ab,), 0.2, 2.0, factor=0.1)
+    assert dag_to_doc(dag) == doc
+
+
 def test_arc_signature_set_distinguishes_wiring():
     dag, _ = diamond_dag()
     arcs = arc_signature_set(dag)

@@ -801,10 +801,20 @@ def reference_place(plan, dp, limit=math.inf):
         return (costplan.op_cost(node.kind, tuple(c.size[u & c.mask] for c in cells)),
                 sum(c.best[u & c.mask] for c in cells))
 
+    def below_operator(tree):
+        """The bits that may sit below a tree node's operator: none at a
+        leaf, the fixed set at a landing, else what its inputs may hold."""
+        cell, node, children = tree
+        if not children:
+            return 0
+        if node is None:
+            return cell.fixed
+        return children[0][0].mask | children[-1][0].mask
+
     def placements(tree, depth, s, budget):
         cell, node, children = tree
         found = []
-        for u in dp.sets(s & cell.cmask, cell.fixed if dp.group else 0):
+        for u in dp.sets(s & below_operator(tree), cell.fixed if dp.group else 0):
             local, below = own_costs(node, children, u)
             here = local + cell.size[u] * stack_cost[s ^ u]
             if here + below > budget:
@@ -1196,8 +1206,7 @@ def operator_cost(cell, u):
     """The least cost of an op-node cell's operator and its inputs with U
     below it, priced from its alternatives through `costplan.op_cost`: the
     op over its inputs' sizes at U plus their best costs at U, least over
-    the op-nodes whose inputs hold U, and inf where none does (every U
-    outside `cmask`)."""
+    the op-nodes whose inputs hold U, and inf where none does."""
     return min((costplan.op_cost(op.kind, tuple(k.size[u & k.mask] for k in kids))
                 + sum(k.best[u & k.mask] for k in kids)
                 for op, kids in cell.alternatives if not u & ~(kids[0].mask | kids[-1].mask)),
@@ -1313,7 +1322,7 @@ def alternative_costs(dp, cell, s):
         costs = [0.0] if s == 0 else []
     elif op is None:
         costs = [reference_grouping(dp, kids[0].size[s]) + kids[0].best[s]] \
-            if s == cell.cmask else []
+            if s == cell.fixed else []
     else:
         costs = [costplan.op_cost(op.kind, tuple(k.size[s & k.mask] for k in kids))
                  + sum(k.best[s & k.mask] for k in kids)
