@@ -214,9 +214,7 @@ def cmd_optimize(args) -> int:
     query = parse_query(read_text(args.query), catalog)
     history = None
     if args.mode == "joindag" and args.history:
-        from . import joindag
-        history = joindag.load_history(args.history)
-        joindag.verify_catalog(history, catalog)
+        history = _load_history(args.history, catalog)
     dag, plan, considered, jd, _, elapsed = _run_one(
         query, catalog, args.mode, limit, history, "q1")
     params = _params(query, catalog, args.mode, limit, jd) if args.report else None
@@ -295,6 +293,17 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _load_history(path: str, catalog: Catalog) -> HistoryDag:
+    """The history saved at `path`, once it is shown to be built against
+    `catalog` (its fingerprint) and with its numbers (its cardinalities and
+    jsfs)."""
+    from . import joindag
+    history = joindag.load_history(path)
+    joindag.verify_catalog(history, catalog)
+    joindag.verify_numbers(history, catalog)
+    return history
+
+
 def _history_summary(history: HistoryDag) -> str:
     eq, op, plans = memo.count_nodes(history.dag)
     lines = [f"version: {history.version}",
@@ -322,8 +331,7 @@ def cmd_histdag_add(args) -> int:
     limit = _effective_limit(args)
     catalog = load_catalog_file(args.schema, args.stats)
     with locked(args.history, existing=True):   # no other add may save between this load and save
-        history = joindag.load_history(args.history)
-        joindag.verify_catalog(history, catalog)
+        history = _load_history(args.history, catalog)
         query = parse_query(read_text(args.query), catalog)
         if query.subquery is not None:
             raise ValidationError("history maintenance expects flat queries")
@@ -335,10 +343,8 @@ def cmd_histdag_add(args) -> int:
 
 
 def cmd_histdag_show(args) -> int:
-    from . import joindag
     catalog = load_catalog_file(args.schema, args.stats)
-    history = joindag.load_history(args.history)
-    joindag.verify_catalog(history, catalog)
+    history = _load_history(args.history, catalog)
     print(_history_summary(history))
     return EXIT_OK
 

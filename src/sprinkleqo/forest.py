@@ -21,7 +21,16 @@ saved histories, are those of interning every visit.
 
 The walk is depth first over the conditions in text order.  An applied-set
 is a bit mask over that order, and a forest state a list that maps each
-relation (by its index in name order) to the eq-node of its tree.
+relation (by its index in name order) to the eq-node of its tree.  From
+each applied-set it touches the step of every condition not yet applied,
+in text order, but recurses only into a set whose added condition comes
+after all of its own.  That reaches each set once, from the set without
+its last condition, and that is the set's first visit: the walk visits
+applied-sets in lexicographic order of their sorted conditions, and adding
+a condition before the last one gives a set earlier in that order, one
+already visited.  So the walk keeps no set of visited applied-sets, and
+touches every step, and so interns every node, in the order of a walk that
+kept one.
 """
 
 from __future__ import annotations
@@ -59,7 +68,6 @@ def expand_forest(dag: Dag, relations: dict[str, float],
     conditions = [(1 << bit, text, index[rels[0]], index[rels[-1]], len(rels) == 1, factor, {})
                   for bit, (text, rels, factor) in enumerate(conditions)]
     everything = (1 << len(conditions)) - 1
-    visited: set[int] = set()
     final: list[int] = []
 
     def expand(state: list[int], applied: int) -> None:
@@ -79,8 +87,7 @@ def expand_forest(dag: Dag, relations: dict[str, float],
                 else:
                     eq = intern_op(dag, KIND_JOIN, text, key, factor)
                 steps[key] = eq
-            if applied | bit not in visited:
-                visited.add(applied | bit)
+            if bit > applied:   # the first visit of applied | bit
                 # the step's input trees become its output
                 expand([eq if t == left or t == right else t for t in state], applied | bit)
 

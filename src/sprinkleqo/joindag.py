@@ -6,7 +6,9 @@ grouped by connected component of the join graph, each op-node interned once
 its full-join eq-node and decorating the orders below it, never enumerating
 or deriving them again.  Every query, whether its history was just built
 from empty for its joins alone or already held them, reads the part below
-that node in place (`memo.Dag.below`), without copying it.
+that node in place, without copying it: the whole dag when that node is
+its history's one root, as a cold block's is, since every eq-node of such
+a history lies below it, and otherwise the part `memo.Dag.below` walks.
 
 Its prices are pre-computed too.  An eq-node's join-only size, least cost
 and tied op-nodes depend only on the catalog, so each history version
@@ -52,7 +54,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 
 from . import forest, memo
-from .catalog import Catalog, JoinCondition, checked_cardinality, components
+from .catalog import Catalog, JoinCondition, checked_cardinality, components, resolve_jsf
 from .errors import (DEFAULT_MAX_OPS, CatalogError, DagError, LimitExceededError,
                      PersistenceError, ValidationError)
 from .ioutil import atomic_write_text, read_text
@@ -77,17 +79,27 @@ class Prices:
         self.views: dict[int, tuple[dict, dict, list[int]]] = {}
 
     def below(self, root: int) -> Dag:
-        """`dag.below(root)`, walked once per root and kept with its
-        inputs-first order; each call returns a new view of the kept maps
-        (`Dag.view`) that carries this table as its `prices` and the kept
-        order as its `order`.  The table keeps maps, not the view, so that
-        nothing it holds refers back to it, and a history no block reads
-        any longer is freed at once."""
+        """`dag.below(root)`, kept once per root with its inputs-first
+        order; each call returns a new view of the kept maps (`Dag.view`)
+        that carries this table as its `prices` and the kept order as its
+        `order`.  A root whose key holds every base and join bit of the
+        dag's registry is its history's one root, and every eq-node of a
+        history `_grow` built lies below it: each connected join subset is
+        reached from the full one by dropping joins.  So that root keeps the
+        dag's own maps and is not walked; every other root is walked
+        (`Dag.below`).  The table keeps maps, not the view, so that nothing
+        it holds refers back to it, and a history no block reads any longer
+        is freed at once."""
         kept = self.views.get(root)
         if kept is None:
-            view = self.dag.below(root)
-            kept = self.views[root] = (view.eq_nodes, view.op_nodes,
-                                       memo.topological_order(view)[::-1])
+            dag = self.dag
+            (bases, joins, *_), (base_bits, join_bits, _) = dag.eq_nodes[root].key, dag._bits
+            if bases + 1 == 1 << len(base_bits) and joins + 1 == 1 << len(join_bits):
+                kept = dag.eq_nodes, dag.op_nodes, memo.topological_order(dag)[::-1]
+            else:
+                view = dag.below(root)
+                kept = view.eq_nodes, view.op_nodes, memo.topological_order(view)[::-1]
+            self.views[root] = kept
         out = self.dag.view(kept[0], kept[1])
         out.prices, out.order = self, kept[2]
         return out
@@ -301,3 +313,25 @@ def verify_catalog(history: HistoryDag, catalog: Catalog) -> None:
     if history.catalog_fingerprint != catalog.fingerprint:
         raise ValidationError(
             "history was built against a different catalog (fingerprint mismatch)")
+
+
+def verify_numbers(history: HistoryDag, catalog: Catalog) -> None:
+    """That a loaded history was built with the catalog's numbers: each
+    relation's cardinality, and each batch join's jsf (`resolve_jsf`).  A
+    file whose checksum was sealed again over another valid number passes
+    `load_history` and `verify_catalog`, so whatever loads a history checks
+    this too; `build_incremental`, whose history comes from the catalog,
+    does not."""
+    for node in history.dag.eq_nodes.values():
+        if node.is_base:
+            rel = node.signature[0][0]
+            cardinality = float(catalog.relation(rel).cardinality)
+            if node.est_size != cardinality:
+                raise ValidationError(f"history holds cardinality {node.est_size!r} for "
+                                      f"{rel}, the catalog {cardinality!r}")
+    for batch in history.batches:
+        for cond in batch:
+            jsf = resolve_jsf(catalog, cond.left, cond.right)
+            if cond.jsf != jsf:
+                raise ValidationError(f"history holds jsf {cond.jsf!r} for "
+                                      f"{cond.canonical()}, the catalog {jsf!r}")

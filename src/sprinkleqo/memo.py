@@ -127,7 +127,7 @@ def signature_text(sig: Signature) -> str:
     return " ".join(parts)
 
 
-@dataclass
+@dataclass(slots=True)
 class EqNode:
     """One equivalence class: its signature, and the text and key of it
     that its dag builds once, neither serialized."""
@@ -313,8 +313,9 @@ def attach_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
     its condition's bit, a unary op ORs its bit into its component, and a
     project goes through `extend_signature`, each after a check on the
     inputs' keys, with a DagError for an op that does not extend its inputs
-    (a join of overlapping or projected inputs, a condition already
-    applied; `extend_signature` refuses a project over a projected input).
+    (a join of overlapping or projected inputs, a join or unary condition
+    already applied in an input; `extend_signature` refuses a project over
+    a projected input).
     Signatures thus strictly grow along every op, so the memo stays acyclic
     and a walk down from any eq-node takes fewer steps than its signature
     has entries.  The eq-node is found by its key, its size checked as
@@ -330,8 +331,9 @@ def attach_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
     first one's error: the kind, finiteness, each child's existence, the
     children's count, the signature rule, and last the eq-node found by its
     key: that it is in the dag (a `Dag.view` may leave it out) and its size.
-    A join takes its own path and scans no list of kinds; a size is checked
-    (`_found`) only where it differs from the eq-node's.
+    A join takes its own path, scans no list of kinds and reads its
+    condition's bit with one lookup; a size is checked (`_found`) only where
+    it differs from the eq-node's.
     """
     is_join = kind == KIND_JOIN
     if not is_join and kind not in UNARY_KINDS:
@@ -365,7 +367,12 @@ def attach_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
         if projection or projection2 or bases & bases2:
             raise DagError(f"join {detail!r} of {first.text!r} and "
                            f"{second.text!r}: inputs must be disjoint and unprojected")
-        key = (bases | bases2, joins | joins2 | _bit(dag._bits[JOINS], detail), unary | unary2, ())
+        bits = dag._bits[JOINS]
+        bit = bits.get(detail) or _bit(bits, detail)
+        if (joins | joins2) & bit:
+            held = first if joins & bit else second
+            raise DagError(f"{kind} {detail!r} is already applied in {held.text!r}")
+        key = (bases | bases2, joins | joins2 | bit, unary | unary2, ())
     elif kind == KIND_PROJECT:
         sig = extend_signature(first.signature, kind, detail)
         key = (bases, joins, unary, sig[3])

@@ -203,7 +203,8 @@ class _Placement:
         in an input that covers its relations).  Every bit of S can sit
         below some op-node but an order-by that enters here, which is
         size-neutral, so `size` by U is the size by S too.  `best` then
-        stacks S - U on the op's output (`_stack`).
+        stacks S - U on the op's output (`_stack`), unless no bit may stack
+        on it (its mask is `fixed`), as in every price-table cell.
         """
         op, children = alternatives[0]
         first, last = children[0], children[-1]   # a join's two inputs, or a unary op's one
@@ -243,7 +244,7 @@ class _Placement:
         if cell.mask != mask:   # the order-by enters here: never below the op
             for u in below:
                 size[u | self.ob_bit] = size[u]
-        return self._stack(cell, fixed)
+        return cell if cell.mask == fixed else self._stack(cell, fixed)
 
     def landing(self, cell: _Cell) -> _Cell:
         """The group-by and its having, a unary node over `cell` (which has

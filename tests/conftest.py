@@ -11,6 +11,7 @@ import math
 import pathlib
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
@@ -248,6 +249,50 @@ def incremental_naive_add(queries, catalog: Catalog, limit: int = DEFAULT_MAX_OP
     for qid, query in queries:
         naive.build_naive_dag(query, catalog, limit, query_id=qid, dag=fresh)
     return fresh
+
+
+def visited_expand_forest(dag: Dag, relations: dict[str, float], joins,
+                          selects=()) -> dict[str, int]:
+    """`forest.expand_forest` as it was when it kept a set of the
+    applied-sets it had visited, and recursed into each on its first visit
+    found in that set.  The oracle of the ids of the walk that keeps none."""
+    names = sorted(relations)
+    index = {rel: i for i, rel in enumerate(names)}
+    trees = [memo.ensure_base(dag, rel, relations[rel]) for rel in names]
+    if not joins and not selects:
+        return dict(zip(names, trees))
+    conditions = sorted([(j.canonical(), j.relations(), j.jsf) for j in joins]
+                        + [(s.canonical(), (s.relation,), s.ssf) for s in selects],
+                        key=itemgetter(0))
+    conditions = [(1 << bit, text, index[rels[0]], index[rels[-1]], len(rels) == 1, factor, {})
+                  for bit, (text, rels, factor) in enumerate(conditions)]
+    everything = (1 << len(conditions)) - 1
+    visited: set[int] = set()
+    final: list[int] = []
+
+    def expand(state: list[int], applied: int) -> None:
+        if applied == everything:
+            final[:] = state
+            return
+        for bit, text, i, j, is_select, factor, steps in conditions:
+            if applied & bit:
+                continue
+            key = left, right = state[i], state[j]
+            eq = steps.get(key)
+            if eq is None:
+                if is_select:
+                    eq = costplan.intern_op(dag, memo.KIND_SELECT, text, (left,), factor)
+                elif left == right:
+                    eq = costplan.intern_op(dag, memo.KIND_JOINFILTER, text, (left,), factor)
+                else:
+                    eq = costplan.intern_op(dag, memo.KIND_JOIN, text, key, factor)
+                steps[key] = eq
+            if applied | bit not in visited:
+                visited.add(applied | bit)
+                expand([eq if t == left or t == right else t for t in state], applied | bit)
+
+    expand(trees, 0)
+    return dict(zip(names, final))
 
 
 def parse_count(text: str) -> Fraction | None:

@@ -12,6 +12,11 @@ should move final dags, or costs by rounding, but no plan keeps it.  The
 memo) is digested the same way but apart, so the two joindag digests stay
 comparable with checkouts that did not digest it.
 
+A last digest covers history ids: the document (`memo.dag_to_doc`, ids
+included) of each `join_heavy` operation's cold history, the one
+`joindag.build_complete_history` builds over its join set.  Plans and
+final dags do not show a history renumbered; this line does.
+
 `select_heavy` and `naive_baseline` are each digested in two parts: their
 flat operations (no block with GROUP BY or ORDER BY) and their grouped or
 ordered ones, so a change that moves only grouped or ordered plans shows
@@ -25,8 +30,9 @@ Run it from the root of a source checkout; it imports the optimizer from
 It prints one line per seed and part (the operation count, that part's
 digest and its plan-key digest), then the combined plan-key digest and the
 combined digest of the joindag streams (`plan keys:` and `all:`), then
-those of the naive streams (`naive plan keys:` and `naive:`).  Compare
-these lines between two checkouts.  Not a test module: pytest does not
+those of the naive streams (`naive plan keys:` and `naive:`), and last the
+history-id digest of every seed (`history ids:`).  Compare these lines
+between two checkouts.  Not a test module: pytest does not
 collect it.
 """
 
@@ -43,7 +49,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "optbench")]
 
 import bench  # noqa: E402  (needs the paths above)
-from sprinkleqo import costplan, memo, sqlfront  # noqa: E402
+from sprinkleqo import costplan, joindag, memo, sqlfront  # noqa: E402
 
 WORKLOADS = ("select_heavy", "join_heavy")
 NAIVE = "naive_baseline"
@@ -84,6 +90,22 @@ def stream_digests(seed: int, workload: str,
             for name, (count, h, keys) in sorted(parts.items())}
 
 
+def history_ids(seed: int, work_dir: pathlib.Path, h) -> None:
+    """Add to `h` the document, ids included, of the cold history of each
+    operation of one seed's `join_heavy` stream, in stream order (or the
+    error it raised)."""
+    env = bench.setup(seed, work_dir, "join_heavy")
+    for item in env.inputs.streams["join_heavy"]:
+        catalog = env.catalogs[item.schema]
+        try:
+            joins = sqlfront.extract_join_set(sqlfront.parse_query(item.sql, catalog))
+            history = joindag.build_complete_history(catalog, joins, bench.JOINDAG_LIMIT)
+            line = json.dumps(memo.dag_to_doc(history.dag), sort_keys=True)
+        except Exception as exc:  # an error is part of the output being compared
+            line = f"{type(exc).__name__}: {exc}"
+        h.update(f"{seed}\t{item.qid}\t{line}\n".encode("utf-8"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
@@ -91,6 +113,7 @@ def main(argv=None) -> int:
     # the combined (digest, plan-key digest) of the joindag streams and of the naive ones
     joindag = hashlib.sha256(), hashlib.sha256()
     naive = hashlib.sha256(), hashlib.sha256()
+    histories = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
             for workload in WORKLOADS + (NAIVE,):
@@ -101,10 +124,12 @@ def main(argv=None) -> int:
                     print(f"seed {seed} {part}: {count} operations {digest} plan keys {keys}")
                     total.update(f"{seed}\t{part}\t{digest}\n".encode("utf-8"))
                     total_keys.update(f"{seed}\t{part}\t{keys}\n".encode("utf-8"))
+            history_ids(seed, pathlib.Path(tmp) / f"histories-{seed}", histories)
     print(f"plan keys: {joindag[1].hexdigest()}")
     print(f"all: {joindag[0].hexdigest()}")
     print(f"naive plan keys: {naive[1].hexdigest()}")
     print(f"naive: {naive[0].hexdigest()}")
+    print(f"history ids: {histories.hexdigest()}")
     return 0
 
 

@@ -12,7 +12,7 @@ from sprinkleqo.costplan import intern_op
 from sprinkleqo.memo import Dag, KIND_JOIN, KIND_JOINFILTER, KIND_SELECT
 from sprinkleqo.sqlfront import SelectCondition, parse_query
 
-from conftest import FIXTURES, random_schema
+from conftest import FIXTURES, connected_query_sql, random_schema, visited_expand_forest
 
 
 def replay_all_permutations(relations, conditions):
@@ -344,12 +344,13 @@ def reference_expand_forest(dag: Dag, relations: dict[str, float],
     return final_trees
 
 
-def same_as_the_reference(monkeypatch, build):
+def same_as_the_reference(monkeypatch, build, reference=None):
     """`build()` (which expands forests, and returns a dag and anything else
-    to compare) run with `forest.expand_forest` and with the reference:
-    the same dag document, next ids, returned trees and result."""
+    to compare) run with `forest.expand_forest` and with `reference`
+    (`reference_expand_forest` by default): the same dag document, next
+    ids, returned trees and result."""
     runs = []
-    for expand in (forest.expand_forest, reference_expand_forest):
+    for expand in (forest.expand_forest, reference or reference_expand_forest):
         trees = []
         monkeypatch.setattr(forest, "expand_forest",
                             lambda *a, expand=expand: trees.append(expand(*a)) or trees[-1])
@@ -400,3 +401,35 @@ def test_bit_mask_walk_builds_the_random_schema_graphs_of_the_reference(monkeypa
             forest.expand_forest(dag, relations, joins, selects)
             return (dag,)
         same_as_the_reference(monkeypatch, build)
+
+
+# -- the walk without a visited set against the one that kept it ---------------
+
+@pytest.mark.parametrize("kind", ["chain", "star", "cycle"])
+def test_the_walk_gives_the_ids_of_the_walk_that_kept_its_visits(monkeypatch, kind):
+    """Each applied-set is first visited from the set without its highest
+    condition, so recursing only there gives every id the walk with a
+    visited set gave: 2 to 8 joins (a cycle needs 3)."""
+    for n in range(3 if kind == "cycle" else 2, 9):
+        relations, joins = shape(kind, n)
+
+        def build():
+            dag = Dag()
+            forest.expand_forest(dag, relations, joins)
+            return (dag,)
+        same_as_the_reference(monkeypatch, build, visited_expand_forest)
+
+
+def test_the_naive_walk_gives_the_ids_of_the_walk_that_kept_its_visits(monkeypatch):
+    """Naive mode's walk, over seeded `random_schema` queries with up to
+    three selects, gives the ids of the walk with a visited set."""
+    rng, built = random.Random(3939), 0
+    for _ in range(40):
+        catalog = random_schema(rng, max_edges=6)
+        query = parse_query(connected_query_sql(catalog, rng, max_selects=3), catalog)
+        if not query.joins:
+            continue
+        same_as_the_reference(monkeypatch, lambda: (naive.build_naive_dag(
+            query, catalog, limit=query.n_operations()),), visited_expand_forest)
+        built += bool(query.selects)
+    assert built >= 10

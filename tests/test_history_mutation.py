@@ -149,13 +149,18 @@ def set_join_field(field, value):
     return lambda doc: doc["batches"][0][0].__setitem__(field, value)
 
 
-def set_relation(value):
-    return lambda doc: doc["relations"].update(lineitem=value)
+def set_relation(value, name="lineitem"):
+    return lambda doc: doc["relations"].update({name: value})
 
 
 NOT_BUILT = "ERR:io: malformed history file .*: it is not the history its batches build$"
 MALFORMED = "ERR:io: malformed history file .*: "
 NOT_A_CARDINALITY = MALFORMED + "relation lineitem: cardinality must be a finite number >= 0$"
+OTHER_NUMBERS = [   # (edit, error): a valid number that is not the catalog's
+    (set_relation(5, "customer"),
+     "ERR:validation: history holds cardinality 5.0 for customer, the catalog 1000.0$"),
+    (set_join_field(4, 0.5), "ERR:validation: history holds jsf 0.5 for "
+                             "nation.nationkey = supplier.nationkey, the catalog 0.04$")]
 
 
 @pytest.mark.parametrize("edit, error", [
@@ -175,6 +180,7 @@ NOT_A_CARDINALITY = MALFORMED + "relation lineitem: cardinality must be a finite
     (set_join_field(4, -1.0), MALFORMED + "jsf -1.0 of .* is not in \\(0, 1\\]$"),
     (set_join_field(4, True), MALFORMED + "jsf True of .* is not a number$"),
     (set_join_field(0, []), MALFORMED + "join .* names a non-string$"),
+    *OTHER_NUMBERS,
     (lambda doc: doc.update(version=math.inf), MALFORMED),
     (lambda doc: doc.update(version="1"), NOT_BUILT),
     (lambda doc: doc.update(version=True), MALFORMED + "version True is not a number >= its 3 "
@@ -188,16 +194,37 @@ NOT_A_CARDINALITY = MALFORMED + "relation lineitem: cardinality must be a finite
         "join-sides-swapped", "batch-out-of-order", "extra-relation",
         "missing-relation", "nan-cardinality", "infinite-cardinality",
         "negative-cardinality", "bool-cardinality", "cardinality-overflows-a-join",
-        "nan-jsf", "negative-jsf", "bool-jsf", "list-relation-names", "infinite-version",
+        "nan-jsf", "negative-jsf", "bool-jsf", "list-relation-names",
+        "cardinality-not-the-catalogs", "jsf-not-the-catalogs", "infinite-version",
         "string-version", "bool-version", "version-below-its-batches",
         "fingerprint-not-a-string", "other-fingerprint"])
 def test_mutation_regressions(edit, error):
     """Mutations of each section whose refusal is pinned to its message:
     the replay's one comparison refuses whatever a build would not have
-    saved, and the join and cardinality rules refuse the rest first."""
+    saved, and the join and cardinality rules refuse the rest first.  A
+    valid cardinality or jsf that is not the catalog's loads, and is
+    refused where the CLI checks a loaded history against its catalog."""
     doc = json.loads(HISTORIES["tpch"])
     edit(doc)
     assert_run_or_one_error_line("tpch", doc, error=error)
+
+
+@pytest.mark.parametrize("edit, error", OTHER_NUMBERS,
+                         ids=["cardinality-not-the-catalogs", "jsf-not-the-catalogs"])
+def test_histdag_add_refuses_a_history_of_other_numbers(edit, error):
+    """`histdag add` checks a loaded history against its catalog as `show`
+    and `optimize` do, and leaves the file as it was."""
+    doc = json.loads(HISTORIES["tpch"])
+    edit(doc)
+    doc["checksum"] = joindag._checksum(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "history.json"
+        path.write_text(json.dumps(doc))
+        code, _, stderr = run_cli("histdag", "add", "--history", str(path),
+                                  "--schema", str(FIXTURES / "tpch" / "schema.json"),
+                                  "--query", str(FIXTURES / "tpch" / "q2.sql"))
+        assert code == 2 and re.fullmatch(error, stderr.strip()) and len(stderr.splitlines()) == 1
+        assert json.loads(path.read_text()) == doc
 
 
 @settings(max_examples=60, deadline=None)

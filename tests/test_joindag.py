@@ -136,8 +136,9 @@ def test_the_price_table_keeps_each_roots_walk_and_order():
     """The price table's view of a root is the root's walk, handed with the
     table and the walk's inputs-first order; a later read of the root shares
     the kept maps and order, and a dag the table did not give carries
-    neither."""
-    rng, roots_read = random.Random(515253), 0
+    neither.  The one root of a one-component history keeps the dag's own
+    maps, which hold exactly its walk; every other root keeps its walk's."""
+    rng, roots_read, own_maps = random.Random(515253), 0, 0
     for _ in range(40):
         catalog = random_schema(rng, max_edges=8)
         joins = list(catalog.graph.edges)
@@ -145,7 +146,8 @@ def test_the_price_table_keeps_each_roots_walk_and_order():
         h = joindag.empty_history(catalog)
         for k in range(0, len(joins), 2):
             h = joindag.build_incremental(h, tuple(joins[k:k + 2]), catalog)
-            for root in memo.dag_roots(h.dag):
+            roots = memo.dag_roots(h.dag)
+            for root in roots:
                 view, walked = h.prices.below(root), h.dag.below(root)
                 assert view.eq_nodes == walked.eq_nodes and view.op_nodes == walked.op_nodes
                 assert view.prices is h.prices and not view.query_roots
@@ -154,8 +156,39 @@ def test_the_price_table_keeps_each_roots_walk_and_order():
                 again = h.prices.below(root)
                 assert again is not view and again.eq_nodes is view.eq_nodes
                 assert again.order is view.order is h.prices.views[root][2]
+                kept = h.prices.views[root]
+                one_root = len(roots) == 1
+                assert (kept[0] is h.dag.eq_nodes) == (kept[1] is h.dag.op_nodes) == one_root
                 roots_read += 1
-    assert roots_read > 60
+                own_maps += one_root
+    assert roots_read > 60 and own_maps > 20
+
+
+def test_a_root_over_every_relation_but_not_every_join_walks():
+    """A cycle query that leaves one edge out covers every relation of its
+    history but not every join: its view is its walk, which leaves out
+    every eq-node that applies the edge, while the full cycle's view keeps
+    the dag's own maps."""
+    names = [f"r{i}" for i in range(5)]
+    relations = [{"name": r, "cardinality": 100.0 + i,
+                  "attributes": [{"name": "a0", "distinct": 10}, {"name": "a1", "distinct": 20}]}
+                 for i, r in enumerate(names)]
+    edges = [{"left": f"{a}.a0", "right": f"{b}.a1", "jsf": 0.1}
+             for a, b in zip(names, names[1:] + names[:1])]
+    catalog = make_catalog(relations, edges)
+    h = joindag.build_complete_history(catalog, catalog.graph.edges)
+    texts = sorted(h.known_joins)
+    (full,) = memo.dag_roots(h.dag)
+    assert h.prices.below(full).eq_nodes is h.dag.eq_nodes
+    for left_out in texts:
+        root = joindag.query_join_root(h, names, tuple(t for t in texts if t != left_out))
+        view, walked = h.prices.below(root), h.dag.below(root)
+        assert view.eq_nodes is not h.dag.eq_nodes and view.op_nodes is not h.dag.op_nodes
+        assert view.eq_nodes == walked.eq_nodes and view.op_nodes == walked.op_nodes
+        assert view.order == memo.topological_order(walked)[::-1]
+        assert len(view.eq_nodes) < len(h.dag.eq_nodes)
+        assert not any(left_out in node.signature[1] for node in view.eq_nodes.values())
+        assert root in view.eq_nodes and full not in view.eq_nodes
 
 
 def test_query_join_root_full_and_subset(company_catalog):

@@ -176,6 +176,10 @@ def other_order(dag, a):
      "select 'a.x > 1' is already applied in '{a} u[a.x > 1]'"),
     (lambda dag, a, b, ab: (KIND_JOINFILTER, "a.x = b.x", (ab,), 1.0, 2000.0),
      "joinfilter 'a.x = b.x' is already applied in '{a,b} j[a.x = b.x]'"),
+    (lambda dag, a, b, ab: (KIND_JOIN, "a.x = b.x", (ensure_base(dag, "c", 10.0), ab), 1.0, 1.0),
+     "join 'a.x = b.x' is already applied in '{a,b} j[a.x = b.x]'"),
+    (lambda dag, a, b, ab: (KIND_JOIN, "a.x = b.x", (ab, ensure_base(dag, "0", 10.0)), 1.0, 1.0),
+     "join 'a.x = b.x' is already applied in '{a,b} j[a.x = b.x]'"),   # the second input
     (lambda dag, a, b, ab: (KIND_PROJECT, "project(a.y)", (projected_a(dag, a),), 1.0, 1.0),
      "'project(a.y)' does not extend '{a} p[a.x]'"),
     (lambda dag, a, b, ab: (KIND_PROJECT, "project()", (a,), 1.0, 1.0),
@@ -191,7 +195,8 @@ def other_order(dag, a):
         "dangling-join-with-nan-cost", "two-dangling", "dangling-right", "three-children-dangling",
         "three-children", "one-child-join", "dangling-select", "two-child-having",
         "no-child-project", "overlapping-join", "projected-join-input",
-        "condition-applied-twice", "joinfilter-of-applied-join", "project-over-projected",
+        "condition-applied-twice", "joinfilter-of-applied-join", "join-of-applied-join",
+        "join-of-applied-join-second-input", "project-over-projected",
         "empty-project", "size-of-a-found-op", "reapplied-under-a-projection",
         "size-of-a-found-eq-node"])
 def test_malformed_attach_op_raises_its_exact_text(call, message):
@@ -247,12 +252,16 @@ def projected_a(dag, a):
     (KIND_JOINFILTER, "a.x = b.x", lambda dag, a, b: (attach_op(
         dag, KIND_JOIN, "a.x = b.x", (a, b), 2000.0, 20000.0, factor=0.1),),
      "already applied"),
+    (KIND_JOIN, "a.x = b.x", lambda dag, a, b: (attach_op(
+        dag, KIND_JOIN, "a.x = b.x", (a, b), 2000.0, 20000.0, factor=0.1),
+        ensure_base(dag, "c", 10.0)), "already applied"),
     (KIND_JOIN, "a.y = b.y", lambda dag, a, b: (attach_op(
         dag, KIND_JOIN, "a.x = b.x", (a, b), 2000.0, 20000.0, factor=0.1), b),
      "disjoint"),
     (KIND_PROJECT, "project(a.y)", lambda dag, a, b: (projected_a(dag, a),), "extend"),
     (KIND_JOIN, "a.x = b.x", lambda dag, a, b: (projected_a(dag, a), b), "unprojected"),
-], ids=["reapplied-select", "joinfilter-of-applied-join", "overlapping-join",
+], ids=["reapplied-select", "joinfilter-of-applied-join", "join-of-applied-join",
+        "overlapping-join",
         "project-over-projected", "join-over-projected"])
 def test_non_extending_op_rejected(kind, detail, inputs, match):
     dag, a, b = two_base_dag()
@@ -680,7 +689,8 @@ def derived(dag, kind, detail, children):
     """The signature `attach_op` must give, or the DagError text it must
     raise, by the signature rule stated here over the inputs' signatures,
     join inputs in canonical order: a join takes disjoint, unprojected
-    inputs and unions them with its condition; a project retains at least
+    inputs that have not applied its condition and unions them with it; a
+    project retains at least
     one attribute of an unprojected input; any other unary op adds a
     condition not yet applied, a joinfilter to the joins and the rest to
     the unary ops."""
@@ -691,6 +701,9 @@ def derived(dag, kind, detail, children):
         if projection or other[3] or set(bases) & set(other[0]):
             return None, (f"join {detail!r} of {nodes[0].text!r} and {nodes[1].text!r}: "
                           "inputs must be disjoint and unprojected")
+        for node in nodes:
+            if detail in node.signature[1]:
+                return None, f"join {detail!r} is already applied in {node.text!r}"
         return memo.make_signature(bases + other[0], {*joins, *other[1], detail},
                                    {*unary, *other[2]}), None
     if kind == KIND_PROJECT:
@@ -705,10 +718,18 @@ def derived(dag, kind, detail, children):
     return memo.make_signature(bases, joins, unary + (detail,), projection), None
 
 
+def join_refusal(dag, children) -> str:
+    """Which rule refuses a join over `children`, in `derived`'s order."""
+    nodes = [dag.eq_nodes[c] for c in children]
+    if any(node.signature[3] for node in nodes):
+        return "projected"
+    return "overlapping" if set(nodes[0].signature[0]) & set(nodes[1].signature[0]) else "reapplied"
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_attach_op_derives_the_eq_node_of_the_signature_rule(seed):
     """Random attach sequences over five relations: joins of disjoint,
-    overlapping and projected inputs, unary ops applied again, projects
+    overlapping and projected inputs, joins and unary ops applied again, projects
     over projections, and one text shared by a join, a joinfilter and
     every unary kind.  Each accepted attach returns the eq-node of the
     signature the rule in `derived` gives, new exactly when that signature
@@ -741,8 +762,7 @@ def test_attach_op_derives_the_eq_node_of_the_signature_rule(seed):
                 attach_op(dag, kind, detail, children, size, 1.0, factor=0.5)
             assert str(exc.value) == error
             assert dag_to_doc(dag) == before
-            projected = any(dag.eq_nodes[c].signature[3] for c in children)
-            rejected.add(kind if kind != KIND_JOIN else "projected" if projected else "overlapping")
+            rejected.add(kind if kind != KIND_JOIN else join_refusal(dag, children))
             continue
         expected = by_signature.get(sig, dag._next_eq)   # a new signature, a new eq-node
         eq = attach_op(dag, kind, detail, children, size, 1.0, factor=0.5)
@@ -750,7 +770,8 @@ def test_attach_op_derives_the_eq_node_of_the_signature_rule(seed):
         assert dag.find_eq(sig) == eq
         by_signature[sig] = eq
         accepted += 1
-    assert accepted > 50 and rejected == {"overlapping", "projected", KIND_PROJECT, *unary}
+    assert accepted > 50 and rejected == {"overlapping", "projected", "reapplied", KIND_PROJECT,
+                                          *unary}
     assert len({node.key for node in dag.eq_nodes.values()}) == len(dag.eq_nodes)
     for node in dag.eq_nodes.values():
         assert dag.find_eq(node.signature) == node.id

@@ -4,7 +4,8 @@
 `select_heavy`, `join_heavy` and `naive_baseline` streams (those of
 `select_heavy` and `naive_baseline` in two parts, flat and grouped or
 ordered operations apart): the winning plan's `plan_key`,
-the bits of its cost and its final dag.  Every line it prints, per part and
+the bits of its cost and its final dag; and the ids of each `join_heavy`
+operation's cold history.  Every line it prints, per part and
 combined, is compared to `tests/golden/plan_digest.json`, so a change that
 moves some plans shows which parts it left alone.  A refactor or a speedup
 must leave every line unchanged.
