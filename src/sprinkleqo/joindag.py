@@ -12,16 +12,17 @@ a history lies below it, and otherwise the part `memo.Dag.below` walks.
 
 Its prices are pre-computed too.  An eq-node's join-only size, least cost
 and tied op-nodes depend only on the catalog, so each history version
-keeps one price table (`Prices`), the winner table of a Cascades memo
-(Graefe, "The Cascades Framework for Query Optimization", 1995).  It holds
-the cell of each eq-node a block has priced with nothing placed at or
-below it, the cell the placement DP gives a block with nothing to place
-(`sprinkle._PLAIN`), filled by the place stage's own pass, and what each
-query root reaches with its inputs-first order.  It is filled on demand,
-never at build or load, and never saved.  A version that only bumps the
-number (`dataclasses.replace`) shares its table; one with new joins is a
-`clone`, which starts an empty one.  A join dag the table did not give
-(built by hand, or renumbered) prices into an empty table of its own.
+keeps one price table (`HistoryDag.prices`), the winner table of a
+Cascades memo (Graefe, "The Cascades Framework for Query Optimization",
+1995).  It holds the cell of each eq-node a block has priced with nothing
+placed at or below it, the cell the placement DP gives a block with
+nothing to place (`sprinkle._PLAIN`), filled by the place stage's own
+pass; beside it the history keeps what each query root reaches with its
+inputs-first order (`HistoryDag.views`).  Both are filled on demand, never
+at build or load, and never saved.  A version that only bumps the number
+(`dataclasses.replace`) shares them; one with new joins is a `clone`,
+which starts empty ones.  A join dag the history did not give (built by
+hand, or renumbered) prices into an empty table of its own.
 
 Incremental builds accept a batch of join conditions.  Conditions already
 known only bump the version, over the same dag; otherwise the new ones are
@@ -63,33 +64,46 @@ from .memo import Dag
 HISTORY_FORMAT = 2
 
 
-class Prices:
-    """The price table of one dag (see the module docstring), filled on
-    demand.  `nodes` maps each eq-node priced so far to the place stage's
-    DP cell of it with nothing to place (`sprinkle._PLAIN`'s), which the
-    stage's pass fills when it first meets the eq-node.  `views` maps
-    each root asked for to the eq-node and op-node maps below it and their
-    inputs-first order (`below`)."""
+@dataclass
+class HistoryDag:
+    """Versioned store of all join orders seen so far, the batches of fresh
+    joins it grew from (each sorted by text), and the price table of its
+    dag (see the module docstring), filled on demand, which a version made
+    by `dataclasses.replace` shares and a `clone` starts again.  `prices`
+    maps each eq-node priced so far to the place stage's DP cell of it with
+    nothing to place (`sprinkle._PLAIN`'s), which the stage's pass fills
+    when it first meets the eq-node; `views` maps each root asked for to
+    the eq-node and op-node maps below it and their inputs-first order
+    (`below`).  `known_joins` reads its joins off the batches."""
 
-    __slots__ = ("dag", "nodes", "views")
+    dag: Dag
+    batches: list[tuple[JoinCondition, ...]]
+    version: int
+    catalog_fingerprint: str
+    prices: dict = field(default_factory=dict, repr=False, compare=False)
+    views: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def __init__(self, dag: Dag):
-        self.dag = dag
-        self.nodes: dict = {}
-        self.views: dict[int, tuple[dict, dict, list[int]]] = {}
+    @property
+    def known_joins(self) -> dict[str, JoinCondition]:
+        """Every join of the batches, by canonical text; no join is in two."""
+        return {cond.canonical(): cond for batch in self.batches for cond in batch}
+
+    def clone(self) -> "HistoryDag":
+        return HistoryDag(dag=self.dag.clone(), batches=list(self.batches),
+                          version=self.version, catalog_fingerprint=self.catalog_fingerprint)
 
     def below(self, root: int) -> Dag:
         """`dag.below(root)`, kept once per root with its inputs-first
         order; each call returns a new view of the kept maps (`Dag.view`)
-        that carries this table as its `prices` and the kept order as its
-        `order`.  A root whose key holds every base and join bit of the
+        that carries the price table as its `prices` and the kept order as
+        its `order`.  A root whose key holds every base and join bit of the
         dag's registry is its history's one root, and every eq-node of a
         history `_grow` built lies below it: each connected join subset is
         reached from the full one by dropping joins.  So that root keeps the
         dag's own maps and is not walked; every other root is walked
-        (`Dag.below`).  The table keeps maps, not the view, so that nothing
-        it holds refers back to it, and a history no block reads any longer
-        is freed at once."""
+        (`Dag.below`).  `views` keeps maps, not the view, so that nothing
+        it holds refers back to the history, and a history no block reads
+        any longer is freed at once."""
         kept = self.views.get(root)
         if kept is None:
             dag = self.dag
@@ -101,35 +115,8 @@ class Prices:
                 kept = view.eq_nodes, view.op_nodes, memo.topological_order(view)[::-1]
             self.views[root] = kept
         out = self.dag.view(kept[0], kept[1])
-        out.prices, out.order = self, kept[2]
+        out.prices, out.order = self.prices, kept[2]
         return out
-
-
-@dataclass
-class HistoryDag:
-    """Versioned store of all join orders seen so far, the batches of fresh
-    joins it grew from (each sorted by text), and the price table of its
-    dag, which a version made by `dataclasses.replace` shares and a `clone`
-    starts again.  `known_joins` reads its joins off the batches."""
-
-    dag: Dag
-    batches: list[tuple[JoinCondition, ...]]
-    version: int
-    catalog_fingerprint: str
-    prices: Prices | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.prices is None:
-            self.prices = Prices(self.dag)
-
-    @property
-    def known_joins(self) -> dict[str, JoinCondition]:
-        """Every join of the batches, by canonical text; no join is in two."""
-        return {cond.canonical(): cond for batch in self.batches for cond in batch}
-
-    def clone(self) -> "HistoryDag":
-        return HistoryDag(dag=self.dag.clone(), batches=list(self.batches),
-                          version=self.version, catalog_fingerprint=self.catalog_fingerprint)
 
 
 def combinations_considered(n_joins: int) -> int:

@@ -37,7 +37,7 @@ eq-node (`join_signature`, `extend_signature`).  Since signatures grow
 along every op-node, `topological_order` needs no walk: it sorts the
 eq-nodes by their signature's entry count.  Every inputs-first pass over a
 memo reads that order: `merge_below`, `plan_count_for`, the place stage's
-DP (which reads it as its history's price table keeps it per root),
+DP (which reads it as its history keeps it per root, `HistoryDag.views`),
 `costplan.best_plan`'s winner and plan passes (with its consumers-first
 marking pass between them) and `naive._costs`.  One walk, `reachable`,
 finds what a root reaches for `Dag.below` and `topological_order`.
@@ -161,9 +161,10 @@ class Dag:
     registry gives each text the next bit of its component (bases, joins,
     unary ops) on first sight; its key index maps each eq-node's key to its
     id.  An op-node is found among the alternatives of the eq-node its key
-    derives (`attach_op`).  A view read from a history's price table
-    (`joindag.Prices.below`) carries that table as `prices` and its eq-node
-    ids inputs first as `order`; both are None on every other dag."""
+    derives (`attach_op`).  A view read from a history
+    (`joindag.HistoryDag.below`) carries the history's price table, a dict,
+    as `prices` and its eq-node ids inputs first as `order`; both are None
+    on every other dag."""
 
     def __init__(self):
         self.eq_nodes: dict[int, EqNode] = {}
@@ -456,21 +457,20 @@ def topological_order(dag: Dag, root: int | None = None) -> list[int]:
     return sorted(sorted(nodes), key=entries, reverse=True)
 
 
-def plan_count_for(dag: Dag, eq_id: int, _memo: dict[int, int] | None = None) -> int:
+def plan_count_for(dag: Dag, eq_id: int) -> int:
     """Number of distinct full expansions below an eq-node (product-sum rule).
 
-    Counts every eq-node of the dag, inputs first, into `_memo` when given."""
-    counts = _memo if _memo is not None else {}
-    if eq_id not in counts:
-        for eq in reversed(topological_order(dag)):
-            node = dag.eq_nodes[eq]
-            total = 0 if node.child_ops else 1
-            for op_id in node.child_ops:
-                prod = 1
-                for child in dag.op_nodes[op_id].children:
-                    prod *= counts[child]
-                total += prod
-            counts[eq] = total
+    Counts every eq-node `reachable` from it, inputs first."""
+    counts: dict[int, int] = {}
+    for eq in reversed(topological_order(dag, eq_id)):
+        node = dag.eq_nodes[eq]
+        total = 0 if node.child_ops else 1
+        for op_id in node.child_ops:
+            prod = 1
+            for child in dag.op_nodes[op_id].children:
+                prod *= counts[child]
+            total += prod
+        counts[eq] = total
     return counts[eq_id]
 
 
@@ -490,8 +490,7 @@ def count_nodes(dag: Dag, internal_only: bool = False) -> tuple[int, int, int]:
         eq_count = sum(1 for n in dag.eq_nodes.values() if not n.is_base)
     else:
         eq_count = len(dag.eq_nodes)
-    memo: dict[int, int] = {}
-    plans = sum(plan_count_for(dag, root, memo) for root in dag_roots(dag))
+    plans = sum(plan_count_for(dag, root) for root in dag_roots(dag))
     return eq_count, len(dag.op_nodes), plans
 
 

@@ -46,17 +46,17 @@ keeps each alternative of a state (an op-node over its inputs' states, or
 one bit of s stacked on the rest) that ties the state's DP least, and
 attaches each kept op-node once.
 
-The plain pass reads its history's price table (`joindag.Prices`): the
-join dag's inputs-first order, kept per root, and the cell of each node
-where nothing may sit at or below it (no select on its base relations, and
-not covering the order-by's).  Such a cell is the one the DP gives a block
-with nothing to place (`_PLAIN`), tables at set 0 only: the pass fills it
-by the same `leaf` or `node` step when first met in a history version, and
-every later block, plain, grouped or ordered, shares it, leaves too.  Where
-a node stands, whether it covers the order-by's or the group-by's
-relations, is read from its eq-node's base relations, so no cell carries
-it.  A cell above a landing always steps, for the landing changes its
-sizes.  A block with nothing to place steps only to fill the table.
+The plain pass reads what its history keeps (`joindag.HistoryDag`): the
+join dag's inputs-first order, kept per root, and the price table, the cell
+of each node where nothing may sit at or below it (no select on its base
+relations, and not covering the order-by's).  Such a cell is the one the DP
+gives a block with nothing to place (`_PLAIN`), tables at set 0 only: the
+pass fills it by the same `leaf` or `node` step when first met in a history
+version, and every later block, plain, grouped or ordered, shares it,
+leaves too.  Where a node stands, whether it covers the order-by's or the
+group-by's relations, is read from its eq-node's base relations, so no cell
+carries it.  A cell above a landing always steps, for the landing changes
+its sizes.  A block with nothing to place steps only to fill the table.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from typing import NamedTuple
 from . import costplan, joindag, memo, sqlfront
 from .catalog import Catalog, view_relation, with_relation
 from .costplan import Plan, op_plan
-from .errors import DEFAULT_MAX_OPS, LimitExceededError, ValidationError
+from .errors import DEFAULT_MAX_OPS, DagError, LimitExceededError, ValidationError
 from .joindag import HistoryDag
 from .memo import Dag, KIND_GROUPBY, KIND_HAVING, KIND_ORDERBY, KIND_PROJECT, KIND_SELECT
 from .sqlfront import Query, SelectCondition, extract_join_set
@@ -283,30 +283,10 @@ class _Pass(NamedTuple):
 
     cells: dict[int, _Cell]                        # each eq-node's plain tables
     tiers: list[dict[int, _Cell]]                  # per landing priced, its tier's cells, it first
-    optimum: dict[int, float]                      # each query root's least `dp.total`
+    top: _Cell                                     # the cell whose full set is the root's state
 
 
 # -- the place stage -----------------------------------------------------------
-
-def _root_cell(dag: Dag, dp: _Placement, passed: _Pass, root: int) -> _Cell:
-    """The cell whose full set is `root`'s registered state: the root's
-    plain cell, or with a group-by the root cell of the cheapest tier.
-    Among tiers within memo.SIZE_RTOL of the optimum, the landing nearest
-    the root wins: the latest in the pass's inputs-first order, which
-    sorts by signature entries, and of landings with as many entries the
-    one of least text, so that no eq-node id decides."""
-    if dp.group is None:
-        return passed.cells[root]
-    full, budget = dp.width - 1, memo.within_rounding(passed.optimum[root])
-
-    def nearness(tier: dict[int, _Cell]) -> tuple[int, str]:
-        node = dag.eq_nodes[next(iter(tier))]   # a tier's landing comes first
-        return -len(node.signature[0]) - len(node.signature[1]), node.text
-
-    return min((tier for tier in passed.tiers if root in tier
-                and dp.total(tier[root].best[full], tier[root].size[full]) <= budget),
-               key=nearness)[root]
-
 
 def _kept_alternatives(cell: _Cell, s: int) -> list:
     """The alternatives of the state (cell, S) that cost at most
@@ -352,74 +332,78 @@ def _kept_alternatives(cell: _Cell, s: int) -> list:
 
 
 def _decorate_stage(dag: Dag, dp: _Placement, passed: _Pass) -> Dag:
-    """Run the place stage over every registered root, from the tables of
-    the block's DP pass, into a fresh memo: one walk over DP states.  A
-    state (cell, S) is one decorated eq-node, and each root registers the
-    full set of its cell (`_root_cell`).  The walk keeps every alternative
-    of a state within memo.SIZE_RTOL of the state's DP `best`
-    (`_kept_alternatives`) and attaches each once, after its inputs, which
-    it visits left to right.  Every op-node is sized and costed
-    from its inputs in the fresh memo (`costplan.intern_op`), but a block
-    with nothing to place attaches the memo's own sizes and costs.  The
-    walk keeps its own stack, so any depth works."""
+    """Run the place stage over the dag's one registered root, from the
+    tables of the block's DP pass, into a fresh memo: one walk over DP
+    states, from the full set of the pass's `top`, which the root's query
+    id registers.  A state (cell, S) is one decorated eq-node.  The walk
+    keeps every alternative of a state within memo.SIZE_RTOL of the state's
+    DP `best` (`_kept_alternatives`) and attaches each once, after its
+    inputs, which it visits left to right.  Every op-node is sized and
+    costed from its inputs in the fresh memo (`costplan.intern_op`), but a
+    block with nothing to place attaches the memo's own sizes and costs.
+    The walk keeps its own stack, so any depth works."""
     fresh, eq_nodes, ops = Dag(), dag.eq_nodes, dp.ops
     ids: dict[tuple[_Cell, int], int] = {}        # each state attached -> its eq-node
     kept: dict[tuple[_Cell, int], list] = {}      # each state visited -> its kept alternatives
-    for query_id, root in sorted(dag.query_roots.items()):
-        top = _root_cell(dag, dp, passed, root), dp.width - 1
-        stack = [top]
-        while stack:
-            state = stack[-1]
-            if state in ids:
-                stack.pop()
-                continue
-            if state not in kept:   # first visit: its inputs go first
-                kept[state] = _kept_alternatives(*state)
-                stack += reversed([x for _, inputs in kept[state] for x in inputs
-                                   if x not in ids])
-                continue
+    (query_id,) = dag.query_roots
+    top = passed.top, dp.width - 1
+    stack = [top]
+    while stack:
+        state = stack[-1]
+        if state in ids:
             stack.pop()
-            node = eq_nodes[state[0].eq]
-            for what, inputs in kept.pop(state):
-                children = tuple([ids[x] for x in inputs])
-                if what is None and not children:
-                    eq = memo.ensure_base(fresh, node.signature[0][0], node.est_size)
-                elif what is None:   # the group-by names its input's signature
-                    group_by, d, having = dp.group
-                    eq = costplan.intern_op(fresh, KIND_GROUPBY, sqlfront.groupby_text(
-                        group_by, fresh.eq_nodes[children[0]].text), children, d)
-                    if having is not None:
-                        eq = costplan.intern_op(fresh, KIND_HAVING, having.canonical(), (eq,),
-                                                having.ssf)
-                elif type(what) is int:
-                    kind, detail, factor = ops[what]
-                    eq = costplan.intern_op(fresh, kind, detail, children, factor)
-                elif dp.empty:   # the memo's own plans
-                    eq = memo.attach_op(fresh, what.kind, what.detail, children, node.est_size,
-                                        what.op_cost, what.factor)
-                else:
-                    eq = costplan.intern_op(fresh, what.kind, what.detail, children, what.factor)
-            ids[state] = eq
-        memo.register_root(fresh, query_id, ids[top])
+            continue
+        if state not in kept:   # first visit: its inputs go first
+            kept[state] = _kept_alternatives(*state)
+            stack += reversed([x for _, inputs in kept[state] for x in inputs if x not in ids])
+            continue
+        stack.pop()
+        node = eq_nodes[state[0].eq]
+        for what, inputs in kept.pop(state):
+            children = tuple([ids[x] for x in inputs])
+            if what is None and not children:
+                eq = memo.ensure_base(fresh, node.signature[0][0], node.est_size)
+            elif what is None:   # the group-by names its input's signature
+                group_by, d, having = dp.group
+                eq = costplan.intern_op(fresh, KIND_GROUPBY, sqlfront.groupby_text(
+                    group_by, fresh.eq_nodes[children[0]].text), children, d)
+                if having is not None:
+                    eq = costplan.intern_op(fresh, KIND_HAVING, having.canonical(), (eq,),
+                                            having.ssf)
+            elif type(what) is int:
+                kind, detail, factor = ops[what]
+                eq = costplan.intern_op(fresh, kind, detail, children, factor)
+            elif dp.empty:   # the memo's own plans
+                eq = memo.attach_op(fresh, what.kind, what.detail, children, node.est_size,
+                                    what.op_cost, what.factor)
+            else:
+                eq = costplan.intern_op(fresh, what.kind, what.detail, children, what.factor)
+        ids[state] = eq
+    memo.register_root(fresh, query_id, ids[top])
     return fresh
 
 
 def _select_floors(dag: Dag, dp: _Placement) -> _Pass:
-    """The block's one DP pass: `dp` over the memo, an eq-node's op-nodes
-    its alternatives, plain and per landing (an eq-node whose base
-    relations cover the grouping relations) above it, in increasing
-    `_Placement.bound` up to one that no root's optimum can reach.  Its
-    cells are kept for `_decorate_stage`, which reads every cell at every
-    set it holds.  A root's optimum is its least `dp.total` at the full set: its
-    least decorated cost, exactly.  A landing's tier is its cell and the
-    cells of the eq-nodes after it with an op-node over the tier.  The
-    plain pass reads the join dag's kept inputs-first order (the memo's
-    order for a dag that carries none) and its price table
-    (`joindag.Prices`; an empty dict for a dag that carries none): an
-    eq-node with no select on its base relations and not covering the
-    order-by's takes the table's cell, which it fills on a miss by
-    `_PLAIN`'s step over the input cells it holds."""
-    table = dag.prices.nodes if dag.prices is not None else {}
+    """The block's one DP pass: `dp` over the memo below the dag's one
+    registered root, an eq-node's op-nodes its alternatives, plain and per
+    landing (an eq-node whose base relations cover the grouping relations)
+    above it, in increasing `_Placement.bound` up to one that the root's
+    optimum cannot reach.  Its cells are kept for `_decorate_stage`, which
+    reads every cell at every set it holds.  The optimum is the root's
+    least `dp.total` at the full set: its least decorated cost, exactly.  A
+    landing's tier is its cell and the cells of the eq-nodes after it with
+    an op-node over the tier.  The pass's `top` is the root's plain cell,
+    or with a group-by the root cell of a tier within memo.SIZE_RTOL of the
+    optimum: of those, the one whose landing is nearest the root, the
+    latest in the inputs-first order, which sorts by signature entries, and
+    of landings with as many entries the one of least text, so that no
+    eq-node id decides.  The plain pass reads the join dag's kept
+    inputs-first order (the memo's order for a dag that carries none) and
+    its price table (`joindag.HistoryDag.prices`; an empty dict for a dag
+    that carries none): an eq-node with no select on its base relations
+    and not covering the order-by's takes the table's cell, which it fills
+    on a miss by `_PLAIN`'s step over the input cells it holds."""
+    table = dag.prices if dag.prices is not None else {}
     order = dag.order if dag.order is not None else memo.topological_order(dag)[::-1]
     eq_nodes, op_nodes, cells, holds_order = dag.eq_nodes, dag.op_nodes, {}, dp.holds_order
     selected = dp.on_relation.keys()
@@ -442,21 +426,19 @@ def _select_floors(dag: Dag, dp: _Placement) -> _Pass:
         if step is _PLAIN:
             table[eq_id] = cell
         cells[eq_id], cell.eq = cell, eq_id
-    full = dp.width - 1
-    plain = {root: dp.total(cells[root].best[full], cells[root].size[full])
-             for root in dag.query_roots.values()}
+    (root,), full = dag.query_roots.values(), dp.width - 1
     if dp.group is None:
-        return _Pass(cells, [], plain)
-    flat, landings = min(plain.values()), []   # (bound, position in order, cell) per landing
+        return _Pass(cells, [], cells[root])
+    flat = dp.total(cells[root].best[full], cells[root].size[full])
+    landings = []   # (bound, position in order, cell) per landing
     for i, eq_id in enumerate(order):
         if dp.grouping.issubset(eq_nodes[eq_id].signature[0]):
             landed = dp.landing(cells[eq_id])
             landed.eq = eq_id
             landings.append((dp.bound(cells[eq_id], landed, flat), i, landed))
-    roots = dict.fromkeys(dag.query_roots.values(), math.inf)
-    tiers = []
+    optimum, tiers, totals = math.inf, [], []   # totals: each tier's root total
     for bound, i, landed in sorted(landings, key=lambda t: t[:2]):
-        if bound > memo.within_rounding(max(roots.values())):
+        if bound > memo.within_rounding(optimum):
             break
         tier = {order[i]: landed}
         for up in order[i + 1:]:   # the eq-nodes above it, inputs first
@@ -467,9 +449,16 @@ def _select_floors(dag: Dag, dp: _Placement) -> _Pass:
                 tier[up] = dp.node(alternatives, holds_order(eq_nodes[up].signature[0]))
                 tier[up].eq = up
         tiers.append(tier)
-        for root in roots.keys() & tier.keys():
-            roots[root] = min(roots[root], dp.total(tier[root].best[full], tier[root].size[full]))
-    return _Pass(cells, tiers, roots)
+        totals.append(dp.total(tier[root].best[full], tier[root].size[full]))
+        optimum = min(optimum, totals[-1])
+    budget = memo.within_rounding(optimum)
+
+    def nearness(tier: dict[int, _Cell]) -> tuple[int, str]:
+        node = eq_nodes[next(iter(tier))]   # a tier's landing comes first
+        return -len(node.signature[0]) - len(node.signature[1]), node.text
+
+    return _Pass(cells, tiers, min((tier for tier, total in zip(tiers, totals)
+                                    if total <= budget), key=nearness)[root])
 
 
 def _block_placement(query: Query, catalog: Catalog, retained: set[str]) -> _Placement:
@@ -485,19 +474,22 @@ def _block_placement(query: Query, catalog: Catalog, retained: set[str]) -> _Pla
 
 
 def sprinkle_selects(jd: Dag, query: Query, catalog: Catalog, retained: set[str]) -> Dag:
-    """The place stage of one block over a join dag that holds only the
-    nodes below its roots (as `extract_query_joindag` gives): its selects,
-    group-by with its having, and order-by, placed on the join plans that
-    can tie its optimum, `retained` its `sqlfront.output_attrs`.  Returns
-    the stage's dag."""
+    """The place stage of one block over a join dag that registers one root
+    and holds only the nodes below it (as `extract_query_joindag` gives):
+    its selects, group-by with its having, and order-by, placed on the join
+    plans that can tie its optimum, `retained` its `sqlfront.output_attrs`.
+    Returns the stage's dag.  A join dag with no root, or more than one, is
+    a DagError."""
     for cond in query.selects:
         catalog.relation(cond.relation)
-    for query_id, root in sorted(jd.query_roots.items()):
-        bases = set(jd.eq_nodes[root].signature[0])
-        for cond in query.selects:
-            if cond.relation not in bases:
-                raise ValidationError(f"select on {cond.relation!r} but query "
-                                      f"{query_id!r} covers {sorted(bases)}")
+    if len(jd.query_roots) != 1:
+        raise DagError(f"a block's join dag registers one root, not {len(jd.query_roots)}")
+    ((query_id, root),) = jd.query_roots.items()
+    bases = set(jd.eq_nodes[root].signature[0])
+    for cond in query.selects:
+        if cond.relation not in bases:
+            raise ValidationError(f"select on {cond.relation!r} but query "
+                                  f"{query_id!r} covers {sorted(bases)}")
     dp = _block_placement(query, catalog, retained)
     return _decorate_stage(jd, dp, _select_floors(jd, dp))
 
@@ -604,7 +596,7 @@ def extract_query_joindag(history: HistoryDag, query: Query, catalog: Catalog,
     else:
         join_texts = tuple(sorted(j.canonical() for j in extract_join_set(query)))
         root = joindag.query_join_root(history, query.tables, join_texts)
-        out = history.prices.below(root)
+        out = history.below(root)
     memo.register_root(out, query_id, root)
     return out
 

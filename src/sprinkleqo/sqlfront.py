@@ -475,6 +475,10 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
         if group_by and item.kind == "column" and (item.relation, item.attribute) not in group_by:
             raise ValidationError(
                 f"{item.relation}.{item.attribute} must appear in GROUP BY or an aggregate")
+    for item in order_by:   # and so does its ORDER BY: grouping drops every other column
+        if group_by and (item.relation, item.attribute) not in group_by:
+            raise ValidationError(
+                f"ORDER BY {item.relation}.{item.attribute} must appear in GROUP BY")
     return query
 
 

@@ -241,6 +241,34 @@ def place_selects_on_plan(plan: Plan, selects, *, dp=None) -> Plan:
     return costplan.best_plan(placed, placed.query_roots["plan"])
 
 
+def pass_optimum(dp, passed, root: int) -> float:
+    """A grouped block's optimum: the least `dp.total` at the full set of
+    `root`'s cell over the tiers of the block's pass (`_select_floors`)."""
+    full = dp.width - 1
+    return min(dp.total(tier[root].best[full], tier[root].size[full])
+               for tier in passed.tiers if root in tier)
+
+
+def root_cell(dag: Dag, dp, passed, root: int):
+    """Oracle for the pass's `top`: the cell whose full set is `root`'s
+    registered state, the root's plain cell, or with a group-by the root
+    cell of the cheapest tier.  Among tiers within memo.SIZE_RTOL of the
+    optimum (`pass_optimum`), the landing nearest the root wins: the one
+    of most signature entries (bases and joins), and of landings with as
+    many the one of least text."""
+    if dp.group is None:
+        return passed.cells[root]
+    full, budget = dp.width - 1, memo.within_rounding(pass_optimum(dp, passed, root))
+
+    def nearness(tier):
+        node = dag.eq_nodes[next(iter(tier))]   # a tier's landing comes first
+        return -len(node.signature[0]) - len(node.signature[1]), node.text
+
+    return min((tier for tier in passed.tiers if root in tier
+                and dp.total(tier[root].best[full], tier[root].size[full]) <= budget),
+               key=nearness)[root]
+
+
 def incremental_naive_add(queries, catalog: Catalog, limit: int = DEFAULT_MAX_OPS) -> Dag:
     """The baseline memo with extra queries folded in: the baseline keeps no
     versioned history, so adding a query expands every query (`queries`,

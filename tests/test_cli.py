@@ -297,6 +297,20 @@ def test_malformed_schema_is_one_error_line(capsys, tmp_path, edit):
 
 
 @pytest.mark.parametrize("mode", ["joindag", "naive"])
+def test_a_grouped_order_by_on_a_dropped_column_is_one_error_line(capsys, tmp_path, mode):
+    # the plan would sort on employee.fname above groupby(employee.dno),
+    # which keeps no such column
+    query, out = tmp_path / "q.sql", tmp_path / "plan.json"
+    query.write_text("select employee.dno from employee group by employee.dno "
+                     "order by employee.fname")
+    code, stdout, err = run(capsys, "optimize", "--schema", COMPANY, "--query", str(query),
+                            "--mode", mode, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == "ERR:validation: ORDER BY employee.fname must appear in GROUP BY\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["joindag", "naive"])
 @pytest.mark.parametrize("sql", [
     "select employee.fname from employee, works_on "
     "where employee.ssn = works_on.ssn",

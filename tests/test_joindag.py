@@ -133,11 +133,12 @@ def test_incremental_equals_complete_random_batches():
 
 
 def test_the_price_table_keeps_each_roots_walk_and_order():
-    """The price table's view of a root is the root's walk, handed with the
-    table and the walk's inputs-first order; a later read of the root shares
-    the kept maps and order, and a dag the table did not give carries
-    neither.  The one root of a one-component history keeps the dag's own
-    maps, which hold exactly its walk; every other root keeps its walk's."""
+    """The history's view of a root is the root's walk, handed with the
+    price table and the walk's inputs-first order; a later read of the root
+    shares the kept maps and order, and a dag the history did not give
+    carries neither.  The one root of a one-component history keeps the
+    dag's own maps, which hold exactly its walk; every other root keeps its
+    walk's."""
     rng, roots_read, own_maps = random.Random(515253), 0, 0
     for _ in range(40):
         catalog = random_schema(rng, max_edges=8)
@@ -148,15 +149,15 @@ def test_the_price_table_keeps_each_roots_walk_and_order():
             h = joindag.build_incremental(h, tuple(joins[k:k + 2]), catalog)
             roots = memo.dag_roots(h.dag)
             for root in roots:
-                view, walked = h.prices.below(root), h.dag.below(root)
+                view, walked = h.below(root), h.dag.below(root)
                 assert view.eq_nodes == walked.eq_nodes and view.op_nodes == walked.op_nodes
                 assert view.prices is h.prices and not view.query_roots
                 assert view.order == memo.topological_order(walked)[::-1]
                 assert walked.prices is None and walked.order is None
-                again = h.prices.below(root)
+                again = h.below(root)
                 assert again is not view and again.eq_nodes is view.eq_nodes
-                assert again.order is view.order is h.prices.views[root][2]
-                kept = h.prices.views[root]
+                assert again.order is view.order is h.views[root][2]
+                kept = h.views[root]
                 one_root = len(roots) == 1
                 assert (kept[0] is h.dag.eq_nodes) == (kept[1] is h.dag.op_nodes) == one_root
                 roots_read += 1
@@ -179,10 +180,10 @@ def test_a_root_over_every_relation_but_not_every_join_walks():
     h = joindag.build_complete_history(catalog, catalog.graph.edges)
     texts = sorted(h.known_joins)
     (full,) = memo.dag_roots(h.dag)
-    assert h.prices.below(full).eq_nodes is h.dag.eq_nodes
+    assert h.below(full).eq_nodes is h.dag.eq_nodes
     for left_out in texts:
         root = joindag.query_join_root(h, names, tuple(t for t in texts if t != left_out))
-        view, walked = h.prices.below(root), h.dag.below(root)
+        view, walked = h.below(root), h.dag.below(root)
         assert view.eq_nodes is not h.dag.eq_nodes and view.op_nodes is not h.dag.op_nodes
         assert view.eq_nodes == walked.eq_nodes and view.op_nodes == walked.op_nodes
         assert view.order == memo.topological_order(walked)[::-1]

@@ -21,7 +21,7 @@ from sprinkleqo.sqlfront import (HavingCondition, OrderItem, SelectCondition,
 
 from conftest import FIXTURES, chain_catalog, fixture_sql, make_catalog, random_schema, \
     clause_variants, connected_query_sql, decorate_plan, enumerate_plans, intern_plan, \
-    place_selects_on_plan
+    pass_optimum, place_selects_on_plan, root_cell
 
 sizes = st.floats(min_value=1.0, max_value=1e5, allow_nan=False)
 factors = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
@@ -491,10 +491,11 @@ def test_select_floor_bounds_every_placed_plan():
 
 
 def least_costs(passed):
-    """Each eq-node's least `best` in the plain tables of a block's pass,
-    and each root's optimum: the floors of every plan below them."""
+    """Each eq-node's least `best` in the plain tables of a block's flat
+    pass, and its root's optimum, the root cell's `best` at the full set:
+    the floors of every plan below them."""
     floor = {eq_id: min(cell.best) for eq_id, cell in passed.cells.items()}
-    floor.update(passed.optimum)
+    floor[passed.top.eq] = passed.top.best[-1]
     return floor
 
 
@@ -584,14 +585,14 @@ def counting(monkeypatch, owner, name):
 def filled(jd):
     """How many eq-nodes, bases aside, the price table of a join dag holds:
     each read from the table, taking no DP step of its block's own."""
-    return sum(not jd.eq_nodes[eq_id].is_base for eq_id in jd.prices.nodes)
+    return sum(not jd.eq_nodes[eq_id].is_base for eq_id in jd.prices)
 
 
 def own_steps(steps, jd):
     """The cells of `steps` that a block's DP stepped to for itself: every
     one but those filled into its join dag's price table, which are the
     steps of a block with nothing to place (`sprinkle._PLAIN`)."""
-    table = set(map(id, jd.prices.nodes.values()))
+    table = set(map(id, jd.prices.values()))
     return [cell for cell in steps if id(cell) not in table]
 
 
@@ -987,6 +988,32 @@ def test_groupby_tie_stays_at_the_root():
     assert placed.cum_cost == 314.0
 
 
+def test_a_groupby_tie_goes_to_the_landing_of_more_entries_before_less_text():
+    # on the chain a-b-c-d, grouping b at {a,b} and at {b,c,d} tie at the
+    # optimum and the root ties neither: the top is the tier of {b,c,d},
+    # the landing of more signature entries, though {a,b}'s text sorts first
+    relations = [{"name": name, "cardinality": card,
+                  "attributes": [{"name": a, "distinct": 1} for a in "xy"]
+                  + [{"name": "g", "distinct": groups}]}
+                 for name, card, groups in [("a", 16.0, 1), ("b", 128.0, 128),
+                                            ("c", 256.0, 1), ("d", 4.0, 1)]]
+    catalog = make_catalog(relations, [{"left": f"{l}.y", "right": f"{r}.x", "jsf": jsf}
+                                       for l, r, jsf in [("a", "b", 0.125), ("b", "c", 0.25),
+                                                         ("c", "d", 0.125)]])
+    sql = "select b.g from a, b, c, d where a.y = b.x and b.y = c.x and c.y = d.x group by b.g"
+    query, jd = joindag_for(sql, catalog)
+    dp = sprinkle._block_placement(query, catalog, sqlfront.output_attrs(query, catalog))
+    passed, root, full = sprinkle._select_floors(jd, dp), jd.query_roots["q1"], dp.width - 1
+    budget = memo.within_rounding(pass_optimum(dp, passed, root))
+    tied = {jd.eq_nodes[next(iter(tier))].text: tier for tier in passed.tiers
+            if dp.total(tier[root].best[full], tier[root].size[full]) <= budget}
+    assert sorted(tied) == ["{a,b} j[a.y = b.x]", "{b,c,d} j[b.y = c.x; c.y = d.x]"]
+    assert passed.top is tied["{b,c,d} j[b.y = c.x; c.y = d.x]"][root]
+    plan = sprinkle.optimize_single(query, catalog).plan
+    (grouped,) = [node for node in walk_plan(plan) if node.kind == KIND_GROUPBY]
+    assert sorted(n.relation for n in walk_plan(grouped) if n.kind == "base") == ["b", "c", "d"]
+
+
 def test_having_rides_directly_above_the_groupby():
     having = HavingCondition(func="count", relation=None, attribute="*",
                              operator=">", literal=5, ssf=0.2)
@@ -1017,7 +1044,7 @@ def test_a_landing_bounded_above_the_optimum_gets_no_pass():
     memo.register_root(one, "plan", root)
     passed = sprinkle._select_floors(one, dp)
     assert [next(iter(tier)) for tier in passed.tiers] == [root]   # each tier's landing
-    assert passed.optimum == {root: 10010.0}
+    assert pass_optimum(dp, passed, root) == 10010.0
     placed = placed_on(plan, group_by=(("t", "g"),), d=2000.0)
     assert (placed.kind, placed.cum_cost) == (KIND_GROUPBY, 10010.0)
 
@@ -1086,7 +1113,7 @@ def test_groupby_and_orderby_land_together_when_d_covers_t(t, b1, b2, j1, j2):
     # same up to rounding, and the group-by's landing, the tied one nearest
     # the root, is one the order-by keeps, or one where an order-by ties
     # the ordered optimum at the root, the rule by which the group-by's
-    # tier is chosen (`_root_cell`), though the ordered walk, which ties
+    # tier is chosen (the pass's `top`), though the ordered walk, which ties
     # each state to its own least, drops it
     inner = op_plan(KIND_JOIN, "t.x = b1.x", (base_plan("t", t), base_plan("b1", b1)), j1)
     plan = op_plan(KIND_JOIN, "t.y = b2.y", (inner, base_plan("b2", b2)), j2)
@@ -1542,7 +1569,8 @@ def test_landing_bounds_never_exceed_their_totals(tpch_catalog):
         dp = sprinkle._block_placement(query, catalog, sqlfront.output_attrs(query, catalog))
         cells, tiers, best = reference_tiers(jd, dp)
         passed = sprinkle._select_floors(jd, dp)
-        assert passed.optimum == best, sql
+        assert {root: pass_optimum(dp, passed, root)
+                for root in jd.query_roots.values()} == best, sql
         assert tables(passed.cells) == tables(cells), sql
         reference = {landing: tables(tier) for landing, tier, *_ in tiers}
         priced = {next(iter(tier)): tables(tier) for tier in passed.tiers}
@@ -1556,6 +1584,58 @@ def test_landing_bounds_never_exceed_their_totals(tpch_catalog):
             memo.register_root(one, "q1", intern_plan(one, plan))
             landings += landing_bounds(one, dp)
         assert all(bound <= memo.within_rounding(total) for bound, total in landings), sql
+
+
+def select_heavy_queries(seed):
+    """(sql, catalog): every operation of optbench's `select_heavy` stream
+    of one seed."""
+    sys.path.insert(0, str(FIXTURES.parent / "optbench"))
+    import workloads  # noqa: E402  (needs the path above)
+
+    inputs = workloads.make_inputs(seed)
+    catalogs = {name: load_catalog(text) for name, text in inputs.schemas.items()}
+    return [(item.sql, catalogs[item.schema]) for item in inputs.streams["select_heavy"]]
+
+
+def test_a_grouped_pass_tops_the_tied_landing_nearest_the_root(monkeypatch, tpch_catalog):
+    # the pass picks its `top` from the root totals it priced once: the
+    # root cell of the tier within rounding of the optimum whose landing is
+    # nearest the root, as the oracle finds it from the tiers again; the
+    # blocks of seed 1's select_heavy stream, nested ones' too, run cold
+    checked, passes = [], sprinkle._select_floors
+
+    def checking(dag, dp):
+        passed = passes(dag, dp)
+        (root,) = dag.query_roots.values()
+        assert passed.top is root_cell(dag, dp, passed, root)
+        checked.append(dp.group is not None)
+        return passed
+
+    monkeypatch.setattr(sprinkle, "_select_floors", checking)
+    inputs = grouped_oracle_queries() + bounded_landing_inputs(tpch_catalog)
+    for sql, catalog in inputs + select_heavy_queries(1):
+        sprinkle.optimize_single(parse_query(sql, catalog), catalog)
+    assert (len(checked), sum(checked)) == (183, 110)
+
+
+def test_a_join_dag_without_one_root_is_refused(company_catalog):
+    # a block's join dag registers its query's root alone; a second root,
+    # or none, is refused with the count, never placed or left empty
+    for sql in ("select * from employee, department where employee.dno = department.dnumber"
+                " and employee.salary > 3000",
+                "select employee.dno from employee, department"
+                " where employee.dno = department.dnumber group by employee.dno"):
+        query = parse_query(sql, company_catalog)
+        history = joindag.build_incremental(joindag.empty_history(company_catalog),
+                                            extract_join_set(query), company_catalog)
+        jd = sprinkle.extract_query_joindag(history, query, company_catalog, "q1")
+        retained = sqlfront.output_attrs(query, company_catalog)
+        with pytest.raises(DagError, match="registers one root, not 0$"):
+            sprinkle.sprinkle_selects(history.below(jd.query_roots["q1"]), query,
+                                      company_catalog, retained)
+        memo.register_root(jd, "q2", jd.query_roots["q1"])
+        with pytest.raises(DagError, match="registers one root, not 2$"):
+            sprinkle.sprinkle_selects(jd, query, company_catalog, retained)
 
 
 def test_landing_bound_holds_for_a_having_that_grows_its_input():
@@ -2342,10 +2422,13 @@ def price_histories(company_catalog, tpch_catalog):
 
 def price_all(history):
     """Fill a history's table with every eq-node below its roots, by the
-    pass of a block with nothing to place over each root's join dag, and
-    return the table as `priced_by_text` reads it."""
+    pass of a block with nothing to place over each root's join dag, the
+    root registered on it, and return the table as `priced_by_text` reads
+    it."""
     for root in memo.dag_roots(history.dag):
-        sprinkle._select_floors(history.prices.below(root), sprinkle._PLAIN)
+        jd = history.below(root)
+        memo.register_root(jd, "q1", root)
+        sprinkle._select_floors(jd, sprinkle._PLAIN)
     return priced_by_text(history)
 
 
@@ -2355,7 +2438,7 @@ def priced_by_text(history):
     keeps at its set 0 as (kind, detail, input texts), so that ids do not
     count."""
     dag, out = history.dag, {}
-    for eq_id, cell in history.prices.nodes.items():
+    for eq_id, cell in history.prices.items():
         entry = (cell.size[0].hex(), cell.best[0].hex())
         if not dag.eq_nodes[eq_id].is_base:
             entry += tuple((op.kind, op.detail, tuple(dag.eq_nodes[c].text for c in op.children))
@@ -2374,11 +2457,12 @@ def test_growing_a_priced_history_prices_like_a_fresh_build(company_catalog):
     versions = [(history, price_all(history))]
     same = joindag.build_incremental(history, tuple(joins[:1]), catalog)
     assert same.dag is history.dag and same.prices is history.prices   # no new join
+    assert same.views is history.views
     for batch in (joins[2:4], joins[4:]):
         old = versions[-1][0]
         history = joindag.build_incremental(old, tuple(batch), catalog)
         assert history.prices is not old.prices
-        assert not history.prices.nodes and not history.prices.views
+        assert not history.prices and not history.views
         components = sorted(memo.dag_roots(history.dag),
                             key=lambda root: -len(history.dag.eq_nodes[root].signature[0]))
         bases, texts = history.dag.eq_nodes[components[0]].signature[:2]
@@ -2416,7 +2500,7 @@ def test_a_warm_join_only_block_takes_no_step_and_sorts_no_join_dag(monkeypatch,
     for block in range(4):
         steps.clear()
         sorted_dags.clear()
-        filled = len(history.prices.nodes)
+        filled = len(history.prices)
         query, cold = queries[block % 2], colds[block % 2]
         warm = sprinkle.optimize_single(query, tpch_catalog, history=history)
         assert warm.history.prices is history.prices and warm.jd.prices is history.prices
@@ -2428,7 +2512,7 @@ def test_a_warm_join_only_block_takes_no_step_and_sorts_no_join_dag(monkeypatch,
         assert warm.plan.cum_cost.hex() == cold.plan.cum_cost.hex()
         sorts = sum(not history_nodes.isdisjoint(map(id, dag.eq_nodes.values()))
                     for dag in sorted_dags)
-        assert (sorts, len(history.prices.nodes) > filled) == ((block == 0,) * 2)
+        assert (sorts, len(history.prices) > filled) == ((block == 0,) * 2)
     assert colds[0].plan.kind != colds[1].plan.kind or \
         plan_key(colds[0].plan) != plan_key(colds[1].plan)
 
@@ -2454,10 +2538,10 @@ def test_grouped_and_ordered_blocks_read_the_price_tables_own_cells(company_cata
         for eq_id, node in jd.eq_nodes.items():
             bases = set(node.signature[0])
             if not bases & selected and not (ordering and ordering <= bases):
-                assert passed.cells[eq_id] is history.prices.nodes[eq_id], node.text
+                assert passed.cells[eq_id] is history.prices[eq_id], node.text
                 shared.add(eq_id)
             else:
-                assert passed.cells[eq_id] is not history.prices.nodes.get(eq_id), node.text
+                assert passed.cells[eq_id] is not history.prices.get(eq_id), node.text
         leaves = {eq_id for eq_id in shared if jd.eq_nodes[eq_id].is_base}
         # customer, lineitem and supplier, and nation but under the order-by
         assert len(leaves) == 4 - bool(ordering), query

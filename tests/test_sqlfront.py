@@ -189,6 +189,24 @@ def test_grouped_query_rejects_bare_columns(company_catalog):
                     company_catalog)
 
 
+@pytest.mark.parametrize("sql", [
+    "select employee.dno from employee group by employee.dno order by employee.fname",
+    "select v.dno from (select employee.dno from employee group by employee.dno "
+    "order by employee.fname) v",
+], ids=["outer", "from-subquery"])
+def test_grouped_block_orders_only_by_its_grouping_keys(company_catalog, sql):
+    # grouping removes every other column, so a grouped block's ORDER BY
+    # names a grouping key, as its select list does; any block is checked
+    with pytest.raises(ValidationError,
+                       match=r"^ORDER BY employee\.fname must appear in GROUP BY$"):
+        parse_query(sql, company_catalog)
+    q = parse_query(sql.replace("order by employee.fname", "order by employee.dno desc"),
+                    company_catalog)
+    block = q.subquery.query if q.subquery is not None else q
+    assert [(i.relation, i.attribute, i.descending) for i in block.order_by] == \
+        [("employee", "dno", True)]
+
+
 def test_literal_forms(company_catalog):
     q = parse_query("select fname from employee where salary > 10.5 "
                     "and lname = 'smith' and dno <> 3", company_catalog)
