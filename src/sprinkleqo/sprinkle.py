@@ -29,22 +29,23 @@ its relations.  Sizes depend only on which bits sit below, so a DP over
 (node, subset of bits at or below it) is exact.  Every list of sets it
 walks, in increasing order, comes from one table (`_Placement.sets`).  A
 landing changes every size above it, so each landing runs its own pass over
-the nodes above it, with the selects on its relations fixed below; only
-landings whose bound (`_Placement.bound`) can reach the optimum get one.
-The DP runs once per block, over the memo (`_select_floors`), an eq-node's
-op-nodes its alternatives, and keeps one cell per node it priced (`_Cell`):
-the alternatives its step read, each an op-node and its input cells, and
-its two tables, per set s at or below the node: the output size (`size`)
-and the least cost (`best`), the least over its alternatives, each priced
-by one rule (`_Placement.node`).  Leaves, landings and op-nodes share one
-stacking rule (`_Placement._stack`): selects stack in ascending rank,
-which is ascending bit order, each costing the size under it; that is
-optimal by the exchange argument of predicate migration.  A state
-(cell, s) is one decorated eq-node, and the stage emits its memo state by
-state (`_decorate_stage`): from the root's state it walks down the cells,
-keeps each alternative of a state (an op-node over its inputs' states, or
-one bit of s stacked on the rest) that ties the state's DP least, and
-attaches each kept op-node once.
+the nodes over its relations, with the selects on them fixed below; only
+landings whose bound (`_Placement.bound`, read from the plain cell) can
+reach the optimum get one, and a landing's cell is built for that pass
+alone.  The DP runs once per block, over the memo (`_select_floors`), an
+eq-node's op-nodes its alternatives, and keeps one cell per node it priced
+(`_Cell`): the op-nodes its step read, whose input cells one map of the
+pass gives by eq-node id, and its two tables, per set s at or below the
+node: the output size (`size`) and the least cost (`best`), the least over
+its alternatives, each priced by one rule (`_Placement.node`).  No cell
+keeps a map.  Leaves, landings and op-nodes share one stacking rule
+(`_Placement._stack`): selects stack in ascending rank, which is ascending
+bit order, each costing the size under it; that is optimal by the exchange
+argument of predicate migration.  A state (cell, s) is one decorated
+eq-node, and the stage emits its memo state by state (`_decorate_stage`):
+from the root's state it walks down the cells, keeps each alternative of a
+state (an op-node over its inputs' states, or one bit of s stacked on the
+rest) that ties the state's DP least, and attaches each kept op-node once.
 
 The plain pass reads what its history keeps (`joindag.HistoryDag`): the
 join dag's inputs-first order, kept per root, and the price table, the cell
@@ -85,22 +86,21 @@ def _stack_key(cond: SelectCondition) -> tuple[float, str]:
 
 class _Cell:
     """Placement tables of one plan node or memo eq-node (`eq`), and the
-    alternatives its DP step read, each (op-node, input cells): a leaf's one
-    has neither, a landing's is its group-by (no op-node) over the node's
-    plain cell.  A cell of the price table is `_PLAIN`'s, with tables at
-    set 0 only.  Lists are indexed by bit masks, bit i the select
-    of rank i and the order-by the top bit; `u` is the set placed below the
-    node's own operator, `s` the set placed at or below the node, and the DP
-    reads both from `_Placement.sets`.  Sizes depend only on which bits sit at
-    or below, so one table (`size`) serves both.  `fixed`, the bits a
-    group-by landing at or below it holds (a landing's one `u`), defaults
-    to 0; only a landing sets `grouping`, its group-by's cost with its
-    having's."""
+    op-nodes its DP step read (`ops`), whose input cells a map from child
+    ids gives: a leaf has none, and a landing keeps instead the node's plain
+    cell, under its group-by.  A cell of the price table is `_PLAIN`'s,
+    with tables at set 0 only.  Lists are indexed by bit masks, bit i the
+    select of rank i and the order-by the top bit; `u` is the set placed
+    below the node's own operator, `s` the set placed at or below the node,
+    and the DP reads both from `_Placement.sets`.  Sizes depend only on
+    which bits sit at or below, so one table (`size`) serves both.
+    `fixed`, the bits a group-by landing at or below it holds (a landing's
+    one `u`), defaults to 0."""
 
-    __slots__ = ("eq", "alternatives", "mask", "fixed", "grouping", "size", "best")
+    __slots__ = ("eq", "ops", "mask", "fixed", "size", "best")
 
-    def __init__(self, mask: int, alternatives, size: list[float], best: list[float]):
-        self.alternatives = alternatives
+    def __init__(self, mask: int, ops, size: list[float], best: list[float]):
+        self.ops = ops
         self.mask = mask     # the bits that may sit at or below the node
         self.fixed = 0       # the bits a group-by landing at or below it holds
         self.size = size     # output size, by the set at or below it
@@ -177,7 +177,7 @@ class _Placement:
         order-by too if it is `ordered` (`holds_order`), each set's size its
         top bit's factor times the size of the rest."""
         cell = _Cell(self.on_relation.get(relation, 0) | (self.ob_bit if ordered else 0),
-                     [(None, ())], [0.0] * self.width, [math.inf] * self.width)
+                     (), [0.0] * self.width, [math.inf] * self.width)
         cell.size[0], cell.best[0] = size, 0.0
         sizes, ops = cell.size, self.ops
         for s in self.sets(cell.mask)[1:]:
@@ -187,18 +187,18 @@ class _Placement:
             sizes[s] = sizes[rest] if factor is None else float(factor) * sizes[rest]
         return self._stack(cell, 0)
 
-    def node(self, alternatives, ordered: bool) -> _Cell:
-        """The DP step: a node's tables from its alternatives, each
-        (op-node, input cells), which the cell keeps; the order-by may sit
-        at it if it is `ordered` (`holds_order`).  A join dag holds
-        joins and size-scaling unary op-nodes (a joinfilter): a join over
-        inputs of sizes a and b costs a*b and yields factor*a*b, a unary
-        op-node over a costs a and yields factor*a.
+    def node(self, ops, inputs, ordered: bool) -> _Cell:
+        """The DP step: a node's tables from its op-nodes `ops`, which the
+        cell keeps, each over the input cells `inputs` maps its children to;
+        the order-by may sit at it if it is `ordered` (`holds_order`).  A
+        join dag holds joins and size-scaling unary op-nodes (a joinfilter):
+        a join over inputs of sizes a and b costs a*b and yields factor*a*b,
+        a unary op-node over a costs a and yields factor*a.
 
-        The first alternative gives the sizes, on which an eq-node's
-        op-nodes agree up to rounding.  Over an alternative with U below it,
-        a node costs the op over the children's sizes under U plus their
-        best costs under U, and `best` at U is the least of that over the
+        The first op-node gives the sizes, on which an eq-node's op-nodes
+        agree up to rounding.  Over an op-node with U below it, a node
+        costs the op over the children's sizes under U plus their best
+        costs under U, and `best` at U is the least of that over the
         op-nodes whose inputs hold U (an order-by sits below an op-node only
         in an input that covers its relations).  Every bit of S can sit
         below some op-node but an order-by that enters here, which is
@@ -206,20 +206,20 @@ class _Placement:
         stacks S - U on the op's output (`_stack`), unless no bit may stack
         on it (its mask is `fixed`), as in every price-table cell.
         """
-        op, children = alternatives[0]
-        first, last = children[0], children[-1]   # a join's two inputs, or a unary op's one
+        op = ops[0]
+        first, last = inputs[op.children[0]], inputs[op.children[-1]]   # a join's two, or one
         mask = first.mask | last.mask
         if self.ob_bit:   # without one, every op-node's inputs cover one relation set
-            for _, inputs in alternatives[1:]:
-                mask |= inputs[0].mask | inputs[-1].mask
-        cell = _Cell(mask | self.ob_bit if ordered else mask, alternatives,
+            for other in ops[1:]:
+                mask |= inputs[other.children[0]].mask | inputs[other.children[-1]].mask
+        cell = _Cell(mask | self.ob_bit if ordered else mask, ops,
                      [0.0] * self.width, [math.inf] * self.width)
         cell.fixed = fixed = first.fixed | last.fixed
         sets = self.sets
         below = sets(mask, fixed)   # every U below the op
         size, best = cell.size, cell.best
         factor = float(op.factor)
-        if len(children) == 2:
+        if len(op.children) == 2:
             m1, m2, z1, z2 = first.mask, last.mask, first.size, last.size
             for u in below:
                 size[u] = factor * z1[u & m1] * z2[u & m2]
@@ -227,16 +227,18 @@ class _Placement:
             z1 = first.size
             for u in below:
                 size[u] = factor * z1[u]
-        for op, children in alternatives:
+        for op in ops:
+            children = op.children
             if len(children) == 2:
-                c1, c2 = children
+                c1, c2 = inputs[children[0]], inputs[children[1]]
                 m1, m2, z1, z2, b1, b2 = c1.mask, c2.mask, c1.size, c2.size, c1.best, c2.best
                 for u in below if m1 | m2 == mask else sets(m1 | m2, fixed):
                     cost = z1[u & m1] * z2[u & m2] + (b1[u & m1] + b2[u & m2])
                     if cost < best[u]:
                         best[u] = cost
             else:
-                z1, b1, m1 = children[0].size, children[0].best, children[0].mask
+                c1 = inputs[children[0]]
+                z1, b1, m1 = c1.size, c1.best, c1.mask
                 for u in below if m1 == mask else sets(m1, fixed):
                     cost = z1[u] + b1[u]
                     if cost < best[u]:
@@ -246,76 +248,86 @@ class _Placement:
                 size[u | self.ob_bit] = size[u]
         return cell if cell.mask == fixed else self._stack(cell, fixed)
 
-    def landing(self, cell: _Cell) -> _Cell:
-        """The group-by and its having, a unary node over `cell` (which has
-        `best` at every S it can hold, a table cell at 0 alone) whose input
-        holds every select on its relations, `fixed` from here up, and no
-        order-by, which may stack on it."""
+    def _grouped(self, cell: _Cell) -> tuple[int, float, float]:
+        """A landing over `cell`: its fixed set, and the cost and output size
+        of the group-by and its having over `cell`'s output at that set."""
         fixed = cell.mask & ~self.ob_bit
         _, d, having = self.group
-        out = _Cell(cell.mask, [(None, (cell,))], [0.0] * self.width, [math.inf] * self.width)
-        out.fixed = fixed
         cost, size = 0.0, cell.size[fixed]
         for kind, factor in [(KIND_GROUPBY, d)] + ([(KIND_HAVING, having.ssf)] if having else []):
             cost += costplan.op_cost(kind, (size,))
             size = costplan.estimate_size(kind, (size,), factor)
-        out.grouping, out.best[fixed] = cost, cost + cell.best[fixed]
+        return fixed, cost, size
+
+    def landing(self, cell: _Cell) -> _Cell:
+        """The group-by and its having, a unary node over the plain `cell`
+        (kept as its `ops`; it has `best` at every S it can hold, a table cell
+        at 0 alone) whose input holds every select on its relations, `fixed`
+        from here up, and no order-by, which may stack on it."""
+        fixed, cost, size = self._grouped(cell)
+        out = _Cell(cell.mask, cell, [0.0] * self.width, [math.inf] * self.width)
+        out.fixed = fixed
+        out.best[fixed] = cost + cell.best[fixed]
         out.size[fixed] = out.size[cell.mask] = size
         return self._stack(out, fixed)
 
-    def bound(self, cell: _Cell, landed: _Cell, flat: float) -> float:
-        """A lower bound on every total with the group-by `landed` over
-        `cell`, `flat` the least plain total: each op above it and the root
-        projection cost at least r times their plain cost, r = its output
-        over its input (at most 1)."""
-        fixed, size = landed.fixed, cell.size[landed.fixed]
-        least = min(landed.best)
+    def bound(self, cell: _Cell, flat: float) -> float:
+        """A lower bound on every total with the group-by landed over the
+        plain `cell`, read without building the landing, `flat` the least
+        plain total: each op above it and the root projection cost at least
+        r times their plain cost, r = its output over its input (at most 1)."""
+        fixed, cost, out = self._grouped(cell)
+        least, size = cost + cell.best[fixed], cell.size[fixed]
         if not (math.isfinite(flat) and size > 0):
             return least
-        return max(least, min(1.0, landed.size[fixed] / size) * flat + landed.grouping)
+        return max(least, min(1.0, out / size) * flat + cost)
 
 
 _PLAIN = _Placement(())   # a block with nothing to place: its cells fill the price table
 
 
 class _Pass(NamedTuple):
-    """The tables of a block's one DP pass over its memo."""
+    """The tables of a block's one DP pass over its memo.  Every cell below
+    `top` reads its inputs from `inputs`, as a plain cell reached from a
+    tier has no input in that tier."""
 
     cells: dict[int, _Cell]                        # each eq-node's plain tables
     tiers: list[dict[int, _Cell]]                  # per landing priced, its tier's cells, it first
     top: _Cell                                     # the cell whose full set is the root's state
+    inputs: dict[int, _Cell]                       # `cells`, or a copy with top's tier over it
 
 
 # -- the place stage -----------------------------------------------------------
 
-def _kept_alternatives(cell: _Cell, s: int) -> list:
+def _kept_alternatives(cell: _Cell, s: int, inputs: dict[int, _Cell]) -> list:
     """The alternatives of the state (cell, S) that cost at most
     memo.SIZE_RTOL above its DP `best`, each (what, input states), priced
     as the DP step prices them: an op-node of the cell whose inputs hold
-    all of S, over its inputs at S; a leaf's base relation at S = 0 (what
-    None, no inputs); a landing's group-by at its fixed set, over its input
-    at that set (what None), each the one alternative of its state and so
-    kept unpriced; and one bit i of S not fixed below a landing
-    stacked on (cell, S - i) (what i).  The kept op-nodes come in
-    `OpNode.sort_key` order, then the bits in ascending order.
-    Ascending-rank stacking is optimal, so the least of them is `best` and
-    always kept.  A price-table cell is `_PLAIN`'s, as the pass filled it,
-    and keeps its alternatives too, so its one state, S = 0, is read by the
-    same rule."""
-    budget, kept = memo.within_rounding(cell.best[s]), []
-    op, kids = cell.alternatives[0]
-    if not kids:   # a leaf
+    all of S, over its inputs at S, read from `inputs` (the map its pass
+    read them from); a leaf's base relation at S = 0 (what None, no
+    inputs); a landing's group-by at its fixed set, over its plain cell at
+    that set (what None), each the one alternative of its state and so
+    kept unpriced; and one bit i of S not fixed below a landing stacked on
+    (cell, S - i) (what i).  The kept op-nodes come in `OpNode.sort_key`
+    order, then the bits in ascending order.  Ascending-rank stacking is
+    optimal, so the least of them is `best` and always kept.  A price-table
+    cell is `_PLAIN`'s, as the pass filled it, and its inputs are table
+    cells too, so its one state, S = 0, is read by the same rule from any
+    map that holds them."""
+    budget, kept, ops = memo.within_rounding(cell.best[s]), [], cell.ops
+    if type(ops) is _Cell:   # a landing: its group-by and having over its plain cell
+        if s == cell.fixed:
+            kept.append((None, ((ops, s),)))
+    elif not ops:   # a leaf
         if not s:
             kept.append((None, ()))
-    elif op is None:   # a landing: its group-by and having over its plain cell
-        if s == cell.fixed:
-            kept.append((None, ((kids[0], s),)))
     else:
-        for op, kids in cell.alternatives:
-            k1, k2 = kids[0], kids[-1]
+        for op in ops:
+            children = op.children
+            k1, k2 = inputs[children[0]], inputs[children[-1]]
             if s & ~(k1.mask | k2.mask):   # an order-by its inputs cannot hold
                 continue
-            if len(kids) == 2:
+            if len(children) == 2:
                 t1, t2 = s & k1.mask, s & k2.mask
                 if k1.size[t1] * k2.size[t2] + (k1.best[t1] + k2.best[t2]) <= budget:
                     kept.append((op, ((k1, t1), (k2, t2))))
@@ -337,7 +349,8 @@ def _decorate_stage(dag: Dag, dp: _Placement, passed: _Pass) -> Dag:
     states, from the full set of the pass's `top`, which the root's query
     id registers.  A state (cell, S) is one decorated eq-node.  The walk
     keeps every alternative of a state within memo.SIZE_RTOL of the state's
-    DP `best` (`_kept_alternatives`) and attaches each once, after its
+    DP `best` (`_kept_alternatives`, each op-node's inputs read from the
+    pass's `inputs`) and attaches each once, after its
     inputs, which it visits left to right.  Every op-node is sized and
     costed from its inputs in the fresh memo (`costplan.intern_op`), but a
     block with nothing to place attaches the memo's own sizes and costs.
@@ -346,7 +359,7 @@ def _decorate_stage(dag: Dag, dp: _Placement, passed: _Pass) -> Dag:
     ids: dict[tuple[_Cell, int], int] = {}        # each state attached -> its eq-node
     kept: dict[tuple[_Cell, int], list] = {}      # each state visited -> its kept alternatives
     (query_id,) = dag.query_roots
-    top = passed.top, dp.width - 1
+    top, cells = (passed.top, dp.width - 1), passed.inputs
     stack = [top]
     while stack:
         state = stack[-1]
@@ -354,7 +367,7 @@ def _decorate_stage(dag: Dag, dp: _Placement, passed: _Pass) -> Dag:
             stack.pop()
             continue
         if state not in kept:   # first visit: its inputs go first
-            kept[state] = _kept_alternatives(*state)
+            kept[state] = _kept_alternatives(*state, cells)
             stack += reversed([x for _, inputs in kept[state] for x in inputs if x not in ids])
             continue
         stack.pop()
@@ -392,7 +405,9 @@ def _select_floors(dag: Dag, dp: _Placement) -> _Pass:
     reads every cell at every set it holds.  The optimum is the root's
     least `dp.total` at the full set: its least decorated cost, exactly.  A
     landing's tier is its cell and the cells of the eq-nodes after it with
-    an op-node over the tier.  The pass's `top` is the root's plain cell,
+    an op-node over the tier (all over its base relations, the only nodes
+    it visits), each reading its inputs from a copy of the plain cells with
+    the tier's over them.  The pass's `top` is the root's plain cell,
     or with a group-by the root cell of a tier within memo.SIZE_RTOL of the
     optimum: of those, the one whose landing is nearest the root, the
     latest in the inputs-first order, which sorts by signature entries, and
@@ -419,8 +434,7 @@ def _select_floors(dag: Dag, dp: _Placement) -> _Pass:
         else:
             step = _PLAIN
         if node.child_ops:
-            cell = step.node([(op, tuple(map(cells.__getitem__, op.children)))
-                              for op in map(op_nodes.__getitem__, node.child_ops)], ordered)
+            cell = step.node(list(map(op_nodes.__getitem__, node.child_ops)), cells, ordered)
         else:   # a base
             cell = step.leaf(bases[0], node.est_size, ordered)
         if step is _PLAIN:
@@ -428,37 +442,38 @@ def _select_floors(dag: Dag, dp: _Placement) -> _Pass:
         cells[eq_id], cell.eq = cell, eq_id
     (root,), full = dag.query_roots.values(), dp.width - 1
     if dp.group is None:
-        return _Pass(cells, [], cells[root])
+        return _Pass(cells, [], cells[root], cells)
     flat = dp.total(cells[root].best[full], cells[root].size[full])
-    landings = []   # (bound, position in order, cell) per landing
-    for i, eq_id in enumerate(order):
-        if dp.grouping.issubset(eq_nodes[eq_id].signature[0]):
-            landed = dp.landing(cells[eq_id])
-            landed.eq = eq_id
-            landings.append((dp.bound(cells[eq_id], landed, flat), i, landed))
-    optimum, tiers, totals = math.inf, [], []   # totals: each tier's root total
-    for bound, i, landed in sorted(landings, key=lambda t: t[:2]):
+    landings = sorted((dp.bound(cells[eq_id], flat), i) for i, eq_id in enumerate(order)
+                      if dp.grouping.issubset(eq_nodes[eq_id].signature[0]))
+    optimum, tiers, priced = math.inf, [], []   # priced: each tier's root total and map
+    for bound, i in landings:
         if bound > memo.within_rounding(optimum):
             break
-        tier = {order[i]: landed}
+        landing = order[i]
+        landed = dp.landing(cells[landing])
+        landed.eq, bits = landing, eq_nodes[landing].key[0]
+        tier, inputs = {landing: landed}, {**cells, landing: landed}
         for up in order[i + 1:]:   # the eq-nodes above it, inputs first
-            alternatives = [(op, tuple([tier.get(c) or cells[c] for c in op.children]))
-                            for op in map(op_nodes.__getitem__, eq_nodes[up].child_ops)
-                            if op.children[0] in tier or op.children[-1] in tier]
-            if alternatives:
-                tier[up] = dp.node(alternatives, holds_order(eq_nodes[up].signature[0]))
+            node = eq_nodes[up]
+            if node.key[0] & bits != bits:   # not over the landing's relations
+                continue
+            ops = [op for op in map(op_nodes.__getitem__, node.child_ops)
+                   if op.children[0] in tier or op.children[-1] in tier]
+            if ops:
+                tier[up] = inputs[up] = dp.node(ops, inputs, holds_order(node.signature[0]))
                 tier[up].eq = up
         tiers.append(tier)
-        totals.append(dp.total(tier[root].best[full], tier[root].size[full]))
-        optimum = min(optimum, totals[-1])
+        priced.append((dp.total(tier[root].best[full], tier[root].size[full]), inputs))
+        optimum = min(optimum, priced[-1][0])
     budget = memo.within_rounding(optimum)
 
-    def nearness(tier: dict[int, _Cell]) -> tuple[int, str]:
-        node = eq_nodes[next(iter(tier))]   # a tier's landing comes first
+    def nearness(k: int) -> tuple[int, str]:
+        node = eq_nodes[next(iter(tiers[k]))]   # a tier's landing comes first
         return -len(node.signature[0]) - len(node.signature[1]), node.text
 
-    return _Pass(cells, tiers, min((tier for tier, total in zip(tiers, totals)
-                                    if total <= budget), key=nearness)[root])
+    k = min((k for k, (total, _) in enumerate(priced) if total <= budget), key=nearness)
+    return _Pass(cells, tiers, tiers[k][root], priced[k][1])
 
 
 def _block_placement(query: Query, catalog: Catalog, retained: set[str]) -> _Placement:

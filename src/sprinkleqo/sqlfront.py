@@ -471,8 +471,11 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
     )
     _connectivity(set(tables) | ({subquery.alias} if subquery and subquery.form == "in" else set()),
                   edges)
-    for item in projections:   # a grouped select list names grouping keys and aggregates
-        if group_by and item.kind == "column" and (item.relation, item.attribute) not in group_by:
+    # a grouped select list names grouping keys and aggregates; an aggregate
+    # without GROUP BY makes the block one group, which keeps no column
+    grouped = group_by or any(item.kind == "aggregate" for item in projections)
+    for item in projections:
+        if grouped and item.kind == "column" and (item.relation, item.attribute) not in group_by:
             raise ValidationError(
                 f"{item.relation}.{item.attribute} must appear in GROUP BY or an aggregate")
     for item in order_by:   # and so does its ORDER BY: grouping drops every other column

@@ -311,6 +311,19 @@ def test_a_grouped_order_by_on_a_dropped_column_is_one_error_line(capsys, tmp_pa
 
 
 @pytest.mark.parametrize("mode", ["joindag", "naive"])
+def test_a_column_beside_an_ungrouped_aggregate_is_one_error_line(capsys, tmp_path, mode):
+    # an aggregate without GROUP BY makes the block one group, which keeps
+    # no employee.fname to project beside count(*)
+    query, out = tmp_path / "q.sql", tmp_path / "plan.json"
+    query.write_text("select count(*), employee.fname from employee")
+    code, stdout, err = run(capsys, "optimize", "--schema", COMPANY, "--query", str(query),
+                            "--mode", mode, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == "ERR:validation: employee.fname must appear in GROUP BY or an aggregate\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["joindag", "naive"])
 @pytest.mark.parametrize("sql", [
     "select employee.fname from employee, works_on "
     "where employee.ssn = works_on.ssn",

@@ -787,7 +787,8 @@ def reference_place(plan, dp, limit=math.inf):
         if node.kind == "base":
             return dp.leaf(node.relation, node.est_size, dp.holds_order({node.relation})), node, ()
         children = tuple(map(build, node.children))
-        cell = dp.node([(node, [c for c, _, _ in children])], dp.holds_order(plan_bases(node)))
+        cell = dp.node([node], dict(zip(node.children, (c for c, _, _ in children))),
+                       dp.holds_order(plan_bases(node)))
         return cell, node, children
 
     def own_costs(node, children, u):
@@ -851,14 +852,13 @@ def reference_place(plan, dp, limit=math.inf):
             path.append(child)
         flat, landed = total(tree), [dp.landing(cell) for cell, _, _ in path]
         tops, least = [], limit
-        for bound, k in sorted((dp.bound(path[k][0], landed[k], flat), k)
-                               for k in range(len(path))):
+        for bound, k in sorted((dp.bound(path[k][0], flat), k) for k in range(len(path))):
             if bound > memo.within_rounding(least):
                 break
             top = (landed[k], None, (path[k],))
             for above, below in zip(reversed(path[:k]), reversed(path[1:k + 1])):
                 children = tuple(top if c is below else c for c in above[2])
-                top = (dp.node([(above[1], [c[0] for c in children])],
+                top = (dp.node([above[1]], dict(zip(above[1].children, (c[0] for c in children))),
                                dp.holds_order(plan_bases(above[1]))), above[1], children)
             tops.append((k, top, total(top)))
             least = min(least, tops[-1][2])
@@ -1229,18 +1229,33 @@ def test_grouped_and_ordered_blocks_reach_the_brute_force_optimum(tpch_catalog):
     assert below_the_root >= 20
 
 
-def operator_cost(cell, u):
+def alternatives(cell, inputs):
+    """An op-node cell's alternatives, each (op-node, its input cells), the
+    inputs read from `inputs`, the map its pass read them from."""
+    return [(op, [inputs[c] for c in op.children]) for op in cell.ops]
+
+
+def pass_maps(passed):
+    """(cells, map) of each table of a pass: its plain cells, read from
+    `cells`, and each tier's, read from a copy of `cells` with the tier's
+    over it."""
+    return [(passed.cells, passed.cells)] + [(tier, {**passed.cells, **tier})
+                                             for tier in passed.tiers]
+
+
+def operator_cost(cell, u, inputs):
     """The least cost of an op-node cell's operator and its inputs with U
     below it, priced from its alternatives through `costplan.op_cost`: the
     op over its inputs' sizes at U plus their best costs at U, least over
     the op-nodes whose inputs hold U, and inf where none does."""
     return min((costplan.op_cost(op.kind, tuple(k.size[u & k.mask] for k in kids))
                 + sum(k.best[u & k.mask] for k in kids)
-                for op, kids in cell.alternatives if not u & ~(kids[0].mask | kids[-1].mask)),
+                for op, kids in alternatives(cell, inputs)
+                if not u & ~(kids[0].mask | kids[-1].mask)),
                default=math.inf)
 
 
-def pair_loop_best(dp, cell):
+def pair_loop_best(dp, cell, inputs):
     """The cell's least cost per set S at or below it, from `operator_cost`
     and its own `size` by the O(3**bits) loop: every U below the operator
     (holding the bits a landing fixes), the rest stacked on its output at
@@ -1250,7 +1265,7 @@ def pair_loop_best(dp, cell):
     for s in range(dp.width):
         if s & ~cell.mask or s & fixed != fixed:
             continue
-        best[s] = min(operator_cost(cell, u) + cell.size[u] * stack_cost[s ^ u]
+        best[s] = min(operator_cost(cell, u, inputs) + cell.size[u] * stack_cost[s ^ u]
                       for u in range(s + 1) if u & ~s == 0 and u & fixed == fixed)
     return best
 
@@ -1313,11 +1328,11 @@ def test_the_stacking_sweep_matches_the_pair_loop():
         query, jd = joindag_for(sql, catalog)
         dp = sprinkle._block_placement(query, catalog, sqlfront.output_attrs(query, catalog))
         passed = sprinkle._select_floors(jd, dp)
-        for cells in [passed.cells] + passed.tiers:
+        for cells, inputs in pass_maps(passed):
             for cell in cells.values():
-                if cell.alternatives[0][0] is None:
+                if not cell.ops or isinstance(cell.ops, sprinkle._Cell):   # a leaf or landing
                     continue
-                reference = pair_loop_best(dp, cell)
+                reference = pair_loop_best(dp, cell, inputs)
                 for s, cost in enumerate(cell.best):
                     if s not in reference:
                         assert cost == math.inf, sql
@@ -1325,7 +1340,7 @@ def test_the_stacking_sweep_matches_the_pair_loop():
                     assert cost <= memo.within_rounding(reference[s]), (sql, s)
                     assert reference[s] <= memo.within_rounding(cost), (sql, s)
                     swept += 1
-                    stacked += cost < operator_cost(cell, s)
+                    stacked += cost < operator_cost(cell, s, inputs)
     assert (swept, stacked) == (2035, 394)   # sets compared; of them, those stacked on the node
     # the one plan kept stacks both of r0's selects on its join with r1
     sql, catalog = internal_stack_block()
@@ -1338,22 +1353,22 @@ def test_the_stacking_sweep_matches_the_pair_loop():
         KIND_SELECT, "r0.b < 9", (op_plan(KIND_SELECT, "r0.b > 1", (below,), 0.6),), 0.9))
 
 
-def alternative_costs(dp, cell, s):
+def alternative_costs(dp, cell, s, inputs):
     """The cost of each alternative of the state (cell, S), each priced on
     its own from its inputs' tables through `costplan.op_cost`: an op-node
-    whose inputs hold S, a leaf's base relation at S = 0, a landing's
-    group-by and having at its fixed set, and each bit of S not fixed below
-    a landing stacked on the rest."""
-    op, kids = cell.alternatives[0]
-    if not kids:
+    whose inputs hold S (read from `inputs`), a leaf's base relation at
+    S = 0, a landing's group-by and having at its fixed set, and each bit
+    of S not fixed below a landing stacked on the rest."""
+    if not cell.ops:
         costs = [0.0] if s == 0 else []
-    elif op is None:
-        costs = [reference_grouping(dp, kids[0].size[s]) + kids[0].best[s]] \
+    elif isinstance(cell.ops, sprinkle._Cell):   # a landing, over its plain cell
+        plain = cell.ops
+        costs = [reference_grouping(dp, plain.size[s]) + plain.best[s]] \
             if s == cell.fixed else []
     else:
         costs = [costplan.op_cost(op.kind, tuple(k.size[s & k.mask] for k in kids))
                  + sum(k.best[s & k.mask] for k in kids)
-                 for op, kids in cell.alternatives
+                 for op, kids in alternatives(cell, inputs)
                  if not s & ~(kids[0].mask | kids[-1].mask)]
     fixed = getattr(cell, "fixed", 0)
     for i in range(len(dp.ops)):
@@ -1373,11 +1388,12 @@ def test_every_state_has_an_alternative_at_its_best_and_none_below():
         query, jd = joindag_for(sql, catalog)
         dp = sprinkle._block_placement(query, catalog, sqlfront.output_attrs(query, catalog))
         passed = sprinkle._select_floors(jd, dp)
-        for cells in [passed.cells] + passed.tiers:
+        for cells, inputs in pass_maps(passed):
             for cell in cells.values():
                 for s, best in enumerate(cell.best):
                     if best < math.inf:
-                        assert min(alternative_costs(dp, cell, s)) == best, (sql, cell.eq, s)
+                        assert min(alternative_costs(dp, cell, s, inputs)) == best, \
+                            (sql, cell.eq, s)
                         states += 1
     assert states == 5444   # states with a finite `best`, leaves' and landings' among them
 
@@ -1496,11 +1512,25 @@ def test_cold_tpch_q4_groups_below_its_joinfilter(tpch_catalog):
 
 # -- only landings whose bound can reach the optimum get a pass -------------------
 
+def landing_bound(dp, landed, below, flat):
+    """The bound of the group-by `landed` over the plain cell `below`, read
+    from the landing cell: its least cost, and r times the least plain total
+    `flat` plus the group-by's cost, r = its output over its input (at most
+    1)."""
+    fixed, size = landed.fixed, below.size[landed.fixed]
+    least = min(landed.best)
+    if not (math.isfinite(flat) and size > 0):
+        return least
+    return max(least, min(1.0, landed.size[fixed] / size) * flat
+               + reference_grouping(dp, size))
+
+
 def reference_tiers(dag, dp):
     """The plain tables, every landing's (landing, its tier's tables, bound,
-    root totals) and each root's optimum, found by one DP pass over the
-    nodes above each landing: the tier loop of `_select_floors` with no
-    landing skipped."""
+    root totals) and each root's optimum, found by one DP pass over every
+    node above each landing: the tier loop of `_select_floors` with no
+    landing skipped, each bound read from its landing cell
+    (`landing_bound`)."""
     order = memo.topological_order(dag)[::-1]
     cells = {}
     for eq_id in order:
@@ -1509,8 +1539,7 @@ def reference_tiers(dag, dp):
         if node.is_base:
             cells[eq_id] = dp.leaf(node.signature[0][0], node.est_size, ordered)
             continue
-        ops = [dag.op_nodes[op_id] for op_id in node.child_ops]
-        cells[eq_id] = dp.node([(op, [cells[c] for c in op.children]) for op in ops], ordered)
+        cells[eq_id] = dp.node([dag.op_nodes[op_id] for op_id in node.child_ops], cells, ordered)
     full, roots = dp.width - 1, set(dag.query_roots.values())
     total = lambda cell: dp.total(cell.best[full], cell.size[full])  # noqa: E731
     flat = min(total(cells[r]) for r in roots)
@@ -1523,9 +1552,9 @@ def reference_tiers(dag, dp):
             ops = [op for op in map(dag.op_nodes.__getitem__, dag.eq_nodes[up].child_ops)
                    if any(c in tier for c in op.children)]
             if ops:
-                tier[up] = dp.node([(op, [tier.get(c, cells[c]) for c in op.children])
-                                    for op in ops], dp.holds_order(dag.eq_nodes[up].signature[0]))
-        tiers.append((landing, tier, dp.bound(cells[landing], tier[landing], flat),
+                tier[up] = dp.node(ops, {**cells, **tier},
+                                   dp.holds_order(dag.eq_nodes[up].signature[0]))
+        tiers.append((landing, tier, landing_bound(dp, tier[landing], cells[landing], flat),
                       {r: total(tier[r]) for r in roots & tier.keys()}))
     best = {r: min(totals.get(r, math.inf) for *_, totals in tiers) for r in roots}
     return cells, tiers, best
@@ -1571,6 +1600,10 @@ def test_landing_bounds_never_exceed_their_totals(tpch_catalog):
         passed = sprinkle._select_floors(jd, dp)
         assert {root: pass_optimum(dp, passed, root)
                 for root in jd.query_roots.values()} == best, sql
+        full, (root,) = dp.width - 1, jd.query_roots.values()
+        flat = dp.total(cells[root].best[full], cells[root].size[full])
+        for landing, _, bound, _ in tiers:   # read from the plain cell, as from the landing
+            assert dp.bound(cells[landing], flat) == bound, sql
         assert tables(passed.cells) == tables(cells), sql
         reference = {landing: tables(tier) for landing, tier, *_ in tiers}
         priced = {next(iter(tier)): tables(tier) for tier in passed.tiers}
@@ -1657,13 +1690,17 @@ def test_cold_grouped_tpch_blocks_pass_over_few_nodes(tpch_catalog, monkeypatch)
     # from the price table where nothing may sit at or below it (3 of tq1's
     # 36, 6 of q4's 24) and by a step elsewhere, and one step per node above
     # each landing whose bound can reach the optimum (a pass for every
-    # landing takes 184 steps on tq1 and 75 on q4)
+    # landing takes 184 steps on tq1 and 75 on q4).  A landing cell is built
+    # only for a landing that gets a pass (of tq1's 24 and q4's 12), and the
+    # steps above it visit only the nodes over its relations
     steps = counting(monkeypatch, sprinkle._Placement, "node")
-    for name, counts in (("tq1", (59, 3)), ("q4", (27, 6))):
+    landed = counting(monkeypatch, sprinkle._Placement, "landing")
+    for name, counts in (("tq1", (59, 3, 3)), ("q4", (27, 6, 2))):
         steps.clear()
+        landed.clear()
         res = sprinkle.optimize_single(parse_query(fixture_sql("tpch", name), tpch_catalog),
                                        tpch_catalog)
-        assert (len(own_steps(steps, res.jd)), filled(res.jd)) == counts, name
+        assert (len(own_steps(steps, res.jd)), filled(res.jd), len(landed)) == counts, name
 
 
 def test_a_cold_flat_block_sorts_its_join_dag_once(company_catalog, monkeypatch):
@@ -2442,7 +2479,7 @@ def priced_by_text(history):
         entry = (cell.size[0].hex(), cell.best[0].hex())
         if not dag.eq_nodes[eq_id].is_base:
             entry += tuple((op.kind, op.detail, tuple(dag.eq_nodes[c].text for c in op.children))
-                           for op, _ in sprinkle._kept_alternatives(cell, 0))
+                           for op, _ in sprinkle._kept_alternatives(cell, 0, history.prices))
         out[dag.eq_nodes[eq_id].text] = entry
     return out
 
