@@ -1,10 +1,12 @@
 """Size estimation, operator costing, and plan extraction.
 
-One convention is used everywhere: an operator's cost is the work of
-consuming its inputs (a join costs |A|*|B|, every unary operator costs the
-size of its input) and a plan's cost is the sum of its operator costs.  The
-result-size term of the classic select-after-join comparison shows up
-naturally as the consuming operator's input, so it is accounted exactly once.
+The cost formula is defined here once: a join costs `join_cost` (|A|*|B|),
+a unary operator `unary_cost` (|A|), a plan the sum of its operator costs,
+so a select-after-join's result size counts once, as the select's input.
+The placement DP and naive's search are exact for any cost of the input
+sizes; the landing bound (`sprinkle._Placement.bound`) needs one rising in
+each input with cost(r*a, b) >= r*cost(a, b) for r <= 1, and stacking
+selects by selectivity a rising unary cost.
 
 Sizes are real-valued estimates; nothing is rounded except for display.
 """
@@ -39,14 +41,20 @@ def estimate_size(kind: str, inputs: tuple[float, ...], factor: float | None = N
     raise DagError(f"unknown op kind {kind!r}")
 
 
+def join_cost(a: float, b: float) -> float:
+    return a * b
+
+
+def unary_cost(a: float) -> float:
+    return a
+
+
 def op_cost(kind: str, inputs: tuple[float, ...]) -> float:
-    """Cost of one operator application under the shared convention."""
+    """Cost of one operator application: `join_cost` or `unary_cost`."""
     if kind == KIND_JOIN:
-        a, b = inputs
-        return a * b
+        return join_cost(*inputs)
     if kind in memo.UNARY_KINDS:
-        (a,) = inputs
-        return a
+        return unary_cost(*inputs)
     raise DagError(f"unknown op kind {kind!r}")
 
 

@@ -6,23 +6,21 @@ partial result).  The query's grouping, having, projection, and ordering go
 on top, so the result is a search space a cost-based search can be
 differentially checked against.
 
-The grouping and ordering are searched over the same space the sprinkler
-searches.  The group-by, its having directly above it, may land on any
-partial result that covers the grouping relations and holds every select
-on its own relations; the order-by may sit on any partial result that
-covers the order relations outside the group-by's subtree; the projection
-tops the root.  The search reads the join/select memo below the forest
-root in place, its eq-nodes inputs first, and adds no op-node to them.  A
-landing scales every size above it by one ratio, |grouped| / |landing|, so
-one scan of the memo nodes after a landing prices those above it (`_costs`).  Different
-landings give the same signatures different sizes, so the memo takes one:
-the cheapest, the root on a tie.
-Above the join/select memo it then holds the plans that reach the least
-cost with that landing (`_intern_cheapest`), topped by the projection and
-then the order-by, and `costplan.best_plan` reads the optimum off the memo.
-A group-by below the root names its landing in its text
-(`sqlfront.groupby_text`).  A flat query (no group-by or order-by) gets
-only its projection on top.
+The grouping and ordering are searched over the space the sprinkler
+searches: the group-by, its having directly above it, on any partial
+result that covers the grouping relations and holds every select on its
+own relations; the order-by on any partial result that covers the order
+relations outside the group-by's subtree; the projection on the root.  The
+search reads the join/select memo below the forest root in place, inputs
+first, and adds no op-node to it.  A landing scales every size above it by
+one ratio, |grouped| / |landing|, so one scan of the memo nodes after it
+prices each op above it by `costplan.op_cost` over those sizes (`_costs`).
+Different landings give the same signatures different sizes, so the memo
+takes the cheapest, the root on a tie, and holds the plans that reach its
+least cost (`_intern_cheapest`), topped by the projection and then the
+order-by; `costplan.best_plan` reads the optimum off the memo.  A group-by
+below the root names its landing in its text (`sqlfront.groupby_text`).  A
+flat query (no group-by or order-by) gets only its projection on top.
 
 The permutation count n! is reported analytically; the expansion itself
 walks applied-condition subsets, which is equivalent (the tests replay
@@ -78,6 +76,12 @@ class _Costs(NamedTuple):
     least: dict[int, float]
     sorted: dict[int, float]
 
+    def cost(self, eq_nodes, op: memo.OpNode) -> float:
+        """`op`'s cost over its inputs' sizes, those `grouped` times `ratio`."""
+        sizes = [(self.ratio if k in self.grouped else 1.0) * eq_nodes[k].est_size
+                 for k in op.children]
+        return costplan.op_cost(op.kind, tuple(sizes))
+
 
 def _costs(dag: Dag, order: list[int], order_rels: frozenset[str], steps=(),
            at: int | None = None, base: _Costs | None = None) -> _Costs:
@@ -87,7 +91,7 @@ def _costs(dag: Dag, order: list[int], order_rels: frozenset[str], steps=(),
 
     An eq-node after the landing is above it if it has an op over the
     landing or a node above it, whose size is its memo size times the
-    landing's ratio, so the op costs its memo cost times that ratio; an op
+    landing's ratio, the op priced over those sizes (`_Costs.cost`); an op
     with no such input puts the group-by elsewhere, and is skipped.
     """
     eq_nodes, op_nodes = dag.eq_nodes, dag.op_nodes
@@ -103,8 +107,9 @@ def _costs(dag: Dag, order: list[int], order_rels: frozenset[str], steps=(),
         grouped, nodes = {landing}, order[at + 1:]
         least, ordered = dict(base.least), dict(base.sorted)
         least[landing] = cost
-        ordered[landing] = (cost + size if order_rels.issubset(eq_nodes[landing].signature[0])
-                            else math.inf)
+        ordered[landing] = (cost + costplan.unary_cost(size)
+                            if order_rels.issubset(eq_nodes[landing].signature[0]) else math.inf)
+    c = _Costs(landing, ratio, grouped, least, ordered)   # filled in place below
     for eq in nodes:
         node = eq_nodes[eq]
         ops = [op_nodes[o] for o in node.child_ops]
@@ -116,7 +121,7 @@ def _costs(dag: Dag, order: list[int], order_rels: frozenset[str], steps=(),
         built_sorted = math.inf
         for op in ops:
             a, b = op.children[0], op.children[-1]   # a unary op's input twice
-            here = ratio * op.op_cost if grouped else op.op_cost
+            here = c.cost(eq_nodes, op) if grouped else op.op_cost
             cost = here + least[a] if a == b else here + least[a] + least[b]
             if cost < built:
                 built = cost
@@ -125,13 +130,12 @@ def _costs(dag: Dag, order: list[int], order_rels: frozenset[str], steps=(),
                                                             here + least[a] + ordered[b])
                 if cost < built_sorted:
                     built_sorted = cost
-        if (order_rels and order_rels.issubset(node.signature[0])
-                and built + ratio * node.est_size < built_sorted):
-            built_sorted = built + ratio * node.est_size   # the order-by on top of the node
+        if order_rels and order_rels.issubset(node.signature[0]):   # the order-by on top
+            built_sorted = min(built_sorted, built + costplan.unary_cost(ratio * node.est_size))
         least[eq], ordered[eq] = built, built_sorted
         if grouped:
             grouped.add(eq)
-    return _Costs(landing, ratio, grouped, least, ordered)
+    return c
 
 
 def _cheapest_landing(dag: Dag, order: list[int], base: _Costs, query: Query, steps,
@@ -144,9 +148,9 @@ def _cheapest_landing(dag: Dag, order: list[int], base: _Costs, query: Query, st
     """
     eq_nodes, root = dag.eq_nodes, order[-1]
 
-    def total(costs: _Costs) -> float:
-        cost = costs.sorted[root] if order_rels else costs.least[root]
-        return cost + costs.ratio * eq_nodes[root].est_size if projected else cost
+    def total(c: _Costs) -> float:
+        cost = c.sorted[root] if order_rels else c.least[root]
+        return cost + costplan.unary_cost(c.ratio * eq_nodes[root].est_size) if projected else cost
 
     grouping = {r for r, _ in query.group_by}
     on: dict[str, set[str]] = {}
@@ -156,8 +160,7 @@ def _cheapest_landing(dag: Dag, order: list[int], base: _Costs, query: Query, st
     for i, eq in enumerate(order[:-1]):
         bases, _, unary, _ = eq_nodes[eq].signature
         if grouping.issubset(bases) and all(on.get(r, set()).issubset(unary) for r in bases):
-            bounds.append((base.least[eq] + costplan.op_cost(KIND_GROUPBY,
-                                                             (eq_nodes[eq].est_size,)), i))
+            bounds.append((base.least[eq] + costplan.unary_cost(eq_nodes[eq].est_size), i))
     best = _costs(dag, order, order_rels, steps, len(order) - 1, base)
     least = total(best)
     for bound, i in sorted(bounds):
@@ -200,17 +203,18 @@ def _intern_cheapest(dag: Dag, c: _Costs, root: int, steps,
         elif eq not in c.grouped and not ordered:
             out = eq
         else:
-            scale, out = c.ratio if eq in c.grouped else 1.0, None
+            above, out = eq in c.grouped, None
+            size = (c.ratio if above else 1.0) * eq_nodes[eq].est_size
             if ordered and sort_here and order_rels.issubset(eq_nodes[eq].signature[0]) and (
-                    c.least[eq] + scale * eq_nodes[eq].est_size
-                    <= memo.within_rounding(costs[eq])):
+                    c.least[eq] + costplan.unary_cost(size) <= memo.within_rounding(costs[eq])):
                 out = sort(build(eq, False))
             for op in map(op_nodes.__getitem__, eq_nodes[eq].child_ops):
                 kids = op.children
-                if eq in c.grouped and not c.grouped.intersection(kids):
+                if above and not c.grouped.intersection(kids):
                     continue   # the group-by elsewhere
+                here = c.cost(eq_nodes, op) if above else op.op_cost
                 for i in range(len(kids)) if ordered else [None]:   # the input sorted
-                    candidate = scale * op.op_cost + sum(
+                    candidate = here + sum(
                         (c.sorted if j == i else c.least)[k] for j, k in enumerate(kids))
                     if math.isfinite(candidate) and candidate <= memo.within_rounding(costs[eq]):
                         inputs = tuple([build(k, j == i) for j, k in enumerate(kids)])

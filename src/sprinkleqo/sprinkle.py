@@ -39,8 +39,8 @@ pass gives by eq-node id, and its two tables, per set s at or below the
 node: the output size (`size`) and the least cost (`best`), the least over
 its alternatives, each priced by one rule (`_Placement.node`).  No cell
 keeps a map.  Leaves, landings and op-nodes share one stacking rule
-(`_Placement._stack`): selects stack in ascending rank, which is ascending
-bit order, each costing the size under it; that is optimal by the exchange
+(`_Placement._stack`): selects stack in ascending rank (bit order), each
+costing `costplan.unary_cost` of the size under it, optimal by the exchange
 argument of predicate migration.  A state (cell, s) is one decorated
 eq-node, and the stage emits its memo state by state (`_decorate_stage`):
 from the root's state it walks down the cells, keeps each alternative of a
@@ -99,12 +99,12 @@ class _Cell:
 
     __slots__ = ("eq", "ops", "mask", "fixed", "size", "best")
 
-    def __init__(self, mask: int, ops, size: list[float], best: list[float]):
+    def __init__(self, mask: int, ops, width: int, fixed: int = 0):
         self.ops = ops
         self.mask = mask     # the bits that may sit at or below the node
-        self.fixed = 0       # the bits a group-by landing at or below it holds
-        self.size = size     # output size, by the set at or below it
-        self.best = best     # least subtree cost, by s; inf if s is not in mask
+        self.fixed = fixed   # the bits a group-by landing at or below it holds
+        self.size = [0.0] * width        # output size, by the set at or below it
+        self.best = [math.inf] * width   # least subtree cost, by s; inf if s is not in mask
 
 
 class _Placement:
@@ -133,7 +133,7 @@ class _Placement:
 
     def total(self, cost: float, size: float) -> float:
         """A plan's cost, plus its root projection's when a group-by varies it."""
-        return cost + size if self.projected else cost
+        return cost + costplan.unary_cost(size) if self.projected else cost
 
     @staticmethod
     @functools.cache
@@ -152,15 +152,15 @@ class _Placement:
         """The DP's one stacking rule: a stack on a node's output is optimal
         in ascending bit order, so each bit that may stack (not `fixed`) is
         stacked in that order on the best of the rest, over the sets that
-        hold it, costing the size under it: O(bits * 2**bits) per node, not
-        the O(3**bits) of every U below every S."""
-        best, size, mask = cell.best, cell.size, cell.mask
+        hold it, costing the unary cost of the size under it: O(bits *
+        2**bits) per node, not the O(3**bits) of every U below every S."""
+        best, size, mask, unary = cell.best, cell.size, cell.mask, costplan.unary_cost
         free = mask & ~fixed
         while free:
             bit = free & -free
             free ^= bit
             for s in self.sets(mask, fixed | bit):
-                cost = best[s ^ bit] + size[s ^ bit]
+                cost = best[s ^ bit] + unary(size[s ^ bit])
                 if cost < best[s]:
                     best[s] = cost
         return cell
@@ -177,7 +177,7 @@ class _Placement:
         order-by too if it is `ordered` (`holds_order`), each set's size its
         top bit's factor times the size of the rest."""
         cell = _Cell(self.on_relation.get(relation, 0) | (self.ob_bit if ordered else 0),
-                     (), [0.0] * self.width, [math.inf] * self.width)
+                     (), self.width)
         cell.size[0], cell.best[0] = size, 0.0
         sizes, ops = cell.size, self.ops
         for s in self.sets(cell.mask)[1:]:
@@ -192,8 +192,8 @@ class _Placement:
         cell keeps, each over the input cells `inputs` maps its children to;
         the order-by may sit at it if it is `ordered` (`holds_order`).  A
         join dag holds joins and size-scaling unary op-nodes (a joinfilter):
-        a join over inputs of sizes a and b costs a*b and yields factor*a*b,
-        a unary op-node over a costs a and yields factor*a.
+        a join over inputs of sizes a and b yields factor*a*b, a unary
+        op-node over a factor*a, each costing its `costplan` cost.
 
         The first op-node gives the sizes, on which an eq-node's op-nodes
         agree up to rounding.  Over an op-node with U below it, a node
@@ -212,10 +212,9 @@ class _Placement:
         if self.ob_bit:   # without one, every op-node's inputs cover one relation set
             for other in ops[1:]:
                 mask |= inputs[other.children[0]].mask | inputs[other.children[-1]].mask
-        cell = _Cell(mask | self.ob_bit if ordered else mask, ops,
-                     [0.0] * self.width, [math.inf] * self.width)
-        cell.fixed = fixed = first.fixed | last.fixed
-        sets = self.sets
+        fixed = first.fixed | last.fixed
+        cell = _Cell(mask | self.ob_bit if ordered else mask, ops, self.width, fixed)
+        sets, join, unary = self.sets, costplan.join_cost, costplan.unary_cost
         below = sets(mask, fixed)   # every U below the op
         size, best = cell.size, cell.best
         factor = float(op.factor)
@@ -233,14 +232,14 @@ class _Placement:
                 c1, c2 = inputs[children[0]], inputs[children[1]]
                 m1, m2, z1, z2, b1, b2 = c1.mask, c2.mask, c1.size, c2.size, c1.best, c2.best
                 for u in below if m1 | m2 == mask else sets(m1 | m2, fixed):
-                    cost = z1[u & m1] * z2[u & m2] + (b1[u & m1] + b2[u & m2])
+                    cost = join(z1[u & m1], z2[u & m2]) + (b1[u & m1] + b2[u & m2])
                     if cost < best[u]:
                         best[u] = cost
             else:
                 c1 = inputs[children[0]]
                 z1, b1, m1 = c1.size, c1.best, c1.mask
                 for u in below if m1 == mask else sets(m1, fixed):
-                    cost = z1[u] + b1[u]
+                    cost = unary(z1[u]) + b1[u]
                     if cost < best[u]:
                         best[u] = cost
         if cell.mask != mask:   # the order-by enters here: never below the op
@@ -265,8 +264,7 @@ class _Placement:
         at 0 alone) whose input holds every select on its relations, `fixed`
         from here up, and no order-by, which may stack on it."""
         fixed, cost, size = self._grouped(cell)
-        out = _Cell(cell.mask, cell, [0.0] * self.width, [math.inf] * self.width)
-        out.fixed = fixed
+        out = _Cell(cell.mask, cell, self.width, fixed)
         out.best[fixed] = cost + cell.best[fixed]
         out.size[fixed] = out.size[cell.mask] = size
         return self._stack(out, fixed)
@@ -275,7 +273,8 @@ class _Placement:
         """A lower bound on every total with the group-by landed over the
         plain `cell`, read without building the landing, `flat` the least
         plain total: each op above it and the root projection cost at least
-        r times their plain cost, r = its output over its input (at most 1)."""
+        r times their plain cost, r = its output over its input (at most 1),
+        as a cost rises with each input and cost(r*a, b) >= r*cost(a, b)."""
         fixed, cost, out = self._grouped(cell)
         least, size = cost + cell.best[fixed], cell.size[fixed]
         if not (math.isfinite(flat) and size > 0):
@@ -315,6 +314,7 @@ def _kept_alternatives(cell: _Cell, s: int, inputs: dict[int, _Cell]) -> list:
     cells too, so its one state, S = 0, is read by the same rule from any
     map that holds them."""
     budget, kept, ops = memo.within_rounding(cell.best[s]), [], cell.ops
+    join, unary = costplan.join_cost, costplan.unary_cost
     if type(ops) is _Cell:   # a landing: its group-by and having over its plain cell
         if s == cell.fixed:
             kept.append((None, ((ops, s),)))
@@ -329,16 +329,16 @@ def _kept_alternatives(cell: _Cell, s: int, inputs: dict[int, _Cell]) -> list:
                 continue
             if len(children) == 2:
                 t1, t2 = s & k1.mask, s & k2.mask
-                if k1.size[t1] * k2.size[t2] + (k1.best[t1] + k2.best[t2]) <= budget:
+                if join(k1.size[t1], k2.size[t2]) + (k1.best[t1] + k2.best[t2]) <= budget:
                     kept.append((op, ((k1, t1), (k2, t2))))
-            elif k1.size[s] + k1.best[s] <= budget:
+            elif unary(k1.size[s]) + k1.best[s] <= budget:
                 kept.append((op, ((k1, s),)))
         kept.sort(key=lambda alt: alt[0].sort_key())
     free = s & ~cell.fixed
     for i in range(free.bit_length()):
         if free >> i & 1:
             t = s ^ 1 << i
-            if cell.best[t] + cell.size[t] <= budget:
+            if cell.best[t] + unary(cell.size[t]) <= budget:
                 kept.append((i, ((cell, t),)))
     return kept
 

@@ -479,7 +479,7 @@ def parse_query(sql_text: str, catalog: Catalog, *, _depth: int = 0,
             raise ValidationError(
                 f"{item.relation}.{item.attribute} must appear in GROUP BY or an aggregate")
     for item in order_by:   # and so does its ORDER BY: grouping drops every other column
-        if group_by and (item.relation, item.attribute) not in group_by:
+        if grouped and (item.relation, item.attribute) not in group_by:
             raise ValidationError(
                 f"ORDER BY {item.relation}.{item.attribute} must appear in GROUP BY")
     return query

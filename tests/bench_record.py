@@ -9,7 +9,9 @@ times, in-process, each single-block `select_heavy` operation of seeds 3
 and 7 in warm joindag mode and in naive mode (best of 7 each, optbench's
 set-up and `optimize` imported read-only) and takes the median warm/naive
 ratio per class: flat or grouped/ordered, crossed with s <= 2 or s >= 3
-selects.  A ratio below 1 means the warm history pays.  The file holds
+selects, beside the class's median warm and naive times in ms, so that a
+ratio moved by the naive side shows apart from one moved by the warm
+side.  A ratio below 1 means the warm history pays.  The file holds
 each workload's end-to-end metrics with `correct`, `attempted` and
 `failed` (the last line of run.py's output), the digest lines, the ratio
 lines, and the machine they were measured on; the ratio lines are printed
@@ -57,13 +59,14 @@ def best_time(fn, repeats: int) -> float:
 
 
 def warm_naive_ratios(seeds=RATIO_SEEDS, repeats=RATIO_REPEATS) -> dict[str, dict]:
-    """Class name -> its operations and median warm/naive time ratio, over
-    the single-block `select_heavy` operations of `seeds`."""
+    """Class name -> its operations, median warm/naive time ratio and
+    median warm and naive times in ms, over the single-block `select_heavy`
+    operations of `seeds`."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "optbench")]
     import bench   # noqa: E402  (needs the paths above)
     from sprinkleqo import sqlfront   # noqa: E402
 
-    ratios: dict[str, list[float]] = {}
+    found: dict[str, list[list[float]]] = {}   # class -> each operation's warm and naive s
     for seed in seeds:
         with tempfile.TemporaryDirectory() as tmp:
             env = bench.setup(seed, pathlib.Path(tmp), "select_heavy")
@@ -75,9 +78,12 @@ def warm_naive_ratios(seeds=RATIO_SEEDS, repeats=RATIO_REPEATS) -> dict[str, dic
                          for mode in ("warm", "naive")]
                 shape = "grouped/ordered" if query.group_by or query.order_by else "flat"
                 size = "s<=2" if len(query.selects) <= 2 else "s>=3"
-                ratios.setdefault(f"{shape} {size}", []).append(times[0] / times[1])
-    return {name: {"operations": len(found), "median": statistics.median(found)}
-            for name, found in sorted(ratios.items())}
+                found.setdefault(f"{shape} {size}", []).append(times)
+    return {name: {"operations": len(times),
+                   "median": statistics.median(warm / naive for warm, naive in times),
+                   "warm_ms": 1e3 * statistics.median(warm for warm, _ in times),
+                   "naive_ms": 1e3 * statistics.median(naive for _, naive in times)}
+            for name, times in sorted(found.items())}
 
 
 def main(argv=None) -> int:
@@ -93,7 +99,8 @@ def main(argv=None) -> int:
                    "--seconds", seconds, "--trace", "0")[-1]
         workloads[workload] = json.loads(last)
     ratios = warm_naive_ratios()
-    lines = [f"warm/naive {name}: median {r['median']:.3f} over {r['operations']} operations"
+    lines = [f"warm/naive {name}: median {r['median']:.3f} (warm {r['warm_ms']:.3f} ms, "
+             f"naive {r['naive_ms']:.3f} ms) over {r['operations']} operations"
              for name, r in ratios.items()]
     print("\n".join(lines))
     doc = {"seed": args.seed, "run_seconds": declared["run_seconds"], "trace": 0,

@@ -145,6 +145,27 @@ def clause_variants(sql, query, catalog):
             sql + f" order by {rels[0]}.a0, {last}.b"]
 
 
+# each (join cost of sizes a and b, unary cost of size a), by its join
+# cost: the product, the sum, and compare-and-read, whose unary operators
+# read and write their input; each rises with every input and has
+# cost(r*a, b) >= r*cost(a, b) for r <= 1
+COST_FORMULAS = {
+    "a*b": (lambda a, b: a * b, lambda a: a),
+    "a+b": (lambda a, b: a + b, lambda a: a),
+    "a*b+a+b": (lambda a, b: a * b + a + b, lambda a: 2.0 * a),
+}
+
+
+@pytest.fixture(params=list(COST_FORMULAS))
+def join_cost_formula(request, monkeypatch):
+    """The optimizer under each of `COST_FORMULAS`: `costplan.join_cost` and
+    `costplan.unary_cost` swapped, the one definition every search prices
+    from."""
+    join, unary = COST_FORMULAS[request.param]
+    monkeypatch.setattr(costplan, "join_cost", join)
+    monkeypatch.setattr(costplan, "unary_cost", unary)
+
+
 def enumerate_plans(dag: Dag, root_eq: int) -> list[Plan]:
     """All expansions below an eq-node in canonical order.
 

@@ -324,6 +324,19 @@ def test_a_column_beside_an_ungrouped_aggregate_is_one_error_line(capsys, tmp_pa
 
 
 @pytest.mark.parametrize("mode", ["joindag", "naive"])
+def test_an_order_by_under_an_ungrouped_aggregate_is_one_error_line(capsys, tmp_path, mode):
+    # the one group of an aggregate without GROUP BY has no employee.fname
+    # to sort on, as a grouped ORDER BY names only grouping keys
+    query, out = tmp_path / "q.sql", tmp_path / "plan.json"
+    query.write_text("select count(*) from employee order by employee.fname")
+    code, stdout, err = run(capsys, "optimize", "--schema", COMPANY, "--query", str(query),
+                            "--mode", mode, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == "ERR:validation: ORDER BY employee.fname must appear in GROUP BY\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["joindag", "naive"])
 @pytest.mark.parametrize("sql", [
     "select employee.fname from employee, works_on "
     "where employee.ssn = works_on.ssn",

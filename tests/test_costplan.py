@@ -44,6 +44,24 @@ def test_unary_conventions():
         assert op_cost(kind, (17.0,)) == 17.0
 
 
+def test_each_cost_formula_has_the_landing_bounds_property(join_cost_formula):
+    # `op_cost` prices by the swapped definitions; the landing bound scales
+    # the costs above a landing by r, its output over its input, so each
+    # cost is at least r times itself at the unscaled size, for r <= 1, up
+    # to rounding, and rises with each input
+    join, unary = costplan.join_cost, costplan.unary_cost
+    assert (op_cost("join", (3.0, 5.0)), op_cost("select", (3.0,))) == (join(3.0, 5.0),
+                                                                       unary(3.0))
+    rng = random.Random(42)
+    for _ in range(2000):
+        a, b, r = rng.uniform(0.0, 1e6), rng.uniform(0.0, 1e6), rng.random()
+        assert r * join(a, b) <= memo.within_rounding(join(r * a, b)), (a, b, r)
+        assert r * join(a, b) <= memo.within_rounding(join(a, r * b)), (a, b, r)
+        assert r * unary(a) <= memo.within_rounding(unary(r * a)), (a, r)
+        assert join(r * a, b) <= join(a, b) and join(a, r * b) <= join(a, b), (a, b, r)
+        assert unary(r * a) <= unary(a), (a, r)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(DagError):
         estimate_size("cartesian", (2.0,), 1.0)

@@ -1168,7 +1168,8 @@ def brute_force_cost(query, catalog):
                     at is None or i == at or id(nodes[i]) not in inside[at])]
                 for ob in sorts if query.order_by else [None]:
                     built = rebuilt(plan, nodes, dict(enumerate(where)), query, at, ob, d)
-                    best = min(best, built.cum_cost + (built.est_size if projected else 0.0))
+                    best = min(best, built.cum_cost + (costplan.unary_cost(built.est_size)
+                                                       if projected else 0.0))
     return best
 
 
@@ -1398,12 +1399,12 @@ def test_every_state_has_an_alternative_at_its_best_and_none_below():
     assert states == 5444   # states with a finite `best`, leaves' and landings' among them
 
 
-def flat_oracle_queries():
-    """(sql, catalog): 40 random flat connected queries with j <= 3 and
+def flat_oracle_queries(n=40):
+    """(sql, catalog): `n` random flat connected queries with j <= 3 and
     s <= 3."""
     rng = random.Random(2002)
     cases = []
-    while len(cases) < 40:
+    while len(cases) < n:
         catalog = random_schema(rng)
         sql = connected_query_sql(catalog, rng, max_selects=3)
         if len(extract_join_set(parse_query(sql, catalog))) <= 3:
@@ -1428,6 +1429,22 @@ def test_every_kept_op_node_ties_the_least_of_its_eq_node():
         optimum = brute_force_cost(query, catalog)
         for plan in enumerate_plans(dag, dag.query_roots["q1"]):
             assert plan.cum_cost == pytest.approx(optimum, rel=memo.SIZE_RTOL), sql
+
+
+def test_both_searches_reach_the_brute_force_optimum_under_each_cost_formula(
+        join_cost_formula):
+    # the placement DP and naive's search price from `costplan`'s one
+    # definition, so both stay exact when it changes: the sprinkler (cold)
+    # and the exhaustive baseline equal the brute force on flat, grouped
+    # and ordered blocks under each formula
+    for sql, catalog in flat_oracle_queries(60) + grouped_oracle_queries():
+        query = parse_query(sql, catalog)
+        optimum = brute_force_cost(query, catalog)
+        cost = sprinkle.optimize_single(query, catalog).plan.cum_cost
+        assert cost == pytest.approx(optimum, rel=memo.SIZE_RTOL), sql
+        ndag = naive.build_naive_dag(query, catalog)
+        best = costplan.best_plan(ndag, ndag.query_roots["q1"])
+        assert best.cum_cost == pytest.approx(optimum, rel=memo.SIZE_RTOL), sql
 
 
 def twelve_join_chain_sql():
@@ -1588,11 +1605,12 @@ def bounded_landing_inputs(tpch_catalog):
     return cases
 
 
-def test_landing_bounds_never_exceed_their_totals(tpch_catalog):
+def test_landing_bounds_never_exceed_their_totals(tpch_catalog, join_cost_formula):
     # on the memo and on each plan, a landing's bound is at most the least
     # root total of its pass, up to the rounding of sums taken in another
     # order; the pass prices every landing that can tie a root's optimum,
-    # and skipping the others leaves the optimum and every table exact
+    # and skipping the others leaves the optimum and every table exact, under
+    # each cost formula that has the bound's property
     for sql, catalog in bounded_landing_inputs(tpch_catalog):
         query, jd = joindag_for(sql, catalog)
         dp = sprinkle._block_placement(query, catalog, sqlfront.output_attrs(query, catalog))
