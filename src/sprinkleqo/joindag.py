@@ -1,7 +1,7 @@
 """Pre-computed join-order history.
 
-The history dag holds every join order over the known join conditions,
-grouped by connected component of the join graph, each op-node interned once
+The history dag holds every join order over each join set it was given,
+grouped by connected component of that set, each op-node interned once
 (see `forest`).  Queries then reuse it: optimizing a query means looking up
 its full-join eq-node and decorating the orders below it, never enumerating
 or deriving them again.  Every query, whether its history was just built
@@ -20,18 +20,18 @@ nothing to place (`sprinkle._PLAIN`), filled by the place stage's own
 pass; beside it the history keeps what each query root reaches with its
 inputs-first order (`HistoryDag.views`).  Both are filled on demand, never
 at build or load, and never saved.  A version that only bumps the number
-(`dataclasses.replace`) shares them; one with new joins is a `clone`,
+(`dataclasses.replace`) shares them; one that grows is a `clone`,
 which starts empty ones.  A join dag the history did not give (built by
 hand, or renumbered) prices into an empty table of its own.
 
-Incremental builds accept a batch of join conditions.  Conditions already
-known only bump the version, over the same dag; otherwise the new ones are
-kept as the history's next batch, each connected component of the union
-join set that contains at least one of them is re-enumerated (interning
-makes that idempotent over the orders already present), and components
-made only of known conditions are skipped entirely.  The tests verify that
-any sequence of incremental builds lands on the same graph as one complete
-build over the union.
+Incremental builds accept a batch of join conditions, one query's join
+set, as the paper takes each query's joins when it runs.  A batch whose
+every connected component has its full-join eq-node in the history only
+bumps the version, over the same dag; otherwise it is kept whole as the
+history's next batch, and each component the history lacks is enumerated
+(interning makes that idempotent over the orders already present).  No
+component grows past its batch: the tests verify that below each batch
+component's full-join node any sequence of builds gives the complete one.
 
 A saved history (format 2) holds the input its dag is built from, not the
 dag: its batches in order, and the cardinality of each joined relation.
@@ -40,10 +40,10 @@ Loading it replays those batches through the same build step as
 so it needs no schema, a history grown past the default limit still
 loads, and every id comes out as the builds gave it.  The file is accepted
 only if its replay saves to the same document; that one comparison refuses
-a join repeated across batches, an empty batch, and a missing or extra
-relation.  A bool equals 0 or 1 there, so the loader refuses a bool jsf
-or version, and a version below the number of batches.  So a load costs
-what the builds cost, and no more.
+a batch its history already held (an empty one too), a join repeated in a
+batch, and a missing or extra relation.  A bool equals 0 or 1 there, so
+the loader refuses a bool jsf or version, and a version below the number
+of batches.  So a load costs what the builds cost, and no more.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ HISTORY_FORMAT = 2
 
 @dataclass
 class HistoryDag:
-    """Versioned store of all join orders seen so far, the batches of fresh
-    joins it grew from (each sorted by text), and the price table of its
+    """Versioned store of all join orders seen so far, the batches (join
+    sets) it grew from (each sorted by text), and the price table of its
     dag (see the module docstring), filled on demand, which a version made
     by `dataclasses.replace` shares and a `clone` starts again.  `prices`
     maps each eq-node priced so far to the place stage's DP cell of it with
@@ -85,7 +85,7 @@ class HistoryDag:
 
     @property
     def known_joins(self) -> dict[str, JoinCondition]:
-        """Every join of the batches, by canonical text; no join is in two."""
+        """Every join of the batches, by canonical text; two batches may share one."""
         return {cond.canonical(): cond for batch in self.batches for cond in batch}
 
     def clone(self) -> "HistoryDag":
@@ -143,10 +143,11 @@ def build_incremental(history: HistoryDag, joins: tuple[JoinCondition, ...],
                       catalog: Catalog, limit: int = DEFAULT_MAX_OPS) -> HistoryDag:
     """Fold a batch of join conditions into the history.
 
-    Returns a new HistoryDag; the input is not mutated.  A batch with no new
-    condition returns one over the input's dag and batches, not a copy
-    of them.  Raises LimitExceededError when any affected component would
-    exceed `limit` conditions and ValidationError on a catalog mismatch.
+    Returns a new HistoryDag; the input is not mutated.  A batch whose
+    components the history holds returns one over the input's dag and
+    batches, not a copy of them.  Raises LimitExceededError when a component
+    of the batch that the history lacks has more than `limit` conditions,
+    and ValidationError on a catalog mismatch.
     """
     verify_catalog(history, catalog)
     for cond in joins:
@@ -160,31 +161,32 @@ def build_incremental(history: HistoryDag, joins: tuple[JoinCondition, ...],
 def _grow(history: HistoryDag, joins: Iterable[JoinCondition],
           size: Callable[[str], float], limit: int | None) -> HistoryDag:
     """The one build step, which `build_incremental` and `load_history`
-    both run: `history` with the joins it does not know yet added as one
-    batch, each component that holds one of them expanded over relations
-    of `size(rel)` rows.  It registers no root: each component's full-join
-    node is a parentless eq-node, which `memo.dag_roots` finds.  With no
-    such join, only the version moves.  Raises LimitExceededError when an
-    expanded component has more than `limit` joins (`None`: no limit).  Of
-    joins with one canonical text, the first is kept, as a parsed query
-    keeps it."""
-    known, fresh = history.known_joins, {}
+    both run: `history` with the batch `joins` added whole, each connected
+    component of it whose full-join eq-node the history lacks expanded over
+    relations of `size(rel)` rows.  It registers no root: `memo.dag_roots`
+    finds the parentless eq-nodes.  A batch whose components are all there,
+    an empty one too, only moves the version; a connected one finds that in
+    one lookup.  Raises LimitExceededError when a component to expand has
+    more than `limit` joins (`None`: no limit).  Of joins with one canonical
+    text, the first is kept, as a parsed query keeps it."""
+    batch, tables = {}, set()
     for cond in joins:
-        if cond.canonical() not in known:
-            fresh.setdefault(cond.canonical(), cond)
-    if not fresh:
+        batch.setdefault(cond.canonical(), cond)
+        tables.update(cond.relations())
+    find = history.dag.find_eq
+    missing = [] if find(memo.make_signature(tables, batch)) is not None else [
+        (rels, texts) for rels, texts in _components(batch)
+        if find(memo.make_signature(rels, texts)) is None]
+    if not missing:
         return replace(history, version=history.version + 1)
     out = history.clone()
     out.version += 1
-    out.batches.append(tuple(fresh[t] for t in sorted(fresh)))
-    known.update(fresh)
-    for rels, texts in _components(known):
-        if not any(t in fresh for t in texts):
-            continue  # purely old component: already enumerated
+    out.batches.append(tuple(batch[t] for t in sorted(batch)))
+    for rels, texts in missing:
         if limit is not None and len(texts) > limit:
             raise LimitExceededError("join-order expansion", len(texts), limit)
         forest.expand_forest(out.dag, {r: size(r) for r in sorted(rels)},
-                             tuple(known[t] for t in texts))
+                             tuple(batch[t] for t in texts))
     return out
 
 
@@ -200,17 +202,11 @@ def query_join_root(history: HistoryDag, tables: Iterable[str],
     `tables` (names), which a history build must already have added; the
     history is only read.
     """
-    sig = memo.make_signature(tables, join_texts, (), ())
-    eq = history.dag.find_eq(sig)
+    eq = history.dag.find_eq(memo.make_signature(tables, join_texts))
     if eq is None:
-        missing = [t for t in join_texts if t not in history.known_joins]
-        if missing:
-            raise ValidationError(
-                f"join conditions not in history: {', '.join(sorted(missing))}")
-        if not join_texts:
-            raise ValidationError(f"base relation not in history: {', '.join(sorted(tables))}")
-        raise ValidationError(
-            "query join set spans history components that were never joined")
+        what = "join set" if join_texts else "base relation"
+        raise ValidationError(f"{what} not in history: "
+                              f"{', '.join(sorted(join_texts or tables))}")
     return eq
 
 
@@ -262,7 +258,9 @@ def load_history(path: str) -> HistoryDag:
     number in (0, 1], each joined relation's cardinality passes the
     catalog's rule (`catalog.checked_cardinality`), replaying the batches in
     order, as `build_incremental` grew them with no limit, saves to the same
-    document, and the version is a number no less than the batches' count."""
+    document, so that each batch brought a component its history lacked (as
+    a batch of joins all new to it does), and the version is a number no
+    less than the batches' count."""
     text = read_text(path)
     try:
         doc = json.loads(text)

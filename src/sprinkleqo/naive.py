@@ -77,10 +77,11 @@ class _Costs(NamedTuple):
     sorted: dict[int, float]
 
     def cost(self, eq_nodes, op: memo.OpNode) -> float:
-        """`op`'s cost over its inputs' sizes, those `grouped` times `ratio`."""
-        sizes = [(self.ratio if k in self.grouped else 1.0) * eq_nodes[k].est_size
-                 for k in op.children]
-        return costplan.op_cost(op.kind, tuple(sizes))
+        """`op`'s cost over its one or two inputs' sizes, those `grouped` times `ratio`."""
+        a, b = op.children[0], op.children[-1]   # a unary op's input twice
+        size = (self.ratio if a in self.grouped else 1.0) * eq_nodes[a].est_size
+        return costplan.unary_cost(size) if a == b else costplan.join_cost(
+            size, (self.ratio if b in self.grouped else 1.0) * eq_nodes[b].est_size)
 
 
 def _costs(dag: Dag, order: list[int], order_rels: frozenset[str], steps=(),

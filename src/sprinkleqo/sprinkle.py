@@ -619,14 +619,14 @@ def extract_query_joindag(history: HistoryDag, query: Query, catalog: Catalog,
 def optimize_single(query: Query, catalog: Catalog, *,
                     history: HistoryDag | None = None, limit: int = DEFAULT_MAX_OPS,
                     query_id: str = "q1") -> OptimizeResult:
-    """Full pipeline for one query: reuse (or grow) the join-order history,
-    then run the place and projects stages.  `limit` bounds the joins and,
-    as the placement DP grows as s * 2**s per node, the selects of each
-    block.  Joins the history already holds are not counted: a block whose
-    joins are all known runs whatever its number of joins.  The block's
-    join dag is the grown history below its full-join node, read in place,
-    whether that history was built for this block alone or already held its
-    joins."""
+    """Full pipeline for one query: reuse (or grow) the join-order history
+    by the block's join set, then run the place and projects stages.
+    `limit` bounds the joins and, as the placement DP grows as s * 2**s per
+    node, the selects of each block.  Only the block's own joins count, and
+    only when the history lacks its join set: a block whose join set the
+    history holds runs whatever its number of joins.  The block's join dag
+    is the grown history below its full-join node, read in place, whether
+    that history was built for this block alone or already held its joins."""
     if query.subquery is not None:
         return _optimize_nested(query, catalog, history=history, limit=limit,
                                 query_id=query_id)

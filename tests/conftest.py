@@ -211,6 +211,14 @@ def intern_plan(dag: Dag, plan: Plan) -> int:
     return interned[id(plan)]
 
 
+def below_structure(history, signature) -> tuple[frozenset, frozenset]:
+    """The signatures and arcs of a history's dag below the eq-node of
+    `signature`, so that two histories numbered apart compare."""
+    below = history.dag.below(history.dag.find_eq(signature))
+    return (frozenset(n.signature for n in below.eq_nodes.values()),
+            frozenset(memo.arc_signature_set(below)))
+
+
 def root_signatures(dag: Dag) -> set:
     """The signatures of `dag`'s roots (`memo.dag_roots`), so that two dags
     numbered apart compare; of a history, its components' full-join nodes."""

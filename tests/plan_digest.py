@@ -17,6 +17,13 @@ included) of each `join_heavy` operation's cold history, the one
 `joindag.build_complete_history` builds over its join set.  Plans and
 final dags do not show a history renumbered; this line does.
 
+The last digest covers growth: the saved document
+(`joindag._history_doc`) and the dag document (`memo.dag_to_doc`, ids
+included) of the history after each flat `select_heavy` operation, when
+those operations grow one history per schema from empty, in stream order,
+through `sprinkle.optimize_single`.  The streams' warm histories are
+built whole, so no other line shows a change to how a history grows.
+
 `select_heavy` and `naive_baseline` are each digested in two parts: their
 flat operations (no block with GROUP BY or ORDER BY) and their grouped or
 ordered ones, so a change that moves only grouped or ordered plans shows
@@ -30,8 +37,9 @@ Run it from the root of a source checkout; it imports the optimizer from
 It prints one line per seed and part (the operation count, that part's
 digest and its plan-key digest), then the combined plan-key digest and the
 combined digest of the joindag streams (`plan keys:` and `all:`), then
-those of the naive streams (`naive plan keys:` and `naive:`), and last the
-history-id digest of every seed (`history ids:`).  Compare these lines
+those of the naive streams (`naive plan keys:` and `naive:`), then the
+history-id digest of every seed (`history ids:`), and last the digest of
+the grown histories of every seed (`grown history:`).  Compare these lines
 between two checkouts.  Not a test module: pytest does not
 collect it.
 """
@@ -49,7 +57,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "optbench")]
 
 import bench  # noqa: E402  (needs the paths above)
-from sprinkleqo import costplan, joindag, memo, sqlfront  # noqa: E402
+from sprinkleqo import costplan, joindag, memo, sprinkle, sqlfront  # noqa: E402
 
 WORKLOADS = ("select_heavy", "join_heavy")
 NAIVE = "naive_baseline"
@@ -106,6 +114,27 @@ def history_ids(seed: int, work_dir: pathlib.Path, h) -> None:
         h.update(f"{seed}\t{item.qid}\t{line}\n".encode("utf-8"))
 
 
+def grown_histories(seed: int, work_dir: pathlib.Path, h) -> None:
+    """Add to `h` both documents of the history each flat operation of one
+    seed's `select_heavy` stream leaves, in stream order (or the error it
+    raised), each schema's history grown from empty by its operations."""
+    env = bench.setup(seed, work_dir, "select_heavy")
+    grown = {}
+    for item in env.inputs.streams["select_heavy"]:
+        catalog = env.catalogs[item.schema]
+        query = sqlfront.parse_query(item.sql, catalog)
+        if part_of("select_heavy", query) != "select_heavy flat":
+            continue
+        try:
+            history = grown[item.schema] = sprinkle.optimize_single(
+                query, catalog, history=grown.get(item.schema), limit=bench.JOINDAG_LIMIT).history
+            line = json.dumps([joindag._history_doc(history), memo.dag_to_doc(history.dag)],
+                              sort_keys=True)
+        except Exception as exc:  # an error is part of the output being compared
+            line = f"{type(exc).__name__}: {exc}"
+        h.update(f"{seed}\t{item.qid}\t{line}\n".encode("utf-8"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
@@ -113,7 +142,7 @@ def main(argv=None) -> int:
     # the combined (digest, plan-key digest) of the joindag streams and of the naive ones
     joindag = hashlib.sha256(), hashlib.sha256()
     naive = hashlib.sha256(), hashlib.sha256()
-    histories = hashlib.sha256()
+    histories, grown = hashlib.sha256(), hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
             for workload in WORKLOADS + (NAIVE,):
@@ -125,11 +154,13 @@ def main(argv=None) -> int:
                     total.update(f"{seed}\t{part}\t{digest}\n".encode("utf-8"))
                     total_keys.update(f"{seed}\t{part}\t{keys}\n".encode("utf-8"))
             history_ids(seed, pathlib.Path(tmp) / f"histories-{seed}", histories)
+            grown_histories(seed, pathlib.Path(tmp) / f"grown-{seed}", grown)
     print(f"plan keys: {joindag[1].hexdigest()}")
     print(f"all: {joindag[0].hexdigest()}")
     print(f"naive plan keys: {naive[1].hexdigest()}")
     print(f"naive: {naive[0].hexdigest()}")
     print(f"history ids: {histories.hexdigest()}")
+    print(f"grown history: {grown.hexdigest()}")
     return 0
 
 

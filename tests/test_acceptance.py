@@ -16,9 +16,9 @@ from fractions import Fraction
 from sprinkleqo import (analytics, costplan, joindag, memo, naive, sprinkle)
 from sprinkleqo.sqlfront import parse_query
 
-from conftest import (FIXTURES, chain_catalog, connected_query_sql, enumerate_plans,
-                      intern_plan, place_selects_on_plan, random_schema, root_signatures,
-                      run_cli)
+from conftest import (FIXTURES, below_structure, chain_catalog, connected_query_sql,
+                      enumerate_plans, intern_plan, place_selects_on_plan, random_schema,
+                      root_signatures, run_cli)
 
 COMPANY = str(FIXTURES / "company" / "schema.json")
 
@@ -143,24 +143,41 @@ def test_criterion_3_reported_enumeration_counts(tmp_path):
 
 
 def test_criterion_4_incremental_equals_complete():
-    with criterion(4, "iterated incremental history builds equal the "
-                      "one-shot complete build on 200 random schemas"):
+    with criterion(4, "below each batch component's full-join node, iterated "
+                      "incremental history builds equal the one-shot complete "
+                      "build on 200 random schemas, in either batch order, and "
+                      "one batch of every join is that build"):
         rng = random.Random(8101)
-        start = time.perf_counter()
+        start, apart = time.perf_counter(), 0
         for _ in range(200):
             catalog = random_schema(rng)
             joins = list(catalog.graph.edges)
             complete = joindag.build_complete_history(catalog, tuple(joins))
             rng.shuffle(joins)
-            grown = joindag.empty_history(catalog)
+            whole = joindag.build_incremental(joindag.empty_history(catalog), tuple(joins),
+                                              catalog)
+            assert memo.dag_to_doc(whole.dag) == memo.dag_to_doc(complete.dag)
+            batches = []
             while joins:
                 take = rng.randint(1, len(joins))
-                grown = joindag.build_incremental(grown, tuple(joins[:take]),
-                                                  catalog)
+                batches.append(tuple(joins[:take]))
                 joins = joins[take:]
-            assert structure(grown.dag) == structure(complete.dag)
-            assert set(grown.known_joins) == set(complete.known_joins)
-            assert root_signatures(grown.dag) == root_signatures(complete.dag)
+            grown = []
+            for order in (batches, batches[::-1]):
+                history = joindag.empty_history(catalog)
+                for batch in order:
+                    history = joindag.build_incremental(history, batch, catalog)
+                grown.append(history)
+            for batch in batches:
+                parts = joindag._components({cond.canonical(): cond for cond in batch})
+                apart += len(parts) > 1
+                for rels, texts in parts:
+                    signature = memo.make_signature(rels, texts)
+                    assert len({below_structure(history, signature)
+                                for history in (*grown, complete)}) == 1
+            assert structure(grown[0].dag) == structure(grown[1].dag)
+            assert set(grown[0].known_joins) == set(complete.known_joins)
+        assert apart > 0
         assert time.perf_counter() - start < 60.0
 
 

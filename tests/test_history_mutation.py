@@ -28,7 +28,7 @@ CASES = {"company": "q1", "tpch": "q4"}
 
 def saved_history(group: str) -> str:
     """The JSON text of the history grown from a schema's edges, two joins
-    a batch, so that batches merge components."""
+    a batch, so that it holds several batches."""
     catalog = load_catalog_file(str(FIXTURES / group / "schema.json"))
     edges = catalog.graph.edges
     history = joindag.empty_history(catalog)

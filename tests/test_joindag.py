@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -10,7 +11,7 @@ from sprinkleqo.errors import (CatalogError, LimitExceededError,
                                PersistenceError, ValidationError)
 from sprinkleqo.sqlfront import JoinCondition
 
-from conftest import make_catalog, random_schema, root_signatures
+from conftest import below_structure, make_catalog, random_schema, root_signatures
 
 COMPANY_BASES = ("department", "dept_locations", "employee", "project", "works_on")
 
@@ -23,10 +24,11 @@ def structure(history):
             root_signatures(dag))
 
 
-def component_signatures(history):
-    """The full-join signature of each component of the history's joins."""
-    return {memo.make_signature(rels, texts) for rels, texts in
-            joindag._components(history.known_joins)}
+def batch_components(history):
+    """The full-join signature of each connected component of each of the
+    history's batches."""
+    return {memo.make_signature(rels, texts) for batch in history.batches
+            for rels, texts in joindag._components({c.canonical(): c for c in batch})}
 
 
 def test_complete_build_company(company_catalog):
@@ -58,13 +60,24 @@ def test_known_only_build_shares_the_dag(company_catalog):
     assert h2.batches is h1.batches and len(h1.batches) == 1
     assert (h1.version, h2.version) == (1, 2)
     # a later build that adds joins copies the shared dag first
+    # a later build whose join set the history lacks copies the shared dag
+    # first, and keeps the whole set as its batch, the known joins included
     h3 = joindag.build_incremental(h2, joins, company_catalog)
     assert structure(h1) == before and len(h1.batches) == 1
     assert h3.batches[0] == h1.batches[0] and h3.batches[1] == tuple(
-        sorted(joins[2:], key=lambda j: j.canonical()))
+        sorted(joins, key=lambda j: j.canonical()))
+    # a batch of two components the history holds apart is one that it holds
+    ew, pd = (next(j for j in joins if j.canonical() == text)
+              for text in ("employee.ssn = works_on.ssn", "department.dnumber = project.dnum"))
+    apart = joindag.build_complete_history(company_catalog, (ew, pd))
+    again = joindag.build_incremental(apart, (pd, ew), company_catalog)
+    assert again.dag is apart.dag and again.batches is apart.batches
 
 
 def test_incremental_build_merges_components(company_catalog):
+    # components merge only in a batch that joins them: the bridging join
+    # alone is a component of its own, and the join set of the three joins
+    # is the one component that holds both
     joins = {j.canonical(): j for j in company_catalog.graph.edges}
     ew = joins["employee.ssn = works_on.ssn"]
     pd = joins["department.dnumber = project.dnum"]
@@ -72,12 +85,20 @@ def test_incremental_build_merges_components(company_catalog):
     h = joindag.build_complete_history(company_catalog, (ew, pd))
     assert {sig[0] for sig in root_signatures(h.dag)} == {("employee", "works_on"),
                                                            ("department", "project")}
-    assert root_signatures(h.dag) == component_signatures(h)
-    merged = joindag.build_incremental(h, (wp,), company_catalog)
+    assert root_signatures(h.dag) == batch_components(h)
+    bridged = joindag.build_incremental(h, (wp,), company_catalog)
+    assert {sig[0] for sig in root_signatures(bridged.dag)} == {
+        ("employee", "works_on"), ("department", "project"), ("project", "works_on")}
+    assert root_signatures(bridged.dag) == batch_components(bridged)
+    merged = joindag.build_incremental(bridged, (ew, wp, pd), company_catalog)
     assert {sig[0] for sig in root_signatures(merged.dag)} == {
         ("department", "employee", "project", "works_on")}
-    assert root_signatures(merged.dag) == component_signatures(merged)
-    assert not merged.dag.query_roots and merged.version == 2
+    assert root_signatures(merged.dag) <= batch_components(merged)
+    assert len(merged.batches) == 3 and len(merged.known_joins) == 3
+    # every earlier component is a connected subset of the merged one
+    complete = joindag.build_complete_history(company_catalog, (ew, wp, pd))
+    assert structure(merged)[:3] == structure(complete)[:3]
+    assert not merged.dag.query_roots and merged.version == 3
 
 
 def test_input_history_is_not_mutated(company_catalog):
@@ -114,6 +135,9 @@ def test_per_component_limit(tpch_catalog):
 
 
 def test_incremental_equals_complete_random_batches():
+    # below each batch component's full-join node, a history grown batch by
+    # batch holds what the complete build holds there, and the batches in
+    # reverse order grow the same history; its roots are batch components
     rng = random.Random(414243)
     for _ in range(30):
         catalog = random_schema(rng)
@@ -122,14 +146,19 @@ def test_incremental_equals_complete_random_batches():
             continue
         complete = joindag.build_complete_history(catalog, tuple(joins))
         rng.shuffle(joins)
-        h = joindag.empty_history(catalog)
         cut = sorted(rng.sample(range(len(joins) + 1), min(2, len(joins))))
         batches = [joins[:cut[0]], joins[cut[0]:cut[-1]], joins[cut[-1]:]]
-        for batch in batches:
-            h = joindag.build_incremental(h, tuple(batch), catalog)
-            assert root_signatures(h.dag) == component_signatures(h)
-        assert structure(h)[:2] == structure(complete)[:2]
-        assert structure(h)[2:] == structure(complete)[2:]
+        grown = []
+        for order in (batches, batches[::-1]):
+            h = joindag.empty_history(catalog)
+            for batch in order:
+                h = joindag.build_incremental(h, tuple(batch), catalog)
+                assert root_signatures(h.dag) <= batch_components(h)
+            grown.append(h)
+        for signature in batch_components(grown[0]):
+            assert below_structure(grown[0], signature) == below_structure(complete, signature)
+        assert structure(grown[0]) == structure(grown[1])
+        assert set(grown[0].known_joins) == set(complete.known_joins)
 
 
 def test_the_price_table_keeps_each_roots_walk_and_order():
@@ -224,21 +253,28 @@ def test_query_join_root_without_joins_writes_into_no_history(company_catalog):
 def test_query_join_root_missing_condition(company_catalog):
     h = joindag.build_complete_history(company_catalog,
                                        company_catalog.graph.edges[:1])
-    with pytest.raises(ValidationError, match="not in history"):
+    with pytest.raises(ValidationError, match="^join set not in history: "
+                       "department.dnumber = employee.dno$"):
         joindag.query_join_root(h, {"employee": 1.0, "department": 1.0},
                                 ("department.dnumber = employee.dno",))
 
 
 def test_query_join_root_unjoined_components(company_catalog):
+    # a join set whose joins the history holds, but not as one set, is a
+    # join set it does not hold, reported as one
     joins = {j.canonical(): j for j in company_catalog.graph.edges}
     ew = joins["employee.ssn = works_on.ssn"]
     pd = joins["department.dnumber = project.dnum"]
-    h = joindag.build_complete_history(company_catalog, (ew, pd))
-    with pytest.raises(ValidationError, match="never joined"):
-        joindag.query_join_root(
-            h, {"employee": 1.0, "works_on": 1.0, "department": 1.0,
-                "project": 1.0},
-            (ew.canonical(), pd.canonical()))
+    wp = joins["project.pnumber = works_on.pno"]
+    h = joindag.build_incremental(joindag.build_complete_history(company_catalog, (ew, pd)),
+                                  (wp,), company_catalog)
+    for texts in ((ew.canonical(), pd.canonical()),
+                  (ew.canonical(), pd.canonical(), wp.canonical())):
+        with pytest.raises(ValidationError, match=re.escape(
+                "join set not in history: " + ", ".join(sorted(texts)))):
+            joindag.query_join_root(
+                h, {"employee": 1.0, "works_on": 1.0, "department": 1.0,
+                    "project": 1.0}, texts)
 
 
 def test_save_load_round_trip(company_catalog, tmp_path):
@@ -261,14 +297,17 @@ def test_save_load_round_trip(company_catalog, tmp_path):
 
 def test_a_history_grown_over_merging_batches_round_trips(company_catalog, tmp_path):
     # batches 2 and 3 add relations after earlier op-nodes, batch 3 merges
-    # the two components, and batch 4 closes a cycle
+    # the two components by joining them in one set, which repeats their
+    # joins, and batch 4, every join, closes a cycle
     joins = {j.canonical(): j for j in company_catalog.graph.edges}
     h = joindag.empty_history(company_catalog)
     for batch in (["employee.ssn = works_on.ssn"],
                   ["department.dnumber = project.dnum"],
-                  ["project.pnumber = works_on.pno", "department.dnumber = dept_locations.dnumber"],
-                  ["department.dnumber = employee.dno"]):
+                  ["employee.ssn = works_on.ssn", "department.dnumber = project.dnum",
+                   "project.pnumber = works_on.pno", "department.dnumber = dept_locations.dnumber"],
+                  sorted(joins)):
         h = joindag.build_incremental(h, tuple(joins[t] for t in batch), company_catalog)
+    assert sum(map(len, h.batches)) == 11 and len(h.known_joins) == 5
     first_join = min(eq for eq, node in h.dag.eq_nodes.items() if not node.is_base)
     assert max(eq for eq, node in h.dag.eq_nodes.items() if node.is_base) > first_join
     assert [h.dag.eq_nodes[root].signature[0] for root in memo.dag_roots(h.dag)] == \

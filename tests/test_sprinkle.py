@@ -2503,17 +2503,18 @@ def priced_by_text(history):
 
 
 def test_growing_a_priced_history_prices_like_a_fresh_build(company_catalog):
-    # company's joins in three batches, the second and third each joining
-    # two components of the version before; each version is priced by a
-    # join-only block over its largest component and then in full
+    # company's joins in three batches, each a join set that holds the one
+    # before and joins it to more relations or closes a cycle; each version
+    # is priced by a join-only block over its largest component and then in
+    # full, and equals a fresh build of its batch
     catalog = company_catalog
     joins = sorted(catalog.graph.edges, key=lambda cond: cond.canonical())
     history = joindag.build_complete_history(catalog, tuple(joins[:2]))
     versions = [(history, price_all(history))]
     same = joindag.build_incremental(history, tuple(joins[:1]), catalog)
-    assert same.dag is history.dag and same.prices is history.prices   # no new join
+    assert same.dag is history.dag and same.prices is history.prices   # a held join set
     assert same.views is history.views
-    for batch in (joins[2:4], joins[4:]):
+    for batch in (joins[:4], joins):
         old = versions[-1][0]
         history = joindag.build_incremental(old, tuple(batch), catalog)
         assert history.prices is not old.prices
@@ -2524,7 +2525,7 @@ def test_growing_a_priced_history_prices_like_a_fresh_build(company_catalog):
         query = parse_query("select * from " + ", ".join(bases) + " where "
                             + " and ".join(texts), catalog)
         sprinkle.optimize_single(query, catalog, history=history)
-        fresh = joindag.build_complete_history(catalog, tuple(history.known_joins.values()))
+        fresh = joindag.build_complete_history(catalog, tuple(batch))
         expected = price_all(fresh)
         block = priced_by_text(history)
         assert block and block == {text: expected[text] for text in block}
@@ -2533,6 +2534,110 @@ def test_growing_a_priced_history_prices_like_a_fresh_build(company_catalog):
     assert len(versions[-1][1]) > len(versions[0][1])
     for history, priced in versions:   # a later version leaves an earlier one's table as it was
         assert priced_by_text(history) == priced
+
+
+def test_a_star_stream_grows_its_history_by_each_querys_join_set():
+    # 30 seeded 2-join queries over a 12-spoke star grow one history: none
+    # is refused at the default limit, and the history holds the blocks'
+    # own join dags, not every order over the spokes they named together
+    relations = [{"name": "h", "cardinality": 1000.0,
+                  "attributes": [{"name": f"k{i}", "distinct": 100} for i in range(1, 13)]}]
+    relations += [{"name": f"s{i}", "cardinality": 1000.0,
+                   "attributes": [{"name": "a", "distinct": 100}]} for i in range(1, 13)]
+    catalog = make_catalog(relations, [{"left": f"h.k{i}", "right": f"s{i}.a", "jsf": 0.01}
+                                       for i in range(1, 13)])
+    rng, history, signatures, arcs = random.Random(1), None, set(), set()
+    for _ in range(30):
+        a, b = sorted(rng.sample(range(1, 13), 2))
+        query = parse_query(f"select * from h, s{a}, s{b} "
+                            f"where h.k{a} = s{a}.a and h.k{b} = s{b}.a", catalog)
+        res = sprinkle.optimize_single(query, catalog, history=history)
+        history = res.history
+        signatures |= {node.signature for node in res.jd.eq_nodes.values()}
+        arcs |= memo.arc_signature_set(res.jd)
+    assert {node.signature for node in history.dag.eq_nodes.values()} == signatures
+    assert memo.arc_signature_set(history.dag) == arcs
+    assert memo.count_nodes(history.dag)[:2] == (48, 58)
+
+
+def shaped_catalog(shape, n_joins):
+    """A chain, star or cycle of `n_joins` joins over r0, r1, .. (a cycle
+    has `n_joins` relations, the others one more), each relation with
+    `random_schema`'s a0, a1 and b."""
+    n = n_joins if shape == "cycle" else n_joins + 1
+    relations = [{"name": f"r{i}", "cardinality": card,
+                  "attributes": [{"name": "a0", "distinct": 40}, {"name": "a1", "distinct": 25},
+                                 {"name": "b", "distinct": 10}]}
+                 for i, card in zip(range(n), itertools.cycle((1000.0, 100.0, 5000.0, 50.0)))]
+    pairs = {"chain": [(i, i + 1) for i in range(n_joins)],
+             "star": [(0, i) for i in range(1, n)],
+             "cycle": [(i, (i + 1) % n) for i in range(n)]}[shape]
+    return make_catalog(relations, [{"left": f"r{a}.a0", "right": f"r{b}.a1", "jsf": jsf}
+                                    for (a, b), jsf in zip(pairs, itertools.cycle(
+                                        (0.01, 0.05, 0.002, 0.1)))])
+
+
+def stream_block(catalog, rng):
+    """SQL of a random block over a connected set of 1-3 of the catalog's
+    joins with 0-2 selects: flat, grouped (half of those with a having),
+    ordered, or grouped and ordered."""
+    edges, size = list(catalog.graph.edges), rng.randint(1, 3)
+    chosen = [rng.choice(edges)]
+    while len(chosen) < size:
+        rels = {rel for cond in chosen for rel in cond.relations()}
+        touching = [e for e in edges if e not in chosen and rels.intersection(e.relations())]
+        if not touching:
+            break
+        chosen.append(rng.choice(touching))
+    rels = sorted({rel for cond in chosen for rel in cond.relations()})
+    attrs = {rel: [a.name for a in catalog.relation(rel).attributes] for rel in rels}
+    conds = [f"{c.left[0]}.{c.left[1]} = {c.right[0]}.{c.right[1]}" for c in chosen]
+    for rel in (rng.choice(rels) for _ in range(rng.randint(0, 2))):
+        conds.append(f"{rel}.{attrs[rel][-1]} > {rng.randint(1, 40)}")
+    body = f"from {', '.join(rels)} where {' and '.join(conds)}"
+    rel = rng.choice(rels)
+    key = f"{rel}.{rng.choice(attrs[rel])}"
+    shape = rng.choice(("flat", "group", "order", "group+order"))
+    if shape == "flat":
+        return f"select * {body}"
+    if shape == "order":
+        return f"select * {body} order by {key}"
+    grouped = f"select {key}, count(*) {body} group by {key}"
+    grouped += " having count(*) > 2" if rng.random() < 0.5 else ""
+    return grouped + (f" order by {key}" if shape == "group+order" else "")
+
+
+def test_a_seeded_stream_grows_one_history_per_schema_to_the_exact_optimum(tmp_path,
+                                                                           tpch_catalog):
+    # one seeded stream of flat, grouped and ordered blocks over chain,
+    # star, cycle and tpch schemas, each block through `optimize_single`
+    # over its schema's history as saved and loaded after the block before
+    # on it: every block equals naive and the brute force, the saved history
+    # loads to the dag the block left, and each history holds exactly the
+    # join dags of its blocks
+    catalogs = {"chain": shaped_catalog("chain", 4), "star": shaped_catalog("star", 4),
+                "cycle": shaped_catalog("cycle", 3), "tpch": tpch_catalog}
+    rng = random.Random(4344)
+    own = {name: set() for name in catalogs}
+    warm = decorated = 0
+    for _ in range(48):
+        name = rng.choice(sorted(catalogs))
+        catalog, path = catalogs[name], str(tmp_path / f"{name}.json")
+        history = joindag.load_history(path) if own[name] else None
+        query = parse_query(stream_block(catalog, rng), catalog)
+        res = sprinkle.optimize_single(query, catalog, history=history)
+        optimum = brute_force_cost(query, catalog)
+        assert res.plan.cum_cost == pytest.approx(optimum, rel=memo.SIZE_RTOL), render_query(query)
+        ndag = naive.build_naive_dag(query, catalog)
+        best = costplan.best_plan(ndag, ndag.query_roots["q1"])
+        assert best.cum_cost == pytest.approx(optimum, rel=memo.SIZE_RTOL), render_query(query)
+        joindag.save_history(res.history, path)
+        assert memo.dag_to_doc(joindag.load_history(path).dag) == memo.dag_to_doc(res.history.dag)
+        own[name] |= {node.signature for node in res.jd.eq_nodes.values()}
+        assert {node.signature for node in res.history.dag.eq_nodes.values()} == own[name]
+        warm += history is not None and res.history.dag is history.dag
+        decorated += bool(query.group_by or query.order_by)
+    assert warm >= 10 and 10 <= decorated <= 40 and all(own.values())
 
 
 def test_a_warm_join_only_block_takes_no_step_and_sorts_no_join_dag(monkeypatch, company_catalog,
