@@ -3,7 +3,11 @@
 The cost formula is defined here once: a join costs `join_cost` (|A|*|B|),
 a unary operator `unary_cost` (|A|), a plan the sum of its operator costs,
 so a select-after-join's result size counts once, as the select's input.
-The placement DP and naive's search are exact for any cost of the input
+The size definition sits beside it: a join yields `join_size`
+(jsf*|A|*|B|), a unary operator `unary_size`.  `estimate_size` and
+`op_cost` dispatch on the kind to them; `intern_op`, which sizes and costs
+every op-node a memo build interns, calls them with no dispatch.  The
+placement DP and naive's search are exact for any cost of the input
 sizes; the landing bound (`sprinkle._Placement.bound`) needs one rising in
 each input with cost(r*a, b) >= r*cost(a, b) for r <= 1, and stacking
 selects by selectivity a rising unary cost.
@@ -22,16 +26,11 @@ from .memo import (Dag, KIND_JOIN, KIND_JOINFILTER, KIND_SELECT,
                    KIND_PROJECT, KIND_GROUPBY, KIND_HAVING, KIND_ORDERBY)
 
 
-def estimate_size(kind: str, inputs: tuple[float, ...], factor: float | None = None) -> float:
-    """Estimated output size of one operator application.
+def join_size(a: float, b: float, factor: float) -> float:
+    return float(factor) * a * b
 
-    join: jsf*|A|*|B|; select/having: ssf*|A|; joinfilter: jsf*|A|;
-    groupby: min(distinct product, |A|); project/orderby: |A|.
-    """
-    if kind == KIND_JOIN:
-        a, b = inputs
-        return float(factor) * a * b
-    (a,) = inputs
+
+def unary_size(kind: str, a: float, factor: float | None = None) -> float:
     if kind in (KIND_SELECT, KIND_HAVING, KIND_JOINFILTER):
         return float(factor) * a
     if kind == KIND_GROUPBY:
@@ -39,6 +38,19 @@ def estimate_size(kind: str, inputs: tuple[float, ...], factor: float | None = N
     if kind in (KIND_PROJECT, KIND_ORDERBY):
         return a
     raise DagError(f"unknown op kind {kind!r}")
+
+
+def estimate_size(kind: str, inputs: tuple[float, ...], factor: float | None = None) -> float:
+    """Estimated output size of one operator application: `join_size` or
+    `unary_size`.
+
+    join: jsf*|A|*|B|; select/having: ssf*|A|; joinfilter: jsf*|A|;
+    groupby: min(distinct product, |A|); project/orderby: |A|.
+    """
+    if kind == KIND_JOIN:
+        return join_size(*inputs, factor)
+    (a,) = inputs
+    return unary_size(kind, a, factor)
 
 
 def join_cost(a: float, b: float) -> float:
@@ -138,12 +150,23 @@ def plan_key(plan: Plan) -> str:
 
 def intern_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
               factor: float | None = None) -> int:
-    """Intern one operator over existing eq-nodes, sizing and costing it from
-    their estimates; returns the eq-node it produces."""
-    size = dag.eq_nodes[children[0]].est_size
-    sizes = (size, dag.eq_nodes[children[1]].est_size) if len(children) == 2 else (size,)
-    return memo.attach_op(dag, kind, detail, children, estimate_size(kind, sizes, factor),
-                          op_cost(kind, sizes), factor)
+    """Intern one operator over existing eq-nodes, sized and costed from
+    their estimates; returns the eq-node it produces.  The other entry of
+    the attach step (`memo.attach_over`), beside `memo.attach_op`, with its
+    DagError texts: it reads the inputs once (`memo.input_nodes`: the kind,
+    each child's existence, their count), sizes and costs the op from
+    them, refuses a size or cost that is not finite, and hands the same
+    input nodes to the step."""
+    first, second = memo.input_nodes(dag, kind, children)
+    a = first.est_size
+    if second is None:
+        size, cost = unary_size(kind, a, factor), unary_cost(a)
+    else:
+        b = second.est_size
+        size, cost = join_size(a, b, factor), join_cost(a, b)
+    if not (math.isfinite(size) and math.isfinite(cost)):
+        raise memo.overflow(kind, detail, size, cost)
+    return memo.attach_over(dag, kind, detail, first, second, size, cost, factor)
 
 
 def best_plan(dag: Dag, root_eq: int) -> Plan:
@@ -156,9 +179,9 @@ def best_plan(dag: Dag, root_eq: int) -> Plan:
     recurses and any depth works.  Inputs first, each eq-node keeps its
     least cost and its winning op-node; consumers first, the root's winners
     mark the eq-nodes of its plan; inputs first again, only those get a
-    `Plan`.  `memo.attach_op` keeps every op cost finite, but their sum can
-    still overflow: a non-finite best cost is a DagError, as is an unknown
-    root.
+    `Plan`.  Both entries of the attach step (`memo.attach_over`) keep
+    every op cost finite, but their sum can still overflow: a non-finite
+    best cost is a DagError, as is an unknown root.
     """
     eq_nodes, op_nodes = dag.eq_nodes, dag.op_nodes
     if root_eq not in eq_nodes:

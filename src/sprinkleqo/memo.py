@@ -22,18 +22,24 @@ unary one, so two keys are equal exactly when the two signatures are.  Keys
 are the dag's own: they are never serialized, and a copy keeps its
 registry.
 
-An operator's output eq-node is never chosen by its caller: `attach_op`
-derives its key from the inputs' keys, after checks on those keys that
+An operator's output eq-node is never chosen by its caller: the attach
+step derives its key from the inputs' keys, after checks on those keys that
 reject every operator that does not extend its inputs.  Signatures
 therefore strictly grow along every op-node, so the memo is acyclic by
 construction, and a walk down from any eq-node takes fewer steps than its
 signature has entries (counting a projection as one).
 
-Attaching derives before it looks up: `attach_op` derives the key, finds
-the eq-node by it, and then the op-node among that eq-node's alternatives,
-so re-attaching an existing op-node checks its size estimate and writes
-nothing.  The signature tuple and its text are built once, for a new
-eq-node (`join_signature`, `extend_signature`).  Since signatures grow
+Every op-node of every memo goes through one attach step,
+`attach_over`, which has two entries.  `attach_op` attaches an op with the
+size and cost its caller gives (a copy, a stored plan); `costplan.intern_op`
+sizes and costs it from its inputs (every build).  Each entry reads the
+inputs once (`input_nodes`), checks its numbers, and hands the input nodes
+to the step, so no input is looked up twice.  Attaching derives before it
+looks up: the step derives the key, finds the eq-node by it, and then the
+op-node among that eq-node's alternatives, so re-attaching an existing
+op-node checks its size estimate and writes nothing.  The signature tuple
+and its text are built once, for a new eq-node (`join_signature`,
+`extend_signature`).  Since signatures grow
 along every op-node, `topological_order` needs no walk: it sorts the
 eq-nodes by their signature's entry count.  Every inputs-first pass over a
 memo reads that order: `merge_below`, `plan_count_for`, the place stage's
@@ -92,7 +98,7 @@ def extend_signature(sig: Signature, kind: str, detail: str) -> Signature:
     component; every other unary op extends the applied-unary set.  Raises
     DagError for a project that does not extend `sig`: one over an already
     projected input, or one that retains nothing.  Whether a condition is
-    already applied is `attach_op`'s check, made on keys before it builds a
+    already applied is `attach_over`'s check, made on keys before it builds a
     signature.
     """
     bases, joins, unary, projection = sig
@@ -109,7 +115,7 @@ def extend_signature(sig: Signature, kind: str, detail: str) -> Signature:
 
 def join_signature(a: Signature, b: Signature, detail: str) -> Signature:
     """Signature of joining two disjoint, unprojected trees under one join
-    condition.  That the inputs are such trees is `attach_op`'s check, made
+    condition.  That the inputs are such trees is `attach_over`'s check, made
     on keys before it builds a signature."""
     unary = tuple(sorted({*a[2], *b[2]})) if a[2] or b[2] else ()   # none in a join history
     return (tuple(sorted(a[0] + b[0])), tuple(sorted({*a[1], *b[1], detail})), unary, ())
@@ -117,14 +123,14 @@ def join_signature(a: Signature, b: Signature, detail: str) -> Signature:
 
 def signature_text(sig: Signature) -> str:
     bases, joins, unary, projection = sig
-    parts = ["{" + ",".join(bases) + "}"]
+    text = "{" + ",".join(bases) + "}"
     if joins:
-        parts.append("j[" + "; ".join(joins) + "]")
+        text += " j[" + "; ".join(joins) + "]"
     if unary:
-        parts.append("u[" + "; ".join(unary) + "]")
+        text += " u[" + "; ".join(unary) + "]"
     if projection:
-        parts.append("p[" + ",".join(projection) + "]")
-    return " ".join(parts)
+        text += " p[" + ",".join(projection) + "]"
+    return text
 
 
 @dataclass(slots=True)
@@ -161,7 +167,7 @@ class Dag:
     registry gives each text the next bit of its component (bases, joins,
     unary ops) on first sight; its key index maps each eq-node's key to its
     id.  An op-node is found among the alternatives of the eq-node its key
-    derives (`attach_op`).  A view read from a history
+    derives (`attach_over`).  A view read from a history
     (`joindag.HistoryDag.below`) carries the history's price table, a dict,
     as `prices` and its eq-node ids inputs first as `order`; both are None
     on every other dag."""
@@ -210,7 +216,7 @@ class Dag:
         node objects under their own ids, not copies, with roots of its own
         and none yet.  Nothing writes through it: its op-node map, registry
         and key index are read-only views, the last two of this dag's, so
-        `intern_eq` and `attach_op` raise before they change a node, and a
+        `intern_eq` and `attach_over` raise before they change a node, and a
         key lookup may name a node outside it."""
         out = Dag()
         out.eq_nodes, out.op_nodes = eq_nodes, MappingProxyType(op_nodes)
@@ -283,12 +289,12 @@ def _found(node: EqNode, est_size: float) -> int:
     return node.id
 
 
-def _new_eq(dag: Dag, key: Key, signature: Signature, est_size: float) -> int:
+def _new_eq(dag: Dag, key: Key, signature: Signature, est_size: float) -> EqNode:
     node = EqNode(dag._next_eq, signature, float(est_size), signature_text(signature), key)
     dag._key_index[key] = node.id   # first: it raises in a `Dag.below` view
     dag.eq_nodes[node.id] = node
     dag._next_eq += 1
-    return node.id
+    return node
 
 
 def intern_eq(dag: Dag, signature: Signature, est_size: float) -> int:
@@ -302,13 +308,65 @@ def intern_eq(dag: Dag, signature: Signature, est_size: float) -> int:
     existing = dag._key_index.get(key)
     if existing is not None:
         return _found(dag.eq_nodes[existing], est_size)
-    return _new_eq(dag, key, signature, est_size)
+    return _new_eq(dag, key, signature, est_size).id
+
+
+def input_nodes(dag: Dag, kind: str, children: tuple[int, ...]) -> tuple[EqNode, EqNode | None]:
+    """The eq-nodes an op of `kind` reads, each looked up once: a join's
+    two, or a unary op's one and None.  A DagError, in this order, for an
+    unknown kind, a dangling child, and a join without exactly two children
+    or a unary op without exactly one."""
+    eq_nodes = dag.eq_nodes
+    if kind == KIND_JOIN and len(children) == 2:
+        left, right = children
+        first, second = eq_nodes.get(left), eq_nodes.get(right)
+        if first is None or second is None:
+            raise DagError(f"dangling child eq-node {left if first is None else right}")
+        return first, second
+    if kind != KIND_JOIN and kind not in UNARY_KINDS:
+        raise DagError(f"unknown op kind {kind!r}")
+    for child in children:
+        if child not in eq_nodes:
+            raise DagError(f"dangling child eq-node {child}")
+    if kind == KIND_JOIN:
+        raise DagError("join ops take exactly two children")
+    if len(children) != 1:
+        raise DagError(f"{kind} ops take exactly one child")
+    return eq_nodes[children[0]], None
+
+
+def overflow(kind: str, detail: str, est_size: float, op_cost: float) -> DagError:
+    """The error for an op whose estimate overflowed (is not finite)."""
+    return DagError(f"{kind} {detail!r}: estimate overflows "
+                    f"(est_size {est_size!r}, op_cost {op_cost!r})")
 
 
 def attach_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
               est_size: float, op_cost: float, factor: float | None = None) -> int:
-    """Attach an operator over existing eq-nodes; returns the eq-node it
-    produces.
+    """Attach an operator over existing eq-nodes with the size and cost
+    its caller gives; returns the eq-node it produces.  The entry of the
+    attach step (`attach_over`) for numbers already known;
+    `costplan.intern_op` is the one that computes them.
+
+    The checks run in one order, and a call that breaks two rules gets the
+    first one's error: the kind, finiteness, each child's existence, the
+    children's count (`input_nodes`), then the step's: the signature rule,
+    and last the eq-node found by its key: that it is in the dag (a
+    `Dag.view` may leave it out) and its size.
+    """
+    if not (math.isfinite(est_size) and math.isfinite(op_cost)) and (
+            kind == KIND_JOIN or kind in UNARY_KINDS):   # an unknown kind raises first
+        raise overflow(kind, detail, est_size, op_cost)
+    first, second = input_nodes(dag, kind, children)
+    return attach_over(dag, kind, detail, first, second, est_size, op_cost, factor)
+
+
+def attach_over(dag: Dag, kind: str, detail: str, first: EqNode, second: EqNode | None,
+                est_size: float, op_cost: float, factor: float | None = None) -> int:
+    """The one attach step: an operator over the eq-nodes `first` and
+    `second` (None for a unary op), as `input_nodes` reads them, with a
+    finite size and cost; returns the eq-node it produces.  Enter it by
+    `attach_op` or `costplan.intern_op`, which make the checks before it.
 
     That eq-node is derived, not chosen: a join ORs its inputs' keys and
     its condition's bit, a unary op ORs its bit into its component, and a
@@ -321,49 +379,21 @@ def attach_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
     and a walk down from any eq-node takes fewer steps than its signature
     has entries.  The eq-node is found by its key, its size checked as
     `intern_eq` checks it; only a new one builds its signature tuple and
-    text.  Join ops take exactly two children (stored in canonical order,
-    by their eq-nodes' `text`); every other kind takes one.  Attaching is
-    idempotent: the same (kind, detail, children) maps to one op-node, found
-    among the alternatives of the eq-node the key names, so an existing
-    op-node returns that eq-node and writes nothing.  An estimate that
-    overflowed (a non-finite `est_size` or `op_cost`) is a DagError.
+    text.  A join's two children are stored in canonical order, by their
+    eq-nodes' `text`.  Attaching is idempotent: the same (kind, detail,
+    children) maps to one op-node, found among the alternatives of the
+    eq-node the key names, so an existing op-node returns that eq-node and
+    writes nothing.
 
-    The checks run in one order, and a call that breaks two rules gets the
-    first one's error: the kind, finiteness, each child's existence, the
-    children's count, the signature rule, and last the eq-node found by its
-    key: that it is in the dag (a `Dag.view` may leave it out) and its size.
-    A join takes its own path, scans no list of kinds and reads its
-    condition's bit with one lookup; a size is checked (`_found`) only where
-    it differs from the eq-node's.
+    A join reads each input's key once, scans no list of kinds and reads
+    its condition's bit with one lookup; a size is checked (`_found`) only
+    where it differs from the eq-node's.
     """
-    is_join = kind == KIND_JOIN
-    if not is_join and kind not in UNARY_KINDS:
-        raise DagError(f"unknown op kind {kind!r}")
-    if not (math.isfinite(est_size) and math.isfinite(op_cost)):
-        raise DagError(f"{kind} {detail!r}: estimate overflows "
-                       f"(est_size {est_size!r}, op_cost {op_cost!r})")
-    eq_nodes = dag.eq_nodes
-    if is_join and len(children) == 2:   # each child looked up once
-        left, right = children
-        first, second = eq_nodes.get(left), eq_nodes.get(right)
-        if first is None or second is None:
-            raise DagError(f"dangling child eq-node {left if first is None else right}")
-        if first.text > second.text:
-            first, second, children = second, first, (right, left)
-        else:
-            children = left, right
-    else:
-        for child in children:
-            if child not in eq_nodes:
-                raise DagError(f"dangling child eq-node {child}")
-        if is_join:
-            raise DagError("join ops take exactly two children")
-        if len(children) != 1:
-            raise DagError(f"{kind} ops take exactly one child")
-        first = eq_nodes[children[0]]
-    bases, joins, unary, projection = first.key
     sig = None
-    if is_join:
+    if second is not None:   # a join
+        if first.text > second.text:
+            first, second = second, first
+        bases, joins, unary, projection = first.key
         bases2, joins2, unary2, projection2 = second.key
         if projection or projection2 or bases & bases2:
             raise DagError(f"join {detail!r} of {first.text!r} and "
@@ -374,24 +404,28 @@ def attach_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
             held = first if joins & bit else second
             raise DagError(f"{kind} {detail!r} is already applied in {held.text!r}")
         key = (bases | bases2, joins | joins2 | bit, unary | unary2, ())
-    elif kind == KIND_PROJECT:
-        sig = extend_signature(first.signature, kind, detail)
-        key = (bases, joins, unary, sig[3])
+        children = (first.id, second.id)
     else:
-        is_filter = kind == KIND_JOINFILTER
-        bit = _bit(dag._bits[JOINS if is_filter else UNARY], detail)
-        if (joins if is_filter else unary) & bit:
-            raise DagError(f"{kind} {detail!r} is already applied in {first.text!r}")
-        key = ((bases, joins | bit, unary, projection) if is_filter
-               else (bases, joins, unary | bit, projection))
+        bases, joins, unary, projection = first.key
+        children = (first.id,)
+        if kind == KIND_PROJECT:
+            sig = extend_signature(first.signature, kind, detail)
+            key = (bases, joins, unary, sig[3])
+        else:
+            is_filter = kind == KIND_JOINFILTER
+            bit = _bit(dag._bits[JOINS if is_filter else UNARY], detail)
+            if (joins if is_filter else unary) & bit:
+                raise DagError(f"{kind} {detail!r} is already applied in {first.text!r}")
+            key = ((bases, joins | bit, unary, projection) if is_filter
+                   else (bases, joins, unary | bit, projection))
     parent, op_nodes = dag._key_index.get(key), dag.op_nodes
     if parent is None:
         if sig is None:
             sig = (join_signature(first.signature, second.signature, detail)
-                   if is_join else extend_signature(first.signature, kind, detail))
-        parent = _new_eq(dag, key, sig, est_size)
+                   if second is not None else extend_signature(first.signature, kind, detail))
+        node = _new_eq(dag, key, sig, est_size)
     else:
-        node = eq_nodes.get(parent)
+        node = dag.eq_nodes.get(parent)
         if node is None:   # outside a `Dag.view`, whose key index is its whole dag's
             raise DagError(f"{kind} {detail!r} yields eq-node {parent}, outside this view")
         if node.est_size != est_size:
@@ -400,12 +434,13 @@ def attach_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
             op = op_nodes[op_id]
             if op.children == children and op.detail == detail and op.kind == kind:
                 return parent
+    op_id = dag._next_op
     # the fields in order, without the argument handling of OpNode's __new__
-    op = tuple.__new__(OpNode, (dag._next_op, kind, detail, children, float(op_cost), factor))
-    op_nodes[op.id] = op   # first: it raises in a `Dag.view`
+    op = tuple.__new__(OpNode, (op_id, kind, detail, children, float(op_cost), factor))
+    op_nodes[op_id] = op   # first: it raises in a `Dag.view`
     dag._next_op += 1
-    eq_nodes[parent].child_ops.append(op.id)
-    return parent
+    node.child_ops.append(op_id)
+    return node.id
 
 
 def register_root(dag: Dag, query_id: str, eq_id: int) -> None:
@@ -443,7 +478,7 @@ def topological_order(dag: Dag, root: int | None = None) -> list[int]:
     """Every eq-node of `dag`, or every one `reachable` from `root`, after
     all of its consumers: by the number of entries in its signature (bases,
     applied joins and unary ops, and one for a projection), largest first,
-    ties by id.  `attach_op` holds every op-node's signature to more
+    ties by id.  `attach_over` holds every op-node's signature to more
     entries than each input's, so the order needs no walk and any depth
     works.  Eq-node ids alone are not topological: interning a plan can
     hang a new, higher-id child under an existing parent.

@@ -196,15 +196,17 @@ class _Placement:
         op-node over a factor*a, each costing its `costplan` cost.
 
         The first op-node gives the sizes, on which an eq-node's op-nodes
-        agree up to rounding.  Over an op-node with U below it, a node
-        costs the op over the children's sizes under U plus their best
-        costs under U, and `best` at U is the least of that over the
-        op-nodes whose inputs hold U (an order-by sits below an op-node only
-        in an input that covers its relations).  Every bit of S can sit
-        below some op-node but an order-by that enters here, which is
-        size-neutral, so `size` by U is the size by S too.  `best` then
-        stacks S - U on the op's output (`_stack`), unless no bit may stack
-        on it (its mask is `fixed`), as in every price-table cell.
+        agree up to rounding, and the same walk prices it, unless it is a
+        join whose inputs do not hold every U below the node.  Over an
+        op-node with U below it, a node costs the op over the children's
+        sizes under U plus their best costs under U, and `best` at U is the
+        least of that over the op-nodes whose inputs hold U (an order-by
+        sits below an op-node only in an input that covers its relations).
+        Every bit of S can sit below some op-node but an order-by that
+        enters here, which is size-neutral, so `size` by U is the size by S
+        too.  `best` then stacks S - U on the op's output (`_stack`), unless
+        no bit may stack on it (its mask is `fixed`), as in every
+        price-table cell.
         """
         op = ops[0]
         first, last = inputs[op.children[0]], inputs[op.children[-1]]   # a join's two, or one
@@ -217,16 +219,25 @@ class _Placement:
         sets, join, unary = self.sets, costplan.join_cost, costplan.unary_cost
         below = sets(mask, fixed)   # every U below the op
         size, best = cell.size, cell.best
-        factor = float(op.factor)
-        if len(op.children) == 2:
-            m1, m2, z1, z2 = first.mask, last.mask, first.size, last.size
+        factor, rest = float(op.factor), ops[1:]
+        m1, m2, z1, z2 = first.mask, last.mask, first.size, last.size
+        b1, b2 = first.best, last.best
+        if len(op.children) == 1:   # `b1` is inf at every U its input cannot hold
+            for u in below:
+                a = z1[u]
+                size[u] = factor * a
+                best[u] = unary(a) + b1[u]
+        elif m1 | m2 == mask:   # its inputs hold every U
+            for u in below:
+                t1, t2 = u & m1, u & m2
+                a, b = z1[t1], z2[t2]
+                size[u] = factor * a * b
+                best[u] = join(a, b) + (b1[t1] + b2[t2])
+        else:   # priced with the rest, over its inputs' sets
             for u in below:
                 size[u] = factor * z1[u & m1] * z2[u & m2]
-        else:
-            z1 = first.size
-            for u in below:
-                size[u] = factor * z1[u]
-        for op in ops:
+            rest = ops
+        for op in rest:
             children = op.children
             if len(children) == 2:
                 c1, c2 = inputs[children[0]], inputs[children[1]]

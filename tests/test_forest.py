@@ -270,8 +270,8 @@ def shape(kind, n):
     ("chain", 120, 1024), ("cycle", 232, 1024), ("star", 1024, 1024)])
 def test_each_op_node_is_attached_once(monkeypatch, kind, new_calls, old_calls):
     calls = []
-    attach = memo.attach_op
-    monkeypatch.setattr(memo, "attach_op", lambda *a, **k: calls.append(a[1]) or attach(*a, **k))
+    attach = memo.attach_over
+    monkeypatch.setattr(memo, "attach_over", lambda *a, **k: calls.append(a[1]) or attach(*a, **k))
     relations, joins = shape(kind, 8)
     counts = []
     for expand in (forest.expand_forest, unmemoized_expand_forest):

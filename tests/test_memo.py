@@ -10,7 +10,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sprinkleqo import joindag, memo, naive, sprinkle
+from sprinkleqo import costplan, joindag, memo, naive, sprinkle
 from sprinkleqo.errors import DagError
 from sprinkleqo.memo import (Dag, KIND_GROUPBY, KIND_HAVING, KIND_JOIN, KIND_JOINFILTER,
                              KIND_PROJECT, KIND_SELECT, OpNode, SIZE_RTOL,
@@ -139,7 +139,9 @@ def other_order(dag, a):
     return selected(dag, a, "a.y > 2")
 
 
-@pytest.mark.parametrize("call, message", [
+# (the arguments of a malformed attach_op call over two_base_dag's a, b and
+# their join ab, the DagError text it raises)
+MALFORMED_ATTACHES = [
     (lambda dag, a, b, ab: ("scan", "a.x > 1", (a,), 10.0, 100.0),
      "unknown op kind 'scan'"),
     (lambda dag, a, b, ab: ("scan", "a.x > 1", (a,), 10.0, INF),   # the kind first
@@ -191,14 +193,19 @@ def other_order(dag, a):
      "select 'a.x > 1' is already applied in '{a} u[a.x > 1] p[a.x]'"),
     (lambda dag, a, b, ab: (KIND_SELECT, "a.x > 1", (other_order(dag, a),), 5.0, 10.0),
      "signature collision with inconsistent est_size: '{a} u[a.x > 1; a.y > 2]' has 1.0 vs 5.0"),
-], ids=["unknown-kind", "unknown-kind-inf-cost", "inf-size", "dangling-with-nan-size",
-        "dangling-join-with-nan-cost", "two-dangling", "dangling-right", "three-children-dangling",
-        "three-children", "one-child-join", "dangling-select", "two-child-having",
-        "no-child-project", "overlapping-join", "projected-join-input",
-        "condition-applied-twice", "joinfilter-of-applied-join", "join-of-applied-join",
-        "join-of-applied-join-second-input", "project-over-projected",
-        "empty-project", "size-of-a-found-op", "reapplied-under-a-projection",
-        "size-of-a-found-eq-node"])
+]
+MALFORMED_IDS = ["unknown-kind", "unknown-kind-inf-cost", "inf-size", "dangling-with-nan-size",
+                 "dangling-join-with-nan-cost", "two-dangling", "dangling-right",
+                 "three-children-dangling", "three-children", "one-child-join",
+                 "dangling-select", "two-child-having", "no-child-project", "overlapping-join",
+                 "projected-join-input", "condition-applied-twice",
+                 "joinfilter-of-applied-join", "join-of-applied-join",
+                 "join-of-applied-join-second-input", "project-over-projected",
+                 "empty-project", "size-of-a-found-op", "reapplied-under-a-projection",
+                 "size-of-a-found-eq-node"]
+
+
+@pytest.mark.parametrize("call, message", MALFORMED_ATTACHES, ids=MALFORMED_IDS)
 def test_malformed_attach_op_raises_its_exact_text(call, message):
     """Every malformed call's DagError text, the first broken rule's where
     a call breaks two, and the dag unchanged."""
@@ -208,6 +215,57 @@ def test_malformed_attach_op_raises_its_exact_text(call, message):
     before = dag_to_doc(dag)
     with pytest.raises(DagError) as exc:
         attach_op(dag, *args, factor=0.1)
+    assert str(exc.value) == message
+    assert dag_to_doc(dag) == before
+
+
+def given_numbers_decide(message: str) -> bool:
+    """Whether a malformed attach_op call fails on the size or cost it was
+    given, which `costplan.intern_op` computes instead."""
+    return "overflows" in message or "collision" in message
+
+
+@pytest.mark.parametrize("call, message", [
+    case for case in MALFORMED_ATTACHES if not given_numbers_decide(case[1])], ids=[
+    name for case, name in zip(MALFORMED_ATTACHES, MALFORMED_IDS)
+    if not given_numbers_decide(case[1])])
+def test_malformed_intern_op_raises_attach_op_s_text(call, message):
+    """`costplan.intern_op` enters the attach step that `attach_op` enters,
+    and raises its DagError texts, never a bare KeyError, IndexError or
+    ValueError.  Calls that fail on their given size or cost are left out:
+    intern_op computes both from its inputs once it has read them."""
+    dag, a, b = two_base_dag()
+    ab = attach_op(dag, KIND_JOIN, "a.x = b.x", (a, b), 2000.0, 20000.0, factor=0.1)
+    kind, detail, children, _, _ = call(dag, a, b, ab)
+    before = dag_to_doc(dag)
+    with pytest.raises(DagError) as exc:
+        costplan.intern_op(dag, kind, detail, children, factor=0.1)
+    assert str(exc.value) == message
+    assert dag_to_doc(dag) == before
+
+
+@pytest.mark.parametrize("kind, detail, children, factor, message", [
+    (KIND_JOIN, "x", (0, 99), 0.1, "dangling child eq-node 99"),
+    (KIND_JOIN, "x", (), 0.1, "join ops take exactly two children"),
+    (KIND_SELECT, "x", (), 0.1, "select ops take exactly one child"),
+    (KIND_JOIN, "x", (0, 1, 1), 0.1, "join ops take exactly two children"),
+    (KIND_SELECT, "x", (0, 1), 0.1, "select ops take exactly one child"),
+    (KIND_JOIN, "a.y = b.y", (0, 1), 1e307,
+     "join 'a.y = b.y': estimate overflows (est_size inf, op_cost 20000.0)"),
+    (KIND_SELECT, "a.x > 1", (0,), math.inf,
+     "select 'a.x > 1': estimate overflows (est_size inf, op_cost 100.0)"),
+], ids=["dangling", "no-child-join", "no-child-select", "three-child-join", "two-child-select",
+        "overflowing-join", "overflowing-select"])
+def test_intern_op_refuses_what_it_cannot_read_or_size(kind, detail, children, factor, message):
+    """What raised a bare KeyError, IndexError or ValueError out of
+    `costplan.intern_op` raises `attach_op`'s DagError, and an estimate it
+    computes that overflows is refused with the text `attach_op` gives a
+    given one."""
+    dag, a, b = two_base_dag()
+    assert (a, b) == (0, 1)
+    before = dag_to_doc(dag)
+    with pytest.raises(DagError) as exc:
+        costplan.intern_op(dag, kind, detail, children, factor)
     assert str(exc.value) == message
     assert dag_to_doc(dag) == before
 
@@ -693,7 +751,14 @@ def derived(dag, kind, detail, children):
     project retains at least
     one attribute of an unprojected input; any other unary op adds a
     condition not yet applied, a joinfilter to the joins and the rest to
-    the unary ops."""
+    the unary ops.  Before the rule, every child must exist, and a join
+    take two, any other op one."""
+    for child in children:
+        if child not in dag.eq_nodes:
+            return None, f"dangling child eq-node {child}"
+    if len(children) != (2 if kind == KIND_JOIN else 1):
+        return None, (f"{kind} ops take exactly two children" if kind == KIND_JOIN
+                      else f"{kind} ops take exactly one child")
     nodes = sorted((dag.eq_nodes[c] for c in children), key=lambda n: n.text)
     bases, joins, unary, projection = nodes[0].signature
     if kind == KIND_JOIN:
@@ -734,7 +799,30 @@ def test_attach_op_derives_the_eq_node_of_the_signature_rule(seed):
     every unary kind.  Each accepted attach returns the eq-node of the
     signature the rule in `derived` gives, new exactly when that signature
     is; each rejected one raises the DagError text the rule names."""
-    rng = random.Random(seed)
+    check_signature_rule(seed, lambda dag, kind, detail, children, sig: attach_op(
+        dag, kind, detail, children, float(len(signature_text(sig))) if sig else 1.0, 1.0,
+        factor=0.5))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_intern_op_derives_the_eq_node_of_the_signature_rule(seed):
+    """The sequences of `test_attach_op_derives_the_eq_node_of_the_signature_rule`
+    through `costplan.intern_op`, which sizes each op from its inputs.  One
+    text is a select in one place and an order-by in another, so every
+    factor keeps the size (a group-by's is above every size), and an
+    eq-node's size is the product of its base relations'."""
+    check_signature_rule(seed, lambda dag, kind, detail, children, sig: costplan.intern_op(
+        dag, kind, detail, children, 1e9 if kind == KIND_GROUPBY else 1.0))
+
+
+def check_signature_rule(seed, attach):
+    """`seed`'s random attach sequence, each op attached by
+    `attach(dag, kind, detail, children, derived signature or None)`,
+    against the rule in `derived`.  Before about one call in ten, the same
+    call with a dangling child, or one child too many or too few, drawn
+    from a second generator so that the sequence stays the seed's, must be
+    refused."""
+    rng, broken = random.Random(seed), random.Random(-1 - seed)
     dag, by_signature = Dag(), {}
     for rel in "abcde":
         eq = ensure_base(dag, rel, 10.0)
@@ -754,24 +842,31 @@ def test_attach_op_derives_the_eq_node_of_the_signature_rule(seed):
         else:
             children = (rng.choice(eqs),)
             detail = rng.choice(texts)
+        if broken.random() < 0.1:
+            bad = broken.choice([children[:-1] + (dag._next_eq,), children + children[:1],
+                                 children[1:]])
+            _, error = derived(dag, kind, detail, bad)
+            with pytest.raises(DagError) as exc:
+                attach(dag, kind, detail, bad, None)
+            assert str(exc.value) == error
+            rejected.add("dangling" if "dangling" in error else "count")
         sig, error = derived(dag, kind, detail, children)
-        size = float(len(signature_text(sig))) if sig else 1.0
         if error is not None:
             before = dag_to_doc(dag)
             with pytest.raises(DagError) as exc:
-                attach_op(dag, kind, detail, children, size, 1.0, factor=0.5)
+                attach(dag, kind, detail, children, sig)
             assert str(exc.value) == error
             assert dag_to_doc(dag) == before
             rejected.add(kind if kind != KIND_JOIN else join_refusal(dag, children))
             continue
         expected = by_signature.get(sig, dag._next_eq)   # a new signature, a new eq-node
-        eq = attach_op(dag, kind, detail, children, size, 1.0, factor=0.5)
+        eq = attach(dag, kind, detail, children, sig)
         assert eq == expected and dag.eq_nodes[eq].signature == sig
         assert dag.find_eq(sig) == eq
         by_signature[sig] = eq
         accepted += 1
     assert accepted > 50 and rejected == {"overlapping", "projected", "reapplied", KIND_PROJECT,
-                                          *unary}
+                                          "dangling", "count", *unary}
     assert len({node.key for node in dag.eq_nodes.values()}) == len(dag.eq_nodes)
     for node in dag.eq_nodes.values():
         assert dag.find_eq(node.signature) == node.id

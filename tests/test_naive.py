@@ -166,3 +166,21 @@ def test_grouped_queries_at_different_landings_share_one_memo(tpch_catalog):
                 == costplan.best_plan(alone, alone.query_roots["q1"]).cum_cost)
     assert [costplan.best_plan(shared, shared.query_roots[qid]).cum_cost
             for qid, _ in queries] == [44100.0, 8212200.0, 3211601.0]
+
+
+def test_an_ordered_base_relation_costs_one_unary_op(request, company_catalog,
+                                                     join_cost_formula):
+    """Naive's sort-on-top step prices the order-by by `costplan.unary_cost`
+    of the size under it, the definition `join_cost_formula` swaps: the
+    order-by's position is chosen by input size alone under any rising
+    unary cost, so only a pinned value shows a sort cost written inline.
+    On company, `employee` (1000 rows) sorted reads 1000 under unary cost a
+    and 2000 under 2a."""
+    dag = memo.Dag()
+    employee = memo.ensure_base(dag, "employee",
+                                float(company_catalog.relation("employee").cardinality))
+    costs = naive._costs(dag, [employee], frozenset({"employee"}))
+    expected = {"a*b": 1000.0, "a+b": 1000.0, "a*b+a+b": 2000.0}
+    assert costs.sorted[employee] == costplan.unary_cost(1000.0) == expected[
+        request.node.callspec.params["join_cost_formula"]]
+    assert costs.least[employee] == 0.0

@@ -614,7 +614,7 @@ def test_eight_leaf_star_places_selects_on_few_plans(monkeypatch):
     oracle = enumerate_then_prune_selects(jd, query.selects)
     oracle_placed = len(placed)
     steps = counting(monkeypatch, sprinkle._Placement, "node")
-    attached = counting(monkeypatch, memo, "attach_op")
+    attached = counting(monkeypatch, memo, "attach_over")
     pruned = sprinkle.sprinkle_selects(jd, query, catalog, sqlfront.output_attrs(query, catalog))
     # the per-plan leaf bound lets 34 of the 40320 plans through to
     # placement; the stage prices each eq-node once, by a DP step over r3's
@@ -2002,7 +2002,7 @@ def test_the_place_stage_attaches_each_kept_op_node_once(monkeypatch):
                         + " and ".join(f"r0.a0 = r{i}.a1" for i in range(1, 8)), star)
     history = joindag.build_incremental(joindag.empty_history(star), extract_join_set(query),
                                         star, 8)
-    attached = counting(monkeypatch, memo, "attach_op")
+    attached = counting(monkeypatch, memo, "attach_over")
     res = sprinkle.optimize_single(query, star, history=history)
     assert len(attached) == len(res.dag.op_nodes) == 448
     assert memo.plan_count_for(res.dag, res.dag.query_roots["q1"]) == 5040
@@ -2170,7 +2170,7 @@ def check_join_dag(history, query, catalog, history_arg, attached):
     """The join dag of `query` read from `history` against the reference
     extraction, ids aside, and `optimize_single`'s count of its eq-nodes,
     `history_arg` the history it is passed; `attached` records each
-    `memo.attach_op` call.  Returns the join dag."""
+    `memo.attach_over` call, the attach step.  Returns the join dag."""
     expected = reference_extract_query_joindag(history, query, catalog, "q1")
     roots, n_ops = memo.dag_roots(history.dag), len(history.dag.op_nodes)
     attached.clear()
@@ -2205,9 +2205,9 @@ def test_query_joindag_is_a_copy_of_the_history(tmp_path, monkeypatch, tpch_cata
     """A warm block's join dag holds the history's own nodes below the
     query's full-join node, with the sizes, arcs, costs and factors the
     reference extraction attaches again into a copy, and attaches none."""
-    attach = memo.attach_op
+    attach = memo.attach_over
     calls = []
-    monkeypatch.setattr(memo, "attach_op",
+    monkeypatch.setattr(memo, "attach_over",
                         lambda *a, **k: calls.append(a[1]) or attach(*a, **k))
     cases = list(extraction_cases(tmp_path))
     assert len(cases) == 7 + 10
@@ -2440,9 +2440,9 @@ def test_cold_block_leaves_the_history_it_built(company_catalog, tpch_catalog, t
 def test_cold_join_dag_reads_the_history_in_place(monkeypatch, company_catalog, tpch_catalog):
     """A cold block's history, built for its joins alone, lies below its
     root: the join dag holds all of it, read as the warm block's is."""
-    attach = memo.attach_op
+    attach = memo.attach_over
     calls = []
-    monkeypatch.setattr(memo, "attach_op",
+    monkeypatch.setattr(memo, "attach_over",
                         lambda *a, **k: calls.append(a[1]) or attach(*a, **k))
     for query, catalog in cold_inputs(company_catalog, tpch_catalog):
         history = joindag.build_complete_history(catalog, extract_join_set(query))
