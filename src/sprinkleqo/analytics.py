@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import joindag, memo
+from . import forest, memo
 from .catalog import Catalog
-from .errors import DEFAULT_MAX_OPS, ValidationError
+from .errors import DEFAULT_MAX_OPS, LimitExceededError, ValidationError
 from .sqlfront import Query, extract_join_set
 
 # Widely quoted reference figure for the naive side of the j=4, s=3 worked
@@ -92,15 +92,19 @@ def _require_nonneg(**values: int) -> None:
 
 def complexity_params_for(query: Query, catalog: Catalog,
                           limit: int = DEFAULT_MAX_OPS) -> ComplexityParams:
-    """Measure the query's join-dag size (N_eq, p) and read off n/j/s/q."""
-    from . import sprinkle  # local import: sprinkle pulls in the whole stack
-
+    """Measure the query's join-dag size (N_eq, p) and read off n/j/s/q.
+    The join dag is every join order of the query's joins over its
+    relations (`forest.expand_forest` into an empty memo), as a history
+    holds it below the query's full-join node."""
     if query.subquery is not None:
         raise ValidationError("complexity parameters are defined for flat queries")
-    history = joindag.build_incremental(joindag.empty_history(catalog),
-                                        extract_join_set(query), catalog, limit)
-    jd = sprinkle.extract_query_joindag(history, query, catalog, "params")
-    n_eq, _, p = memo.count_nodes(jd)
+    joins = extract_join_set(query)
+    if len(joins) > limit:
+        raise LimitExceededError("join-order expansion", len(joins), limit)
+    dag = memo.Dag()
+    forest.expand_forest(dag, {rel: float(catalog.relation(rel).cardinality)
+                               for rel in query.tables}, joins)
+    n_eq, _, p = memo.count_nodes(dag)
     return complexity_params(query, n_eq, p)
 
 

@@ -12,10 +12,9 @@ A run imports only the layers its command uses, so that start-up does not
 load (and, without bytecode, compile) code it never calls: `naive` for
 `optimize --mode naive`, `sprinkle` (and with it `joindag`) for joindag
 mode, `joindag` for `--history` and the `histdag` commands, and `analytics`
-for `--report` and `bench` (a naive `--report` builds a join dag for its
-complexity parameters, and so loads `sprinkle` too).  `logging` is imported
-and configured only when SPRINKLE_QO_LOG is info or debug, read afresh on
-each `main` call; at the default level nothing is logged.
+for `--report` and `bench`.  `logging` is imported and configured only when
+SPRINKLE_QO_LOG is info or debug, read afresh on each `main` call; at the
+default level nothing is logged.
 """
 
 from __future__ import annotations
@@ -266,13 +265,9 @@ def cmd_bench(args) -> int:
             rows.extend(analytics.failure_row(query_id, m, "error") for m in modes)
             continue
         for mode in modes:
-            if mode == "naive":
-                if query.subquery is not None:
-                    rows.append(analytics.failure_row(query_id, mode, "error"))
-                    continue
-                if query.n_operations() > limit:
-                    rows.append(analytics.failure_row(query_id, mode, "skipped"))
-                    continue
+            if mode == "naive" and query.subquery is None and query.n_operations() > limit:
+                rows.append(analytics.failure_row(query_id, mode, "skipped"))
+                continue
             try:
                 dag, plan, _, jd, history, elapsed = _run_one(
                     query, catalog, mode, limit, history, query_id)

@@ -1,16 +1,25 @@
 """Size estimation, operator costing, and plan extraction.
 
-The cost formula is defined here once: a join costs `join_cost` (|A|*|B|),
-a unary operator `unary_cost` (|A|), a plan the sum of its operator costs,
-so a select-after-join's result size counts once, as the select's input.
-The size definition sits beside it: a join yields `join_size`
-(jsf*|A|*|B|), a unary operator `unary_size`.  `estimate_size` and
-`op_cost` dispatch on the kind to them; `intern_op`, which sizes and costs
-every op-node a memo build interns, calls them with no dispatch.  The
-placement DP and naive's search are exact for any cost of the input
-sizes; the landing bound (`sprinkle._Placement.bound`) needs one rising in
-each input with cost(r*a, b) >= r*cost(a, b) for r <= 1, and stacking
-selects by selectivity a rising unary cost.
+The size and cost of every operator are defined here once, by four
+functions, and every caller that sizes or costs an op calls them directly,
+knowing its arity:
+
+    join_size(a, b, jsf)         jsf*|A|*|B|
+    unary_size(kind, a, factor)  select/having: ssf*|A|; joinfilter: jsf*|A|;
+                                 groupby: min(distinct product, |A|);
+                                 project/orderby: |A|
+    join_cost(a, b)              |A|*|B|
+    unary_cost(a)                |A|
+
+A plan costs the sum of its operator costs, so a select-after-join's result
+size counts once, as the select's input.  `unary_size` is the one that
+reads the kind, and it refuses one it does not know.  `intern_op` sizes and
+costs every op-node a memo build interns, `op_plan` every node of a plan
+built outside a memo.  The placement DP and naive's search are exact for
+any cost of the input sizes; the landing bound
+(`sprinkle._Placement.bound`) needs one rising in each input with
+cost(r*a, b) >= r*cost(a, b) for r <= 1, and stacking selects by
+selectivity a rising unary cost.
 
 Sizes are real-valued estimates; nothing is rounded except for display.
 """
@@ -40,34 +49,12 @@ def unary_size(kind: str, a: float, factor: float | None = None) -> float:
     raise DagError(f"unknown op kind {kind!r}")
 
 
-def estimate_size(kind: str, inputs: tuple[float, ...], factor: float | None = None) -> float:
-    """Estimated output size of one operator application: `join_size` or
-    `unary_size`.
-
-    join: jsf*|A|*|B|; select/having: ssf*|A|; joinfilter: jsf*|A|;
-    groupby: min(distinct product, |A|); project/orderby: |A|.
-    """
-    if kind == KIND_JOIN:
-        return join_size(*inputs, factor)
-    (a,) = inputs
-    return unary_size(kind, a, factor)
-
-
 def join_cost(a: float, b: float) -> float:
     return a * b
 
 
 def unary_cost(a: float) -> float:
     return a
-
-
-def op_cost(kind: str, inputs: tuple[float, ...]) -> float:
-    """Cost of one operator application: `join_cost` or `unary_cost`."""
-    if kind == KIND_JOIN:
-        return join_cost(*inputs)
-    if kind in memo.UNARY_KINDS:
-        return unary_cost(*inputs)
-    raise DagError(f"unknown op kind {kind!r}")
 
 
 class Plan(NamedTuple):
@@ -120,11 +107,14 @@ def base_plan(relation: str, cardinality: float) -> Plan:
 
 def op_plan(kind: str, detail: str, children: tuple[Plan, ...],
             factor: float | None = None) -> Plan:
-    sizes = tuple(c.est_size for c in children)
-    cost = op_cost(kind, sizes)
-    return Plan(kind=kind, detail=detail, relation=None, children=children,
-                factor=factor, est_size=estimate_size(kind, sizes, factor),
-                op_cost=cost, cum_cost=cost + sum(c.cum_cost for c in children))
+    a = children[0].est_size
+    if kind == KIND_JOIN:
+        b = children[1].est_size
+        size, cost = join_size(a, b, factor), join_cost(a, b)
+    else:
+        size, cost = unary_size(kind, a, factor), unary_cost(a)
+    return Plan(kind=kind, detail=detail, relation=None, children=children, factor=factor,
+                est_size=size, op_cost=cost, cum_cost=cost + sum(c.cum_cost for c in children))
 
 
 def plan_key(plan: Plan) -> str:
@@ -154,10 +144,10 @@ def intern_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
     their estimates; returns the eq-node it produces.  The other entry of
     the attach step (`memo.attach_over`), beside `memo.attach_op`, with its
     DagError texts: it reads the inputs once (`memo.input_nodes`: the kind,
-    each child's existence, their count), sizes and costs the op from
-    them, refuses a size or cost that is not finite, and hands the same
-    input nodes to the step."""
-    first, second = memo.input_nodes(dag, kind, children)
+    each child's existence, their count, the factor), sizes and costs the
+    op from them, refuses a size or cost that is not finite, and hands the
+    same input nodes to the step."""
+    first, second = memo.input_nodes(dag, kind, children, factor)
     a = first.est_size
     if second is None:
         size, cost = unary_size(kind, a, factor), unary_cost(a)

@@ -76,6 +76,8 @@ KIND_HAVING = "having"
 KIND_ORDERBY = "orderby"
 UNARY_KINDS = (KIND_JOINFILTER, KIND_SELECT, KIND_PROJECT, KIND_GROUPBY,
                KIND_HAVING, KIND_ORDERBY)
+# the kinds whose size scales by a factor (a jsf, an ssf, a distinct product)
+FACTOR_KINDS = (KIND_JOIN, KIND_JOINFILTER, KIND_SELECT, KIND_GROUPBY, KIND_HAVING)
 
 SIZE_RTOL = 1e-9
 JOINS, UNARY = 1, 2   # components of a signature, a key and a dag's registry
@@ -311,17 +313,21 @@ def intern_eq(dag: Dag, signature: Signature, est_size: float) -> int:
     return _new_eq(dag, key, signature, est_size).id
 
 
-def input_nodes(dag: Dag, kind: str, children: tuple[int, ...]) -> tuple[EqNode, EqNode | None]:
+def input_nodes(dag: Dag, kind: str, children: tuple[int, ...],
+                factor: float | None) -> tuple[EqNode, EqNode | None]:
     """The eq-nodes an op of `kind` reads, each looked up once: a join's
     two, or a unary op's one and None.  A DagError, in this order, for an
-    unknown kind, a dangling child, and a join without exactly two children
-    or a unary op without exactly one."""
+    unknown kind, a dangling child, a join without exactly two children or
+    a unary op without exactly one, and an op of the `FACTOR_KINDS` with
+    no factor."""
     eq_nodes = dag.eq_nodes
     if kind == KIND_JOIN and len(children) == 2:
         left, right = children
         first, second = eq_nodes.get(left), eq_nodes.get(right)
         if first is None or second is None:
             raise DagError(f"dangling child eq-node {left if first is None else right}")
+        if factor is None:
+            raise DagError("join ops take a factor")
         return first, second
     if kind != KIND_JOIN and kind not in UNARY_KINDS:
         raise DagError(f"unknown op kind {kind!r}")
@@ -332,6 +338,8 @@ def input_nodes(dag: Dag, kind: str, children: tuple[int, ...]) -> tuple[EqNode,
         raise DagError("join ops take exactly two children")
     if len(children) != 1:
         raise DagError(f"{kind} ops take exactly one child")
+    if factor is None and kind in FACTOR_KINDS:
+        raise DagError(f"{kind} ops take a factor")
     return eq_nodes[children[0]], None
 
 
@@ -350,14 +358,14 @@ def attach_op(dag: Dag, kind: str, detail: str, children: tuple[int, ...],
 
     The checks run in one order, and a call that breaks two rules gets the
     first one's error: the kind, finiteness, each child's existence, the
-    children's count (`input_nodes`), then the step's: the signature rule,
-    and last the eq-node found by its key: that it is in the dag (a
-    `Dag.view` may leave it out) and its size.
+    children's count, the factor (`input_nodes`), then the step's: the
+    signature rule, and last the eq-node found by its key: that it is in
+    the dag (a `Dag.view` may leave it out) and its size.
     """
     if not (math.isfinite(est_size) and math.isfinite(op_cost)) and (
             kind == KIND_JOIN or kind in UNARY_KINDS):   # an unknown kind raises first
         raise overflow(kind, detail, est_size, op_cost)
-    first, second = input_nodes(dag, kind, children)
+    first, second = input_nodes(dag, kind, children, factor)
     return attach_over(dag, kind, detail, first, second, est_size, op_cost, factor)
 
 

@@ -14,13 +14,14 @@ relations outside the group-by's subtree; the projection on the root.  The
 search reads the join/select memo below the forest root in place, inputs
 first, and adds no op-node to it.  A landing scales every size above it by
 one ratio, |grouped| / |landing|, so one scan of the memo nodes after it
-prices each op above it by `costplan.op_cost` over those sizes (`_costs`).
-Different landings give the same signatures different sizes, so the memo
-takes the cheapest, the root on a tie, and holds the plans that reach its
-least cost (`_intern_cheapest`), topped by the projection and then the
-order-by; `costplan.best_plan` reads the optimum off the memo.  A group-by
-below the root names its landing in its text (`sqlfront.groupby_text`).  A
-flat query (no group-by or order-by) gets only its projection on top.
+prices each op above it by `costplan.join_cost` or `unary_cost` over
+those sizes (`_costs`).  Different landings give the same signatures
+different sizes, so the memo takes the cheapest, the root on a tie, and
+holds the plans that reach its least cost (`_intern_cheapest`), topped by
+the projection and then the order-by; `costplan.best_plan` reads the
+optimum off the memo.  A group-by below the root names its landing in its
+text (`sqlfront.groupby_text`).  A flat query (no group-by or order-by)
+gets only its projection on top.
 
 The permutation count n! is reported analytically; the expansion itself
 walks applied-condition subsets, which is equivalent (the tests replay
@@ -102,8 +103,8 @@ def _costs(dag: Dag, order: list[int], order_rels: frozenset[str], steps=(),
         landing = order[at]
         size, cost = eq_nodes[landing].est_size, base.least[landing]
         for kind, _, factor in steps:
-            cost += costplan.op_cost(kind, (size,))
-            size = costplan.estimate_size(kind, (size,), factor)
+            cost += costplan.unary_cost(size)
+            size = costplan.unary_size(kind, size, factor)
         ratio = size / eq_nodes[landing].est_size if eq_nodes[landing].est_size else 0.0
         grouped, nodes = {landing}, order[at + 1:]
         least, ordered = dict(base.least), dict(base.sorted)

@@ -265,8 +265,8 @@ class _Placement:
         _, d, having = self.group
         cost, size = 0.0, cell.size[fixed]
         for kind, factor in [(KIND_GROUPBY, d)] + ([(KIND_HAVING, having.ssf)] if having else []):
-            cost += costplan.op_cost(kind, (size,))
-            size = costplan.estimate_size(kind, (size,), factor)
+            cost += costplan.unary_cost(size)
+            size = costplan.unary_size(kind, size, factor)
         return fixed, cost, size
 
     def landing(self, cell: _Cell) -> _Cell:

@@ -225,22 +225,32 @@ def root_signatures(dag: Dag) -> set:
     return {dag.eq_nodes[root].signature for root in memo.dag_roots(dag)}
 
 
+def size_and_cost(kind: str, sizes: tuple[float, ...], factor=None) -> tuple[float, float]:
+    """The output size and the cost of an op of `kind` over its inputs'
+    `sizes`, chosen by their count: `costplan.join_size` and `join_cost`
+    over two, `unary_size` and `unary_cost` over one."""
+    if len(sizes) == 2:
+        a, b = sizes
+        return costplan.join_size(a, b, factor), costplan.join_cost(a, b)
+    (a,) = sizes
+    return costplan.unary_size(kind, a, factor), costplan.unary_cost(a)
+
+
 def check_estimates(dag: Dag) -> None:
     """Raise DagError unless every op-node's cost, and the size of the
     eq-node above it, are finite and agree (`memo.sizes_agree`) with what
-    `costplan.op_cost` and `costplan.estimate_size` give over its
-    children's sizes."""
+    the `costplan` definitions give over its children's sizes
+    (`size_and_cost`)."""
     for node in dag.eq_nodes.values():
         for op_id in node.child_ops:
             op = dag.op_nodes[op_id]
             if op.factor is None and op.kind not in (memo.KIND_PROJECT, memo.KIND_ORDERBY):
                 raise DagError(f"{op.kind} op-node {op_id} has no factor")
-            sizes = tuple(dag.eq_nodes[c].est_size for c in op.children)
-            size = costplan.estimate_size(op.kind, sizes, op.factor)
+            size, cost = size_and_cost(
+                op.kind, tuple(dag.eq_nodes[c].est_size for c in op.children), op.factor)
             if not (math.isfinite(size) and memo.sizes_agree(node.est_size, size)):
                 raise DagError(f"eq-node {node.id} has est_size {node.est_size!r}, "
                                f"but op-node {op_id} gives {size!r}")
-            cost = costplan.op_cost(op.kind, sizes)
             if not (math.isfinite(cost) and memo.sizes_agree(op.op_cost, cost)):
                 raise DagError(f"op-node {op_id} has op_cost {op.op_cost!r}, "
                                f"but its inputs give {cost!r}")

@@ -304,11 +304,11 @@ def test_criterion_8_size_estimation_grid():
             b = rng.uniform(1.0, 1e6)
             jsf = rng.uniform(1e-6, 1.0)
             ssf = rng.uniform(1e-6, 1.0)
-            joined = costplan.estimate_size("join", (a, b), jsf)
+            joined = costplan.join_size(a, b, jsf)
             # evaluate in a different association order
             independent = (Fraction(jsf) * Fraction(a)) * Fraction(b)
             assert abs(joined - independent) <= 1e-12 * independent
-            selected = costplan.estimate_size("select", (a,), ssf)
+            selected = costplan.unary_size("select", a, ssf)
             assert abs(selected - Fraction(ssf) * Fraction(a)) <= \
                 1e-12 * Fraction(ssf) * Fraction(a)
 

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from sprinkleqo import analytics, cli, joindag, memo
+from sprinkleqo import analytics, cli, forest, joindag, memo
 from sprinkleqo.catalog import load_catalog_file
 from sprinkleqo.cli import main
 from sprinkleqo.ioutil import locked
@@ -70,17 +70,19 @@ def test_optimize_naive_mode(capsys, tmp_path):
 
 def test_optimize_builds_complexity_parameters_only_for_a_report(capsys, tmp_path,
                                                                   monkeypatch):
-    # naive mode measures the estimator's join dag in a history of its own
-    builds = []
-    build = joindag.build_incremental
-    monkeypatch.setattr(joindag, "build_incremental",
-                        lambda *args, **kwargs: builds.append(args) or build(*args, **kwargs))
+    # naive mode measures the estimator's join dag, every join order of the
+    # query's joins alone, in a memo of its own; its own search expands the
+    # joins and selects together
+    builds = []   # the selects each expansion applies
+    build = forest.expand_forest
+    monkeypatch.setattr(forest, "expand_forest", lambda dag, relations, joins, selects=():
+                        builds.append(len(selects)) or build(dag, relations, joins, selects))
     code, _, _ = run(capsys, "optimize", "--schema", COMPANY, "--query", Q1, "--mode", "naive")
-    assert code == 0 and builds == []
+    assert code == 0 and builds == [2]
     report = tmp_path / "report.csv"
     code, _, _ = run(capsys, "optimize", "--schema", COMPANY, "--query", Q1, "--mode", "naive",
                      "--report", str(report))
-    assert code == 0 and len(builds) == 1
+    assert code == 0 and builds == [2, 2, 0]
     (row,) = report_from_csv(report.read_text()).rows
     assert (row.est_eq_nodes, row.est_plans) == (54, 40)
 
@@ -652,6 +654,24 @@ def test_bench_company_includes_nested(capsys, tmp_path):
     assert nested.best_cost == 525555.0
     assert nested.est_eq_nodes is None  # estimators cover flat queries only
     assert by[("q1", "naive")].best_cost == by[("q1", "joindag")].best_cost
+
+
+def test_bench_reports_a_nested_query_as_an_error_in_naive_mode(capsys, tmp_path, monkeypatch,
+                                                              caplog):
+    """Naive mode refuses a nested query: its row reads error, not skipped,
+    even with more operations than --max-ops, and info logging names the
+    refusal."""
+    queries = tmp_path / "queries"
+    queries.mkdir()
+    sql = (FIXTURES / "company" / "q3_nested.sql").read_text().strip()
+    (queries / "nested.sql").write_text(sql + "\n  and works_on.hours > 10\n")
+    monkeypatch.setenv("SPRINKLE_QO_LOG", "info")
+    with caplog.at_level(logging.INFO, logger="sprinkleqo"):
+        rows, _, _ = bench_rows(capsys, tmp_path, COMPANY, str(queries), "--modes", "naive",
+                                "--max-ops", "1")
+    assert [(r.query_id, r.status) for r in rows] == [("nested", "error")]
+    assert "nested/naive: the exhaustive baseline does not support nested queries" \
+        in caplog.text
 
 
 def test_bench_is_deterministic_up_to_timing(capsys, tmp_path):

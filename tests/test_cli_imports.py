@@ -74,6 +74,8 @@ def test_joindag_mode_loads_no_naive_layer(tmp_path, history, warm):
 def test_a_report_loads_analytics(tmp_path, mode):
     added, _ = probe(tmp_path, *optimize("--mode", mode, "--report", "r.csv"))
     assert ANALYTICS in added
+    if mode == "naive":   # its complexity parameters need no history or sprinkler
+        assert not added & {SPRINKLE, JOINDAG}
 
 
 @pytest.mark.parametrize("level", ["info", "debug"])

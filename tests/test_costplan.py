@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sprinkleqo import costplan, memo, naive, sprinkle
-from sprinkleqo.costplan import (Plan, base_plan, best_plan, estimate_size, op_cost, op_plan,
-                                 plan_key)
+from sprinkleqo.costplan import (Plan, base_plan, best_plan, join_cost, join_size, op_plan,
+                                 plan_key, unary_cost, unary_size)
 from sprinkleqo.errors import DagError
 from sprinkleqo.memo import KIND_SELECT
 from sprinkleqo.sqlfront import parse_query
@@ -22,36 +22,35 @@ factors = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
 
 @given(sizes, sizes, factors)
 def test_join_size_rule(a, b, jsf):
-    assert estimate_size("join", (a, b), jsf) == jsf * a * b
-    assert op_cost("join", (a, b)) == a * b
+    assert join_size(a, b, jsf) == jsf * a * b
+    assert join_cost(a, b) == a * b
 
 
 @given(sizes, factors)
 def test_select_size_rule(a, ssf):
-    assert estimate_size("select", (a,), ssf) == ssf * a
-    assert op_cost("select", (a,)) == a
+    assert unary_size("select", a, ssf) == ssf * a
+    assert unary_cost(a) == a
 
 
 def test_unary_conventions():
-    assert estimate_size("groupby", (3.0,), 10.0) == 3.0  # capped at input
-    assert estimate_size("groupby", (500.0,), 10.0) == 10.0
-    assert estimate_size("project", (42.0,)) == 42.0
-    assert estimate_size("orderby", (42.0,)) == 42.0
-    assert estimate_size("having", (20.0,), 0.5) == 10.0
-    assert estimate_size("joinfilter", (100.0,), 0.25) == 25.0
-    for kind in ("select", "project", "groupby", "having", "orderby",
-                 "joinfilter"):
-        assert op_cost(kind, (17.0,)) == 17.0
+    assert unary_size("groupby", 3.0, 10.0) == 3.0  # capped at input
+    assert unary_size("groupby", 500.0, 10.0) == 10.0
+    assert unary_size("project", 42.0) == 42.0
+    assert unary_size("orderby", 42.0) == 42.0
+    assert unary_size("having", 20.0, 0.5) == 10.0
+    assert unary_size("joinfilter", 100.0, 0.25) == 25.0
+    assert unary_cost(17.0) == 17.0
 
 
 def test_each_cost_formula_has_the_landing_bounds_property(join_cost_formula):
-    # `op_cost` prices by the swapped definitions; the landing bound scales
+    # `op_plan` prices by the swapped definitions; the landing bound scales
     # the costs above a landing by r, its output over its input, so each
     # cost is at least r times itself at the unscaled size, for r <= 1, up
     # to rounding, and rises with each input
     join, unary = costplan.join_cost, costplan.unary_cost
-    assert (op_cost("join", (3.0, 5.0)), op_cost("select", (3.0,))) == (join(3.0, 5.0),
-                                                                       unary(3.0))
+    a, b = base_plan("a", 3.0), base_plan("b", 5.0)
+    assert (op_plan("join", "a.x = b.x", (a, b), 0.1).op_cost,
+            op_plan("select", "a.x > 1", (a,), 0.1).op_cost) == (join(3.0, 5.0), unary(3.0))
     rng = random.Random(42)
     for _ in range(2000):
         a, b, r = rng.uniform(0.0, 1e6), rng.uniform(0.0, 1e6), rng.random()
@@ -63,10 +62,10 @@ def test_each_cost_formula_has_the_landing_bounds_property(join_cost_formula):
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(DagError):
-        estimate_size("cartesian", (2.0,), 1.0)
-    with pytest.raises(DagError):
-        op_cost("cartesian", (2.0,))
+    with pytest.raises(DagError, match="unknown op kind 'cartesian'"):
+        unary_size("cartesian", 2.0, 1.0)
+    with pytest.raises(DagError, match="unknown op kind 'cartesian'"):
+        op_plan("cartesian", "x", (base_plan("a", 2.0),), 1.0)
 
 
 def test_op_plan_accumulates_costs():

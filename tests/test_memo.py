@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from sprinkleqo import costplan, joindag, memo, naive, sprinkle
 from sprinkleqo.errors import DagError
 from sprinkleqo.memo import (Dag, KIND_GROUPBY, KIND_HAVING, KIND_JOIN, KIND_JOINFILTER,
-                             KIND_PROJECT, KIND_SELECT, OpNode, SIZE_RTOL,
+                             KIND_ORDERBY, KIND_PROJECT, KIND_SELECT, OpNode, SIZE_RTOL,
                              arc_signature_set, attach_op, base_signature,
                              count_nodes, dag_to_doc, ensure_base,
                              export_dot, extend_signature, intern_eq,
@@ -266,6 +266,80 @@ def test_intern_op_refuses_what_it_cannot_read_or_size(kind, detail, children, f
     before = dag_to_doc(dag)
     with pytest.raises(DagError) as exc:
         costplan.intern_op(dag, kind, detail, children, factor)
+    assert str(exc.value) == message
+    assert dag_to_doc(dag) == before
+
+
+def entry_call(entry, dag, kind, detail, children, factor=None):
+    """An op attached through `entry`: `costplan.intern_op`, or `attach_op`
+    given a size and cost of 100.0."""
+    if entry == "intern_op":
+        return costplan.intern_op(dag, kind, detail, children, factor)
+    return attach_op(dag, kind, detail, children, 100.0, 100.0, factor)
+
+
+# (kind, detail, the inputs over two_base_dag's a, b and their join ab) of
+# each kind whose size scales by a factor
+SCALED_OPS = [
+    (KIND_JOIN, "a.y = b.y", lambda a, b, ab: (a, b)),
+    (KIND_JOINFILTER, "a.y = b.y", lambda a, b, ab: (ab,)),
+    (KIND_SELECT, "a.x > 1", lambda a, b, ab: (a,)),
+    (KIND_HAVING, "count(*) > 1", lambda a, b, ab: (a,)),
+    (KIND_GROUPBY, "groupby(a.x)", lambda a, b, ab: (ab,)),
+]
+
+
+@pytest.mark.parametrize("entry", ["attach_op", "intern_op"])
+@pytest.mark.parametrize("kind, detail, inputs", SCALED_OPS,
+                         ids=[kind for kind, _, _ in SCALED_OPS])
+def test_an_op_that_scales_its_size_is_refused_without_a_factor(kind, detail, inputs, entry):
+    """Each entry of the attach step refuses a join, joinfilter, select,
+    having or group-by with no factor, by one DagError text, and the dag
+    is unchanged; with a factor the same op attaches."""
+    dag, a, b = two_base_dag()
+    ab = attach_op(dag, KIND_JOIN, "a.x = b.x", (a, b), 2000.0, 20000.0, factor=0.1)
+    before = dag_to_doc(dag)
+    with pytest.raises(DagError) as exc:
+        entry_call(entry, dag, kind, detail, inputs(a, b, ab))
+    assert str(exc.value) == f"{kind} ops take a factor"
+    assert dag_to_doc(dag) == before
+    eq = entry_call(entry, dag, kind, detail, inputs(a, b, ab), 0.5)
+    assert [op.factor for op in dag.op_nodes.values() if op.kind == kind][-1] == 0.5
+    assert dag.eq_nodes[eq].child_ops
+
+
+@pytest.mark.parametrize("entry", ["attach_op", "intern_op"])
+@pytest.mark.parametrize("kind, detail", [(KIND_PROJECT, "project(a.x)"),
+                                          (KIND_ORDERBY, "orderby(a.x)")])
+def test_a_size_neutral_op_takes_no_factor(kind, detail, entry):
+    """A project or order-by keeps its input's size: each entry attaches
+    it with no factor."""
+    dag, a, _ = two_base_dag()
+    eq = entry_call(entry, dag, kind, detail, (a,))
+    (op,) = [op for op in dag.op_nodes.values() if op.kind == kind]
+    assert (op.factor, dag.eq_nodes[eq].est_size) == (None, 100.0)
+
+
+@pytest.mark.parametrize("entry", ["attach_op", "intern_op"])
+@pytest.mark.parametrize("kind, children, message", [
+    (KIND_JOIN, (0, 99), "dangling child eq-node 99"),
+    (KIND_JOIN, (0, 1, 1), "join ops take exactly two children"),
+    (KIND_SELECT, (0, 1), "select ops take exactly one child"),
+    (KIND_GROUPBY, (0, 99), "dangling child eq-node 99"),
+    (KIND_JOIN, (2, 1), "join ops take a factor"),
+    (KIND_JOINFILTER, (2,), "joinfilter ops take a factor"),
+], ids=["dangling-join", "three-child-join", "two-child-select", "dangling-groupby",
+        "overlapping-join", "applied-joinfilter"])
+def test_a_missing_factor_is_checked_after_the_inputs(kind, children, message, entry):
+    """The factor is checked right after the children's existence and
+    count, and before the signature rule: a join of overlapping inputs, or
+    a joinfilter of a condition its input applies, is refused for its
+    missing factor."""
+    dag, a, b = two_base_dag()
+    assert attach_op(dag, KIND_JOIN, "a.x = b.x", (a, b), 2000.0, 20000.0, factor=0.1) == 2
+    before = dag_to_doc(dag)
+    with pytest.raises(DagError) as exc:
+        entry_call(entry, dag, kind, "a.x = b.x", children)
     assert str(exc.value) == message
     assert dag_to_doc(dag) == before
 

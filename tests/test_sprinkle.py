@@ -21,7 +21,7 @@ from sprinkleqo.sqlfront import (HavingCondition, OrderItem, SelectCondition,
 
 from conftest import FIXTURES, chain_catalog, fixture_sql, make_catalog, random_schema, \
     clause_variants, connected_query_sql, decorate_plan, enumerate_plans, intern_plan, \
-    pass_optimum, place_selects_on_plan, root_cell
+    pass_optimum, place_selects_on_plan, root_cell, size_and_cost
 
 sizes = st.floats(min_value=1.0, max_value=1e5, allow_nan=False)
 factors = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
@@ -360,8 +360,8 @@ def leaf_select_lower_bound(plan, selects):
                 size, cum = float(cond.ssf) * size, size + cum
             return size, cum
         sizes, cums = zip(*[walk(c) for c in node.children])
-        return (costplan.estimate_size(node.kind, sizes, node.factor),
-                costplan.op_cost(node.kind, sizes) + sum(cums))
+        size, cost = size_and_cost(node.kind, sizes, node.factor)
+        return size, cost + sum(cums)
 
     cum = walk(plan)[1]
     select_cost = 0.0
@@ -464,10 +464,9 @@ def leaf_select_floors(dag, selects):
         floor[eq_id] = math.inf
         for op_id in node.child_ops:
             op = dag.op_nodes[op_id]
-            sizes = tuple(size[c] for c in op.children)
-            floor[eq_id] = min(floor[eq_id], costplan.op_cost(op.kind, sizes)
-                               + sum(floor[c] for c in op.children))
-        size[eq_id] = costplan.estimate_size(op.kind, sizes, op.factor)
+            out, cost = size_and_cost(op.kind, tuple(size[c] for c in op.children), op.factor)
+            floor[eq_id] = min(floor[eq_id], cost + sum(floor[c] for c in op.children))
+        size[eq_id] = out
     return floor
 
 
@@ -520,7 +519,7 @@ def reference_select_floors(dag, selects):
         cost = below[u]
         for i in stacking:
             if rest >> i & 1:
-                cost = cost + costplan.op_cost(KIND_SELECT, (out[u],))
+                cost = cost + costplan.unary_cost(out[u])
                 u |= 1 << i
         return cost
 
@@ -538,8 +537,7 @@ def reference_select_floors(dag, selects):
             below[0], out[0] = 0.0, node.est_size
             for t in subsets[m][1:]:   # the select latest in stacking tops t
                 top = max((i for i in range(len(ordered)) if t >> i & 1), key=stacking.index)
-                out[t] = costplan.estimate_size(KIND_SELECT, (out[t ^ 1 << top],),
-                                                ordered[top].ssf)
+                out[t] = costplan.unary_size(KIND_SELECT, out[t ^ 1 << top], ordered[top].ssf)
         for i, op_id in enumerate(node.child_ops):
             op = dag.op_nodes[op_id]
             if len(op.children) == 2:   # a join: its inputs hold disjoint selects
@@ -552,11 +550,12 @@ def reference_select_floors(dag, selects):
                 m, z1, b1 = mask[c], size[c], best[c]
                 inputs = [((z1[u],), b1[u]) for u in subsets[m]]
             for u, (sizes, children) in zip(subsets[m], inputs):
-                cost = costplan.op_cost(op.kind, sizes) + children
+                op_size, cost = size_and_cost(op.kind, sizes, op.factor)
+                cost = cost + children
                 if cost < below[u]:
                     below[u] = cost
                 if i == 0:
-                    out[u] = costplan.estimate_size(op.kind, sizes, op.factor)
+                    out[u] = op_size
         mask[eq_id] = m
         for t in subsets[m] if node.is_base or eq_id in consumed else (m,):
             least[t] = min(stacked(below, out, u, t ^ u) for u in subsets[t])
@@ -755,8 +754,8 @@ def reference_grouping(dp, size):
     _, d, having = dp.group
     cost = 0.0
     for kind, factor in [(KIND_GROUPBY, d)] + ([(KIND_HAVING, having.ssf)] if having else []):
-        cost += costplan.op_cost(kind, (size,))
-        size = costplan.estimate_size(kind, (size,), factor)
+        cost += costplan.unary_cost(size)
+        size = costplan.unary_size(kind, size, factor)
     return cost
 
 
@@ -800,7 +799,8 @@ def reference_place(plan, dp, limit=math.inf):
             child = children[0][0]
             return reference_grouping(dp, child.size[u]), child.best[u]
         cells = [c for c, _, _ in children]
-        return (costplan.op_cost(node.kind, tuple(c.size[u & c.mask] for c in cells)),
+        return (size_and_cost(node.kind, tuple(c.size[u & c.mask] for c in cells),
+                              node.factor)[1],
                 sum(c.best[u & c.mask] for c in cells))
 
     def below_operator(tree):
@@ -1246,10 +1246,10 @@ def pass_maps(passed):
 
 def operator_cost(cell, u, inputs):
     """The least cost of an op-node cell's operator and its inputs with U
-    below it, priced from its alternatives through `costplan.op_cost`: the
+    below it, priced from its alternatives through `size_and_cost`: the
     op over its inputs' sizes at U plus their best costs at U, least over
     the op-nodes whose inputs hold U, and inf where none does."""
-    return min((costplan.op_cost(op.kind, tuple(k.size[u & k.mask] for k in kids))
+    return min((size_and_cost(op.kind, tuple(k.size[u & k.mask] for k in kids), op.factor)[1]
                 + sum(k.best[u & k.mask] for k in kids)
                 for op, kids in alternatives(cell, inputs)
                 if not u & ~(kids[0].mask | kids[-1].mask)),
@@ -1356,7 +1356,7 @@ def test_the_stacking_sweep_matches_the_pair_loop():
 
 def alternative_costs(dp, cell, s, inputs):
     """The cost of each alternative of the state (cell, S), each priced on
-    its own from its inputs' tables through `costplan.op_cost`: an op-node
+    its own from its inputs' tables through `size_and_cost`: an op-node
     whose inputs hold S (read from `inputs`), a leaf's base relation at
     S = 0, a landing's group-by and having at its fixed set, and each bit
     of S not fixed below a landing stacked on the rest."""
@@ -1367,7 +1367,7 @@ def alternative_costs(dp, cell, s, inputs):
         costs = [reference_grouping(dp, plain.size[s]) + plain.best[s]] \
             if s == cell.fixed else []
     else:
-        costs = [costplan.op_cost(op.kind, tuple(k.size[s & k.mask] for k in kids))
+        costs = [size_and_cost(op.kind, tuple(k.size[s & k.mask] for k in kids), op.factor)[1]
                  + sum(k.best[s & k.mask] for k in kids)
                  for op, kids in alternatives(cell, inputs)
                  if not s & ~(kids[0].mask | kids[-1].mask)]
@@ -1375,7 +1375,7 @@ def alternative_costs(dp, cell, s, inputs):
     for i in range(len(dp.ops)):
         if (s & ~fixed) >> i & 1:
             t = s ^ 1 << i
-            costs.append(cell.best[t] + costplan.op_cost(dp.ops[i][0], (cell.size[t],)))
+            costs.append(cell.best[t] + costplan.unary_cost(cell.size[t]))
     return costs
 
 
@@ -1445,6 +1445,30 @@ def test_both_searches_reach_the_brute_force_optimum_under_each_cost_formula(
         ndag = naive.build_naive_dag(query, catalog)
         best = costplan.best_plan(ndag, ndag.query_roots["q1"])
         assert best.cum_cost == pytest.approx(optimum, rel=memo.SIZE_RTOL), sql
+
+
+def test_a_spliced_nested_plan_is_priced_by_each_cost_formula(join_cost_formula,
+                                                               company_catalog):
+    # a nested query's plan is the outer plan with the inner block's plan
+    # spliced in for its view, each operator above it priced again
+    # (`costplan.op_plan`): under each formula every node's cost is the
+    # swapped join or unary cost of its inputs' sizes, its size the size
+    # definition's, and its cum_cost its cost plus its inputs'
+    query = parse_query(fixture_sql("company", "q3_nested"), company_catalog)
+    result = sprinkle.optimize_single(query, company_catalog)
+    nodes = costplan.inputs_first(result.plan)
+    assert any(node is result.inner.plan for node in nodes)
+    for node in nodes:
+        sizes = [c.est_size for c in node.children]
+        if node.kind == "base":
+            size, cost = node.est_size, 0.0
+        elif node.kind == KIND_JOIN:
+            size, cost = costplan.join_size(*sizes, node.factor), costplan.join_cost(*sizes)
+        else:
+            size, cost = (costplan.unary_size(node.kind, *sizes, node.factor),
+                          costplan.unary_cost(*sizes))
+        assert (node.est_size, node.op_cost) == (size, cost), node
+        assert node.cum_cost == cost + sum(c.cum_cost for c in node.children), node
 
 
 def twelve_join_chain_sql():
